@@ -59,7 +59,7 @@ def test_device_launch_coverage():
         max_grid_size=32, blocking_factor=8, regrid_int=2,
         backend_target="device"))
     sim.initialize()
-    backend = sim.kernels.exec_backend
+    backend = sim.exec_backend
     devices = sim.devices
     dim = case.layout.dim
     # flux sweeps per cell per stage: one per direction (+1 if viscous)

@@ -29,7 +29,7 @@ from repro.backend import make_exec_backend
 from repro.cases.dmr import DoubleMachReflection
 from repro.core.crocco import Crocco, CroccoConfig
 from repro.core.validation import flow_variables, l2_difference
-from repro.kernels.api import make_backend
+from repro.kernels.api import make_kernels
 from repro.numerics.eos import IdealGasEOS
 from repro.numerics.metrics import CartesianMetrics
 from repro.numerics.state import StateLayout
@@ -74,7 +74,7 @@ def test_fused_weno_speedup():
         metrics = CartesianMetrics([0.01] * dim)
         times = {}
         for target in ("host", "fused"):
-            ks = make_backend("cpp", layout, eos,
+            ks = make_kernels("cpp", layout, eos,
                               exec_backend=make_exec_backend(target))
             u = _smooth_state(layout, ks.nghost, n)
             times[target] = _time_rhs(ks, u, metrics, ks.nghost, iters)
@@ -112,7 +112,7 @@ def test_fused_dmr_drift_and_scratch():
             scale = float(np.sqrt(np.mean(va[k] ** 2))) or 1.0
             drift = max(drift, l2_difference(va[k], vb[k]) / scale)
         digits = float(-np.log10(max(drift, 1e-16)))
-        scratch = fused.kernels.exec_backend.scratch.stats()
+        scratch = fused.exec_backend.scratch.stats()
         table("fused DMR validation",
               ("rel L2 drift", "matched digits", "scratch hit rate",
                "scratch MiB"),

@@ -39,7 +39,8 @@ def main() -> None:
 
     case = DoubleMachReflection(ncells=(nx, nx // 4), curvilinear=True)
     config = CroccoConfig(
-        version="2.0",          # GPU backend + AMR + curvilinear interpolator
+        version="2.0",          # C++ kernels on the device target + AMR +
+                                # curvilinear interpolator
         nranks=6, ranks_per_node=6,
         max_level=2,            # three levels in total, as in Fig. 2
         max_grid_size=32, blocking_factor=8,
@@ -61,11 +62,12 @@ def main() -> None:
 
     pf = write_plotfile("plt_dmr", sim)
     print(f"\nwrote plotfile {pf}")
-    print(f"simulated GPU: {len(sim.kernels.device.launches)} kernel launches, "
-          f"high-water {sim.kernels.device.high_water / 1e6:.1f} MB")
+    gpu0 = sim.devices[0]
+    print(f"simulated GPU: {len(gpu0.launches)} kernel launches, "
+          f"high-water {gpu0.high_water / 1e6:.1f} MB")
     from repro.perfmodel.device_timing import summarize_device
 
-    timing = summarize_device(sim.kernels.device)
+    timing = summarize_device(gpu0)
     print("simulated V100 kernel time (rank 0, whole run):")
     for name, sec in sorted(timing.seconds.items(), key=lambda kv: -kv[1]):
         print(f"  {name:<10} {sec * 1e3:8.2f} ms over "

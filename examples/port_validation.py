@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """The paper's porting-correctness procedure (Sec. IV-A / IV-C).
 
-Runs the same problem through all three kernel backends — ``fortran``
-(CRoCCo 1.0), ``cpp`` (1.1) and ``gpu`` (2.0) — and reports the L2-norm
+Runs the same problem through the three steps of the port — the
+``fortran`` ordering (CRoCCo 1.0), the ``cpp`` ordering (1.1) and the
+``cpp`` ordering on the device target (2.0) — and reports the L2-norm
 of the difference in each flow variable, the validation the paper used to
 accept the Fortran -> C++ translation (drift plateauing near 1e-7) and the
 GPU port (no change at all).
@@ -33,7 +34,7 @@ def main() -> None:
     t_end = float(sys.argv[2]) if len(sys.argv) > 2 else 0.02
     ncells = (nx, nx // 4)
 
-    print(f"running DMR {ncells} to t = {t_end} on all three backends...")
+    print(f"running DMR {ncells} to t = {t_end} through all three ports...")
     sims = {v: run(v, ncells, t_end) for v in ("1.0", "1.1", "2.0")}
     steps = {v: s.step_count for v, s in sims.items()}
     print(f"steps taken: {steps}")

@@ -4,8 +4,8 @@ A pure-Python reproduction of *"Porting a Computational Fluid Dynamics
 Code with AMR to Large-scale GPU Platforms"* (Davis, Shafner, Nichols,
 Grube, Martin, Bhatele — IPPS 2023): a compressible curvilinear
 WENO-SYMBO / RK3 solver on a block-structured AMR substrate
-(AMReX-equivalent), with Fortran/C++/GPU kernel backends, a simulated
-MPI layer, and Summit machine models that regenerate the paper's
+(AMReX-equivalent), with Fortran/C++ kernel orderings on host/device
+execution targets, a simulated MPI layer, and Summit machine models that regenerate the paper's
 evaluation figures.
 
 Quick start::

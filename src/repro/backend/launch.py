@@ -6,7 +6,7 @@ ComputeDt reduction — behind the AMReX GPU API (``launch`` /
 ``ParallelFor`` / ``ReduceData``), which is exactly what makes the
 device-side accounting of the paper's evaluation complete.  This module
 hoists that seam out of :mod:`repro.kernels.device` into a shared layer
-both the kernel backends and the AMR substrate launch through.
+both the kernel layer and the AMR substrate launch through.
 
 **Targets are pluggable.**  A backend target registers itself with
 :func:`register_target`; :func:`make_exec_backend` constructs backends
@@ -23,7 +23,7 @@ derived module attribute ``TARGETS``) enumerate what is installed:
     :class:`~repro.kernels.device.GpuDevice` instances (arena accounting,
     launch records, flop/byte budgets).  Because the body is identical,
     host and device targets are *bitwise* identical; only the accounting
-    differs — the v2.0/2.1 path.
+    differs — the v2.0/2.1 default.
 
 ``fused``
     The first *optimizing* target (:mod:`repro.backend.fused`): kernels
@@ -36,9 +36,16 @@ derived module attribute ``TARGETS``) enumerate what is installed:
 
 **The launch contract is a** :class:`LaunchSpec`.  Every target accepts
 ``parallel_for(name, fn, npoints, spec)`` / ``reduce_data(name, values,
-op, spec)`` uniformly; the historical loose keywords (``kernel_class=``,
-``budget=``, ``rank=``, ``device=``) are still accepted for one release
-but emit a :class:`DeprecationWarning`.
+op, spec)`` uniformly, and nothing else.
+
+**Simulated devices belong to the accounting targets.**  A launch names
+the issuing rank (``spec.rank``); the target maps it to that rank's
+:class:`~repro.kernels.device.GpuDevice`.  Device *memory* is accounted
+through the same seam: :meth:`ExecutionBackend.reserve` /
+:meth:`~ExecutionBackend.release` charge bytes (kernel scratch, resident
+level state) to the rank's device arena and are no-ops on ``host``, so a
+run has devices, launches, scratch and residency exactly when its target
+accounts.
 
 A module-level current backend (default: host) lets deep call sites —
 the AMR substrate has no reference to the driver — resolve their target
@@ -50,10 +57,9 @@ workers back into the driver (records themselves stay worker-local).
 
 from __future__ import annotations
 
-import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,9 +92,7 @@ class LaunchSpec:
         :func:`~repro.kernels.counts.budget_for_kernel`.
     ``rank``
         The simulated MPI rank issuing the launch; accounting targets
-        map it to that rank's device when ``device`` is not given.
-    ``device``
-        Explicit :class:`~repro.kernels.device.GpuDevice` override.
+        map it to that rank's device (Summit: one V100 per rank).
     ``shape``
         Array-shape hint for scratch caching: optimizing targets key
         their reconstruction-scratch allocator by box shape, and the
@@ -98,35 +102,11 @@ class LaunchSpec:
     kernel_class: str = "flux"
     budget: Optional[object] = None
     rank: int = 0
-    device: Optional[object] = None
     shape: Optional[Tuple[int, ...]] = None
 
 
-#: loose keywords accepted (deprecated) in place of a LaunchSpec
-_LEGACY_KEYS = ("kernel_class", "budget", "rank", "device", "shape")
-
-
-def _normalize_spec(spec: Optional[LaunchSpec], kwargs: dict,
-                    default_class: str) -> LaunchSpec:
-    """Fold deprecated loose keywords into a LaunchSpec (warning once per
-    call site); bare calls get a default spec."""
-    if kwargs:
-        unknown = set(kwargs) - set(_LEGACY_KEYS)
-        if unknown:
-            raise TypeError(
-                f"unknown launch keyword(s) {sorted(unknown)}; the "
-                f"LaunchSpec fields are {_LEGACY_KEYS}")
-        warnings.warn(
-            "loose parallel_for/reduce_data keywords (kernel_class=, "
-            "budget=, rank=, device=) are deprecated; pass a "
-            "LaunchSpec(...) as the `spec` argument instead",
-            DeprecationWarning, stacklevel=4)
-        if spec is None:
-            spec = LaunchSpec(kernel_class=default_class)
-        spec = replace(spec, **kwargs)
-    elif spec is None:
-        spec = LaunchSpec(kernel_class=default_class)
-    return spec
+_FLUX_SPEC = LaunchSpec(kernel_class="flux")
+_REDUCTION_SPEC = LaunchSpec(kernel_class="reduction")
 
 
 @dataclass
@@ -168,14 +148,12 @@ def counters_delta(after: Dict[str, Dict[str, int]],
 
 
 class ExecutionBackend:
-    """Launch primitives shared by the kernel backends and the AMR substrate.
+    """Launch primitives shared by the kernel layer and the AMR substrate.
 
     ``parallel_for(name, fn, npoints, spec)`` runs ``fn`` as one logical
     device launch over ``npoints`` grid points; ``reduce_data`` is the
-    ``amrex::ReduceData`` analogue.  The public methods normalize the
-    keyword contract (LaunchSpec vs. deprecated loose kwargs) once, here;
-    targets implement only :meth:`_launch` / :meth:`_reduce` and decide
-    whether anything is recorded.
+    ``amrex::ReduceData`` analogue.  Targets implement :meth:`_launch` /
+    :meth:`_reduce` and decide whether anything is recorded.
     """
 
     target = "abstract"
@@ -184,15 +162,31 @@ class ExecutionBackend:
     #: checks it to route the RK right-hand side through the fused sweep
     fuses_kernels = False
 
+    #: the simulated devices launches and memory are accounted on, one
+    #: per rank — empty on targets that do not account
+    devices: Sequence[object] = ()
+
     def parallel_for(self, name: str, fn: Callable, npoints: int,
-                     spec: Optional[LaunchSpec] = None, **kwargs):
-        return self._launch(name, fn, npoints,
-                            _normalize_spec(spec, kwargs, "flux"))
+                     spec: Optional[LaunchSpec] = None):
+        return self._launch(name, fn, npoints, spec or _FLUX_SPEC)
 
     def reduce_data(self, name: str, values, op: str = "min",
-                    spec: Optional[LaunchSpec] = None, **kwargs) -> float:
-        return self._reduce(name, values, op,
-                            _normalize_spec(spec, kwargs, "reduction"))
+                    spec: Optional[LaunchSpec] = None) -> float:
+        return self._reduce(name, values, op, spec or _REDUCTION_SPEC)
+
+    # -- device memory (accounting targets only; a no-op on host) ----------
+    def reserve(self, nbytes: int, rank: int = 0) -> None:
+        """Charge ``nbytes`` of device global memory to ``rank``'s device.
+
+        The one memory primitive: kernel scratch (reserved from the host
+        before launch, Sec. IV-B) and resident level state both go
+        through it; accounting targets raise
+        :class:`~repro.kernels.device.DeviceMemoryError` past the device
+        capacity.  Pair with :meth:`release`.
+        """
+
+    def release(self, nbytes: int, rank: int = 0) -> None:
+        """Return ``nbytes`` reserved on ``rank``'s device."""
 
     # -- target hooks ------------------------------------------------------
     def _launch(self, name: str, fn: Callable, npoints: int,
@@ -223,7 +217,7 @@ class ExecutionBackend:
 
 
 class HostBackend(ExecutionBackend):
-    """Plain NumPy execution: no device, no records, no accounting."""
+    """Plain NumPy execution: no devices, no records, no accounting."""
 
     target = "host"
 
@@ -239,12 +233,11 @@ class HostBackend(ExecutionBackend):
 class DeviceBackend(ExecutionBackend):
     """Recorded execution on simulated GPUs, one device per rank.
 
-    An explicit ``spec.device`` wins; otherwise ``spec.rank`` selects
-    from the backend's device list (Summit: one V100 per MPI rank).
-    Every launch also feeds a per-kernel-class :class:`LaunchCounter`,
-    and counters merged from pool workers are kept separately
-    (``worker_counters``) so driver-recorded work is never
-    double-counted.
+    ``spec.rank`` selects from the backend's device list (Summit: one
+    V100 per MPI rank).  Every launch also feeds a per-kernel-class
+    :class:`LaunchCounter`, and counters merged from pool workers are
+    kept separately (``worker_counters``) so driver-recorded work is
+    never double-counted.
     """
 
     target = "device"
@@ -276,7 +269,7 @@ class DeviceBackend(ExecutionBackend):
         self._counters.setdefault(kernel_class, LaunchCounter()).add_record(rec)
 
     def _launch(self, name, fn, npoints, spec):
-        dev = spec.device if spec.device is not None else self.device_for(spec.rank)
+        dev = self.device_for(spec.rank)
         b = self._budget(name, spec.budget)
         result = dev.launch(
             name, fn, npoints,
@@ -290,10 +283,16 @@ class DeviceBackend(ExecutionBackend):
         return result
 
     def _reduce(self, name, values, op, spec) -> float:
-        dev = spec.device if spec.device is not None else self.device_for(spec.rank)
+        dev = self.device_for(spec.rank)
         result = dev.reduce(name, values, op=op, kernel_class=spec.kernel_class)
         self._count(spec.kernel_class, dev.launches[-1])
         return result
+
+    def reserve(self, nbytes: int, rank: int = 0) -> None:
+        self.device_for(rank)._allocate(nbytes)
+
+    def release(self, nbytes: int, rank: int = 0) -> None:
+        self.device_for(rank)._release(nbytes)
 
     # -- worker-counter merging --------------------------------------------
     def merge_worker_counters(self, delta: Dict[str, Dict[str, int]]) -> None:
@@ -450,12 +449,12 @@ def use_backend(backend: ExecutionBackend):
 
 
 def parallel_for(name: str, fn: Callable, npoints: int,
-                 spec: Optional[LaunchSpec] = None, **kwargs):
+                 spec: Optional[LaunchSpec] = None):
     """Launch ``fn`` through the currently active backend."""
-    return current_backend().parallel_for(name, fn, npoints, spec, **kwargs)
+    return current_backend().parallel_for(name, fn, npoints, spec)
 
 
 def reduce_data(name: str, values, op: str = "min",
-                spec: Optional[LaunchSpec] = None, **kwargs) -> float:
+                spec: Optional[LaunchSpec] = None) -> float:
     """Reduce ``values`` through the currently active backend."""
-    return current_backend().reduce_data(name, values, op, spec, **kwargs)
+    return current_backend().reduce_data(name, values, op, spec)

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 
 def theta_from_beta(beta: float, mach: float, gamma: float = 1.4) -> float:
@@ -32,6 +31,10 @@ def beta_from_theta(theta: float, mach: float, gamma: float = 1.4,
 
     Raises ValueError for detached shocks (theta beyond theta_max).
     """
+    # imported here: scipy costs ~0.5 s at import and only this root-find
+    # (the ramp case) needs it
+    from scipy.optimize import brentq
+
     if mach <= 1.0:
         raise ValueError("oblique shocks require supersonic flow")
     beta_min = math.asin(1.0 / mach) + 1e-12

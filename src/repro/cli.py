@@ -25,8 +25,10 @@ Deck keys (beyond the ones :class:`repro.io.inputs.InputDeck` maps onto
     run.max_wall_s  = 60             # hard wall budget, seconds
     runtime.executor = serial        # or pool: multiprocessing task runtime
     runtime.workers  = 4             # pool worker count (default: CPU count)
-    backend.target   = auto          # execution backend: host | device |
-                                     # fused | auto (or REPRO_BACKEND)
+    backend.target   = auto          # execution target: host | device |
+                                     # fused, or auto = the version's own
+                                     # (host for 1.x, device for 2.x);
+                                     # REPRO_BACKEND sets the default
     resilience.watchdog = true       # per-step NaN/positivity/CFL validation
     resilience.max_step_retries = 3  # rollback/retry budget per step
     resilience.retries      = 2      # supervised-pool per-task retry budget
@@ -140,14 +142,19 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--no-watchdog", action="store_true",
                         help="disable per-step validation and step retry")
     args = parser.parse_args(argv)
-
-    deck = InputDeck.from_file(args.deck)
-    case = build_case(deck)
     try:
-        config = deck.to_crocco_config()
+        return run_deck(args)
     except ConfigError as exc:
+        # a bad deck value, flag or environment variable: one line, exit 2
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def run_deck(args) -> int:
+    """Run the deck named by the parsed arguments."""
+    deck = InputDeck.from_file(args.deck)
+    case = build_case(deck)
+    config = deck.to_crocco_config()
     if args.record:
         from pathlib import Path
 
@@ -177,11 +184,13 @@ def main(argv: Optional[list] = None) -> int:
         config.autocheckpoint_dir = args.autocheckpoint_dir
     if args.no_watchdog:
         config.watchdog = False
-    try:
-        sim = Crocco(case, config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    nsteps = args.steps if args.steps is not None else deck.get_int("run.steps")
+    t_end = args.time if args.time is not None else deck.get_float("run.time")
+    if nsteps is None and t_end is None:
+        nsteps = 10
+    report = deck.get_int("run.report_every", 10)
+
+    sim = Crocco(case, config)
     restart = deck.get_str("run.restart")
     if restart:
         load_checkpoint(restart, sim)
@@ -196,12 +205,6 @@ def main(argv: Optional[list] = None) -> int:
     if sim.faults is not None:
         print(f"fault injection active: {config.faults_plan!r} "
               f"(seed {sim.faults.seed})")
-
-    nsteps = args.steps if args.steps is not None else deck.get_int("run.steps")
-    t_end = args.time if args.time is not None else deck.get_float("run.time")
-    if nsteps is None and t_end is None:
-        nsteps = 10
-    report = deck.get_int("run.report_every", 10)
 
     def progress() -> None:
         """One status line: step, time, dt, density bounds."""

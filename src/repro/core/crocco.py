@@ -42,13 +42,14 @@ from repro.amr.tagging import tag_density_gradient, tag_momentum_gradient, tagge
 from repro.backend import LaunchSpec
 from repro.cases.base import Case
 from repro.core.versions import VersionConfig, get_version
-from repro.kernels.api import make_backend
+from repro.kernels.api import make_kernels
+from repro.kernels.device import GpuDevice
 from repro.mpi.comm import Communicator
 from repro.numerics.cfl import compute_dt
 from repro.numerics.fluxes import ConvectiveFlux
 from repro.numerics.metrics import CartesianMetrics, CurvilinearMetrics
 from repro.numerics.rk3 import NSTAGES
-from repro.numerics.weno import WenoScheme
+from repro.numerics.weno import VARIANTS as WENO_VARIANTS, WenoScheme
 from repro.profiling.tinyprofiler import TinyProfiler
 
 INTERPOLATORS = {
@@ -57,6 +58,8 @@ INTERPOLATORS = {
     "conservative": ConservativeLinearInterp,
     "weno": WenoInterp,
 }
+COORDS_SOURCES = ("stored", "file")
+TAGGING = ("density", "momentum")
 
 
 # ConfigError moved to repro.core.errors so the execution-backend target
@@ -96,7 +99,7 @@ class CroccoConfig:
     nranks: int = 1
     ranks_per_node: int = 6
     weno_variant: str = "symbo"
-    tagging: str = "density"  # "density" | "momentum"
+    tagging: str = "density"  # one of TAGGING
     #: "stored" keeps the whole grid in memory (getCoords()); "file" rereads
     #: coordinates from a binary file at each new-patch creation — the
     #: paper's first, slower implementation (Sec. III-C, Regridding).
@@ -122,10 +125,11 @@ class CroccoConfig:
     #: execution-backend target: any name in the target registry —
     #: "host" (plain NumPy), "device" (recorded launches on the
     #: simulated GPUs), "fused" (optimizing: fused WENO sweeps, cached
-    #: scratch, optional numba JIT) — or "auto" (device on the GPU
-    #: versions, host otherwise); deck key ``backend.target``, overridden
-    #: by the REPRO_BACKEND env var for CI matrices.  Validated by
-    #: :func:`repro.backend.resolve_target` (ConfigError, CLI exit 2).
+    #: scratch, optional numba JIT) — or "auto" (the version's own
+    #: target: device for 2.x, host for 1.x); deck key
+    #: ``backend.target``, default from the REPRO_BACKEND env var for CI
+    #: matrices.  Validated by :func:`repro.backend.resolve_target`
+    #: (ConfigError, CLI exit 2).
     backend_target: str = field(
         default_factory=lambda: os.environ.get("REPRO_BACKEND", "auto"))
     #: cross-run immutable cache directory (grid coords, curvilinear
@@ -183,14 +187,25 @@ class CroccoConfig:
         return get_version(self.version)
 
     def validate(self) -> "CroccoConfig":
-        """Reject invalid runtime settings with a clear message.
+        """Reject invalid settings with a clear message.
 
-        Catches the classic foot-guns — ``workers < 1``, an unknown
+        Catches the classic foot-guns — an unknown version, interpolator,
+        WENO variant or tagging criterion, ``workers < 1``, an unknown
         executor name, malformed budgets — here, where the failing knob
-        can be named, instead of deep inside pool construction.
+        can be named, instead of deep inside solver or pool construction.
         """
         from repro.runtime.executors import EXECUTORS
 
+        version = self.resolve_version()
+        for knob, value, options in (
+                ("coords_source", self.coords_source, COORDS_SOURCES),
+                ("interpolator", self.interpolator or version.interpolator,
+                 INTERPOLATORS),
+                ("weno variant", self.weno_variant, WENO_VARIANTS),
+                ("tagging", self.tagging, TAGGING)):
+            if value not in options:
+                raise ConfigError(
+                    f"unknown {knob} {value!r}; options {', '.join(options)}")
         if self.executor not in EXECUTORS:
             raise ConfigError(
                 f"unknown executor {self.executor!r}; options "
@@ -215,8 +230,6 @@ class Crocco(AmrCore):
         self.config = config if config is not None else CroccoConfig()
         self.config.validate()
         self.version = self.config.resolve_version()
-        if self.config.coords_source not in ("stored", "file"):
-            raise ValueError("coords_source must be 'stored' or 'file'")
 
         #: cross-run immutable cache (coords / curvilinear metrics / EOS
         #: tables / interp weights), shared by every run pointed at the
@@ -241,14 +254,6 @@ class Crocco(AmrCore):
         comm = Communicator(self.config.nranks, self.config.ranks_per_node)
         super().__init__(case.geometry0(), amr_cfg, comm)
 
-        # one simulated GPU per rank (Summit: one V100 per MPI rank)
-        self.devices = None
-        if self.version.on_gpu:
-            from repro.kernels.device import GpuDevice
-
-            self.devices = [GpuDevice(name=f"V100-rank{r}")
-                            for r in range(comm.nranks)]
-
         # execution backend: every launch — flux kernels and the AMR
         # substrate alike — routes through this shared target.  The
         # single resolver handles deck key / env var / CLI flag alike
@@ -259,36 +264,25 @@ class Crocco(AmrCore):
                   and self.config.backend_target
                   == os.environ.get("REPRO_BACKEND")
                   else "backend.target")
-        target = resolve_target(self.config.backend_target,
-                                version_default=self.version.exec_target,
-                                source=source)
-        self.backend_target = target
-        backend_devices = self.devices
-        if target != "host" and backend_devices is None:
-            # a CPU version forced onto an accounting target (device or
-            # fused) gets accounting devices of its own; self.devices
-            # stays None so the residency and memory-report logic keeps
-            # its CPU-version behavior
-            from repro.kernels.device import GpuDevice
+        self.backend_target = resolve_target(
+            self.config.backend_target, version_default=self.version.target,
+            source=source)
+        # one simulated GPU per rank (Summit: one V100 per MPI rank),
+        # owned by the target: a target that does not account drops them
+        self.exec_backend = make_exec_backend(
+            self.backend_target,
+            [GpuDevice(name=f"V100-rank{r}") for r in range(comm.nranks)])
 
-            backend_devices = [GpuDevice(name=f"V100-rank{r}")
-                               for r in range(comm.nranks)]
-            self._backend_devices = backend_devices
-        self.exec_backend = make_exec_backend(target, backend_devices)
-
-        self.kernels = make_backend(
-            self.version.backend,
+        self.kernels = make_kernels(
+            self.version.ordering,
             case.layout,
             case.eos,
             convective=ConvectiveFlux(scheme=WenoScheme(variant=self.config.weno_variant)),
             viscous=case.viscous,
-            device=self.devices[0] if self.devices else None,
             exec_backend=self.exec_backend,
         )
         self.ng = self.kernels.nghost
         interp_name = self.config.interpolator or self.version.interpolator
-        if interp_name not in INTERPOLATORS:
-            raise ValueError(f"unknown interpolator {interp_name!r}")
         self.interp = INTERPOLATORS[interp_name]()
         self.profiler = TinyProfiler()
 
@@ -296,7 +290,9 @@ class Crocco(AmrCore):
         self.du: Dict[int, MultiFab] = {}
         self.coords: Dict[int, MultiFab] = {}
         self.metrics: Dict[int, Dict[int, object]] = {}
-        self._residency: Dict[int, object] = {}
+        #: bytes of level state resident per rank, reserved on the
+        #: execution backend while the level exists
+        self._residency: Dict[int, List[int]] = {}
         self._coords_file: Optional[str] = None
 
         self.time = 0.0
@@ -484,20 +480,15 @@ class Crocco(AmrCore):
                         CurvilinearMetrics.from_coordinates(fab.whole()))
             else:
                 self.metrics[lev][i] = CartesianMetrics(self.case.cartesian_dx(geom))
-        if self.devices is not None:
-            # register each rank's share of the level on its own GPU
-            handles = []
-            per_rank = [0] * self.comm.nranks
-            for i, fab in self.state[lev]:
-                r = self.state[lev].dm[i]
-                per_rank[r] += (fab.nbytes() + self.du[lev].fab(i).nbytes()
-                                + coords.fab(i).nbytes())
-            for r, nbytes in enumerate(per_rank):
-                if nbytes:
-                    handles.append(
-                        self.kernels.register_state(nbytes, self.devices[r])
-                    )
-            self._residency[lev] = handles
+        # each rank's share of the level is resident on its own device
+        per_rank = [0] * self.comm.nranks
+        for i, fab in self.state[lev]:
+            per_rank[self.state[lev].dm[i]] += (
+                fab.nbytes() + self.du[lev].fab(i).nbytes()
+                + coords.fab(i).nbytes())
+        for rank, nbytes in enumerate(per_rank):
+            self.exec_backend.reserve(nbytes, rank)
+        self._residency[lev] = per_rank
         engine = getattr(self, "engine", None)
         if engine is not None:
             engine.adopt_level(lev)
@@ -520,8 +511,8 @@ class Crocco(AmrCore):
             engine.release_level(lev)
         for store in (self.state, self.du, self.coords, self.metrics):
             store.pop(lev, None)
-        for handle in self._residency.pop(lev, []) or []:
-            handle.free()
+        for rank, nbytes in enumerate(self._residency.pop(lev, ())):
+            self.exec_backend.release(nbytes, rank)
 
     # -- boundary conditions ---------------------------------------------
     def _bc_fill(self, lev: int) -> None:
@@ -621,11 +612,10 @@ class Crocco(AmrCore):
                 for i, fab in mf:
                     # valid region only: ghost cells can be stale right
                     # after a regrid, before the stage's FillPatch
+                    rank = mf.dm[i]
                     r = self.kernels.max_rate(
                         fab.valid(), self.metrics[lev][i].interior(self.ng),
-                        device=self._device_of(mf.dm[i]),
-                    )
-                    rank = mf.dm[i]
+                        rank)
                     rates[rank] = max(rates[rank], r)
             cfl = self.config.cfl if self.config.cfl is not None else self.case.cfl
             return compute_dt(rates, cfl, self.comm)
@@ -647,14 +637,14 @@ class Crocco(AmrCore):
                 self.engine.run_stage(dt, stage)
             self.engine.end_step()
 
-    def _device_of(self, rank: int):
-        """The owning rank's simulated GPU (None on CPU backends)."""
-        return self.devices[rank] if self.devices is not None else None
+    @property
+    def devices(self):
+        """The run's simulated GPUs, one per rank — the execution
+        backend's (none on a target that does not account)."""
+        return self.exec_backend.devices
 
     def gpu_memory_report(self):
         """Per-rank simulated device memory (bytes in use, high water)."""
-        if self.devices is None:
-            return None
         return [(d.name, d.bytes_in_use, d.high_water) for d in self.devices]
 
     # -- diagnostics -----------------------------------------------------

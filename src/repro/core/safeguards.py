@@ -70,8 +70,8 @@ def attach_guard(crocco, guard: PositivityGuard | None = None) -> PositivityGuar
     kernels = crocco.kernels
     orig_update = kernels.update
 
-    def guarded_update(u_valid, du, rhs, dt, stage, device=None):
-        orig_update(u_valid, du, rhs, dt, stage, device=device)
+    def guarded_update(u_valid, du, rhs, dt, stage, rank=0):
+        orig_update(u_valid, du, rhs, dt, stage, rank)
         g.apply(crocco.case.layout, crocco.case.eos, u_valid,
                 step=crocco.step_count)
 

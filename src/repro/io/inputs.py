@@ -12,7 +12,7 @@ import shlex
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.core.crocco import CroccoConfig
+from repro.core.crocco import ConfigError, CroccoConfig
 
 
 class InputDeck:
@@ -54,15 +54,24 @@ class InputDeck:
             return default
         return self._entries[key][0]
 
+    @staticmethod
+    def _convert(key: str, tok: str, convert, what: str):
+        """``convert(tok)``, or a ConfigError naming the deck key."""
+        try:
+            return convert(tok)
+        except ValueError:
+            raise ConfigError(
+                f"{key}: expected {what}, got {tok!r}") from None
+
     def get_int(self, key: str, default: Optional[int] = None) -> Optional[int]:
         if key not in self._entries:
             return default
-        return int(self._entries[key][0])
+        return self._convert(key, self._entries[key][0], int, "an integer")
 
     def get_float(self, key: str, default: Optional[float] = None) -> Optional[float]:
         if key not in self._entries:
             return default
-        return float(self._entries[key][0])
+        return self._convert(key, self._entries[key][0], float, "a number")
 
     def get_bool(self, key: str, default: Optional[bool] = None) -> Optional[bool]:
         if key not in self._entries:
@@ -72,12 +81,13 @@ class InputDeck:
             return True
         if tok in ("0", "false", "f", "no"):
             return False
-        raise ValueError(f"{key}: cannot interpret {tok!r} as a boolean")
+        raise ConfigError(f"{key}: cannot interpret {tok!r} as a boolean")
 
     def get_ints(self, key: str, default=None) -> Optional[List[int]]:
         if key not in self._entries:
             return default
-        return [int(t) for t in self._entries[key]]
+        return [self._convert(key, tok, int, "an integer")
+                for tok in self._entries[key]]
 
     # -- CroccoConfig mapping ----------------------------------------------
     def to_crocco_config(self) -> CroccoConfig:

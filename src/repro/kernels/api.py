@@ -1,8 +1,10 @@
-"""Kernel backends: the Fortran -> C++ -> GPU port, functionally.
+"""The kernel layer: the Fortran -> C++ port, functionally.
 
 A :class:`KernelSet` bundles the per-patch kernels CRoCCo's RK3 advance
 calls (Algorithm 2): ``WENOx/y/z``, ``Viscous``, ``Update``, plus the
-``ComputeDt`` rate estimate.  Three backends exist:
+``ComputeDt`` rate estimate.  Two things about it are independent:
+
+**Arithmetic ordering** (``ordering``) — what the kernels compute:
 
 ``fortran``
     The original kernel organization: the RK right-hand side accumulates
@@ -13,27 +15,27 @@ calls (Algorithm 2): ``WENOx/y/z``, ``Viscous``, ``Update``, plus the
     The translated kernels.  Mathematically identical, but the compiler
     re-associates differently: we model this by accumulating the direction
     sweeps in reverse order and pairing additions differently.  Running
-    both backends on the same problem produces a small floating-point
+    both orderings on the same problem produces a small floating-point
     drift whose L2 norm plateaus near machine-precision-amplified levels —
     the paper's 1e-7 validation criterion (Sec. IV-A).
 
-``gpu``
-    Same arithmetic as ``cpp`` (the paper observed no accuracy change on
-    GPU), but executed through the simulated device: per-patch state is
-    resident in device memory, scratch arrays are allocated host-side
-    before launch, each kernel is a recorded launch with flop/byte
-    budgets, and reductions use the device ``ReduceData`` path.
+**Execution target** (``exec_backend``, :mod:`repro.backend`) — where the
+launches run.  The paper moved the C++ kernels onto the GPU through the
+launch API and observed no accuracy change, so the kernels never ask
+where they are: every launch names its owning rank in the
+:class:`~repro.backend.LaunchSpec`, WENO scratch is reserved through the
+backend before the launch (Sec. IV-B), and a target that accounts maps
+both to that rank's simulated device.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from repro.backend import (DeviceBackend, ExecutionBackend, HostBackend,
-                           LaunchSpec)
+from repro.backend import ExecutionBackend, HostBackend, LaunchSpec
 from repro.kernels.counts import (
     BUDGETS,
     COMPUTEDT_BUDGET,
@@ -42,7 +44,6 @@ from repro.kernels.counts import (
     WENO_BUDGET,
     fused_weno_budget,
 )
-from repro.kernels.device import GpuDevice
 from repro.numerics.cfl import local_max_rate
 from repro.numerics.fluxes import ConvectiveFlux
 from repro.numerics.metrics import Metrics
@@ -50,52 +51,41 @@ from repro.numerics.rk3 import rk3_stage
 from repro.numerics.state import StateLayout
 from repro.numerics.viscous import ViscousFlux
 
-BACKENDS = ("fortran", "cpp", "gpu")
+ORDERINGS = ("fortran", "cpp")
 
 DIRECTION_NAMES = ("WENOx", "WENOy", "WENOz")
 
 
 @dataclass
 class KernelSet:
-    """Backend-specific kernel implementations for one solver configuration."""
+    """The kernels of one solver configuration: an arithmetic ordering
+    launched through one execution backend."""
 
-    backend: str
+    ordering: str
     layout: StateLayout
     eos: object
     convective: ConvectiveFlux
     viscous: Optional[ViscousFlux] = None
-    device: Optional[GpuDevice] = None
     #: "double" or "mixed": mixed precision (a paper future-work item,
-    #: Sec. VI-A) evaluates the flux kernels in float32 on the gpu backend
-    #: while keeping the state and the RK update in float64
+    #: Sec. VI-A) evaluates the flux kernels in float32 while keeping the
+    #: state and the RK update in float64
     precision: str = "double"
-    #: the execution backend launches route through; defaults to a device
-    #: backend over this KernelSet's device on gpu, a host backend otherwise
+    #: the execution backend launches route through (None: host)
     exec_backend: Optional[ExecutionBackend] = None
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}; options {BACKENDS}")
+        if self.ordering not in ORDERINGS:
+            raise ValueError(
+                f"unknown ordering {self.ordering!r}; options {ORDERINGS}")
         if self.precision not in ("double", "mixed"):
             raise ValueError("precision must be 'double' or 'mixed'")
-        if self.precision == "mixed" and self.backend != "gpu":
-            raise ValueError("mixed precision is a GPU-backend experiment")
-        if self.backend == "gpu" and self.device is None:
-            self.device = GpuDevice()
         if self.exec_backend is None:
-            self.exec_backend = (DeviceBackend([self.device])
-                                 if self.backend == "gpu" else HostBackend())
-        # the translated (cpp/gpu) kernels evaluate the LF split in the
+            self.exec_backend = HostBackend()
+        # the translated (cpp) kernels evaluate the LF split in the
         # re-associated form — the fortran/C++ floating-point divergence
-        from dataclasses import replace
-
-        want = "fused" if self.backend == "fortran" else "distributed"
+        want = "fused" if self.ordering == "fortran" else "distributed"
         if self.convective.split_form != want:
             self.convective = replace(self.convective, split_form=want)
-
-    @property
-    def on_gpu(self) -> bool:
-        return self.backend == "gpu"
 
     @property
     def nghost(self) -> int:
@@ -106,62 +96,65 @@ class KernelSet:
 
     # -- RHS evaluation --------------------------------------------------
     def rhs(self, u: np.ndarray, metrics: Metrics, ng: int,
-            device: Optional[GpuDevice] = None) -> np.ndarray:
+            rank: int = 0) -> np.ndarray:
         """Full right-hand side over the valid region of one patch.
 
         The accumulation *order* of direction sweeps differs between the
-        fortran and cpp/gpu backends (see module docstring): a deliberate,
-        faithful source of floating-point divergence.  ``device`` selects
-        the executing GPU (Summit runs one rank per GPU); defaults to the
-        KernelSet's own device.
+        fortran and cpp orderings (see module docstring): a deliberate,
+        faithful source of floating-point divergence.  ``rank`` is the
+        patch's owning rank (Summit runs one rank per GPU).
         """
-        dev = device if device is not None else self.device
         dim = self.layout.dim
         if self.precision == "mixed":
             # flux kernels evaluate in single precision; the state stays
             # double and the update accumulates in double (the standard
             # mixed-precision recipe the paper lists as future work)
             u = u.astype(np.float32).astype(np.float64)
-        if (getattr(self.exec_backend, "fuses_kernels", False)
+        if (self.exec_backend.fuses_kernels
                 and not self.convective.characteristic):
             # the fused target collapses the per-direction sweeps into
             # one wide launch with shared primitives and cached scratch
-            out = self._fused_sweep(u, metrics, ng, dev)
+            out = self._fused_sweep(u, metrics, ng, rank)
         else:
-            directions = (range(dim) if self.backend == "fortran"
+            directions = (range(dim) if self.ordering == "fortran"
                           else range(dim - 1, -1, -1))
             out = None
             for d in directions:
-                contrib = self._weno_direction(u, metrics, d, ng, dev)
+                contrib = self._weno_direction(u, metrics, d, ng, rank)
                 out = contrib if out is None else out + contrib
         if self.viscous is not None:
-            out = out + self._viscous(u, metrics, ng, dev)
+            out = out + self._viscous(u, metrics, ng, rank)
         assert out is not None
         if self.precision == "mixed":
             out = out.astype(np.float32).astype(np.float64)
         return out
 
+    def _weno_launch(self, name: str, body, npts: int, budget,
+                     u: np.ndarray, rank: int):
+        """One WENO launch with its scratch: the reconstruction scratch
+        arrays live in device global memory, reserved from the host
+        before the launch (Sec. IV-B)."""
+        backend = self.exec_backend
+        nbytes = self.layout.ncons * (u.nbytes // u.shape[0])
+        backend.reserve(nbytes, rank)
+        try:
+            return backend.parallel_for(
+                name, body, npts,
+                LaunchSpec(kernel_class="flux", budget=budget, rank=rank,
+                           shape=u.shape))
+        finally:
+            backend.release(nbytes, rank)
+
     def _weno_direction(self, u: np.ndarray, metrics: Metrics, d: int,
-                        ng: int, device: Optional[GpuDevice] = None) -> np.ndarray:
-        name = DIRECTION_NAMES[d]
-        dev = device if device is not None else self.device
+                        ng: int, rank: int) -> np.ndarray:
         body = lambda: self.convective.divergence(
             self.layout, self.eos, u, metrics, d, ng)
         npts = int(np.prod([s - 2 * ng for s in u.shape[1:]]))
-        spec = LaunchSpec(kernel_class="flux", budget=WENO_BUDGET,
-                          device=dev, shape=u.shape)
-        if self.on_gpu:
-            # scratch arrays live in device global memory, allocated from
-            # the host before launch (Sec. IV-B)
-            scratch = dev.alloc((self.layout.ncons,) + u.shape[1:])
-            try:
-                return self.exec_backend.parallel_for(name, body, npts, spec)
-            finally:
-                scratch.free()
-        return self.exec_backend.parallel_for(name, body, npts, spec)
+        return self._weno_launch(DIRECTION_NAMES[d], body, npts, WENO_BUDGET,
+                                 u, rank)
 
     def _fused_sweep(self, u: np.ndarray, metrics: Metrics, ng: int,
-                     device: Optional[GpuDevice] = None) -> np.ndarray:
+                     rank: int) -> np.ndarray:
         """One wide launch for all directional sweeps (fused target).
 
         The launch is named ``WENOxy``/``WENOxyz`` and covers
@@ -172,8 +165,6 @@ class KernelSet:
 
         backend = self.exec_backend
         dim = self.layout.dim
-        dev = device if device is not None else self.device
-        name = "WENO" + "xyz"[:dim]
         npts = dim * int(np.prod([s - 2 * ng for s in u.shape[1:]]))
         scratch = getattr(backend, "scratch", None)
         if scratch is None:
@@ -184,96 +175,56 @@ class KernelSet:
         body = lambda: fused_sweep(
             self.layout, self.eos, self.convective, u, metrics, ng,
             scratch, jit=getattr(backend, "jit_enabled", False),
-            reverse=(self.backend != "fortran"))
-        spec = LaunchSpec(kernel_class="flux", budget=fused_weno_budget(dim),
-                          device=dev, shape=u.shape)
-        if self.on_gpu:
-            dscratch = dev.alloc((self.layout.ncons,) + u.shape[1:])
-            try:
-                return backend.parallel_for(name, body, npts, spec)
-            finally:
-                dscratch.free()
-        return backend.parallel_for(name, body, npts, spec)
+            reverse=(self.ordering != "fortran"))
+        return self._weno_launch("WENO" + "xyz"[:dim], body, npts,
+                                 fused_weno_budget(dim), u, rank)
 
     def _viscous(self, u: np.ndarray, metrics: Metrics, ng: int,
-                 device: Optional[GpuDevice] = None) -> np.ndarray:
+                 rank: int) -> np.ndarray:
         assert self.viscous is not None
-        dev = device if device is not None else self.device
         npts = int(np.prod([s - 2 * ng for s in u.shape[1:]]))
         return self.exec_backend.parallel_for(
             "Viscous",
             lambda: self.viscous.divergence(self.layout, self.eos, u,
                                             metrics, ng),
             npts, LaunchSpec(kernel_class="flux", budget=VISCOUS_BUDGET,
-                             device=dev, shape=u.shape))
+                             rank=rank, shape=u.shape))
 
     # -- RK update kernel -----------------------------------------------------
     def update(self, u_valid: np.ndarray, du: np.ndarray, rhs: np.ndarray,
-               dt: float, stage: int,
-               device: Optional[GpuDevice] = None) -> None:
+               dt: float, stage: int, rank: int = 0) -> None:
         """Low-storage RK stage over one patch's valid region, in place."""
-        dev = device if device is not None else self.device
         npts = int(np.prod(u_valid.shape[1:]))
         self.exec_backend.parallel_for(
             "Update",
             lambda: rk3_stage(u_valid, du, rhs, dt, stage),
             npts, LaunchSpec(kernel_class="update", budget=UPDATE_BUDGET,
-                             device=dev, shape=u_valid.shape))
+                             rank=rank, shape=u_valid.shape))
 
     # -- ComputeDt ----------------------------------------------------------
     def max_rate(self, u: np.ndarray, metrics: Metrics,
-                 device: Optional[GpuDevice] = None) -> float:
+                 rank: int = 0) -> float:
         """Patch CFL rate, via the backend ReduceData (a recorded device
-        reduction on the gpu backend, plain NumPy on the host target)."""
-        dev = device if device is not None else self.device
+        reduction on an accounting target, plain NumPy on host)."""
         return local_max_rate(self.layout, self.eos, u, metrics,
-                              backend=self.exec_backend, device=dev)
-
-    # -- device residency ----------------------------------------------------
-    def register_state(self, nbytes: int,
-                       device: Optional[GpuDevice] = None):
-        """Account persistent state residency in device memory.
-
-        Returns a handle whose ``free()`` releases the bytes; the caller
-        (the CRoCCo driver) registers each patch's storage on the owning
-        rank's GPU when a level is created on the gpu backend.
-        """
-        if not self.on_gpu:
-            return None
-        return _Residency(device if device is not None else self.device, nbytes)
+                              backend=self.exec_backend, rank=rank)
 
 
-class _Residency:
-    """Persistent device-memory reservation for level state."""
-
-    def __init__(self, device: GpuDevice, nbytes: int) -> None:
-        self._device = device
-        self._nbytes = nbytes
-        device._allocate(nbytes)
-        self._freed = False
-
-    def free(self) -> None:
-        if not self._freed:
-            self._device._release(self._nbytes)
-            self._freed = True
-
-
-def make_backend(
-    backend: str,
+def make_kernels(
+    ordering: str,
     layout: StateLayout,
     eos,
     convective: Optional[ConvectiveFlux] = None,
     viscous: Optional[ViscousFlux] = None,
-    device: Optional[GpuDevice] = None,
     exec_backend: Optional[ExecutionBackend] = None,
 ) -> KernelSet:
-    """Convenience constructor with default operators."""
+    """Convenience constructor with default operators (host execution
+    unless an ``exec_backend`` is given)."""
     return KernelSet(
-        backend=backend,
+        ordering=ordering,
         layout=layout,
         eos=eos,
         convective=convective if convective is not None else ConvectiveFlux(),
         viscous=viscous,
-        device=device,
         exec_backend=exec_backend,
     )

@@ -283,7 +283,7 @@ def fused_sweep(layout, eos, convective, u: np.ndarray, metrics, ng: int,
     Returns the accumulated convective right-hand side over the valid
     region — the same value (up to floating-point re-association) as
     summing :meth:`ConvectiveFlux.divergence` over directions in the
-    same order (``reverse`` selects the translated cpp/gpu ordering).
+    same order (``reverse`` selects the translated cpp ordering).
     """
     if ng < convective.nghost:
         raise ValueError(

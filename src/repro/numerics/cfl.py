@@ -19,7 +19,7 @@ from repro.numerics.state import StateLayout
 
 
 def local_max_rate(layout: StateLayout, eos, u: np.ndarray, metrics,
-                   backend=None, device=None, rank: int = 0) -> float:
+                   backend=None, rank: int = 0) -> float:
     """max over this patch's cells of sum_d (|Uhat_d| + a |m_d|)/J.
 
     The final max is an execution-backend ``ReduceData``: a NumPy
@@ -43,8 +43,7 @@ def local_max_rate(layout: StateLayout, eos, u: np.ndarray, metrics,
 
     return backend.reduce_data(
         "ComputeDt", total, "max",
-        LaunchSpec(kernel_class="reduction", rank=rank, device=device,
-                   shape=total.shape))
+        LaunchSpec(kernel_class="reduction", rank=rank, shape=total.shape))
 
 
 def compute_dt(

@@ -76,7 +76,7 @@ class ConvectiveFlux:
     """Configured convective-flux operator (scheme + splitting).
 
     ``split_form`` is forwarded to :func:`curvilinear_flux` as ``form`` —
-    the fortran backend uses ``fused`` and the translated cpp/gpu backends
+    the fortran ordering uses ``fused`` and the translated cpp ordering
     ``distributed``, reproducing compiler re-association drift.
 
     ``characteristic`` switches from component-wise to characteristic-wise

@@ -170,11 +170,14 @@ SYMOO_C0 = 0.05
 SYMBO_C0 = derive_symbo_c0()
 
 
+VARIANTS = ("symbo", "symoo", "js5")
+
+
 @dataclass(frozen=True)
 class WenoScheme:
     """A configured WENO reconstruction scheme."""
 
-    variant: str = "symbo"  # "symbo" | "symoo" | "js5"
+    variant: str = "symbo"  # one of VARIANTS
     eps: float = WENO_EPS
     downwind_limit: float = DOWNWIND_LIMIT_RATIO
 

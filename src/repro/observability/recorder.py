@@ -58,17 +58,12 @@ class RunRecorder:
             self.metrics, sim.comm.ranks_per_node
         )
         sim.comm.ledger.add_listener(self.ledger_adapter)
-        # CPU versions forced onto the device backend target keep their
-        # accounting devices in _backend_devices (sim.devices stays None)
-        devices = sim.devices or getattr(sim, "_backend_devices", None)
-        if devices is not None:
-            for r, dev in enumerate(devices):
-                dev.add_listener(
-                    DeviceMetricsAdapter(self.metrics, rank=r,
-                                         tracer=self.tracer)
-                )
-                self.tracer.set_process_name(r, f"rank {r} ({dev.name})")
-                self.tracer.set_thread_name(r, GPU_STREAM, "gpu stream")
+        for r, dev in enumerate(sim.devices):
+            dev.add_listener(
+                DeviceMetricsAdapter(self.metrics, rank=r, tracer=self.tracer)
+            )
+            self.tracer.set_process_name(r, f"rank {r} ({dev.name})")
+            self.tracer.set_thread_name(r, GPU_STREAM, "gpu stream")
 
     # -- per-step sampling -------------------------------------------------
     def sample_step(self, sim) -> dict:
@@ -90,14 +85,13 @@ class RunRecorder:
         g("regrids").set(getattr(sim, "regrid_count", 0))
         tag_counts = getattr(sim, "last_tag_counts", {})
         g("tagged_cells").set(sum(tag_counts.values()))
-        devices = sim.devices or getattr(sim, "_backend_devices", None)
-        if devices is not None:
+        if sim.devices:
             g("device.high_water_bytes.max").set(
-                max(d.high_water for d in devices)
+                max(d.high_water for d in sim.devices)
             )
         # execution-backend accounting: cumulative per-kernel-class launch
         # counters (driver-recorded plus counters merged from pool workers)
-        backend = getattr(getattr(sim, "kernels", None), "exec_backend", None)
+        backend = getattr(sim, "exec_backend", None)
         if backend is not None:
             totals = backend.class_totals()
             for cls, tot in totals.items():
@@ -165,7 +159,8 @@ class RunRecorder:
                 "nranks": sim.comm.nranks,
                 "ranks_per_node": sim.comm.ranks_per_node,
                 "max_level": cfg.max_level,
-                "backend": sim.kernels.backend,
+                "ordering": sim.kernels.ordering,
+                "backend": sim.backend_target,
                 "executor": getattr(sim, "engine", None).name
                 if getattr(sim, "engine", None) is not None else "serial",
             }

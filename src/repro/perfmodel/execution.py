@@ -131,7 +131,7 @@ def simulate_iteration(
         max_pts = max(float(lev.per_rank_pts().max()) for lev in levels)
         out.exceeds_gpu_memory = max_pts > cal.max_points_per_gpu
     else:
-        stage_compute = _cpu_compute_time(levels, cal, v.backend, include_viscous)
+        stage_compute = _cpu_compute_time(levels, cal, v.ordering, include_viscous)
     if v.amr:
         # AMR software tax (FillPatch pack/unpack, interpolation arithmetic,
         # ghost bookkeeping) per active point per stage
@@ -142,7 +142,7 @@ def simulate_iteration(
         else:
             stage_compute += max_pts * cal.amr_overhead_flops_per_point / (
                 cal.cpu.sustained_flops / cal.cpu.cores
-            ) * (cal.cpu.cpp_slowdown if v.backend == "cpp" else 1.0)
+            ) * (cal.cpu.cpp_slowdown if v.ordering == "cpp" else 1.0)
     out.advance = NSTAGES * stage_compute
 
     # -- FillPatch per stage per level --------------------------------------

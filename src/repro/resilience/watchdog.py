@@ -214,7 +214,7 @@ class StepWatchdog:
             for i, fab in mf:
                 rate = max(rate, sim.kernels.max_rate(
                     fab.valid(), sim.metrics[lev][i].interior(sim.ng),
-                    device=sim._device_of(mf.dm[i]),
+                    mf.dm[i],
                 ))
         return rate
 

@@ -146,12 +146,12 @@ def _rhs_update(spec: dict) -> None:
     metrics = spec["metrics"]
     ng = spec["ng"]
     valid = (slice(None),) + tuple(slice(ng, s - ng) for s in u.shape[1:])
-    rhs = kernels.rhs(u, metrics, ng, device=None)
+    rhs = kernels.rhs(u, metrics, ng)
     src = case.source(u[valid], coords[valid], spec["time"],
                       metrics=metrics.interior(ng))
     if src is not None:
         rhs = rhs + src
-    kernels.update(u[valid], du, rhs, spec["dt"], spec["stage"], device=None)
+    kernels.update(u[valid], du, rhs, spec["dt"], spec["stage"])
 
 
 class BaseExecutor:

@@ -132,9 +132,8 @@ def _box_fn(sim, lev: int, i: int, fab, dt: float, stage: int):
     """The inline per-box RK-stage closure (identical to the eager body)."""
 
     def run() -> None:
-        dev = sim._device_of(sim.state[lev].dm[i])
-        rhs = sim.kernels.rhs(fab.whole(), sim.metrics[lev][i], sim.ng,
-                              device=dev)
+        rank = sim.state[lev].dm[i]
+        rhs = sim.kernels.rhs(fab.whole(), sim.metrics[lev][i], sim.ng, rank)
         src = sim.case.source(
             fab.valid(), sim.coords[lev].fab(i).valid(), sim.time,
             metrics=sim.metrics[lev][i].interior(sim.ng),
@@ -142,7 +141,7 @@ def _box_fn(sim, lev: int, i: int, fab, dt: float, stage: int):
         if src is not None:
             rhs = rhs + src
         sim.kernels.update(fab.valid(), sim.du[lev].fab(i).valid(), rhs,
-                           dt, stage, device=dev)
+                           dt, stage, rank)
 
     return run
 

@@ -81,10 +81,10 @@ class TestScratchCache:
         from repro.numerics.eos import IdealGasEOS
         from repro.numerics.metrics import CartesianMetrics
         from repro.numerics.state import StateLayout
-        from repro.kernels.api import make_backend
+        from repro.kernels.api import make_kernels
 
         layout = StateLayout(dim=2, nspecies=1)
-        ks = make_backend("cpp", layout, IdealGasEOS(), exec_backend=be)
+        ks = make_kernels("cpp", layout, IdealGasEOS(), exec_backend=be)
         ng = ks.nghost
         rng = np.random.default_rng(0)
         u = np.empty((layout.ncons,) + tuple(16 + 2 * ng for _ in range(2)))
@@ -234,8 +234,7 @@ class TestFusedLaunchStream:
         fused = run_dmr("fused")
         try:
             def flux_names(sim):
-                devs = sim.devices or sim._backend_devices
-                return [r for d in devs for r in d.launches
+                return [r for d in sim.devices for r in d.launches
                         if r.kernel_class == "flux"]
 
             dev_recs = flux_names(device)
@@ -254,7 +253,7 @@ class TestFusedLaunchStream:
             device.close(), fused.close()
 
     def test_characteristic_reconstruction_falls_back(self):
-        from repro.kernels.api import make_backend
+        from repro.kernels.api import make_kernels
         from repro.numerics.eos import IdealGasEOS
         from repro.numerics.fluxes import ConvectiveFlux
         from repro.numerics.metrics import CartesianMetrics
@@ -262,7 +261,7 @@ class TestFusedLaunchStream:
 
         layout = StateLayout(dim=2, nspecies=1)
         be = make_exec_backend("fused")
-        ks = make_backend("cpp", layout, IdealGasEOS(),
+        ks = make_kernels("cpp", layout, IdealGasEOS(),
                           convective=ConvectiveFlux(characteristic=True),
                           exec_backend=be)
         ng = ks.nghost

@@ -40,10 +40,8 @@ def run_dmr(steps=3, **kwargs):
     state = {(lev, i): fab.whole().copy()
              for lev in range(sim.finest_level + 1)
              for i, fab in sim.state[lev]}
-    backend = sim.kernels.exec_backend
-    devices = sim.devices or getattr(sim, "_backend_devices", None) or []
-    launches = [rec for d in devices for rec in d.launches]
-    totals = backend.class_totals()
+    launches = [rec for d in sim.devices for rec in d.launches]
+    totals = sim.exec_backend.class_totals()
     sim.close()
     return state, launches, totals
 
@@ -84,7 +82,7 @@ class TestPhaseCoverage:
         one labeled launch record per step."""
         sim = make_sim(backend_target="device")
         sim.initialize()
-        devices = sim.devices or sim._backend_devices
+        devices = sim.devices
         for step in range(3):
             before = sum(len(d.launches) for d in devices)
             marks = [len(d.launches) for d in devices]
@@ -110,17 +108,16 @@ class TestPhaseCoverage:
                                         backend_target="device"))
         sim.initialize()
         sim.run(2)
-        names = {rec.name for d in sim._backend_devices for rec in d.launches}
+        names = {rec.name for d in sim.devices for rec in d.launches}
         sim.close()
         assert "Viscous" in names
 
-    def test_gpu_version_uses_sim_devices(self):
-        """v2.x (on_gpu) routes launches to the simulation's own devices:
-        no separate accounting fleet is created."""
+    def test_devices_belong_to_the_execution_backend(self):
+        """One device list per run, one per rank, owned by the target."""
         sim = make_sim(version="2.1", backend_target="auto")
-        assert sim.devices is not None
-        assert getattr(sim, "_backend_devices", None) is None
-        assert sim.kernels.exec_backend.devices == sim.devices
+        assert sim.devices is sim.exec_backend.devices
+        assert sim.kernels.exec_backend is sim.exec_backend
+        assert len(sim.devices) == sim.comm.nranks
         sim.close()
 
 
@@ -153,18 +150,28 @@ class TestConfigPlumbing:
         gpu.close()
 
     def test_forced_device_on_cpu_version(self):
-        """v1.x forced onto the device target gets accounting devices
-        without flipping the CPU kernel backend."""
+        """v1.x forced onto the device target is a full device run —
+        launches *and* memory — with its arithmetic ordering unchanged."""
         case = DoubleMachReflection(ncells=(64, 16))
         sim = Crocco(case, CroccoConfig(version="1.1", max_grid_size=32,
                                         backend_target="device"))
-        assert sim.devices is None
-        assert sim._backend_devices is not None
-        assert sim.kernels.backend == "cpp"
+        assert sim.kernels.ordering == "cpp"
         assert sim.kernels.exec_backend.target == "device"
         sim.initialize()
         sim.step()
-        assert any(d.launches for d in sim._backend_devices)
+        assert any(d.launches for d in sim.devices)
+        assert all(used > 0 for _, used, _ in sim.gpu_memory_report())
+        sim.close()
+
+    def test_forced_host_on_gpu_version(self):
+        """v2.x forced onto host has no devices: nothing is recorded and
+        nothing is charged."""
+        sim = make_sim(version="2.0", backend_target="host")
+        sim.initialize()
+        sim.step()
+        assert not sim.devices
+        assert sim.gpu_memory_report() == []
+        assert sim.exec_backend.class_totals() == {}
         sim.close()
 
     def test_bad_target_raises(self):

@@ -6,15 +6,22 @@ import numpy as np
 import pytest
 
 from repro.backend import (DeviceBackend, HostBackend, LaunchContext,
-                           counters_delta, current_backend, make_exec_backend,
-                           parallel_for, reduce_data, set_backend, use_backend)
+                           LaunchSpec, counters_delta, current_backend,
+                           make_exec_backend, parallel_for, reduce_data,
+                           set_backend, use_backend)
 from repro.kernels.counts import (BUDGETS, FILLBOUNDARY_BUDGET, INTERP_BUDGET,
                                   UPDATE_BUDGET, WENO_BUDGET,
                                   budget_for_kernel)
-from repro.kernels.device import GpuDevice
+from repro.kernels.device import DeviceMemoryError, GpuDevice
 
 
 class TestHostBackend:
+    def test_no_devices_and_reservations_are_noops(self):
+        host = HostBackend()
+        assert not host.devices
+        host.reserve(1 << 60)
+        host.release(1 << 60)
+
     def test_parallel_for_runs_body(self):
         host = HostBackend()
         out = host.parallel_for("K", lambda: np.arange(4.0) * 2, 4)
@@ -60,7 +67,8 @@ class TestDeviceBackend:
     def test_launch_recorded_with_class_and_budget(self):
         dev = GpuDevice()
         be = DeviceBackend([dev])
-        be.parallel_for("WENOx", lambda: None, 100, kernel_class="flux")
+        be.parallel_for("WENOx", lambda: None, 100,
+                        LaunchSpec(kernel_class="flux"))
         rec = dev.launches[-1]
         assert rec.name == "WENOx"
         assert rec.kernel_class == "flux"
@@ -69,8 +77,10 @@ class TestDeviceBackend:
 
     def test_counters_accumulate_by_class(self):
         be = DeviceBackend([GpuDevice()])
-        be.parallel_for("FB_pack", lambda: None, 10, kernel_class="fillpatch")
-        be.parallel_for("FB_unpack", lambda: None, 10, kernel_class="fillpatch")
+        be.parallel_for("FB_pack", lambda: None, 10,
+                        LaunchSpec(kernel_class="fillpatch"))
+        be.parallel_for("FB_unpack", lambda: None, 10,
+                        LaunchSpec(kernel_class="fillpatch"))
         be.reduce_data("ComputeDt", np.ones(5), "max")
         snap = be.counters_snapshot()
         assert snap["fillpatch"]["launches"] == 2
@@ -80,14 +90,26 @@ class TestDeviceBackend:
     def test_rank_selects_device(self):
         devs = [GpuDevice(name="d0"), GpuDevice(name="d1")]
         be = DeviceBackend(devs)
-        be.parallel_for("K", lambda: None, 1, rank=1)
-        be.parallel_for("K", lambda: None, 1, rank=3)
+        be.parallel_for("K", lambda: None, 1, LaunchSpec(rank=1))
+        be.parallel_for("K", lambda: None, 1, LaunchSpec(rank=3))
         assert len(devs[0].launches) == 0
         assert len(devs[1].launches) == 2
 
+    def test_reserve_charges_the_ranks_device_and_release_returns_it(self):
+        devs = [GpuDevice(name="d0"), GpuDevice(name="d1", memory_bytes=4096)]
+        be = DeviceBackend(devs)
+        be.reserve(1024, rank=1)
+        assert (devs[0].bytes_in_use, devs[1].bytes_in_use) == (0, 1024)
+        with pytest.raises(DeviceMemoryError):
+            be.reserve(4096, rank=1)
+        be.release(1024, rank=1)
+        assert devs[1].bytes_in_use == 0
+        assert devs[1].high_water == 1024
+
     def test_worker_counter_merge_kept_separate(self):
         be = DeviceBackend([GpuDevice()])
-        be.parallel_for("Update", lambda: None, 50, kernel_class="update")
+        be.parallel_for("Update", lambda: None, 50,
+                        LaunchSpec(kernel_class="update"))
         be.merge_worker_counters(
             {"update": {"launches": 3, "points": 150, "flops": 10,
                         "dram_bytes": 20}})
@@ -99,17 +121,21 @@ class TestDeviceBackend:
 
     def test_counters_delta(self):
         be = DeviceBackend([GpuDevice()])
-        be.parallel_for("Update", lambda: None, 5, kernel_class="update")
+        be.parallel_for("Update", lambda: None, 5,
+                        LaunchSpec(kernel_class="update"))
         before = be.counters_snapshot()
-        be.parallel_for("Update", lambda: None, 7, kernel_class="update")
-        be.parallel_for("WENOx", lambda: None, 3, kernel_class="flux")
+        be.parallel_for("Update", lambda: None, 7,
+                        LaunchSpec(kernel_class="update"))
+        be.parallel_for("WENOx", lambda: None, 3,
+                        LaunchSpec(kernel_class="flux"))
         delta = counters_delta(be.counters_snapshot(), before)
         assert delta["update"]["launches"] == 1
         assert delta["update"]["points"] == 7
         assert delta["flux"]["launches"] == 1
         # unchanged classes are omitted entirely
         be2 = DeviceBackend([GpuDevice()])
-        be2.parallel_for("Update", lambda: None, 5, kernel_class="update")
+        be2.parallel_for("Update", lambda: None, 5,
+                        LaunchSpec(kernel_class="update"))
         snap = be2.counters_snapshot()
         assert counters_delta(snap, snap) == {}
 
@@ -164,7 +190,8 @@ class TestCurrentBackendContext:
     def test_free_functions_dispatch_to_current(self):
         dev = GpuDevice()
         with use_backend(DeviceBackend([dev])):
-            out = parallel_for("K", lambda: 42, 7, kernel_class="update")
+            out = parallel_for("K", lambda: 42, 7,
+                               LaunchSpec(kernel_class="update"))
             r = reduce_data("R", np.array([1.0, 3.0]), "max")
         assert out == 42
         assert r == 3.0

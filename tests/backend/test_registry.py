@@ -125,33 +125,15 @@ class TestLaunchSpecContract:
                              LaunchSpec(kernel_class="reduction"))
         assert red == 5.0
 
-    @pytest.mark.parametrize("target", ALL_TARGETS)
-    def test_loose_kwargs_deprecated_but_equivalent(self, target):
-        be = make_exec_backend(target)
-        with pytest.warns(DeprecationWarning, match="LaunchSpec"):
-            out = be.parallel_for("Update", lambda: 7, 10,
-                                  kernel_class="update")
-        assert out == 7
-        with pytest.warns(DeprecationWarning, match="LaunchSpec"):
-            red = be.reduce_data("ComputeDt", np.arange(4.0), "min",
-                                 kernel_class="reduction", rank=0)
-        assert red == 0.0
-
-    def test_unknown_kwarg_rejected(self):
+    @pytest.mark.parametrize("kwarg", ["grid_size", "kernel_class", "rank"])
+    def test_spec_is_the_whole_contract(self, kwarg):
+        """No keyword besides ``spec`` is accepted — the historical loose
+        launch keywords included."""
         be = make_exec_backend("host")
-        with pytest.raises(TypeError, match="grid_size"):
-            be.parallel_for("K", lambda: 1, 1, grid_size=128)
-
-    def test_loose_kwargs_merge_into_spec_with_warning(self):
-        from repro.kernels.device import GpuDevice
-
-        dev = GpuDevice(name="m")
-        be = make_exec_backend("device", [dev, GpuDevice(name="m2")])
-        with pytest.warns(DeprecationWarning):
-            be.parallel_for("K", lambda: 1, 1,
-                            LaunchSpec(kernel_class="update"), rank=1)
-        # the legacy kwarg overrode the spec's default rank
-        assert be.devices[1].launches and not dev.launches
+        with pytest.raises(TypeError, match=kwarg):
+            be.parallel_for("K", lambda: 1, 1, **{kwarg: 0})
+        with pytest.raises(TypeError, match=kwarg):
+            be.reduce_data("R", np.arange(3.0), "min", **{kwarg: 0})
 
     def test_device_target_records_spec_fields(self):
         from repro.kernels.device import GpuDevice

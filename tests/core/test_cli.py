@@ -170,3 +170,34 @@ run.steps = 1
         err = capsys.readouterr().err
         assert "unknown executor 'turbo'" in err
         assert "serial" in err  # the message lists the valid options
+
+
+@pytest.mark.parametrize("line, named", [
+    ("crocco.version = 3.0", "3.0"),
+    ("crocco.interpolator = cubic", "cubic"),
+    ("crocco.coords_source = tape", "tape"),
+    ("crocco.weno = foo", "foo"),
+    ("amr.max_level = two", "amr.max_level"),
+    ("amr.tagging = vorticity", "vorticity"),
+])
+def test_cli_bad_deck_value_is_one_error_line_exit_2(tmp_path, capsys,
+                                                     line, named):
+    """A bad deck value never reaches a traceback or a silent fallback."""
+    deck = write_deck(tmp_path, "crocco.case = sod\namr.n_cell = 32\n"
+                                "amr.max_grid_size = 32\nrun.steps = 1\n"
+                                + line + "\n")
+    assert main([deck]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
+
+
+def test_solver_import_does_not_pull_in_scipy():
+    """scipy (~0.5 s to import) is only the ramp case's root-finder."""
+    import subprocess
+    import sys
+
+    code = ("import sys; import repro.cases.dmr, repro.core.crocco, "
+            "repro.io.inputs; sys.exit('scipy' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0

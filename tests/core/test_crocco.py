@@ -151,11 +151,12 @@ def test_gpu_device_accounting_in_driver():
     # launch records in the worker process, so pin the serial executor
     case = SodShockTube(32)
     sim = Crocco(case, CroccoConfig(version="2.0", max_grid_size=32,
-                                    executor="serial"))
+                                    executor="serial",
+                                    backend_target="device"))
     sim.initialize()
-    assert sim.kernels.device.bytes_in_use > 0  # level state resident
+    assert sim.devices[0].bytes_in_use > 0  # level state resident
     sim.run(2)
-    names = set(sim.kernels.device.launches_by_kernel())
+    names = set(sim.devices[0].launches_by_kernel())
     assert {"WENOx", "Update", "ComputeDt"} <= names
 
 
@@ -171,12 +172,13 @@ def test_coords_file_ablation_runs():
 
 def test_invalid_config_rejected():
     case = SodShockTube(32)
-    with pytest.raises(ValueError):
-        Crocco(case, CroccoConfig(coords_source="network"))
-    with pytest.raises(ValueError):
-        Crocco(case, CroccoConfig(interpolator="spectral"))
-    with pytest.raises(KeyError):
-        Crocco(case, CroccoConfig(version="9.9"))
+    from repro.core.errors import ConfigError
+
+    for bad in (dict(coords_source="network"), dict(interpolator="spectral"),
+                dict(version="9.9"), dict(weno_variant="weno9"),
+                dict(tagging="vorticity")):
+        with pytest.raises(ConfigError, match=next(iter(bad.values()))):
+            Crocco(case, CroccoConfig(**bad))
 
 
 def test_vortex_amr_preserves_accuracy():
@@ -210,7 +212,8 @@ def test_per_rank_gpu_devices():
     """Summit runs one rank per GPU: each rank gets its own device arena."""
     case = SodShockTube(64)
     sim = Crocco(case, CroccoConfig(version="2.0", nranks=2, ranks_per_node=2,
-                                    max_grid_size=32))
+                                    max_grid_size=32,
+                                    backend_target="device"))
     sim.initialize()
     report = sim.gpu_memory_report()
     assert len(report) == 2
@@ -222,10 +225,11 @@ def test_per_rank_gpu_devices():
     assert len(sim.devices[1].launches) > 0
 
 
-def test_cpu_backend_has_no_devices():
-    sim = Crocco(SodShockTube(32), CroccoConfig(version="1.1", max_grid_size=32))
-    assert sim.devices is None
-    assert sim.gpu_memory_report() is None
+def test_host_target_has_no_devices():
+    sim = Crocco(SodShockTube(32), CroccoConfig(version="1.1", max_grid_size=32,
+                                                backend_target="host"))
+    assert not sim.devices
+    assert sim.gpu_memory_report() == []
 
 
 def test_device_memory_freed_on_level_clear():
@@ -234,7 +238,7 @@ def test_device_memory_freed_on_level_clear():
     case = DoubleMachReflection(ncells=(64, 16))
     sim = Crocco(case, CroccoConfig(version="2.0", nranks=2, ranks_per_node=2,
                                     max_level=1, max_grid_size=32,
-                                    regrid_int=1))
+                                    regrid_int=1, backend_target="device"))
     sim.initialize()
     used_before = sum(d.bytes_in_use for d in sim.devices)
     assert used_before > 0
@@ -260,11 +264,6 @@ def test_mixed_precision_driver_run():
     assert not sim.state[0].contains_nan()
     with pytest.raises(ValueError):
         replace(sim.kernels, precision="half")
-    with pytest.raises(ValueError):
-        Crocco(case, CroccoConfig(version="1.1", max_grid_size=64)) and \
-            replace(Crocco(case, CroccoConfig(version="1.1",
-                                              max_grid_size=64)).kernels,
-                    precision="mixed")
 
 
 def test_dmr_3d_runs_with_periodic_spanwise():

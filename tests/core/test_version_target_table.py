@@ -1,0 +1,94 @@
+"""The version x execution-target table: every CRoCCo version on every
+built-in target.
+
+The target is pinned in the config (never through REPRO_BACKEND — CI runs
+tier-1 under that variable), so each cell is the configuration it names.
+"""
+
+import numpy as np
+import pytest
+
+from repro.cases.dmr import DoubleMachReflection
+from repro.core.crocco import Crocco, CroccoConfig
+from repro.core.versions import VERSIONS
+from repro.kernels.device import DeviceMemoryError
+
+TARGETS = ("host", "device", "fused")
+NO_TAGS = np.empty((0, 2), dtype=np.int64)
+
+
+def make_sim(version, target):
+    case = DoubleMachReflection(ncells=(64, 16), curvilinear=True)
+    return Crocco(case, CroccoConfig(
+        version=version, nranks=2, ranks_per_node=2, max_level=1,
+        max_grid_size=32, blocking_factor=8, regrid_int=2,
+        executor="serial", backend_target=target))
+
+
+def final_state(sim, steps=2):
+    sim.initialize()
+    sim.run(steps)
+    return {(lev, i): fab.whole().copy()
+            for lev in range(sim.finest_level + 1)
+            for i, fab in sim.state[lev]}
+
+
+def in_use(sim):
+    return [d.bytes_in_use for d in sim.devices]
+
+
+@pytest.mark.parametrize("version", sorted(VERSIONS))
+def test_version_on_every_target(version):
+    sims = {t: make_sim(version, t) for t in TARGETS}
+    try:
+        states = {t: final_state(sim) for t, sim in sims.items()}
+        host = states["host"]
+        for target in ("device", "fused"):
+            assert set(states[target]) == set(host)
+        for key, ref in host.items():
+            # same arithmetic, different accounting: bitwise
+            assert np.array_equal(states["device"][key], ref), key
+            # re-associated arithmetic: the paper's port criterion
+            drift = (np.linalg.norm(states["fused"][key] - ref)
+                     / np.linalg.norm(ref))
+            assert drift < 1e-7, (key, drift)
+        for target, sim in sims.items():
+            accounts = target != "host"
+            # devices, launches and memory exist exactly when the target
+            # accounts — whatever the version's own default is
+            assert bool(sim.devices) == accounts
+            assert bool(sim.exec_backend.class_totals()) == accounts
+            assert any(in_use(sim)) == accounts
+            assert sim.kernels.ordering == VERSIONS[version].ordering
+    finally:
+        for sim in sims.values():
+            sim.close()
+
+
+@pytest.mark.parametrize("target", ("device", "fused"))
+def test_residency_returns_when_a_level_is_cleared(target):
+    sim = make_sim("2.0", target)
+    tagging = sim.error_est
+    sim.error_est = lambda lev: NO_TAGS
+    sim.initialize()
+    assert sim.finest_level == 0
+    coarse_only = in_use(sim)
+    assert all(coarse_only)
+    sim.error_est = tagging
+    sim.regrid()
+    assert sim.finest_level == 1
+    assert sum(in_use(sim)) > sum(coarse_only)
+    sim.error_est = lambda lev: NO_TAGS
+    sim.regrid()
+    assert sim.finest_level == 0
+    assert in_use(sim) == coarse_only
+    sim.close()
+
+
+@pytest.mark.parametrize("version", ("1.2", "2.0"))
+def test_capacity_limited_device_raises_through_the_backend(version):
+    sim = make_sim(version, "device")
+    sim.devices[1].memory_bytes = 4096
+    with pytest.raises(DeviceMemoryError, match="V100-rank1"):
+        sim.initialize()
+    sim.close()

@@ -8,15 +8,14 @@ from repro.core.versions import VERSIONS, get_version
 
 
 def test_version_matrix_matches_paper():
-    assert get_version("1.0").backend == "fortran"
-    assert not get_version("1.0").amr
-    assert get_version("1.1").backend == "cpp"
-    assert not get_version("1.1").amr
-    assert get_version("1.2").backend == "cpp"
-    assert get_version("1.2").amr
-    assert get_version("2.0").backend == "gpu"
+    assert [(v.ordering, v.target, v.amr) for v in VERSIONS.values()] == [
+        ("fortran", "host", False),  # 1.0
+        ("cpp", "host", False),      # 1.1
+        ("cpp", "host", True),       # 1.2
+        ("cpp", "device", True),     # 2.0: the 1.2 kernels, moved to the GPU
+        ("cpp", "device", True),     # 2.1
+    ]
     assert get_version("2.0").interpolator == "curvilinear"
-    assert get_version("2.1").backend == "gpu"
     assert get_version("2.1").interpolator == "trilinear"
 
 
@@ -29,11 +28,13 @@ def test_parallelcopy_flag():
 
 
 def test_unknown_version():
-    with pytest.raises(KeyError):
+    from repro.core.errors import ConfigError
+
+    with pytest.raises(ConfigError, match="3.0"):
         get_version("3.0")
 
 
-def test_gpu_flag():
+def test_gpu_flag_follows_the_default_target():
     assert not VERSIONS["1.2"].on_gpu
     assert VERSIONS["2.0"].on_gpu
 

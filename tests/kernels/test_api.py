@@ -1,9 +1,10 @@
-"""Tests for the kernel backend API (fortran/cpp/gpu)."""
+"""Tests for the kernel layer: two orderings x any execution target."""
 
 import numpy as np
 import pytest
 
-from repro.kernels.api import BACKENDS, KernelSet, make_backend
+from repro.backend import DeviceBackend, HostBackend
+from repro.kernels.api import ORDERINGS, make_kernels
 from repro.kernels.device import DeviceMemoryError, GpuDevice
 from repro.numerics.eos import IdealGasEOS
 from repro.numerics.metrics import CartesianMetrics
@@ -27,22 +28,31 @@ def smooth_state(n=24, ng=NG, seed=0):
     return EOS.conservative(LAY, rho, vel, p)
 
 
-def test_make_backend_validation():
+def on_device(ordering="cpp", device=None, **kw):
+    """Kernels launching on a DeviceBackend over one simulated GPU."""
+    dev = device if device is not None else GpuDevice()
+    return make_kernels(ordering, LAY, EOS,
+                        exec_backend=DeviceBackend([dev]), **kw), dev
+
+
+def test_make_kernels_validation():
     with pytest.raises(ValueError):
-        make_backend("cuda", LAY, EOS)
+        make_kernels("cuda", LAY, EOS)
+    with pytest.raises(ValueError):
+        make_kernels("gpu", LAY, EOS)  # a target, not an ordering
 
 
-def test_gpu_backend_gets_default_device():
-    ks = make_backend("gpu", LAY, EOS)
-    assert ks.device is not None
-    assert ks.on_gpu
+def test_kernels_default_to_host_execution():
+    ks = make_kernels("cpp", LAY, EOS)
+    assert isinstance(ks.exec_backend, HostBackend)
+    assert not ks.exec_backend.devices
 
 
-def test_rhs_shapes_all_backends():
+def test_rhs_shapes_all_orderings():
     u = smooth_state()
     met = CartesianMetrics((1.0 / 24, 1.0 / 24))
-    for b in BACKENDS:
-        ks = make_backend(b, LAY, EOS,
+    for o in ORDERINGS:
+        ks = make_kernels(o, LAY, EOS,
                           viscous=ViscousFlux(constant_viscosity(1e-3)))
         rhs = ks.rhs(u.copy(), met, NG)
         assert rhs.shape == (4, 24, 24)
@@ -50,90 +60,91 @@ def test_rhs_shapes_all_backends():
 
 
 def test_fortran_cpp_drift_small_but_generally_nonzero():
-    """Backends agree to near machine precision but not bit-exactly."""
+    """Orderings agree to near machine precision but not bit-exactly."""
     u = smooth_state()
     met = CartesianMetrics((1.0 / 24, 1.0 / 24))
-    rf = make_backend("fortran", LAY, EOS).rhs(u.copy(), met, NG)
-    rc = make_backend("cpp", LAY, EOS).rhs(u.copy(), met, NG)
+    rf = make_kernels("fortran", LAY, EOS).rhs(u.copy(), met, NG)
+    rc = make_kernels("cpp", LAY, EOS).rhs(u.copy(), met, NG)
     diff = np.abs(rf - rc)
     scale = np.abs(rf).max()
     assert diff.max() < 1e-10 * max(scale, 1.0)  # tiny
     assert diff.max() > 0.0  # but real: different accumulation order
 
 
-def test_gpu_matches_cpp_exactly():
-    """The paper reports no accuracy change moving C++ kernels to GPU."""
+@pytest.mark.parametrize("ordering", ORDERINGS)
+def test_device_matches_host_exactly(ordering):
+    """The paper reports no accuracy change moving the kernels to GPU."""
     u = smooth_state()
     met = CartesianMetrics((1.0 / 24, 1.0 / 24))
-    rc = make_backend("cpp", LAY, EOS).rhs(u.copy(), met, NG)
-    rg = make_backend("gpu", LAY, EOS).rhs(u.copy(), met, NG)
-    assert np.array_equal(rc, rg)
+    rh = make_kernels(ordering, LAY, EOS).rhs(u.copy(), met, NG)
+    rd = on_device(ordering)[0].rhs(u.copy(), met, NG)
+    assert np.array_equal(rh, rd)
 
 
-def test_gpu_launch_records():
+def test_device_launch_records():
     u = smooth_state()
     met = CartesianMetrics((1.0 / 24, 1.0 / 24))
-    ks = make_backend("gpu", LAY, EOS,
-                      viscous=ViscousFlux(constant_viscosity(1e-3)))
+    ks, dev = on_device(viscous=ViscousFlux(constant_viscosity(1e-3)))
     ks.rhs(u.copy(), met, NG)
-    kernels = ks.device.launches_by_kernel()
+    kernels = dev.launches_by_kernel()
     assert set(kernels) == {"WENOx", "WENOy", "Viscous"}
     assert kernels["WENOx"][0].npoints == 24 * 24
 
 
-def test_gpu_scratch_freed_after_rhs():
+def test_launches_land_on_the_owning_ranks_device():
     u = smooth_state()
     met = CartesianMetrics((1.0 / 24, 1.0 / 24))
-    ks = make_backend("gpu", LAY, EOS)
+    devs = [GpuDevice(), GpuDevice()]
+    ks = make_kernels("cpp", LAY, EOS, exec_backend=DeviceBackend(devs))
+    ks.rhs(u.copy(), met, NG, rank=1)
+    ks.max_rate(u, met, rank=1)
+    assert not devs[0].launches
+    assert [r.name for r in devs[1].launches] == ["WENOy", "WENOx",
+                                                  "ComputeDt"]
+
+
+def test_device_scratch_released_after_rhs():
+    u = smooth_state()
+    met = CartesianMetrics((1.0 / 24, 1.0 / 24))
+    ks, dev = on_device()
     ks.rhs(u.copy(), met, NG)
-    assert ks.device.bytes_in_use == 0
-    assert ks.device.high_water > 0
+    assert dev.bytes_in_use == 0
+    # one WENO launch's scratch: ncons x the whole patch, float64
+    assert dev.high_water == u.nbytes
 
 
-def test_gpu_memory_limit_on_big_patch():
-    dev = GpuDevice(memory_bytes=10_000)
-    ks = make_backend("gpu", LAY, EOS, device=dev)
+def test_device_memory_limit_on_big_patch():
+    ks, _ = on_device(device=GpuDevice(memory_bytes=10_000))
     u = smooth_state(n=32)
     met = CartesianMetrics((1.0 / 32, 1.0 / 32))
     with pytest.raises(DeviceMemoryError):
         ks.rhs(u, met, NG)
 
 
-def test_update_kernel_all_backends():
-    for b in BACKENDS:
-        ks = make_backend(b, LAY, EOS)
+def test_update_kernel_all_orderings():
+    for o in ORDERINGS:
+        ks, dev = on_device(o)
         u = np.ones((4, 8, 8))
         du = np.zeros_like(u)
         rhs = np.full_like(u, 3.0)
         ks.update(u, du, rhs, dt=0.1, stage=0)
         assert np.allclose(u, 1.0 + 0.3 / 3.0)
-        if b == "gpu":
-            assert ks.device.launches[-1].name == "Update"
+        assert dev.launches[-1].name == "Update"
 
 
-def test_max_rate_matches_across_backends():
+def test_max_rate_matches_across_orderings_and_targets():
     u = smooth_state()
     met = CartesianMetrics((1.0 / 24, 1.0 / 24))
-    rates = {b: make_backend(b, LAY, EOS).max_rate(u, met) for b in BACKENDS}
+    rates = {o: make_kernels(o, LAY, EOS).max_rate(u, met) for o in ORDERINGS}
     assert rates["fortran"] == pytest.approx(rates["cpp"])
-    assert rates["cpp"] == pytest.approx(rates["gpu"])
-    ks = make_backend("gpu", LAY, EOS)
-    ks.max_rate(u, met)
-    assert ks.device.launches[-1].name == "ComputeDt"
-
-
-def test_register_state_residency():
-    ks = make_backend("gpu", LAY, EOS)
-    h = ks.register_state(1024)
-    assert ks.device.bytes_in_use == 1024
-    h.free()
-    assert ks.device.bytes_in_use == 0
-    assert make_backend("cpp", LAY, EOS).register_state(1024) is None
+    ks, dev = on_device()
+    assert ks.max_rate(u, met) == rates["cpp"]
+    assert dev.launches[-1].name == "ComputeDt"
 
 
 def test_nghost_accounts_for_operators():
-    ks = make_backend("cpp", LAY, EOS)
+    ks = make_kernels("cpp", LAY, EOS)
     assert ks.nghost == 4  # weno: 3 + 1
-    ks2 = make_backend("cpp", LAY, EOS,
+    ks2 = make_kernels("cpp", LAY, EOS,
                        viscous=ViscousFlux(constant_viscosity(1e-3)))
     assert ks2.nghost == 4  # viscous 4th order needs 4

@@ -102,7 +102,8 @@ def test_fleet_summary_from_functional_run():
     # prices driver-side launch records; pool workers keep theirs local
     sim = Crocco(SodShockTube(64),
                  CroccoConfig(version="2.0", nranks=2, ranks_per_node=2,
-                              max_grid_size=32, executor="serial"))
+                              max_grid_size=32, executor="serial",
+                              backend_target="device"))
     sim.initialize()
     sim.run(2)
     fleet = summarize_fleet(sim.devices)

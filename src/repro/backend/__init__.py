@@ -12,8 +12,7 @@ from repro.backend.launch import (COUNTER_FIELDS, KERNEL_CLASSES,
                                   UnknownTargetError, available_targets,
                                   counters_delta, current_backend,
                                   make_exec_backend, parallel_for,
-                                  reduce_data, register_target,
-                                  resolve_target, set_backend,
+                                  reduce_data, register_target, set_backend,
                                   unregister_target, use_backend)
 
 # importing the module registers the `fused` target with the registry
@@ -28,7 +27,7 @@ __all__ = [
     "LaunchCounter", "LaunchSpec", "ScratchCache", "UnknownTargetError",
     "available_targets", "counters_delta", "current_backend",
     "make_exec_backend", "parallel_for", "reduce_data", "register_target",
-    "resolve_target", "set_backend", "unregister_target", "use_backend",
+    "set_backend", "unregister_target", "use_backend",
 ]
 
 

@@ -368,37 +368,6 @@ def make_exec_backend(target: str,
     return factory(devices=devices)
 
 
-def resolve_target(value: Optional[str], *,
-                   version_default: Optional[str] = None,
-                   source: str = "backend.target") -> str:
-    """The one validation path for every way a target can be configured.
-
-    ``backend.target`` deck keys, the ``REPRO_BACKEND`` env var and the
-    ``--backend`` CLI flag all funnel through here; an unknown name
-    raises :class:`repro.core.errors.ConfigError` naming the offending
-    ``source`` and listing the registered targets, which the CLI and the
-    serve layer report as a one-line error with exit status 2.
-
-    ``auto`` resolves to ``version_default`` when given (the version
-    config's preferred target), and passes through unchanged otherwise
-    so callers without a version in hand can defer resolution.
-    """
-    target = (value or "auto").strip() if isinstance(value, str) or value is None \
-        else value
-    if target == "auto":
-        if version_default is None:
-            return "auto"
-        target = version_default
-    if target not in _TARGET_FACTORIES:
-        from repro.core.errors import ConfigError
-
-        raise ConfigError(
-            f"unknown backend target {target!r} (from {source}); "
-            f"registered targets: {', '.join(available_targets())}, "
-            f"plus 'auto'")
-    return target
-
-
 # the built-in accounting targets; the optimizing `fused` target registers
 # itself from repro.backend.fused (imported by the package __init__)
 register_target("host", lambda devices=None: HostBackend())

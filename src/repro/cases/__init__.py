@@ -26,7 +26,19 @@ from repro.cases.reacting import IgnitionFront
 from repro.cases.shocktube import SodShockTube
 from repro.cases.vortex import IsentropicVortex
 
+#: deck case name -> (case class, legal lengths of the deck's cell
+#: counts, constructor keywords taken from the like-named run options)
+CASES = {
+    "sod": (SodShockTube, (1,), {}),
+    "vortex": (IsentropicVortex, (1,), {}),
+    "dmr": (DoubleMachReflection, (2, 3), {"curvilinear": "curvilinear"}),
+    "ignition": (IgnitionFront, (1,), {}),
+    "ramp": (CompressionRamp, (2,),
+             {"mach": "ramp_mach", "angle_deg": "ramp_angle"}),
+}
+
 __all__ = [
+    "CASES",
     "Case",
     "DoubleMachReflection",
     "CompressionRamp",

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -41,7 +40,10 @@ from repro.amr.multifab import MultiFab
 from repro.amr.tagging import tag_density_gradient, tag_momentum_gradient, tagged_cells
 from repro.backend import LaunchSpec
 from repro.cases.base import Case
-from repro.core.versions import VersionConfig, get_version
+# re-exported: this module was the historical home of both names
+from repro.core.config import CroccoConfig  # noqa: F401
+from repro.core.errors import ConfigError  # noqa: F401
+from repro.core.versions import get_version
 from repro.kernels.api import make_kernels
 from repro.kernels.device import GpuDevice
 from repro.mpi.comm import Communicator
@@ -49,7 +51,7 @@ from repro.numerics.cfl import compute_dt
 from repro.numerics.fluxes import ConvectiveFlux
 from repro.numerics.metrics import CartesianMetrics, CurvilinearMetrics
 from repro.numerics.rk3 import NSTAGES
-from repro.numerics.weno import VARIANTS as WENO_VARIANTS, WenoScheme
+from repro.numerics.weno import WenoScheme
 from repro.profiling.tinyprofiler import TinyProfiler
 
 INTERPOLATORS = {
@@ -58,168 +60,6 @@ INTERPOLATORS = {
     "conservative": ConservativeLinearInterp,
     "weno": WenoInterp,
 }
-COORDS_SOURCES = ("stored", "file")
-TAGGING = ("density", "momentum")
-
-
-# ConfigError moved to repro.core.errors so the execution-backend target
-# resolver can raise it without importing the driver; re-exported here
-# because this was its historical home and callers import it from both.
-from repro.core.errors import ConfigError  # noqa: E402,F401
-
-
-def _workers_from_env() -> Optional[int]:
-    """Parse REPRO_WORKERS, rejecting non-numeric values up front."""
-    raw = os.environ.get("REPRO_WORKERS")
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"REPRO_WORKERS must be an integer, got {raw!r}") from None
-
-
-@dataclass
-class CroccoConfig:
-    """Run configuration (the input deck)."""
-
-    version: str = "2.1"
-    max_level: int = 0
-    blocking_factor: int = 8
-    max_grid_size: int = 128
-    #: steps between regrids, or "auto" to derive it from the CFL condition
-    #: (Sec. II-B: regrid before features convect from a patch interior to
-    #: a fine/coarse interface)
-    regrid_int: "int | str" = 2
-    n_error_buf: int = 1
-    grid_eff: float = 0.7
-    cfl: Optional[float] = None
-    fixed_dt: Optional[float] = None
-    nranks: int = 1
-    ranks_per_node: int = 6
-    weno_variant: str = "symbo"
-    tagging: str = "density"  # one of TAGGING
-    #: "stored" keeps the whole grid in memory (getCoords()); "file" rereads
-    #: coordinates from a binary file at each new-patch creation — the
-    #: paper's first, slower implementation (Sec. III-C, Regridding).
-    coords_source: str = "stored"
-    interpolator: Optional[str] = None  # override the version default
-    #: observability: Chrome trace-event JSON output path (Perfetto-loadable)
-    trace_out: Optional[str] = None
-    #: observability: per-timestep metrics JSONL output path
-    metrics_out: Optional[str] = None
-    #: print the TinyProfiler report and ledger summary at end of run (CLI)
-    profile: bool = False
-    #: task execution backend: "serial" (deterministic, in-process) or
-    #: "pool" (multiprocessing workers over shared-memory FABs); the
-    #: REPRO_EXECUTOR env var overrides the default for CI matrices
-    executor: str = field(
-        default_factory=lambda: os.environ.get("REPRO_EXECUTOR", "serial"))
-    #: pool worker count (default: one per CPU core, minimum two)
-    workers: Optional[int] = field(default_factory=_workers_from_env)
-    #: collect task-lifecycle spans + overhead attribution (perf.* gauges,
-    #: the report's Bottleneck section); measured cost is ~per-task dict
-    #: bookkeeping, itself reported as perf.overhead_s
-    perfscope: bool = True
-    #: execution-backend target: any name in the target registry —
-    #: "host" (plain NumPy), "device" (recorded launches on the
-    #: simulated GPUs), "fused" (optimizing: fused WENO sweeps, cached
-    #: scratch, optional numba JIT) — or "auto" (the version's own
-    #: target: device for 2.x, host for 1.x); deck key
-    #: ``backend.target``, default from the REPRO_BACKEND env var for CI
-    #: matrices.  Validated by :func:`repro.backend.resolve_target`
-    #: (ConfigError, CLI exit 2).
-    backend_target: str = field(
-        default_factory=lambda: os.environ.get("REPRO_BACKEND", "auto"))
-    #: cross-run immutable cache directory (grid coords, curvilinear
-    #: metrics, EOS tables, interpolation weights); None disables caching.
-    #: Deck key ``run.cache_dir``; the serve layer points every run of a
-    #: service at one shared directory.
-    cache_dir: Optional[str] = None
-    #: hard step budget enforced by the watchdog (None = unbounded); the
-    #: serve layer maps a run's ``max_steps`` here and the watchdog raises
-    #: :class:`~repro.resilience.watchdog.RunBudgetExceeded` when spent
-    step_budget: Optional[int] = None
-    #: hard wall-clock budget in seconds, measured from the first guarded
-    #: step (None = unbounded); deck key ``run.max_wall_s``
-    wall_budget_s: Optional[float] = None
-    #: stream each metrics sample to ``metrics_out`` as it is taken (the
-    #: serve layer's live-progress mode) instead of writing at finalize
-    metrics_stream: bool = False
-
-    # -- resilience (deck section ``resilience.*``) -----------------------
-    #: validate every step (NaN/Inf, positivity spikes, CFL blowup) and
-    #: retry failed steps from a pre-step snapshot
-    watchdog: bool = True
-    #: rollback/retry budget per step before restoring from a checkpoint
-    max_step_retries: int = 3
-    #: retries that re-run the identical dt before dt-halving kicks in
-    retry_same_dt: int = 1
-    #: supervise the pool executor (dead-worker detection, re-submission)
-    supervise: bool = True
-    #: per-task retry budget in the supervised pool
-    task_retries: int = 2
-    #: base delay of the capped exponential task-retry backoff (seconds)
-    retry_backoff: float = 0.05
-    #: seconds before an in-flight pool task is presumed lost
-    task_timeout: float = 30.0
-    #: pool respawns tolerated before degrading to inline execution
-    max_pool_restarts: int = 3
-    #: crash-safe checkpoint every N successful steps (0 = off)
-    autocheckpoint_every: int = 0
-    autocheckpoint_dir: str = "autochk"
-    autocheckpoint_keep: int = 2
-    #: restore-from-last-good budget after a step exhausts its retries
-    max_restores: int = 2
-    #: positivity-guard interventions per step above which the watchdog
-    #: declares the step numerically failed (None = disabled)
-    positivity_spike: Optional[int] = None
-    #: fail a step whose realized dt*rate exceeds cfl*cfl_margin
-    cfl_margin: Optional[float] = None
-    #: fault-injection plan, e.g. "kill_worker@2.1;nan@4;seed=7"
-    #: (deck key ``resilience.faults.plan`` or the REPRO_FAULTS env var)
-    faults_plan: str = field(
-        default_factory=lambda: os.environ.get("REPRO_FAULTS", ""))
-    faults_seed: int = 0
-
-    def resolve_version(self) -> VersionConfig:
-        return get_version(self.version)
-
-    def validate(self) -> "CroccoConfig":
-        """Reject invalid settings with a clear message.
-
-        Catches the classic foot-guns — an unknown version, interpolator,
-        WENO variant or tagging criterion, ``workers < 1``, an unknown
-        executor name, malformed budgets — here, where the failing knob
-        can be named, instead of deep inside solver or pool construction.
-        """
-        from repro.runtime.executors import EXECUTORS
-
-        version = self.resolve_version()
-        for knob, value, options in (
-                ("coords_source", self.coords_source, COORDS_SOURCES),
-                ("interpolator", self.interpolator or version.interpolator,
-                 INTERPOLATORS),
-                ("weno variant", self.weno_variant, WENO_VARIANTS),
-                ("tagging", self.tagging, TAGGING)):
-            if value not in options:
-                raise ConfigError(
-                    f"unknown {knob} {value!r}; options {', '.join(options)}")
-        if self.executor not in EXECUTORS:
-            raise ConfigError(
-                f"unknown executor {self.executor!r}; options "
-                f"{', '.join(EXECUTORS)}")
-        if self.workers is not None and self.workers < 1:
-            raise ConfigError(
-                f"workers must be >= 1, got {self.workers}")
-        if self.step_budget is not None and self.step_budget < 1:
-            raise ConfigError(
-                f"step budget must be >= 1, got {self.step_budget}")
-        if self.wall_budget_s is not None and self.wall_budget_s <= 0:
-            raise ConfigError(
-                f"wall budget must be positive, got {self.wall_budget_s}")
-        return self
 
 
 class Crocco(AmrCore):
@@ -229,7 +69,7 @@ class Crocco(AmrCore):
         self.case = case
         self.config = config if config is not None else CroccoConfig()
         self.config.validate()
-        self.version = self.config.resolve_version()
+        self.version = get_version(self.config.version)
 
         #: cross-run immutable cache (coords / curvilinear metrics / EOS
         #: tables / interp weights), shared by every run pointed at the
@@ -255,18 +95,12 @@ class Crocco(AmrCore):
         super().__init__(case.geometry0(), amr_cfg, comm)
 
         # execution backend: every launch — flux kernels and the AMR
-        # substrate alike — routes through this shared target.  The
-        # single resolver handles deck key / env var / CLI flag alike
-        # and reports unknown targets as ConfigError (CLI exit 2).
-        from repro.backend import make_exec_backend, resolve_target
+        # substrate alike — routes through this shared target
+        from repro.backend import make_exec_backend
 
-        source = ("REPRO_BACKEND" if os.environ.get("REPRO_BACKEND")
-                  and self.config.backend_target
-                  == os.environ.get("REPRO_BACKEND")
-                  else "backend.target")
-        self.backend_target = resolve_target(
-            self.config.backend_target, version_default=self.version.target,
-            source=source)
+        self.backend_target = self.config.backend_target
+        if self.backend_target == "auto":
+            self.backend_target = self.version.target
         # one simulated GPU per rank (Summit: one V100 per MPI rank),
         # owned by the target: a target that does not account drops them
         self.exec_backend = make_exec_backend(
@@ -315,9 +149,7 @@ class Crocco(AmrCore):
 
         from repro.runtime.engine import RuntimeEngine
 
-        self.engine = RuntimeEngine(self, self.config.executor,
-                                    self.config.workers,
-                                    perfscope=self.config.perfscope)
+        self.engine = RuntimeEngine(self)
 
         self.watchdog = None
         has_budget = (self.config.step_budget is not None
@@ -327,19 +159,7 @@ class Crocco(AmrCore):
             # implies the watchdog even when validation is switched off
             from repro.resilience.watchdog import StepWatchdog
 
-            self.watchdog = StepWatchdog(
-                max_step_retries=self.config.max_step_retries,
-                retry_same_dt=self.config.retry_same_dt,
-                positivity_spike=self.config.positivity_spike,
-                cfl_margin=self.config.cfl_margin,
-                autocheckpoint_every=self.config.autocheckpoint_every,
-                autocheckpoint_dir=self.config.autocheckpoint_dir,
-                autocheckpoint_keep=self.config.autocheckpoint_keep,
-                max_restores=self.config.max_restores,
-                step_budget=self.config.step_budget,
-                wall_budget_s=self.config.wall_budget_s,
-                stats=self.resilience,
-            )
+            self.watchdog = StepWatchdog(self.config, stats=self.resilience)
 
         self.recorder = None
         if self.config.trace_out or self.config.metrics_out:

@@ -14,7 +14,7 @@ arrives.  The supervisor makes the pool survivable:
 - completions that did land before the respawn are drained and delivered
   first, so finished work is never re-run;
 - lost and failed tasks are **re-submitted with capped exponential
-  backoff** (``task_retries``, ``backoff`` knobs), with the fault
+  backoff** (``task_retries`` times, :data:`RETRY_BACKOFF`), with the fault
   injector's one-shot markers stripped — a transient fault retried clean;
 - after ``max_pool_restarts`` respawns the executor **degrades to inline
   execution** in the driver process (the SerialExecutor behaviour) so the
@@ -56,20 +56,27 @@ class _InFlight:
     lifecycle: dict = field(default_factory=dict)
 
 
+#: base and cap (seconds) of the task-retry backoff
+RETRY_BACKOFF = (0.05, 1.0)
+
+
+def capped_backoff(base: float, cap: float, attempt: int) -> float:
+    """Delay before retry number ``attempt`` (0-based): ``base`` doubling
+    per attempt up to ``cap``.  Callers that want jitter apply it."""
+    return min(cap, base * 2 ** attempt)
+
+
 class SupervisedPoolExecutor(PoolExecutor):
     """A :class:`PoolExecutor` that survives worker death and stalls."""
 
     name = "pool"
 
     def __init__(self, nworkers: Optional[int] = None,
-                 task_retries: int = 2, backoff: float = 0.05,
-                 backoff_cap: float = 1.0, task_timeout: float = 30.0,
+                 task_retries: int = 2, task_timeout: float = 30.0,
                  max_pool_restarts: int = 3,
                  stats: Optional[ResilienceStats] = None) -> None:
         super().__init__(nworkers)
         self.task_retries = int(task_retries)
-        self.backoff = float(backoff)
-        self.backoff_cap = float(backoff_cap)
         self.task_timeout = float(task_timeout)
         self.max_pool_restarts = int(max_pool_restarts)
         self.stats = stats if stats is not None else ResilienceStats()
@@ -215,7 +222,7 @@ class SupervisedPoolExecutor(PoolExecutor):
         return True
 
     def _backoff_delay(self, attempt: int) -> float:
-        return min(self.backoff * (2 ** max(0, attempt - 2)), self.backoff_cap)
+        return capped_backoff(*RETRY_BACKOFF, max(0, attempt - 2))
 
     def _recover_lost(self) -> int:
         """A deadline expired: respawn the pool, re-submit survivors.

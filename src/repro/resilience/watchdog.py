@@ -12,13 +12,13 @@ of one step:
    positivity guard must not have spiked, and (optionally) the realized
    CFL rate must not have blown past the configured margin;
 4. on failure, **roll back** to the snapshot and retry.  The first
-   ``retry_same_dt`` retries re-run the identical step — a transient
+   ``RETRY_SAME_DT`` retries re-run the identical step — a transient
    fault retried clean reproduces the fault-free trajectory bit for bit;
    persistent *numerical* failures then escalate by **halving dt** each
    further retry, up to ``max_step_retries``;
 5. every ``autocheckpoint_every`` successful steps, write a crash-safe
    checkpoint and remember it as *last good*; when a step exhausts its
-   retries, **restore from last good** (at most ``max_restores`` times)
+   retries, **restore from last good** (at most ``MAX_RESTORES`` times)
    instead of dying.
 
 Every retry/rollback/restore increments the shared
@@ -76,29 +76,20 @@ class UnrecoverableStepError(RuntimeError):
 #: anything else (a genuine bug) propagates unmasked
 RETRYABLE = (StepFailure, InjectedFault, TaskFailedError)
 
+#: retries that re-run the identical dt before dt-halving kicks in
+RETRY_SAME_DT = 1
+#: restore-from-last-good budget after a step exhausts its retries
+MAX_RESTORES = 2
+
 
 class StepWatchdog:
     """Guards the advance of a Crocco simulation, one step at a time."""
 
-    def __init__(self, max_step_retries: int = 3, retry_same_dt: int = 1,
-                 positivity_spike: Optional[int] = None,
-                 cfl_margin: Optional[float] = None,
-                 autocheckpoint_every: int = 0,
-                 autocheckpoint_dir: str = "autochk",
-                 autocheckpoint_keep: int = 2, max_restores: int = 2,
-                 step_budget: Optional[int] = None,
-                 wall_budget_s: Optional[float] = None,
+    def __init__(self, config,
                  stats: Optional[ResilienceStats] = None) -> None:
-        self.max_step_retries = int(max_step_retries)
-        self.retry_same_dt = int(retry_same_dt)
-        self.positivity_spike = positivity_spike
-        self.cfl_margin = cfl_margin
-        self.autocheckpoint_every = int(autocheckpoint_every)
-        self.autocheckpoint_dir = autocheckpoint_dir
-        self.autocheckpoint_keep = int(autocheckpoint_keep)
-        self.max_restores = int(max_restores)
-        self.step_budget = step_budget
-        self.wall_budget_s = wall_budget_s
+        #: the run's CroccoConfig: retry budget, spike and CFL thresholds,
+        #: autocheckpoint cadence and run budgets are read from it
+        self.config = config
         self.stats = stats if stats is not None else ResilienceStats()
         #: path of the most recent successfully written autocheckpoint
         self.last_good: Optional[Path] = None
@@ -117,19 +108,20 @@ class StepWatchdog:
 
         if self._t0 is None:
             self._t0 = _time.monotonic()
-        if (self.step_budget is not None
-                and sim.step_count >= self.step_budget):
+        if (self.config.step_budget is not None
+                and sim.step_count >= self.config.step_budget):
             self.stats.inc("budget_cancellations")
             raise RunBudgetExceeded(
                 f"step budget exhausted: {sim.step_count} steps "
-                f"(budget {self.step_budget})", budget="steps")
-        if self.wall_budget_s is not None:
+                f"(budget {self.config.step_budget})", budget="steps")
+        if self.config.wall_budget_s is not None:
             elapsed = _time.monotonic() - self._t0
-            if elapsed >= self.wall_budget_s:
+            if elapsed >= self.config.wall_budget_s:
                 self.stats.inc("budget_cancellations")
                 raise RunBudgetExceeded(
                     f"wall budget exhausted: {elapsed:.1f}s elapsed "
-                    f"(budget {self.wall_budget_s:g}s)", budget="wall")
+                    f"(budget {self.config.wall_budget_s:g}s)",
+                    budget="wall")
 
     # -- the guarded advance ----------------------------------------------
     def guarded_advance(self, sim) -> None:
@@ -153,7 +145,7 @@ class StepWatchdog:
                 self._trace(sim, "StepRollback",
                             {"step": snap["step"], "attempt": attempt,
                              "error": str(exc)})
-                if attempt > self.max_step_retries:
+                if attempt > self.config.max_step_retries:
                     # leave a consistent pre-step state whether we restore
                     # from a checkpoint below or propagate the failure
                     self._restore(sim, snap)
@@ -162,7 +154,7 @@ class StepWatchdog:
                 self._restore(sim, snap)
                 self.stats.inc("step_retries")
                 if (getattr(exc, "kind", "transient") == "numerical"
-                        and attempt > self.retry_same_dt):
+                        and attempt > RETRY_SAME_DT):
                     trial_dt *= 0.5
                     self.stats.inc("dt_halvings")
         if attempt:
@@ -188,22 +180,23 @@ class StepWatchdog:
                         f"non-finite state on level {lev} box {i}",
                         kind="numerical",
                     )
-        if guard is not None and self.positivity_spike is not None:
+        spike, margin = self.config.positivity_spike, self.config.cfl_margin
+        if guard is not None and spike is not None:
             delta = guard.total_interventions - interventions_before
-            if delta > self.positivity_spike:
+            if delta > spike:
                 raise StepFailure(
                     f"positivity guard clamped {delta} cells "
-                    f"(spike threshold {self.positivity_spike})",
+                    f"(spike threshold {spike})",
                     kind="numerical",
                 )
-        if self.cfl_margin is not None:
+        if margin is not None:
             rate = self._max_rate(sim)
             cfl = (sim.config.cfl if sim.config.cfl is not None
                    else sim.case.cfl)
-            if rate > 0 and dt * rate > cfl * self.cfl_margin:
+            if rate > 0 and dt * rate > cfl * margin:
                 raise StepFailure(
                     f"CFL violation: dt*rate = {dt * rate:.3g} exceeds "
-                    f"{self.cfl_margin:g} x cfl = {cfl * self.cfl_margin:.3g}",
+                    f"{margin:g} x cfl = {cfl * margin:.3g}",
                     kind="numerical",
                 )
 
@@ -246,7 +239,7 @@ class StepWatchdog:
 
     # -- unrecoverable path ------------------------------------------------
     def _unrecoverable(self, sim, exc) -> None:
-        if self.last_good is not None and self._restores < self.max_restores:
+        if self.last_good is not None and self._restores < MAX_RESTORES:
             from repro.io.checkpoint import load_checkpoint
 
             self._restores += 1
@@ -258,19 +251,20 @@ class StepWatchdog:
                          "step": sim.step_count})
             return
         raise UnrecoverableStepError(
-            f"step {sim.step_count} failed after {self.max_step_retries} "
-            "retries and no restorable checkpoint remains"
+            f"step {sim.step_count} failed after "
+            f"{self.config.max_step_retries} retries and no restorable "
+            "checkpoint remains"
         ) from exc
 
     # -- autocheckpointing -------------------------------------------------
     def _autocheckpoint(self, sim) -> None:
-        if (not self.autocheckpoint_every
-                or sim.step_count % self.autocheckpoint_every):
+        if (not self.config.autocheckpoint_every
+                or sim.step_count % self.config.autocheckpoint_every):
             return
         from repro.io.checkpoint import save_checkpoint
         from repro.resilience.faults import InjectedCheckpointCrash
 
-        base = Path(self.autocheckpoint_dir)
+        base = Path(self.config.autocheckpoint_dir)
         path = base / f"chk_step{sim.step_count:06d}"
         try:
             save_checkpoint(path, sim)
@@ -284,7 +278,7 @@ class StepWatchdog:
         self.last_good = path
         self.stats.inc("autocheckpoints")
         kept = sorted(p for p in base.glob("chk_step*") if p.is_dir())
-        for old in kept[:-self.autocheckpoint_keep]:
+        for old in kept[:-self.config.autocheckpoint_keep]:
             if old != self.last_good:
                 shutil.rmtree(old, ignore_errors=True)
 

@@ -25,19 +25,17 @@ LEVEL_TAGS = ("state", "du", "coords")
 class RuntimeEngine:
     """Task-graph execution of the CRoCCo advance for one simulation."""
 
-    def __init__(self, sim, executor: str = "serial",
-                 workers: Optional[int] = None,
-                 perfscope: bool = True) -> None:
+    def __init__(self, sim) -> None:
         self.sim = sim
         #: the simulation's fault injector, if a fault plan is active
         self.faults = getattr(sim, "faults", None)
-        self.executor = make_executor(executor, workers,
+        self.executor = make_executor(sim.config.executor, sim.config.workers,
                                       supervision=self._supervision(sim))
         self.arena = SharedArena() if self.is_pool else None
         if self.is_pool:
             set_worker_context(sim.kernels, sim.case)
         #: task-lifecycle tracing + overhead attribution collector
-        self.perfscope = PerfScope(enabled=perfscope)
+        self.perfscope = PerfScope(enabled=sim.config.perfscope)
         self.scheduler = Scheduler(self.executor, profiler=sim.profiler,
                                    perfscope=self.perfscope)
         self._acc: Optional[ScheduleReport] = None
@@ -55,15 +53,14 @@ class RuntimeEngine:
     @staticmethod
     def _supervision(sim) -> Optional[dict]:
         """Supervisor knobs from the simulation's config (None = bare pool)."""
-        cfg = getattr(sim, "config", None)
-        if cfg is None or not getattr(cfg, "supervise", True):
+        cfg = sim.config
+        if not cfg.supervise:
             return None
         return {
-            "task_retries": getattr(cfg, "task_retries", 2),
-            "backoff": getattr(cfg, "retry_backoff", 0.05),
-            "task_timeout": getattr(cfg, "task_timeout", 30.0),
-            "max_pool_restarts": getattr(cfg, "max_pool_restarts", 3),
-            "stats": getattr(sim, "resilience", None),
+            "task_retries": cfg.task_retries,
+            "task_timeout": cfg.task_timeout,
+            "max_pool_restarts": cfg.max_pool_restarts,
+            "stats": sim.resilience,
         }
 
     @property

@@ -39,6 +39,8 @@ import uuid
 from pathlib import Path
 from typing import Optional
 
+from repro.resilience.supervisor import capped_backoff
+
 #: HTTP statuses that mean "try again later", not "you are wrong"
 RETRYABLE_STATUSES = (429, 503)
 
@@ -76,14 +78,14 @@ def backoff_delays(base: float = 0.1, cap: float = 2.0,
                    rng: Optional[random.Random] = None):
     """Yield capped exponential backoff delays with full jitter.
 
-    Full jitter (``uniform(0, min(cap, base * 2**n))``) decorrelates a
+    Full jitter (``uniform(0, capped_backoff(base, cap, n))``) decorrelates a
     thundering herd of shed clients; pass a seeded ``rng`` for
     deterministic tests.
     """
     rng = rng or random
     n = 0
     while True:
-        yield rng.uniform(0.0, min(cap, base * (2.0 ** n)))
+        yield rng.uniform(0.0, capped_backoff(base, cap, n))
         n += 1
 
 
@@ -224,7 +226,7 @@ class ServeClient:
             if t_end is not None:
                 delay = min(delay, max(0.0, t_end - time.monotonic()))
             time.sleep(delay)
-            interval = min(poll_cap, interval * 2.0)
+            interval = capped_backoff(interval, poll_cap, 1)
 
 
 def main(argv: Optional[list] = None) -> int:

@@ -56,7 +56,7 @@ class WorkerFleet:
 
     def __init__(self, registry: RunRegistry, cache_dir,
                  workers: int = 2, task_retries: int = 1,
-                 backoff: float = 0.05, task_timeout: float = 300.0,
+                 task_timeout: float = 300.0,
                  max_pool_restarts: int = 3,
                  executor: str = "pool",
                  autocheckpoint_every: int = 1,
@@ -85,7 +85,7 @@ class WorkerFleet:
                 set_worker_context(None, None)
             self.executor = make_executor(
                 "pool", self.workers,
-                supervision=dict(task_retries=task_retries, backoff=backoff,
+                supervision=dict(task_retries=task_retries,
                                  task_timeout=task_timeout,
                                  max_pool_restarts=max_pool_restarts,
                                  stats=self.stats))

@@ -171,11 +171,12 @@ class SimulationService:
                                 for k, v in body["keys"].items())
         if not deck_text or not isinstance(deck_text, str):
             raise ValueError("body must carry 'deck' (text) or 'keys' (map)")
-        # parse up front so an unreadable deck is a 400 at submission
-        # time, not a failed run minutes later
+        # build the config up front so an unreadable deck, an unknown key
+        # or case, or a bad value is a 400 carrying the ConfigError text
+        # at submission time, not a failed run minutes later
         from repro.io.inputs import InputDeck
 
-        InputDeck.parse(deck_text)
+        InputDeck.parse(deck_text).resolve()
         key = str(body.get("idempotency_key") or "")
         # a key the registry already knows bypasses admission control:
         # answering a retry from the index adds no queue depth

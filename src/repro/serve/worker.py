@@ -147,9 +147,8 @@ def execute_serve_run(spec: dict) -> None:
         summary.update(base)
         summary["wall_s"] = time.monotonic() - t0
         _write_result(run_dir, summary)
-    except (Exception, SystemExit) as exc:  # noqa: BLE001
-        # failures become results; SystemExit is how deck validation
-        # (e.g. an unknown case) reports errors and must not kill the lane
+    except Exception as exc:  # noqa: BLE001
+        # failures become results and must not kill the lane
         _write_result(run_dir, dict(
             base, status="failed",
             reason=f"{type(exc).__name__}: {exc}",
@@ -164,36 +163,30 @@ def _run_deck(run_dir: Path, spec: dict,
     from repro.io.inputs import InputDeck
     from repro.resilience.watchdog import RunBudgetExceeded
 
+    every = spec.get("autocheckpoint_every")
     deck = InputDeck.from_file(run_dir / DECK_NAME)
-    case = build_case(deck)
-    config = deck.to_crocco_config()
-    # the fleet is the parallelism layer: one run per worker lane, never
-    # a nested pool — which also keeps the trajectory bitwise identical
-    # to the CLI serial path
-    config.executor = "serial"
-    config.workers = None
-    if spec.get("cache_dir"):
-        config.cache_dir = str(spec["cache_dir"])
-    config.metrics_out = str(run_dir / "metrics.jsonl")
-    config.metrics_stream = True
-    if spec.get("trace"):
-        config.trace_out = str(run_dir / "trace.json")
-    if spec.get("max_steps") is not None:
-        config.step_budget = int(spec["max_steps"])
-    if spec.get("max_wall_s") is not None:
-        config.wall_budget_s = float(spec["max_wall_s"])
-    # service runs checkpoint into their own directory so a re-dispatch
-    # (worker death, server restart) resumes instead of replaying; the
-    # default cadence of 1 bounds the replay window to a single step
-    every = spec.get("autocheckpoint_every", 1)
-    config.autocheckpoint_every = int(every if every is not None else 1)
-    config.autocheckpoint_dir = str(run_dir / AUTOCHK_DIR)
-
-    nsteps: Optional[int] = (int(spec["steps"]) if spec.get("steps")
-                             else deck.get_int("run.steps"))
-    t_end = deck.get_float("run.time")
-    if nsteps is None and t_end is None:
-        nsteps = 10
+    config, run = deck.resolve({
+        # the fleet is the parallelism layer: one run per worker lane,
+        # never a nested pool — which also keeps the trajectory bitwise
+        # identical to the CLI serial path
+        "executor": "serial",
+        "cache_dir": str(spec["cache_dir"]) if spec.get("cache_dir") else None,
+        "metrics_out": str(run_dir / "metrics.jsonl"),
+        "metrics_stream": True,
+        "trace_out": (str(run_dir / "trace.json") if spec.get("trace")
+                      else None),
+        "step_budget": spec.get("max_steps"),
+        "wall_budget_s": spec.get("max_wall_s"),
+        # service runs checkpoint into their own directory so a
+        # re-dispatch (worker death, server restart) resumes instead of
+        # replaying; the default cadence of 1 bounds the replay window to
+        # a single step
+        "autocheckpoint_every": 1 if every is None else every,
+        "autocheckpoint_dir": str(run_dir / AUTOCHK_DIR),
+        "steps": spec.get("steps") or None,
+    })
+    case = build_case(run)
+    nsteps, t_end = run.steps, run.time
     cancel_flag = run_dir / CANCEL_NAME
     drain_flag = run_dir / DRAIN_NAME
 
@@ -255,16 +248,14 @@ def _run_deck(run_dir: Path, spec: dict,
             status, reason = "cancelled", f"budget exceeded: {exc}"
         if status == "done":
             # terminal artifacts only for completed runs
-            out = deck.get_str("run.plotfile")
-            if out:
+            if run.plotfile:
                 from repro.io.plotfile import write_plotfile
 
-                write_plotfile(_under(run_dir, out), sim)
-            chk = deck.get_str("run.checkpoint")
-            if chk:
+                write_plotfile(_under(run_dir, run.plotfile), sim)
+            if run.checkpoint:
                 from repro.io.checkpoint import save_checkpoint
 
-                save_checkpoint(_under(run_dir, chk), sim)
+                save_checkpoint(_under(run_dir, run.checkpoint), sim)
         if status in ("done", "cancelled"):
             # terminal runs never re-execute: drop the resume scratch so
             # finished runs don't pin disk

@@ -5,8 +5,7 @@ import pytest
 
 from repro.backend import (HostBackend, LaunchSpec, UnknownTargetError,
                            available_targets, make_exec_backend,
-                           register_target, resolve_target,
-                           unregister_target)
+                           register_target, unregister_target)
 from repro.core.errors import ConfigError
 
 ALL_TARGETS = ("host", "device", "fused")
@@ -74,24 +73,30 @@ class TestRegistry:
             assert name in msg
 
 
-class TestResolveTarget:
-    def test_explicit_names_pass_through(self):
-        for name in ALL_TARGETS:
-            assert resolve_target(name) == name
+class TestTargetOption:
+    """The config's target is checked by the option table, which knows
+    the registry; ``auto`` resolves to the version's own target."""
 
     def test_auto_resolves_to_version_default(self):
-        assert resolve_target("auto", version_default="device") == "device"
-        assert resolve_target(None, version_default="host") == "host"
-        # without a version default, auto defers
-        assert resolve_target("auto") == "auto"
+        from repro.cases.shocktube import SodShockTube
+        from repro.core.crocco import Crocco, CroccoConfig
 
-    def test_unknown_target_is_config_error_with_source(self):
-        with pytest.raises(ConfigError) as exc:
-            resolve_target("cuda", source="REPRO_BACKEND")
-        msg = str(exc.value)
-        assert "cuda" in msg and "REPRO_BACKEND" in msg
-        for name in ALL_TARGETS:
-            assert name in msg
+        for version, target in (("1.1", "host"), ("2.0", "device")):
+            sim = Crocco(SodShockTube(ncells=32), CroccoConfig(
+                version=version, max_grid_size=32, backend_target="auto"))
+            assert sim.backend_target == target
+            sim.close()
+
+    def test_registered_plugin_target_is_a_legal_choice(self):
+        from repro.core.crocco import CroccoConfig
+
+        register_target("tmp_plugin", lambda devices=None: HostBackend())
+        try:
+            CroccoConfig(backend_target="tmp_plugin").validate()
+        finally:
+            unregister_target("tmp_plugin")
+        with pytest.raises(ConfigError, match="tmp_plugin"):
+            CroccoConfig(backend_target="tmp_plugin").validate()
 
     def test_crocco_reports_config_error(self):
         from repro.cases.shocktube import SodShockTube

@@ -14,15 +14,22 @@ def write_deck(tmp_path, text):
     return str(p)
 
 
+def case_of(text):
+    return build_case(InputDeck.parse(text).resolve()[1])
+
+
 def test_build_case_variants():
-    assert build_case(InputDeck.parse("crocco.case = sod\namr.n_cell = 64")).name == "sod"
-    assert build_case(InputDeck.parse("crocco.case = vortex")).name == "vortex"
-    dmr = build_case(InputDeck.parse(
-        "crocco.case = dmr\namr.n_cell = 64 16\ncrocco.curvilinear = true"))
+    sod = case_of("crocco.case = sod\namr.n_cell = 64")
+    assert sod.name == "sod" and sod.domain_cells == (64,)
+    assert case_of("crocco.case = vortex").domain_cells == (64, 64)
+    dmr = case_of(
+        "crocco.case = dmr\namr.n_cell = 64 16\ncrocco.curvilinear = true")
     assert dmr.name == "dmr" and dmr.curvilinear
-    assert build_case(InputDeck.parse("crocco.case = ignition")).name == "ignition"
-    with pytest.raises(SystemExit):
-        build_case(InputDeck.parse("crocco.case = warp"))
+    assert dmr.domain_cells == (64, 16)
+    assert case_of("crocco.case = ignition").name == "ignition"
+    ramp = case_of("crocco.case = ramp\nramp.mach = 2.5\nramp.angle = 10")
+    assert (ramp.mach, ramp.angle_deg, ramp.domain_cells) == (2.5, 10.0,
+                                                              (96, 48))
 
 
 def test_cli_runs_sod_and_writes_plotfile(tmp_path, capsys):
@@ -141,56 +148,53 @@ run.restart = {chk}
     assert "step     4" in out
 
 
-class TestConfigValidation:
-    """Bad runtime configuration exits 2 with a message, not a traceback."""
-
-    DECK = """
-crocco.case = sod
-amr.n_cell = 32
-run.steps = 1
-"""
-
-    def test_nonnumeric_repro_workers_env(self, tmp_path, capsys,
-                                          monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "abc")
-        assert main([write_deck(tmp_path, self.DECK)]) == 2
-        err = capsys.readouterr().err
-        assert "REPRO_WORKERS must be an integer" in err
-        assert "Traceback" not in err
-
-    def test_zero_workers_in_deck(self, tmp_path, capsys):
-        deck = write_deck(tmp_path, self.DECK + "runtime.workers = 0\n")
-        assert main([deck]) == 2
-        err = capsys.readouterr().err
-        assert "workers must be >= 1" in err
-
-    def test_unknown_executor_in_deck(self, tmp_path, capsys):
-        deck = write_deck(tmp_path, self.DECK + "runtime.executor = turbo\n")
-        assert main([deck]) == 2
-        err = capsys.readouterr().err
-        assert "unknown executor 'turbo'" in err
-        assert "serial" in err  # the message lists the valid options
+BASE_DECK = ("crocco.case = sod\namr.n_cell = 32\namr.max_grid_size = 32\n"
+             "run.steps = 1\n")
 
 
-@pytest.mark.parametrize("line, named", [
-    ("crocco.version = 3.0", "3.0"),
-    ("crocco.interpolator = cubic", "cubic"),
-    ("crocco.coords_source = tape", "tape"),
-    ("crocco.weno = foo", "foo"),
-    ("amr.max_level = two", "amr.max_level"),
-    ("amr.tagging = vorticity", "vorticity"),
+@pytest.mark.parametrize("deck_text, env, argv, named", [
+    # the six probes of ISSUE 15
+    (BASE_DECK + "this line has no equals sign\n", {}, [], "line 5"),
+    (None, {}, [], "no_such_deck.inputs"),
+    ("crocco.case = nope\n", {}, [], "crocco.case"),
+    ("crocco.case = dmr\namr.n_cell = 128\n", {}, [], "amr.n_cell"),
+    (BASE_DECK + "amr.max_levle = 2\n", {}, [], "'amr.max_level'"),
+    (BASE_DECK, {"REPRO_WORKERS": "x"}, [], "REPRO_WORKERS"),
+    # one bad value per spelling and per kind of check
+    (BASE_DECK + "crocco.version = 3.0\n", {}, [], "crocco.version"),
+    (BASE_DECK + "amr.max_level = two\n", {}, [], "amr.max_level"),
+    (BASE_DECK + "runtime.workers = 0\n", {}, [], "runtime.workers"),
+    (BASE_DECK + 'run.plotfile = "unbalanced\n', {}, [], "line 5"),
+    (BASE_DECK, {}, ["--executor", "turbo"], "--executor"),
+    (BASE_DECK, {}, ["--workers", "x"], "--workers"),
 ])
-def test_cli_bad_deck_value_is_one_error_line_exit_2(tmp_path, capsys,
-                                                     line, named):
-    """A bad deck value never reaches a traceback or a silent fallback."""
-    deck = write_deck(tmp_path, "crocco.case = sod\namr.n_cell = 32\n"
-                                "amr.max_grid_size = 32\nrun.steps = 1\n"
-                                + line + "\n")
-    assert main([deck]) == 2
+def test_cli_bad_input_is_one_error_line_exit_2(tmp_path, capsys, monkeypatch,
+                                                deck_text, env, argv, named):
+    """A bad deck, flag or environment variable never reaches a traceback
+    or a silent fallback: one ``error:`` line naming the culprit, exit 2."""
+    deck = (str(tmp_path / "no_such_deck.inputs") if deck_text is None
+            else write_deck(tmp_path, deck_text))
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main([deck] + argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
+
+
+def test_cli_regrid_int_auto_runs_from_a_deck(tmp_path, capsys):
+    deck = write_deck(tmp_path, """
+crocco.case = dmr
+crocco.version = 2.0
+amr.n_cell = 64 16
+amr.max_grid_size = 32
+amr.max_level = 1
+amr.regrid_int = auto
+run.steps = 2
+""")
+    assert main([deck]) == 0
+    assert "2 level(s)" in capsys.readouterr().out
 
 
 def test_solver_import_does_not_pull_in_scipy():

@@ -30,12 +30,10 @@ amr.tagging = momentum
 
 def test_deck_parsing():
     deck = InputDeck.parse(DECK)
-    assert deck.get_str("crocco.version") == "2.0"
-    assert deck.get_float("crocco.cfl") == 0.4
-    assert deck.get_ints("amr.n_cell") == [256, 64, 32]
     assert deck.get_int("amr.max_grid_size") == 128  # comment stripped
     assert deck.get_int("missing.key", 7) == 7
     assert "crocco.version" in deck
+    assert deck.domain_cells() == [256, 64, 32]
 
 
 def test_deck_bool_parsing():
@@ -48,21 +46,20 @@ def test_deck_bool_parsing():
 
 
 def test_deck_malformed():
-    with pytest.raises(ValueError):
-        InputDeck.parse("just a line without equals")
-    with pytest.raises(ValueError):
+    from repro.core.errors import ConfigError
+
+    with pytest.raises(ConfigError, match="line 2"):
+        InputDeck.parse("a = 1\njust a line without equals")
+    with pytest.raises(ConfigError, match="line 1"):
         InputDeck.parse("key =    # empty value")
+    with pytest.raises(ConfigError, match="no_such.inputs"):
+        InputDeck.from_file("no_such.inputs")
 
 
 def test_deck_to_crocco_config():
+    # every key -> field mapping is walked in tests/core/test_config_table.py
     cfg = InputDeck.parse(DECK).to_crocco_config()
-    assert cfg.version == "2.0"
-    assert cfg.cfl == 0.4
-    assert cfg.max_level == 2
-    assert cfg.nranks == 12
-    assert cfg.tagging == "momentum"
-    deck = InputDeck.parse(DECK)
-    assert deck.domain_cells() == [256, 64, 32]
+    assert (cfg.version, cfg.max_level, cfg.tagging) == ("2.0", 2, "momentum")
 
 
 def run_small(version="1.1", steps=2):

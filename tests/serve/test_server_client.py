@@ -67,6 +67,25 @@ def test_bad_submissions_are_400(service):
     assert err.value.status == 400  # rejected at submission, not run time
 
 
+@pytest.mark.parametrize("line, named", [
+    ("crocco.version = 9.9", "crocco.version"),
+    ("crocco.interpolator = cubic", "crocco.interpolator"),
+    ("amr.tagging = vorticity", "amr.tagging"),
+    ("runtime.executor = turbo", "runtime.executor"),
+    ("crocco.case = nope", "crocco.case"),
+    ("amr.max_levle = 2", "amr.max_level"),
+])
+def test_bad_config_is_400_at_submission_and_leaves_no_record(service, line,
+                                                              named):
+    client, httpd = service
+    with pytest.raises(ServeError) as err:
+        client.submit(deck=DECK + line + "\n")
+    assert err.value.status == 400
+    assert named in str(err.value)  # the ConfigError text rides the 400
+    assert client.list() == []
+    assert not list(httpd.service.registry.root.glob("runs/*"))
+
+
 def test_unknown_run_is_404(service):
     client, _ = service
     with pytest.raises(ServeError) as err:

@@ -56,3 +56,15 @@ def test_render_plotfile_cli(small_plotfile, tmp_path, capsys):
 def test_convergence_tool_importable():
     tool = load_tool("convergence")
     assert callable(tool.main)
+
+
+def test_option_table_lint_passes_here_and_catches_a_second_spelling(tmp_path):
+    lint = load_tool("lint_option_table")
+    assert lint.violations() == []
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "table.py").write_text('ENV = "REPRO_WORKERS"\n')
+    (src / "plumbing.py").write_text(
+        'import os\nw = os.environ.get("REPRO_WORKERS")\n')
+    assert ("REPRO_WORKERS: written 2 times (src/plumbing.py:2, "
+            "src/table.py:1)") in lint.violations(src)

@@ -12,7 +12,18 @@ import numpy as np
 from repro.amr.box import Box
 from repro.amr.intvect import IntVect, IntVectLike
 from repro.amr.multifab import MultiFab
-from repro.backend import LaunchSpec, parallel_for
+from repro.amr.plan import CommPlan, copy
+
+
+def _build_plan(fine: MultiFab, crse: MultiFab, r: IntVect) -> CommPlan:
+    """Per coarse fab, the fine regions that fully cover coarse cells."""
+
+    def pairs(i, cfab):
+        covered = ((j, _fully_covered(fine.ba[j], r).intersect(cfab.box))
+                   for j in fine.ba.intersecting(cfab.box.refine(r)))
+        return [(j, c.refine(r), c) for j, c in covered if not c.is_empty()]
+
+    return CommPlan.of_boxes(crse, fine, "averagedown", crse.ncomp, pairs)
 
 
 def average_down(fine: MultiFab, crse: MultiFab, ratio: IntVectLike) -> None:
@@ -26,29 +37,11 @@ def average_down(fine: MultiFab, crse: MultiFab, ratio: IntVectLike) -> None:
     if fine.ncomp != crse.ncomp:
         raise ValueError("AverageDown component mismatch")
     r = IntVect.coerce(ratio, fine.dim)
-    for i, cfab in crse:
-        pairs = []
-        for j in fine.ba.intersecting(cfab.box.refine(r)):
-            fbox = fine.ba[j]
-            overlap_c = _fully_covered(fbox, r).intersect(cfab.box)
-            if overlap_c.is_empty():
-                continue
-            pairs.append((j, overlap_c, overlap_c.refine(r)))
-        if not pairs:
-            continue
-
-        def restrict(i=i, cfab=cfab, pairs=pairs):
-            for j, overlap_c, overlap_f in pairs:
-                fview = fine.fab(j).view(overlap_f)  # (ncomp, *fine shape)
-                avg = _block_mean(fview, r)
-                cfab.view(overlap_c)[...] = avg
-                fine.comm.send_bytes(fine.dm[j], crse.dm[i], avg.nbytes,
-                                     "averagedown")
-
-        parallel_for("AverageDown", restrict,
-                     sum(of.num_pts() for _, _, of in pairs),
-                     LaunchSpec(kernel_class="averagedown",
-                                rank=crse.dm[i]))
+    plan = crse.plan(("averagedown", r.tup(), fine.ngrow.tup()),
+                     (fine.ba, fine.dm), lambda: _build_plan(fine, crse, r))
+    plan.run("AverageDown", "averagedown",
+             lambda fp: copy(crse.fab(fp.dst).data, fine, fp.copies,
+                             via=lambda v: _block_mean(v, r)))
 
 
 def _fully_covered(fbox: Box, r: IntVect) -> Box:

@@ -20,15 +20,28 @@ is bit-identical to the old direct-copy loop.
 
 from __future__ import annotations
 
-from itertools import groupby
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.amr.box import Box
 from repro.amr.geometry import Geometry
 from repro.amr.multifab import MultiFab
-from repro.backend import LaunchSpec, parallel_for
+from repro.amr.plan import CommPlan, overlaps
+
+
+def _build_plan(mf: MultiFab, geom: Optional[Geometry]) -> CommPlan:
+    """Per destination fab, the ghost regions other patches cover: direct
+    overlaps first, then periodic images (the historical write order)."""
+
+    def pairs(i, dst):
+        grown = dst.grown_box()
+        shifts = geom.periodic_shifts(grown) if geom is not None else ()
+        # a destination inside the valid box is the fab meeting itself
+        return [p for p in overlaps(mf.ba, grown, shifts)
+                if not dst.box.contains(p[2])]
+
+    return CommPlan.of_boxes(mf, mf, "fillboundary", mf.ncomp, pairs)
 
 
 class FillBoundaryHandle:
@@ -40,84 +53,37 @@ class FillBoundaryHandle:
 
     def __init__(self, mf: MultiFab, geom: Optional[Geometry] = None) -> None:
         self.mf = mf
-        self.geom = geom
-        #: (dst box id, dst region, packed source values) in unpack order
-        self._packets: List[Tuple[int, Box, np.ndarray]] = []
-        self._done = False
-        self._pack()
+        self._plan = mf.plan(
+            ("fillboundary", geom and (geom.domain, geom.periodic)), (),
+            lambda: _build_plan(mf, geom))
+        #: destination fab -> snapshots of its source regions, in copy order
+        self._packets: Dict[int, List[np.ndarray]] = {}
+        self._plan.run("FB_pack", "fillpatch", self._pack)
 
-    def _pack(self) -> None:
-        """Build the exchange plan and snapshot every source region.
+    def _pack(self, fp) -> None:
+        self._packets[fp.dst] = [
+            np.array(self.mf.fab(j).data[(slice(None),) + sidx], copy=True)
+            for j, sidx, _ in fp.copies]
 
-        Plan order matches the historical eager loop exactly (direct
-        overlaps first, then periodic images, per destination fab) so
-        unpacking reproduces the same sequence of ghost writes.
-        """
-        mf, geom = self.mf, self.geom
-        if mf.ngrow.max() == 0:
-            return
-        ba = mf.ba
-        for i, dst in mf:
-            grown = dst.grown_box()
-            # copy plan for this destination fab: (src fab, src region,
-            # dst region), direct overlaps first, then periodic images
-            plan: List[Tuple[int, Box, Box]] = []
-            for j, overlap in ba.intersections(grown):
-                if j == i:
-                    continue
-                plan.append((j, overlap, overlap))
-            if geom is not None and any(geom.periodic):
-                for shift in geom.periodic_shifts(grown):
-                    shifted = grown.shift(shift)
-                    for j, overlap in ba.intersections(shifted):
-                        dst_region = overlap.shift(-shift)
-                        # skip the trivial self-overlap of the valid region
-                        if dst.box.contains(dst_region):
-                            continue
-                        plan.append((j, overlap, dst_region))
-            if not plan:
-                continue
-
-            def pack(plan=plan, i=i):
-                for j, src_region, dst_region in plan:
-                    buf = np.array(mf.fab(j).view(src_region), copy=True)
-                    self._packets.append((i, dst_region, buf))
-                    mf.comm.send_bytes(mf.dm[j], mf.dm[i], buf.nbytes,
-                                       "fillboundary")
-
-            parallel_for("FB_pack", pack,
-                         sum(r.num_pts() for _, r, _ in plan),
-                         LaunchSpec(kernel_class="fillpatch",
-                                    rank=mf.dm[i]))
+    def _unpack(self, fp) -> None:
+        data = self.mf.fab(fp.dst).data
+        for (_, _, didx), buf in zip(fp.copies, self._packets.pop(fp.dst)):
+            data[(slice(None),) + didx] = buf
 
     @property
     def nbytes(self) -> int:
         """Bytes currently in flight (0 once finished)."""
-        return sum(buf.nbytes for _, _, buf in self._packets)
+        return sum(b.nbytes for bufs in self._packets.values() for b in bufs)
 
     @property
     def npackets(self) -> int:
-        return len(self._packets)
+        return sum(len(bufs) for bufs in self._packets.values())
 
     def finish(self) -> None:
         """Unpack every buffered message into its ghost region."""
-        if self._done:
-            return
-        # packets are contiguous per destination fab (pack order), so one
-        # FB_unpack launch per fab preserves the exact write sequence
-        for i, group in groupby(self._packets, key=lambda p: p[0]):
-            packets = list(group)
-
-            def unpack(packets=packets):
-                for i, region, buf in packets:
-                    self.mf.fab(i).view(region)[...] = buf
-
-            parallel_for("FB_unpack", unpack,
-                         sum(r.num_pts() for _, r, _ in packets),
-                         LaunchSpec(kernel_class="fillpatch",
-                                    rank=self.mf.dm[i]))
-        self._packets.clear()
-        self._done = True
+        if self._packets:
+            self._plan.run("FB_unpack", "fillpatch", self._unpack,
+                           record=False)
 
 
 def fill_boundary_nowait(mf: MultiFab,
@@ -141,11 +107,24 @@ def fill_boundary(mf: MultiFab, geom: Optional[Geometry] = None) -> None:
     fill_boundary_nowait(mf, geom).finish()
 
 
-def boundary_regions(mf: MultiFab, i: int):
+def boundary_regions(mf: MultiFab, i: int,
+                     geom: Optional[Geometry] = None) -> List[Box]:
     """The ghost sub-boxes of fab ``i`` not covered by any same-level patch.
 
     These are the cells that physical boundary conditions (BC_Fill) or
-    coarse-to-fine interpolation must supply.
+    coarse-to-fine interpolation must supply; given ``geom``, only the
+    latter: inside the domain (a periodic direction has no outside) and
+    not covered by a periodic image of a patch either.
     """
-    dst = mf.fab(i)
-    return mf.ba.complement_in(dst.grown_box())
+    region = mf.fab(i).grown_box()
+    if geom is None:
+        return mf.ba.complement_in(region)
+    dom, per = geom.domain, geom.periodic
+    region = Box(
+        [l if p else max(l, d) for l, d, p in zip(region.lo, dom.lo, per)],
+        [h if p else min(h, d) for h, d, p in zip(region.hi, dom.hi, per)])
+    pieces = mf.ba.complement_in(region)
+    for s in geom.periodic_shifts(region):
+        pieces = [q.shift(-s) for p in pieces
+                  for q in mf.ba.complement_in(p.shift(s))]
+    return pieces

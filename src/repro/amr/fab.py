@@ -19,7 +19,7 @@ from repro.amr.intvect import IntVect, IntVectLike
 class FArrayBox:
     """Patch data: ncomp components over ``box.grow(ngrow)``."""
 
-    __slots__ = ("box", "ngrow", "ncomp", "data")
+    __slots__ = ("box", "ngrow", "ncomp", "data", "_gbox", "_valid")
 
     def __init__(self, box: Box, ncomp: int = 1, ngrow: IntVectLike = 0,
                  data: Optional[np.ndarray] = None) -> None:
@@ -32,7 +32,11 @@ class FArrayBox:
         if self.ngrow.min() < 0:
             raise ValueError("ngrow must be non-negative")
         self.ncomp = ncomp
-        shape = (ncomp,) + self.grown_box().shape()
+        # box and ngrow never change: the grown box and the valid region's
+        # slices inside it are computed here, once
+        self._gbox = box.grow(self.ngrow)
+        self._valid = box.slices(relative_to=self._gbox)
+        shape = (ncomp,) + self._gbox.shape()
         if data is None:
             self.data = np.zeros(shape, dtype=np.float64)
         else:
@@ -42,7 +46,7 @@ class FArrayBox:
 
     def grown_box(self) -> Box:
         """The box including ghost cells — the region the array covers."""
-        return self.box.grow(self.ngrow)
+        return self._gbox
 
     @property
     def dim(self) -> int:
@@ -57,17 +61,18 @@ class FArrayBox:
 
         ``region`` must lie within the grown box.
         """
-        r = region if region is not None else self.box
-        gb = self.grown_box()
-        if not gb.contains(r):
-            raise ValueError(f"region {r} not contained in grown box {gb}")
-        sl = r.slices(relative_to=gb)
         c = comp if comp is not None else slice(None)
-        return self.data[(c,) + sl]
+        if region is None or region is self.box:
+            return self.data[(c,) + self._valid]
+        if not self._gbox.contains(region):
+            raise ValueError(
+                f"region {region} not contained in grown box {self._gbox}")
+        return self.data[(c,) + region.slices(relative_to=self._gbox)]
 
     def valid(self, comp: Optional[slice] = None) -> np.ndarray:
         """View of the valid (non-ghost) region."""
-        return self.view(self.box, comp)
+        return self.data[(comp if comp is not None else slice(None),)
+                         + self._valid]
 
     def whole(self) -> np.ndarray:
         """The full array including ghosts."""

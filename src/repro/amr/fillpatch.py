@@ -19,16 +19,20 @@ Mirrors ``amrex::FillPatchUtil``:
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.amr.boundary import boundary_regions, fill_boundary_nowait
 from repro.amr.box import Box
 from repro.amr.fab import FArrayBox
 from repro.amr.geometry import Geometry
 from repro.amr.intvect import IntVect, IntVectLike
-from repro.amr.interpolate import Interpolator
+from repro.amr.interpolate import Interpolator, apply_stencil
 from repro.amr.multifab import MultiFab
+from repro.amr.parallelcopy import copy_plan
+from repro.amr.plan import CommPlan, FabPlan, copy, overlaps
 from repro.backend import LaunchSpec, parallel_for
 
 #: signature: bc_fill(fab, geom, time) fills ghost cells outside the domain
@@ -101,7 +105,8 @@ class FillPatchOp:
         self._r = (IntVect.coerce(ratio, fine.dim)
                    if ratio is not None else None)
         self._fb = None
-        self._coords_tmp: Optional[MultiFab] = None
+        self._plan: Optional[CommPlan] = None
+        self._coords_posted = False
 
     @property
     def needs_coords(self) -> bool:
@@ -109,25 +114,34 @@ class FillPatchOp:
 
     def post_fillboundary(self) -> None:
         """FillBoundary_nowait: pack the same-level ghost exchange."""
-        from repro.amr.boundary import fill_boundary_nowait
-
         self._fb = fill_boundary_nowait(self.fine, self.geom_fine)
+
+    def _fill_plan(self) -> CommPlan:
+        """The level's coarse-gather + interpolation plan: cached on the
+        fine MultiFab, rebuilt when the coarse level (or a coordinate
+        MultiFab, or the interpolator) it was built against is replaced —
+        a regrid can replace the coarse level under an unchanged fine one."""
+        if self._plan is None:
+            self._plan = self.fine.plan(
+                ("fillpatch", self._r.tup()),
+                (self.crse, self.crse_coords, self.fine_coords, self.interp),
+                lambda: build_fill_plan(
+                    self.fine, self.crse, self.geom_fine, self._r, self.interp,
+                    self.crse_coords, self.fine_coords))
+        return self._plan
 
     def post_coords(self) -> None:
         """The curvilinear interpolator's ParallelCopy: gather the coarse
         coordinates into a temporary MultiFab with enough extra ghost
         cells to cover every interpolation stencil.  This is global
-        communication (any rank's coordinates may be needed anywhere)."""
-        if not self.needs_coords:
-            return
-        crse = self.crse
-        if self.crse_coords is None or self.fine_coords is None:
-            raise ValueError("curvilinear interpolation requires coordinate MultiFabs")
-        extra = crse.ngrow + IntVect.filled(crse.dim, self.interp.radius + 1)
-        coords_tmp = MultiFab(crse.ba, crse.dm, self.crse_coords.ncomp,
-                              extra, crse.comm)
-        coords_tmp.parallel_copy(self.crse_coords, fill_ghosts=True)
-        self._coords_tmp = coords_tmp
+        communication (any rank's coordinates may be needed anywhere), and
+        CRoCCo 2.0 pays it at every FillPatch: its launches and messages
+        are replayed from the fill plan, while the copy itself ran once,
+        when that plan turned the coordinates into weights."""
+        if self.needs_coords:
+            self._fill_plan().coords.run("PC_copy", "fillpatch",
+                                         lambda fp: None)
+            self._coords_posted = True
 
     def finish_fillboundary(self) -> None:
         """FillBoundary_finish: unpack buffers into same-level ghosts."""
@@ -137,17 +151,12 @@ class FillPatchOp:
         """Interpolate coarse/fine-interface ghosts of fine fab ``i``."""
         if not self.two_level:
             return
-        if self.needs_coords and self._coords_tmp is None:
+        if self.needs_coords and not self._coords_posted:
             raise RuntimeError("post_coords() must run before interp_fab()")
-        fab = self.fine.fab(i)
-        grown = fab.grown_box().intersect(self.geom_fine.domain)
-        for piece in self.fine.ba.complement_in(grown):
-            _interp_piece(
-                fab, piece, self.crse, self._r, self.interp,
-                self._coords_tmp,
-                self.fine_coords.fab(i) if self.fine_coords is not None else None,
-                self.fine.comm, self.fine.dm[i],
-            )
+        plan = self._fill_plan()
+        if i in plan.fabs:
+            _fill_fab(plan, plan.fabs[i], self.fine, self.crse, self._r,
+                      self.interp)
 
     def apply_bc(self, i: Optional[int] = None) -> None:
         """Physical boundary fill for one fab (or, by default, all)."""
@@ -222,84 +231,181 @@ def fill_coarse_patch(
     """
     r = IntVect.coerce(ratio, fine.dim)
     with _region(profiler, "ParallelCopy"):
-        coords_tmp = None
-        if interp.needs_coords:
-            if crse_coords is None or fine_coords is None:
-                raise ValueError("curvilinear interpolation requires coordinate MultiFabs")
-            extra = crse.ngrow + IntVect.filled(crse.dim, interp.radius + 1)
-            coords_tmp = MultiFab(crse.ba, crse.dm, crse_coords.ncomp, extra, crse.comm)
-            coords_tmp.parallel_copy(crse_coords, fill_ghosts=True)
-        for i, fab in fine:
-            _interp_piece(
-                fab, fab.box, crse, r, interp, coords_tmp,
-                fine_coords.fab(i) if fine_coords is not None else None,
-                fine.comm, fine.dm[i],
-            )
+        plan = build_fill_plan(fine, crse, geom_fine, r, interp, crse_coords,
+                               fine_coords, whole=True)
+        if plan.coords is not None:
+            plan.coords.run("PC_copy", "fillpatch", lambda fp: None)
+        for fp in plan.fabs.values():
+            _fill_fab(plan, fp, fine, crse, r, interp)
     if bc_fill is not None:
         for i, fab in fine:
             _bc_fill_launch(bc_fill, fab, geom_fine, time, fine.dm[i])
 
 
-def _interp_piece(
-    fab: FArrayBox,
-    piece: Box,
-    crse: MultiFab,
-    ratio: IntVect,
-    interp: Interpolator,
-    coords_tmp: Optional[MultiFab],
-    fine_coords_fab: Optional[FArrayBox],
-    comm,
-    dst_rank: int,
-) -> None:
-    """Interpolate coarse data onto one fine region and store it in ``fab``."""
-    cregion = interp.coarse_region(piece, ratio)
-    ctmp = _gather_coarse(crse, cregion, comm, dst_rank)
-    ccoords = None
-    if coords_tmp is not None:
-        # stencil coordinates: one extra cell so edge weights are defined
-        ccoords = _gather_coarse(coords_tmp, cregion.grow(1), comm, dst_rank,
-                                 use_ghosts=True)
-    vals = parallel_for(
-        f"Interp_{interp.kernel_label}",
-        lambda: interp.interp(ctmp, piece, ratio, ccoords, fine_coords_fab),
-        piece.num_pts(),
-        LaunchSpec(kernel_class="interp", rank=dst_rank))
-    nc = min(fab.ncomp, vals.shape[0])
-    fab.view(piece, slice(0, nc))[...] = vals[:nc]
+@dataclass
+class FillFabPlan(FabPlan):
+    """A fine fab's coarse gather (the FabPlan) and its interpolation."""
+
+    #: cells of the gathered scratch patch
+    ncells: int
+    #: fine points filled — the Interp launch's point count
+    nfilled: int
+    #: per piece: (fine box, coarse stencil region, offset in the patch)
+    regions: List[Tuple[Box, Box, int]]
+    #: the linear stencil over the patch (corner cells, weights or None for
+    #: equal ones) and the fab cells it fills; ``idx`` is None for
+    #: interpolators that have none and run ``interp()`` piece by piece
+    idx: Optional[np.ndarray] = None
+    w: Optional[np.ndarray] = None
+    dst_cells: Optional[tuple] = None
 
 
-def _gather_coarse(src: MultiFab, region: Box, comm, dst_rank: int,
-                   use_ghosts: bool = False) -> FArrayBox:
-    """Collect ``region`` of coarse data into a single temporary fab.
+class FillPlan(CommPlan):
+    """A level's two-level fill; ``coords`` is the plan of the coarse
+    coordinates' ParallelCopy when the interpolator needs one."""
 
-    Cells not covered by any source box — stencil cells beyond the
-    physical boundary, or (when proper nesting is marginal) beyond the
-    coarse level's coverage — are filled by nearest-covered extension so
-    interpolation stencils stay defined; the physical boundary fill
-    afterwards overrides anything that matters.
+    coords: Optional[CommPlan] = None
+
+
+def build_fill_plan(fine: MultiFab, crse: MultiFab, geom_fine: Geometry,
+                    r: IntVect, interp: Interpolator,
+                    crse_coords: Optional[MultiFab] = None,
+                    fine_coords: Optional[MultiFab] = None,
+                    whole: bool = False) -> FillPlan:
+    """Plan the fill of every fine fab's coarse/fine ghost pieces (with
+    ``whole``: of its valid box) by interpolation from ``crse``.
+
+    Per fab, all its pieces' coarse stencil regions are gathered into one
+    flat scratch patch: every patch cell names the coarse cell it copies —
+    through a periodic wrap where the region leaves a periodic domain, and
+    the nearest covered cell where no coarse box reaches (beyond a physical
+    boundary or a marginally nested coarse level; the physical boundary
+    fill afterwards overrides anything that matters).  Out of that patch
+    the fab interpolates through the interpolator's stencil, computed here
+    (coordinates change only at regrid), or, when it has none, piece by
+    piece through ``interp()``.  Launch points and messages are those of
+    CRoCCo's per-piece gathers of state and coordinates.
     """
-    tmp = FArrayBox(region, src.ncomp)
-    tmp.data.fill(np.nan)
+    plan = FillPlan(fine.comm)
+    geom_crse = geom_fine.coarsen(r)
+    shifts = geom_crse.periodic_shifts(geom_crse.domain)
+    coords_tmp = None
+    if interp.needs_coords:
+        if crse_coords is None or fine_coords is None:
+            raise ValueError("curvilinear interpolation requires coordinate MultiFabs")
+        # a temporary on the coarse layout with enough ghost cells to cover
+        # every interpolation stencil (and one more, so edge weights are
+        # defined), filled here, once, by the ParallelCopy ``plan.coords``
+        coords_tmp = MultiFab(
+            crse.ba, crse.dm, crse_coords.ncomp,
+            crse.ngrow + IntVect.filled(crse.dim, interp.radius + 1), crse.comm)
+        plan.coords = copy_plan(coords_tmp, crse_coords, crse_coords.ncomp, True)
+        for fp in plan.coords.fabs.values():
+            copy(coords_tmp.fab(fp.dst).data, crse_coords, fp.copies)
+        grown_ba = crse.ba.grow(coords_tmp.ngrow)
+    for i, fab in fine:
+        pieces = [fab.box] if whole else boundary_regions(fine, i, geom_fine)
+        rank, npoints, ncells, messages = fine.dm[i], 0, 0, []
+        from_fab, from_cell, stencils, regions = [], [], [], []
+        for piece in pieces:
+            cregion = interp.coarse_region(piece, r)
+            fabs, cells = _patch_sources(crse, cregion, shifts, rank, messages)
+            from_fab.append(fabs)
+            from_cell.append(cells)
+            npoints += cregion.num_pts()
+            ccoords = None
+            if coords_tmp is not None:
+                ccoords = FArrayBox(cregion.grow(1), coords_tmp.ncomp)
+                ccoords.data.fill(np.nan)
+                for j, overlap in grown_ba.intersections(ccoords.box):
+                    nbytes = ccoords.copy_from(coords_tmp.fab(j), overlap)
+                    messages.append(crse.comm.message(
+                        crse.dm[j], rank, nbytes, "parallelcopy"))
+                _nearest_fill(ccoords.data)
+                npoints += ccoords.box.num_pts()
+            stencil = interp.stencil(
+                piece, r, cregion, ccoords,
+                fine_coords.fab(i) if fine_coords is not None else None)
+            if stencil is not None:
+                stencils.append((stencil[0] + ncells, stencil[1]))
+            regions.append((piece, cregion, ncells))
+            ncells += cregion.num_pts()
+        if not pieces:
+            continue
+        from_fab, from_cell = np.concatenate(from_fab), np.concatenate(from_cell)
+        copies = []
+        for j in np.unique(from_fab):
+            at = np.nonzero(from_fab == j)[0]
+            copies.append((int(j), np.unravel_index(
+                from_cell[at], crse.fab(j).data.shape[1:]), (at,)))
+        idx = w = dst = None
+        if stencils:
+            idx = np.concatenate([s[0] for s in stencils], axis=1)
+            if stencils[0][1] is not None:
+                w = np.concatenate([s[1] for s in stencils], axis=1)
+            dst = np.unravel_index(
+                np.concatenate([_cells(p, fab.grown_box()) for p in pieces]),
+                fab.data.shape[1:])
+        plan.fabs[i] = FillFabPlan(
+            i, rank, copies, npoints, messages, ncells,
+            sum(p.num_pts() for p in pieces), regions, idx, w, dst)
+    return plan
 
-    def gather() -> bool:
-        found = False
-        for j, sfab in src:
-            avail = sfab.grown_box() if use_ghosts else sfab.box
-            overlap = avail.intersect(region)
-            if overlap.is_empty():
-                continue
-            nbytes = tmp.copy_from(sfab, overlap)
-            comm.send_bytes(src.dm[j], dst_rank, nbytes, "parallelcopy")
-            found = True
-        return found
 
-    found = parallel_for(
-        "PC_gather", gather, region.num_pts(),
-        LaunchSpec(kernel_class="fillpatch", rank=dst_rank))
-    if not found:
-        raise ValueError(f"no coarse data available for region {region}")
-    _nearest_fill(tmp.data)
-    return tmp
+def _patch_sources(crse: MultiFab, cregion: Box, shifts, rank: int,
+                   messages: list):
+    """Per cell of a scratch patch over ``cregion``, the coarse fab it
+    copies from and the flat cell in that fab's array; appends the
+    gather's ledger messages (one per coarse box met) to ``messages``."""
+    shape = cregion.shape()
+    fab_of = np.full(shape, -1)
+    cell_of = np.zeros(shape, dtype=np.intp)
+    for j, sbox, dbox in overlaps(crse.ba, cregion, shifts):
+        at = dbox.slices(relative_to=cregion)
+        fab_of[at] = j
+        cell_of[at] = _cells(sbox, crse.fab(j).grown_box()).reshape(dbox.shape())
+        messages.append(crse.comm.message(
+            crse.dm[j], rank, dbox.num_pts() * crse.ncomp * 8, "parallelcopy"))
+    if (fab_of < 0).all():
+        raise ValueError(f"no coarse data available for region {cregion}")
+    # an uncovered cell copies what its nearest covered cell copies
+    near = np.where(fab_of < 0, np.nan,
+                    np.arange(fab_of.size).reshape(shape))[None]
+    _nearest_fill(near)
+    near = near.ravel().astype(np.intp)
+    return fab_of.ravel()[near], cell_of.ravel()[near]
+
+
+def _cells(box: Box, within: Box) -> np.ndarray:
+    """Flat indices, into an array over ``within``, of the cells of ``box``."""
+    return np.arange(within.num_pts()).reshape(within.shape())[
+        box.slices(relative_to=within)].ravel()
+
+
+def _fill_fab(plan: FillPlan, fp: FillFabPlan, fine: MultiFab,
+              crse: MultiFab, r: IntVect, interp: Interpolator) -> None:
+    """Run one fine fab of a fill plan: one ``PC_gather`` launch collecting
+    its coarse patch, one ``Interp_<label>`` launch filling its pieces."""
+    fab = fine.fab(fp.dst)
+    patch = np.empty((crse.ncomp, fp.ncells))
+    plan.run("PC_gather", "fillpatch",
+             lambda fp: copy(patch, crse, fp.copies), fabs=(fp,))
+    nc = min(fab.ncomp, crse.ncomp)
+
+    def interpolate() -> None:
+        if fp.idx is not None:
+            fab.data[(slice(0, nc),) + fp.dst_cells] = apply_stencil(
+                patch, fp.idx, fp.w)[:nc]
+            return
+        for piece, cregion, offset in fp.regions:
+            cfab = FArrayBox(cregion, crse.ncomp, data=patch[
+                :, offset:offset + cregion.num_pts()].reshape(
+                    (-1,) + cregion.shape()))
+            fab.view(piece, slice(0, nc))[...] = interp.interp(
+                cfab, piece, r)[:nc]
+
+    parallel_for(f"Interp_{interp.kernel_label}", interpolate, fp.nfilled,
+                 LaunchSpec(kernel_class="interp", rank=fp.rank))
 
 
 def _nearest_fill(data: np.ndarray) -> None:
@@ -308,31 +414,18 @@ def _nearest_fill(data: np.ndarray) -> None:
     After the sweeps every cell holds the value of a nearby covered cell
     (exact nearest along the first axis that reaches one).
     """
-    if not np.isnan(data).any():
-        return
     for axis in range(1, data.ndim):
-        n = data.shape[axis]
-        # forward fill
-        for k in range(1, n):
-            dst = [slice(None)] * data.ndim
-            src = [slice(None)] * data.ndim
-            dst[axis] = slice(k, k + 1)
-            src[axis] = slice(k - 1, k)
-            d = data[tuple(dst)]
-            mask = np.isnan(d)
-            if mask.any():
-                np.copyto(d, data[tuple(src)], where=mask)
-        # backward fill
-        for k in range(n - 2, -1, -1):
-            dst = [slice(None)] * data.ndim
-            src = [slice(None)] * data.ndim
-            dst[axis] = slice(k, k + 1)
-            src[axis] = slice(k + 1, k + 2)
-            d = data[tuple(dst)]
-            mask = np.isnan(d)
-            if mask.any():
-                np.copyto(d, data[tuple(src)], where=mask)
-        if not np.isnan(data).any():
-            return
+        for flip in (False, True):            # forward fill, then backward
+            nan = np.isnan(data)
+            if not nan.any():
+                return
+            view = np.flip(data, axis) if flip else data
+            shape = [1] * data.ndim
+            shape[axis] = -1
+            # index of the last covered cell at or before each cell
+            last = np.where(np.flip(nan, axis) if flip else nan, 0,
+                            np.arange(data.shape[axis]).reshape(shape))
+            np.maximum.accumulate(last, axis=axis, out=last)
+            view[...] = np.take_along_axis(view, last, axis)
     if np.isnan(data).any():
         raise ValueError("coarse gather region entirely uncovered")

@@ -16,14 +16,10 @@ grids, but (as the paper notes) is not conservative across interfaces.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro.amr.box import Box
-from repro.amr.fab import FArrayBox
-from repro.amr.intvect import IntVect, IntVectLike
-from repro.amr.interpolate import Interpolator, _fine_fractions
+from repro.amr.intvect import IntVect
+from repro.amr.interpolate import Interpolator, _fine_fractions, corner_index
 
 
 class CurvilinearInterp(Interpolator):
@@ -33,39 +29,19 @@ class CurvilinearInterp(Interpolator):
     needs_coords = True
     kernel_label = "curvilinear"
 
-    def interp(
-        self,
-        cfab: FArrayBox,
-        fine_region: Box,
-        ratio: IntVectLike,
-        crse_coords: Optional[FArrayBox] = None,
-        fine_coords: Optional[FArrayBox] = None,
-    ) -> np.ndarray:
+    def stencil(self, fine_region, ratio, cbox, crse_coords=None, fine_coords=None):
         if crse_coords is None or fine_coords is None:
             raise ValueError("CurvilinearInterp requires coarse and fine coordinates")
         ratio = IntVect.coerce(ratio, fine_region.dim)
         dim = fine_region.dim
-        gb = cfab.grown_box()
-        cgb = crse_coords.grown_box()
-
-        bases = []
-        for d in range(dim):
-            ib, _ = _fine_fractions(fine_region, ratio, d)
-            bases.append(ib)
-
-        def gather(fab: FArrayBox, corner: int, base_box: Box) -> np.ndarray:
-            idx = []
-            for d in range(dim):
-                hi = (corner >> d) & 1
-                ib = bases[d] + hi - base_box.lo[d]
-                if ib.min() < 0 or ib.max() >= base_box.shape()[d]:
-                    raise ValueError("fab does not cover curvilinear stencil")
-                idx.append(ib)
-            return fab.data[(slice(None),) + np.ix_(*idx)]
+        ncorner = 1 << dim
+        bases = [_fine_fractions(fine_region, ratio, d)[0] for d in range(dim)]
 
         # physical coordinates of the 2^dim surrounding coarse points
-        ccorners = [gather(crse_coords, c, cgb) for c in range(1 << dim)]
-        xf = fine_coords.view(fine_region)  # (dim, *fine_shape)
+        cdata = crse_coords.data.reshape(crse_coords.ncomp, -1)
+        cgb = crse_coords.grown_box()
+        ccorners = [cdata[:, corner_index(bases, c, cgb)] for c in range(ncorner)]
+        xf = fine_coords.view(fine_region).reshape(fine_coords.ncomp, -1)
 
         # per-axis weights: projection of (xf - x0) on the axis edge vector
         t = []
@@ -77,10 +53,11 @@ class CurvilinearInterp(Interpolator):
             td = np.sum((xf - x0) * edge, axis=0) / denom
             t.append(np.clip(td, 0.0, 1.0))
 
-        out = np.zeros((cfab.ncomp,) + fine_region.shape(), dtype=np.float64)
-        for corner in range(1 << dim):
-            w = np.ones(fine_region.shape(), dtype=np.float64)
+        weights = []
+        for corner in range(ncorner):
+            w = np.ones(xf.shape[1], dtype=np.float64)
             for d in range(dim):
                 w = w * (t[d] if (corner >> d) & 1 else (1.0 - t[d]))
-            out += gather(cfab, corner, gb) * w[None]
-        return out
+            weights.append(w)
+        return (np.array([corner_index(bases, c, cbox) for c in range(ncorner)]),
+                np.array(weights))

@@ -43,6 +43,20 @@ class Interpolator:
         """The coarse-index region required to fill ``fine_region``."""
         return fine_region.coarsen(ratio).grow(self.radius)
 
+    def stencil(self, fine_region: Box, ratio: IntVectLike, cbox: Box,
+                crse_coords: Optional[FArrayBox] = None,
+                fine_coords: Optional[FArrayBox] = None):
+        """``(idx, w)`` when every fine value is a fixed weighted sum of
+        coarse cells, else None (the weights depend on the coarse values).
+
+        ``idx[c]`` is, per fine cell of ``fine_region`` (flattened), the
+        flat index into an array over ``cbox`` of its ``c``-th coarse
+        neighbour and ``w[c]`` that neighbour's weight (``w`` None: a plain
+        copy of neighbour 0).  Both depend only on the layout and the
+        coordinates, so a FillPatch plan computes them once per regrid.
+        """
+        return None
+
     def interp(
         self,
         cfab: FArrayBox,
@@ -52,7 +66,37 @@ class Interpolator:
         fine_coords: Optional[FArrayBox] = None,
     ) -> np.ndarray:
         """Return (ncomp, *fine_region.shape()) interpolated values."""
-        raise NotImplementedError
+        stencil = self.stencil(fine_region, ratio, cfab.grown_box(),
+                               crse_coords, fine_coords)
+        if stencil is None:
+            raise NotImplementedError
+        return apply_stencil(cfab.data.reshape(cfab.ncomp, -1),
+                             *stencil).reshape((-1,) + fine_region.shape())
+
+
+def apply_stencil(coarse: np.ndarray, idx: np.ndarray,
+                  w: Optional[np.ndarray]) -> np.ndarray:
+    """Fine values ``(ncomp, nfine)`` from ``coarse`` ``(ncomp, ncells)``:
+    the weighted neighbours accumulated in neighbour order."""
+    if w is None:
+        return coarse[:, idx[0]]
+    out = np.zeros((coarse.shape[0], idx.shape[1]), dtype=np.float64)
+    for ic, wc in zip(idx, w):
+        out += coarse[:, ic] * wc
+    return out
+
+
+def corner_index(bases, corner: int, box: Box) -> np.ndarray:
+    """Flat index into an array over ``box`` of every fine cell's
+    ``corner``-th neighbour (bit ``d`` of ``corner``: the upper one along
+    axis ``d``), given the per-axis lower-neighbour indices ``bases``."""
+    idx = []
+    for d, ib in enumerate(bases):
+        ib = ib + ((corner >> d) & 1) - box.lo[d]
+        if ib.min() < 0 or ib.max() >= box.shape()[d]:
+            raise ValueError("coarse fab does not cover interpolation stencil")
+        idx.append(ib)
+    return np.ravel_multi_index(np.ix_(*idx), box.shape()).ravel()
 
 
 def _fine_fractions(fine_region: Box, ratio: IntVect, idim: int):
@@ -84,36 +128,23 @@ class TrilinearInterp(Interpolator):
     radius = 1
     kernel_label = "trilinear"
 
-    def interp(self, cfab, fine_region, ratio, crse_coords=None, fine_coords=None):
+    def stencil(self, fine_region, ratio, cbox, crse_coords=None, fine_coords=None):
         ratio = IntVect.coerce(ratio, fine_region.dim)
         dim = fine_region.dim
-        gb = cfab.grown_box()
-        bases = []
-        fracs = []
-        for d in range(dim):
-            ib, fr = _fine_fractions(fine_region, ratio, d)
-            # indices relative to cfab array
-            ib = ib - gb.lo[d]
-            if ib.min() < 0 or (ib + 1).max() >= gb.shape()[d]:
-                raise ValueError("coarse fab does not cover interpolation stencil")
-            bases.append(ib)
-            fracs.append(fr)
-        out = np.zeros((cfab.ncomp,) + fine_region.shape(), dtype=np.float64)
-        # accumulate over the 2^dim corners with separable linear weights
+        bases, fracs = zip(*(_fine_fractions(fine_region, ratio, d)
+                             for d in range(dim)))
+        idx, weights = [], []
+        # the 2^dim corners with separable linear weights
         for corner in range(1 << dim):
-            idx = []
             w = 1.0
             for d in range(dim):
-                hi = (corner >> d) & 1
-                ib = bases[d] + hi
-                wd = fracs[d] if hi else (1.0 - fracs[d])
+                wd = fracs[d] if (corner >> d) & 1 else (1.0 - fracs[d])
                 shape = [1] * dim
                 shape[d] = -1
-                idx.append(ib)
                 w = w * wd.reshape(shape)
-            mesh = np.ix_(*idx)
-            out += cfab.data[(slice(None),) + mesh] * w
-        return out
+            idx.append(corner_index(bases, corner, cbox))
+            weights.append(np.broadcast_to(w, fine_region.shape()).ravel())
+        return np.array(idx), np.array(weights)
 
 
 class PiecewiseConstantInterp(Interpolator):
@@ -122,18 +153,12 @@ class PiecewiseConstantInterp(Interpolator):
     radius = 0
     kernel_label = "pconst"
 
-    def interp(self, cfab, fine_region, ratio, crse_coords=None, fine_coords=None):
+    def stencil(self, fine_region, ratio, cbox, crse_coords=None, fine_coords=None):
         ratio = IntVect.coerce(ratio, fine_region.dim)
-        gb = cfab.grown_box()
-        idx = []
-        for d in range(fine_region.dim):
-            i_f = np.arange(fine_region.lo[d], fine_region.hi[d] + 1)
-            ic = np.floor_divide(i_f, ratio[d]) - gb.lo[d]
-            if ic.min() < 0 or ic.max() >= gb.shape()[d]:
-                raise ValueError("coarse fab does not cover fine region")
-            idx.append(ic)
-        mesh = np.ix_(*idx)
-        return cfab.data[(slice(None),) + mesh].copy()
+        cells = [np.floor_divide(
+            np.arange(fine_region.lo[d], fine_region.hi[d] + 1), ratio[d])
+            for d in range(fine_region.dim)]
+        return np.array([corner_index(cells, 0, cbox)]), None
 
 
 class ConservativeLinearInterp(Interpolator):

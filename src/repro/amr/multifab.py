@@ -11,7 +11,7 @@ faithfully in the CommLedger.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -20,6 +20,9 @@ from repro.amr.distribution import DistributionMapping
 from repro.amr.fab import FArrayBox
 from repro.amr.intvect import IntVect, IntVectLike
 from repro.mpi.comm import Communicator, SerialComm
+
+if TYPE_CHECKING:
+    from repro.amr.plan import CommPlan
 
 
 class MultiFab:
@@ -43,6 +46,9 @@ class MultiFab:
         self._fabs: Dict[int, FArrayBox] = {
             i: FArrayBox(ba[i], ncomp, self.ngrow) for i in range(len(ba))
         }
+        #: communication plans writing this MultiFab, by operation; they
+        #: describe its layout, so they live and die with it
+        self._plans: Dict[Hashable, "CommPlan"] = {}
 
     # -- construction helpers ------------------------------------------------
     @classmethod
@@ -56,6 +62,17 @@ class MultiFab:
             ngrow if ngrow is not None else other.ngrow,
             other.comm,
         )
+
+    def plan(self, slot: Hashable, deps: tuple,
+             build: Callable[[], "CommPlan"]) -> "CommPlan":
+        """The cached plan of operation ``slot``, rebuilt when any object
+        it was built against (``deps``, compared by identity — the source
+        layout, the coarse MultiFab under a fine one) has been replaced."""
+        plan = self._plans.get(slot)
+        if plan is None or any(a is not b for a, b in zip(plan.deps, deps)):
+            plan = self._plans[slot] = build()
+            plan.deps = deps
+        return plan
 
     # -- protocol ---------------------------------------------------------
     def __len__(self) -> int:

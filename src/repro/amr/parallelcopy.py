@@ -13,7 +13,16 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.amr.multifab import MultiFab
-from repro.backend import LaunchSpec, parallel_for
+from repro.amr.plan import CommPlan, copy, overlaps
+
+
+def copy_plan(dst: MultiFab, src: MultiFab, ncomp: int,
+              fill_ghosts: bool) -> CommPlan:
+    """Per destination fab, every overlap with ``src``'s valid regions."""
+    return CommPlan.of_boxes(
+        dst, src, "parallelcopy", ncomp,
+        lambda i, fab: overlaps(src.ba,
+                                fab.grown_box() if fill_ghosts else fab.box))
 
 
 def parallel_copy(
@@ -36,19 +45,9 @@ def parallel_copy(
                                              src.ncomp - src_comp)
     if nc <= 0 or src_comp + nc > src.ncomp or dst_comp + nc > dst.ncomp:
         raise ValueError("component range out of bounds in ParallelCopy")
-    for i, dfab in dst:
-        region = dfab.grown_box() if fill_ghosts else dfab.box
-        overlaps = src.ba.intersections(region)
-        if not overlaps:
-            continue
-
-        def copy(i=i, dfab=dfab, overlaps=overlaps):
-            for j, overlap in overlaps:
-                nbytes = dfab.copy_from(src.fab(j), overlap, src_comp,
-                                        dst_comp, nc)
-                dst.comm.send_bytes(src.dm[j], dst.dm[i], nbytes,
-                                    "parallelcopy")
-
-        parallel_for("PC_copy", copy,
-                     sum(o.num_pts() for _, o in overlaps),
-                     LaunchSpec(kernel_class="fillpatch", rank=dst.dm[i]))
+    plan = dst.plan(("parallelcopy", nc, fill_ghosts, src.ngrow.tup()),
+                    (src.ba, src.dm),
+                    lambda: copy_plan(dst, src, nc, fill_ghosts))
+    sc, dc = slice(src_comp, src_comp + nc), slice(dst_comp, dst_comp + nc)
+    plan.run("PC_copy", "fillpatch",
+             lambda fp: copy(dst.fab(fp.dst).data, src, fp.copies, sc, dc))

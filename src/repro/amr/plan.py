@@ -1,0 +1,110 @@
+"""Communication plans: copy metadata built once per layout, run per fab.
+
+AMReX builds the metadata of FillBoundary and ParallelCopy once per
+(BoxArray, DistributionMapping, ghost width) and reuses it until the next
+regrid.  A :class:`CommPlan` is that metadata for one operation writing
+one MultiFab — per destination fab the copies to perform, the point count
+of its launch and the ledger messages the copies stand for — and
+FillBoundary, ParallelCopy, the FillPatch coarse gather and AverageDown
+are all "build the plan, run the plan".
+
+A plan never holds an ndarray of patch data: copies name the source fab by
+index and the cells by slices or integer index arrays, and ``fab.data`` is
+looked up when the plan runs (the pool executor's shared-memory arena
+rebinds it).  :meth:`MultiFab.plan` caches plans on the MultiFab they
+write, which is rebuilt exactly when its layout changes.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.amr.box import Box
+from repro.backend import LaunchSpec, parallel_for
+from repro.mpi.ledger import Message
+
+#: (source fab, source index, destination index); an index is a tuple over
+#: the spatial axes of slices or integer arrays (the component axis is
+#: prepended when the copy runs)
+Copy = Tuple[int, tuple, tuple]
+#: (source fab, source box, destination box)
+BoxPair = Tuple[int, Box, Box]
+
+
+@dataclass
+class FabPlan:
+    """One destination fab's share of a plan."""
+
+    dst: int
+    rank: int
+    copies: List[Copy]
+    npoints: int
+    messages: List[Message]
+
+
+class CommPlan:
+    """Copies, launch sizes and ledger messages of one communication op."""
+
+    def __init__(self, comm) -> None:
+        self.comm = comm
+        #: the objects the plan was built against (set by MultiFab.plan)
+        self.deps: tuple = ()
+        self.fabs: Dict[int, FabPlan] = {}
+        comm.plans_built += 1
+
+    @classmethod
+    def of_boxes(cls, dst, src, kind: str, ncomp: int,
+                 pairs_of: Callable[[int, object], Sequence[BoxPair]]) -> "CommPlan":
+        """A plan of box-shaped copies from MultiFab ``src`` into ``dst``:
+        ``pairs_of(i, fab)`` lists fab ``i``'s.  A fab is charged its
+        source points and messaged its destination bytes."""
+        plan = cls(dst.comm)
+        for i, dfab in dst:
+            pairs = pairs_of(i, dfab)
+            if pairs:
+                plan.fabs[i] = FabPlan(
+                    i, dst.dm[i],
+                    [(j, s.slices(src.fab(j).grown_box()),
+                      d.slices(dfab.grown_box())) for j, s, d in pairs],
+                    sum(s.num_pts() for _, s, _ in pairs),
+                    [dst.comm.message(src.dm[j], dst.dm[i],
+                                      d.num_pts() * ncomp * 8, kind)
+                     for j, _, d in pairs])
+        return plan
+
+    def run(self, name: str, kernel_class: str,
+            body: Callable[[FabPlan], None], record: bool = True,
+            fabs: Optional[Iterable[FabPlan]] = None) -> None:
+        """One launch per fab (all of them, in build order, unless ``fabs``
+        says which): ``body(fab plan)``, then the fab's messages as one
+        ledger batch (``record=False``: the second half of a split op)."""
+        for fp in self.fabs.values() if fabs is None else fabs:
+
+            def launch(fp=fp) -> None:
+                body(fp)
+                if record:
+                    self.comm.ledger.record_many(fp.messages)
+
+            parallel_for(name, launch, fp.npoints,
+                         LaunchSpec(kernel_class=kernel_class, rank=fp.rank))
+
+
+def overlaps(ba, region: Box, shifts: Iterable = ()) -> List[BoxPair]:
+    """Every box of ``ba`` meeting ``region`` — directly, then through each
+    periodic shift (source where the data is, destination in ``region``)."""
+    out = [(j, o, o) for j, o in ba.intersections(region)]
+    for s in shifts:
+        out += [(j, o, o.shift(-s)) for j, o in ba.intersections(region.shift(s))]
+    return out
+
+
+def copy(dst: np.ndarray, src, copies: Sequence[Copy],
+         src_comp: slice = slice(None), dst_comp: slice = slice(None),
+         via: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> None:
+    """Perform ``copies`` from the fabs of MultiFab ``src`` into ``dst``."""
+    for j, sidx, didx in copies:
+        vals = src.fab(j).data[(src_comp,) + sidx]
+        dst[(dst_comp,) + didx] = vals if via is None else via(vals)

@@ -133,6 +133,7 @@ class Crocco(AmrCore):
         self.step_count = 0
         self.dt_history: List[float] = []
         self.regrid_count = 0
+        self.step_plan_builds = 0
         #: tagged-cell count per level from the most recent error estimate
         self.last_tag_counts: Dict[int, int] = {}
 
@@ -374,6 +375,7 @@ class Crocco(AmrCore):
     def step(self) -> None:
         from repro.backend import use_backend
 
+        plans_before = self.comm.plans_built
         # the LaunchContext routes every AMR-substrate launch of this step
         # (regrid, FillPatch, tagging, ComputeDt, ...) to the configured
         # execution backend
@@ -387,6 +389,8 @@ class Crocco(AmrCore):
                 self.watchdog.guarded_advance(self)
             else:
                 self._advance(self._compute_dt())
+        # communication plans built during this step: 0 unless it regridded
+        self.step_plan_builds = self.comm.plans_built - plans_before
         if self.recorder is not None:
             self.recorder.sample_step(self)
 

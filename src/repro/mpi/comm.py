@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Callable, List, Optional, Sequence
 
-from repro.mpi.ledger import CommLedger
+from repro.mpi.ledger import CommLedger, Message, checked_message
 
 
 class Communicator:
@@ -29,6 +29,9 @@ class Communicator:
         self.nranks = nranks
         self.ranks_per_node = ranks_per_node
         self.ledger = ledger if ledger is not None else CommLedger(ranks_per_node)
+        #: communication plans built against this communicator (each
+        #: CommPlan counts itself; the recorder reports the per-step delta)
+        self.plans_built = 0
 
     @property
     def nnodes(self) -> int:
@@ -40,9 +43,14 @@ class Communicator:
     # -- point-to-point ------------------------------------------------------
     def send_bytes(self, src: int, dst: int, nbytes: int, kind: str) -> None:
         """Account for one point-to-point message (data moved by the caller)."""
+        self.ledger.record_many((self.message(src, dst, nbytes, kind),))
+
+    def message(self, src: int, dst: int, nbytes: int, kind: str) -> Message:
+        """A validated message, for a communication plan to hold and replay
+        through :meth:`CommLedger.record_many` every time it runs."""
         self._check_rank(src)
         self._check_rank(dst)
-        self.ledger.record(src, dst, nbytes, kind)
+        return checked_message(src, dst, nbytes, kind)
 
     # -- collectives -----------------------------------------------------
     def reduce_min(self, values: Sequence[float], itemsize: int = 8) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 #: Message kinds tracked by the ledger, matching the paper's profiling
 #: regions (Fig. 7 splits FillPatch into FillBoundary and ParallelCopy).
@@ -32,6 +32,15 @@ class Message:
     def local(self) -> bool:
         """True when source and destination rank coincide (a memcpy)."""
         return self.src == self.dst
+
+
+def checked_message(src: int, dst: int, nbytes: int, kind: str) -> Message:
+    """A :class:`Message` whose kind and size have been validated."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown message kind {kind!r}")
+    if nbytes < 0:
+        raise ValueError("message size must be non-negative")
+    return Message(src, dst, nbytes, kind)
 
 
 class CommLedger:
@@ -56,16 +65,18 @@ class CommLedger:
 
     def record(self, src: int, dst: int, nbytes: int, kind: str) -> None:
         """Append one message; ``kind`` must be one of :data:`KINDS`."""
+        if self.enabled:
+            self.record_many((checked_message(src, dst, nbytes, kind),))
+
+    def record_many(self, messages: Sequence[Message]) -> None:
+        """Append already-validated messages (a communication plan's, built
+        with :meth:`Communicator.message`) as one batch."""
         if not self.enabled:
             return
-        if kind not in KINDS:
-            raise ValueError(f"unknown message kind {kind!r}")
-        if nbytes < 0:
-            raise ValueError("message size must be non-negative")
-        msg = Message(src, dst, nbytes, kind)
-        self._messages.append(msg)
-        for listener in self._listeners:
-            listener.on_message(msg)
+        self._messages.extend(messages)
+        for msg in messages if self._listeners else ():
+            for listener in self._listeners:
+                listener.on_message(msg)
 
     @contextmanager
     def paused(self) -> Iterator["CommLedger"]:

@@ -83,6 +83,7 @@ class RunRecorder:
         g("active_cells.total").set(total_cells)
         g("levels").set(sim.finest_level + 1)
         g("regrids").set(getattr(sim, "regrid_count", 0))
+        g("amr.plan_builds").set(getattr(sim, "step_plan_builds", 0))
         tag_counts = getattr(sim, "last_tag_counts", {})
         g("tagged_cells").set(sum(tag_counts.values()))
         if sim.devices:

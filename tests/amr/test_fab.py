@@ -15,6 +15,16 @@ def test_allocation_shape():
     assert np.all(f.data == 0.0)
 
 
+def test_grown_box_is_computed_once():
+    f = FArrayBox(Box((2, 2), (5, 5)), ncomp=2, ngrow=(1, 2))
+    assert f.grown_box() is f.grown_box()
+    assert f.grown_box() == f.box.grow(f.ngrow)
+    assert f.valid().shape == f.view().shape == f.view(f.box).shape == (2, 4, 4)
+    assert f.valid(slice(1, 2)).base is f.data
+    with pytest.raises(ValueError):
+        f.view(Box((0, 0), (5, 5)))
+
+
 def test_rejects_bad_inputs():
     with pytest.raises(ValueError):
         FArrayBox(Box((0, 0), (-1, 3)))

@@ -1,0 +1,120 @@
+"""Communication plans are used, and change nothing that is accounted.
+
+Nothing here is timed.  On the DMR deck (``examples/decks/dmr.inputs``):
+a step without a regrid does no box algebra and builds no plan, and what
+the run is *charged* — ledger messages and bytes per kind, launch points
+per kernel class — is what it was charged before plans existed (the
+pinned numbers were taken at the commit before ``repro.amr.plan``).
+"""
+
+from pathlib import Path
+
+import pytest
+
+from repro import cli
+from repro.amr.box import Box
+from repro.amr.boxarray import BoxArray
+from repro.core.crocco import Crocco
+from repro.io.inputs import InputDeck
+
+DECK = Path(__file__).resolve().parents[2] / "examples" / "decks" / "dmr.inputs"
+
+#: per step (step 0 regrids, step 1 does not): ledger {kind: (messages,
+#: bytes)} and {kernel class: launch points}
+COMMON_POINTS = {"averagedown": 3316, "flux": 44472, "reduction": 7412,
+                 "update": 22236}
+PINNED = {
+    # v2.0 re-copies the coarse coordinates at every FillPatch (the
+    # paper's Sec. VI-B bottleneck): ~4.5x the ParallelCopy messages of 2.1
+    "2.0": [
+        ({"averagedown": (40, 26528), "fillboundary": (524, 608512),
+          "parallelcopy": (2081, 1606544), "reduce": (10, 80)},
+         {"fillpatch": 136074, "interp": 11008, "tagging": 5504}),
+        ({"averagedown": (40, 26528), "fillboundary": (468, 527616),
+          "parallelcopy": (2025, 1480848), "reduce": (10, 80)},
+         {"fillpatch": 118470, "interp": 10032, "tagging": 0}),
+    ],
+    "2.1": [
+        ({"averagedown": (40, 26528), "fillboundary": (524, 608512),
+          "parallelcopy": (472, 266688), "reduce": (10, 80)},
+         {"fillpatch": 85070, "interp": 11008, "tagging": 5504}),
+        ({"averagedown": (40, 26528), "fillboundary": (468, 527616),
+          "parallelcopy": (450, 245952), "reduce": (10, 80)},
+         {"fillpatch": 73974, "interp": 10032, "tagging": 0}),
+    ],
+}
+
+
+def make_sim(version):
+    config, run = InputDeck.from_file(str(DECK)).resolve(
+        {"version": version, "backend_target": "device",
+         "executor": "serial"})
+    sim = Crocco(cli.build_case(run), config)
+    sim.initialize()
+    return sim
+
+
+def accounted(sim):
+    totals = sim.exec_backend.class_totals()
+    return (sim.comm.ledger.by_kind(),
+            {c: t["points"] for c, t in totals.items()},
+            {c: t["launches"] for c, t in totals.items()})
+
+
+@pytest.mark.parametrize("version", sorted(PINNED))
+def test_accounting_is_what_it_was_before_plans(version):
+    with make_sim(version) as sim:
+        for step, (kinds, points) in enumerate(PINNED[version]):
+            k0, p0, l0 = accounted(sim)
+            sim.step()
+            k1, p1, l1 = accounted(sim)
+            got_kinds = {k: (n - k0.get(k, (0, 0))[0], b - k0.get(k, (0, 0))[1])
+                         for k, (n, b) in k1.items()}
+            got_points = {c: p1[c] - p0.get(c, 0) for c in p1}
+            assert got_kinds == kinds, f"v{version} step {step}"
+            assert got_points == {**COMMON_POINTS, **points}, (
+                f"v{version} step {step}")
+        # counts fall where points do not (step 1, no regrid)
+        launches = {c: l1[c] - l0.get(c, 0) for c in l1}
+        assert launches["interp"] == 120, (
+            "one Interp launch per fine fab with coarse/fine ghosts per RK "
+            "stage; it was one per ghost piece (327 on this deck)")
+        assert launches["fillpatch"] == {"2.0": 567, "2.1": 516}[version], (
+            "one PC_gather per fine fab per stage; it was one per ghost "
+            "piece, and on 2.0 a second one for the piece's coordinates "
+            "(1101 / 723 on this deck)")
+
+
+@pytest.mark.parametrize("version", sorted(PINNED))
+def test_no_box_algebra_and_no_plan_build_between_regrids(version, monkeypatch):
+    with make_sim(version) as sim:
+        sim.step()                      # step 0 regrids
+        calls = {"intersections": 0, "intersecting": 0, "complement_in": 0,
+                 "Box": 0}
+
+        def counted(cls, name, key):
+            inner = getattr(cls, name)
+
+            def wrapper(self, *args, **kwargs):
+                calls[key] += 1
+                return inner(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        for name in ("intersections", "intersecting", "complement_in"):
+            counted(BoxArray, name, name)
+        counted(Box, "__init__", "Box")
+        regrids, builds = sim.regrid_count, sim.comm.plans_built
+        sim.step()
+        assert sim.regrid_count == regrids, "step 1 must not regrid"
+        assert sim.comm.plans_built == builds and sim.step_plan_builds == 0
+        assert calls == {"intersections": 0, "intersecting": 0,
+                         "complement_in": 0, "Box": 0}, (
+            "a step between regrids runs its communication from cached "
+            "plans (it used to build ~27,000 Box objects on this deck)")
+
+
+def test_regrid_step_reports_its_plan_builds():
+    with make_sim("2.0") as sim:
+        sim.step()
+        assert sim.step_plan_builds > 0   # level 2's first FillPatch

@@ -147,3 +147,48 @@ def test_barrier_rounds():
     assert Communicator(1).barrier_rounds() == 1
     assert Communicator(8).barrier_rounds() == 3
     assert Communicator(1024).barrier_rounds() == 10
+
+
+def test_record_many_equals_one_record_per_message():
+    """A plan's batch lands exactly as the same messages recorded singly:
+    summaries, order, and what listeners see."""
+
+    class Seen:
+        def __init__(self):
+            self.msgs = []
+
+        def on_message(self, msg):
+            self.msgs.append(msg)
+
+    comm = Communicator(4, ranks_per_node=2)
+    batch = [comm.message(0, 1, 100, "fillboundary"),
+             comm.message(2, 3, 50, "parallelcopy"),
+             comm.message(1, 1, 8, "fillboundary")]
+    singly, batched = CommLedger(2), CommLedger(2)
+    seen_singly, seen_batched = Seen(), Seen()
+    singly.add_listener(seen_singly)
+    batched.add_listener(seen_batched)
+    for m in batch:
+        singly.record(m.src, m.dst, m.nbytes, m.kind)
+    batched.record_many(batch)
+    batched.record_many(())
+    assert batched.messages() == singly.messages() == batch
+    assert batched.by_kind() == singly.by_kind()
+    assert batched.count("fillboundary") == 2
+    assert batched.total_bytes(remote_only=True) == 150
+    assert seen_batched.msgs == seen_singly.msgs == batch
+    with batched.paused():
+        batched.record_many(batch)
+    assert len(batched) == 3
+
+
+def test_plan_messages_are_validated_when_built():
+    comm = Communicator(2)
+    with pytest.raises(ValueError):
+        comm.message(0, 2, 8, "parallelcopy")      # rank out of range
+    with pytest.raises(ValueError):
+        comm.message(0, 1, 8, "bogus")
+    with pytest.raises(ValueError):
+        comm.message(0, 1, -8, "parallelcopy")
+    assert comm.message(0, 1, 8, "regrid") == Message(0, 1, 8, "regrid")
+    assert len(comm.ledger) == 0                   # built, not recorded

@@ -96,6 +96,25 @@ def test_report_matches_profiler_breakdown(recorded_run):
     assert "Advance" in text
 
 
+def test_plan_builds_are_reported_per_step(recorded_run):
+    """``amr.plan_builds`` counts the communication plans built in each
+    step; the report adds them up and singles out builds in a step that
+    did not regrid (there must be none: CI greps for that)."""
+    import copy
+    run_dir, _sim, _bd = recorded_run
+    events, other, records = load_run(str(run_dir))
+    assert [r["metrics"]["regrids"] for r in records] == [1, 1, 2]
+    builds = [r["metrics"]["amr.plan_builds"] for r in records]
+    assert builds[0] > 0 and builds[1] == 0
+    text = format_report(events, other, records)
+    assert (f"plan builds = {int(sum(builds))} "
+            "(0 in steps without a regrid)") in text
+    stray = copy.deepcopy(records)
+    stray[1]["metrics"]["amr.plan_builds"] = 3
+    assert "(3 in steps without a regrid)" in format_report(
+        events, other, stray)
+
+
 def test_report_cli_exit_codes(recorded_run, tmp_path, capsys):
     from repro.observability.report import main
 

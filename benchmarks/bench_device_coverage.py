@@ -52,6 +52,17 @@ def total_points(totals):
     return sum(t.get("points", 0) for t in totals.values())
 
 
+class LaunchLog:
+    """Device listener keeping every launch record in order (the devices
+    themselves keep totals, not history)."""
+
+    def __init__(self):
+        self.events = []
+
+    def on_launch(self, device, rec, wall_seconds):
+        self.events.append(rec)
+
+
 def test_device_launch_coverage():
     case = DoubleMachReflection(ncells=(64, 16), curvilinear=True)
     sim = Crocco(case, CroccoConfig(
@@ -60,7 +71,9 @@ def test_device_launch_coverage():
         backend_target="device"))
     sim.initialize()
     backend = sim.exec_backend
-    devices = sim.devices
+    log = LaunchLog()
+    for dev in sim.devices:
+        dev.add_listener(log)
     dim = case.layout.dim
     # flux sweeps per cell per stage: one per direction (+1 if viscous)
     sweeps = dim + (1 if case.viscous is not None else 0)
@@ -68,20 +81,20 @@ def test_device_launch_coverage():
     analytic_core = 0
     rows = []
     for step in range(STEPS):
-        marks = [len(d.launches) for d in devices]
-        before = backend.counters_snapshot()
+        mark = len(log.events)
+        before = backend.class_totals()
         sim.step()
         # regrid happens at step start, so the post-step hierarchy is the
         # one this step's kernels actually swept
         cells = active_cells(sim)
         step_core = cells * (NSTAGES * (sweeps + 1) + 1)
         analytic_core += step_core
-        new = [rec for d, m in zip(devices, marks) for rec in d.launches[m:]]
+        new = log.events[mark:]
         names = [rec.name for rec in new]
         missing = [p for p in STEP_PHASE_PREFIXES
                    if not any(n.startswith(p) for n in names)]
         assert not missing, f"step {step}: phases with no launch: {missing}"
-        after = backend.counters_snapshot()
+        after = backend.class_totals()
         step_tot = {c: after[c]["points"] - before.get(c, {}).get("points", 0)
                     for c in after}
         rows.append((step, cells, len(new), step_core,

@@ -63,7 +63,7 @@ def main() -> None:
     pf = write_plotfile("plt_dmr", sim)
     print(f"\nwrote plotfile {pf}")
     gpu0 = sim.devices[0]
-    print(f"simulated GPU: {len(gpu0.launches)} kernel launches, "
+    print(f"simulated GPU: {gpu0.table.total()} kernel launches, "
           f"high-water {gpu0.high_water / 1e6:.1f} MB")
     from repro.perfmodel.device_timing import summarize_device
 

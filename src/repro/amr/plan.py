@@ -42,7 +42,7 @@ class FabPlan:
     rank: int
     copies: List[Copy]
     npoints: int
-    messages: List[Message]
+    messages: Sequence[Message]
 
 
 class CommPlan:

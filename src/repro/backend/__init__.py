@@ -8,12 +8,11 @@ and :mod:`repro.backend.fused` for the optimizing target.
 
 from repro.backend.launch import (COUNTER_FIELDS, KERNEL_CLASSES,
                                   DeviceBackend, ExecutionBackend,
-                                  HostBackend, LaunchCounter, LaunchSpec,
+                                  HostBackend, LaunchSpec,
                                   UnknownTargetError, available_targets,
-                                  counters_delta, current_backend,
-                                  make_exec_backend, parallel_for,
-                                  reduce_data, register_target, set_backend,
-                                  unregister_target, use_backend)
+                                  current_backend, make_exec_backend,
+                                  parallel_for, reduce_data, register_target,
+                                  set_backend, unregister_target, use_backend)
 
 # importing the module registers the `fused` target with the registry
 from repro.backend.fused import FusedBackend, ScratchCache  # noqa: E402
@@ -24,10 +23,9 @@ LaunchContext = use_backend
 __all__ = [
     "COUNTER_FIELDS", "KERNEL_CLASSES", "TARGETS", "DeviceBackend",
     "ExecutionBackend", "FusedBackend", "HostBackend", "LaunchContext",
-    "LaunchCounter", "LaunchSpec", "ScratchCache", "UnknownTargetError",
-    "available_targets", "counters_delta", "current_backend",
-    "make_exec_backend", "parallel_for", "reduce_data", "register_target",
-    "set_backend", "unregister_target", "use_backend",
+    "LaunchSpec", "ScratchCache", "UnknownTargetError", "available_targets",
+    "current_backend", "make_exec_backend", "parallel_for", "reduce_data",
+    "register_target", "set_backend", "unregister_target", "use_backend",
 ]
 
 

@@ -23,7 +23,7 @@ reproducing the three performance moves real GPU ports make (STREAmS-2's
    way up to floating-point re-association.
 
 Accounting matches the ``device`` target (launch records on simulated
-GPUs, per-class counters, pool-worker merging), so the ``device.class.*``
+GPUs, per-class totals, pool-worker merging), so the ``device.class.*``
 gauges, the run report and the roofline all show the fused launches —
 fewer and wider than the host/device launch stream.
 
@@ -109,7 +109,7 @@ class FusedBackend(DeviceBackend):
     """Fused optimizing target: device-style accounting, optimized launches.
 
     Inherits the full accounting surface of :class:`DeviceBackend`
-    (launch records, per-class counters, worker merging) so recorded
+    (launch tables, per-class totals, worker merging) so recorded
     runs and reports work unchanged; adds the :class:`ScratchCache`, the
     fusion capability flag the kernel layer keys on, and the numba JIT
     policy (``jit`` argument or the ``REPRO_FUSED_JIT`` env var).

@@ -51,12 +51,15 @@ A module-level current backend (default: host) lets deep call sites —
 the AMR substrate has no reference to the driver — resolve their target
 with :func:`current_backend`; the driver activates its configured
 backend around each step with :func:`use_backend` (the LaunchContext).
-Per-kernel-class launch counters support merging accounting from pool
-workers back into the driver (records themselves stay worker-local).
+Launch accounting lives in one place, the devices' launch tables: per-class
+totals are a view of them, and the tables pool workers drain from their
+forked devices are added into the owning rank's table
+(:meth:`DeviceBackend.merge_worker_tables`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -69,7 +72,7 @@ KERNEL_CLASSES = ("flux", "update", "fillpatch", "interp", "averagedown",
 
 _REDUCE_OPS = {"min": np.min, "max": np.max, "sum": np.sum}
 
-#: counter fields tracked per kernel class
+#: the fields :meth:`ExecutionBackend.class_totals` reports per kernel class
 COUNTER_FIELDS = ("launches", "points", "flops", "dram_bytes")
 
 
@@ -107,44 +110,6 @@ class LaunchSpec:
 
 _FLUX_SPEC = LaunchSpec(kernel_class="flux")
 _REDUCTION_SPEC = LaunchSpec(kernel_class="reduction")
-
-
-@dataclass
-class LaunchCounter:
-    """Cumulative launch accounting for one kernel class."""
-
-    launches: int = 0
-    points: int = 0
-    flops: int = 0
-    dram_bytes: int = 0
-
-    def add_record(self, rec) -> None:
-        self.launches += 1
-        self.points += rec.npoints
-        self.flops += rec.flops
-        self.dram_bytes += rec.dram_bytes
-
-    def add_dict(self, d: Dict[str, int]) -> None:
-        self.launches += int(d.get("launches", 0))
-        self.points += int(d.get("points", 0))
-        self.flops += int(d.get("flops", 0))
-        self.dram_bytes += int(d.get("dram_bytes", 0))
-
-    def as_dict(self) -> Dict[str, int]:
-        return {"launches": self.launches, "points": self.points,
-                "flops": self.flops, "dram_bytes": self.dram_bytes}
-
-
-def counters_delta(after: Dict[str, Dict[str, int]],
-                   before: Dict[str, Dict[str, int]]) -> Dict[str, Dict[str, int]]:
-    """Per-class difference of two counter snapshots (new work only)."""
-    delta: Dict[str, Dict[str, int]] = {}
-    for cls, a in after.items():
-        b = before.get(cls, {})
-        d = {f: int(a.get(f, 0)) - int(b.get(f, 0)) for f in COUNTER_FIELDS}
-        if any(d.values()):
-            delta[cls] = d
-    return delta
 
 
 class ExecutionBackend:
@@ -197,23 +162,14 @@ class ExecutionBackend:
         raise NotImplementedError
 
     # -- accounting (accounting targets only; host returns empties) --------
-    @property
-    def counters(self) -> Dict[str, LaunchCounter]:
-        return {}
-
-    def counters_snapshot(self) -> Dict[str, Dict[str, int]]:
-        return {cls: c.as_dict() for cls, c in self.counters.items()}
-
-    def merge_worker_counters(self, delta: Dict[str, Dict[str, int]]) -> None:
-        """Fold per-class counters from pool workers into this backend."""
+    #: launches merged in from pool workers (a count; the rows themselves
+    #: sit in the devices' tables with the driver's own)
+    worker_launches = 0
 
     def class_totals(self) -> Dict[str, Dict[str, int]]:
-        """Driver-local plus merged worker accounting, by kernel class."""
+        """``{kernel class: {launches, points, flops, dram_bytes}}`` over
+        every device — the driver's launches and its workers' alike."""
         return {}
-
-    @property
-    def worker_launches(self) -> int:
-        return 0
 
 
 class HostBackend(ExecutionBackend):
@@ -234,10 +190,8 @@ class DeviceBackend(ExecutionBackend):
     """Recorded execution on simulated GPUs, one device per rank.
 
     ``spec.rank`` selects from the backend's device list (Summit: one
-    V100 per MPI rank).  Every launch also feeds a per-kernel-class
-    :class:`LaunchCounter`, and counters merged from pool workers are
-    kept separately (``worker_counters``) so driver-recorded work is
-    never double-counted.
+    V100 per MPI rank); each launch is counted once, in that device's
+    launch table.
     """
 
     target = "device"
@@ -248,12 +202,6 @@ class DeviceBackend(ExecutionBackend):
 
             devices = [GpuDevice()]
         self.devices = list(devices)
-        self._counters: Dict[str, LaunchCounter] = {}
-        self.worker_counters: Dict[str, LaunchCounter] = {}
-
-    @property
-    def counters(self) -> Dict[str, LaunchCounter]:
-        return self._counters
 
     def device_for(self, rank: int):
         return self.devices[rank % len(self.devices)]
@@ -265,13 +213,9 @@ class DeviceBackend(ExecutionBackend):
 
         return budget_for_kernel(name)
 
-    def _count(self, kernel_class: str, rec) -> None:
-        self._counters.setdefault(kernel_class, LaunchCounter()).add_record(rec)
-
     def _launch(self, name, fn, npoints, spec):
-        dev = self.device_for(spec.rank)
         b = self._budget(name, spec.budget)
-        result = dev.launch(
+        return self.device_for(spec.rank).launch(
             name, fn, npoints,
             flops_per_point=b.flops_per_point,
             dram_bytes_per_point=b.dram_bytes_per_point,
@@ -279,14 +223,10 @@ class DeviceBackend(ExecutionBackend):
             l1_amplification=b.l1_amplification,
             kernel_class=spec.kernel_class,
         )
-        self._count(spec.kernel_class, dev.launches[-1])
-        return result
 
     def _reduce(self, name, values, op, spec) -> float:
-        dev = self.device_for(spec.rank)
-        result = dev.reduce(name, values, op=op, kernel_class=spec.kernel_class)
-        self._count(spec.kernel_class, dev.launches[-1])
-        return result
+        return self.device_for(spec.rank).reduce(
+            name, values, op=op, kernel_class=spec.kernel_class)
 
     def reserve(self, nbytes: int, rank: int = 0) -> None:
         self.device_for(rank)._allocate(nbytes)
@@ -294,23 +234,21 @@ class DeviceBackend(ExecutionBackend):
     def release(self, nbytes: int, rank: int = 0) -> None:
         self.device_for(rank)._release(nbytes)
 
-    # -- worker-counter merging --------------------------------------------
-    def merge_worker_counters(self, delta: Dict[str, Dict[str, int]]) -> None:
-        for cls, d in delta.items():
-            self.worker_counters.setdefault(cls, LaunchCounter()).add_dict(d)
+    # -- accounting ---------------------------------------------------------
+    def merge_worker_tables(self, tables: Dict[int, Counter]) -> None:
+        """Add the launch tables pool workers drained from their forked
+        copies of the devices (``{device index: table}``) into the
+        devices themselves."""
+        for index, table in tables.items():
+            self.devices[index].table.update(table)
+            self.worker_launches += table.total()
 
     def class_totals(self) -> Dict[str, Dict[str, int]]:
-        out: Dict[str, Dict[str, int]] = {}
-        for source in (self._counters, self.worker_counters):
-            for cls, c in source.items():
-                tot = out.setdefault(cls, {f: 0 for f in COUNTER_FIELDS})
-                for field_, value in c.as_dict().items():
-                    tot[field_] += value
-        return out
+        from repro.kernels.device import launch_totals
 
-    @property
-    def worker_launches(self) -> int:
-        return sum(c.launches for c in self.worker_counters.values())
+        return {cls: {f: tot[f] for f in COUNTER_FIELDS}
+                for cls, tot in launch_totals(self.devices,
+                                              "kernel_class").items()}
 
 
 # -- target registry ---------------------------------------------------------

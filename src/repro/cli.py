@@ -145,15 +145,14 @@ def resilience_summary(sim) -> str:
 def ledger_summary(ledger) -> str:
     """Per-kind message/byte totals with the on/off-node split."""
     lines = ["CommLedger summary", "-" * 60]
-    by_kind = ledger.by_kind()
-    if not by_kind:
+    traffic = ledger.traffic()
+    if not traffic:
         lines.append("(no traffic recorded)")
-    for kind in sorted(by_kind):
-        count, volume = by_kind[kind]
+    for kind, t in sorted(traffic.items()):
         lines.append(
-            f"{kind:<14s} msgs={count:<8d} bytes={volume:<12d} "
-            f"on-node={ledger.on_node_bytes(kind):<12d} "
-            f"off-node={ledger.off_node_bytes(kind)}"
+            f"{kind:<14s} msgs={t['messages']:<8d} bytes={t['bytes']:<12d} "
+            f"on-node={t.get('on_node_bytes', 0):<12d} "
+            f"off-node={t.get('off_node_bytes', 0)}"
         )
     return "\n".join(lines)
 

@@ -8,7 +8,11 @@ the GPU backend runs on:
   fault — the paper reports grid counts beyond 2.0e5 points spilling V100
   memory, which shaped both scaling studies;
 - kernel-launch records (name, points, flops, bytes at each memory level)
-  that feed the hierarchical roofline model of Fig. 4;
+  that feed the hierarchical roofline model of Fig. 4, kept as one
+  multiset per device (:attr:`GpuDevice.table`): identical launches
+  collapse into a count, so the table grows with the variety of box
+  shapes, not with the step count, and every summary is a view of it — a
+  caller that needs the launch *sequence* attaches a listener;
 - an ``amrex::ParallelFor``-style launch helper and an
   ``amrex::ReduceData``-style reduction helper, mirroring the API the
   paper ports its kernels onto.
@@ -20,8 +24,9 @@ simulated.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from collections import Counter
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Tuple)
 
 import numpy as np
 
@@ -33,9 +38,9 @@ class DeviceMemoryError(MemoryError):
     """Raised when a device allocation exceeds the arena capacity."""
 
 
-@dataclass
-class LaunchRecord:
-    """One recorded kernel launch."""
+class LaunchRecord(NamedTuple):
+    """One recorded kernel launch: immutable, and built and hashed at C
+    speed, because one is built and counted per launch."""
 
     name: str
     npoints: int
@@ -84,7 +89,8 @@ class GpuDevice:
         self.memory_bytes = memory_bytes
         self.bytes_in_use = 0
         self.high_water = 0
-        self.launches: List[LaunchRecord] = []
+        #: ``Counter[LaunchRecord]``: how often each launch was recorded
+        self.table: Counter = Counter()
         self.alloc_count = 0
         self._listeners: List[object] = []
 
@@ -170,7 +176,7 @@ class GpuDevice:
             l1_bytes=int(dram * l1_amplification),
             kernel_class=kernel_class,
         )
-        self.launches.append(rec)
+        self.table[rec] += 1
         self._notify_launch(rec, elapsed)
         return result
 
@@ -190,34 +196,53 @@ class GpuDevice:
             dram_bytes=n * 8, l2_bytes=n * 8, l1_bytes=n * 8,
             kernel_class=kernel_class,
         )
-        self.launches.append(rec)
+        self.table[rec] += 1
         self._notify_launch(rec, elapsed)
         return result
 
-    # -- summaries --------------------------------------------------------
-    def launches_by_kernel(self) -> Dict[str, List[LaunchRecord]]:
-        out: Dict[str, List[LaunchRecord]] = {}
-        for rec in self.launches:
-            out.setdefault(rec.name, []).append(rec)
-        return out
-
+    # -- summaries (views of the table) -----------------------------------
     def totals(self, name: Optional[str] = None) -> LaunchRecord:
         """Aggregate record over all launches (optionally one kernel)."""
-        recs = [r for r in self.launches if name is None or r.name == name]
+        rows = [(r, n) for r, n in self.table.items()
+                if name is None or r.name == name]
         return LaunchRecord(
             name=name or "total",
-            npoints=sum(r.npoints for r in recs),
-            flops=sum(r.flops for r in recs),
-            dram_bytes=sum(r.dram_bytes for r in recs),
-            l2_bytes=sum(r.l2_bytes for r in recs),
-            l1_bytes=sum(r.l1_bytes for r in recs),
+            npoints=sum(r.npoints * n for r, n in rows),
+            flops=sum(r.flops * n for r, n in rows),
+            dram_bytes=sum(r.dram_bytes * n for r, n in rows),
+            l2_bytes=sum(r.l2_bytes * n for r, n in rows),
+            l1_bytes=sum(r.l1_bytes * n for r, n in rows),
         )
 
     def reset(self) -> None:
-        self.launches.clear()
+        self.table.clear()
 
     def __repr__(self) -> str:
         return (
             f"GpuDevice({self.name}, {self.bytes_in_use}/{self.memory_bytes} B, "
-            f"{len(self.launches)} launches)"
+            f"{self.table.total()} launches)"
         )
+
+
+#: what :func:`launch_totals` sums per group
+TOTAL_FIELDS = ("launches", "points", "flops", "dram_bytes", "l2_bytes",
+                "l1_bytes")
+
+
+def launch_totals(devices: Iterable[GpuDevice],
+                  by: str = "name") -> Dict[str, Dict[str, int]]:
+    """Launch totals over ``devices``, grouped by a record attribute
+    (kernel ``name`` or ``kernel_class``): ``{group: {field: sum}}`` for
+    each of :data:`TOTAL_FIELDS`."""
+    out: Dict[str, Dict[str, int]] = {}
+    for dev in devices:
+        for rec, n in dev.table.items():
+            tot = out.setdefault(getattr(rec, by),
+                                 dict.fromkeys(TOTAL_FIELDS, 0))
+            tot["launches"] += n
+            tot["points"] += rec.npoints * n
+            tot["flops"] += rec.flops * n
+            tot["dram_bytes"] += rec.dram_bytes * n
+            tot["l2_bytes"] += rec.l2_bytes * n
+            tot["l1_bytes"] += rec.l1_bytes * n
+    return out

@@ -72,8 +72,8 @@ def roofline_from_launches(device_sim: GpuDevice, kernel: str,
     """Roofline point from a simulated device's recorded launches.
 
     ``wall_time`` is the (modeled or measured) time the launches took; the
-    flop/byte totals come from the launch records, exactly as Nsight
-    Compute derives them from hardware counters.
+    flop/byte totals come from the device's launch table, exactly as
+    Nsight Compute derives them from hardware counters.
     """
     tot = device_sim.totals(kernel)
     if tot.flops == 0 or wall_time <= 0:

@@ -1,27 +1,34 @@
 """Message ledger: the record of simulated MPI traffic.
 
 Every communication primitive in the substrate (FillBoundary point-to-point
-exchanges, ParallelCopy global redistribution, reductions) appends
-:class:`Message` records here.  The ledger is the ground truth that the
+exchanges, ParallelCopy global redistribution, reductions) records
+:class:`Message` events here.  The ledger is the ground truth that the
 Summit network model prices: message counts, per-kind byte volumes, and
 the on-node/off-node split all come from real box-intersection geometry.
+
+The ledger keeps totals, not history: one multiset of messages
+(:attr:`CommLedger.table`), in which identical messages collapse into a
+count, so its size follows the variety of box overlaps and not the number
+of steps.  Every summary is a view of that table.  Nothing in the
+performance model prices the order of messages; a caller that needs the
+sequence attaches a listener (``on_message`` fires per event, in order).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 #: Message kinds tracked by the ledger, matching the paper's profiling
 #: regions (Fig. 7 splits FillPatch into FillBoundary and ParallelCopy).
 KINDS = ("fillboundary", "parallelcopy", "reduce", "averagedown", "regrid")
 
 
-@dataclass(frozen=True)
-class Message:
-    """One simulated MPI message."""
+class Message(NamedTuple):
+    """One simulated MPI message: immutable, and hashed at C speed, because
+    every recorded message is counted under its hash."""
 
     src: int
     dst: int
@@ -44,12 +51,13 @@ def checked_message(src: int, dst: int, nbytes: int, kind: str) -> Message:
 
 
 class CommLedger:
-    """Accumulates simulated messages and summarizes traffic."""
+    """Counts simulated messages and summarizes traffic."""
 
     def __init__(self, ranks_per_node: int = 6) -> None:
         #: ranks per node; Summit runs 6 ranks/node (one per V100 GPU)
         self.ranks_per_node = ranks_per_node
-        self._messages: List[Message] = []
+        #: ``Counter[Message]``: how often each message was recorded
+        self.table: Counter = Counter()
         self.enabled = True
         self._listeners: List[object] = []
 
@@ -64,16 +72,16 @@ class CommLedger:
             self._listeners.remove(listener)
 
     def record(self, src: int, dst: int, nbytes: int, kind: str) -> None:
-        """Append one message; ``kind`` must be one of :data:`KINDS`."""
+        """Count one message; ``kind`` must be one of :data:`KINDS`."""
         if self.enabled:
             self.record_many((checked_message(src, dst, nbytes, kind),))
 
     def record_many(self, messages: Sequence[Message]) -> None:
-        """Append already-validated messages (a communication plan's, built
+        """Count already-validated messages (a communication plan's, built
         with :meth:`Communicator.message`) as one batch."""
         if not self.enabled:
             return
-        self._messages.extend(messages)
+        self.table.update(messages)
         for msg in messages if self._listeners else ():
             for listener in self._listeners:
                 listener.on_message(msg)
@@ -91,81 +99,81 @@ class CommLedger:
     def clear(self, kind: Optional[str] = None) -> None:
         """Drop recorded messages — all of them, or one ``kind`` only."""
         if kind is None:
-            self._messages.clear()
+            self.table.clear()
             return
         if kind not in KINDS:
             raise ValueError(f"unknown message kind {kind!r}")
-        self._messages = [m for m in self._messages if m.kind != kind]
+        for msg in [m for m in self.table if m.kind == kind]:
+            del self.table[msg]
 
     def __len__(self) -> int:
-        return len(self._messages)
+        return self.table.total()
 
-    def __iter__(self) -> Iterator[Message]:
-        return iter(self._messages)
+    # -- summaries (views of the table) -----------------------------------
+    def rows(self, kind: Optional[str] = None,
+             remote_only: bool = False) -> Iterator[Tuple[Message, int]]:
+        """``(message, times recorded)`` for each distinct message."""
+        for m, n in self.table.items():
+            if (kind is None or m.kind == kind) and not (remote_only
+                                                         and m.local):
+                yield m, n
 
-    def messages(self, kind: Optional[str] = None) -> List[Message]:
-        if kind is None:
-            return list(self._messages)
-        return [m for m in self._messages if m.kind == kind]
-
-    # -- summaries --------------------------------------------------------
     def total_bytes(self, kind: Optional[str] = None, remote_only: bool = False) -> int:
-        return sum(
-            m.nbytes
-            for m in self._messages
-            if (kind is None or m.kind == kind) and not (remote_only and m.local)
-        )
+        return sum(m.nbytes * n for m, n in self.rows(kind, remote_only))
 
     def count(self, kind: Optional[str] = None, remote_only: bool = False) -> int:
-        return sum(
-            1
-            for m in self._messages
-            if (kind is None or m.kind == kind) and not (remote_only and m.local)
-        )
+        return sum(n for _, n in self.rows(kind, remote_only))
 
     def node_of(self, rank: int) -> int:
         return rank // self.ranks_per_node
 
     def off_node_bytes(self, kind: Optional[str] = None) -> int:
         """Bytes crossing node boundaries (priced at network bandwidth)."""
-        return sum(
-            m.nbytes
-            for m in self._messages
-            if (kind is None or m.kind == kind)
-            and self.node_of(m.src) != self.node_of(m.dst)
-        )
+        return sum(m.nbytes * n for m, n in self.rows(kind)
+                   if self.node_of(m.src) != self.node_of(m.dst))
 
     def on_node_bytes(self, kind: Optional[str] = None) -> int:
         """Bytes between different ranks on the same node (NVLink/shared mem)."""
-        return sum(
-            m.nbytes
-            for m in self._messages
-            if (kind is None or m.kind == kind)
-            and m.src != m.dst
-            and self.node_of(m.src) == self.node_of(m.dst)
-        )
+        return sum(m.nbytes * n for m, n in self.rows(kind, remote_only=True)
+                   if self.node_of(m.src) == self.node_of(m.dst))
 
     def per_rank_bytes(self, nranks: int, kind: Optional[str] = None,
                        direction: str = "send") -> List[int]:
         """Bytes sent (or received) by each rank, excluding self-messages."""
         out = [0] * nranks
-        for m in self._messages:
-            if kind is not None and m.kind != kind:
-                continue
-            if m.local:
-                continue
-            r = m.src if direction == "send" else m.dst
-            out[r] += m.nbytes
+        for m, n in self.rows(kind, remote_only=True):
+            out[m.src if direction == "send" else m.dst] += m.nbytes * n
+        return out
+
+    def traffic(self) -> Dict[str, Dict[str, int]]:
+        """``{kind: {messages, bytes, on_node_bytes, off_node_bytes}}`` in
+        one pass.  The on/off-node split covers messages between different
+        ranks; a kind has either key only once such a message was seen."""
+        out: Dict[str, Dict[str, int]] = {}
+        rpn = self.ranks_per_node
+        for m, n in self.table.items():
+            t = out.get(m.kind)
+            if t is None:
+                t = out[m.kind] = {"messages": 0, "bytes": 0}
+            t["messages"] += n
+            t["bytes"] += m.nbytes * n
+            if m.src != m.dst:
+                where = ("on_node_bytes" if m.src // rpn == m.dst // rpn
+                         else "off_node_bytes")
+                t[where] = t.get(where, 0) + m.nbytes * n
         return out
 
     def by_kind(self) -> Dict[str, Tuple[int, int]]:
         """{kind: (count, bytes)} over all messages."""
-        out: Dict[str, Tuple[int, int]] = {}
-        counts: Dict[str, int] = defaultdict(int)
-        volumes: Dict[str, int] = defaultdict(int)
-        for m in self._messages:
-            counts[m.kind] += 1
-            volumes[m.kind] += m.nbytes
-        for k in counts:
-            out[k] = (counts[k], volumes[k])
+        return {kind: (t["messages"], t["bytes"])
+                for kind, t in self.traffic().items()}
+
+    def comms_matrix(self, nranks: Optional[int] = None) -> List[List[int]]:
+        """Dense rank-to-rank byte matrix (row = src, column = dst)."""
+        if nranks is None:
+            nranks = 1 + max((max(m.src, m.dst) for m in self.table),
+                             default=0)
+        out = [[0] * nranks for _ in range(nranks)]
+        for m, n in self.table.items():
+            out[m.src][m.dst] += m.nbytes * n
         return out

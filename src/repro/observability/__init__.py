@@ -8,11 +8,11 @@ unifies the collectors behind one event model:
 - :class:`~repro.observability.tracer.Tracer` — nested spans carrying wall
   *or* charged (simulated-Summit) time on rank/stream tracks, exported as
   Chrome trace-event JSON (loadable in Perfetto / chrome://tracing);
-- :class:`~repro.observability.metrics.MetricsRegistry` — counters, gauges
-  and histograms sampled once per timestep into a JSONL time series;
-- :mod:`~repro.observability.adapters` — listeners that let the existing
-  silos (``TinyProfiler``, ``CommLedger``, the device launch path) emit
-  into the tracer/registry without changing their public APIs;
+- :class:`~repro.observability.metrics.MetricsRegistry` — gauges and
+  histograms sampled once per timestep into a JSONL time series;
+- :mod:`~repro.observability.adapters` — listeners that turn profiler
+  regions and kernel launches into tracer spans (metrics are read from the
+  producers' own tables at sample time, with no listener);
 - :class:`~repro.observability.recorder.RunRecorder` — wires a run to the
   tracer/registry and writes the artifacts (``trace.json``,
   ``metrics.jsonl``);
@@ -21,8 +21,7 @@ unifies the collectors behind one event model:
 """
 
 from repro.observability.adapters import (
-    DeviceMetricsAdapter,
-    LedgerMetricsAdapter,
+    KernelSpanAdapter,
     ProfilerTraceAdapter,
 )
 from repro.observability.metrics import MetricsRegistry
@@ -38,8 +37,7 @@ __all__ = [
     "MetricsRegistry",
     "RunRecorder",
     "ProfilerTraceAdapter",
-    "LedgerMetricsAdapter",
-    "DeviceMetricsAdapter",
+    "KernelSpanAdapter",
     "load_chrome_trace",
     "validate_chrome_trace",
 ]

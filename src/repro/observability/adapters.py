@@ -1,19 +1,16 @@
-"""Adapters: silo listeners that emit into the tracer / metrics registry.
+"""Adapters: producer listeners that turn events into tracer spans.
 
-Each adapter implements the listener callbacks of one existing accounting
-silo (``TinyProfiler`` regions, ``CommLedger`` messages, ``GpuDevice``
-launches) and forwards the events into the unified
-:class:`~repro.observability.tracer.Tracer` and
-:class:`~repro.observability.metrics.MetricsRegistry` — the silos' own
-public APIs and accumulation behavior are untouched.
+Spans need the event *sequence*, which the producers do not store
+(``TinyProfiler``, ``CommLedger`` and ``GpuDevice`` keep totals), so each
+adapter implements one producer's listener callbacks and forwards the
+events into the :class:`~repro.observability.tracer.Tracer`.  Metrics need
+no adapter: the recorder reads the producers' tables when it samples.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, List, Optional, Tuple
+from typing import Tuple
 
-from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracer import DRIVER_STREAM, GPU_STREAM, Tracer
 
 
@@ -52,72 +49,19 @@ class ProfilerTraceAdapter:
         self.tracer.end_charged(self.rank, self.stream)
 
 
-class LedgerMetricsAdapter:
-    """CommLedger listener: per-kind traffic counters + a comms matrix.
+class KernelSpanAdapter:
+    """GpuDevice listener: each launch becomes a wall span on the rank's
+    GPU-stream track."""
 
-    Maintains cumulative counters ``ledger.<kind>.bytes`` /
-    ``ledger.<kind>.messages`` with on-node / off-node splits, and a
-    rank-to-rank byte matrix for the run report.
-    """
-
-    def __init__(self, registry: MetricsRegistry,
-                 ranks_per_node: int = 6) -> None:
-        self.registry = registry
-        self.ranks_per_node = ranks_per_node
-        self._matrix: Dict[Tuple[int, int], int] = defaultdict(int)
-
-    def on_message(self, msg) -> None:
-        c = self.registry.counter
-        c(f"ledger.{msg.kind}.bytes").inc(msg.nbytes)
-        c(f"ledger.{msg.kind}.messages").inc()
-        if not msg.local:
-            same_node = (msg.src // self.ranks_per_node
-                         == msg.dst // self.ranks_per_node)
-            where = "on_node" if same_node else "off_node"
-            c(f"ledger.{msg.kind}.{where}_bytes").inc(msg.nbytes)
-        self._matrix[(msg.src, msg.dst)] += msg.nbytes
-
-    def comms_matrix(self, nranks: Optional[int] = None) -> List[List[int]]:
-        """Dense rank-to-rank byte matrix (row = src, column = dst)."""
-        if nranks is None:
-            nranks = 1 + max(
-                (max(s, d) for (s, d) in self._matrix), default=0
-            )
-        out = [[0] * nranks for _ in range(nranks)]
-        for (s, d), b in self._matrix.items():
-            out[s][d] += b
-        return out
-
-
-class DeviceMetricsAdapter:
-    """GpuDevice listener: per-kernel flop/byte counters + kernel spans.
-
-    Launches update cumulative per-kernel counters (the roofline inputs)
-    and the device-memory high-water gauge; when a tracer is supplied,
-    each launch also becomes a wall span on the rank's GPU-stream track.
-    """
-
-    def __init__(self, registry: MetricsRegistry, rank: int = 0,
-                 tracer: Optional[Tracer] = None,
+    def __init__(self, tracer: Tracer, rank: int = 0,
                  stream: int = GPU_STREAM) -> None:
-        self.registry = registry
-        self.rank = rank
         self.tracer = tracer
+        self.rank = rank
         self.stream = stream
 
     def on_launch(self, device, rec, wall_seconds: float) -> None:
-        c = self.registry.counter
-        c(f"kernel.{rec.name}.launches").inc()
-        c(f"kernel.{rec.name}.points").inc(rec.npoints)
-        c(f"kernel.{rec.name}.flops").inc(rec.flops)
-        c(f"kernel.{rec.name}.dram_bytes").inc(rec.dram_bytes)
-        c(f"kernel.{rec.name}.l2_bytes").inc(rec.l2_bytes)
-        c(f"kernel.{rec.name}.l1_bytes").inc(rec.l1_bytes)
-        self.registry.gauge(
-            f"device.rank{self.rank}.high_water_bytes").set(device.high_water)
-        if self.tracer is not None:
-            dur = wall_seconds * 1e6
-            self.tracer.complete(rec.name, self.tracer.now_us() - dur, dur,
-                                 self.rank, self.stream, cat="kernel",
-                                 args={"points": rec.npoints,
-                                       "class": rec.kernel_class})
+        dur = wall_seconds * 1e6
+        self.tracer.complete(rec.name, self.tracer.now_us() - dur, dur,
+                             self.rank, self.stream, cat="kernel",
+                             args={"points": rec.npoints,
+                                   "class": rec.kernel_class})

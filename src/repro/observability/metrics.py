@@ -1,4 +1,4 @@
-"""MetricsRegistry: counters, gauges and histograms sampled per timestep.
+"""MetricsRegistry: gauges and histograms sampled per timestep.
 
 The driver (or the simulated-Summit scaling exporter) updates instruments
 as it runs and calls :meth:`MetricsRegistry.sample` once per timestep; the
@@ -6,8 +6,9 @@ accumulated records serialize to JSON Lines, one record per step::
 
     {"step": 3, "time": 0.0125, "metrics": {"dt": 4.1e-3, ...}}
 
-Counters are monotonic (cumulative); gauges hold the last set value;
-histograms flatten to ``name.count/.sum/.min/.max/.mean`` in each sample.
+Gauges hold the last set value (cumulative quantities are set from the
+producer's own running total); histograms flatten to
+``name.count/.sum/.min/.max/.mean`` in each sample.
 """
 
 from __future__ import annotations
@@ -16,19 +17,6 @@ import json
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Union
-
-
-class Counter:
-    """A monotonically increasing cumulative count."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def inc(self, amount: Union[int, float] = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name}: cannot decrease")
-        self.value += amount
 
 
 class Gauge:
@@ -94,9 +82,6 @@ class MetricsRegistry:
             )
         return inst
 
-    def counter(self, name: str) -> Counter:
-        return self._get(name, Counter)
-
     def gauge(self, name: str) -> Gauge:
         return self._get(name, Gauge)
 
@@ -114,10 +99,7 @@ class MetricsRegistry:
             inst = self._instruments[name]
             if isinstance(inst, Histogram):
                 out.update(inst.flatten())
-            elif isinstance(inst, Gauge):
-                if inst.value is not None:
-                    out[name] = inst.value
-            else:
+            elif inst.value is not None:
                 out[name] = inst.value
         return out
 

@@ -1,12 +1,13 @@
 """RunRecorder: wire a run to the tracer/registry and write the artifacts.
 
 A recorder owns one :class:`Tracer` and one :class:`MetricsRegistry`,
-attaches the silo adapters to a :class:`~repro.core.crocco.Crocco`
+attaches the span adapters to a :class:`~repro.core.crocco.Crocco`
 simulation, snapshots the per-timestep metrics the paper's evaluation
 needs (dt, CFL, active cells per level, tagged cells, regrid count,
 ledger traffic by kind with the on/off-node split, device memory
-high-water, per-kernel flop/byte totals, L2 drift when a validation
-reference is supplied), and finalizes two artifacts:
+high-water, per-kernel flop/byte totals — the last three read straight
+from the ledger's and the devices' tables — and L2 drift when a
+validation reference is supplied), and finalizes two artifacts:
 
 - ``trace_out`` — Chrome trace-event JSON (open in Perfetto), carrying the
   comms matrix and run configuration in ``otherData``;
@@ -17,9 +18,9 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.kernels.device import launch_totals
 from repro.observability.adapters import (
-    DeviceMetricsAdapter,
-    LedgerMetricsAdapter,
+    KernelSpanAdapter,
     ProfilerTraceAdapter,
 )
 from repro.observability.metrics import MetricsRegistry
@@ -40,7 +41,6 @@ class RunRecorder:
         self.metrics_out = metrics_out
         self.tracer = Tracer()
         self.metrics = MetricsRegistry()
-        self.ledger_adapter: Optional[LedgerMetricsAdapter] = None
         self._sim = None
         self._finalized = False
         if stream_metrics and metrics_out:
@@ -50,18 +50,15 @@ class RunRecorder:
 
     # -- wiring ------------------------------------------------------------
     def attach(self, sim) -> None:
-        """Register adapters on a Crocco simulation's silos."""
+        """Register the span adapters on a Crocco simulation's producers."""
         self._sim = sim
         sim.profiler.add_listener(ProfilerTraceAdapter(self.tracer, rank=0))
         self.tracer.set_thread_name(0, 0, "driver regions")
-        self.ledger_adapter = LedgerMetricsAdapter(
-            self.metrics, sim.comm.ranks_per_node
-        )
-        sim.comm.ledger.add_listener(self.ledger_adapter)
         for r, dev in enumerate(sim.devices):
-            dev.add_listener(
-                DeviceMetricsAdapter(self.metrics, rank=r, tracer=self.tracer)
-            )
+            if self.trace_out:
+                # kernel spans are the one per-launch consumer; a
+                # metrics-only run pays nothing per launch or per message
+                dev.add_listener(KernelSpanAdapter(self.tracer, rank=r))
             self.tracer.set_process_name(r, f"rank {r} ({dev.name})")
             self.tracer.set_thread_name(r, GPU_STREAM, "gpu stream")
 
@@ -90,8 +87,18 @@ class RunRecorder:
             g("device.high_water_bytes.max").set(
                 max(d.high_water for d in sim.devices)
             )
-        # execution-backend accounting: cumulative per-kernel-class launch
-        # counters (driver-recorded plus counters merged from pool workers)
+        # cumulative traffic and launch accounting, as the producers'
+        # tables hold it now: per message kind, per kernel (the roofline
+        # inputs), per device that has launched, per kernel class
+        for kind, traffic in sim.comm.ledger.traffic().items():
+            for field, value in traffic.items():
+                g(f"ledger.{kind}.{field}").set(value)
+        for kernel, tot in launch_totals(sim.devices).items():
+            for field, value in tot.items():
+                g(f"kernel.{kernel}.{field}").set(value)
+        for r, dev in enumerate(sim.devices):
+            if dev.table:
+                g(f"device.rank{r}.high_water_bytes").set(dev.high_water)
         backend = getattr(sim, "exec_backend", None)
         if backend is not None:
             totals = backend.class_totals()
@@ -111,10 +118,8 @@ class RunRecorder:
             rep = engine.last_step_report
             for name, value in rep.as_dict().items():
                 g(f"runtime.{name}").set(value)
-        if engine is not None and engine.last_step_worker_counters:
-            g("runtime.worker_launches").set(sum(
-                int(d.get("launches", 0))
-                for d in engine.last_step_worker_counters.values()))
+        if engine is not None and engine.last_step_worker_launches:
+            g("runtime.worker_launches").set(engine.last_step_worker_launches)
         # lifecycle attribution: cumulative run totals (like device.class.*)
         # so the report only needs the final record
         scope = getattr(engine, "perfscope", None) if engine else None
@@ -166,9 +171,8 @@ class RunRecorder:
                 if getattr(sim, "engine", None) is not None else "serial",
             }
             other["nranks"] = sim.comm.nranks
-        if self.ledger_adapter is not None:
-            nranks = sim.comm.nranks if sim is not None else None
-            other["comms_matrix"] = self.ledger_adapter.comms_matrix(nranks)
+            other["comms_matrix"] = sim.comm.ledger.comms_matrix(
+                sim.comm.nranks)
         return other
 
     def finalize(self, sim=None) -> dict:

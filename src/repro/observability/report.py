@@ -129,51 +129,21 @@ def overlap_rows(records: Sequence[dict]) -> List[dict]:
     return rows
 
 
-def perf_totals(records: Sequence[dict]) -> Dict[str, float]:
-    """Final cumulative ``perf.*`` lifecycle-attribution gauges
-    (empty if the run had no perfscope)."""
-    if not records:
-        return {}
-    final = records[-1]["metrics"]
-    return {key.split("perf.", 1)[1]: value
-            for key, value in final.items() if key.startswith("perf.")}
-
-
-def resilience_totals(records: Sequence[dict]) -> Dict[str, float]:
-    """Final cumulative ``resilience.*`` counters (empty if never sampled)."""
-    if not records:
-        return {}
-    final = records[-1]["metrics"]
-    return {key.split("resilience.", 1)[1]: value
-            for key, value in final.items()
-            if key.startswith("resilience.")}
-
-
-def kernel_totals(records: Sequence[dict]) -> Dict[str, Dict[str, float]]:
-    """Final cumulative per-kernel counters: {kernel: {field: value}}."""
-    if not records:
-        return {}
-    final = records[-1]["metrics"]
-    out: Dict[str, Dict[str, float]] = defaultdict(dict)
+def final_totals(records: Sequence[dict], prefix: str, depth: int = 0):
+    """The final record's cumulative ``<prefix>.*`` gauges, with the
+    prefix stripped and the next ``depth`` name parts as nesting levels:
+    ``{field: value}`` at depth 0, ``{group: {field: value}}`` at depth 1
+    (empty if the run never sampled any)."""
+    out: dict = {}
+    final = records[-1]["metrics"] if records else {}
     for key, value in final.items():
-        if key.startswith("kernel."):
-            _, kernel, field = key.split(".", 2)
-            out[kernel][field] = value
-    return dict(out)
-
-
-def device_class_totals(records: Sequence[dict]) -> Dict[str, Dict[str, float]]:
-    """Final cumulative per-kernel-class launch counters
-    (the ``device.class.*`` gauges): {class: {field: value}}."""
-    if not records:
-        return {}
-    final = records[-1]["metrics"]
-    out: Dict[str, Dict[str, float]] = defaultdict(dict)
-    for key, value in final.items():
-        if key.startswith("device.class."):
-            _, _, cls, field = key.split(".", 3)
-            out[cls][field] = value
-    return dict(out)
+        if key.startswith(prefix + "."):
+            *groups, field = key[len(prefix) + 1:].split(".", depth)
+            node = out
+            for group in groups:
+                node = node.setdefault(group, {})
+            node[field] = value
+    return out
 
 
 def charged_kernel_times(kernels: Dict[str, Dict[str, float]]) -> List[tuple]:
@@ -198,19 +168,6 @@ def charged_kernel_times(kernels: Dict[str, Dict[str, float]]) -> List[tuple]:
         rows.append((name, launches, points, seconds))
     rows.sort(key=lambda r: -r[3])
     return rows
-
-
-def ledger_totals(records: Sequence[dict]) -> Dict[str, Dict[str, float]]:
-    """Final cumulative per-kind ledger counters."""
-    if not records:
-        return {}
-    final = records[-1]["metrics"]
-    out: Dict[str, Dict[str, float]] = defaultdict(dict)
-    for key, value in final.items():
-        if key.startswith("ledger."):
-            _, kind, field = key.split(".", 2)
-            out[kind][field] = value
-    return dict(out)
 
 
 def roofline_rows(kernels: Dict[str, Dict[str, float]]) -> List[tuple]:
@@ -307,7 +264,7 @@ def format_report(events: Sequence[dict], other: dict,
                 f"{k.replace('_', '-')}={kinds[k]}" for k in sorted(kinds)))
 
     # bottleneck: where the capacity of every lane actually went
-    perf = perf_totals(records)
+    perf = final_totals(records, "perf")
     if perf.get("capacity_s"):
         lanes = int(perf.get("lanes", 1))
         cap = perf["capacity_s"]
@@ -384,7 +341,7 @@ def format_report(events: Sequence[dict], other: dict,
             f"reconcile errors {int(perf.get('reconcile_errors', 0))}")
 
     # resilience: injected faults vs recovery actions, and solver health
-    res = resilience_totals(records)
+    res = final_totals(records, "resilience")
     if res:
         lines.append("")
         lines.append("-- resilience --")
@@ -456,8 +413,8 @@ def format_report(events: Sequence[dict], other: dict,
                      f"({_fmt_bytes(off_diag)} between distinct ranks)")
 
     # execution-backend launch accounting (device target)
-    kernels = kernel_totals(records)
-    classes = device_class_totals(records)
+    kernels = final_totals(records, "kernel", 1)
+    classes = final_totals(records, "device.class", 1)
     if classes:
         lines.append("")
         lines.append("-- device (execution-backend launch accounting) --")
@@ -499,7 +456,7 @@ def format_report(events: Sequence[dict], other: dict,
                          f"{ai['L2']:>7.2f} {ai['L1']:>7.2f} {perf:>12s} {pk:>6s}")
 
     # ledger totals + metrics trajectory
-    ledg = ledger_totals(records)
+    ledg = final_totals(records, "ledger", 1)
     if ledg:
         lines.append("")
         lines.append("-- ledger traffic by kind --")

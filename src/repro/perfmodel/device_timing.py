@@ -24,7 +24,7 @@ def _budget_for(kernel: str) -> KernelBudget:
 
 @dataclass(frozen=True)
 class DeviceTiming:
-    """Per-kernel simulated seconds for one device's launch history."""
+    """Per-kernel simulated seconds for one device's launch table."""
 
     seconds: Dict[str, float]
     launches: Dict[str, int]
@@ -42,12 +42,12 @@ def summarize_device(device: GpuDevice,
     seconds: Dict[str, float] = {}
     launches: Dict[str, int] = {}
     points: Dict[str, int] = {}
-    for rec in device.launches:
+    for rec, n in device.table.items():
         budget = _budget_for(rec.name)
         t = m.kernel_time(budget, rec.npoints)
-        seconds[rec.name] = seconds.get(rec.name, 0.0) + t
-        launches[rec.name] = launches.get(rec.name, 0) + 1
-        points[rec.name] = points.get(rec.name, 0) + rec.npoints
+        seconds[rec.name] = seconds.get(rec.name, 0.0) + t * n
+        launches[rec.name] = launches.get(rec.name, 0) + n
+        points[rec.name] = points.get(rec.name, 0) + rec.npoints * n
     return DeviceTiming(seconds, launches, points)
 
 

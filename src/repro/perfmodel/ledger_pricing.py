@@ -51,25 +51,22 @@ def price_ledger(ledger: CommLedger, nranks: int, nodes: int,
     counts: Dict[str, int] = {}
     rpn = max(1, nranks // nodes)
     for kind in KINDS:
-        msgs = ledger.messages(kind)
-        counts[kind] = len(msgs)
-        if not msgs:
+        counts[kind] = ledger.count(kind)
+        if not counts[kind]:
             seconds[kind] = 0.0
             offb[kind] = onb[kind] = 0
             continue
         recv_off = np.zeros(nranks)
         recv_on = np.zeros(nranks)
         nmsg = np.zeros(nranks, dtype=np.int64)
-        for m in msgs:
-            if m.local:
-                continue
+        for m, n in ledger.rows(kind, remote_only=True):
             dst = m.dst % nranks
             src = m.src % nranks
             if src // rpn == dst // rpn:
-                recv_on[dst] += m.nbytes
+                recv_on[dst] += m.nbytes * n
             else:
-                recv_off[dst] += m.nbytes
-                nmsg[dst] += 1
+                recv_off[dst] += m.nbytes * n
+                nmsg[dst] += n
         offb[kind] = int(recv_off.sum())
         onb[kind] = int(recv_on.sum())
         t = net.p2p_time(float(recv_off.max()), float(recv_on.max()),
@@ -80,7 +77,8 @@ def price_ledger(ledger: CommLedger, nranks: int, nodes: int,
             # destination sweep is indistinguishable here, so charge once)
             t += cal.pc_meta_per_rank * nranks + net.barrier_time(nranks)
         if kind == "reduce":
-            rounds = max(1, len(msgs) // max(1, 2 * int(np.log2(max(2, nranks)))))
+            rounds = max(1, counts[kind]
+                         // max(1, 2 * int(np.log2(max(2, nranks)))))
             t = rounds * net.reduction_time(nranks)
         seconds[kind] = float(t)
     return PricedLedger(seconds, offb, onb, counts)

@@ -182,10 +182,9 @@ class SupervisedPoolExecutor(PoolExecutor):
         or raises — never hangs)."""
         t0 = time.perf_counter()
         try:
-            # the returned counter delta is deliberately discarded: inline
-            # launches hit the driver's execution backend directly, so
-            # merging them again would double-count
-            _pid, _dur, _delta, times = _run_payload(entry.task.payload)
+            # inline launches count straight into the driver's own launch
+            # tables: nothing to drain, nothing to merge
+            _pid, _dur, times = _run_payload(entry.task.payload)
         except Exception as exc:
             self._inflight.pop(entry.task.tid, None)
             raise TaskFailedError(
@@ -213,8 +212,8 @@ class SupervisedPoolExecutor(PoolExecutor):
                 f"task {entry.task.name!r} failed after {entry.attempt} "
                 f"attempt(s): {exc}") from exc
         del self._inflight[tid]
-        pid, dur, delta, times = result
-        self._merge_delta(delta)
+        pid, dur, tables, times = result
+        self._keep_tables(tables)
         lc = dict(entry.lifecycle)
         lc.update(times)
         worker = self._worker_ids.setdefault(pid, len(self._worker_ids) + 1)

@@ -44,9 +44,9 @@ class RuntimeEngine:
         self.last_step_report: Optional[ScheduleReport] = None
         #: merged report of the whole run
         self.total_report = ScheduleReport()
-        #: per-kernel-class launch counters merged from pool workers during
-        #: the most recent completed step ({} on inline executors)
-        self.last_step_worker_counters: dict = {}
+        #: launches merged from pool workers during the most recent
+        #: completed step (0 on inline executors)
+        self.last_step_worker_launches = 0
         #: lifecycle attribution of the most recent completed step
         self.last_step_perf = None  # type: Optional[object]  # StepPerf
 
@@ -118,21 +118,20 @@ class RuntimeEngine:
             self.total_report.merge(self._acc)
             self._acc = None
         self.last_step_perf = self.perfscope.finalize_step()
-        # fold the step's worker-side launch counters into the driver's
-        # execution backend so pool runs report their device activity
-        counters = self.executor.drain_worker_counters()
-        self.last_step_worker_counters = counters
-        if counters:
-            backend = getattr(self.sim.kernels, "exec_backend", None)
-            if backend is not None:
-                backend.merge_worker_counters(counters)
+        # add the step's worker-side launch tables into the owning ranks'
+        # devices: per-kernel accounting is the same under every executor
+        tables = self.executor.drain_worker_tables()
+        self.last_step_worker_launches = sum(
+            t.total() for t in tables.values())
+        if tables:
+            self.sim.kernels.exec_backend.merge_worker_tables(tables)
 
     def abort_step(self) -> None:
         """Discard the partially accumulated step (watchdog rollback)."""
         self._acc = None
         self.perfscope.abort_step()
         # a rolled-back step's worker launches are discarded with it
-        self.executor.drain_worker_counters()
+        self.executor.drain_worker_tables()
 
     def close(self) -> None:
         if self._closed:

@@ -28,6 +28,7 @@ import os
 import pickle
 import queue
 import time
+from collections import Counter
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.runtime.shm import attach_array
@@ -48,16 +49,15 @@ def set_worker_context(kernels, case) -> None:
     _WORKER_CTX = (kernels, case)
 
 
-def _run_payload(spec: dict) -> Tuple[int, float, dict, Dict[str, float]]:
-    """Execute one offloaded task spec; returns (worker pid, seconds,
-    launch-counter delta, lifecycle times).
+def _run_payload(spec: dict) -> Tuple[int, float, Dict[str, float]]:
+    """Execute one offloaded task spec; returns (pid, seconds, lifecycle
+    times).
 
-    Runs in a worker process (or inline as a fallback).  Data arrays are
-    attached from shared memory and mutated in place; only the timing and
-    the per-kernel-class launch counters travel back — launch *records*
-    stay local to the worker's forked device copies, but their counts,
-    flops and bytes are merged into the driver's accounting so pool runs
-    report the device activity their workers actually generated.
+    Runs in a worker process (or inline in the driver as a fallback).
+    Data arrays are attached from shared memory and mutated in place; the
+    task's launches land in the launch tables of whichever process runs
+    it — the driver's own devices inline, the forked copies in a worker
+    (:func:`_run_payload_remote` sends those back).
 
     The lifecycle dict carries absolute ``perf_counter`` start/finish
     timestamps (workers are forked, so the monotonic clock is shared
@@ -67,9 +67,6 @@ def _run_payload(spec: dict) -> Tuple[int, float, dict, Dict[str, float]]:
     """
     t0 = time.perf_counter()
     sid = spec.pop("_sid", None)
-    backend = (getattr(_WORKER_CTX[0], "exec_backend", None)
-               if _WORKER_CTX is not None else None)
-    before = backend.counters_snapshot() if backend is not None else {}
     fault = spec.get("_fault")
     if fault is not None:
         # planted by the fault-injection harness (repro.resilience.faults);
@@ -105,16 +102,11 @@ def _run_payload(spec: dict) -> Tuple[int, float, dict, Dict[str, float]]:
         execute_serve_run(spec)
     else:  # pragma: no cover - future ops
         raise ValueError(f"unknown payload op {op!r}")
-    delta = {}
-    if backend is not None:
-        from repro.backend import counters_delta
-
-        delta = counters_delta(backend.counters_snapshot(), before)
     t1 = time.perf_counter()
     times: Dict[str, float] = {"t_started": t0, "t_finished": t1}
     if sid is not None:
         times["sid"] = sid
-    return os.getpid(), t1 - t0, delta, times
+    return os.getpid(), t1 - t0, times
 
 
 def _run_payload_remote(blob: bytes):
@@ -124,15 +116,26 @@ def _run_payload_remote(blob: bytes):
     the serialize bucket) and ships the blob, so ``multiprocessing``
     only copies bytes instead of re-pickling the dict; the worker-side
     unpickle is metered here as ``deserialize_s``.
+
+    Also returns the launch tables this task filled on the worker's forked
+    copies of the driver's devices, ``{device index: table}``, which the
+    driver adds into the devices themselves.  Only this entry drains: a
+    payload run inline in the driver counts straight into the real tables.
     """
     t_att = time.perf_counter()
     spec = pickle.loads(blob)
     des = time.perf_counter() - t_att
-    pid, dur, delta, times = _run_payload(spec)
+    backend = getattr(_WORKER_CTX[0], "exec_backend", None)
+    devices = backend.devices if backend is not None else ()
+    for dev in devices:
+        # what the fork inherited, or the previous task already returned
+        dev.reset()
+    pid, dur, times = _run_payload(spec)
+    tables = {i: dev.table for i, dev in enumerate(devices) if dev.table}
     # the worker's busy span starts at blob arrival, not after unpickle
     times["t_started"] = t_att
     times["deserialize_s"] = des
-    return pid, (times["t_finished"] - t_att), delta, times
+    return pid, (times["t_finished"] - t_att), tables, times
 
 
 def _rhs_update(spec: dict) -> None:
@@ -145,13 +148,14 @@ def _rhs_update(spec: dict) -> None:
     coords = attach_array(spec["coords"])
     metrics = spec["metrics"]
     ng = spec["ng"]
+    rank = spec["rank"]  # launches are accounted on the owning rank's device
     valid = (slice(None),) + tuple(slice(ng, s - ng) for s in u.shape[1:])
-    rhs = kernels.rhs(u, metrics, ng)
+    rhs = kernels.rhs(u, metrics, ng, rank)
     src = case.source(u[valid], coords[valid], spec["time"],
                       metrics=metrics.interior(ng))
     if src is not None:
         rhs = rhs + src
-    kernels.update(u[valid], du, rhs, spec["dt"], spec["stage"])
+    kernels.update(u[valid], du, rhs, spec["dt"], spec["stage"], rank)
 
 
 class BaseExecutor:
@@ -173,11 +177,12 @@ class BaseExecutor:
     def cancel_pending(self) -> None:
         """Abandon in-flight work (e.g. when a step is rolled back)."""
 
-    def drain_worker_counters(self) -> dict:
-        """Return-and-clear launch counters accumulated from workers.
+    def drain_worker_tables(self) -> Dict[int, Counter]:
+        """Return-and-clear the launch tables returned by workers, by
+        device index.
 
         Inline executors do no remote work, so there is nothing to merge:
-        every launch already hit the driver's execution backend directly.
+        every launch already hit the driver's devices directly.
         """
         return {}
 
@@ -230,9 +235,9 @@ class PoolExecutor(BaseExecutor):
         self._done: "queue.Queue" = queue.Queue()
         self._pending = 0
         self._worker_ids = {}  # pid -> stable small index
-        #: launch counters reported by completed worker tasks, by kernel
-        #: class, awaiting a drain at end of step
-        self._counter_acc: dict = {}
+        #: launch tables returned by completed worker tasks, by device
+        #: index, awaiting a drain at end of step
+        self._worker_tables: Dict[int, Counter] = {}
         #: driver-side lifecycle metering per in-flight task (tid ->
         #: serialize seconds/bytes + dispatch timestamp)
         self._lifecycle: Dict[int, dict] = {}
@@ -293,21 +298,18 @@ class PoolExecutor(BaseExecutor):
         lc = self._lifecycle.pop(task.tid, {})
         if exc is not None:
             raise RuntimeError(f"pool task {task.name!r} failed: {exc}") from exc
-        pid, dur, delta, times = result
-        self._merge_delta(delta)
+        pid, dur, tables, times = result
+        self._keep_tables(tables)
         lc.update(times)
         worker = self._worker_ids.setdefault(pid, len(self._worker_ids) + 1)
         on_done(task, worker, dur, lifecycle=lc)
 
-    def _merge_delta(self, delta: dict) -> None:
-        for cls, d in delta.items():
-            acc = self._counter_acc.setdefault(
-                cls, {k: 0 for k in d})
-            for field, value in d.items():
-                acc[field] = acc.get(field, 0) + value
+    def _keep_tables(self, tables: Dict[int, Counter]) -> None:
+        for index, table in tables.items():
+            self._worker_tables.setdefault(index, Counter()).update(table)
 
-    def drain_worker_counters(self) -> dict:
-        acc, self._counter_acc = self._counter_acc, {}
+    def drain_worker_tables(self) -> Dict[int, Counter]:
+        acc, self._worker_tables = self._worker_tables, {}
         return acc
 
     def cancel_pending(self) -> None:

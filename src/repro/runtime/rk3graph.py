@@ -99,6 +99,7 @@ def build_stage_graph(sim, dt: float, stage: int,
                     "du": arena.meta(("du", lev), i),
                     "coords": arena.meta(("coords", lev), i),
                     "metrics": sim.metrics[lev][i],
+                    "rank": state.dm[i],
                     "ng": sim.ng,
                     "time": sim.time,
                     "dt": dt,

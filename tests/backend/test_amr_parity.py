@@ -24,6 +24,7 @@ from repro.amr.tagging import (tag_density_gradient, tag_momentum_gradient,
                                tag_value_threshold)
 from repro.backend import DeviceBackend, use_backend
 from repro.kernels.device import GpuDevice
+from tests.conftest import EventLog
 from repro.mpi.comm import Communicator
 
 
@@ -59,16 +60,20 @@ def two_level(seed=0, ncomp=1, nranks=2):
 
 
 def device_backend():
-    return DeviceBackend([GpuDevice()])
+    """A one-device backend whose launches, in order, are ``be.log.events``."""
+    dev = GpuDevice()
+    be = DeviceBackend([dev])
+    be.log = EventLog()
+    dev.add_listener(be.log)
+    return be
 
 
 def launch_names(backend):
-    return [rec.name for dev in backend.devices for rec in dev.launches]
+    return [rec.name for rec in backend.log.events]
 
 
 def launch_classes(backend):
-    return {rec.kernel_class for dev in backend.devices
-            for rec in dev.launches}
+    return {rec.kernel_class for rec in backend.log.events}
 
 
 def snapshot(mf):

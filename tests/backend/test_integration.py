@@ -1,7 +1,8 @@
 """End-to-end execution-backend integration: DMR trajectory parity,
-per-step Algorithm-2 phase coverage, config plumbing, pool counter merge."""
+per-step Algorithm-2 phase coverage, config plumbing, pool table merge."""
 
 import multiprocessing
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ def run_dmr(steps=3, **kwargs):
     state = {(lev, i): fab.whole().copy()
              for lev in range(sim.finest_level + 1)
              for i, fab in sim.state[lev]}
-    launches = [rec for d in sim.devices for rec in d.launches]
+    launches = [Counter(d.table) for d in sim.devices]   # one per rank
     totals = sim.exec_backend.class_totals()
     sim.close()
     return state, launches, totals
@@ -57,39 +58,44 @@ class TestTrajectoryParity:
             assert np.array_equal(h_state[k], d_state[k]), f"mismatch {k}"
         # host target records nothing; device records everything
         assert h_launches == [] and h_totals == {}
-        assert len(d_launches) > 0 and d_totals
+        assert all(table for table in d_launches) and d_totals
 
     @pytest.mark.skipif(not HAS_FORK, reason="needs fork start method")
     def test_serial_vs_pool_device(self):
-        s_state, _, s_totals = run_dmr(backend_target="device",
-                                       executor="serial")
-        p_state, _, p_totals = run_dmr(backend_target="device",
-                                       executor="pool", workers=2)
+        s_state, s_launches, s_totals = run_dmr(backend_target="device",
+                                                executor="serial")
+        p_state, p_launches, p_totals = run_dmr(backend_target="device",
+                                                executor="pool", workers=2)
         assert set(s_state) == set(p_state)
         for k in s_state:
             err = float(np.abs(s_state[k] - p_state[k]).max())
             assert err < 1e-12, f"level/box {k}: max abs err {err}"
-        # merged worker counters restore the full per-class accounting:
+        # merged worker tables restore the full per-class accounting:
         # pool totals match serial for the offloaded classes too
         for cls in ("flux", "update"):
             assert p_totals[cls]["launches"] == s_totals[cls]["launches"]
             assert p_totals[cls]["points"] == s_totals[cls]["points"]
+        # ... and row for row, on the owning rank's device: accounting
+        # does not depend on the executor
+        assert p_launches == s_launches
 
 
 class TestPhaseCoverage:
-    def test_every_algorithm2_phase_launches_each_step(self):
+    def test_every_algorithm2_phase_launches_each_step(self, launch_log):
         """Under the device target every Algorithm-2 phase emits at least
         one labeled launch record per step."""
         sim = make_sim(backend_target="device")
         sim.initialize()
         devices = sim.devices
+        for dev in devices:
+            dev.add_listener(launch_log)
         for step in range(3):
-            before = sum(len(d.launches) for d in devices)
-            marks = [len(d.launches) for d in devices]
+            before = sum(d.table.total() for d in devices)
+            mark = len(launch_log.events)
             sim.step()
-            new = [rec for d, m in zip(devices, marks)
-                   for rec in d.launches[m:]]
-            assert sum(len(d.launches) for d in devices) > before
+            new = launch_log.events[mark:]
+            assert sum(d.table.total() for d in devices) == before + len(new)
+            assert new
             names = [rec.name for rec in new]
             by_class = {rec.name: rec.kernel_class for rec in new}
             for cls, prefixes in STEP_PHASES.items():
@@ -108,7 +114,7 @@ class TestPhaseCoverage:
                                         backend_target="device"))
         sim.initialize()
         sim.run(2)
-        names = {rec.name for d in sim.devices for rec in d.launches}
+        names = {rec.name for d in sim.devices for rec in d.table}
         sim.close()
         assert "Viscous" in names
 
@@ -159,7 +165,7 @@ class TestConfigPlumbing:
         assert sim.kernels.exec_backend.target == "device"
         sim.initialize()
         sim.step()
-        assert any(d.launches for d in sim.devices)
+        assert any(d.table for d in sim.devices)
         assert all(used > 0 for _, used, _ in sim.gpu_memory_report())
         sim.close()
 
@@ -188,11 +194,13 @@ class TestWorkerCounterMerge:
         sim.initialize()
         sim.run(2)
         backend = sim.kernels.exec_backend
-        # workers did the offloaded flux/update launches; their counters
+        # workers did the offloaded flux/update launches; their tables
         # came back through the engine's end-of-step drain
         assert backend.worker_launches > 0
-        assert sim.engine.last_step_worker_counters
-        # records stay worker-local: driver devices saw no flux launches
-        # beyond any inline fallbacks, but totals still include them
-        assert backend.class_totals()["flux"]["launches"] > 0
+        assert sim.engine.last_step_worker_launches > 0
+        # ... into the owning ranks' device tables: per-kernel rows of the
+        # offloaded kernels are there, exactly as in the class totals
+        flux = sum(n for d in sim.devices for rec, n in d.table.items()
+                   if rec.name in ("WENOx", "WENOy"))
+        assert flux == backend.class_totals()["flux"]["launches"] > 0
         sim.close()

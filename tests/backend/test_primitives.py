@@ -1,18 +1,19 @@
-"""Execution-backend primitives: host/device parity, counters, context."""
+"""Execution-backend primitives: host/device parity, class totals, context."""
 
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.backend import (DeviceBackend, HostBackend, LaunchContext,
-                           LaunchSpec, counters_delta, current_backend,
-                           make_exec_backend, parallel_for, reduce_data,
-                           set_backend, use_backend)
+                           LaunchSpec, current_backend, make_exec_backend,
+                           parallel_for, reduce_data, set_backend,
+                           use_backend)
 from repro.kernels.counts import (BUDGETS, FILLBOUNDARY_BUDGET, INTERP_BUDGET,
                                   UPDATE_BUDGET, WENO_BUDGET,
                                   budget_for_kernel)
-from repro.kernels.device import DeviceMemoryError, GpuDevice
+from repro.kernels.device import DeviceMemoryError, GpuDevice, LaunchRecord
 
 
 class TestHostBackend:
@@ -42,7 +43,6 @@ class TestHostBackend:
     def test_no_accounting(self):
         host = HostBackend()
         host.parallel_for("K", lambda: None, 10)
-        assert host.counters == {}
         assert host.class_totals() == {}
         assert host.worker_launches == 0
 
@@ -69,7 +69,8 @@ class TestDeviceBackend:
         be = DeviceBackend([dev])
         be.parallel_for("WENOx", lambda: None, 100,
                         LaunchSpec(kernel_class="flux"))
-        rec = dev.launches[-1]
+        (rec, count), = dev.table.items()
+        assert count == 1
         assert rec.name == "WENOx"
         assert rec.kernel_class == "flux"
         assert rec.npoints == 100
@@ -82,7 +83,7 @@ class TestDeviceBackend:
         be.parallel_for("FB_unpack", lambda: None, 10,
                         LaunchSpec(kernel_class="fillpatch"))
         be.reduce_data("ComputeDt", np.ones(5), "max")
-        snap = be.counters_snapshot()
+        snap = be.class_totals()
         assert snap["fillpatch"]["launches"] == 2
         assert snap["fillpatch"]["points"] == 20
         assert snap["reduction"]["launches"] == 1
@@ -92,8 +93,8 @@ class TestDeviceBackend:
         be = DeviceBackend(devs)
         be.parallel_for("K", lambda: None, 1, LaunchSpec(rank=1))
         be.parallel_for("K", lambda: None, 1, LaunchSpec(rank=3))
-        assert len(devs[0].launches) == 0
-        assert len(devs[1].launches) == 2
+        assert devs[0].table.total() == 0
+        assert devs[1].table.total() == 2
 
     def test_reserve_charges_the_ranks_device_and_release_returns_it(self):
         devs = [GpuDevice(name="d0"), GpuDevice(name="d1", memory_bytes=4096)]
@@ -107,37 +108,22 @@ class TestDeviceBackend:
         assert devs[1].high_water == 1024
 
     def test_worker_counter_merge_kept_separate(self):
-        be = DeviceBackend([GpuDevice()])
+        devs = [GpuDevice(), GpuDevice()]
+        be = DeviceBackend(devs)
         be.parallel_for("Update", lambda: None, 50,
-                        LaunchSpec(kernel_class="update"))
-        be.merge_worker_counters(
-            {"update": {"launches": 3, "points": 150, "flops": 10,
-                        "dram_bytes": 20}})
-        # driver-local counters untouched; totals fold both sources
-        assert be.counters["update"].launches == 1
+                        LaunchSpec(kernel_class="update", rank=1))
+        (rec, _), = devs[1].table.items()
+        # what a worker drained from its forked copy of device 1: two
+        # launches identical to the driver's, one of another size
+        other = LaunchRecord("Update", 100, 10, 20, 30, 40, "update")
+        be.merge_worker_tables({1: Counter({rec: 2, other: 1})})
+        # the rows land in the owning rank's table, beside the driver's;
+        # only the worker *count* is kept apart
+        assert devs[0].table == Counter()
+        assert devs[1].table == Counter({rec: 3, other: 1})
         assert be.worker_launches == 3
         assert be.class_totals()["update"]["launches"] == 4
-        assert be.class_totals()["update"]["points"] == 200
-
-    def test_counters_delta(self):
-        be = DeviceBackend([GpuDevice()])
-        be.parallel_for("Update", lambda: None, 5,
-                        LaunchSpec(kernel_class="update"))
-        before = be.counters_snapshot()
-        be.parallel_for("Update", lambda: None, 7,
-                        LaunchSpec(kernel_class="update"))
-        be.parallel_for("WENOx", lambda: None, 3,
-                        LaunchSpec(kernel_class="flux"))
-        delta = counters_delta(be.counters_snapshot(), before)
-        assert delta["update"]["launches"] == 1
-        assert delta["update"]["points"] == 7
-        assert delta["flux"]["launches"] == 1
-        # unchanged classes are omitted entirely
-        be2 = DeviceBackend([GpuDevice()])
-        be2.parallel_for("Update", lambda: None, 5,
-                        LaunchSpec(kernel_class="update"))
-        snap = be2.counters_snapshot()
-        assert counters_delta(snap, snap) == {}
+        assert be.class_totals()["update"]["points"] == 250
 
 
 class TestBudgetResolution:
@@ -187,15 +173,16 @@ class TestCurrentBackendContext:
         set_backend(None)
         assert current_backend().target == "host"
 
-    def test_free_functions_dispatch_to_current(self):
+    def test_free_functions_dispatch_to_current(self, launch_log):
         dev = GpuDevice()
+        dev.add_listener(launch_log)
         with use_backend(DeviceBackend([dev])):
             out = parallel_for("K", lambda: 42, 7,
                                LaunchSpec(kernel_class="update"))
             r = reduce_data("R", np.array([1.0, 3.0]), "max")
         assert out == 42
         assert r == 3.0
-        assert [rec.name for rec in dev.launches] == ["K", "R"]
+        assert [rec.name for rec in launch_log.events] == ["K", "R"]
 
     def test_launch_context_alias(self):
         assert LaunchContext is use_backend

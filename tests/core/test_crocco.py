@@ -147,16 +147,13 @@ def test_version20_has_global_parallelcopy_21_does_not():
 
 
 def test_gpu_device_accounting_in_driver():
-    # driver-side launch accounting: offloaded pool tasks keep their
-    # launch records in the worker process, so pin the serial executor
     case = SodShockTube(32)
     sim = Crocco(case, CroccoConfig(version="2.0", max_grid_size=32,
-                                    executor="serial",
                                     backend_target="device"))
     sim.initialize()
     assert sim.devices[0].bytes_in_use > 0  # level state resident
     sim.run(2)
-    names = set(sim.devices[0].launches_by_kernel())
+    names = {rec.name for rec in sim.devices[0].table}
     assert {"WENOx", "Update", "ComputeDt"} <= names
 
 
@@ -221,8 +218,8 @@ def test_per_rank_gpu_devices():
     assert report[0][1] == report[1][1] > 0
     sim.run(1)
     # kernel launches land on the owning rank's device
-    assert len(sim.devices[0].launches) > 0
-    assert len(sim.devices[1].launches) > 0
+    assert sim.devices[0].table.total() > 0
+    assert sim.devices[1].table.total() > 0
 
 
 def test_host_target_has_no_devices():

@@ -86,21 +86,22 @@ def test_device_launch_records():
     met = CartesianMetrics((1.0 / 24, 1.0 / 24))
     ks, dev = on_device(viscous=ViscousFlux(constant_viscosity(1e-3)))
     ks.rhs(u.copy(), met, NG)
-    kernels = dev.launches_by_kernel()
-    assert set(kernels) == {"WENOx", "WENOy", "Viscous"}
-    assert kernels["WENOx"][0].npoints == 24 * 24
+    assert {rec.name: (rec.npoints, n) for rec, n in dev.table.items()} == {
+        name: (24 * 24, 1) for name in ("WENOx", "WENOy", "Viscous")}
 
 
-def test_launches_land_on_the_owning_ranks_device():
+def test_launches_land_on_the_owning_ranks_device(launch_log):
     u = smooth_state()
     met = CartesianMetrics((1.0 / 24, 1.0 / 24))
     devs = [GpuDevice(), GpuDevice()]
+    devs[1].add_listener(launch_log)
     ks = make_kernels("cpp", LAY, EOS, exec_backend=DeviceBackend(devs))
     ks.rhs(u.copy(), met, NG, rank=1)
     ks.max_rate(u, met, rank=1)
-    assert not devs[0].launches
-    assert [r.name for r in devs[1].launches] == ["WENOy", "WENOx",
-                                                  "ComputeDt"]
+    assert not devs[0].table
+    assert [r.name for r in launch_log.events] == ["WENOy", "WENOx",
+                                                   "ComputeDt"]
+    assert devs[1].table.total() == 3
 
 
 def test_device_scratch_released_after_rhs():
@@ -121,25 +122,27 @@ def test_device_memory_limit_on_big_patch():
         ks.rhs(u, met, NG)
 
 
-def test_update_kernel_all_orderings():
+def test_update_kernel_all_orderings(launch_log):
     for o in ORDERINGS:
         ks, dev = on_device(o)
+        dev.add_listener(launch_log)
         u = np.ones((4, 8, 8))
         du = np.zeros_like(u)
         rhs = np.full_like(u, 3.0)
         ks.update(u, du, rhs, dt=0.1, stage=0)
         assert np.allclose(u, 1.0 + 0.3 / 3.0)
-        assert dev.launches[-1].name == "Update"
+        assert launch_log.events[-1].name == "Update"
 
 
-def test_max_rate_matches_across_orderings_and_targets():
+def test_max_rate_matches_across_orderings_and_targets(launch_log):
     u = smooth_state()
     met = CartesianMetrics((1.0 / 24, 1.0 / 24))
     rates = {o: make_kernels(o, LAY, EOS).max_rate(u, met) for o in ORDERINGS}
     assert rates["fortran"] == pytest.approx(rates["cpp"])
     ks, dev = on_device()
+    dev.add_listener(launch_log)
     assert ks.max_rate(u, met) == rates["cpp"]
-    assert dev.launches[-1].name == "ComputeDt"
+    assert launch_log.events[-1].name == "ComputeDt"
 
 
 def test_nghost_accounts_for_operators():

@@ -7,6 +7,7 @@ from repro.kernels.device import (
     DeviceMemoryError,
     GpuDevice,
     V100_MEMORY_BYTES,
+    launch_totals,
 )
 
 
@@ -58,7 +59,8 @@ def test_launch_records_and_returns():
     out = dev.launch("WENOx", lambda: np.ones(3), npoints=1000,
                      flops_per_point=600, dram_bytes_per_point=400)
     assert np.all(out == 1.0)
-    rec = dev.launches[0]
+    (rec, count), = dev.table.items()
+    assert count == 1
     assert rec.name == "WENOx"
     assert rec.flops == 600000
     assert rec.dram_bytes == 400000
@@ -73,7 +75,7 @@ def test_reduce():
     assert dev.reduce("ComputeDt", np.array([3.0, 1.0]), "sum") == 4.0
     with pytest.raises(ValueError):
         dev.reduce("ComputeDt", np.array([1.0]), "prod")
-    assert len(dev.launches) == 3
+    assert dev.table.total() == 3
 
 
 def test_totals_and_by_kernel():
@@ -81,12 +83,19 @@ def test_totals_and_by_kernel():
     dev.launch("A", lambda: None, 10, 2, 4)
     dev.launch("A", lambda: None, 10, 2, 4)
     dev.launch("B", lambda: None, 5, 1, 1)
-    assert set(dev.launches_by_kernel()) == {"A", "B"}
+    by_kernel = launch_totals([dev])
+    assert set(by_kernel) == {"A", "B"}
+    assert by_kernel["A"] == {"launches": 2, "points": 20, "flops": 40,
+                              "dram_bytes": 80, "l2_bytes": 128,
+                              "l1_bytes": 320}
+    # identical launches share one row
+    assert len(dev.table) == 2 and dev.table.total() == 3
     tot = dev.totals("A")
     assert tot.flops == 40
     assert dev.totals().npoints == 25
     dev.reset()
-    assert dev.launches == []
+    assert not dev.table
+    assert dev.totals().npoints == 0 and launch_totals([dev]) == {}
 
 
 def test_double_free_detection():

@@ -1,11 +1,14 @@
 """Tests for the simulated communicator and message ledger."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.mpi.comm import Communicator, SerialComm
 from repro.mpi.ledger import CommLedger, Message
+from tests.conftest import EventLog
 
 
 def test_message_local_flag():
@@ -151,32 +154,24 @@ def test_barrier_rounds():
 
 def test_record_many_equals_one_record_per_message():
     """A plan's batch lands exactly as the same messages recorded singly:
-    summaries, order, and what listeners see."""
-
-    class Seen:
-        def __init__(self):
-            self.msgs = []
-
-        def on_message(self, msg):
-            self.msgs.append(msg)
-
+    the table, its summaries, and what listeners see, in order."""
     comm = Communicator(4, ranks_per_node=2)
     batch = [comm.message(0, 1, 100, "fillboundary"),
              comm.message(2, 3, 50, "parallelcopy"),
              comm.message(1, 1, 8, "fillboundary")]
     singly, batched = CommLedger(2), CommLedger(2)
-    seen_singly, seen_batched = Seen(), Seen()
+    seen_singly, seen_batched = EventLog(), EventLog()
     singly.add_listener(seen_singly)
     batched.add_listener(seen_batched)
     for m in batch:
         singly.record(m.src, m.dst, m.nbytes, m.kind)
     batched.record_many(batch)
     batched.record_many(())
-    assert batched.messages() == singly.messages() == batch
+    assert batched.table == singly.table == Counter(batch)
     assert batched.by_kind() == singly.by_kind()
     assert batched.count("fillboundary") == 2
     assert batched.total_bytes(remote_only=True) == 150
-    assert seen_batched.msgs == seen_singly.msgs == batch
+    assert seen_batched.events == seen_singly.events == batch
     with batched.paused():
         batched.record_many(batch)
     assert len(batched) == 3

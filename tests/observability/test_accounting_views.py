@@ -1,0 +1,294 @@
+"""View oracle for the two accounting tables.
+
+``CommLedger.table`` and ``GpuDevice.table`` are multisets: identical
+events collapse into a count and every summary is a view of the table.
+For generated event streams, each view must equal the same quantity
+computed brute-force from the ordered list of events a listener captured
+— through ``clear(kind)``, ``paused()``, ``GpuDevice.reset()`` and a
+worker-table merge.  The per-event loops below are the reference: they are
+what the summaries were before the tables, one event at a time.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.backend import COUNTER_FIELDS, DeviceBackend, LaunchSpec
+from repro.kernels.counts import budget_for_kernel
+from repro.kernels.device import TOTAL_FIELDS, GpuDevice, launch_totals
+from repro.machine.gpu import V100Model
+from repro.machine.roofline import roofline_from_launches
+from repro.mpi.ledger import KINDS, CommLedger, Message
+from repro.perfmodel.calibration import CAL
+from repro.perfmodel.device_timing import summarize_device
+from repro.perfmodel.ledger_pricing import price_ledger
+from tests.conftest import EventLog
+
+# -- messages ------------------------------------------------------------------
+
+#: a few sizes that repeat (a plan's messages recur every step) beside
+#: arbitrary ones that do not
+SIZES = st.one_of(st.sampled_from([0, 8, 512, 4096]), st.integers(0, 10**7))
+
+
+@st.composite
+def message_streams(draw):
+    """(nranks, ranks per node, ops): ops are batches of messages to record
+    (singly, as a batch, or inside ``paused()``), or a ``clear``."""
+    nranks = draw(st.integers(1, 12))
+    rpn = draw(st.integers(1, 6))
+    rank = st.integers(0, nranks - 1)
+    message = st.builds(Message, rank, rank, SIZES, st.sampled_from(KINDS))
+    op = st.one_of(
+        st.tuples(st.sampled_from(["record", "record_many", "paused"]),
+                  st.lists(message, max_size=8)),
+        st.tuples(st.just("clear"), st.sampled_from((None,) + KINDS)))
+    return nranks, rpn, draw(st.lists(op, max_size=12))
+
+
+def replay(nranks, rpn, ops):
+    """Run ``ops`` on a fresh ledger; returns it and the messages a
+    listener saw that a ``clear`` has not dropped since, in order."""
+    led = CommLedger(rpn)
+    log = EventLog()
+    led.add_listener(log)
+    for what, arg in ops:
+        if what == "clear":
+            led.clear(arg)
+            log.events = [m for m in log.events
+                          if arg is not None and m.kind != arg]
+        elif what == "paused":
+            with led.paused():
+                led.record_many(arg)
+        elif what == "record_many":
+            led.record_many(arg)
+        else:
+            for m in arg:
+                led.record(m.src, m.dst, m.nbytes, m.kind)
+    return led, log.events
+
+
+def price_per_message(msgs, nranks, nodes, cal=CAL):
+    """``price_ledger`` one message at a time (the reference)."""
+    net = cal.net
+    rpn = max(1, nranks // nodes)
+    seconds, offb, onb, counts = {}, {}, {}, {}
+    for kind in KINDS:
+        mine = [m for m in msgs if m.kind == kind]
+        counts[kind] = len(mine)
+        if not mine:
+            seconds[kind], offb[kind], onb[kind] = 0.0, 0, 0
+            continue
+        recv_off, recv_on = np.zeros(nranks), np.zeros(nranks)
+        nmsg = np.zeros(nranks, dtype=np.int64)
+        for m in mine:
+            if m.local:
+                continue
+            if m.src % nranks // rpn == m.dst % nranks // rpn:
+                recv_on[m.dst % nranks] += m.nbytes
+            else:
+                recv_off[m.dst % nranks] += m.nbytes
+                nmsg[m.dst % nranks] += 1
+        offb[kind], onb[kind] = int(recv_off.sum()), int(recv_on.sum())
+        t = net.p2p_time(float(recv_off.max()), float(recv_on.max()),
+                         int(nmsg.max()), nodes)
+        if kind in ("parallelcopy", "regrid"):
+            t += cal.pc_meta_per_rank * nranks + net.barrier_time(nranks)
+        if kind == "reduce":
+            t = (max(1, len(mine) // max(1, 2 * int(np.log2(max(2, nranks)))))
+                 * net.reduction_time(nranks))
+        seconds[kind] = float(t)
+    return seconds, offb, onb, counts
+
+
+@settings(max_examples=150, deadline=None)
+@given(message_streams())
+def test_ledger_views_equal_the_event_list(stream):
+    nranks, rpn, ops = stream
+    led, msgs = replay(nranks, rpn, ops)
+
+    def node(r):
+        return r // rpn
+
+    assert led.table == Counter(msgs)
+    assert len(led) == len(msgs)
+    assert sorted(led.table.elements(), key=repr) == sorted(msgs, key=repr)
+    for kind in (None,) + KINDS:
+        mine = [m for m in msgs if kind is None or m.kind == kind]
+        remote = [m for m in mine if m.src != m.dst]
+        assert Counter(dict(led.rows(kind))) == Counter(mine)
+        assert led.count(kind) == len(mine)
+        assert led.count(kind, remote_only=True) == len(remote)
+        assert led.total_bytes(kind) == sum(m.nbytes for m in mine)
+        assert led.total_bytes(kind, remote_only=True) == \
+            sum(m.nbytes for m in remote)
+        assert led.off_node_bytes(kind) == sum(
+            m.nbytes for m in mine if node(m.src) != node(m.dst))
+        assert led.on_node_bytes(kind) == sum(
+            m.nbytes for m in remote if node(m.src) == node(m.dst))
+        for direction, end in (("send", "src"), ("recv", "dst")):
+            assert led.per_rank_bytes(nranks, kind, direction) == [
+                sum(m.nbytes for m in remote if getattr(m, end) == r)
+                for r in range(nranks)]
+    by_kind, traffic = led.by_kind(), led.traffic()
+    assert set(by_kind) == set(traffic) == {m.kind for m in msgs}
+    for kind, (count, volume) in by_kind.items():
+        mine = [m for m in msgs if m.kind == kind]
+        assert (count, volume) == (len(mine), sum(m.nbytes for m in mine))
+        # the on/off-node keys exist exactly when such a message was seen
+        split = {"messages": count, "bytes": volume}
+        for m in mine:
+            if m.src != m.dst:
+                where = ("on_node_bytes" if node(m.src) == node(m.dst)
+                         else "off_node_bytes")
+                split[where] = split.get(where, 0) + m.nbytes
+        assert traffic[kind] == split
+    matrix = [[0] * nranks for _ in range(nranks)]
+    for m in msgs:
+        matrix[m.src][m.dst] += m.nbytes
+    assert led.comms_matrix(nranks) == matrix
+    used = 1 + max((max(m.src, m.dst) for m in msgs), default=0)
+    assert led.comms_matrix() == [row[:used] for row in matrix[:used]]
+
+    nodes = -(-nranks // rpn)
+    priced = price_ledger(led, nranks, nodes)
+    seconds, offb, onb, counts = price_per_message(msgs, nranks, nodes)
+    assert priced.seconds == seconds
+    assert priced.off_node_bytes == offb and priced.on_node_bytes == onb
+    assert priced.messages == counts
+
+
+# -- launches ------------------------------------------------------------------
+
+KERNELS = [("WENOx", "flux"), ("WENOy", "flux"), ("Update", "update"),
+           ("FB_pack", "fillpatch"), ("Interp_trilinear", "interp"),
+           ("Tag_gradient", "tagging")]
+NPOINTS = st.one_of(st.sampled_from([64, 1024, 4096]), st.integers(1, 10**5))
+
+
+@st.composite
+def launch_streams(draw):
+    """(ndevices, ops): a launch or reduction on a rank, in the driver or
+    in a pool worker (whose forked devices are drained and merged after
+    each task), or a ``reset`` of one device."""
+    ndev = draw(st.integers(1, 4))
+    rank = st.integers(0, ndev - 1)
+    where = st.sampled_from(["driver", "worker"])
+    op = st.one_of(
+        st.tuples(st.just("launch"), where, rank, st.sampled_from(KERNELS),
+                  NPOINTS),
+        st.tuples(st.just("reduce"), where, rank, st.integers(1, 500)),
+        st.tuples(st.just("reset"), rank))
+    return ndev, draw(st.lists(op, max_size=30))
+
+
+def issue(backend, op):
+    if op[0] == "launch":
+        _, _, rank, (name, cls), npoints = op
+        backend.parallel_for(name, lambda: None, npoints,
+                             LaunchSpec(kernel_class=cls, rank=rank))
+    else:
+        _, _, rank, n = op
+        backend.reduce_data("ComputeDt", np.ones(n), "max",
+                            LaunchSpec(kernel_class="reduction", rank=rank))
+
+
+def summarize_per_launch(recs, model):
+    """``summarize_device`` one launch at a time (the reference)."""
+    seconds, launches, points = {}, Counter(), Counter()
+    for rec in recs:
+        t = model.kernel_time(budget_for_kernel(rec.name), rec.npoints)
+        seconds[rec.name] = seconds.get(rec.name, 0.0) + t
+        launches[rec.name] += 1
+        points[rec.name] += rec.npoints
+    return seconds, launches, points
+
+
+@settings(max_examples=150, deadline=None)
+@given(launch_streams())
+def test_launch_views_equal_the_event_list(stream):
+    ndev, ops = stream
+    devices = [GpuDevice(name=f"d{i}") for i in range(ndev)]
+    backend = DeviceBackend(devices)
+    # a pool worker's forked copies of the devices
+    forked = [GpuDevice(name=f"d{i}") for i in range(ndev)]
+    worker = DeviceBackend(forked)
+    logs = [EventLog() for _ in range(ndev)]
+    for log, dev, copy in zip(logs, devices, forked):
+        dev.add_listener(log)
+        copy.add_listener(log)
+    merged = 0
+    for op in ops:
+        if op[0] == "reset":
+            devices[op[1]].reset()
+            logs[op[1]].events.clear()
+        elif op[1] == "driver":
+            issue(backend, op)
+        else:
+            # one task in a worker: clear what the fork inherited, run,
+            # return the tables, add them into the owning devices
+            for copy in forked:
+                copy.reset()
+            issue(worker, op)
+            backend.merge_worker_tables(
+                {i: copy.table for i, copy in enumerate(forked)
+                 if copy.table})
+            merged += 1
+
+    model = V100Model()
+    for dev, log in zip(devices, logs):
+        recs = log.events
+        assert dev.table == Counter(recs)
+        assert dev.table.total() == len(recs)
+        for name in {None} | {r.name for r in recs} | {"WENOz"}:
+            mine = [r for r in recs if name is None or r.name == name]
+            tot = dev.totals(name)
+            assert (tot.npoints, tot.flops, tot.dram_bytes, tot.l2_bytes,
+                    tot.l1_bytes) == tuple(
+                sum(getattr(r, f) for r in mine)
+                for f in ("npoints", "flops", "dram_bytes", "l2_bytes",
+                          "l1_bytes"))
+        timing = summarize_device(dev, model)
+        seconds, launches, points = summarize_per_launch(recs, model)
+        assert timing.launches == launches and timing.points == points
+        assert timing.seconds == pytest.approx(seconds, rel=1e-12)
+        for name in set(launches):
+            tot = dev.totals(name)
+            if not tot.flops:   # one point of a copy kernel rounds to 0
+                continue
+            point = roofline_from_launches(dev, name, wall_time=1.0)
+            assert point.flops == tot.flops
+            assert point.ai == {"L1": tot.flops / tot.l1_bytes,
+                                "L2": tot.flops / tot.l2_bytes,
+                                "DRAM": tot.flops / tot.dram_bytes}
+
+    every = [r for log in logs for r in log.events]
+    for by in ("name", "kernel_class"):
+        expect = {}
+        for r in every:
+            tot = expect.setdefault(getattr(r, by),
+                                    dict.fromkeys(TOTAL_FIELDS, 0))
+            for field, value in zip(TOTAL_FIELDS, (
+                    1, r.npoints, r.flops, r.dram_bytes, r.l2_bytes,
+                    r.l1_bytes)):
+                tot[field] += value
+        assert launch_totals(devices, by) == expect
+    assert backend.class_totals() == {
+        cls: {f: tot[f] for f in COUNTER_FIELDS}
+        for cls, tot in launch_totals(devices, "kernel_class").items()}
+    assert backend.worker_launches == merged
+
+
+def test_reset_clears_every_view():
+    """``reset()`` used to clear the launch log and leave the class
+    counters standing; with one table there is nothing left behind."""
+    dev = GpuDevice()
+    backend = DeviceBackend([dev])
+    backend.parallel_for("WENOx", lambda: None, 100)
+    assert backend.class_totals()["flux"]["launches"] == 1
+    dev.reset()
+    assert not dev.table and dev.totals().npoints == 0
+    assert launch_totals([dev]) == {} and backend.class_totals() == {}

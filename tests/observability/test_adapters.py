@@ -1,16 +1,14 @@
-"""Tests for the silo adapters: profiler, ledger and device listeners."""
+"""Tests for the span adapters and the producers' listener contracts."""
 
 import numpy as np
 import pytest
 
-from repro.kernels.device import GpuDevice
+from repro.kernels.device import GpuDevice, launch_totals
 from repro.mpi.ledger import CommLedger
 from repro.observability.adapters import (
-    DeviceMetricsAdapter,
-    LedgerMetricsAdapter,
+    KernelSpanAdapter,
     ProfilerTraceAdapter,
 )
-from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracer import GPU_STREAM, Tracer
 from repro.profiling.tinyprofiler import TinyProfiler
 
@@ -58,64 +56,56 @@ def test_remove_listener_stops_forwarding():
     assert {e["name"] for e in tracer.events()} == {"A"}
 
 
-def test_ledger_adapter_counters_and_matrix():
-    reg = MetricsRegistry()
-    adapter = LedgerMetricsAdapter(reg, ranks_per_node=2)
-    led = CommLedger()
-    led.add_listener(adapter)
+def test_ledger_traffic_and_matrix():
+    """What the recorder samples into ``ledger.*`` and ``comms_matrix``."""
+    led = CommLedger(ranks_per_node=2)
     led.record(0, 1, 100, "fillboundary")   # same node (ranks 0,1)
     led.record(0, 2, 50, "fillboundary")    # off node (node 0 -> node 1)
     led.record(3, 3, 10, "reduce")          # local: no on/off split
-    snap = reg.snapshot()
-    assert snap["ledger.fillboundary.bytes"] == 150
-    assert snap["ledger.fillboundary.messages"] == 2
-    assert snap["ledger.fillboundary.on_node_bytes"] == 100
-    assert snap["ledger.fillboundary.off_node_bytes"] == 50
-    assert snap["ledger.reduce.bytes"] == 10
-    assert "ledger.reduce.on_node_bytes" not in snap
-    m = adapter.comms_matrix()
+    traffic = led.traffic()
+    assert traffic["fillboundary"] == {"bytes": 150, "messages": 2,
+                                       "on_node_bytes": 100,
+                                       "off_node_bytes": 50}
+    assert traffic["reduce"] == {"bytes": 10, "messages": 1}
+    m = led.comms_matrix()
     assert m[0][1] == 100 and m[0][2] == 50 and m[3][3] == 10
     assert len(m) == 4
     # explicit rank count pads the matrix
-    assert len(adapter.comms_matrix(6)) == 6
-    # ledger's own accounting is unchanged
+    assert len(led.comms_matrix(6)) == 6
     assert led.by_kind()["fillboundary"] == (2, 150)
 
 
-def test_ledger_paused_suppresses_listener():
-    reg = MetricsRegistry()
+def test_ledger_paused_suppresses_listener(message_log):
     led = CommLedger()
-    led.add_listener(LedgerMetricsAdapter(reg))
+    led.add_listener(message_log)
     with led.paused():
         led.record(0, 1, 999, "reduce")
-    assert reg.snapshot() == {}
+    assert message_log.events == []
     assert len(led) == 0
 
 
 def test_device_adapter_counts_and_spans():
-    reg = MetricsRegistry()
     tracer = Tracer()
     dev = GpuDevice()
-    dev.add_listener(DeviceMetricsAdapter(reg, rank=0, tracer=tracer))
+    dev.add_listener(KernelSpanAdapter(tracer, rank=0))
     dev.launch("WENOx", lambda: None, npoints=1000,
                flops_per_point=10.0, dram_bytes_per_point=8.0)
     dev.launch("WENOx", lambda: None, npoints=500,
                flops_per_point=10.0, dram_bytes_per_point=8.0)
-    snap = reg.snapshot()
-    assert snap["kernel.WENOx.launches"] == 2
-    assert snap["kernel.WENOx.points"] == 1500
-    assert snap["kernel.WENOx.flops"] == 15000
-    assert snap["kernel.WENOx.dram_bytes"] == 12000
-    assert snap["device.rank0.high_water_bytes"] == dev.high_water
+    # the counts the recorder samples into ``kernel.WENOx.*``
+    assert launch_totals([dev])["WENOx"] == {
+        "launches": 2, "points": 1500, "flops": 15000, "dram_bytes": 12000,
+        "l2_bytes": 19200, "l1_bytes": 48000}
     spans = [e for e in tracer.events() if e["ph"] == "X"]
     assert len(spans) == 2
     assert all(e["tid"] == GPU_STREAM and e["cat"] == "kernel" for e in spans)
+    assert [e["args"]["points"] for e in spans] == [1000, 500]
 
 
-def test_device_reduce_notifies_listener():
-    reg = MetricsRegistry()
+def test_device_reduce_notifies_listener(launch_log):
     dev = GpuDevice()
-    dev.add_listener(DeviceMetricsAdapter(reg, rank=0))
+    dev.add_listener(launch_log)
     out = dev.reduce("ComputeDt", np.array([3.0, 1.0, 2.0]), op="min")
     assert out == 1.0
-    assert reg.snapshot()["kernel.ComputeDt.launches"] == 1
+    assert [rec.name for rec in launch_log.events] == ["ComputeDt"]
+    assert launch_totals([dev])["ComputeDt"]["launches"] == 1

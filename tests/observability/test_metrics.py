@@ -5,18 +5,6 @@ import pytest
 from repro.observability.metrics import MetricsRegistry
 
 
-def test_counter_is_monotonic():
-    reg = MetricsRegistry()
-    c = reg.counter("bytes")
-    c.inc(10)
-    c.inc()
-    assert c.value == 11
-    with pytest.raises(ValueError):
-        c.inc(-1)
-    # get-or-create returns the same instrument
-    assert reg.counter("bytes") is c
-
-
 def test_gauge_unset_omitted_from_snapshot():
     reg = MetricsRegistry()
     reg.gauge("dt")
@@ -25,6 +13,8 @@ def test_gauge_unset_omitted_from_snapshot():
     assert reg.snapshot()["dt"] == 0.5
     reg.gauge("dt").set(0.25)  # last write wins
     assert reg.snapshot()["dt"] == 0.25
+    # get-or-create returns the same instrument
+    assert reg.gauge("dt") is reg.gauge("dt")
 
 
 def test_histogram_flattens_to_stats():
@@ -42,16 +32,17 @@ def test_histogram_flattens_to_stats():
 
 def test_kind_mismatch_rejected():
     reg = MetricsRegistry()
-    reg.counter("x")
-    with pytest.raises(TypeError):
-        reg.gauge("x")
+    reg.gauge("x")
     with pytest.raises(TypeError):
         reg.histogram("x")
+    reg.histogram("y")
+    with pytest.raises(TypeError):
+        reg.gauge("y")
 
 
 def test_sample_records_and_extra():
     reg = MetricsRegistry()
-    reg.counter("n").inc(2)
+    reg.gauge("n").set(2)
     rec = reg.sample(step=1, time=0.5, extra={"custom": 7})
     assert rec["step"] == 1 and rec["time"] == 0.5
     assert rec["metrics"]["n"] == 2
@@ -62,13 +53,13 @@ def test_sample_records_and_extra():
 def test_jsonl_round_trip(tmp_path):
     reg = MetricsRegistry()
     for step in range(3):
-        reg.counter("ledger.reduce.bytes").inc(100)
+        reg.gauge("ledger.reduce.bytes").set(100 * (step + 1))
         reg.gauge("active_cells.lev0").set(1000 + step)
         reg.sample(step, step * 0.1)
     path = reg.write_jsonl(tmp_path / "sub" / "metrics.jsonl")
     records = MetricsRegistry.read_jsonl(path)
     assert len(records) == 3
-    # counters are cumulative across samples; gauges track the last set
+    # each sample carries the value its gauge held at that step
     assert [r["metrics"]["ledger.reduce.bytes"] for r in records] == \
         [100, 200, 300]
     assert records[-1]["metrics"]["active_cells.lev0"] == 1002

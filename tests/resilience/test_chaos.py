@@ -10,7 +10,7 @@ import pytest
 from repro.cases.dmr import DoubleMachReflection
 from repro.core.crocco import Crocco, CroccoConfig
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.report import format_report, resilience_totals
+from repro.observability.report import final_totals, format_report
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -95,7 +95,7 @@ class TestChaosRun:
         target.close()
 
     def test_report_accounts_for_faults(self, chaos):
-        totals = resilience_totals(chaos["records"])
+        totals = final_totals(chaos["records"], "resilience")
         assert totals["faults_injected"] == 4
         assert totals["injected.kill_worker"] == 1
         assert totals["injected.nan"] == 1

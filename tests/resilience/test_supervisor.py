@@ -112,3 +112,43 @@ class TestTaskFailure:
                                supervise=False)
         assert stats["pool_restarts"] == 0
         assert_states_match(ref, state)
+
+
+@needs_fork
+def test_inline_fallback_counts_once_in_the_drivers_tables():
+    """The supervisor's last-resort inline execution runs the payload in
+    the driver process: its launches land in the real device tables, once,
+    on the owning rank — nothing is cleared, drained or merged again (only
+    the worker entry point drains, and only forked copies)."""
+    from collections import Counter
+
+    from repro.resilience.supervisor import _InFlight
+    from repro.runtime.rk3graph import build_stage_graph
+
+    case = DoubleMachReflection(ncells=(64, 16), curvilinear=True)
+    sim = Crocco(case, CroccoConfig(
+        version="2.0", nranks=6, ranks_per_node=6, max_level=1,
+        max_grid_size=32, blocking_factor=8, regrid_int=2,
+        backend_target="device", executor="pool", workers=2))
+    try:
+        sim.initialize()
+        executor = sim.engine.executor
+        graph = build_stage_graph(sim, 1e-5, 0, arena=sim.engine.arena)
+        task = next(t for t in graph.tasks
+                    if t.payload is not None and t.payload["rank"] > 0)
+        before = [Counter(d.table) for d in sim.devices]
+        assert all(before)
+        done = []
+        executor._run_inline(_InFlight(
+            task, lambda *args, **kw: done.append(args), attempt=1,
+            deadline=0.0))
+        assert len(done) == 1
+        new = [Counter(d.table) - was for d, was in zip(sim.devices, before)]
+        rank = task.payload["rank"]
+        assert sorted(r.name for r in new[rank].elements()) == [
+            "Update", "WENOx", "WENOy"]
+        assert not any(t for r, t in enumerate(new) if r != rank)
+        assert executor.drain_worker_tables() == {}
+        assert sim.exec_backend.worker_launches == 0
+    finally:
+        sim.close()

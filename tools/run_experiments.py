@@ -268,7 +268,7 @@ def functional_dmr() -> None:
          "amplifies beyond the normal-shock jump of 8)"),
         ("AMR savings", f"{sim.amr_savings():.1%}"),
         ("fine-level boxes", len(sim.box_arrays[2])),
-        ("simulated GPU launches", len(sim.devices[0].launches)),
+        ("simulated GPU launches", sim.devices[0].table.total()),
         ("ParallelCopy traffic",
          f"{sim.comm.ledger.total_bytes('parallelcopy') / 1e6:.1f} MB "
          "(curvilinear interpolator's coordinate gathers)"),

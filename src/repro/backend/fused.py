@@ -12,10 +12,10 @@ reproducing the three performance moves real GPU ports make (STREAmS-2's
    and sweeps all directions from them
    (:func:`repro.kernels.fused.fused_sweep`).
 2. **Scratch caching** — reconstruction scratch arrays are served from a
-   :class:`ScratchCache` keyed by (role, box shape, dtype) with hit/miss
-   counters, instead of being reallocated on every launch.  AMR grids
-   repeat a small set of box shapes (blocking_factor/max_grid_size), so
-   the steady-state hit rate is ~100%.
+   :class:`ScratchCache` holding one buffer per (role, dtype), grown to
+   the largest request, with hit/miss counters, instead of being
+   reallocated on every launch: the steady-state hit rate is ~100%
+   whatever box and batch shapes a regrid brings.
 3. **Optional JIT** — when numba is importable (a *soft* dependency;
    nothing here imports it at module scope), the hottest kernel — the
    4-candidate WENO combination — is compiled on first use.  Absent
@@ -35,6 +35,7 @@ paper applies to its Fortran -> C++ port — asserted by
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Dict, List, Optional, Tuple
 
@@ -57,15 +58,19 @@ def numba_available() -> bool:
 
 
 class ScratchCache:
-    """Shape-keyed scratch-array allocator with hit counters.
+    """Role-keyed scratch-array allocator with hit counters.
 
-    ``get(role, shape)`` returns an *uninitialized* float64 array cached
-    under ``(role, shape, dtype)``; callers own the full overwrite (the
-    fused kernels write every element through ``out=`` ops before
-    reading).  One cache lives per backend instance, so arrays are
-    reused across launches, RK stages and steps for every box of the
-    same shape — the allocation pattern the paper's port achieves by
-    hoisting scratch allocation out of the kernels (Sec. IV-B).
+    ``get(role, shape)`` returns an *uninitialized* array of that shape,
+    a view of the one flat buffer kept per ``(role, dtype)``; callers own
+    the full overwrite (the fused kernels write every element through
+    ``out=`` ops before reading) and hold a role's array only until they
+    ask for that role again.  A buffer is regrown when a request exceeds
+    it, so the cache settles at the largest request per role — it does
+    not grow with the number of box or batch shapes a run goes through.
+    One cache lives per backend instance, so buffers are reused across
+    launches, RK stages and steps — the allocation pattern the paper's
+    port achieves by hoisting scratch allocation out of the kernels
+    (Sec. IV-B).
     """
 
     def __init__(self) -> None:
@@ -75,15 +80,15 @@ class ScratchCache:
 
     def get(self, role: str, shape: Tuple[int, ...],
             dtype=np.float64) -> np.ndarray:
-        key = (role, tuple(int(s) for s in shape), np.dtype(dtype).str)
-        arr = self._store.get(key)
-        if arr is None:
+        n = math.prod(shape)
+        key = (role, np.dtype(dtype).str)
+        buf = self._store.get(key)
+        if buf is None or buf.size < n:
             self.misses += 1
-            arr = np.empty(key[1], dtype=dtype)
-            self._store[key] = arr
+            buf = self._store[key] = np.empty(n, dtype=dtype)
         else:
             self.hits += 1
-        return arr
+        return buf[:n].reshape(shape)
 
     @property
     def nbytes(self) -> int:

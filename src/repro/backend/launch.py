@@ -29,7 +29,7 @@ derived module attribute ``TARGETS``) enumerate what is installed:
     The first *optimizing* target (:mod:`repro.backend.fused`): kernels
     that advertise fusion collapse the per-direction WENO sweeps into
     one wide launch, reconstruction scratch is reused from a
-    shape-keyed cache, and the hottest kernels are optionally JITed via
+    role-keyed cache, and the hottest kernels are optionally JITed via
     numba (soft dependency).  Accounting matches the device target;
     results drift from host by <= 1e-7 relative L2 (the paper's own
     Fortran -> C++ criterion), not bitwise.
@@ -97,9 +97,9 @@ class LaunchSpec:
         The simulated MPI rank issuing the launch; accounting targets
         map it to that rank's device (Summit: one V100 per rank).
     ``shape``
-        Array-shape hint for scratch caching: optimizing targets key
-        their reconstruction-scratch allocator by box shape, and the
-        hint lets them attribute cache traffic per launch.
+        Array-shape hint: the shape of the patch (or batch of patches)
+        the launch covers, which lets optimizing targets report which
+        shapes drive their scratch cache.
     """
 
     kernel_class: str = "flux"

@@ -45,6 +45,7 @@ from repro.core.config import CroccoConfig  # noqa: F401
 from repro.core.errors import ConfigError  # noqa: F401
 from repro.core.versions import get_version
 from repro.kernels.api import make_kernels
+from repro.kernels.batch import Batch, make_batches, stack
 from repro.kernels.device import GpuDevice
 from repro.mpi.comm import Communicator
 from repro.numerics.cfl import compute_dt
@@ -124,6 +125,9 @@ class Crocco(AmrCore):
         self.du: Dict[int, MultiFab] = {}
         self.coords: Dict[int, MultiFab] = {}
         self.metrics: Dict[int, Dict[int, object]] = {}
+        #: the compute batches of each level's storage (built with it,
+        #: dropped with it: a regrid never leaves one behind)
+        self.batches: Dict[int, List[Batch]] = {}
         #: bytes of level state resident per rank, reserved on the
         #: execution backend while the level exists
         self._residency: Dict[int, List[int]] = {}
@@ -301,6 +305,7 @@ class Crocco(AmrCore):
                         CurvilinearMetrics.from_coordinates(fab.whole()))
             else:
                 self.metrics[lev][i] = CartesianMetrics(self.case.cartesian_dx(geom))
+        self.batches[lev] = make_batches(self.state[lev], self.metrics[lev])
         # each rank's share of the level is resident on its own device
         per_rank = [0] * self.comm.nranks
         for i, fab in self.state[lev]:
@@ -330,7 +335,8 @@ class Crocco(AmrCore):
         engine = getattr(self, "engine", None)
         if engine is not None:
             engine.release_level(lev)
-        for store in (self.state, self.du, self.coords, self.metrics):
+        for store in (self.state, self.du, self.coords, self.metrics,
+                      self.batches):
             store.pop(lev, None)
         for rank, nbytes in enumerate(self._residency.pop(lev, ())):
             self.exec_backend.release(nbytes, rank)
@@ -430,19 +436,23 @@ class Crocco(AmrCore):
         with self.profiler.region("ComputeDt"):
             if self.config.fixed_dt is not None:
                 return self.config.fixed_dt
-            rates = [0.0] * self.comm.nranks
-            for lev in range(self.finest_level + 1):
-                mf = self.state[lev]
-                for i, fab in mf:
-                    # valid region only: ghost cells can be stale right
-                    # after a regrid, before the stage's FillPatch
-                    rank = mf.dm[i]
-                    r = self.kernels.max_rate(
-                        fab.valid(), self.metrics[lev][i].interior(self.ng),
-                        rank)
-                    rates[rank] = max(rates[rank], r)
             cfl = self.config.cfl if self.config.cfl is not None else self.case.cfl
-            return compute_dt(rates, cfl, self.comm)
+            return compute_dt(self.max_rates(), cfl, self.comm)
+
+    def max_rates(self) -> List[float]:
+        """The largest CFL rate over each rank's patches (0: it has none)."""
+        rates = [0.0] * self.comm.nranks
+        for lev in range(self.finest_level + 1):
+            mf = self.state[lev]
+            for batch in self.batches[lev]:
+                # valid region only: ghost cells can be stale right
+                # after a regrid, before the stage's FillPatch
+                got = self.kernels.max_rate(
+                    stack([mf.fab(i).valid() for i in batch.ids]),
+                    batch.metrics.interior(self.ng), batch.ranks)
+                for rank, r in zip(batch.ranks, got.tolist()):
+                    rates[rank] = max(rates[rank], r)
+        return rates
 
     # -- Algorithm 2: RK3 advance ------------------------------------------
     def _rk3(self, dt: float) -> None:

@@ -19,6 +19,21 @@ calls (Algorithm 2): ``WENOx/y/z``, ``Viscous``, ``Update``, plus the
     drift whose L2 norm plateaus near machine-precision-amplified levels —
     the paper's 1e-7 validation criterion (Sec. IV-A).
 
+**Patches and batches.**  The grid axes of every kernel argument are the
+*trailing* ``dim`` axes, so the same code takes one patch —
+``u (ncons, *grown)`` — or a batch of equal-shape patches on an axis
+between component and grid — ``u (ncons, B, *grown)``, ``metrics.m(d)
+(dim, B, *grown)``, ``jacobian() (B, *grown)``
+(:class:`~repro.numerics.metrics.StackedMetrics`) — and a batch computes,
+member for member, exactly what the per-patch calls do (the
+Lax-Friedrichs ``alpha`` stays one per member).  :meth:`KernelSet.rhs`,
+:meth:`~KernelSet.update` and :meth:`~KernelSet.max_rate` are the only
+entry points; the advance calls them once per batch
+(:mod:`repro.kernels.batch`), which is what removes the per-call overhead
+of many small boxes.  The body of a batched launch runs once, and every
+owning rank's device records one launch over its own members' points.
+``Viscous`` still walks the members of a batch inside its one launch.
+
 **Execution target** (``exec_backend``, :mod:`repro.backend`) — where the
 launches run.  The paper moved the C++ kernels onto the GPU through the
 launch API and observed no accuracy change, so the kernels never ask
@@ -30,6 +45,7 @@ both to that rank's simulated device.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -94,15 +110,52 @@ class KernelSet:
             ng = max(ng, self.viscous.nghost)
         return ng
 
+    # -- launches --------------------------------------------------------------
+    def _launch(self, name: str, body, npts: int, kernel_class: str, budget,
+                shape, rank, scratch: int = 0):
+        """Run ``body`` once and record it on the owning rank's device.
+
+        ``npts`` and ``scratch`` (bytes of device global memory reserved
+        from the host around the launch, Sec. IV-B) are per patch.  For a
+        batch ``rank`` holds one rank per member (one rank: it owns them
+        all), and accounting is not execution: every owning rank records
+        one launch over its own members' points — the first carries the
+        body, the others an empty one, as ``PC_copy`` does.
+        """
+        backend = self.exec_backend
+        out = None
+        patches = shape[1] if len(shape) > self.layout.dim + 1 else 1
+        for r, n in Counter(np.broadcast_to(rank, patches).tolist()).items():
+            if scratch:
+                backend.reserve(scratch * n, r)
+            try:
+                res = backend.parallel_for(
+                    name, body, npts * n,
+                    LaunchSpec(kernel_class=kernel_class, budget=budget,
+                               rank=r, shape=shape))
+            finally:
+                if scratch:
+                    backend.release(scratch * n, r)
+            if body is not _no_body:
+                out, body = res, _no_body
+        return out
+
+    def _npts(self, shape, ng: int = 0) -> int:
+        """Points per patch: the trailing ``dim`` axes less ``ng`` ghosts."""
+        return int(np.prod([s - 2 * ng for s in shape[-self.layout.dim:]]))
+
     # -- RHS evaluation --------------------------------------------------
     def rhs(self, u: np.ndarray, metrics: Metrics, ng: int,
-            rank: int = 0) -> np.ndarray:
-        """Full right-hand side over the valid region of one patch.
+            rank=0) -> np.ndarray:
+        """Full right-hand side over the valid region of one patch
+        ``u (ncons, *grown)`` or of a batch of equal-shape patches
+        ``u (ncons, B, *grown)`` with :class:`StackedMetrics`.
 
         The accumulation *order* of direction sweeps differs between the
         fortran and cpp orderings (see module docstring): a deliberate,
         faithful source of floating-point divergence.  ``rank`` is the
-        patch's owning rank (Summit runs one rank per GPU).
+        patch's owning rank (Summit runs one rank per GPU) — for a batch,
+        one rank per member.
         """
         dim = self.layout.dim
         if self.precision == "mixed":
@@ -130,31 +183,22 @@ class KernelSet:
         return out
 
     def _weno_launch(self, name: str, body, npts: int, budget,
-                     u: np.ndarray, rank: int):
+                     u: np.ndarray, rank):
         """One WENO launch with its scratch: the reconstruction scratch
-        arrays live in device global memory, reserved from the host
-        before the launch (Sec. IV-B)."""
-        backend = self.exec_backend
-        nbytes = self.layout.ncons * (u.nbytes // u.shape[0])
-        backend.reserve(nbytes, rank)
-        try:
-            return backend.parallel_for(
-                name, body, npts,
-                LaunchSpec(kernel_class="flux", budget=budget, rank=rank,
-                           shape=u.shape))
-        finally:
-            backend.release(nbytes, rank)
+        arrays, ``ncons`` grown patches' worth per patch."""
+        nbytes = self.layout.ncons * u.itemsize * self._npts(u.shape)
+        return self._launch(name, body, npts, "flux", budget, u.shape, rank,
+                            scratch=nbytes)
 
     def _weno_direction(self, u: np.ndarray, metrics: Metrics, d: int,
-                        ng: int, rank: int) -> np.ndarray:
+                        ng: int, rank) -> np.ndarray:
         body = lambda: self.convective.divergence(
             self.layout, self.eos, u, metrics, d, ng)
-        npts = int(np.prod([s - 2 * ng for s in u.shape[1:]]))
-        return self._weno_launch(DIRECTION_NAMES[d], body, npts, WENO_BUDGET,
-                                 u, rank)
+        return self._weno_launch(DIRECTION_NAMES[d], body,
+                                 self._npts(u.shape, ng), WENO_BUDGET, u, rank)
 
     def _fused_sweep(self, u: np.ndarray, metrics: Metrics, ng: int,
-                     rank: int) -> np.ndarray:
+                     rank) -> np.ndarray:
         """One wide launch for all directional sweeps (fused target).
 
         The launch is named ``WENOxy``/``WENOxyz`` and covers
@@ -165,7 +209,6 @@ class KernelSet:
 
         backend = self.exec_backend
         dim = self.layout.dim
-        npts = dim * int(np.prod([s - 2 * ng for s in u.shape[1:]]))
         scratch = getattr(backend, "scratch", None)
         if scratch is None:
             from repro.backend import ScratchCache
@@ -176,38 +219,46 @@ class KernelSet:
             self.layout, self.eos, self.convective, u, metrics, ng,
             scratch, jit=getattr(backend, "jit_enabled", False),
             reverse=(self.ordering != "fortran"))
-        return self._weno_launch("WENO" + "xyz"[:dim], body, npts,
+        return self._weno_launch("WENO" + "xyz"[:dim], body,
+                                 dim * self._npts(u.shape, ng),
                                  fused_weno_budget(dim), u, rank)
 
     def _viscous(self, u: np.ndarray, metrics: Metrics, ng: int,
-                 rank: int) -> np.ndarray:
+                 rank) -> np.ndarray:
         assert self.viscous is not None
-        npts = int(np.prod([s - 2 * ng for s in u.shape[1:]]))
-        return self.exec_backend.parallel_for(
-            "Viscous",
-            lambda: self.viscous.divergence(self.layout, self.eos, u,
-                                            metrics, ng),
-            npts, LaunchSpec(kernel_class="flux", budget=VISCOUS_BUDGET,
-                             rank=rank, shape=u.shape))
+        div = lambda u, metrics: self.viscous.divergence(
+            self.layout, self.eos, u, metrics, ng)
+        if u.ndim == self.layout.dim + 1:
+            body = lambda: div(u, metrics)
+        else:
+            # not axis-generic yet: the members of a batch one at a time
+            body = lambda: np.stack(
+                [div(u[:, b], metrics.member(b)) for b in range(u.shape[1])],
+                axis=1)
+        return self._launch("Viscous", body, self._npts(u.shape, ng), "flux",
+                            VISCOUS_BUDGET, u.shape, rank)
 
     # -- RK update kernel -----------------------------------------------------
     def update(self, u_valid: np.ndarray, du: np.ndarray, rhs: np.ndarray,
-               dt: float, stage: int, rank: int = 0) -> None:
-        """Low-storage RK stage over one patch's valid region, in place."""
-        npts = int(np.prod(u_valid.shape[1:]))
-        self.exec_backend.parallel_for(
-            "Update",
-            lambda: rk3_stage(u_valid, du, rhs, dt, stage),
-            npts, LaunchSpec(kernel_class="update", budget=UPDATE_BUDGET,
-                             rank=rank, shape=u_valid.shape))
+               dt: float, stage: int, rank=0) -> None:
+        """Low-storage RK stage over the valid region of one patch or of
+        a batch (``rank``: one per member), in place."""
+        self._launch("Update",
+                     lambda: rk3_stage(u_valid, du, rhs, dt, stage),
+                     self._npts(u_valid.shape), "update", UPDATE_BUDGET,
+                     u_valid.shape, rank)
 
     # -- ComputeDt ----------------------------------------------------------
-    def max_rate(self, u: np.ndarray, metrics: Metrics,
-                 rank: int = 0) -> float:
+    def max_rate(self, u: np.ndarray, metrics: Metrics, rank=0):
         """Patch CFL rate, via the backend ReduceData (a recorded device
-        reduction on an accounting target, plain NumPy on host)."""
+        reduction on an accounting target, plain NumPy on host); for a
+        batch, the rate of every member."""
         return local_max_rate(self.layout, self.eos, u, metrics,
                               backend=self.exec_backend, rank=rank)
+
+
+def _no_body() -> None:
+    """The body of a launch that is recorded but runs nothing."""
 
 
 def make_kernels(

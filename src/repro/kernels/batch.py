@@ -1,0 +1,97 @@
+"""Box batches: the equal-shape patches of a level run as one kernel call.
+
+An AMR hierarchy is many small patches (44 boxes of 12-1,024 cells on
+the DMR deck), and a patch-at-a-time advance pays hundreds of NumPy calls
+per patch on arrays of a few hundred elements.  A :class:`Batch` is the
+unit the RK advance runs instead: patches of one level with the same
+grown shape, stacked on a batch axis between component and grid —
+``u (ncons, B, *grown)`` with :class:`~repro.numerics.metrics.StackedMetrics`
+— for one :meth:`KernelSet.rhs` / ``update`` / ``max_rate`` call each.
+
+Batches describe a level's storage: :func:`make_batches` builds them with
+it, they are reachable only through it, and they die with it at the next
+regrid (the lifetime rule communication plans follow).  The patch data is
+*gathered* from the fabs when a batch runs — never held — because the
+pool executor's arena rebinds ``fab.data``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
+
+from repro.numerics.metrics import Metrics, StackedMetrics
+
+#: most grown cells stacked into one batch.  Measured on the benchmark
+#: decks (EXPERIMENTS.md "Box-batched kernels"): the per-call overhead is
+#: mostly amortised by ~2,000 cells (rhs per RK stage on dmr_amr_v20: 82.8
+#: ms per box, 48.3 / 44.5 / 42.6 ms at 2,048 / 4,096 / 8,192), and the
+#: batch temporaries are what peak RSS is made of: peak_rss_mb on
+#: dmr_amr_v20 / dmr_churn_v21 is +8.5% / +9.4% at 8,192 (bound 5%),
+#: +2.5% / +3.7% at 4,096, +0.0% / +0.4% at 2,048.  A patch over the
+#: budget is a batch of one.
+BATCH_CELLS = 2048
+
+
+@dataclass
+class Batch:
+    """Equal-shape patches of one level, by fab index."""
+
+    ids: Tuple[int, ...]
+    #: owning rank of each member
+    ranks: Tuple[int, ...]
+    #: the members' metrics on the batch axis (owns ``m`` and ``J``)
+    metrics: StackedMetrics
+
+
+def make_batches(state, metrics: Dict[int, Metrics]) -> List[Batch]:
+    """Group the fabs of MultiFab ``state`` by grown shape, in box order,
+    and cut each group into batches of at most :data:`BATCH_CELLS` grown
+    cells; ``metrics[i]`` are fab ``i``'s."""
+    groups: Dict[tuple, List[int]] = {}
+    for i, fab in state:
+        groups.setdefault(fab.whole().shape[1:], []).append(i)
+    out = []
+    for shape, ids in groups.items():
+        step = max(1, BATCH_CELLS // int(np.prod(shape)))
+        for k in range(0, len(ids), step):
+            part = tuple(ids[k:k + step])
+            out.append(Batch(part, tuple(state.dm[i] for i in part),
+                             StackedMetrics([metrics[i] for i in part])))
+    return out
+
+
+def stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Patch arrays on the batch axis — one patch as an inserted-axis
+    *view* (nothing to copy in or, after an in-place kernel, out)."""
+    if len(arrays) == 1:
+        return arrays[0][:, None]
+    return np.stack(arrays, axis=1)
+
+
+def rhs_update(kernels, case, us: Sequence[np.ndarray],
+               dus: Sequence[np.ndarray], coords: Sequence[np.ndarray],
+               metrics: StackedMetrics, ranks: Sequence[int], ng: int,
+               time: float, dt: float, stage: int) -> None:
+    """One RK stage of a batch: gather, RHS (+ source), update, scatter.
+
+    ``us`` / ``dus`` / ``coords`` are the members' whole arrays — the
+    driver's fabs, or what a pool worker attached from shared memory —
+    updated in place.
+    """
+    valid = (Ellipsis,) + (slice(ng, -ng),) * kernels.layout.dim
+    u, du = stack(us), stack(dus)
+    rhs = kernels.rhs(u, metrics, ng, ranks)
+    for b, (ub, cb) in enumerate(zip(us, coords)):
+        # not batched: sources see one patch at a time
+        src = case.source(ub[valid], cb[valid], time,
+                          metrics=metrics.member(b).interior(ng))
+        if src is not None:
+            rhs[:, b] += src
+    kernels.update(u[valid], du, rhs, dt, stage, ranks)
+    if len(us) > 1:
+        for b, (ub, dub) in enumerate(zip(us, dus)):
+            ub[valid] = u[:, b][valid]
+            dub[...] = du[:, b]

@@ -2,43 +2,50 @@
 
 The host path (:meth:`repro.numerics.fluxes.ConvectiveFlux.divergence`)
 launches one kernel per direction, each of which recomputes the
-primitive variables, reconstructs every interface of the *grown* box and
-crops afterwards, and allocates every intermediate array.  This module
-is the optimized equivalent — one wide launch per right-hand side that
-applies the three classic port optimizations (STREAmS-2's "fewer, wider
-kernels"; the paper's scratch-array hoisting, Sec. IV-B):
+primitive variables, reconstructs every interface along the sweep axis,
+and allocates every intermediate array.  This module is the optimized
+equivalent — one wide launch per right-hand side that applies the three
+classic port optimizations (STREAmS-2's "fewer, wider kernels"; the
+paper's scratch-array hoisting, Sec. IV-B):
 
 1. **Shared primitives** — ``rho, vel, p, a`` are computed once and
    reused by all ``dim`` directional sweeps.
-2. **Work restriction** — transverse ghost regions are cropped *before*
-   reconstruction (exact: reconstruction only couples cells along the
-   sweep axis), and only the ``nvalid + 1`` needed interfaces are
-   combined, instead of every interface of the grown box.
+2. **Work restriction** — like the host path, transverse ghost rows are
+   cropped *before* the flux (exact: reconstruction only couples cells
+   along the sweep axis; both share ``_crop_transverse``); here, in
+   addition, only the ``nvalid + 1`` needed interfaces are combined,
+   instead of every interface of the grown sweep axis.
 3. **Scratch reuse + fast combination** — all intermediates live in a
-   shape-keyed :class:`repro.backend.fused.ScratchCache` and the WENO
+   role-keyed :class:`repro.backend.fused.ScratchCache` and the WENO
    combination runs through ``out=`` ufuncs with a rank-2 smoothness
    factorization:  ``smoothness_matrix`` is ``minv.T @ diag(0, 1, K)
    @ minv`` with ``K = 1/3 + 4``, so ``beta = (d1 . v)^2 + K (d2 . v)^2``
    — 2 dot products instead of a 9-term quadratic form.
 
+The grid axes are the trailing ``dim`` axes of ``u``: one patch
+``(ncons, *grown)`` or a batch of equal-shape patches
+``(ncons, B, *grown)`` (see :mod:`repro.kernels.api`), each member
+bitwise what the per-patch sweep gives.
+
 Optionally the combination is JIT-compiled with numba (soft dependency;
 see :func:`get_jit_combine`) into a single pass over contiguous rows.
 
-Accuracy contract: the Lax-Friedrichs ``alpha`` is still computed on the
-**full grown array** — bitwise identical to the host path — so the only
-divergence from ``host`` is floating-point re-association inside the
-combination, bounded at 1e-7 relative L2 on the DMR deck by
+Accuracy contract: the Lax-Friedrichs ``alpha`` is still computed per
+patch on its **full grown array** — bitwise identical to the host path —
+so the only divergence from ``host`` is floating-point re-association
+inside the combination, bounded at 1e-7 relative L2 on the DMR deck by
 ``tests/backend/test_fused.py`` (the paper's port-validation criterion).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.numerics.fluxes import curvilinear_flux, wave_speed
+from repro.numerics.fluxes import (_crop_transverse, curvilinear_flux,
+                                   wave_speed)
 from repro.numerics.weno import (CANDIDATE_OFFSETS, WENO_EPS_FLOOR,
                                  _cell_average_matrix, interface_coefficients)
 
@@ -256,25 +263,6 @@ def get_jit_combine():
 
 # -- fused sweep --------------------------------------------------------------
 
-def _crop_transverse(arr: np.ndarray, d: int, ng: int,
-                     grid_shape: Tuple[int, ...]) -> np.ndarray:
-    """View of ``arr`` cropped to valid in every grid direction but ``d``.
-
-    The grid axes are the trailing ``dim`` axes; size-1 (broadcast) axes
-    are left alone, like :func:`repro.numerics.fluxes._crop_to_valid`.
-    """
-    dim = len(grid_shape)
-    off = arr.ndim - dim
-    sl = [slice(None)] * arr.ndim
-    for t in range(dim):
-        if t == d:
-            continue
-        n = grid_shape[t]
-        if arr.shape[off + t] == n and n > 1:
-            sl[off + t] = slice(ng, n - ng)
-    return arr[tuple(sl)]
-
-
 def fused_sweep(layout, eos, convective, u: np.ndarray, metrics, ng: int,
                 scratch, jit: bool = False,
                 reverse: bool = True) -> np.ndarray:
@@ -289,8 +277,8 @@ def fused_sweep(layout, eos, convective, u: np.ndarray, metrics, ng: int,
         raise ValueError(
             f"need at least {convective.nghost} ghost cells, got {ng}")
     dim = layout.dim
-    grid_shape = u.shape[1:]
-    valid_shape = tuple(s - 2 * ng for s in grid_shape)
+    grid_shape = u.shape[-dim:]
+    valid = tuple(slice(ng, s - ng) for s in grid_shape)
     scheme = convective.scheme
     dtype = u.dtype
 
@@ -298,33 +286,30 @@ def fused_sweep(layout, eos, convective, u: np.ndarray, metrics, ng: int,
     rho, vel, p = eos.primitives(layout, u)
     a = eos.sound_speed(layout, u)
     J = metrics.jacobian()
-    Jb = np.broadcast_to(J, grid_shape)
-    Jvalid = Jb[tuple(slice(ng, s - ng) for s in grid_shape)]
+    Jb = np.broadcast_to(J, u.shape[1:])
+    Jvalid = Jb[(Ellipsis,) + valid]
 
     jit_rows = get_jit_combine() if (jit and scheme.n_stencils == 4) else None
 
     # the return value is a real allocation (scratch arrays are recycled
     # by the next launch; the caller keeps the RHS across the RK update)
-    acc = np.zeros((layout.ncons,) + valid_shape, dtype=dtype)
+    acc = np.zeros((layout.ncons,) + Jvalid.shape, dtype=dtype)
 
     directions = range(dim - 1, -1, -1) if reverse else range(dim)
     for d in directions:
-        axis = d + 1
+        axis = u.ndim - dim + d
         m = metrics.m(d)
-        # LF alpha on the FULL grown array: bitwise-identical to the
-        # host path (a max over a superset of the cropped cells would
+        # LF alpha per box on its FULL grown array: bitwise-identical to
+        # the host path (a max over a superset of the cropped cells would
         # round the same, but keeping the op sequence identical makes
         # the drift argument purely about the combination step)
         lam = wave_speed(vel, a, m, J)
-        alpha = float(lam.max())
+        alpha = lam.max(axis=tuple(range(-dim, 0)), keepdims=True)
 
         # transverse pre-crop: reconstruction along `axis` never mixes
         # transverse neighbors, so ghost rows are dead work
-        u_c = _crop_transverse(u, d, ng, grid_shape)
-        vel_c = _crop_transverse(vel, d, ng, grid_shape)
-        p_c = _crop_transverse(p, d, ng, grid_shape)
-        m_c = _crop_transverse(m, d, ng, grid_shape)
-        J_c = _crop_transverse(Jb, d, ng, grid_shape)
+        u_c, vel_c, p_c, m_c, J_c = (_crop_transverse(x, d, ng, dim)
+                                     for x in (u, vel, p, m, Jb))
 
         fhat = curvilinear_flux(layout, u_c, vel_c, p_c, m_c,
                                 form=convective.split_form)
@@ -369,7 +354,7 @@ def fused_sweep(layout, eos, convective, u: np.ndarray, metrics, ng: int,
 
         df = scratch.get("df", lead + (nv,), dtype)
         np.subtract(f_iface[..., 1:], f_iface[..., :-1], out=df)
-        Jv = np.moveaxis(Jvalid, d, -1)
+        Jv = np.moveaxis(Jvalid, axis - 1, -1)
         np.divide(df, Jv, out=df)
         acc_view = np.moveaxis(acc, axis, -1)
         acc_view -= df

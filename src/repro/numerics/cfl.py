@@ -19,12 +19,16 @@ from repro.numerics.state import StateLayout
 
 
 def local_max_rate(layout: StateLayout, eos, u: np.ndarray, metrics,
-                   backend=None, rank: int = 0) -> float:
+                   backend=None, rank=0):
     """max over this patch's cells of sum_d (|Uhat_d| + a |m_d|)/J.
 
     The final max is an execution-backend ``ReduceData``: a NumPy
     reduction on the host target, a recorded ``ComputeDt`` device
     reduction on the device target — bitwise identical either way.
+
+    A batch ``u (ncons, B, *grid)`` with one owning rank per member
+    returns the ``B`` patch rates; each owning rank records one
+    reduction over its own members' cells.
     """
     rho, vel, p = eos.primitives(layout, u)
     a = eos.sound_speed(layout, u)
@@ -41,9 +45,16 @@ def local_max_rate(layout: StateLayout, eos, u: np.ndarray, metrics,
         backend = current_backend()
     from repro.backend import LaunchSpec
 
-    return backend.reduce_data(
-        "ComputeDt", total, "max",
-        LaunchSpec(kernel_class="reduction", rank=rank, shape=total.shape))
+    spec = lambda r: LaunchSpec(kernel_class="reduction", rank=r,
+                                shape=total.shape)
+    if total.ndim == layout.dim:
+        return backend.reduce_data("ComputeDt", total, "max", spec(rank))
+    # accounting is not execution: the patch maxima are taken once, on the
+    # stack; what each rank's device would have reduced is recorded here
+    ranks = np.broadcast_to(rank, len(total))
+    for r in dict.fromkeys(ranks.tolist()):
+        backend.reduce_data("ComputeDt", total[ranks == r], "max", spec(r))
+    return total.max(axis=tuple(range(-layout.dim, 0)))
 
 
 def compute_dt(

@@ -10,16 +10,24 @@ generalized curvilinear grids.  With computational coordinates ``xi_d``
 
 Fluxes are split with a global (per-patch, per-direction) Lax-Friedrichs
 splitting ``Fhat± = (Fhat ± alpha J U) / 2`` with ``alpha`` the largest
-characteristic speed ``(|Uhat| + a |m_d|) / J``, and each part is
-reconstructed at interfaces with the WENO-SYMBO scheme
-(:mod:`repro.numerics.weno`) — upwind-biased for the plus part, mirrored
-for the minus part.
+characteristic speed ``(|Uhat| + a |m_d|) / J`` over the patch's grown
+array, and each part is reconstructed at interfaces with the WENO-SYMBO
+scheme (:mod:`repro.numerics.weno`) — upwind-biased for the plus part,
+mirrored for the minus part.
+
+Axis convention: the grid axes are the *trailing* ``dim`` axes of every
+array, so one call takes a patch ``u (ncons, *grown)`` or a batch of
+equal-shape patches ``u (ncons, B, *grown)`` and gives each member the
+value of its own call (``alpha`` is then one per member).  A sweep needs
+the ghost cells of its own axis only: the transverse ghost rows — 2.5x to
+3x the valid cells on small AMR boxes — are dropped before the flux, the
+split and the reconstruction, which is exact because reconstruction
+couples cells along the sweep axis only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -106,22 +114,31 @@ class ConvectiveFlux:
         """-(1/J) d(Fhat_d)/d(xi_d) over the valid region.
 
         ``u`` covers the valid box grown by ``ng >= nghost + 1`` ghost
-        cells; metric arrays must broadcast over the same grown shape.
+        cells, ``(ncons, *grown)`` or, for a batch of equal-shape boxes,
+        ``(ncons, B, *grown)``; metric arrays must broadcast over the
+        same shape behind their component axis.
         """
         if ng < self.nghost:
             raise ValueError(f"need at least {self.nghost} ghost cells, got {ng}")
-        axis = direction + 1
         dim = layout.dim
+        axis = u.ndim - dim + direction
         rho, vel, p = eos.primitives(layout, u)
         a = eos.sound_speed(layout, u)
         m = metrics.m(direction)
         J = metrics.jacobian()
 
-        fhat = curvilinear_flux(layout, u, vel, p, m, form=self.split_form)
+        # one alpha per box, over its full grown array
         lam = wave_speed(vel, a, m, J)
-        alpha = float(lam.max())
+        alpha = lam.max(axis=tuple(range(-dim, 0)), keepdims=True)
+
+        # reconstruction couples cells along the sweep axis only: the
+        # transverse ghost rows are dead work, dropped before the flux
+        u, vel, p, m = (_crop_transverse(x, direction, ng, dim)
+                        for x in (u, vel, p, m))
+        J = _crop_transverse(np.broadcast_to(J, lam.shape), direction, ng, dim)
+        fhat = curvilinear_flux(layout, u, vel, p, m, form=self.split_form)
         # split against q = J U (J is the time-independent cell Jacobian)
-        ju = u * np.broadcast_to(J, lam.shape)[None]
+        ju = u * J[None]
         fplus = 0.5 * (fhat + alpha * ju)
         fminus = 0.5 * (fhat - alpha * ju)
 
@@ -137,19 +154,11 @@ class ConvectiveFlux:
         # keep interfaces -1/2 .. nvalid-1/2 of the valid region
         nv = u.shape[axis] - 2 * ng
         start = ng - 3
-        sl = [slice(None)] * f_iface.ndim
-        sl[axis] = slice(start, start + nv + 1)
-        f_iface = f_iface[tuple(sl)]
-
-        df = np.diff(f_iface, axis=axis)
-        # crop transverse directions to the valid region
-        crop = [slice(None)] * df.ndim
-        for d in range(dim):
-            if d != direction:
-                crop[d + 1] = slice(ng, df.shape[d + 1] - ng)
-        df = df[tuple(crop)]
-        Jv = _crop_to_valid(np.broadcast_to(J, u.shape[1:]), ng, df.shape[1:])
-        return -df / Jv
+        sweep = [slice(None)] * u.ndim
+        sweep[axis] = slice(start, start + nv + 1)
+        df = np.diff(f_iface[tuple(sweep)], axis=axis)
+        sweep[axis] = slice(ng, ng + nv)
+        return -df / J[tuple(sweep[1:])]
 
     def _characteristic_interface(
         self, layout: StateLayout, eos, u: np.ndarray,
@@ -203,14 +212,15 @@ class ConvectiveFlux:
         return float(total.max())
 
 
-def _crop_to_valid(arr: np.ndarray, ng: int, valid_shape: Tuple[int, ...]) -> np.ndarray:
-    """Crop a (possibly broadcast, size-1-axis) array to the valid region."""
-    sl = []
-    for n, nv in zip(arr.shape, valid_shape):
-        if n == nv:
-            sl.append(slice(None))
-        elif n == 1:
-            sl.append(slice(None))
-        else:
-            sl.append(slice(ng, ng + nv))
+def _crop_transverse(arr: np.ndarray, d: int, ng: int, dim: int) -> np.ndarray:
+    """View of ``arr`` without the ``ng`` ghost rows of every grid
+    direction but ``d``.
+
+    The grid axes are the trailing ``dim`` axes; size-1 (broadcast) axes
+    are left alone.
+    """
+    sl = [slice(None)] * arr.ndim
+    for t in range(dim):
+        if t != d and arr.shape[t - dim] > 1:
+            sl[t - dim] = slice(ng, arr.shape[t - dim] - ng)
     return arr[tuple(sl)]

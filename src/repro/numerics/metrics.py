@@ -65,7 +65,12 @@ def derivative_same_shape(v: np.ndarray, axis: int, order: int = 4) -> np.ndarra
 
 
 class Metrics:
-    """Interface used by the flux kernels."""
+    """Interface used by the flux kernels.
+
+    The grid axes are the *trailing* ``dim`` axes of every metric array;
+    a batch of equal-shape patches (:class:`StackedMetrics`) puts its
+    batch axis between the component axis and the grid.
+    """
 
     dim: int
 
@@ -92,18 +97,68 @@ class _CroppedMetrics(Metrics):
         self._ng = ng
         self.dim = base.dim
 
-    def _crop(self, arr: np.ndarray, offset: int) -> np.ndarray:
+    def _crop(self, arr: np.ndarray) -> np.ndarray:
         sl = tuple(
             slice(None) if n == 1 else slice(self._ng, n - self._ng)
-            for n in arr.shape[offset:]
+            for n in arr.shape[-self.dim:]
         )
-        return arr[(slice(None),) * offset + sl]
+        return arr[(Ellipsis,) + sl]
 
     def m(self, d: int) -> np.ndarray:
-        return self._crop(self._base.m(d), 1)
+        return self._crop(self._base.m(d))
 
     def jacobian(self) -> np.ndarray:
-        return self._crop(self._base.jacobian(), 0)
+        return self._crop(self._base.jacobian())
+
+
+class StackedMetrics(Metrics):
+    """The metrics of ``B`` equal-shape patches on one batch axis:
+    ``m(d)`` is ``(dim, B, *grid)``, ``jacobian()`` ``(B, *grid)``.
+
+    A stack of several patches *owns* the arrays: curvilinear members are
+    re-pointed at views into it, so a level keeps one copy of ``m`` and
+    ``J`` (a second one is +2% RSS on the 2-D DMR decks).  A stack of one
+    is its member seen through an inserted axis: nothing is copied.
+    """
+
+    def __init__(self, members: Sequence[Metrics]) -> None:
+        self.dim = dim = members[0].dim
+        if len(members) == 1:
+            self._m = [members[0].m(d)[:, None] for d in range(dim)]
+            self._J = members[0].jacobian()[None]
+            return
+        #: m[d, j] of every member, (dim, dim, B, *grid)
+        self._m = np.stack([np.stack([mem.m(d) for mem in members], axis=1)
+                            for d in range(dim)])
+        self._J = np.stack([mem.jacobian() for mem in members])
+        for b, mem in enumerate(members):
+            if isinstance(mem, CurvilinearMetrics):
+                mem._m, mem._J = self._m[:, :, b], self._J[b]
+
+    def m(self, d: int) -> np.ndarray:
+        return self._m[d]
+
+    def jacobian(self) -> np.ndarray:
+        return self._J
+
+    def member(self, b: int) -> Metrics:
+        """Patch ``b``'s own metrics, as views."""
+        return _MemberMetrics(self, b)
+
+
+class _MemberMetrics(Metrics):
+    """One patch of a :class:`StackedMetrics`."""
+
+    def __init__(self, stack: StackedMetrics, b: int) -> None:
+        self._stack = stack
+        self._b = b
+        self.dim = stack.dim
+
+    def m(self, d: int) -> np.ndarray:
+        return self._stack.m(d)[:, self._b]
+
+    def jacobian(self) -> np.ndarray:
+        return self._stack.jacobian()[self._b]
 
 
 class CartesianMetrics(Metrics):

@@ -34,14 +34,15 @@ _BOX_RE = re.compile(r"\(L(\d+),b(\d+)\)")
 def kernel_class(name: str) -> str:
     """The kernel class of a task name: its prefix before ``(``.
 
-    ``Box(L1,b3)`` -> ``Box``, ``FB_nowait(L0)`` -> ``FB_nowait``,
+    ``Box(L1,b3)x8`` -> ``Box``, ``FB_nowait(L0)`` -> ``FB_nowait``,
     ``AverageDown(L1->L0)`` -> ``AverageDown``.
     """
     return name.split("(", 1)[0]
 
 
 def box_of(name: str) -> Optional[Tuple[int, int]]:
-    """The (level, box) a per-box task touches, or None."""
+    """The (level, box) a per-box task touches — for a batch node
+    (``Box(L1,b3)x8``) its first member — or None."""
     m = _BOX_RE.search(name)
     return (int(m.group(1)), int(m.group(2))) if m else None
 

@@ -139,6 +139,8 @@ def final_totals(records: Sequence[dict], prefix: str, depth: int = 0):
     for key, value in final.items():
         if key.startswith(prefix + "."):
             *groups, field = key[len(prefix) + 1:].split(".", depth)
+            if len(groups) < depth:
+                continue    # a gauge of the prefix itself (kernel.batches)
             node = out
             for group in groups:
                 node = node.setdefault(group, {})
@@ -262,6 +264,14 @@ def format_report(events: Sequence[dict], other: dict,
         if kinds:
             lines.append("  tasks/step: " + ", ".join(
                 f"{k.replace('_', '-')}={kinds[k]}" for k in sorted(kinds)))
+        m = records[-1]["metrics"]
+        if "kernel.batches" in m:
+            # equal-shape boxes of a level run as one kernel call; CI fails
+            # when the AMR deck's boxes stop sharing batches
+            lines.append(
+                f"  compute batches = {int(m['kernel.batches'])} for "
+                f"{int(m['kernel.batch_boxes'])} boxes (grown/valid = "
+                f"{m['kernel.batch_grown_cells'] / m['active_cells.total']:.2f})")
 
     # bottleneck: where the capacity of every lane actually went
     perf = final_totals(records, "perf")

@@ -190,7 +190,7 @@ class StepWatchdog:
                     kind="numerical",
                 )
         if margin is not None:
-            rate = self._max_rate(sim)
+            rate = max(sim.max_rates())
             cfl = (sim.config.cfl if sim.config.cfl is not None
                    else sim.case.cfl)
             if rate > 0 and dt * rate > cfl * margin:
@@ -199,17 +199,6 @@ class StepWatchdog:
                     f"{margin:g} x cfl = {cfl * margin:.3g}",
                     kind="numerical",
                 )
-
-    def _max_rate(self, sim) -> float:
-        rate = 0.0
-        for lev in range(sim.finest_level + 1):
-            mf = sim.state[lev]
-            for i, fab in mf:
-                rate = max(rate, sim.kernels.max_rate(
-                    fab.valid(), sim.metrics[lev][i].interior(sim.ng),
-                    mf.dm[i],
-                ))
-        return rate
 
     # -- snapshot / rollback ----------------------------------------------
     def _snapshot(self, sim) -> Dict:

@@ -18,7 +18,7 @@
 Workers inherit the driver's kernel set and case via fork (set with
 :func:`set_worker_context` just before the pool starts), so nothing
 heavyweight is pickled per task: a task payload is a small dict of
-shared-memory metadata plus the per-box metrics.
+shared-memory metadata plus the batch's stacked metrics.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import time
 from collections import Counter
 from typing import Callable, Dict, Optional, Tuple
 
+from repro.kernels.batch import rhs_update
 from repro.runtime.shm import attach_array
 
 EXECUTORS = ("serial", "pool")
@@ -139,23 +140,15 @@ def _run_payload_remote(blob: bytes):
 
 
 def _rhs_update(spec: dict) -> None:
-    """One box's RK stage: RHS evaluation + source + low-storage update."""
+    """One batch's RK stage on the fabs attached from shared memory; the
+    launches are accounted on the owning ranks' devices."""
     if _WORKER_CTX is None:  # pragma: no cover - guarded by PoolExecutor
         raise RuntimeError("worker context not set (set_worker_context)")
-    kernels, case = _WORKER_CTX
-    u = attach_array(spec["state"])
-    du = attach_array(spec["du"])
-    coords = attach_array(spec["coords"])
-    metrics = spec["metrics"]
-    ng = spec["ng"]
-    rank = spec["rank"]  # launches are accounted on the owning rank's device
-    valid = (slice(None),) + tuple(slice(ng, s - ng) for s in u.shape[1:])
-    rhs = kernels.rhs(u, metrics, ng, rank)
-    src = case.source(u[valid], coords[valid], spec["time"],
-                      metrics=metrics.interior(ng))
-    if src is not None:
-        rhs = rhs + src
-    kernels.update(u[valid], du, rhs, spec["dt"], spec["stage"], rank)
+    rhs_update(*_WORKER_CTX,
+               *([attach_array(meta) for meta in spec[tag]]
+                 for tag in ("state", "du", "coords")),
+               spec["metrics"], spec["ranks"], spec["ng"], spec["time"],
+               spec["dt"], spec["stage"])
 
 
 class BaseExecutor:

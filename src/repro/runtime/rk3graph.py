@@ -1,8 +1,8 @@
 """Build the task graph for one RK3 stage of the CRoCCo advance.
 
 The graph encodes exactly the work Algorithm 2 does per stage — FillPatch
-(split into posted and finishing halves), BC_Fill, the per-box
-WENO/Viscous/Update kernel, and (last stage) AverageDown — with data
+(split into posted and finishing halves), BC_Fill, the
+WENO/Viscous/Update kernels of each box batch, and (last stage) AverageDown — with data
 dependencies inferred from declared read/write sets.  Tasks are submitted
 in the legacy eager order, so a scheduler that never reorders reproduces
 the old driver bit for bit; the ready-queue scheduler then hoists the
@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.amr.fillpatch import FillPatchOp
+from repro.kernels.batch import rhs_update
 from repro.runtime.graph import DataKey, TaskGraph
 
 
@@ -32,8 +33,8 @@ def build_stage_graph(sim, dt: float, stage: int,
     """The task graph of one RK stage of ``sim`` (a :class:`Crocco`).
 
     When ``arena`` is a :class:`~repro.runtime.shm.SharedArena` holding the
-    level storage, per-box kernel tasks carry picklable payloads so a pool
-    executor can run them in worker processes; otherwise they are
+    level storage, the batch kernel tasks carry picklable payloads so a
+    pool executor can run them in worker processes; otherwise they are
     driver-only closures.
     """
     g = TaskGraph()
@@ -90,30 +91,31 @@ def build_stage_graph(sim, dt: float, stage: int,
             f"BC_Fill(L{lev})", (lambda lev=lev: sim._bc_fill(lev)),
             kind="bc", reads=ckeys, writes=skeys,
         )
-        for i, fab in state:
+        for batch in sim.batches[lev]:
             payload = None
             if arena is not None and arena.has(("state", lev)):
                 payload = {
                     "op": "rhs_update",
-                    "state": arena.meta(("state", lev), i),
-                    "du": arena.meta(("du", lev), i),
-                    "coords": arena.meta(("coords", lev), i),
-                    "metrics": sim.metrics[lev][i],
-                    "rank": state.dm[i],
+                    **{tag: [arena.meta((tag, lev), i) for i in batch.ids]
+                       for tag in ("state", "du", "coords")},
+                    "metrics": batch.metrics,
+                    "ranks": batch.ranks,
                     "ng": sim.ng,
                     "time": sim.time,
                     "dt": dt,
                     "stage": stage,
                 }
+            touched = [DataKey((tag, lev), i) for i in batch.ids
+                       for tag in ("state", "du")]
             g.add(
-                f"Box(L{lev},b{i})",
-                _box_fn(sim, lev, i, fab, dt, stage),
+                # the first member names the node: kernel_class(), box_of()
+                # and ``task_error@...:Box`` fault plans read it as before
+                f"Box(L{lev},b{batch.ids[0]})x{len(batch.ids)}",
+                _batch_fn(sim, lev, batch, dt, stage),
                 kind="compute",
-                reads=(DataKey(("state", lev), i),
-                       DataKey(("coords", lev), i),
-                       DataKey(("du", lev), i)),
-                writes=(DataKey(("state", lev), i),
-                        DataKey(("du", lev), i)),
+                reads=touched + [DataKey(("coords", lev), i)
+                                 for i in batch.ids],
+                writes=touched,
                 payload=payload,
             )
     if stage == nstages - 1:
@@ -129,20 +131,16 @@ def build_stage_graph(sim, dt: float, stage: int,
     return g
 
 
-def _box_fn(sim, lev: int, i: int, fab, dt: float, stage: int):
-    """The inline per-box RK-stage closure (identical to the eager body)."""
+def _batch_fn(sim, lev: int, batch, dt: float, stage: int):
+    """The inline RK stage of one batch (what a pool worker runs from the
+    payload, on the driver's own fabs)."""
 
     def run() -> None:
-        rank = sim.state[lev].dm[i]
-        rhs = sim.kernels.rhs(fab.whole(), sim.metrics[lev][i], sim.ng, rank)
-        src = sim.case.source(
-            fab.valid(), sim.coords[lev].fab(i).valid(), sim.time,
-            metrics=sim.metrics[lev][i].interior(sim.ng),
-        )
-        if src is not None:
-            rhs = rhs + src
-        sim.kernels.update(fab.valid(), sim.du[lev].fab(i).valid(), rhs,
-                           dt, stage, rank)
+        rhs_update(
+            sim.kernels, sim.case,
+            *([mf.fab(i).whole() for i in batch.ids]
+              for mf in (sim.state[lev], sim.du[lev], sim.coords[lev])),
+            batch.metrics, batch.ranks, sim.ng, sim.time, dt, stage)
 
     return run
 

@@ -83,6 +83,10 @@ def test_accounting_is_what_it_was_before_plans(version):
             "one PC_gather per fine fab per stage; it was one per ghost "
             "piece, and on 2.0 a second one for the piece's coordinates "
             "(1101 / 723 on this deck)")
+        assert (launches["flux"], launches["update"]) == (210, 105), (
+            "21 batches of equal-shape boxes, recorded once per owning rank "
+            "(35 rank shares), x 2 WENO sweeps (flux) x 3 RK stages; it was "
+            "one launch per box: 44 boxes, 264 / 132 on this deck")
 
 
 @pytest.mark.parametrize("version", sorted(PINNED))

@@ -62,19 +62,40 @@ class TestCombineMath:
 
 class TestScratchCache:
     def test_reuse_and_counters(self):
+        """One buffer per role, grown to the largest request."""
         c = ScratchCache()
         a = c.get("x", (4, 8))
         b = c.get("x", (4, 8))
-        assert a is b
+        assert a.shape == b.shape == (4, 8) and np.shares_memory(a, b)
         assert (c.hits, c.misses) == (1, 1)
-        assert c.get("x", (4, 9)) is not a  # shape-keyed
-        assert c.get("y", (4, 8)) is not a  # role-keyed
-        assert c.get("x", (4, 8), np.float32) is not a  # dtype-keyed
+        # same role, smaller or reshaped request: the same buffer
+        small = c.get("x", (2, 3, 5))
+        assert small.shape == (2, 3, 5) and np.shares_memory(small, a)
+        assert (c.hits, c.misses) == (2, 1)
+        # a larger request regrows the role's buffer, once
+        big = c.get("x", (4, 9))
+        assert not np.shares_memory(big, a)
+        assert np.shares_memory(c.get("x", (4, 9)), big)
+        assert np.shares_memory(c.get("x", (4, 8)), big)
+        assert (c.hits, c.misses) == (4, 2)
+        # other roles and dtypes have buffers of their own
+        y = c.get("y", (4, 8))
+        f = c.get("x", (4, 8), np.float32)
+        assert f.dtype == np.float32
+        assert not np.shares_memory(y, big) and not np.shares_memory(f, big)
         stats = c.stats()
-        assert stats["entries"] == 4
-        assert stats["bytes"] == a.nbytes + 4 * 9 * 8 + a.nbytes + 4 * 8 * 4
+        assert stats["entries"] == 3
+        # the sum over roles of the largest request: regrids add no bytes
+        assert stats["bytes"] == 4 * 9 * 8 + 4 * 8 * 8 + 4 * 8 * 4
         c.clear()
         assert c.stats()["entries"] == 0 and c.hits == 0
+
+    def test_arrays_are_writable_contiguous_views(self):
+        c = ScratchCache()
+        a = c.get("x", (3, 5))
+        a[...] = 7.0
+        assert a.flags.c_contiguous and a.flags.writeable
+        assert (c.get("x", (5, 3)) == 7.0).all()
 
     def test_backend_scratch_warms_up(self):
         be = make_exec_backend("fused")

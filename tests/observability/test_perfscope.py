@@ -55,11 +55,14 @@ def chain_graph():
 class TestNames:
     def test_kernel_class_strips_instance(self):
         assert kernel_class("Box(L1,b3)") == "Box"
+        # a batch node is named after its first member, "x" its size
+        assert kernel_class("Box(L1,b3)x8") == "Box"
         assert kernel_class("FB_nowait(L0)") == "FB_nowait"
         assert kernel_class("AverageDown(L1->L0)") == "AverageDown"
 
     def test_box_of(self):
         assert box_of("Box(L1,b3)") == (1, 3)
+        assert box_of("Box(L1,b3)x8") == (1, 3)
         assert box_of("Interp(L2,b11)") == (2, 11)
         assert box_of("FB_nowait(L0)") is None
 

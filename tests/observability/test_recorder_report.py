@@ -117,6 +117,27 @@ def test_plan_builds_are_reported_per_step(recorded_run):
         events, other, stray)
 
 
+def test_compute_batches_are_reported(recorded_run):
+    """``kernel.batches`` / ``kernel.batch_boxes`` say how many kernel
+    calls a stage makes for how many boxes; the report's runtime section
+    prints them with the grown/valid cell ratio (CI greps for the line and
+    fails when the AMR deck's batches are as many as its boxes)."""
+    run_dir, sim, _bd = recorded_run
+    events, other, records = load_run(str(run_dir))
+    m = records[-1]["metrics"]
+    batches = [b for bs in sim.batches.values() for b in bs]
+    assert m["kernel.batches"] == len(batches) < m["kernel.batch_boxes"]
+    assert m["kernel.batch_boxes"] == sum(len(mf) for mf in sim.state.values())
+    ratio = m["kernel.batch_grown_cells"] / m["active_cells.total"]
+    assert ratio > 1
+    text = format_report(events, other, records)
+    assert (f"compute batches = {len(batches)} for "
+            f"{int(m['kernel.batch_boxes'])} boxes "
+            f"(grown/valid = {ratio:.2f})") in text
+    # the gauges of the prefix itself are not per-kernel rows
+    assert "batches" not in text.partition("top kernels by charged time")[2]
+
+
 def test_metrics_only_run_attaches_no_event_listener(tmp_path):
     """Metrics are read from the producers' tables at sample time; only a
     trace needs the launch sequence, so only ``trace_out`` attaches the

@@ -53,8 +53,8 @@ def fake_graph():
     g = TaskGraph()
     for tid, (name, kind, payload, channel) in enumerate([
         ("FB_nowait(L0)", "comm-post", None, ("fb", 0)),
-        ("Box(L0,b0)", "compute", {"op": "rhs_update"}, None),
-        ("Box(L0,b1)", "compute", {"op": "rhs_update"}, None),
+        ("Box(L0,b0)x2", "compute", {"op": "rhs_update"}, None),
+        ("Box(L0,b2)x1", "compute", {"op": "rhs_update"}, None),
         ("FB_finish(L0)", "comm-wait", None, ("fb", 0)),
     ]):
         g.tasks.append(Task(tid=tid, name=name, kind=kind,
@@ -109,6 +109,22 @@ class TestInstrument:
         inj.instrument(g, step=0, stage=0)
         with pytest.raises(InjectedTaskError):
             g.tasks[3].fn()
+
+    def test_box_prefix_picks_a_batch_node_of_a_real_stage_graph(self):
+        from repro.runtime.rk3graph import build_stage_graph
+
+        sim = Crocco(SodShockTube(64), CroccoConfig(
+            version="1.1", max_grid_size=16, blocking_factor=8))
+        sim.initialize()
+        g = build_stage_graph(sim, 1e-4, 0)
+        compute = [t.name for t in g.tasks if t.kind == "compute"]
+        assert compute == ["Box(L0,b0)x4"]   # four equal boxes, one node
+        inj = FaultInjector.from_config("task_error@0:Box")
+        inj.instrument(g, step=0, stage=0)
+        assert inj.fired[0]["target"] == "Box(L0,b0)x4"
+        with pytest.raises(InjectedTaskError):
+            next(t for t in g.tasks if t.kind == "compute").fn()
+        sim.close()
 
     def test_slow_carries_duration(self):
         inj = FaultInjector.from_config("slow@0:0.25")

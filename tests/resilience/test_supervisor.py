@@ -118,7 +118,7 @@ class TestTaskFailure:
 def test_inline_fallback_counts_once_in_the_drivers_tables():
     """The supervisor's last-resort inline execution runs the payload in
     the driver process: its launches land in the real device tables, once,
-    on the owning rank — nothing is cleared, drained or merged again (only
+    on the owning ranks — nothing is cleared, drained or merged again (only
     the worker entry point drains, and only forked copies)."""
     from collections import Counter
 
@@ -134,20 +134,25 @@ def test_inline_fallback_counts_once_in_the_drivers_tables():
         sim.initialize()
         executor = sim.engine.executor
         graph = build_stage_graph(sim, 1e-5, 0, arena=sim.engine.arena)
-        task = next(t for t in graph.tasks
-                    if t.payload is not None and t.payload["rank"] > 0)
+        # a batch whose members sit on several ranks, none of them rank 0
+        task = next(t for t in graph.tasks if t.payload is not None
+                    and len(set(t.payload["ranks"])) > 1
+                    and 0 not in t.payload["ranks"])
         before = [Counter(d.table) for d in sim.devices]
         assert all(before)
         done = []
-        executor._run_inline(_InFlight(
-            task, lambda *args, **kw: done.append(args), attempt=1,
-            deadline=0.0))
+        # no FillPatch has run: the fine members' ghost cells are still 0
+        with np.errstate(invalid="ignore"):
+            executor._run_inline(_InFlight(
+                task, lambda *args, **kw: done.append(args), attempt=1,
+                deadline=0.0))
         assert len(done) == 1
         new = [Counter(d.table) - was for d, was in zip(sim.devices, before)]
-        rank = task.payload["rank"]
-        assert sorted(r.name for r in new[rank].elements()) == [
-            "Update", "WENOx", "WENOy"]
-        assert not any(t for r, t in enumerate(new) if r != rank)
+        ranks = set(task.payload["ranks"])
+        for rank in ranks:   # one launch per kernel on every owning rank
+            assert sorted(r.name for r in new[rank].elements()) == [
+                "Update", "WENOx", "WENOy"]
+        assert not any(t for r, t in enumerate(new) if r not in ranks)
         assert executor.drain_worker_tables() == {}
         assert sim.exec_backend.worker_launches == 0
     finally:

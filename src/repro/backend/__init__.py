@@ -3,7 +3,7 @@
 Targets plug in through the registry API (:func:`register_target` /
 :func:`available_targets`); ``TARGETS`` is derived from the registry,
 never duplicated.  See :mod:`repro.backend.launch` for the design notes
-and :mod:`repro.backend.fused` for the optimizing target.
+and :mod:`repro.backend.fused` for the fused-launch target.
 """
 
 from repro.backend.launch import (COUNTER_FIELDS, KERNEL_CLASSES,
@@ -13,9 +13,10 @@ from repro.backend.launch import (COUNTER_FIELDS, KERNEL_CLASSES,
                                   current_backend, make_exec_backend,
                                   parallel_for, reduce_data, register_target,
                                   set_backend, unregister_target, use_backend)
+from repro.backend.scratch import ScratchCache
 
 # importing the module registers the `fused` target with the registry
-from repro.backend.fused import FusedBackend, ScratchCache  # noqa: E402
+from repro.backend.fused import FusedBackend  # noqa: E402
 
 #: the LaunchContext primitive is the ``use_backend`` context manager
 LaunchContext = use_backend

@@ -26,13 +26,19 @@ derived module attribute ``TARGETS``) enumerate what is installed:
     differs — the v2.0/2.1 default.
 
 ``fused``
-    The first *optimizing* target (:mod:`repro.backend.fused`): kernels
-    that advertise fusion collapse the per-direction WENO sweeps into
-    one wide launch, reconstruction scratch is reused from a
-    role-keyed cache, and the hottest kernels are optionally JITed via
-    numba (soft dependency).  Accounting matches the device target;
-    results drift from host by <= 1e-7 relative L2 (the paper's own
-    Fortran -> C++ criterion), not bitwise.
+    The ``device`` target with a fused launch stream
+    (:mod:`repro.backend.fused`): kernels that advertise fusion run the
+    per-direction WENO sweeps inside one wide launch from shared
+    primitives, and the combination is optionally JITed via numba (soft
+    dependency).  Accounting matches the device target; without numba
+    the results are bitwise host's, with it they drift by <= 1e-7
+    relative L2 (the paper's own Fortran -> C++ criterion).
+
+**One scratch cache per backend.**  Every backend instance — ``host``
+included — owns a role-keyed :class:`ScratchCache`; the WENO sweep of
+every target takes its intermediates from it (the allocation pattern the
+paper's port reaches by hoisting scratch out of the kernels, Sec. IV-B),
+and :meth:`ExecutionBackend.scratch_stats` reports its hit rate.
 
 **The launch contract is a** :class:`LaunchSpec`.  Every target accepts
 ``parallel_for(name, fn, npoints, spec)`` / ``reduce_data(name, values,
@@ -66,6 +72,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.backend.scratch import ScratchCache
+
 #: kernel classes used to group launch accounting
 KERNEL_CLASSES = ("flux", "update", "fillpatch", "interp", "averagedown",
                   "tagging", "reduction")
@@ -98,8 +106,8 @@ class LaunchSpec:
         map it to that rank's device (Summit: one V100 per rank).
     ``shape``
         Array-shape hint: the shape of the patch (or batch of patches)
-        the launch covers, which lets optimizing targets report which
-        shapes drive their scratch cache.
+        the launch covers, which lets a target report which shapes
+        drive its scratch cache.
     """
 
     kernel_class: str = "flux"
@@ -130,6 +138,10 @@ class ExecutionBackend:
     #: the simulated devices launches and memory are accounted on, one
     #: per rank — empty on targets that do not account
     devices: Sequence[object] = ()
+
+    def __init__(self) -> None:
+        #: kernel intermediates, reused across launches, stages and steps
+        self.scratch = ScratchCache()
 
     def parallel_for(self, name: str, fn: Callable, npoints: int,
                      spec: Optional[LaunchSpec] = None):
@@ -171,6 +183,10 @@ class ExecutionBackend:
         every device — the driver's launches and its workers' alike."""
         return {}
 
+    def scratch_stats(self) -> Dict[str, float]:
+        """Scratch-cache counters, for gauges and reports."""
+        return self.scratch.stats()
+
 
 class HostBackend(ExecutionBackend):
     """Plain NumPy execution: no devices, no records, no accounting."""
@@ -197,6 +213,7 @@ class DeviceBackend(ExecutionBackend):
     target = "device"
 
     def __init__(self, devices: Optional[List[object]] = None) -> None:
+        super().__init__()
         if not devices:
             from repro.kernels.device import GpuDevice
 
@@ -306,7 +323,7 @@ def make_exec_backend(target: str,
     return factory(devices=devices)
 
 
-# the built-in accounting targets; the optimizing `fused` target registers
+# the built-in accounting targets; the `fused` target registers
 # itself from repro.backend.fused (imported by the package __init__)
 register_target("host", lambda devices=None: HostBackend())
 register_target("device", lambda devices=None: DeviceBackend(devices))

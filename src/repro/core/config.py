@@ -198,8 +198,9 @@ class CroccoConfig:
         "auto", deck="backend.target", env="REPRO_BACKEND", flag="--backend",
         choices=lambda: ("auto", *available_targets()),
         help="execution target: host (NumPy), device (recorded launches on "
-             "simulated GPUs), fused (optimizing), any registered target, "
-             "or auto = the version's own (host for 1.x, device for 2.x)")
+             "simulated GPUs), fused (device with one wide WENO launch), any "
+             "registered target, or auto = the version's own (host for 1.x, "
+             "device for 2.x)")
     cache_dir: Optional[str] = opt(
         None, deck="run.cache_dir", flag="--cache-dir",
         help="cross-run cache of coords, metrics, EOS and interp tables")

@@ -40,7 +40,9 @@ launch API and observed no accuracy change, so the kernels never ask
 where they are: every launch names its owning rank in the
 :class:`~repro.backend.LaunchSpec`, WENO scratch is reserved through the
 backend before the launch (Sec. IV-B), and a target that accounts maps
-both to that rank's simulated device.
+both to that rank's simulated device.  The arrays the sweep actually
+works in come from the backend too — its one
+:class:`~repro.backend.ScratchCache`, whatever the target.
 """
 
 from __future__ import annotations
@@ -165,8 +167,8 @@ class KernelSet:
             u = u.astype(np.float32).astype(np.float64)
         if (self.exec_backend.fuses_kernels
                 and not self.convective.characteristic):
-            # the fused target collapses the per-direction sweeps into
-            # one wide launch with shared primitives and cached scratch
+            # the fused target runs the directional sweeps inside one
+            # wide launch, from one set of primitives
             out = self._fused_sweep(u, metrics, ng, rank)
         else:
             directions = (range(dim) if self.ordering == "fortran"
@@ -193,7 +195,8 @@ class KernelSet:
     def _weno_direction(self, u: np.ndarray, metrics: Metrics, d: int,
                         ng: int, rank) -> np.ndarray:
         body = lambda: self.convective.divergence(
-            self.layout, self.eos, u, metrics, d, ng)
+            self.layout, self.eos, u, metrics, d, ng,
+            scratch=self.exec_backend.scratch)
         return self._weno_launch(DIRECTION_NAMES[d], body,
                                  self._npts(u.shape, ng), WENO_BUDGET, u, rank)
 
@@ -209,15 +212,9 @@ class KernelSet:
 
         backend = self.exec_backend
         dim = self.layout.dim
-        scratch = getattr(backend, "scratch", None)
-        if scratch is None:
-            from repro.backend import ScratchCache
-
-            scratch = self._local_scratch = getattr(
-                self, "_local_scratch", None) or ScratchCache()
         body = lambda: fused_sweep(
             self.layout, self.eos, self.convective, u, metrics, ng,
-            scratch, jit=getattr(backend, "jit_enabled", False),
+            backend.scratch, jit=getattr(backend, "jit_enabled", False),
             reverse=(self.ordering != "fortran"))
         return self._weno_launch("WENO" + "xyz"[:dim], body,
                                  dim * self._npts(u.shape, ng),

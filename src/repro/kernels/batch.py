@@ -25,13 +25,14 @@ import numpy as np
 from repro.numerics.metrics import Metrics, StackedMetrics
 
 #: most grown cells stacked into one batch.  Measured on the benchmark
-#: decks (EXPERIMENTS.md "Box-batched kernels"): the per-call overhead is
-#: mostly amortised by ~2,000 cells (rhs per RK stage on dmr_amr_v20: 82.8
-#: ms per box, 48.3 / 44.5 / 42.6 ms at 2,048 / 4,096 / 8,192), and the
-#: batch temporaries are what peak RSS is made of: peak_rss_mb on
-#: dmr_amr_v20 / dmr_churn_v21 is +8.5% / +9.4% at 8,192 (bound 5%),
-#: +2.5% / +3.7% at 4,096, +0.0% / +0.4% at 2,048.  A patch over the
-#: budget is a batch of one.
+#: decks with the one WENO sweep (EXPERIMENTS.md "One WENO sweep"): rhs per
+#: RK stage on dmr_amr_v20 / dmr_churn_v21 is 38.5 / 54.5 ms per box and
+#: 22.8 / 26.8, 22.0 / 23.5, 20.6 / 22.8 ms at 2,048 / 4,096 / 8,192; the
+#: stacks are what peak RSS is made of: single-run peak_rss_mb is +1.9% /
+#: +1.9% at 4,096 and +5.6% / +5.5% at 8,192 (bound 5%).  The rule for
+#: moving it is "faster, at <= +2% RSS on both decks": 4,096 passes by a
+#: tenth of a point for 3.5% / 12% of a stage — a tie, so it stays
+#: (ROADMAP item 2, "Left (v)").  A patch over the budget is a batch of one.
 BATCH_CELLS = 2048
 
 

@@ -23,6 +23,13 @@ the ghost cells of its own axis only: the transverse ghost rows — 2.5x to
 3x the valid cells on small AMR boxes — are dropped before the flux, the
 split and the reconstruction, which is exact because reconstruction
 couples cells along the sweep axis only.
+
+:meth:`ConvectiveFlux.divergence` is the one WENO sweep every execution
+target runs: full-grown-array ``alpha``, transverse crop, flux, split
+into role-keyed scratch stored sweep axis first, the ``nvalid + 1``
+interfaces of the valid region combined from 6 contiguous windows — plus
+and mirrored minus accumulated into one interface array — difference,
+division by ``J``.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ import numpy as np
 
 from repro.numerics.metrics import Metrics
 from repro.numerics.state import StateLayout
-from repro.numerics.weno import WenoScheme, reconstruct_minus
+from repro.numerics.weno import NO_SCRATCH, WenoScheme, windows
 
 
 def contravariant(vel: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -110,22 +117,34 @@ class ConvectiveFlux:
         metrics: Metrics,
         direction: int,
         ng: int,
+        scratch=NO_SCRATCH,
+        prims=None,
+        rows=None,
     ) -> np.ndarray:
-        """-(1/J) d(Fhat_d)/d(xi_d) over the valid region.
+        """-(1/J) d(Fhat_d)/d(xi_d) over the valid region, in a new array.
 
         ``u`` covers the valid box grown by ``ng >= nghost + 1`` ghost
         cells, ``(ncons, *grown)`` or, for a batch of equal-shape boxes,
         ``(ncons, B, *grown)``; metric arrays must broadcast over the
-        same shape behind their component axis.
+        same shape behind their component axis.  This is the one WENO
+        sweep every execution target runs.  Intermediates are taken by
+        role from ``scratch`` (the backend's
+        :class:`~repro.backend.ScratchCache`; new arrays by default);
+        ``prims`` is ``(vel, p, a)`` of ``u`` when the caller already has
+        them; ``rows`` replaces the NumPy combination of the component-wise
+        path by a compiled row kernel (:func:`repro.kernels.fused.jit_rows`).
         """
         if ng < self.nghost:
             raise ValueError(f"need at least {self.nghost} ghost cells, got {ng}")
         dim = layout.dim
         axis = u.ndim - dim + direction
-        rho, vel, p = eos.primitives(layout, u)
-        a = eos.sound_speed(layout, u)
+        if prims is None:
+            _, vel, p = eos.primitives(layout, u)
+            prims = vel, p, eos.sound_speed(layout, u)
+        vel, p, a = prims
         m = metrics.m(direction)
         J = metrics.jacobian()
+        get = scratch.get
 
         # one alpha per box, over its full grown array
         lam = wave_speed(vel, a, m, J)
@@ -137,34 +156,56 @@ class ConvectiveFlux:
                         for x in (u, vel, p, m))
         J = _crop_transverse(np.broadcast_to(J, lam.shape), direction, ng, dim)
         fhat = curvilinear_flux(layout, u, vel, p, m, form=self.split_form)
-        # split against q = J U (J is the time-independent cell Jacobian)
-        ju = u * J[None]
-        fplus = 0.5 * (fhat + alpha * ju)
-        fminus = 0.5 * (fhat - alpha * ju)
+        # split against q = J U (J is the time-independent cell Jacobian):
+        # Fhat+- = (Fhat +- alpha J U) / 2.  The split fluxes are stored
+        # sweep axis first, so each of the 6 stencil windows below is one
+        # contiguous block whatever the direction; `fplus` / `fminus` are
+        # the same memory in u's axis order, to fill it.
+        rest = fhat.shape[:axis] + fhat.shape[axis + 1:]
+        ju = get("ju", fhat.shape)
+        fplus_s = get("fplus", fhat.shape[axis:axis + 1] + rest)
+        fminus_s = get("fminus", fplus_s.shape)
+        fplus = np.moveaxis(fplus_s, 0, axis)
+        fminus = np.moveaxis(fminus_s, 0, axis)
+        np.multiply(u, J[None], out=ju)
+        ju *= alpha
+        np.subtract(fhat, ju, out=fminus)
+        fminus_s *= 0.5
+        np.add(fhat, ju, out=fplus)
+        fplus_s *= 0.5
 
-        if self.characteristic:
-            f_iface = self._characteristic_interface(
-                layout, eos, u, fplus, fminus, m, axis
-            )
-        else:
-            rec_p = self.scheme.reconstruct(fplus, axis)
-            rec_m = reconstruct_minus(self.scheme, fminus, axis)
-            f_iface = rec_p + rec_m
-
-        # keep interfaces -1/2 .. nvalid-1/2 of the valid region
+        # only interfaces -1/2 .. nvalid-1/2 of the valid region
         nv = u.shape[axis] - 2 * ng
         start = ng - 3
-        sweep = [slice(None)] * u.ndim
-        sweep[axis] = slice(start, start + nv + 1)
-        df = np.diff(f_iface[tuple(sweep)], axis=axis)
-        sweep[axis] = slice(ng, ng + nv)
-        return -df / J[tuple(sweep[1:])]
+        if self.characteristic:
+            f_iface = np.moveaxis(self._characteristic_interface(
+                layout, eos, u, fplus, fminus, m, axis, start, nv + 1,
+                scratch), axis, 0)
+        else:
+            f_iface = get("f_iface", (nv + 1,) + rest)
+            if rows is not None:
+                rows(self.scheme, fplus, fminus, axis, start,
+                     np.moveaxis(f_iface, 0, axis), scratch)
+            else:
+                self.scheme.combine(windows(fplus_s, 0, start, nv + 1),
+                                    out=f_iface, scratch=scratch)
+                self.scheme.combine_minus(windows(fminus_s, 0, start, nv + 1),
+                                          out=f_iface, scratch=scratch,
+                                          add=True)
+
+        df = f_iface[1:] - f_iface[:-1]
+        sweep = [slice(None)] * (u.ndim - 1)
+        sweep[axis - 1] = slice(ng, ng + nv)
+        df /= np.moveaxis(J[tuple(sweep)], axis - 1, 0)[:, None]
+        return np.moveaxis(np.negative(df, out=df), 0, axis)
 
     def _characteristic_interface(
         self, layout: StateLayout, eos, u: np.ndarray,
         fplus: np.ndarray, fminus: np.ndarray, m: np.ndarray, axis: int,
+        start: int, nif: int, scratch=NO_SCRATCH,
     ) -> np.ndarray:
-        """Interface fluxes via Roe-eigenvector-projected reconstruction."""
+        """Fluxes at the ``nif`` interfaces right of cells ``start + 2 ...``
+        via Roe-eigenvector-projected reconstruction."""
         from repro.numerics.characteristic import (
             left_right_eigenvectors,
             project,
@@ -176,28 +217,18 @@ class ConvectiveFlux:
                 "characteristic reconstruction supports single-species "
                 "ideal gas only"
             )
-        # move the sweep axis last so interface slicing is uniform
-        uu = np.moveaxis(u, axis, -1)
-        fp = np.moveaxis(fplus, axis, -1)
-        fm = np.moveaxis(fminus, axis, -1)
-        mm = np.moveaxis(np.broadcast_to(m, (layout.dim,) + u.shape[1:]),
-                         axis, -1)
-        n_cells = uu.shape[-1]
-        nif = n_cells - 5  # interfaces right of cells 2 .. n-4
-        ul = uu[..., 2: 2 + nif]
-        ur = uu[..., 3: 3 + nif]
-        vel, H, a = roe_average(layout, eos, ul, ur)
-        mmean = 0.5 * (mm[..., 2: 2 + nif] + mm[..., 3: 3 + nif])
-        mmean = np.broadcast_to(mmean, (layout.dim,) + a.shape)
+        uw = windows(u, axis, start, nif)
+        mw = windows(np.broadcast_to(m, (layout.dim,) + u.shape[1:]),
+                     axis, start, nif)
+        vel, H, a = roe_average(layout, eos, uw[2], uw[3])
+        mmean = 0.5 * (mw[2] + mw[3])
         nvec = mmean / np.sqrt((mmean**2).sum(axis=0))[None]
         L, R = left_right_eigenvectors(layout, eos.gamma, vel, H, a, nvec)
-        cells_p = [project(L, fp[..., 2 + o: 2 + o + nif])
-                   for o in range(-2, 4)]
-        cells_m = [project(L, fm[..., 2 + o: 2 + o + nif])
-                   for o in range(-2, 4)]
-        w = self.scheme.combine(cells_p) + self.scheme.combine_minus(cells_m)
-        f_iface = project(R, w)
-        return np.moveaxis(f_iface, -1, axis)
+        cells_p = [project(L, c) for c in windows(fplus, axis, start, nif)]
+        cells_m = [project(L, c) for c in windows(fminus, axis, start, nif)]
+        w = self.scheme.combine(cells_p, scratch=scratch)
+        self.scheme.combine_minus(cells_m, out=w, scratch=scratch, add=True)
+        return project(R, w)
 
     def max_wave_speed_sum(
         self, layout: StateLayout, eos, u: np.ndarray, metrics: Metrics,

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,8 +40,16 @@ import numpy as np
 #: shock capturing for small-amplitude data.
 WENO_EPS = 1e-2
 
-#: absolute floor guarding against identically-zero data
-WENO_EPS_FLOOR = 1e-99  # squaring must not underflow to zero
+#: absolute floor of the regularization, guarding identically-zero data.
+#: The smoothness indicators only enter as ``beta / eps_eff``, a ratio
+#: bounded by ~1e4 whatever the scale of the data, so nothing is squared
+#: at the data's own magnitude and the floor only has to keep
+#: ``1 / eps_eff`` finite.  Representable range of the combination: zero,
+#: and 1e-145 <= |v| <= 1e+150 (below, ``v**2`` sinks under the floor and
+#: the weights relax to the linear ones; above, ``v**2`` overflows);
+#: inside it ``combine(s * v) == s * combine(v)`` to rounding, and exactly
+#: for ``s`` a power of two.
+WENO_EPS_FLOOR = 1e-300
 
 #: relative-smoothness ratio above which the downwind stencil is disabled
 DOWNWIND_LIMIT_RATIO = 5.0
@@ -104,6 +112,32 @@ def smoothness_matrix(offsets: Tuple[int, ...]) -> np.ndarray:
     q[2, 2] += 1.0 / 3.0 + 4.0
     mat = minv.T @ q @ minv
     return mat
+
+
+#: the d^2 energy weight in the smoothness quadrature
+#: (int p'^2 -> a1^2, int p''^2 -> (1/3 + 4) a2^2; see smoothness_matrix)
+BETA_K = 1.0 / 3.0 + 4.0
+
+
+@lru_cache(maxsize=None)
+def stencil_tables(nst: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-stencil coefficient tables ``(C, D1, D2)``, each ``(nst, 3)``.
+
+    ``C[r]`` are the interface-value coefficients; ``D1[r]``/``D2[r]``
+    are rows 1 and 2 of ``inv(_cell_average_matrix)``:
+    ``smoothness_matrix`` is ``minv.T @ diag(0, 1, BETA_K) @ minv``, so
+    ``beta_r = (D1[r] . v)^2 + BETA_K * (D2[r] . v)^2`` is the quadratic
+    form ``v.T @ smoothness_matrix @ v`` as two dot products instead of
+    nine terms.  Stencil ``r`` reads window cells ``r, r+1, r+2`` (window
+    index = offset + 2).
+    """
+    C = np.array([interface_coefficients(CANDIDATE_OFFSETS[r])
+                  for r in range(nst)])
+    minvs = [np.linalg.inv(_cell_average_matrix(CANDIDATE_OFFSETS[r]))
+             for r in range(nst)]
+    D1 = np.array([m[1] for m in minvs])
+    D2 = np.array([m[2] for m in minvs])
+    return C, D1, D2
 
 
 def _classic_upwind_weights() -> np.ndarray:
@@ -173,6 +207,17 @@ SYMBO_C0 = derive_symbo_c0()
 VARIANTS = ("symbo", "symoo", "js5")
 
 
+class _Allocate:
+    """The ``scratch`` of a call that has no cache: ``get`` allocates."""
+
+    @staticmethod
+    def get(role: str, shape, dtype=np.float64) -> np.ndarray:
+        return np.empty(shape, dtype)
+
+
+NO_SCRATCH = _Allocate()
+
+
 @dataclass(frozen=True)
 class WenoScheme:
     """A configured WENO reconstruction scheme."""
@@ -199,38 +244,90 @@ class WenoScheme:
         """Ghost cells needed on each side to reconstruct all interfaces."""
         return 3
 
-    def combine(self, cells) -> np.ndarray:
+    def combine(self, cells, out: Optional[np.ndarray] = None,
+                scratch=NO_SCRATCH, add: bool = False) -> np.ndarray:
         """Upwind-biased WENO combination of one 6-point stencil.
 
-        ``cells`` is a sequence of 6 same-shaped arrays holding values at
-        offsets -2..3 relative to the cell left of the interface.  Returns
-        the reconstructed interface value.  This is the reconstruction
-        primitive: :meth:`reconstruct` applies it along an axis, and the
-        characteristic-wise flux path applies it to eigenvector-projected
-        stencils (:mod:`repro.numerics.characteristic`).
+        ``cells`` is a sequence of 6 same-shaped arrays (any strides)
+        holding values at offsets -2..3 relative to the cell left of the
+        interface.  Returns the reconstructed interface value — in
+        ``out`` when given (accumulated into it with ``add``), else in a
+        new array.  Every pass is an ``out=`` ufunc over intermediates
+        taken by role from ``scratch`` (anything with the
+        ``get(role, shape, dtype)`` of the backends' scratch cache; new
+        arrays by default).  This is the reconstruction primitive: the
+        convective sweep applies it to windows sliced along the sweep
+        axis, :meth:`reconstruct` along a whole axis, and the
+        characteristic-wise flux path to eigenvector-projected stencils
+        (:mod:`repro.numerics.characteristic`).
         """
         if len(cells) != 6:
             raise ValueError("combine expects the 6 stencil values (offsets -2..3)")
         nst = self.n_stencils
-        weights = self.linear_weights()
-        qs = []
-        betas = []
+        w = self.linear_weights()
+        C, D1, D2 = stencil_tables(nst)
+        S = np.shape(cells[0])
+        get = scratch.get
+        t1 = get("cmb_t1", S)
+        t2 = get("cmb_t2", S)
+        eps_eff = get("cmb_eps", S)
+        betas = get("cmb_betas", (nst,) + S)
+
+        # scale-relative regularization: eps_eff = eps * <v^2> + floor
+        # over the full window makes the nonlinear weights scale-invariant
+        np.multiply(cells[0], cells[0], out=eps_eff)
+        for c in cells[1:]:
+            np.multiply(c, c, out=t1)
+            eps_eff += t1
+        eps_eff *= self.eps / 6.0
+        eps_eff += WENO_EPS_FLOOR
+
+        # smoothness indicators via the rank-2 factorization
         for r in range(nst):
-            offs = CANDIDATE_OFFSETS[r]
-            cr = interface_coefficients(offs)
-            mr = smoothness_matrix(offs)
-            vals = [cells[o + 2] for o in offs]
-            qs.append(sum(c * v for c, v in zip(cr, vals)))
-            betas.append(sum(
-                mr[a, b] * vals[a] * vals[b]
-                for a in range(3)
-                for b in range(3)
-            ))
-        # scale-relative regularization: eps_eff ~ eps * <v^2> over the
-        # full stencil, making the nonlinear weights scale-invariant
-        scale2 = sum(c**2 for c in cells) / 6.0
-        eps_eff = self.eps * scale2 + WENO_EPS_FLOOR
-        alphas = [weights[r] / (eps_eff + betas[r]) ** 2 for r in range(nst)]
+            v0, v1, v2 = cells[r], cells[r + 1], cells[r + 2]
+            b = betas[r]
+            np.multiply(v0, D1[r, 0], out=t1)
+            np.multiply(v1, D1[r, 1], out=t2)
+            t1 += t2
+            np.multiply(v2, D1[r, 2], out=t2)
+            t1 += t2
+            np.multiply(t1, t1, out=b)
+            np.multiply(v0, D2[r, 0], out=t1)
+            np.multiply(v1, D2[r, 1], out=t2)
+            t1 += t2
+            np.multiply(v2, D2[r, 2], out=t2)
+            t1 += t2
+            np.multiply(t1, t1, out=t1)
+            t1 *= BETA_K
+            b += t1
+        # ... relative to eps_eff from here on: a bounded ratio, so no
+        # later pass can overflow or underflow (see WENO_EPS_FLOOR)
+        betas /= eps_eff
+
+        rough = None
+        if nst == 4 and self.downwind_limit > 0:
+            # relative-smoothness limiter: fully disable the downwind
+            # stencil when any candidate sees a discontinuity
+            bcut = get("cmb_bcut", S)
+            bmax = get("cmb_bmax", S)
+            np.minimum(betas[0], betas[1], out=bcut)
+            np.minimum(bcut, betas[2], out=bcut)
+            bcut += 1.0
+            bcut *= self.downwind_limit
+            np.maximum(betas[0], betas[1], out=bmax)
+            np.maximum(bmax, betas[2], out=bmax)
+            np.maximum(bmax, betas[3], out=bmax)
+            rough = get("cmb_rough", S, bool)
+            np.greater(bmax, bcut, out=rough)
+
+        # betas -> alphas in place: alpha_r = w_r / (1 + beta_r / eps_eff)^2
+        betas += 1.0
+        np.multiply(betas, betas, out=betas)
+        np.divide(w.reshape((nst,) + (1,) * len(S)), betas, out=betas)
+        alphas = betas
+
+        np.add(alphas[0], alphas[1], out=t1)
+        t1 += alphas[2]
         if nst == 4:
             # Downwind-weight cap (Martin et al.): the normalized downwind
             # weight may never exceed its optimal value C3, i.e. the scheme
@@ -238,28 +335,44 @@ class WenoScheme:
             # this the nonlinear weights can turn anti-dissipative and the
             # central symmetric scheme is unstable even for smooth
             # advection.  omega3 <= C3  <=>  alpha3 <= C3/(1-C3) * sum(rest).
-            upwind_sum = alphas[0] + alphas[1] + alphas[2]
-            cap = weights[3] / (1.0 - weights[3]) * upwind_sum
-            alphas[3] = np.minimum(alphas[3], cap)
-            if self.downwind_limit > 0:
-                # relative-smoothness limiter: fully disable the downwind
-                # stencil when any candidate sees a discontinuity
-                bmin = np.minimum(np.minimum(betas[0], betas[1]), betas[2])
-                bmax = np.maximum(np.maximum(betas[0], betas[1]), betas[2])
-                rough = np.maximum(bmax, betas[3]) > self.downwind_limit * (
-                    bmin + eps_eff
-                )
-                alphas[3] = np.where(rough, 0.0, alphas[3])
-        asum = sum(alphas)
-        return sum(a * q for a, q in zip(alphas, qs)) / asum
+            np.multiply(t1, w[3] / (1.0 - w[3]), out=t2)
+            np.minimum(alphas[3], t2, out=alphas[3])
+            if rough is not None:
+                alphas[3][rough] = 0.0
+            t1 += alphas[3]  # t1 = alpha sum
 
-    def combine_minus(self, cells) -> np.ndarray:
+        # numerator sum_r alpha_r q_r
+        q = get("cmb_q", S)
+        num = get("cmb_num", S)
+        for r in range(nst):
+            v0, v1, v2 = cells[r], cells[r + 1], cells[r + 2]
+            np.multiply(v0, C[r, 0], out=q)
+            np.multiply(v1, C[r, 1], out=t2)
+            q += t2
+            np.multiply(v2, C[r, 2], out=t2)
+            q += t2
+            if r == 0:
+                np.multiply(q, alphas[r], out=num)
+            else:
+                q *= alphas[r]
+                num += q
+
+        if out is None:
+            out = np.empty(S)
+        if add:
+            np.divide(num, t1, out=num)
+            out += num
+        else:
+            np.divide(num, t1, out=out)
+        return out
+
+    def combine_minus(self, cells, **kwargs) -> np.ndarray:
         """Mirror-image combination: stencils biased from the right.
 
         Reflecting about the interface maps offset o to 1 - o, i.e. the
-        reversed cell list.
+        reversed cell list (flip-reconstruct-flip without the flips).
         """
-        return self.combine(list(cells)[::-1])
+        return self.combine(list(cells)[::-1], **kwargs)
 
     def reconstruct(self, v: np.ndarray, axis: int) -> np.ndarray:
         """Upwind-biased reconstruction of interface values at i+1/2.
@@ -272,15 +385,22 @@ class WenoScheme:
         For the mirrored (downwind, F-) reconstruction use
         :func:`reconstruct_minus`.
         """
-        v = np.moveaxis(v, axis, -1)
-        n = v.shape[-1]
-        nout = n - 5
+        nout = v.shape[axis] - 5
         if nout < 1:
             raise ValueError("not enough cells for WENO reconstruction")
-        i0 = 2  # first interface cell: needs i-2 >= 0 and i+3 <= n-1
-        cells = [v[..., i0 + o: i0 + o + nout] for o in range(-2, 4)]
-        out = self.combine(cells)
-        return np.moveaxis(out, -1, axis)
+        return self.combine(windows(v, axis, 0, nout))
+
+
+def windows(v: np.ndarray, axis: int, start: int, n: int) -> list:
+    """The 6 stencil views (offsets -2..3) of the ``n`` interfaces right
+    of cells ``start + 2 ...`` along ``axis``, sliced in place: results
+    computed from them keep ``v``'s memory order."""
+    sl = [slice(None)] * v.ndim
+    out = []
+    for k in range(6):
+        sl[axis] = slice(start + k, start + k + n)
+        out.append(v[tuple(sl)])
+    return out
 
 
 def reconstruct_minus(scheme: WenoScheme, v: np.ndarray, axis: int) -> np.ndarray:

@@ -23,7 +23,7 @@ processes.  From the reconciled spans perfscope computes, per step:
   worker-second capacity (lanes x makespan) so the attribution is a
   checkable identity, not a tautology;
 - **per-lane idle-gap timelines** (driver = lane 0, pool workers
-  1..N) and a per-box cost histogram feeding measured-cost load
+  1..N) and a per-batch cost histogram feeding measured-cost load
   balancing (ROADMAP item 4).
 
 Results surface as ``perf.*`` recorder gauges, the run report's

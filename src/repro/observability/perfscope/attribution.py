@@ -109,8 +109,10 @@ class StepPerf:
         self.cp_tasks: Dict[str, float] = {}
         #: kernel class -> lifecycle columns (CLASS_FIELDS)
         self.per_class: Dict[str, Dict[str, float]] = {}
-        #: (level, box) -> execute seconds (cost-fed load balancing input)
-        self.box_costs: Dict[Tuple[int, int], float] = {}
+        #: compute node (level, first box, members) -> execute seconds
+        #: (cost-fed load balancing input); a batch runs as one kernel
+        #: call, so its cost belongs to the batch, not to a member
+        self.box_costs: Dict[Tuple[int, int, int], float] = {}
 
     # -- derived -----------------------------------------------------------
     @property
@@ -201,8 +203,8 @@ class StepPerf:
         ranked = sorted(self.cp_tasks.items(), key=lambda kv: -kv[1])
         for name, s in ranked[:top_cp]:
             out[f"cp.{name}"] = s
-        for (lev, box), s in sorted(self.box_costs.items()):
-            out[f"box_cost.L{lev}.b{box}"] = s
+        for (lev, box, members), s in sorted(self.box_costs.items()):
+            out[f"box_cost.L{lev}.b{box}x{members}"] = s
         return out
 
 
@@ -238,9 +240,9 @@ def attribute_stage(trace: StageTrace) -> StepPerf:
         step.pickle_bytes += s.pickle_bytes
         if s.offloaded:
             step.offloaded += 1
-        box = box_of(s.name)
-        if box is not None and s.execute_s:
-            step.box_costs[box] = step.box_costs.get(box, 0.0) + s.execute_s
+        node = box_of(s.name) if s.kind == "compute" else None
+        if node is not None and s.execute_s:
+            step.box_costs[node] = step.box_costs.get(node, 0.0) + s.execute_s
 
         lane = s.lane if s.lane < trace.nlanes else trace.nlanes - 1
         busy = lane_busy.setdefault(lane, [])

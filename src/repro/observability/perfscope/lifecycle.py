@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 PHASES = ("created", "enqueued", "pickled", "dispatched", "started",
           "finished", "collected", "merged")
 
-_BOX_RE = re.compile(r"\(L(\d+),b(\d+)\)")
+_BOX_RE = re.compile(r"\(L(\d+),b(\d+)\)(?:x(\d+))?")
 
 
 def kernel_class(name: str) -> str:
@@ -40,11 +40,14 @@ def kernel_class(name: str) -> str:
     return name.split("(", 1)[0]
 
 
-def box_of(name: str) -> Optional[Tuple[int, int]]:
-    """The (level, box) a per-box task touches — for a batch node
-    (``Box(L1,b3)x8``) its first member — or None."""
+def box_of(name: str) -> Optional[Tuple[int, int, int]]:
+    """The (level, first box, members) a task touches — ``(1, 3, 8)`` for
+    the batch node ``Box(L1,b3)x8``, one member for a per-box task
+    (``Interp(L2,b11)``) — or None."""
     m = _BOX_RE.search(name)
-    return (int(m.group(1)), int(m.group(2))) if m else None
+    if m is None:
+        return None
+    return int(m.group(1)), int(m.group(2)), int(m.group(3) or 1)
 
 
 @dataclass

@@ -112,11 +112,9 @@ class RunRecorder:
                     g(f"device.class.{cls}.{field}").set(value)
             if totals:
                 g("device.worker_launches").set(backend.worker_launches)
-        # the fused target's scratch-cache counters (hit rate, resident
-        # bytes, JIT state) — absent on host/device
-        stats_fn = getattr(backend, "scratch_stats", None)
-        if stats_fn is not None:
-            for name, value in stats_fn().items():
+            # the backend's scratch-cache counters (hit rate, resident
+            # bytes; on `fused` the JIT state too)
+            for name, value in backend.scratch_stats().items():
                 g(f"backend.scratch.{name}").set(float(value))
         engine = getattr(sim, "engine", None)
         if engine is not None and engine.last_step_report is not None:

@@ -333,13 +333,15 @@ def format_report(events: Sequence[dict], other: dict,
         boxes = defaultdict(list)
         for key, value in perf.items():
             if key.startswith("box_cost."):
-                _, lev, box = key.split(".", 2)
-                boxes[lev].append((int(box[1:]), value))
+                _, lev, node = key.split(".", 2)
+                first, members = node[1:].split("x")
+                boxes[lev].append((int(first), int(members), value))
         if boxes:
-            lines.append("per-box execute cost (load-balance input):")
+            lines.append("per-batch execute cost, b<first box>x<members> "
+                         "(load-balance input):")
             for lev in sorted(boxes):
-                row = " ".join(f"b{b}={v:.4f}s"
-                               for b, v in sorted(boxes[lev]))
+                row = " ".join(f"b{b}x{n}={v:.4f}s"
+                               for b, n, v in sorted(boxes[lev]))
                 lines.append(f"  {lev}: {row}")
         if perf.get("pickle_bytes"):
             lines.append(

@@ -38,20 +38,20 @@ def in_use(sim):
 
 
 @pytest.mark.parametrize("version", sorted(VERSIONS))
-def test_version_on_every_target(version):
+def test_version_on_every_target(version, monkeypatch):
+    # with numba importable `fused` would compile its row kernel, which
+    # re-associates (<= 1e-7, not bitwise)
+    monkeypatch.setenv("REPRO_FUSED_JIT", "off")
     sims = {t: make_sim(version, t) for t in TARGETS}
     try:
         states = {t: final_state(sim) for t, sim in sims.items()}
         host = states["host"]
         for target in ("device", "fused"):
             assert set(states[target]) == set(host)
-        for key, ref in host.items():
-            # same arithmetic, different accounting: bitwise
-            assert np.array_equal(states["device"][key], ref), key
-            # re-associated arithmetic: the paper's port criterion
-            drift = (np.linalg.norm(states["fused"][key] - ref)
-                     / np.linalg.norm(ref))
-            assert drift < 1e-7, (key, drift)
+            for key, ref in host.items():
+                # one WENO sweep on every target — what differs is the
+                # accounting and the launch structure: bitwise
+                assert np.array_equal(states[target][key], ref), (target, key)
         for target, sim in sims.items():
             accounts = target != "host"
             # devices, launches and memory exist exactly when the target

@@ -66,7 +66,7 @@ def divergence_crop_afterwards(op, layout, eos, u, metrics, direction, ng):
 
     if op.characteristic:
         f_iface = op._characteristic_interface(
-            layout, eos, u, fplus, fminus, m, axis)
+            layout, eos, u, fplus, fminus, m, axis, 0, u.shape[axis] - 5)
     else:
         rec_p = op.scheme.reconstruct(fplus, axis)
         rec_m = reconstruct_minus(op.scheme, fminus, axis)

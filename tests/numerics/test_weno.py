@@ -228,3 +228,55 @@ def test_constant_and_linear_exactness(a, b):
     rec = WenoScheme().reconstruct(vbar, axis=0)
     exact = a + b * (np.arange(2, 17) + 0.5)
     assert np.allclose(rec, exact, atol=1e-9 * (1 + abs(a) + abs(b)))
+
+
+# -- floating-point robustness of the combination ----------------------------
+
+def _stencils(kind):
+    rng = np.random.default_rng(13)
+    if kind == "smooth":
+        return [1.0 + 0.1 * rng.normal(size=(4, 50)) for _ in range(6)]
+    return [np.where(rng.random((4, 50)) > 0.5, 1.0, 10.0) for _ in range(6)]
+
+
+@pytest.mark.parametrize("variant", ["symbo", "symoo", "js5"])
+def test_combine_is_finite_and_homogeneous_from_1e_minus_100_to_1e_plus_100(
+        variant):
+    """No pass of the combination leaves the representable range
+    (``WENO_EPS_FLOOR``): zero, tiny and huge stencils come back finite
+    with no divide, invalid or overflow, and ``combine(s v) = s combine(v)``
+    — the nonlinear weights are scale-free — to rounding, exactly when
+    ``s`` is a power of two."""
+    scheme = WenoScheme(variant=variant)
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        zero = scheme.combine([np.zeros((4, 50))] * 6)
+        assert np.array_equal(zero, np.zeros((4, 50)))
+        for kind in ("smooth", "jump"):
+            cells = _stencils(kind)
+            ref = scheme.combine(cells)
+            for s in (1e-100, 1e100, 2.0 ** -332, 2.0 ** 332):
+                got = scheme.combine([s * c for c in cells])
+                assert np.isfinite(got).all()
+                assert np.allclose(got, s * ref, rtol=1e-12, atol=0.0), (kind, s)
+                if np.log2(s).is_integer():
+                    assert np.array_equal(got, s * ref), (kind, s)
+            # a window that is zero in places (the spanwise momentum of
+            # a 2-D flow in 3-D) next to one that is not
+            cells[2] = cells[2] * (np.arange(50) % 2)
+            assert np.isfinite(scheme.combine(cells)).all()
+            # the ends of the range documented at WENO_EPS_FLOOR
+            for s in (1e-145, 1e150):
+                got = scheme.combine([s * c for c in _stencils(kind)])
+                assert np.allclose(got, s * ref, rtol=1e-9, atol=0.0), (kind, s)
+
+
+@pytest.mark.parametrize("variant", ["symbo", "symoo", "js5"])
+def test_combine_minus_is_combine_of_the_reversed_window(variant):
+    scheme = WenoScheme(variant=variant)
+    for kind in ("smooth", "jump"):
+        cells = _stencils(kind)
+        assert np.array_equal(scheme.combine_minus(cells),
+                              scheme.combine(cells[::-1]))
+        out = np.ones((4, 50))
+        scheme.combine_minus(cells, out=out, add=True)
+        assert np.array_equal(out, 1.0 + scheme.combine(cells[::-1]))

@@ -61,9 +61,10 @@ class TestNames:
         assert kernel_class("AverageDown(L1->L0)") == "AverageDown"
 
     def test_box_of(self):
-        assert box_of("Box(L1,b3)") == (1, 3)
-        assert box_of("Box(L1,b3)x8") == (1, 3)
-        assert box_of("Interp(L2,b11)") == (2, 11)
+        # (level, first box, members)
+        assert box_of("Box(L1,b3)") == (1, 3, 1)
+        assert box_of("Box(L1,b3)x8") == (1, 3, 8)
+        assert box_of("Interp(L2,b11)") == (2, 11, 1)
         assert box_of("FB_nowait(L0)") is None
 
 
@@ -215,12 +216,12 @@ class TestAttribution:
         b.execute_s, b.capacity_s, b.stages = 0.5, 1.0, 2
         a.per_class["Box"] = {"count": 2, "execute_s": 1.0}
         b.per_class["Box"] = {"count": 1, "execute_s": 0.5}
-        b.box_costs[(0, 1)] = 0.5
+        b.box_costs[(0, 1, 4)] = 0.5
         a.merge(b)
         assert a.execute_s == pytest.approx(1.5)
         assert a.stages == 3
         assert a.per_class["Box"]["count"] == 3
-        assert a.box_costs[(0, 1)] == pytest.approx(0.5)
+        assert a.box_costs[(0, 1, 4)] == pytest.approx(0.5)
 
     def test_as_gauges_flat_schema(self):
         step = StepPerf()
@@ -229,13 +230,13 @@ class TestAttribution:
         step.lane_idle[1] = 0.25
         step.per_class["Box"] = {"count": 3, "execute_s": 1.0}
         step.cp_tasks = {"Box(L0,b0)": 0.5}
-        step.box_costs[(1, 2)] = 0.75
+        step.box_costs[(1, 2, 8)] = 0.75
         g = step.as_gauges()
         assert g["realized_parallelism"] == pytest.approx(2.0)
         assert g["lane.1.idle_s"] == pytest.approx(0.25)
         assert g["class.Box.count"] == 3
         assert g["cp.Box(L0,b0)"] == pytest.approx(0.5)
-        assert g["box_cost.L1.b2"] == pytest.approx(0.75)
+        assert g["box_cost.L1.b2x8"] == pytest.approx(0.75)
 
 
 class TestPerfScope:
@@ -295,7 +296,42 @@ class TestIntegration:
         assert perf.reconcile_errors == 0
         assert abs(perf.coverage - 1.0) <= 0.05
         assert 0.0 < perf.critical_path_s <= perf.execute_s + 1e-9
-        assert perf.box_costs  # per-box histogram populated
+        assert perf.box_costs  # per-batch histogram populated
+
+    def test_batch_cost_is_charged_to_the_batch_not_its_first_member(
+            self, monkeypatch):
+        """One RK stage of the DMR deck: every compute node is a row of
+        its own — ``(level, first box, members)`` — the rows are the
+        compute class's execute time, and every box of the hierarchy is a
+        member of exactly one of them."""
+        from repro.observability.perfscope.lifecycle import PerfScope
+
+        traces = []
+        begin_stage = PerfScope.begin_stage
+
+        def keep(self, graph, nlanes):
+            traces.append(begin_stage(self, graph, nlanes))
+            return traces[-1]
+
+        monkeypatch.setattr(PerfScope, "begin_stage", keep)
+        sim = run_dmr("serial", steps=1)
+        boxes = [len(ba) for ba in sim.box_arrays[:sim.finest_level + 1]]
+        sim.close()
+        stage = attribute_stage(traces[0])
+        compute = [s for s in traces[0].spans if s.kind == "compute"]
+        assert stage.box_costs == {box_of(s.name): s.execute_s
+                                   for s in compute}
+        assert sum(stage.box_costs.values()) == pytest.approx(
+            stage.per_class["Box"]["execute_s"])
+        # the deck batches: a node of several members is one row, and no
+        # row stands for a member of another node
+        assert max(n for _, _, n in stage.box_costs) > 1
+        for lev, nboxes in enumerate(boxes):
+            assert sum(n for l, _, n in stage.box_costs if l == lev) == nboxes
+            assert all(b < nboxes for l, b, _ in stage.box_costs if l == lev)
+        row = stage.as_gauges()
+        assert all(f"box_cost.L{l}.b{b}x{n}" in row
+                   for l, b, n in stage.box_costs)
 
     @pytest.mark.skipif(not HAS_FORK, reason="needs fork start method")
     def test_pool_run_reconciles_worker_clocks(self):
@@ -340,7 +376,8 @@ class TestIntegration:
         report = format_report(events, other, records)
         assert "-- bottleneck" in report
         assert "critical path" in report
-        assert "per-box execute cost" in report
+        assert "per-batch execute cost" in report
+        assert "per-box execute cost" not in report
 
     @pytest.mark.skipif(not HAS_FORK, reason="needs fork start method")
     def test_pool_trace_carries_lifecycle_slices(self, tmp_path):

@@ -16,8 +16,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.amr.box import Box
-from repro.amr.boxarray import BoxArray
+from repro.amr.boxarray import BoxArray, by_lo, disjoint, grow, subtract
 from repro.amr.cluster import buffer_tags, cluster_tags
 from repro.amr.distribution import DistributionMapping
 from repro.amr.geometry import Geometry
@@ -193,25 +192,12 @@ class AmrCore:
         cov = self.box_arrays[lev]
         assert cov is not None
         # uncovered regions of the level-lev domain, grown by the buffer
-        forbidden = [
-            u.grow(self.amr_config.n_proper)
-            for u in cov.complement_in(self.geoms[lev].domain)
-        ]
-        out: List[Box] = []
-        for b in ba_c:
-            for _, overlap in cov.intersections(b):
-                pieces = [overlap]
-                for f in forbidden:
-                    nxt: List[Box] = []
-                    for p in pieces:
-                        nxt.extend(p.diff(f))
-                    pieces = nxt
-                    if not pieces:
-                        break
-                for p in pieces:
-                    out.extend(_dedup_diffs(p, out))
-        out.sort(key=lambda b: b.lo.tup())
-        return BoxArray(out)
+        forbidden = grow(cov.complement(self.geoms[lev].domain)[0],
+                         self.amr_config.n_proper)
+        # what the level covers of each new grid, outside every buffer,
+        # and of that what no earlier piece already holds
+        pieces = subtract(cov.intersect(ba_c.lohi)[2], forbidden)
+        return BoxArray(by_lo(disjoint(pieces)))
 
     # -- bookkeeping ---------------------------------------------------------
     def num_active_pts(self) -> int:
@@ -235,19 +221,6 @@ class AmrCore:
         if equiv == 0:
             return 0.0
         return 1.0 - self.num_active_pts() / equiv
-
-
-def _dedup_diffs(box: Box, existing: List[Box]) -> List[Box]:
-    """``box`` minus all boxes in ``existing`` as disjoint pieces."""
-    pieces = [box]
-    for e in existing:
-        nxt: List[Box] = []
-        for p in pieces:
-            nxt.extend(p.diff(e))
-        pieces = nxt
-        if not pieces:
-            break
-    return pieces
 
 
 def optimal_regrid_interval(min_patch_cells: int, cfl: float,

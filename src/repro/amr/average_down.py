@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.amr.box import Box
+from repro.amr.boxarray import coarsen, grow, meet, nonempty, refine
 from repro.amr.intvect import IntVect, IntVectLike
 from repro.amr.multifab import MultiFab
 from repro.amr.plan import CommPlan, copy
@@ -17,13 +17,15 @@ from repro.amr.plan import CommPlan, copy
 
 def _build_plan(fine: MultiFab, crse: MultiFab, r: IntVect) -> CommPlan:
     """Per coarse fab, the fine regions that fully cover coarse cells."""
-
-    def pairs(i, cfab):
-        covered = ((j, _fully_covered(fine.ba[j], r).intersect(cfab.box))
-                   for j in fine.ba.intersecting(cfab.box.refine(r)))
-        return [(j, c.refine(r), c) for j, c in covered if not c.is_empty()]
-
-    return CommPlan.of_boxes(crse, fine, "averagedown", crse.ncomp, pairs)
+    i, j, _ = fine.ba.intersect(refine(crse.ba.lohi, r))
+    # the largest coarse box whose refinement lies inside each fine box
+    # (low corners rounded up, high corners down), within the coarse fab
+    inside = coarsen(grow(fine.ba.lohi[j], 1 - np.array(r.tup())), r)
+    covered = meet(inside, crse.ba.lohi[i])
+    ok = nonempty(covered)
+    i, j, covered = i[ok], j[ok], covered[ok]
+    return CommPlan.of_boxes(crse, fine, "averagedown", crse.ncomp,
+                             (i, j, refine(covered, r), covered))
 
 
 def average_down(fine: MultiFab, crse: MultiFab, ratio: IntVectLike) -> None:
@@ -42,13 +44,6 @@ def average_down(fine: MultiFab, crse: MultiFab, ratio: IntVectLike) -> None:
     plan.run("AverageDown", "averagedown",
              lambda fp: copy(crse.fab(fp.dst).data, fine, fp.copies,
                              via=lambda v: _block_mean(v, r)))
-
-
-def _fully_covered(fbox: Box, r: IntVect) -> Box:
-    """Largest coarse box whose refinement lies inside ``fbox``."""
-    lo = [-(-l // rr) for l, rr in zip(fbox.lo, r)]  # ceil division
-    hi = [(h + 1) // rr - 1 for h, rr in zip(fbox.hi, r)]
-    return Box(IntVect(*lo), IntVect(*hi))
 
 
 def _block_mean(fview: np.ndarray, r: IntVect) -> np.ndarray:

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.amr.box import Box
+from repro.amr.boxarray import lohi_of, meet
 from repro.amr.geometry import Geometry
 from repro.amr.multifab import MultiFab
 from repro.amr.plan import CommPlan, overlaps
@@ -33,15 +33,14 @@ from repro.amr.plan import CommPlan, overlaps
 def _build_plan(mf: MultiFab, geom: Optional[Geometry]) -> CommPlan:
     """Per destination fab, the ghost regions other patches cover: direct
     overlaps first, then periodic images (the historical write order)."""
-
-    def pairs(i, dst):
-        grown = dst.grown_box()
-        shifts = geom.periodic_shifts(grown) if geom is not None else ()
-        # a destination inside the valid box is the fab meeting itself
-        return [p for p in overlaps(mf.ba, grown, shifts)
-                if not dst.box.contains(p[2])]
-
-    return CommPlan.of_boxes(mf, mf, "fillboundary", mf.ncomp, pairs)
+    shifts = geom.periodic_shifts(geom.domain) if geom is not None else ()
+    pairs = overlaps(mf.ba, mf.grown, shifts)
+    i, _, _, dbox = pairs
+    # a destination inside the valid box is the fab meeting itself
+    ghost = ((dbox[:, 0] < mf.ba.lohi[i, 0])
+             | (dbox[:, 1] > mf.ba.lohi[i, 1])).any(axis=1)
+    return CommPlan.of_boxes(mf, mf, "fillboundary", mf.ncomp,
+                             tuple(x[ghost] for x in pairs))
 
 
 class FillBoundaryHandle:
@@ -107,24 +106,21 @@ def fill_boundary(mf: MultiFab, geom: Optional[Geometry] = None) -> None:
     fill_boundary_nowait(mf, geom).finish()
 
 
-def boundary_regions(mf: MultiFab, i: int,
-                     geom: Optional[Geometry] = None) -> List[Box]:
-    """The ghost sub-boxes of fab ``i`` not covered by any same-level patch.
+def boundary_regions(mf: MultiFab, geom: Optional[Geometry] = None):
+    """The ghost sub-boxes of every fab not covered by any same-level patch,
+    as ``(P, 2, dim)`` pieces and the fab each belongs to ``(P,)``.
 
     These are the cells that physical boundary conditions (BC_Fill) or
     coarse-to-fine interpolation must supply; given ``geom``, only the
     latter: inside the domain (a periodic direction has no outside) and
     not covered by a periodic image of a patch either.
     """
-    region = mf.fab(i).grown_box()
     if geom is None:
-        return mf.ba.complement_in(region)
-    dom, per = geom.domain, geom.periodic
-    region = Box(
-        [l if p else max(l, d) for l, d, p in zip(region.lo, dom.lo, per)],
-        [h if p else min(h, d) for h, d, p in zip(region.hi, dom.hi, per)])
-    pieces = mf.ba.complement_in(region)
-    for s in geom.periodic_shifts(region):
-        pieces = [q.shift(-s) for p in pieces
-                  for q in mf.ba.complement_in(p.shift(s))]
-    return pieces
+        return mf.ba.complement(mf.grown)
+    dom, per = lohi_of([geom.domain])[0], np.array(geom.periodic)
+    pieces, fab = mf.ba.complement(np.where(
+        per, mf.grown, meet(mf.grown, dom)))
+    for s in geom.periodic_shifts(geom.domain):
+        pieces, src = mf.ba.complement(pieces + s.tup())
+        pieces, fab = pieces - s.tup(), fab[src]
+    return pieces, fab

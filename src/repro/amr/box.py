@@ -8,6 +8,7 @@ interpolators that need them).
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, List, Optional, Tuple
 
 from repro.amr.intvect import IntVect, IntVectLike
@@ -55,9 +56,7 @@ class Box:
 
     def num_pts(self) -> int:
         """Total number of cells; 0 if the box is empty."""
-        if self.is_empty():
-            return 0
-        return self.size().prod()
+        return math.prod(self.shape())
 
     def is_empty(self) -> bool:
         return any(h < l for l, h in zip(self.lo, self.hi))

@@ -9,12 +9,14 @@ uses inside ``MakeNewGrids``.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.amr.box import Box
-from repro.amr.boxarray import BoxArray
+from repro.amr.boxarray import (BoxArray, boxes_of, by_lo, coarsen, disjoint,
+                                lohi_of, meet, nonempty, refine)
 from repro.amr.intvect import IntVect, IntVectLike
 
 
@@ -58,50 +60,34 @@ def cluster_tags(
     ms = IntVect.coerce(max_grid_size, dim)
     if len(tags) == 0:
         return BoxArray([])
-    raw = _berger_rigoutsos(np.asarray(tags, dtype=np.int64), grid_eff, min_size)
-    # align to the blocking factor: expand to covering bf-aligned box
-    aligned = [b.coarsen(bf).refine(bf).intersect(domain) for b in raw]
-    aligned = [b for b in aligned if not b.is_empty()]
-    # alignment can introduce overlap; make disjoint
-    disjoint: List[Box] = []
-    for b in aligned:
-        pieces = [b]
-        for existing in disjoint:
-            nxt: List[Box] = []
-            for p in pieces:
-                nxt.extend(p.diff(existing))
-            pieces = nxt
-            if not pieces:
-                break
-        disjoint.extend(pieces)
-    # re-align any off-bf fragments produced by diff by snapping outward,
-    # then make disjoint again by preferring earlier boxes
-    final: List[Box] = []
-    for b in disjoint:
-        snapped = b.coarsen(bf).refine(bf).intersect(domain)
-        pieces = [snapped]
-        for existing in final:
-            nxt = []
-            for p in pieces:
-                nxt.extend(p.diff(existing))
-            pieces = nxt
-        final.extend(p for p in pieces if not p.is_empty())
-    out: List[Box] = []
-    for b in final:
-        out.extend(b.max_size_chop(ms))
-    out.sort(key=lambda b: b.lo.tup())
-    return BoxArray(out)
+    raw = np.array(_berger_rigoutsos(np.asarray(tags, dtype=np.int64),
+                                     grid_eff, min_size))
+    dom = lohi_of([domain])[0]
+
+    def aligned(lohi):
+        """Expanded to the covering bf-aligned boxes, inside the domain."""
+        lohi = meet(refine(coarsen(lohi, bf), bf), dom)
+        return lohi[nonempty(lohi)]
+
+    # alignment can introduce overlap: make disjoint; then re-align any
+    # off-bf fragments that left by snapping outward, and make disjoint
+    # again (both times preferring earlier boxes)
+    final = disjoint(aligned(disjoint(aligned(raw))))
+    big = (final[:, 1] - final[:, 0] + 1 > np.array(ms.tup())).any(axis=1)
+    chopped = [c for b in boxes_of(final[big]) for c in b.max_size_chop(ms)]
+    return BoxArray(by_lo(np.concatenate([final[~big],
+                                          lohi_of(chopped, dim)])))
 
 
-def _berger_rigoutsos(tags: np.ndarray, grid_eff: float, min_size: int) -> List[Box]:
-    dim = tags.shape[1]
-    lo = IntVect(*tags.min(axis=0).tolist())
-    hi = IntVect(*tags.max(axis=0).tolist())
-    bbox = Box(lo, hi)
-    eff = len(tags) / bbox.num_pts()
-    if eff >= grid_eff or all(s <= min_size for s in bbox.size()):
+def _berger_rigoutsos(tags: np.ndarray, grid_eff: float,
+                      min_size: int) -> List[np.ndarray]:
+    """Covering boxes, each a ``(2, dim)`` array."""
+    lo, hi = tags.min(axis=0), tags.max(axis=0)
+    bbox, size = np.stack([lo, hi]), (hi - lo + 1).tolist()
+    eff = len(tags) / math.prod(size)
+    if eff >= grid_eff or all(s <= min_size for s in size):
         return [bbox]
-    cut = _find_cut(tags, bbox, min_size)
+    cut = _find_cut(tags, lo.tolist(), size, min_size)
     if cut is None:
         return [bbox]
     axis, at = cut
@@ -114,14 +100,17 @@ def _berger_rigoutsos(tags: np.ndarray, grid_eff: float, min_size: int) -> List[
     )
 
 
-def _find_cut(tags: np.ndarray, bbox: Box, min_size: int) -> Optional[Tuple[int, int]]:
-    """Choose a cut (axis, index) by hole, then inflection, then bisection."""
+def _find_cut(tags: np.ndarray, lo: List[int], size: List[int],
+              min_size: int) -> Optional[Tuple[int, int]]:
+    """Choose a cut (axis, index) of the tags' bounding box (low corner
+    ``lo``, ``size`` cells) by hole, then inflection, then bisection."""
     dim = tags.shape[1]
+    hi = [l + n - 1 for l, n in zip(lo, size)]
     # signatures: tag counts per plane along each axis
     sigs = []
     for d in range(dim):
         counts = np.bincount(
-            tags[:, d] - bbox.lo[d], minlength=bbox.size()[d]
+            tags[:, d] - lo[d], minlength=size[d]
         )
         sigs.append(counts)
     # 1. holes: a zero plane strictly inside
@@ -129,11 +118,11 @@ def _find_cut(tags: np.ndarray, bbox: Box, min_size: int) -> Optional[Tuple[int,
     for d in range(dim):
         zeros = np.nonzero(sigs[d] == 0)[0]
         for z in zeros:
-            at = bbox.lo[d] + int(z)
-            if bbox.lo[d] + min_size <= at <= bbox.hi[d] - min_size + 1:
+            at = lo[d] + int(z)
+            if lo[d] + min_size <= at <= hi[d] - min_size + 1:
                 # prefer the hole closest to the center of the longest axis
-                dist = abs(z - bbox.size()[d] / 2)
-                score = (-bbox.size()[d], dist)
+                dist = abs(z - size[d] / 2)
+                score = (-size[d], dist)
                 if best_hole is None or score < best_hole[0]:
                     best_hole = (score, d, at)
     if best_hole is not None:
@@ -142,13 +131,13 @@ def _find_cut(tags: np.ndarray, bbox: Box, min_size: int) -> Optional[Tuple[int,
     best_inf = None
     for d in range(dim):
         s = sigs[d]
-        if len(s) < 4 or bbox.size()[d] < 2 * min_size:
+        if len(s) < 4 or size[d] < 2 * min_size:
             continue
         lap = s[:-2] - 2 * s[1:-1] + s[2:]
         jump = np.abs(np.diff(lap))
         for k in np.argsort(-jump):
-            at = bbox.lo[d] + int(k) + 2
-            if bbox.lo[d] + min_size <= at <= bbox.hi[d] - min_size + 1:
+            at = lo[d] + int(k) + 2
+            if lo[d] + min_size <= at <= hi[d] - min_size + 1:
                 val = jump[k]
                 if best_inf is None or val > best_inf[0]:
                     best_inf = (val, d, at)
@@ -156,7 +145,7 @@ def _find_cut(tags: np.ndarray, bbox: Box, min_size: int) -> Optional[Tuple[int,
     if best_inf is not None and best_inf[0] > 0:
         return best_inf[1], best_inf[2]
     # 3. bisect the longest axis
-    d = int(np.argmax([bbox.size()[k] for k in range(dim)]))
-    if bbox.size()[d] < 2 * min_size:
+    d = int(np.argmax([size[k] for k in range(dim)]))
+    if size[d] < 2 * min_size:
         return None
-    return d, bbox.lo[d] + bbox.size()[d] // 2
+    return d, lo[d] + size[d] // 2

@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.amr.boxarray import BoxArray
+from repro.amr.boxarray import BoxArray, num_pts
 from repro.amr.morton import morton_order
 
 STRATEGIES = ("sfc", "knapsack", "roundrobin")
@@ -51,7 +51,7 @@ class DistributionMapping:
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}; options: {STRATEGIES}")
         w = (
-            np.array([b.num_pts() for b in ba], dtype=np.float64)
+            num_pts(ba.lohi).astype(np.float64)
             if weights is None
             else np.asarray(weights, dtype=np.float64)
         )
@@ -91,10 +91,8 @@ class DistributionMapping:
 
     def load_per_rank(self, ba: BoxArray) -> np.ndarray:
         """Total cell count assigned to each rank."""
-        load = np.zeros(self.nranks, dtype=np.int64)
-        for i, r in enumerate(self._ranks):
-            load[r] += ba[i].num_pts()
-        return load
+        return np.bincount(self._ranks, num_pts(ba.lohi),
+                           self.nranks).astype(np.int64)
 
     def imbalance(self, ba: BoxArray) -> float:
         """max/mean load ratio (1.0 = perfectly balanced).

@@ -26,6 +26,8 @@ import numpy as np
 
 from repro.amr.boundary import boundary_regions, fill_boundary_nowait
 from repro.amr.box import Box
+from repro.amr.boxarray import (BoxArray, boxes_of, cells, coarsen,
+                                flat_index, grow, num_pts, slices)
 from repro.amr.fab import FArrayBox
 from repro.amr.geometry import Geometry
 from repro.amr.intvect import IntVect, IntVectLike
@@ -289,7 +291,15 @@ def build_fill_plan(fine: MultiFab, crse: MultiFab, geom_fine: Geometry,
     plan = FillPlan(fine.comm)
     geom_crse = geom_fine.coarsen(r)
     shifts = geom_crse.periodic_shifts(geom_crse.domain)
-    coords_tmp = None
+    # all the level's pieces at once, each with the fab that owns it
+    pieces, owner = ((fine.ba.lohi, np.arange(len(fine))) if whole
+                     else boundary_regions(fine, geom_fine))
+    cregions = grow(coarsen(pieces, r), interp.radius)
+    ncell, nfine = num_pts(cregions), num_pts(pieces)
+    cell0 = np.concatenate([[0], np.cumsum(ncell)])
+    fab_of, cell_of, p, senders, nbytes = _patch_sources(
+        crse, cregions, cell0[:-1], shifts)
+    points, ccoords = ncell, [None] * len(pieces)
     if interp.needs_coords:
         if crse_coords is None or fine_coords is None:
             raise ValueError("curvilinear interpolation requires coordinate MultiFabs")
@@ -302,84 +312,101 @@ def build_fill_plan(fine: MultiFab, crse: MultiFab, geom_fine: Geometry,
         plan.coords = copy_plan(coords_tmp, crse_coords, crse_coords.ncomp, True)
         for fp in plan.coords.fabs.values():
             copy(coords_tmp.fab(fp.dst).data, crse_coords, fp.copies)
-        grown_ba = crse.ba.grow(coords_tmp.ngrow)
-    for i, fab in fine:
-        pieces = [fab.box] if whole else boundary_regions(fine, i, geom_fine)
-        rank, npoints, ncells, messages = fine.dm[i], 0, 0, []
-        from_fab, from_cell, stencils, regions = [], [], [], []
-        for piece in pieces:
-            cregion = interp.coarse_region(piece, r)
-            fabs, cells = _patch_sources(crse, cregion, shifts, rank, messages)
-            from_fab.append(fabs)
-            from_cell.append(cells)
-            npoints += cregion.num_pts()
-            ccoords = None
-            if coords_tmp is not None:
-                ccoords = FArrayBox(cregion.grow(1), coords_tmp.ncomp)
-                ccoords.data.fill(np.nan)
-                for j, overlap in grown_ba.intersections(ccoords.box):
-                    nbytes = ccoords.copy_from(coords_tmp.fab(j), overlap)
-                    messages.append(crse.comm.message(
-                        crse.dm[j], rank, nbytes, "parallelcopy"))
-                _nearest_fill(ccoords.data)
-                npoints += ccoords.box.num_pts()
-            stencil = interp.stencil(
-                piece, r, cregion, ccoords,
-                fine_coords.fab(i) if fine_coords is not None else None)
-            if stencil is not None:
-                stencils.append((stencil[0] + ncells, stencil[1]))
-            regions.append((piece, cregion, ncells))
-            ncells += cregion.num_pts()
-        if not pieces:
+        cboxes = grow(cregions, 1)
+        ccoords, cp, csenders, cbytes = _gather_coords(coords_tmp, cboxes)
+        points = ncell + num_pts(cboxes)
+        # a piece's messages: its state gather's, then its coordinates'
+        order = np.argsort(np.concatenate([2 * p, 2 * cp + 1]), kind="stable")
+        p, senders, nbytes = (np.concatenate(both)[order] for both in (
+            (p, cp), (senders, csenders), (nbytes, cbytes)))
+    pbox, cbox = boxes_of(pieces), boxes_of(cregions)
+    # where in its fab's array every fine cell to fill sits
+    k, fill_at = cells(pieces)
+    fill_at -= fine.grown[owner[k], 0]
+    fill0, points0 = (np.concatenate([[0], np.cumsum(n)]).tolist()
+                      for n in (nfine, points))
+    cell0, senders, nbytes = cell0.tolist(), senders.tolist(), nbytes.tolist()
+    # fab i owns pieces first[i]:first[i + 1] and messages msg0[i]:msg0[i + 1]
+    first = np.searchsorted(owner, np.arange(len(fine) + 1)).tolist()
+    msg0 = np.searchsorted(p, first).tolist()
+    for i, (a, b) in enumerate(zip(first, first[1:])):
+        if a == b:
             continue
-        from_fab, from_cell = np.concatenate(from_fab), np.concatenate(from_cell)
+        rank = fine.dm[i]
+        fcoords = fine_coords.fab(i) if fine_coords is not None else None
+        regions = [(pbox[n], cbox[n], cell0[n] - cell0[a]) for n in range(a, b)]
+        stencils = [interp.stencil(pbox[n], r, cbox[n], ccoords[n], fcoords)
+                    for n in range(a, b)]
+        from_fab, from_cell = fab_of[cell0[a]:cell0[b]], cell_of[cell0[a]:cell0[b]]
         copies = []
         for j in np.unique(from_fab):
             at = np.nonzero(from_fab == j)[0]
             copies.append((int(j), np.unravel_index(
                 from_cell[at], crse.fab(j).data.shape[1:]), (at,)))
         idx = w = dst = None
-        if stencils:
-            idx = np.concatenate([s[0] for s in stencils], axis=1)
+        if stencils[0] is not None:
+            idx = np.concatenate([s[0] + reg[2] for s, reg in
+                                  zip(stencils, regions)], axis=1)
             if stencils[0][1] is not None:
                 w = np.concatenate([s[1] for s in stencils], axis=1)
-            dst = np.unravel_index(
-                np.concatenate([_cells(p, fab.grown_box()) for p in pieces]),
-                fab.data.shape[1:])
+            dst = tuple(np.ascontiguousarray(fill_at[fill0[a]:fill0[b]].T))
         plan.fabs[i] = FillFabPlan(
-            i, rank, copies, npoints, messages, ncells,
-            sum(p.num_pts() for p in pieces), regions, idx, w, dst)
+            i, rank, copies, points0[b] - points0[a],
+            [crse.comm.message(src, rank, n, "parallelcopy") for src, n in
+             zip(senders[msg0[i]:msg0[i + 1]], nbytes[msg0[i]:msg0[i + 1]])],
+            cell0[b] - cell0[a], fill0[b] - fill0[a], regions, idx, w, dst)
     return plan
 
 
-def _patch_sources(crse: MultiFab, cregion: Box, shifts, rank: int,
-                   messages: list):
-    """Per cell of a scratch patch over ``cregion``, the coarse fab it
-    copies from and the flat cell in that fab's array; appends the
-    gather's ledger messages (one per coarse box met) to ``messages``."""
-    shape = cregion.shape()
-    fab_of = np.full(shape, -1)
-    cell_of = np.zeros(shape, dtype=np.intp)
-    for j, sbox, dbox in overlaps(crse.ba, cregion, shifts):
-        at = dbox.slices(relative_to=cregion)
-        fab_of[at] = j
-        cell_of[at] = _cells(sbox, crse.fab(j).grown_box()).reshape(dbox.shape())
-        messages.append(crse.comm.message(
-            crse.dm[j], rank, dbox.num_pts() * crse.ncomp * 8, "parallelcopy"))
-    if (fab_of < 0).all():
-        raise ValueError(f"no coarse data available for region {cregion}")
-    # an uncovered cell copies what its nearest covered cell copies
-    near = np.where(fab_of < 0, np.nan,
-                    np.arange(fab_of.size).reshape(shape))[None]
-    _nearest_fill(near)
-    near = near.ravel().astype(np.intp)
-    return fab_of.ravel()[near], cell_of.ravel()[near]
+def _patch_sources(crse: MultiFab, cregions: np.ndarray, start: np.ndarray,
+                   shifts):
+    """Per cell of the scratch patches over ``cregions`` (laid out one
+    after the other, region ``n`` from ``start[n]``), the coarse fab it
+    copies from and the flat cell in that fab's array; and the gathers'
+    ledger messages, one per coarse box a region meets, sorted by region:
+    the region, the sending rank and the bytes."""
+    ncell = num_pts(cregions)
+    fab_of = np.full(ncell.sum(), -1)
+    cell_of = np.zeros(ncell.sum(), dtype=np.intp)
+    p, j, sbox, dbox = overlaps(crse.ba, cregions, shifts)
+    # boxes of one level are disjoint, and so are their periodic images:
+    # no patch cell is written twice
+    k, at = cells(dbox)
+    to = start[p[k]] + flat_index(at, cregions[p[k]])
+    fab_of[to] = j[k]
+    cell_of[to] = flat_index(at + (sbox[k, 0] - dbox[k, 0]), crse.grown[j[k]])
+    covered = np.bincount(p, num_pts(dbox), len(cregions))
+    for n in np.nonzero(covered < ncell)[0]:
+        if not covered[n]:
+            raise ValueError("no coarse data available for region "
+                             f"{boxes_of(cregions[n:n + 1])[0]}")
+        # an uncovered cell copies what its nearest covered cell copies
+        cell = slice(start[n], start[n] + ncell[n])
+        near = np.where(fab_of[cell] < 0, np.nan, np.arange(ncell[n])).reshape(
+            (1,) + tuple(cregions[n, 1] - cregions[n, 0] + 1))
+        _nearest_fill(near)
+        near = near.ravel().astype(np.intp)
+        fab_of[cell], cell_of[cell] = fab_of[cell][near], cell_of[cell][near]
+    return (fab_of, cell_of, p, np.asarray(crse.dm.ranks())[j],
+            num_pts(dbox) * crse.ncomp * 8)
 
 
-def _cells(box: Box, within: Box) -> np.ndarray:
-    """Flat indices, into an array over ``within``, of the cells of ``box``."""
-    return np.arange(within.num_pts()).reshape(within.shape())[
-        box.slices(relative_to=within)].ravel()
+def _gather_coords(coords_tmp: MultiFab, cboxes: np.ndarray):
+    """Per box of ``cboxes`` its coarse coordinates, copied out of the
+    ghosted temporary (uncovered cells: nearest); and the gathers'
+    messages as in :func:`_patch_sources`."""
+    p, j, cover = BoxArray(coords_tmp.grown).intersect(cboxes)
+    out = [FArrayBox(box, coords_tmp.ncomp) for box in boxes_of(cboxes)]
+    for ccoords in out:
+        ccoords.data.fill(np.nan)
+    for n, src, to, at in zip(p.tolist(), j.tolist(), slices(cover, cboxes[p]),
+                              slices(cover, coords_tmp.grown[j])):
+        out[n].data[(slice(None),) + to] = coords_tmp.fab(src).data[
+            (slice(None),) + at]
+    for ccoords in out:
+        _nearest_fill(ccoords.data)
+    return (out, p, np.asarray(coords_tmp.dm.ranks())[j],
+            num_pts(cover) * coords_tmp.ncomp * 8)
 
 
 def _fill_fab(plan: FillPlan, fp: FillFabPlan, fine: MultiFab,

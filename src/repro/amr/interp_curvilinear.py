@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.amr.intvect import IntVect
-from repro.amr.interpolate import Interpolator, _fine_fractions, corner_index
+from repro.amr.interpolate import Interpolator, _fine_fractions, corner_indices
 
 
 class CurvilinearInterp(Interpolator):
@@ -40,7 +40,7 @@ class CurvilinearInterp(Interpolator):
         # physical coordinates of the 2^dim surrounding coarse points
         cdata = crse_coords.data.reshape(crse_coords.ncomp, -1)
         cgb = crse_coords.grown_box()
-        ccorners = [cdata[:, corner_index(bases, c, cgb)] for c in range(ncorner)]
+        ccorners = [cdata[:, ic] for ic in corner_indices(bases, cgb)]
         xf = fine_coords.view(fine_region).reshape(fine_coords.ncomp, -1)
 
         # per-axis weights: projection of (xf - x0) on the axis edge vector
@@ -59,5 +59,4 @@ class CurvilinearInterp(Interpolator):
             for d in range(dim):
                 w = w * (t[d] if (corner >> d) & 1 else (1.0 - t[d]))
             weights.append(w)
-        return (np.array([corner_index(bases, c, cbox) for c in range(ncorner)]),
-                np.array(weights))
+        return corner_indices(bases, cbox), np.array(weights)

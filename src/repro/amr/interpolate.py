@@ -18,6 +18,7 @@ region.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -38,10 +39,6 @@ class Interpolator:
 
     #: suffix of the ``Interp_<label>`` launch name in device accounting
     kernel_label: str = "generic"
-
-    def coarse_region(self, fine_region: Box, ratio: IntVectLike) -> Box:
-        """The coarse-index region required to fill ``fine_region``."""
-        return fine_region.coarsen(ratio).grow(self.radius)
 
     def stencil(self, fine_region: Box, ratio: IntVectLike, cbox: Box,
                 crse_coords: Optional[FArrayBox] = None,
@@ -86,17 +83,23 @@ def apply_stencil(coarse: np.ndarray, idx: np.ndarray,
     return out
 
 
-def corner_index(bases, corner: int, box: Box) -> np.ndarray:
-    """Flat index into an array over ``box`` of every fine cell's
-    ``corner``-th neighbour (bit ``d`` of ``corner``: the upper one along
-    axis ``d``), given the per-axis lower-neighbour indices ``bases``."""
-    idx = []
+def corner_indices(bases, box: Box, upper: bool = True) -> np.ndarray:
+    """Flat indices into an array over ``box`` of every fine cell's coarse
+    neighbours, ``(2^dim, nfine)``: corner ``c`` is, along each axis ``d``,
+    the lower neighbour ``bases[d]`` or (bit ``d`` of ``c`` set) the upper
+    one.  Without ``upper``, only corner 0."""
+    shape, first, steps = box.shape(), 0, []
     for d, ib in enumerate(bases):
-        ib = ib + ((corner >> d) & 1) - box.lo[d]
-        if ib.min() < 0 or ib.max() >= box.shape()[d]:
+        ib = ib - box.lo[d]
+        if ib.min() < 0 or ib.max() + upper >= shape[d]:
             raise ValueError("coarse fab does not cover interpolation stencil")
-        idx.append(ib)
-    return np.ravel_multi_index(np.ix_(*idx), box.shape()).ravel()
+        step = math.prod(shape[d + 1:])
+        first = first + (ib * step).reshape((-1,) + (1,) * (len(bases) - 1 - d))
+        steps.append(step)
+    ncorner = 1 << len(bases) if upper else 1
+    to_corner = [sum(s for d, s in enumerate(steps) if (c >> d) & 1)
+                 for c in range(ncorner)]
+    return first.ravel() + np.array(to_corner)[:, None]
 
 
 def _fine_fractions(fine_region: Box, ratio: IntVect, idim: int):
@@ -133,18 +136,14 @@ class TrilinearInterp(Interpolator):
         dim = fine_region.dim
         bases, fracs = zip(*(_fine_fractions(fine_region, ratio, d)
                              for d in range(dim)))
-        idx, weights = [], []
-        # the 2^dim corners with separable linear weights
-        for corner in range(1 << dim):
-            w = 1.0
-            for d in range(dim):
-                wd = fracs[d] if (corner >> d) & 1 else (1.0 - fracs[d])
-                shape = [1] * dim
-                shape[d] = -1
-                w = w * wd.reshape(shape)
-            idx.append(corner_index(bases, corner, cbox))
-            weights.append(np.broadcast_to(w, fine_region.shape()).ravel())
-        return np.array(idx), np.array(weights)
+        # the 2^dim corners' separable linear weights, corner bit ``d``
+        # choosing ``frac`` over ``1 - frac`` along axis ``d``
+        w = 1.0
+        for d in range(dim):
+            both = np.stack([1.0 - fracs[d], fracs[d]])
+            w = w * both.reshape((1,) * (dim - 1 - d) + (2,) + (1,) * (2 * d)
+                                 + (-1,) + (1,) * (dim - 1 - d))
+        return corner_indices(bases, cbox), w.reshape(1 << dim, -1)
 
 
 class PiecewiseConstantInterp(Interpolator):
@@ -158,7 +157,7 @@ class PiecewiseConstantInterp(Interpolator):
         cells = [np.floor_divide(
             np.arange(fine_region.lo[d], fine_region.hi[d] + 1), ratio[d])
             for d in range(fine_region.dim)]
-        return np.array([corner_index(cells, 0, cbox)]), None
+        return corner_indices(cells, cbox, upper=False), None
 
 
 class ConservativeLinearInterp(Interpolator):

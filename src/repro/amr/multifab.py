@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Hashable, Iterator, Optional, 
 
 import numpy as np
 
-from repro.amr.boxarray import BoxArray
+from repro.amr.boxarray import BoxArray, grow
 from repro.amr.distribution import DistributionMapping
 from repro.amr.fab import FArrayBox
 from repro.amr.intvect import IntVect, IntVectLike
@@ -43,6 +43,8 @@ class MultiFab:
         self.ncomp = ncomp
         self.ngrow = IntVect.coerce(ngrow, ba.dim) if len(ba) else IntVect.zero(max(ba.dim, 1))
         self.comm = comm if comm is not None else SerialComm()
+        #: every fab's grown box, as one ``(N, 2, dim)`` array
+        self.grown = grow(ba.lohi, self.ngrow)
         self._fabs: Dict[int, FArrayBox] = {
             i: FArrayBox(ba[i], ncomp, self.ngrow) for i in range(len(ba))
         }

@@ -21,8 +21,7 @@ def copy_plan(dst: MultiFab, src: MultiFab, ncomp: int,
     """Per destination fab, every overlap with ``src``'s valid regions."""
     return CommPlan.of_boxes(
         dst, src, "parallelcopy", ncomp,
-        lambda i, fab: overlaps(src.ba,
-                                fab.grown_box() if fill_ghosts else fab.box))
+        overlaps(src.ba, dst.grown if fill_ghosts else dst.ba.lohi))
 
 
 def parallel_copy(

@@ -22,7 +22,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.amr.box import Box
+from repro.amr.boxarray import num_pts, slices
 from repro.backend import LaunchSpec, parallel_for
 from repro.mpi.ledger import Message
 
@@ -30,8 +30,9 @@ from repro.mpi.ledger import Message
 #: the spatial axes of slices or integer arrays (the component axis is
 #: prepended when the copy runs)
 Copy = Tuple[int, tuple, tuple]
-#: (source fab, source box, destination box)
-BoxPair = Tuple[int, Box, Box]
+#: box-shaped copies as arrays, one row per copy: (destination fab,
+#: source fab, source boxes ``(P, 2, dim)``, destination boxes)
+Pairs = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -56,23 +57,24 @@ class CommPlan:
         comm.plans_built += 1
 
     @classmethod
-    def of_boxes(cls, dst, src, kind: str, ncomp: int,
-                 pairs_of: Callable[[int, object], Sequence[BoxPair]]) -> "CommPlan":
-        """A plan of box-shaped copies from MultiFab ``src`` into ``dst``:
-        ``pairs_of(i, fab)`` lists fab ``i``'s.  A fab is charged its
-        source points and messaged its destination bytes."""
+    def of_boxes(cls, dst, src, kind: str, ncomp: int, pairs: Pairs) -> "CommPlan":
+        """A plan of box-shaped copies from MultiFab ``src`` into ``dst``,
+        ``pairs`` sorted by destination fab.  A fab is charged its source
+        points and messaged its destination bytes."""
         plan = cls(dst.comm)
-        for i, dfab in dst:
-            pairs = pairs_of(i, dfab)
-            if pairs:
-                plan.fabs[i] = FabPlan(
-                    i, dst.dm[i],
-                    [(j, s.slices(src.fab(j).grown_box()),
-                      d.slices(dfab.grown_box())) for j, s, d in pairs],
-                    sum(s.num_pts() for _, s, _ in pairs),
-                    [dst.comm.message(src.dm[j], dst.dm[i],
-                                      d.num_pts() * ncomp * 8, kind)
-                     for j, _, d in pairs])
+        i, j, sbox, dbox = pairs
+        copies = list(zip(j.tolist(), slices(sbox, src.grown[j]),
+                          slices(dbox, dst.grown[i])))
+        senders = np.asarray(src.dm.ranks())[j].tolist()
+        nbytes = (num_pts(dbox) * ncomp * 8).tolist()
+        npoints = np.bincount(i, num_pts(sbox), len(dst)).astype(int).tolist()
+        ends = np.searchsorted(i, np.arange(len(dst) + 1)).tolist()
+        for f, (a, b) in enumerate(zip(ends, ends[1:])):
+            if a < b:
+                plan.fabs[f] = FabPlan(
+                    f, dst.dm[f], copies[a:b], npoints[f],
+                    [dst.comm.message(s, dst.dm[f], n, kind)
+                     for s, n in zip(senders[a:b], nbytes[a:b])])
         return plan
 
     def run(self, name: str, kernel_class: str,
@@ -92,13 +94,15 @@ class CommPlan:
                          LaunchSpec(kernel_class=kernel_class, rank=fp.rank))
 
 
-def overlaps(ba, region: Box, shifts: Iterable = ()) -> List[BoxPair]:
-    """Every box of ``ba`` meeting ``region`` — directly, then through each
-    periodic shift (source where the data is, destination in ``region``)."""
-    out = [(j, o, o) for j, o in ba.intersections(region)]
-    for s in shifts:
-        out += [(j, o, o.shift(-s)) for j, o in ba.intersections(region.shift(s))]
-    return out
+def overlaps(ba, regions: np.ndarray, shifts: Iterable = ()) -> Pairs:
+    """Every box of ``ba`` meeting each region — directly, then through each
+    periodic shift (source where the data is, destination in the region),
+    in (region, shift, box) order."""
+    offs = np.array([[0] * regions.shape[2]] + [s.tup() for s in shifts])
+    q, j, sbox = ba.intersect(
+        (regions[:, None] + offs[None, :, None]).reshape(-1, 2, offs.shape[1]))
+    i, s = np.divmod(q, len(offs))
+    return i, j, sbox, sbox - offs[s, None]
 
 
 def copy(dst: np.ndarray, src, copies: Sequence[Copy],

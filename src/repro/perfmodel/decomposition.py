@@ -31,7 +31,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.amr.box import Box
-from repro.amr.boxarray import BoxArray
+from repro.amr.boxarray import BoxArray, grow, num_pts
 from repro.amr.distribution import DistributionMapping
 from repro.amr.intvect import IntVect
 from repro.amr.morton import morton_encode
@@ -231,39 +231,21 @@ class BoxLevel(LevelDecomposition):
         return np.bincount(np.asarray(self.dm.ranks()), minlength=self.nranks)
 
     def box_pts_and_ranks(self) -> Tuple[np.ndarray, np.ndarray]:
-        pts = np.array([b.num_pts() for b in self.ba], dtype=np.int64)
-        return pts, np.asarray(self.dm.ranks())
+        return num_pts(self.ba.lohi), np.asarray(self.dm.ranks())
 
     def fillboundary_volumes(self, ncomp: int, ngrow: int,
                              ranks_per_node: int) -> CommVolumes:
-        nranks = self.nranks
-        off = np.zeros(nranks)
-        on = np.zeros(nranks)
-        msgs = np.zeros(nranks, dtype=np.int64)
-        total = 0.0
         ranks = np.asarray(self.dm.ranks())
         nodes = ranks // ranks_per_node
-        los = np.array([b.lo.tup() for b in self.ba], dtype=np.int64)
-        his = np.array([b.hi.tup() for b in self.ba], dtype=np.int64)
-        for i, b in enumerate(self.ba):
-            cand = np.array(self.ba.intersecting(b.grow(ngrow)), dtype=np.int64)
-            cand = cand[cand != i]
-            if len(cand) == 0:
-                continue
-            glo = np.array(b.grow(ngrow).lo.tup())
-            ghi = np.array(b.grow(ngrow).hi.tup())
-            lo = np.maximum(los[cand], glo)
-            hi = np.minimum(his[cand], ghi)
-            vols = np.prod(np.maximum(0, hi - lo + 1), axis=1)
-            nbytes = vols * ncomp * 8
-            total += float(nbytes.sum())
-            dst = ranks[i]
-            cross = ranks[cand] != dst
-            same = nodes[cand] == nodes[i]
-            on[dst] += float(nbytes[cross & same].sum())
-            off[dst] += float(nbytes[cross & ~same].sum())
-            msgs[dst] += int((cross & ~same).sum())
-        return CommVolumes(off, on, msgs, total)
+        # every box's grown region against every other box, in one query
+        i, j, overlap = self.ba.intersect(grow(self.ba.lohi, ngrow))
+        other = i != j
+        i, j, nbytes = i[other], j[other], num_pts(overlap[other]) * ncomp * 8
+        cross, same = ranks[i] != ranks[j], nodes[i] == nodes[j]
+        on = np.bincount(ranks[i], nbytes * (cross & same), self.nranks)
+        off = np.bincount(ranks[i], nbytes * (cross & ~same), self.nranks)
+        msgs = np.bincount(ranks[i], cross & ~same, self.nranks)
+        return CommVolumes(off, on, msgs.astype(np.int64), float(nbytes.sum()))
 
 
 # -- construction helpers ------------------------------------------------

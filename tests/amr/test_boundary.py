@@ -5,7 +5,7 @@ import pytest
 
 from repro.amr.boundary import boundary_regions, fill_boundary
 from repro.amr.box import Box
-from repro.amr.boxarray import BoxArray
+from repro.amr.boxarray import BoxArray, num_pts
 from repro.amr.distribution import DistributionMapping
 from repro.amr.geometry import Geometry
 from repro.amr.multifab import MultiFab
@@ -107,9 +107,9 @@ def test_zero_ghost_noop():
 
 def test_boundary_regions_identifies_uncovered():
     mf, geom = make_mf()
-    regions = boundary_regions(mf, 0)
+    pieces, fab = boundary_regions(mf)
     # box 0 at the domain corner: uncovered ghosts on the low-x and low-y sides
-    total = sum(b.num_pts() for b in regions)
+    total = num_pts(pieces[fab == 0]).sum()
     # grown box 20x20=400, valid+covered neighbors fill 18*18 towards high side
     assert total == 400 - 18 * 18
 

@@ -14,6 +14,7 @@ import pytest
 from repro import cli
 from repro.amr.box import Box
 from repro.amr.boxarray import BoxArray
+from repro.amr.intvect import IntVect
 from repro.core.crocco import Crocco
 from repro.io.inputs import InputDeck
 
@@ -116,6 +117,34 @@ def test_no_box_algebra_and_no_plan_build_between_regrids(version, monkeypatch):
                          "complement_in": 0, "Box": 0}, (
             "a step between regrids runs its communication from cached "
             "plans (it used to build ~27,000 Box objects on this deck)")
+
+
+def test_a_regrid_step_builds_few_boxes(monkeypatch):
+    """Regrid, clustering and plan construction run on ``(N, 2, dim)``
+    arrays: a step that regrids makes ``Box`` / ``IntVect`` objects only at
+    the API edges (fabs, interpolator pieces).  On the churn layout
+    (``regrid_int 1``, ``max_grid_size 16``, 66 boxes) the object algebra
+    built 5,750 boxes and 19,536 index vectors per step."""
+    config, run = InputDeck.from_file(
+        str(DECK.with_name("dmr_churn.inputs"))).resolve(
+            {"backend_target": "device", "executor": "serial"})
+    with Crocco(cli.build_case(run), config) as sim:
+        sim.initialize()
+        sim.step()
+        made = {"Box": 0, "IntVect": 0}
+        for cls in (Box, IntVect):
+            def counted(self, *args, _init=cls.__init__, _key=cls.__name__):
+                made[_key] += 1
+                _init(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        regrids = sim.regrid_count
+        sim.step()
+        assert sim.regrid_count == regrids + 1 and sim.step_plan_builds > 0
+        assert made["Box"] <= 5750 // 4 and made["IntVect"] <= 19536 // 4, (
+            f"a regrid step built {made['Box']} Box and {made['IntVect']} "
+            "IntVect objects (591 / 1,813 when the array algebra landed; "
+            "budget: a quarter of the object algebra's 5,750 / 19,536)")
 
 
 def test_regrid_step_reports_its_plan_builds():

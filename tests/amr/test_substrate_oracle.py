@@ -209,15 +209,18 @@ def expect_two_levels(kind, fine, crse, lay, fine_coords=None,
     level, which is wrapped across periodic faces and extended by its
     nearest cell past the others.  Coarse *coordinates* are not wrapped:
     past any face the curvilinear weights see zeros, the one-sided
-    treatment physical boundaries get."""
+    treatment physical boundaries get.  A coarse level that covers only
+    the box ``lay["coverage"]`` of its domain is extended by its nearest
+    cell past that box's faces too."""
     ratio, periodic = lay["ratio"], lay["periodic"]
     fdomain = lay["domain"].refine(ratio)
+    cov = lay.get("coverage", lay["domain"])
     width = 3 // ratio + 3
     glob = global_array(fine, fdomain)
-    state = padded(global_array(crse, lay["domain"]), width, periodic, "edge")
+    state = padded(global_array(crse, cov), width, periodic, "edge")
     ccoords = None
     if crse_coords is not None:
-        ccoords = padded(global_array(crse_coords, lay["domain"]), width,
+        ccoords = padded(global_array(crse_coords, cov), width,
                          (False,) * lay["dim"], "constant")
     out = {}
     for i, fab in fine:
@@ -230,8 +233,9 @@ def expect_two_levels(kind, fine, crse, lay, fine_coords=None,
         if m.any():
             xf = (fine_coords.fab(i).data[:, m]
                   if fine_coords is not None else None)
-            exp[:, m] = interp_reference(kind, [a[m] for a in idx], ratio,
-                                         state, width, ccoords, xf)
+            exp[:, m] = interp_reference(
+                kind, [a[m] - l * ratio for a, l in zip(idx, cov.lo)], ratio,
+                state, width, ccoords, xf)
         out[i] = exp
     return out
 
@@ -418,6 +422,34 @@ def test_periodic_coarse_fine_ghosts_are_interpolated():
     levels.fill()
     assert (fab.view(Box((-2, 16), (-1, 47))) != GHOST).all()
     np.testing.assert_allclose(fab.data, expected[0], rtol=1e-12)
+
+
+@pytest.mark.parametrize("kind", sorted(INTERPS))
+def test_coarse_level_that_does_not_tile_the_domain(kind):
+    """Level 1 under level 2: the coarse level covers a rectangle inside
+    the domain, and fine boxes sit against its edge and in its corner
+    (nesting at its margin), so their ghost shells and stencils reach
+    coarse cells no box holds — the gather takes the nearest covered cell,
+    which over a rectangle is what edge padding gives.  Cold and warm."""
+    domain = Box((0, 0), (15, 15))
+    coverage = Box((2, 2), (13, 11))
+    lay = _layout(
+        domain,
+        BoxArray([Box((2, 2), (7, 11)), Box((8, 2), (13, 6)),
+                  Box((8, 7), (13, 11))]),
+        BoxArray([Box((2, 4), (5, 8)), Box((9, 8), (13, 11)),
+                  Box((6, 2), (8, 4))]),
+        (False, False))
+    lay["coverage"] = coverage
+    comm = Communicator(2, ranks_per_node=1)
+    levels = TwoLevels(lay, kind, comm, np.random.default_rng(2))
+    assert not levels.crse.ba.contains(domain)
+    assert levels.crse.ba.contains(coverage)
+    got = run_twice(levels.fill, levels.fine, comm)
+    assert_fabs(got, levels.expected(), exact=False)
+    # the extension was used: a ghost cell past the coverage's low-x edge,
+    # inside the domain, holds an interpolated value
+    assert (got[0][:, :2, 2:-2] != GHOST).all()
 
 
 @pytest.mark.parametrize("kind", sorted(INTERPS))

@@ -17,5 +17,8 @@ setup(
     python_requires=">=3.10",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
+    # the compiled WENO row kernel is built from source on first use: an
+    # installed copy without the .c file would run the NumPy path forever
+    package_data={"repro.numerics": ["*.c"]},
     install_requires=["numpy>=1.23", "scipy>=1.9"],
 )

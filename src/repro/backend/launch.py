@@ -29,10 +29,8 @@ derived module attribute ``TARGETS``) enumerate what is installed:
     The ``device`` target with a fused launch stream
     (:mod:`repro.backend.fused`): kernels that advertise fusion run the
     per-direction WENO sweeps inside one wide launch from shared
-    primitives, and the combination is optionally JITed via numba (soft
-    dependency).  Accounting matches the device target; without numba
-    the results are bitwise host's, with it they drift by <= 1e-7
-    relative L2 (the paper's own Fortran -> C++ criterion).
+    primitives.  Accounting matches the device target and the results
+    are bitwise host's.
 
 **One scratch cache per backend.**  Every backend instance — ``host``
 included — owns a role-keyed :class:`ScratchCache`; the WENO sweep of

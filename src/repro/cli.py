@@ -23,6 +23,7 @@ from repro.core.crocco import ConfigError, Crocco
 from repro.io.checkpoint import load_checkpoint, save_checkpoint
 from repro.io.inputs import InputDeck
 from repro.io.plotfile import write_plotfile
+from repro.numerics import native
 
 
 def build_case(run: RunControl):
@@ -107,6 +108,7 @@ def run_deck(path: str, overrides: Dict[str, object]) -> int:
                 progress()
         if not report or sim.step_count % report != 0:
             progress()
+        print(native.status()["line"])
 
         if run.plotfile:
             path = write_plotfile(run.plotfile, sim)

@@ -165,14 +165,14 @@ class KernelSet:
             # double and the update accumulates in double (the standard
             # mixed-precision recipe the paper lists as future work)
             u = u.astype(np.float32).astype(np.float64)
+        directions = (range(dim) if self.ordering == "fortran"
+                      else range(dim - 1, -1, -1))
         if (self.exec_backend.fuses_kernels
                 and not self.convective.characteristic):
             # the fused target runs the directional sweeps inside one
             # wide launch, from one set of primitives
-            out = self._fused_sweep(u, metrics, ng, rank)
+            out = self._fused_sweep(u, metrics, directions, ng, rank)
         else:
-            directions = (range(dim) if self.ordering == "fortran"
-                          else range(dim - 1, -1, -1))
             out = None
             for d in directions:
                 contrib = self._weno_direction(u, metrics, d, ng, rank)
@@ -194,28 +194,34 @@ class KernelSet:
 
     def _weno_direction(self, u: np.ndarray, metrics: Metrics, d: int,
                         ng: int, rank) -> np.ndarray:
-        body = lambda: self.convective.divergence(
-            self.layout, self.eos, u, metrics, d, ng,
-            scratch=self.exec_backend.scratch)
+        body = lambda: self._divergence(u, metrics, d, ng)
         return self._weno_launch(DIRECTION_NAMES[d], body,
                                  self._npts(u.shape, ng), WENO_BUDGET, u, rank)
 
-    def _fused_sweep(self, u: np.ndarray, metrics: Metrics, ng: int,
-                     rank) -> np.ndarray:
-        """One wide launch for all directional sweeps (fused target).
+    def _divergence(self, u, metrics, d, ng, prims=None) -> np.ndarray:
+        return self.convective.divergence(
+            self.layout, self.eos, u, metrics, d, ng,
+            scratch=self.exec_backend.scratch, prims=prims)
+
+    def _fused_sweep(self, u: np.ndarray, metrics: Metrics, directions,
+                     ng: int, rank) -> np.ndarray:
+        """One wide launch for all directional sweeps, from one set of
+        primitives (fused target; bitwise the per-direction launches).
 
         The launch is named ``WENOxy``/``WENOxyz`` and covers
         ``dim * nvalid`` points, so per-class point and flop totals stay
         comparable with the per-direction launch stream.
         """
-        from repro.kernels.fused import fused_sweep
+        def body():
+            _, vel, p = self.eos.primitives(self.layout, u)
+            prims = vel, p, self.eos.sound_speed(self.layout, u)
+            out = None
+            for d in directions:
+                contrib = self._divergence(u, metrics, d, ng, prims)
+                out = contrib if out is None else out + contrib
+            return out
 
-        backend = self.exec_backend
         dim = self.layout.dim
-        body = lambda: fused_sweep(
-            self.layout, self.eos, self.convective, u, metrics, ng,
-            backend.scratch, jit=getattr(backend, "jit_enabled", False),
-            reverse=(self.ordering != "fortran"))
         return self._weno_launch("WENO" + "xyz"[:dim], body,
                                  dim * self._npts(u.shape, ng),
                                  fused_weno_budget(dim), u, rank)

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.numerics import native
 from repro.numerics.metrics import Metrics
 from repro.numerics.state import StateLayout
 from repro.numerics.weno import NO_SCRATCH, WenoScheme, windows
@@ -119,7 +120,6 @@ class ConvectiveFlux:
         ng: int,
         scratch=NO_SCRATCH,
         prims=None,
-        rows=None,
     ) -> np.ndarray:
         """-(1/J) d(Fhat_d)/d(xi_d) over the valid region, in a new array.
 
@@ -131,8 +131,9 @@ class ConvectiveFlux:
         role from ``scratch`` (the backend's
         :class:`~repro.backend.ScratchCache`; new arrays by default);
         ``prims`` is ``(vel, p, a)`` of ``u`` when the caller already has
-        them; ``rows`` replaces the NumPy combination of the component-wise
-        path by a compiled row kernel (:func:`repro.kernels.fused.jit_rows`).
+        them.  The component-wise combination runs in the compiled row
+        kernel when this process has one (:mod:`repro.numerics.native`),
+        else in :meth:`WenoScheme.combine` — the same bits either way.
         """
         if ng < self.nghost:
             raise ValueError(f"need at least {self.nghost} ghost cells, got {ng}")
@@ -183,9 +184,9 @@ class ConvectiveFlux:
                 scratch), axis, 0)
         else:
             f_iface = get("f_iface", (nv + 1,) + rest)
-            if rows is not None:
-                rows(self.scheme, fplus, fminus, axis, start,
-                     np.moveaxis(f_iface, 0, axis), scratch)
+            kernel = native.weno_rows()
+            if kernel is not None:
+                kernel(self.scheme, fplus_s, fminus_s, start, f_iface)
             else:
                 self.scheme.combine(windows(fplus_s, 0, start, nv + 1),
                                     out=f_iface, scratch=scratch)

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.kernels.device import launch_totals
+from repro.numerics import native
 from repro.observability.adapters import (
     KernelSpanAdapter,
     ProfilerTraceAdapter,
@@ -112,10 +113,12 @@ class RunRecorder:
                     g(f"device.class.{cls}.{field}").set(value)
             if totals:
                 g("device.worker_launches").set(backend.worker_launches)
-            # the backend's scratch-cache counters (hit rate, resident
-            # bytes; on `fused` the JIT state too)
+            # the backend's scratch-cache counters (hit rate, resident bytes)
             for name, value in backend.scratch_stats().items():
                 g(f"backend.scratch.{name}").set(float(value))
+        # which WENO combination ran: 1 = the compiled row kernel, 0 = the
+        # NumPy fallback (same bits, ~2x the step; the why is in the trace)
+        g("kernel.weno_impl").set(native.status()["impl"] == "compiled")
         engine = getattr(sim, "engine", None)
         if engine is not None and engine.last_step_report is not None:
             rep = engine.last_step_report
@@ -162,6 +165,7 @@ class RunRecorder:
         other = {"mode": "wall", "schema": "repro-trace-1"}
         if sim is not None:
             cfg = sim.config
+            other["weno_kernel"] = native.status()["line"]
             other["config"] = {
                 "case": sim.case.name,
                 "version": cfg.version,

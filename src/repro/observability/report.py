@@ -424,6 +424,10 @@ def format_report(events: Sequence[dict], other: dict,
         lines.append(f"  total {_fmt_bytes(total_bytes)} "
                      f"({_fmt_bytes(off_diag)} between distinct ranks)")
 
+    # which WENO combination the run's sweeps ran (and why): last line of
+    # the device section, or of the metrics when the target does not account
+    impl = other.get("weno_kernel")
+
     # execution-backend launch accounting (device target)
     kernels = final_totals(records, "kernel", 1)
     classes = final_totals(records, "device.class", 1)
@@ -453,6 +457,8 @@ def format_report(events: Sequence[dict], other: dict,
                 lines.append(
                     f"    {name:<16s} {seconds * 1e3:>9.3f} ms  "
                     f"({launches} launches, {points:.4g} pts)")
+        if impl:
+            lines.append("  " + impl)
 
     # roofline points
     rows = roofline_rows(kernels)
@@ -509,6 +515,8 @@ def format_report(events: Sequence[dict], other: dict,
                          f"({stray} in steps without a regrid)")
         if "validation.l2_drift" in m:
             lines.append(f"  validation L2 drift = {m['validation.l2_drift']:.3e}")
+        if impl and not classes:
+            lines.append("  " + impl)
     return "\n".join(lines)
 
 

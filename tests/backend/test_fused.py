@@ -1,17 +1,19 @@
 """The WENO combination against its oracle, the scratch cache every
-backend owns, and what the fused target still adds (one launch, JIT)."""
+backend owns, what selects the compiled row kernel, and what the fused
+target still adds (one launch)."""
 
 import multiprocessing
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.backend import ScratchCache, make_exec_backend
-from repro.backend.fused import JIT_MODES, FusedBackend, numba_available
 from repro.cases.dmr import DoubleMachReflection
 from repro.cases.shocktube import SodShockTube
-from repro.core.crocco import ConfigError, Crocco, CroccoConfig
+from repro.core.crocco import Crocco, CroccoConfig
+from repro.numerics import native
 from repro.numerics.weno import (BETA_K, CANDIDATE_OFFSETS, WenoScheme,
                                  smoothness_matrix, stencil_tables, windows)
 from tests.numerics import weno_oracle
@@ -39,7 +41,8 @@ class TestCombineMath:
         smooth, discontinuous and identically-zero data, for 1-/2-/3-D
         leading shapes, on contiguous and on strided windows — and its
         three calling forms (new array, ``out=``, ``add=True``) give the
-        same bits, with or without a scratch cache."""
+        same bits, with or without a scratch cache — as does the
+        compiled row kernel, where this environment has one."""
         scheme = WenoScheme(variant=variant)
         rng = np.random.default_rng(7)
         data = {
@@ -58,6 +61,8 @@ class TestCombineMath:
                         got = scheme.combine(cells)
                         assert np.allclose(got, ref, rtol=1e-12, atol=1e-14), (
                             kind, shape, axis)
+                        compiled = weno_oracle.compiled_combine(scheme, cells)
+                        assert compiled is None or np.array_equal(compiled, got)
                         scratch = ScratchCache()
                         out = np.empty_like(ref)
                         assert scheme.combine(cells, out=out) is out
@@ -143,97 +148,63 @@ class TestScratchCache:
             assert second["misses"] == first["misses"], target
             assert second["hits"] > first["hits"]
             assert second["hit_rate"] > 0.5
-        assert second["shapes"] >= 1  # fused: which shapes drive the cache
 
 
-# -- JIT gating --------------------------------------------------------------
+# -- what selects the compiled kernel ------------------------------------------
 
 class TestJitGating:
-    def test_modes(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FUSED_JIT", raising=False)
-        be = FusedBackend()
-        assert be.jit_mode == "auto"
-        assert be.jit_enabled == numba_available()
-        off = FusedBackend(jit="off")
-        assert not off.jit_enabled
-
     def test_env_var(self, monkeypatch):
+        """No option selects the implementation: the variable that used
+        to switch the numba hook (the benchmark still exports it as
+        ``off``) is not read."""
         monkeypatch.setenv("REPRO_FUSED_JIT", "off")
-        assert not FusedBackend().jit_enabled
-
-    def test_bad_mode_is_config_error(self):
-        with pytest.raises(ConfigError, match="REPRO_FUSED_JIT"):
-            FusedBackend(jit="cuda")
-        assert set(JIT_MODES) == {"auto", "on", "off"}
-
-    def test_on_without_numba_warns_and_falls_back(self):
-        if numba_available():
-            pytest.skip("numba installed: no fallback to exercise")
-        with pytest.warns(RuntimeWarning, match="numba"):
-            be = FusedBackend(jit="on")
-        assert not be.jit_enabled
+        before = native.status()["impl"]
+        monkeypatch.setattr(native, "_kernel", native._UNRESOLVED)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert native.status()["impl"] == before
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_row_kernel_hook_with_a_stand_in_kernel(self, dim, monkeypatch):
-        """The ``rows`` hook of the sweep, without numba: a NumPy stand-in
-        with the compiled kernel's signature must reproduce the NumPy
-        path bit for bit, so what is under test is the adapter — rows
-        gathered along each sweep axis, interfaces scattered back."""
-        import repro.kernels.fused as kf
+        """The sweep's call of the row kernel, without a compiler: a NumPy
+        stand-in with the compiled kernel's signature must reproduce the
+        NumPy path bit for bit on every target, so what is under test is
+        the call site — sweep-major split fluxes in, one interface array
+        out, once per direction."""
         from repro.kernels.api import make_kernels
         from repro.numerics.eos import IdealGasEOS
         from repro.numerics.metrics import CartesianMetrics
         from repro.numerics.state import StateLayout
 
-        scheme = WenoScheme()
         calls = []
 
-        def combine_rows(vp, vm, start, C, D1, D2, w, eps, floor, limit, out):
-            assert vp.flags.c_contiguous and vp.ndim == 2
+        def rows(scheme, fp, fm, start, out):
+            assert all(a.flags.c_contiguous for a in (fp, fm, out))
+            assert fp.shape == fm.shape and fp.shape[1:] == out.shape[1:]
             calls.append(out.shape)
-            nif = out.shape[1]
-            scheme.combine(windows(vp, 1, start, nif), out=out)
-            scheme.combine_minus(windows(vm, 1, start, nif), out=out,
+            nif = out.shape[0]
+            scheme.combine(windows(fp, 0, start, nif), out=out)
+            scheme.combine_minus(windows(fm, 0, start, nif), out=out,
                                  add=True)
 
-        monkeypatch.setattr(kf, "get_jit_combine", lambda: combine_rows)
         layout = StateLayout(dim=dim, nspecies=1)
         rng = np.random.default_rng(4)
+        grown = tuple(5 + d + 2 * 4 for d in range(dim))
+        u = np.empty((layout.ncons, 2) + grown)  # a batch of two
+        u[0] = 1.0 + 0.2 * rng.random((2,) + grown)
+        u[1:1 + dim] = 0.1 * rng.normal(size=(dim, 2) + grown)
+        u[layout.energy] = 2.5
         results = {}
-        for target in ("host", "fused"):
-            be = make_exec_backend(target)
-            be.jit_enabled = True  # only `fused` reads it
-            ks = make_kernels("cpp", layout, IdealGasEOS(), exec_backend=be)
-            ng = ks.nghost
-            if target == "host":
-                grown = tuple(5 + d + 2 * ng for d in range(dim))
-                u = np.empty((layout.ncons, 2) + grown)  # a batch of two
-                u[0] = 1.0 + 0.2 * rng.random((2,) + grown)
-                u[1:1 + dim] = 0.1 * rng.normal(size=(dim, 2) + grown)
-                u[layout.energy] = 2.5
-            results[target] = ks.rhs(u, CartesianMetrics([0.1] * dim), ng)
-        assert len(calls) == dim
+        for target, kernel in (("host", None), ("device", rows),
+                               ("fused", rows)):
+            monkeypatch.setattr(native, "_kernel", kernel)
+            ks = make_kernels("cpp", layout, IdealGasEOS(),
+                              exec_backend=make_exec_backend(target))
+            assert ks.nghost == 4
+            results[target] = ks.rhs(u, CartesianMetrics([0.1] * dim), 4)
+        assert len(calls) == 2 * dim
+        assert np.array_equal(results["device"], results["host"])
         assert np.array_equal(results["fused"], results["host"])
-
-    @pytest.mark.skipif(not numba_available(), reason="numba not installed")
-    def test_jit_combine_matches_numpy_path(self):
-        from repro.kernels.fused import JIT_EPS_FLOOR, get_jit_combine
-
-        kernel = get_jit_combine()
-        assert kernel is not None
-        scheme = WenoScheme()
-        rng = np.random.default_rng(11)
-        vp = 1.0 + 0.3 * rng.normal(size=(10, 20))
-        vm = 1.0 + 0.3 * rng.normal(size=(10, 20))
-        start, nif = 1, 12
-        C, D1, D2 = stencil_tables(4)
-        out = np.empty((10, nif))
-        kernel(vp, vm, start, C, D1, D2, scheme.linear_weights(),
-               scheme.eps, JIT_EPS_FLOOR, scheme.downwind_limit, out)
-        cells_p = [vp[:, start + k: start + k + nif] for k in range(6)]
-        cells_m = [vm[:, start + k: start + k + nif] for k in range(6)]
-        ref = scheme.combine(cells_p) + scheme.combine(cells_m[::-1])
-        assert np.allclose(out, ref, rtol=1e-12, atol=1e-14)
 
 
 # -- one sweep on every target -----------------------------------------------
@@ -270,14 +241,9 @@ def run_dmr(backend_target, executor="serial", steps=3):
 
 
 class TestDriftBound:
-    """``fused`` runs the sweep every target runs (without numba): no
-    drift at all.  The serial DMR cell is a row of
+    """``fused`` runs the sweep every target runs: no drift at all.  The
+    serial DMR cell is a row of
     ``tests/core/test_version_target_table.py``."""
-
-    @pytest.fixture(autouse=True)
-    def no_jit(self, monkeypatch):
-        # the compiled row kernel re-associates (<= 1e-7, not bitwise)
-        monkeypatch.setenv("REPRO_FUSED_JIT", "off")
 
     def test_sod_fused_vs_host(self):
         host = run_sod("host")

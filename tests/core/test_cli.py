@@ -79,7 +79,16 @@ run.report_every = 0
     assert main([deck, "--record", str(run_dir)]) == 0
     assert (run_dir / "trace.json").exists()
     assert (run_dir / "metrics.jsonl").exists()
-    capsys.readouterr()
+    # which WENO combination ran is in all three artifacts of the run:
+    # the CLI summary, the metrics gauge and the report
+    (summary,) = [ln for ln in capsys.readouterr().out.splitlines()
+                  if ln.startswith("kernel.weno_impl = ")]
+    assert summary.split()[2] in ("compiled", "numpy")
+    import json
+
+    last = json.loads((run_dir / "metrics.jsonl").read_text().splitlines()[-1])
+    assert last["metrics"]["kernel.weno_impl"] == (
+        summary.split()[2] == "compiled")
 
     from repro.observability.report import main as report_main
 
@@ -87,6 +96,7 @@ run.report_every = 0
     out = capsys.readouterr().out
     assert "hot regions" in out
     assert "Advance" in out
+    assert "  " + summary in out.splitlines()
 
 
 def test_cli_time_target(tmp_path, capsys):

@@ -1,8 +1,12 @@
-"""The version x execution-target table: every CRoCCo version on every
-built-in target.
+"""The version x execution-target x kernel-implementation table: every
+CRoCCo version on every built-in target, with the compiled WENO row
+kernel and with the NumPy combination it falls back to.
 
 The target is pinned in the config (never through REPRO_BACKEND — CI runs
 tier-1 under that variable), so each cell is the configuration it names.
+Declared equivalence: **bitwise** along both the target axis (one sweep,
+different accounting) and the implementation axis (the C kernel is the
+NumPy combination operation for operation).
 """
 
 import numpy as np
@@ -12,8 +16,10 @@ from repro.cases.dmr import DoubleMachReflection
 from repro.core.crocco import Crocco, CroccoConfig
 from repro.core.versions import VERSIONS
 from repro.kernels.device import DeviceMemoryError
+from tests.numerics import weno_oracle
 
 TARGETS = ("host", "device", "fused")
+IMPLS = ("numpy", "compiled")
 NO_TAGS = np.empty((0, 2), dtype=np.int64)
 
 
@@ -39,20 +45,23 @@ def in_use(sim):
 
 @pytest.mark.parametrize("version", sorted(VERSIONS))
 def test_version_on_every_target(version, monkeypatch):
-    # with numba importable `fused` would compile its row kernel, which
-    # re-associates (<= 1e-7, not bitwise)
-    monkeypatch.setenv("REPRO_FUSED_JIT", "off")
-    sims = {t: make_sim(version, t) for t in TARGETS}
+    # (where no library can be had — CI's CC=/bin/false leg — both
+    # columns of the implementation axis are the NumPy one)
+    sims, states = {}, {}
     try:
-        states = {t: final_state(sim) for t, sim in sims.items()}
-        host = states["host"]
-        for target in ("device", "fused"):
-            assert set(states[target]) == set(host)
-            for key, ref in host.items():
-                # one WENO sweep on every target — what differs is the
-                # accounting and the launch structure: bitwise
-                assert np.array_equal(states[target][key], ref), (target, key)
-        for target, sim in sims.items():
+        for impl in IMPLS:
+            with monkeypatch.context() as m:
+                if impl == "numpy":
+                    weno_oracle.use_numpy_combination(m)
+                for target in TARGETS:
+                    sim = sims[impl, target] = make_sim(version, target)
+                    states[impl, target] = final_state(sim)
+        ref = states["numpy", "host"]
+        for cell, state in states.items():
+            assert set(state) == set(ref)
+            for key, fab in ref.items():
+                assert np.array_equal(state[key], fab), (cell, key)
+        for (impl, target), sim in sims.items():
             accounts = target != "host"
             # devices, launches and memory exist exactly when the target
             # accounts — whatever the version's own default is

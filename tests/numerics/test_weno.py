@@ -17,6 +17,7 @@ from repro.numerics.weno import (
     smoothness_matrix,
     symmetric_weights,
 )
+from tests.numerics import weno_oracle
 
 
 def test_interface_coefficients_match_classic_tables():
@@ -239,6 +240,15 @@ def _stencils(kind):
     return [np.where(rng.random((4, 50)) > 0.5, 1.0, 10.0) for _ in range(6)]
 
 
+def _implementations():
+    """``{name: combine(scheme, cells)}``: the NumPy combination and, where
+    this environment built one, the compiled row kernel."""
+    impls = {"numpy": lambda scheme, cells: scheme.combine(cells)}
+    if weno_oracle.compiled_combine(WenoScheme(), [np.zeros(1)] * 6) is not None:
+        impls["compiled"] = weno_oracle.compiled_combine
+    return impls
+
+
 @pytest.mark.parametrize("variant", ["symbo", "symoo", "js5"])
 def test_combine_is_finite_and_homogeneous_from_1e_minus_100_to_1e_plus_100(
         variant):
@@ -246,28 +256,33 @@ def test_combine_is_finite_and_homogeneous_from_1e_minus_100_to_1e_plus_100(
     (``WENO_EPS_FLOOR``): zero, tiny and huge stencils come back finite
     with no divide, invalid or overflow, and ``combine(s v) = s combine(v)``
     — the nonlinear weights are scale-free — to rounding, exactly when
-    ``s`` is a power of two."""
+    ``s`` is a power of two.  Both implementations, which agree bitwise
+    (the C kernel raises no NumPy floating-point error either way)."""
     scheme = WenoScheme(variant=variant)
-    with np.errstate(divide="raise", invalid="raise", over="raise"):
-        zero = scheme.combine([np.zeros((4, 50))] * 6)
-        assert np.array_equal(zero, np.zeros((4, 50)))
-        for kind in ("smooth", "jump"):
-            cells = _stencils(kind)
-            ref = scheme.combine(cells)
-            for s in (1e-100, 1e100, 2.0 ** -332, 2.0 ** 332):
-                got = scheme.combine([s * c for c in cells])
-                assert np.isfinite(got).all()
-                assert np.allclose(got, s * ref, rtol=1e-12, atol=0.0), (kind, s)
-                if np.log2(s).is_integer():
-                    assert np.array_equal(got, s * ref), (kind, s)
-            # a window that is zero in places (the spanwise momentum of
-            # a 2-D flow in 3-D) next to one that is not
-            cells[2] = cells[2] * (np.arange(50) % 2)
-            assert np.isfinite(scheme.combine(cells)).all()
-            # the ends of the range documented at WENO_EPS_FLOOR
-            for s in (1e-145, 1e150):
-                got = scheme.combine([s * c for c in _stencils(kind)])
-                assert np.allclose(got, s * ref, rtol=1e-9, atol=0.0), (kind, s)
+    for impl, combine in _implementations().items():
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            zero = combine(scheme, [np.zeros((4, 50))] * 6)
+            assert np.array_equal(zero, np.zeros((4, 50)))
+            for kind in ("smooth", "jump"):
+                cells = _stencils(kind)
+                ref = combine(scheme, cells)
+                assert np.array_equal(ref, scheme.combine(cells)), impl
+                for s in (1e-100, 1e100, 2.0 ** -332, 2.0 ** 332):
+                    got = combine(scheme, [s * c for c in cells])
+                    assert np.isfinite(got).all()
+                    assert np.allclose(got, s * ref, rtol=1e-12, atol=0.0), (
+                        impl, kind, s)
+                    if np.log2(s).is_integer():
+                        assert np.array_equal(got, s * ref), (impl, kind, s)
+                # a window that is zero in places (the spanwise momentum of
+                # a 2-D flow in 3-D) next to one that is not
+                cells[2] = cells[2] * (np.arange(50) % 2)
+                assert np.isfinite(combine(scheme, cells)).all()
+                # the ends of the range documented at WENO_EPS_FLOOR
+                for s in (1e-145, 1e150):
+                    got = combine(scheme, [s * c for c in _stencils(kind)])
+                    assert np.allclose(got, s * ref, rtol=1e-9, atol=0.0), (
+                        impl, kind, s)
 
 
 @pytest.mark.parametrize("variant", ["symbo", "symoo", "js5"])

@@ -13,6 +13,7 @@ times the shipped sweep against it.
 
 import numpy as np
 
+from repro.numerics import native
 from repro.numerics.weno import (CANDIDATE_OFFSETS, WenoScheme,
                                  interface_coefficients, smoothness_matrix)
 
@@ -68,9 +69,33 @@ def combine(self, cells) -> np.ndarray:
     return sum(a * q for a, q in zip(alphas, qs)) / asum
 
 
+def compiled_combine(scheme, cells):
+    """The compiled row kernel (``repro.numerics.native``) behind
+    ``combine``'s signature, or ``None`` where this environment has none:
+    one interface whose plus window is ``cells``; the minus window is
+    zero and adds ``+0.0``."""
+    kernel = native.weno_rows()
+    if kernel is None:
+        return None
+    shape = np.shape(cells[0])
+    fp = np.ascontiguousarray(np.stack([np.broadcast_to(c, shape)
+                                        for c in cells]), dtype=np.float64)
+    out = np.empty((1,) + shape)
+    kernel(scheme, fp, np.zeros_like(fp), 0, out)
+    return out[0]
+
+
+def use_numpy_combination(monkeypatch) -> None:
+    """Make every sweep of this test run ``WenoScheme.combine``, as a
+    process without a compiled kernel does."""
+    monkeypatch.setattr(native, "_kernel", None)
+
+
 def install(monkeypatch) -> None:
     """Make every sweep of this test run the reference arithmetic: the
-    oracle behind the shipped ``combine``'s ``out=`` / ``add`` contract."""
+    oracle behind the shipped ``combine``'s ``out=`` / ``add`` contract
+    (which the sweep only calls without a compiled kernel)."""
+    use_numpy_combination(monkeypatch)
 
     def shipped_signature(self, cells, out=None, scratch=None, add=False):
         ref = combine(self, cells)

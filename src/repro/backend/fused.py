@@ -7,8 +7,7 @@ keeps the launch structure real GPU ports use (STREAmS-2's "fewer, wider
 launches"): kernels that advertise fusion support (the
 :class:`~repro.kernels.api.KernelSet` RK right-hand side) run the
 per-direction WENO sweeps (``WENOx``/``WENOy``/``WENOz``) inside a
-single wide launch that computes the shared primitive variables once
-(``KernelSet._fused_sweep``).  The arithmetic is every
+single wide launch (``KernelSet.rhs``).  The arithmetic is every
 target's, so results are bitwise the ``host`` / ``device`` ones.
 
 Accounting matches the ``device`` target (launch records on simulated

@@ -167,16 +167,33 @@ class KernelSet:
             u = u.astype(np.float32).astype(np.float64)
         directions = (range(dim) if self.ordering == "fortran"
                       else range(dim - 1, -1, -1))
-        if (self.exec_backend.fuses_kernels
-                and not self.convective.characteristic):
-            # the fused target runs the directional sweeps inside one
-            # wide launch, from one set of primitives
-            out = self._fused_sweep(u, metrics, directions, ng, rank)
-        else:
+
+        def sweep(d):
+            return self.convective.divergence(
+                self.layout, self.eos, u, metrics, d, ng,
+                scratch=self.exec_backend.scratch)
+
+        def total(one):
             out = None
             for d in directions:
-                contrib = self._weno_direction(u, metrics, d, ng, rank)
+                contrib = one(d)
                 out = contrib if out is None else out + contrib
+            return out
+
+        npts = self._npts(u.shape, ng)
+        if (self.exec_backend.fuses_kernels
+                and not self.convective.characteristic):
+            # the fused target runs the directional sweeps inside one wide
+            # launch (bitwise the per-direction launches), named
+            # ``WENOxy``/``WENOxyz`` and covering ``dim * nvalid`` points,
+            # so per-class point and flop totals stay comparable with the
+            # per-direction launch stream
+            out = self._weno_launch("WENO" + "xyz"[:dim], lambda: total(sweep),
+                                    dim * npts, fused_weno_budget(dim), u, rank)
+        else:
+            out = total(lambda d: self._weno_launch(
+                DIRECTION_NAMES[d], lambda: sweep(d), npts, WENO_BUDGET, u,
+                rank))
         if self.viscous is not None:
             out = out + self._viscous(u, metrics, ng, rank)
         assert out is not None
@@ -191,40 +208,6 @@ class KernelSet:
         nbytes = self.layout.ncons * u.itemsize * self._npts(u.shape)
         return self._launch(name, body, npts, "flux", budget, u.shape, rank,
                             scratch=nbytes)
-
-    def _weno_direction(self, u: np.ndarray, metrics: Metrics, d: int,
-                        ng: int, rank) -> np.ndarray:
-        body = lambda: self._divergence(u, metrics, d, ng)
-        return self._weno_launch(DIRECTION_NAMES[d], body,
-                                 self._npts(u.shape, ng), WENO_BUDGET, u, rank)
-
-    def _divergence(self, u, metrics, d, ng, prims=None) -> np.ndarray:
-        return self.convective.divergence(
-            self.layout, self.eos, u, metrics, d, ng,
-            scratch=self.exec_backend.scratch, prims=prims)
-
-    def _fused_sweep(self, u: np.ndarray, metrics: Metrics, directions,
-                     ng: int, rank) -> np.ndarray:
-        """One wide launch for all directional sweeps, from one set of
-        primitives (fused target; bitwise the per-direction launches).
-
-        The launch is named ``WENOxy``/``WENOxyz`` and covers
-        ``dim * nvalid`` points, so per-class point and flop totals stay
-        comparable with the per-direction launch stream.
-        """
-        def body():
-            _, vel, p = self.eos.primitives(self.layout, u)
-            prims = vel, p, self.eos.sound_speed(self.layout, u)
-            out = None
-            for d in directions:
-                contrib = self._divergence(u, metrics, d, ng, prims)
-                out = contrib if out is None else out + contrib
-            return out
-
-        dim = self.layout.dim
-        return self._weno_launch("WENO" + "xyz"[:dim], body,
-                                 dim * self._npts(u.shape, ng),
-                                 fused_weno_budget(dim), u, rank)
 
     def _viscous(self, u: np.ndarray, metrics: Metrics, ng: int,
                  rank) -> np.ndarray:

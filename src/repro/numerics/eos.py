@@ -23,6 +23,9 @@ from repro.numerics.state import StateLayout
 #: universal gas constant [J / (mol K)]
 R_UNIVERSAL = 8.31446261815324
 
+#: the pressure the ideal-gas sound speed is never taken below
+PRESSURE_FLOOR = 1e-300
+
 
 @dataclass(frozen=True)
 class Species:
@@ -75,7 +78,7 @@ class IdealGasEOS:
     def sound_speed(self, layout: StateLayout, u: np.ndarray) -> np.ndarray:
         p = self.pressure(layout, u)
         rho = layout.density(u)
-        return np.sqrt(self.gamma * np.maximum(p, 1e-300) / rho)
+        return np.sqrt(self.gamma * np.maximum(p, PRESSURE_FLOOR) / rho)
 
     def total_energy(self, rho: np.ndarray, vel: np.ndarray, p: np.ndarray) -> np.ndarray:
         """E from primitives; ``vel`` has shape (dim, ...)."""

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.numerics import native
+from repro.numerics.eos import IdealGasEOS
 from repro.numerics.metrics import Metrics
 from repro.numerics.state import StateLayout
 from repro.numerics.weno import NO_SCRATCH, WenoScheme, windows
@@ -87,6 +88,41 @@ def wave_speed(
     return (np.abs(uhat) + a * mnorm) / J
 
 
+def lax_friedrichs_split(
+    layout: StateLayout, eos, u: np.ndarray, m: np.ndarray, J: np.ndarray,
+    direction: int, ng: int, form: str, fplus_s: np.ndarray,
+    fminus_s: np.ndarray, scratch=NO_SCRATCH,
+) -> np.ndarray:
+    """The pre-pass of the sweep in NumPy — reference and fallback of the
+    compiled one: ``alpha``, one per box over its full grown array, and
+    ``Fhat+- = (Fhat +- alpha J U) / 2`` into ``fplus_s`` / ``fminus_s``.
+
+    Reconstruction couples cells along the sweep axis only: the
+    transverse ghost rows are dead work, dropped before the flux.
+    """
+    dim = layout.dim
+    axis = u.ndim - dim + direction
+    _, vel, p = eos.primitives(layout, u)
+    lam = wave_speed(vel, eos.sound_speed(layout, u), m, J)
+    alpha = lam.max(axis=tuple(range(-dim, 0)), keepdims=True)
+    u, vel, p, m = (_crop_transverse(x, direction, ng, dim)
+                    for x in (u, vel, p, m))
+    J = _crop_transverse(np.broadcast_to(J, lam.shape), direction, ng, dim)
+    fhat = curvilinear_flux(layout, u, vel, p, m, form=form)
+    # split against q = J U (J is the time-independent cell Jacobian);
+    # `fplus` / `fminus` are the outputs' memory in u's axis order
+    ju = scratch.get("ju", fhat.shape)
+    fplus = np.moveaxis(fplus_s, 0, axis)
+    fminus = np.moveaxis(fminus_s, 0, axis)
+    np.multiply(u, J[None], out=ju)
+    ju *= alpha
+    np.subtract(fhat, ju, out=fminus)
+    fminus_s *= 0.5
+    np.add(fhat, ju, out=fplus)
+    fplus_s *= 0.5
+    return alpha
+
+
 @dataclass
 class ConvectiveFlux:
     """Configured convective-flux operator (scheme + splitting).
@@ -119,7 +155,6 @@ class ConvectiveFlux:
         direction: int,
         ng: int,
         scratch=NO_SCRATCH,
-        prims=None,
     ) -> np.ndarray:
         """-(1/J) d(Fhat_d)/d(xi_d) over the valid region, in a new array.
 
@@ -127,60 +162,50 @@ class ConvectiveFlux:
         cells, ``(ncons, *grown)`` or, for a batch of equal-shape boxes,
         ``(ncons, B, *grown)``; metric arrays must broadcast over the
         same shape behind their component axis.  This is the one WENO
-        sweep every execution target runs.  Intermediates are taken by
-        role from ``scratch`` (the backend's
-        :class:`~repro.backend.ScratchCache`; new arrays by default);
-        ``prims`` is ``(vel, p, a)`` of ``u`` when the caller already has
-        them.  The component-wise combination runs in the compiled row
-        kernel when this process has one (:mod:`repro.numerics.native`),
-        else in :meth:`WenoScheme.combine` — the same bits either way.
+        sweep every execution target runs: pre-pass, rows, difference.
+        Intermediates are taken by role from ``scratch`` (the backend's
+        :class:`~repro.backend.ScratchCache`; new arrays by default).
+        The pre-pass and the component-wise combination run in the
+        compiled kernels when this process has them
+        (:mod:`repro.numerics.native`) and the input is in their domain —
+        an :class:`IdealGasEOS` state of one species and no transported
+        scalar on stored metrics — else in :func:`lax_friedrichs_split`
+        and :meth:`WenoScheme.combine`: the same bits either way.
         """
         if ng < self.nghost:
             raise ValueError(f"need at least {self.nghost} ghost cells, got {ng}")
         dim = layout.dim
         axis = u.ndim - dim + direction
-        if prims is None:
-            _, vel, p = eos.primitives(layout, u)
-            prims = vel, p, eos.sound_speed(layout, u)
-        vel, p, a = prims
         m = metrics.m(direction)
         J = metrics.jacobian()
         get = scratch.get
 
-        # one alpha per box, over its full grown array
-        lam = wave_speed(vel, a, m, J)
-        alpha = lam.max(axis=tuple(range(-dim, 0)), keepdims=True)
-
-        # reconstruction couples cells along the sweep axis only: the
-        # transverse ghost rows are dead work, dropped before the flux
-        u, vel, p, m = (_crop_transverse(x, direction, ng, dim)
-                        for x in (u, vel, p, m))
-        J = _crop_transverse(np.broadcast_to(J, lam.shape), direction, ng, dim)
-        fhat = curvilinear_flux(layout, u, vel, p, m, form=self.split_form)
-        # split against q = J U (J is the time-independent cell Jacobian):
-        # Fhat+- = (Fhat +- alpha J U) / 2.  The split fluxes are stored
-        # sweep axis first, so each of the 6 stencil windows below is one
-        # contiguous block whatever the direction; `fplus` / `fminus` are
-        # the same memory in u's axis order, to fill it.
-        rest = fhat.shape[:axis] + fhat.shape[axis + 1:]
-        ju = get("ju", fhat.shape)
-        fplus_s = get("fplus", fhat.shape[axis:axis + 1] + rest)
+        # the split fluxes are stored sweep axis first, so each of the 6
+        # stencil windows below is one contiguous block whatever the
+        # direction
+        shape = _crop_transverse(u, direction, ng, dim).shape
+        rest = shape[:axis] + shape[axis + 1:]
+        fplus_s = get("fplus", shape[axis:axis + 1] + rest)
         fminus_s = get("fminus", fplus_s.shape)
-        fplus = np.moveaxis(fplus_s, 0, axis)
-        fminus = np.moveaxis(fminus_s, 0, axis)
-        np.multiply(u, J[None], out=ju)
-        ju *= alpha
-        np.subtract(fhat, ju, out=fminus)
-        fminus_s *= 0.5
-        np.add(fhat, ju, out=fplus)
-        fplus_s *= 0.5
+        split = None if self.characteristic else native.flux_split()
+        if (split is not None and type(eos) is IdealGasEOS
+                and self.split_form in ("fused", "distributed")
+                and native.split_takes(u, m, J)):
+            split(u, m, J, direction, ng, eos.gamma,
+                  self.split_form == "distributed", fplus_s, fminus_s)
+        else:
+            lax_friedrichs_split(layout, eos, u, m, J, direction, ng,
+                                 self.split_form, fplus_s, fminus_s, scratch)
+        J = _crop_transverse(np.broadcast_to(J, u.shape[1:]), direction, ng, dim)
 
         # only interfaces -1/2 .. nvalid-1/2 of the valid region
         nv = u.shape[axis] - 2 * ng
         start = ng - 3
         if self.characteristic:
+            u, m = (_crop_transverse(x, direction, ng, dim) for x in (u, m))
             f_iface = np.moveaxis(self._characteristic_interface(
-                layout, eos, u, fplus, fminus, m, axis, start, nv + 1,
+                layout, eos, u, np.moveaxis(fplus_s, 0, axis),
+                np.moveaxis(fminus_s, 0, axis), m, axis, start, nv + 1,
                 scratch), axis, 0)
         else:
             f_iface = get("f_iface", (nv + 1,) + rest)
@@ -230,18 +255,6 @@ class ConvectiveFlux:
         w = self.scheme.combine(cells_p, scratch=scratch)
         self.scheme.combine_minus(cells_m, out=w, scratch=scratch, add=True)
         return project(R, w)
-
-    def max_wave_speed_sum(
-        self, layout: StateLayout, eos, u: np.ndarray, metrics: Metrics,
-    ) -> float:
-        """max over cells of sum_d (|Uhat_d| + a |m_d|)/J — the CFL rate."""
-        rho, vel, p = eos.primitives(layout, u)
-        a = eos.sound_speed(layout, u)
-        J = metrics.jacobian()
-        total = np.zeros(np.broadcast_shapes(a.shape, np.shape(J)))
-        for d in range(layout.dim):
-            total = total + wave_speed(vel, a, metrics.m(d), J)
-        return float(total.max())
 
 
 def _crop_transverse(arr: np.ndarray, d: int, ng: int, dim: int) -> np.ndarray:

@@ -127,9 +127,10 @@ class StackedMetrics(Metrics):
             self._m = [members[0].m(d)[:, None] for d in range(dim)]
             self._J = members[0].jacobian()[None]
             return
-        #: m[d, j] of every member, (dim, dim, B, *grid)
-        self._m = np.stack([np.stack([mem.m(d) for mem in members], axis=1)
-                            for d in range(dim)])
+        #: m[d, j] of every member, (dim, dim, B, *grid), C-contiguous
+        self._m = np.ascontiguousarray(
+            np.stack([np.stack([mem.m(d) for mem in members], axis=1)
+                      for d in range(dim)]))
         self._J = np.stack([mem.jacobian() for mem in members])
         for b, mem in enumerate(members):
             if isinstance(mem, CurvilinearMetrics):
@@ -222,7 +223,9 @@ class CurvilinearMetrics(Metrics):
         if np.any(J <= 0):
             raise ValueError("grid mapping is not orientation-preserving (J <= 0)")
         Tinv = np.linalg.inv(T)  # (N, d, j) : d xi_d / d x_j
-        m = (J[:, None, None] * Tinv).transpose(1, 2, 0).reshape((dim, dim) + s)
+        # component-major: each m[d, j] unit-stride along the grid
+        m = np.ascontiguousarray(
+            (J[:, None, None] * Tinv).transpose(1, 2, 0)).reshape((dim, dim) + s)
         return cls(first, second, J.reshape(s), m)
 
     @property

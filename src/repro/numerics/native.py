@@ -1,12 +1,15 @@
-"""The compiled WENO row kernel: built on first use, loaded through ctypes.
+"""The compiled kernels of the WENO sweep: built on first use, loaded
+through ctypes.
 
-``weno_rows.c`` (beside this file, shipped as package data) is
-:meth:`~repro.numerics.weno.WenoScheme.combine` of the plus windows plus
-its mirror image on the minus windows in one pass, in NumPy's operation
-order: bitwise the reference, ~15x faster.  :func:`weno_rows` hands the
-sweep that kernel, or ``None`` — after **one** ``RuntimeWarning`` — when
-no library can be had; the NumPy combination then runs and the numbers
-are the same.  Which one a process got is :func:`status`.
+``weno_sweep.c`` (beside this file, shipped as package data) holds the
+sweep's pointwise pre-pass (:func:`flux_split`: Lax-Friedrichs ``alpha``,
+curvilinear flux and split, stored sweep axis first) and its row kernel
+(:func:`weno_rows`: :meth:`~repro.numerics.weno.WenoScheme.combine` of
+the plus windows plus its mirror image on the minus windows), both in
+NumPy's operation order: bitwise the reference, 5-15x faster.  Either
+accessor hands the sweep its kernel, or ``None`` — after **one**
+``RuntimeWarning`` — when no library can be had; the NumPy code then
+runs and the numbers are the same.  Which a process got is :func:`status`.
 
 The library is built with ``$CC`` (default ``cc``) into
 ``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``; a per-user temp
@@ -29,18 +32,50 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
+from repro.numerics.eos import PRESSURE_FLOOR, IdealGasEOS
+from repro.numerics.state import StateLayout
 from repro.numerics.weno import (BETA_K, WENO_EPS_FLOOR, WenoScheme,
                                  stencil_tables, windows)
 
-SOURCE = "weno_rows.c"
+SOURCE = "weno_sweep.c"
+PREFIX = SOURCE[:-2]
 
 #: never ``-ffast-math``, and no contraction of ``a * b + c`` into an
-#: FMA: the kernel is bitwise ``WenoScheme.combine`` only in IEEE order
-CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared")
+#: FMA: the kernels are bitwise the NumPy code only in IEEE order (that
+#: ``sqrt`` need not set ``errno`` changes no bit and lets it vectorise)
+CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fno-math-errno",
+          "-fPIC", "-shared")
 
 _UNRESOLVED = object()
 _kernel = _UNRESOLVED
 _status: Dict[str, str] = {}
+
+
+def _kernels() -> Optional[tuple]:
+    """``(flux_split, weno_rows)`` of this process's library, or ``None``."""
+    global _kernel
+    if _kernel is _UNRESOLVED:
+        try:
+            _kernel = _load()
+        except Exception as exc:  # whatever broke, the NumPy path runs
+            _kernel = None
+            why = " ".join(str(exc).split())[:200] or type(exc).__name__
+            _status.update(impl="numpy", cache="-", detail=why)
+            warnings.warn(f"compiled WENO kernel unavailable ({why}); "
+                          "running the NumPy sweep", RuntimeWarning,
+                          stacklevel=3)
+    return _kernel
+
+
+def flux_split() -> Optional[Callable]:
+    """The compiled pre-pass ``f(u, m, J, direction, ng, gamma,
+    distributed, fp, fm) -> alpha``, or ``None``:
+    :func:`~repro.numerics.fluxes.lax_friedrichs_split` for an ideal gas
+    with one species and no transported scalar on arrays
+    :func:`split_takes` (``alpha`` comes back ``([B])``).
+    """
+    kernels = _kernels()
+    return kernels and kernels[0]
 
 
 def weno_rows() -> Optional[Callable]:
@@ -51,18 +86,8 @@ def weno_rows() -> Optional[Callable]:
     becomes ``combine`` of rows ``start + j .. start + j + 5`` of ``fp``
     plus ``combine_minus`` of the same rows of ``fm``.
     """
-    global _kernel
-    if _kernel is _UNRESOLVED:
-        try:
-            _kernel = _load()
-        except Exception as exc:  # whatever broke, the NumPy path runs
-            _kernel = None
-            why = " ".join(str(exc).split())[:200] or type(exc).__name__
-            _status.update(impl="numpy", cache="-", detail=why)
-            warnings.warn(f"compiled WENO kernel unavailable ({why}); "
-                          "running the NumPy combination", RuntimeWarning,
-                          stacklevel=2)
-    return _kernel
+    kernels = _kernels()
+    return kernels and kernels[1]
 
 
 def status() -> Dict[str, str]:
@@ -70,9 +95,9 @@ def status() -> Dict[str, str]:
     yet): ``impl`` ``compiled | numpy``, ``cache`` ``hit | miss | -``,
     ``detail`` (the compiler and flags, or why not) and ``line``, the
     ``kernel.weno_impl = ...`` line of the CLI and the run report."""
-    weno_rows()
+    _kernels()
     s = dict(_status)
-    cache = f"cache {s['cache']}; " if s["impl"] == "compiled" else ""
+    cache = f"split+rows; cache {s['cache']}; " if s["impl"] == "compiled" else ""
     s["line"] = f"kernel.weno_impl = {s['impl']} ({cache}{s['detail']})"
     return s
 
@@ -98,7 +123,7 @@ def _build(cc, source: bytes, cache: Path, key: str) -> Path:
         if proc.returncode != 0 or not out.exists():
             last = (proc.stderr.strip().splitlines() or ["no output"])[-1]
             raise RuntimeError(f"{cc[0]} exited {proc.returncode}: {last}")
-        lib = cache / f"weno_rows-{key}-{_digest(out.read_bytes())}.so"
+        lib = cache / f"{PREFIX}-{key}-{_digest(out.read_bytes())}.so"
         os.replace(out, lib)
     return lib
 
@@ -131,7 +156,7 @@ def _library() -> tuple:
                        or os.path.expanduser("~/.cache")) / "repro",
                   Path(tempfile.gettempdir()) / f"repro-{os.getuid()}"):
         try:
-            found = sorted(cache.glob(f"weno_rows-{key}-*.so"))
+            found = sorted(cache.glob(f"{PREFIX}-{key}-*.so"))
             lib = found[0] if found else _build([exe, *cc[1:]], source,
                                                 cache, key)
         except OSError as exc:  # unwritable here: try the next directory
@@ -145,44 +170,96 @@ def _library() -> tuple:
     raise error
 
 
-def _load() -> Callable:
+def _load() -> tuple:
     import ctypes
 
-    lib, cache, built_with = _library()
-    fn = ctypes.CDLL(str(lib)).weno_rows
-    p, n, d = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
-    fn.argtypes = [p, p, p, n, n, n, ctypes.c_int, p, p, p, p, d, d, d, d]
-    fn.restype = None
+    path, cache, built_with = _library()
+    lib = ctypes.CDLL(str(path))
+    p, n, d, i = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double, ctypes.c_int
+    lib.weno_rows.argtypes = [p, p, p, n, n, n, i, p, p, p, p, d, d, d, d]
+    lib.flux_split.argtypes = [p, p, n, p, n * 4, i, i, n, d, d, i, p, p, p]
+    lib.weno_rows.restype = lib.flux_split.restype = None
 
-    def kernel(scheme: WenoScheme, fp: np.ndarray, fm: np.ndarray,
-               start: int, out: np.ndarray) -> None:
+    def rows(scheme: WenoScheme, fp: np.ndarray, fm: np.ndarray,
+             start: int, out: np.ndarray) -> None:
         nif = out.shape[0]
         if not (fp.shape == fm.shape and fp.shape[1:] == out.shape[1:]
                 and 0 <= start and start + nif + 5 <= fp.shape[0]
-                and all(a.dtype == np.float64 and a.flags.c_contiguous
-                        for a in (fp, fm, out))):
+                and _plain(fp, fm, out)):
             raise ValueError("weno_rows wants float64 C-contiguous (n, ...) "
                              "fluxes and (nif, ...) interfaces with "
                              "start + nif + 5 <= n")
-        fn(fp.ctypes.data, fm.ctypes.data, out.ctypes.data, nif,
-           math.prod(out.shape[1:]), start, *_scheme_args(scheme)[1])
+        lib.weno_rows(fp.ctypes.data, fm.ctypes.data, out.ctypes.data, nif,
+                      math.prod(out.shape[1:]), start, *_scheme_args(scheme)[1])
 
-    _self_check(kernel, lib)
+    def split(u: np.ndarray, m: np.ndarray, J: np.ndarray, direction: int,
+              ng: int, gamma: float, distributed: bool, fp: np.ndarray,
+              fm: np.ndarray) -> np.ndarray:
+        dim = len(m)
+        grid, batch = u.shape[-dim:], u.shape[1:-dim]
+        rest = [g - 2 * ng for g in grid]
+        sweep = rest.pop(direction) + 2 * ng if 0 <= direction < dim else 0
+        if not (split_takes(u, m, J) and ng >= 0 and min(rest) > 0
+                and fp.shape == fm.shape == (sweep, dim + 2, *batch, *rest)
+                and _plain(fp, fm)):
+            raise ValueError("flux_split wants float64 u (dim + 2, [B,] "
+                             "*grown), m and J of its shape, C-contiguous "
+                             "u, J and (n, dim + 2, [B,] *valid) fp, fm")
+        alpha = np.empty(batch)
+        lib.flux_split(u.ctypes.data, m.ctypes.data, m.strides[0] // 8,
+                       J.ctypes.data,
+                       # 2-D is 3-D with one plane
+                       (n * 4)(*(batch or (1,)), *(1,) * (3 - dim), *grid),
+                       dim, direction + 3 - dim, ng, gamma, PRESSURE_FLOOR,
+                       distributed, alpha.ctypes.data, fp.ctypes.data,
+                       fm.ctypes.data)
+        return alpha
+
+    _self_check(split, rows, path)
     _status.update(impl="compiled", cache=cache, detail=built_with)
-    return kernel
+    return split, rows
 
 
-def _self_check(kernel: Callable, lib: Path) -> None:
-    """One window of a jump (cap and limiter both active) against the
-    reference: a library that is not this source's fails here."""
+def _plain(*arrays: np.ndarray) -> bool:
+    return all(a.dtype == np.float64 and a.flags.c_contiguous for a in arrays)
+
+
+def split_takes(u: np.ndarray, m: np.ndarray, J: np.ndarray) -> bool:
+    """Whether :func:`flux_split` takes these arrays (the sweep asks; the
+    call raises ``ValueError``): float64 ``u (dim + 2, [B,] *grown)`` and
+    ``J`` and every ``m[j]`` of its shape, C-contiguous — of the strides
+    of ``m`` only the component's is free, because only then is
+    ``einsum``'s summation order the one the C code has."""
+    dim = len(m)
+    return (dim in (2, 3) and len(u) == dim + 2
+            and u.ndim in (dim + 1, dim + 2) and _plain(u, J)
+            and m.shape[1:] == J.shape == u.shape[1:] and _plain(m[0])
+            and m.strides[0] % 8 == 0)
+
+
+def _self_check(split: Callable, rows: Callable, lib: Path) -> None:
+    """One window of a jump (cap and limiter both active) through the row
+    kernel, one small 2-D state with a jump through the pre-pass — both
+    sweep axes, both energy forms — against the references: a library
+    that is not this source's fails here."""
+    from repro.numerics.fluxes import lax_friedrichs_split
+
     x = np.arange(2 * 9 * 7, dtype=np.float64).reshape(2, 9, 7)
     fp, fm = np.where(np.sin(x) > 0.0, 1.0, 10.0) + 0.1 * np.cos(7.0 * x)
     got, scheme = np.empty((3, 7)), WenoScheme()
-    kernel(scheme, fp, fm, 1, got)
+    rows(scheme, fp, fm, 1, got)
     ref = scheme.combine(windows(fp, 0, 1, 3))
     scheme.combine_minus(windows(fm, 0, 1, 3), out=ref, add=True)
     if not np.array_equal(got, ref):
         raise RuntimeError(f"{lib} does not reproduce WenoScheme.combine")
+    u = np.stack([fp[:4], fm[:4], 0.1 * fp[1:5], 30.0 + fm[2:6]])
+    m, J, eos = 0.1 * np.stack([fm[4:8], 2.0 + fp[5:9]]), fp[:4], IdealGasEOS()
+    for d, form, shape in (0, "fused", (4, 4, 5)), (1, "distributed", (7, 4, 2)):
+        ref, got = np.empty((2, 2) + shape)
+        lax_friedrichs_split(StateLayout(dim=2), eos, u, m, J, d, 1, form, *ref)
+        split(u, m, J, d, 1, eos.gamma, form == "distributed", *got)
+        if not np.array_equal(got, ref):
+            raise RuntimeError(f"{lib} does not reproduce the flux split")
 
 
 @lru_cache(maxsize=None)

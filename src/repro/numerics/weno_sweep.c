@@ -1,0 +1,316 @@
+/* Compiled WENO row kernel: WenoScheme.combine (numerics/weno.py) of the
+ * plus windows of F+ plus its mirror image on F-, one pass per interface.
+ *
+ * Every expression below is the NumPy combination's, operation for
+ * operation and in its order, so that with -ffp-contract=off (and never
+ * -ffast-math) the result is bitwise the reference.  No coefficient
+ * lives here: the stencil tables, the linear weights, BETA_K, eps / 6
+ * and WENO_EPS_FLOOR are arguments (repro/numerics/native.py passes the
+ * Python objects' values).
+ *
+ * Layout: fp / fm are (n, R) and out is (nif, R), C-contiguous — the
+ * sweep axis first, everything else flattened into R contiguous
+ * columns, which is how ConvectiveFlux.divergence stores the split
+ * fluxes.  Interface j reads rows start + j .. start + j + 5.
+ *
+ * The loop over the R columns only vectorises with scalar temporaries
+ * and restrict row pointers that are function *parameters* (local
+ * arrays v[6], b[4] end in "complicated access pattern"; restrict on
+ * block-scope pointers is dropped and the 12 run-time alias checks
+ * exceed gcc's limit).
+ */
+#include <stddef.h>
+
+#define INLINE static inline __attribute__((always_inline))
+
+struct tables {
+    double c[4][3], d1[4][3], d2[4][3], w[4];
+    double eps6, floor, beta_k, limit, cap;
+};
+
+/* ((a T0 + b T1) + c T2): the two `+=` passes of the NumPy code */
+#define DOT(T, a, b, c) ((a) * (T)[0] + (b) * (T)[1] + (c) * (T)[2])
+
+INLINE double beta(const struct tables *t, int r, double eps,
+                   double a, double b, double c)
+{
+    double p = DOT(t->d1[r], a, b, c), s = DOT(t->d2[r], a, b, c);
+    return (p * p + s * s * t->beta_k) / eps;
+}
+
+/* 1 + beta -> squared -> w / that */
+INLINE double alpha(double w, double b)
+{
+    b += 1.0;
+    return w / (b * b);
+}
+
+/* np.minimum / np.maximum return NaN when either operand is one; these
+ * return `b` then, which keeps a NaN that sits in the later operand
+ * (the downwind stencil's).  A NaN or inf anywhere in the window makes
+ * eps NaN or inf and with it an alpha of stencils 0..2 or, through
+ * these, of stencil 3: the result is NaN in both implementations. */
+#define MIN(a, b) ((a) < (b) ? (a) : (b))
+#define MAX(a, b) ((a) > (b) ? (a) : (b))
+
+INLINE double combine(const struct tables *t, int nst, int limited,
+                      double v0, double v1, double v2,
+                      double v3, double v4, double v5)
+{
+    double eps = (v0 * v0 + v1 * v1 + v2 * v2 + v3 * v3 + v4 * v4 + v5 * v5)
+                 * t->eps6 + t->floor;
+    double b0 = beta(t, 0, eps, v0, v1, v2);
+    double b1 = beta(t, 1, eps, v1, v2, v3);
+    double b2 = beta(t, 2, eps, v2, v3, v4);
+    double a0 = alpha(t->w[0], b0);
+    double a1 = alpha(t->w[1], b1);
+    double a2 = alpha(t->w[2], b2);
+    double sum = a0 + a1 + a2;
+    double num = DOT(t->c[0], v0, v1, v2) * a0 + DOT(t->c[1], v1, v2, v3) * a1
+                 + DOT(t->c[2], v2, v3, v4) * a2;
+    if (nst == 4) {
+        double b3 = beta(t, 3, eps, v3, v4, v5);
+        double a3 = alpha(t->w[3], b3);
+        double cap = sum * t->cap;
+        a3 = MIN(cap, a3);              /* downwind-weight cap */
+        if (limited) {                  /* relative-smoothness limiter */
+            double bcut = (MIN(MIN(b0, b1), b2) + 1.0) * t->limit;
+            double bmax = MAX(MAX(MAX(b0, b1), b2), b3);
+            a3 = bmax > bcut ? 0.0 : a3;
+        }
+        sum += a3;
+        num += DOT(t->c[3], v3, v4, v5) * a3;
+    }
+    return num / sum;
+}
+
+/* one interface: restrict only binds on parameters */
+INLINE void row(const struct tables *t, int nst, int limited, ptrdiff_t R,
+                const double *restrict p0, const double *restrict p1,
+                const double *restrict p2, const double *restrict p3,
+                const double *restrict p4, const double *restrict p5,
+                const double *restrict m0, const double *restrict m1,
+                const double *restrict m2, const double *restrict m3,
+                const double *restrict m4, const double *restrict m5,
+                double *restrict o)
+{
+    for (ptrdiff_t i = 0; i < R; i++)
+        o[i] = combine(t, nst, limited,
+                       p0[i], p1[i], p2[i], p3[i], p4[i], p5[i])
+             + combine(t, nst, limited,
+                       m0[i], m1[i], m2[i], m3[i], m4[i], m5[i]);
+}
+
+INLINE void rows(const struct tables *t, int nst, int limited,
+                 const double *fp, const double *fm, double *out,
+                 ptrdiff_t nif, ptrdiff_t R, ptrdiff_t start)
+{
+    for (ptrdiff_t j = 0; j < nif; j++) {
+        const double *p = fp + (start + j) * R, *m = fm + (start + j) * R;
+        /* the minus part is the mirror image: the reversed window of F- */
+        row(t, nst, limited, R,
+            p, p + R, p + 2 * R, p + 3 * R, p + 4 * R, p + 5 * R,
+            m + 5 * R, m + 4 * R, m + 3 * R, m + 2 * R, m + R, m,
+            out + j * R);
+    }
+}
+
+/* C, D1, D2: stencil_tables(nst), (nst, 3) each; w: linear_weights();
+ * eps6 = scheme.eps / 6; limit = scheme.downwind_limit (<= 0: off). */
+void weno_rows(const double *fp, const double *fm, double *out,
+               ptrdiff_t nif, ptrdiff_t R, ptrdiff_t start, int nst,
+               const double *C, const double *D1, const double *D2,
+               const double *w, double eps6, double floor, double beta_k,
+               double limit)
+{
+    struct tables t = {.eps6 = eps6, .floor = floor, .beta_k = beta_k,
+                       .limit = limit};
+    for (int r = 0; r < nst; r++) {
+        t.w[r] = w[r];
+        for (int k = 0; k < 3; k++) {
+            t.c[r][k] = C[3 * r + k];
+            t.d1[r][k] = D1[3 * r + k];
+            t.d2[r][k] = D2[3 * r + k];
+        }
+    }
+    if (nst == 4) {
+        t.cap = w[3] / (1.0 - w[3]);
+        if (limit > 0)
+            rows(&t, 4, 1, fp, fm, out, nif, R, start);
+        else
+            rows(&t, 4, 0, fp, fm, out, nif, R, start);
+    } else
+        rows(&t, 3, 0, fp, fm, out, nif, R, start);
+}
+
+/* ---- the pointwise pre-pass: Lax-Friedrichs alpha, curvilinear flux and
+ * the split F+- = (Fhat +- alpha J U) / 2, stored sweep axis first ----
+ *
+ * lax_friedrichs_split (numerics/fluxes.py) for an ideal gas with one
+ * species and no transported scalar, every expression in NumPy's order:
+ * sum() and einsum() accumulate from +0.0, `0.5 * s / rho` is
+ * `(0.5 s) / rho`.  gamma, the pressure floor and the energy form are
+ * arguments.
+ *
+ * Layout: u is (dim + 2, B, n0, n1, n2), J (B, n0, n1, n2) and each of
+ * the dim components of m, `mc` elements apart, (B, n0, n1, n2), all
+ * C-contiguous (n0 = 1 in 2-D).  fp / fm are (n_d, dim + 2, B, *valid
+ * transverse): what the row kernel above reads.
+ */
+#include <math.h>
+#include <stdint.h>
+#include <string.h>
+
+#define IN const double *restrict
+#define OUT double *restrict
+enum { TY = 8, TZ = 64 };   /* the transposition tile of the last sweep */
+
+/* one cell's pressure; its Uhat through `uhat` */
+INLINE double cell(int dim, double gamma, double rho, double q0, double q1,
+                   double q2, double E, double g0, double g1, double g2,
+                   double *uhat)
+{
+    double s = q0 * q0 + q1 * q1, uh = 0.0 + g0 * (q0 / rho) + g1 * (q1 / rho);
+    if (dim == 3) {
+        s += q2 * q2;
+        uh += g2 * (q2 / rho);
+    }
+    *uhat = uh;
+    return (gamma - 1.0) * (E - 0.5 * s / rho);
+}
+
+/* gcc vectorises an integer max reduction but, without
+ * -ffinite-math-only, not a floating one: doubles are compared through
+ * the int64 that orders as they do (its own inverse on the bits) */
+INLINE int64_t ordered(int64_t k)
+{
+    return k ^ ((k >> 63) & INT64_MAX);
+}
+
+/* pass A: max over n cells of (|Uhat| + a |m|) / J, NaN when one is
+ * (as ndarray.max) */
+INLINE double speed(int dim, double gamma, double floor, ptrdiff_t n,
+                    IN r, IN q0, IN q1, IN q2, IN e,
+                    IN m0, IN m1, IN m2, IN J)
+{
+    int64_t k, mx = INT64_MIN;
+    int nan = 0;
+    for (ptrdiff_t i = 0; i < n; i++) {
+        double rho = 0.0 + r[i], g0 = m0[i], g1 = m1[i];
+        double g2 = dim == 3 ? m2[i] : 0.0, uh;
+        double p = cell(dim, gamma, rho, q0[i], q1[i], q2[i], e[i],
+                        g0, g1, g2, &uh);
+        /* np.maximum(p, floor): NaN stays NaN */
+        double a = sqrt(gamma * (p < floor ? floor : p) / rho);
+        double l = (fabs(uh) + a * sqrt(0.0 + g0 * g0 + g1 * g1 + g2 * g2))
+                   / J[i];
+        memcpy(&k, &l, sizeof k);
+        k = ordered(k);
+        mx = k > mx ? k : mx;
+        nan |= l != l;
+    }
+    double alpha = NAN;
+    mx = ordered(mx);
+    if (!nan)
+        memcpy(&alpha, &mx, sizeof alpha);
+    return alpha;
+}
+
+#define SPLIT(P, M, f, q) do { double ju = (q) * Jc * alpha, fh = (f); \
+    P[i] = (fh + ju) * 0.5; M[i] = (fh - ju) * 0.5; } while (0)
+
+/* pass B, one row: flux and split */
+INLINE void split_row(int dim, double gamma, int distributed, double alpha,
+                      ptrdiff_t n,
+                      IN r, IN q0, IN q1, IN q2, IN e,
+                      IN m0, IN m1, IN m2, IN J,
+                      OUT fr, OUT f0, OUT f1, OUT f2, OUT fe,
+                      OUT br, OUT b0, OUT b1, OUT b2, OUT be)
+{
+    for (ptrdiff_t i = 0; i < n; i++) {
+        double rho = 0.0 + r[i], a0 = q0[i], a1 = q1[i], a2 = q2[i];
+        double E = e[i], Jc = J[i], g0 = m0[i], g1 = m1[i];
+        double g2 = dim == 3 ? m2[i] : 0.0, uh;
+        double p = cell(dim, gamma, rho, a0, a1, a2, E, g0, g1, g2, &uh);
+        SPLIT(fr, br, r[i] * uh, r[i]);
+        SPLIT(f0, b0, a0 * uh + g0 * p, a0);
+        SPLIT(f1, b1, a1 * uh + g1 * p, a1);
+        if (dim == 3)
+            SPLIT(f2, b2, a2 * uh + g2 * p, a2);
+        SPLIT(fe, be, distributed ? E * uh + p * uh : (E + p) * uh, E);
+    }
+}
+
+/* the components (rho, q0, q1, q2, E) of u or F+-, and those of m, behind
+ * one first element; in 2-D the third of each repeats the second, unused */
+#define U5(r, cs) r, r + cs, r + 2 * cs, r + dim * cs, r + (dim + 1) * cs
+#define M3(g) g, g + mc, g + (dim - 1) * mc
+
+/* member b of the batch: alpha over its full grown array, then the
+ * cells without the ghost rows of the transverse axes */
+INLINE void member(int dim, ptrdiff_t b, const double *u, const double *m,
+                   ptrdiff_t mc, const double *J, const ptrdiff_t *n, int d,
+                   ptrdiff_t ng, double gamma, double floor, int distributed,
+                   double *alpha, double *fp, double *fm)
+{
+    ptrdiff_t n1 = n[2], n2 = n[3], N = n[1] * n1 * n2, cs = n[0] * N;
+    ptrdiff_t lo[3], v[3], os[3], plane = 1;
+    u += b * N, m += b * N, J += b * N;
+    alpha[b] = speed(dim, gamma, floor, N, U5(u, cs), M3(m), J);
+
+    for (int t = 2; t >= 0; t--) {
+        lo[t] = t != d && n[t + 1] > 1 ? ng : 0;
+        v[t] = n[t + 1] - 2 * lo[t];
+        if (t != d) {
+            os[t] = plane;
+            plane *= v[t];
+        }
+    }
+    ptrdiff_t sc = n[0] * plane;    /* one component of one sweep index */
+    os[d] = (dim + 2) * sc;
+#define ROW(i, nz, fp, fm, sc) split_row( \
+    dim, gamma, distributed, alpha[b], nz, U5((u + i), cs), M3((m + i)), \
+    J + i, U5((fp), sc), U5((fm), sc))
+    for (ptrdiff_t i0 = 0; i0 < v[0]; i0++)
+        for (ptrdiff_t i1 = 0; i1 < v[1]; i1 += d == 2 ? TY : 1)
+            for (ptrdiff_t i2 = 0; i2 < v[2]; i2 += d == 2 ? TZ : v[2]) {
+                ptrdiff_t i = ((i0 + lo[0]) * n1 + i1 + lo[1]) * n2 + lo[2] + i2;
+                ptrdiff_t o = b * plane + i0 * os[0] + i1 * os[1] + i2 * os[2];
+                if (d != 2) {
+                    ROW(i, v[2], fp + o, fm + o, sc);
+                    continue;
+                }
+                /* the sweep axis is the unit-stride one: TY rows of it
+                 * into a tile, the tile out transposed, so that the far
+                 * apart sweep-major stores are TY wide */
+                double tile[2 * 5 * TY * TZ];
+                ptrdiff_t ny = v[1] - i1 < TY ? v[1] - i1 : TY;
+                ptrdiff_t nz = v[2] - i2 < TZ ? v[2] - i2 : TZ;
+                for (ptrdiff_t y = 0; y < ny; y++)
+                    ROW(i + y * n2, nz, tile + y * TZ,
+                        tile + 5 * TY * TZ + y * TZ, TY * TZ);
+                for (int k = 0; k < 2 * 5; k++) {   /* F+ then F- */
+                    const double *src = tile + k * TY * TZ;
+                    double *dst = (k < 5 ? fp : fm) + o + k % 5 * sc;
+                    if (k % 5 < dim + 2)
+                        for (ptrdiff_t z = 0; z < nz; z++)
+                            for (ptrdiff_t y = 0; y < ny; y++)
+                                dst[z * os[2] + y] = src[y * TZ + z];
+                }
+            }
+}
+
+/* n = (B, n0, n1, n2); d: the sweep axis among the three; alpha: (B,) */
+void flux_split(const double *u, const double *m, ptrdiff_t mc,
+                const double *J, const ptrdiff_t *n, int dim, int d,
+                ptrdiff_t ng, double gamma, double floor, int distributed,
+                double *alpha, double *fp, double *fm)
+{
+    for (ptrdiff_t b = 0; b < n[0]; b++)
+        if (dim == 3)
+            member(3, b, u, m, mc, J, n, d, ng, gamma, floor, distributed,
+                   alpha, fp, fm);
+        else
+            member(2, b, u, m, mc, J, n, d, ng, gamma, floor, distributed,
+                   alpha, fp, fm);
+}

@@ -166,42 +166,55 @@ class TestJitGating:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_row_kernel_hook_with_a_stand_in_kernel(self, dim, monkeypatch):
-        """The sweep's call of the row kernel, without a compiler: a NumPy
-        stand-in with the compiled kernel's signature must reproduce the
-        NumPy path bit for bit on every target, so what is under test is
-        the call site — sweep-major split fluxes in, one interface array
-        out, once per direction."""
+        """The sweep's calls of the pre-pass and of the row kernel, without
+        a compiler: NumPy stand-ins with the compiled kernels' signatures
+        must reproduce the NumPy path bit for bit on every target, so what
+        is under test is the call sites — state and stored metrics in,
+        sweep-major split fluxes between, one interface array out, once
+        per direction each."""
         from repro.kernels.api import make_kernels
         from repro.numerics.eos import IdealGasEOS
-        from repro.numerics.metrics import CartesianMetrics
+        from repro.numerics.fluxes import lax_friedrichs_split
+        from repro.numerics.metrics import CurvilinearMetrics, StackedMetrics
         from repro.numerics.state import StateLayout
 
-        calls = []
+        calls, layout = [], StateLayout(dim=dim, nspecies=1)
+
+        def split(u, m, J, direction, ng, gamma, distributed, fp, fm):
+            assert native.split_takes(u, m, J) and distributed
+            calls.append(fp.shape)
+            return lax_friedrichs_split(
+                layout, IdealGasEOS(gamma), u, m, J, direction, ng,
+                "distributed", fp, fm).reshape(u.shape[1:-dim])
 
         def rows(scheme, fp, fm, start, out):
             assert all(a.flags.c_contiguous for a in (fp, fm, out))
             assert fp.shape == fm.shape and fp.shape[1:] == out.shape[1:]
+            assert calls.pop() == fp.shape  # filled by the pre-pass
             calls.append(out.shape)
             nif = out.shape[0]
             scheme.combine(windows(fp, 0, start, nif), out=out)
             scheme.combine_minus(windows(fm, 0, start, nif), out=out,
                                  add=True)
 
-        layout = StateLayout(dim=dim, nspecies=1)
         rng = np.random.default_rng(4)
         grown = tuple(5 + d + 2 * 4 for d in range(dim))
+        idx = np.stack(np.meshgrid(*[np.arange(float(n)) for n in grown],
+                                   indexing="ij"))
+        metrics = StackedMetrics([CurvilinearMetrics.from_coordinates(
+            0.1 * idx + 0.01 * np.sin(idx[::-1] + k)) for k in range(2)])
         u = np.empty((layout.ncons, 2) + grown)  # a batch of two
         u[0] = 1.0 + 0.2 * rng.random((2,) + grown)
         u[1:1 + dim] = 0.1 * rng.normal(size=(dim, 2) + grown)
         u[layout.energy] = 2.5
         results = {}
-        for target, kernel in (("host", None), ("device", rows),
-                               ("fused", rows)):
-            monkeypatch.setattr(native, "_kernel", kernel)
+        for target, kernels in (("host", None), ("device", (split, rows)),
+                                ("fused", (split, rows))):
+            monkeypatch.setattr(native, "_kernel", kernels)
             ks = make_kernels("cpp", layout, IdealGasEOS(),
                               exec_backend=make_exec_backend(target))
             assert ks.nghost == 4
-            results[target] = ks.rhs(u, CartesianMetrics([0.1] * dim), 4)
+            results[target] = ks.rhs(u, metrics, 4)
         assert len(calls) == 2 * dim
         assert np.array_equal(results["device"], results["host"])
         assert np.array_equal(results["fused"], results["host"])

@@ -1,12 +1,15 @@
 """The version x execution-target x kernel-implementation table: every
-CRoCCo version on every built-in target, with the compiled WENO row
-kernel and with the NumPy combination it falls back to.
+CRoCCo version on every built-in target, with the compiled kernels of the
+sweep (the pre-pass and the row kernel, both energy forms: the fortran
+orderings split ``fused``, the cpp ones ``distributed``) and with the
+NumPy pre-pass and combination they fall back to.
 
 The target is pinned in the config (never through REPRO_BACKEND — CI runs
 tier-1 under that variable), so each cell is the configuration it names.
 Declared equivalence: **bitwise** along both the target axis (one sweep,
-different accounting) and the implementation axis (the C kernel is the
-NumPy combination operation for operation).
+different accounting — ``fused`` recomputes the primitives per direction
+as ``device`` does) and the implementation axis (the C code is the NumPy
+code operation for operation).
 """
 
 import numpy as np
@@ -52,7 +55,7 @@ def test_version_on_every_target(version, monkeypatch):
         for impl in IMPLS:
             with monkeypatch.context() as m:
                 if impl == "numpy":
-                    weno_oracle.use_numpy_combination(m)
+                    weno_oracle.use_numpy_sweep(m)
                 for target in TARGETS:
                     sim = sims[impl, target] = make_sim(version, target)
                     states[impl, target] = final_state(sim)

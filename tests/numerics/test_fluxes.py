@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.numerics.cfl import local_max_rate
 from repro.numerics.eos import IdealGasEOS
 from repro.numerics.fluxes import ConvectiveFlux, contravariant, curvilinear_flux, wave_speed
 from repro.numerics.metrics import CartesianMetrics, CurvilinearMetrics
@@ -139,9 +140,7 @@ def test_max_wave_speed_sum():
         lay, np.ones(shape), np.stack([np.full(shape, 2.0), np.zeros(shape)]),
         np.ones(shape),
     )
-    op = ConvectiveFlux()
-    met = CartesianMetrics((0.5, 0.25))
-    got = op.max_wave_speed_sum(lay, EOS, u, met)
+    got = local_max_rate(lay, EOS, u, CartesianMetrics((0.5, 0.25)))
     a = np.sqrt(1.4)
     assert got == pytest.approx((2.0 + a) / 0.5 + a / 0.25)
 

@@ -1,25 +1,34 @@
-"""The compiled WENO row kernel (``repro.numerics.native``): bitwise the
-NumPy combination on every shape and scheme the sweep can hand it, NaN
-for NaN, and — as chaos cases — every way of not getting a library ends
-in the NumPy path with one warning and the same trajectory.
+"""The compiled kernels of the sweep (``repro.numerics.native``): the
+pre-pass bitwise ``lax_friedrichs_split`` and the row kernel bitwise the
+NumPy combination on everything the sweep can hand them, NaN for NaN;
+inputs outside the pre-pass's domain take the NumPy code silently; and —
+as chaos cases — every way of not getting a library ends in the NumPy
+path for both with one warning and the same trajectory.
 """
 
+import itertools
 import multiprocessing
 import os
 import pickle
 import shutil
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.cases.dmr import DoubleMachReflection
+from repro.core.crocco import Crocco, CroccoConfig
+from repro.kernels.api import make_kernels
 from repro.numerics import native
-from repro.numerics.eos import IdealGasEOS
-from repro.numerics.fluxes import ConvectiveFlux
-from repro.numerics.metrics import CartesianMetrics
+from repro.numerics.eos import IdealGasEOS, MixtureEOS, Species
+from repro.numerics.fluxes import (ConvectiveFlux, _crop_transverse,
+                                   lax_friedrichs_split)
+from repro.numerics.metrics import (CartesianMetrics, CurvilinearMetrics,
+                                    StackedMetrics)
 from repro.numerics.state import StateLayout
 from repro.numerics.weno import WenoScheme, windows
 from tests.numerics import weno_oracle
@@ -34,6 +43,14 @@ SCHEMES = [WenoScheme(), WenoScheme(variant="symoo"),
 @pytest.fixture
 def kernel():
     k = native.weno_rows()
+    if k is None:
+        pytest.skip("no compiled kernel here: " + native.status()["detail"])
+    return k
+
+
+@pytest.fixture
+def split():
+    k = native.flux_split()
     if k is None:
         pytest.skip("no compiled kernel here: " + native.status()["detail"])
     return k
@@ -104,6 +121,186 @@ def test_kernel_checks_what_it_is_handed(kernel):
             kernel(WenoScheme(), fp, fm, start, o)
 
 
+# -- the pre-pass ---------------------------------------------------------------
+
+EOS = IdealGasEOS()
+
+
+def state(dim, batch, ng, rng, strided=False):
+    """A positive random state ``u (dim + 2, *batch, *grown)`` with signed
+    zeros in the momenta, and ``m`` (all directions), ``J`` of its shape;
+    ``strided`` makes each ``m(d)`` a member-style view, its components
+    far apart."""
+    grown = tuple(6 + d + 2 * ng for d in range(dim))
+    shape = batch + grown
+    u = np.empty((dim + 2,) + shape)
+    u[0] = 1.0 + rng.random(shape)
+    u[1:1 + dim] = rng.normal(size=(dim,) + shape)
+    u[-1] = 3.0 + rng.random(shape)
+    u[1].flat[::7], u[2].flat[::5] = 0.0, -0.0
+    m = rng.normal(size=(dim, dim, 3) + shape)[:, :, 1 if strided else 0]
+    if not strided:
+        m = np.ascontiguousarray(m)
+    m.flat[::11] = 0.0
+    return u, m, 0.5 + rng.random(shape)
+
+
+def both_splits(split, u, m, J, d, ng, form="fused"):
+    """``(alpha, F+, F-)`` of the NumPy and of the compiled pre-pass."""
+    dim = len(m)
+    axis = u.ndim - dim + d
+    shape = _crop_transverse(u, d, ng, dim).shape
+    ref, got = np.full((2, 2, shape[axis]) + shape[:axis] + shape[axis + 1:],
+                       np.nan)
+    with np.errstate(all="ignore"):
+        a_ref = lax_friedrichs_split(StateLayout(dim=dim), EOS, u, m, J, d,
+                                     ng, form, *ref)
+    a_got = split(u, m, J, d, ng, EOS.gamma, form == "distributed", *got)
+    return (a_ref.reshape(a_got.shape), *ref), (a_got, *got)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+def test_split_is_bitwise_the_numpy_prepass(split, dim, strided):
+    """Every direction x energy form x no batch axis and batches of 1, 2,
+    5 x ng 4 and 5, to the sign of a zero."""
+    rng = np.random.default_rng(dim)
+    for batch, ng in itertools.product([(), (1,), (2,), (5,)], [4, 5]):
+        u, m, J = state(dim, batch, ng, rng, strided)
+        for d, form in itertools.product(range(dim), ("fused", "distributed")):
+            ref, got = both_splits(split, u, m[d], J, d, ng, form)
+            for r, g in zip(ref, got):
+                assert np.array_equal(bits(r), bits(g)), (batch, ng, d, form)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_bad_values_poison_what_they_poison_in_numpy(split, dim):
+    """NaN, +-inf, a negative pressure and a vacuum in each component of
+    one cell — a valid one and a transverse ghost: ``alpha`` (a lone NaN
+    in ``E`` reaches it through ``a``; ``ndarray.max`` and ``np.maximum``
+    propagate NaN, C comparisons do not) and every ``F+-`` value are NaN
+    where NumPy's are and equal elsewhere."""
+    rng = np.random.default_rng(3)
+    ng = 4
+    u0, m, J = state(dim, (2,), ng, rng)
+    for cell in [(1,) + (ng + 1,) * dim, (0,) + (1,) * dim]:
+        for comp, bad in itertools.product(
+                range(dim + 2), (np.nan, np.inf, -np.inf, -1e3, 0.0, 1e-310)):
+            u = u0.copy()
+            u[(comp,) + cell] = bad
+            for d in range(dim):
+                ref, got = both_splits(split, u, m[d], J, d, ng)
+                for r, g in zip(ref, got):
+                    assert np.array_equal(np.isnan(r), np.isnan(g)), (comp, bad, d)
+                    assert np.array_equal(r, g, equal_nan=True), (comp, bad, d)
+    u = u0.copy()
+    u[(dim + 1, 1) + (1,) * dim] = np.nan  # E of a corner ghost of member 1
+    (alpha, fp, _), _ = both_splits(split, u, m[0], J, 0, ng)
+    assert np.isnan(alpha).tolist() == [False, True]
+    assert np.isnan(fp[:, :, 1]).all() and not np.isnan(fp[:, :, 0]).any()
+
+
+def test_split_checks_what_it_is_handed(split):
+    rng = np.random.default_rng(4)
+    u, m, J = state(2, (2,), 4, rng)
+    fp, fm = np.empty((2, 14, 4, 2, 7))
+    split(u, m[0], J, 0, 4, 1.4, False, fp, fm)
+    wide = np.empty((14, 4, 2, 14))
+    for args in [
+            (u.astype(np.float32), m[0], J, 0, 4, 1.4, False, fp, fm),  # dtype
+            (u, m[0].astype(np.float32), J, 0, 4, 1.4, False, fp, fm),
+            (u, m[0], J.astype(np.float32), 0, 4, 1.4, False, fp, fm),
+            (u[..., ::2], m[0][..., ::2], J[..., ::2], 0, 2, 1.4, False,
+             fp, fm),                                          # contiguity
+            (u, m[0], np.empty((2, 14, 30))[..., ::2], 0, 4, 1.4, False, fp, fm),
+            (u, m[0], J, 0, 4, 1.4, False, fp, wide[..., ::2]),
+            (u, np.moveaxis(np.empty((2, 14, 15, 2)), -1, 0), J, 0, 4, 1.4,
+             False, fp, fm),                                   # cell-major m
+            (u, m[0], J[:1], 0, 4, 1.4, False, fp, fm),        # shape
+            (u[:3], m[0], J, 0, 4, 1.4, False, fp, fm),
+            (u, m[0], J, 1, 4, 1.4, False, fp, fm),
+            (u, m[0], J, 0, 4, 1.4, False, fp, fm[:13]),
+            (u, m[0], J, 2, 4, 1.4, False, fp, fm),            # bounds
+            (u, m[0], J, -1, 4, 1.4, False, fp, fm),
+            (u, m[0], J, 0, -1, 1.4, False, fp, fm),
+            (u, m[0], J, 0, 7, 1.4, False, fp, fm)]:
+        with pytest.raises(ValueError, match="flux_split"):
+            split(*args)
+
+
+def curvilinear(grown, rng):
+    idx = np.stack(np.meshgrid(*[np.arange(n, dtype=float) for n in grown],
+                               indexing="ij"))
+    return CurvilinearMetrics.from_coordinates(
+        0.1 * idx + 0.02 * np.sin(0.3 * idx[::-1] + rng.random()))
+
+
+@pytest.mark.parametrize("case", [
+    "mixture", "two species", "scalar", "cartesian", "characteristic",
+    "cell-major m", "float32", "1-D", "mixed precision"])
+def test_outside_the_domain_is_the_numpy_result_without_a_warning(
+        split, case, monkeypatch):
+    """Each input the C function does not state as its own never reaches
+    it, and the sweep returns what a process without a library returns;
+    ``precision="mixed"`` stays inside (it rounds ``u``, in float64)."""
+    rng = np.random.default_rng(6)
+    dim, ng, calls = (1 if case == "1-D" else 2), 4, []
+    grown = (16, 15)[:dim]
+    layout = StateLayout(
+        dim=dim, nspecies=2 if case in ("mixture", "two species") else 1,
+        nscalars=int(case == "scalar"))
+    eos = EOS
+    u = np.empty((layout.ncons,) + grown)
+    u[:] = 0.2 * rng.random(u.shape)
+    u[layout.rho_s] += 1.0
+    u[layout.energy] += 3.0
+    if case == "mixture":
+        eos = MixtureEOS([Species("a", 0.028, 700.0), Species("b", 0.032, 650.0)])
+        u[layout.energy] += 1e6
+    metrics = (CartesianMetrics([0.1] * dim) if case in ("cartesian", "1-D")
+               else curvilinear(grown, rng))
+    if case == "cell-major m":  # the layout before the metrics were fixed
+        metrics._m = np.moveaxis(np.ascontiguousarray(
+            np.moveaxis(metrics._m, (0, 1), (-2, -1))), (-2, -1), (0, 1))
+        assert not metrics.m(0)[0].flags.c_contiguous
+    if case == "float32":
+        u = u.astype(np.float32)
+    flux = ConvectiveFlux(characteristic=case == "characteristic")
+    sweep = lambda: [flux.divergence(layout, eos, u, metrics, d, ng)
+                     for d in range(dim)]
+    if case == "mixed precision":
+        kernels = make_kernels("cpp", layout, eos)
+        kernels.precision = "mixed"
+        sweep = lambda: [kernels.rhs(u, metrics, ng)]
+    spy = lambda *args: calls.append(args) or split(*args)
+    monkeypatch.setattr(native, "_kernel", (spy, native.weno_rows()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sweep()
+        assert bool(calls) == (case == "mixed precision")
+        weno_oracle.use_numpy_sweep(monkeypatch)
+        for g, r in zip(got, sweep()):
+            assert g.dtype == r.dtype and np.array_equal(g, r)
+
+
+def test_metrics_of_a_run_are_in_the_domain():
+    """A stack of several, a stack of one (of a member the first stack
+    re-pointed at its own storage), a member of a stack and a patch of
+    its own: every sweep of an AMR step is in the compiled domain."""
+    rng = np.random.default_rng(7)
+    members = [curvilinear((14, 15), rng) for _ in range(3)]
+    u = state(2, (3,), 4, rng)[0]
+    stack = StackedMetrics(members)
+    for met, ub in [(stack, u), (StackedMetrics(members[:1]), u[:, :1]),
+                    (stack.member(1), u[:, 1]), (members[2], u[:, 2])]:
+        assert native.split_takes(np.ascontiguousarray(ub), met.m(1),
+                                  met.jacobian())
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_divergence_is_bitwise_either_way(kernel, dim, monkeypatch):
     """The sweep's call site: every direction of a batch of two, for a
@@ -124,7 +321,7 @@ def test_divergence_is_bitwise_either_way(kernel, dim, monkeypatch):
         compiled = [flux.divergence(layout, eos, u, metrics, d, ng)
                     for d in range(dim)]
         with monkeypatch.context() as m:
-            weno_oracle.use_numpy_combination(m)
+            weno_oracle.use_numpy_sweep(m)
             for d in range(dim):
                 assert np.array_equal(
                     flux.divergence(layout, eos, u, metrics, d, ng),
@@ -221,7 +418,7 @@ def built(tmp_path_factory):
     if impl != "compiled":
         pytest.skip("no compiled kernel here: " + err.strip()[-200:])
     assert how == "miss" and not warnings_in(err)
-    (lib,) = (cache / "repro").glob("weno_rows-*.so")
+    (lib,) = (cache / "repro").glob(native.PREFIX + "-*.so")
     assert [p.name for p in (cache / "repro").iterdir()] == [lib.name]
     return cache, lib, sha
 
@@ -239,6 +436,35 @@ def test_warm_cache_is_a_hit_under_serial_and_pool(built):
         got, impl, how, err = run({"XDG_CACHE_HOME": str(cache)}, executor)
         assert (got, impl, how) == (sha, "compiled", "hit")
         assert not warnings_in(err)
+
+
+def test_nan_fault_fires_at_the_same_step_either_way(split, monkeypatch):
+    """The watchdog's ``nan@S`` case: a NaN seeded after step 1 is caught
+    — or, with the watchdog off, spreads through ``alpha`` — identically
+    with the compiled sweep and the NumPy one."""
+    def run(watchdog):
+        sim = Crocco(DoubleMachReflection(ncells=(32, 8), curvilinear=True),
+                     CroccoConfig(version="2.0", max_level=1, max_grid_size=16,
+                                  blocking_factor=8, executor="serial",
+                                  watchdog=watchdog, faults_plan="nan@1 seed=3"))
+        sim.initialize()
+        with np.errstate(all="ignore"):
+            sim.run(3)
+        out = ([fab.whole().copy() for lev in range(sim.finest_level + 1)
+                for _, fab in sim.state[lev]],
+               sim.resilience.get("nan_detections"), sim.resilience.get("rollbacks"))
+        sim.close()
+        return out
+
+    for watchdog in (True, False):
+        compiled = run(watchdog)
+        with monkeypatch.context() as m:
+            weno_oracle.use_numpy_sweep(m)
+            numpy = run(watchdog)
+        assert compiled[1:] == numpy[1:] == ((1, 1) if watchdog else (0, 0))
+        assert any(np.isnan(f).any() for f in numpy[0]) != watchdog
+        for c, n in zip(compiled[0], numpy[0]):
+            assert np.array_equal(c, n, equal_nan=True)
 
 
 def test_3d_deck_hashes_the_same_either_way(built, tmp_path):
@@ -288,7 +514,7 @@ def test_bad_cache_entry(built, tmp_path, damage):
         bad.write_bytes(b"not a shared object\n" * 100)
     else:
         src = tmp_path / "other.c"
-        src.write_text("void weno_rows(void) {}\n")
+        src.write_text("void weno_rows(void) {}\nvoid flux_split(void) {}\n")
         subprocess.run([os.environ.get("CC") or "cc", "-shared", "-fPIC",
                         str(src), "-o", str(bad)], check=True)
         key = lib.name.rsplit("-", 1)[0]

@@ -6,6 +6,7 @@ import pytest
 from repro.numerics.metrics import (
     CartesianMetrics,
     CurvilinearMetrics,
+    StackedMetrics,
     derivative_same_shape,
 )
 from repro.numerics.stencils import central_derivative, stencil_radius
@@ -145,6 +146,37 @@ def test_curvilinear_gcl_residual_small():
     interior = (slice(None), slice(4, -4), slice(4, -4))
     # metric identities hold to discretization error
     assert np.abs(res[interior]).max() < 1e-3
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_metric_arrays_are_component_major(dim):
+    """Each ``m(d)[j]`` is unit-stride along the grid — for one patch, a
+    stack of one and a stack of several (whose members become views of
+    it) — with the values of ``J inv(dx/dxi)``: ``inv`` alone hands back
+    cell-major ``(N, d, j)`` storage every kernel would walk strided."""
+    shape = (9, 8, 7)[:dim]
+    idx = np.stack(np.meshgrid(*[np.arange(n) + 0.5 for n in shape],
+                               indexing="ij"))
+
+    def patch(k):
+        return CurvilinearMetrics.from_coordinates(
+            idx + 0.1 * np.sin(0.4 * idx[::-1] + k))
+
+    one = patch(0)
+    T = np.moveaxis(one.first.reshape(dim, dim, -1), -1, 0)
+    ref = (np.linalg.det(T)[:, None, None] * np.linalg.inv(T)).transpose(1, 2, 0)
+    assert np.array_equal(one._m, ref.reshape((dim, dim) + shape))
+    members = [patch(k) for k in range(3)]
+    several = StackedMetrics(members)
+    for met in (one, StackedMetrics([patch(0)]), several):
+        for d in range(dim):
+            assert met.m(d).flags.c_contiguous
+            assert met.m(d).dtype == np.float64
+        assert met.jacobian().flags.c_contiguous
+    for b, mem in enumerate(members):
+        assert np.shares_memory(mem.m(0), several.m(0))
+        assert np.array_equal(mem.m(1), patch(b).m(1))
+        assert mem.m(1)[0].flags.c_contiguous
 
 
 def test_curvilinear_rejects_folded_grid():

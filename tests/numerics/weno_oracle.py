@@ -85,9 +85,9 @@ def compiled_combine(scheme, cells):
     return out[0]
 
 
-def use_numpy_combination(monkeypatch) -> None:
-    """Make every sweep of this test run ``WenoScheme.combine``, as a
-    process without a compiled kernel does."""
+def use_numpy_sweep(monkeypatch) -> None:
+    """Make every sweep of this test run ``lax_friedrichs_split`` and
+    ``WenoScheme.combine``, as a process without a library does."""
     monkeypatch.setattr(native, "_kernel", None)
 
 
@@ -95,7 +95,7 @@ def install(monkeypatch) -> None:
     """Make every sweep of this test run the reference arithmetic: the
     oracle behind the shipped ``combine``'s ``out=`` / ``add`` contract
     (which the sweep only calls without a compiled kernel)."""
-    use_numpy_combination(monkeypatch)
+    use_numpy_sweep(monkeypatch)
 
     def shipped_signature(self, cells, out=None, scratch=None, add=False):
         ref = combine(self, cells)

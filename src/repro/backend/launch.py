@@ -28,8 +28,8 @@ derived module attribute ``TARGETS``) enumerate what is installed:
 ``fused``
     The ``device`` target with a fused launch stream
     (:mod:`repro.backend.fused`): kernels that advertise fusion run the
-    per-direction WENO sweeps inside one wide launch from shared
-    primitives.  Accounting matches the device target and the results
+    per-direction WENO sweeps — the same compiled call each — inside one
+    wide launch.  Accounting matches the device target and the results
     are bitwise host's.
 
 **One scratch cache per backend.**  Every backend instance — ``host``
@@ -212,24 +212,18 @@ class DeviceBackend(ExecutionBackend):
 
     def __init__(self, devices: Optional[List[object]] = None) -> None:
         super().__init__()
-        if not devices:
-            from repro.kernels.device import GpuDevice
+        # resolved here, once: repro.kernels imports this package
+        from repro.kernels.counts import budget_for_kernel
+        from repro.kernels.device import GpuDevice
 
-            devices = [GpuDevice()]
-        self.devices = list(devices)
+        self._budget_for = budget_for_kernel
+        self.devices = list(devices or [GpuDevice()])
 
     def device_for(self, rank: int):
         return self.devices[rank % len(self.devices)]
 
-    def _budget(self, name: str, budget):
-        if budget is not None:
-            return budget
-        from repro.kernels.counts import budget_for_kernel
-
-        return budget_for_kernel(name)
-
     def _launch(self, name, fn, npoints, spec):
-        b = self._budget(name, spec.budget)
+        b = spec.budget if spec.budget is not None else self._budget_for(name)
         return self.device_for(spec.rank).launch(
             name, fn, npoints,
             flops_per_point=b.flops_per_point,

@@ -459,7 +459,7 @@ class Crocco(AmrCore):
         """One RK3 advance, executed as per-stage task graphs.
 
         The runtime engine builds a graph per stage (FillPatch split into
-        nowait/finish halves, per-box kernels, AverageDown) and runs it on
+        nowait/finish halves, per-batch kernels, AverageDown) and runs it on
         the configured executor; the ``serial`` executor reproduces the
         historical eager loop bit for bit.
         """

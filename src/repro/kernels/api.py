@@ -47,6 +47,7 @@ works in come from the backend too — its one
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -127,7 +128,8 @@ class KernelSet:
         backend = self.exec_backend
         out = None
         patches = shape[1] if len(shape) > self.layout.dim + 1 else 1
-        for r, n in Counter(np.broadcast_to(rank, patches).tolist()).items():
+        owners = Counter(rank) if hasattr(rank, "__iter__") else {rank: patches}
+        for r, n in owners.items():
             if scratch:
                 backend.reserve(scratch * n, r)
             try:
@@ -144,7 +146,7 @@ class KernelSet:
 
     def _npts(self, shape, ng: int = 0) -> int:
         """Points per patch: the trailing ``dim`` axes less ``ng`` ghosts."""
-        return int(np.prod([s - 2 * ng for s in shape[-self.layout.dim:]]))
+        return math.prod([s - 2 * ng for s in shape[-self.layout.dim:]])
 
     # -- RHS evaluation --------------------------------------------------
     def rhs(self, u: np.ndarray, metrics: Metrics, ng: int,
@@ -168,16 +170,14 @@ class KernelSet:
         directions = (range(dim) if self.ordering == "fortran"
                       else range(dim - 1, -1, -1))
 
-        def sweep(d):
-            return self.convective.divergence(
-                self.layout, self.eos, u, metrics, d, ng,
-                scratch=self.exec_backend.scratch)
+        scratch = self.exec_backend.scratch
 
-        def total(one):
-            out = None
-            for d in directions:
-                contrib = one(d)
-                out = contrib if out is None else out + contrib
+        def sweeps(ds, out=None):
+            # one right-hand side per call: the first sweep makes it, the
+            # others add to it
+            for d in ds:
+                out = self.convective.divergence(
+                    self.layout, self.eos, u, metrics, d, ng, scratch, out)
             return out
 
         npts = self._npts(u.shape, ng)
@@ -188,12 +188,15 @@ class KernelSet:
             # ``WENOxy``/``WENOxyz`` and covering ``dim * nvalid`` points,
             # so per-class point and flop totals stay comparable with the
             # per-direction launch stream
-            out = self._weno_launch("WENO" + "xyz"[:dim], lambda: total(sweep),
-                                    dim * npts, fused_weno_budget(dim), u, rank)
+            out = self._weno_launch(
+                "WENO" + "xyz"[:dim], lambda: sweeps(directions), dim * npts,
+                fused_weno_budget(dim), u, rank)
         else:
-            out = total(lambda d: self._weno_launch(
-                DIRECTION_NAMES[d], lambda: sweep(d), npts, WENO_BUDGET, u,
-                rank))
+            out = None
+            for d in directions:
+                out = self._weno_launch(
+                    DIRECTION_NAMES[d], lambda: sweeps((d,), out), npts,
+                    WENO_BUDGET, u, rank)
         if self.viscous is not None:
             out = out + self._viscous(u, metrics, ng, rank)
         assert out is not None

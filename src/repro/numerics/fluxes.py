@@ -35,6 +35,7 @@ division by ``J``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -155,8 +156,10 @@ class ConvectiveFlux:
         direction: int,
         ng: int,
         scratch=NO_SCRATCH,
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """-(1/J) d(Fhat_d)/d(xi_d) over the valid region, in a new array.
+        """-(1/J) d(Fhat_d)/d(xi_d) over the valid region: in a new array,
+        or added to ``out`` (which is then returned).
 
         ``u`` covers the valid box grown by ``ng >= nghost + 1`` ghost
         cells, ``(ncons, *grown)`` or, for a batch of equal-shape boxes,
@@ -165,12 +168,12 @@ class ConvectiveFlux:
         sweep every execution target runs: pre-pass, rows, difference.
         Intermediates are taken by role from ``scratch`` (the backend's
         :class:`~repro.backend.ScratchCache`; new arrays by default).
-        The pre-pass and the component-wise combination run in the
-        compiled kernels when this process has them
-        (:mod:`repro.numerics.native`) and the input is in their domain —
-        an :class:`IdealGasEOS` state of one species and no transported
-        scalar on stored metrics — else in :func:`lax_friedrichs_split`
-        and :meth:`WenoScheme.combine`: the same bits either way.
+        All three run as one compiled call when this process has the
+        library (:mod:`repro.numerics.native`) and the input is in its
+        domain — an :class:`IdealGasEOS` state of one species and no
+        transported scalar on stored metrics — else in
+        :func:`lax_friedrichs_split`, the compiled rows or
+        :meth:`WenoScheme.combine`, and NumPy: the same bits either way.
         """
         if ng < self.nghost:
             raise ValueError(f"need at least {self.nghost} ghost cells, got {ng}")
@@ -179,6 +182,14 @@ class ConvectiveFlux:
         m = metrics.m(direction)
         J = metrics.jacobian()
         get = scratch.get
+        compiled = None if self.characteristic else native.kernels()
+        if (compiled is not None and type(eos) is IdealGasEOS
+                and self.split_form in ("fused", "distributed")):
+            res = compiled.weno_sweep(
+                self.scheme, u, m, J, direction, ng, eos.gamma,
+                self.split_form == "distributed", scratch, out)
+            if res is not None:
+                return res
 
         # the split fluxes are stored sweep axis first, so each of the 6
         # stencil windows below is one contiguous block whatever the
@@ -187,15 +198,8 @@ class ConvectiveFlux:
         rest = shape[:axis] + shape[axis + 1:]
         fplus_s = get("fplus", shape[axis:axis + 1] + rest)
         fminus_s = get("fminus", fplus_s.shape)
-        split = None if self.characteristic else native.flux_split()
-        if (split is not None and type(eos) is IdealGasEOS
-                and self.split_form in ("fused", "distributed")
-                and native.split_takes(u, m, J)):
-            split(u, m, J, direction, ng, eos.gamma,
-                  self.split_form == "distributed", fplus_s, fminus_s)
-        else:
-            lax_friedrichs_split(layout, eos, u, m, J, direction, ng,
-                                 self.split_form, fplus_s, fminus_s, scratch)
+        lax_friedrichs_split(layout, eos, u, m, J, direction, ng,
+                             self.split_form, fplus_s, fminus_s, scratch)
         J = _crop_transverse(np.broadcast_to(J, u.shape[1:]), direction, ng, dim)
 
         # only interfaces -1/2 .. nvalid-1/2 of the valid region
@@ -209,9 +213,9 @@ class ConvectiveFlux:
                 scratch), axis, 0)
         else:
             f_iface = get("f_iface", (nv + 1,) + rest)
-            kernel = native.weno_rows()
-            if kernel is not None:
-                kernel(self.scheme, fplus_s, fminus_s, start, f_iface)
+            if compiled is not None:
+                compiled.weno_rows(self.scheme, fplus_s, fminus_s, start,
+                                   f_iface)
             else:
                 self.scheme.combine(windows(fplus_s, 0, start, nv + 1),
                                     out=f_iface, scratch=scratch)
@@ -223,7 +227,11 @@ class ConvectiveFlux:
         sweep = [slice(None)] * (u.ndim - 1)
         sweep[axis - 1] = slice(ng, ng + nv)
         df /= np.moveaxis(J[tuple(sweep)], axis - 1, 0)[:, None]
-        return np.moveaxis(np.negative(df, out=df), 0, axis)
+        df = np.moveaxis(df, 0, axis)  # u's axis order, as the compiled out
+        if out is None:
+            return np.negative(df, out=np.empty(df.shape, df.dtype))
+        out += np.negative(df, out=df)
+        return out
 
     def _characteristic_interface(
         self, layout: StateLayout, eos, u: np.ndarray,

@@ -1,15 +1,17 @@
 """The compiled kernels of the WENO sweep: built on first use, loaded
 through ctypes.
 
-``weno_sweep.c`` (beside this file, shipped as package data) holds the
-sweep's pointwise pre-pass (:func:`flux_split`: Lax-Friedrichs ``alpha``,
-curvilinear flux and split, stored sweep axis first) and its row kernel
-(:func:`weno_rows`: :meth:`~repro.numerics.weno.WenoScheme.combine` of
-the plus windows plus its mirror image on the minus windows), both in
-NumPy's operation order: bitwise the reference, 5-15x faster.  Either
-accessor hands the sweep its kernel, or ``None`` — after **one**
-``RuntimeWarning`` — when no library can be had; the NumPy code then
-runs and the numbers are the same.  Which a process got is :func:`status`.
+``weno_sweep.c`` (beside this file, shipped as package data) holds one
+direction of the sweep as one call (:func:`weno_sweep`) and its two
+halves on their own: the pointwise pre-pass (:func:`flux_split`:
+Lax-Friedrichs ``alpha``, curvilinear flux and split, stored sweep axis
+first) and the row kernel (:func:`weno_rows`:
+:meth:`~repro.numerics.weno.WenoScheme.combine` of the plus windows plus
+its mirror image on the minus windows), all in NumPy's operation order:
+bitwise the reference, 5-15x faster.  :func:`kernels` hands the sweep
+all three, or ``None`` — after **one** ``RuntimeWarning`` — when no
+library can be had; the NumPy code then runs and the numbers are the
+same.  Which a process got is :func:`status`.
 
 The library is built with ``$CC`` (default ``cc``) into
 ``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``; a per-user temp
@@ -28,14 +30,14 @@ import os
 import warnings
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, NamedTuple, Optional
 
 import numpy as np
 
 from repro.numerics.eos import PRESSURE_FLOOR, IdealGasEOS
 from repro.numerics.state import StateLayout
-from repro.numerics.weno import (BETA_K, WENO_EPS_FLOOR, WenoScheme,
-                                 stencil_tables, windows)
+from repro.numerics.weno import (BETA_K, NO_SCRATCH, WENO_EPS_FLOOR,
+                                 WenoScheme, stencil_tables, windows)
 
 SOURCE = "weno_sweep.c"
 PREFIX = SOURCE[:-2]
@@ -51,14 +53,33 @@ _kernel = _UNRESOLVED
 _status: Dict[str, str] = {}
 
 
-def _kernels() -> Optional[tuple]:
-    """``(flux_split, weno_rows)`` of this process's library, or ``None``."""
+class Kernels(NamedTuple):
+    """The library's entry points, each behind a wrapper that checks what
+    it is handed and raises ``ValueError`` before a pointer is passed."""
+
+    #: ``f(u, m, J, direction, ng, gamma, distributed, fp, fm) -> alpha
+    #: ([B])``: :func:`~repro.numerics.fluxes.lax_friedrichs_split` for an
+    #: ideal gas, one species, no scalar, on arrays :func:`split_takes`
+    flux_split: Callable
+    #: ``f(scheme, fp, fm, start, out)``: interface ``j`` of ``out (nif,
+    #: ...)`` becomes ``combine`` of rows ``start + j .. start + j + 5`` of
+    #: the sweep-major ``fp (n, ...)`` plus ``combine_minus`` of ``fm``'s
+    weno_rows: Callable
+    #: ``f(scheme, u, m, J, direction, ng, gamma, distributed, scratch,
+    #: out=None)``: pre-pass, rows and ``-(f[i+1] - f[i]) / J`` of one
+    #: direction into a new ``(dim + 2, [B,] *valid)`` array, or added to
+    #: ``out``; ``None``, nothing touched, unless :func:`split_takes`
+    weno_sweep: Callable
+
+
+def kernels() -> Optional[Kernels]:
+    """This process's compiled kernels, or ``None`` (after one warning)."""
     global _kernel
     if _kernel is _UNRESOLVED:
+        _kernel = None  # what the self-check's reference sweeps see
         try:
             _kernel = _load()
         except Exception as exc:  # whatever broke, the NumPy path runs
-            _kernel = None
             why = " ".join(str(exc).split())[:200] or type(exc).__name__
             _status.update(impl="numpy", cache="-", detail=why)
             warnings.warn(f"compiled WENO kernel unavailable ({why}); "
@@ -67,37 +88,14 @@ def _kernels() -> Optional[tuple]:
     return _kernel
 
 
-def flux_split() -> Optional[Callable]:
-    """The compiled pre-pass ``f(u, m, J, direction, ng, gamma,
-    distributed, fp, fm) -> alpha``, or ``None``:
-    :func:`~repro.numerics.fluxes.lax_friedrichs_split` for an ideal gas
-    with one species and no transported scalar on arrays
-    :func:`split_takes` (``alpha`` comes back ``([B])``).
-    """
-    kernels = _kernels()
-    return kernels and kernels[0]
-
-
-def weno_rows() -> Optional[Callable]:
-    """The compiled kernel ``f(scheme, fp, fm, start, out)``, or ``None``.
-
-    ``fp`` / ``fm`` are the split fluxes stored sweep axis first
-    ``(n, ...)``, ``out`` is ``(nif, ...)``: interface ``j`` of ``out``
-    becomes ``combine`` of rows ``start + j .. start + j + 5`` of ``fp``
-    plus ``combine_minus`` of the same rows of ``fm``.
-    """
-    kernels = _kernels()
-    return kernels and kernels[1]
-
-
 def status() -> Dict[str, str]:
     """What the sweeps of this process run (resolved now if none has
     yet): ``impl`` ``compiled | numpy``, ``cache`` ``hit | miss | -``,
     ``detail`` (the compiler and flags, or why not) and ``line``, the
     ``kernel.weno_impl = ...`` line of the CLI and the run report."""
-    _kernels()
+    kernels()
     s = dict(_status)
-    cache = f"split+rows; cache {s['cache']}; " if s["impl"] == "compiled" else ""
+    cache = f"sweep; cache {s['cache']}; " if s["impl"] == "compiled" else ""
     s["line"] = f"kernel.weno_impl = {s['impl']} ({cache}{s['detail']})"
     return s
 
@@ -170,15 +168,18 @@ def _library() -> tuple:
     raise error
 
 
-def _load() -> tuple:
+def _load() -> Kernels:
     import ctypes
 
     path, cache, built_with = _library()
     lib = ctypes.CDLL(str(path))
     p, n, d, i = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double, ctypes.c_int
     lib.weno_rows.argtypes = [p, p, p, n, n, n, i, p, p, p, p, d, d, d, d]
-    lib.flux_split.argtypes = [p, p, n, p, n * 4, i, i, n, d, d, i, p, p, p]
-    lib.weno_rows.restype = lib.flux_split.restype = None
+    lib.flux_split.argtypes = [p, p, n, p, n * 4, i, i, n, d, d, i, p, n, p, p]
+    lib.weno_sweep.argtypes = [p, p, n, p, n, n, n, n, i, i, n, d, d, i, p, p,
+                               p, i, p, p, p, p, d, d, d, d, p, i]
+    for f in (lib.weno_rows, lib.flux_split, lib.weno_sweep):
+        f.restype = None
 
     def rows(scheme: WenoScheme, fp: np.ndarray, fm: np.ndarray,
              start: int, out: np.ndarray) -> None:
@@ -211,17 +212,54 @@ def _load() -> tuple:
                        # 2-D is 3-D with one plane
                        (n * 4)(*(batch or (1,)), *(1,) * (3 - dim), *grid),
                        dim, direction + 3 - dim, ng, gamma, PRESSURE_FLOOR,
-                       distributed, alpha.ctypes.data, fp.ctypes.data,
+                       distributed, alpha.ctypes.data, 1, fp.ctypes.data,
                        fm.ctypes.data)
         return alpha
 
-    _self_check(split, rows, path)
+    def sweep(scheme: WenoScheme, u: np.ndarray, m: np.ndarray, J: np.ndarray,
+              direction: int, ng: int, gamma: float, distributed: bool,
+              scratch, out: Optional[np.ndarray] = None):
+        if not split_takes(u, m, J):
+            return None
+        dim = len(m)
+        grid, batch = u.shape[-dim:], u.shape[1:-dim]
+        rest = [g - 2 * ng for g in grid]
+        shape = (dim + 2, *batch, *rest)
+        ok = 0 <= direction < dim and ng >= 3 and min(rest) > 0
+        if ok:
+            res = np.empty(shape) if out is None else out
+            nv = rest.pop(direction)
+            major = (nv + 2 * ng, dim + 2, *batch, *rest)
+            fp, fm = scratch.get("fplus", major), scratch.get("fminus", major)
+            fi = scratch.get("f_iface", (nv + 1, *major[1:]))
+            ok = (res.shape == shape and fp.shape == fm.shape == major
+                  and fi.shape == (nv + 1, *major[1:])
+                  and _plain(res, fp, fm, fi))
+        if not ok:
+            raise ValueError("weno_sweep wants a grid direction, ng >= 3 "
+                             "ghost cells around valid ones, a float64 "
+                             "C-contiguous (dim + 2, [B,] *valid) out and "
+                             "scratch of the shapes it asks for")
+        lib.weno_sweep(u.ctypes.data, m.ctypes.data, m.strides[0] // 8,
+                       J.ctypes.data, *(batch or (1,)), *(1,) * (3 - dim),
+                       *grid, dim, direction + 3 - dim, ng, gamma,
+                       PRESSURE_FLOOR, distributed, fp.ctypes.data,
+                       fm.ctypes.data, fi.ctypes.data,
+                       *_scheme_args(scheme)[1], res.ctypes.data,
+                       out is not None)
+        return res
+
+    k = Kernels(split, rows, sweep)
+    _self_check(k, path)
     _status.update(impl="compiled", cache=cache, detail=built_with)
-    return split, rows
+    return k
 
 
 def _plain(*arrays: np.ndarray) -> bool:
-    return all(a.dtype == np.float64 and a.flags.c_contiguous for a in arrays)
+    for a in arrays:  # (a loop: a generator is three calls per array)
+        if a.dtype != np.float64 or not a.flags.c_contiguous:
+            return False
+    return True
 
 
 def split_takes(u: np.ndarray, m: np.ndarray, J: np.ndarray) -> bool:
@@ -237,29 +275,37 @@ def split_takes(u: np.ndarray, m: np.ndarray, J: np.ndarray) -> bool:
             and m.strides[0] % 8 == 0)
 
 
-def _self_check(split: Callable, rows: Callable, lib: Path) -> None:
+def _self_check(k: Kernels, lib: Path) -> None:
     """One window of a jump (cap and limiter both active) through the row
-    kernel, one small 2-D state with a jump through the pre-pass — both
-    sweep axes, both energy forms — against the references: a library
-    that is not this source's fails here."""
-    from repro.numerics.fluxes import lax_friedrichs_split
+    kernel and one small 2-D state with a jump through the whole sweep —
+    pre-pass, rows, difference; both sweep axes, both energy forms, a new
+    ``out`` and an accumulated one — against the NumPy sweep (no library
+    is resolved while this runs): a library that is not this source's
+    fails here."""
+    from types import SimpleNamespace
+
+    from repro.numerics.fluxes import ConvectiveFlux
 
     x = np.arange(2 * 9 * 7, dtype=np.float64).reshape(2, 9, 7)
     fp, fm = np.where(np.sin(x) > 0.0, 1.0, 10.0) + 0.1 * np.cos(7.0 * x)
-    got, scheme = np.empty((3, 7)), WenoScheme()
-    rows(scheme, fp, fm, 1, got)
+    got, scheme, eos = np.empty((3, 7)), WenoScheme(), IdealGasEOS()
+    k.weno_rows(scheme, fp, fm, 1, got)
     ref = scheme.combine(windows(fp, 0, 1, 3))
     scheme.combine_minus(windows(fm, 0, 1, 3), out=ref, add=True)
     if not np.array_equal(got, ref):
         raise RuntimeError(f"{lib} does not reproduce WenoScheme.combine")
-    u = np.stack([fp[:4], fm[:4], 0.1 * fp[1:5], 30.0 + fm[2:6]])
-    m, J, eos = 0.1 * np.stack([fm[4:8], 2.0 + fp[5:9]]), fp[:4], IdealGasEOS()
-    for d, form, shape in (0, "fused", (4, 4, 5)), (1, "distributed", (7, 4, 2)):
-        ref, got = np.empty((2, 2) + shape)
-        lax_friedrichs_split(StateLayout(dim=2), eos, u, m, J, d, 1, form, *ref)
-        split(u, m, J, d, 1, eos.gamma, form == "distributed", *got)
-        if not np.array_equal(got, ref):
-            raise RuntimeError(f"{lib} does not reproduce the flux split")
+    u = np.stack([fp, fm, 0.1 * fp, 30.0 + fm])
+    ms = 0.1 * np.stack([fm, 2.0 + fp, 1.0 + fp, fm]).reshape(2, 2, 9, 7)
+    metrics = SimpleNamespace(m=ms.__getitem__, jacobian=lambda: fp)
+    for form in ("fused", "distributed"):
+        got = ref = None
+        for d in (0, 1):
+            ref = ConvectiveFlux(scheme, form).divergence(
+                StateLayout(dim=2), eos, u, metrics, d, 3, out=ref)
+            got = k.weno_sweep(scheme, u, ms[d], fp, d, 3, eos.gamma,
+                               form == "distributed", NO_SCRATCH, got)
+        if got is None or not np.array_equal(got, ref):
+            raise RuntimeError(f"{lib} does not reproduce the sweep")
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,7 @@
-/* Compiled WENO row kernel: WenoScheme.combine (numerics/weno.py) of the
- * plus windows of F+ plus its mirror image on F-, one pass per interface.
+/* One direction of the WENO sweep, weno_sweep() at the end: pre-pass
+ * flux_split(), row kernel weno_rows(), flux difference.  The row kernel:
+ * WenoScheme.combine (numerics/weno.py) of the plus windows of F+ plus
+ * its mirror image on F-, one pass per interface.
  *
  * Every expression below is the NumPy combination's, operation for
  * operation and in its order, so that with -ffp-contract=off (and never
@@ -246,18 +248,13 @@ INLINE void split_row(int dim, double gamma, int distributed, double alpha,
 #define U5(r, cs) r, r + cs, r + 2 * cs, r + dim * cs, r + (dim + 1) * cs
 #define M3(g) g, g + mc, g + (dim - 1) * mc
 
-/* member b of the batch: alpha over its full grown array, then the
- * cells without the ghost rows of the transverse axes */
-INLINE void member(int dim, ptrdiff_t b, const double *u, const double *m,
-                   ptrdiff_t mc, const double *J, const ptrdiff_t *n, int d,
-                   ptrdiff_t ng, double gamma, double floor, int distributed,
-                   double *alpha, double *fp, double *fm)
+/* the cells a sweep along d works on: per axis the ghost rows skipped
+ * (none along d), the cells left and their stride in one sweep-major
+ * plane — the transverse cells of one member, whose count is returned */
+INLINE ptrdiff_t crop(const ptrdiff_t *n, int d, ptrdiff_t ng, ptrdiff_t *lo,
+                      ptrdiff_t *v, ptrdiff_t *os)
 {
-    ptrdiff_t n1 = n[2], n2 = n[3], N = n[1] * n1 * n2, cs = n[0] * N;
-    ptrdiff_t lo[3], v[3], os[3], plane = 1;
-    u += b * N, m += b * N, J += b * N;
-    alpha[b] = speed(dim, gamma, floor, N, U5(u, cs), M3(m), J);
-
+    ptrdiff_t plane = 1;
     for (int t = 2; t >= 0; t--) {
         lo[t] = t != d && n[t + 1] > 1 ? ng : 0;
         v[t] = n[t + 1] - 2 * lo[t];
@@ -266,10 +263,25 @@ INLINE void member(int dim, ptrdiff_t b, const double *u, const double *m,
             plane *= v[t];
         }
     }
+    return plane;
+}
+
+/* member b of the batch: its alpha over its full grown array, then the
+ * cells without the ghost rows of the transverse axes */
+INLINE void member(int dim, ptrdiff_t b, const double *u, const double *m,
+                   ptrdiff_t mc, const double *J, const ptrdiff_t *n, int d,
+                   ptrdiff_t ng, double gamma, double floor, int distributed,
+                   double *alpha, double *fp, double *fm)
+{
+    ptrdiff_t n1 = n[2], n2 = n[3], N = n[1] * n1 * n2, cs = n[0] * N;
+    ptrdiff_t lo[3], v[3], os[3], plane = crop(n, d, ng, lo, v, os);
+    u += b * N, m += b * N, J += b * N;
+    *alpha = speed(dim, gamma, floor, N, U5(u, cs), M3(m), J);
+
     ptrdiff_t sc = n[0] * plane;    /* one component of one sweep index */
     os[d] = (dim + 2) * sc;
 #define ROW(i, nz, fp, fm, sc) split_row( \
-    dim, gamma, distributed, alpha[b], nz, U5((u + i), cs), M3((m + i)), \
+    dim, gamma, distributed, *alpha, nz, U5((u + i), cs), M3((m + i)), \
     J + i, U5((fp), sc), U5((fm), sc))
     for (ptrdiff_t i0 = 0; i0 < v[0]; i0++)
         for (ptrdiff_t i1 = 0; i1 < v[1]; i1 += d == 2 ? TY : 1)
@@ -300,17 +312,67 @@ INLINE void member(int dim, ptrdiff_t b, const double *u, const double *m,
             }
 }
 
-/* n = (B, n0, n1, n2); d: the sweep axis among the three; alpha: (B,) */
+/* n = (B, n0, n1, n2); d: the sweep axis among the three; alpha: one per
+ * member, `as` apart (0: nobody reads them) */
 void flux_split(const double *u, const double *m, ptrdiff_t mc,
                 const double *J, const ptrdiff_t *n, int dim, int d,
                 ptrdiff_t ng, double gamma, double floor, int distributed,
-                double *alpha, double *fp, double *fm)
+                double *alpha, ptrdiff_t as, double *fp, double *fm)
 {
     for (ptrdiff_t b = 0; b < n[0]; b++)
         if (dim == 3)
             member(3, b, u, m, mc, J, n, d, ng, gamma, floor, distributed,
-                   alpha, fp, fm);
+                   alpha + b * as, fp, fm);
         else
             member(2, b, u, m, mc, J, n, d, ng, gamma, floor, distributed,
-                   alpha, fp, fm);
+                   alpha + b * as, fp, fm);
+}
+
+/* ---- the post-pass: out = [out +] -(f[i+1] - f[i]) / J, from the
+ * sweep-major interfaces into u's axis order, in the order NumPy's
+ * subtract, divide, negative and add passes have ---- */
+INLINE void diff_row(int add, ptrdiff_t n, ptrdiff_t fs, IN f0, IN f1, IN J,
+                     OUT o)
+{
+    for (ptrdiff_t i = 0; i < n; i++) {
+        double x = -((f1[i * fs] - f0[i * fs]) / J[i]);
+        o[i] = add ? o[i] + x : x;
+    }
+}
+
+/* One direction of -(1/J) d(Fhat)/d(xi) in one call: the arguments of
+ * flux_split (n by value) and of weno_rows, between them their scratch —
+ * fp, fm as flux_split fills them, fi (nv + 1, dim + 2, B, *valid
+ * transverse) the interfaces of the valid region — then the right-hand
+ * side (dim + 2, B, *valid) written (add: added to).  ng >= 3. */
+void weno_sweep(const double *u, const double *m, ptrdiff_t mc,
+                const double *J, ptrdiff_t B, ptrdiff_t n0, ptrdiff_t n1,
+                ptrdiff_t n2, int dim, int d, ptrdiff_t ng, double gamma,
+                double pfloor, int distributed, double *fp, double *fm,
+                double *fi, int nst, const double *C, const double *D1,
+                const double *D2, const double *w, double eps6, double floor,
+                double beta_k, double limit, double *out, int add)
+{
+    ptrdiff_t n[4] = {B, n0, n1, n2}, lo[3], v[3], os[3];
+    ptrdiff_t plane = crop(n, d, ng, lo, v, os), R = (dim + 2) * B * plane;
+    double alpha;
+    flux_split(u, m, mc, J, n, dim, d, ng, gamma, pfloor, distributed,
+               &alpha, 0, fp, fm);
+    lo[d] = ng, v[d] -= 2 * ng, os[d] = R;   /* now the valid cells of d too */
+    weno_rows(fp, fm, fi, v[d] + 1, R, ng - 3, nst, C, D1, D2, w, eps6, floor,
+              beta_k, limit);
+    for (ptrdiff_t cb = 0; cb < (dim + 2) * B; cb++)    /* component, member */
+        for (ptrdiff_t i0 = 0; i0 < v[0]; i0++)
+            for (ptrdiff_t i1 = 0; i1 < v[1]; i1++) {
+                const double *f = fi + cb * plane + i0 * os[0] + i1 * os[1];
+                const double *Jr = J + ((cb % B * n0 + i0 + lo[0]) * n1
+                                        + i1 + lo[1]) * n2 + lo[2];
+                double *o = out + ((cb * v[0] + i0) * v[1] + i1) * v[2];
+                if (d == 2)     /* interfaces of one row are R apart */
+                    diff_row(add, v[2], R, f, f + R, Jr, o);
+                else if (add)
+                    diff_row(1, v[2], 1, f, f + R, Jr, o);
+                else
+                    diff_row(0, v[2], 1, f, f + R, Jr, o);
+            }
 }

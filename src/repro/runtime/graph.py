@@ -1,6 +1,6 @@
 """Task graph: units of work with explicit data dependencies.
 
-A :class:`Task` is one unit of schedulable work — a per-box kernel
+A :class:`Task` is one unit of schedulable work — a per-batch kernel
 application, a FillBoundary pack (nowait) or unpack (finish), a
 ParallelCopy gather, an AverageDown restriction — with declared *read*
 and *write* sets of :class:`DataKey` items.  A key names a component

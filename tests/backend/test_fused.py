@@ -2,9 +2,11 @@
 backend owns, what selects the compiled row kernel, and what the fused
 target still adds (one launch)."""
 
+import inspect
 import multiprocessing
-import warnings
+import re
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -153,49 +155,41 @@ class TestScratchCache:
 # -- what selects the compiled kernel ------------------------------------------
 
 class TestJitGating:
-    def test_env_var(self, monkeypatch):
-        """No option selects the implementation: the variable that used
-        to switch the numba hook (the benchmark still exports it as
-        ``off``) is not read."""
-        monkeypatch.setenv("REPRO_FUSED_JIT", "off")
-        before = native.status()["impl"]
-        monkeypatch.setattr(native, "_kernel", native._UNRESOLVED)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            assert native.status()["impl"] == before
+    def test_env_var(self):
+        """No option selects the implementation: the compiler and the cache
+        directory are all the loader reads from the environment."""
+        read = re.findall(r'environ(?:\.get\(|\[)"(\w+)"',
+                          inspect.getsource(native))
+        assert set(read) == {"CC", "XDG_CACHE_HOME"}
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_row_kernel_hook_with_a_stand_in_kernel(self, dim, monkeypatch):
-        """The sweep's calls of the pre-pass and of the row kernel, without
-        a compiler: NumPy stand-ins with the compiled kernels' signatures
-        must reproduce the NumPy path bit for bit on every target, so what
-        is under test is the call sites — state and stored metrics in,
-        sweep-major split fluxes between, one interface array out, once
-        per direction each."""
+        """The sweep's one call of the library, without a compiler: a
+        NumPy stand-in with the compiled sweep's signature must reproduce
+        the NumPy path bit for bit on every target, so what is under test
+        is the call site — state and stored metrics in, the backend's
+        scratch, one right-hand side made by the first direction and
+        handed to the others, once per direction."""
         from repro.kernels.api import make_kernels
         from repro.numerics.eos import IdealGasEOS
-        from repro.numerics.fluxes import lax_friedrichs_split
         from repro.numerics.metrics import CurvilinearMetrics, StackedMetrics
         from repro.numerics.state import StateLayout
 
         calls, layout = [], StateLayout(dim=dim, nspecies=1)
 
-        def split(u, m, J, direction, ng, gamma, distributed, fp, fm):
+        def sweep(scheme, u, m, J, direction, ng, gamma, distributed,
+                  scratch, out=None):
             assert native.split_takes(u, m, J) and distributed
-            calls.append(fp.shape)
-            return lax_friedrichs_split(
-                layout, IdealGasEOS(gamma), u, m, J, direction, ng,
-                "distributed", fp, fm).reshape(u.shape[1:-dim])
-
-        def rows(scheme, fp, fm, start, out):
-            assert all(a.flags.c_contiguous for a in (fp, fm, out))
-            assert fp.shape == fm.shape and fp.shape[1:] == out.shape[1:]
-            assert calls.pop() == fp.shape  # filled by the pre-pass
-            calls.append(out.shape)
-            nif = out.shape[0]
-            scheme.combine(windows(fp, 0, start, nif), out=out)
-            scheme.combine_minus(windows(fm, 0, start, nif), out=out,
-                                 add=True)
+            assert scratch is ks.exec_backend.scratch
+            assert (out is None) == (len(calls) % dim == 0)
+            assert out is None or out is calls[-1]
+            with monkeypatch.context() as mp:
+                weno_oracle.use_numpy_sweep(mp)
+                calls.append(ks.convective.divergence(
+                    layout, IdealGasEOS(gamma),
+                    u, SimpleNamespace(m=lambda d: m, jacobian=lambda: J),
+                    direction, ng, scratch, out))
+            return calls[-1]
 
         rng = np.random.default_rng(4)
         grown = tuple(5 + d + 2 * 4 for d in range(dim))
@@ -208,8 +202,9 @@ class TestJitGating:
         u[1:1 + dim] = 0.1 * rng.normal(size=(dim, 2) + grown)
         u[layout.energy] = 2.5
         results = {}
-        for target, kernels in (("host", None), ("device", (split, rows)),
-                                ("fused", (split, rows))):
+        stand_in = native.Kernels(None, None, sweep)
+        for target, kernels in (("host", None), ("device", stand_in),
+                                ("fused", stand_in)):
             monkeypatch.setattr(native, "_kernel", kernels)
             ks = make_kernels("cpp", layout, IdealGasEOS(),
                               exec_backend=make_exec_backend(target))

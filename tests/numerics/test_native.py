@@ -1,11 +1,13 @@
 """The compiled kernels of the sweep (``repro.numerics.native``): the
-pre-pass bitwise ``lax_friedrichs_split`` and the row kernel bitwise the
-NumPy combination on everything the sweep can hand them, NaN for NaN;
-inputs outside the pre-pass's domain take the NumPy code silently; and —
+pre-pass bitwise ``lax_friedrichs_split``, the row kernel bitwise the
+NumPy combination and the one-call sweep bitwise the NumPy
+``divergence`` on everything the sweep can hand them, NaN for NaN;
+inputs outside the library's domain take the NumPy code silently; and —
 as chaos cases — every way of not getting a library ends in the NumPy
-path for both with one warning and the same trajectory.
+path for all three with one warning and the same trajectory.
 """
 
+import ctypes
 import itertools
 import multiprocessing
 import os
@@ -14,15 +16,19 @@ import shutil
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from importlib import resources
+from types import SimpleNamespace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.backend import make_exec_backend
 from repro.cases.dmr import DoubleMachReflection
 from repro.core.crocco import Crocco, CroccoConfig
 from repro.kernels.api import make_kernels
+from repro.kernels.batch import rhs_update
 from repro.numerics import native
 from repro.numerics.eos import IdealGasEOS, MixtureEOS, Species
 from repro.numerics.fluxes import (ConvectiveFlux, _crop_transverse,
@@ -30,7 +36,8 @@ from repro.numerics.fluxes import (ConvectiveFlux, _crop_transverse,
 from repro.numerics.metrics import (CartesianMetrics, CurvilinearMetrics,
                                     StackedMetrics)
 from repro.numerics.state import StateLayout
-from repro.numerics.weno import WenoScheme, windows
+from repro.numerics.viscous import ViscousFlux, constant_viscosity
+from repro.numerics.weno import NO_SCRATCH, WenoScheme, windows
 from tests.numerics import weno_oracle
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -40,20 +47,38 @@ SCHEMES = [WenoScheme(), WenoScheme(variant="symoo"),
            WenoScheme(eps=1e-6, downwind_limit=2.0)]
 
 
-@pytest.fixture
-def kernel():
-    k = native.weno_rows()
+def compiled(name):
+    k = native.kernels()
     if k is None:
         pytest.skip("no compiled kernel here: " + native.status()["detail"])
-    return k
+    return getattr(k, name)
+
+
+@pytest.fixture
+def kernel():
+    return compiled("weno_rows")
 
 
 @pytest.fixture
 def split():
-    k = native.flux_split()
-    if k is None:
-        pytest.skip("no compiled kernel here: " + native.status()["detail"])
-    return k
+    return compiled("flux_split")
+
+
+@pytest.fixture
+def sweep():
+    return compiled("weno_sweep")
+
+
+def spy(calls):
+    """The compiled kernels, noting each sweep the library served."""
+    real = native.kernels()
+
+    def sweep(*args):
+        res = real.weno_sweep(*args)
+        if res is not None:
+            calls.append(args)
+        return res
+    return real._replace(weno_sweep=sweep)
 
 
 def reference(scheme, fp, fm, start, nif):
@@ -232,6 +257,209 @@ def test_split_checks_what_it_is_handed(split):
             split(*args)
 
 
+# -- the whole sweep in one call ----------------------------------------------
+
+def as_metrics(m, J):
+    return SimpleNamespace(m=m.__getitem__, jacobian=lambda: J)
+
+
+def both_sweeps(u, m, J, order, ng, form="fused"):
+    """The directions of ``order`` accumulated into one right-hand side,
+    then each on its own: ``[sum, *singles]`` of the NumPy sweep and of
+    the compiled one, and how many calls the library served."""
+    dim, flux, calls = len(m), ConvectiveFlux(split_form=form), []
+    args = StateLayout(dim=dim), EOS, u, as_metrics(m, J)
+
+    def run():
+        total = None
+        for d in order:
+            total = flux.divergence(*args, d, ng, out=total)
+        return [total] + [flux.divergence(*args, d, ng) for d in order]
+
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        mp.setattr(native, "_kernel", spy(calls))
+        got = run()
+        weno_oracle.use_numpy_sweep(mp)
+        return run(), got, len(calls)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_sweep_is_bitwise_the_numpy_divergence(sweep, dim):
+    """Every direction x energy form x no batch axis and batches of 1, 2,
+    5 x ng 4 and 5 x the accumulation order of either ordering, new
+    ``out`` and accumulated, to the sign of a zero (a uniform state's
+    right-hand side is all ``-0.0``)."""
+    rng = np.random.default_rng(10 + dim)
+    for batch, ng in itertools.product([(), (1,), (2,), (5,)], [4, 5]):
+        u, m, J = state(dim, batch, ng, rng)
+        flat = [np.ones_like(x) for x in (u, m, J)]
+        flat[0][-1] = 3.0
+        for form, order in itertools.product(
+                ("fused", "distributed"), (range(dim), range(dim)[::-1])):
+            for arrays in (u, m, J), flat:
+                ref, got, served = both_sweeps(*arrays, order, ng, form)
+                assert served == 2 * dim
+                for r, g in zip(ref, got):
+                    assert g.flags.c_contiguous and g.shape == r.shape
+                    assert np.array_equal(bits(r), bits(g)), (batch, ng, form)
+        assert np.signbit(got[0]).all() and not got[0].any()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_sweep_poisons_what_numpy_poisons(sweep, dim):
+    """NaN, +-inf, a negative pressure and a vacuum in each component of
+    one cell — a valid one, a ghost of the sweep axis and a corner ghost
+    (which only ``alpha`` sees) — and a NaN, a zero and an inf in ``J``:
+    the right-hand side is NaN where NumPy's is and equal elsewhere."""
+    rng = np.random.default_rng(12)
+    ng = 4
+    u0, m, J0 = state(dim, (2,), ng, rng)
+    cells = [(1,) + (ng + 1,) * dim, (0, 1) + (ng + 2,) * (dim - 1),
+             (0,) + (1,) * dim]
+    cases = [(u0, J0)]
+    for cell in cells:
+        for comp, bad in itertools.product(
+                range(dim + 2), (np.nan, np.inf, -np.inf, -1e3, 0.0, 1e-310)):
+            u = u0.copy()
+            u[(comp,) + cell] = bad
+            cases.append((u, J0))
+        for bad in (np.nan, 0.0, np.inf):
+            J = J0.copy()
+            J[cell] = bad
+            cases.append((u0, J))
+    poisoned = 0
+    for u, J in cases:
+        ref, got, served = both_sweeps(u, m, J, range(dim), ng)
+        assert served == 2 * dim
+        for r, g in zip(ref, got):
+            assert np.array_equal(np.isnan(r), np.isnan(g))
+            assert np.array_equal(r, g, equal_nan=True)
+        poisoned += bool(np.isnan(ref[0]).any())
+    assert 0 < poisoned < len(cases)
+
+
+def test_sweep_checks_what_it_is_handed(sweep):
+    """A malformed call raises before a pointer is passed; arrays that are
+    not the library's (``split_takes``) are declined with ``None``."""
+    rng = np.random.default_rng(13)
+    u, m, J = state(2, (2,), 4, rng)
+    call = lambda *a, **k: sweep(WenoScheme(), *a, EOS.gamma, False,
+                                 k.get("scratch", NO_SCRATCH), k.get("out"))
+    out = call(u, m[0], J, 0, 4)
+    assert out.shape == (4, 2, 6, 7)
+    assert call(u, m[0], J, 1, 4, out=out) is out
+
+    class Scratch:  # a cache that hands back something else
+        def __init__(self, spoil):
+            self.spoil = spoil
+
+        def get(self, role, shape):
+            return self.spoil(np.empty(shape)) if role == "f_iface" else \
+                np.empty(shape)
+
+    for kwargs in [
+            dict(out=out.astype(np.float32)),                    # dtype
+            dict(out=np.empty((4, 2, 6, 14))[..., ::2]),         # contiguity
+            dict(out=np.empty((4, 2, 7, 6))),                    # shape
+            dict(out=out[:, 0]),
+            dict(scratch=Scratch(lambda a: a[1:])),
+            dict(scratch=Scratch(lambda a: a.astype(np.float32))),
+            dict(scratch=Scratch(lambda a: np.empty(a.shape + (2,))[..., 0]))]:
+        with pytest.raises(ValueError, match="weno_sweep"):
+            call(u, m[0], J, 0, 4, **kwargs)
+    for args in [(u, m[0], J, 2, 4), (u, m[0], J, -1, 4),      # direction
+                 (u, m[0], J, 0, 2), (u, m[0], J, 0, -1),      # ng < 3
+                 (u, m[0], J, 0, 7),                           # nothing valid
+                 (u[..., :8].copy(), m[0][..., :8].copy(),
+                  J[..., :8].copy(), 0, 4)]:                   # an empty axis
+        with pytest.raises(ValueError, match="weno_sweep"):
+            call(*args)
+    before = out.copy()
+    for args in [(u.astype(np.float32), m[0], J), (u[..., ::2], m[0], J),
+                 (u, m[0], J[:1]), (u[:3], m[0], J),
+                 (u, np.moveaxis(np.empty((2, 14, 15, 2)), -1, 0), J)]:
+        assert call(*args, 0, 4, out=out) is None
+    assert np.array_equal(out, before)
+    with pytest.raises(ValueError, match="ghost cells"):
+        ConvectiveFlux().divergence(StateLayout(dim=2), EOS, u,
+                                    as_metrics(m, J), 0, 2)
+
+
+@pytest.mark.parametrize("ordering", ["fortran", "cpp"])
+@pytest.mark.parametrize("precision", ["double", "mixed"])
+def test_rhs_update_is_bitwise_either_way(sweep, ordering, precision,
+                                          monkeypatch):
+    """The sweep's caller, with everything that shares its right-hand
+    side: Viscous added to it, ``precision="mixed"`` rounding it, the
+    RK update reading it — a batch of three and a batch of one."""
+    rng = np.random.default_rng(14)
+    layout, ng = StateLayout(dim=2), 4
+    kernels = make_kernels(ordering, layout, EOS,
+                           viscous=ViscousFlux(constant_viscosity(1e-3)))
+    kernels.precision = precision
+    case = SimpleNamespace(source=lambda *a, **k: None)
+    for n in (3, 1):
+        members = [curvilinear((14, 15), rng) for _ in range(n)]
+        u0 = state(2, (n,), ng, rng)[0]
+        results, calls = [], []
+        for numpy in (False, True):
+            with monkeypatch.context() as mp:
+                mp.setattr(native, "_kernel", spy(calls))
+                if numpy:
+                    weno_oracle.use_numpy_sweep(mp)
+                us = [u0[:, b].copy() for b in range(n)]
+                dus = [np.zeros_like(x[:, ng:-ng, ng:-ng]) for x in us]
+                rhs_update(kernels, case, us, dus, [np.zeros((2, 14, 15))] * n,
+                           StackedMetrics(members), (0,) * n, ng, 0.0, 1e-3, 0)
+                results.append(us + dus)
+        assert len(calls) == 2
+        for a, b in zip(*results):
+            assert np.array_equal(bits(a), bits(b))
+
+
+#: Python-level calls of one ``KernelSet.rhs`` of a 2-D batch of three on
+#: two ranks.  At 72d6cef: 252 / 288 / 238 on host / device / fused; with
+#: the one-call sweep 113 / 145 / 108 (EXPERIMENTS.md "One call per sweep")
+GLUE_BUDGET = {"host": 125, "device": 160, "fused": 120}
+
+
+@pytest.mark.parametrize("target", sorted(GLUE_BUDGET))
+def test_glue_budget_of_one_rhs(sweep, target, monkeypatch):
+    """Per-call overhead is what an AMR step of small boxes is made of,
+    and 5% of it is below this host's timing noise — so it is counted:
+    the interpreter's ``call`` events of one ``rhs`` (``sys.setprofile``;
+    this file's own frames excluded) stay under the budget, and the
+    library is entered exactly once per direction, through ``weno_sweep``
+    only."""
+    lib = next(c.cell_contents for c in sweep.__closure__
+               if isinstance(c.cell_contents, ctypes.CDLL))
+    served, real = [], lib.weno_sweep
+    monkeypatch.setattr(lib, "weno_sweep",
+                        lambda *a: served.append(a[9]) or real(*a))
+    for half in ("flux_split", "weno_rows"):
+        monkeypatch.setattr(lib, half, lambda *a: served.append(None))
+    rng = np.random.default_rng(15)
+    u = state(2, (3,), 4, rng)[0]
+    metrics = StackedMetrics([curvilinear((14, 15), rng) for _ in range(3)])
+    kernels = make_kernels("fortran", StateLayout(dim=2), EOS,
+                           exec_backend=make_exec_backend(target))
+    kernels.rhs(u, metrics, 4, (0, 1, 0))  # scratch, lru caches
+    del served[:]
+    calls = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename != __file__:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(count)
+    try:
+        kernels.rhs(u, metrics, 4, (0, 1, 0))
+    finally:
+        sys.setprofile(None)
+    assert served == [1, 2]  # x then y, of the three axes the C code has
+    assert len(calls) <= GLUE_BUDGET[target], Counter(calls).most_common(8)
+
+
 def curvilinear(grown, rng):
     idx = np.stack(np.meshgrid(*[np.arange(n, dtype=float) for n in grown],
                                indexing="ij"))
@@ -243,7 +471,7 @@ def curvilinear(grown, rng):
     "mixture", "two species", "scalar", "cartesian", "characteristic",
     "cell-major m", "float32", "1-D", "mixed precision"])
 def test_outside_the_domain_is_the_numpy_result_without_a_warning(
-        split, case, monkeypatch):
+        sweep, case, monkeypatch):
     """Each input the C function does not state as its own never reaches
     it, and the sweep returns what a process without a library returns;
     ``precision="mixed"`` stays inside (it rounds ``u``, in float64)."""
@@ -276,8 +504,7 @@ def test_outside_the_domain_is_the_numpy_result_without_a_warning(
         kernels = make_kernels("cpp", layout, eos)
         kernels.precision = "mixed"
         sweep = lambda: [kernels.rhs(u, metrics, ng)]
-    spy = lambda *args: calls.append(args) or split(*args)
-    monkeypatch.setattr(native, "_kernel", (spy, native.weno_rows()))
+    monkeypatch.setattr(native, "_kernel", spy(calls))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = sweep()
@@ -498,13 +725,15 @@ def test_compiler_that_fails(built, tmp_path):
     assert not list(tmp_path.rglob("*.so"))
 
 
-@pytest.mark.parametrize("damage", ["truncated", "garbage", "stale"])
+@pytest.mark.parametrize("damage", ["truncated", "garbage", "stale",
+                                    "no sweep"])
 def test_bad_cache_entry(built, tmp_path, damage):
     """A file under the right name that is not the library: cut short
     (``dlopen`` of one is a SIGBUS) or not ELF at all — caught by the
     content hash in the name — or a library built from another source
     under a name that is consistent with its bytes: it loads, and fails
-    the self-check."""
+    the self-check, or (the two exports of before the one-call sweep)
+    lacks a symbol."""
     _, lib, sha = built
     bad = tmp_path / "repro" / lib.name
     bad.parent.mkdir()
@@ -514,13 +743,15 @@ def test_bad_cache_entry(built, tmp_path, damage):
         bad.write_bytes(b"not a shared object\n" * 100)
     else:
         src = tmp_path / "other.c"
-        src.write_text("void weno_rows(void) {}\nvoid flux_split(void) {}\n")
+        src.write_text("void weno_rows(void) {}\nvoid flux_split(void) {}\n"
+                       + "void weno_sweep(void) {}\n" * (damage == "stale"))
         subprocess.run([os.environ.get("CC") or "cc", "-shared", "-fPIC",
                         str(src), "-o", str(bad)], check=True)
         key = lib.name.rsplit("-", 1)[0]
         bad = bad.rename(bad.with_name(
             f"{key}-{native._digest(bad.read_bytes())}.so"))
-    why = "does not reproduce" if damage == "stale" else "is damaged"
+    why = {"stale": "does not reproduce",
+           "no sweep": "undefined symbol: weno_sweep"}.get(damage, "is damaged")
     assert_numpy_fallback(run({"XDG_CACHE_HOME": str(tmp_path)}), sha, why)
     assert bad.exists()  # reported, not repaired behind the user's back
 

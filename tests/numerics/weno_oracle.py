@@ -74,14 +74,14 @@ def compiled_combine(scheme, cells):
     ``combine``'s signature, or ``None`` where this environment has none:
     one interface whose plus window is ``cells``; the minus window is
     zero and adds ``+0.0``."""
-    kernel = native.weno_rows()
-    if kernel is None:
+    compiled = native.kernels()
+    if compiled is None:
         return None
     shape = np.shape(cells[0])
     fp = np.ascontiguousarray(np.stack([np.broadcast_to(c, shape)
                                         for c in cells]), dtype=np.float64)
     out = np.empty((1,) + shape)
-    kernel(scheme, fp, np.zeros_like(fp), 0, out)
+    compiled.weno_rows(scheme, fp, np.zeros_like(fp), 0, out)
     return out[0]
 
 

@@ -68,3 +68,19 @@ def test_option_table_lint_passes_here_and_catches_a_second_spelling(tmp_path):
         'import os\nw = os.environ.get("REPRO_WORKERS")\n')
     assert ("REPRO_WORKERS: written 2 times (src/plumbing.py:2, "
             "src/table.py:1)") in lint.violations(src)
+
+
+def test_vectorisation_check_passes_here_and_catches_a_scalar_loop(tmp_path):
+    import shutil
+
+    if shutil.which("gcc") is None:
+        pytest.skip("needs gcc (the report is its -fopt-info)")
+    check = load_tool("check_vectorised")
+    assert check.missing(cc="gcc") == []
+    source = ROOT / "src" / "repro" / "numerics" / "weno_sweep.c"
+    carried = "o[i] = (add ? o[i] + x : x) + (i ? o[i - 1] : 0.0);"
+    text = source.read_text()
+    assert text.count("o[i] = add ? o[i] + x : x;") == 1
+    broken = tmp_path / source.name
+    broken.write_text(text.replace("o[i] = add ? o[i] + x : x;", carried))
+    assert check.missing(broken, cc="gcc") == ["diff_row"]

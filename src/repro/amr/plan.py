@@ -10,9 +10,8 @@ are all "build the plan, run the plan".
 
 A plan never holds an ndarray of patch data: copies name the source fab by
 index and the cells by slices or integer index arrays, and ``fab.data`` is
-looked up when the plan runs (the pool executor's shared-memory arena
-rebinds it).  :meth:`MultiFab.plan` caches plans on the MultiFab they
-write, which is rebuilt exactly when its layout changes.
+looked up when the plan runs.  :meth:`MultiFab.plan` caches plans on the
+MultiFab they write, which is rebuilt exactly when its layout changes.
 """
 
 from __future__ import annotations

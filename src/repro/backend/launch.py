@@ -56,14 +56,11 @@ the AMR substrate has no reference to the driver — resolve their target
 with :func:`current_backend`; the driver activates its configured
 backend around each step with :func:`use_backend` (the LaunchContext).
 Launch accounting lives in one place, the devices' launch tables: per-class
-totals are a view of them, and the tables pool workers drain from their
-forked devices are added into the owning rank's table
-(:meth:`DeviceBackend.merge_worker_tables`).
+totals are a view of them.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -172,13 +169,9 @@ class ExecutionBackend:
         raise NotImplementedError
 
     # -- accounting (accounting targets only; host returns empties) --------
-    #: launches merged in from pool workers (a count; the rows themselves
-    #: sit in the devices' tables with the driver's own)
-    worker_launches = 0
-
     def class_totals(self) -> Dict[str, Dict[str, int]]:
         """``{kernel class: {launches, points, flops, dram_bytes}}`` over
-        every device — the driver's launches and its workers' alike."""
+        every device."""
         return {}
 
     def scratch_stats(self) -> Dict[str, float]:
@@ -244,14 +237,6 @@ class DeviceBackend(ExecutionBackend):
         self.device_for(rank)._release(nbytes)
 
     # -- accounting ---------------------------------------------------------
-    def merge_worker_tables(self, tables: Dict[int, Counter]) -> None:
-        """Add the launch tables pool workers drained from their forked
-        copies of the devices (``{device index: table}``) into the
-        devices themselves."""
-        for index, table in tables.items():
-            self.devices[index].table.update(table)
-            self.worker_launches += table.total()
-
     def class_totals(self) -> Dict[str, Dict[str, int]]:
         from repro.kernels.device import launch_totals
 

@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro inputs.deck [--steps N | --time T] [--plotfile DIR]
-                    [--profile] [--record DIR] [--executor serial|pool]
+                    [--profile] [--record DIR] [--backend TARGET]
 
 ``python -m repro -h`` prints every deck key, environment variable and
 flag (the option table of :mod:`repro.core.config`; the README's
@@ -85,8 +85,7 @@ def run_deck(path: str, overrides: Dict[str, object]) -> int:
         sim.initialize()
     print(f"case {case.name}: {case.domain_cells} cells, "
           f"CRoCCo {config.version}, {sim.finest_level + 1} level(s), "
-          f"{sim.comm.nranks} simulated rank(s), "
-          f"executor {sim.engine.name}")
+          f"{sim.comm.nranks} simulated rank(s)")
     if sim.faults is not None:
         print(f"fault injection active: {config.faults_plan!r} "
               f"(seed {sim.faults.seed})")
@@ -122,8 +121,8 @@ def run_deck(path: str, overrides: Dict[str, object]) -> int:
         if sim.faults is not None:
             print(resilience_summary(sim))
     finally:
-        # guaranteed teardown: no leaked pool workers or shm segments,
-        # even when a step dies beyond every retry
+        # the recorder's artifacts are written even when a step dies
+        # beyond every retry
         sim.close()
     return 0
 

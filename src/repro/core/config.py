@@ -182,15 +182,6 @@ class CroccoConfig:
     profile: bool = opt(
         False, deck="run.profile", flag="--profile",
         help="print the TinyProfiler and ledger reports at end of run")
-    executor: str = opt(
-        "serial", deck="runtime.executor", env="REPRO_EXECUTOR",
-        flag="--executor", choices=_later("repro.runtime.executors",
-                                          "EXECUTORS"),
-        help="serial (deterministic, in-process) or pool (multiprocessing "
-             "workers over shared-memory FABs)")
-    workers: Optional[int] = opt(
-        None, deck="runtime.workers", env="REPRO_WORKERS", flag="--workers",
-        minimum=1, help="pool size (default: one per core, at least two)")
     perfscope: bool = opt(
         True, deck="runtime.perfscope",
         help="task-lifecycle spans and overhead attribution (perf.* gauges)")
@@ -220,17 +211,6 @@ class CroccoConfig:
     max_step_retries: int = opt(
         3, deck="resilience.max_step_retries", minimum=0,
         help="rollback/retry budget per step before a checkpoint restore")
-    supervise: bool = opt(
-        True, deck="resilience.supervise",
-        help="supervise the pool (dead-worker detection, re-submission)")
-    task_retries: int = opt(2, deck="resilience.retries", minimum=0,
-                            help="per-task retry budget in the pool")
-    task_timeout: float = opt(
-        30.0, deck="resilience.task_timeout", above=0.0,
-        help="seconds before an in-flight pool task is presumed lost")
-    max_pool_restarts: int = opt(
-        3, deck="resilience.max_pool_restarts", minimum=0,
-        help="pool respawns tolerated before degrading to inline execution")
     autocheckpoint_every: int = opt(
         0, deck="resilience.autocheckpoint_every", minimum=0,
         flag="--autocheckpoint-every",
@@ -250,7 +230,7 @@ class CroccoConfig:
     faults_plan: str = opt(
         "", deck="resilience.faults.plan", env="REPRO_FAULTS",
         flag="--faults", join=";",
-        help="fault-injection plan, e.g. kill_worker@2.1;nan@4;seed=7 "
+        help="fault-injection plan, e.g. task_error@2.1;nan@4;seed=7 "
              "(deck tokens may be space-separated)")
     faults_seed: int = opt(
         0, deck="resilience.faults.seed", flag="--faults-seed",
@@ -258,7 +238,7 @@ class CroccoConfig:
 
     def __post_init__(self) -> None:
         # bare CroccoConfig() honours the environment: CI matrices and
-        # tests select executor / workers / target / faults this way
+        # tests select target / faults this way
         for o in OPTIONS:
             if getattr(self, o.name) is _FROM_ENV:
                 raw = os.environ.get(o.env)
@@ -267,7 +247,7 @@ class CroccoConfig:
 
     def validate(self) -> "CroccoConfig":
         """Reject a value outside its choices or bounds, naming its deck
-        key — here, not deep inside solver or pool construction."""
+        key — here, not deep inside solver construction."""
         for o in OPTIONS:
             o.check(getattr(self, o.name), o.deck or o.name)
         return self

@@ -41,7 +41,7 @@ from repro.amr.tagging import tag_density_gradient, tag_momentum_gradient, tagge
 from repro.backend import LaunchSpec
 from repro.cases.base import Case
 # re-exported: this module was the historical home of both names
-from repro.core.config import CroccoConfig  # noqa: F401
+from repro.core.config import BY_NAME, CroccoConfig  # noqa: F401
 from repro.core.errors import ConfigError  # noqa: F401
 from repro.core.versions import get_version
 from repro.kernels.api import make_kernels
@@ -141,14 +141,17 @@ class Crocco(AmrCore):
         #: tagged-cell count per level from the most recent error estimate
         self.last_tag_counts: Dict[int, int] = {}
 
-        # -- resilience: built before the engine so the supervised pool
-        # and the fault injector are wired into task execution
+        # -- resilience: built before the engine so the fault injector is
+        # wired into task execution
         from repro.resilience.faults import FaultInjector
         from repro.resilience.stats import ResilienceStats
 
         self.resilience = ResilienceStats()
-        self.faults = FaultInjector.from_config(self.config.faults_plan,
-                                                self.config.faults_seed)
+        try:
+            self.faults = FaultInjector.from_config(self.config.faults_plan,
+                                                    self.config.faults_seed)
+        except ValueError as exc:
+            raise ConfigError(f"{BY_NAME['faults_plan'].deck}: {exc}") from None
         #: the PositivityGuard, when safeguards.attach_guard() installed one
         self.guard = None
 
@@ -213,7 +216,6 @@ class Crocco(AmrCore):
             written = self.recorder.finalize(self)
             for kind, path in written.items():
                 print(f"wrote {kind} {path}")
-        self.engine.close()
         if self._coords_file and os.path.exists(self._coords_file):
             os.unlink(self._coords_file)
             self._coords_file = None
@@ -315,9 +317,6 @@ class Crocco(AmrCore):
         for rank, nbytes in enumerate(per_rank):
             self.exec_backend.reserve(nbytes, rank)
         self._residency[lev] = per_rank
-        engine = getattr(self, "engine", None)
-        if engine is not None:
-            engine.adopt_level(lev)
 
     def _get_coords(self, geom, region) -> np.ndarray:
         """getCoords(): from memory (analytic mapping) or from the file."""
@@ -332,9 +331,6 @@ class Crocco(AmrCore):
         return self.case.coordinates(geom, region)
 
     def _clear_level_storage(self, lev: int) -> None:
-        engine = getattr(self, "engine", None)
-        if engine is not None:
-            engine.release_level(lev)
         for store in (self.state, self.du, self.coords, self.metrics,
                       self.batches):
             store.pop(lev, None)
@@ -459,9 +455,9 @@ class Crocco(AmrCore):
         """One RK3 advance, executed as per-stage task graphs.
 
         The runtime engine builds a graph per stage (FillPatch split into
-        nowait/finish halves, per-batch kernels, AverageDown) and runs it on
-        the configured executor; the ``serial`` executor reproduces the
-        historical eager loop bit for bit.
+        nowait/finish halves, per-batch kernels, AverageDown) and the
+        ready-queue scheduler runs it in this process, bit for bit the
+        historical eager loop.
         """
         with self.profiler.region("Advance"):
             for lev in range(self.finest_level + 1):

@@ -11,8 +11,7 @@ grown shape, stacked on a batch axis between component and grid —
 Batches describe a level's storage: :func:`make_batches` builds them with
 it, they are reachable only through it, and they die with it at the next
 regrid (the lifetime rule communication plans follow).  The patch data is
-*gathered* from the fabs when a batch runs — never held — because the
-pool executor's arena rebinds ``fab.data``.
+*gathered* from the fabs when a batch runs — never held.
 """
 
 from __future__ import annotations
@@ -78,8 +77,7 @@ def rhs_update(kernels, case, us: Sequence[np.ndarray],
                time: float, dt: float, stage: int) -> None:
     """One RK stage of a batch: gather, RHS (+ source), update, scatter.
 
-    ``us`` / ``dus`` / ``coords`` are the members' whole arrays — the
-    driver's fabs, or what a pool worker attached from shared memory —
+    ``us`` / ``dus`` / ``coords`` are the members' whole arrays,
     updated in place.
     """
     valid = (Ellipsis,) + (slice(ng, -ng),) * kernels.layout.dim

@@ -34,7 +34,10 @@ class ProfilerTraceAdapter:
                           args={"path": "/".join(path)})
 
     def on_exit(self, path: Tuple[str, ...], seconds: float) -> None:
-        self.tracer.end(self.rank, self.stream)
+        # the profiler's own measurement, not a second clock reading: a
+        # pause between the two (GC, a lost time slice) would make the
+        # trace and the profiler disagree about the same region
+        self.tracer.end(self.rank, self.stream, dur_us=seconds * 1e6)
 
     def on_charge(self, path: Tuple[str, ...], seconds: float,
                   calls: int) -> None:

@@ -1,12 +1,12 @@
 """Critical path of an executed stage DAG.
 
 The critical path is the longest dependency chain through the stage
-graph, weighted by each task's *measured* span (serialize + queue wait
-+ execute for offloaded tasks — the full latency a dependent actually
-waits for; execute time for inline ones).  Its length bounds how fast
-any executor can finish the stage no matter how many workers it has:
-``realized parallelism = total busy time / critical-path time`` tells
-how much of the DAG's theoretical concurrency a schedule achieved.
+graph, weighted by each task's *measured* span (execute + merge — the
+latency a dependent actually waits for).  Its length bounds how fast any
+schedule could finish the stage no matter how many lanes it had:
+``total busy time / critical-path time`` is the concurrency the DAG
+offers — what a future rank-level parallel design would have to exploit
+(DESIGN.md, "One way to run a step").
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from repro.observability.perfscope.lifecycle import StageTrace, TaskSpan
 
 def span_weight(span: TaskSpan) -> float:
     """The latency a dependent waits on this task: lifecycle-inclusive."""
-    return span.serialize_s + span.queue_wait_s + span.execute_s \
-        + span.result_s + span.merge_s
+    return span.execute_s + span.merge_s
 
 
 def critical_path(trace: StageTrace) -> Tuple[float, List[TaskSpan]]:

@@ -111,8 +111,6 @@ class RunRecorder:
             for cls, tot in totals.items():
                 for field, value in tot.items():
                     g(f"device.class.{cls}.{field}").set(value)
-            if totals:
-                g("device.worker_launches").set(backend.worker_launches)
             # the backend's scratch-cache counters (hit rate, resident bytes)
             for name, value in backend.scratch_stats().items():
                 g(f"backend.scratch.{name}").set(float(value))
@@ -124,8 +122,6 @@ class RunRecorder:
             rep = engine.last_step_report
             for name, value in rep.as_dict().items():
                 g(f"runtime.{name}").set(value)
-        if engine is not None and engine.last_step_worker_launches:
-            g("runtime.worker_launches").set(engine.last_step_worker_launches)
         # lifecycle attribution: cumulative run totals (like device.class.*)
         # so the report only needs the final record
         scope = getattr(engine, "perfscope", None) if engine else None
@@ -174,8 +170,6 @@ class RunRecorder:
                 "max_level": cfg.max_level,
                 "ordering": sim.kernels.ordering,
                 "backend": sim.backend_target,
-                "executor": getattr(sim, "engine", None).name
-                if getattr(sim, "engine", None) is not None else "serial",
             }
             other["nranks"] = sim.comm.nranks
             other["comms_matrix"] = sim.comm.ledger.comms_matrix(

@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.observability.metrics import MetricsRegistry
+from repro.observability.perfscope.attribution import BUCKETS
 from repro.observability.recorder import METRICS_NAME, TRACE_NAME
 from repro.observability.tracer import load_chrome_trace
 
@@ -106,8 +107,8 @@ def overlap_rows(records: Sequence[dict]) -> List[dict]:
     """Per-step runtime scheduler statistics (the ``runtime.*`` gauges).
 
     One row per recorded step that carried runtime data: posted/finished
-    comm seconds, compute seconds, measured overlap, worker idle
-    fraction, and task counts by kind.
+    comm seconds, compute seconds, measured overlap, idle fraction, and
+    task counts by kind.
     """
     rows: List[dict] = []
     for rec in records:
@@ -121,7 +122,6 @@ def overlap_rows(records: Sequence[dict]) -> List[dict]:
                "overlap": m.get("runtime.overlap_s", 0.0),
                "overlap_frac": m.get("runtime.overlap_frac", 0.0),
                "idle_frac": m.get("runtime.idle_frac", 0.0),
-               "workers": int(m.get("runtime.workers", 1)),
                "tasks": {k.split("runtime.tasks.", 1)[1]: int(v)
                          for k, v in m.items()
                          if k.startswith("runtime.tasks.")}}
@@ -244,7 +244,7 @@ def format_report(events: Sequence[dict], other: dict,
     if orows:
         lines.append("")
         last = orows[-1]
-        lines.append(f"-- overlap (task runtime, {last['workers']} worker(s)) --")
+        lines.append("-- overlap (task runtime) --")
         lines.append(f"{'step':>6s} {'posted[s]':>10s} {'finish[s]':>10s} "
                      f"{'compute[s]':>11s} {'overlap[s]':>11s} {'ovl%':>6s} "
                      f"{'idle%':>6s}")
@@ -273,36 +273,23 @@ def format_report(events: Sequence[dict], other: dict,
                 f"{int(m['kernel.batch_boxes'])} boxes (grown/valid = "
                 f"{m['kernel.batch_grown_cells'] / m['active_cells.total']:.2f})")
 
-    # bottleneck: where the capacity of every lane actually went
+    # bottleneck: where the makespan of the stage graphs went
     perf = final_totals(records, "perf")
-    if perf.get("capacity_s"):
-        lanes = int(perf.get("lanes", 1))
-        cap = perf["capacity_s"]
+    if perf.get("makespan_s"):
+        span = perf["makespan_s"]
         lines.append("")
-        lines.append(f"-- bottleneck (task lifecycle attribution, "
-                     f"{lanes} lane(s)) --")
+        lines.append("-- bottleneck (task lifecycle attribution) --")
         lines.append(
-            f"capacity {cap:.4f} worker-s over {int(perf.get('stages', 0))} "
-            f"stage graphs (makespan {perf.get('makespan_s', 0.0):.4f}s, "
-            f"coverage {perf.get('coverage', 0.0):.1%})")
-        lines.append(f"{'bucket':<12s} {'seconds':>10s} {'%capacity':>10s}")
-        for bucket in ("serialize", "queue_wait", "execute", "result",
-                       "merge", "idle"):
+            f"makespan {span:.4f}s over {int(perf.get('stages', 0))} "
+            f"stage graphs (coverage {perf.get('coverage', 0.0):.1%})")
+        lines.append(f"{'bucket':<12s} {'seconds':>10s} {'%makespan':>10s}")
+        for bucket in BUCKETS:
             v = perf.get(f"{bucket}_s", 0.0)
-            lines.append(f"{bucket.replace('_', '-'):<12s} {v:>10.4f} "
-                         f"{v / cap:>10.1%}")
+            lines.append(f"{bucket:<12s} {v:>10.4f} {v / span:>10.1%}")
         lines.append(
             f"critical path {perf.get('critical_path_s', 0.0):.4f}s over "
-            f"{int(perf.get('tasks', 0))} tasks "
-            f"({int(perf.get('offloaded', 0))} offloaded); "
-            f"realized parallelism "
-            f"{perf.get('realized_parallelism', 0.0):.2f}x")
-        lane_idle = sorted((int(k.split(".")[1]), v) for k, v in perf.items()
-                           if k.startswith("lane.") and k.endswith(".idle_s"))
-        if lane_idle:
-            lines.append("lane idle: " + "  ".join(
-                ("driver" if lane == 0 else f"w{lane}") + f"={v:.3f}s"
-                for lane, v in lane_idle))
+            f"{int(perf.get('tasks', 0))} tasks; the DAGs offer "
+            f"{perf.get('realized_parallelism', 0.0):.2f}x concurrency")
         classes = defaultdict(dict)
         for key, value in perf.items():
             if key.startswith("class."):
@@ -310,8 +297,7 @@ def format_report(events: Sequence[dict], other: dict,
                 classes[cls][col] = value
         if classes:
             lines.append("per-class lifecycle (seconds):")
-            lines.append(f"  {'class':<16s} {'count':>6s} {'serial':>8s} "
-                         f"{'wait':>8s} {'execute':>8s} {'result':>8s} "
+            lines.append(f"  {'class':<16s} {'count':>6s} {'execute':>8s} "
                          f"{'merge':>8s}")
             ordered_cls = sorted(
                 classes, key=lambda c: -classes[c].get("execute_s", 0.0))
@@ -319,10 +305,7 @@ def format_report(events: Sequence[dict], other: dict,
                 c = classes[cls]
                 lines.append(
                     f"  {cls:<16s} {int(c.get('count', 0)):>6d} "
-                    f"{c.get('serialize_s', 0.0):>8.4f} "
-                    f"{c.get('queue_wait_s', 0.0):>8.4f} "
                     f"{c.get('execute_s', 0.0):>8.4f} "
-                    f"{c.get('result_s', 0.0):>8.4f} "
                     f"{c.get('merge_s', 0.0):>8.4f}")
         cp = sorted(((k.split("cp.", 1)[1], v) for k, v in perf.items()
                      if k.startswith("cp.")), key=lambda kv: -kv[1])
@@ -343,14 +326,8 @@ def format_report(events: Sequence[dict], other: dict,
                 row = " ".join(f"b{b}x{n}={v:.4f}s"
                                for b, n, v in sorted(boxes[lev]))
                 lines.append(f"  {lev}: {row}")
-        if perf.get("pickle_bytes"):
-            lines.append(
-                f"payload traffic: {_fmt_bytes(perf['pickle_bytes'])} "
-                f"pickled (deserialize {perf.get('deserialize_s', 0.0):.4f}s "
-                f"in workers)")
         lines.append(
-            f"attribution overhead {perf.get('overhead_s', 0.0):.4f}s, "
-            f"reconcile errors {int(perf.get('reconcile_errors', 0))}")
+            f"attribution overhead {perf.get('overhead_s', 0.0):.4f}s")
 
     # resilience: injected faults vs recovery actions, and solver health
     res = final_totals(records, "resilience")
@@ -371,10 +348,6 @@ def format_report(events: Sequence[dict], other: dict,
                 ("dt halvings", "dt_halvings"),
                 ("recovered steps", "recovered_steps"),
                 ("NaN detections", "nan_detections"),
-                ("task retries", "task_retries"),
-                ("task resubmits", "task_resubmits"),
-                ("pool restarts", "pool_restarts"),
-                ("degraded to serial", "degraded_to_serial"),
                 ("autocheckpoints", "autocheckpoints"),
                 ("checkpoint failures", "checkpoint_failures"),
                 ("restores", "restores"),
@@ -383,8 +356,6 @@ def format_report(events: Sequence[dict], other: dict,
                 lines.append(f"{label:<20s} {int(res[key])}")
         injected_n = int(res.get("faults_injected", 0))
         recovered = (int(res.get("recovered_steps", 0))
-                     + int(res.get("task_retries", 0))
-                     + int(res.get("task_resubmits", 0))
                      + int(res.get("checkpoint_failures", 0))
                      + int(res.get("restores", 0)))
         if injected_n:
@@ -444,12 +415,7 @@ def format_report(events: Sequence[dict], other: dict,
                 f"{_fmt_bytes(c.get('dram_bytes', 0)):>11s}")
         total_launches = sum(int(c.get("launches", 0))
                              for c in classes.values())
-        worker = 0
-        if records:
-            worker = int(records[-1]["metrics"].get(
-                "device.worker_launches", 0))
-        lines.append(f"  total launches = {total_launches}"
-                     + (f" ({worker} from pool workers)" if worker else ""))
+        lines.append(f"  total launches = {total_launches}")
         charged = charged_kernel_times(kernels)
         if charged:
             lines.append("  top kernels by charged time (V100 model):")

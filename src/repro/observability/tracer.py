@@ -73,13 +73,17 @@ class Tracer:
             (name, self.now_us(), cat, args)
         )
 
-    def end(self, rank: int = 0, stream: int = DRIVER_STREAM) -> None:
-        """Close the innermost open wall span on this track."""
+    def end(self, rank: int = 0, stream: int = DRIVER_STREAM,
+            dur_us: Optional[float] = None) -> None:
+        """Close the innermost open wall span on this track; ``dur_us`` is
+        its duration when the caller measured it (default: until now)."""
         stack = self._open.get((rank, stream))
         if not stack:
             raise RuntimeError(f"no open span on track ({rank}, {stream})")
         name, t0, cat, args = stack.pop()
-        self.complete(name, t0, self.now_us() - t0, rank, stream, cat, args)
+        if dur_us is None:
+            dur_us = self.now_us() - t0
+        self.complete(name, t0, dur_us, rank, stream, cat, args)
 
     def complete(self, name: str, ts_us: float, dur_us: float,
                  rank: int = 0, stream: int = DRIVER_STREAM,

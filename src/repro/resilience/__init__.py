@@ -9,10 +9,11 @@ layer:
 - :mod:`repro.resilience.faults` — a deterministic fault-injection
   harness (seeded plans via ``resilience.faults.*`` deck keys or the
   ``REPRO_FAULTS`` env var) so chaos runs are reproducible;
-- :mod:`repro.resilience.supervisor` — a supervised pool executor that
-  detects dead/stuck workers, respawns the pool, re-submits lost tasks
-  with capped exponential backoff and degrades to inline execution
-  instead of hanging the task graph;
+- :mod:`repro.resilience.supervisor` — the supervised process pool of
+  the service fleet: notices dead workers, times out stuck ones,
+  respawns the pool, re-submits lost runs with capped exponential
+  backoff and degrades to inline execution instead of hanging (imported
+  by the fleet, not from here: a solver run loads no ``multiprocessing``);
 - :mod:`repro.resilience.watchdog` — a solver watchdog that validates
   every completed step (NaN/Inf, positivity-guard spikes, CFL blow-up),
   rolls failed steps back and retries them, and restores from the last
@@ -28,7 +29,6 @@ from repro.resilience.faults import (FaultInjector, InjectedCheckpointCrash,
                                      InjectedCommDrop, InjectedFault,
                                      InjectedTaskError)
 from repro.resilience.stats import ResilienceStats
-from repro.resilience.supervisor import SupervisedPoolExecutor, TaskFailedError
 from repro.resilience.watchdog import (StepFailure, StepWatchdog,
                                        UnrecoverableStepError)
 
@@ -39,8 +39,6 @@ __all__ = [
     "InjectedCommDrop",
     "InjectedCheckpointCrash",
     "ResilienceStats",
-    "SupervisedPoolExecutor",
-    "TaskFailedError",
     "StepWatchdog",
     "StepFailure",
     "UnrecoverableStepError",

@@ -4,8 +4,7 @@ Chaos runs must be reproducible, so faults are *planned*, not random:
 a plan is a list of tokens, each firing exactly once at a named step
 (and, for task-level faults, RK stage)::
 
-    seed=42 kill_worker@2 nan@3 drop_comm@1:fb task_error@4:Box
-    slow@2:1.5 kill_save@2
+    seed=42 nan@3 drop_comm@1:fb task_error@4:Box kill_save@2
 
 Token grammar: ``kind@step[.stage][:arg]`` (plus ``seed=N``).  Tokens
 are separated by whitespace or ``;`` — the deck key
@@ -17,21 +16,10 @@ interrupt.
 
 Fault kinds and where they bite:
 
-``kill_worker@S[.G]``
-    One offloaded task's worker process exits hard (``os._exit``) before
-    touching any data — the stand-in for losing a Summit node mid-step.
-    Detected by the supervisor's task timeout; the pool is respawned and
-    the task re-submitted.
-``slow@S[.G][:SECS]``
-    One offloaded task stalls for ``SECS`` (default 1.0) seconds before
-    doing its work — a stuck worker.  If the stall exceeds the
-    supervisor's ``task_timeout`` the pool is respawned (killing the
-    sleeper before it writes anything) and the task re-submitted.
 ``task_error@S[.G][:PREFIX]``
-    One task whose name starts with ``PREFIX`` (any offloadable task by
-    default) raises :class:`InjectedTaskError`.  Offloaded tasks are
-    retried by the supervisor; inline tasks fail the step and are
-    retried by the watchdog's rollback.
+    One task whose name starts with ``PREFIX`` (any compute task by
+    default) raises :class:`InjectedTaskError`; the step fails and the
+    watchdog's rollback retries it.
 ``drop_comm@S[.G][:fb|pc]``
     The matching ``comm-wait`` task (FillBoundary finish, or the coords
     ParallelCopy consumer) raises :class:`InjectedCommDrop` — a lost
@@ -47,6 +35,10 @@ Fault kinds and where they bite:
 
 Each planned fault records a firing entry in :attr:`FaultInjector.fired`
 so the run report can account for every injected fault.
+
+A step runs in one process, so there is no worker to lose here: worker
+death is a *service-level* fault (``kill_worker@N[:S]`` in a
+:mod:`repro.serve.chaos` plan, against the fleet's pool).
 """
 
 from __future__ import annotations
@@ -59,7 +51,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 #: fault kinds that attach to tasks of one (step, stage) graph
-TASK_KINDS = ("kill_worker", "slow", "task_error", "drop_comm")
+TASK_KINDS = ("task_error", "drop_comm")
 KINDS = TASK_KINDS + ("nan", "kill_save")
 
 _TOKEN = re.compile(r"^(?P<kind>[a-z_]+)@(?P<step>\d+)"
@@ -122,7 +114,12 @@ def parse_plan(text: str, kinds: tuple = KINDS) -> tuple:
                              "(expected kind@step[.stage][:arg])")
         kind = m.group("kind")
         if kind not in kinds:
-            raise ValueError(f"unknown fault kind {kind!r}; options {kinds}")
+            hint = ("; worker faults are service-level: kill_worker@N[:S] "
+                    "in a repro.serve.chaos plan"
+                    if kinds is KINDS and kind in ("kill_worker", "slow")
+                    else "")
+            raise ValueError(
+                f"unknown fault kind {kind!r}; options {kinds}{hint}")
         specs.append(FaultSpec(
             kind=kind,
             step=int(m.group("step")),
@@ -186,30 +183,14 @@ class FaultInjector:
             if (spec.fired or spec.kind not in TASK_KINDS
                     or spec.step != step or spec.stage != stage):
                 continue
-            if spec.kind == "kill_worker":
-                task = self._pick_offloaded(graph)
-                if task is not None:
-                    task.payload["_fault"] = ("kill",)
-                    self._record(spec, task.name)
-            elif spec.kind == "slow":
-                task = self._pick_offloaded(graph)
-                if task is not None:
-                    task.payload["_fault"] = ("slow", float(spec.arg or 1.0))
-                    self._record(spec, task.name)
-            elif spec.kind == "task_error":
+            if spec.kind == "task_error":
                 cands = (
                     [t for t in graph.tasks if t.name.startswith(spec.arg)]
                     if spec.arg else
-                    [t for t in graph.tasks if t.payload]
-                    or [t for t in graph.tasks if t.kind == "compute"]
+                    [t for t in graph.tasks if t.kind == "compute"]
                 )
                 task = self._pick(spec, cands)
                 if task is not None:
-                    if task.payload is not None:
-                        # arm both execution paths: the payload marker
-                        # fires in a worker, the fn wrapper fires if the
-                        # scheduler runs the task inline instead
-                        task.payload["_fault"] = ("error",)
                     _wrap_raise(task, InjectedTaskError,
                                 f"injected task error in {task.name}")
                     self._record(spec, task.name)
@@ -227,18 +208,6 @@ class FaultInjector:
         if not candidates:
             return None
         return self._rng(spec).choice(sorted(candidates, key=lambda t: t.tid))
-
-    @staticmethod
-    def _pick_offloaded(graph):
-        """The payload task the scheduler offloads first (lowest tid).
-
-        Worker-level faults must actually reach a worker process: the
-        scheduler saturates an empty pool with ready offloadable tasks in
-        tid order before the driver runs anything inline, so the lowest-tid
-        payload task is the one guaranteed to execute on a worker.
-        """
-        cands = [t for t in graph.tasks if t.payload is not None]
-        return min(cands, key=lambda t: t.tid) if cands else None
 
     # -- state corruption --------------------------------------------------
     def corrupt_state(self, sim) -> None:
@@ -273,7 +242,7 @@ class FaultInjector:
 
 
 def _wrap_raise(task, exc_type, message: str) -> None:
-    """Replace a task's inline body with one that raises ``exc_type``."""
+    """Replace a task's body with one that raises ``exc_type``."""
 
     def fn():
         raise exc_type(message)

@@ -1,9 +1,11 @@
 """Shared resilience counters, sampled as ``resilience.*`` gauges.
 
 One :class:`ResilienceStats` instance per simulation is shared by the
-fault injector, the supervised executor and the step watchdog; the
-recorder snapshots it once per timestep and the run report renders the
-final totals as the "resilience" section.
+fault injector and the step watchdog; the recorder snapshots it once per
+timestep and the run report renders the final totals as the "resilience"
+section.  The service fleet's supervised pool counts into an instance of
+its own (``task_retries``, ``task_resubmits``, ``pool_restarts``,
+``degraded_to_serial`` — shown under ``/stats``).
 """
 
 from __future__ import annotations
@@ -18,10 +20,6 @@ CORE_COUNTERS = (
     "dt_halvings",       # watchdog: retries escalated to a halved dt
     "recovered_steps",   # watchdog: steps that completed after >=1 retry
     "nan_detections",    # watchdog: non-finite state detections
-    "task_retries",      # supervisor: failed-task re-dispatches
-    "task_resubmits",    # supervisor: lost-task re-dispatches after respawn
-    "pool_restarts",     # supervisor: pool terminate+respawn events
-    "degraded_to_serial",  # supervisor: fallbacks to inline execution
     "autocheckpoints",   # watchdog: successful periodic checkpoints
     "checkpoint_failures",  # watchdog: interrupted/failed checkpoint writes
     "restores",          # watchdog: restore-from-last-good events

@@ -3,26 +3,26 @@
 A bare :class:`~repro.runtime.executors.PoolExecutor` hangs in
 ``wait_one`` if a worker process dies mid-task — ``multiprocessing.Pool``
 replenishes the worker but the in-flight task's completion never
-arrives.  The supervisor makes the pool survivable:
+arrives.  The supervisor makes the pool — the service fleet's, which
+dispatches whole runs (:mod:`repro.serve.fleet`) — survivable:
 
-- every submission carries a **deadline** (``task_timeout``); a task that
-  misses it is presumed lost to a dead or stuck worker;
+- a **dead worker is noticed**, not inferred: every wait slice checks the
+  exit status of the processes the pool forked, so a killed worker costs
+  one slice (<= 0.25 s), not a deadline;
+- every submission also carries a **deadline** (``task_timeout``); a task
+  that misses it is presumed lost to a stuck worker;
 - on a lost task the whole pool is **terminated and respawned** (never
   joined forever).  Termination is what makes re-submission safe: the old
   workers are dead, so a merely-slow task can never complete *after* its
-  replacement ran and double-apply the (non-idempotent) RK update;
+  replacement ran and write its artifacts a second time;
 - completions that did land before the respawn are drained and delivered
   first, so finished work is never re-run;
 - lost and failed tasks are **re-submitted with capped exponential
   backoff** (``task_retries`` times, :data:`RETRY_BACKOFF`), with the fault
   injector's one-shot markers stripped — a transient fault retried clean;
 - after ``max_pool_restarts`` respawns the executor **degrades to inline
-  execution** in the driver process (the SerialExecutor behaviour) so the
-  run finishes slower instead of not at all;
-- any respawn sets :attr:`step_tainted`: a killed worker may have been
-  interrupted mid-write, so the step watchdog conservatively rolls the
-  whole step back to its pre-step snapshot and re-runs it — which is also
-  what guarantees fault runs match fault-free runs bit for bit.
+  execution** in the driver process so the work finishes slower instead
+  of not at all.
 
 Every recovery action is counted in the shared
 :class:`~repro.resilience.stats.ResilienceStats`.
@@ -30,15 +30,13 @@ Every recovery action is counted in the shared
 
 from __future__ import annotations
 
-import pickle
 import queue
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from repro.resilience.stats import ResilienceStats
-from repro.runtime.executors import (PoolExecutor, _run_payload,
-                                     _run_payload_remote)
+from repro.runtime.executors import PoolExecutor, _run_payload
 
 
 class TaskFailedError(RuntimeError):
@@ -51,9 +49,6 @@ class _InFlight:
     on_done: Callable
     attempt: int
     deadline: float
-    #: driver-side lifecycle metering; serialize cost accumulates across
-    #: retries so the attribution charges the *total* pickling a task cost
-    lifecycle: dict = field(default_factory=dict)
 
 
 #: base and cap (seconds) of the task-retry backoff
@@ -69,8 +64,6 @@ def capped_backoff(base: float, cap: float, attempt: int) -> float:
 class SupervisedPoolExecutor(PoolExecutor):
     """A :class:`PoolExecutor` that survives worker death and stalls."""
 
-    name = "pool"
-
     def __init__(self, nworkers: Optional[int] = None,
                  task_retries: int = 2, task_timeout: float = 30.0,
                  max_pool_restarts: int = 3,
@@ -81,9 +74,6 @@ class SupervisedPoolExecutor(PoolExecutor):
         self.max_pool_restarts = int(max_pool_restarts)
         self.stats = stats if stats is not None else ResilienceStats()
         self.pool_restarts = 0
-        #: set on any respawn; the watchdog consumes it and rolls the step
-        #: back (a killed worker may have been interrupted mid-write)
-        self.step_tainted = False
         self._inflight: Dict[int, _InFlight] = {}
         self._degraded = False
 
@@ -91,9 +81,6 @@ class SupervisedPoolExecutor(PoolExecutor):
     @property
     def degraded(self) -> bool:
         return self._degraded
-
-    def can_offload(self, task) -> bool:
-        return not self._degraded and task.payload is not None
 
     def in_flight(self) -> int:
         return len(self._inflight)
@@ -103,17 +90,13 @@ class SupervisedPoolExecutor(PoolExecutor):
         self._inflight[task.tid] = entry
         self._dispatch(entry)
 
-    def consume_tainted(self) -> bool:
-        """Return-and-clear the taint flag (checked once per step)."""
-        tainted, self.step_tainted = self.step_tainted, False
-        return tainted
-
     def wait_one(self, timeout: Optional[float] = None) -> None:
         """Deliver at least one completion, recovering lost tasks.
 
         Unlike the bare pool this can never hang: waits are sliced
-        against the earliest in-flight deadline, and an expired deadline
-        triggers pool respawn + re-submission (or inline execution).
+        against the earliest in-flight deadline, and a dead worker or an
+        expired deadline triggers pool respawn + re-submission (or
+        inline execution).
         """
         if not self._inflight:
             raise RuntimeError("supervised pool has no pending tasks")
@@ -127,7 +110,7 @@ class SupervisedPoolExecutor(PoolExecutor):
             try:
                 item = self._done.get(timeout=wait_s)
             except queue.Empty:
-                if time.monotonic() >= deadline:
+                if self.worker_died() or time.monotonic() >= deadline:
                     if self._recover_lost():
                         return
                 elif t_end is not None and time.monotonic() >= t_end:
@@ -164,17 +147,7 @@ class SupervisedPoolExecutor(PoolExecutor):
         def _err(exc, tid=tid, att=att):
             self._done.put((tid, att, None, exc))
 
-        # pickle per attempt (the payload may have changed — e.g. a fault
-        # marker stripped); the serialize bucket charges the sum
-        t0 = time.perf_counter()
-        blob = pickle.dumps(entry.task.payload,
-                            protocol=pickle.HIGHEST_PROTOCOL)
-        t1 = time.perf_counter()
-        lc = entry.lifecycle
-        lc["serialize_s"] = lc.get("serialize_s", 0.0) + (t1 - t0)
-        lc["pickle_bytes"] = len(blob)
-        lc["t_dispatched"] = t1
-        pool.apply_async(_run_payload_remote, (blob,),
+        pool.apply_async(_run_payload, (entry.task.payload,),
                          callback=_cb, error_callback=_err)
 
     def _run_inline(self, entry: _InFlight) -> None:
@@ -182,18 +155,14 @@ class SupervisedPoolExecutor(PoolExecutor):
         or raises — never hangs)."""
         t0 = time.perf_counter()
         try:
-            # inline launches count straight into the driver's own launch
-            # tables: nothing to drain, nothing to merge
-            _pid, _dur, times = _run_payload(entry.task.payload)
+            _run_payload(entry.task.payload)
         except Exception as exc:
             self._inflight.pop(entry.task.tid, None)
             raise TaskFailedError(
                 f"task {entry.task.name!r} failed inline after "
                 f"{entry.attempt - 1} pool attempt(s): {exc}") from exc
         self._inflight.pop(entry.task.tid, None)
-        lc = dict(entry.lifecycle)
-        lc.update(times)
-        entry.on_done(entry.task, 0, time.perf_counter() - t0, lifecycle=lc)
+        entry.on_done(entry.task, 0, time.perf_counter() - t0)
 
     def _handle(self, tid: int, att: int, result, exc) -> bool:
         """Process one completion record; True if a task finished."""
@@ -212,19 +181,16 @@ class SupervisedPoolExecutor(PoolExecutor):
                 f"task {entry.task.name!r} failed after {entry.attempt} "
                 f"attempt(s): {exc}") from exc
         del self._inflight[tid]
-        pid, dur, tables, times = result
-        self._keep_tables(tables)
-        lc = dict(entry.lifecycle)
-        lc.update(times)
-        worker = self._worker_ids.setdefault(pid, len(self._worker_ids) + 1)
-        entry.on_done(entry.task, worker, dur, lifecycle=lc)
+        pid, dur = result
+        entry.on_done(entry.task, self._worker_index(pid), dur)
         return True
 
     def _backoff_delay(self, attempt: int) -> float:
         return capped_backoff(*RETRY_BACKOFF, max(0, attempt - 2))
 
     def _recover_lost(self) -> int:
-        """A deadline expired: respawn the pool, re-submit survivors.
+        """A worker died or a deadline expired: respawn the pool,
+        re-submit survivors.
 
         Returns the number of completions delivered while recovering
         (drained pre-respawn results plus inline last-resort runs).
@@ -241,7 +207,6 @@ class SupervisedPoolExecutor(PoolExecutor):
                 break
         self.pool_restarts += 1
         self.stats.inc("pool_restarts")
-        self.step_tainted = True
         if not self._degraded and self.pool_restarts > self.max_pool_restarts:
             self._degraded = True
             self.stats.inc("degraded_to_serial")

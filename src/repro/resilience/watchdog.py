@@ -4,13 +4,11 @@ Production shock solvers survive blown-up steps by retrying them; this
 watchdog gives the reproduction the same property.  It owns the advance
 of one step:
 
-1. compute ``dt`` and **snapshot** the state hierarchy (plain heap
-   copies — shared-memory segments in pool mode stay untouched);
+1. compute ``dt`` and **snapshot** the state hierarchy;
 2. run the RK3 advance through the task runtime;
-3. **validate** the completed step: a pool respawn taints the step
-   (possible torn writes), the state must be free of NaN/Inf, the
-   positivity guard must not have spiked, and (optionally) the realized
-   CFL rate must not have blown past the configured margin;
+3. **validate** the completed step: the state must be free of NaN/Inf,
+   the positivity guard must not have spiked, and (optionally) the
+   realized CFL rate must not have blown past the configured margin;
 4. on failure, **roll back** to the snapshot and retry.  The first
    ``RETRY_SAME_DT`` retries re-run the identical step — a transient
    fault retried clean reproduces the fault-free trajectory bit for bit;
@@ -37,7 +35,6 @@ import numpy as np
 
 from repro.resilience.faults import InjectedFault
 from repro.resilience.stats import ResilienceStats
-from repro.resilience.supervisor import TaskFailedError
 
 
 class RunBudgetExceeded(RuntimeError):
@@ -74,7 +71,7 @@ class UnrecoverableStepError(RuntimeError):
 
 #: exception types the watchdog treats as retryable step failures;
 #: anything else (a genuine bug) propagates unmasked
-RETRYABLE = (StepFailure, InjectedFault, TaskFailedError)
+RETRYABLE = (StepFailure, InjectedFault)
 
 #: retries that re-run the identical dt before dt-halving kicks in
 RETRY_SAME_DT = 1
@@ -165,13 +162,6 @@ class StepWatchdog:
 
     # -- validation --------------------------------------------------------
     def _validate(self, sim, dt: float, guard, interventions_before) -> None:
-        executor = getattr(sim.engine, "executor", None)
-        consume = getattr(executor, "consume_tainted", None)
-        if consume is not None and consume():
-            raise StepFailure(
-                "pool was respawned mid-step; state may be torn",
-                kind="transient",
-            )
         for lev in range(sim.finest_level + 1):
             for i, fab in sim.state[lev]:
                 if not np.isfinite(fab.valid()).all():
@@ -218,7 +208,7 @@ class StepWatchdog:
         }
 
     def _restore(self, sim, snap: Dict) -> None:
-        """Write the snapshot back in place (shared segments preserved)."""
+        """Write the snapshot back in place."""
         sim.engine.abort_step()
         sim.time = snap["time"]
         sim.step_count = snap["step"]

@@ -1,30 +1,28 @@
-"""repro.runtime: asynchronous task-graph execution of the CRoCCo step.
+"""repro.runtime: task-graph execution of the CRoCCo step.
 
 The paper's scaling story (Fig. 7) hinges on overlapping communication
 with computation: FillBoundary/ParallelCopy are split into ``nowait``
 (post) and ``finish`` (complete) halves so interior kernel work can run
 in the gap, and AMReX itself schedules box work through asynchronous
-iterators and launch queues.  This package gives the reproduction a real
+iterators and launch queues.  This package gives the reproduction a
 runtime with the same structure:
 
 - :mod:`repro.runtime.graph` — tasks with explicit read/write sets keyed
   on (MultiFab id, box id, component range); dependencies (RAW/WAR/WAW)
   are inferred automatically.
-- :mod:`repro.runtime.scheduler` — ready-queue topological execution
-  with comm-posting priority, per-task tracer spans, and measured
-  comm/compute overlap + worker idle statistics per step.
-- :mod:`repro.runtime.executors` — pluggable executors: ``serial``
-  (deterministic, bit-identical to the eager driver) and ``pool``
-  (real ``multiprocessing`` workers over SharedMemory-backed FABs).
-- :mod:`repro.runtime.shm` — the shared-memory arena that lets worker
-  processes operate on patch data in place.
+- :mod:`repro.runtime.scheduler` — ready-queue topological execution in
+  the driver with comm-posting priority, per-task tracer spans, and the
+  measured comm/compute overlap per step.
 - :mod:`repro.runtime.engine` — the driver-facing facade that builds
   per-RK-stage graphs (:mod:`repro.runtime.rk3graph`) and accumulates
   per-step schedule reports.
+
+A step has this one execution path.  :mod:`repro.runtime.executors` is
+the service fleet's process pool (whole runs, not tasks of a step) and
+is not imported from here.
 """
 
 from repro.runtime.engine import RuntimeEngine
-from repro.runtime.executors import EXECUTORS, make_executor
 from repro.runtime.graph import DataKey, Task, TaskGraph
 from repro.runtime.scheduler import ScheduleReport, Scheduler
 
@@ -35,6 +33,4 @@ __all__ = [
     "Scheduler",
     "ScheduleReport",
     "RuntimeEngine",
-    "EXECUTORS",
-    "make_executor",
 ]

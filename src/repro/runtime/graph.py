@@ -56,11 +56,8 @@ class Task:
     fn: Callable[[], Any]
     reads: Tuple[DataKey, ...] = ()
     writes: Tuple[DataKey, ...] = ()
-    #: TinyProfiler region names to nest while the task runs inline
+    #: TinyProfiler region names to nest while the task runs
     regions: Tuple[str, ...] = ()
-    #: picklable spec an offloading executor may run in a worker process
-    #: instead of calling ``fn`` (None = must run in the driver process)
-    payload: Optional[dict] = None
     #: comm channel linking a ``comm-post`` task to its ``comm-wait``
     #: partner so the scheduler can measure the in-flight window
     channel: Optional[Hashable] = None
@@ -91,7 +88,6 @@ class TaskGraph:
         reads: Sequence[DataKey] = (),
         writes: Sequence[DataKey] = (),
         regions: Sequence[str] = (),
-        payload: Optional[dict] = None,
         channel: Optional[Hashable] = None,
         after: Sequence[Task] = (),
     ) -> Task:
@@ -100,7 +96,7 @@ class TaskGraph:
             raise ValueError(f"unknown task kind {kind!r}; options {KINDS}")
         task = Task(tid=len(self.tasks), name=name, kind=kind, fn=fn,
                     reads=tuple(reads), writes=tuple(writes),
-                    regions=tuple(regions), payload=payload, channel=channel)
+                    regions=tuple(regions), channel=channel)
         for dep in after:
             self._edge(dep.tid, task)
         for key in task.reads:  # RAW

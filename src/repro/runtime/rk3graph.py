@@ -16,8 +16,6 @@ MultiFab ids for :class:`~repro.runtime.graph.DataKey` are the tuples
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.amr.fillpatch import FillPatchOp
 from repro.kernels.batch import rhs_update
 from repro.runtime.graph import DataKey, TaskGraph
@@ -28,15 +26,8 @@ def _keys(mfid, mf):
     return tuple(DataKey(mfid, i) for i, _ in mf)
 
 
-def build_stage_graph(sim, dt: float, stage: int,
-                      arena: Optional[object] = None) -> TaskGraph:
-    """The task graph of one RK stage of ``sim`` (a :class:`Crocco`).
-
-    When ``arena`` is a :class:`~repro.runtime.shm.SharedArena` holding the
-    level storage, the batch kernel tasks carry picklable payloads so a
-    pool executor can run them in worker processes; otherwise they are
-    driver-only closures.
-    """
+def build_stage_graph(sim, dt: float, stage: int) -> TaskGraph:
+    """The task graph of one RK stage of ``sim`` (a :class:`Crocco`)."""
     g = TaskGraph()
     nstages = _nstages()
     for lev in range(sim.finest_level + 1):
@@ -92,19 +83,6 @@ def build_stage_graph(sim, dt: float, stage: int,
             kind="bc", reads=ckeys, writes=skeys,
         )
         for batch in sim.batches[lev]:
-            payload = None
-            if arena is not None and arena.has(("state", lev)):
-                payload = {
-                    "op": "rhs_update",
-                    **{tag: [arena.meta((tag, lev), i) for i in batch.ids]
-                       for tag in ("state", "du", "coords")},
-                    "metrics": batch.metrics,
-                    "ranks": batch.ranks,
-                    "ng": sim.ng,
-                    "time": sim.time,
-                    "dt": dt,
-                    "stage": stage,
-                }
             touched = [DataKey((tag, lev), i) for i in batch.ids
                        for tag in ("state", "du")]
             g.add(
@@ -116,7 +94,6 @@ def build_stage_graph(sim, dt: float, stage: int,
                 reads=touched + [DataKey(("coords", lev), i)
                                  for i in batch.ids],
                 writes=touched,
-                payload=payload,
             )
     if stage == nstages - 1:
         for lev in range(sim.finest_level - 1, -1, -1):
@@ -132,8 +109,8 @@ def build_stage_graph(sim, dt: float, stage: int,
 
 
 def _batch_fn(sim, lev: int, batch, dt: float, stage: int):
-    """The inline RK stage of one batch (what a pool worker runs from the
-    payload, on the driver's own fabs)."""
+    """The RK stage of one batch, on the fabs the level holds when it
+    runs."""
 
     def run() -> None:
         rhs_update(

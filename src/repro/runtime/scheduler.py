@@ -4,9 +4,11 @@ Tasks become ready when their dependencies complete; among ready tasks
 the scheduler prefers, in order: ``comm-post`` (get halo exchanges in
 flight as early as possible), then boundary/interp/compute work, and
 ``comm-wait`` last (finish a posted exchange only when nothing useful
-can run in the gap).  Ties break on submission order, so the ``serial``
-executor is fully deterministic and — because only mutually independent
-tasks are ever reordered — bit-identical to the eager driver.
+can run in the gap).  Ties break on submission order, so a run is fully
+deterministic and — because only mutually independent tasks are ever
+reordered — bit-identical to the eager driver.  Every task runs in the
+driver process: there is one execution path (DESIGN.md, "One way to run
+a step").
 
 While running, the scheduler measures the quantity the paper's Fig. 7
 models: for every ``comm-post``/``comm-wait`` channel pair it records
@@ -15,14 +17,10 @@ compute time executed inside such windows — the **measured overlap** a
 real schedule achieves, directly comparable to the modeled
 ``fillpatch_split`` nowait/finish decomposition.
 
-Every executed task is exported as a tracer span whose ``tid`` is the
-worker that ran it (0 = the driver, 1..N = pool workers).  When a
-:class:`~repro.observability.perfscope.PerfScope` is attached, the
-scheduler additionally records each task's full lifecycle (enqueued,
-pickled, dispatched, started-on-worker, finished, collected, merged)
-into a per-stage trace, and the worker tracks gain lifecycle
-sub-slices (``serialize`` on the driver track, ``wait``/``collect``
-around offloaded task spans).
+Every executed task is exported as a tracer span on the runtime track.
+When a :class:`~repro.observability.perfscope.PerfScope` is attached,
+the scheduler additionally records each task's lifecycle (started,
+finished, merged) into a per-stage trace.
 """
 
 from __future__ import annotations
@@ -31,9 +29,9 @@ import heapq
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Tuple
 
-from repro.runtime.graph import Task, TaskGraph
+from repro.runtime.graph import TaskGraph
 
 #: scheduling priority by task kind (lower runs first among ready tasks)
 KIND_PRIORITY = {
@@ -45,8 +43,8 @@ KIND_PRIORITY = {
     "comm-wait": 3,
 }
 
-#: tracer stream ids: worker w runs on stream RUNTIME_STREAM_BASE + w
-RUNTIME_STREAM_BASE = 8
+#: tracer stream id of the runtime track
+RUNTIME_STREAM = 8
 
 
 @dataclass
@@ -59,8 +57,7 @@ class ScheduleReport:
     compute_s: float = 0.0        # time inside compute tasks
     overlap_s: float = 0.0        # compute time under an open comm window
     makespan_s: float = 0.0
-    busy_s: float = 0.0           # summed task time across workers
-    nworkers: int = 1
+    busy_s: float = 0.0           # summed task time
     graphs: int = 0
 
     @property
@@ -74,9 +71,10 @@ class ScheduleReport:
 
     @property
     def idle_frac(self) -> float:
-        """Fraction of worker-seconds spent idle over the makespan."""
-        cap = self.makespan_s * self.nworkers
-        return max(0.0, 1.0 - self.busy_s / cap) if cap > 0 else 0.0
+        """Fraction of the makespan spent outside any task."""
+        if self.makespan_s <= 0:
+            return 0.0
+        return max(0.0, 1.0 - self.busy_s / self.makespan_s)
 
     def merge(self, other: "ScheduleReport") -> "ScheduleReport":
         for k, n in other.tasks_by_kind.items():
@@ -87,7 +85,6 @@ class ScheduleReport:
         self.overlap_s += other.overlap_s
         self.makespan_s += other.makespan_s
         self.busy_s += other.busy_s
-        self.nworkers = max(self.nworkers, other.nworkers)
         self.graphs += other.graphs
         return self
 
@@ -100,7 +97,6 @@ class ScheduleReport:
             "overlap_frac": self.overlap_frac,
             "idle_frac": self.idle_frac,
             "makespan_s": self.makespan_s,
-            "workers": float(self.nworkers),
         }
         for kind, n in self.tasks_by_kind.items():
             out[f"tasks.{kind.replace('-', '_')}"] = float(n)
@@ -108,11 +104,10 @@ class ScheduleReport:
 
 
 class Scheduler:
-    """Executes one TaskGraph on an executor, collecting a report."""
+    """Executes one TaskGraph in the driver, collecting a report."""
 
-    def __init__(self, executor, profiler=None, tracer=None,
-                 trace_rank: int = 0, perfscope=None) -> None:
-        self.executor = executor
+    def __init__(self, profiler=None, tracer=None, trace_rank: int = 0,
+                 perfscope=None) -> None:
         self.profiler = profiler
         self.tracer = tracer
         self.trace_rank = trace_rank
@@ -121,24 +116,16 @@ class Scheduler:
 
     def run(self, graph: TaskGraph) -> ScheduleReport:
         t_start = time.perf_counter()
-        report = ScheduleReport(nworkers=getattr(self.executor, "nworkers", 1),
-                                graphs=1)
+        report = ScheduleReport(graphs=1)
         report.tasks_by_kind = graph.counts_by_kind()
 
         scope = self.perfscope
-        is_pool = getattr(self.executor, "name", "serial") == "pool"
-        nlanes = 1 + (report.nworkers if is_pool else 0)
-        trace = scope.begin_stage(graph, nlanes) if (
+        trace = scope.begin_stage(graph) if (
             scope is not None and scope.enabled) else None
-        if trace is not None:
-            # share the scheduler's epoch so driver-relative now() readings
-            # and worker-absolute perf_counter readings reconcile exactly
-            trace.t0_abs = t_start
         # anchor this stage's spans on the tracer's own timeline so the
-        # worker tracks render as one continuous run, not per-stage piles
+        # runtime track renders as one continuous run, not per-stage piles
         base_us = self.tracer.now_us() if self.tracer is not None else 0.0
 
-        remaining = {t.tid for t in graph.tasks}
         unmet = {t.tid: len(t.deps) for t in graph.tasks}
         ready: List[Tuple[int, int]] = []  # (priority, tid)
 
@@ -147,8 +134,6 @@ class Scheduler:
 
         def push(tid: int) -> None:
             heapq.heappush(ready, (KIND_PRIORITY[graph.tasks[tid].kind], tid))
-            if trace is not None:
-                trace.enqueued(tid, now())
 
         for t in graph.tasks:
             if unmet[t.tid] == 0:
@@ -160,36 +145,10 @@ class Scheduler:
         windows: List[Tuple[float, float]] = []
         compute_spans: List[Tuple[float, float]] = []
 
-        def complete(task: Task, worker: int, dur: float,
-                     t0: Optional[float] = None) -> None:
-            report.busy_s += dur
-            if task.kind == "comm-post":
-                report.posted_comm_s += dur
-                if task.channel is not None:
-                    open_windows[task.channel] = now()
-            elif task.kind == "comm-wait":
-                report.finish_comm_s += dur
-            elif task.kind == "compute":
-                report.compute_s += dur
-                if t0 is not None:
-                    compute_spans.append((t0, t0 + dur))
-            if self.tracer is not None:
-                ts = t0 if t0 is not None else now() - dur
-                self.tracer.complete(
-                    task.name, base_us + ts * 1e6, dur * 1e6,
-                    rank=self.trace_rank,
-                    stream=RUNTIME_STREAM_BASE + worker, cat="task",
-                    args={"kind": task.kind},
-                )
-            remaining.discard(task.tid)
-            for d in task.dependents:
-                unmet[d] -= 1
-                if unmet[d] == 0:
-                    push(d)
-            if trace is not None:
-                trace.merged(task.tid, now())
-
-        def run_inline(task: Task) -> None:
+        done = 0
+        while ready:
+            _prio, tid = heapq.heappop(ready)
+            task = graph.tasks[tid]
             # the first consumer of a posted channel starting (comm-wait,
             # or e.g. an interp task using posted coords) closes its
             # in-flight window
@@ -204,40 +163,32 @@ class Scheduler:
                 task.fn()
             dur = now() - t0
             if trace is not None:
-                trace.ran_inline(task.tid, t0, dur)
-            complete(task, worker=0, dur=dur, t0=t0)
-
-        def on_offload_done(task: Task, worker: int, dur: float,
-                            lifecycle: Optional[dict] = None) -> None:
-            if self.profiler is not None:
-                self.profiler.charge("PoolWorkers", dur)
-            t_collected = now()
-            t0 = t_collected - dur
-            if trace is not None and lifecycle is not None:
-                trace.offloaded_done(task.tid, worker, dur, lifecycle,
-                                     t_collected)
-                span = trace.spans[task.tid]
-                t0 = span.t_started if span.t_started is not None else t0
-            # worker wall time counts as compute concurrent with whatever
-            # windows were open when it finished
-            complete(task, worker=worker, dur=dur, t0=t0)
-            if trace is not None and lifecycle is not None:
-                # merged timestamp is stamped by complete(); now the full
-                # lifecycle can render as Chrome-trace sub-slices
-                self._trace_lifecycle(trace.spans[task.tid], worker, base_us)
-
-        try:
-            self._drive(graph, remaining, ready, unmet, run_inline,
-                        on_offload_done, trace)
-        except Exception:
-            # a failed task must not leave zombie work behind: abandon
-            # anything in flight (terminating pool workers so no stale
-            # write can land later) before the error propagates to the
-            # step-retry machinery
-            cancel = getattr(self.executor, "cancel_pending", None)
-            if cancel is not None:
-                cancel()
-            raise
+                trace.ran(tid, t0, dur)
+            report.busy_s += dur
+            if task.kind == "comm-post":
+                report.posted_comm_s += dur
+                if task.channel is not None:
+                    open_windows[task.channel] = now()
+            elif task.kind == "comm-wait":
+                report.finish_comm_s += dur
+            elif task.kind == "compute":
+                report.compute_s += dur
+                compute_spans.append((t0, t0 + dur))
+            if self.tracer is not None:
+                self.tracer.complete(
+                    task.name, base_us + t0 * 1e6, dur * 1e6,
+                    rank=self.trace_rank, stream=RUNTIME_STREAM, cat="task",
+                    args={"kind": task.kind},
+                )
+            done += 1
+            for d in task.dependents:
+                unmet[d] -= 1
+                if unmet[d] == 0:
+                    push(d)
+            if trace is not None:
+                trace.merged(tid, now())
+        if done != len(graph.tasks):  # pragma: no cover - edges point backwards
+            raise RuntimeError("scheduler stalled: the task graph has a cycle")
 
         # any window never closed by a comm-wait closes at makespan end
         for t_open in open_windows.values():
@@ -247,79 +198,6 @@ class Scheduler:
         if trace is not None:
             trace.close(report.makespan_s)
         return report
-
-    def _trace_lifecycle(self, span, worker: int, base_us: float) -> None:
-        """Emit an offloaded task's lifecycle sub-slices to the tracer.
-
-        ``serialize`` lands on the driver track (that's whose time it
-        was), ``wait`` precedes the task span on the worker track, and
-        ``collect`` marks the driver folding the result back in.
-        """
-        if self.tracer is None:
-            return
-        args = {"task": span.name, "cat_detail": "lifecycle"}
-        if span.serialize_s and span.t_dispatched is not None:
-            self.tracer.complete(
-                "serialize", base_us + (span.t_dispatched
-                                        - span.serialize_s) * 1e6,
-                span.serialize_s * 1e6, rank=self.trace_rank,
-                stream=RUNTIME_STREAM_BASE, cat="lifecycle",
-                args=dict(args, bytes=span.pickle_bytes))
-        if span.queue_wait_s and span.t_dispatched is not None:
-            self.tracer.complete(
-                "wait", base_us + span.t_dispatched * 1e6,
-                span.queue_wait_s * 1e6, rank=self.trace_rank,
-                stream=RUNTIME_STREAM_BASE + worker, cat="lifecycle",
-                args=args)
-        if span.t_collected is not None and span.t_merged is not None:
-            self.tracer.complete(
-                "collect", base_us + span.t_collected * 1e6,
-                (span.t_merged - span.t_collected) * 1e6,
-                rank=self.trace_rank, stream=RUNTIME_STREAM_BASE,
-                cat="lifecycle", args=args)
-
-    def _drive(self, graph, remaining, ready, unmet, run_inline,
-               on_offload_done, trace=None) -> None:
-        """The scheduling loop: saturate the pool, run inline, drain."""
-        while remaining:
-            # keep the pool saturated with ready offloadable work before
-            # the driver commits to an inline task
-            launched = True
-            while launched and ready:
-                launched = False
-                if self.executor.in_flight() < getattr(
-                        self.executor, "nworkers", 0):
-                    for idx, (_p, tid) in enumerate(ready):
-                        task = graph.tasks[tid]
-                        if self.executor.can_offload(task):
-                            ready[idx] = ready[-1]
-                            ready.pop()
-                            heapq.heapify(ready)
-                            if trace is not None:
-                                # the span id rides with the payload and
-                                # is echoed back by the worker
-                                task.payload["_sid"] = trace.sid(tid)
-                            self.executor.submit(task, on_offload_done)
-                            launched = True
-                            break
-            # drain completions opportunistically so dependents unblock
-            while self.executor.in_flight() and self.executor.poll():
-                self.executor.wait_one()
-            if ready:
-                _prio, tid = heapq.heappop(ready)
-                run_inline(graph.tasks[tid])
-            elif self.executor.in_flight():
-                self.executor.wait_one()
-            elif remaining:  # pragma: no cover - defensive: cycle caught at build
-                # (the drain above may have emptied `remaining`; the loop
-                # condition handles that — reaching here means a real stall)
-                stuck = [(graph.tasks[tid].name, unmet[tid],
-                          sorted(graph.tasks[tid].deps))
-                         for tid in sorted(remaining)]
-                raise RuntimeError(
-                    f"scheduler stalled with no ready tasks: {stuck}")
-        while self.executor.in_flight():  # pragma: no cover - drained above
-            self.executor.wait_one()
 
 
 def _interval_overlap(spans: List[Tuple[float, float]],

@@ -3,11 +3,12 @@
 One :class:`~repro.resilience.supervisor.SupervisedPoolExecutor` serves
 every run the service ever schedules — there is no per-run pool.  Whole
 runs travel as ``serve_run`` payloads (see :mod:`repro.serve.worker`)
-through the same dispatch machinery the solver's box kernels use, which
-buys the serving layer the supervisor's whole recovery ladder for free:
+through the supervisor's dispatch, which buys the serving layer its
+whole recovery ladder:
 
-- a worker that dies mid-run misses its deadline, the pool is respawned,
-  and the run is re-dispatched — where it **resumes from its last valid
+- a worker that dies mid-run is noticed within one wait slice (a stuck
+  one misses its deadline), the pool is respawned, and the run is
+  re-dispatched — where it **resumes from its last valid
   autocheckpoint** (the worker module checkpoints every
   ``autocheckpoint_every`` steps into the run directory), so a lost
   worker costs at most the replay of one step instead of the whole run;
@@ -35,13 +36,14 @@ import time
 from typing import Dict, Optional
 
 from repro.resilience.stats import ResilienceStats
-from repro.resilience.supervisor import TaskFailedError
-from repro.runtime.executors import make_executor, set_worker_context
+from repro.resilience.supervisor import (SupervisedPoolExecutor,
+                                         TaskFailedError)
+from repro.runtime.executors import _run_payload
 from repro.serve.registry import RunRegistry
 
 
 class _RunTask:
-    """The minimal task shape the executors expect (tid/name/payload)."""
+    """The task shape the pool expects (tid/name/payload)."""
 
     __slots__ = ("tid", "name", "payload")
 
@@ -76,19 +78,10 @@ class WorkerFleet:
         self.chaos = chaos
         self.executor = None
         if executor == "pool":
-            # whole runs build their own kernel sets inside the worker, so
-            # the fork context carries no driver kernels — but it must be
-            # *set* or the pool refuses to start
-            import repro.runtime.executors as _ex
-
-            if _ex._WORKER_CTX is None:
-                set_worker_context(None, None)
-            self.executor = make_executor(
-                "pool", self.workers,
-                supervision=dict(task_retries=task_retries,
-                                 task_timeout=task_timeout,
-                                 max_pool_restarts=max_pool_restarts,
-                                 stats=self.stats))
+            self.executor = SupervisedPoolExecutor(
+                self.workers, task_retries=task_retries,
+                task_timeout=task_timeout,
+                max_pool_restarts=max_pool_restarts, stats=self.stats)
         #: tid -> run id for every dispatched, undelivered run
         self._active: Dict[int, str] = {}
         self._tid = 0
@@ -238,8 +231,6 @@ class WorkerFleet:
 
     def _run_task_inline(self, task: _RunTask) -> None:
         """Inline fleet mode: execute the run in the service process."""
-        from repro.runtime.executors import _run_payload
-
         try:
             _run_payload(dict(task.payload))
         except Exception as exc:
@@ -250,7 +241,7 @@ class WorkerFleet:
         self._on_done(task, 0, 0.0)
 
     # -- completion handling ------------------------------------------------
-    def _on_done(self, task, worker, dur, lifecycle=None) -> None:
+    def _on_done(self, task, worker, dur) -> None:
         run_id = self._active.pop(task.tid, None)
         if run_id is None:  # pragma: no cover - stale duplicate delivery
             return
@@ -268,10 +259,12 @@ class WorkerFleet:
             self.registry.requeue(run_id, reason=result.get("reason", ""))
             return
         state = status if status in ("done", "failed", "cancelled") else "failed"
-        self.registry.finish(run_id, state, reason=result.get("reason", ""),
-                             worker=int(worker), result=result)
+        # the terminal state is published last: whoever reads it sees the
+        # recovery accounting (attempts, resumes) that belongs to it
         self._merge_recovery(result)
         self._done_runs += 1
+        self.registry.finish(run_id, state, reason=result.get("reason", ""),
+                             worker=int(worker), result=result)
 
     def _reconcile(self, reason: str) -> None:
         """Mark runs the supervisor abandoned (retry budget spent) failed."""
@@ -283,10 +276,10 @@ class WorkerFleet:
             result = self.registry.read_result(run_id)
             if result is not None and result.get("status") in (
                     "done", "failed", "cancelled"):
+                self._merge_recovery(result)
                 self.registry.finish(run_id, result["status"],
                                      reason=result.get("reason", ""),
                                      result=result)
-                self._merge_recovery(result)
             else:
                 self.registry.finish(run_id, "failed", reason=reason)
 

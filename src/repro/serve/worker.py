@@ -5,10 +5,9 @@ The fleet dispatches runs — not individual box kernels — onto the shared
 payload names a run directory prepared by the registry and this module
 executes the deck inside the worker process:
 
-- the simulation itself is forced onto the ``serial`` executor: the
-  fleet *is* the parallelism layer (one run per worker lane), nested
-  pools would oversubscribe the node, and the serial path is what makes
-  a service-submitted run bitwise identical to the same deck run
+- the simulation runs its steps in this process like any other: the
+  fleet *is* the parallelism layer (one run per worker lane), and a
+  service-submitted run is bitwise identical to the same deck run
   through the CLI;
 - metrics stream to the run directory per step, so the HTTP layer can
   report live progress while the run executes;
@@ -166,10 +165,6 @@ def _run_deck(run_dir: Path, spec: dict,
     every = spec.get("autocheckpoint_every")
     deck = InputDeck.from_file(run_dir / DECK_NAME)
     config, run = deck.resolve({
-        # the fleet is the parallelism layer: one run per worker lane,
-        # never a nested pool — which also keeps the trajectory bitwise
-        # identical to the CLI serial path
-        "executor": "serial",
         "cache_dir": str(spec["cache_dir"]) if spec.get("cache_dir") else None,
         "metrics_out": str(run_dir / "metrics.jsonl"),
         "metrics_stream": True,

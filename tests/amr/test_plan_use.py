@@ -48,8 +48,7 @@ PINNED = {
 
 def make_sim(version):
     config, run = InputDeck.from_file(str(DECK)).resolve(
-        {"version": version, "backend_target": "device",
-         "executor": "serial"})
+        {"version": version, "backend_target": "device"})
     sim = Crocco(cli.build_case(run), config)
     sim.initialize()
     return sim
@@ -127,7 +126,7 @@ def test_a_regrid_step_builds_few_boxes(monkeypatch):
     built 5,750 boxes and 19,536 index vectors per step."""
     config, run = InputDeck.from_file(
         str(DECK.with_name("dmr_churn.inputs"))).resolve(
-            {"backend_target": "device", "executor": "serial"})
+            {"backend_target": "device"})
     with Crocco(cli.build_case(run), config) as sim:
         sim.initialize()
         sim.step()

@@ -3,7 +3,6 @@ backend owns, what selects the compiled row kernel, and what the fused
 target still adds (one launch)."""
 
 import inspect
-import multiprocessing
 import re
 from collections import Counter
 from types import SimpleNamespace
@@ -19,8 +18,6 @@ from repro.numerics import native
 from repro.numerics.weno import (BETA_K, CANDIDATE_OFFSETS, WenoScheme,
                                  smoothness_matrix, stencil_tables, windows)
 from tests.numerics import weno_oracle
-
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 # -- combination math --------------------------------------------------------
 
@@ -225,23 +222,20 @@ def assert_same_state(sim_a, sim_b):
             assert np.array_equal(fa.whole(), fb.whole()), (lev, i)
 
 
-def run_sod(backend_target, executor="serial", steps=5):
+def run_sod(backend_target, steps=5):
     sim = Crocco(SodShockTube(ncells=128),
                  CroccoConfig(version="1.1", max_grid_size=64,
-                              executor=executor,
-                              workers=2 if executor == "pool" else None,
                               backend_target=backend_target))
     sim.initialize()
     sim.run(steps)
     return sim
 
 
-def run_dmr(backend_target, executor="serial", steps=3):
+def run_dmr(backend_target, steps=3):
     case = DoubleMachReflection(ncells=(64, 16), curvilinear=True)
     sim = Crocco(case, CroccoConfig(
         version="2.1", nranks=6, ranks_per_node=6, max_level=1,
         max_grid_size=32, blocking_factor=8, regrid_int=2,
-        executor=executor, workers=2 if executor == "pool" else None,
         backend_target=backend_target))
     sim.initialize()
     sim.run(steps)
@@ -260,28 +254,6 @@ class TestDriftBound:
             assert_same_state(host, fused)
         finally:
             host.close(), fused.close()
-
-    @pytest.mark.skipif(not HAS_FORK, reason="needs fork start method")
-    def test_dmr_fused_vs_host_pool(self):
-        host = run_dmr("host", executor="pool")
-        fused = run_dmr("fused", executor="pool")
-        try:
-            assert_same_state(host, fused)
-        finally:
-            host.close(), fused.close()
-
-    @pytest.mark.skipif(not HAS_FORK, reason="needs fork start method")
-    def test_fused_serial_vs_pool_identical(self):
-        serial = run_dmr("fused", executor="serial")
-        pool = run_dmr("fused", executor="pool")
-        try:
-            for lev in range(serial.finest_level + 1):
-                for (i, sfab), (_, pfab) in zip(serial.state[lev],
-                                                pool.state[lev]):
-                    err = float(np.abs(sfab.whole() - pfab.whole()).max())
-                    assert err < 1e-12, f"lev {lev} box {i}: {err}"
-        finally:
-            serial.close(), pool.close()
 
 
 class TestFusedLaunchStream:

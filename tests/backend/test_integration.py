@@ -1,7 +1,6 @@
 """End-to-end execution-backend integration: DMR trajectory parity,
-per-step Algorithm-2 phase coverage, config plumbing, pool table merge."""
+per-step Algorithm-2 phase coverage, config plumbing."""
 
-import multiprocessing
 from collections import Counter
 
 import numpy as np
@@ -10,8 +9,6 @@ import pytest
 from repro.cases.dmr import DoubleMachReflection
 from repro.core.crocco import Crocco, CroccoConfig
 from repro.io.inputs import InputDeck
-
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 #: Algorithm-2 phases every v2.x step must emit labeled launches for
 #: (Viscous is absent on the inviscid DMR; covered separately below)
@@ -25,13 +22,12 @@ STEP_PHASES = {
 }
 
 
-def make_sim(version="2.1", executor="serial", backend_target="auto",
-             workers=None, max_level=1):
+def make_sim(version="2.1", backend_target="auto", max_level=1):
     case = DoubleMachReflection(ncells=(64, 16), curvilinear=True)
     return Crocco(case, CroccoConfig(
         version=version, nranks=6, ranks_per_node=6, max_level=max_level,
         max_grid_size=32, blocking_factor=8, regrid_int=2,
-        executor=executor, workers=workers, backend_target=backend_target))
+        backend_target=backend_target))
 
 
 def run_dmr(steps=3, **kwargs):
@@ -59,25 +55,6 @@ class TestTrajectoryParity:
         # host target records nothing; device records everything
         assert h_launches == [] and h_totals == {}
         assert all(table for table in d_launches) and d_totals
-
-    @pytest.mark.skipif(not HAS_FORK, reason="needs fork start method")
-    def test_serial_vs_pool_device(self):
-        s_state, s_launches, s_totals = run_dmr(backend_target="device",
-                                                executor="serial")
-        p_state, p_launches, p_totals = run_dmr(backend_target="device",
-                                                executor="pool", workers=2)
-        assert set(s_state) == set(p_state)
-        for k in s_state:
-            err = float(np.abs(s_state[k] - p_state[k]).max())
-            assert err < 1e-12, f"level/box {k}: max abs err {err}"
-        # merged worker tables restore the full per-class accounting:
-        # pool totals match serial for the offloaded classes too
-        for cls in ("flux", "update"):
-            assert p_totals[cls]["launches"] == s_totals[cls]["launches"]
-            assert p_totals[cls]["points"] == s_totals[cls]["points"]
-        # ... and row for row, on the owning rank's device: accounting
-        # does not depend on the executor
-        assert p_launches == s_launches
 
 
 class TestPhaseCoverage:
@@ -185,22 +162,3 @@ class TestConfigPlumbing:
         with pytest.raises(ValueError, match="backend.target"):
             Crocco(case, CroccoConfig(version="1.1", max_grid_size=32,
                                       backend_target="cuda"))
-
-
-@pytest.mark.skipif(not HAS_FORK, reason="needs fork start method")
-class TestWorkerCounterMerge:
-    def test_pool_run_merges_worker_launches(self):
-        sim = make_sim(backend_target="device", executor="pool", workers=2)
-        sim.initialize()
-        sim.run(2)
-        backend = sim.kernels.exec_backend
-        # workers did the offloaded flux/update launches; their tables
-        # came back through the engine's end-of-step drain
-        assert backend.worker_launches > 0
-        assert sim.engine.last_step_worker_launches > 0
-        # ... into the owning ranks' device tables: per-kernel rows of the
-        # offloaded kernels are there, exactly as in the class totals
-        flux = sum(n for d in sim.devices for rec, n in d.table.items()
-                   if rec.name in ("WENOx", "WENOy"))
-        assert flux == backend.class_totals()["flux"]["launches"] > 0
-        sim.close()

@@ -1,7 +1,6 @@
 """Execution-backend primitives: host/device parity, class totals, context."""
 
 import time
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from repro.backend import (DeviceBackend, HostBackend, LaunchContext,
 from repro.kernels.counts import (BUDGETS, FILLBOUNDARY_BUDGET, INTERP_BUDGET,
                                   UPDATE_BUDGET, WENO_BUDGET,
                                   budget_for_kernel)
-from repro.kernels.device import DeviceMemoryError, GpuDevice, LaunchRecord
+from repro.kernels.device import DeviceMemoryError, GpuDevice
 
 
 class TestHostBackend:
@@ -44,7 +43,6 @@ class TestHostBackend:
         host = HostBackend()
         host.parallel_for("K", lambda: None, 10)
         assert host.class_totals() == {}
-        assert host.worker_launches == 0
 
 
 class TestDeviceBackend:
@@ -106,24 +104,6 @@ class TestDeviceBackend:
         be.release(1024, rank=1)
         assert devs[1].bytes_in_use == 0
         assert devs[1].high_water == 1024
-
-    def test_worker_counter_merge_kept_separate(self):
-        devs = [GpuDevice(), GpuDevice()]
-        be = DeviceBackend(devs)
-        be.parallel_for("Update", lambda: None, 50,
-                        LaunchSpec(kernel_class="update", rank=1))
-        (rec, _), = devs[1].table.items()
-        # what a worker drained from its forked copy of device 1: two
-        # launches identical to the driver's, one of another size
-        other = LaunchRecord("Update", 100, 10, 20, 30, 40, "update")
-        be.merge_worker_tables({1: Counter({rec: 2, other: 1})})
-        # the rows land in the owning rank's table, beside the driver's;
-        # only the worker *count* is kept apart
-        assert devs[0].table == Counter()
-        assert devs[1].table == Counter({rec: 3, other: 1})
-        assert be.worker_launches == 3
-        assert be.class_totals()["update"]["launches"] == 4
-        assert be.class_totals()["update"]["points"] == 250
 
 
 class TestBudgetResolution:

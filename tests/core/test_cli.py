@@ -169,14 +169,27 @@ BASE_DECK = ("crocco.case = sod\namr.n_cell = 32\namr.max_grid_size = 32\n"
     ("crocco.case = nope\n", {}, [], "crocco.case"),
     ("crocco.case = dmr\namr.n_cell = 128\n", {}, [], "amr.n_cell"),
     (BASE_DECK + "amr.max_levle = 2\n", {}, [], "'amr.max_level'"),
-    (BASE_DECK, {"REPRO_WORKERS": "x"}, [], "REPRO_WORKERS"),
+    (BASE_DECK, {"REPRO_BACKEND": "x"}, [], "REPRO_BACKEND"),
     # one bad value per spelling and per kind of check
     (BASE_DECK + "crocco.version = 3.0\n", {}, [], "crocco.version"),
     (BASE_DECK + "amr.max_level = two\n", {}, [], "amr.max_level"),
-    (BASE_DECK + "runtime.workers = 0\n", {}, [], "runtime.workers"),
+    (BASE_DECK + "mpi.nranks = 0\n", {}, [], "mpi.nranks"),
     (BASE_DECK + 'run.plotfile = "unbalanced\n', {}, [], "line 5"),
-    (BASE_DECK, {}, ["--executor", "turbo"], "--executor"),
-    (BASE_DECK, {}, ["--workers", "x"], "--workers"),
+    (BASE_DECK, {}, ["--backend", "turbo"], "--backend"),
+    (BASE_DECK, {}, ["--steps", "x"], "--steps"),
+    # what went with the in-run pool is an error, not a synonym
+    (BASE_DECK + "runtime.executor = serial\n", {}, [], "runtime.executor"),
+    (BASE_DECK + "runtime.workers = 2\n", {}, [], "runtime.workers"),
+    (BASE_DECK + "resilience.supervise = true\n", {}, [],
+     "resilience.supervise"),
+    (BASE_DECK + "resilience.retries = 2\n", {}, [], "resilience.retries"),
+    (BASE_DECK + "resilience.task_timeout = 1\n", {}, [],
+     "resilience.task_timeout"),
+    (BASE_DECK + "resilience.max_pool_restarts = 1\n", {}, [],
+     "resilience.max_pool_restarts"),
+    (BASE_DECK, {}, ["--faults", "kill_worker@1.1"], "repro.serve.chaos"),
+    (BASE_DECK, {"REPRO_FAULTS": "slow@2"}, [], "repro.serve.chaos"),
+    (BASE_DECK, {}, ["--faults", "meteor@1"], "resilience.faults.plan"),
 ])
 def test_cli_bad_input_is_one_error_line_exit_2(tmp_path, capsys, monkeypatch,
                                                 deck_text, env, argv, named):
@@ -191,6 +204,17 @@ def test_cli_bad_input_is_one_error_line_exit_2(tmp_path, capsys, monkeypatch,
     assert captured.out == ""
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
+
+
+@pytest.mark.parametrize("flag", ["--executor", "--workers"])
+def test_cli_removed_flags_are_usage_errors(tmp_path, capsys, flag):
+    """argparse's own exit: status 2, the flag named, nothing run."""
+    with pytest.raises(SystemExit) as exc:
+        main([write_deck(tmp_path, BASE_DECK), flag, "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag}" in captured.err
 
 
 def test_cli_regrid_int_auto_runs_from_a_deck(tmp_path, capsys):

@@ -149,8 +149,8 @@ def test_bad_value_raises_config_error_naming_its_source(o, spelling, token,
 
 
 def test_validate_names_the_deck_key_of_a_python_set_value():
-    with pytest.raises(ConfigError, match="runtime.workers: must be >= 1"):
-        CroccoConfig(workers=0).validate()
+    with pytest.raises(ConfigError, match="mpi.nranks: must be >= 1"):
+        CroccoConfig(nranks=0).validate()
     with pytest.raises(ConfigError, match="amr.tagging: 'vorticity'"):
         CroccoConfig(tagging="vorticity").validate()
     assert CroccoConfig(regrid_int="auto").validate().regrid_int == "auto"
@@ -159,9 +159,13 @@ def test_validate_names_the_deck_key_of_a_python_set_value():
 def test_unknown_deck_key_names_the_closest_legal_key():
     with pytest.raises(ConfigError, match="'amr.max_levle'.*'amr.max_level'"):
         resolve({"amr.max_levle": ["2"]})
-    # options retired into constants are unknown keys, not silent no-ops
+    # options retired into constants, or gone with the in-run pool, are
+    # unknown keys, not silent no-ops or synonyms
     for key in ("resilience.backoff", "resilience.retry_same_dt",
-                "resilience.max_restores"):
+                "resilience.max_restores", "runtime.executor",
+                "runtime.workers", "resilience.supervise",
+                "resilience.retries", "resilience.task_timeout",
+                "resilience.max_pool_restarts"):
         assert key not in BY_DECK_KEY
         with pytest.raises(ConfigError, match=key):
             resolve({key: ["1"]})
@@ -176,9 +180,9 @@ def test_record_is_shorthand_within_its_own_layer():
 
 
 def test_fault_plan_tokens_may_be_space_separated_in_a_deck():
-    config, _ = resolve({"resilience.faults.plan": ["kill_worker@2.1",
+    config, _ = resolve({"resilience.faults.plan": ["task_error@2.1",
                                                     "nan@4"]})
-    assert config.faults_plan == "kill_worker@2.1;nan@4"
+    assert config.faults_plan == "task_error@2.1;nan@4"
 
 
 def test_reference_is_the_readme_section_and_the_cli_epilog():

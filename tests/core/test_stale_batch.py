@@ -25,7 +25,7 @@ def churn_sim():
     sim = Crocco(case, CroccoConfig(
         version="2.1", nranks=3, ranks_per_node=3, max_level=2,
         max_grid_size=16, blocking_factor=8, regrid_int=1,
-        backend_target="device", executor="serial"))
+        backend_target="device"))
     sim.initialize()
     return sim
 

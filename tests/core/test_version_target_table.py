@@ -31,7 +31,7 @@ def make_sim(version, target):
     return Crocco(case, CroccoConfig(
         version=version, nranks=2, ranks_per_node=2, max_level=1,
         max_grid_size=32, blocking_factor=8, regrid_int=2,
-        executor="serial", backend_target=target))
+        backend_target=target))
 
 
 def final_state(sim, steps=2):

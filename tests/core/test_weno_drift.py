@@ -29,7 +29,7 @@ DECKS = {
 
 def final_state(ncells, config, steps=2):
     sim = Crocco(DoubleMachReflection(ncells=ncells, curvilinear=True),
-                 CroccoConfig(executor="serial", **config))
+                 CroccoConfig(**config))
     try:
         sim.initialize()
         sim.run(steps)

@@ -595,11 +595,10 @@ import numpy as np
 from repro.cases.dmr import DoubleMachReflection
 from repro.core.crocco import Crocco, CroccoConfig
 from repro.numerics import native
-cells = tuple(int(n) for n in sys.argv[2].split(","))
+cells = tuple(int(n) for n in sys.argv[1].split(","))
 sim = Crocco(DoubleMachReflection(ncells=cells, curvilinear=True),
              CroccoConfig(version="2.0", max_level=3 - len(cells),
-                          max_grid_size=16, blocking_factor=8,
-                          executor=sys.argv[1], workers=2))
+                          max_grid_size=16, blocking_factor=8))
 sim.initialize()
 sim.run(2)
 h = hashlib.sha256()
@@ -611,13 +610,13 @@ print(h.hexdigest(), native.status()["impl"], native.status()["cache"])
 """
 
 
-def run(env, executor="serial", wait=True, cells="32,8"):
+def run(env, wait=True, cells="32,8"):
     """Two steps of the 2-D AMR deck (or, with three ``cells``, of a 3-D
     one) in a fresh process: ``(hash, impl, cache, stderr)``, or the
     ``Popen`` when not waiting."""
     keep = {k: os.environ[k] for k in ("PATH", "HOME", "CC") if k in os.environ}
     env = {**keep, "PYTHONPATH": str(ROOT / "src"), **env}
-    proc = subprocess.Popen([sys.executable, "-c", RUN, executor, cells],
+    proc = subprocess.Popen([sys.executable, "-c", RUN, cells],
                             env=env, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True)
     return finish(proc) if wait else proc
@@ -657,12 +656,11 @@ def assert_numpy_fallback(result, sha, why):
     assert "compiled WENO kernel unavailable" in line and why in line
 
 
-def test_warm_cache_is_a_hit_under_serial_and_pool(built):
+def test_warm_cache_is_a_hit(built):
     cache, _, sha = built
-    for executor in ("serial", "pool"):
-        got, impl, how, err = run({"XDG_CACHE_HOME": str(cache)}, executor)
-        assert (got, impl, how) == (sha, "compiled", "hit")
-        assert not warnings_in(err)
+    got, impl, how, err = run({"XDG_CACHE_HOME": str(cache)})
+    assert (got, impl, how) == (sha, "compiled", "hit")
+    assert not warnings_in(err)
 
 
 def test_nan_fault_fires_at_the_same_step_either_way(split, monkeypatch):
@@ -672,8 +670,8 @@ def test_nan_fault_fires_at_the_same_step_either_way(split, monkeypatch):
     def run(watchdog):
         sim = Crocco(DoubleMachReflection(ncells=(32, 8), curvilinear=True),
                      CroccoConfig(version="2.0", max_level=1, max_grid_size=16,
-                                  blocking_factor=8, executor="serial",
-                                  watchdog=watchdog, faults_plan="nan@1 seed=3"))
+                                  blocking_factor=8, watchdog=watchdog,
+                                  faults_plan="nan@1 seed=3"))
         sim.initialize()
         with np.errstate(all="ignore"):
             sim.run(3)
@@ -699,10 +697,8 @@ def test_3d_deck_hashes_the_same_either_way(built, tmp_path):
     numpy = run({"CC": "/bin/false", "XDG_CACHE_HOME": str(tmp_path)},
                 cells="32,8,8")
     assert numpy[1] == "numpy"
-    for executor in ("serial", "pool"):
-        got, impl, _, _ = run({"XDG_CACHE_HOME": str(cache)}, executor,
-                              cells="32,8,8")
-        assert (got, impl) == (numpy[0], "compiled")
+    got, impl, _, _ = run({"XDG_CACHE_HOME": str(cache)}, cells="32,8,8")
+    assert (got, impl) == (numpy[0], "compiled")
 
 
 def test_no_compiler_on_path(built, tmp_path):
@@ -714,14 +710,9 @@ def test_no_compiler_on_path(built, tmp_path):
 
 def test_compiler_that_fails(built, tmp_path):
     _, _, sha = built
-    for executor in ("serial", "pool"):
-        result = run({"CC": "/bin/false", "XDG_CACHE_HOME": str(tmp_path)},
-                     executor)
-        if executor == "serial":
-            assert_numpy_fallback(result, sha, "false exited 1")
-        else:  # each process that sweeps says so once
-            assert result[:2] == (sha, "numpy")
-            assert 1 <= len(warnings_in(result[3])) <= 3
+    assert_numpy_fallback(
+        run({"CC": "/bin/false", "XDG_CACHE_HOME": str(tmp_path)}),
+        sha, "false exited 1")
     assert not list(tmp_path.rglob("*.so"))
 
 

@@ -4,8 +4,8 @@
 events collapse into a count and every summary is a view of the table.
 For generated event streams, each view must equal the same quantity
 computed brute-force from the ordered list of events a listener captured
-— through ``clear(kind)``, ``paused()``, ``GpuDevice.reset()`` and a
-worker-table merge.  The per-event loops below are the reference: they are
+— through ``clear(kind)``, ``paused()`` and ``GpuDevice.reset()``.  The
+per-event loops below are the reference: they are
 what the summaries were before the tables, one event at a time.
 """
 
@@ -171,27 +171,24 @@ NPOINTS = st.one_of(st.sampled_from([64, 1024, 4096]), st.integers(1, 10**5))
 
 @st.composite
 def launch_streams(draw):
-    """(ndevices, ops): a launch or reduction on a rank, in the driver or
-    in a pool worker (whose forked devices are drained and merged after
-    each task), or a ``reset`` of one device."""
+    """(ndevices, ops): a launch or reduction on a rank, or a ``reset``
+    of one device."""
     ndev = draw(st.integers(1, 4))
     rank = st.integers(0, ndev - 1)
-    where = st.sampled_from(["driver", "worker"])
     op = st.one_of(
-        st.tuples(st.just("launch"), where, rank, st.sampled_from(KERNELS),
-                  NPOINTS),
-        st.tuples(st.just("reduce"), where, rank, st.integers(1, 500)),
+        st.tuples(st.just("launch"), rank, st.sampled_from(KERNELS), NPOINTS),
+        st.tuples(st.just("reduce"), rank, st.integers(1, 500)),
         st.tuples(st.just("reset"), rank))
     return ndev, draw(st.lists(op, max_size=30))
 
 
 def issue(backend, op):
     if op[0] == "launch":
-        _, _, rank, (name, cls), npoints = op
+        _, rank, (name, cls), npoints = op
         backend.parallel_for(name, lambda: None, npoints,
                              LaunchSpec(kernel_class=cls, rank=rank))
     else:
-        _, _, rank, n = op
+        _, rank, n = op
         backend.reduce_data("ComputeDt", np.ones(n), "max",
                             LaunchSpec(kernel_class="reduction", rank=rank))
 
@@ -213,30 +210,15 @@ def test_launch_views_equal_the_event_list(stream):
     ndev, ops = stream
     devices = [GpuDevice(name=f"d{i}") for i in range(ndev)]
     backend = DeviceBackend(devices)
-    # a pool worker's forked copies of the devices
-    forked = [GpuDevice(name=f"d{i}") for i in range(ndev)]
-    worker = DeviceBackend(forked)
     logs = [EventLog() for _ in range(ndev)]
-    for log, dev, copy in zip(logs, devices, forked):
+    for log, dev in zip(logs, devices):
         dev.add_listener(log)
-        copy.add_listener(log)
-    merged = 0
     for op in ops:
         if op[0] == "reset":
             devices[op[1]].reset()
             logs[op[1]].events.clear()
-        elif op[1] == "driver":
-            issue(backend, op)
         else:
-            # one task in a worker: clear what the fork inherited, run,
-            # return the tables, add them into the owning devices
-            for copy in forked:
-                copy.reset()
-            issue(worker, op)
-            backend.merge_worker_tables(
-                {i: copy.table for i, copy in enumerate(forked)
-                 if copy.table})
-            merged += 1
+            issue(backend, op)
 
     model = V100Model()
     for dev, log in zip(devices, logs):
@@ -279,7 +261,6 @@ def test_launch_views_equal_the_event_list(stream):
     assert backend.class_totals() == {
         cls: {f: tot[f] for f in COUNTER_FIELDS}
         for cls, tot in launch_totals(devices, "kernel_class").items()}
-    assert backend.worker_launches == merged
 
 
 def test_reset_clears_every_view():

@@ -77,7 +77,6 @@ class TestMeasuredShape:
         sim = Crocco(case, CroccoConfig(
             version="2.0", nranks=6, ranks_per_node=6, max_level=max_level,
             max_grid_size=32, blocking_factor=8, regrid_int=2,
-            executor="serial",
         ))
         sim.initialize()
         sim.run(2)

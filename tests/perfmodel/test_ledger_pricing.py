@@ -99,11 +99,9 @@ def test_fleet_summary_from_functional_run():
         summarize_fleet,
     )
 
-    # prices driver-side launch records; pool workers keep theirs local
     sim = Crocco(SodShockTube(64),
                  CroccoConfig(version="2.0", nranks=2, ranks_per_node=2,
-                              max_grid_size=32, executor="serial",
-                              backend_target="device"))
+                              max_grid_size=32, backend_target="device"))
     sim.initialize()
     sim.run(2)
     fleet = summarize_fleet(sim.devices)

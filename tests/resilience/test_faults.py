@@ -13,27 +13,39 @@ from repro.runtime.graph import Task, TaskGraph
 class TestPlanGrammar:
     def test_tokens(self):
         specs, seed = parse_plan(
-            "seed=42 kill_worker@2.1 nan@3 slow@1:0.5 drop_comm@0:fb")
+            "seed=42 task_error@2.1 nan@3 kill_save@1 drop_comm@0:fb")
         assert seed == 42
         assert [(s.kind, s.step, s.stage, s.arg) for s in specs] == [
-            ("kill_worker", 2, 1, None),
+            ("task_error", 2, 1, None),
             ("nan", 3, 0, None),
-            ("slow", 1, 0, "0.5"),
+            ("kill_save", 1, 0, None),
             ("drop_comm", 0, 0, "fb"),
         ]
 
     def test_semicolon_separated(self):
-        specs, seed = parse_plan("kill_worker@1;nan@2;seed=9")
+        specs, seed = parse_plan("task_error@1;nan@2;seed=9")
         assert len(specs) == 2
         assert seed == 9
 
     def test_bad_token(self):
         with pytest.raises(ValueError, match="bad fault token"):
-            parse_plan("kill_worker@")
+            parse_plan("task_error@")
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
             parse_plan("meteor_strike@3")
+
+    def test_worker_kinds_point_at_the_service(self):
+        """A step runs in one process: there is no worker to kill or
+        stall, and the error says where worker death is injected."""
+        from repro.serve.chaos import SERVICE_KINDS
+
+        for token in ("kill_worker@1.1", "slow@2:1.5"):
+            with pytest.raises(ValueError, match="unknown fault kind.*"
+                               r"kill_worker@N\[:S\].*repro.serve.chaos"):
+                parse_plan(token)
+        assert "kill_worker" in SERVICE_KINDS
+        assert parse_plan("kill_worker@1:2", kinds=SERVICE_KINDS)[0]
 
     def test_empty_plan_is_none(self):
         assert FaultInjector.from_config("") is None
@@ -45,41 +57,26 @@ class TestPlanGrammar:
         assert inj.seed == 11
 
     def test_token_round_trip(self):
-        specs, _ = parse_plan("slow@2.1:1.5")
-        assert specs[0].token() == "slow@2.1:1.5"
+        specs, _ = parse_plan("task_error@2.1:Box")
+        assert specs[0].token() == "task_error@2.1:Box"
 
 
 def fake_graph():
     g = TaskGraph()
-    for tid, (name, kind, payload, channel) in enumerate([
-        ("FB_nowait(L0)", "comm-post", None, ("fb", 0)),
-        ("Box(L0,b0)x2", "compute", {"op": "rhs_update"}, None),
-        ("Box(L0,b2)x1", "compute", {"op": "rhs_update"}, None),
-        ("FB_finish(L0)", "comm-wait", None, ("fb", 0)),
+    for tid, (name, kind, channel) in enumerate([
+        ("FB_nowait(L0)", "comm-post", ("fb", 0)),
+        ("Box(L0,b0)x2", "compute", None),
+        ("Box(L0,b2)x1", "compute", None),
+        ("FB_finish(L0)", "comm-wait", ("fb", 0)),
     ]):
         g.tasks.append(Task(tid=tid, name=name, kind=kind,
-                            fn=lambda: None, payload=payload,
-                            channel=channel))
+                            fn=lambda: None, channel=channel))
     return g
 
 
 class TestInstrument:
-    def test_kill_marks_one_payload_once(self):
-        inj = FaultInjector.from_config("kill_worker@2.1 seed=5")
-        g = fake_graph()
-        inj.instrument(g, step=2, stage=1)
-        marked = [t for t in g.tasks if t.payload
-                  and t.payload.get("_fault") == ("kill",)]
-        assert len(marked) == 1
-        assert inj.fired_by_kind() == {"kill_worker": 1}
-        # one-shot: a rebuilt graph for the retried step stays clean
-        g2 = fake_graph()
-        inj.instrument(g2, step=2, stage=1)
-        assert not any(t.payload and "_fault" in t.payload
-                       for t in g2.tasks)
-
     def test_wrong_step_or_stage_is_inert(self):
-        inj = FaultInjector.from_config("kill_worker@2.1")
+        inj = FaultInjector.from_config("task_error@2.1")
         g = fake_graph()
         inj.instrument(g, step=2, stage=0)
         inj.instrument(g, step=1, stage=1)
@@ -89,7 +86,7 @@ class TestInstrument:
     def test_deterministic_target(self):
         targets = set()
         for _ in range(3):
-            inj = FaultInjector.from_config("kill_worker@0 seed=7")
+            inj = FaultInjector.from_config("task_error@0 seed=7")
             g = fake_graph()
             inj.instrument(g, step=0, stage=0)
             targets.add(inj.fired[0]["target"])
@@ -109,6 +106,15 @@ class TestInstrument:
         inj.instrument(g, step=0, stage=0)
         with pytest.raises(InjectedTaskError):
             g.tasks[3].fn()
+        assert inj.fired_by_kind() == {"task_error": 1}
+        # one-shot: a rebuilt graph for the retried step stays clean
+        g2 = fake_graph()
+        inj.instrument(g2, step=0, stage=0)
+        assert all(t.fn() is None for t in g2.tasks)
+        # without a prefix the target is a compute node
+        inj = FaultInjector.from_config("task_error@0 seed=1")
+        inj.instrument(g2, step=0, stage=0)
+        assert inj.fired[0]["target"].startswith("Box(")
 
     def test_box_prefix_picks_a_batch_node_of_a_real_stage_graph(self):
         from repro.runtime.rk3graph import build_stage_graph
@@ -125,13 +131,6 @@ class TestInstrument:
         with pytest.raises(InjectedTaskError):
             next(t for t in g.tasks if t.kind == "compute").fn()
         sim.close()
-
-    def test_slow_carries_duration(self):
-        inj = FaultInjector.from_config("slow@0:0.25")
-        g = fake_graph()
-        inj.instrument(g, step=0, stage=0)
-        marked = [t for t in g.tasks if t.payload and "_fault" in t.payload]
-        assert marked[0].payload["_fault"] == ("slow", 0.25)
 
 
 class TestNanSeeding:

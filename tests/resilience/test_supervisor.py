@@ -1,159 +1,141 @@
-"""Supervised pool executor: worker death, retries, teardown guarantees."""
+"""Supervised pool: worker death, stalls, retries, teardown guarantees —
+on the payload shape the service fleet dispatches (``serve_run``).
+Degradation to inline execution: ``tests/serve/test_fleet.py``."""
 
+import json
 import multiprocessing
+import time
 
-import numpy as np
 import pytest
 
-from repro.cases.dmr import DoubleMachReflection
-from repro.core.crocco import Crocco, CroccoConfig
 from repro.resilience.supervisor import SupervisedPoolExecutor
-from repro.runtime.executors import (PoolExecutor, SerialExecutor,
-                                     make_executor)
+from repro.runtime.executors import PoolExecutor, _run_payload
+from repro.serve.fleet import _RunTask
+from repro.serve.registry import DECK_NAME, RESULT_NAME
 
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
-needs_fork = pytest.mark.skipif(not HAS_FORK, reason="needs fork start method")
+pytestmark = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs fork start method")
 
-
-def run_dmr(steps=3, **overrides):
-    defaults = dict(version="2.0", nranks=6, ranks_per_node=6, max_level=1,
-                    max_grid_size=32, blocking_factor=8, regrid_int=2)
-    defaults.update(overrides)
-    case = DoubleMachReflection(ncells=(64, 16), curvilinear=True)
-    sim = Crocco(case, CroccoConfig(**defaults))
-    sim.initialize()
-    sim.run(steps)
-    state = {(lev, i): fab.whole().copy()
-             for lev in range(sim.finest_level + 1)
-             for i, fab in sim.state[lev]}
-    stats = sim.resilience.as_dict()
-    sim.close()
-    return state, stats
+DECK = ("crocco.case = sod\namr.n_cell = 32\nrun.steps = 4\n"
+        "run.checkpoint = chk\n")
 
 
-def assert_states_match(a, b, tol=1e-12):
-    assert set(a) == set(b)
-    for k in a:
-        err = float(np.abs(a[k] - b[k]).max())
-        assert err < tol, f"level/box {k}: max abs err {err}"
+def run_task(tmp_path, tid, fault=None):
+    """A ``serve_run`` task over a fresh run directory, as the fleet
+    builds it."""
+    run_dir = tmp_path / f"run{tid}"
+    run_dir.mkdir()
+    (run_dir / DECK_NAME).write_text(DECK)
+    payload = {"op": "serve_run", "run_id": run_dir.name,
+               "run_dir": str(run_dir), "cache_dir": None}
+    if fault is not None:
+        payload["_fault"] = fault
+    return _RunTask(tid, f"run:{run_dir.name}", payload), run_dir
+
+
+def drive(ex, *tasks):
+    """Submit ``tasks``, wait for all of them; the completions."""
+    done = []
+    for task in tasks:
+        ex.submit(task, lambda task, worker, dur: done.append(task.tid))
+    while ex.in_flight():
+        ex.wait_one()
+    return done
+
+
+def artifacts(run_dir):
+    result = json.loads((run_dir / RESULT_NAME).read_text())
+    chk = {p.name: p.read_bytes() for p in sorted((run_dir / "chk").iterdir())
+           if p.name.startswith("Level_")}
+    return result, chk
+
+
+def stub_run(monkeypatch, tmp_path, first_attempt):
+    """Stand in for the run itself: ``first_attempt()`` while the payload
+    still carries its fault marker (the supervisor strips it before a
+    retry), then one line in a log per execution."""
+    log = tmp_path / "executions.log"
+
+    def execute_serve_run(spec):
+        if "_fault" in spec:
+            first_attempt()
+        with open(log, "a") as f:
+            f.write(spec["run_id"] + "\n")
+
+    monkeypatch.setattr("repro.serve.worker.execute_serve_run",
+                        execute_serve_run)
+    return log
 
 
 class TestConstruction:
     def test_make_executor_supervised(self):
-        if not HAS_FORK:
-            pytest.skip("needs fork start method")
-        ex = make_executor("pool", workers=3,
-                           supervision={"task_retries": 5})
-        assert isinstance(ex, SupervisedPoolExecutor)
-        assert isinstance(ex, PoolExecutor)  # drop-in for the scheduler
-        assert ex.task_retries == 5
-        ex.shutdown()
+        with SupervisedPoolExecutor(3, task_retries=5) as ex:
+            assert isinstance(ex, PoolExecutor)  # same dispatch interface
+            assert ex.nworkers == 3 and ex.task_retries == 5
 
     def test_make_executor_bare(self):
-        if not HAS_FORK:
-            pytest.skip("needs fork start method")
-        ex = make_executor("pool", workers=2)
-        assert type(ex) is PoolExecutor
-        ex.shutdown()
+        with PoolExecutor(2) as ex:
+            assert type(ex) is PoolExecutor and not hasattr(ex, "stats")
 
     def test_context_manager_tears_down(self):
-        with make_executor("serial") as ex:
-            assert isinstance(ex, SerialExecutor)
-        if HAS_FORK:
-            with make_executor("pool", workers=2) as ex:
-                pass
-            assert ex._pool is None
+        for cls in (PoolExecutor, SupervisedPoolExecutor):
+            with cls(2) as ex:
+                ex._ensure_pool()
+                assert len(ex._workers) == 2
+            assert ex._pool is None and not ex._workers
 
     def test_shutdown_idempotent(self):
-        if not HAS_FORK:
-            pytest.skip("needs fork start method")
-        ex = make_executor("pool", workers=2,
-                           supervision={"task_timeout": 1.0})
+        ex = SupervisedPoolExecutor(2, task_timeout=1.0)
+        ex._ensure_pool()
         ex.shutdown()
         ex.shutdown()
 
 
-@needs_fork
 class TestWorkerDeath:
-    def test_killed_worker_recovered_bit_exact(self):
-        ref, _ = run_dmr(executor="serial")
-        state, stats = run_dmr(
-            executor="pool", workers=2, task_timeout=0.75,
-            faults_plan="kill_worker@1.1 seed=7")
-        assert stats["pool_restarts"] >= 1
-        assert stats["task_resubmits"] >= 1
-        # a respawn taints the step: the watchdog rolled it back whole
-        assert stats["step_retries"] >= 1
-        assert stats["recovered_steps"] >= 1
-        assert_states_match(ref, state)
+    def test_killed_worker_recovered_bit_exact(self, tmp_path):
+        reference, ref_dir = run_task(tmp_path, 0)
+        _run_payload(reference.payload)
+        # the worker hard-exits at the step-2 boundary; the deadline is
+        # far away, so only noticing the dead process recovers in time
+        victim, run_dir = run_task(tmp_path, 1, fault=("kill_step", 2))
+        t0 = time.monotonic()
+        with SupervisedPoolExecutor(2, task_timeout=300.0) as ex:
+            assert drive(ex, victim) == [1]
+            assert ex.stats.get("pool_restarts") >= 1
+            assert ex.stats.get("task_resubmits") >= 1
+        assert time.monotonic() - t0 < 60.0
+        result, chk = artifacts(run_dir)
+        assert result["status"] == "done" and result["steps"] == 4
+        assert result["resumed"] is True and result["replayed_steps"] <= 1
+        assert chk and chk == artifacts(ref_dir)[1]
 
-    def test_stuck_worker_recovered(self):
-        ref, _ = run_dmr(executor="serial", steps=2)
-        state, stats = run_dmr(
-            steps=2, executor="pool", workers=2, task_timeout=0.5,
-            faults_plan="slow@1.0:30 seed=2")
-        assert stats["pool_restarts"] >= 1
-        assert_states_match(ref, state)
+    def test_stuck_worker_recovered(self, tmp_path, monkeypatch):
+        log = stub_run(monkeypatch, tmp_path, lambda: time.sleep(60.0))
+        task, _ = run_task(tmp_path, 1, fault=("stall",))
+        with SupervisedPoolExecutor(2, task_timeout=0.5) as ex:
+            assert drive(ex, task) == [1]
+            assert ex.stats.get("pool_restarts") >= 1
+        # the sleeper was terminated before it wrote anything
+        assert log.read_text().splitlines() == ["run1"]
 
 
-@needs_fork
 class TestTaskFailure:
-    def test_failed_task_retried_in_pool(self):
-        ref, _ = run_dmr(executor="serial", steps=2)
-        state, stats = run_dmr(
-            steps=2, executor="pool", workers=2,
-            faults_plan="task_error@1.0 seed=4")
-        assert stats["task_retries"] >= 1
-        assert_states_match(ref, state)
+    def test_failed_task_retried_in_pool(self, tmp_path, monkeypatch):
+        def fail():
+            raise RuntimeError("transient")
 
-    def test_unsupervised_pool_still_works(self):
-        ref, _ = run_dmr(executor="serial", steps=2)
-        state, stats = run_dmr(steps=2, executor="pool", workers=2,
-                               supervise=False)
-        assert stats["pool_restarts"] == 0
-        assert_states_match(ref, state)
+        log = stub_run(monkeypatch, tmp_path, fail)
+        bad, _ = run_task(tmp_path, 1, fault=("error",))
+        good, _ = run_task(tmp_path, 2)
+        with SupervisedPoolExecutor(2, task_retries=2) as ex:
+            assert sorted(drive(ex, bad, good)) == [1, 2]
+            assert ex.stats.get("task_retries") == 1
+            assert ex.stats.get("pool_restarts") == 0
+        assert sorted(log.read_text().splitlines()) == ["run1", "run2"]
 
-
-@needs_fork
-def test_inline_fallback_counts_once_in_the_drivers_tables():
-    """The supervisor's last-resort inline execution runs the payload in
-    the driver process: its launches land in the real device tables, once,
-    on the owning ranks — nothing is cleared, drained or merged again (only
-    the worker entry point drains, and only forked copies)."""
-    from collections import Counter
-
-    from repro.resilience.supervisor import _InFlight
-    from repro.runtime.rk3graph import build_stage_graph
-
-    case = DoubleMachReflection(ncells=(64, 16), curvilinear=True)
-    sim = Crocco(case, CroccoConfig(
-        version="2.0", nranks=6, ranks_per_node=6, max_level=1,
-        max_grid_size=32, blocking_factor=8, regrid_int=2,
-        backend_target="device", executor="pool", workers=2))
-    try:
-        sim.initialize()
-        executor = sim.engine.executor
-        graph = build_stage_graph(sim, 1e-5, 0, arena=sim.engine.arena)
-        # a batch whose members sit on several ranks, none of them rank 0
-        task = next(t for t in graph.tasks if t.payload is not None
-                    and len(set(t.payload["ranks"])) > 1
-                    and 0 not in t.payload["ranks"])
-        before = [Counter(d.table) for d in sim.devices]
-        assert all(before)
-        done = []
-        # no FillPatch has run: the fine members' ghost cells are still 0
-        with np.errstate(invalid="ignore"):
-            executor._run_inline(_InFlight(
-                task, lambda *args, **kw: done.append(args), attempt=1,
-                deadline=0.0))
-        assert len(done) == 1
-        new = [Counter(d.table) - was for d, was in zip(sim.devices, before)]
-        ranks = set(task.payload["ranks"])
-        for rank in ranks:   # one launch per kernel on every owning rank
-            assert sorted(r.name for r in new[rank].elements()) == [
-                "Update", "WENOx", "WENOy"]
-        assert not any(t for r, t in enumerate(new) if r not in ranks)
-        assert executor.drain_worker_tables() == {}
-        assert sim.exec_backend.worker_launches == 0
-    finally:
-        sim.close()
+    def test_unsupervised_pool_still_works(self, tmp_path):
+        task, run_dir = run_task(tmp_path, 1)
+        with PoolExecutor(2) as ex:
+            assert drive(ex, task) == [1]
+        assert artifacts(run_dir)[0]["status"] == "done"

@@ -97,13 +97,12 @@ class TestEscalation:
 class TestPositivitySpike:
     """``positivity_spike``: a step the guard had to clamp too hard is a
     numerical failure.  The floor sits above Sod's right-state density,
-    so the guard intervenes on every update (serial executor: the guard
-    wraps the driver's kernels, not a pool worker's copy)."""
+    so the guard intervenes on every update."""
 
     def guarded_sim(self, **overrides):
         from repro.core.safeguards import PositivityGuard, attach_guard
 
-        sim = make_sim(executor="serial", **overrides)
+        sim = make_sim(**overrides)
         attach_guard(sim, PositivityGuard(rho_floor=0.5))
         return sim
 

@@ -1,77 +1,41 @@
-"""Executor construction and the pool's offload contract."""
+"""The fleet's process pool: construction and laziness (recovery of a
+dead or stuck worker: ``tests/resilience/test_supervisor.py``)."""
 
 import multiprocessing
 
 import pytest
 
-from repro.runtime.executors import (EXECUTORS, PoolExecutor, SerialExecutor,
-                                     make_executor)
-from repro.runtime.graph import TaskGraph
+from repro.runtime.executors import PoolExecutor
 
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
+pytestmark = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs fork start method")
 
 
 class TestFactory:
-    def test_names(self):
-        assert set(EXECUTORS) == {"serial", "pool"}
-        assert isinstance(make_executor("serial"), SerialExecutor)
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            make_executor("threads")
-
-    @pytest.mark.skipif(not HAS_FORK, reason="needs fork start method")
     def test_pool_factory(self):
-        ex = make_executor("pool", workers=3)
-        assert isinstance(ex, PoolExecutor)
-        assert ex.nworkers == 3
-        ex.shutdown()
+        with PoolExecutor(3) as ex:
+            assert ex.nworkers == 3
 
-    @pytest.mark.skipif(not HAS_FORK, reason="needs fork start method")
     def test_pool_worker_floor(self):
-        # a 1-worker pool can't overlap anything; floor at 2
-        ex = make_executor("pool", workers=1)
-        assert ex.nworkers == 2
-        ex.shutdown()
+        # the pool never runs with fewer than two workers
+        with PoolExecutor(1) as ex:
+            assert ex.nworkers == 2
 
+    def test_unknown_name(self, tmp_path):
+        # the only place an executor is still named is the fleet
+        from repro.serve.fleet import WorkerFleet
+        from repro.serve.registry import RunRegistry
 
-class TestSerial:
-    def test_never_offloads(self):
-        ex = SerialExecutor()
-        g = TaskGraph()
-        t = g.add("t", lambda: None, kind="compute",
-                  payload={"op": "rhs_update"})
-        assert not ex.can_offload(t)
-        assert ex.in_flight() == 0
-        assert not ex.poll()
-        ex.shutdown()  # no-op
+        with pytest.raises(ValueError, match="'pool' or 'inline'"):
+            WorkerFleet(RunRegistry(tmp_path), None, executor="threads")
 
 
 class TestPool:
-    @pytest.mark.skipif(not HAS_FORK, reason="needs fork start method")
-    def test_offloads_only_payload_tasks(self):
-        ex = PoolExecutor(2)
-        g = TaskGraph()
-        plain = g.add("plain", lambda: None, kind="compute")
-        loaded = g.add("loaded", lambda: None, kind="compute",
-                       payload={"op": "rhs_update"})
-        comm = g.add("comm", lambda: None, kind="comm-wait")
-        assert not ex.can_offload(plain)
-        assert ex.can_offload(loaded)
-        assert not ex.can_offload(comm)
-        ex.shutdown()
-
-    @pytest.mark.skipif(not HAS_FORK, reason="needs fork start method")
-    def test_pool_is_lazy_and_needs_context(self):
-        import repro.runtime.executors as mod
-
-        ex = PoolExecutor(2)
-        assert ex._pool is None  # nothing forked at construction
-        saved = mod._WORKER_CTX
-        mod._WORKER_CTX = None
-        try:
-            with pytest.raises(RuntimeError, match="set_worker_context"):
-                ex._ensure_pool()
-        finally:
-            mod._WORKER_CTX = saved
-            ex.shutdown()
+    def test_pool_is_lazy(self):
+        with PoolExecutor(2) as ex:
+            assert ex._pool is None  # nothing forked at construction
+            assert not ex.worker_died()
+            ex._ensure_pool()
+            assert len(ex._workers) == 2 and not ex.worker_died()
+        assert ex._pool is None and ex._workers == []

@@ -1,7 +1,9 @@
-"""End-to-end runtime: nowait/finish comm split, executor equivalence,
-engine reports, and config plumbing."""
+"""End-to-end runtime: nowait/finish comm split, engine reports, and the
+one execution path a step has (DESIGN.md, "One way to run a step")."""
 
-import multiprocessing
+import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,11 +15,10 @@ from repro.amr.distribution import DistributionMapping
 from repro.amr.geometry import Geometry
 from repro.amr.multifab import MultiFab
 from repro.cases.dmr import DoubleMachReflection
-from repro.core.crocco import Crocco, CroccoConfig
+from repro.core.config import OPTIONS
+from repro.core.crocco import ConfigError, Crocco, CroccoConfig
 from repro.io.inputs import InputDeck
 from repro.mpi.comm import Communicator
-
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 def make_mf(ngrow=2, periodic=(False, False)):
@@ -85,40 +86,20 @@ class TestNowaitFinish:
                                           b.fab(i).whole()[mask])
 
 
-def run_dmr(executor, workers=None, steps=3, max_level=1):
+def run_dmr(steps=3, max_level=1, **cfg):
     case = DoubleMachReflection(ncells=(64, 16), curvilinear=True)
     sim = Crocco(case, CroccoConfig(
         version="2.0", nranks=6, ranks_per_node=6, max_level=max_level,
-        max_grid_size=32, blocking_factor=8, regrid_int=2,
-        executor=executor, workers=workers,
-    ))
+        max_grid_size=32, blocking_factor=8, regrid_int=2, **cfg))
     sim.initialize()
     sim.run(steps)
-    state = {(lev, i): fab.whole().copy()
-             for lev in range(sim.finest_level + 1)
-             for i, fab in sim.state[lev]}
-    report = sim.engine.total_report
     sim.close()
-    return state, report
-
-
-class TestExecutorEquivalence:
-    @pytest.mark.skipif(not HAS_FORK, reason="needs fork start method")
-    def test_pool_matches_serial(self):
-        s_state, _ = run_dmr("serial")
-        p_state, p_rep = run_dmr("pool", workers=2)
-        assert set(s_state) == set(p_state)
-        for k in s_state:
-            err = float(np.abs(s_state[k] - p_state[k]).max())
-            assert err < 1e-12, f"level/box {k}: max abs err {err}"
-        # the pool actually offloaded compute tasks
-        assert p_rep.tasks_by_kind["compute"] > 0
-        assert p_rep.nworkers >= 2
+    return sim
 
 
 class TestEngineReport:
     def test_two_level_run_overlaps(self):
-        _state, rep = run_dmr("serial", steps=3)
+        rep = run_dmr(steps=3).engine.total_report
         assert rep.graphs == 9  # 3 steps x 3 RK stages
         assert rep.tasks_by_kind["comm-post"] > 0
         assert rep.tasks_by_kind["comm-wait"] > 0
@@ -130,47 +111,63 @@ class TestEngineReport:
         assert 0.0 < rep.overlap_frac <= 1.0
 
     def test_single_level_serial_has_no_overlap(self):
-        # with one level and one executor thread nothing can run inside
-        # the only comm window — the measured overlap is exactly zero
-        _state, rep = run_dmr("serial", steps=2, max_level=0)
+        # with one level nothing can run inside the only comm window —
+        # the measured overlap is exactly zero
+        rep = run_dmr(steps=2, max_level=0).engine.total_report
         assert rep.tasks_by_kind.get("interp", 0) == 0
         assert rep.overlap_s == 0.0
 
 
+def test_a_step_has_one_execution_path(tmp_path):
+    """The invariant a second path would break: a DMR AMR run's perfscope
+    tiles one lane — buckets execute / merge / idle closing on the
+    makespan — every task span of its trace sits on one track, and the
+    solver loads neither shared memory nor the fleet's process pool."""
+    from repro.observability.perfscope.attribution import BUCKETS
+
+    sim = run_dmr(steps=2, trace_out=str(tmp_path / "trace.json"))
+    perf = sim.engine.last_step_perf
+    assert set(BUCKETS) <= {"execute", "merge", "idle"}
+    assert perf.attributed_s == sum(getattr(perf, f"{b}_s") for b in BUCKETS)
+    assert abs(perf.coverage - 1.0) <= 0.05  # of the makespan: one lane
+    assert not [k for k in perf.as_gauges() if k.startswith("lane")]
+    events = json.loads((tmp_path / "trace.json").read_text())["traceEvents"]
+    tracks = {(e["pid"], e["tid"]) for e in events if e.get("cat") == "task"}
+    assert len(tracks) == 1
+    code = ("import sys, repro.core.crocco; "
+            "sys.exit('multiprocessing.shared_memory' in sys.modules "
+            "or 'repro.runtime.executors' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
 class TestConfigPlumbing:
+    """An executor is not something a run configures any more: every old
+    spelling is an error or ignored, never a synonym."""
+
     def test_env_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXECUTOR", "pool")
         monkeypatch.setenv("REPRO_WORKERS", "7")
         cfg = CroccoConfig(version="1.1")
-        assert cfg.executor == "pool"
-        assert cfg.workers == 7
-
-    def test_env_absent_defaults_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        cfg = CroccoConfig(version="1.1")
-        assert cfg.executor == "serial"
-        assert cfg.workers is None
-
-    def test_deck_keys(self):
-        deck = InputDeck.parse(
-            "crocco.version = 1.1\n"
-            "runtime.executor = pool\n"
-            "runtime.workers = 4\n"
-        )
-        cfg = deck.to_crocco_config()
-        assert cfg.executor == "pool"
-        assert cfg.workers == 4
+        assert not hasattr(cfg, "executor") and not hasattr(cfg, "workers")
+        assert not {"REPRO_EXECUTOR", "REPRO_WORKERS"} & {
+            o.env for o in OPTIONS}
 
     def test_deck_silent_keeps_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        for o in OPTIONS:
+            if o.env:
+                monkeypatch.delenv(o.env, raising=False)
         deck = InputDeck.parse("crocco.version = 1.1\n")
-        assert deck.to_crocco_config().executor == "serial"
+        assert deck.to_crocco_config() == CroccoConfig(version="1.1")
 
-    def test_engine_name_exposed(self):
-        case = DoubleMachReflection(ncells=(64, 16))
-        sim = Crocco(case, CroccoConfig(version="1.1", max_grid_size=32,
-                                        executor="serial"))
-        assert sim.engine.name == "serial"
-        assert not sim.engine.is_pool
-        sim.close()
+    def test_deck_keys(self):
+        for key, value in [
+                ("runtime.executor", "pool"), ("runtime.executor", "serial"),
+                ("runtime.workers", "4"), ("resilience.supervise", "false"),
+                ("resilience.retries", "2"),
+                ("resilience.task_timeout", "0.75"),
+                ("resilience.max_pool_restarts", "3")]:
+            deck = InputDeck.parse(
+                f"crocco.version = 1.1\n{key} = {value}\n")
+            with pytest.raises(ConfigError,
+                               match=f"unknown deck key '{key}'"):
+                deck.to_crocco_config()

@@ -2,14 +2,13 @@
 
 import time
 
-from repro.runtime.executors import SerialExecutor
 from repro.runtime.graph import DataKey, TaskGraph
 from repro.runtime.scheduler import (KIND_PRIORITY, ScheduleReport, Scheduler,
                                      _interval_overlap)
 
 
 def run_serial(graph, **kw):
-    return Scheduler(SerialExecutor(), **kw).run(graph)
+    return Scheduler(**kw).run(graph)
 
 
 class TestPriorities:
@@ -129,14 +128,14 @@ class TestReport:
     def test_merge_accumulates(self):
         a = ScheduleReport(tasks_by_kind={"compute": 2}, compute_s=1.0,
                           overlap_s=0.5, makespan_s=2.0, busy_s=1.0,
-                          nworkers=1, graphs=1)
+                          graphs=1)
         b = ScheduleReport(tasks_by_kind={"compute": 3, "bc": 1},
                           compute_s=2.0, overlap_s=0.25, makespan_s=1.0,
-                          busy_s=2.0, nworkers=4, graphs=1)
+                          busy_s=2.0, graphs=1)
         a.merge(b)
         assert a.tasks_by_kind == {"compute": 5, "bc": 1}
         assert a.compute_s == 3.0 and a.overlap_s == 0.75
-        assert a.nworkers == 4 and a.graphs == 2
+        assert a.busy_s == 3.0 and a.graphs == 2
 
     def test_idle_frac_serial_is_low(self):
         g = TaskGraph()
@@ -153,7 +152,7 @@ class TestTracer:
         tracer = Tracer()
         g = TaskGraph()
         g.add("a-task", lambda: None, kind="compute")
-        Scheduler(SerialExecutor(), tracer=tracer).run(g)
+        Scheduler(tracer=tracer).run(g)
         spans = [e for e in tracer.events()
                  if e.get("ph") == "X" and e.get("name") == "a-task"]
         assert len(spans) == 1
@@ -166,6 +165,6 @@ class TestTracer:
         g = TaskGraph()
         g.add("t", lambda: None, kind="compute",
               regions=("Outer", "Inner"))
-        Scheduler(SerialExecutor(), profiler=prof).run(g)
+        Scheduler(profiler=prof).run(g)
         assert prof.calls("Outer") == 1
         assert prof.calls("Inner") == 1

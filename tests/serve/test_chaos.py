@@ -105,7 +105,7 @@ def test_chaos_acceptance_exactly_once_bitwise(tmp_path):
     ref_chk = tmp_path / "ref_chk"
     deck_path = tmp_path / "ref.inputs"
     deck_path.write_text(deck(steps=steps, chk=str(ref_chk)))
-    assert cli_main([str(deck_path), "--executor", "serial"]) == 0
+    assert cli_main([str(deck_path)]) == 0
     ref_header, ref = checkpoint_arrays(ref_chk)
 
     root = tmp_path / "svc"

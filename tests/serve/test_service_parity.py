@@ -43,7 +43,7 @@ def test_service_run_bitwise_matches_cli_serial(tmp_path):
     cli_chk = tmp_path / "cli_chk"
     deck_path = tmp_path / "deck.inputs"
     deck_path.write_text(_deck(str(cli_chk)))
-    assert cli_main([str(deck_path), "--executor", "serial"]) == 0
+    assert cli_main([str(deck_path)]) == 0
 
     # candidate: submitted through the service, executed by the fleet
     reg = RunRegistry(tmp_path / "svc")

@@ -54,7 +54,7 @@ class TestGateVerdicts:
         gate = load_tool("bench_gate")
         # a speedup series (units "x"): a 20% drop is the regression
         path = write_rows(tmp_path / "r.json",
-                          series("pool_speedup", [2.0, 2.0, 1.6], units="x"))
+                          series("weno_speedup", [2.0, 2.0, 1.6], units="x"))
         assert gate.main([str(path)]) == 1
 
     def test_single_row_series_skipped(self, tmp_path, capsys):

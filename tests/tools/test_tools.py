@@ -63,10 +63,10 @@ def test_option_table_lint_passes_here_and_catches_a_second_spelling(tmp_path):
     assert lint.violations() == []
     src = tmp_path / "src"
     src.mkdir()
-    (src / "table.py").write_text('ENV = "REPRO_WORKERS"\n')
+    (src / "table.py").write_text('ENV = "REPRO_BACKEND"\n')
     (src / "plumbing.py").write_text(
-        'import os\nw = os.environ.get("REPRO_WORKERS")\n')
-    assert ("REPRO_WORKERS: written 2 times (src/plumbing.py:2, "
+        'import os\nw = os.environ.get("REPRO_BACKEND")\n')
+    assert ("REPRO_BACKEND: written 2 times (src/plumbing.py:2, "
             "src/table.py:1)") in lint.violations(src)
 
 

@@ -19,12 +19,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-#: literals that equal a spelling but mean something else
-NAMESAKES = {
-    # the per-step metrics gauge the run report reads, not the deck key
-    ("src/repro/observability/report.py", "runtime.workers"),
-}
-
 
 def violations(src: Path = ROOT / "src") -> list:
     from repro.core.config import BY_NAME
@@ -35,7 +29,7 @@ def violations(src: Path = ROOT / "src") -> list:
         for node in ast.walk(ast.parse(path.read_text())):
             text = getattr(node, "value", None)
             if (isinstance(node, ast.Constant) and isinstance(text, str)
-                    and text in seen and (rel, text) not in NAMESAKES):
+                    and text in seen):
                 seen[text].append(f"{rel}:{node.lineno}")
     return [f"{s}: written {len(where)} times ({', '.join(where) or 'nowhere'})"
             for s, where in seen.items() if len(where) != 1]

@@ -33,7 +33,7 @@ from repro.amr.plan import CommPlan, overlaps
 def _build_plan(mf: MultiFab, geom: Optional[Geometry]) -> CommPlan:
     """Per destination fab, the ghost regions other patches cover: direct
     overlaps first, then periodic images (the historical write order)."""
-    shifts = geom.periodic_shifts(geom.domain) if geom is not None else ()
+    shifts = geom.periodic_shifts() if geom is not None else ()
     pairs = overlaps(mf.ba, mf.grown, shifts)
     i, _, _, dbox = pairs
     # a destination inside the valid box is the fab meeting itself
@@ -120,7 +120,7 @@ def boundary_regions(mf: MultiFab, geom: Optional[Geometry] = None):
     dom, per = lohi_of([geom.domain])[0], np.array(geom.periodic)
     pieces, fab = mf.ba.complement(np.where(
         per, mf.grown, meet(mf.grown, dom)))
-    for s in geom.periodic_shifts(geom.domain):
-        pieces, src = mf.ba.complement(pieces + s.tup())
-        pieces, fab = pieces - s.tup(), fab[src]
+    for s in geom.periodic_shifts():
+        pieces, src = mf.ba.complement(pieces + s)
+        pieces, fab = pieces - s, fab[src]
     return pieces, fab

@@ -3,10 +3,10 @@
 Mirrors ``amrex::FillPatchUtil``:
 
 - :func:`fill_patch_single_level` — for the coarsest level: same-level
-  ghost exchange (point-to-point FillBoundary) plus physical boundary fill.
+  ghost exchange (point-to-point FillBoundary).
 - :func:`fill_patch_two_levels` — for finer levels: same-level exchange,
   then coarse-to-fine interpolation into ghost cells at coarse/fine
-  interfaces, then physical boundary fill.  When the interpolator needs
+  interfaces.  When the interpolator needs
   physical coordinates (the curvilinear scheme), the coordinates MultiFab
   is first copied into a temporary with extra ghost cells via a *global*
   ``ParallelCopy`` — the communication bottleneck the paper isolates by
@@ -14,20 +14,22 @@ Mirrors ``amrex::FillPatchUtil``:
   (built-in trilinear interpolator, no ParallelCopy).
 - :func:`fill_coarse_patch` — initialize an entire new fine level from
   coarse data (used by regrid when new patches appear).
+
+Physical boundary conditions are the driver's one launch after any of them.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.amr.boundary import boundary_regions, fill_boundary_nowait
 from repro.amr.box import Box
 from repro.amr.boxarray import (BoxArray, boxes_of, cells, coarsen,
-                                flat_index, grow, num_pts, slices)
+                                flat_index, grow, num_pts)
 from repro.amr.fab import FArrayBox
 from repro.amr.geometry import Geometry
 from repro.amr.intvect import IntVect, IntVectLike
@@ -37,25 +39,10 @@ from repro.amr.parallelcopy import copy_plan
 from repro.amr.plan import CommPlan, FabPlan, copy, overlaps
 from repro.backend import LaunchSpec, parallel_for
 
-#: signature: bc_fill(fab, geom, time) fills ghost cells outside the domain
-BCFill = Callable[[FArrayBox, Geometry, float], None]
-
 
 def _region(profiler, name: str):
     """The profiler's sub-region, or a no-op context when unprofiled."""
     return profiler.region(name) if profiler is not None else nullcontext()
-
-
-def _bc_fill_launch(bc_fill: BCFill, fab: FArrayBox, geom: Geometry,
-                    time: float, rank: int) -> None:
-    """Run one fab's physical boundary fill as a labeled launch.
-
-    BC fills touch only the ghost frame, so the launch is charged the
-    grown-minus-valid point count.
-    """
-    ghost_pts = fab.grown_box().num_pts() - fab.box.num_pts()
-    parallel_for("BC_fill", lambda: bc_fill(fab, geom, time),
-                 ghost_pts, LaunchSpec(kernel_class="fillpatch", rank=rank))
 
 
 class FillPatchOp:
@@ -74,21 +61,18 @@ class FillPatchOp:
       (``FillBoundary_finish``).
     - :meth:`interp_fab` — interpolate coarse data into one fine fab's
       coarse/fine-interface ghosts (two-level only; needs the posted
-      coordinates and the up-to-date coarse level).
-    - :meth:`apply_bc` — physical boundary conditions.
+      coordinates — a task graph edge — and the up-to-date coarse level).
 
     Running the phases immediately in this order is bit-identical to the
-    eager functions.
+    eager functions.  Physical boundary conditions are the caller's
+    (``Crocco._bc_fill``), after the fill.
     """
 
     def __init__(
         self,
         fine: MultiFab,
         geom_fine: Geometry,
-        bc_fill: Optional[BCFill] = None,
-        time: float = 0.0,
         crse: Optional[MultiFab] = None,
-        geom_crse: Optional[Geometry] = None,
         ratio: Optional[IntVectLike] = None,
         interp: Optional[Interpolator] = None,
         crse_coords: Optional[MultiFab] = None,
@@ -96,23 +80,14 @@ class FillPatchOp:
     ) -> None:
         self.fine = fine
         self.geom_fine = geom_fine
-        self.bc_fill = bc_fill
-        self.time = time
         self.crse = crse
-        self.geom_crse = geom_crse
         self.interp = interp
         self.crse_coords = crse_coords
         self.fine_coords = fine_coords
-        self.two_level = crse is not None
         self._r = (IntVect.coerce(ratio, fine.dim)
                    if ratio is not None else None)
         self._fb = None
         self._plan: Optional[CommPlan] = None
-        self._coords_posted = False
-
-    @property
-    def needs_coords(self) -> bool:
-        return self.two_level and self.interp is not None and self.interp.needs_coords
 
     def post_fillboundary(self) -> None:
         """FillBoundary_nowait: pack the same-level ghost exchange."""
@@ -140,10 +115,9 @@ class FillPatchOp:
         CRoCCo 2.0 pays it at every FillPatch: its launches and messages
         are replayed from the fill plan, while the copy itself ran once,
         when that plan turned the coordinates into weights."""
-        if self.needs_coords:
+        if self.interp.needs_coords:
             self._fill_plan().coords.run("PC_copy", "fillpatch",
                                          lambda fp: None)
-            self._coords_posted = True
 
     def finish_fillboundary(self) -> None:
         """FillBoundary_finish: unpack buffers into same-level ghosts."""
@@ -151,41 +125,19 @@ class FillPatchOp:
 
     def interp_fab(self, i: int) -> None:
         """Interpolate coarse/fine-interface ghosts of fine fab ``i``."""
-        if not self.two_level:
-            return
-        if self.needs_coords and not self._coords_posted:
-            raise RuntimeError("post_coords() must run before interp_fab()")
         plan = self._fill_plan()
         if i in plan.fabs:
             _fill_fab(plan, plan.fabs[i], self.fine, self.crse, self._r,
                       self.interp)
 
-    def apply_bc(self, i: Optional[int] = None) -> None:
-        """Physical boundary fill for one fab (or, by default, all)."""
-        if self.bc_fill is None:
-            return
-        if i is not None:
-            _bc_fill_launch(self.bc_fill, self.fine.fab(i), self.geom_fine,
-                            self.time, self.fine.dm[i])
-            return
-        for j, fab in self.fine:
-            _bc_fill_launch(self.bc_fill, fab, self.geom_fine, self.time,
-                            self.fine.dm[j])
 
-
-def fill_patch_single_level(
-    mf: MultiFab,
-    geom: Geometry,
-    bc_fill: Optional[BCFill] = None,
-    time: float = 0.0,
-    profiler=None,
-) -> None:
-    """FillBoundary plus physical boundary conditions for one level."""
-    op = FillPatchOp(mf, geom, bc_fill, time)
+def fill_patch_single_level(mf: MultiFab, geom: Geometry,
+                            profiler=None) -> None:
+    """FillBoundary for one level (its physical boundary is the caller's)."""
+    op = FillPatchOp(mf, geom)
     with _region(profiler, "FillBoundary"):
         op.post_fillboundary()
         op.finish_fillboundary()
-    op.apply_bc()
 
 
 def fill_patch_two_levels(
@@ -197,13 +149,10 @@ def fill_patch_two_levels(
     interp: Interpolator,
     crse_coords: Optional[MultiFab] = None,
     fine_coords: Optional[MultiFab] = None,
-    bc_fill: Optional[BCFill] = None,
-    time: float = 0.0,
     profiler=None,
 ) -> None:
     """Fill ``fine``'s ghost cells from fine neighbors and coarse data."""
-    op = FillPatchOp(fine, geom_fine, bc_fill, time, crse=crse,
-                     geom_crse=geom_crse, ratio=ratio, interp=interp,
+    op = FillPatchOp(fine, geom_fine, crse=crse, ratio=ratio, interp=interp,
                      crse_coords=crse_coords, fine_coords=fine_coords)
     with _region(profiler, "FillBoundary"):
         op.post_fillboundary()
@@ -212,7 +161,6 @@ def fill_patch_two_levels(
         op.post_coords()
         for i, _ in fine:
             op.interp_fab(i)
-    op.apply_bc()
 
 
 def fill_coarse_patch(
@@ -223,8 +171,6 @@ def fill_coarse_patch(
     interp: Interpolator,
     crse_coords: Optional[MultiFab] = None,
     fine_coords: Optional[MultiFab] = None,
-    bc_fill: Optional[BCFill] = None,
-    time: float = 0.0,
     profiler=None,
 ) -> None:
     """Fill every *valid* cell of ``fine`` by interpolation from ``crse``.
@@ -239,9 +185,6 @@ def fill_coarse_patch(
             plan.coords.run("PC_copy", "fillpatch", lambda fp: None)
         for fp in plan.fabs.values():
             _fill_fab(plan, fp, fine, crse, r, interp)
-    if bc_fill is not None:
-        for i, fab in fine:
-            _bc_fill_launch(bc_fill, fab, geom_fine, time, fine.dm[i])
 
 
 @dataclass
@@ -252,14 +195,14 @@ class FillFabPlan(FabPlan):
     ncells: int
     #: fine points filled — the Interp launch's point count
     nfilled: int
-    #: per piece: (fine box, coarse stencil region, offset in the patch)
-    regions: List[Tuple[Box, Box, int]]
     #: the linear stencil over the patch (corner cells, weights or None for
-    #: equal ones) and the fab cells it fills; ``idx`` is None for
-    #: interpolators that have none and run ``interp()`` piece by piece
+    #: equal ones) and the fab cells it fills
     idx: Optional[np.ndarray] = None
     w: Optional[np.ndarray] = None
     dst_cells: Optional[tuple] = None
+    #: without a stencil, ``interp()`` per piece: (fine box, coarse region,
+    #: offset in the patch)
+    regions: Optional[List[Tuple[Box, Box, int]]] = None
 
 
 class FillPlan(CommPlan):
@@ -284,13 +227,12 @@ def build_fill_plan(fine: MultiFab, crse: MultiFab, geom_fine: Geometry,
     boundary or a marginally nested coarse level; the physical boundary
     fill afterwards overrides anything that matters).  Out of that patch
     the fab interpolates through the interpolator's stencil, computed here
-    (coordinates change only at regrid), or, when it has none, piece by
-    piece through ``interp()``.  Launch points and messages are those of
-    CRoCCo's per-piece gathers of state and coordinates.
+    for every fine cell of the level in one pass (coordinates change only
+    at regrid), or, when it has none, piece by piece through ``interp()``.
+    Launch points and messages are those of CRoCCo's per-piece gathers of
+    state and coordinates.
     """
     plan = FillPlan(fine.comm)
-    geom_crse = geom_fine.coarsen(r)
-    shifts = geom_crse.periodic_shifts(geom_crse.domain)
     # all the level's pieces at once, each with the fab that owns it
     pieces, owner = ((fine.ba.lohi, np.arange(len(fine))) if whole
                      else boundary_regions(fine, geom_fine))
@@ -298,63 +240,61 @@ def build_fill_plan(fine: MultiFab, crse: MultiFab, geom_fine: Geometry,
     ncell, nfine = num_pts(cregions), num_pts(pieces)
     cell0 = np.concatenate([[0], np.cumsum(ncell)])
     fab_of, cell_of, p, senders, nbytes = _patch_sources(
-        crse, cregions, cell0[:-1], shifts)
-    points, ccoords = ncell, [None] * len(pieces)
+        crse, cregions, cell0[:-1], geom_fine.periodic_shifts(r))
+    # every fine cell to fill: the piece it belongs to and its index
+    k, at = cells(pieces)
+    points, coords = ncell, None
     if interp.needs_coords:
         if crse_coords is None or fine_coords is None:
             raise ValueError("curvilinear interpolation requires coordinate MultiFabs")
-        # a temporary on the coarse layout with enough ghost cells to cover
-        # every interpolation stencil (and one more, so edge weights are
-        # defined), filled here, once, by the ParallelCopy ``plan.coords``
-        coords_tmp = MultiFab(
-            crse.ba, crse.dm, crse_coords.ncomp,
-            crse.ngrow + IntVect.filled(crse.dim, interp.radius + 1), crse.comm)
-        plan.coords = copy_plan(coords_tmp, crse_coords, crse_coords.ncomp, True)
-        for fp in plan.coords.fabs.values():
-            copy(coords_tmp.fab(fp.dst).data, crse_coords, fp.copies)
         cboxes = grow(cregions, 1)
-        ccoords, cp, csenders, cbytes = _gather_coords(coords_tmp, cboxes)
+        plan.coords, (ccoords, cstart), (cp, csenders, cbytes) = _gather_coords(
+            crse, crse_coords, interp.radius, cboxes)
+        coords = (ccoords, cboxes, cstart, _gather(
+            fine_coords, owner[k], flat_index(at, fine_coords.grown[owner[k]])))
         points = ncell + num_pts(cboxes)
         # a piece's messages: its state gather's, then its coordinates'
         order = np.argsort(np.concatenate([2 * p, 2 * cp + 1]), kind="stable")
         p, senders, nbytes = (np.concatenate(both)[order] for both in (
             (p, cp), (senders, csenders), (nbytes, cbytes)))
-    pbox, cbox = boxes_of(pieces), boxes_of(cregions)
-    # where in its fab's array every fine cell to fill sits
-    k, fill_at = cells(pieces)
-    fill_at -= fine.grown[owner[k], 0]
+    stencil = interp.stencil(k, at, r, cregions, coords)
+    # fab i owns pieces first[i]:first[i + 1] and messages msg0[i]:msg0[i + 1]
+    first = np.searchsorted(owner, np.arange(len(fine) + 1))
+    if stencil is None:
+        pbox, cbox = boxes_of(pieces), boxes_of(cregions)
+    else:
+        idx, w = stencil
+        # from each piece's coarse region to its place in the fab's patch
+        idx += (cell0[:-1] - cell0[first[owner]])[k]
+        # where in its fab's array every fine cell to fill sits
+        at -= fine.grown[owner[k], 0]
     fill0, points0 = (np.concatenate([[0], np.cumsum(n)]).tolist()
                       for n in (nfine, points))
     cell0, senders, nbytes = cell0.tolist(), senders.tolist(), nbytes.tolist()
-    # fab i owns pieces first[i]:first[i + 1] and messages msg0[i]:msg0[i + 1]
-    first = np.searchsorted(owner, np.arange(len(fine) + 1)).tolist()
+    first = first.tolist()
     msg0 = np.searchsorted(p, first).tolist()
     for i, (a, b) in enumerate(zip(first, first[1:])):
         if a == b:
             continue
         rank = fine.dm[i]
-        fcoords = fine_coords.fab(i) if fine_coords is not None else None
-        regions = [(pbox[n], cbox[n], cell0[n] - cell0[a]) for n in range(a, b)]
-        stencils = [interp.stencil(pbox[n], r, cbox[n], ccoords[n], fcoords)
-                    for n in range(a, b)]
         from_fab, from_cell = fab_of[cell0[a]:cell0[b]], cell_of[cell0[a]:cell0[b]]
         copies = []
         for j in np.unique(from_fab):
-            at = np.nonzero(from_fab == j)[0]
+            got = np.nonzero(from_fab == j)[0]
             copies.append((int(j), np.unravel_index(
-                from_cell[at], crse.fab(j).data.shape[1:]), (at,)))
-        idx = w = dst = None
-        if stencils[0] is not None:
-            idx = np.concatenate([s[0] + reg[2] for s, reg in
-                                  zip(stencils, regions)], axis=1)
-            if stencils[0][1] is not None:
-                w = np.concatenate([s[1] for s in stencils], axis=1)
-            dst = tuple(np.ascontiguousarray(fill_at[fill0[a]:fill0[b]].T))
-        plan.fabs[i] = FillFabPlan(
+                from_cell[got], crse.fab(j).data.shape[1:]), (got,)))
+        fp = plan.fabs[i] = FillFabPlan(
             i, rank, copies, points0[b] - points0[a],
             [crse.comm.message(src, rank, n, "parallelcopy") for src, n in
              zip(senders[msg0[i]:msg0[i + 1]], nbytes[msg0[i]:msg0[i + 1]])],
-            cell0[b] - cell0[a], fill0[b] - fill0[a], regions, idx, w, dst)
+            cell0[b] - cell0[a], fill0[b] - fill0[a])
+        if stencil is None:
+            fp.regions = [(pbox[n], cbox[n], cell0[n] - cell0[a])
+                          for n in range(a, b)]
+        else:
+            cut = slice(fill0[a], fill0[b])
+            fp.idx, fp.w = idx[:, cut], None if w is None else w[:, cut]
+            fp.dst_cells = tuple(np.ascontiguousarray(at[cut].T))
     return plan
 
 
@@ -391,22 +331,59 @@ def _patch_sources(crse: MultiFab, cregions: np.ndarray, start: np.ndarray,
             num_pts(dbox) * crse.ncomp * 8)
 
 
-def _gather_coords(coords_tmp: MultiFab, cboxes: np.ndarray):
-    """Per box of ``cboxes`` its coarse coordinates, copied out of the
-    ghosted temporary (uncovered cells: nearest); and the gathers'
-    messages as in :func:`_patch_sources`."""
-    p, j, cover = BoxArray(coords_tmp.grown).intersect(cboxes)
-    out = [FArrayBox(box, coords_tmp.ncomp) for box in boxes_of(cboxes)]
-    for ccoords in out:
-        ccoords.data.fill(np.nan)
-    for n, src, to, at in zip(p.tolist(), j.tolist(), slices(cover, cboxes[p]),
-                              slices(cover, coords_tmp.grown[j])):
-        out[n].data[(slice(None),) + to] = coords_tmp.fab(src).data[
-            (slice(None),) + at]
-    for ccoords in out:
-        _nearest_fill(ccoords.data)
-    return (out, p, np.asarray(coords_tmp.dm.ranks())[j],
-            num_pts(cover) * coords_tmp.ncomp * 8)
+def _gather_coords(crse: MultiFab, crse_coords: MultiFab, radius: int,
+                   cboxes: np.ndarray):
+    """The curvilinear interpolator's ParallelCopy — into a temporary on the
+    coarse layout with enough ghost cells to cover every stencil (and one
+    more, so edge weights are defined), run here, once — and, in one gather
+    out of it, the coordinates over every box of ``cboxes`` laid out box
+    after box (box ``n`` from ``start[n]``).  A cell of a coarse box holds
+    its coordinates in every fab whose ghosts reach it, so it is read from
+    that box's fab; a cell of no coarse box holds 0.0 where a fab's ghosts
+    reach (the copy writes valid cells only) and takes its nearest cell's
+    value within its box beyond them.  Returns the copy plan, ``(values,
+    start)`` and the per-box gathers' messages as :func:`_patch_sources`."""
+    coords_tmp = MultiFab(
+        crse.ba, crse.dm, crse_coords.ncomp,
+        crse.ngrow + IntVect.filled(crse.dim, radius + 1), crse.comm)
+    pc = copy_plan(coords_tmp, crse_coords, crse_coords.ncomp, True)
+    for fp in pc.fabs.values():
+        copy(coords_tmp.fab(fp.dst).data, crse_coords, fp.copies)
+    ncomp, grown = coords_tmp.ncomp, coords_tmp.grown
+    start = np.concatenate([[0], np.cumsum(num_pts(cboxes))])
+    out = np.full((ncomp, start[-1]), np.nan)
+    q, j, cover = coords_tmp.ba.intersect(cboxes)
+    n, at = cells(cover)
+    out[:, start[q[n]] + flat_index(at, cboxes[q[n]])] = _gather(
+        coords_tmp, j[n], flat_index(at, grown[j[n]]))
+    short = np.nonzero(np.bincount(q, num_pts(cover), len(cboxes))
+                       < np.diff(start))[0]
+    if len(short):
+        n, at = cells(cboxes[short])
+        to = start[short[n]] + flat_index(at, cboxes[short[n]])
+        hole = np.isnan(out[0, to])
+        reached = ((grown[:, 0] <= at[hole, None])
+                   & (at[hole, None] <= grown[:, 1])).all(axis=2).any(axis=1)
+        out[:, to[hole][reached]] = 0.0
+        for m in np.unique(short[n[hole][~reached]]).tolist():
+            _nearest_fill(out[:, start[m]:start[m + 1]].reshape(
+                (ncomp,) + tuple(cboxes[m, 1] - cboxes[m, 0] + 1)))
+    p, j, cover = BoxArray(grown).intersect(cboxes)
+    return pc, (out, start[:-1]), (
+        p, np.asarray(crse.dm.ranks())[j], num_pts(cover) * ncomp * 8)
+
+
+def _gather(mf: MultiFab, fab: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """``(ncomp, T)``: element ``flat[t]`` of fab ``fab[t]``'s array, per
+    component — one gather per fab."""
+    out = np.empty((mf.ncomp, len(fab)))
+    by_fab = np.argsort(fab, kind="stable")
+    ends = np.searchsorted(fab[by_fab], np.arange(len(mf) + 1)).tolist()
+    for i, (a, b) in enumerate(zip(ends, ends[1:])):
+        if a < b:
+            got = by_fab[a:b]
+            out[:, got] = mf.fab(i).data.reshape(mf.ncomp, -1)[:, flat[got]]
+    return out
 
 
 def _fill_fab(plan: FillPlan, fp: FillFabPlan, fine: MultiFab,

@@ -13,6 +13,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from repro.amr.box import Box
+from repro.amr.boxarray import coarsen, lohi_of
 from repro.amr.intvect import IntVect, IntVectLike
 
 
@@ -70,26 +71,19 @@ class Geometry:
             self.domain.coarsen(r), self.prob_lo, self.prob_hi, self.periodic
         )
 
-    def periodic_shifts(self, box: Box) -> list:
-        """Integer shifts mapping ``box`` into the domain across periodic faces.
-
-        Returns a list of IntVect offsets (excluding the zero shift) such that
-        ``box.shift(offset)`` may overlap the domain interior.  Used by
-        FillBoundary to find periodic neighbor patches.
-        """
-        shifts = [IntVect.zero(self.dim)]
-        n = self.domain.size()
-        for d in range(self.dim):
-            if not self.periodic[d]:
-                continue
-            new = []
-            for s in shifts:
-                for k in (-1, 1):
-                    off = list(s)
-                    off[d] += k * n[d]
-                    new.append(IntVect(*off))
-            shifts.extend(new)
-        return [s for s in shifts if s != IntVect.zero(self.dim)]
+    def periodic_shifts(self, ratio: IntVectLike = 1) -> np.ndarray:
+        """The integer shifts to the domain's images across periodic faces,
+        ``(S, dim)``, the zero shift excluded — where FillBoundary finds
+        periodic neighbor patches; with ``ratio``, those of the domain
+        coarsened by it."""
+        n = np.diff(coarsen(lohi_of([self.domain]), ratio)[0], axis=0)[0] + 1
+        offs = np.zeros((1, self.dim), dtype=np.int64)
+        for d in np.nonzero(self.periodic)[0]:
+            # every shift so far, once to each side along d
+            step = np.eye(self.dim, dtype=np.int64)[d] * n[d]
+            offs = np.concatenate([offs, (offs[:, None] + [[-1], [1]] * step
+                                          ).reshape(-1, self.dim)])
+        return offs[1:]
 
     def __repr__(self) -> str:
         return (

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.amr.intvect import IntVect
 from repro.amr.interpolate import Interpolator, _fine_fractions, corner_indices
 
 
@@ -29,34 +28,30 @@ class CurvilinearInterp(Interpolator):
     needs_coords = True
     kernel_label = "curvilinear"
 
-    def stencil(self, fine_region, ratio, cbox, crse_coords=None, fine_coords=None):
-        if crse_coords is None or fine_coords is None:
+    def stencil(self, k, at, ratio, cregions, coords=None):
+        if coords is None:
             raise ValueError("CurvilinearInterp requires coarse and fine coordinates")
-        ratio = IntVect.coerce(ratio, fine_region.dim)
-        dim = fine_region.dim
-        ncorner = 1 << dim
-        bases = [_fine_fractions(fine_region, ratio, d)[0] for d in range(dim)]
+        bases = _fine_fractions(at, np.array(ratio.tup()))[0]
+        t = _edge_fractions(corner_indices(k, bases, coords[1]), k, coords)
+        w = np.ones((1 << len(t), len(k)))
+        for c, wc in enumerate(w):
+            for d, td in enumerate(t):
+                wc *= td if (c >> d) & 1 else 1.0 - td
+        return corner_indices(k, bases, cregions), w
 
-        # physical coordinates of the 2^dim surrounding coarse points
-        cdata = crse_coords.data.reshape(crse_coords.ncomp, -1)
-        cgb = crse_coords.grown_box()
-        ccorners = [cdata[:, ic] for ic in corner_indices(bases, cgb)]
-        xf = fine_coords.view(fine_region).reshape(fine_coords.ncomp, -1)
 
-        # per-axis weights: projection of (xf - x0) on the axis edge vector
-        t = []
-        x0 = ccorners[0]
-        for d in range(dim):
-            edge = ccorners[1 << d] - x0  # coarse edge along computational axis d
-            denom = np.sum(edge * edge, axis=0)
-            denom = np.where(denom > 0.0, denom, 1.0)
-            td = np.sum((xf - x0) * edge, axis=0) / denom
-            t.append(np.clip(td, 0.0, 1.0))
-
-        weights = []
-        for corner in range(ncorner):
-            w = np.ones(xf.shape[1], dtype=np.float64)
-            for d in range(dim):
-                w = w * (t[d] if (corner >> d) & 1 else (1.0 - t[d]))
-            weights.append(w)
-        return corner_indices(bases, cbox), np.array(weights)
+def _edge_fractions(corner, k, coords):
+    """Per axis, every fine cell's position between its lower coarse
+    neighbour ``x0`` and the next one along that axis: the projection of
+    ``xf - x0`` on the coarse edge, clipped to [0, 1]."""
+    crse, boxes, start, xf = coords
+    corner += start[k]
+    x0 = crse[:, corner[0]]
+    t = []
+    for d in range(boxes.shape[2]):
+        edge = crse[:, corner[1 << d]] - x0  # coarse edge along axis d
+        denom = np.sum(edge * edge, axis=0)
+        denom = np.where(denom > 0.0, denom, 1.0)
+        td = np.sum((xf - x0) * edge, axis=0) / denom
+        t.append(np.clip(td, 0.0, 1.0))
+    return t

@@ -93,7 +93,8 @@ class WenoInterp(Interpolator):
         # interpolate axis by axis: after axis d the array covers fine
         # resolution in axes <= d and coarse resolution (with ghosts) beyond
         for d in range(dim):
-            base, frac = _fine_fractions(fine_region, ratio, d)
+            base, frac = _fine_fractions(
+                np.arange(fine_region.lo[d], fine_region.hi[d] + 1), ratio[d])
             base = base - gb.lo[d]
             arr = weno_interp_1d(arr, base, frac, axis=d + 1)
         return arr

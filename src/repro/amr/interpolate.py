@@ -13,17 +13,18 @@ interfaces:
 
 All interpolators implement :class:`Interpolator`: given a coarse fab
 covering the needed coarse region, produce fine values on a fine-index
-region.
+region.  The linear ones give their stencil for a whole level's pieces
+in one array pass: what a FillPatch plan stores.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
 
 from repro.amr.box import Box
+from repro.amr.boxarray import cells, lohi_of
 from repro.amr.fab import FArrayBox
 from repro.amr.intvect import IntVect, IntVectLike
 
@@ -40,17 +41,22 @@ class Interpolator:
     #: suffix of the ``Interp_<label>`` launch name in device accounting
     kernel_label: str = "generic"
 
-    def stencil(self, fine_region: Box, ratio: IntVectLike, cbox: Box,
-                crse_coords: Optional[FArrayBox] = None,
-                fine_coords: Optional[FArrayBox] = None):
-        """``(idx, w)`` when every fine value is a fixed weighted sum of
-        coarse cells, else None (the weights depend on the coarse values).
+    def stencil(self, k: np.ndarray, at: np.ndarray, ratio: IntVect,
+                cregions: np.ndarray, coords: Optional[tuple] = None):
+        """``(idx, w)`` for the fine cells of many pieces at once when every
+        fine value is a fixed weighted sum of coarse cells, else None (the
+        weights depend on the coarse values).
 
-        ``idx[c]`` is, per fine cell of ``fine_region`` (flattened), the
-        flat index into an array over ``cbox`` of its ``c``-th coarse
-        neighbour and ``w[c]`` that neighbour's weight (``w`` None: a plain
-        copy of neighbour 0).  Both depend only on the layout and the
-        coordinates, so a FillPatch plan computes them once per regrid.
+        Fine cell ``t`` (``cells(pieces)``) belongs to piece ``k[t]``, has
+        index ``at[t]`` and takes its coarse values from an array over
+        ``cregions[k[t]]``: ``idx[c, t]`` is the flat index into it of its
+        ``c``-th coarse neighbour, ``w[c, t]`` that neighbour's weight (``w``
+        None: a plain copy of neighbour 0).  Curvilinear weights read
+        ``coords = (crse, boxes, start, fine)``: coarse coordinates
+        ``(ncomp, C)`` over box ``boxes[n]`` from ``start[n]`` for piece
+        ``n``, and every fine cell's own ``(ncomp, T)``.  Both depend only
+        on layout and coordinates: a FillPatch plan computes them once per
+        regrid, for all of a level's pieces.
         """
         return None
 
@@ -62,9 +68,16 @@ class Interpolator:
         crse_coords: Optional[FArrayBox] = None,
         fine_coords: Optional[FArrayBox] = None,
     ) -> np.ndarray:
-        """Return (ncomp, *fine_region.shape()) interpolated values."""
-        stencil = self.stencil(fine_region, ratio, cfab.grown_box(),
-                               crse_coords, fine_coords)
+        """Return (ncomp, *fine_region.shape()) interpolated values: the
+        one-piece case of :meth:`stencil`."""
+        k, at = cells(lohi_of([fine_region]))
+        coords = None
+        if crse_coords is not None and fine_coords is not None:
+            coords = (crse_coords.data.reshape(crse_coords.ncomp, -1),
+                      lohi_of([crse_coords.grown_box()]), np.zeros(1, np.int64),
+                      fine_coords.view(fine_region).reshape(fine_coords.ncomp, -1))
+        stencil = self.stencil(k, at, IntVect.coerce(ratio, fine_region.dim),
+                               lohi_of([cfab.grown_box()]), coords)
         if stencil is None:
             raise NotImplementedError
         return apply_stencil(cfab.data.reshape(cfab.ncomp, -1),
@@ -83,35 +96,37 @@ def apply_stencil(coarse: np.ndarray, idx: np.ndarray,
     return out
 
 
-def corner_indices(bases, box: Box, upper: bool = True) -> np.ndarray:
-    """Flat indices into an array over ``box`` of every fine cell's coarse
-    neighbours, ``(2^dim, nfine)``: corner ``c`` is, along each axis ``d``,
-    the lower neighbour ``bases[d]`` or (bit ``d`` of ``c`` set) the upper
-    one.  Without ``upper``, only corner 0."""
-    shape, first, steps = box.shape(), 0, []
-    for d, ib in enumerate(bases):
-        ib = ib - box.lo[d]
-        if ib.min() < 0 or ib.max() + upper >= shape[d]:
-            raise ValueError("coarse fab does not cover interpolation stencil")
-        step = math.prod(shape[d + 1:])
-        first = first + (ib * step).reshape((-1,) + (1,) * (len(bases) - 1 - d))
-        steps.append(step)
-    ncorner = 1 << len(bases) if upper else 1
-    to_corner = [sum(s for d, s in enumerate(steps) if (c >> d) & 1)
-                 for c in range(ncorner)]
-    return first.ravel() + np.array(to_corner)[:, None]
+def corner_indices(k: np.ndarray, bases: np.ndarray, boxes: np.ndarray,
+                   upper: bool = True) -> np.ndarray:
+    """Flat indices into arrays over ``boxes[k[t]]`` of every fine cell's
+    coarse neighbours, ``(2^dim, T)``: corner ``c`` is, along each axis
+    ``d``, the lower neighbour ``bases[t, d]`` or (bit ``d`` of ``c`` set)
+    the upper one.  Without ``upper``, only corner 0."""
+    size = (boxes[:, 1] - boxes[:, 0] + 1)[k]
+    ib = bases - boxes[k, 0]
+    if (ib < 0).any() or (ib + upper >= size).any():
+        raise ValueError("coarse fab does not cover interpolation stencil")
+    # per cell, the row-major step of each axis
+    step = np.ones_like(size)
+    for d in range(size.shape[1] - 1, 0, -1):
+        step[:, d - 1] = step[:, d] * size[:, d]
+    out = np.empty((1 << size.shape[1] if upper else 1, len(k)), np.int64)
+    out[0] = (ib * step).sum(axis=1)
+    for c in range(1, len(out)):
+        # one step further along the highest axis of the corner's bits
+        d = c.bit_length() - 1
+        out[c] = out[c - (1 << d)] + step[:, d]
+    return out
 
 
-def _fine_fractions(fine_region: Box, ratio: IntVect, idim: int):
-    """Per-axis base coarse index and fractional offset of fine cell centers.
+def _fine_fractions(i_f: np.ndarray, r: int):
+    """Base coarse index and fractional offset of fine cell centers.
 
     A fine cell ``i_f`` has its center at coarse coordinate
     ``(i_f + 0.5) / r - 0.5`` in units of coarse cells.  Returns
     ``(ibase, frac)`` with ``ibase`` the lower coarse neighbor index and
     ``frac`` in [0, 1) the linear weight toward the upper neighbor.
     """
-    r = ratio[idim]
-    i_f = np.arange(fine_region.lo[idim], fine_region.hi[idim] + 1)
     center = (i_f + 0.5) / r - 0.5
     ibase = np.floor(center).astype(np.int64)
     frac = center - ibase
@@ -131,19 +146,15 @@ class TrilinearInterp(Interpolator):
     radius = 1
     kernel_label = "trilinear"
 
-    def stencil(self, fine_region, ratio, cbox, crse_coords=None, fine_coords=None):
-        ratio = IntVect.coerce(ratio, fine_region.dim)
-        dim = fine_region.dim
-        bases, fracs = zip(*(_fine_fractions(fine_region, ratio, d)
-                             for d in range(dim)))
+    def stencil(self, k, at, ratio, cregions, coords=None):
+        bases, fracs = _fine_fractions(at, np.array(ratio.tup()))
         # the 2^dim corners' separable linear weights, corner bit ``d``
         # choosing ``frac`` over ``1 - frac`` along axis ``d``
-        w = 1.0
-        for d in range(dim):
-            both = np.stack([1.0 - fracs[d], fracs[d]])
-            w = w * both.reshape((1,) * (dim - 1 - d) + (2,) + (1,) * (2 * d)
-                                 + (-1,) + (1,) * (dim - 1 - d))
-        return corner_indices(bases, cbox), w.reshape(1 << dim, -1)
+        w = np.ones((1 << at.shape[1], len(k)))
+        for c, wc in enumerate(w):
+            for d in range(at.shape[1]):
+                wc *= fracs[:, d] if (c >> d) & 1 else 1.0 - fracs[:, d]
+        return corner_indices(k, bases, cregions), w
 
 
 class PiecewiseConstantInterp(Interpolator):
@@ -152,12 +163,9 @@ class PiecewiseConstantInterp(Interpolator):
     radius = 0
     kernel_label = "pconst"
 
-    def stencil(self, fine_region, ratio, cbox, crse_coords=None, fine_coords=None):
-        ratio = IntVect.coerce(ratio, fine_region.dim)
-        cells = [np.floor_divide(
-            np.arange(fine_region.lo[d], fine_region.hi[d] + 1), ratio[d])
-            for d in range(fine_region.dim)]
-        return corner_indices(cells, cbox, upper=False), None
+    def stencil(self, k, at, ratio, cregions, coords=None):
+        return corner_indices(k, at // np.array(ratio.tup()), cregions,
+                              upper=False), None
 
 
 class ConservativeLinearInterp(Interpolator):

@@ -180,12 +180,3 @@ class IntVect:
     def sum(self) -> int:
         return sum(self._v)
 
-
-def iv_zero(dim: int) -> IntVect:
-    """Shorthand for :meth:`IntVect.zero`."""
-    return IntVect.zero(dim)
-
-
-def iv_unit(dim: int) -> IntVect:
-    """Shorthand for :meth:`IntVect.unit`."""
-    return IntVect.unit(dim)

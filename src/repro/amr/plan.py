@@ -93,11 +93,11 @@ class CommPlan:
                          LaunchSpec(kernel_class=kernel_class, rank=fp.rank))
 
 
-def overlaps(ba, regions: np.ndarray, shifts: Iterable = ()) -> Pairs:
+def overlaps(ba, regions: np.ndarray, shifts: np.ndarray = ()) -> Pairs:
     """Every box of ``ba`` meeting each region — directly, then through each
-    periodic shift (source where the data is, destination in the region),
-    in (region, shift, box) order."""
-    offs = np.array([[0] * regions.shape[2]] + [s.tup() for s in shifts])
+    periodic shift (rows of ``shifts``; source where the data is,
+    destination in the region), in (region, shift, box) order."""
+    offs = np.vstack([np.zeros(regions.shape[2], np.int64), *shifts])
     q, j, sbox = ba.intersect(
         (regions[:, None] + offs[None, :, None]).reshape(-1, 2, offs.shape[1]))
     i, s = np.divmod(q, len(offs))

@@ -138,6 +138,7 @@ class Crocco(AmrCore):
         self.dt_history: List[float] = []
         self.regrid_count = 0
         self.step_plan_builds = 0
+        self.step_graph_builds = 0
         #: tagged-cell count per level from the most recent error estimate
         self.last_tag_counts: Dict[int, int] = {}
 
@@ -236,13 +237,7 @@ class Crocco(AmrCore):
 
     def make_new_level_from_coarse(self, lev, ba, dm) -> None:
         self._build_level_storage(lev, ba, dm)
-        fill_coarse_patch(
-            self.state[lev], self.state[lev - 1], self.geoms[lev],
-            self.ref_ratio_iv(), self.interp,
-            crse_coords=self.coords[lev - 1] if self.interp.needs_coords else None,
-            fine_coords=self.coords[lev] if self.interp.needs_coords else None,
-            profiler=self.profiler,
-        )
+        self._fill_from_coarse(lev)
         self._bc_fill(lev)
 
     def remake_level(self, lev, ba, dm) -> None:
@@ -251,15 +246,19 @@ class Crocco(AmrCore):
         self._build_level_storage(lev, ba, dm)
         # interpolate everywhere from coarse, then overwrite with surviving
         # same-level data (the standard AMReX RemakeLevel recipe)
+        self._fill_from_coarse(lev)
+        self.state[lev].parallel_copy(old_state)
+        self._bc_fill(lev)
+
+    def _fill_from_coarse(self, lev) -> None:
+        needs = self.interp.needs_coords
         fill_coarse_patch(
             self.state[lev], self.state[lev - 1], self.geoms[lev],
             self.ref_ratio_iv(), self.interp,
-            crse_coords=self.coords[lev - 1] if self.interp.needs_coords else None,
-            fine_coords=self.coords[lev] if self.interp.needs_coords else None,
+            crse_coords=self.coords[lev - 1] if needs else None,
+            fine_coords=self.coords[lev] if needs else None,
             profiler=self.profiler,
         )
-        self.state[lev].parallel_copy(old_state)
-        self._bc_fill(lev)
 
     def clear_level(self, lev) -> None:
         self._clear_level_storage(lev)
@@ -331,6 +330,8 @@ class Crocco(AmrCore):
         return self.case.coordinates(geom, region)
 
     def _clear_level_storage(self, lev: int) -> None:
+        # the stage graph holds this storage: it goes with it
+        self.engine.drop_graph()
         for store in (self.state, self.du, self.coords, self.metrics,
                       self.batches):
             store.pop(lev, None)
@@ -378,6 +379,7 @@ class Crocco(AmrCore):
         from repro.backend import use_backend
 
         plans_before = self.comm.plans_built
+        graphs_before = self.engine.graphs_built
         # the LaunchContext routes every AMR-substrate launch of this step
         # (regrid, FillPatch, tagging, ComputeDt, ...) to the configured
         # execution backend
@@ -391,8 +393,10 @@ class Crocco(AmrCore):
                 self.watchdog.guarded_advance(self)
             else:
                 self._advance(self._compute_dt())
-        # communication plans built during this step: 0 unless it regridded
+        # communication plans and stage graphs built in this step: 0 unless
+        # it regridded
         self.step_plan_builds = self.comm.plans_built - plans_before
+        self.step_graph_builds = self.engine.graphs_built - graphs_before
         if self.recorder is not None:
             self.recorder.sample_step(self)
 
@@ -452,11 +456,12 @@ class Crocco(AmrCore):
 
     # -- Algorithm 2: RK3 advance ------------------------------------------
     def _rk3(self, dt: float) -> None:
-        """One RK3 advance, executed as per-stage task graphs.
+        """One RK3 advance, executed as task graphs.
 
-        The runtime engine builds a graph per stage (FillPatch split into
-        nowait/finish halves, per-batch kernels, AverageDown) and the
-        ready-queue scheduler runs it in this process, bit for bit the
+        The runtime engine replays the stage graph of the current level
+        storage (FillPatch split into nowait/finish halves, per-batch
+        kernels, AverageDown in the last stage), built once per regrid, and
+        the ready-queue scheduler runs it in this process, bit for bit the
         historical eager loop.
         """
         with self.profiler.region("Advance"):

@@ -71,15 +71,15 @@ class TaskSpan:
 
 
 class StageTrace:
-    """Lifecycle spans of one executed stage graph."""
+    """Lifecycle spans of one executed stage graph (its first ``ntasks``)."""
 
-    def __init__(self, graph, sid_base: int = 0) -> None:
+    def __init__(self, graph, sid_base: int = 0, ntasks: Optional[int] = None) -> None:
         self.makespan_s = 0.0
         self.spans: List[TaskSpan] = [
             TaskSpan(sid=sid_base + t.tid, name=t.name, kind=t.kind,
                      kclass=kernel_class(t.name),
                      deps=tuple(sid_base + d for d in t.deps))
-            for t in graph.tasks
+            for t in graph.tasks[:ntasks]
         ]
         self._sid_base = sid_base
 
@@ -115,12 +115,12 @@ class PerfScope:
     def begin_step(self) -> None:
         self._stage_traces = []
 
-    def begin_stage(self, graph) -> Optional[StageTrace]:
+    def begin_stage(self, graph, ntasks: Optional[int] = None) -> Optional[StageTrace]:
         if not self.enabled:
             return None
         t0 = time.perf_counter()
-        trace = StageTrace(graph, sid_base=self._next_sid)
-        self._next_sid += len(graph.tasks)
+        trace = StageTrace(graph, sid_base=self._next_sid, ntasks=ntasks)
+        self._next_sid += len(trace.spans)
         self._stage_traces.append(trace)
         self.overhead_s += time.perf_counter() - t0
         return trace

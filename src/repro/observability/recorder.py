@@ -82,6 +82,7 @@ class RunRecorder:
         g("levels").set(sim.finest_level + 1)
         g("regrids").set(getattr(sim, "regrid_count", 0))
         g("amr.plan_builds").set(getattr(sim, "step_plan_builds", 0))
+        g("runtime.graph_builds").set(getattr(sim, "step_graph_builds", 0))
         g("kernel.batches").set(sum(len(bs) for bs in sim.batches.values()))
         g("kernel.batch_boxes").set(sum(len(mf) for mf in sim.state.values()))
         g("kernel.batch_grown_cells").set(sum(

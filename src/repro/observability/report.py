@@ -467,17 +467,21 @@ def format_report(events: Sequence[dict], other: dict,
         if "tagged_cells" in m:
             lines.append(f"  tagged cells = {int(m['tagged_cells'])}, "
                          f"regrids = {int(m.get('regrids', 0))}")
-        if "amr.plan_builds" in m:
-            # a communication plan is rebuilt only when a regrid replaces
-            # the layout it describes; CI fails on a nonzero stray count
+        # communication plans and stage graphs are rebuilt only when a
+        # regrid replaces the layout they describe; CI fails on a nonzero
+        # stray count
+        for label, key in (("plan", "amr.plan_builds"),
+                           ("graph", "runtime.graph_builds")):
+            if key not in m:
+                continue
             builds = stray = regrids = 0
             for r in records:
-                n = int(r["metrics"].get("amr.plan_builds", 0))
+                n = int(r["metrics"].get(key, 0))
                 now = r["metrics"].get("regrids", 0)
                 builds += n
                 stray += n if now == regrids else 0
                 regrids = now
-            lines.append(f"  plan builds = {builds} "
+            lines.append(f"  {label} builds = {builds} "
                          f"({stray} in steps without a regrid)")
         if "validation.l2_drift" in m:
             lines.append(f"  validation L2 drift = {m['validation.l2_drift']:.3e}")

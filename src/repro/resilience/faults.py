@@ -171,38 +171,39 @@ class FaultInjector:
     def pending(self) -> List[FaultSpec]:
         return [s for s in self.specs if not s.fired]
 
-    # -- task-graph instrumentation ---------------------------------------
-    def instrument(self, graph, step: int, stage: int) -> None:
-        """Arm this (step, stage)'s planned task faults on ``graph``.
+    # -- task faults -------------------------------------------------------
+    def arm(self, tasks, step: int, stage: int) -> Dict[int, InjectedFault]:
+        """This (step, stage)'s planned task faults among ``tasks`` (the
+        tasks the stage runs): task id -> the error the scheduler raises
+        in place of that task's body.
 
-        Called by the engine after each stage graph is built.  Specs fire
-        once: a retried step rebuilds its graphs and sees them spent, so
-        the retry runs clean — exactly a transient fault.
+        Called by the engine before each stage runs; the graph itself is
+        left untouched, so the faults belong to this one run of it.
+        Specs fire once: a retried step replays its graphs and finds them
+        spent, so the retry runs clean — exactly a transient fault.
         """
+        armed: Dict[int, InjectedFault] = {}
         for spec in self.specs:
             if (spec.fired or spec.kind not in TASK_KINDS
                     or spec.step != step or spec.stage != stage):
                 continue
             if spec.kind == "task_error":
                 cands = (
-                    [t for t in graph.tasks if t.name.startswith(spec.arg)]
+                    [t for t in tasks if t.name.startswith(spec.arg)]
                     if spec.arg else
-                    [t for t in graph.tasks if t.kind == "compute"]
+                    [t for t in tasks if t.kind == "compute"]
                 )
-                task = self._pick(spec, cands)
-                if task is not None:
-                    _wrap_raise(task, InjectedTaskError,
-                                f"injected task error in {task.name}")
-                    self._record(spec, task.name)
-            elif spec.kind == "drop_comm":
-                cands = [t for t in graph.tasks if t.kind == "comm-wait"
+                exc, what = InjectedTaskError, "task error"
+            else:
+                cands = [t for t in tasks if t.kind == "comm-wait"
                          and (spec.arg is None
                               or (t.channel and t.channel[0] == spec.arg))]
-                task = self._pick(spec, cands)
-                if task is not None:
-                    _wrap_raise(task, InjectedCommDrop,
-                                f"injected comm drop in {task.name}")
-                    self._record(spec, task.name)
+                exc, what = InjectedCommDrop, "comm drop"
+            task = self._pick(spec, cands)
+            if task is not None:
+                armed[task.tid] = exc(f"injected {what} in {task.name}")
+                self._record(spec, task.name)
+        return armed
 
     def _pick(self, spec: FaultSpec, candidates):
         if not candidates:
@@ -240,11 +241,3 @@ class FaultInjector:
                 f"injected kill during checkpoint save #{save_idx} to {path}"
             )
 
-
-def _wrap_raise(task, exc_type, message: str) -> None:
-    """Replace a task's body with one that raises ``exc_type``."""
-
-    def fn():
-        raise exc_type(message)
-
-    task.fn = fn

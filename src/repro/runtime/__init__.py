@@ -10,12 +10,12 @@ runtime with the same structure:
 - :mod:`repro.runtime.graph` — tasks with explicit read/write sets keyed
   on (MultiFab id, box id, component range); dependencies (RAW/WAR/WAW)
   are inferred automatically.
-- :mod:`repro.runtime.scheduler` — ready-queue topological execution in
-  the driver with comm-posting priority, per-task tracer spans, and the
-  measured comm/compute overlap per step.
-- :mod:`repro.runtime.engine` — the driver-facing facade that builds
-  per-RK-stage graphs (:mod:`repro.runtime.rk3graph`) and accumulates
-  per-step schedule reports.
+- :mod:`repro.runtime.scheduler` — ready-queue order (recorded once per
+  graph) run in the driver with comm-posting priority, per-task tracer
+  spans, and the measured comm/compute overlap per step.
+- :mod:`repro.runtime.engine` — the driver-facing facade that replays
+  the stage graph (:mod:`repro.runtime.rk3graph`, one per regrid) and
+  accumulates per-step schedule reports.
 
 A step has this one execution path.  :mod:`repro.runtime.executors` is
 the service fleet's process pool (whole runs, not tasks of a step) and

@@ -76,6 +76,9 @@ class TaskGraph:
         # per (mf, box): last writer tid + its keys, and readers since then
         self._last_writer: Dict[Tuple[Hashable, int], List[Tuple[int, DataKey]]] = {}
         self._readers: Dict[Tuple[Hashable, int], List[Tuple[int, DataKey]]] = {}
+        #: what the scheduler recorded the first time it ran a prefix of
+        #: this graph, by prefix length: its execution order and counts
+        self.replays: Dict[int, Any] = {}
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -97,20 +100,23 @@ class TaskGraph:
         task = Task(tid=len(self.tasks), name=name, kind=kind, fn=fn,
                     reads=tuple(reads), writes=tuple(writes),
                     regions=tuple(regions), channel=channel)
-        for dep in after:
-            self._edge(dep.tid, task)
+        deps = task.deps
+        deps.update(dep.tid for dep in after)
         for key in task.reads:  # RAW
             for wtid, wkey in self._last_writer.get((key.mf, key.box), ()):
                 if key.overlaps(wkey):
-                    self._edge(wtid, task)
+                    deps.add(wtid)
         for key in task.writes:
             slot = (key.mf, key.box)
             for wtid, wkey in self._last_writer.get(slot, ()):  # WAW
                 if key.overlaps(wkey):
-                    self._edge(wtid, task)
+                    deps.add(wtid)
             for rtid, rkey in self._readers.get(slot, ()):  # WAR
                 if key.overlaps(rkey):
-                    self._edge(rtid, task)
+                    deps.add(rtid)
+        deps.discard(task.tid)
+        for d in deps:
+            self.tasks[d].dependents.add(task.tid)
         # update hazard bookkeeping *after* inference (a task may read and
         # write the same key without depending on itself)
         for key in task.writes:
@@ -130,42 +136,9 @@ class TaskGraph:
         self.tasks.append(task)
         return task
 
-    def _edge(self, src_tid: int, dst: Task) -> None:
-        if src_tid != dst.tid:
-            dst.deps.add(src_tid)
-            self.tasks[src_tid].dependents.add(dst.tid)
-
-    # -- queries -----------------------------------------------------------
-    def roots(self) -> List[Task]:
-        """Tasks with no dependencies (ready immediately)."""
-        return [t for t in self.tasks if not t.deps]
-
-    def topological_order(self) -> List[Task]:
-        """Kahn's algorithm; raises on cycles (defensive — submission
-        order always yields a DAG since edges only point backwards)."""
-        indeg = {t.tid: len(t.deps) for t in self.tasks}
-        ready = [t.tid for t in self.tasks if indeg[t.tid] == 0]
-        out: List[Task] = []
-        while ready:
-            tid = ready.pop()
-            out.append(self.tasks[tid])
-            for d in self.tasks[tid].dependents:
-                indeg[d] -= 1
-                if indeg[d] == 0:
-                    ready.append(d)
-        if len(out) != len(self.tasks):
-            raise ValueError("task graph contains a cycle")
-        return out
-
-    def counts_by_kind(self) -> Dict[str, int]:
+    def counts_by_kind(self, ntasks: Optional[int] = None) -> Dict[str, int]:
+        """Tasks per kind (of the first ``ntasks`` only, when given)."""
         out: Dict[str, int] = {}
-        for t in self.tasks:
+        for t in self.tasks[:ntasks]:
             out[t.kind] = out.get(t.kind, 0) + 1
         return out
-
-    def critical_path_length(self) -> int:
-        """Longest dependency chain (task count), a parallelism bound."""
-        depth: Dict[int, int] = {}
-        for t in self.topological_order():
-            depth[t.tid] = 1 + max((depth[d] for d in t.deps), default=0)
-        return max(depth.values(), default=0)

@@ -1,4 +1,4 @@
-"""Build the task graph for one RK3 stage of the CRoCCo advance.
+"""Build the task graph of the RK3 stages of the CRoCCo advance.
 
 The graph encodes exactly the work Algorithm 2 does per stage — FillPatch
 (split into posted and finishing halves), BC_Fill, the
@@ -10,15 +10,36 @@ the old driver bit for bit; the ready-queue scheduler then hoists the
 the windows in which coarse-level interior kernels overlap the fine
 levels' in-flight FillBoundary and coordinate ParallelCopy.
 
+One graph serves every stage of every step until the next regrid: its
+topology depends only on the level storage (the engine keys it on that).
+
 MultiFab ids for :class:`~repro.runtime.graph.DataKey` are the tuples
 ``("state", lev)``, ``("du", lev)`` and ``("coords", lev)``.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 from repro.amr.fillpatch import FillPatchOp
 from repro.kernels.batch import rhs_update
+from repro.numerics.rk3 import NSTAGES
 from repro.runtime.graph import DataKey, TaskGraph
+
+
+class StageGraph(TaskGraph):
+    """The graph of one level-storage layout, replayed per RK stage: tasks
+    ``[0, every)`` run in every stage, the rest (AverageDown) in the last.
+    The batch closures read ``args.dt`` / ``args.stage`` when they run (and
+    hold ``args``, not the graph: a dropped graph is freed at once)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.args = SimpleNamespace(dt=0.0, stage=0)
+        self.every = 0
+
+    def ntasks(self, stage: int) -> int:
+        return len(self.tasks) if stage == NSTAGES - 1 else self.every
 
 
 def _keys(mfid, mf):
@@ -26,17 +47,15 @@ def _keys(mfid, mf):
     return tuple(DataKey(mfid, i) for i, _ in mf)
 
 
-def build_stage_graph(sim, dt: float, stage: int) -> TaskGraph:
-    """The task graph of one RK stage of ``sim`` (a :class:`Crocco`)."""
-    g = TaskGraph()
-    nstages = _nstages()
+def build_stage_graph(sim) -> StageGraph:
+    """The stage graph of ``sim``'s (a :class:`Crocco`) level storage."""
+    g = StageGraph()
     for lev in range(sim.finest_level + 1):
         state = sim.state[lev]
         needs = lev > 0 and sim.interp.needs_coords
         op = FillPatchOp(
             state, sim.geoms[lev],
             crse=sim.state[lev - 1] if lev > 0 else None,
-            geom_crse=sim.geoms[lev - 1] if lev > 0 else None,
             ratio=sim.ref_ratio_iv() if lev > 0 else None,
             interp=sim.interp if lev > 0 else None,
             crse_coords=sim.coords[lev - 1] if needs else None,
@@ -65,16 +84,18 @@ def build_stage_graph(sim, dt: float, stage: int) -> TaskGraph:
             regions=("FillPatch", "FillBoundary_finish"),
         )
         if lev > 0:
-            crse_keys = _keys(("state", lev - 1), sim.state[lev - 1])
+            # an interpolation reads the whole coarse level: one edge to each
+            # of its compute tasks (every coarse fab's last writer) in place
+            # of a read per coarse fab; AverageDown, the next coarse writer,
+            # follows through BC_Fill and this level's compute
             for i, _ in state:
                 g.add(
                     f"Interp(L{lev},b{i})",
                     (lambda op=op, i=i: op.interp_fab(i)),
                     kind="interp",
-                    reads=crse_keys,
                     writes=(DataKey(("state", lev), i),),
                     channel=("pc", lev) if needs else None,
-                    after=(pc_post,) if pc_post is not None else (),
+                    after=computes + ([pc_post] if needs else []),
                     regions=("FillPatch", "ParallelCopy"),
                 )
         # sim._bc_fill opens its own BC_Fill profiler region
@@ -82,42 +103,43 @@ def build_stage_graph(sim, dt: float, stage: int) -> TaskGraph:
             f"BC_Fill(L{lev})", (lambda lev=lev: sim._bc_fill(lev)),
             kind="bc", reads=ckeys, writes=skeys,
         )
+        computes = []
         for batch in sim.batches[lev]:
             touched = [DataKey((tag, lev), i) for i in batch.ids
                        for tag in ("state", "du")]
-            g.add(
+            computes.append(g.add(
                 # the first member names the node: kernel_class(), box_of()
                 # and ``task_error@...:Box`` fault plans read it as before
                 f"Box(L{lev},b{batch.ids[0]})x{len(batch.ids)}",
-                _batch_fn(sim, lev, batch, dt, stage),
+                _batch_fn(sim, lev, batch, g.args),
                 kind="compute",
                 reads=touched + [DataKey(("coords", lev), i)
                                  for i in batch.ids],
                 writes=touched,
-            )
-    if stage == nstages - 1:
-        for lev in range(sim.finest_level - 1, -1, -1):
-            g.add(
-                f"AverageDown(L{lev + 1}->L{lev})",
-                _avg_fn(sim, lev),
-                kind="comm",
-                reads=_keys(("state", lev + 1), sim.state[lev + 1]),
-                writes=_keys(("state", lev), sim.state[lev]),
-                regions=("AverageDown",),
-            )
+            ))
+    g.every = len(g.tasks)
+    for lev in range(sim.finest_level - 1, -1, -1):
+        g.add(
+            f"AverageDown(L{lev + 1}->L{lev})",
+            _avg_fn(sim, lev),
+            kind="comm",
+            reads=_keys(("state", lev + 1), sim.state[lev + 1]),
+            writes=_keys(("state", lev), sim.state[lev]),
+            regions=("AverageDown",),
+        )
     return g
 
 
-def _batch_fn(sim, lev: int, batch, dt: float, stage: int):
-    """The RK stage of one batch, on the fabs the level holds when it
-    runs."""
+def _batch_fn(sim, lev: int, batch, args: SimpleNamespace):
+    """The RK stage of one batch, on the fabs the level holds and at the
+    ``dt`` and stage the graph is replayed with, when it runs."""
 
     def run() -> None:
         rhs_update(
             sim.kernels, sim.case,
             *([mf.fab(i).whole() for i in batch.ids]
               for mf in (sim.state[lev], sim.du[lev], sim.coords[lev])),
-            batch.metrics, batch.ranks, sim.ng, sim.time, dt, stage)
+            batch.metrics, batch.ranks, sim.ng, sim.time, args.dt, args.stage)
 
     return run
 
@@ -130,8 +152,3 @@ def _avg_fn(sim, lev: int):
 
     return run
 
-
-def _nstages() -> int:
-    from repro.numerics.rk3 import NSTAGES
-
-    return NSTAGES

@@ -6,9 +6,11 @@ flight as early as possible), then boundary/interp/compute work, and
 ``comm-wait`` last (finish a posted exchange only when nothing useful
 can run in the gap).  Ties break on submission order, so a run is fully
 deterministic and — because only mutually independent tasks are ever
-reordered — bit-identical to the eager driver.  Every task runs in the
-driver process: there is one execution path (DESIGN.md, "One way to run
-a step").
+reordered — bit-identical to the eager driver.  Because it is
+deterministic, the order is worked out once per graph (and prefix) and
+recorded, and every stage that reuses the graph replays it.  Every task
+runs in the driver process: there is one execution path (DESIGN.md, "One
+way to run a step").
 
 While running, the scheduler measures the quantity the paper's Fig. 7
 models: for every ``comm-post``/``comm-wait`` channel pair it records
@@ -29,7 +31,7 @@ import heapq
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.runtime.graph import TaskGraph
 
@@ -59,10 +61,6 @@ class ScheduleReport:
     makespan_s: float = 0.0
     busy_s: float = 0.0           # summed task time
     graphs: int = 0
-
-    @property
-    def comm_s(self) -> float:
-        return self.posted_comm_s + self.finish_comm_s
 
     @property
     def overlap_frac(self) -> float:
@@ -103,8 +101,36 @@ class ScheduleReport:
         return out
 
 
+def replay_order(graph: TaskGraph, ntasks: Optional[int] = None):
+    """The order the ready-queue rule (among tasks whose dependencies are
+    done, the lowest :data:`KIND_PRIORITY`, then the lowest submission id)
+    runs the first ``ntasks`` tasks of ``graph`` in, and their count per
+    kind: computed the first time, then recorded on the graph and replayed.
+    A prefix is closed under dependencies (edges point backwards)."""
+    n = len(graph.tasks) if ntasks is None else ntasks
+    got = graph.replays.get(n)
+    if got is None:
+        tasks = graph.tasks
+        unmet = [len(t.deps) for t in tasks[:n]]
+        ready = [(KIND_PRIORITY[t.kind], t.tid) for t in tasks[:n] if not t.deps]
+        heapq.heapify(ready)
+        order = []
+        while ready:
+            tid = heapq.heappop(ready)[1]
+            order.append(tasks[tid])
+            for d in tasks[tid].dependents:
+                if d < n:
+                    unmet[d] -= 1
+                    if unmet[d] == 0:
+                        heapq.heappush(ready, (KIND_PRIORITY[tasks[d].kind], d))
+        if len(order) != n:  # edges point backwards: only a forged edge
+            raise RuntimeError("scheduler stalled: the task graph has a cycle")
+        got = graph.replays[n] = (order, graph.counts_by_kind(n))
+    return got
+
+
 class Scheduler:
-    """Executes one TaskGraph in the driver, collecting a report."""
+    """Executes a TaskGraph in the driver, collecting a report."""
 
     def __init__(self, profiler=None, tracer=None, trace_rank: int = 0,
                  perfscope=None) -> None:
@@ -114,30 +140,24 @@ class Scheduler:
         #: optional repro.observability.perfscope.PerfScope collector
         self.perfscope = perfscope
 
-    def run(self, graph: TaskGraph) -> ScheduleReport:
+    def run(self, graph: TaskGraph, ntasks: Optional[int] = None,
+            armed: Optional[Dict[int, Exception]] = None) -> ScheduleReport:
+        """Run the first ``ntasks`` tasks of ``graph`` (all by default) in
+        their :func:`replay_order`; a task with an entry in ``armed`` raises
+        it instead of running (an injected fault)."""
         t_start = time.perf_counter()
-        report = ScheduleReport(graphs=1)
-        report.tasks_by_kind = graph.counts_by_kind()
+        order, counts = replay_order(graph, ntasks)
+        report = ScheduleReport(tasks_by_kind=dict(counts), graphs=1)
 
         scope = self.perfscope
-        trace = scope.begin_stage(graph) if (
+        trace = scope.begin_stage(graph, len(order)) if (
             scope is not None and scope.enabled) else None
         # anchor this stage's spans on the tracer's own timeline so the
         # runtime track renders as one continuous run, not per-stage piles
         base_us = self.tracer.now_us() if self.tracer is not None else 0.0
 
-        unmet = {t.tid: len(t.deps) for t in graph.tasks}
-        ready: List[Tuple[int, int]] = []  # (priority, tid)
-
         def now() -> float:
             return time.perf_counter() - t_start
-
-        def push(tid: int) -> None:
-            heapq.heappush(ready, (KIND_PRIORITY[graph.tasks[tid].kind], tid))
-
-        for t in graph.tasks:
-            if unmet[t.tid] == 0:
-                push(t.tid)
 
         # comm windows: channel -> post-completion time; closed windows
         # accumulate (open, close) intervals for the overlap integral
@@ -145,10 +165,8 @@ class Scheduler:
         windows: List[Tuple[float, float]] = []
         compute_spans: List[Tuple[float, float]] = []
 
-        done = 0
-        while ready:
-            _prio, tid = heapq.heappop(ready)
-            task = graph.tasks[tid]
+        for task in order:
+            tid = task.tid
             # the first consumer of a posted channel starting (comm-wait,
             # or e.g. an interp task using posted coords) closes its
             # in-flight window
@@ -160,6 +178,8 @@ class Scheduler:
                 if self.profiler is not None:
                     for name in task.regions:
                         stack.enter_context(self.profiler.region(name))
+                if armed and tid in armed:
+                    raise armed[tid]
                 task.fn()
             dur = now() - t0
             if trace is not None:
@@ -180,15 +200,8 @@ class Scheduler:
                     rank=self.trace_rank, stream=RUNTIME_STREAM, cat="task",
                     args={"kind": task.kind},
                 )
-            done += 1
-            for d in task.dependents:
-                unmet[d] -= 1
-                if unmet[d] == 0:
-                    push(d)
             if trace is not None:
                 trace.merged(tid, now())
-        if done != len(graph.tasks):  # pragma: no cover - edges point backwards
-            raise RuntimeError("scheduler stalled: the task graph has a cycle")
 
         # any window never closed by a comm-wait closes at makespan end
         for t_open in open_windows.values():

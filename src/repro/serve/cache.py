@@ -264,12 +264,9 @@ class CaseCache:
                                {"interp": interp_name, "ratio": int(ratio)})
 
         def compute() -> Dict[str, np.ndarray]:
-            from repro.amr.box import Box
             from repro.amr.interpolate import _fine_fractions
-            from repro.amr.intvect import IntVect
 
-            region = Box.from_extent([0], [int(ratio)])
-            _, frac = _fine_fractions(region, IntVect.coerce([ratio], 1), 0)
+            _, frac = _fine_fractions(np.arange(int(ratio)), int(ratio))
             out = {"frac": frac, "linear": np.stack([1.0 - frac, frac])}
             if interp_name == "weno":
                 from repro.amr.interp_weno import _linear_weight

@@ -1,16 +1,20 @@
 """The reference box algebra and plan builders: the metadata producers as
 they were before the batched ``(N, 2, dim)`` algebra of
 ``repro.amr.boxarray`` replaced them, verbatim — one ``Box`` object per
-overlap, one query per fab.
+overlap, one query per fab — and the interpolators' stencils as they were
+before one array pass over all of a level's pieces replaced them: one
+call per piece, with the piece's coarse coordinates in an ``FArrayBox``.
 
 They left ``src/`` for speed (the object algebra was ~45% of a step that
-regrids) and stay here as the oracle: ``tests/amr/test_plan_oracle.py``
+regrids, the per-piece stencils over half of the finest level's plan
+build) and stay here as the oracle: ``tests/amr/test_plan_oracle.py``
 requires the batched primitives to give the same boxes in the same order,
 and every ``CommPlan`` / ``FillPlan`` to be equal to these fab for fab.
 The one thing not verbatim is :func:`intersecting`, which was a walk over
 a spatial hash and is a scan over every box here.
 """
 
+import math
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -20,7 +24,8 @@ from repro.amr.boxarray import BoxArray
 from repro.amr.fab import FArrayBox
 from repro.amr.fillpatch import FillFabPlan, FillPlan, _nearest_fill
 from repro.amr.geometry import Geometry
-from repro.amr.interpolate import _fine_fractions
+from repro.amr.interp_curvilinear import CurvilinearInterp
+from repro.amr.interpolate import PiecewiseConstantInterp, TrilinearInterp
 from repro.amr.intvect import IntVect
 from repro.amr.multifab import MultiFab
 from repro.amr.plan import CommPlan, FabPlan, copy
@@ -52,6 +57,11 @@ def complement_in(ba, region: Box) -> List[Box]:
     return remaining
 
 
+def _shifts(geom: Geometry) -> List[IntVect]:
+    """The periodic shifts as index vectors."""
+    return [IntVect(*s) for s in geom.periodic_shifts().tolist()]
+
+
 def overlaps(ba, region: Box, shifts: Iterable = ()) -> List[BoxPair]:
     """Every box of ``ba`` meeting ``region`` — directly, then through each
     periodic shift (source where the data is, destination in ``region``)."""
@@ -72,7 +82,7 @@ def boundary_regions(mf: MultiFab, i: int,
         [l if p else max(l, d) for l, d, p in zip(region.lo, dom.lo, per)],
         [h if p else min(h, d) for h, d, p in zip(region.hi, dom.hi, per)])
     pieces = complement_in(mf.ba, region)
-    for s in geom.periodic_shifts(region):
+    for s in _shifts(geom):
         pieces = [q.shift(-s) for p in pieces
                   for q in complement_in(mf.ba, p.shift(s))]
     return pieces
@@ -149,7 +159,7 @@ def of_boxes(dst, src, kind: str, ncomp: int, pairs_of) -> CommPlan:
 def fill_boundary_plan(mf: MultiFab, geom: Optional[Geometry]) -> CommPlan:
     def pairs(i, dst):
         grown = dst.grown_box()
-        shifts = geom.periodic_shifts(grown) if geom is not None else ()
+        shifts = _shifts(geom) if geom is not None else ()
         # a destination inside the valid box is the fab meeting itself
         return [p for p in overlaps(mf.ba, grown, shifts)
                 if not dst.box.contains(p[2])]
@@ -188,7 +198,7 @@ def build_fill_plan(fine: MultiFab, crse: MultiFab, geom_fine: Geometry,
                     whole: bool = False) -> FillPlan:
     plan = FillPlan(fine.comm)
     geom_crse = geom_fine.coarsen(r)
-    shifts = geom_crse.periodic_shifts(geom_crse.domain)
+    shifts = _shifts(geom_crse)
     coords_tmp = None
     if interp.needs_coords:
         coords_tmp = MultiFab(
@@ -218,12 +228,13 @@ def build_fill_plan(fine: MultiFab, crse: MultiFab, geom_fine: Geometry,
                         crse.dm[j], rank, nbytes, "parallelcopy"))
                 _nearest_fill(ccoords.data)
                 npoints += ccoords.box.num_pts()
-            stencil = interp.stencil(
-                piece, r, cregion, ccoords,
+            stencil = piece_stencil(
+                interp, piece, r, cregion, ccoords,
                 fine_coords.fab(i) if fine_coords is not None else None)
             if stencil is not None:
                 stencils.append((stencil[0] + ncells, stencil[1]))
-            regions.append((piece, cregion, ncells))
+            else:
+                regions.append((piece, cregion, ncells))
             ncells += cregion.num_pts()
         if not pieces:
             continue
@@ -243,7 +254,8 @@ def build_fill_plan(fine: MultiFab, crse: MultiFab, geom_fine: Geometry,
                 fab.data.shape[1:])
         plan.fabs[i] = FillFabPlan(
             i, rank, copies, npoints, messages, ncells,
-            sum(p.num_pts() for p in pieces), regions, idx, w, dst)
+            sum(p.num_pts() for p in pieces), idx=idx, w=w, dst_cells=dst,
+            regions=regions or None)
     return plan
 
 
@@ -277,7 +289,78 @@ def _cells(box: Box, within: Box) -> np.ndarray:
         box.slices(relative_to=within)].ravel()
 
 
-# -- the trilinear stencil, corner by corner -------------------------------------------
+# -- the stencils, one piece at a time ---------------------------------------------
+
+def _fine_fractions(fine_region: Box, ratio: IntVect, idim: int):
+    """Per-axis base coarse index and fractional offset of fine cell centers."""
+    r = ratio[idim]
+    i_f = np.arange(fine_region.lo[idim], fine_region.hi[idim] + 1)
+    center = (i_f + 0.5) / r - 0.5
+    ibase = np.floor(center).astype(np.int64)
+    frac = center - ibase
+    return ibase, frac
+
+
+def corner_indices(bases, box: Box, upper: bool = True) -> np.ndarray:
+    """Flat indices into an array over ``box`` of every fine cell's coarse
+    neighbours, ``(2^dim, nfine)`` (without ``upper``: only corner 0)."""
+    shape, first, steps = box.shape(), 0, []
+    for d, ib in enumerate(bases):
+        ib = ib - box.lo[d]
+        if ib.min() < 0 or ib.max() + upper >= shape[d]:
+            raise ValueError("coarse fab does not cover interpolation stencil")
+        step = math.prod(shape[d + 1:])
+        first = first + (ib * step).reshape((-1,) + (1,) * (len(bases) - 1 - d))
+        steps.append(step)
+    ncorner = 1 << len(bases) if upper else 1
+    to_corner = [sum(s for d, s in enumerate(steps) if (c >> d) & 1)
+                 for c in range(ncorner)]
+    return first.ravel() + np.array(to_corner)[:, None]
+
+
+def piece_stencil(interp, fine_region: Box, ratio, cbox: Box,
+                  crse_coords: Optional[FArrayBox] = None,
+                  fine_coords: Optional[FArrayBox] = None):
+    """``interp.stencil`` of one piece, as ``Interpolator.stencil`` was:
+    ``(idx, w)`` over an array over ``cbox``, or None."""
+    ratio = IntVect.coerce(ratio, fine_region.dim)
+    dim = fine_region.dim
+    if isinstance(interp, PiecewiseConstantInterp):
+        cells = [np.floor_divide(
+            np.arange(fine_region.lo[d], fine_region.hi[d] + 1), ratio[d])
+            for d in range(dim)]
+        return corner_indices(cells, cbox, upper=False), None
+    if isinstance(interp, TrilinearInterp):
+        return trilinear_stencil(fine_region, ratio, cbox)
+    if not isinstance(interp, CurvilinearInterp):
+        return None
+    ncorner = 1 << dim
+    bases = [_fine_fractions(fine_region, ratio, d)[0] for d in range(dim)]
+
+    # physical coordinates of the 2^dim surrounding coarse points
+    cdata = crse_coords.data.reshape(crse_coords.ncomp, -1)
+    cgb = crse_coords.grown_box()
+    ccorners = [cdata[:, ic] for ic in corner_indices(bases, cgb)]
+    xf = fine_coords.view(fine_region).reshape(fine_coords.ncomp, -1)
+
+    # per-axis weights: projection of (xf - x0) on the axis edge vector
+    t = []
+    x0 = ccorners[0]
+    for d in range(dim):
+        edge = ccorners[1 << d] - x0  # coarse edge along computational axis d
+        denom = np.sum(edge * edge, axis=0)
+        denom = np.where(denom > 0.0, denom, 1.0)
+        td = np.sum((xf - x0) * edge, axis=0) / denom
+        t.append(np.clip(td, 0.0, 1.0))
+
+    weights = []
+    for corner in range(ncorner):
+        w = np.ones(xf.shape[1], dtype=np.float64)
+        for d in range(dim):
+            w = w * (t[d] if (corner >> d) & 1 else (1.0 - t[d]))
+        weights.append(w)
+    return corner_indices(bases, cbox), np.array(weights)
+
 
 def corner_index(bases, corner: int, box: Box) -> np.ndarray:
     """Flat index into an array over ``box`` of every fine cell's
@@ -293,7 +376,7 @@ def corner_index(bases, corner: int, box: Box) -> np.ndarray:
 
 
 def trilinear_stencil(fine_region: Box, ratio, cbox: Box):
-    """``TrilinearInterp.stencil``."""
+    """``TrilinearInterp.stencil`` of one piece, corner by corner."""
     ratio = IntVect.coerce(ratio, fine_region.dim)
     dim = fine_region.dim
     bases, fracs = zip(*(_fine_fractions(fine_region, ratio, d)

@@ -41,6 +41,13 @@ def setup_two_levels(ngrow=2, nranks=2):
     return crse, fine, geom_c, geom_f
 
 
+def apply_bc(mf, geom, bc, time=0.0):
+    """The physical boundary fill the driver runs after a FillPatch
+    (``Crocco._bc_fill``), one call per fab."""
+    for _, fab in mf:
+        bc(fab, geom, time)
+
+
 def test_single_level_with_bc():
     comm = Communicator(2, ranks_per_node=1)
     dom = Box((0, 0), (15, 15))
@@ -53,10 +60,11 @@ def test_single_level_with_bc():
     calls = []
 
     def bc(fab, g, t):
-        calls.append(fab.box)
+        calls.append((fab.box, t))
 
-    fill_patch_single_level(mf, geom, bc, time=2.5)
-    assert len(calls) == len(mf)
+    fill_patch_single_level(mf, geom)
+    apply_bc(mf, geom, bc, time=2.5)
+    assert calls == [(fab.box, 2.5) for _, fab in mf]
     # interior ghosts continue the linear field
     fab = mf.fab(0)
     assert fab.view(Box((8, 0), (8, 0)))[0, 0, 0] == pytest.approx(1.0 + 8.5)
@@ -100,8 +108,8 @@ def test_two_levels_leaves_outside_domain_to_bc():
                 sl[d + 1] = slice(0, g.domain.lo[d] - gb.lo[d])
                 arr[tuple(sl)] = 99.0
 
-    fill_patch_two_levels(fine2, crse, geom_f, geom_c, 2, TrilinearInterp(),
-                          bc_fill=bc)
+    fill_patch_two_levels(fine2, crse, geom_f, geom_c, 2, TrilinearInterp())
+    apply_bc(fine2, geom_f, bc)
     assert hits
     fab = fine2.fab(0)
     assert fab.view(Box((-1, 0), (-1, 0)))[0, 0, 0] == 99.0

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.amr.box import Box
 from repro.amr.fab import FArrayBox
-from repro.amr.intvect import IntVect
 from repro.amr.interp_curvilinear import CurvilinearInterp
 from repro.amr.interp_weno import WenoInterp, weno_interp_1d
 from repro.amr.interpolate import (
@@ -33,8 +32,7 @@ def linear_field(box, ngrow, coeffs, const=1.0, ncomp=1):
 
 
 def test_fine_fractions_ratio2():
-    region = Box((0, 0), (3, 3))
-    base, frac = _fine_fractions(region, IntVect(2, 2), 0)
+    base, frac = _fine_fractions(np.arange(0, 4), 2)
     # fine centers at coarse coords -0.25, 0.25, 0.75, 1.25
     assert base.tolist() == [-1, 0, 0, 1]
     assert np.allclose(frac, [0.75, 0.25, 0.75, 0.25])

@@ -10,13 +10,14 @@ oracle's fab for fab: copies as index arrays, launch points, messages.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.amr import average_down, boundary, boxarray, fillpatch, parallelcopy
 from repro.amr.amrcore import AmrConfig, AmrCore
 from repro.amr.box import Box
 from repro.amr.boxarray import BoxArray, boxes_of, lohi_of
+from repro.amr.distribution import DistributionMapping
 from repro.amr.geometry import Geometry
 from repro.amr.interpolate import PiecewiseConstantInterp, TrilinearInterp
 from repro.amr.intvect import IntVect
@@ -213,8 +214,34 @@ def test_box_copy_plans_equal_the_oracle(lay, fill_ghosts):
                      oracle.average_down_plan(fine, tiling, r))
 
 
+def fixed_layout(sizes, periodic, patches):
+    """A layout of :func:`layouts`' shape: a 2x2(x2) coarse tiling and the
+    patches (boxes of the coarse index space) the fine level refines."""
+    domain = Box.from_extent([0] * len(sizes), sizes)
+    tiling = BoxArray.from_domain(domain, [n // 2 for n in sizes])
+    patches = BoxArray([Box(lo, hi) for lo, hi in patches])
+    return {"dim": len(sizes), "domain": domain, "nranks": 3,
+            "periodic": periodic, "ratio": 2, "ngrow": 2, "ngrow2": 1,
+            "tiling": (tiling, DistributionMapping.make(tiling, 3)),
+            "patches": (patches, DistributionMapping.make(patches, 3)),
+            "seed": 7}
+
+
+#: a patch at a face, one at an edge of the domain (2-D: at a corner), and
+#: one inside, each refined by 2
+PERIODIC_2D = fixed_layout((16, 12), (True, False),
+                           [((0, 2), (5, 7)), ((10, 0), (15, 4)), ((7, 6), (9, 9))])
+LAYOUT_3D = fixed_layout((6, 6, 4), (False, True, True),
+                         [((0, 0, 0), (2, 2, 1)), ((3, 2, 1), (5, 5, 3))])
+
+
 @settings(max_examples=60, deadline=None)
 @given(layouts(), st.sampled_from(sorted(INTERPS) + ["pconst"]), st.booleans())
+@example(PERIODIC_2D, "curvilinear", False)
+@example(PERIODIC_2D, "pconst", False)
+@example(LAYOUT_3D, "curvilinear", False)
+@example(LAYOUT_3D, "pconst", True)
+@example(LAYOUT_3D, "trilinear", False)
 def test_fill_plans_equal_the_oracle(lay, kind, whole):
     comm = Communicator(lay["nranks"], ranks_per_node=2)
     lv = TwoLevels(lay, "trilinear" if kind == "pconst" else kind, comm,
@@ -246,10 +273,16 @@ def test_clip_to_coverage_equals_the_oracle(lay, n_proper):
 @settings(max_examples=60, deadline=None)
 @given(box_lists(max_boxes=3), st.sampled_from([2, 4]))
 def test_trilinear_stencil_equals_the_corner_loop(drawn, ratio):
-    _, boxes, _ = drawn
-    for fine in boxes:
-        cbox = fine.coarsen(ratio).grow(1)
-        idx, w = TrilinearInterp().stencil(fine, ratio, cbox)
-        eidx, ew = oracle.trilinear_stencil(fine, ratio, cbox)
-        assert idx.shape == eidx.shape and (idx == eidx).all()
-        assert w.shape == ew.shape and (w == ew).all()
+    """One array pass over the cells of every box gives, box by box, what
+    the per-piece corner loop gives."""
+    dim, boxes, _ = drawn
+    lohi = lohi_of(boxes, dim)
+    k, at = boxarray.cells(lohi)
+    idx, w = TrilinearInterp().stencil(
+        k, at, IntVect.filled(dim, ratio),
+        boxarray.grow(boxarray.coarsen(lohi, ratio), 1))
+    assert idx.shape == w.shape == (1 << dim, len(k))
+    for n, fine in enumerate(boxes):
+        eidx, ew = oracle.trilinear_stencil(fine, ratio,
+                                            fine.coarsen(ratio).grow(1))
+        assert (idx[:, k == n] == eidx).all() and (w[:, k == n] == ew).all()

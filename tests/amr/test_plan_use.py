@@ -121,9 +121,13 @@ def test_no_box_algebra_and_no_plan_build_between_regrids(version, monkeypatch):
 def test_a_regrid_step_builds_few_boxes(monkeypatch):
     """Regrid, clustering and plan construction run on ``(N, 2, dim)``
     arrays: a step that regrids makes ``Box`` / ``IntVect`` objects only at
-    the API edges (fabs, interpolator pieces).  On the churn layout
-    (``regrid_int 1``, ``max_grid_size 16``, 66 boxes) the object algebra
-    built 5,750 boxes and 19,536 index vectors per step."""
+    the API edges (fabs, tagging), and the fill plans make none at all —
+    their stencils are one array pass over the level's cells.  On the churn
+    layout (``regrid_int 1``, ``max_grid_size 16``, 66 boxes) the object
+    algebra built 5,750 boxes and 19,536 index vectors per step; the
+    per-piece stencils, 308 and 670 of the 591 / 1,813 that were left."""
+    from repro.amr import fillpatch
+
     config, run = InputDeck.from_file(
         str(DECK.with_name("dmr_churn.inputs"))).resolve(
             {"backend_target": "device"})
@@ -137,13 +141,51 @@ def test_a_regrid_step_builds_few_boxes(monkeypatch):
                 _init(self, *args)
 
             monkeypatch.setattr(cls, "__init__", counted)
+        in_plans = []
+        build = fillpatch.build_fill_plan
+
+        def counted_build(*args, **kwargs):
+            before = dict(made)
+            out = build(*args, **kwargs)
+            in_plans.append({k: made[k] - before[k] for k in made})
+            return out
+
+        monkeypatch.setattr(fillpatch, "build_fill_plan", counted_build)
         regrids = sim.regrid_count
         sim.step()
         assert sim.regrid_count == regrids + 1 and sim.step_plan_builds > 0
-        assert made["Box"] <= 5750 // 4 and made["IntVect"] <= 19536 // 4, (
+        assert in_plans and all(n == {"Box": 0, "IntVect": 0} for n in in_plans)
+        assert made["Box"] <= 300 and made["IntVect"] <= 1200, (
             f"a regrid step built {made['Box']} Box and {made['IntVect']} "
-            "IntVect objects (591 / 1,813 when the array algebra landed; "
-            "budget: a quarter of the object algebra's 5,750 / 19,536)")
+            "IntVect objects (283 / 1,129 when the fill plans' stencils "
+            "became one array pass)")
+
+
+def test_the_finest_fill_plan_build_stays_small():
+    """One array pass over every cell of the level must not hold every
+    cell's temporaries at once: the tracemalloc peak of the finest level's
+    plan build on the DMR deck (v2.0, curvilinear weights and coordinate
+    gather) was 0.88-0.95 MB with one stencil call per piece, 2.14 MB for
+    a first batched pass, 0.83 MB now."""
+    import tracemalloc
+
+    from repro.amr.fillpatch import build_fill_plan
+    from repro.backend import use_backend
+
+    with make_sim("2.0") as sim:
+        lev = sim.finest_level
+        args = (sim.state[lev], sim.state[lev - 1], sim.geoms[lev],
+                sim.ref_ratio_iv(), sim.interp, sim.coords[lev - 1],
+                sim.coords[lev])
+        with use_backend(sim.exec_backend):
+            build_fill_plan(*args)     # first-use imports and caches
+            tracemalloc.start()
+            try:
+                build_fill_plan(*args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    assert peak <= 1.05e6, f"{peak / 1e6:.2f} MB"
 
 
 def test_regrid_step_reports_its_plan_builds():

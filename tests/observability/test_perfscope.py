@@ -226,8 +226,8 @@ class TestIntegration:
         traces = []
         begin_stage = PerfScope.begin_stage
 
-        def keep(self, graph):
-            traces.append(begin_stage(self, graph))
+        def keep(self, graph, ntasks=None):
+            traces.append(begin_stage(self, graph, ntasks))
             return traces[-1]
 
         monkeypatch.setattr(PerfScope, "begin_stage", keep)

@@ -115,6 +115,26 @@ def test_plan_builds_are_reported_per_step(recorded_run):
         events, other, stray)
 
 
+def test_graph_builds_are_reported_per_step(recorded_run):
+    """``runtime.graph_builds`` counts the stage graphs built in each step
+    — one per level-storage layout, replayed by every other stage — and
+    the report's line next to the plan builds singles out strays (CI greps
+    for the zero)."""
+    import copy
+    run_dir, sim, _bd = recorded_run
+    events, other, records = load_run(str(run_dir))
+    builds = [r["metrics"]["runtime.graph_builds"] for r in records]
+    assert builds[0] == 1 and builds[1] == 0
+    assert sum(builds) == sim.engine.graphs_built
+    text = format_report(events, other, records)
+    assert (f"graph builds = {int(sum(builds))} "
+            "(0 in steps without a regrid)") in text
+    stray = copy.deepcopy(records)
+    stray[1]["metrics"]["runtime.graph_builds"] = 1
+    assert "graph builds = " + str(int(sum(builds)) + 1) + (
+        " (1 in steps without a regrid)") in format_report(events, other, stray)
+
+
 def test_compute_batches_are_reported(recorded_run):
     """``kernel.batches`` / ``kernel.batch_boxes`` say how many kernel
     calls a stage makes for how many boxes; the report's runtime section

@@ -8,6 +8,7 @@ from repro.core.crocco import Crocco, CroccoConfig
 from repro.resilience.faults import (FaultInjector, InjectedCommDrop,
                                      InjectedTaskError, parse_plan)
 from repro.runtime.graph import Task, TaskGraph
+from repro.runtime.scheduler import Scheduler
 
 
 class TestPlanGrammar:
@@ -75,11 +76,14 @@ def fake_graph():
 
 
 class TestInstrument:
+    """Faults are armed for one run of a stage: a map of task id -> error
+    the scheduler raises in place of that task, the graph untouched."""
+
     def test_wrong_step_or_stage_is_inert(self):
         inj = FaultInjector.from_config("task_error@2.1")
         g = fake_graph()
-        inj.instrument(g, step=2, stage=0)
-        inj.instrument(g, step=1, stage=1)
+        assert inj.arm(g.tasks, step=2, stage=0) == {}
+        assert inj.arm(g.tasks, step=1, stage=1) == {}
         assert not inj.fired
         assert len(inj.pending()) == 1
 
@@ -87,33 +91,38 @@ class TestInstrument:
         targets = set()
         for _ in range(3):
             inj = FaultInjector.from_config("task_error@0 seed=7")
-            g = fake_graph()
-            inj.instrument(g, step=0, stage=0)
+            inj.arm(fake_graph().tasks, step=0, stage=0)
             targets.add(inj.fired[0]["target"])
         assert len(targets) == 1
 
     def test_drop_comm_targets_matching_channel(self):
         inj = FaultInjector.from_config("drop_comm@0:fb")
         g = fake_graph()
-        inj.instrument(g, step=0, stage=0)
+        armed = inj.arm(g.tasks, step=0, stage=0)
         assert inj.fired[0]["target"] == "FB_finish(L0)"
+        assert list(armed) == [3]
         with pytest.raises(InjectedCommDrop):
-            g.tasks[3].fn()
+            Scheduler().run(g, armed=armed)
 
-    def test_task_error_wraps_inline_task(self):
+    def test_task_error_arms_one_run_only(self):
         inj = FaultInjector.from_config("task_error@0:FB_finish")
         g = fake_graph()
-        inj.instrument(g, step=0, stage=0)
-        with pytest.raises(InjectedTaskError):
-            g.tasks[3].fn()
+        ran = []
+        for t in g.tasks:
+            t.fn = (lambda name=t.name: ran.append(name))
+        armed = inj.arm(g.tasks, step=0, stage=0)
+        with pytest.raises(InjectedTaskError, match="FB_finish"):
+            Scheduler().run(g, armed=armed)
+        assert "FB_finish(L0)" not in ran
         assert inj.fired_by_kind() == {"task_error": 1}
-        # one-shot: a rebuilt graph for the retried step stays clean
-        g2 = fake_graph()
-        inj.instrument(g2, step=0, stage=0)
-        assert all(t.fn() is None for t in g2.tasks)
+        # one-shot: the retried step replays the same graph, clean
+        assert inj.arm(g.tasks, step=0, stage=0) == {}
+        ran.clear()
+        Scheduler().run(g, armed={})
+        assert sorted(ran) == sorted(t.name for t in g.tasks)
         # without a prefix the target is a compute node
         inj = FaultInjector.from_config("task_error@0 seed=1")
-        inj.instrument(g2, step=0, stage=0)
+        inj.arm(g.tasks, step=0, stage=0)
         assert inj.fired[0]["target"].startswith("Box(")
 
     def test_box_prefix_picks_a_batch_node_of_a_real_stage_graph(self):
@@ -122,15 +131,50 @@ class TestInstrument:
         sim = Crocco(SodShockTube(64), CroccoConfig(
             version="1.1", max_grid_size=16, blocking_factor=8))
         sim.initialize()
-        g = build_stage_graph(sim, 1e-4, 0)
-        compute = [t.name for t in g.tasks if t.kind == "compute"]
-        assert compute == ["Box(L0,b0)x4"]   # four equal boxes, one node
+        g = build_stage_graph(sim)
+        compute = [t for t in g.tasks if t.kind == "compute"]
+        assert [t.name for t in compute] == ["Box(L0,b0)x4"]   # four equal boxes, one node
         inj = FaultInjector.from_config("task_error@0:Box")
-        inj.instrument(g, step=0, stage=0)
+        armed = inj.arm(g.tasks, step=0, stage=0)
         assert inj.fired[0]["target"] == "Box(L0,b0)x4"
-        with pytest.raises(InjectedTaskError):
-            next(t for t in g.tasks if t.kind == "compute").fn()
+        assert isinstance(armed[compute[0].tid], InjectedTaskError)
         sim.close()
+
+
+def test_a_task_error_fires_once_and_the_retry_replays_the_cached_graph():
+    """``task_error@1.0`` on a run that keeps its stage graph across
+    steps: the fault fires once, the watchdog's retry of step 1 replays
+    the very graph the failed attempt ran (no rebuild, no fault), and the
+    run ends where the fault-free run ends, bit for bit."""
+
+    def run(plan):
+        sim = Crocco(SodShockTube(64), CroccoConfig(
+            version="1.1", max_grid_size=16, blocking_factor=8,
+            faults_plan=plan))
+        sim.initialize()
+        graphs, stages = [], []
+        inner = sim.engine.scheduler.run
+
+        def run_stage(graph, ntasks=None, armed=None):
+            graphs.append(graph)
+            stages.append((sim.step_count, bool(armed)))
+            return inner(graph, ntasks, armed)
+
+        sim.engine.scheduler.run = run_stage
+        sim.run(3)
+        out = np.concatenate([fab.whole().ravel() for _, fab in sim.state[0]])
+        sim.close()
+        return sim, graphs, stages, out
+
+    clean, _, clean_stages, expected = run(None)
+    sim, graphs, stages, got = run("task_error@1.0")
+    assert sim.faults.fired_by_kind() == {"task_error": 1}
+    assert sim.resilience.get("step_retries") == 1
+    # step 1's first stage armed and failed, its replay ran clean
+    assert stages == clean_stages[:3] + [(1, True)] + clean_stages[3:]
+    assert len({id(g) for g in graphs}) == 1
+    assert sim.engine.graphs_built == clean.engine.graphs_built == 1
+    assert np.array_equal(got, expected)
 
 
 class TestNanSeeding:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.runtime.graph import ALL_COMPS, DataKey, TaskGraph
+from repro.runtime.scheduler import replay_order
 
 
 def noop():
@@ -98,19 +99,21 @@ class TestQueries:
         t0 = g.add("t0", noop, writes=[k])
         t1 = g.add("t1", noop, reads=[k], writes=[DataKey("s", 1)])
         t2 = g.add("t2", noop, reads=[DataKey("s", 1)])
-        free = g.add("free", noop, writes=[DataKey("other", 0)])
+        free = g.add("free", noop, kind="comm-post",
+                     writes=[DataKey("other", 0)])
         return g, (t0, t1, t2, free)
 
-    def test_roots(self):
-        g, (t0, _t1, _t2, free) = self._chain()
-        assert {t.tid for t in g.roots()} == {t0.tid, free.tid}
-
     def test_topological_order_respects_deps(self):
+        """The recorded replay order is a topological order, of the whole
+        graph and of every prefix."""
         g, _ = self._chain()
-        pos = {t.tid: n for n, t in enumerate(g.topological_order())}
-        for t in g.tasks:
-            for d in t.deps:
-                assert pos[d] < pos[t.tid]
+        for n in range(len(g) + 1):
+            order, _ = replay_order(g, n)
+            pos = {t.tid: i for i, t in enumerate(order)}
+            assert sorted(pos) == list(range(n))
+            for t in g.tasks[:n]:
+                for d in t.deps:
+                    assert pos[d] < pos[t.tid]
 
     def test_cycle_detected(self):
         g = TaskGraph()
@@ -119,11 +122,14 @@ class TestQueries:
         # force a cycle through the back door
         a.deps.add(b.tid)
         b.dependents.add(a.tid)
-        with pytest.raises(ValueError, match="cycle"):
-            g.topological_order()
+        with pytest.raises(RuntimeError, match="cycle"):
+            replay_order(g)
 
-    def test_counts_and_critical_path(self):
+    def test_counts_by_kind(self):
         g, _ = self._chain()
-        assert g.counts_by_kind() == {"compute": 4}
-        assert g.critical_path_length() == 3
+        assert g.counts_by_kind() == {"compute": 3, "comm-post": 1}
+        assert g.counts_by_kind(2) == {"compute": 2}
         assert len(g) == 4
+        # computed once per prefix, with the order, and then replayed
+        assert replay_order(g, 2) is replay_order(g, 2)
+        assert replay_order(g, 2)[1] == {"compute": 2}

@@ -182,9 +182,6 @@ class CroccoConfig:
     profile: bool = opt(
         False, deck="run.profile", flag="--profile",
         help="print the TinyProfiler and ledger reports at end of run")
-    perfscope: bool = opt(
-        True, deck="runtime.perfscope",
-        help="task-lifecycle spans and overhead attribution (perf.* gauges)")
     backend_target: str = opt(
         "auto", deck="backend.target", env="REPRO_BACKEND", flag="--backend",
         choices=lambda: ("auto", *available_targets()),

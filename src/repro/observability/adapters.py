@@ -17,7 +17,8 @@ from repro.observability.tracer import DRIVER_STREAM, GPU_STREAM, Tracer
 class ProfilerTraceAdapter:
     """TinyProfiler listener: regions become spans on a driver track.
 
-    Wall regions (``region``) become measured wall spans; charges and
+    Wall regions (``region``, or ``enter`` / ``leave`` around work the
+    caller timed) become measured wall spans; charges and
     charged regions (``charge`` / ``charged_region``) become charged spans
     laid out on the track's simulated clock — so the functional driver and
     the Summit performance model export the same span structure.
@@ -38,6 +39,14 @@ class ProfilerTraceAdapter:
         # pause between the two (GC, a lost time slice) would make the
         # trace and the profiler disagree about the same region
         self.tracer.end(self.rank, self.stream, dur_us=seconds * 1e6)
+
+    def on_span(self, path: Tuple[str, ...], t0: float,
+                seconds: float) -> None:
+        # a region its caller timed (a scheduled task's): the span is that
+        # record, placed on the tracer's timeline by its clock reading
+        self.tracer.complete(path[-1], self.tracer.at_us(t0), seconds * 1e6,
+                             self.rank, self.stream, cat="region",
+                             args={"path": "/".join(path)})
 
     def on_charge(self, path: Tuple[str, ...], seconds: float,
                   calls: int) -> None:

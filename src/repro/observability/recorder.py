@@ -123,12 +123,6 @@ class RunRecorder:
             rep = engine.last_step_report
             for name, value in rep.as_dict().items():
                 g(f"runtime.{name}").set(value)
-        # lifecycle attribution: cumulative run totals (like device.class.*)
-        # so the report only needs the final record
-        scope = getattr(engine, "perfscope", None) if engine else None
-        if scope is not None and scope.total is not None:
-            for name, value in scope.total.as_gauges().items():
-                g(f"perf.{name}").set(value)
         guard = getattr(sim, "guard", None)
         if guard is not None:
             # the guard indexes interventions by the step that produced

@@ -9,6 +9,9 @@ prints:
 - the FillPatch split (FillBoundary vs ParallelCopy time, Fig. 7's axis);
 - the runtime Overlap section (per-step posted vs finished comm time,
   measured comm/compute overlap, worker idle %, task counts by kind);
+- the Bottleneck section (the stage DAGs' critical path and the
+  concurrency they offer, task time per kernel class and per compute
+  batch);
 - a rank-to-rank communication matrix from the recorded ledger traffic;
 - a device section (execution-backend launch accounting by kernel class,
   top kernels by modeled charged time) when the run used the device
@@ -30,7 +33,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.perfscope.attribution import BUCKETS
 from repro.observability.recorder import METRICS_NAME, TRACE_NAME
 from repro.observability.tracer import load_chrome_trace
 
@@ -273,61 +275,37 @@ def format_report(events: Sequence[dict], other: dict,
                 f"{int(m['kernel.batch_boxes'])} boxes (grown/valid = "
                 f"{m['kernel.batch_grown_cells'] / m['active_cells.total']:.2f})")
 
-    # bottleneck: where the makespan of the stage graphs went
-    perf = final_totals(records, "perf")
-    if perf.get("makespan_s"):
-        span = perf["makespan_s"]
+    # bottleneck: the stage DAGs' critical path and the run's task time by
+    # kernel class and by compute batch, summed over the per-step
+    # runtime.* gauges (all derived from the scheduler's task records)
+    steps = [r["metrics"] for r in records
+             if "runtime.critical_path_s" in r["metrics"]]
+    cp = sum(m["runtime.critical_path_s"] for m in steps)
+    if cp > 0:
+        busy = sum(m.get("runtime.busy_s", 0.0) for m in steps)
+        classes: Dict[str, List[float]] = defaultdict(lambda: [0.0, 0.0])
+        batches: Dict[str, float] = defaultdict(float)
+        for m in steps:
+            for key, value in m.items():
+                if key.startswith("runtime.class."):
+                    cls, col = key[len("runtime.class."):].rsplit(".", 1)
+                    classes[cls][col == "execute_s"] += value
+                elif key.startswith("runtime.batch."):
+                    batches[key[len("runtime.batch."):]] += value
         lines.append("")
-        lines.append("-- bottleneck (task lifecycle attribution) --")
-        lines.append(
-            f"makespan {span:.4f}s over {int(perf.get('stages', 0))} "
-            f"stage graphs (coverage {perf.get('coverage', 0.0):.1%})")
-        lines.append(f"{'bucket':<12s} {'seconds':>10s} {'%makespan':>10s}")
-        for bucket in BUCKETS:
-            v = perf.get(f"{bucket}_s", 0.0)
-            lines.append(f"{bucket:<12s} {v:>10.4f} {v / span:>10.1%}")
-        lines.append(
-            f"critical path {perf.get('critical_path_s', 0.0):.4f}s over "
-            f"{int(perf.get('tasks', 0))} tasks; the DAGs offer "
-            f"{perf.get('realized_parallelism', 0.0):.2f}x concurrency")
-        classes = defaultdict(dict)
-        for key, value in perf.items():
-            if key.startswith("class."):
-                _, cls, col = key.split(".", 2)
-                classes[cls][col] = value
-        if classes:
-            lines.append("per-class lifecycle (seconds):")
-            lines.append(f"  {'class':<16s} {'count':>6s} {'execute':>8s} "
-                         f"{'merge':>8s}")
-            ordered_cls = sorted(
-                classes, key=lambda c: -classes[c].get("execute_s", 0.0))
-            for cls in ordered_cls:
-                c = classes[cls]
-                lines.append(
-                    f"  {cls:<16s} {int(c.get('count', 0)):>6d} "
-                    f"{c.get('execute_s', 0.0):>8.4f} "
-                    f"{c.get('merge_s', 0.0):>8.4f}")
-        cp = sorted(((k.split("cp.", 1)[1], v) for k, v in perf.items()
-                     if k.startswith("cp.")), key=lambda kv: -kv[1])
-        if cp:
-            lines.append("top critical-path tasks:")
-            for name, v in cp:
-                lines.append(f"  {name:<20s} {v:.4f}s")
-        boxes = defaultdict(list)
-        for key, value in perf.items():
-            if key.startswith("box_cost."):
-                _, lev, node = key.split(".", 2)
-                first, members = node[1:].split("x")
-                boxes[lev].append((int(first), int(members), value))
-        if boxes:
-            lines.append("per-batch execute cost, b<first box>x<members> "
-                         "(load-balance input):")
-            for lev in sorted(boxes):
-                row = " ".join(f"b{b}x{n}={v:.4f}s"
-                               for b, n, v in sorted(boxes[lev]))
-                lines.append(f"  {lev}: {row}")
-        lines.append(
-            f"attribution overhead {perf.get('overhead_s', 0.0):.4f}s")
+        lines.append("-- bottleneck (task timing) --")
+        lines.append(f"critical path {cp:.4f}s of {busy:.4f}s busy: the "
+                     f"stage DAGs offer {busy / cp:.2f}x concurrency")
+        lines.append(f"  {'class':<16s} {'count':>6s} {'execute[s]':>10s}")
+        for cls in sorted(classes, key=lambda c: -classes[c][1]):
+            n, seconds = classes[cls]
+            lines.append(f"  {cls:<16s} {int(n):>6d} {seconds:>10.4f}")
+        if batches:
+            lines.append("per-batch execute cost (load-balance input):")
+            cells = [f"{name}={batches[name]:.4f}s"
+                     for name in sorted(batches, key=lambda n: -batches[n])]
+            for i in range(0, len(cells), 4):
+                lines.append("  " + " ".join(cells[i:i + 4]))
 
     # resilience: injected faults vs recovery actions, and solver health
     res = final_totals(records, "resilience")

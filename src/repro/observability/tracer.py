@@ -49,7 +49,12 @@ class Tracer:
     # -- clocks ------------------------------------------------------------
     def now_us(self) -> float:
         """Wall microseconds since the tracer was created."""
-        return (self._clock() - self._t0) * 1e6
+        return self.at_us(self._clock())
+
+    def at_us(self, t: float) -> float:
+        """Wall microseconds since the tracer was created at the reading
+        ``t`` of its clock (``time.perf_counter`` unless given)."""
+        return (t - self._t0) * 1e6
 
     def cursor_us(self, rank: int = 0, stream: int = DRIVER_STREAM) -> float:
         """Simulated-clock position of one track, microseconds."""

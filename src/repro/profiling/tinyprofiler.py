@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 
 @dataclass
@@ -44,12 +44,12 @@ class TinyProfiler:
     def __init__(self) -> None:
         self._stats: Dict[Tuple[str, ...], RegionStats] = {}
         self._stack: List[Tuple[str, ...]] = []
-        self._wall_open: set = set()  # paths currently timed by region()
+        self._wall_open: set = set()  # paths open by region() or enter()
         self._listeners: List[object] = []
 
     # -- listeners ---------------------------------------------------------
     def add_listener(self, listener: object) -> None:
-        """Attach an observer with on_enter/on_exit/on_charge/
+        """Attach an observer with on_enter/on_exit/on_span/on_charge/
         on_enter_charged/on_exit_charged callbacks (all optional)."""
         if listener not in self._listeners:
             self._listeners.append(listener)
@@ -81,6 +81,29 @@ class TinyProfiler:
             self._accumulate(path, dt)
             self._notify("on_exit", path, dt)
 
+    def enter(self, names: Sequence[str]) -> None:
+        """Open the nest ``names`` (outermost first) around work its caller
+        times itself, reading no clock; regions opened inside nest under it.
+        Close it with :meth:`leave`."""
+        for name in names:
+            path = (self._stack[-1] if self._stack else ()) + (name,)
+            self._stack.append(path)
+            self._wall_open.add(path)
+
+    def leave(self, n: int, t0: float, seconds: float) -> None:
+        """Close the ``n`` innermost regions :meth:`enter` opened, charging
+        each the ``seconds`` its caller measured from the clock reading
+        ``t0``; listeners get ``on_span(path, t0, seconds)``, outermost
+        first."""
+        paths = self._stack[-n:]
+        del self._stack[-n:]
+        for path in reversed(paths):  # innermost first, as nested exits
+            self._wall_open.discard(path)
+            self._accumulate(path, seconds)
+        if self._listeners:
+            for path in paths:
+                self._notify("on_span", path, t0, seconds)
+
     def charge(self, name: str, seconds: float, calls: int = 1) -> None:
         """Attribute simulated time to a region under the current nesting."""
         if seconds < 0:
@@ -110,8 +133,8 @@ class TinyProfiler:
         while len(path) > 1:
             parent = self._stats.setdefault(path[:-1], RegionStats(name=path[-2]))
             parent.child_time += dt
-            # a parent timed by region() captures this time with its own
-            # clock (open now, or in a previous pass); a never-entered
+            # a parent timed by region() or enter() captures this time in
+            # its own charge (open now, or in a previous pass); a never-entered
             # parent — a charged_region nest — absorbs it as inclusive,
             # and the roll-up continues to *its* parent in turn
             if parent.calls > 0 or path[:-1] in self._wall_open:

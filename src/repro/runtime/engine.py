@@ -4,14 +4,13 @@ Owns the scheduler and the stage graph, built once per level-storage
 layout and replayed for every RK stage until a regrid replaces it, and
 accumulates the per-stage :class:`~repro.runtime.scheduler.ScheduleReport`
 into a per-step report the observability layer samples (``runtime.*``
-gauges, the run report's Overlap section).
+gauges, the run report's Overlap and Bottleneck sections).
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.observability.perfscope import PerfScope
 from repro.runtime.rk3graph import StageGraph, build_stage_graph
 from repro.runtime.scheduler import RUNTIME_STREAM, ScheduleReport, Scheduler
 
@@ -23,10 +22,7 @@ class RuntimeEngine:
         self.sim = sim
         #: the simulation's fault injector, if a fault plan is active
         self.faults = getattr(sim, "faults", None)
-        #: task-lifecycle tracing + overhead attribution collector
-        self.perfscope = PerfScope(enabled=sim.config.perfscope)
-        self.scheduler = Scheduler(profiler=sim.profiler,
-                                   perfscope=self.perfscope)
+        self.scheduler = Scheduler(profiler=sim.profiler)
         self._graph: Optional[StageGraph] = None
         self._layout = ()
         #: stage graphs built over the run (one per level-storage layout)
@@ -36,8 +32,6 @@ class RuntimeEngine:
         self.last_step_report: Optional[ScheduleReport] = None
         #: merged report of the whole run
         self.total_report = ScheduleReport()
-        #: lifecycle attribution of the most recent completed step
-        self.last_step_perf = None  # type: Optional[object]  # StepPerf
 
     def bind_tracer(self, tracer, rank: int = 0) -> None:
         """Route per-task spans to ``tracer`` on the runtime track."""
@@ -69,7 +63,6 @@ class RuntimeEngine:
     # -- step execution ---------------------------------------------------
     def begin_step(self) -> None:
         self._acc = ScheduleReport()
-        self.perfscope.begin_step()
 
     def run_stage(self, dt: float, stage: int) -> ScheduleReport:
         graph = self.stage_graph()
@@ -89,9 +82,7 @@ class RuntimeEngine:
             self.last_step_report = self._acc
             self.total_report.merge(self._acc)
             self._acc = None
-        self.last_step_perf = self.perfscope.finalize_step()
 
     def abort_step(self) -> None:
         """Discard the partially accumulated step (watchdog rollback)."""
         self._acc = None
-        self.perfscope.abort_step()

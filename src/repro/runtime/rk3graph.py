@@ -108,8 +108,9 @@ def build_stage_graph(sim) -> StageGraph:
             touched = [DataKey((tag, lev), i) for i in batch.ids
                        for tag in ("state", "du")]
             computes.append(g.add(
-                # the first member names the node: kernel_class(), box_of()
-                # and ``task_error@...:Box`` fault plans read it as before
+                # the first member names the node: the report's kernel
+                # class and batch rows and ``task_error@...:Box`` fault
+                # plans read it
                 f"Box(L{lev},b{batch.ids[0]})x{len(batch.ids)}",
                 _batch_fn(sim, lev, batch, g.args),
                 kind="compute",

@@ -19,21 +19,24 @@ compute time executed inside such windows — the **measured overlap** a
 real schedule achieves, directly comparable to the modeled
 ``fillpatch_split`` nowait/finish decomposition.
 
-Every executed task is exported as a tracer span on the runtime track.
-When a :class:`~repro.observability.perfscope.PerfScope` is attached,
-the scheduler additionally records each task's lifecycle (started,
-finished, merged) into a per-stage trace.
+Every executed task is timed once: two clock reads give its record
+``(t0, dur)``, and every timing view of the task is derived from that
+record — the TinyProfiler regions it declares (charged ``dur`` under the
+current nest, reading no clock of their own), its span on the tracer's
+runtime track and its region spans on the driver track, and the stage's
+:class:`ScheduleReport` (time by task kind, the measured overlap, time by
+kernel class and by compute batch, and the critical path of the stage
+DAG).
 """
 
 from __future__ import annotations
 
 import heapq
-import time
-from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from time import perf_counter
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.runtime.graph import TaskGraph
+from repro.runtime.graph import Task, TaskGraph
 
 #: scheduling priority by task kind (lower runs first among ready tasks)
 KIND_PRIORITY = {
@@ -61,6 +64,12 @@ class ScheduleReport:
     makespan_s: float = 0.0
     busy_s: float = 0.0           # summed task time
     graphs: int = 0
+    #: longest dependency chain of each stage DAG, weighted by task time
+    critical_path_s: float = 0.0
+    #: kernel class (the task name before its "(") -> [tasks, seconds]
+    by_class: Dict[str, List[float]] = field(default_factory=dict)
+    #: compute batch, by its task name (``Box(L1,b3)x8``) -> seconds
+    by_batch: Dict[str, float] = field(default_factory=dict)
 
     @property
     def overlap_frac(self) -> float:
@@ -74,6 +83,65 @@ class ScheduleReport:
             return 0.0
         return max(0.0, 1.0 - self.busy_s / self.makespan_s)
 
+    @property
+    def concurrency(self) -> float:
+        """Busy time over critical-path time: the concurrency the stage
+        DAGs offer (the one lane realizes 1x of it)."""
+        if self.critical_path_s <= 0:
+            return 0.0
+        return self.busy_s / self.critical_path_s
+
+    @classmethod
+    def of_stage(cls, order: Sequence[Task],
+                 records: Sequence[Tuple[float, float]],
+                 counts: Dict[str, int], t_start: float,
+                 t_end: float) -> "ScheduleReport":
+        """The report of one stage, derived from the ``(t0, dur)`` record of
+        each task of ``order`` (clock readings between ``t_start`` and
+        ``t_end``)."""
+        rep = cls(tasks_by_kind=dict(counts), graphs=1,
+                  makespan_s=t_end - t_start)
+        # comm windows: channel -> post-completion time; closed windows
+        # accumulate (open, close) intervals for the overlap integral
+        open_windows: Dict[Hashable, float] = {}
+        windows: List[Tuple[float, float]] = []
+        compute_spans: List[Tuple[float, float]] = []
+        chain: Dict[int, float] = {}  # tid -> longest chain ending there
+        by_class, by_batch = rep.by_class, rep.by_batch
+        for task, (t0, dur) in zip(order, records):
+            kind, channel = task.kind, task.channel
+            # the first consumer of a posted channel starting (comm-wait,
+            # or e.g. an interp task using posted coords) closes its
+            # in-flight window
+            if (channel is not None and kind != "comm-post"
+                    and channel in open_windows):
+                windows.append((open_windows.pop(channel), t0))
+            rep.busy_s += dur
+            if kind == "comm-post":
+                rep.posted_comm_s += dur
+                if channel is not None:
+                    open_windows[channel] = t0 + dur
+            elif kind == "comm-wait":
+                rep.finish_comm_s += dur
+            elif kind == "compute":
+                rep.compute_s += dur
+                compute_spans.append((t0, t0 + dur))
+                by_batch[task.name] = by_batch.get(task.name, 0.0) + dur
+            row = by_class.setdefault(task.name.split("(", 1)[0], [0, 0.0])
+            row[0] += 1
+            row[1] += dur
+            # the order is topological, so every dependency is done
+            longest = 0.0
+            for d in task.deps:
+                if chain[d] > longest:
+                    longest = chain[d]
+            chain[task.tid] = longest + dur
+        # any window never closed by a comm-wait closes at makespan end
+        windows.extend((t_open, t_end) for t_open in open_windows.values())
+        rep.overlap_s = _interval_overlap(compute_spans, windows)
+        rep.critical_path_s = max(chain.values(), default=0.0)
+        return rep
+
     def merge(self, other: "ScheduleReport") -> "ScheduleReport":
         for k, n in other.tasks_by_kind.items():
             self.tasks_by_kind[k] = self.tasks_by_kind.get(k, 0) + n
@@ -84,9 +152,17 @@ class ScheduleReport:
         self.makespan_s += other.makespan_s
         self.busy_s += other.busy_s
         self.graphs += other.graphs
+        self.critical_path_s += other.critical_path_s
+        for cls, (n, s) in other.by_class.items():
+            row = self.by_class.setdefault(cls, [0, 0.0])
+            row[0] += n
+            row[1] += s
+        for name, s in other.by_batch.items():
+            self.by_batch[name] = self.by_batch.get(name, 0.0) + s
         return self
 
     def as_dict(self) -> Dict[str, float]:
+        """Flat dict for the recorder's ``runtime.*`` gauges."""
         out = {
             "posted_comm_s": self.posted_comm_s,
             "finish_comm_s": self.finish_comm_s,
@@ -95,9 +171,17 @@ class ScheduleReport:
             "overlap_frac": self.overlap_frac,
             "idle_frac": self.idle_frac,
             "makespan_s": self.makespan_s,
+            "busy_s": self.busy_s,
+            "critical_path_s": self.critical_path_s,
+            "concurrency": self.concurrency,
         }
         for kind, n in self.tasks_by_kind.items():
             out[f"tasks.{kind.replace('-', '_')}"] = float(n)
+        for cls, (n, s) in self.by_class.items():
+            out[f"class.{cls}.count"] = float(n)
+            out[f"class.{cls}.execute_s"] = s
+        for name, s in self.by_batch.items():
+            out[f"batch.{name}"] = s
         return out
 
 
@@ -132,85 +216,45 @@ def replay_order(graph: TaskGraph, ntasks: Optional[int] = None):
 class Scheduler:
     """Executes a TaskGraph in the driver, collecting a report."""
 
-    def __init__(self, profiler=None, tracer=None, trace_rank: int = 0,
-                 perfscope=None) -> None:
+    def __init__(self, profiler=None, tracer=None,
+                 trace_rank: int = 0) -> None:
         self.profiler = profiler
         self.tracer = tracer
         self.trace_rank = trace_rank
-        #: optional repro.observability.perfscope.PerfScope collector
-        self.perfscope = perfscope
 
     def run(self, graph: TaskGraph, ntasks: Optional[int] = None,
             armed: Optional[Dict[int, Exception]] = None) -> ScheduleReport:
         """Run the first ``ntasks`` tasks of ``graph`` (all by default) in
         their :func:`replay_order`; a task with an entry in ``armed`` raises
         it instead of running (an injected fault)."""
-        t_start = time.perf_counter()
+        clock, profiler, tracer = perf_counter, self.profiler, self.tracer
+        t_start = clock()
         order, counts = replay_order(graph, ntasks)
-        report = ScheduleReport(tasks_by_kind=dict(counts), graphs=1)
-
-        scope = self.perfscope
-        trace = scope.begin_stage(graph, len(order)) if (
-            scope is not None and scope.enabled) else None
-        # anchor this stage's spans on the tracer's own timeline so the
-        # runtime track renders as one continuous run, not per-stage piles
-        base_us = self.tracer.now_us() if self.tracer is not None else 0.0
-
-        def now() -> float:
-            return time.perf_counter() - t_start
-
-        # comm windows: channel -> post-completion time; closed windows
-        # accumulate (open, close) intervals for the overlap integral
-        open_windows: Dict[Hashable, float] = {}
-        windows: List[Tuple[float, float]] = []
-        compute_spans: List[Tuple[float, float]] = []
-
+        records: List[Tuple[float, float]] = []
         for task in order:
-            tid = task.tid
-            # the first consumer of a posted channel starting (comm-wait,
-            # or e.g. an interp task using posted coords) closes its
-            # in-flight window
-            if (task.channel is not None and task.kind != "comm-post"
-                    and task.channel in open_windows):
-                windows.append((open_windows.pop(task.channel), now()))
-            t0 = now()
-            with ExitStack() as stack:
-                if self.profiler is not None:
-                    for name in task.regions:
-                        stack.enter_context(self.profiler.region(name))
-                if armed and tid in armed:
-                    raise armed[tid]
+            nest = len(task.regions) if profiler is not None else 0
+            t0 = clock()
+            if nest:
+                # the task's regions, charged with its record on exit;
+                # regions its body opens nest under them
+                profiler.enter(task.regions)
+            try:
+                if armed and task.tid in armed:
+                    raise armed[task.tid]
                 task.fn()
-            dur = now() - t0
-            if trace is not None:
-                trace.ran(tid, t0, dur)
-            report.busy_s += dur
-            if task.kind == "comm-post":
-                report.posted_comm_s += dur
-                if task.channel is not None:
-                    open_windows[task.channel] = now()
-            elif task.kind == "comm-wait":
-                report.finish_comm_s += dur
-            elif task.kind == "compute":
-                report.compute_s += dur
-                compute_spans.append((t0, t0 + dur))
-            if self.tracer is not None:
-                self.tracer.complete(
-                    task.name, base_us + t0 * 1e6, dur * 1e6,
+            finally:
+                dur = clock() - t0
+                if nest:
+                    profiler.leave(nest, t0, dur)
+            records.append((t0, dur))
+            if tracer is not None:
+                tracer.complete(
+                    task.name, tracer.at_us(t0), dur * 1e6,
                     rank=self.trace_rank, stream=RUNTIME_STREAM, cat="task",
                     args={"kind": task.kind},
                 )
-            if trace is not None:
-                trace.merged(tid, now())
-
-        # any window never closed by a comm-wait closes at makespan end
-        for t_open in open_windows.values():
-            windows.append((t_open, now()))
-        report.makespan_s = now()
-        report.overlap_s = _interval_overlap(compute_spans, windows)
-        if trace is not None:
-            trace.close(report.makespan_s)
-        return report
+        return ScheduleReport.of_stage(order, records, counts, t_start,
+                                       clock())
 
 
 def _interval_overlap(spans: List[Tuple[float, float]],

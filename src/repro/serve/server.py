@@ -48,7 +48,7 @@ from repro.serve.fleet import WorkerFleet
 from repro.serve.registry import RunRegistry
 
 #: gauge prefixes surfaced as a run's live "progress" block
-PROGRESS_PREFIXES = ("perf.", "device.class.", "runtime.", "resilience.")
+PROGRESS_PREFIXES = ("device.class.", "runtime.", "resilience.")
 
 
 class Overloaded(RuntimeError):

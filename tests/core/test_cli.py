@@ -187,6 +187,8 @@ BASE_DECK = ("crocco.case = sod\namr.n_cell = 32\namr.max_grid_size = 32\n"
      "resilience.task_timeout"),
     (BASE_DECK + "resilience.max_pool_restarts = 1\n", {}, [],
      "resilience.max_pool_restarts"),
+    # the task timing views are always on: no switch to turn them off
+    (BASE_DECK + "runtime.perfscope = false\n", {}, [], "runtime.perfscope"),
     (BASE_DECK, {}, ["--faults", "kill_worker@1.1"], "repro.serve.chaos"),
     (BASE_DECK, {"REPRO_FAULTS": "slow@2"}, [], "repro.serve.chaos"),
     (BASE_DECK, {}, ["--faults", "meteor@1"], "resilience.faults.plan"),

@@ -159,13 +159,13 @@ def test_validate_names_the_deck_key_of_a_python_set_value():
 def test_unknown_deck_key_names_the_closest_legal_key():
     with pytest.raises(ConfigError, match="'amr.max_levle'.*'amr.max_level'"):
         resolve({"amr.max_levle": ["2"]})
-    # options retired into constants, or gone with the in-run pool, are
-    # unknown keys, not silent no-ops or synonyms
+    # options retired into constants, or gone with the in-run pool or
+    # with perfscope, are unknown keys, not silent no-ops or synonyms
     for key in ("resilience.backoff", "resilience.retry_same_dt",
                 "resilience.max_restores", "runtime.executor",
                 "runtime.workers", "resilience.supervise",
                 "resilience.retries", "resilience.task_timeout",
-                "resilience.max_pool_restarts"):
+                "resilience.max_pool_restarts", "runtime.perfscope"):
         assert key not in BY_DECK_KEY
         with pytest.raises(ConfigError, match=key):
             resolve({key: ["1"]})

@@ -81,10 +81,13 @@ def test_report_matches_profiler_breakdown(recorded_run):
     run_dir, _sim, fp_breakdown = recorded_run
     events, other, records = load_run(str(run_dir))
     split = split_of(events, "FillPatch")
-    # the trace-reconstructed FillPatch split agrees with TinyProfiler's
-    for child in ("ParallelCopy", "FillBoundary"):
-        assert split[child] == pytest.approx(fp_breakdown[child], rel=0.15,
-                                             abs=2e-3)
+    # the trace-reconstructed FillPatch split is TinyProfiler's, to
+    # round-off: both are the same durations (a task's regions are its
+    # scheduler record; the trace stores microseconds)
+    assert set(split) == set(fp_breakdown)
+    for child in fp_breakdown:
+        assert split[child] == pytest.approx(fp_breakdown[child], rel=1e-12,
+                                             abs=0.0)
     regions = summarize_spans(
         [e for e in events if e.get("cat") in ("region", "charged")]
     )

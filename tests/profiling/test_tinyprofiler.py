@@ -144,6 +144,32 @@ def test_listener_callbacks_fire_in_order():
     ]
 
 
+def test_enter_leave_charge_the_callers_record():
+    """``enter``/``leave`` time nothing themselves: every region of the
+    nest is charged the caller's seconds, regions opened inside nest
+    under it, and listeners get one ``on_span`` per region, outermost
+    first."""
+    spans = []
+
+    class Spy:
+        def on_span(self, path, t0, seconds):
+            spans.append((path, t0, seconds))
+
+    prof = TinyProfiler()
+    prof.add_listener(Spy())
+    for _ in range(2):
+        prof.enter(("A", "B"))
+        with prof.region("C"):
+            pass
+        prof.leave(2, 10.0, 0.5)
+    assert prof._stack == []
+    assert prof.total("A") == prof.total("B") == 1.0
+    assert prof.calls("A") == prof.calls("B") == 2
+    assert set(prof.breakdown("B")) == {"C"}
+    assert prof._stats[("A",)].child_time == 1.0
+    assert spans[:2] == [(("A",), 10.0, 0.5), (("A", "B"), 10.0, 0.5)]
+
+
 def test_report_and_reset():
     prof = TinyProfiler()
     with prof.region("A"):

@@ -155,7 +155,7 @@ class TaskNames:
     def __init__(self):
         self.names = []
 
-    def now_us(self):
+    def at_us(self, t):
         return 0.0
 
     def complete(self, name, *args, **kwargs):

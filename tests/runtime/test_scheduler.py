@@ -2,6 +2,11 @@
 
 import time
 
+import pytest
+
+from repro.observability.adapters import ProfilerTraceAdapter
+from repro.observability.tracer import Tracer
+from repro.profiling.tinyprofiler import TinyProfiler
 from repro.runtime.graph import DataKey, TaskGraph
 from repro.runtime.scheduler import (KIND_PRIORITY, ScheduleReport, Scheduler,
                                      _interval_overlap)
@@ -147,8 +152,6 @@ class TestReport:
 
 class TestTracer:
     def test_tasks_become_spans(self):
-        from repro.observability.tracer import Tracer
-
         tracer = Tracer()
         g = TaskGraph()
         g.add("a-task", lambda: None, kind="compute")
@@ -159,8 +162,6 @@ class TestTracer:
         assert spans[0]["args"]["kind"] == "compute"
 
     def test_profiler_regions_nested(self):
-        from repro.profiling.tinyprofiler import TinyProfiler
-
         prof = TinyProfiler()
         g = TaskGraph()
         g.add("t", lambda: None, kind="compute",
@@ -168,3 +169,52 @@ class TestTracer:
         Scheduler(profiler=prof).run(g)
         assert prof.calls("Outer") == 1
         assert prof.calls("Inner") == 1
+
+    def test_regions_are_the_task_record(self):
+        """The task's regions and its span are one (t0, dur): same start,
+        same duration, on the driver and runtime tracks."""
+        prof, tracer = TinyProfiler(), Tracer()
+        prof.add_listener(ProfilerTraceAdapter(tracer))
+        g = TaskGraph()
+        g.add("t", lambda: time.sleep(0.002), regions=("Outer", "Inner"))
+        Scheduler(profiler=prof, tracer=tracer).run(g)
+        spans = {e["name"]: e for e in tracer.events() if e["ph"] == "X"}
+        outer, inner, task = spans["Outer"], spans["Inner"], spans["t"]
+        assert outer["ts"] == inner["ts"] == task["ts"]
+        assert outer["dur"] == inner["dur"] == task["dur"] >= 2e3
+        assert inner["args"]["path"] == "Outer/Inner"
+        assert prof.total("Inner") == prof.total("Outer") == task["dur"] / 1e6
+
+
+class TestFailure:
+    """A task that raises leaves no region or span open: the watchdog's
+    retry then replays the graph from a clean profiler and tracer."""
+
+    def run_failing(self, armed=None):
+        prof, tracer = TinyProfiler(), Tracer()
+        prof.add_listener(ProfilerTraceAdapter(tracer))
+
+        def body():
+            with prof.region("Body"):
+                raise RuntimeError("boom")
+
+        g = TaskGraph()
+        g.add("ok", lambda: None, regions=("Outer",))
+        g.add("bad", body, regions=("Outer", "Inner"))
+        with prof.region("Advance"), pytest.raises(RuntimeError):
+            Scheduler(profiler=prof, tracer=tracer).run(g, armed=armed)
+        assert prof._stack == [] and not prof._wall_open
+        assert not any(tracer._open.values())
+        return prof, tracer
+
+    def test_raising_body_closes_its_regions(self):
+        prof, tracer = self.run_failing()
+        # the failed task's regions were charged and traced, nested
+        assert prof.calls("Inner") == 1 and prof.calls("Body") == 1
+        paths = {e["args"]["path"] for e in tracer.events()
+                 if e.get("cat") == "region"}
+        assert "Advance/Outer/Inner/Body" in paths
+
+    def test_armed_fault_closes_its_regions(self):
+        prof, _ = self.run_failing(armed={1: RuntimeError("injected")})
+        assert prof.calls("Inner") == 1 and prof.calls("Body") == 0

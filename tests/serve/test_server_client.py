@@ -39,8 +39,11 @@ def test_submit_poll_metrics_roundtrip(service):
     assert done["result"]["steps"] == 3
     # live-progress block carries the observability gauges
     assert done["progress"]["step"] == 3
-    assert any(k.startswith(("perf.", "runtime."))
-               for k in done["progress"]["gauges"])
+    gauges = done["progress"]["gauges"]
+    assert gauges["runtime.critical_path_s"] > 0.0
+    assert gauges["runtime.concurrency"] >= 1.0
+    assert any(k.startswith("runtime.class.") for k in gauges)
+    assert not any(k.startswith("perf.") for k in gauges)
     m = client.metrics(rec["id"])
     assert len(m["records"]) == 3
     assert client.metrics(rec["id"], tail=1)["records"][0]["step"] == 3

@@ -14,7 +14,6 @@ import time
 import numpy as np
 import pytest
 
-from benchmarks._record import record
 from benchmarks.conftest import FULL, table
 from repro.amr.amrcore import optimal_regrid_interval
 from repro.amr.box import Box
@@ -43,8 +42,6 @@ def test_ablation_blocking_and_grid_size(benchmark):
           ("box side", "boxes", "ghost B/cell"),
           [(b, nb, f"{g:.1f}") for b, nb, g in rows])
     ghost = [g for _b, _n, g in rows]
-    for box, _nb, g in rows:
-        record("ablation_grids", f"box={box}", g, "ghost_B/cell")
     # ghost traffic per cell falls as boxes grow (surface/volume)
     assert ghost == sorted(ghost, reverse=True)
     assert ghost[0] > 3 * ghost[-1]
@@ -77,9 +74,6 @@ def test_ablation_regrid_frequency(benchmark):
     rec = optimal_regrid_interval(min_patch_cells=8, cfl=0.5)
     print(f"  CFL-derived optimal interval for 8-cell patches at CFL 0.5: "
           f"{rec} steps")
-    for interval, regrids_n, wall, _s in rows:
-        record("ablation_regrid_freq", f"interval={interval}", wall, "s",
-               regrids=regrids_n)
     # more frequent regridding -> more Regrid invocations
     regrids = [r for _i, r, _w, _s in rows]
     assert regrids == sorted(regrids, reverse=True)
@@ -112,8 +106,5 @@ def test_ablation_coords_file_io(benchmark):
     print("  paper: the first implementation re-read coordinates from a "
           "binary file at\n  each regrid, adding noticeable overhead; "
           "getCoords() serves them from memory")
-    for source, (wall, io_time) in out.items():
-        record("ablation_coords_io", f"source={source}", wall, "s",
-               file_io_s=io_time)
     assert out["stored"][1] == 0.0
     assert out["file"][1] > 0.0

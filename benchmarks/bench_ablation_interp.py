@@ -11,7 +11,6 @@ solver: communication volume, runtime, and solution quality.
 import numpy as np
 import pytest
 
-from benchmarks._record import record
 from benchmarks.conftest import FULL, table
 from repro.cases.dmr import DoubleMachReflection
 from repro.core.crocco import Crocco, CroccoConfig
@@ -54,9 +53,6 @@ def test_ablation_interpolator(benchmark):
           "ParallelCopy bottleneck;\n  trilinear (2.1) removes it")
 
     pc = {n: sims[n].comm.ledger.total_bytes("parallelcopy") for n in INTERPS}
-    for name in INTERPS:
-        record("ablation_interp", f"interp={name}", pc[name] / 1e6, "MB",
-               kind="parallelcopy")
     # the curvilinear interpolator moves far more ParallelCopy data
     assert pc["curvilinear"] > 3 * pc["trilinear"]
     assert pc["curvilinear"] > 3 * pc["conservative"]

@@ -8,7 +8,6 @@ hierarchies on the real DMR flow.
 
 import pytest
 
-from benchmarks._record import record
 from benchmarks.conftest import FULL, table
 from repro.perfmodel.decomposition import amr_reduction, dmr_band_hierarchy
 from repro.perfmodel.scaling import TABLE1
@@ -27,8 +26,6 @@ def test_amr_savings_model_scale(benchmark):
     table("AMR active-point reduction (Summit-scale hierarchies)",
           ("nodes", "reduction"), [(n, f"{r:.1%}") for n, r in rows])
     print("  paper: 89-94% reduction relative to the AMR-disabled solution")
-    for n, r in rows:
-        record("amr_savings_model", f"nodes={n}", r, "fraction")
     for _n, r in rows:
         assert 0.85 <= r <= 0.95
 
@@ -54,8 +51,6 @@ def test_amr_savings_functional(benchmark):
           f"uniform points saved")
     print(f"  active {sim.num_active_pts()} vs equivalent "
           f"{sim.equivalent_uniform_pts()}")
-    record("amr_savings_functional", "dmr_128x32_lev2", savings, "fraction",
-           active_pts=sim.num_active_pts())
     # at this coarse resolution the shock band is relatively wide, so the
     # saving is below the paper's production-scale 89-94% but substantial
     assert 0.5 < savings < 0.97

@@ -9,7 +9,6 @@ and overall robustness.
 import numpy as np
 import pytest
 
-from benchmarks._record import record
 from benchmarks.conftest import FULL, table
 from repro.cases.dmr import DoubleMachReflection
 from repro.core.crocco import Crocco, CroccoConfig
@@ -65,8 +64,6 @@ def test_characteristic_vs_componentwise_dmr(benchmark):
           ("reconstruction", "plateau RMS dev", "rho min", "rho max", "steps"),
           [(k, f"{osc:.2e}", f"{mm[0]:.3f}", f"{mm[1]:.2f}", s)
            for k, (osc, mm, s) in res.items()])
-    for k, (osc, _mm, _s) in res.items():
-        record("characteristic_dmr", f"reconstruction={k}", osc, "rms_dev")
     for k, (osc, (mn, mx), _s) in res.items():
         assert mn > 1.0, k
         assert 8.0 < mx < 25.0, k

@@ -9,7 +9,6 @@ with the functional solver and checks their structural properties.
 import numpy as np
 import pytest
 
-from benchmarks._record import record
 from benchmarks.conftest import FULL, table
 from repro.cases.dmr import DoubleMachReflection
 from repro.core.crocco import Crocco, CroccoConfig
@@ -45,8 +44,6 @@ def test_fig1_fig2_dmr_amr_hierarchy(benchmark):
           f"density in [{mn:.2f}, {mx:.2f}]")
     print(f"  AMR savings: {sim.amr_savings():.1%} "
           f"(paper: 89-94% at production resolution)")
-    record("fig1_fig2_amr", f"nx={nx}", sim.amr_savings(), "fraction",
-           levels=sim.finest_level + 1, steps=sim.step_count)
 
     # Fig. 1 structure: coarsest level covers the whole domain, finer
     # levels are overset partial covers

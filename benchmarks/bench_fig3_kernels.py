@@ -13,7 +13,6 @@ Two parts:
 import numpy as np
 import pytest
 
-from benchmarks._record import record
 from benchmarks.conftest import table
 from repro.backend import DeviceBackend
 from repro.kernels.api import make_kernels
@@ -55,8 +54,6 @@ def test_fig3_summit_model_table(benchmark):
           f"(smallest, Viscous) to 15.8x (largest, WENOx)")
     print(f"  model: C++ 1.20x; GPU speedup {min(speedups):.1f}x to "
           f"{max(speedups):.1f}x over this size range")
-    record("fig3_kernels", "weno_gpu_speedup_min", min(speedups), "x")
-    record("fig3_kernels", "weno_gpu_speedup_max", max(speedups), "x")
     # shape assertions
     assert all(abs(r[5] - 1.2) < 1e-9 for r in rows)
     weno_speedups = [r[6] for r in rows if r[0] == "WENOx"]
@@ -87,6 +84,4 @@ def test_fig3_functional_kernel_walltime(benchmark, backend):
                       exec_backend=DeviceBackend() if gpu else None)
 
     out = benchmark(lambda: ks.rhs(u, met, ng))
-    record("fig3_functional_rhs", f"backend={backend}",
-           benchmark.stats.stats.mean, "s", n=n)
     assert np.isfinite(out).all()

@@ -7,7 +7,6 @@ from very high register usage.
 
 import pytest
 
-from benchmarks._record import record
 from benchmarks.conftest import table
 from repro.kernels.counts import BUDGETS, WENO_BUDGET
 from repro.machine.gpu import V100Model
@@ -29,8 +28,6 @@ def test_fig4_weno_roofline(benchmark):
     print(f"  occupancy: {rp.occupancy:.1%}   bound: {rp.bound_level}")
     print("  paper: ~300 Gflop/s, ~4% of peak, bandwidth-bound, 12.5% occupancy")
 
-    record("fig4_roofline", "WENOx_v100", rp.achieved_flops_per_s / 1e9,
-           "Gflop/s", of_peak=rp.fraction_of_peak, bound=rp.bound_level)
     assert 250e9 < rp.achieved_flops_per_s < 400e9
     assert 0.03 < rp.fraction_of_peak < 0.05
     assert rp.occupancy == pytest.approx(0.125)

@@ -8,7 +8,6 @@ down to 5.5x.  The GPU version stops improving around 128 nodes.
 
 import pytest
 
-from benchmarks._record import record
 from benchmarks.conftest import FULL, table
 from repro.perfmodel.scaling import (
     STRONG_POINTS,
@@ -43,10 +42,6 @@ def test_fig5_strong_scaling(benchmark):
           f"(paper: 44x -> 6x)")
     print(f"  cumulative speedup: {[f'{s:.1f}x' for s in cum]}  "
           f"(paper: 201x -> 5.5x)")
-
-    for k, n in enumerate(NODES):
-        record("fig5_strong", f"nodes={n}", cum[k], "x_cumulative_speedup",
-               amr=amr[k], gpu=gpu[k])
 
     # -- shape assertions against the paper --------------------------------
     # CPU 1.1 strong-scales well across the whole range (at the reduced

@@ -9,7 +9,6 @@ improved to ~70% at 400 by swapping in the trilinear interpolator (2.1).
 
 import pytest
 
-from benchmarks._record import record
 from benchmarks.conftest import FULL, table
 from repro.perfmodel.scaling import (
     TABLE1,
@@ -42,10 +41,6 @@ def test_fig5_weak_scaling(benchmark):
           f"(paper: ~54% @400, ~40% @1024)")
     print(f"  2.1 weak efficiency: {[f'{e:.0%}' for e in eff21]}  "
           f"(paper: ~70% @400)")
-
-    for k, (n, _g, _pts) in enumerate(TABLE):
-        record("fig5_weak", f"nodes={n}", eff21[k], "weak_efficiency",
-               version="2.1", eff20=eff20[k])
 
     # -- shape assertions ---------------------------------------------------
     # CPU versions stay far flatter than the GPU versions

@@ -8,7 +8,6 @@ grows with node count.
 
 import pytest
 
-from benchmarks._record import record
 from benchmarks.conftest import FULL, table
 from repro.core.versions import get_version
 from repro.perfmodel.calibration import CAL
@@ -40,10 +39,6 @@ def test_fig6_region_decomposition(benchmark):
     ]
     table("Fig. 6 — CRoCCo 2.1 runtime by region (weak scaling)",
           ("nodes",) + REGIONS + ("total",), rows)
-
-    for nodes, bd in series:
-        record("fig6_regions", f"nodes={nodes}", bd.fillpatch, "s",
-               region="FillPatch", total=bd.total)
 
     fp = [bd.fillpatch for _n, bd in series]
     adv = [bd.advance for _n, bd in series]

@@ -8,7 +8,6 @@ curvilinear interpolator swap.
 
 import pytest
 
-from benchmarks._record import record
 from benchmarks.conftest import FULL, table
 from repro.core.versions import get_version
 from repro.perfmodel.calibration import CAL
@@ -40,10 +39,6 @@ def test_fig7_fillpatch_decomposition(benchmark):
     ]
     table("Fig. 7 — FillPatch internals for CRoCCo 2.1 (weak scaling)",
           ("nodes",) + PARTS, rows)
-
-    for nodes, split in series:
-        record("fig7_fillpatch", f"nodes={nodes}",
-               split["ParallelCopy_finish"], "s", part="ParallelCopy_finish")
 
     pcf = [s["ParallelCopy_finish"] for _n, s in series]
     print(f"  ParallelCopy_finish: {[f'{t * 1e3:.2f} ms' for t in pcf]}")

@@ -14,7 +14,6 @@ scheme is in development.  This bench exercises both:
 import numpy as np
 import pytest
 
-from benchmarks._record import record
 from benchmarks.conftest import FULL, table
 from repro.cases.shocktube import SodShockTube
 from repro.core.crocco import Crocco, CroccoConfig
@@ -40,8 +39,6 @@ def test_mixed_precision_model_throughput(benchmark):
           ("points", "double [s]", "mixed [s]", "speedup"),
           [(n, f"{td:.2e}", f"{tm:.2e}", f"{td / tm:.2f}x")
            for n, td, tm in rows])
-    for n, td, tm in rows:
-        record("future_mixed_precision", f"points={n}", td / tm, "x")
     for n, td, tm in rows:
         sp = td / tm
         assert 1.3 < sp <= 2.1  # bandwidth-bound: approaches 2x
@@ -108,7 +105,5 @@ def test_weno_interface_interpolation(benchmark):
     print("  paper: a WENO-SYMBO interpolation matching the numerics' "
           "dissipation and order\n  is expected to minimize the error "
           "introduced at fine/coarse interfaces")
-    for i, e in errs.items():
-        record("future_weno_interp", f"interp={i}", e, "max_abs_err")
     for e in errs.values():
         assert e < 0.05

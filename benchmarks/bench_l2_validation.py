@@ -7,7 +7,6 @@ and the GPU port showed *no* change in accuracy over the C++ CPU kernels.
 
 import pytest
 
-from benchmarks._record import record
 from benchmarks.conftest import FULL, table
 from repro.cases.dmr import DoubleMachReflection
 from repro.core.crocco import Crocco, CroccoConfig
@@ -44,8 +43,6 @@ def test_l2_validation_across_backends(benchmark):
     print(f"  steps: {steps}")
     print("  paper: fortran-vs-C++ plateaus at ~1e-7; GPU shows no change")
 
-    record("l2_validation", "fortran_vs_cpp", max(f_vs_c.values()), "L2")
-    record("l2_validation", "cpp_vs_gpu", max(c_vs_g.values()), "L2")
     # Fortran vs C++: small but nonzero (different accumulation order),
     # below the paper's 1e-7 acceptance threshold
     assert 0.0 < max(f_vs_c.values()) < 1e-7

@@ -9,7 +9,6 @@ ghost traffic under SFC, knapsack, and round-robin distributions.
 import numpy as np
 import pytest
 
-from benchmarks._record import record
 from benchmarks.conftest import FULL, table
 from repro.amr.distribution import DistributionMapping
 from repro.perfmodel.calibration import CAL
@@ -47,9 +46,6 @@ def test_load_balance_strategies(benchmark):
           "boxes on nearby\n  ranks, so most ghost traffic stays on-node")
 
     by = {r[0]: r for r in rows}
-    for strat in STRATEGIES:
-        record("load_balance", f"strategy={strat}", float(by[strat][4]),
-               "off_node_MB", imbalance=float(by[strat][2]))
     # SFC's locality cuts off-node traffic vs round-robin
     sfc_off = float(by["sfc"][4])
     rr_off = float(by["roundrobin"][4])

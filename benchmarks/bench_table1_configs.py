@@ -8,7 +8,6 @@ the V100 budget.
 
 import pytest
 
-from benchmarks._record import record
 from benchmarks.conftest import FULL, table
 from repro.perfmodel.calibration import CAL
 from repro.perfmodel.decomposition import (
@@ -44,8 +43,6 @@ def test_table1_configurations(benchmark):
     )
     print("  paper: 4-1024 nodes, 24-6144 GPUs, 1.64e8-4.19e10 equivalent "
           "points;\n  AMR reduces active points by 89-94%")
-    for n, _g, _p, _s, _a, r, pg in rows:
-        record("table1_configs", f"nodes={n}", r, "reduction", pts_per_gpu=pg)
     for n, g, p, s, a, r, pg in rows:
         assert g == 6 * n  # six GPUs per Summit node
         assert 0.85 < r < 0.95  # the paper's reduction band

@@ -11,7 +11,6 @@ variant (symoo) and classic upwind WENO5-JS.
 import numpy as np
 import pytest
 
-from benchmarks._record import record
 from benchmarks.conftest import FULL, table
 from repro.cases.vortex import IsentropicVortex
 from repro.core.crocco import Crocco, CroccoConfig
@@ -45,9 +44,6 @@ def test_bandwidth_resolving_efficiency(benchmark):
     print("  symbo minimizes the integrated high-k error (its objective); "
           "symoo keeps\n  the tighter formal-order accuracy at low k — the "
           "order-vs-bandwidth tradeoff")
-    for name, (integ, lim) in res.items():
-        record("weno_dispersion", f"scheme={name}", integ, "integrated_err",
-               resolving_limit=lim)
     # bandwidth optimization wins its own objective...
     assert res["symbo"][0] < res["symoo"][0]
     # ...while the max-order weights win the strict pointwise criterion
@@ -78,7 +74,5 @@ def test_vortex_error_by_variant(benchmark):
     table(f"vortex advection max density error (n={n}, t={t_end})",
           ("variant", "max |rho err|"),
           [(v, f"{e:.2e}") for v, e in errs.items()])
-    for v, e in errs.items():
-        record("weno_vortex_error", f"variant={v}", e, "max_abs_err")
     for v, e in errs.items():
         assert e < 0.05, v

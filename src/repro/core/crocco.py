@@ -72,9 +72,9 @@ class Crocco(AmrCore):
         self.config.validate()
         self.version = get_version(self.config.version)
 
-        #: cross-run immutable cache (coords / curvilinear metrics / EOS
-        #: tables / interp weights), shared by every run pointed at the
-        #: same directory — the serve layer's fleet-wide store
+        #: cross-run immutable cache (coords / curvilinear metrics), shared
+        #: by every run pointed at the same directory — the serve layer's
+        #: fleet-wide store
         self.case_cache = None
         if self.config.cache_dir:
             from repro.serve.cache import CaseCache
@@ -187,10 +187,6 @@ class Crocco(AmrCore):
         from repro.backend import use_backend
 
         with use_backend(self.exec_backend), self.profiler.region("Init"):
-            if self.case_cache is not None:
-                interp_name = (self.config.interpolator
-                               or self.version.interpolator)
-                self.case_cache.warm(self.case, interp_name)
             if self.config.coords_source == "file":
                 self._write_coords_file()
             self.init_from_scratch()

@@ -3,7 +3,8 @@
 We have no physical GPU, so this module supplies the *behavioral* device
 the GPU backend runs on:
 
-- a global-memory allocator with a hard capacity (16 GB on a Summit V100),
+- a global-memory arena with a hard capacity (16 GB on a Summit V100),
+  charged through ``ExecutionBackend.reserve`` / ``release`` and
   raising :class:`DeviceMemoryError` exactly where the real code would
   fault — the paper reports grid counts beyond 2.0e5 points spilling V100
   memory, which shaped both scaling studies;
@@ -25,8 +26,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
-                    Tuple)
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -53,33 +53,6 @@ class LaunchRecord(NamedTuple):
     kernel_class: str = "flux"
 
 
-class DeviceArray:
-    """A NumPy array accounted against the device arena."""
-
-    def __init__(self, device: "GpuDevice", shape: Tuple[int, ...],
-                 dtype=np.float64) -> None:
-        self._device = device
-        self.data = np.zeros(shape, dtype=dtype)
-        self._nbytes = self.data.nbytes
-        device._allocate(self._nbytes)
-        self._freed = False
-
-    @property
-    def nbytes(self) -> int:
-        return self._nbytes
-
-    def free(self) -> None:
-        if not self._freed:
-            self._device._release(self._nbytes)
-            self._freed = True
-
-    def __enter__(self) -> "DeviceArray":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.free()
-
-
 class GpuDevice:
     """A simulated accelerator with bounded memory and launch accounting."""
 
@@ -91,7 +64,6 @@ class GpuDevice:
         self.high_water = 0
         #: ``Counter[LaunchRecord]``: how often each launch was recorded
         self.table: Counter = Counter()
-        self.alloc_count = 0
         self._listeners: List[object] = []
 
     # -- listeners ---------------------------------------------------------
@@ -118,28 +90,11 @@ class GpuDevice:
             )
         self.bytes_in_use += nbytes
         self.high_water = max(self.high_water, self.bytes_in_use)
-        self.alloc_count += 1
 
     def _release(self, nbytes: int) -> None:
         self.bytes_in_use -= nbytes
         if self.bytes_in_use < 0:
             raise RuntimeError("device arena double free")
-
-    def alloc(self, shape: Tuple[int, ...], dtype=np.float64) -> DeviceArray:
-        """Allocate a scratch array in device global memory.
-
-        Per the paper (Sec. IV-B), scratch arrays are allocated from the
-        *host* before kernel launch — dynamic allocation inside a GPU
-        kernel is a major performance impediment — so the backend calls
-        this up front and passes arrays into launches.
-        """
-        return DeviceArray(self, shape, dtype)
-
-    def upload(self, arr: np.ndarray) -> DeviceArray:
-        """Copy a host array to the device (accounted allocation + copy)."""
-        d = DeviceArray(self, arr.shape, arr.dtype)
-        d.data[...] = arr
-        return d
 
     # -- launches ----------------------------------------------------------
     def launch(

@@ -1,8 +1,7 @@
 """Run report: summarize one recorded run's trace + metrics artifacts.
 
-``python -m repro.report <run_dir>`` (or ``tools/trace_report.py``) reads
-the Chrome trace JSON and metrics JSONL a recorded run produced and
-prints:
+``python -m repro.report <run_dir>`` reads the Chrome trace JSON and
+metrics JSONL a recorded run produced and prints:
 
 - a hot-region table (calls, inclusive / exclusive seconds) computed from
   span nesting, the TinyProfiler view reconstructed from artifacts alone;

@@ -11,9 +11,8 @@ front door:
   wall budgets), one directory per run holding the deck, the
   observability artifacts, and the result record;
 - :mod:`repro.serve.cache` — cross-run immutable cache (grid
-  coordinates, the 27-component curvilinear metrics arrays, EOS tables,
-  interpolation weights) keyed by a canonical case-config hash, with
-  hit/miss counters;
+  coordinates and the 27-component curvilinear metrics arrays) keyed by
+  a canonical case-config hash, with hit/miss counters;
 - :mod:`repro.serve.fleet` — the shared worker fleet: whole runs are
   dispatched as tasks onto one
   :class:`~repro.resilience.supervisor.SupervisedPoolExecutor` (reusing
@@ -24,7 +23,7 @@ front door:
   end (``POST /runs``, ``GET /runs/<id>``, ``GET /runs/<id>/metrics``,
   ``POST /runs/<id>/cancel``, ``GET /stats``);
 - :mod:`repro.serve.client` — a stdlib urllib client plus the
-  ``python -m repro.serve.client`` CLI used by CI and the load bench.
+  ``python -m repro.serve.client`` CLI used by CI.
 
 Start a service with ``python -m repro.serve --root DIR --port 8123``.
 """

@@ -2,11 +2,10 @@
 
 Multiple runs of the same case configuration recompute the same
 expensive immutables: the grid coordinates of every patch (complex
-hyperbolic/trigonometric mappings), the 27-component curvilinear metrics
-arrays derived from them (Sec. III-C of the paper), EOS lookup tables,
-and the per-ratio interpolation weight tables.  This cache shares them
-across runs — and across the fleet's worker *processes* — through a
-content-addressed store of ``.npz`` files under one directory:
+hyperbolic/trigonometric mappings) and the 27-component curvilinear
+metrics arrays derived from them (Sec. III-C of the paper).  This cache
+shares them across runs — and across the fleet's worker *processes* —
+through a content-addressed store of ``.npz`` files under one directory:
 
     <root>/<kind>/<sha256[:24]>.npz
 
@@ -21,7 +20,7 @@ what keeps a cache-hit trajectory bitwise identical to a cache-miss one.
 
 Each :class:`CaseCache` instance counts hits and misses per kind; the
 serve worker ships its counters back in ``result.json`` and the service
-aggregates them into ``GET /stats`` and the load bench's hit-rate row.
+aggregates them into ``GET /stats``.
 """
 
 from __future__ import annotations
@@ -32,12 +31,12 @@ import os
 import tempfile
 import zipfile
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
 #: cache entry kinds, in the order the stats report them
-CACHE_KINDS = ("coords", "metrics", "eos", "interp")
+CACHE_KINDS = ("coords", "metrics")
 
 #: scalar types admitted into a canonical signature
 _SCALARS = (bool, int, float, str)
@@ -217,68 +216,3 @@ class CaseCache:
         arrays = self.get_or_compute("metrics", key, compute)
         return CurvilinearMetrics(arrays["first"], arrays["second"],
                                   arrays["J"], arrays["m"])
-
-    # -- EOS tables --------------------------------------------------------
-    def eos_table(self, eos, layout, n: int = 64,
-                  rho_range: Tuple[float, float] = (1e-2, 1e2),
-                  e_range: Tuple[float, float] = (1e-2, 1e3),
-                  ) -> Dict[str, np.ndarray]:
-        """Tabulated p/T/a over a log-spaced (rho, e_int) grid.
-
-        Built once per EOS parameter set by evaluating the real EOS on a
-        synthetic zero-velocity conservative state (species mass split
-        equally for mixtures), then shared by every run of the same case
-        family.
-        """
-        key = self._hash_parts(
-            "eos-v1", object_signature(eos),
-            {"ncons": layout.ncons, "nspecies": layout.nspecies,
-             "dim": layout.dim, "n": n,
-             "rho": list(rho_range), "e": list(e_range)})
-
-        def compute() -> Dict[str, np.ndarray]:
-            rho = np.logspace(np.log10(rho_range[0]),
-                              np.log10(rho_range[1]), n)
-            e = np.logspace(np.log10(e_range[0]), np.log10(e_range[1]), n)
-            rho2, e2 = np.meshgrid(rho, e, indexing="ij")
-            u = np.zeros((layout.ncons,) + rho2.shape)
-            u[layout.rho_s] = rho2[None] / layout.nspecies
-            u[layout.energy] = e2  # zero momentum: e_int == E
-            return {"rho": rho, "e_int": e,
-                    "p": eos.pressure(layout, u),
-                    "T": eos.temperature(layout, u),
-                    "a": eos.sound_speed(layout, u)}
-
-        return self.get_or_compute("eos", key, compute)
-
-    # -- interpolation weights ---------------------------------------------
-    def interp_weights(self, interp_name: str, ratio: int = 2,
-                       ) -> Dict[str, np.ndarray]:
-        """Per-ratio fine-cell interpolation weights for one interpolator.
-
-        The separable linear fractions (and, for the WENO interpolator,
-        the optimal left/right stencil weights) depend only on the
-        refinement ratio — ideal cross-run immutables.
-        """
-        key = self._hash_parts("interp-v1",
-                               {"interp": interp_name, "ratio": int(ratio)})
-
-        def compute() -> Dict[str, np.ndarray]:
-            from repro.amr.interpolate import _fine_fractions
-
-            _, frac = _fine_fractions(np.arange(int(ratio)), int(ratio))
-            out = {"frac": frac, "linear": np.stack([1.0 - frac, frac])}
-            if interp_name == "weno":
-                from repro.amr.interp_weno import _linear_weight
-
-                out["weno_left"] = np.array(
-                    [_linear_weight(f) for f in frac])
-            return out
-
-        return self.get_or_compute("interp", key, compute)
-
-    # -- run admission warm-up --------------------------------------------
-    def warm(self, case, interp_name: str, ratio: int = 2) -> None:
-        """Populate (or hit) the per-case EOS and interp-weight entries."""
-        self.eos_table(case.eos, case.layout)
-        self.interp_weights(interp_name, ratio)

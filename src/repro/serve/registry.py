@@ -87,7 +87,7 @@ class RunRecord:
 
     @property
     def latency_s(self) -> Optional[float]:
-        """Submit-to-finish seconds (the load bench's end-to-end metric)."""
+        """Submit-to-finish seconds (the run report's ``latency=``)."""
         if self.finished_at is None:
             return None
         return self.finished_at - self.submitted_at

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.backend import DeviceBackend
 from repro.kernels.device import (
     DeviceMemoryError,
     GpuDevice,
@@ -16,42 +17,33 @@ def test_default_is_v100_capacity():
     assert dev.memory_bytes == V100_MEMORY_BYTES == 16 * 1024**3
 
 
+def arena(memory_bytes):
+    """A device target over one device: its memory is charged through
+    ``reserve`` / ``release``, the one memory primitive."""
+    dev = GpuDevice(memory_bytes=memory_bytes)
+    return DeviceBackend([dev]), dev
+
+
 def test_alloc_free_accounting():
-    dev = GpuDevice(memory_bytes=1000)
-    a = dev.alloc((10,))  # 80 bytes
+    backend, dev = arena(1000)
+    backend.reserve(80)
     assert dev.bytes_in_use == 80
-    b = dev.alloc((5,))
+    backend.reserve(40)
     assert dev.bytes_in_use == 120
-    a.free()
+    backend.release(80)
     assert dev.bytes_in_use == 40
-    a.free()  # idempotent
-    assert dev.bytes_in_use == 40
-    b.free()
+    backend.release(40)
     assert dev.bytes_in_use == 0
     assert dev.high_water == 120
 
 
 def test_capacity_enforced():
-    dev = GpuDevice(memory_bytes=100)
-    dev.alloc((10,))
+    backend, dev = arena(100)
+    backend.reserve(80)
     with pytest.raises(DeviceMemoryError):
-        dev.alloc((10,))
-
-
-def test_context_manager_frees():
-    dev = GpuDevice(memory_bytes=1000)
-    with dev.alloc((10,)) as scratch:
-        assert dev.bytes_in_use == 80
-        scratch.data[...] = 1.0
-    assert dev.bytes_in_use == 0
-
-
-def test_upload_copies():
-    dev = GpuDevice()
-    host = np.arange(5.0)
-    d = dev.upload(host)
-    host[0] = 99.0
-    assert d.data[0] == 0.0
+        backend.reserve(80)
+    # a refused reservation charges nothing
+    assert dev.bytes_in_use == 80
 
 
 def test_launch_records_and_returns():
@@ -99,8 +91,8 @@ def test_totals_and_by_kernel():
 
 
 def test_double_free_detection():
-    dev = GpuDevice(memory_bytes=1000)
-    dev._allocate(100)
-    dev._release(100)
+    backend, _dev = arena(1000)
+    backend.reserve(100)
+    backend.release(100)
     with pytest.raises(RuntimeError):
-        dev._release(100)
+        backend.release(100)

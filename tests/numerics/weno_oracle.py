@@ -7,8 +7,7 @@ scale.  It left ``src/`` for speed (it was 43% of a steady step) and stays
 here as the oracle: the shipped combination must agree with it to
 rounding on every window (``tests/backend/test_fused.py``) and whole runs
 with it patched in must stay within the paper's 1e-7 (``install``,
-``tests/core/test_weno_drift.py``); ``benchmarks/bench_fused_kernels.py``
-times the shipped sweep against it.
+``tests/core/test_weno_drift.py``).
 """
 
 import numpy as np

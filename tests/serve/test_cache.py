@@ -46,22 +46,22 @@ def test_get_or_compute_counts_hits_and_misses(cache):
         calls.append(1)
         return {"x": np.arange(5.0)}
 
-    first = cache.get_or_compute("eos", "k" * 64, compute)
-    again = cache.get_or_compute("eos", "k" * 64, compute)
+    first = cache.get_or_compute("coords", "k" * 64, compute)
+    again = cache.get_or_compute("coords", "k" * 64, compute)
     assert len(calls) == 1  # second lookup served from disk
     np.testing.assert_array_equal(first["x"], again["x"])
-    assert cache.counters()["eos"] == {"hits": 1, "misses": 1}
+    assert cache.counters()["coords"] == {"hits": 1, "misses": 1}
     assert cache.hit_rate() == 0.5
 
 
 def test_torn_entry_treated_as_miss(cache):
     key = "t" * 64
-    cache.get_or_compute("interp", key, lambda: {"w": np.ones(2)})
-    path = cache._path("interp", key)
+    cache.get_or_compute("metrics", key, lambda: {"w": np.ones(2)})
+    path = cache._path("metrics", key)
     path.write_bytes(b"not a zip at all")
-    out = cache.get_or_compute("interp", key, lambda: {"w": np.ones(2)})
+    out = cache.get_or_compute("metrics", key, lambda: {"w": np.ones(2)})
     np.testing.assert_array_equal(out["w"], np.ones(2))
-    assert cache.misses["interp"] == 2  # the torn entry did not count as a hit
+    assert cache.misses["metrics"] == 2  # the torn entry did not count as a hit
 
 
 def test_curvilinear_metrics_roundtrip_bitwise(cache):
@@ -90,26 +90,3 @@ def test_coordinates_cached_per_region(cache):
     direct = case.coordinates(geom, geom.domain)
     assert first.tobytes() == direct.tobytes()
 
-
-def test_eos_table_and_warm(cache):
-    case = SodShockTube(ncells=32)
-    table = cache.eos_table(case.eos, case.layout, n=8)
-    assert table["p"].shape == (8, 8)
-    assert np.all(np.isfinite(table["p"]))
-    assert np.all(table["a"] > 0)
-    assert cache.eos_table(case.eos, case.layout, n=16)["p"].shape == (16, 16)
-    cache.warm(case, "trilinear")
-    cache.warm(case, "trilinear")
-    counters = cache.counters()
-    # the second warm re-used both entries the first one populated
-    assert counters["eos"]["hits"] == 1
-    assert counters["interp"]["hits"] == 1
-    assert counters["interp"]["misses"] == 1
-
-
-def test_interp_weights_weno_has_stencil_table(cache):
-    lin = cache.interp_weights("trilinear")
-    weno = cache.interp_weights("weno")
-    assert "frac" in lin and "weno_left" not in lin
-    assert "weno_left" in weno
-    assert np.all((weno["frac"] >= 0) & (weno["frac"] <= 1))

@@ -240,6 +240,42 @@ def test_saturation_sheds_with_429_and_idempotent_retries(tmp_path):
         httpd.server_close()
 
 
+def test_saturation_survival_every_retrying_submission_done_once(tmp_path):
+    """A tiny admission window hammered by concurrent retrying clients:
+    every submission ends ``done``, exactly once, despite the 429s."""
+    httpd = make_server(tmp_path / "svc", workers=1, executor="inline",
+                        max_queue_depth=2)
+    threading.Thread(target=httpd.serve_forever, daemon=True).start()
+    host, port = httpd.server_address[:2]
+    url = f"http://{host}:{port}"
+    submissions = 8
+    accepted, errors = [], []
+
+    def submitter(i):
+        client = ServeClient(url, retries=10, backoff_base=0.05,
+                             backoff_cap=0.5)
+        try:
+            accepted.append(client.submit(deck=deck(), label=f"sat{i}")["id"])
+        except Exception as exc:  # pragma: no cover - the failure signal
+            errors.append(exc)
+
+    threads = [threading.Thread(target=submitter, args=(i,))
+               for i in range(submissions)]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(180)
+        assert not errors, f"submissions lost under saturation: {errors[:3]}"
+        states = wait_terminal(httpd.service.registry, accepted)
+    finally:
+        httpd.service.stop()
+        httpd.shutdown()
+        httpd.server_close()
+    assert len(accepted) == len(set(accepted)) == submissions
+    assert list(states.values()) == ["done"] * submissions
+
+
 def test_draining_server_refuses_with_503(tmp_path):
     httpd = make_server(tmp_path / "svc", workers=1, executor="inline")
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)

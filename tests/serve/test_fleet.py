@@ -65,6 +65,19 @@ def test_saturated_fleet_drains_queue_without_bleed(svc):
     assert fleet.snapshot()["completed_runs"] == 3
 
 
+def test_saturated_queue_of_repeated_configs_hits_the_cache(svc):
+    """Every queued run is done exactly once, and each distinct config
+    misses the cross-run cache only the first time it runs."""
+    reg, fleet = svc(workers=1)
+    ncell = (16, 24)  # two configs (multiples of the blocking factor 8)
+    recs = [reg.submit(f"crocco.case = sod\namr.n_cell = {ncell[i % 2]}\n"
+                       "run.steps = 1\n") for i in range(12)]
+    states = wait_terminal(reg, [r.id for r in recs])
+    assert list(states.values()) == ["done"] * len(recs)
+    assert fleet.snapshot()["completed_runs"] == len(recs)
+    assert fleet.cache_hit_rate() > 0.8
+
+
 def test_priority_order_on_single_lane(svc):
     reg, fleet = svc(workers=1)
     # the first run occupies the lane; of the rest, highest priority wins

@@ -1,4 +1,5 @@
-"""Tests for the command-line tools (renderer, convergence driver)."""
+"""Tests for the command-line tools (renderer, convergence driver) and
+the paper-figure recorders under ``benchmarks/``."""
 
 import importlib.util
 import sys
@@ -10,11 +11,15 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent.parent
 
 
-def load_tool(name):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+def load(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+def load_tool(name):
+    return load(ROOT / "tools" / f"{name}.py")
 
 
 @pytest.fixture()
@@ -51,6 +56,16 @@ def test_render_plotfile_cli(small_plotfile, tmp_path, capsys):
     rc = tool.main([str(small_plotfile), "--out", str(out), "--log"])
     assert rc == 0
     assert out.exists()
+
+
+def test_every_recorder_imports():
+    """Each ``benchmarks/bench_*.py`` imports without running: a renamed
+    ``src/`` symbol or a deleted helper fails here, not in a bench run."""
+    recorders = sorted((ROOT / "benchmarks").glob("bench_*.py"))
+    assert recorders
+    for path in recorders:
+        mod = load(path)
+        assert any(name.startswith("test_") for name in vars(mod)), path.name
 
 
 def test_convergence_tool_importable():

@@ -8,10 +8,8 @@ device-side accounting of the paper's evaluation complete.  This module
 hoists that seam out of :mod:`repro.kernels.device` into a shared layer
 both the kernel layer and the AMR substrate launch through.
 
-**Targets are pluggable.**  A backend target registers itself with
-:func:`register_target`; :func:`make_exec_backend` constructs backends
-*only* through that registry, and :func:`available_targets` (and the
-derived module attribute ``TARGETS``) enumerate what is installed:
+**Three targets, one table.**  :data:`TARGETS` maps each target name to
+its class, and :func:`make_exec_backend` looks the name up there:
 
 ``host``
     Plain NumPy: :meth:`~ExecutionBackend.parallel_for` runs the body
@@ -26,11 +24,11 @@ derived module attribute ``TARGETS``) enumerate what is installed:
     differs — the v2.0/2.1 default.
 
 ``fused``
-    The ``device`` target with a fused launch stream
-    (:mod:`repro.backend.fused`): kernels that advertise fusion run the
-    per-direction WENO sweeps — the same compiled call each — inside one
-    wide launch.  Accounting matches the device target and the results
-    are bitwise host's.
+    The ``device`` target with a fused launch stream: the RK right-hand
+    side (:class:`~repro.kernels.api.KernelSet`) runs the per-direction
+    WENO sweeps — the same compiled call each — inside one wide
+    ``WENOxy`` / ``WENOxyz`` launch.  Accounting matches the device
+    target and the results are bitwise host's.
 
 **One scratch cache per backend.**  Every backend instance — ``host``
 included — owns a role-keyed :class:`ScratchCache`; the WENO sweep of
@@ -38,9 +36,13 @@ every target takes its intermediates from it (the allocation pattern the
 paper's port reaches by hoisting scratch out of the kernels, Sec. IV-B),
 and :meth:`ExecutionBackend.scratch_stats` reports its hit rate.
 
-**The launch contract is a** :class:`LaunchSpec`.  Every target accepts
+**A launch is a name, a class and a rank.**  Every target accepts
 ``parallel_for(name, fn, npoints, spec)`` / ``reduce_data(name, values,
-op, spec)`` uniformly, and nothing else.
+op, spec)`` with a :class:`LaunchSpec`, and nothing else.  An accounting
+target prices a launch from its name alone, by
+:func:`~repro.kernels.counts.budget_for_kernel`; a reduction is recorded
+as one flop and one 8-byte word per value
+(:meth:`~repro.kernels.device.GpuDevice.reduce`).
 
 **Simulated devices belong to the accounting targets.**  A launch names
 the issuing rank (``spec.rank``); the target maps it to that rank's
@@ -54,61 +56,48 @@ accounts.
 A module-level current backend (default: host) lets deep call sites —
 the AMR substrate has no reference to the driver — resolve their target
 with :func:`current_backend`; the driver activates its configured
-backend around each step with :func:`use_backend` (the LaunchContext).
-Launch accounting lives in one place, the devices' launch tables: per-class
-totals are a view of them.
+backend around each step with :func:`use_backend`.  Launch accounting
+lives in one place, the devices' launch tables: per-class totals are a
+view of them.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.backend.scratch import ScratchCache
 
-#: kernel classes used to group launch accounting
-KERNEL_CLASSES = ("flux", "update", "fillpatch", "interp", "averagedown",
-                  "tagging", "reduction")
-
 _REDUCE_OPS = {"min": np.min, "max": np.max, "sum": np.sum}
 
-#: the fields :meth:`ExecutionBackend.class_totals` reports per kernel class
-COUNTER_FIELDS = ("launches", "points", "flops", "dram_bytes")
+
+def reduce_values(values, op: str) -> float:
+    """``op`` over ``values``: the arithmetic of every target's
+    ``ReduceData`` (``GpuDevice.reduce`` included)."""
+    if op not in _REDUCE_OPS:
+        raise ValueError(f"unknown reduction op {op!r}")
+    return float(_REDUCE_OPS[op](values))
 
 
 # -- the launch contract -----------------------------------------------------
 
 @dataclass(frozen=True)
 class LaunchSpec:
-    """The one documented keyword contract of ``parallel_for``/``reduce_data``.
-
-    Every registered target accepts a LaunchSpec uniformly (targets that
-    do not account simply ignore the accounting fields), replacing the
-    per-target keyword lists that used to drift apart:
+    """What ``parallel_for`` / ``reduce_data`` take besides the name.
 
     ``kernel_class``
-        Coarse accounting group (one of :data:`KERNEL_CLASSES`).
-    ``budget``
-        A :class:`~repro.kernels.counts.KernelBudget` pricing the launch
-        (flops/bytes per point); accounting targets resolve ``None`` from
-        the launch name via
-        :func:`~repro.kernels.counts.budget_for_kernel`.
+        Coarse accounting group: ``flux``, ``update``, ``fillpatch``,
+        ``interp``, ``averagedown``, ``tagging`` or ``reduction``.
     ``rank``
         The simulated MPI rank issuing the launch; accounting targets
         map it to that rank's device (Summit: one V100 per rank).
-    ``shape``
-        Array-shape hint: the shape of the patch (or batch of patches)
-        the launch covers, which lets a target report which shapes
-        drive its scratch cache.
     """
 
     kernel_class: str = "flux"
-    budget: Optional[object] = None
     rank: int = 0
-    shape: Optional[Tuple[int, ...]] = None
 
 
 _FLUX_SPEC = LaunchSpec(kernel_class="flux")
@@ -134,7 +123,9 @@ class ExecutionBackend:
     #: per rank — empty on targets that do not account
     devices: Sequence[object] = ()
 
-    def __init__(self) -> None:
+    def __init__(self, devices: Optional[List[object]] = None) -> None:
+        # ``devices`` is taken by every target and kept by those that
+        # account (DeviceBackend)
         #: kernel intermediates, reused across launches, stages and steps
         self.scratch = ScratchCache()
 
@@ -188,9 +179,7 @@ class HostBackend(ExecutionBackend):
         return fn()
 
     def _reduce(self, name, values, op, spec) -> float:
-        if op not in _REDUCE_OPS:
-            raise ValueError(f"unknown reduction op {op!r}")
-        return float(_REDUCE_OPS[op](values))
+        return reduce_values(values, op)
 
 
 class DeviceBackend(ExecutionBackend):
@@ -198,7 +187,7 @@ class DeviceBackend(ExecutionBackend):
 
     ``spec.rank`` selects from the backend's device list (Summit: one
     V100 per MPI rank); each launch is counted once, in that device's
-    launch table.
+    launch table, priced by its name.
     """
 
     target = "device"
@@ -216,15 +205,8 @@ class DeviceBackend(ExecutionBackend):
         return self.devices[rank % len(self.devices)]
 
     def _launch(self, name, fn, npoints, spec):
-        b = spec.budget if spec.budget is not None else self._budget_for(name)
         return self.device_for(spec.rank).launch(
-            name, fn, npoints,
-            flops_per_point=b.flops_per_point,
-            dram_bytes_per_point=b.dram_bytes_per_point,
-            l2_amplification=b.l2_amplification,
-            l1_amplification=b.l1_amplification,
-            kernel_class=spec.kernel_class,
-        )
+            name, fn, npoints, self._budget_for(name), spec.kernel_class)
 
     def _reduce(self, name, values, op, spec) -> float:
         return self.device_for(spec.rank).reduce(
@@ -238,87 +220,38 @@ class DeviceBackend(ExecutionBackend):
 
     # -- accounting ---------------------------------------------------------
     def class_totals(self) -> Dict[str, Dict[str, int]]:
-        from repro.kernels.device import launch_totals
+        from repro.kernels.device import TOTAL_FIELDS, launch_totals
 
-        return {cls: {f: tot[f] for f in COUNTER_FIELDS}
+        # the cache-level bytes are per kernel only (the roofline's)
+        return {cls: {f: tot[f] for f in TOTAL_FIELDS[:4]}
                 for cls, tot in launch_totals(self.devices,
                                               "kernel_class").items()}
 
 
-# -- target registry ---------------------------------------------------------
+class FusedBackend(DeviceBackend):
+    """``device`` with one wide WENO launch per right-hand side."""
 
-class UnknownTargetError(ValueError):
-    """An execution-target name with no registered factory."""
-
-
-#: name -> factory(devices=None) -> ExecutionBackend, in registration order
-_TARGET_FACTORIES: Dict[str, Callable[..., ExecutionBackend]] = {}
+    target = "fused"
+    fuses_kernels = True
 
 
-def register_target(name: str, factory: Callable[..., ExecutionBackend], *,
-                    override: bool = False) -> None:
-    """Register an execution-target factory under ``name``.
-
-    ``factory(devices=None)`` must return a fresh
-    :class:`ExecutionBackend`.  Registering an existing name raises
-    unless ``override=True`` (used by tests and downstream forks to swap
-    a target implementation in place).
-    """
-    if not name or not isinstance(name, str):
-        raise ValueError(f"target name must be a non-empty string, got {name!r}")
-    if name == "auto":
-        raise ValueError("'auto' is reserved for version-default resolution")
-    if name in _TARGET_FACTORIES and not override:
-        raise ValueError(
-            f"target {name!r} is already registered "
-            f"(pass override=True to replace it)")
-    _TARGET_FACTORIES[name] = factory
-
-
-def unregister_target(name: str) -> None:
-    """Remove a registered target (primarily for test isolation)."""
-    _TARGET_FACTORIES.pop(name, None)
-
-
-def available_targets() -> Tuple[str, ...]:
-    """Registered target names, in registration order."""
-    return tuple(_TARGET_FACTORIES)
+#: every execution target, by the name ``backend.target`` takes
+TARGETS = {"host": HostBackend, "device": DeviceBackend,
+           "fused": FusedBackend}
 
 
 def make_exec_backend(target: str,
                       devices: Optional[List[object]] = None) -> ExecutionBackend:
-    """Build a backend by target name (``backend.target`` / REPRO_BACKEND).
-
-    Construction goes through the registry *only*: every target —
-    built-in or downstream — plugs in via :func:`register_target`.
-    """
-    factory = _TARGET_FACTORIES.get(target)
-    if factory is None:
-        raise UnknownTargetError(
-            f"unknown backend target {target!r}; registered targets: "
-            f"{', '.join(available_targets())}")
-    return factory(devices=devices)
-
-
-# the built-in accounting targets; the `fused` target registers
-# itself from repro.backend.fused (imported by the package __init__)
-register_target("host", lambda devices=None: HostBackend())
-register_target("device", lambda devices=None: DeviceBackend(devices))
-
-
-def __getattr__(name: str):
-    # TARGETS is *derived* from the registry (not a duplicated literal):
-    # late-registered targets show up, and `from ... import TARGETS`
-    # re-executed inside functions always sees the current set
-    if name == "TARGETS":
-        return available_targets()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """Build a backend by target name (``backend.target`` / REPRO_BACKEND)."""
+    if target not in TARGETS:
+        raise ValueError(f"unknown backend target {target!r}; targets: "
+                         f"{', '.join(TARGETS)}")
+    return TARGETS[target](devices)
 
 
 # -- current-backend context -------------------------------------------------
 
-_DEFAULT = HostBackend()
-_current: ExecutionBackend = _DEFAULT
+_current: ExecutionBackend = HostBackend()
 
 
 def current_backend() -> ExecutionBackend:
@@ -326,36 +259,22 @@ def current_backend() -> ExecutionBackend:
     return _current
 
 
-def set_backend(backend: Optional[ExecutionBackend]) -> ExecutionBackend:
-    """Install ``backend`` (None restores the host default); returns the
-    previously active backend."""
-    global _current
-    previous = _current
-    _current = backend if backend is not None else _DEFAULT
-    return previous
-
-
 @contextmanager
 def use_backend(backend: ExecutionBackend):
-    """LaunchContext: activate ``backend`` for the dynamic extent of a block.
+    """Activate ``backend`` for the dynamic extent of a block.
 
     Re-entrant: the previously active backend is restored on exit, so
     nested drivers (e.g. a validation run inside a recorded run) compose.
     """
-    previous = set_backend(backend)
+    global _current
+    previous, _current = _current, backend
     try:
         yield backend
     finally:
-        set_backend(previous)
+        _current = previous
 
 
 def parallel_for(name: str, fn: Callable, npoints: int,
                  spec: Optional[LaunchSpec] = None):
     """Launch ``fn`` through the currently active backend."""
     return current_backend().parallel_for(name, fn, npoints, spec)
-
-
-def reduce_data(name: str, values, op: str = "min",
-                spec: Optional[LaunchSpec] = None) -> float:
-    """Reduce ``values`` through the currently active backend."""
-    return current_backend().reduce_data(name, values, op, spec)

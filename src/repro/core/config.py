@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.backend import available_targets
+from repro.backend import TARGETS
 from repro.core.errors import ConfigError
 from repro.core.versions import VERSIONS
 from repro.numerics.weno import VARIANTS as WENO_VARIANTS
@@ -184,11 +184,10 @@ class CroccoConfig:
         help="print the TinyProfiler and ledger reports at end of run")
     backend_target: str = opt(
         "auto", deck="backend.target", env="REPRO_BACKEND", flag="--backend",
-        choices=lambda: ("auto", *available_targets()),
+        choices=("auto", *TARGETS),
         help="execution target: host (NumPy), device (recorded launches on "
-             "simulated GPUs), fused (device with one wide WENO launch), any "
-             "registered target, or auto = the version's own (host for 1.x, "
-             "device for 2.x)")
+             "simulated GPUs), fused (device with one wide WENO launch), or "
+             "auto = the version's own (host for 1.x, device for 2.x)")
     cache_dir: Optional[str] = opt(
         None, deck="run.cache_dir", flag="--cache-dir",
         help="cross-run cache of coords, metrics, EOS and interp tables")

@@ -376,7 +376,7 @@ class Crocco(AmrCore):
 
         plans_before = self.comm.plans_built
         graphs_before = self.engine.graphs_built
-        # the LaunchContext routes every AMR-substrate launch of this step
+        # the active backend routes every AMR-substrate launch of this step
         # (regrid, FillPatch, tagging, ComputeDt, ...) to the configured
         # execution backend
         with use_backend(self.exec_backend):

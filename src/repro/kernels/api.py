@@ -55,14 +55,6 @@ from typing import Optional
 import numpy as np
 
 from repro.backend import ExecutionBackend, HostBackend, LaunchSpec
-from repro.kernels.counts import (
-    BUDGETS,
-    COMPUTEDT_BUDGET,
-    UPDATE_BUDGET,
-    VISCOUS_BUDGET,
-    WENO_BUDGET,
-    fused_weno_budget,
-)
 from repro.numerics.cfl import local_max_rate
 from repro.numerics.fluxes import ConvectiveFlux
 from repro.numerics.metrics import Metrics
@@ -114,8 +106,8 @@ class KernelSet:
         return ng
 
     # -- launches --------------------------------------------------------------
-    def _launch(self, name: str, body, npts: int, kernel_class: str, budget,
-                shape, rank, scratch: int = 0):
+    def _launch(self, name: str, body, npts: int, kernel_class: str, shape,
+                rank, scratch: int = 0):
         """Run ``body`` once and record it on the owning rank's device.
 
         ``npts`` and ``scratch`` (bytes of device global memory reserved
@@ -135,8 +127,7 @@ class KernelSet:
             try:
                 res = backend.parallel_for(
                     name, body, npts * n,
-                    LaunchSpec(kernel_class=kernel_class, budget=budget,
-                               rank=r, shape=shape))
+                    LaunchSpec(kernel_class=kernel_class, rank=r))
             finally:
                 if scratch:
                     backend.release(scratch * n, r)
@@ -190,13 +181,13 @@ class KernelSet:
             # per-direction launch stream
             out = self._weno_launch(
                 "WENO" + "xyz"[:dim], lambda: sweeps(directions), dim * npts,
-                fused_weno_budget(dim), u, rank)
+                u, rank)
         else:
             out = None
             for d in directions:
                 out = self._weno_launch(
                     DIRECTION_NAMES[d], lambda: sweeps((d,), out), npts,
-                    WENO_BUDGET, u, rank)
+                    u, rank)
         if self.viscous is not None:
             out = out + self._viscous(u, metrics, ng, rank)
         assert out is not None
@@ -204,12 +195,12 @@ class KernelSet:
             out = out.astype(np.float32).astype(np.float64)
         return out
 
-    def _weno_launch(self, name: str, body, npts: int, budget,
-                     u: np.ndarray, rank):
+    def _weno_launch(self, name: str, body, npts: int, u: np.ndarray,
+                     rank):
         """One WENO launch with its scratch: the reconstruction scratch
         arrays, ``ncons`` grown patches' worth per patch."""
         nbytes = self.layout.ncons * u.itemsize * self._npts(u.shape)
-        return self._launch(name, body, npts, "flux", budget, u.shape, rank,
+        return self._launch(name, body, npts, "flux", u.shape, rank,
                             scratch=nbytes)
 
     def _viscous(self, u: np.ndarray, metrics: Metrics, ng: int,
@@ -225,7 +216,7 @@ class KernelSet:
                 [div(u[:, b], metrics.member(b)) for b in range(u.shape[1])],
                 axis=1)
         return self._launch("Viscous", body, self._npts(u.shape, ng), "flux",
-                            VISCOUS_BUDGET, u.shape, rank)
+                            u.shape, rank)
 
     # -- RK update kernel -----------------------------------------------------
     def update(self, u_valid: np.ndarray, du: np.ndarray, rhs: np.ndarray,
@@ -234,8 +225,8 @@ class KernelSet:
         a batch (``rank``: one per member), in place."""
         self._launch("Update",
                      lambda: rk3_stage(u_valid, du, rhs, dt, stage),
-                     self._npts(u_valid.shape), "update", UPDATE_BUDGET,
-                     u_valid.shape, rank)
+                     self._npts(u_valid.shape), "update", u_valid.shape,
+                     rank)
 
     # -- ComputeDt ----------------------------------------------------------
     def max_rate(self, u: np.ndarray, metrics: Metrics, rank=0):
@@ -243,7 +234,7 @@ class KernelSet:
         reduction on an accounting target, plain NumPy on host); for a
         batch, the rate of every member."""
         return local_max_rate(self.layout, self.eos, u, metrics,
-                              backend=self.exec_backend, rank=rank)
+                              self.exec_backend, rank)
 
 
 def _no_body() -> None:

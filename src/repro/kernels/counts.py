@@ -165,12 +165,6 @@ BUDGETS = {
 }
 
 
-def fused_weno_budget(dim: int) -> KernelBudget:
-    """Budget for the fused launch covering all ``dim`` sweeps."""
-    if dim >= 2:
-        return BUDGETS["WENO" + "xyz"[:dim]]
-    return WENO_BUDGET  # 1D: nothing to fuse across directions
-
 #: launch-name prefix -> budget, for the families of labeled launches the
 #: execution backend emits (WENOx/WENOy/WENOz, FB_pack/FB_unpack, ...)
 _PREFIX_BUDGETS = (
@@ -184,7 +178,9 @@ _PREFIX_BUDGETS = (
 
 
 def budget_for_kernel(name: str) -> KernelBudget:
-    """Resolve a launch name to its cost budget.
+    """Resolve a launch name to its cost budget — the one rule that prices
+    a launch: the device target records with it, and the V100 timing and
+    roofline read recorded launches back through it.
 
     Exact matches win; otherwise the launch-family prefix decides
     (``WENOx`` -> WENO, ``FB_pack`` -> FillBoundary, ``Interp_weno`` ->

@@ -30,6 +30,9 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional
 
 import numpy as np
 
+from repro.backend.launch import reduce_values
+from repro.kernels.counts import KernelBudget
+
 #: Summit NVIDIA V100 device memory
 V100_MEMORY_BYTES = 16 * 1024**3
 
@@ -97,23 +100,16 @@ class GpuDevice:
             raise RuntimeError("device arena double free")
 
     # -- launches ----------------------------------------------------------
-    def launch(
-        self,
-        name: str,
-        fn: Callable[[], Optional[np.ndarray]],
-        npoints: int,
-        flops_per_point: float,
-        dram_bytes_per_point: float,
-        l2_amplification: float = 1.6,
-        l1_amplification: float = 4.0,
-        kernel_class: str = "flux",
-    ):
-        """Run ``fn`` as one recorded kernel launch (ParallelFor semantics).
+    def launch(self, name: str, fn: Callable[[], Optional[np.ndarray]],
+               npoints: int, budget: KernelBudget,
+               kernel_class: str = "flux"):
+        """Run ``fn`` as one recorded kernel launch (ParallelFor semantics),
+        priced by ``budget`` per point.
 
-        ``l2_amplification``/``l1_amplification`` model how much more
-        traffic the stencil kernels generate at the inner cache levels than
-        at DRAM (each cell is re-read by every stencil that covers it; the
-        caches absorb most but not all of the reuse).
+        The budget's ``l2_amplification``/``l1_amplification`` model how
+        much more traffic the stencil kernels generate at the inner cache
+        levels than at DRAM (each cell is re-read by every stencil that
+        covers it; the caches absorb most but not all of the reuse).
         """
         # the timed window covers only fn(); record construction and
         # listener notification happen after `elapsed` is taken so
@@ -121,14 +117,14 @@ class GpuDevice:
         t0 = time.perf_counter()
         result = fn()
         elapsed = time.perf_counter() - t0
-        dram = int(npoints * dram_bytes_per_point)
+        dram = int(npoints * budget.dram_bytes_per_point)
         rec = LaunchRecord(
             name=name,
             npoints=npoints,
-            flops=int(npoints * flops_per_point),
+            flops=int(npoints * budget.flops_per_point),
             dram_bytes=dram,
-            l2_bytes=int(dram * l2_amplification),
-            l1_bytes=int(dram * l1_amplification),
+            l2_bytes=int(dram * budget.l2_amplification),
+            l1_bytes=int(dram * budget.l1_amplification),
             kernel_class=kernel_class,
         )
         self.table[rec] += 1
@@ -137,14 +133,12 @@ class GpuDevice:
 
     def reduce(self, name: str, values: np.ndarray, op: str = "min",
                kernel_class: str = "reduction") -> float:
-        """amrex::ReduceData-style device reduction (used by ComputeDt)."""
-        ops = {"min": np.min, "max": np.max, "sum": np.sum}
-        if op not in ops:
-            raise ValueError(f"unknown reduction op {op!r}")
+        """amrex::ReduceData-style device reduction (used by ComputeDt),
+        recorded as one flop and one 8-byte word per value."""
         n = int(np.asarray(values).size)
         # listeners fire outside the timed window (see launch())
         t0 = time.perf_counter()
-        result = float(ops[op](values))
+        result = reduce_values(values, op)
         elapsed = time.perf_counter() - t0
         rec = LaunchRecord(
             name=name, npoints=n, flops=n,
@@ -154,20 +148,6 @@ class GpuDevice:
         self.table[rec] += 1
         self._notify_launch(rec, elapsed)
         return result
-
-    # -- summaries (views of the table) -----------------------------------
-    def totals(self, name: Optional[str] = None) -> LaunchRecord:
-        """Aggregate record over all launches (optionally one kernel)."""
-        rows = [(r, n) for r, n in self.table.items()
-                if name is None or r.name == name]
-        return LaunchRecord(
-            name=name or "total",
-            npoints=sum(r.npoints * n for r, n in rows),
-            flops=sum(r.flops * n for r, n in rows),
-            dram_bytes=sum(r.dram_bytes * n for r, n in rows),
-            l2_bytes=sum(r.l2_bytes * n for r, n in rows),
-            l1_bytes=sum(r.l1_bytes * n for r, n in rows),
-        )
 
     def reset(self) -> None:
         self.table.clear()
@@ -179,7 +159,8 @@ class GpuDevice:
         )
 
 
-#: what :func:`launch_totals` sums per group
+#: what :func:`launch_totals` sums per group; the per-class view
+#: (``class_totals()``, the ``device.class.*`` gauges) is the first four
 TOTAL_FIELDS = ("launches", "points", "flops", "dram_bytes", "l2_bytes",
                 "l1_bytes")
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.kernels.counts import KernelBudget
-from repro.kernels.device import GpuDevice
+from repro.kernels.counts import KernelBudget, budget_for_kernel
+from repro.kernels.device import GpuDevice, launch_totals
 from repro.machine.gpu import V100Model
 
 
@@ -73,32 +73,31 @@ def roofline_from_launches(device_sim: GpuDevice, kernel: str,
 
     ``wall_time`` is the (modeled or measured) time the launches took; the
     flop/byte totals come from the device's launch table, exactly as
-    Nsight Compute derives them from hardware counters.
+    Nsight Compute derives them from hardware counters; the register
+    count (occupancy) is the budget the launch name is priced by.
     """
-    tot = device_sim.totals(kernel)
-    if tot.flops == 0 or wall_time <= 0:
+    tot = launch_totals([device_sim]).get(kernel)
+    flops = tot["flops"] if tot else 0
+    if flops == 0 or wall_time <= 0:
         raise ValueError("no recorded flops or non-positive wall time")
     ai = {
-        "L1": tot.flops / tot.l1_bytes,
-        "L2": tot.flops / tot.l2_bytes,
-        "DRAM": tot.flops / tot.dram_bytes,
+        "L1": flops / tot["l1_bytes"],
+        "L2": flops / tot["l2_bytes"],
+        "DRAM": flops / tot["dram_bytes"],
     }
-    from repro.kernels.counts import BUDGETS
-
-    budget = BUDGETS.get(kernel.rstrip("xyz") if kernel.startswith("WENO") else kernel)
-    regs = budget.registers_per_thread if budget else 255
-    occ = device.theoretical_occupancy(regs)
+    occ = device.theoretical_occupancy(
+        budget_for_kernel(kernel).registers_per_thread)
     bw_frac = device.effective_bandwidth_fraction(occ)
     bws = {"L1": device.l1_bandwidth, "L2": device.l2_bandwidth,
            "DRAM": device.hbm_bandwidth}
     ceilings = {lvl: ai[lvl] * bws[lvl] * bw_frac for lvl in ai}
-    achieved = tot.flops / wall_time
+    achieved = flops / wall_time
     bound = min(ceilings, key=ceilings.get)
     if device.peak_dp_flops * min(1.0, 2 * occ) < min(ceilings.values()):
         bound = "compute"
     return RooflinePoint(
         kernel=kernel,
-        flops=tot.flops,
+        flops=flops,
         achieved_flops_per_s=achieved,
         ai=ai,
         ceilings=ceilings,

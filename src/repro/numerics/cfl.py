@@ -14,12 +14,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.backend import ExecutionBackend, LaunchSpec
 from repro.numerics.fluxes import wave_speed
 from repro.numerics.state import StateLayout
 
 
 def local_max_rate(layout: StateLayout, eos, u: np.ndarray, metrics,
-                   backend=None, rank=0):
+                   backend: ExecutionBackend, rank=0):
     """max over this patch's cells of sum_d (|Uhat_d| + a |m_d|)/J.
 
     The final max is an execution-backend ``ReduceData``: a NumPy
@@ -37,16 +38,7 @@ def local_max_rate(layout: StateLayout, eos, u: np.ndarray, metrics,
     for d in range(layout.dim):
         w = wave_speed(vel, a, metrics.m(d), J)
         total = w if total is None else total + w
-    if backend is None:
-        # imported lazily: repro.backend must stay importable from the
-        # repro.kernels package-import chain without a cycle
-        from repro.backend import current_backend
-
-        backend = current_backend()
-    from repro.backend import LaunchSpec
-
-    spec = lambda r: LaunchSpec(kernel_class="reduction", rank=r,
-                                shape=total.shape)
+    spec = lambda r: LaunchSpec(kernel_class="reduction", rank=r)
     if total.ndim == layout.dim:
         return backend.reduce_data("ComputeDt", total, "max", spec(rank))
     # accounting is not execution: the patch maxima are taken once, on the

@@ -12,14 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
-from repro.kernels.counts import KernelBudget, budget_for_kernel
+from repro.kernels.counts import budget_for_kernel
 from repro.kernels.device import GpuDevice
 from repro.machine.gpu import V100Model
-
-
-def _budget_for(kernel: str) -> KernelBudget:
-    # shared launch-name -> budget resolver (exact, then prefix families)
-    return budget_for_kernel(kernel)
 
 
 @dataclass(frozen=True)
@@ -43,8 +38,7 @@ def summarize_device(device: GpuDevice,
     launches: Dict[str, int] = {}
     points: Dict[str, int] = {}
     for rec, n in device.table.items():
-        budget = _budget_for(rec.name)
-        t = m.kernel_time(budget, rec.npoints)
+        t = m.kernel_time(budget_for_kernel(rec.name), rec.npoints)
         seconds[rec.name] = seconds.get(rec.name, 0.0) + t * n
         launches[rec.name] = launches.get(rec.name, 0) + n
         points[rec.name] = points.get(rec.name, 0) + rec.npoints * n

@@ -2,13 +2,19 @@
 per-step Algorithm-2 phase coverage, config plumbing."""
 
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.backend import ExecutionBackend
 from repro.cases.dmr import DoubleMachReflection
+from repro.cli import build_case
 from repro.core.crocco import Crocco, CroccoConfig
 from repro.io.inputs import InputDeck
+from repro.kernels.counts import budget_for_kernel
+
+DMR_DECK = Path(__file__).resolve().parents[2] / "examples/decks/dmr.inputs"
 
 #: Algorithm-2 phases every v2.x step must emit labeled launches for
 #: (Viscous is absent on the inviscid DMR; covered separately below)
@@ -130,6 +136,42 @@ class TestPhaseCoverage:
         assert sim.kernels.exec_backend is sim.exec_backend
         assert len(sim.devices) == sim.comm.nranks
         sim.close()
+
+
+class TestSeamAccounting:
+    def test_seam_calls_are_the_recorded_launches(self, launch_log,
+                                                  monkeypatch):
+        """Two steps of the DMR deck on ``device``: each ``parallel_for``
+        call is one recorded launch outside class ``reduction``, each
+        ``reduce_data`` call one ``reduction`` launch, and every launch is
+        priced by its name.  The benchmark's untraced estimator cuts a step
+        at ``parallel_for`` and the report reads the records, so both see
+        the same launches."""
+        config, run = InputDeck.from_file(DMR_DECK).resolve(
+            {"backend_target": "device"})
+        sim = Crocco(build_case(run), config)
+        sim.initialize()
+        for dev in sim.devices:
+            dev.add_listener(launch_log)
+        calls = Counter()
+        for hook in ("parallel_for", "reduce_data"):
+            def counted(self, *args, _real=getattr(ExecutionBackend, hook),
+                        _hook=hook, **kwargs):
+                calls[_hook] += 1
+                return _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(ExecutionBackend, hook, counted)
+        sim.run(2)
+        sim.close()
+        reductions = [r for r in launch_log.events
+                      if r.kernel_class == "reduction"]
+        launches = [r for r in launch_log.events
+                    if r.kernel_class != "reduction"]
+        assert calls["parallel_for"] == len(launches) > 0
+        assert calls["reduce_data"] == len(reductions) > 0
+        for rec in launches:
+            assert rec.flops == int(
+                rec.npoints * budget_for_kernel(rec.name).flops_per_point)
 
 
 class TestConfigPlumbing:

@@ -1,72 +1,32 @@
-"""Target-registry API: registration, resolution, LaunchSpec contract."""
+"""The target table, the ``backend.target`` option and the LaunchSpec
+contract."""
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from repro.backend import (HostBackend, LaunchSpec, UnknownTargetError,
-                           available_targets, make_exec_backend,
-                           register_target, unregister_target)
+from repro.backend import TARGETS, LaunchSpec, make_exec_backend
 from repro.core.errors import ConfigError
+from repro.kernels.counts import budget_for_kernel
 
 ALL_TARGETS = ("host", "device", "fused")
 
 
 class TestRegistry:
+    """The target table: three names, each a class ``make_exec_backend``
+    looks up."""
+
     def test_builtin_targets_registered(self):
-        targets = available_targets()
-        for name in ALL_TARGETS:
-            assert name in targets
-
-    def test_targets_constant_derived_from_registry(self):
-        import repro.backend
-        import repro.backend.launch
-
-        assert repro.backend.TARGETS == available_targets()
-        assert repro.backend.launch.TARGETS == available_targets()
-        register_target("tmp_derived", lambda devices=None: HostBackend())
-        try:
-            assert "tmp_derived" in repro.backend.TARGETS
-        finally:
-            unregister_target("tmp_derived")
-        assert "tmp_derived" not in repro.backend.TARGETS
+        assert tuple(TARGETS) == ALL_TARGETS
 
     def test_make_exec_backend_goes_through_registry(self):
         for name in ALL_TARGETS:
-            assert make_exec_backend(name).target == name
-
-    def test_register_and_construct_custom_target(self):
-        class Tracer(HostBackend):
-            target = "tracer"
-
-        register_target("tracer", lambda devices=None: Tracer())
-        try:
-            be = make_exec_backend("tracer")
-            assert isinstance(be, Tracer)
-            assert "tracer" in available_targets()
-        finally:
-            unregister_target("tracer")
-
-    def test_duplicate_registration_rejected_unless_override(self):
-        register_target("tmp_dup", lambda devices=None: HostBackend())
-        try:
-            with pytest.raises(ValueError, match="already registered"):
-                register_target("tmp_dup", lambda devices=None: HostBackend())
-            # override replaces the factory in place
-            class Other(HostBackend):
-                target = "tmp_dup"
-
-            register_target("tmp_dup", lambda devices=None: Other(),
-                            override=True)
-            assert isinstance(make_exec_backend("tmp_dup"), Other)
-        finally:
-            unregister_target("tmp_dup")
-
-    def test_auto_name_reserved(self):
-        with pytest.raises(ValueError, match="reserved"):
-            register_target("auto", lambda devices=None: HostBackend())
+            be = make_exec_backend(name)
+            assert type(be) is TARGETS[name] and be.target == name
 
     def test_unknown_target_error_lists_registered_names(self):
-        with pytest.raises(UnknownTargetError) as exc:
+        with pytest.raises(ValueError) as exc:
             make_exec_backend("cuda")
         msg = str(exc.value)
         for name in ALL_TARGETS:
@@ -74,8 +34,9 @@ class TestRegistry:
 
 
 class TestTargetOption:
-    """The config's target is checked by the option table, which knows
-    the registry; ``auto`` resolves to the version's own target."""
+    """The config's target is checked by the option table, whose choices
+    are ``auto`` and the target table; ``auto`` resolves to the version's
+    own target."""
 
     def test_auto_resolves_to_version_default(self):
         from repro.cases.shocktube import SodShockTube
@@ -87,16 +48,14 @@ class TestTargetOption:
             assert sim.backend_target == target
             sim.close()
 
-    def test_registered_plugin_target_is_a_legal_choice(self):
+    def test_choices_are_auto_and_the_three_targets(self):
+        from repro.core.config import BY_NAME
         from repro.core.crocco import CroccoConfig
 
-        register_target("tmp_plugin", lambda devices=None: HostBackend())
-        try:
-            CroccoConfig(backend_target="tmp_plugin").validate()
-        finally:
-            unregister_target("tmp_plugin")
-        with pytest.raises(ConfigError, match="tmp_plugin"):
-            CroccoConfig(backend_target="tmp_plugin").validate()
+        assert tuple(BY_NAME["backend_target"].legal()) == (
+            "auto", *ALL_TARGETS)
+        for name in ("auto", *ALL_TARGETS):
+            CroccoConfig(backend_target=name).validate()
 
     def test_crocco_reports_config_error(self):
         from repro.cases.shocktube import SodShockTube
@@ -123,7 +82,7 @@ class TestLaunchSpecContract:
     @pytest.mark.parametrize("target", ALL_TARGETS)
     def test_spec_accepted_by_all_targets(self, target):
         be = make_exec_backend(target)
-        spec = LaunchSpec(kernel_class="flux", rank=0, shape=(5, 8, 8))
+        spec = LaunchSpec(kernel_class="flux", rank=0)
         out = be.parallel_for("WENOx", lambda: 42, 64, spec)
         assert out == 42
         red = be.reduce_data("ComputeDt", np.arange(6.0), "max",
@@ -140,13 +99,19 @@ class TestLaunchSpecContract:
         with pytest.raises(TypeError, match=kwarg):
             be.reduce_data("R", np.arange(3.0), "min", **{kwarg: 0})
 
+    def test_spec_is_a_class_and_a_rank(self):
+        """The cost of a launch is not part of the contract: it follows
+        from the launch name."""
+        assert [f.name for f in fields(LaunchSpec)] == ["kernel_class", "rank"]
+
     def test_device_target_records_spec_fields(self):
         from repro.kernels.device import GpuDevice
 
         dev = GpuDevice(name="t")
         be = make_exec_backend("device", [dev])
         be.parallel_for("WENOx", lambda: None, 100,
-                        LaunchSpec(kernel_class="flux", rank=0,
-                                   shape=(5, 10, 10)))
+                        LaunchSpec(kernel_class="flux", rank=0))
         assert dev.table.total() == 1
         assert be.class_totals()["flux"]["points"] == 100
+        (rec,) = dev.table
+        assert rec.flops == int(100 * budget_for_kernel("WENOx").flops_per_point)

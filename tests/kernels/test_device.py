@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.backend import DeviceBackend
+from repro.kernels.counts import KernelBudget, WENO_BUDGET
 from repro.kernels.device import (
     DeviceMemoryError,
     GpuDevice,
@@ -49,15 +50,15 @@ def test_capacity_enforced():
 def test_launch_records_and_returns():
     dev = GpuDevice()
     out = dev.launch("WENOx", lambda: np.ones(3), npoints=1000,
-                     flops_per_point=600, dram_bytes_per_point=400)
+                     budget=WENO_BUDGET)
     assert np.all(out == 1.0)
     (rec, count), = dev.table.items()
     assert count == 1
     assert rec.name == "WENOx"
     assert rec.flops == 600000
     assert rec.dram_bytes == 400000
-    assert rec.l2_bytes == 640000
-    assert rec.l1_bytes == 1600000
+    assert rec.l2_bytes == 720000
+    assert rec.l1_bytes == 1800000
 
 
 def test_reduce():
@@ -72,9 +73,10 @@ def test_reduce():
 
 def test_totals_and_by_kernel():
     dev = GpuDevice()
-    dev.launch("A", lambda: None, 10, 2, 4)
-    dev.launch("A", lambda: None, 10, 2, 4)
-    dev.launch("B", lambda: None, 5, 1, 1)
+    a = KernelBudget("A", 2, 4, 1.6, 4.0, 64)
+    dev.launch("A", lambda: None, 10, a)
+    dev.launch("A", lambda: None, 10, a)
+    dev.launch("B", lambda: None, 5, KernelBudget("B", 1, 1, 1.6, 4.0, 64))
     by_kernel = launch_totals([dev])
     assert set(by_kernel) == {"A", "B"}
     assert by_kernel["A"] == {"launches": 2, "points": 20, "flops": 40,
@@ -82,12 +84,9 @@ def test_totals_and_by_kernel():
                               "l1_bytes": 320}
     # identical launches share one row
     assert len(dev.table) == 2 and dev.table.total() == 3
-    tot = dev.totals("A")
-    assert tot.flops == 40
-    assert dev.totals().npoints == 25
+    assert sum(t["points"] for t in by_kernel.values()) == 25
     dev.reset()
-    assert not dev.table
-    assert dev.totals().npoints == 0 and launch_totals([dev]) == {}
+    assert not dev.table and launch_totals([dev]) == {}
 
 
 def test_double_free_detection():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.kernels.counts import (
+    FILLBOUNDARY_BUDGET,
     UPDATE_BUDGET,
     VISCOUS_BUDGET,
     WENO_BUDGET,
@@ -123,14 +124,11 @@ def test_reduction_and_barrier_log_scaling():
 
 
 def test_roofline_from_launches():
+    from repro.backend import DeviceBackend, LaunchSpec
     from repro.kernels.device import GpuDevice
 
     dev = GpuDevice()
-    dev.launch("WENOx", lambda: None, 100_000,
-               WENO_BUDGET.flops_per_point,
-               WENO_BUDGET.dram_bytes_per_point,
-               WENO_BUDGET.l2_amplification,
-               WENO_BUDGET.l1_amplification)
+    dev.launch("WENOx", lambda: None, 100_000, WENO_BUDGET)
     v = V100Model()
     wall = v.kernel_time(WENO_BUDGET, 100_000)
     rp = roofline_from_launches(dev, "WENOx", wall)
@@ -140,3 +138,10 @@ def test_roofline_from_launches():
                                           / WENO_BUDGET.dram_bytes_per_point)
     with pytest.raises(ValueError):
         roofline_from_launches(dev, "WENOx", 0.0)
+    # a substrate launch's registers are those its name is priced by
+    # (FillBoundary: 32 per thread, full occupancy), not a 255 default
+    DeviceBackend([dev]).parallel_for("FB_pack", lambda: None, 10_000,
+                                      LaunchSpec(kernel_class="fillpatch"))
+    rp = roofline_from_launches(dev, "FB_pack", 1e-6)
+    assert rp.occupancy == v.theoretical_occupancy(
+        FILLBOUNDARY_BUDGET.registers_per_thread) == 1.0

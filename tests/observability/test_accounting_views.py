@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backend import COUNTER_FIELDS, DeviceBackend, LaunchSpec
+from repro.backend import DeviceBackend, LaunchSpec
 from repro.kernels.counts import budget_for_kernel
 from repro.kernels.device import TOTAL_FIELDS, GpuDevice, launch_totals
 from repro.machine.gpu import V100Model
@@ -225,27 +225,20 @@ def test_launch_views_equal_the_event_list(stream):
         recs = log.events
         assert dev.table == Counter(recs)
         assert dev.table.total() == len(recs)
-        for name in {None} | {r.name for r in recs} | {"WENOz"}:
-            mine = [r for r in recs if name is None or r.name == name]
-            tot = dev.totals(name)
-            assert (tot.npoints, tot.flops, tot.dram_bytes, tot.l2_bytes,
-                    tot.l1_bytes) == tuple(
-                sum(getattr(r, f) for r in mine)
-                for f in ("npoints", "flops", "dram_bytes", "l2_bytes",
-                          "l1_bytes"))
         timing = summarize_device(dev, model)
         seconds, launches, points = summarize_per_launch(recs, model)
         assert timing.launches == launches and timing.points == points
         assert timing.seconds == pytest.approx(seconds, rel=1e-12)
-        for name in set(launches):
-            tot = dev.totals(name)
-            if not tot.flops:   # one point of a copy kernel rounds to 0
+        for name, tot in launch_totals([dev]).items():
+            if not tot["flops"]:   # one point of a copy kernel rounds to 0
                 continue
             point = roofline_from_launches(dev, name, wall_time=1.0)
-            assert point.flops == tot.flops
-            assert point.ai == {"L1": tot.flops / tot.l1_bytes,
-                                "L2": tot.flops / tot.l2_bytes,
-                                "DRAM": tot.flops / tot.dram_bytes}
+            assert point.flops == tot["flops"]
+            assert point.ai == {"L1": tot["flops"] / tot["l1_bytes"],
+                                "L2": tot["flops"] / tot["l2_bytes"],
+                                "DRAM": tot["flops"] / tot["dram_bytes"]}
+        with pytest.raises(ValueError, match="no recorded flops"):
+            roofline_from_launches(dev, "WENOz", wall_time=1.0)
 
     every = [r for log in logs for r in log.events]
     for by in ("name", "kernel_class"):
@@ -259,7 +252,8 @@ def test_launch_views_equal_the_event_list(stream):
                 tot[field] += value
         assert launch_totals(devices, by) == expect
     assert backend.class_totals() == {
-        cls: {f: tot[f] for f in COUNTER_FIELDS}
+        # the device.class.* gauges: no cache-level bytes
+        cls: {f: tot[f] for f in ("launches", "points", "flops", "dram_bytes")}
         for cls, tot in launch_totals(devices, "kernel_class").items()}
 
 
@@ -271,5 +265,5 @@ def test_reset_clears_every_view():
     backend.parallel_for("WENOx", lambda: None, 100)
     assert backend.class_totals()["flux"]["launches"] == 1
     dev.reset()
-    assert not dev.table and dev.totals().npoints == 0
+    assert not dev.table
     assert launch_totals([dev]) == {} and backend.class_totals() == {}

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.kernels.counts import KernelBudget
 from repro.kernels.device import GpuDevice, launch_totals
 from repro.mpi.ledger import CommLedger
 from repro.observability.adapters import (
@@ -88,10 +89,9 @@ def test_device_adapter_counts_and_spans():
     tracer = Tracer()
     dev = GpuDevice()
     dev.add_listener(KernelSpanAdapter(tracer, rank=0))
-    dev.launch("WENOx", lambda: None, npoints=1000,
-               flops_per_point=10.0, dram_bytes_per_point=8.0)
-    dev.launch("WENOx", lambda: None, npoints=500,
-               flops_per_point=10.0, dram_bytes_per_point=8.0)
+    budget = KernelBudget("WENOx", 10.0, 8.0, 1.6, 4.0, 255)
+    dev.launch("WENOx", lambda: None, npoints=1000, budget=budget)
+    dev.launch("WENOx", lambda: None, npoints=500, budget=budget)
     # the counts the recorder samples into ``kernel.WENOx.*``
     assert launch_totals([dev])["WENOx"] == {
         "launches": 2, "points": 1500, "flops": 15000, "dram_bytes": 12000,

@@ -76,15 +76,16 @@ def test_summarize_device_prices_launches():
     from repro.machine.gpu import V100Model
     from repro.perfmodel.device_timing import summarize_device
 
+    from repro.kernels.counts import UPDATE_BUDGET, WENO_BUDGET
+
     dev = GpuDevice()
-    dev.launch("WENOx", lambda: None, 50_000, 600, 400)
-    dev.launch("WENOx", lambda: None, 50_000, 600, 400)
-    dev.launch("Update", lambda: None, 50_000, 20, 120)
+    dev.launch("WENOx", lambda: None, 50_000, WENO_BUDGET)
+    dev.launch("WENOx", lambda: None, 50_000, WENO_BUDGET)
+    dev.launch("Update", lambda: None, 50_000, UPDATE_BUDGET)
     t = summarize_device(dev)
     assert set(t.seconds) == {"WENOx", "Update"}
     assert t.launches == {"WENOx": 2, "Update": 1}
     m = V100Model()
-    from repro.kernels.counts import WENO_BUDGET
 
     assert t.seconds["WENOx"] == pytest.approx(
         2 * m.kernel_time(WENO_BUDGET, 50_000))

@@ -9,11 +9,6 @@ layer:
 - :mod:`repro.resilience.faults` — a deterministic fault-injection
   harness (seeded plans via ``resilience.faults.*`` deck keys or the
   ``REPRO_FAULTS`` env var) so chaos runs are reproducible;
-- :mod:`repro.resilience.supervisor` — the supervised process pool of
-  the service fleet: notices dead workers, times out stuck ones,
-  respawns the pool, re-submits lost runs with capped exponential
-  backoff and degrades to inline execution instead of hanging (imported
-  by the fleet, not from here: a solver run loads no ``multiprocessing``);
 - :mod:`repro.resilience.watchdog` — a solver watchdog that validates
   every completed step (NaN/Inf, positivity-guard spikes, CFL blow-up),
   rolls failed steps back and retries them, and restores from the last
@@ -22,7 +17,9 @@ layer:
   layer samples as ``resilience.*`` gauges.
 
 Crash-safe checkpointing (temp dir + atomic rename, per-level SHA-256
-digests) lives in :mod:`repro.io.checkpoint`.
+digests) lives in :mod:`repro.io.checkpoint`; supervision of the service
+fleet's worker processes (dead and stuck workers, re-dispatch, inline
+fallback) in :mod:`repro.serve.fleet`.
 """
 
 from repro.resilience.faults import (FaultInjector, InjectedCheckpointCrash,

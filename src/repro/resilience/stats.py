@@ -3,9 +3,9 @@
 One :class:`ResilienceStats` instance per simulation is shared by the
 fault injector and the step watchdog; the recorder snapshots it once per
 timestep and the run report renders the final totals as the "resilience"
-section.  The service fleet's supervised pool counts into an instance of
-its own (``task_retries``, ``task_resubmits``, ``pool_restarts``,
-``degraded_to_serial`` — shown under ``/stats``).
+section.  The service fleet (:mod:`repro.serve.fleet`) counts into an
+instance of its own (``task_retries``, ``task_resubmits``,
+``pool_restarts``, ``degraded_to_serial`` — shown under ``/stats``).
 """
 
 from __future__ import annotations

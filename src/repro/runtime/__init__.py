@@ -17,9 +17,9 @@ runtime with the same structure:
   the stage graph (:mod:`repro.runtime.rk3graph`, one per regrid) and
   accumulates per-step schedule reports.
 
-A step has this one execution path.  :mod:`repro.runtime.executors` is
-the service fleet's process pool (whole runs, not tasks of a step) and
-is not imported from here.
+A step has this one execution path; the only process pool is the
+service fleet's (:mod:`repro.serve.fleet`), which runs whole runs, not
+tasks of a step.
 """
 
 from repro.runtime.engine import RuntimeEngine

@@ -14,11 +14,11 @@ front door:
   coordinates and the 27-component curvilinear metrics arrays) keyed by
   a canonical case-config hash, with hit/miss counters;
 - :mod:`repro.serve.fleet` — the shared worker fleet: whole runs are
-  dispatched as tasks onto one
-  :class:`~repro.resilience.supervisor.SupervisedPoolExecutor` (reusing
-  ``runtime.executors`` — no per-run pools), so dead workers are
-  respawned, lost runs re-submitted, and a broken fleet degrades to
-  inline execution instead of dropping traffic;
+  dispatched onto its one ``multiprocessing`` pool (no per-run pools),
+  dead or stuck workers are noticed and the pool respawned, lost runs
+  re-dispatched, and a broken fleet degrades to inline execution instead
+  of dropping traffic (``workers=0`` starts out inline);
+- :mod:`repro.serve.worker` — the run itself, as a worker executes it;
 - :mod:`repro.serve.server` — the stdlib ``ThreadingHTTPServer`` front
   end (``POST /runs``, ``GET /runs/<id>``, ``GET /runs/<id>/metrics``,
   ``POST /runs/<id>/cancel``, ``GET /stats``);
@@ -31,9 +31,21 @@ Start a service with ``python -m repro.serve --root DIR --port 8123``.
 from repro.serve.cache import CaseCache, case_config_hash
 from repro.serve.registry import RUN_STATES, RunRecord, RunRegistry
 
+#: base and cap (seconds) of the fleet's re-dispatch backoff
+RETRY_BACKOFF = (0.05, 1.0)
+
+
+def capped_backoff(base: float, cap: float, attempt: int) -> float:
+    """Delay before retry number ``attempt`` (0-based): ``base`` doubling
+    per attempt up to ``cap``.  Callers that want jitter apply it."""
+    return min(cap, base * 2 ** attempt)
+
+
 __all__ = [
     "CaseCache",
     "case_config_hash",
+    "capped_backoff",
+    "RETRY_BACKOFF",
     "RUN_STATES",
     "RunRecord",
     "RunRegistry",

@@ -30,12 +30,9 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--port", type=int, default=8123,
                         help="listen port (0 = ephemeral)")
     parser.add_argument("--workers", type=int, default=2,
-                        help="shared fleet size (worker processes)")
-    parser.add_argument("--executor", default="pool",
-                        choices=["pool", "inline"],
-                        help="fleet executor: 'pool' (worker processes) or "
-                             "'inline' (runs execute in the service "
-                             "process, for platforms without fork)")
+                        help="shared fleet size (worker processes; 0 = "
+                             "runs execute inline in the service process, "
+                             "for platforms without fork)")
     parser.add_argument("--task-timeout", type=float, default=300.0,
                         help="seconds before an in-flight run is presumed "
                              "lost to a dead worker")
@@ -55,13 +52,13 @@ def main(argv: Optional[list] = None) -> int:
                         help="log each HTTP request")
     args = parser.parse_args(argv)
 
-    if args.workers < 1:
-        print(f"error: workers must be >= 1, got {args.workers}",
+    if args.workers < 0:
+        print(f"error: workers must be >= 0, got {args.workers}",
               file=sys.stderr)
         return 2
     ServiceHandler.quiet = not args.verbose
     httpd = make_server(args.root, port=args.port, host=args.host,
-                        workers=args.workers, executor=args.executor,
+                        workers=args.workers,
                         task_timeout=args.task_timeout,
                         task_retries=args.task_retries,
                         max_queue_depth=args.max_queue_depth,
@@ -69,7 +66,8 @@ def main(argv: Optional[list] = None) -> int:
     host, port = httpd.server_address[:2]
     print(f"repro.serve listening on http://{host}:{port} "
           f"(root {args.root}, {args.workers} worker(s), "
-          f"{args.executor} fleet)", flush=True)
+          f"{httpd.service.fleet.snapshot()['executor']} fleet)",
+          flush=True)
 
     def _graceful(signum, frame):
         # SIGTERM = graceful drain: every in-flight run checkpoints and

@@ -14,7 +14,7 @@ HTTP faults, both 1-based)::
 
     kill_worker@N[:S]     the N-th dispatched run's worker hard-exits at
                           the step-S boundary (default 1) — a lost node
-                          mid-run; the supervisor re-dispatches and the
+                          mid-run; the fleet re-dispatches and the
                           run resumes from its last autocheckpoint
     kill_server@N         advisory: the harness hard-stops the service
                           after the N-th dispatch (a service crash; the

@@ -39,7 +39,7 @@ import uuid
 from pathlib import Path
 from typing import Optional
 
-from repro.resilience.supervisor import capped_backoff
+from repro.serve import capped_backoff
 
 #: HTTP statuses that mean "try again later", not "you are wrong"
 RETRYABLE_STATUSES = (429, 503)

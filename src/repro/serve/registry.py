@@ -75,7 +75,8 @@ class RunRecord:
     reason: str = ""
     #: fleet lane that ran it (0 = inline/driver)
     worker: Optional[int] = None
-    #: dispatch attempts (>1 means the supervisor re-submitted it)
+    #: dispatch attempts: one per claim plus one per fleet re-dispatch
+    #: (a lost worker, a retried error)
     attempts: int = 0
     #: client-supplied dedupe token (same key = same run, never two)
     idempotency_key: str = ""
@@ -281,7 +282,7 @@ class RunRegistry:
             return rec
 
     def note_resubmit(self, run_id: str) -> None:
-        """Count a supervisor re-submission against the run."""
+        """Count a fleet re-dispatch against the run."""
         with self._lock:
             rec = self._records.get(run_id)
             if rec is not None:

@@ -100,7 +100,7 @@ def read_metrics_tail(path, limit: Optional[int] = None) -> list:
 class SimulationService:
     """Registry + fleet + cache behind one service root directory."""
 
-    def __init__(self, root, workers: int = 2, executor: str = "pool",
+    def __init__(self, root, workers: int = 2,
                  task_retries: int = 1, task_timeout: float = 300.0,
                  max_pool_restarts: int = 3, max_queue_depth: int = 256,
                  autocheckpoint_every: int = 1, chaos=None) -> None:
@@ -110,7 +110,7 @@ class SimulationService:
         self.cache_dir = self.root / "cache"
         self.fleet = WorkerFleet(
             self.registry, self.cache_dir, workers=workers,
-            executor=executor, task_retries=task_retries,
+            task_retries=task_retries,
             task_timeout=task_timeout, max_pool_restarts=max_pool_restarts,
             autocheckpoint_every=autocheckpoint_every, chaos=chaos)
         #: queued runs past this depth are shed with 429 (0 = unbounded)
@@ -353,8 +353,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
 
 def make_server(root, port: int = 0, host: str = "127.0.0.1",
-                workers: int = 2, executor: str = "pool",
-                **fleet_kwargs) -> ThreadingHTTPServer:
+                workers: int = 2, **fleet_kwargs) -> ThreadingHTTPServer:
     """Build (but don't start) the service and its HTTP server.
 
     Returns a :class:`ThreadingHTTPServer` with the started
@@ -363,8 +362,7 @@ def make_server(root, port: int = 0, host: str = "127.0.0.1",
     ``shutdown()`` to tear down.  ``port=0`` binds an ephemeral port
     (``server.server_address[1]`` has the real one).
     """
-    service = SimulationService(root, workers=workers, executor=executor,
-                                **fleet_kwargs)
+    service = SimulationService(root, workers=workers, **fleet_kwargs)
     httpd = ThreadingHTTPServer((host, port), ServiceHandler)
     httpd.daemon_threads = True
     httpd.service = service  # type: ignore[attr-defined]

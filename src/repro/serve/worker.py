@@ -1,9 +1,9 @@
-"""The ``serve_run`` payload: one whole simulation run in a fleet worker.
+"""One whole simulation run, as a fleet worker executes it.
 
-The fleet dispatches runs — not individual box kernels — onto the shared
-:class:`~repro.resilience.supervisor.SupervisedPoolExecutor`; each task's
-payload names a run directory prepared by the registry and this module
-executes the deck inside the worker process:
+The fleet (:mod:`repro.serve.fleet`) dispatches runs — not individual
+box kernels — onto its shared process pool; each dispatch's payload
+names a run directory prepared by the registry and
+:func:`execute_serve_run` executes the deck inside the worker process:
 
 - the simulation runs its steps in this process like any other: the
   fleet *is* the parallelism layer (one run per worker lane), and a
@@ -29,8 +29,8 @@ executes the deck inside the worker process:
   service generation;
 - the terminal summary lands in ``result.json`` (atomic write).  A
   simulation *failure* is a normal result — only worker death (crash,
-  kill) leaves no result, which is exactly the condition the supervisor
-  recovers by re-dispatching the task.
+  kill) leaves no result, which is exactly the condition the fleet
+  recovers by re-dispatching the run.
 """
 
 from __future__ import annotations
@@ -48,6 +48,10 @@ from repro.serve.registry import (CANCEL_NAME, DECK_NAME, DRAIN_NAME,
 
 #: per-run autocheckpoint directory (inside the run directory)
 AUTOCHK_DIR = "autochk"
+
+#: the service's pid (forked workers inherit it and compare unequal), so
+#: an injected kill can never take down the service process itself
+_DRIVER_PID = os.getpid()
 
 #: artifacts reset before (re-)executing a run; autocheckpoints are
 #: deliberately NOT here — they are what a re-dispatch resumes from
@@ -191,11 +195,9 @@ def _run_deck(run_dir: Path, spec: dict,
     # service process itself)
     fault = spec.get("_fault")
     kill_at: Optional[int] = None
-    if fault is not None and fault[0] == "kill_step":
-        from repro.runtime.executors import _DRIVER_PID
-
-        if os.getpid() != _DRIVER_PID:
-            kill_at = int(fault[1])
+    if (fault is not None and fault[0] == "kill_step"
+            and os.getpid() != _DRIVER_PID):
+        kill_at = int(fault[1])
 
     sim = Crocco(case, config)
     resumed_from: Optional[int] = None

@@ -122,7 +122,7 @@ def test_a_step_has_one_execution_path(tmp_path):
     """The invariant a second path would break: a DMR AMR run's tasks run
     back to back on one lane — their summed time fits in each step's
     makespan — every task span of its trace sits on one track, and the
-    solver loads neither shared memory nor the fleet's process pool."""
+    solver loads neither ``multiprocessing`` nor the service."""
     sim = run_dmr(steps=2, trace_out=str(tmp_path / "trace.json"))
     rep = sim.engine.last_step_report
     assert 0.0 < rep.critical_path_s <= rep.busy_s <= rep.makespan_s
@@ -131,8 +131,8 @@ def test_a_step_has_one_execution_path(tmp_path):
     tracks = {(e["pid"], e["tid"]) for e in events if e.get("cat") == "task"}
     assert len(tracks) == 1
     code = ("import sys, repro.core.crocco; "
-            "sys.exit('multiprocessing.shared_memory' in sys.modules "
-            "or 'repro.runtime.executors' in sys.modules)")
+            "sys.exit(any(m.split('.')[0] == 'multiprocessing' "
+            "or m.startswith('repro.serve') for m in sys.modules))")
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 

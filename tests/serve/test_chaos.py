@@ -185,8 +185,7 @@ def test_chaos_acceptance_exactly_once_bitwise(tmp_path):
 # -- saturation: shedding, Retry-After, idempotent retries -----------------
 
 def test_saturation_sheds_with_429_and_idempotent_retries(tmp_path):
-    httpd = make_server(tmp_path / "svc", workers=1, executor="inline",
-                        max_queue_depth=1)
+    httpd = make_server(tmp_path / "svc", workers=0, max_queue_depth=1)
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
     service = httpd.service
@@ -243,8 +242,7 @@ def test_saturation_sheds_with_429_and_idempotent_retries(tmp_path):
 def test_saturation_survival_every_retrying_submission_done_once(tmp_path):
     """A tiny admission window hammered by concurrent retrying clients:
     every submission ends ``done``, exactly once, despite the 429s."""
-    httpd = make_server(tmp_path / "svc", workers=1, executor="inline",
-                        max_queue_depth=2)
+    httpd = make_server(tmp_path / "svc", workers=0, max_queue_depth=2)
     threading.Thread(target=httpd.serve_forever, daemon=True).start()
     host, port = httpd.server_address[:2]
     url = f"http://{host}:{port}"
@@ -277,7 +275,7 @@ def test_saturation_survival_every_retrying_submission_done_once(tmp_path):
 
 
 def test_draining_server_refuses_with_503(tmp_path):
-    httpd = make_server(tmp_path / "svc", workers=1, executor="inline")
+    httpd = make_server(tmp_path / "svc", workers=0)
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
     try:
@@ -297,7 +295,7 @@ def test_draining_server_refuses_with_503(tmp_path):
 # -- the chaos proxy: delayed and truncated HTTP ---------------------------
 
 def test_chaos_proxy_truncation_is_retried_transparently(tmp_path):
-    httpd = make_server(tmp_path / "svc", workers=1, executor="inline")
+    httpd = make_server(tmp_path / "svc", workers=0)
     threading.Thread(target=httpd.serve_forever, daemon=True).start()
     host, port = httpd.server_address[:2]
     inj = ServiceFaultInjector.from_plan(

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
+from repro.serve.chaos import ServiceFaultInjector
 from repro.serve.fleet import WorkerFleet
 from repro.serve.registry import RunRegistry
 from repro.serve.worker import AUTOCHK_DIR, find_resume_point
@@ -95,20 +96,21 @@ def test_killed_worker_resumes_bitwise_with_bounded_replay(tmp_path):
     ref_header, ref = reference_checkpoint(tmp_path)
 
     reg = RunRegistry(tmp_path / "svc")
-    # the deadline is far away on purpose: the supervisor notices the dead
+    # the deadline is far away on purpose: the fleet notices the dead
     # worker process itself, so neither the kill nor the re-dispatched run
-    # is timed against a budget a loaded host could miss
+    # is timed against a budget a loaded host could miss.  The worker
+    # hard-exits at the step-2 boundary; the fleet re-dispatches and the
+    # run must RESUME, not restart
     fleet = WorkerFleet(reg, tmp_path / "svc" / "cache", workers=1,
-                        task_timeout=120.0, task_retries=1).start()
+                        task_timeout=120.0, task_retries=1,
+                        chaos=ServiceFaultInjector.from_plan(
+                            "kill_worker@1:2")).start()
     try:
-        # the worker hard-exits at the step-2 boundary; the supervisor
-        # re-dispatches and the run must RESUME, not restart
-        fleet.fault_next = ("kill_step", 2)
         rec = reg.submit(deck())
         states = wait_terminal(reg, [rec.id])
         assert states[rec.id] == "done"
         back = reg.get(rec.id)
-        assert back.attempts >= 2, "the kill never forced a re-dispatch"
+        assert back.attempts == 2, "the kill never forced a re-dispatch"
         result = back.result
         assert result["resumed"] is True
         assert result["resume_step"] >= 1

@@ -122,7 +122,7 @@ def test_stats_reports_fleet_and_cache(service):
     stats = client.stats()
     assert stats["runs"]["done"] == 2
     fleet = stats["fleet"]
-    assert fleet["workers"] == 2
+    assert fleet["workers"] == 2 and fleet["executor"] == "pool"
     assert fleet["completed_runs"] == 2
     assert fleet["cache_hit_rate"] is not None
 
@@ -134,3 +134,17 @@ def test_read_metrics_tail_tolerates_partial_line(tmp_path):
     records = read_metrics_tail(p)
     assert [r["step"] for r in records] == [1]
     assert read_metrics_tail(tmp_path / "absent.jsonl") == []
+
+
+def test_service_cli_has_no_executor_and_workers_may_be_zero(tmp_path,
+                                                             capsys):
+    from repro.serve.__main__ import main as serve_main
+
+    with pytest.raises(SystemExit) as exc_info:
+        serve_main(["--root", str(tmp_path), "--executor", "inline"])
+    assert exc_info.value.code == 2  # removed option: a usage error
+    assert serve_main(["--root", str(tmp_path), "--workers", "-1"]) == 2
+    assert "workers must be >= 0" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        serve_main(["-h"])
+    assert "--executor" not in capsys.readouterr().out

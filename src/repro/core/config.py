@@ -188,9 +188,6 @@ class CroccoConfig:
         help="execution target: host (NumPy), device (recorded launches on "
              "simulated GPUs), fused (device with one wide WENO launch), or "
              "auto = the version's own (host for 1.x, device for 2.x)")
-    cache_dir: Optional[str] = opt(
-        None, deck="run.cache_dir", flag="--cache-dir",
-        help="cross-run cache of coords, metrics, EOS and interp tables")
     step_budget: Optional[int] = opt(
         None, deck="run.max_steps", minimum=1,
         help="hard step budget, enforced by the watchdog")
@@ -202,8 +199,8 @@ class CroccoConfig:
                     "layer's live progress), not at finalize")
     watchdog: bool = opt(
         True, deck="resilience.watchdog", flag="--no-watchdog",
-        help="validate every step (NaN/Inf, positivity spikes, CFL blowup) "
-             "and retry failures from a snapshot; the flag turns it off")
+        help="validate every step (NaN/Inf, CFL blowup) and retry "
+             "failures from a snapshot; the flag turns it off")
     max_step_retries: int = opt(
         3, deck="resilience.max_step_retries", minimum=0,
         help="rollback/retry budget per step before a checkpoint restore")
@@ -217,9 +214,6 @@ class CroccoConfig:
     autocheckpoint_keep: int = opt(
         2, deck="resilience.autocheckpoint_keep", minimum=1,
         help="autocheckpoints kept on disk")
-    positivity_spike: Optional[int] = opt(
-        None, deck="resilience.positivity_spike", minimum=0,
-        help="fail a step on more positivity-guard interventions than this")
     cfl_margin: Optional[float] = opt(
         None, deck="resilience.cfl_margin", above=0.0,
         help="fail a step whose realized dt*rate exceeds cfl times this")

@@ -72,15 +72,6 @@ class Crocco(AmrCore):
         self.config.validate()
         self.version = get_version(self.config.version)
 
-        #: cross-run immutable cache (coords / curvilinear metrics), shared
-        #: by every run pointed at the same directory — the serve layer's
-        #: fleet-wide store
-        self.case_cache = None
-        if self.config.cache_dir:
-            from repro.serve.cache import CaseCache
-
-            self.case_cache = CaseCache(self.config.cache_dir)
-
         max_level = self.config.max_level if self.version.amr else 0
         self._auto_regrid = self.config.regrid_int == "auto"
         regrid_int = 2 if self._auto_regrid else int(self.config.regrid_int)
@@ -153,8 +144,6 @@ class Crocco(AmrCore):
                                                     self.config.faults_seed)
         except ValueError as exc:
             raise ConfigError(f"{BY_NAME['faults_plan'].deck}: {exc}") from None
-        #: the PositivityGuard, when safeguards.attach_guard() installed one
-        self.guard = None
 
         from repro.runtime.engine import RuntimeEngine
 
@@ -291,15 +280,8 @@ class Crocco(AmrCore):
         self.metrics[lev] = {}
         for i, fab in coords:
             if self.case.curvilinear:
-                if self.case_cache is not None:
-                    # cross-run store of the 27-component metrics arrays;
-                    # a hit rebuilds the exact float64 arrays, so cached
-                    # and freshly computed runs stay bitwise identical
-                    self.metrics[lev][i] = (
-                        self.case_cache.curvilinear_metrics(fab.whole()))
-                else:
-                    self.metrics[lev][i] = (
-                        CurvilinearMetrics.from_coordinates(fab.whole()))
+                self.metrics[lev][i] = (
+                    CurvilinearMetrics.from_coordinates(fab.whole()))
             else:
                 self.metrics[lev][i] = CartesianMetrics(self.case.cartesian_dx(geom))
         self.batches[lev] = make_batches(self.state[lev], self.metrics[lev])
@@ -321,8 +303,6 @@ class Crocco(AmrCore):
                 # it per patch is exactly the overhead the paper removed
                 _ = np.load(self._coords_file, mmap_mode=None)
                 return self.case.coordinates(geom, region)
-        if self.case_cache is not None:
-            return self.case_cache.coordinates(self.case, geom, region)
         return self.case.coordinates(geom, region)
 
     def _clear_level_storage(self, lev: int) -> None:

@@ -172,8 +172,7 @@ class KernelSet:
             return out
 
         npts = self._npts(u.shape, ng)
-        if (self.exec_backend.fuses_kernels
-                and not self.convective.characteristic):
+        if self.exec_backend.fuses_kernels:
             # the fused target runs the directional sweeps inside one wide
             # launch (bitwise the per-direction launches), named
             # ``WENOxy``/``WENOxyz`` and covering ``dim * nvalid`` points,

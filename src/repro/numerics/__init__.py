@@ -13,12 +13,8 @@ Implements the schemes of Sec. II-A of the paper:
 - CFL-constrained time-step estimation (:mod:`repro.numerics.cfl`),
 - generalized curvilinear grid metrics, 27 stored components as in the
   paper (:mod:`repro.numerics.metrics`),
-- characteristic-wise (Roe eigenvector) reconstruction
-  (:mod:`repro.numerics.characteristic`),
 - Arrhenius chemistry sources, the w_s of Eq. 1
-  (:mod:`repro.numerics.chemistry`),
-- the Smagorinsky SGS closure of the LES mode
-  (:mod:`repro.numerics.sgs`).
+  (:mod:`repro.numerics.chemistry`).
 """
 
 from repro.numerics.state import StateLayout

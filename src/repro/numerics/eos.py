@@ -84,13 +84,8 @@ class IdealGasEOS:
         """E from primitives; ``vel`` has shape (dim, ...)."""
         return p / (self.gamma - 1.0) + 0.5 * rho * (vel**2).sum(axis=0)
 
-    def conservative(self, layout: StateLayout, rho, vel, p,
-                     scalars=None) -> np.ndarray:
-        """Pack primitives into a conservative state array.
-
-        ``scalars``: per-mass scalar values s_k, shape (nscalars, ...);
-        stored conservatively as rho * s_k.  Defaults to zero.
-        """
+    def conservative(self, layout: StateLayout, rho, vel, p) -> np.ndarray:
+        """Pack primitives into a conservative state array."""
         rho = np.asarray(rho, dtype=np.float64)
         vel = np.asarray(vel, dtype=np.float64)
         p = np.asarray(p, dtype=np.float64)
@@ -98,8 +93,6 @@ class IdealGasEOS:
         u[layout.rho_s] = rho[None]
         u[layout.mom_slice] = rho[None] * vel
         u[layout.energy] = self.total_energy(rho, vel, p)
-        if scalars is not None:
-            u[layout.scalar_slice] = rho[None] * np.asarray(scalars, dtype=np.float64)
         return u
 
     def primitives(self, layout: StateLayout, u: np.ndarray):

@@ -75,8 +75,6 @@ def curvilinear_flux(
         f[layout.energy] = u[layout.energy] * uhat + p * uhat
     else:
         raise ValueError(f"unknown flux form {form!r}")
-    if layout.nscalars:
-        f[layout.scalar_slice] = u[layout.scalar_slice] * uhat[None]
     return f
 
 
@@ -131,17 +129,10 @@ class ConvectiveFlux:
     ``split_form`` is forwarded to :func:`curvilinear_flux` as ``form`` —
     the fortran ordering uses ``fused`` and the translated cpp ordering
     ``distributed``, reproducing compiler re-association drift.
-
-    ``characteristic`` switches from component-wise to characteristic-wise
-    reconstruction: stencil fluxes are projected onto Roe-averaged
-    eigenvectors per interface before the WENO combination
-    (:mod:`repro.numerics.characteristic`) — the robust production choice
-    for very strong shocks.  Single-species ideal gas only.
     """
 
     scheme: WenoScheme = WenoScheme()
     split_form: str = "fused"
-    characteristic: bool = False
 
     @property
     def nghost(self) -> int:
@@ -170,8 +161,8 @@ class ConvectiveFlux:
         :class:`~repro.backend.ScratchCache`; new arrays by default).
         All three run as one compiled call when this process has the
         library (:mod:`repro.numerics.native`) and the input is in its
-        domain — an :class:`IdealGasEOS` state of one species and no
-        transported scalar on stored metrics — else in
+        domain — an :class:`IdealGasEOS` state of one species on stored
+        metrics — else in
         :func:`lax_friedrichs_split`, the compiled rows or
         :meth:`WenoScheme.combine`, and NumPy: the same bits either way.
         """
@@ -182,7 +173,7 @@ class ConvectiveFlux:
         m = metrics.m(direction)
         J = metrics.jacobian()
         get = scratch.get
-        compiled = None if self.characteristic else native.kernels()
+        compiled = native.kernels()
         if (compiled is not None and type(eos) is IdealGasEOS
                 and self.split_form in ("fused", "distributed")):
             res = compiled.weno_sweep(
@@ -205,23 +196,14 @@ class ConvectiveFlux:
         # only interfaces -1/2 .. nvalid-1/2 of the valid region
         nv = u.shape[axis] - 2 * ng
         start = ng - 3
-        if self.characteristic:
-            u, m = (_crop_transverse(x, direction, ng, dim) for x in (u, m))
-            f_iface = np.moveaxis(self._characteristic_interface(
-                layout, eos, u, np.moveaxis(fplus_s, 0, axis),
-                np.moveaxis(fminus_s, 0, axis), m, axis, start, nv + 1,
-                scratch), axis, 0)
+        f_iface = get("f_iface", (nv + 1,) + rest)
+        if compiled is not None:
+            compiled.weno_rows(self.scheme, fplus_s, fminus_s, start, f_iface)
         else:
-            f_iface = get("f_iface", (nv + 1,) + rest)
-            if compiled is not None:
-                compiled.weno_rows(self.scheme, fplus_s, fminus_s, start,
-                                   f_iface)
-            else:
-                self.scheme.combine(windows(fplus_s, 0, start, nv + 1),
-                                    out=f_iface, scratch=scratch)
-                self.scheme.combine_minus(windows(fminus_s, 0, start, nv + 1),
-                                          out=f_iface, scratch=scratch,
-                                          add=True)
+            self.scheme.combine(windows(fplus_s, 0, start, nv + 1),
+                                out=f_iface, scratch=scratch)
+            self.scheme.combine_minus(windows(fminus_s, 0, start, nv + 1),
+                                      out=f_iface, scratch=scratch, add=True)
 
         df = f_iface[1:] - f_iface[:-1]
         sweep = [slice(None)] * (u.ndim - 1)
@@ -232,37 +214,6 @@ class ConvectiveFlux:
             return np.negative(df, out=np.empty(df.shape, df.dtype))
         out += np.negative(df, out=df)
         return out
-
-    def _characteristic_interface(
-        self, layout: StateLayout, eos, u: np.ndarray,
-        fplus: np.ndarray, fminus: np.ndarray, m: np.ndarray, axis: int,
-        start: int, nif: int, scratch=NO_SCRATCH,
-    ) -> np.ndarray:
-        """Fluxes at the ``nif`` interfaces right of cells ``start + 2 ...``
-        via Roe-eigenvector-projected reconstruction."""
-        from repro.numerics.characteristic import (
-            left_right_eigenvectors,
-            project,
-            roe_average,
-        )
-
-        if layout.nspecies != 1 or not hasattr(eos, "gamma"):
-            raise ValueError(
-                "characteristic reconstruction supports single-species "
-                "ideal gas only"
-            )
-        uw = windows(u, axis, start, nif)
-        mw = windows(np.broadcast_to(m, (layout.dim,) + u.shape[1:]),
-                     axis, start, nif)
-        vel, H, a = roe_average(layout, eos, uw[2], uw[3])
-        mmean = 0.5 * (mw[2] + mw[3])
-        nvec = mmean / np.sqrt((mmean**2).sum(axis=0))[None]
-        L, R = left_right_eigenvectors(layout, eos.gamma, vel, H, a, nvec)
-        cells_p = [project(L, c) for c in windows(fplus, axis, start, nif)]
-        cells_m = [project(L, c) for c in windows(fminus, axis, start, nif)]
-        w = self.scheme.combine(cells_p, scratch=scratch)
-        self.scheme.combine_minus(cells_m, out=w, scratch=scratch, add=True)
-        return project(R, w)
 
 
 def _crop_transverse(arr: np.ndarray, d: int, ng: int, dim: int) -> np.ndarray:

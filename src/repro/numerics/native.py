@@ -59,7 +59,7 @@ class Kernels(NamedTuple):
 
     #: ``f(u, m, J, direction, ng, gamma, distributed, fp, fm) -> alpha
     #: ([B])``: :func:`~repro.numerics.fluxes.lax_friedrichs_split` for an
-    #: ideal gas, one species, no scalar, on arrays :func:`split_takes`
+    #: ideal gas of one species, on arrays :func:`split_takes`
     flux_split: Callable
     #: ``f(scheme, fp, fm, start, out)``: interface ``j`` of ``out (nif,
     #: ...)`` becomes ``combine`` of rows ``start + j .. start + j + 5`` of

@@ -3,12 +3,10 @@
 CRoCCo solves the conservation equations for species mass, momentum, and
 total energy (Eq. 1 of the paper).  The conservative state is laid out as
 
-    [rho_1 .. rho_ns,  rho*u_1 .. rho*u_dim,  E,  rho*s_1 .. rho*s_nsc]
+    [rho_1 .. rho_ns,  rho*u_1 .. rho*u_dim,  E]
 
-so a single-species 3D run has the familiar 5 components; optional
-transported scalars (e.g. the subgrid kinetic energy of the one-equation
-LES closure, or passive tracers) follow the energy.  The layout object
-centralizes component indexing for every kernel.
+so a single-species 3D run has the familiar 5 components.  The layout
+object centralizes component indexing for every kernel.
 """
 
 from __future__ import annotations
@@ -23,20 +21,17 @@ class StateLayout:
 
     nspecies: int = 1
     dim: int = 3
-    nscalars: int = 0
 
     def __post_init__(self) -> None:
         if self.nspecies < 1:
             raise ValueError("need at least one species")
         if self.dim not in (1, 2, 3):
             raise ValueError("dim must be 1, 2 or 3")
-        if self.nscalars < 0:
-            raise ValueError("nscalars must be non-negative")
 
     @property
     def ncons(self) -> int:
         """Number of conservative components."""
-        return self.nspecies + self.dim + 1 + self.nscalars
+        return self.nspecies + self.dim + 1
 
     @property
     def rho_s(self) -> slice:
@@ -57,16 +52,6 @@ class StateLayout:
     def energy(self) -> int:
         """Total energy per unit volume E."""
         return self.nspecies + self.dim
-
-    def scalar(self, k: int) -> int:
-        """Transported scalar rho*s_k (after the energy component)."""
-        if not 0 <= k < self.nscalars:
-            raise IndexError(f"scalar {k} out of range for {self.nscalars}")
-        return self.nspecies + self.dim + 1 + k
-
-    @property
-    def scalar_slice(self) -> slice:
-        return slice(self.nspecies + self.dim + 1, self.ncons)
 
     def density(self, u: np.ndarray) -> np.ndarray:
         """Total density rho = sum_s rho_s."""

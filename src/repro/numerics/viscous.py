@@ -40,11 +40,8 @@ class ViscousFlux:
     mu_fn: Callable[[np.ndarray], np.ndarray]
     prandtl: float = 0.72
     schmidt: float = 0.9
-    #: Schmidt number for transported scalars (e.g. SGS kinetic energy)
-    scalar_schmidt: float = 0.7
     order: int = 4
     include_species_diffusion: bool = False
-    include_scalar_diffusion: bool = True
 
     @property
     def nghost(self) -> int:
@@ -105,14 +102,6 @@ class ViscousFlux:
             fv[layout.energy, j] -= q[j]
         if self.include_species_diffusion and layout.nspecies > 1:
             self._add_species_diffusion(layout, eos, u, rho, mu, grad, fv)
-        if self.include_scalar_diffusion and layout.nscalars:
-            # gradient diffusion of transported scalars: flux = rho D ds/dx
-            D = mu / (rho * self.scalar_schmidt)
-            for k in range(layout.nscalars):
-                sval = u[layout.scalar(k)] / rho
-                gs = grad(sval)
-                for j in range(dim):
-                    fv[layout.scalar(k), j] += rho * D * gs[j]
 
         # transform to computational space and take the divergence
         out = np.zeros((layout.ncons,) + shape)

@@ -257,9 +257,7 @@ class WenoScheme:
         ``get(role, shape, dtype)`` of the backends' scratch cache; new
         arrays by default).  This is the reconstruction primitive: the
         convective sweep applies it to windows sliced along the sweep
-        axis, :meth:`reconstruct` along a whole axis, and the
-        characteristic-wise flux path to eigenvector-projected stencils
-        (:mod:`repro.numerics.characteristic`).
+        axis and :meth:`reconstruct` along a whole axis.
         """
         if len(cells) != 6:
             raise ValueError("combine expects the 6 stencil values (offsets -2..3)")

@@ -123,13 +123,6 @@ class RunRecorder:
             rep = engine.last_step_report
             for name, value in rep.as_dict().items():
                 g(f"runtime.{name}").set(value)
-        guard = getattr(sim, "guard", None)
-        if guard is not None:
-            # the guard indexes interventions by the step that produced
-            # them; after step() the just-completed step is step_count-1
-            g("safeguards.positivity_cells").set(
-                guard.interventions.get(sim.step_count - 1, 0))
-            g("safeguards.positivity_total").set(guard.total_interventions)
         resilience = getattr(sim, "resilience", None)
         faults = getattr(sim, "faults", None)
         if resilience is not None and (

@@ -340,19 +340,6 @@ def format_report(events: Sequence[dict], other: dict,
                 f"outcome: {injected_n} fault(s) injected, "
                 f"{recovered} recovery action(s) taken, run completed")
 
-    # solver health: positivity-guard interventions
-    if records:
-        m_final = records[-1]["metrics"]
-        if "safeguards.positivity_total" in m_final:
-            total = int(m_final["safeguards.positivity_total"])
-            worst = max(int(r["metrics"].get(
-                "safeguards.positivity_cells", 0)) for r in records)
-            lines.append("")
-            lines.append("-- solver health --")
-            lines.append(f"positivity clamps    {total} cell(s) total, "
-                         f"worst step {worst}"
-                         + ("  [healthy]" if total == 0 else ""))
-
     # comms matrix
     matrix = other.get("comms_matrix")
     if matrix:
@@ -509,16 +496,14 @@ def service_recovery_section(rec: dict) -> Optional[str]:
     """Recovery accounting for a service run; None when uneventful.
 
     Rendered only when the run's lifecycle shows chaos survived —
-    re-dispatches, requeues (drain/orphan reconciliation), a checkpoint
-    resume, or evicted cache corruption — so fault-free runs keep their
-    report unchanged.
+    re-dispatches, requeues (drain/orphan reconciliation) or a
+    checkpoint resume — so fault-free runs keep their report unchanged.
     """
     result = rec.get("result") or {}
     attempts = int(rec.get("attempts", 0) or 0)
     requeues = int(rec.get("requeues", 0) or 0)
     resumed = bool(result.get("resumed"))
-    evictions = int(result.get("cache_evictions", 0) or 0)
-    if attempts <= 1 and not requeues and not resumed and not evictions:
+    if attempts <= 1 and not requeues and not resumed:
         return None
     lines = ["-- service recovery --"]
     lines.append(f"  dispatch attempts = {attempts}, requeues = {requeues}")
@@ -526,8 +511,6 @@ def service_recovery_section(rec: dict) -> Optional[str]:
         lines.append(
             f"  resumed from checkpoint at step {result.get('resume_step')} "
             f"(replayed {int(result.get('replayed_steps', 0) or 0)} step(s))")
-    if evictions:
-        lines.append(f"  corrupt cache entries evicted = {evictions}")
     return "\n".join(lines)
 
 

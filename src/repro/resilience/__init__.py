@@ -10,7 +10,7 @@ layer:
   harness (seeded plans via ``resilience.faults.*`` deck keys or the
   ``REPRO_FAULTS`` env var) so chaos runs are reproducible;
 - :mod:`repro.resilience.watchdog` — a solver watchdog that validates
-  every completed step (NaN/Inf, positivity-guard spikes, CFL blow-up),
+  every completed step (NaN/Inf, CFL blow-up),
   rolls failed steps back and retries them, and restores from the last
   good autocheckpoint when a step is unrecoverable;
 - :mod:`repro.resilience.stats` — the shared counters the observability

@@ -6,9 +6,9 @@ of one step:
 
 1. compute ``dt`` and **snapshot** the state hierarchy;
 2. run the RK3 advance through the task runtime;
-3. **validate** the completed step: the state must be free of NaN/Inf,
-   the positivity guard must not have spiked, and (optionally) the
-   realized CFL rate must not have blown past the configured margin;
+3. **validate** the completed step: the state must be free of NaN/Inf
+   and (optionally) the realized CFL rate must not have blown past the
+   configured margin;
 4. on failure, **roll back** to the snapshot and retry.  The first
    ``RETRY_SAME_DT`` retries re-run the identical step — a transient
    fault retried clean reproduces the fault-free trajectory bit for bit;
@@ -126,15 +126,12 @@ class StepWatchdog:
         self._check_budget(sim)
         dt = sim._compute_dt()
         snap = self._snapshot(sim)
-        guard = getattr(sim, "guard", None)
         attempt = 0
         trial_dt = dt
         while True:
-            interventions_before = (guard.total_interventions
-                                    if guard is not None else 0)
             try:
                 sim._advance(trial_dt)
-                self._validate(sim, trial_dt, guard, interventions_before)
+                self._validate(sim, trial_dt)
                 break
             except RETRYABLE as exc:
                 attempt += 1
@@ -161,7 +158,7 @@ class StepWatchdog:
         self._autocheckpoint(sim)
 
     # -- validation --------------------------------------------------------
-    def _validate(self, sim, dt: float, guard, interventions_before) -> None:
+    def _validate(self, sim, dt: float) -> None:
         for lev in range(sim.finest_level + 1):
             for i, fab in sim.state[lev]:
                 if not np.isfinite(fab.valid()).all():
@@ -170,15 +167,7 @@ class StepWatchdog:
                         f"non-finite state on level {lev} box {i}",
                         kind="numerical",
                     )
-        spike, margin = self.config.positivity_spike, self.config.cfl_margin
-        if guard is not None and spike is not None:
-            delta = guard.total_interventions - interventions_before
-            if delta > spike:
-                raise StepFailure(
-                    f"positivity guard clamped {delta} cells "
-                    f"(spike threshold {spike})",
-                    kind="numerical",
-                )
+        margin = self.config.cfl_margin
         if margin is not None:
             rate = max(sim.max_rates())
             cfl = (sim.config.cfl if sim.config.cfl is not None

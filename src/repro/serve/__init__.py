@@ -3,16 +3,12 @@
 The paper's porting story ends at one big run on one big machine; the
 serving layer turns the reproduction into the multi-tenant shape a
 production system needs — many concurrent simulations sharing one
-supervised worker fleet, one cross-run immutable cache, and one HTTP
-front door:
+supervised worker fleet and one HTTP front door:
 
 - :mod:`repro.serve.registry` — persistent run registry (states
   ``queued/running/done/failed/cancelled``, priorities, per-run step and
   wall budgets), one directory per run holding the deck, the
   observability artifacts, and the result record;
-- :mod:`repro.serve.cache` — cross-run immutable cache (grid
-  coordinates and the 27-component curvilinear metrics arrays) keyed by
-  a canonical case-config hash, with hit/miss counters;
 - :mod:`repro.serve.fleet` — the shared worker fleet: whole runs are
   dispatched onto its one ``multiprocessing`` pool (no per-run pools),
   dead or stuck workers are noticed and the pool respawned, lost runs
@@ -28,7 +24,6 @@ front door:
 Start a service with ``python -m repro.serve --root DIR --port 8123``.
 """
 
-from repro.serve.cache import CaseCache, case_config_hash
 from repro.serve.registry import RUN_STATES, RunRecord, RunRegistry
 
 #: base and cap (seconds) of the fleet's re-dispatch backoff
@@ -42,8 +37,6 @@ def capped_backoff(base: float, cap: float, attempt: int) -> float:
 
 
 __all__ = [
-    "CaseCache",
-    "case_config_hash",
     "capped_backoff",
     "RETRY_BACKOFF",
     "RUN_STATES",

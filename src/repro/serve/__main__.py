@@ -25,7 +25,7 @@ def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.serve", description="Run the simulation service.")
     parser.add_argument("--root", required=True,
-                        help="service state directory (registry + cache)")
+                        help="service state directory (the run registry)")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8123,
                         help="listen port (0 = ephemeral)")

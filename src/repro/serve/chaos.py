@@ -4,8 +4,8 @@ PR 3's :mod:`repro.resilience.faults` made *solver* chaos deterministic:
 a seeded plan of ``kind@step`` tokens instead of random failure.  This
 module extends the same grammar to the *service* — the registry, fleet,
 server process and HTTP path — so the chaos acceptance suite can kill
-workers mid-run, kill the server mid-load, tear registry records,
-corrupt cache entries and mangle HTTP exchanges, reproducibly.
+workers mid-run, kill the server mid-load, tear registry records and
+mangle HTTP exchanges, reproducibly.
 
 Plan tokens (``kind@n[:arg]``, parsed by
 :func:`repro.resilience.faults.parse_plan` with this vocabulary; ``n``
@@ -23,9 +23,6 @@ HTTP faults, both 1-based)::
     torn_record@N         tear the N-th submitted run's run.json in half
                           (a kill mid-write of a non-atomic writer; the
                           restarted registry must tolerate it)
-    corrupt_cache@N[:kind] overwrite one shared cache entry with garbage
-                          before the N-th dispatch (the next reader must
-                          evict and recompute, never crash or hit)
     delay_http@N[:SECS]   the chaos proxy delays the N-th proxied
                           request by SECS (default 0.5) seconds
     truncate_http@N[:FRAC] the chaos proxy cuts the N-th response body
@@ -53,11 +50,10 @@ from repro.resilience.faults import FaultSpec, parse_plan
 #: the service-level fault vocabulary (run faults count dispatches,
 #: HTTP faults count proxied requests)
 SERVICE_KINDS = ("kill_worker", "kill_server", "torn_record",
-                 "corrupt_cache", "delay_http", "truncate_http")
+                 "delay_http", "truncate_http")
 
 #: run-level kinds keyed on the fleet's dispatch counter
-DISPATCH_KINDS = ("kill_worker", "kill_server", "torn_record",
-                  "corrupt_cache")
+DISPATCH_KINDS = ("kill_worker", "kill_server", "torn_record")
 
 #: HTTP kinds keyed on the proxy's request counter
 HTTP_KINDS = ("delay_http", "truncate_http")
@@ -67,10 +63,10 @@ class ServiceFaultInjector:
     """Executes a service fault plan deterministically.
 
     The fleet consults :meth:`fault_for_dispatch` on every dispatch (and
-    the injector executes its own disk-level faults — torn records,
-    corrupted cache entries — right there, so they land *while the
-    service is live*); the harness polls :meth:`server_kill_due` to
-    learn when the plan wants the server process killed; the
+    the injector executes its own disk-level fault — a torn record —
+    right there, so it lands *while the service is live*); the harness
+    polls :meth:`server_kill_due` to learn when the plan wants the server
+    process killed; the
     :class:`ChaosProxy` consults :meth:`http_action` per forwarded
     request.  Every fault fires exactly once and is logged in
     :attr:`fired` for recovery accounting.
@@ -105,13 +101,12 @@ class ServiceFaultInjector:
 
     # -- fleet hook (called from the pump thread per dispatch) -------------
     def fault_for_dispatch(self, n: int, run_id: str,
-                           registry=None,
-                           cache_dir=None) -> Optional[tuple]:
+                           registry=None) -> Optional[tuple]:
         """The payload fault for dispatch ``n``, executing side faults.
 
         ``kill_worker`` returns a ``("kill_step", S)`` marker the serve
-        worker honors; ``torn_record`` / ``corrupt_cache`` are executed
-        here against the live registry/cache; ``kill_server`` only arms
+        worker honors; ``torn_record`` is executed here against the
+        live registry; ``kill_server`` only arms
         :meth:`server_kill_due`.
         """
         out: Optional[tuple] = None
@@ -128,9 +123,6 @@ class ServiceFaultInjector:
                 elif spec.kind == "torn_record" and registry is not None:
                     torn = tear_record(registry, run_id)
                     self._record(spec, torn or f"dispatch {n} (no record)")
-                elif spec.kind == "corrupt_cache" and cache_dir is not None:
-                    hit = corrupt_cache_entry(cache_dir, kind=spec.arg)
-                    self._record(spec, hit or f"dispatch {n} (cache empty)")
         return out
 
     def server_kill_due(self) -> bool:
@@ -172,23 +164,6 @@ def tear_record(registry, run_id: str) -> Optional[str]:
         return None
     path.write_bytes(raw[: max(1, len(raw) // 2)])
     return str(path)
-
-
-def corrupt_cache_entry(cache_dir, kind: Optional[str] = None,
-                        ) -> Optional[str]:
-    """Overwrite one cache ``.npz`` with garbage (deterministic pick).
-
-    Chooses the lexicographically first entry (of ``kind`` if given) so
-    a seeded plan corrupts the same file every time.  Returns the path,
-    or None when the cache holds nothing yet.
-    """
-    root = Path(cache_dir)
-    pattern = f"{kind}/*.npz" if kind else "*/*.npz"
-    entries = sorted(root.glob(pattern))
-    if not entries:
-        return None
-    entries[0].write_bytes(b"not a zip file: chaos was here")
-    return str(entries[0])
 
 
 def corrupt_checkpoint(ck_dir) -> Optional[str]:

@@ -67,7 +67,7 @@ class _InFlight:
 class WorkerFleet:
     """Schedules registry runs onto one shared supervised pool."""
 
-    def __init__(self, registry: RunRegistry, cache_dir,
+    def __init__(self, registry: RunRegistry,
                  workers: int = 2, task_retries: int = 1,
                  task_timeout: float = 300.0,
                  max_pool_restarts: int = 3,
@@ -81,7 +81,6 @@ class WorkerFleet:
             raise RuntimeError("the fleet's process pool needs the 'fork' "
                                "start method; use workers=0 (inline)")
         self.registry = registry
-        self.cache_dir = str(cache_dir) if cache_dir else None
         self.task_retries = int(task_retries)
         self.task_timeout = float(task_timeout)
         self.max_pool_restarts = int(max_pool_restarts)
@@ -103,9 +102,6 @@ class WorkerFleet:
         self._inflight: Dict[str, _InFlight] = {}
         #: dispatch counter (chaos plans address "the Nth dispatched run")
         self._dispatches = 0
-        #: aggregated cache counters shipped back by finished runs
-        self.cache_totals: Dict[str, Dict[str, int]] = {}
-        self.cache_evictions = 0
         #: recovery accounting aggregated from finished runs' results
         self.resumes = 0
         self.replayed_steps = 0
@@ -197,7 +193,6 @@ class WorkerFleet:
         payload = {
             "run_id": rec.id,
             "run_dir": str(self.registry.run_dir(rec.id)),
-            "cache_dir": self.cache_dir,
             "steps": rec.steps,
             "max_steps": rec.max_steps,
             "max_wall_s": rec.max_wall_s,
@@ -207,8 +202,7 @@ class WorkerFleet:
         self._dispatches += 1
         if self.chaos is not None:
             fault = self.chaos.fault_for_dispatch(
-                self._dispatches, rec.id, registry=self.registry,
-                cache_dir=self.cache_dir)
+                self._dispatches, rec.id, registry=self.registry)
             if fault is not None:
                 payload["_fault"] = fault
         self._inflight[rec.id] = entry = _InFlight(payload)
@@ -368,22 +362,12 @@ class WorkerFleet:
                              worker=worker, result=result)
 
     def _merge_recovery(self, result: dict) -> None:
-        """Fold one result's cache + recovery counters into the totals."""
-        for kind, c in (result.get("cache") or {}).items():
-            acc = self.cache_totals.setdefault(kind, {"hits": 0, "misses": 0})
-            acc["hits"] += int(c.get("hits", 0))
-            acc["misses"] += int(c.get("misses", 0))
-        self.cache_evictions += int(result.get("cache_evictions", 0))
+        """Fold one result's recovery counters into the totals."""
         if result.get("resumed"):
             self.resumes += 1
             self.replayed_steps += int(result.get("replayed_steps", 0))
 
     # -- stats -------------------------------------------------------------
-    def cache_hit_rate(self) -> Optional[float]:
-        h = sum(c["hits"] for c in self.cache_totals.values())
-        m = sum(c["misses"] for c in self.cache_totals.values())
-        return h / (h + m) if (h + m) else None
-
     def snapshot(self) -> dict:
         return {
             "workers": self.workers,
@@ -396,7 +380,4 @@ class WorkerFleet:
             "replayed_steps": self.replayed_steps,
             "suspended_runs": self.suspended_runs,
             "resilience": {k: v for k, v in self.stats.counters.items() if v},
-            "cache": self.cache_totals,
-            "cache_evictions": self.cache_evictions,
-            "cache_hit_rate": self.cache_hit_rate(),
         }

@@ -8,7 +8,7 @@ Endpoints::
     GET  /runs/<id>          one run's record + live progress gauges
     GET  /runs/<id>/metrics  the run's metrics JSONL (tolerant parse)
     POST /runs/<id>/cancel   cancel a queued or running run
-    GET  /stats              registry counts, fleet + cache statistics
+    GET  /stats              registry counts, fleet statistics
 
 A submission body is either the deck text verbatim::
 
@@ -98,7 +98,7 @@ def read_metrics_tail(path, limit: Optional[int] = None) -> list:
 
 
 class SimulationService:
-    """Registry + fleet + cache behind one service root directory."""
+    """Registry + fleet behind one service root directory."""
 
     def __init__(self, root, workers: int = 2,
                  task_retries: int = 1, task_timeout: float = 300.0,
@@ -107,9 +107,8 @@ class SimulationService:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.registry = RunRegistry(self.root)
-        self.cache_dir = self.root / "cache"
         self.fleet = WorkerFleet(
-            self.registry, self.cache_dir, workers=workers,
+            self.registry, workers=workers,
             task_retries=task_retries,
             task_timeout=task_timeout, max_pool_restarts=max_pool_restarts,
             autocheckpoint_every=autocheckpoint_every, chaos=chaos)
@@ -244,7 +243,6 @@ class SimulationService:
                 "suspended_runs": fleet["suspended_runs"],
                 "resumes": fleet["resumes"],
                 "replayed_steps": fleet["replayed_steps"],
-                "cache_evictions": fleet["cache_evictions"],
             },
         }
 

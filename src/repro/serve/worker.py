@@ -134,10 +134,10 @@ def find_resume_point(run_dir: Path) -> Optional[Tuple[Path, int, int]]:
 def execute_serve_run(spec: dict) -> None:
     """Run one submitted deck to completion inside this process.
 
-    ``spec`` carries ``run_dir`` (holding ``deck.inputs``), the shared
-    ``cache_dir``, an optional ``steps`` override, per-run budgets
-    (``max_steps`` / ``max_wall_s``), an ``autocheckpoint_every``
-    cadence and a ``trace`` flag.  Always returns after writing
+    ``spec`` carries ``run_dir`` (holding ``deck.inputs``), an optional
+    ``steps`` override, per-run budgets (``max_steps`` /
+    ``max_wall_s``), an ``autocheckpoint_every`` cadence and a ``trace``
+    flag.  Always returns after writing
     ``result.json`` — simulation failures are results, not exceptions.
     """
     run_dir = Path(spec["run_dir"])
@@ -169,7 +169,6 @@ def _run_deck(run_dir: Path, spec: dict,
     every = spec.get("autocheckpoint_every")
     deck = InputDeck.from_file(run_dir / DECK_NAME)
     config, run = deck.resolve({
-        "cache_dir": str(spec["cache_dir"]) if spec.get("cache_dir") else None,
         "metrics_out": str(run_dir / "metrics.jsonl"),
         "metrics_stream": True,
         "trace_out": (str(run_dir / "trace.json") if spec.get("trace")
@@ -260,18 +259,13 @@ def _run_deck(run_dir: Path, spec: dict,
     finally:
         sim.close()
 
-    cache = sim.case_cache
     out = {
         "status": status,
         "reason": reason,
         "case": case.name,
         "steps": sim.step_count,
         "sim_time": sim.time,
-        "cache": cache.counters() if cache is not None else {},
-        "cache_hit_rate": cache.hit_rate() if cache is not None else None,
     }
-    if cache is not None:
-        out["cache_evictions"] = cache.eviction_count()
     if resumed_from is not None:
         out["resumed"] = True
         out["resume_step"] = resumed_from

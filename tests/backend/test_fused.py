@@ -285,23 +285,3 @@ class TestFusedLaunchStream:
             assert device.exec_backend.scratch.hit_rate > 0.9
         finally:
             device.close(), fused.close()
-
-    def test_characteristic_reconstruction_falls_back(self):
-        from repro.kernels.api import make_kernels
-        from repro.numerics.eos import IdealGasEOS
-        from repro.numerics.fluxes import ConvectiveFlux
-        from repro.numerics.metrics import CartesianMetrics
-        from repro.numerics.state import StateLayout
-
-        layout = StateLayout(dim=2, nspecies=1)
-        be = make_exec_backend("fused")
-        ks = make_kernels("cpp", layout, IdealGasEOS(),
-                          convective=ConvectiveFlux(characteristic=True),
-                          exec_backend=be)
-        ng = ks.nghost
-        u = np.ones((layout.ncons,) + tuple(8 + 2 * ng for _ in range(2)))
-        u[1:3] = 0.0
-        u[layout.energy] = 2.5
-        ks.rhs(u, CartesianMetrics([0.1, 0.1]), ng)
-        names = {r.name for d in be.devices for r in d.table}
-        assert {"WENOx", "WENOy"} <= names and "WENOxy" not in names

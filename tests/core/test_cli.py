@@ -189,6 +189,10 @@ BASE_DECK = ("crocco.case = sod\namr.n_cell = 32\namr.max_grid_size = 32\n"
      "resilience.max_pool_restarts"),
     # the task timing views are always on: no switch to turn them off
     (BASE_DECK + "runtime.perfscope = false\n", {}, [], "runtime.perfscope"),
+    # gone with the cross-run case cache and the positivity guard
+    (BASE_DECK + "run.cache_dir = x\n", {}, [], "run.cache_dir"),
+    (BASE_DECK + "resilience.positivity_spike = 4\n", {}, [],
+     "resilience.positivity_spike"),
     (BASE_DECK, {}, ["--faults", "kill_worker@1.1"], "repro.serve.chaos"),
     (BASE_DECK, {"REPRO_FAULTS": "slow@2"}, [], "repro.serve.chaos"),
     (BASE_DECK, {}, ["--faults", "meteor@1"], "resilience.faults.plan"),
@@ -208,7 +212,7 @@ def test_cli_bad_input_is_one_error_line_exit_2(tmp_path, capsys, monkeypatch,
     assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
 
 
-@pytest.mark.parametrize("flag", ["--executor", "--workers"])
+@pytest.mark.parametrize("flag", ["--executor", "--workers", "--cache-dir"])
 def test_cli_removed_flags_are_usage_errors(tmp_path, capsys, flag):
     """argparse's own exit: status 2, the flag named, nothing run."""
     with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,4 @@
-"""Tests for diagnostics (incl. shock-speed validation) and safeguards."""
+"""Tests for diagnostics (incl. shock-speed validation)."""
 
 import math
 
@@ -13,9 +13,6 @@ from repro.core.diagnostics import (
     measure_shock_speed,
     shock_position,
 )
-from repro.core.safeguards import PositivityGuard, attach_guard
-from repro.numerics.eos import IdealGasEOS
-from repro.numerics.state import StateLayout
 
 
 def test_diagnostics_time_series():
@@ -53,41 +50,3 @@ def test_shock_position_initial():
     sim.initialize()
     x = shock_position(sim, y_frac=0.5)
     assert x == pytest.approx(float(case.shock_x(np.array(0.5), 0.0)), abs=0.1)
-
-
-def test_positivity_guard_noop_on_healthy_state():
-    lay = StateLayout(dim=1)
-    eos = IdealGasEOS()
-    u = eos.conservative(lay, np.ones(16), np.zeros((1, 16)), np.ones(16))
-    g = PositivityGuard()
-    assert g.apply(lay, eos, u) == 0
-    assert g.total_interventions == 0
-
-
-def test_positivity_guard_repairs_bad_cells():
-    lay = StateLayout(dim=1)
-    eos = IdealGasEOS()
-    u = eos.conservative(lay, np.ones(16), np.full((1, 16), 2.0), np.ones(16))
-    u[0, 3] = -1.0  # negative density
-    u[2, 7] = 0.0  # energy below kinetic -> negative internal energy
-    g = PositivityGuard()
-    touched = g.apply(lay, eos, u, step=4)
-    assert touched == 2
-    assert g.interventions == {4: 2}
-    rho = lay.density(u)
-    assert rho.min() >= g.rho_floor
-    e_int = u[lay.energy] - lay.kinetic_energy(u)
-    assert e_int.min() >= g.e_int_floor * (1 - 1e-12)
-    # momentum killed in the floored-density cell
-    assert u[1, 3] == 0.0
-
-
-def test_attach_guard_to_driver():
-    case = DoubleMachReflection(ncells=(64, 16))
-    sim = Crocco(case, CroccoConfig(version="1.1", max_grid_size=64))
-    sim.initialize()
-    guard = attach_guard(sim)
-    sim.run(3)
-    # the DMR at this resolution is healthy: no interventions expected
-    assert guard.total_interventions == 0
-    assert not sim.state[0].contains_nan()

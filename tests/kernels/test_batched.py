@@ -64,13 +64,9 @@ def divergence_crop_afterwards(op, layout, eos, u, metrics, direction, ng):
     fplus = 0.5 * (fhat + alpha * ju)
     fminus = 0.5 * (fhat - alpha * ju)
 
-    if op.characteristic:
-        f_iface = op._characteristic_interface(
-            layout, eos, u, fplus, fminus, m, axis, 0, u.shape[axis] - 5)
-    else:
-        rec_p = op.scheme.reconstruct(fplus, axis)
-        rec_m = reconstruct_minus(op.scheme, fminus, axis)
-        f_iface = rec_p + rec_m
+    rec_p = op.scheme.reconstruct(fplus, axis)
+    rec_m = reconstruct_minus(op.scheme, fminus, axis)
+    f_iface = rec_p + rec_m
 
     nv = u.shape[axis] - 2 * ng
     start = ng - 3
@@ -189,13 +185,12 @@ def test_batched_equals_per_member(batch, target):
 
 
 @settings(max_examples=60)
-@given(batches(), st.booleans())
-def test_divergence_equals_the_crop_afterwards_oracle(batch, characteristic):
+@given(batches())
+def test_divergence_equals_the_crop_afterwards_oracle(batch):
     layout, ks, _, ng, members, _ = batch
     op = ConvectiveFlux(scheme=ks["convective"].scheme,
                         split_form=("fused" if ks["ordering"] == "fortran"
-                                    else "distributed"),
-                        characteristic=characteristic)
+                                    else "distributed"))
     metrics = StackedMetrics([met for _, met in members])
     stack = np.stack([u for u, _ in members], axis=1)
     for d in range(layout.dim):

@@ -468,8 +468,8 @@ def curvilinear(grown, rng):
 
 
 @pytest.mark.parametrize("case", [
-    "mixture", "two species", "scalar", "cartesian", "characteristic",
-    "cell-major m", "float32", "1-D", "mixed precision"])
+    "mixture", "two species", "cartesian", "cell-major m", "float32", "1-D",
+    "mixed precision"])
 def test_outside_the_domain_is_the_numpy_result_without_a_warning(
         sweep, case, monkeypatch):
     """Each input the C function does not state as its own never reaches
@@ -479,8 +479,7 @@ def test_outside_the_domain_is_the_numpy_result_without_a_warning(
     dim, ng, calls = (1 if case == "1-D" else 2), 4, []
     grown = (16, 15)[:dim]
     layout = StateLayout(
-        dim=dim, nspecies=2 if case in ("mixture", "two species") else 1,
-        nscalars=int(case == "scalar"))
+        dim=dim, nspecies=2 if case in ("mixture", "two species") else 1)
     eos = EOS
     u = np.empty((layout.ncons,) + grown)
     u[:] = 0.2 * rng.random(u.shape)
@@ -497,7 +496,7 @@ def test_outside_the_domain_is_the_numpy_result_without_a_warning(
         assert not metrics.m(0)[0].flags.c_contiguous
     if case == "float32":
         u = u.astype(np.float32)
-    flux = ConvectiveFlux(characteristic=case == "characteristic")
+    flux = ConvectiveFlux()
     sweep = lambda: [flux.divergence(layout, eos, u, metrics, d, ng)
                      for d in range(dim)]
     if case == "mixed precision":

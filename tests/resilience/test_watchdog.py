@@ -94,35 +94,6 @@ class TestEscalation:
         sim.close()
 
 
-class TestPositivitySpike:
-    """``positivity_spike``: a step the guard had to clamp too hard is a
-    numerical failure.  The floor sits above Sod's right-state density,
-    so the guard intervenes on every update."""
-
-    def guarded_sim(self, **overrides):
-        from repro.core.safeguards import PositivityGuard, attach_guard
-
-        sim = make_sim(**overrides)
-        attach_guard(sim, PositivityGuard(rho_floor=0.5))
-        return sim
-
-    def test_spike_fails_the_step_as_numerical(self):
-        sim = self.guarded_sim(positivity_spike=4, max_step_retries=2)
-        with pytest.raises(UnrecoverableStepError):
-            sim.run(1)
-        assert sim.resilience.get("rollbacks") == 3
-        assert sim.resilience.get("dt_halvings") == 1  # numerical, not transient
-        assert sim.step_count == 0
-        sim.close()
-
-    def test_interventions_under_the_threshold_pass(self):
-        sim = self.guarded_sim(positivity_spike=10 ** 6)
-        sim.run(1)
-        assert sim.guard.total_interventions > 4
-        assert sim.resilience.get("rollbacks") == 0
-        sim.close()
-
-
 class TestAutocheckpoint:
     def test_periodic_saves_and_pruning(self, tmp_path):
         sim = make_sim(autocheckpoint_every=1, autocheckpoint_keep=2,

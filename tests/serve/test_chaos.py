@@ -1,8 +1,8 @@
 """Service-level chaos acceptance: the PR 3 chaos test, one level up.
 
 Under a seeded plan that kills a worker mid-run, kills the "server"
-(fleet abandoned with records left ``running``), tears a registry
-record and corrupts a shared cache entry, a restarted service must
+(fleet abandoned with records left ``running``) and tears a registry
+record, a restarted service must
 complete every submitted run exactly once, resumed runs must replay at
 most one step, and every final checkpoint must be bitwise identical to
 a fault-free serial pass.  Under saturation the server sheds with 429s
@@ -18,8 +18,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
-from repro.serve.chaos import (ChaosProxy, ServiceFaultInjector,
-                               corrupt_cache_entry, tear_record)
+from repro.serve.chaos import ChaosProxy, ServiceFaultInjector, tear_record
 from repro.serve.client import ServeClient, ServeError, backoff_delays
 from repro.serve.fleet import WorkerFleet
 from repro.serve.registry import RunRegistry
@@ -65,15 +64,19 @@ def test_service_plan_grammar_parses_and_rejects():
 
     specs, seed = parse_plan(
         "seed=7 kill_worker@2:1 kill_server@3 torn_record@1 "
-        "corrupt_cache@4 delay_http@2:0.1 truncate_http@5:0.3",
+        "delay_http@2:0.1 truncate_http@5:0.3",
         kinds=SERVICE_KINDS)
-    assert seed == 7 and len(specs) == 6
+    assert seed == 7 and len(specs) == 5
     assert specs[0].kind == "kill_worker" and specs[0].arg == "1"
     # service kinds are NOT valid in solver plans and vice versa
     with pytest.raises(ValueError):
         parse_plan("kill_server@1")  # solver vocabulary
     with pytest.raises(ValueError):
         parse_plan("nan@1", kinds=SERVICE_KINDS)
+    # the cross-run case cache is gone, and its fault kind with it
+    with pytest.raises(ValueError, match="unknown fault kind 'corrupt_cache'"
+                       ".*kill_worker.*truncate_http"):
+        ServiceFaultInjector.from_plan("corrupt_cache@1")
 
 
 def test_injector_fires_each_fault_exactly_once(tmp_path):
@@ -96,7 +99,7 @@ def test_injector_fires_each_fault_exactly_once(tmp_path):
 
 @needs_fork
 def test_chaos_acceptance_exactly_once_bitwise(tmp_path):
-    """Worker kill + server kill + torn record + corrupt cache, one plan."""
+    """Worker kill + server kill + torn record, one plan."""
     # long enough that the harness's kill_server poll (50 ms) lands while
     # dispatch 3 is still mid-run — a 6-step sod run finishes (and heals
     # its torn record on finish) faster than the poll can notice
@@ -112,14 +115,12 @@ def test_chaos_acceptance_exactly_once_bitwise(tmp_path):
     reg = RunRegistry(root)
     # seeded plan, one lane so dispatch order is submission order:
     # dispatch 1 loses its worker at the step-1 boundary (resumes from
-    # its autocheckpoint); dispatch 2 finds a corrupted cache entry
-    # (evict + recompute); at dispatch 3 the run's registry record is
+    # its autocheckpoint); at dispatch 3 the run's registry record is
     # torn AND the server dies mid-load — generation 2 must salvage the
     # torn record and finish everything
     chaos = ServiceFaultInjector.from_plan(
-        "seed=11 kill_worker@1:1 corrupt_cache@2 torn_record@3 "
-        "kill_server@3")
-    fleet = WorkerFleet(reg, root / "cache", workers=1, task_timeout=8.0,
+        "seed=11 kill_worker@1:1 torn_record@3 kill_server@3")
+    fleet = WorkerFleet(reg, workers=1, task_timeout=8.0,
                         task_retries=1, chaos=chaos).start()
     recs = [reg.submit(deck(steps=steps), label=f"run{i}")
             for i in range(4)]
@@ -135,11 +136,8 @@ def test_chaos_acceptance_exactly_once_bitwise(tmp_path):
     interrupted = [rid for rid in ids if reg.get(rid).state == "running"]
     fired = chaos.fired_by_kind()
     assert fired.get("kill_worker") == 1
-    assert fired.get("corrupt_cache") == 1
     assert fired.get("torn_record") == 1
     assert not chaos.pending(), [s.token() for s in chaos.pending()]
-    # the corrupted entry was evicted and recomputed, never served
-    assert fleet.cache_evictions >= 1
 
     # generation 2: fresh registry + fleet over the same root
     reg2 = RunRegistry(root)
@@ -148,7 +146,7 @@ def test_chaos_acceptance_exactly_once_bitwise(tmp_path):
     # intact running record would come back through orphan requeue
     assert reg2.torn_records_salvaged + reg2.orphans_requeued >= 1
     assert reg2.torn_records_skipped == 0
-    fleet2 = WorkerFleet(reg2, root / "cache", workers=1, task_timeout=8.0,
+    fleet2 = WorkerFleet(reg2, workers=1, task_timeout=8.0,
                          task_retries=1, chaos=chaos).start()
     try:
         states = wait_terminal(reg2, ids)
@@ -322,7 +320,7 @@ def test_chaos_proxy_truncation_is_retried_transparently(tmp_path):
 
 # -- torn-artifact helpers used directly -----------------------------------
 
-def test_tear_record_and_corrupt_cache_helpers(tmp_path):
+def test_tear_record_helper(tmp_path):
     reg = RunRegistry(tmp_path / "svc")
     rec = reg.submit(deck())
     torn = tear_record(reg, rec.id)
@@ -330,15 +328,6 @@ def test_tear_record_and_corrupt_cache_helpers(tmp_path):
     with pytest.raises(ValueError):
         json.loads((reg.run_dir(rec.id) / "run.json").read_text())
     assert tear_record(reg, "r99999") is None
-
-    cache = tmp_path / "cache"
-    assert corrupt_cache_entry(cache) is None  # empty cache: no-op
-    (cache / "coords").mkdir(parents=True)
-    entry = cache / "coords" / "aaa.npz"
-    entry.write_bytes(b"PK\x03\x04 real-ish bytes")
-    hit = corrupt_cache_entry(cache, kind="coords")
-    assert hit == str(entry)
-    assert b"chaos" in entry.read_bytes()
 
 
 # -- client backoff unit behavior ------------------------------------------

@@ -101,7 +101,7 @@ def test_killed_worker_resumes_bitwise_with_bounded_replay(tmp_path):
     # is timed against a budget a loaded host could miss.  The worker
     # hard-exits at the step-2 boundary; the fleet re-dispatches and the
     # run must RESUME, not restart
-    fleet = WorkerFleet(reg, tmp_path / "svc" / "cache", workers=1,
+    fleet = WorkerFleet(reg, workers=1,
                         task_timeout=120.0, task_retries=1,
                         chaos=ServiceFaultInjector.from_plan(
                             "kill_worker@1:2")).start()
@@ -142,7 +142,7 @@ def test_drain_suspends_to_checkpoint_and_next_fleet_resumes(tmp_path):
     ref_header, ref = reference_checkpoint(tmp_path, steps=40)
 
     reg = RunRegistry(tmp_path / "svc")
-    fleet = WorkerFleet(reg, tmp_path / "svc" / "cache", workers=1,
+    fleet = WorkerFleet(reg, workers=1,
                         task_timeout=120.0).start()
     rec = reg.submit(deck(steps=40))
     t_end = time.monotonic() + 60
@@ -163,7 +163,7 @@ def test_drain_suspends_to_checkpoint_and_next_fleet_resumes(tmp_path):
     assert fleet.suspended_runs == 1
 
     # next generation (fresh fleet over the same registry) resumes it
-    fleet2 = WorkerFleet(reg, tmp_path / "svc" / "cache", workers=1,
+    fleet2 = WorkerFleet(reg, workers=1,
                          task_timeout=120.0).start()
     try:
         states = wait_terminal(reg, [rec.id])
@@ -183,7 +183,7 @@ def test_drain_suspends_to_checkpoint_and_next_fleet_resumes(tmp_path):
 
 def test_stop_requeues_inflight_abandon_leaves_orphans(tmp_path):
     reg = RunRegistry(tmp_path / "svc")
-    fleet = WorkerFleet(reg, tmp_path / "svc" / "cache", workers=1,
+    fleet = WorkerFleet(reg, workers=1,
                         task_timeout=120.0).start()
     rec = reg.submit(deck(steps=2000))
     t_end = time.monotonic() + 60

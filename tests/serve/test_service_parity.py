@@ -16,8 +16,8 @@ pytestmark = pytest.mark.skipif(
 
 
 def _deck(chk: str) -> str:
-    # an AMR curvilinear case, so the cached coords/metrics/interp paths
-    # are all exercised on the service side
+    # an AMR curvilinear case, so the coords/metrics/interp paths are
+    # all exercised on the service side
     return ("crocco.case = dmr\ncrocco.curvilinear = true\n"
             "amr.n_cell = 48 16\namr.max_level = 1\n"
             "run.steps = 4\n"
@@ -47,11 +47,10 @@ def test_service_run_bitwise_matches_cli_serial(tmp_path):
 
     # candidate: submitted through the service, executed by the fleet
     reg = RunRegistry(tmp_path / "svc")
-    fleet = WorkerFleet(reg, tmp_path / "svc" / "cache", workers=2,
+    fleet = WorkerFleet(reg, workers=2,
                         task_timeout=180.0).start()
     try:
-        # run it TWICE so the second run exercises the cache-hit path —
-        # parity must hold for cached metrics too
+        # run it twice: both runs must match the CLI run
         recs = [reg.submit(_deck("chk")) for _ in range(2)]
         import time
 
@@ -63,9 +62,6 @@ def test_service_run_bitwise_matches_cli_serial(tmp_path):
             time.sleep(0.1)
         assert states == ["done", "done"], [reg.get(r.id).reason
                                            for r in recs]
-        hit_run = max(recs, key=lambda r: reg.get(r.id).result[
-            "cache_hit_rate"] or 0.0)
-        assert reg.get(hit_run.id).result["cache_hit_rate"] > 0
 
         ref_header, ref = _level_arrays(cli_chk)
         for rec in recs:

@@ -20,5 +20,8 @@ setup(
     # the compiled WENO row kernel is built from source on first use: an
     # installed copy without the .c file would run the NumPy path forever
     package_data={"repro.numerics": ["*.c"]},
-    install_requires=["numpy>=1.23", "scipy>=1.9"],
+    install_requires=["numpy>=1.23"],
+    # scipy is the reference ODE solve of the chemistry tests only
+    extras_require={"test": ["scipy>=1.9", "pytest", "pytest-benchmark",
+                             "hypothesis"]},
 )

@@ -21,7 +21,7 @@ from repro.amr.cluster import buffer_tags, cluster_tags
 from repro.amr.distribution import DistributionMapping
 from repro.amr.geometry import Geometry
 from repro.amr.intvect import IntVect
-from repro.mpi.comm import Communicator, SerialComm
+from repro.mpi.comm import Communicator
 
 
 @dataclass
@@ -69,7 +69,7 @@ class AmrCore:
         comm: Optional[Communicator] = None,
     ) -> None:
         self.amr_config = config
-        self.comm = comm if comm is not None else SerialComm()
+        self.comm = comm if comm is not None else Communicator(1, 1)
         self.geoms: List[Geometry] = [geom0]
         for lev in range(1, config.max_level + 1):
             self.geoms.append(self.geoms[-1].refine(config.ref_ratio))

@@ -12,10 +12,9 @@ The exchange is split MPI-style into a *nowait* half that packs send
 buffers from valid data (and logs the messages) and a *finish* half that
 unpacks them into ghost cells — mirroring ``FillBoundary_nowait`` /
 ``FillBoundary_finish`` in AMReX, which is what lets the runtime overlap
-the in-flight exchange with interior computation.  The classic eager
-:func:`fill_boundary` is the two halves run back to back; because packing
-reads only valid cells and unpacking writes only ghost cells, the split
-is bit-identical to the old direct-copy loop.
+the in-flight exchange with interior computation.  Because packing reads
+only valid cells and unpacking writes only ghost cells, the two halves run
+back to back are bit-identical to the old direct-copy loop.
 """
 
 from __future__ import annotations
@@ -69,15 +68,6 @@ class FillBoundaryHandle:
         for (_, _, didx), buf in zip(fp.copies, self._packets.pop(fp.dst)):
             data[(slice(None),) + didx] = buf
 
-    @property
-    def nbytes(self) -> int:
-        """Bytes currently in flight (0 once finished)."""
-        return sum(b.nbytes for bufs in self._packets.values() for b in bufs)
-
-    @property
-    def npackets(self) -> int:
-        return sum(len(bufs) for bufs in self._packets.values())
-
     def finish(self) -> None:
         """Unpack every buffered message into its ghost region."""
         if self._packets:
@@ -95,15 +85,6 @@ def fill_boundary_nowait(mf: MultiFab,
     the gap the runtime fills with interior kernels.
     """
     return FillBoundaryHandle(mf, geom)
-
-
-def fill_boundary(mf: MultiFab, geom: Optional[Geometry] = None) -> None:
-    """Fill ghost cells of every fab in ``mf`` from neighboring valid data.
-
-    ``geom`` supplies periodicity; without it only direct overlaps are
-    used.  Equivalent to posting the exchange and finishing immediately.
-    """
-    fill_boundary_nowait(mf, geom).finish()
 
 
 def boundary_regions(mf: MultiFab, geom: Optional[Geometry] = None):

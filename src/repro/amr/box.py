@@ -9,7 +9,7 @@ interpolators that need them).
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.amr.intvect import IntVect, IntVectLike
 
@@ -40,11 +40,6 @@ class Box:
         size_iv = IntVect.coerce(size, lo_iv.dim)
         return cls(lo_iv, lo_iv + size_iv - IntVect.unit(lo_iv.dim))
 
-    @classmethod
-    def cube(cls, dim: int, n: int) -> "Box":
-        """The box ``[0, n-1]^dim``."""
-        return cls(IntVect.zero(dim), IntVect.filled(dim, n - 1))
-
     # -- basic properties ----------------------------------------------------
     @property
     def dim(self) -> int:
@@ -60,9 +55,6 @@ class Box:
 
     def is_empty(self) -> bool:
         return any(h < l for l, h in zip(self.lo, self.hi))
-
-    def ok(self) -> bool:
-        return not self.is_empty()
 
     def shape(self) -> Tuple[int, ...]:
         """NumPy-style shape tuple for an array covering this box."""
@@ -92,18 +84,6 @@ class Box:
         """Grow (or shrink, for negative n) the box by n cells on every face."""
         g = IntVect.coerce(n, self.dim)
         return Box(self.lo - g, self.hi + g)
-
-    def grow_lo(self, idim: int, n: int) -> "Box":
-        """Grow only the low side of direction ``idim`` by ``n`` cells."""
-        lo = list(self.lo)
-        lo[idim] -= n
-        return Box(IntVect(*lo), self.hi)
-
-    def grow_hi(self, idim: int, n: int) -> "Box":
-        """Grow only the high side of direction ``idim`` by ``n`` cells."""
-        hi = list(self.hi)
-        hi[idim] += n
-        return Box(self.lo, IntVect(*hi))
 
     def shift(self, offset: IntVectLike) -> "Box":
         """Translate the box by an integer offset."""
@@ -166,38 +146,6 @@ class Box:
                 out.append(b)
         out.sort(key=lambda b: b.lo.tup())
         return out
-
-    def diff(self, other: "Box") -> List["Box"]:
-        """This box minus ``other``, as a disjoint list of boxes."""
-        isect = self.intersect(other)
-        if isect.is_empty():
-            return [self]
-        out: List[Box] = []
-        rem = self
-        for d in range(self.dim):
-            if rem.lo[d] < isect.lo[d]:
-                low, rem = rem.chop(d, isect.lo[d])
-                out.append(low)
-            if isect.hi[d] < rem.hi[d]:
-                rem, high = rem.chop(d, isect.hi[d] + 1)
-                out.append(high)
-        return out
-
-    # -- iteration -----------------------------------------------------------
-    def indices(self) -> Iterator[IntVect]:
-        """Iterate over every cell index in the box (row-major)."""
-        if self.is_empty():
-            return
-        ranges = [range(l, h + 1) for l, h in zip(self.lo, self.hi)]
-
-        def rec(prefix, rest):
-            if not rest:
-                yield IntVect(*prefix)
-                return
-            for i in rest[0]:
-                yield from rec(prefix + [i], rest[1:])
-
-        yield from rec([], ranges)
 
     def slices(self, relative_to: Optional["Box"] = None) -> Tuple[slice, ...]:
         """NumPy slices selecting this box inside an array that covers ``relative_to``.

@@ -120,7 +120,8 @@ def flat_index(idx: np.ndarray, within: np.ndarray) -> np.ndarray:
 def diff(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Boxes ``a[k]`` minus ``b[k]`` (or minus the one box ``b``) as
     disjoint pieces, and the ``k`` each piece came from: a box apart from
-    its subtrahend stays whole, the others are chopped as ``Box.diff``."""
+    its subtrahend stays whole, the others are chopped axis by axis, the
+    part below the overlap first, then the part above."""
     dim = a.shape[2]
     cut = meet(a, b)
     hit = nonempty(cut)
@@ -241,22 +242,9 @@ class BoxArray:
         """Total number of cells over all boxes."""
         return int(num_pts(self.lohi).sum())
 
-    def minimal_box(self) -> Box:
-        """Smallest single box containing every box in the array."""
-        if not len(self):
-            raise ValueError("minimal_box of empty BoxArray")
-        return Box(self.lohi[:, 0].min(axis=0).tolist(),
-                   self.lohi[:, 1].max(axis=0).tolist())
-
     # -- transformations -----------------------------------------------------
-    def coarsen(self, ratio: IntVectLike) -> "BoxArray":
-        return BoxArray(coarsen(self.lohi, ratio))
-
     def refine(self, ratio: IntVectLike) -> "BoxArray":
         return BoxArray(refine(self.lohi, ratio))
-
-    def grow(self, n: IntVectLike) -> "BoxArray":
-        return BoxArray(grow(self.lohi, n))
 
     # -- queries ---------------------------------------------------------------
     def _index(self):
@@ -335,26 +323,9 @@ class BoxArray:
             owner = owner[src]
         return pieces, owner
 
-    def intersecting(self, region: Box) -> List[int]:
-        """Indices of boxes intersecting ``region`` (sorted, deduplicated)."""
-        return self.intersect(region)[1].tolist()
-
-    def intersections(self, region: Box) -> List[Tuple[int, Box]]:
-        """(index, overlap box) pairs for all boxes intersecting ``region``."""
-        _, j, overlap = self.intersect(region)
-        return list(zip(j.tolist(), boxes_of(overlap)))
-
-    def complement_in(self, region: Box) -> List[Box]:
-        """The part of ``region`` not covered by any box, as disjoint boxes."""
-        return boxes_of(self.complement(region)[0])
-
     def contains(self, region: Box) -> bool:
         """Whether the union of boxes fully covers ``region``."""
         return not len(self.complement(region)[0])
-
-    def is_disjoint(self) -> bool:
-        """Whether no two boxes overlap (each meets only itself)."""
-        return len(self.intersect(self.lohi)[0]) == len(self)
 
     def centers(self) -> np.ndarray:
         """(n, dim) array of integer box centers (doubled to stay integral)."""

@@ -85,26 +85,10 @@ class DistributionMapping:
     def ranks(self) -> Tuple[int, ...]:
         return self._ranks
 
-    def boxes_on(self, rank: int) -> List[int]:
-        """Box indices owned by ``rank``."""
-        return [i for i, r in enumerate(self._ranks) if r == rank]
-
     def load_per_rank(self, ba: BoxArray) -> np.ndarray:
         """Total cell count assigned to each rank."""
         return np.bincount(self._ranks, num_pts(ba.lohi),
                            self.nranks).astype(np.int64)
-
-    def imbalance(self, ba: BoxArray) -> float:
-        """max/mean load ratio (1.0 = perfectly balanced).
-
-        Ranks with no boxes still count toward the mean, matching the usual
-        parallel-efficiency definition.
-        """
-        load = self.load_per_rank(ba)
-        mean = load.sum() / self.nranks
-        if mean == 0:
-            return 1.0
-        return float(load.max() / mean)
 
 
 def _sfc(ba: BoxArray, weights: np.ndarray, nranks: int) -> List[int]:

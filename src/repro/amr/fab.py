@@ -99,35 +99,6 @@ class FArrayBox:
         dst[...] = src
         return src.nbytes
 
-    def copy_shifted_from(self, other: "FArrayBox", dst_region: Box,
-                          shift: IntVect, src_comp: int = 0, dst_comp: int = 0,
-                          ncomp: Optional[int] = None) -> int:
-        """Copy into ``dst_region`` from ``other`` at ``dst_region.shift(shift)``.
-
-        Used for periodic ghost fills where source and destination index
-        spaces differ by a domain-length translation.
-        """
-        nc = ncomp if ncomp is not None else min(self.ncomp - dst_comp,
-                                                 other.ncomp - src_comp)
-        src = other.view(dst_region.shift(shift), slice(src_comp, src_comp + nc))
-        dst = self.view(dst_region, slice(dst_comp, dst_comp + nc))
-        dst[...] = src
-        return src.nbytes
-
-    # -- reductions --------------------------------------------------------
-    def min(self, comp: int = 0, include_ghosts: bool = False) -> float:
-        arr = self.data[comp] if include_ghosts else self.valid()[comp]
-        return float(arr.min())
-
-    def max(self, comp: int = 0, include_ghosts: bool = False) -> float:
-        arr = self.data[comp] if include_ghosts else self.valid()[comp]
-        return float(arr.max())
-
-    def norm2(self, comp: int = 0) -> float:
-        """L2 norm over the valid region."""
-        v = self.valid()[comp]
-        return float(np.sqrt(np.sum(v * v)))
-
     def contains_nan(self) -> bool:
         return bool(np.isnan(self.data).any())
 

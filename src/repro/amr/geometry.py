@@ -8,13 +8,13 @@ domain is mapped onto.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
 from repro.amr.box import Box
 from repro.amr.boxarray import coarsen, lohi_of
-from repro.amr.intvect import IntVect, IntVectLike
+from repro.amr.intvect import IntVectLike
 
 
 class Geometry:
@@ -42,33 +42,10 @@ class Geometry:
     def dim(self) -> int:
         return self.domain.dim
 
-    def cell_size(self) -> Tuple[float, ...]:
-        """Uniform computational cell size in each direction."""
-        n = self.domain.size()
-        return tuple(
-            (h - l) / s for l, h, s in zip(self.prob_lo, self.prob_hi, n)
-        )
-
-    def cell_centers(self, idim: int) -> np.ndarray:
-        """Physical (computational-space) cell-center coordinates along one axis."""
-        dx = self.cell_size()[idim]
-        n = self.domain.size()[idim]
-        return self.prob_lo[idim] + (np.arange(n) + 0.5) * dx
-
     def refine(self, ratio: IntVectLike) -> "Geometry":
         """Geometry of the next finer level (same physical extent)."""
         return Geometry(
             self.domain.refine(ratio), self.prob_lo, self.prob_hi, self.periodic
-        )
-
-    def coarsen(self, ratio: IntVectLike) -> "Geometry":
-        """Geometry of the next coarser level (same physical extent)."""
-        r = IntVect.coerce(ratio, self.dim)
-        for d in range(self.dim):
-            if self.domain.size()[d] % r[d] != 0:
-                raise ValueError("domain not divisible by coarsening ratio")
-        return Geometry(
-            self.domain.coarsen(r), self.prob_lo, self.prob_hi, self.periodic
         )
 
     def periodic_shifts(self, ratio: IntVectLike = 1) -> np.ndarray:

@@ -96,21 +96,21 @@ def apply_stencil(coarse: np.ndarray, idx: np.ndarray,
     return out
 
 
-def corner_indices(k: np.ndarray, bases: np.ndarray, boxes: np.ndarray,
-                   upper: bool = True) -> np.ndarray:
+def corner_indices(k: np.ndarray, bases: np.ndarray,
+                   boxes: np.ndarray) -> np.ndarray:
     """Flat indices into arrays over ``boxes[k[t]]`` of every fine cell's
     coarse neighbours, ``(2^dim, T)``: corner ``c`` is, along each axis
     ``d``, the lower neighbour ``bases[t, d]`` or (bit ``d`` of ``c`` set)
-    the upper one.  Without ``upper``, only corner 0."""
+    the upper one."""
     size = (boxes[:, 1] - boxes[:, 0] + 1)[k]
     ib = bases - boxes[k, 0]
-    if (ib < 0).any() or (ib + upper >= size).any():
+    if (ib < 0).any() or (ib + 1 >= size).any():
         raise ValueError("coarse fab does not cover interpolation stencil")
     # per cell, the row-major step of each axis
     step = np.ones_like(size)
     for d in range(size.shape[1] - 1, 0, -1):
         step[:, d - 1] = step[:, d] * size[:, d]
-    out = np.empty((1 << size.shape[1] if upper else 1, len(k)), np.int64)
+    out = np.empty((1 << size.shape[1], len(k)), np.int64)
     out[0] = (ib * step).sum(axis=1)
     for c in range(1, len(out)):
         # one step further along the highest axis of the corner's bits
@@ -155,17 +155,6 @@ class TrilinearInterp(Interpolator):
             for d in range(at.shape[1]):
                 wc *= fracs[:, d] if (c >> d) & 1 else 1.0 - fracs[:, d]
         return corner_indices(k, bases, cregions), w
-
-
-class PiecewiseConstantInterp(Interpolator):
-    """Injection: every fine cell takes its covering coarse cell's value."""
-
-    radius = 0
-    kernel_label = "pconst"
-
-    def stencil(self, k, at, ratio, cregions, coords=None):
-        return corner_indices(k, at // np.array(ratio.tup()), cregions,
-                              upper=False), None
 
 
 class ConservativeLinearInterp(Interpolator):

@@ -16,8 +16,8 @@ IntVectLike = Union["IntVect", int, Sequence[int]]
 class IntVect:
     """A small immutable integer vector of dimension 1, 2 or 3.
 
-    Supports componentwise ``+ - * // %``, scalar broadcasting, and strict
-    componentwise comparisons (``allLE``/``allGE``/``allLT``/``allGT``).
+    Supports componentwise ``+ - * //``, scalar broadcasting, the
+    componentwise comparison ``allLE`` and ``min_with``/``max_with``.
     """
 
     __slots__ = ("_v",)
@@ -32,11 +32,6 @@ class IntVect:
         self._v = tuple(int(c) for c in components)
 
     # -- construction helpers ------------------------------------------------
-    @classmethod
-    def zero(cls, dim: int) -> "IntVect":
-        """The zero vector of the given dimension."""
-        return cls(*([0] * dim))
-
     @classmethod
     def unit(cls, dim: int) -> "IntVect":
         """The all-ones vector of the given dimension."""
@@ -106,10 +101,6 @@ class IntVect:
         o = self._coerced(other)
         return IntVect(*(a - b for a, b in zip(self._v, o._v)))
 
-    def __rsub__(self, other: IntVectLike) -> "IntVect":
-        o = self._coerced(other)
-        return IntVect(*(b - a for a, b in zip(self._v, o._v)))
-
     def __mul__(self, other: IntVectLike) -> "IntVect":
         o = self._coerced(other)
         return IntVect(*(a * b for a, b in zip(self._v, o._v)))
@@ -120,13 +111,6 @@ class IntVect:
         o = self._coerced(other)
         return IntVect(*(a // b for a, b in zip(self._v, o._v)))
 
-    def __mod__(self, other: IntVectLike) -> "IntVect":
-        o = self._coerced(other)
-        return IntVect(*(a % b for a, b in zip(self._v, o._v)))
-
-    def __neg__(self) -> "IntVect":
-        return IntVect(*(-a for a in self._v))
-
     # coarsen rounds toward -infinity, matching AMReX's amrex::coarsen
     def coarsen(self, ratio: IntVectLike) -> "IntVect":
         """Coarsen an index by a refinement ratio, rounding toward -inf."""
@@ -135,27 +119,10 @@ class IntVect:
             raise ValueError(f"coarsening ratio must be positive, got {r}")
         return IntVect(*(a // b for a, b in zip(self._v, r._v)))
 
-    def refine(self, ratio: IntVectLike) -> "IntVect":
-        """Refine an index by a refinement ratio (componentwise multiply)."""
-        r = self._coerced(ratio)
-        return self * r
-
     # -- comparisons / reductions -------------------------------------------
     def allLE(self, other: IntVectLike) -> bool:
         o = self._coerced(other)
         return all(a <= b for a, b in zip(self._v, o._v))
-
-    def allGE(self, other: IntVectLike) -> bool:
-        o = self._coerced(other)
-        return all(a >= b for a, b in zip(self._v, o._v))
-
-    def allLT(self, other: IntVectLike) -> bool:
-        o = self._coerced(other)
-        return all(a < b for a, b in zip(self._v, o._v))
-
-    def allGT(self, other: IntVectLike) -> bool:
-        o = self._coerced(other)
-        return all(a > b for a, b in zip(self._v, o._v))
 
     def min_with(self, other: IntVectLike) -> "IntVect":
         o = self._coerced(other)
@@ -167,16 +134,3 @@ class IntVect:
 
     def min(self) -> int:
         return min(self._v)
-
-    def max(self) -> int:
-        return max(self._v)
-
-    def prod(self) -> int:
-        p = 1
-        for a in self._v:
-            p *= a
-        return p
-
-    def sum(self) -> int:
-        return sum(self._v)
-

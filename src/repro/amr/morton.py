@@ -8,8 +8,6 @@ ranks, which keeps most FillBoundary traffic node-local.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 #: Number of bits of each coordinate that participate in the Morton code.
@@ -58,11 +56,6 @@ def morton_encode(coords: np.ndarray) -> np.ndarray:
     for d in range(dim):
         code |= _part_bits(coords[:, d], dim) << np.uint64(d)
     return code
-
-
-def morton_key(coord: Sequence[int]) -> int:
-    """Morton key of a single coordinate tuple."""
-    return int(morton_encode(np.asarray([list(coord)], dtype=np.int64))[0])
 
 
 def morton_order(coords: np.ndarray) -> np.ndarray:

@@ -4,10 +4,7 @@ Implements the regrid criteria discussed in the paper (Sec. II-B, III-C):
 
 - ``density_gradient`` — tag where the local undivided gradient of density
   exceeds a threshold (classic shock indicator, |grad rho|),
-- ``momentum_gradient`` — same on momentum components, |grad (rho u_i)|,
-- ``value_threshold`` — tag where a component exceeds an absolute value
-  (useful for turbulence-resolving refinement away from shocks, which the
-  paper notes WENO-SYMBO permits).
+- ``momentum_gradient`` — same on momentum components, |grad (rho u_i)|.
 
 Tags are per-cell boolean arrays over each patch's valid region; the
 clustering stage (:mod:`repro.amr.cluster`) turns them into boxes.
@@ -84,14 +81,6 @@ def tag_momentum_gradient(mf: MultiFab, mom_comps: Tuple[int, ...],
 
         tags[i] = _tag_launch("Tag_gradient", mf, i, criterion)
     return tags
-
-
-def tag_value_threshold(mf: MultiFab, comp: int, threshold: float) -> Dict[int, np.ndarray]:
-    """Boolean tags where |value| exceeds a threshold."""
-    return {i: _tag_launch(
-                "Tag_value", mf, i,
-                lambda fab=fab: np.abs(fab.valid()[comp]) > threshold)
-            for i, fab in mf}
 
 
 def tagged_cells(mf: MultiFab, tags: Dict[int, np.ndarray]) -> np.ndarray:

@@ -54,8 +54,3 @@ class ScratchCache:
         return {"entries": len(self._store), "bytes": self.nbytes,
                 "hits": self.hits, "misses": self.misses,
                 "hit_rate": self.hit_rate}
-
-    def clear(self) -> None:
-        self._store.clear()
-        self.hits = 0
-        self.misses = 0

@@ -9,10 +9,6 @@
   the exact Riemann solution).
 - :mod:`repro.cases.vortex` — isentropic vortex advection (smooth
   convergence testing).
-- :mod:`repro.cases.ramp` — supersonic compression ramp on a body-fitted
-  curvilinear grid, validated against exact oblique-shock theory
-  (:mod:`repro.cases.oblique`) — the geometry class the paper's
-  curvilinear capability exists for.
 - :mod:`repro.cases.reacting` — two-species Arrhenius ignition (the w_s
   source of Eq. 1).
 - :mod:`repro.cases.grids` — curvilinear mapping builders (uniform,
@@ -21,7 +17,6 @@
 
 from repro.cases.base import Case
 from repro.cases.dmr import DoubleMachReflection
-from repro.cases.ramp import CompressionRamp
 from repro.cases.reacting import IgnitionFront
 from repro.cases.shocktube import SodShockTube
 from repro.cases.vortex import IsentropicVortex
@@ -33,15 +28,12 @@ CASES = {
     "vortex": (IsentropicVortex, (1,), {}),
     "dmr": (DoubleMachReflection, (2, 3), {"curvilinear": "curvilinear"}),
     "ignition": (IgnitionFront, (1,), {}),
-    "ramp": (CompressionRamp, (2,),
-             {"mach": "ramp_mach", "angle_deg": "ramp_angle"}),
 }
 
 __all__ = [
     "CASES",
     "Case",
     "DoubleMachReflection",
-    "CompressionRamp",
     "IgnitionFront",
     "SodShockTube",
     "IsentropicVortex",

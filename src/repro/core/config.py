@@ -255,10 +255,6 @@ class RunControl:
     n_cell: Optional[List[int]] = opt(
         None, deck="amr.n_cell", minimum=1,
         help="coarse cells per direction (default: the case's own)")
-    ramp_mach: float = opt(3.0, deck="ramp.mach", above=0.0,
-                           help="free-stream Mach number (ramp only)")
-    ramp_angle: float = opt(15.0, deck="ramp.angle",
-                            help="deflection in degrees (ramp only)")
     steps: Optional[int] = opt(
         None, deck="run.steps", flag="--steps", minimum=0,
         help="stop after this many steps (10 when no time is set either)")

@@ -206,12 +206,6 @@ class Crocco(AmrCore):
             os.unlink(self._coords_file)
             self._coords_file = None
 
-    def __enter__(self) -> "Crocco":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
     # -- AmrCore hooks -----------------------------------------------------
     def make_new_level_from_scratch(self, lev, ba, dm) -> None:
         self._build_level_storage(lev, ba, dm)
@@ -453,10 +447,6 @@ class Crocco(AmrCore):
         """The run's simulated GPUs, one per rank — the execution
         backend's (none on a target that does not account)."""
         return self.exec_backend.devices
-
-    def gpu_memory_report(self):
-        """Per-rank simulated device memory (bytes in use, high water)."""
-        return [(d.name, d.bytes_in_use, d.high_water) for d in self.devices]
 
     # -- diagnostics -----------------------------------------------------
     def total_mass(self) -> float:

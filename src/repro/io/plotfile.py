@@ -70,22 +70,3 @@ def read_level(path: Union[str, Path], level: int) -> Dict[int, np.ndarray]:
     """Load one level's patch arrays, keyed by box index."""
     with np.load(Path(path) / f"Level_{level}.npz") as data:
         return {int(k[3:]): data[k] for k in data.files}
-
-
-def uniform_slab(path: Union[str, Path], level: int = 0,
-                 comp: int = 0) -> np.ndarray:
-    """Assemble one component of one level onto a dense array.
-
-    Cells not covered by that level are NaN (useful to overlay AMR levels
-    when rendering density contours like Fig. 2).
-    """
-    header = read_plotfile_header(path)
-    meta = header["levels"][level]
-    lo, hi = meta["domain"]
-    shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-    out = np.full(shape, np.nan)
-    fabs = read_level(path, level)
-    for i, (blo, bhi) in enumerate(meta["boxes"]):
-        sl = tuple(slice(bl - l, bh - l + 1) for bl, bh, l in zip(blo, bhi, lo))
-        out[sl] = fabs[i][comp]
-    return out

@@ -76,10 +76,6 @@ class GpuDevice:
         if listener not in self._listeners:
             self._listeners.append(listener)
 
-    def remove_listener(self, listener: object) -> None:
-        if listener in self._listeners:
-            self._listeners.remove(listener)
-
     def _notify_launch(self, rec: LaunchRecord, wall_seconds: float) -> None:
         for listener in self._listeners:
             listener.on_launch(self, rec, wall_seconds)
@@ -148,9 +144,6 @@ class GpuDevice:
         self.table[rec] += 1
         self._notify_launch(rec, elapsed)
         return result
-
-    def reset(self) -> None:
-        self.table.clear()
 
     def __repr__(self) -> str:
         return (

@@ -46,8 +46,3 @@ class Power9Model:
         if lang == "cpp":
             t *= self.cpp_slowdown
         return t
-
-    def per_core_time(self, budget: KernelBudget, npoints: int,
-                      lang: str = "cpp") -> float:
-        """Time for one rank pinned to one core (the MPI-everywhere mode)."""
-        return self.kernel_time(budget, npoints, lang, cores=1)

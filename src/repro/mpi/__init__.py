@@ -10,7 +10,7 @@ The performance layer (``repro.perfmodel``) converts ledgers into time using
 the fat-tree network model.
 """
 
-from repro.mpi.comm import Communicator, SerialComm
+from repro.mpi.comm import Communicator
 from repro.mpi.ledger import CommLedger, Message
 
-__all__ = ["Communicator", "SerialComm", "CommLedger", "Message"]
+__all__ = ["Communicator", "CommLedger", "Message"]

@@ -11,7 +11,6 @@ performs.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, List, Optional, Sequence
 
 from repro.mpi.ledger import CommLedger, Message, checked_message
@@ -32,13 +31,6 @@ class Communicator:
         #: communication plans built against this communicator (each
         #: CommPlan counts itself; the recorder reports the per-step delta)
         self.plans_built = 0
-
-    @property
-    def nnodes(self) -> int:
-        return -(-self.nranks // self.ranks_per_node)
-
-    def node_of(self, rank: int) -> int:
-        return rank // self.ranks_per_node
 
     # -- point-to-point ------------------------------------------------------
     def send_bytes(self, src: int, dst: int, nbytes: int, kind: str) -> None:
@@ -63,9 +55,6 @@ class Communicator:
 
     def reduce_max(self, values: Sequence[float], itemsize: int = 8) -> float:
         return self._tree_reduce(values, max, itemsize)
-
-    def reduce_sum(self, values: Sequence[float], itemsize: int = 8) -> float:
-        return self._tree_reduce(values, lambda a, b: a + b, itemsize)
 
     def _tree_reduce(self, values: Sequence[float],
                      op: Callable[[float, float], float], itemsize: int) -> float:
@@ -94,20 +83,9 @@ class Communicator:
             stride //= 2
         return result
 
-    def barrier_rounds(self) -> int:
-        """Number of message rounds in a dissemination barrier (for costing)."""
-        return max(1, math.ceil(math.log2(max(2, self.nranks))))
-
     def _check_rank(self, r: int) -> None:
         if not 0 <= r < self.nranks:
             raise ValueError(f"rank {r} out of range [0, {self.nranks})")
 
     def __repr__(self) -> str:
         return f"Communicator(nranks={self.nranks}, ranks_per_node={self.ranks_per_node})"
-
-
-class SerialComm(Communicator):
-    """A single-rank communicator (no traffic recorded for self-copies)."""
-
-    def __init__(self) -> None:
-        super().__init__(nranks=1, ranks_per_node=1)

@@ -17,9 +17,7 @@ sequence attaches a listener (``on_message`` fires per event, in order).
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import contextmanager
-from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 #: Message kinds tracked by the ledger, matching the paper's profiling
 #: regions (Fig. 7 splits FillPatch into FillBoundary and ParallelCopy).
@@ -86,16 +84,6 @@ class CommLedger:
             for listener in self._listeners:
                 listener.on_message(msg)
 
-    @contextmanager
-    def paused(self) -> Iterator["CommLedger"]:
-        """Suspend recording for a block (restores the prior state after)."""
-        prev = self.enabled
-        self.enabled = False
-        try:
-            yield self
-        finally:
-            self.enabled = prev
-
     def clear(self, kind: Optional[str] = None) -> None:
         """Drop recorded messages — all of them, or one ``kind`` only."""
         if kind is None:
@@ -123,27 +111,6 @@ class CommLedger:
 
     def count(self, kind: Optional[str] = None, remote_only: bool = False) -> int:
         return sum(n for _, n in self.rows(kind, remote_only))
-
-    def node_of(self, rank: int) -> int:
-        return rank // self.ranks_per_node
-
-    def off_node_bytes(self, kind: Optional[str] = None) -> int:
-        """Bytes crossing node boundaries (priced at network bandwidth)."""
-        return sum(m.nbytes * n for m, n in self.rows(kind)
-                   if self.node_of(m.src) != self.node_of(m.dst))
-
-    def on_node_bytes(self, kind: Optional[str] = None) -> int:
-        """Bytes between different ranks on the same node (NVLink/shared mem)."""
-        return sum(m.nbytes * n for m, n in self.rows(kind, remote_only=True)
-                   if self.node_of(m.src) == self.node_of(m.dst))
-
-    def per_rank_bytes(self, nranks: int, kind: Optional[str] = None,
-                       direction: str = "send") -> List[int]:
-        """Bytes sent (or received) by each rank, excluding self-messages."""
-        out = [0] * nranks
-        for m, n in self.rows(kind, remote_only=True):
-            out[m.src if direction == "send" else m.dst] += m.nbytes * n
-        return out
 
     def traffic(self) -> Dict[str, Dict[str, int]]:
         """``{kind: {messages, bytes, on_node_bytes, off_node_bytes}}`` in

@@ -65,8 +65,3 @@ class ArrheniusReaction:
         """Specific heat release q = h0_reactant - h0_product [J/kg]."""
         return (eos.species[self.reactant].h_formation
                 - eos.species[self.product].h_formation)
-
-
-def ignition_delay_estimate(reaction: ArrheniusReaction, T0: float) -> float:
-    """Rough induction-time scale 1/k(T0) (useful for choosing dt/t_end)."""
-    return float(1.0 / reaction.rate_constant(np.asarray(T0)))

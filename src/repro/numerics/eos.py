@@ -185,15 +185,3 @@ class MixtureEOS:
     def primitives(self, layout: StateLayout, u: np.ndarray):
         """(rho, vel, p) — the interface the flux kernels consume."""
         return layout.density(u), layout.velocity(u), self.pressure(layout, u)
-
-
-def sutherland_viscosity(T: np.ndarray, mu_ref: float = 1.716e-5,
-                         T_ref: float = 273.15, S: float = 110.4) -> np.ndarray:
-    """Sutherland's law for dynamic viscosity (dimensional form)."""
-    return mu_ref * (T / T_ref) ** 1.5 * (T_ref + S) / (T + S)
-
-
-def power_law_viscosity(T: np.ndarray, mu_ref: float, T_ref: float,
-                        exponent: float = 0.76) -> np.ndarray:
-    """Power-law viscosity, common in nondimensional hypersonic DNS setups."""
-    return mu_ref * (T / T_ref) ** exponent

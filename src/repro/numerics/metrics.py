@@ -240,20 +240,6 @@ class CurvilinearMetrics(Metrics):
     def jacobian(self) -> np.ndarray:
         return self._J
 
-    def pack(self) -> np.ndarray:
-        """Flatten first+second metrics into a (ncomp_stored, *s) array.
-
-        This is the layout of CRoCCo's 27-component metrics MultiFab
-        (9 first + 18 second derivatives in 3D).
-        """
-        dim = self.dim
-        s = self.first.shape[2:]
-        return np.concatenate(
-            [self.first.reshape((dim * dim,) + s),
-             self.second.reshape((-1,) + s)],
-            axis=0,
-        )
-
     def gcl_residual(self) -> np.ndarray:
         """Geometric conservation law residual sum_d d(m_d)/d(xi_d).
 

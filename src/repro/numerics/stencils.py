@@ -31,21 +31,14 @@ SECOND_DERIVATIVE: Dict[int, Tuple[Tuple[int, ...], Tuple[float, ...]]] = {
 }
 
 
-def stencil_radius(order: int, derivative: int = 1) -> int:
-    """Ghost cells needed on each side for the chosen stencil."""
-    table = FIRST_DERIVATIVE if derivative == 1 else SECOND_DERIVATIVE
-    offsets, _ = table[order]
-    return max(abs(o) for o in offsets)
-
-
 def central_derivative(
     v: np.ndarray, axis: int, spacing: float = 1.0, order: int = 4,
     derivative: int = 1,
 ) -> np.ndarray:
     """Apply a central difference along ``axis``.
 
-    The result is shorter by ``2 * stencil_radius`` along that axis — the
-    caller supplies ghost data.  ``spacing`` is the uniform grid spacing
+    The result is shorter by twice the stencil's radius along that axis —
+    the caller supplies ghost data.  ``spacing`` is the uniform grid spacing
     (for computational-space metrics it is 1).
     """
     table = FIRST_DERIVATIVE if derivative == 1 else SECOND_DERIVATIVE

@@ -88,9 +88,6 @@ class MetricsRegistry:
     def histogram(self, name: str) -> Histogram:
         return self._get(name, Histogram)
 
-    def names(self) -> List[str]:
-        return sorted(self._instruments)
-
     # -- sampling ----------------------------------------------------------
     def snapshot(self) -> Dict[str, float]:
         """Current value of every instrument, flattened to scalars."""

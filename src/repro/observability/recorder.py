@@ -140,10 +140,6 @@ class RunRecorder:
         )
         return rec
 
-    def record_l2_drift(self, value: float) -> None:
-        """Record a validation L2 drift (set by the validation harness)."""
-        self.metrics.gauge("validation.l2_drift").set(value)
-
     # -- finalize ----------------------------------------------------------
     def _other_data(self, sim) -> dict:
         other = {"mode": "wall", "schema": "repro-trace-1"}

@@ -3,7 +3,7 @@
 One :class:`Tracer` records both kinds of time this reproduction deals in:
 
 - **wall** spans, measured with a monotonic clock while functional code
-  runs (``span`` / ``begin`` / ``end``);
+  runs (``begin`` / ``end``);
 - **charged** spans, laid out on a per-track simulated clock so the Summit
   performance model can emit the *same* span structure with modeled
   seconds (``charge`` / ``begin_charged`` / ``end_charged``).
@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import json
 import time
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 #: stream ids used by convention: 0 = the driver's region nest,
 #: 1 = the rank's (simulated) GPU stream
@@ -56,21 +55,7 @@ class Tracer:
         ``t`` of its clock (``time.perf_counter`` unless given)."""
         return (t - self._t0) * 1e6
 
-    def cursor_us(self, rank: int = 0, stream: int = DRIVER_STREAM) -> float:
-        """Simulated-clock position of one track, microseconds."""
-        return self._cursor.get((rank, stream), 0.0)
-
     # -- wall spans --------------------------------------------------------
-    @contextmanager
-    def span(self, name: str, rank: int = 0, stream: int = DRIVER_STREAM,
-             cat: str = "region", args: Optional[dict] = None) -> Iterator[None]:
-        """Wall-clock span context manager."""
-        self.begin(name, rank, stream, cat, args)
-        try:
-            yield
-        finally:
-            self.end(rank, stream)
-
     def begin(self, name: str, rank: int = 0, stream: int = DRIVER_STREAM,
               cat: str = "region", args: Optional[dict] = None) -> None:
         """Open a wall span (callback-style, for adapter hooks)."""
@@ -112,17 +97,6 @@ class Tracer:
         dur = seconds * 1e6
         self.complete(name, t0, dur, rank, stream, cat, args)
         self._cursor[key] = t0 + dur
-
-    @contextmanager
-    def charged_span(self, name: str, rank: int = 0,
-                     stream: int = DRIVER_STREAM, cat: str = "charged",
-                     args: Optional[dict] = None) -> Iterator[None]:
-        """A charged parent span covering the charges made inside it."""
-        self.begin_charged(name, rank, stream, cat, args)
-        try:
-            yield
-        finally:
-            self.end_charged(rank, stream)
 
     def begin_charged(self, name: str, rank: int = 0,
                       stream: int = DRIVER_STREAM, cat: str = "charged",
@@ -170,9 +144,6 @@ class Tracer:
         self._thread_names[(rank, stream)] = name
 
     # -- export ------------------------------------------------------------
-    def events(self) -> List[dict]:
-        return list(self._events)
-
     def _metadata_events(self) -> List[dict]:
         out = []
         ranks = {ev["pid"] for ev in self._events}

@@ -85,13 +85,3 @@ class Calibration:
 
 #: the default calibration used by all benches
 CAL = Calibration()
-
-
-def flops_per_point_per_stage(dim: int = 3, viscous: bool = True) -> float:
-    """Total kernel flops per grid point per RK stage."""
-    from repro.kernels.counts import UPDATE_BUDGET, VISCOUS_BUDGET, WENO_BUDGET
-
-    total = dim * WENO_BUDGET.flops_per_point + UPDATE_BUDGET.flops_per_point
-    if viscous:
-        total += VISCOUS_BUDGET.flops_per_point
-    return total

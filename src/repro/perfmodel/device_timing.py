@@ -10,7 +10,7 @@ would have spent in WENOx" (the measurement behind Fig. 3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from repro.kernels.counts import budget_for_kernel
 from repro.kernels.device import GpuDevice
@@ -24,10 +24,6 @@ class DeviceTiming:
     seconds: Dict[str, float]
     launches: Dict[str, int]
     points: Dict[str, int]
-
-    @property
-    def total(self) -> float:
-        return sum(self.seconds.values())
 
 
 def summarize_device(device: GpuDevice,
@@ -43,17 +39,3 @@ def summarize_device(device: GpuDevice,
         launches[rec.name] = launches.get(rec.name, 0) + n
         points[rec.name] = points.get(rec.name, 0) + rec.npoints * n
     return DeviceTiming(seconds, launches, points)
-
-
-def summarize_fleet(devices: Sequence[GpuDevice],
-                    model: Optional[V100Model] = None) -> Dict[str, DeviceTiming]:
-    """Per-device timings for a multi-rank run (one entry per device)."""
-    return {d.name: summarize_device(d, model) for d in devices}
-
-
-def busiest_device_seconds(devices: Sequence[GpuDevice],
-                           model: Optional[V100Model] = None) -> float:
-    """The critical-path device time (the slowest simulated GPU)."""
-    if not devices:
-        return 0.0
-    return max(summarize_device(d, model).total for d in devices)

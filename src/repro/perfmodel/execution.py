@@ -281,31 +281,3 @@ def fillpatch_split(
         "ParallelCopy_nowait": NSTAGES * pc_nowait,
         "ParallelCopy_finish": NSTAGES * pc_finish,
     }
-
-
-def nowait_finish_fractions(
-    version: str | VersionConfig,
-    levels: Sequence[LevelDecomposition],
-    nodes: int,
-    cal: Calibration = CAL,
-) -> Dict[str, float]:
-    """The modeled posting/finishing decomposition of FillPatch, as
-    fractions of the whole split.
-
-    ``finish_frac`` is the share of FillPatch spent *completing*
-    communication — the part that can hide behind interior compute when
-    the runtime posts the nowait halves early.  It grows monotonically
-    with node count (the Fig. 7 trend), which is the shape the runtime's
-    measured per-step overlap is cross-checked against
-    (``tests/perfmodel/test_fillpatch_overlap.py``).
-    """
-    split = fillpatch_split(version, levels, nodes, cal)
-    nowait = split["FillBoundary_nowait"] + split["ParallelCopy_nowait"]
-    finish = split["FillBoundary_finish"] + split["ParallelCopy_finish"]
-    total = nowait + finish
-    return {
-        "nowait_s": nowait,
-        "finish_s": finish,
-        "nowait_frac": nowait / total if total else 0.0,
-        "finish_frac": finish / total if total else 0.0,
-    }

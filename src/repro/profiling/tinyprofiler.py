@@ -54,10 +54,6 @@ class TinyProfiler:
         if listener not in self._listeners:
             self._listeners.append(listener)
 
-    def remove_listener(self, listener: object) -> None:
-        if listener in self._listeners:
-            self._listeners.remove(listener)
-
     def _notify(self, event: str, *args) -> None:
         for listener in self._listeners:
             cb = getattr(listener, event, None)
@@ -155,19 +151,6 @@ class TinyProfiler:
         return {
             p[0]: s.inclusive for p, s in self._stats.items() if len(p) == 1
         }
-
-    def breakdown(self, parent: str) -> Dict[str, float]:
-        """{child name: inclusive} summed over every occurrence of ``parent``."""
-        out: Dict[str, float] = {}
-        for p, s in self._stats.items():
-            if len(p) >= 2 and p[-2] == parent:
-                out[p[-1]] = out.get(p[-1], 0.0) + s.inclusive
-        return out
-
-    def reset(self) -> None:
-        self._stats.clear()
-        self._stack.clear()
-        self._wall_open.clear()
 
     def report(self) -> str:
         """An indented text report (TinyProfiler style): children grouped

@@ -37,9 +37,6 @@ class ResilienceStats:
         self.counters[name] = value
         return value
 
-    def get(self, name: str) -> int:
-        return self.counters.get(name, 0)
-
     def as_dict(self) -> Dict[str, int]:
         """Every core counter (zeros included) plus any extras."""
         out = {name: self.counters.get(name, 0) for name in CORE_COUNTERS}

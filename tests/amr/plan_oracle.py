@@ -11,7 +11,8 @@ build) and stay here as the oracle: ``tests/amr/test_plan_oracle.py``
 requires the batched primitives to give the same boxes in the same order,
 and every ``CommPlan`` / ``FillPlan`` to be equal to these fab for fab.
 The one thing not verbatim is :func:`intersecting`, which was a walk over
-a spatial hash and is a scan over every box here.
+a spatial hash and is a scan over every box here.  :func:`diff` is the
+scalar ``Box.diff`` all of them were built on.
 """
 
 import math
@@ -25,12 +26,31 @@ from repro.amr.fab import FArrayBox
 from repro.amr.fillpatch import FillFabPlan, FillPlan, _nearest_fill
 from repro.amr.geometry import Geometry
 from repro.amr.interp_curvilinear import CurvilinearInterp
-from repro.amr.interpolate import PiecewiseConstantInterp, TrilinearInterp
+from repro.amr.interpolate import TrilinearInterp
 from repro.amr.intvect import IntVect
 from repro.amr.multifab import MultiFab
 from repro.amr.plan import CommPlan, FabPlan, copy
 
 BoxPair = Tuple[int, Box, Box]
+
+
+# -- Box queries -------------------------------------------------------------------
+
+def diff(a: Box, b: Box) -> List[Box]:
+    """``a`` minus ``b``, as a disjoint list of boxes (``Box.diff``)."""
+    isect = a.intersect(b)
+    if isect.is_empty():
+        return [a]
+    out: List[Box] = []
+    rem = a
+    for d in range(a.dim):
+        if rem.lo[d] < isect.lo[d]:
+            low, rem = rem.chop(d, isect.lo[d])
+            out.append(low)
+        if isect.hi[d] < rem.hi[d]:
+            rem, high = rem.chop(d, isect.hi[d] + 1)
+            out.append(high)
+    return out
 
 
 # -- BoxArray queries ------------------------------------------------------------
@@ -50,7 +70,7 @@ def complement_in(ba, region: Box) -> List[Box]:
     for i in intersecting(ba, region):
         nxt: List[Box] = []
         for r in remaining:
-            nxt.extend(r.diff(ba[i]))
+            nxt.extend(diff(r, ba[i]))
         remaining = nxt
         if not remaining:
             break
@@ -67,7 +87,7 @@ def overlaps(ba, region: Box, shifts: Iterable = ()) -> List[BoxPair]:
     periodic shift (source where the data is, destination in ``region``)."""
     out = [(j, o, o) for j, o in intersections(ba, region)]
     for s in shifts:
-        out += [(j, o, o.shift(-s)) for j, o in intersections(ba, region.shift(s))]
+        out += [(j, o, o.shift(s * -1)) for j, o in intersections(ba, region.shift(s))]
     return out
 
 
@@ -83,7 +103,7 @@ def boundary_regions(mf: MultiFab, i: int,
         [h if p else min(h, d) for h, d, p in zip(region.hi, dom.hi, per)])
     pieces = complement_in(mf.ba, region)
     for s in _shifts(geom):
-        pieces = [q.shift(-s) for p in pieces
+        pieces = [q.shift(s * -1) for p in pieces
                   for q in complement_in(mf.ba, p.shift(s))]
     return pieces
 
@@ -96,7 +116,7 @@ def _dedup_diffs(box: Box, existing: List[Box]) -> List[Box]:
     for e in existing:
         nxt: List[Box] = []
         for p in pieces:
-            nxt.extend(p.diff(e))
+            nxt.extend(diff(p, e))
         pieces = nxt
         if not pieces:
             break
@@ -127,7 +147,7 @@ def _clip_to_coverage(cov: BoxArray, domain: Box, n_proper: int,
             for f in forbidden:
                 nxt: List[Box] = []
                 for p in pieces:
-                    nxt.extend(p.diff(f))
+                    nxt.extend(diff(p, f))
                 pieces = nxt
                 if not pieces:
                     break
@@ -197,7 +217,8 @@ def build_fill_plan(fine: MultiFab, crse: MultiFab, geom_fine: Geometry,
                     r: IntVect, interp, crse_coords=None, fine_coords=None,
                     whole: bool = False) -> FillPlan:
     plan = FillPlan(fine.comm)
-    geom_crse = geom_fine.coarsen(r)
+    geom_crse = Geometry(geom_fine.domain.coarsen(r), geom_fine.prob_lo,
+                         geom_fine.prob_hi, geom_fine.periodic)
     shifts = _shifts(geom_crse)
     coords_tmp = None
     if interp.needs_coords:
@@ -207,7 +228,7 @@ def build_fill_plan(fine: MultiFab, crse: MultiFab, geom_fine: Geometry,
         plan.coords = copy_plan(coords_tmp, crse_coords, crse_coords.ncomp, True)
         for fp in plan.coords.fabs.values():
             copy(coords_tmp.fab(fp.dst).data, crse_coords, fp.copies)
-        grown_ba = crse.ba.grow(coords_tmp.ngrow)
+        grown_ba = [b.grow(coords_tmp.ngrow) for b in crse.ba]
     for i, fab in fine:
         pieces = [fab.box] if whole else boundary_regions(fine, i, geom_fine)
         rank, npoints, ncells, messages = fine.dm[i], 0, 0, []
@@ -301,18 +322,18 @@ def _fine_fractions(fine_region: Box, ratio: IntVect, idim: int):
     return ibase, frac
 
 
-def corner_indices(bases, box: Box, upper: bool = True) -> np.ndarray:
+def corner_indices(bases, box: Box) -> np.ndarray:
     """Flat indices into an array over ``box`` of every fine cell's coarse
-    neighbours, ``(2^dim, nfine)`` (without ``upper``: only corner 0)."""
+    neighbours, ``(2^dim, nfine)``."""
     shape, first, steps = box.shape(), 0, []
     for d, ib in enumerate(bases):
         ib = ib - box.lo[d]
-        if ib.min() < 0 or ib.max() + upper >= shape[d]:
+        if ib.min() < 0 or ib.max() + 1 >= shape[d]:
             raise ValueError("coarse fab does not cover interpolation stencil")
         step = math.prod(shape[d + 1:])
         first = first + (ib * step).reshape((-1,) + (1,) * (len(bases) - 1 - d))
         steps.append(step)
-    ncorner = 1 << len(bases) if upper else 1
+    ncorner = 1 << len(bases)
     to_corner = [sum(s for d, s in enumerate(steps) if (c >> d) & 1)
                  for c in range(ncorner)]
     return first.ravel() + np.array(to_corner)[:, None]
@@ -325,11 +346,6 @@ def piece_stencil(interp, fine_region: Box, ratio, cbox: Box,
     ``(idx, w)`` over an array over ``cbox``, or None."""
     ratio = IntVect.coerce(ratio, fine_region.dim)
     dim = fine_region.dim
-    if isinstance(interp, PiecewiseConstantInterp):
-        cells = [np.floor_divide(
-            np.arange(fine_region.lo[d], fine_region.hi[d] + 1), ratio[d])
-            for d in range(dim)]
-        return corner_indices(cells, cbox, upper=False), None
     if isinstance(interp, TrilinearInterp):
         return trilinear_stencil(fine_region, ratio, cbox)
     if not isinstance(interp, CurvilinearInterp):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.amr.average_down import average_down
 from repro.amr.box import Box
-from repro.amr.boxarray import BoxArray
+from repro.amr.boxarray import BoxArray, boxes_of
 from repro.amr.distribution import DistributionMapping
 from repro.amr.fillpatch import fill_coarse_patch
 from repro.amr.geometry import Geometry
@@ -111,7 +111,7 @@ def test_parallel_copy_matches_source_function(seed, nranks):
                           st.integers(1, 6), st.integers(1, 6)),
                 min_size=1, max_size=6))
 def test_complement_partitions_region(box_specs):
-    """complement_in pieces + covered overlaps partition any region."""
+    """Complement pieces + covered overlaps partition any region."""
     boxes = []
     for (x, y, w, h) in box_specs:
         b = Box((x, y), (x + w - 1, y + h - 1))
@@ -120,8 +120,8 @@ def test_complement_partitions_region(box_specs):
             boxes.append(b)
     ba = BoxArray(boxes)
     region = Box((0, 0), (31, 31))
-    comp = ba.complement_in(region)
-    covered = sum(ov.num_pts() for _i, ov in ba.intersections(region))
+    comp = boxes_of(ba.complement(region)[0])
+    covered = sum(ov.num_pts() for ov in boxes_of(ba.intersect(region)[2]))
     uncovered = sum(p.num_pts() for p in comp)
     assert covered + uncovered == region.num_pts()
     # complement pieces are disjoint and inside the region
@@ -129,5 +129,4 @@ def test_complement_partitions_region(box_specs):
         assert region.contains(p)
         for q in comp[i + 1:]:
             assert not p.intersects(q)
-        for j in ba.intersecting(p):
-            assert not ba[j].intersects(p)
+        assert not len(ba.intersect(p)[1])

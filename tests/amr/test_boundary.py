@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.amr.boundary import boundary_regions, fill_boundary
+from repro.amr.boundary import boundary_regions, fill_boundary_nowait
 from repro.amr.box import Box
 from repro.amr.boxarray import BoxArray, num_pts
 from repro.amr.distribution import DistributionMapping
@@ -34,7 +34,7 @@ def fill_global_index(mf):
 def test_interior_ghosts_filled_exactly():
     mf, geom = make_mf()
     fill_global_index(mf)
-    fill_boundary(mf, geom)
+    fill_boundary_nowait(mf, geom).finish()
     # box 0 covers (0,0)-(15,15); its ghost cells at x=16..17 come from the
     # neighbor and must continue the global function
     fab = mf.fab(0)
@@ -47,7 +47,7 @@ def test_interior_ghosts_filled_exactly():
 def test_corner_ghosts_filled():
     mf, geom = make_mf()
     fill_global_index(mf)
-    fill_boundary(mf, geom)
+    fill_boundary_nowait(mf, geom).finish()
     fab = mf.fab(0)
     corner = fab.view(Box((16, 16), (17, 17)))
     ii = np.arange(16, 18)[:, None]
@@ -59,7 +59,7 @@ def test_domain_boundary_ghosts_untouched():
     mf, geom = make_mf()
     mf.set_val(-5.0)
     fill_global_index(mf)
-    fill_boundary(mf, geom)
+    fill_boundary_nowait(mf, geom).finish()
     fab = mf.fab(0)
     # ghosts at x < 0 are outside the (non-periodic) domain: must stay -5
     outside = fab.view(Box((-2, 0), (-1, 15)))
@@ -69,7 +69,7 @@ def test_domain_boundary_ghosts_untouched():
 def test_periodic_ghosts_wrap():
     mf, geom = make_mf(periodic=(True, True))
     fill_global_index(mf)
-    fill_boundary(mf, geom)
+    fill_boundary_nowait(mf, geom).finish()
     fab = mf.fab(0)
     # ghost at x=-1 wraps to x=31
     ghost = fab.view(Box((-1, 0), (-1, 15)))
@@ -80,7 +80,7 @@ def test_periodic_ghosts_wrap():
 def test_periodic_corner_wraps_diagonally():
     mf, geom = make_mf(periodic=(True, True))
     fill_global_index(mf)
-    fill_boundary(mf, geom)
+    fill_boundary_nowait(mf, geom).finish()
     fab = mf.fab(0)
     ghost = fab.view(Box((-1, -1), (-1, -1)))
     assert ghost[0, 0, 0] == 1000.0 * 31 + 31
@@ -89,7 +89,7 @@ def test_periodic_corner_wraps_diagonally():
 def test_messages_recorded_with_owner_ranks():
     mf, geom = make_mf(nranks=4)
     mf.comm.ledger.clear()
-    fill_boundary(mf, geom)
+    fill_boundary_nowait(mf, geom).finish()
     msgs = [m for m, _ in mf.comm.ledger.rows("fillboundary")]
     assert len(msgs) > 0
     # with roundrobin over 4 ranks every exchange crosses ranks
@@ -101,7 +101,7 @@ def test_messages_recorded_with_owner_ranks():
 def test_zero_ghost_noop():
     mf, geom = make_mf(ngrow=0)
     mf.comm.ledger.clear()
-    fill_boundary(mf, geom)
+    fill_boundary_nowait(mf, geom).finish()
     assert len(mf.comm.ledger) == 0
 
 
@@ -117,8 +117,8 @@ def test_boundary_regions_identifies_uncovered():
 def test_idempotent():
     mf, geom = make_mf()
     fill_global_index(mf)
-    fill_boundary(mf, geom)
+    fill_boundary_nowait(mf, geom).finish()
     snapshot = {i: fab.data.copy() for i, fab in mf}
-    fill_boundary(mf, geom)
+    fill_boundary_nowait(mf, geom).finish()
     for i, fab in mf:
         assert np.array_equal(fab.data, snapshot[i])

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.amr.box import Box
+from repro.amr.boxarray import boxes_of, cells, diff, lohi_of
 from repro.amr.intvect import IntVect
 
 
@@ -28,7 +29,7 @@ def test_basic_properties():
 
 def test_from_extent_and_cube():
     assert Box.from_extent(IntVect(1, 1), (3, 3)) == Box((1, 1), (3, 3))
-    assert Box.cube(3, 8) == Box((0, 0, 0), (7, 7, 7))
+    assert Box.from_extent((0, 0, 0), 8) == Box((0, 0, 0), (7, 7, 7))
 
 
 def test_empty_box():
@@ -50,8 +51,6 @@ def test_grow_shift():
     assert b.grow(2) == Box((-2, -2), (5, 5))
     assert b.grow(2).grow(-2) == b
     assert b.shift((1, -1)) == Box((1, -1), (4, 2))
-    assert b.grow_lo(0, 1) == Box((-1, 0), (3, 3))
-    assert b.grow_hi(1, 2) == Box((0, 0), (3, 5))
 
 
 def test_refine_coarsen():
@@ -94,10 +93,15 @@ def test_max_size_chop_covers_and_limits():
             assert not p.intersects(q)
 
 
+def box_diff(a, b):
+    """``a`` minus ``b`` through the batched difference."""
+    return boxes_of(diff(lohi_of([a]), lohi_of([b])[0])[0])
+
+
 def test_diff_covers_complement():
     a = Box((0, 0), (9, 9))
     b = Box((3, 3), (6, 6))
-    pieces = a.diff(b)
+    pieces = box_diff(a, b)
     assert sum(p.num_pts() for p in pieces) == a.num_pts() - b.num_pts()
     for p in pieces:
         assert not p.intersects(b)
@@ -106,20 +110,20 @@ def test_diff_covers_complement():
 
 def test_diff_disjoint_returns_self():
     a = Box((0, 0), (3, 3))
-    assert a.diff(Box((10, 10), (12, 12))) == [a]
+    assert box_diff(a, Box((10, 10), (12, 12))) == [a]
 
 
 def test_diff_covered_returns_empty():
     a = Box((2, 2), (4, 4))
-    assert a.diff(Box((0, 0), (9, 9))) == []
+    assert box_diff(a, Box((0, 0), (9, 9))) == []
 
 
 def test_indices_iteration():
     b = Box((0, 0), (1, 2))
-    pts = list(b.indices())
-    assert len(pts) == 6
-    assert pts[0] == IntVect(0, 0)
-    assert pts[-1] == IntVect(1, 2)
+    k, pts = cells(lohi_of([b]))
+    assert len(pts) == 6 and not k.any()
+    assert pts[0].tolist() == [0, 0]
+    assert pts[-1].tolist() == [1, 2]
 
 
 def test_slices():
@@ -137,8 +141,8 @@ def test_intersection_commutes(a, b):
 
 @given(boxes(2), boxes(2))
 def test_diff_partition_property(a, b):
-    """a.diff(b) pieces + (a & b) partition a exactly."""
-    pieces = a.diff(b)
+    """The pieces of a minus b and (a & b) partition a exactly."""
+    pieces = box_diff(a, b)
     isect = a.intersect(b)
     total = sum(p.num_pts() for p in pieces) + isect.num_pts()
     assert total == a.num_pts()

@@ -5,15 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.amr.box import Box
-from repro.amr.boxarray import BoxArray
-from repro.amr.intvect import IntVect
+from repro.amr.boxarray import BoxArray, boxes_of, coarsen
+from tests.conftest import no_overlaps
 
 
 def test_from_domain_covers_exactly():
     domain = Box((0, 0, 0), (63, 63, 31))
     ba = BoxArray.from_domain(domain, max_grid_size=16, blocking_factor=8)
     assert ba.num_pts() == domain.num_pts()
-    assert ba.is_disjoint()
+    assert no_overlaps(ba)
     for b in ba:
         assert max(b.size()) <= 16
         for d in range(3):
@@ -40,40 +40,35 @@ def test_intersecting_and_intersections():
     ba = BoxArray.from_domain(domain, 8, 8)
     assert len(ba) == 16
     region = Box((6, 6), (9, 9))  # spans 4 boxes
-    hits = ba.intersecting(region)
+    _, hits, overlaps = ba.intersect(region)
     assert len(hits) == 4
-    for i, overlap in ba.intersections(region):
+    for i, overlap in zip(hits.tolist(), boxes_of(overlaps)):
         assert overlap == ba[i].intersect(region)
         assert not overlap.is_empty()
 
 
 def test_intersecting_empty_region():
     ba = BoxArray.from_domain(Box((0, 0), (15, 15)), 8, 8)
-    assert ba.intersecting(Box((5, 5), (4, 4))) == []
+    assert ba.intersect(Box((5, 5), (4, 4)))[1].tolist() == []
 
 
 def test_contains_and_complement():
     ba = BoxArray.from_domain(Box((0, 0), (15, 15)), 8, 8)
     assert ba.contains(Box((3, 3), (12, 12)))
     assert not ba.contains(Box((-1, 0), (3, 3)))
-    comp = ba.complement_in(Box((-2, 0), (3, 3)))
+    comp = boxes_of(ba.complement(Box((-2, 0), (3, 3)))[0])
     assert sum(b.num_pts() for b in comp) == 2 * 4
 
 
 def test_complement_of_partial_cover():
     ba = BoxArray([Box((0, 0), (3, 3))])
-    comp = ba.complement_in(Box((0, 0), (7, 7)))
+    comp = boxes_of(ba.complement(Box((0, 0), (7, 7)))[0])
     assert sum(b.num_pts() for b in comp) == 64 - 16
-
-
-def test_minimal_box():
-    ba = BoxArray([Box((0, 0), (3, 3)), Box((10, 2), (12, 8))])
-    assert ba.minimal_box() == Box((0, 0), (12, 8))
 
 
 def test_refine_coarsen_roundtrip():
     ba = BoxArray.from_domain(Box((0, 0), (31, 31)), 16, 8)
-    assert ba.refine(2).coarsen(2) == ba
+    assert BoxArray(coarsen(ba.refine(2).lohi, 2)) == ba
     assert ba.refine(2).num_pts() == 4 * ba.num_pts()
 
 
@@ -98,6 +93,6 @@ def test_intersection_query_matches_bruteforce(mx, my, rlo, rsize):
     domain = Box((0, 0), (8 * mx * 4 - 1, 8 * my * 4 - 1))
     ba = BoxArray.from_domain(domain, (8 * mx, 8 * my), 8)
     region = Box(rlo, tuple(l + s - 1 for l, s in zip(rlo, rsize)))
-    fast = set(ba.intersecting(region))
+    fast = set(ba.intersect(region)[1].tolist())
     slow = {i for i, b in enumerate(ba) if b.intersects(region)}
     assert fast == slow

@@ -33,7 +33,8 @@ def test_sfc_balances_equal_weights():
     dm = DistributionMapping.make(ba, 4, "sfc")
     loads = dm.load_per_rank(ba)
     assert loads.sum() == ba.num_pts()
-    assert dm.imbalance(ba) < 1.3
+    # max/mean load
+    assert loads.max() / loads.mean() < 1.3
 
 
 def test_sfc_uses_all_ranks_when_possible():
@@ -64,14 +65,6 @@ def test_sfc_locality():
     assert seq == sorted(seq)
 
 
-def test_boxes_on():
-    ba = make_ba(2)
-    dm = DistributionMapping.make(ba, 2, "roundrobin")
-    on0 = dm.boxes_on(0)
-    on1 = dm.boxes_on(1)
-    assert sorted(on0 + on1) == list(range(len(ba)))
-
-
 def test_invalid_inputs():
     ba = make_ba(2)  # 4 boxes
     with pytest.raises(ValueError):
@@ -89,7 +82,8 @@ def test_explicit_weights_respected():
     dm = DistributionMapping.make(ba, 2, "knapsack", weights=w)
     heavy_rank = dm[0]
     # the heavy box's rank should get few other boxes
-    assert len(dm.boxes_on(heavy_rank)) <= len(dm.boxes_on(1 - heavy_rank))
+    ranks = dm.ranks()
+    assert ranks.count(heavy_rank) <= ranks.count(1 - heavy_rank)
 
 
 @settings(max_examples=20)

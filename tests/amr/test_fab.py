@@ -5,7 +5,6 @@ import pytest
 
 from repro.amr.box import Box
 from repro.amr.fab import FArrayBox
-from repro.amr.intvect import IntVect
 
 
 def test_allocation_shape():
@@ -73,26 +72,6 @@ def test_copy_from():
     assert n == 2 * 4 * 8  # 2 comps * 4 cells * 8 bytes
     assert np.all(b.view(Box((2, 2), (3, 3))) == 7.0)
     assert b.data[0, 2, 2] == 0.0
-
-
-def test_copy_shifted_from_periodic():
-    src = FArrayBox(Box((0, 0), (7, 7)))
-    src.valid()[...] = np.arange(64).reshape(8, 8)
-    dst = FArrayBox(Box((0, 0), (7, 7)), ngrow=1)
-    # fill dst's low-x ghost layer from the high-x edge (periodic shift +8)
-    ghost = Box((-1, 0), (-1, 7))
-    dst.copy_shifted_from(src, ghost, IntVect(8, 0))
-    assert np.all(dst.view(ghost)[0, 0, :] == src.valid()[0, 7, :])
-
-
-def test_reductions():
-    f = FArrayBox(Box((0, 0), (3, 3)), ngrow=1)
-    f.set_val(-9.0)  # ghosts too
-    f.valid()[...] = np.arange(16).reshape(4, 4)
-    assert f.min() == 0.0
-    assert f.max() == 15.0
-    assert f.min(include_ghosts=True) == -9.0
-    assert f.norm2() == pytest.approx(np.sqrt(np.sum(np.arange(16.0) ** 2)))
 
 
 def test_contains_nan():

@@ -118,8 +118,8 @@ def test_two_levels_leaves_outside_domain_to_bc():
 def test_two_levels_curvilinear_records_global_parallelcopy():
     crse, fine, geom_c, geom_f = setup_two_levels()
     dim = 2
-    ccoords = MultiFab.like(crse, ncomp=dim)
-    fcoords = MultiFab.like(fine, ncomp=dim)
+    ccoords = MultiFab(crse.ba, crse.dm, dim, crse.ngrow, crse.comm)
+    fcoords = MultiFab(fine.ba, fine.dm, dim, fine.ngrow, fine.comm)
     # uniform coordinates (content irrelevant for the traffic assertion)
     for mf, scale in ((ccoords, 1.0), (fcoords, 0.5)):
         for i, fab in mf:
@@ -137,7 +137,7 @@ def test_two_levels_curvilinear_records_global_parallelcopy():
     assert pc > 0
     # the coordinates gather dominates: it copies the whole coarse level +
     # ghosts, far exceeding the interface stencil volume
-    assert pc > ccoords.num_pts() * dim * 8
+    assert pc > ccoords.ba.num_pts() * dim * 8
 
 
 def test_trilinear_no_coords_no_big_parallelcopy():
@@ -149,7 +149,7 @@ def test_trilinear_no_coords_no_big_parallelcopy():
     fill_patch_two_levels(fine, crse, geom_f, geom_c, 2, TrilinearInterp())
     pc = crse.comm.ledger.total_bytes("parallelcopy")
     # only the interface stencils move: far less than a whole-level copy
-    assert pc < crse.num_pts() * 8
+    assert pc < crse.ba.num_pts() * 8
 
 
 def test_fill_coarse_patch_initializes_new_level():

@@ -1,11 +1,9 @@
 """Tests for the Geometry (domain / periodicity / refinement) class."""
 
-import numpy as np
 import pytest
 
 from repro.amr.box import Box
 from repro.amr.geometry import Geometry
-from repro.amr.intvect import IntVect
 
 
 def make(periodic=(False, False)):
@@ -15,11 +13,9 @@ def make(periodic=(False, False)):
 def test_basic_properties():
     g = make()
     assert g.dim == 2
-    assert g.cell_size() == (2.0 / 32, 2.0 / 16)
-    centers = g.cell_centers(1)
-    assert len(centers) == 16
-    assert centers[0] == pytest.approx(-1.0 + 0.5 * 2.0 / 16)
-    assert centers[-1] == pytest.approx(1.0 - 0.5 * 2.0 / 16)
+    assert g.domain.size() == (32, 16)
+    assert (g.prob_lo, g.prob_hi) == ((0.0, -1.0), (2.0, 1.0))
+    assert g.periodic == (False, False)
 
 
 def test_validation():
@@ -37,18 +33,7 @@ def test_refine_preserves_physical_extent():
     assert f.domain.size() == (64, 32)
     assert f.prob_lo == g.prob_lo
     assert f.prob_hi == g.prob_hi
-    assert f.cell_size()[0] == pytest.approx(g.cell_size()[0] / 2)
     assert f.periodic == g.periodic
-
-
-def test_coarsen_and_divisibility():
-    g = make()
-    c = g.coarsen(2)
-    assert c.domain.size() == (16, 8)
-    assert c.refine(2).domain == g.domain
-    bad = Geometry(Box((0, 0), (30, 15)), (0.0, 0.0), (1.0, 1.0))
-    with pytest.raises(ValueError):
-        bad.coarsen(4)  # 31 cells not divisible
 
 
 def test_periodic_shifts_non_periodic():

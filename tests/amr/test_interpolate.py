@@ -11,7 +11,6 @@ from repro.amr.interp_curvilinear import CurvilinearInterp
 from repro.amr.interp_weno import WenoInterp, weno_interp_1d
 from repro.amr.interpolate import (
     ConservativeLinearInterp,
-    PiecewiseConstantInterp,
     TrilinearInterp,
     _fine_fractions,
 )
@@ -80,15 +79,6 @@ def test_trilinear_requires_coverage():
     cfab = FArrayBox(Box((0, 0), (3, 3)), 1, 0)
     with pytest.raises(ValueError):
         TrilinearInterp().interp(cfab, Box((0, 0), (7, 7)), 2)
-
-
-def test_piecewise_constant_injection():
-    cbox = Box((0, 0), (3, 3))
-    cfab = FArrayBox(cbox, 1, 0)
-    cfab.valid()[0] = np.arange(16).reshape(4, 4)
-    out = PiecewiseConstantInterp().interp(cfab, Box((0, 0), (7, 7)), 2)
-    assert out[0, 0, 0] == out[0, 1, 1] == cfab.valid()[0, 0, 0]
-    assert out[0, 2, 0] == cfab.valid()[0, 1, 0]
 
 
 def test_conservative_preserves_coarse_means():

@@ -7,6 +7,7 @@ per kernel class — is what it was charged before plans existed (the
 pinned numbers were taken at the commit before ``repro.amr.plan``).
 """
 
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -63,7 +64,7 @@ def accounted(sim):
 
 @pytest.mark.parametrize("version", sorted(PINNED))
 def test_accounting_is_what_it_was_before_plans(version):
-    with make_sim(version) as sim:
+    with closing(make_sim(version)) as sim:
         for step, (kinds, points) in enumerate(PINNED[version]):
             k0, p0, l0 = accounted(sim)
             sim.step()
@@ -91,10 +92,9 @@ def test_accounting_is_what_it_was_before_plans(version):
 
 @pytest.mark.parametrize("version", sorted(PINNED))
 def test_no_box_algebra_and_no_plan_build_between_regrids(version, monkeypatch):
-    with make_sim(version) as sim:
+    with closing(make_sim(version)) as sim:
         sim.step()                      # step 0 regrids
-        calls = {"intersections": 0, "intersecting": 0, "complement_in": 0,
-                 "Box": 0}
+        calls = {"intersect": 0, "complement": 0, "Box": 0}
 
         def counted(cls, name, key):
             inner = getattr(cls, name)
@@ -105,15 +105,14 @@ def test_no_box_algebra_and_no_plan_build_between_regrids(version, monkeypatch):
 
             monkeypatch.setattr(cls, name, wrapper)
 
-        for name in ("intersections", "intersecting", "complement_in"):
+        for name in ("intersect", "complement"):
             counted(BoxArray, name, name)
         counted(Box, "__init__", "Box")
         regrids, builds = sim.regrid_count, sim.comm.plans_built
         sim.step()
         assert sim.regrid_count == regrids, "step 1 must not regrid"
         assert sim.comm.plans_built == builds and sim.step_plan_builds == 0
-        assert calls == {"intersections": 0, "intersecting": 0,
-                         "complement_in": 0, "Box": 0}, (
+        assert calls == {"intersect": 0, "complement": 0, "Box": 0}, (
             "a step between regrids runs its communication from cached "
             "plans (it used to build ~27,000 Box objects on this deck)")
 
@@ -131,7 +130,7 @@ def test_a_regrid_step_builds_few_boxes(monkeypatch):
     config, run = InputDeck.from_file(
         str(DECK.with_name("dmr_churn.inputs"))).resolve(
             {"backend_target": "device"})
-    with Crocco(cli.build_case(run), config) as sim:
+    with closing(Crocco(cli.build_case(run), config)) as sim:
         sim.initialize()
         sim.step()
         made = {"Box": 0, "IntVect": 0}
@@ -172,7 +171,7 @@ def test_the_finest_fill_plan_build_stays_small():
     from repro.amr.fillpatch import build_fill_plan
     from repro.backend import use_backend
 
-    with make_sim("2.0") as sim:
+    with closing(make_sim("2.0")) as sim:
         lev = sim.finest_level
         args = (sim.state[lev], sim.state[lev - 1], sim.geoms[lev],
                 sim.ref_ratio_iv(), sim.interp, sim.coords[lev - 1],
@@ -189,6 +188,6 @@ def test_the_finest_fill_plan_build_stays_small():
 
 
 def test_regrid_step_reports_its_plan_builds():
-    with make_sim("2.0") as sim:
+    with closing(make_sim("2.0")) as sim:
         sim.step()
         assert sim.step_plan_builds > 0   # level 2's first FillPatch

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.amr.average_down import average_down
-from repro.amr.boundary import fill_boundary
+from repro.amr.boundary import fill_boundary_nowait
 from repro.amr.box import Box
 from repro.amr.boxarray import BoxArray
 from repro.amr.distribution import DistributionMapping
@@ -288,11 +288,11 @@ def test_fill_boundary(lay):
     for layout in ("patches", "tiling"):
         mf = make_mf(lay[layout], lay["ngrow"], comm, rng)
         expected = expect_same_level(mf, lay["domain"], lay["periodic"])
-        assert_fabs(run_twice(lambda: fill_boundary(mf, geom), mf, comm),
+        assert_fabs(run_twice(lambda: fill_boundary_nowait(mf, geom).finish(), mf, comm),
                     expected)
         # without a geometry there are no periodic images
         expected = expect_same_level(mf, lay["domain"], (False,) * lay["dim"])
-        assert_fabs(run_twice(lambda: fill_boundary(mf), mf, comm), expected)
+        assert_fabs(run_twice(lambda: fill_boundary_nowait(mf).finish(), mf, comm), expected)
 
 
 @settings(max_examples=60, deadline=None)
@@ -364,7 +364,7 @@ class TwoLevels:
     def _coords(self, like, geom):
         if self.kind != "curvilinear":
             return None
-        coords = MultiFab.like(like, ncomp=self.lay["dim"])
+        coords = MultiFab(like.ba, like.dm, self.lay["dim"], like.ngrow, like.comm)
         for _, fab in coords:
             fab.data[...] = stretched(cells(fab.grown_box()),
                                       geom.domain.size())

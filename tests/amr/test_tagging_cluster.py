@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.amr.boundary import fill_boundary_nowait
 from repro.amr.box import Box
 from repro.amr.boxarray import BoxArray
 from repro.amr.cluster import buffer_tags, cluster_tags
@@ -13,17 +14,17 @@ from repro.amr.multifab import MultiFab
 from repro.amr.tagging import (
     tag_density_gradient,
     tag_momentum_gradient,
-    tag_value_threshold,
     tagged_cells,
     undivided_gradient_magnitude,
 )
-from repro.mpi.comm import SerialComm
+from repro.mpi.comm import Communicator
+from tests.conftest import no_overlaps
 
 
 def make_mf(field_fn, ncomp=1, ngrow=1):
     domain = Box((0, 0), (31, 31))
     ba = BoxArray.from_domain(domain, 16, 8)
-    mf = MultiFab(ba, DistributionMapping.make(ba, 1), ncomp, ngrow, SerialComm())
+    mf = MultiFab(ba, DistributionMapping.make(ba, 1), ncomp, ngrow, Communicator(1, 1))
     # initialize the whole grown region (plays the role of BC_Fill at the
     # physical boundary), then exchange interior ghosts
     for i, fab in mf:
@@ -32,7 +33,7 @@ def make_mf(field_fn, ncomp=1, ngrow=1):
         jj = np.arange(b.lo[1], b.hi[1] + 1)[None, :]
         for c in range(ncomp):
             fab.view(b)[c] = field_fn(ii, jj, c)
-    mf.fill_boundary()
+    fill_boundary_nowait(mf).finish()
     return mf, domain
 
 
@@ -66,16 +67,9 @@ def test_tag_momentum_gradient_multi_component():
     assert set(cells[:, 1].tolist()) <= {15, 16}
 
 
-def test_tag_value_threshold():
-    mf, _ = make_mf(lambda i, j, c: np.where((i == 3) & (j == 3), 5.0, 0.0))
-    tags = tag_value_threshold(mf, 0, 1.0)
-    cells = tagged_cells(mf, tags)
-    assert cells.tolist() == [[3, 3]]
-
-
 def test_no_tags_empty_array():
     mf, _ = make_mf(lambda i, j, c: np.zeros_like(i, dtype=float))
-    tags = tag_value_threshold(mf, 0, 1.0)
+    tags = tag_density_gradient(mf, 0, 1.0)
     assert tagged_cells(mf, tags).shape == (0, 2)
 
 
@@ -104,7 +98,7 @@ def test_cluster_respects_constraints():
     rng = np.random.default_rng(5)
     tags = rng.integers(0, 64, size=(100, 2))
     ba = cluster_tags(tags, domain, blocking_factor=8, max_grid_size=16)
-    assert ba.is_disjoint()
+    assert no_overlaps(ba)
     for b in ba:
         assert max(b.size()) <= 16
         assert domain.contains(b)
@@ -144,6 +138,6 @@ def test_cluster_property_all_tags_covered_disjoint(tag_list):
     domain = Box((0, 0), (63, 63))
     tags = np.array(tag_list)
     ba = cluster_tags(tags, domain, blocking_factor=4, max_grid_size=32)
-    assert ba.is_disjoint()
+    assert no_overlaps(ba)
     for t in tags:
         assert ba.contains(Box(tuple(t), tuple(t)))

@@ -213,7 +213,7 @@ class TestConfigPlumbing:
         sim.initialize()
         sim.step()
         assert any(d.table for d in sim.devices)
-        assert all(used > 0 for _, used, _ in sim.gpu_memory_report())
+        assert all(d.bytes_in_use > 0 for d in sim.devices)
         sim.close()
 
     def test_forced_host_on_gpu_version(self):
@@ -223,7 +223,6 @@ class TestConfigPlumbing:
         sim.initialize()
         sim.step()
         assert not sim.devices
-        assert sim.gpu_memory_report() == []
         assert sim.exec_backend.class_totals() == {}
         sim.close()
 

@@ -37,6 +37,27 @@ class EventLog:
         self.events.append(msg)
 
 
+def no_overlaps(ba):
+    """Whether no two boxes of a ``BoxArray`` overlap (each meets only
+    itself)."""
+    return len(ba.intersect(ba.lohi)[0]) == len(ba)
+
+
+def trace_events(tracer):
+    """A tracer's events in emission order, without the track names."""
+    return [e for e in tracer.to_chrome()["traceEvents"] if e["ph"] != "M"]
+
+
+def profiler_children(prof, parent):
+    """``{child: inclusive seconds}`` of every region directly under
+    ``parent``, summed over the occurrences of ``parent``."""
+    out = {}
+    for path, stats in prof._stats.items():
+        if len(path) >= 2 and path[-2] == parent:
+            out[path[-1]] = out.get(path[-1], 0.0) + stats.inclusive
+    return out
+
+
 @pytest.fixture
 def launch_log():
     """Attach with ``device.add_listener(launch_log)``: ``.events`` is the

@@ -27,9 +27,6 @@ def test_build_case_variants():
     assert dmr.name == "dmr" and dmr.curvilinear
     assert dmr.domain_cells == (64, 16)
     assert case_of("crocco.case = ignition").name == "ignition"
-    ramp = case_of("crocco.case = ramp\nramp.mach = 2.5\nramp.angle = 10")
-    assert (ramp.mach, ramp.angle_deg, ramp.domain_cells) == (2.5, 10.0,
-                                                              (96, 48))
 
 
 def test_cli_runs_sod_and_writes_plotfile(tmp_path, capsys):
@@ -196,6 +193,10 @@ BASE_DECK = ("crocco.case = sod\namr.n_cell = 32\namr.max_grid_size = 32\n"
     (BASE_DECK, {}, ["--faults", "kill_worker@1.1"], "repro.serve.chaos"),
     (BASE_DECK, {"REPRO_FAULTS": "slow@2"}, [], "repro.serve.chaos"),
     (BASE_DECK, {}, ["--faults", "meteor@1"], "resilience.faults.plan"),
+    # gone with the compression-ramp case: the legal cases are named
+    ("crocco.case = ramp\n", {}, [], "sod, vortex, dmr, ignition"),
+    (BASE_DECK + "ramp.mach = 3\n", {}, [], "ramp.mach"),
+    (BASE_DECK + "ramp.angle = 15\n", {}, [], "ramp.angle"),
 ])
 def test_cli_bad_input_is_one_error_line_exit_2(tmp_path, capsys, monkeypatch,
                                                 deck_text, env, argv, named):
@@ -238,10 +239,10 @@ run.steps = 2
 
 
 def test_solver_import_does_not_pull_in_scipy():
-    """scipy (~0.5 s to import) is only the ramp case's root-finder."""
+    """scipy is a test-only dependency: the package never imports it."""
     import subprocess
     import sys
 
-    code = ("import sys; import repro.cases.dmr, repro.core.crocco, "
-            "repro.io.inputs; sys.exit('scipy' in sys.modules)")
+    code = ("import sys; import repro, repro.cases, repro.core.crocco; "
+            "sys.exit('scipy' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0

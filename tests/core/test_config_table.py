@@ -70,7 +70,7 @@ WITH_FLAG = [o for o in ALL_OPTIONS if o.flag]
 
 def test_the_table_is_the_dataclass():
     assert [o.name for o in OPTIONS] == [f.name for f in fields(CroccoConfig)]
-    assert len(OPTIONS) <= 30
+    assert len(OPTIONS) <= 30 and len(ALL_OPTIONS) <= 40
     for o in OPTIONS:
         assert getattr(CroccoConfig(), o.name) == o.default
     spellings = [s for o in ALL_OPTIONS for s in (o.deck, o.env, o.flag) if s]
@@ -160,14 +160,15 @@ def test_unknown_deck_key_names_the_closest_legal_key():
     with pytest.raises(ConfigError, match="'amr.max_levle'.*'amr.max_level'"):
         resolve({"amr.max_levle": ["2"]})
     # options retired into constants, or gone with the in-run pool, with
-    # perfscope, the case cache or the positivity guard, are unknown keys,
-    # not silent no-ops or synonyms
+    # perfscope, the case cache, the positivity guard or the compression
+    # ramp, are unknown keys, not silent no-ops or synonyms
     for key in ("resilience.backoff", "resilience.retry_same_dt",
                 "resilience.max_restores", "runtime.executor",
                 "runtime.workers", "resilience.supervise",
                 "resilience.retries", "resilience.task_timeout",
                 "resilience.max_pool_restarts", "runtime.perfscope",
-                "run.cache_dir", "resilience.positivity_spike"):
+                "run.cache_dir", "resilience.positivity_spike",
+                "ramp.mach", "ramp.angle"):
         assert key not in BY_DECK_KEY
         with pytest.raises(ConfigError, match=key):
             resolve({key: ["1"]})

@@ -212,10 +212,9 @@ def test_per_rank_gpu_devices():
                                     max_grid_size=32,
                                     backend_target="device"))
     sim.initialize()
-    report = sim.gpu_memory_report()
-    assert len(report) == 2
+    assert len(sim.devices) == 2
     # both ranks own one 32-cell box: identical residency
-    assert report[0][1] == report[1][1] > 0
+    assert sim.devices[0].bytes_in_use == sim.devices[1].bytes_in_use > 0
     sim.run(1)
     # kernel launches land on the owning rank's device
     assert sim.devices[0].table.total() > 0
@@ -226,7 +225,6 @@ def test_host_target_has_no_devices():
     sim = Crocco(SodShockTube(32), CroccoConfig(version="1.1", max_grid_size=32,
                                                 backend_target="host"))
     assert not sim.devices
-    assert sim.gpu_memory_report() == []
 
 
 def test_device_memory_freed_on_level_clear():

@@ -10,7 +10,6 @@ from repro.io.inputs import InputDeck
 from repro.io.plotfile import (
     read_level,
     read_plotfile_header,
-    uniform_slab,
     write_plotfile,
 )
 
@@ -82,15 +81,6 @@ def test_plotfile_roundtrip(tmp_path):
     assert len(fabs) == 2  # 32 cells / 16 per box
     assert fabs[0].shape == (3, 16)
     np.testing.assert_array_equal(fabs[0], sim.state[0].fab(0).valid())
-
-
-def test_uniform_slab(tmp_path):
-    case, sim = run_small()
-    pf = write_plotfile(tmp_path / "plt2", sim)
-    slab = uniform_slab(pf, level=0, comp=0)
-    assert slab.shape == (32,)
-    assert not np.isnan(slab).any()
-    assert slab[0] == pytest.approx(1.0)  # left density
 
 
 def test_plotfile_varname_validation(tmp_path):

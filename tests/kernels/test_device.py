@@ -85,8 +85,8 @@ def test_totals_and_by_kernel():
     # identical launches share one row
     assert len(dev.table) == 2 and dev.table.total() == 3
     assert sum(t["points"] for t in by_kernel.values()) == 25
-    dev.reset()
-    assert not dev.table and launch_totals([dev]) == {}
+    dev.table.clear()
+    assert launch_totals([dev]) == {}
 
 
 def test_double_free_detection():

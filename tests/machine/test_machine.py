@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.kernels.counts import (
-    FILLBOUNDARY_BUDGET,
     UPDATE_BUDGET,
     VISCOUS_BUDGET,
     WENO_BUDGET,
@@ -12,7 +11,7 @@ from repro.kernels.counts import (
 from repro.machine.gpu import V100Model
 from repro.machine.network import FatTreeModel
 from repro.machine.node import Power9Model
-from repro.machine.roofline import hierarchical_roofline, roofline_from_launches
+from repro.machine.roofline import hierarchical_roofline
 from repro.machine.summit import SUMMIT
 
 
@@ -81,7 +80,7 @@ def test_cpp_slowdown():
 def test_cpu_per_core():
     p9 = Power9Model()
     t_all = p9.kernel_time(WENO_BUDGET, 22_000)
-    t_one = p9.per_core_time(WENO_BUDGET, 1_000)
+    t_one = p9.kernel_time(WENO_BUDGET, 1_000, cores=1)
     assert t_one == pytest.approx(t_all)
     with pytest.raises(ValueError):
         p9.kernel_time(WENO_BUDGET, 10, cores=23)
@@ -121,27 +120,3 @@ def test_reduction_and_barrier_log_scaling():
     t4096 = net.reduction_time(4096)
     assert t4096 == pytest.approx(2.0 * t64, rel=0.01)  # 6 vs 12 tree levels
     assert net.barrier_time(1024) > net.barrier_time(4)
-
-
-def test_roofline_from_launches():
-    from repro.backend import DeviceBackend, LaunchSpec
-    from repro.kernels.device import GpuDevice
-
-    dev = GpuDevice()
-    dev.launch("WENOx", lambda: None, 100_000, WENO_BUDGET)
-    v = V100Model()
-    wall = v.kernel_time(WENO_BUDGET, 100_000)
-    rp = roofline_from_launches(dev, "WENOx", wall)
-    assert rp.kernel == "WENOx"
-    assert 0.01 < rp.fraction_of_peak < 0.06
-    assert rp.ai["DRAM"] == pytest.approx(WENO_BUDGET.flops_per_point
-                                          / WENO_BUDGET.dram_bytes_per_point)
-    with pytest.raises(ValueError):
-        roofline_from_launches(dev, "WENOx", 0.0)
-    # a substrate launch's registers are those its name is priced by
-    # (FillBoundary: 32 per thread, full occupancy), not a 255 default
-    DeviceBackend([dev]).parallel_for("FB_pack", lambda: None, 10_000,
-                                      LaunchSpec(kernel_class="fillpatch"))
-    rp = roofline_from_launches(dev, "FB_pack", 1e-6)
-    assert rp.occupancy == v.theoretical_occupancy(
-        FILLBOUNDARY_BUDGET.registers_per_thread) == 1.0

@@ -9,8 +9,6 @@ from repro.numerics.eos import (
     IdealGasEOS,
     MixtureEOS,
     Species,
-    power_law_viscosity,
-    sutherland_viscosity,
 )
 from repro.numerics.state import StateLayout
 
@@ -141,18 +139,6 @@ def test_mixture_layout_mismatch():
 def test_mixture_needs_species():
     with pytest.raises(ValueError):
         MixtureEOS([])
-
-
-def test_sutherland_reference_point():
-    assert sutherland_viscosity(np.array([273.15]))[0] == pytest.approx(1.716e-5)
-    # viscosity grows with temperature
-    assert sutherland_viscosity(np.array([1000.0]))[0] > 1.716e-5
-
-
-def test_power_law_viscosity():
-    mu = power_law_viscosity(np.array([400.0]), mu_ref=2.0e-5, T_ref=200.0,
-                             exponent=0.5)
-    assert mu[0] == pytest.approx(2.0e-5 * np.sqrt(2.0))
 
 
 @settings(max_examples=30)

@@ -676,7 +676,7 @@ def test_nan_fault_fires_at_the_same_step_either_way(split, monkeypatch):
             sim.run(3)
         out = ([fab.whole().copy() for lev in range(sim.finest_level + 1)
                 for _, fab in sim.state[lev]],
-               sim.resilience.get("nan_detections"), sim.resilience.get("rollbacks"))
+               sim.resilience.counters.get("nan_detections", 0), sim.resilience.counters.get("rollbacks", 0))
         sim.close()
         return out
 

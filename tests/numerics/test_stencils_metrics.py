@@ -9,14 +9,7 @@ from repro.numerics.metrics import (
     StackedMetrics,
     derivative_same_shape,
 )
-from repro.numerics.stencils import central_derivative, stencil_radius
-
-
-def test_stencil_radius():
-    assert stencil_radius(2) == 1
-    assert stencil_radius(4) == 2
-    assert stencil_radius(6) == 3
-    assert stencil_radius(4, derivative=2) == 2
+from repro.numerics.stencils import central_derivative
 
 
 def test_central_derivative_polynomial_exactness():
@@ -115,7 +108,8 @@ def test_curvilinear_component_count_3d():
     coords = np.stack([g[0] * 1.0, g[1] * 1.0, g[2] * 1.0])
     met = CurvilinearMetrics.from_coordinates(coords)
     assert met.ncomp_stored == 27
-    assert met.pack().shape == (27, n, n, n)
+    assert met.first.shape == (3, 3, n, n, n)
+    assert met.second.shape == (3, 6, n, n, n)
 
 
 def test_curvilinear_stretched_grid_metrics():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.backend import HostBackend
-from repro.mpi.comm import Communicator, SerialComm
+from repro.mpi.comm import Communicator
 from repro.numerics.cfl import compute_dt, local_max_rate
 from repro.numerics.eos import IdealGasEOS, MixtureEOS, Species
 from repro.numerics.metrics import CartesianMetrics
@@ -184,7 +184,7 @@ def test_compute_dt_global_min():
 
 
 def test_compute_dt_idle_ranks_and_cap():
-    comm = SerialComm()
+    comm = Communicator(1, 1)
     assert compute_dt([4.0], cfl=1.0, comm=comm, dt_max=0.1) == pytest.approx(0.1)
     with pytest.raises(ValueError):
         compute_dt([0.0], cfl=1.0, comm=comm)

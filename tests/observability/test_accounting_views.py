@@ -4,7 +4,7 @@
 events collapse into a count and every summary is a view of the table.
 For generated event streams, each view must equal the same quantity
 computed brute-force from the ordered list of events a listener captured
-— through ``clear(kind)``, ``paused()`` and ``GpuDevice.reset()``.  The
+— through ``clear(kind)``, a disabled ledger and a cleared launch table.  The
 per-event loops below are the reference: they are
 what the summaries were before the tables, one event at a time.
 """
@@ -20,7 +20,6 @@ from repro.backend import DeviceBackend, LaunchSpec
 from repro.kernels.counts import budget_for_kernel
 from repro.kernels.device import TOTAL_FIELDS, GpuDevice, launch_totals
 from repro.machine.gpu import V100Model
-from repro.machine.roofline import roofline_from_launches
 from repro.mpi.ledger import KINDS, CommLedger, Message
 from repro.perfmodel.calibration import CAL
 from repro.perfmodel.device_timing import summarize_device
@@ -37,13 +36,14 @@ SIZES = st.one_of(st.sampled_from([0, 8, 512, 4096]), st.integers(0, 10**7))
 @st.composite
 def message_streams(draw):
     """(nranks, ranks per node, ops): ops are batches of messages to record
-    (singly, as a batch, or inside ``paused()``), or a ``clear``."""
+    (singly, as a batch, or while the ledger is disabled), or a
+    ``clear``."""
     nranks = draw(st.integers(1, 12))
     rpn = draw(st.integers(1, 6))
     rank = st.integers(0, nranks - 1)
     message = st.builds(Message, rank, rank, SIZES, st.sampled_from(KINDS))
     op = st.one_of(
-        st.tuples(st.sampled_from(["record", "record_many", "paused"]),
+        st.tuples(st.sampled_from(["record", "record_many", "disabled"]),
                   st.lists(message, max_size=8)),
         st.tuples(st.just("clear"), st.sampled_from((None,) + KINDS)))
     return nranks, rpn, draw(st.lists(op, max_size=12))
@@ -60,9 +60,10 @@ def replay(nranks, rpn, ops):
             led.clear(arg)
             log.events = [m for m in log.events
                           if arg is not None and m.kind != arg]
-        elif what == "paused":
-            with led.paused():
-                led.record_many(arg)
+        elif what == "disabled":
+            led.enabled = False
+            led.record_many(arg)
+            led.enabled = True
         elif what == "record_many":
             led.record_many(arg)
         else:
@@ -125,14 +126,6 @@ def test_ledger_views_equal_the_event_list(stream):
         assert led.total_bytes(kind) == sum(m.nbytes for m in mine)
         assert led.total_bytes(kind, remote_only=True) == \
             sum(m.nbytes for m in remote)
-        assert led.off_node_bytes(kind) == sum(
-            m.nbytes for m in mine if node(m.src) != node(m.dst))
-        assert led.on_node_bytes(kind) == sum(
-            m.nbytes for m in remote if node(m.src) == node(m.dst))
-        for direction, end in (("send", "src"), ("recv", "dst")):
-            assert led.per_rank_bytes(nranks, kind, direction) == [
-                sum(m.nbytes for m in remote if getattr(m, end) == r)
-                for r in range(nranks)]
     by_kind, traffic = led.by_kind(), led.traffic()
     assert set(by_kind) == set(traffic) == {m.kind for m in msgs}
     for kind, (count, volume) in by_kind.items():
@@ -171,14 +164,14 @@ NPOINTS = st.one_of(st.sampled_from([64, 1024, 4096]), st.integers(1, 10**5))
 
 @st.composite
 def launch_streams(draw):
-    """(ndevices, ops): a launch or reduction on a rank, or a ``reset``
-    of one device."""
+    """(ndevices, ops): a launch or reduction on a rank, or clearing one
+    device's table."""
     ndev = draw(st.integers(1, 4))
     rank = st.integers(0, ndev - 1)
     op = st.one_of(
         st.tuples(st.just("launch"), rank, st.sampled_from(KERNELS), NPOINTS),
         st.tuples(st.just("reduce"), rank, st.integers(1, 500)),
-        st.tuples(st.just("reset"), rank))
+        st.tuples(st.just("clear"), rank))
     return ndev, draw(st.lists(op, max_size=30))
 
 
@@ -214,8 +207,8 @@ def test_launch_views_equal_the_event_list(stream):
     for log, dev in zip(logs, devices):
         dev.add_listener(log)
     for op in ops:
-        if op[0] == "reset":
-            devices[op[1]].reset()
+        if op[0] == "clear":
+            devices[op[1]].table.clear()
             logs[op[1]].events.clear()
         else:
             issue(backend, op)
@@ -229,16 +222,6 @@ def test_launch_views_equal_the_event_list(stream):
         seconds, launches, points = summarize_per_launch(recs, model)
         assert timing.launches == launches and timing.points == points
         assert timing.seconds == pytest.approx(seconds, rel=1e-12)
-        for name, tot in launch_totals([dev]).items():
-            if not tot["flops"]:   # one point of a copy kernel rounds to 0
-                continue
-            point = roofline_from_launches(dev, name, wall_time=1.0)
-            assert point.flops == tot["flops"]
-            assert point.ai == {"L1": tot["flops"] / tot["l1_bytes"],
-                                "L2": tot["flops"] / tot["l2_bytes"],
-                                "DRAM": tot["flops"] / tot["dram_bytes"]}
-        with pytest.raises(ValueError, match="no recorded flops"):
-            roofline_from_launches(dev, "WENOz", wall_time=1.0)
 
     every = [r for log in logs for r in log.events]
     for by in ("name", "kernel_class"):
@@ -258,12 +241,11 @@ def test_launch_views_equal_the_event_list(stream):
 
 
 def test_reset_clears_every_view():
-    """``reset()`` used to clear the launch log and leave the class
-    counters standing; with one table there is nothing left behind."""
+    """Clearing a device's launch table clears every view of it: there
+    are no class counters beside the table to leave standing."""
     dev = GpuDevice()
     backend = DeviceBackend([dev])
     backend.parallel_for("WENOx", lambda: None, 100)
     assert backend.class_totals()["flux"]["launches"] == 1
-    dev.reset()
-    assert not dev.table
+    dev.table.clear()
     assert launch_totals([dev]) == {} and backend.class_totals() == {}

@@ -4,7 +4,7 @@ The acceptance path of the unified observability layer: a DMR run with
 ``trace_out`` / ``metrics_out`` set produces a valid Chrome trace whose
 FillPatch spans nest ParallelCopy / FillBoundary children, a metrics JSONL
 with per-step active cells per level and ledger bytes by kind, and a run
-report consistent with ``TinyProfiler.breakdown("FillPatch")`` — while the
+report consistent with the profiler's own FillPatch children — while the
 simulated-Summit weak-scaling driver emits the same schema with charged
 time.
 """
@@ -21,6 +21,7 @@ from repro.observability.report import (
     summarize_spans,
 )
 from repro.observability.tracer import load_chrome_trace, validate_chrome_trace
+from tests.conftest import profiler_children
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +38,7 @@ def recorded_run(tmp_path_factory):
     sim.initialize()
     for _ in range(3):
         sim.step()
-    fp_breakdown = dict(sim.profiler.breakdown("FillPatch"))
+    fp_breakdown = profiler_children(sim.profiler, "FillPatch")
     sim.close()
     return run_dir, sim, fp_breakdown
 

@@ -11,6 +11,7 @@ from repro.observability.tracer import (
     load_chrome_trace,
     validate_chrome_trace,
 )
+from tests.conftest import trace_events
 
 
 def fake_clock():
@@ -27,12 +28,14 @@ def fake_clock():
 def test_wall_span_nesting():
     clock = fake_clock()
     tr = Tracer(clock=clock)
-    with tr.span("outer"):
-        clock.advance(1.0)
-        with tr.span("inner"):
-            clock.advance(0.5)
-        clock.advance(0.25)
-    evs = tr.events()
+    tr.begin("outer")
+    clock.advance(1.0)
+    tr.begin("inner")
+    clock.advance(0.5)
+    tr.end()
+    clock.advance(0.25)
+    tr.end()
+    evs = trace_events(tr)
     by_name = {e["name"]: e for e in evs}
     # inner closes first (stack order), outer covers it
     assert evs[0]["name"] == "inner"
@@ -58,8 +61,7 @@ def test_charge_advances_cursor_and_rejects_negative():
     tr = Tracer()
     tr.charge("A", 2.0)
     tr.charge("B", 3.0)
-    assert tr.cursor_us() == pytest.approx(5.0e6)
-    a, b = tr.events()
+    a, b = trace_events(tr)
     assert a["ts"] == pytest.approx(0.0)
     assert b["ts"] == pytest.approx(2.0e6)
     assert b["dur"] == pytest.approx(3.0e6)
@@ -69,10 +71,11 @@ def test_charge_advances_cursor_and_rejects_negative():
 
 def test_charged_span_covers_children():
     tr = Tracer()
-    with tr.charged_span("FillPatch"):
-        tr.charge("FillBoundary", 1.0)
-        tr.charge("ParallelCopy", 2.0)
-    by_name = {e["name"]: e for e in tr.events()}
+    tr.begin_charged("FillPatch")
+    tr.charge("FillBoundary", 1.0)
+    tr.charge("ParallelCopy", 2.0)
+    tr.end_charged()
+    by_name = {e["name"]: e for e in trace_events(tr)}
     parent = by_name["FillPatch"]
     assert parent["dur"] == pytest.approx(3.0e6)
     for child in ("FillBoundary", "ParallelCopy"):
@@ -91,9 +94,14 @@ def test_tracks_are_independent():
     tr = Tracer()
     tr.charge("k", 1.0, rank=0, stream=GPU_STREAM)
     tr.charge("r", 5.0, rank=1, stream=DRIVER_STREAM)
-    assert tr.cursor_us(0, GPU_STREAM) == pytest.approx(1.0e6)
-    assert tr.cursor_us(1, DRIVER_STREAM) == pytest.approx(5.0e6)
-    assert tr.cursor_us(0, DRIVER_STREAM) == 0.0
+    # the next charge on each track starts at that track's own cursor
+    tr.charge("k2", 1.0, rank=0, stream=GPU_STREAM)
+    tr.charge("r2", 1.0, rank=1, stream=DRIVER_STREAM)
+    tr.charge("d", 1.0, rank=0, stream=DRIVER_STREAM)
+    ts = {e["name"]: e["ts"] for e in trace_events(tr)}
+    assert ts["k2"] == pytest.approx(1.0e6)
+    assert ts["r2"] == pytest.approx(5.0e6)
+    assert ts["d"] == 0.0
 
 
 def test_chrome_doc_schema_and_metadata():
@@ -133,8 +141,9 @@ def test_validate_catches_bad_documents():
 
 def test_write_and_load_round_trip(tmp_path):
     tr = Tracer()
-    with tr.charged_span("outer"):
-        tr.charge("inner", 0.5, args={"calls": 3})
+    tr.begin_charged("outer")
+    tr.charge("inner", 0.5, args={"calls": 3})
+    tr.end_charged()
     path = tr.write(tmp_path / "deep" / "trace.json",
                     other_data={"schema": "repro-trace-1"})
     events, other = load_chrome_trace(path)
@@ -172,10 +181,11 @@ def test_concurrent_emitters_produce_valid_trace():
         try:
             barrier.wait()
             for i in range(n_spans):
-                with tr.span(f"outer{i}", rank=0, stream=stream,
-                             args={"stream": stream}):
-                    with tr.span(f"inner{i}", rank=0, stream=stream):
-                        pass
+                tr.begin(f"outer{i}", rank=0, stream=stream,
+                         args={"stream": stream})
+                tr.begin(f"inner{i}", rank=0, stream=stream)
+                tr.end(rank=0, stream=stream)
+                tr.end(rank=0, stream=stream)
                 tr.complete(f"direct{i}", tr.now_us(), 1.0,
                             rank=0, stream=stream, cat="lifecycle")
         except Exception as exc:  # pragma: no cover - failure reporting

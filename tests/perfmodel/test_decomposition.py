@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.amr.boundary import fill_boundary_nowait
 from repro.amr.box import Box
 from repro.perfmodel.calibration import CAL, Calibration
 from repro.perfmodel.decomposition import (
@@ -18,6 +19,7 @@ from repro.perfmodel.decomposition import (
     lattice_box_size,
     shock_band_boxes,
 )
+from tests.conftest import no_overlaps
 
 
 def test_dmr_grid_shape_properties():
@@ -104,7 +106,7 @@ def test_shock_band_boxes_geometry():
     dom = Box((0, 0, 0), (255, 127, 63))
     ba = shock_band_boxes(dom, 0.1, cal, 32)
     assert len(ba) > 0
-    assert ba.is_disjoint()
+    assert no_overlaps(ba)
     covered = ba.num_pts() / dom.num_pts()
     assert 0.05 < covered < 0.35  # near the requested fraction
     for b in ba:
@@ -165,15 +167,14 @@ def test_modeled_volumes_match_functional_ledger():
     comm = Communicator(nranks, ranks_per_node=rpn)
     mf = MultiFab(ba, dm, ncomp, ng, comm)
     comm.ledger.clear()
-    mf.fill_boundary()
+    fill_boundary_nowait(mf).finish()
     led = comm.ledger
     # total moved bytes agree exactly (both are box-intersection geometry)
     assert led.total_bytes("fillboundary") == vols.total_bytes
     # off-node split agrees
-    assert led.off_node_bytes("fillboundary") == pytest.approx(
-        vols.off_node_recv.sum())
-    assert led.on_node_bytes("fillboundary") == pytest.approx(
-        vols.on_node_recv.sum())
+    traffic = led.traffic()["fillboundary"]
+    assert traffic["off_node_bytes"] == pytest.approx(vols.off_node_recv.sum())
+    assert traffic["on_node_bytes"] == pytest.approx(vols.on_node_recv.sum())
 
 
 def test_lattice_volumes_match_functional_ledger():
@@ -192,6 +193,6 @@ def test_lattice_volumes_match_functional_ledger():
     comm = Communicator(4, ranks_per_node=2)
     mf = MultiFab(ba, dm, 5, 4, comm)
     comm.ledger.clear()
-    mf.fill_boundary()
+    fill_boundary_nowait(mf).finish()
     assert comm.ledger.total_bytes("fillboundary") == pytest.approx(
         vols.total_bytes)

@@ -2,10 +2,9 @@
 
 Two halves of the same claim, cross-checked:
 
-1. The performance model's :func:`nowait_finish_fractions` (derived from
-   the Fig. 7 FillPatch split) predicts the *finish* share — the part
-   the runtime can hide behind interior compute — grows monotonically
-   with node count.
+1. The performance model's Fig. 7 FillPatch split (``fillpatch_split``)
+   predicts the *finish* share — the part the runtime can hide behind
+   interior compute — grows monotonically with node count.
 2. The task-graph runtime *measures* overlap on real schedules with the
    same shape: a 2-level AMR run (which has concurrent comm windows and
    runnable coarse-level compute) shows strictly more overlap than a
@@ -17,9 +16,20 @@ import numpy as np
 from repro.core.versions import get_version
 from repro.perfmodel.calibration import CAL
 from repro.perfmodel.decomposition import dmr_band_hierarchy
-from repro.perfmodel.execution import nowait_finish_fractions
+from repro.perfmodel.execution import fillpatch_split
 
 NODE_COUNTS = (4, 16, 64, 256)
+
+
+def posting_and_finishing(version, levels, nodes):
+    """The modeled split's posting (nowait) and finishing seconds, and
+    their shares of the whole."""
+    split = fillpatch_split(version, levels, nodes, CAL)
+    nowait = split["FillBoundary_nowait"] + split["ParallelCopy_nowait"]
+    finish = split["FillBoundary_finish"] + split["ParallelCopy_finish"]
+    return {"nowait_s": nowait, "finish_s": finish,
+            "nowait_frac": nowait / (nowait + finish),
+            "finish_frac": finish / (nowait + finish)}
 
 
 def fractions(version, nodes, weak_points=5e6):
@@ -27,7 +37,7 @@ def fractions(version, nodes, weak_points=5e6):
     nranks = CAL.spec.ranks_for(nodes, v.on_gpu)
     rpn = CAL.spec.ranks_per_node(v.on_gpu)
     levels = dmr_band_hierarchy(weak_points * nodes, nranks, rpn, v.amr, CAL)
-    return nowait_finish_fractions(v, levels, nodes, CAL)
+    return posting_and_finishing(v, levels, nodes)
 
 
 class TestModelShape:
@@ -48,7 +58,7 @@ class TestModelShape:
         rpn = CAL.spec.ranks_per_node(v.on_gpu)
         levels = dmr_band_hierarchy(5e6 * NODE_COUNTS[0], nranks, rpn,
                                     v.amr, CAL)
-        fracs = [nowait_finish_fractions(v, levels, n, CAL)["finish_frac"]
+        fracs = [posting_and_finishing(v, levels, n)["finish_frac"]
                  for n in NODE_COUNTS]
         assert all(b > a for a, b in zip(fracs, fracs[1:])), fracs
 

@@ -89,27 +89,3 @@ def test_summarize_device_prices_launches():
 
     assert t.seconds["WENOx"] == pytest.approx(
         2 * m.kernel_time(WENO_BUDGET, 50_000))
-    assert t.total == pytest.approx(sum(t.seconds.values()))
-
-
-def test_fleet_summary_from_functional_run():
-    from repro.cases.shocktube import SodShockTube
-    from repro.core.crocco import Crocco, CroccoConfig
-    from repro.perfmodel.device_timing import (
-        busiest_device_seconds,
-        summarize_fleet,
-    )
-
-    sim = Crocco(SodShockTube(64),
-                 CroccoConfig(version="2.0", nranks=2, ranks_per_node=2,
-                              max_grid_size=32, backend_target="device"))
-    sim.initialize()
-    sim.run(2)
-    fleet = summarize_fleet(sim.devices)
-    assert len(fleet) == 2
-    for timing in fleet.values():
-        assert "WENOx" in timing.seconds
-        assert timing.total > 0
-    assert busiest_device_seconds(sim.devices) == pytest.approx(
-        max(t.total for t in fleet.values()))
-    assert busiest_device_seconds([]) == 0.0

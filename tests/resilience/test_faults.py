@@ -169,7 +169,7 @@ def test_a_task_error_fires_once_and_the_retry_replays_the_cached_graph():
     clean, _, clean_stages, expected = run(None)
     sim, graphs, stages, got = run("task_error@1.0")
     assert sim.faults.fired_by_kind() == {"task_error": 1}
-    assert sim.resilience.get("step_retries") == 1
+    assert sim.resilience.counters.get("step_retries", 0) == 1
     # step 1's first stage armed and failed, its replay ran clean
     assert stages == clean_stages[:3] + [(1, True)] + clean_stages[3:]
     assert len({id(g) for g in graphs}) == 1

@@ -29,10 +29,10 @@ class TestNanRecovery:
 
         sim = make_sim(faults_plan="nan@2 seed=3")
         sim.run(4)
-        assert sim.resilience.get("nan_detections") == 1
-        assert sim.resilience.get("rollbacks") == 1
-        assert sim.resilience.get("recovered_steps") == 1
-        assert sim.resilience.get("dt_halvings") == 0  # first retry same dt
+        assert sim.resilience.counters.get("nan_detections", 0) == 1
+        assert sim.resilience.counters.get("rollbacks", 0) == 1
+        assert sim.resilience.counters.get("recovered_steps", 0) == 1
+        assert sim.resilience.counters.get("dt_halvings", 0) == 0  # first retry same dt
         for i, arr in ref.items():
             np.testing.assert_array_equal(arr, sim.state[0].fab(i).whole())
         sim.close()
@@ -53,8 +53,8 @@ class TestInlineFaultRetry:
 
         sim = make_sim(faults_plan="drop_comm@1.1:fb seed=2")
         sim.run(3)
-        assert sim.resilience.get("step_retries") == 1
-        assert sim.resilience.get("recovered_steps") == 1
+        assert sim.resilience.counters.get("step_retries", 0) == 1
+        assert sim.resilience.counters.get("recovered_steps", 0) == 1
         for i, arr in ref.items():
             np.testing.assert_array_equal(arr, sim.state[0].fab(i).whole())
         sim.close()
@@ -63,7 +63,7 @@ class TestInlineFaultRetry:
         sim = make_sim(faults_plan="task_error@0:FB_finish seed=4")
         sim.run(2)
         assert sim.faults.fired_by_kind() == {"task_error": 1}
-        assert sim.resilience.get("recovered_steps") == 1
+        assert sim.resilience.counters.get("recovered_steps", 0) == 1
         sim.close()
 
 
@@ -74,8 +74,8 @@ class TestEscalation:
         sim = make_sim(cfl_margin=1e-12, max_step_retries=2)
         with pytest.raises(UnrecoverableStepError):
             sim.run(1)
-        assert sim.resilience.get("rollbacks") == 3  # retries + final
-        assert sim.resilience.get("dt_halvings") == 1
+        assert sim.resilience.counters.get("rollbacks", 0) == 3  # retries + final
+        assert sim.resilience.counters.get("dt_halvings", 0) == 1
         assert sim.step_count == 0  # rolled back, never advanced
         sim.close()
 
@@ -90,7 +90,7 @@ class TestEscalation:
         with pytest.raises(ZeroDivisionError):
             sim.step()
         sim._advance = orig
-        assert sim.resilience.get("rollbacks") == 0
+        assert sim.resilience.counters.get("rollbacks", 0) == 0
         sim.close()
 
 
@@ -101,7 +101,7 @@ class TestAutocheckpoint:
         sim.run(4)
         kept = sorted(p.name for p in (tmp_path / "auto").iterdir())
         assert kept == ["chk_step000003", "chk_step000004"]
-        assert sim.resilience.get("autocheckpoints") == 4
+        assert sim.resilience.counters.get("autocheckpoints", 0) == 4
         assert sim.watchdog.last_good.name == "chk_step000004"
         sim.close()
 
@@ -112,7 +112,7 @@ class TestAutocheckpoint:
                        autocheckpoint_dir=str(tmp_path / "auto"),
                        faults_plan="nan@2 seed=5")
         sim.run(4)
-        assert sim.resilience.get("restores") == 1
+        assert sim.resilience.counters.get("restores", 0) == 1
         assert sim.step_count >= 2  # resumed from step 2's checkpoint
         assert all(np.isfinite(fab.whole()).all()
                    for _i, fab in sim.state[0])

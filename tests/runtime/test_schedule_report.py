@@ -303,7 +303,7 @@ def test_a_failed_task_replays_clean(tmp_path):
     sim = run_dmr(steps=2, faults_plan="task_error@1.1:FB_finish seed=5",
                   trace_out=str(tmp_path / "trace.json"))
     assert sim.faults.fired_by_kind() == {"task_error": 1}
-    assert sim.resilience.get("recovered_steps") == 1
+    assert sim.resilience.counters.get("recovered_steps", 0) == 1
     assert sim.profiler._stack == [] and not sim.profiler._wall_open
     assert not any(sim.recorder.tracer._open.values())
     for (lev, i), arr in ref.items():

@@ -10,6 +10,7 @@ from repro.profiling.tinyprofiler import TinyProfiler
 from repro.runtime.graph import DataKey, TaskGraph
 from repro.runtime.scheduler import (KIND_PRIORITY, ScheduleReport, Scheduler,
                                      _interval_overlap)
+from tests.conftest import trace_events
 
 
 def run_serial(graph, **kw):
@@ -156,7 +157,7 @@ class TestTracer:
         g = TaskGraph()
         g.add("a-task", lambda: None, kind="compute")
         Scheduler(tracer=tracer).run(g)
-        spans = [e for e in tracer.events()
+        spans = [e for e in trace_events(tracer)
                  if e.get("ph") == "X" and e.get("name") == "a-task"]
         assert len(spans) == 1
         assert spans[0]["args"]["kind"] == "compute"
@@ -178,7 +179,7 @@ class TestTracer:
         g = TaskGraph()
         g.add("t", lambda: time.sleep(0.002), regions=("Outer", "Inner"))
         Scheduler(profiler=prof, tracer=tracer).run(g)
-        spans = {e["name"]: e for e in tracer.events() if e["ph"] == "X"}
+        spans = {e["name"]: e for e in trace_events(tracer) if e["ph"] == "X"}
         outer, inner, task = spans["Outer"], spans["Inner"], spans["t"]
         assert outer["ts"] == inner["ts"] == task["ts"]
         assert outer["dur"] == inner["dur"] == task["dur"] >= 2e3
@@ -211,7 +212,7 @@ class TestFailure:
         prof, tracer = self.run_failing()
         # the failed task's regions were charged and traced, nested
         assert prof.calls("Inner") == 1 and prof.calls("Body") == 1
-        paths = {e["args"]["path"] for e in tracer.events()
+        paths = {e["args"]["path"] for e in trace_events(tracer)
                  if e.get("cat") == "region"}
         assert "Advance/Outer/Inner/Body" in paths
 

@@ -207,8 +207,8 @@ def test_killed_worker_recovered_bit_exact(svc, tmp_path):
     rec = reg.submit(ckdeck)
     assert wait_terminal(reg, [rec.id]) == {rec.id: "done"}
     assert time.monotonic() - t0 < 60.0
-    assert fleet.stats.get("pool_restarts") == 1
-    assert fleet.stats.get("task_resubmits") == 1
+    assert fleet.stats.counters.get("pool_restarts", 0) == 1
+    assert fleet.stats.counters.get("task_resubmits", 0) == 1
     result = reg.get(rec.id).result
     assert result["steps"] == 4 and result["resumed"] is True
     assert result["replayed_steps"] <= 1
@@ -220,7 +220,7 @@ def test_stuck_worker_terminated_before_it_wrote(svc, scripted):
     reg, fleet = svc(workers=1, task_timeout=0.5)
     rec = reg.submit(scripted_deck("stall", "ok"))
     assert wait_terminal(reg, [rec.id]) == {rec.id: "done"}
-    assert fleet.stats.get("pool_restarts") == 1
+    assert fleet.stats.counters.get("pool_restarts", 0) == 1
     stuck, rerun = executions(reg, rec)
     assert stuck != rerun
     with pytest.raises(ProcessLookupError):  # terminated and reaped
@@ -235,8 +235,8 @@ def test_erroring_run_retried_in_pool(svc, scripted):
     good = reg.submit(scripted_deck("ok"))
     states = wait_terminal(reg, [bad.id, good.id])
     assert states == {bad.id: "done", good.id: "done"}
-    assert fleet.stats.get("task_retries") == 1
-    assert fleet.stats.get("pool_restarts") == 0  # an error is no lost worker
+    assert fleet.stats.counters.get("task_retries", 0) == 1
+    assert fleet.stats.counters.get("pool_restarts", 0) == 0  # an error is no lost worker
     assert len(executions(reg, bad)) == 2 and len(executions(reg, good)) == 1
     assert reg.get(bad.id).attempts == 2 and reg.get(good.id).attempts == 1
 
@@ -251,7 +251,7 @@ def test_run_erroring_past_its_retries_fails_and_queue_moves_on(svc, scripted):
     assert "after 2 attempt(s)" in back.reason
     assert "scripted failure 2" in back.reason
     assert back.attempts == 2 and len(executions(reg, bad)) == 2
-    assert fleet.stats.get("task_retries") == 1
+    assert fleet.stats.counters.get("task_retries", 0) == 1
     assert fleet.snapshot()["completed_runs"] == 1
 
 
@@ -265,7 +265,7 @@ def test_run_killed_before_first_checkpoint_counts_two_attempts(
     assert wait_terminal(reg, [rec.id]) == {rec.id: "done"}
     back = reg.get(rec.id)
     assert back.attempts == 2 and "resumed" not in back.result
-    assert fleet.stats.get("pool_restarts") == 1
+    assert fleet.stats.counters.get("pool_restarts", 0) == 1
     assert report_main([str(reg.run_dir(rec.id))]) == 0
     out = capsys.readouterr().out
     assert "-- service recovery --" in out
@@ -281,7 +281,7 @@ def test_worker_death_midrun_with_queue(svc):
     states = wait_terminal(reg, [victim.id, bystander.id], timeout=120.0)
     assert states == {victim.id: "done", bystander.id: "done"}
     # the victim really did take the recovery path
-    assert fleet.stats.get("pool_restarts") >= 1
+    assert fleet.stats.counters.get("pool_restarts", 0) >= 1
     assert reg.get(victim.id).result["steps"] == 2
     assert reg.get(bystander.id).result["steps"] == 3
     assert reg.counts()["running"] == 0  # registry fully reconciled
@@ -298,7 +298,7 @@ def test_degrades_to_inline_when_pool_unrecoverable(svc):
     assert states[first.id] == "done"  # finished inline after the respawn
     assert states[later.id] == "done"
     assert fleet.degraded
-    assert fleet.stats.get("degraded_to_serial") == 1
+    assert fleet.stats.counters.get("degraded_to_serial", 0) == 1
 
 
 def test_sim_failure_is_a_result_not_a_retry(svc):
@@ -310,7 +310,7 @@ def test_sim_failure_is_a_result_not_a_retry(svc):
     assert "nosuchcase" in reg.get(bad.id).reason
     assert states[ok.id] == "done"
     # a deck failure is a result, not a worker death: no pool restarts
-    assert fleet.stats.get("pool_restarts") == 0
+    assert fleet.stats.counters.get("pool_restarts", 0) == 0
 
 
 def test_step_budget_cancels_through_watchdog(svc):

@@ -58,6 +58,22 @@ def test_render_plotfile_cli(small_plotfile, tmp_path, capsys):
     assert out.exists()
 
 
+def test_render_plotfile_draws_a_1d_field_as_one_row(tmp_path, capsys):
+    from repro.cases.shocktube import SodShockTube
+    from repro.core.crocco import Crocco, CroccoConfig
+    from repro.io.plotfile import write_plotfile
+
+    sim = Crocco(SodShockTube(32), CroccoConfig(version="1.1"))
+    sim.initialize()
+    sim.run(2)
+    plt = write_plotfile(tmp_path / "plt", sim)
+    tool = load_tool("render_plotfile")
+    out = tmp_path / "sod.pgm"
+    assert tool.main([str(plt), "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1] == "32 1"
+    assert "(32x1," in capsys.readouterr().out
+
+
 def test_every_recorder_imports():
     """Each ``benchmarks/bench_*.py`` imports without running: a renamed
     ``src/`` symbol or a deleted helper fails here, not in a bench run."""

@@ -24,13 +24,14 @@ from repro.io.plotfile import read_level, read_plotfile_header  # noqa: E402
 
 
 def assemble(path: str, comp: int, max_level: int) -> np.ndarray:
-    """Compose levels 0..max_level onto the finest grid (2D slice)."""
+    """Compose levels 0..max_level onto the finest grid (2D slice; a 1D
+    field is one row)."""
     header = read_plotfile_header(path)
     max_level = min(max_level, header["finest_level"])
     ratio = 2
     # finest-level canvas
     lo, hi = header["levels"][max_level]["domain"]
-    shape = tuple(h - l + 1 for l, h in zip(lo, hi))[:2]
+    shape = (tuple(h - l + 1 for l, h in zip(lo, hi)) + (1,))[:2]
     canvas = np.full(shape, np.nan)
     for lev in range(max_level + 1):
         fabs = read_level(path, lev)
@@ -38,10 +39,14 @@ def assemble(path: str, comp: int, max_level: int) -> np.ndarray:
         scale = ratio ** (max_level - lev)
         for i, (blo, bhi) in enumerate(meta["boxes"]):
             arr = fabs[i][comp]
-            if arr.ndim == 3:  # 3D: take the mid-z slice
+            if arr.ndim == 1:  # 1D: one row, refined along x only
+                arr = arr[:, None]
+            elif arr.ndim == 3:  # 3D: take the mid-z slice
                 arr = arr[:, :, arr.shape[2] // 2]
-            up = np.repeat(np.repeat(arr, scale, axis=0), scale, axis=1)
-            x0, y0 = blo[0] * scale, blo[1] * scale
+            up = np.repeat(arr, scale, axis=0)
+            if len(blo) > 1:
+                up = np.repeat(up, scale, axis=1)
+            x0, y0 = blo[0] * scale, (blo[1] * scale if len(blo) > 1 else 0)
             canvas[x0: x0 + up.shape[0], y0: y0 + up.shape[1]] = up
     return canvas
 

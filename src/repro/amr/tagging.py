@@ -1,10 +1,8 @@
 """Error estimation: tagging cells for refinement.
 
-Implements the regrid criteria discussed in the paper (Sec. II-B, III-C):
-
-- ``density_gradient`` — tag where the local undivided gradient of density
-  exceeds a threshold (classic shock indicator, |grad rho|),
-- ``momentum_gradient`` — same on momentum components, |grad (rho u_i)|.
+Implements the regrid criterion discussed in the paper (Sec. II-B,
+III-C): tag where the local undivided gradient of density exceeds a
+threshold (classic shock indicator, |grad rho|).
 
 Tags are per-cell boolean arrays over each patch's valid region; the
 clustering stage (:mod:`repro.amr.cluster`) turns them into boxes.
@@ -12,7 +10,7 @@ clustering stage (:mod:`repro.amr.cluster`) turns them into boxes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -66,21 +64,6 @@ def tag_density_gradient(mf: MultiFab, rho_comp: int, threshold: float) -> Dict[
                 "Tag_gradient", mf, i,
                 lambda fab=fab: _gradient_on_valid(fab, rho_comp) > threshold)
             for i, fab in mf}
-
-
-def tag_momentum_gradient(mf: MultiFab, mom_comps: Tuple[int, ...],
-                          threshold: float) -> Dict[int, np.ndarray]:
-    """Boolean tags using max over momentum components of the gradient."""
-    tags = {}
-    for i, fab in mf:
-        def criterion(fab=fab):
-            grad = np.zeros(fab.box.shape())
-            for c in mom_comps:
-                np.maximum(grad, _gradient_on_valid(fab, c), out=grad)
-            return grad > threshold
-
-        tags[i] = _tag_launch("Tag_gradient", mf, i, criterion)
-    return tags
 
 
 def tagged_cells(mf: MultiFab, tags: Dict[int, np.ndarray]) -> np.ndarray:

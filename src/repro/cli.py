@@ -91,12 +91,15 @@ def run_deck(path: str, overrides: Dict[str, object]) -> int:
               f"(seed {sim.faults.seed})")
 
     def progress() -> None:
-        """One status line: step, time, dt, density bounds."""
+        """One status line: step, time, dt (``-`` before this process has
+        taken a step), density bounds."""
         mn, mx = sim.min_max(0)
+        dt = f"{sim.dt_history[-1]:.3e}" if sim.dt_history else "-"
         print(f"  step {sim.step_count:5d}  t = {sim.time:.5f}  "
-              f"dt = {sim.dt_history[-1]:.3e}  rho in [{mn:.3f}, {mx:.3f}]")
+              f"dt = {dt}  rho in [{mn:.3f}, {mx:.3f}]")
 
     try:
+        start = sim.step_count
         while True:
             if nsteps is not None and sim.step_count >= nsteps:
                 break
@@ -105,7 +108,8 @@ def run_deck(path: str, overrides: Dict[str, object]) -> int:
             sim.step()
             if report and sim.step_count % report == 0:
                 progress()
-        if not report or sim.step_count % report != 0:
+        if (sim.step_count == start or not report
+                or sim.step_count % report != 0):
             progress()
         print(native.status()["line"])
 

@@ -163,7 +163,7 @@ class CroccoConfig:
     weno_variant: str = opt("symbo", deck="crocco.weno",
                             choices=WENO_VARIANTS, help="WENO variant")
     tagging: str = opt("density", deck="amr.tagging",
-                       choices=("density", "momentum"),
+                       choices=("density",),
                        help="gradient criterion that tags cells")
     coords_source: str = opt(
         "stored", deck="crocco.coords_source", choices=("stored", "file"),

@@ -37,7 +37,7 @@ from repro.amr.interp_curvilinear import CurvilinearInterp
 from repro.amr.interp_weno import WenoInterp
 from repro.amr.interpolate import ConservativeLinearInterp, TrilinearInterp
 from repro.amr.multifab import MultiFab
-from repro.amr.tagging import tag_density_gradient, tag_momentum_gradient, tagged_cells
+from repro.amr.tagging import tag_density_gradient, tagged_cells
 from repro.backend import LaunchSpec
 from repro.cases.base import Case
 # re-exported: this module was the historical home of both names
@@ -168,7 +168,6 @@ class Crocco(AmrCore):
                 metrics_out=self.config.metrics_out,
                 stream_metrics=self.config.metrics_stream)
             self.recorder.attach(self)
-            self.engine.bind_tracer(self.recorder.tracer)
 
     # -- initialization (InitGrid / InitGridMetrics / InitFlow) ---------------
     def initialize(self) -> None:
@@ -248,14 +247,7 @@ class Crocco(AmrCore):
         # the gradient criterion reads them
         self._fill_patch(lev)
         self._bc_fill(lev)
-        lay = self.case.layout
-        if self.config.tagging == "momentum":
-            tags = tag_momentum_gradient(
-                mf, tuple(range(lay.mom(0), lay.mom(0) + lay.dim)),
-                self.case.tag_threshold,
-            )
-        else:
-            tags = tag_density_gradient(mf, 0, self.case.tag_threshold)
+        tags = tag_density_gradient(mf, 0, self.case.tag_threshold)
         cells = tagged_cells(mf, tags)
         self.last_tag_counts[lev] = int(cells.shape[0])
         return cells

@@ -12,8 +12,9 @@ the GPU backend runs on:
   that feed the hierarchical roofline model of Fig. 4, kept as one
   multiset per device (:attr:`GpuDevice.table`): identical launches
   collapse into a count, so the table grows with the variety of box
-  shapes, not with the step count, and every summary is a view of it — a
-  caller that needs the launch *sequence* attaches a listener;
+  shapes, not with the step count, and every summary is a view of it; a
+  run that records a trace also gets every launch as a span (its
+  sequence) in the run's tracer;
 - an ``amrex::ParallelFor``-style launch helper and an
   ``amrex::ReduceData``-style reduction helper, mirroring the API the
   paper ports its kernels onto.
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional
+from typing import Callable, Dict, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -67,18 +68,10 @@ class GpuDevice:
         self.high_water = 0
         #: ``Counter[LaunchRecord]``: how often each launch was recorded
         self.table: Counter = Counter()
-        self._listeners: List[object] = []
-
-    # -- listeners ---------------------------------------------------------
-    def add_listener(self, listener: object) -> None:
-        """Attach an observer: ``on_launch(device, record, wall_seconds)``
-        fires after every recorded launch or reduction."""
-        if listener not in self._listeners:
-            self._listeners.append(listener)
-
-    def _notify_launch(self, rec: LaunchRecord, wall_seconds: float) -> None:
-        for listener in self._listeners:
-            listener.on_launch(self, rec, wall_seconds)
+        #: the run's tracer when it writes a trace, and the ``(rank,
+        #: stream)`` track this device's kernel spans go on
+        self.tracer = None
+        self.trace_track = (0, 1)
 
     # -- memory -----------------------------------------------------------
     def _allocate(self, nbytes: int) -> None:
@@ -107,9 +100,9 @@ class GpuDevice:
         levels than at DRAM (each cell is re-read by every stencil that
         covers it; the caches absorb most but not all of the reuse).
         """
-        # the timed window covers only fn(); record construction and
-        # listener notification happen after `elapsed` is taken so
-        # observability overhead never inflates charged kernel wall time
+        # the timed window covers only fn(); the record and its span are
+        # built after `elapsed` is taken so observability overhead never
+        # inflates charged kernel wall time
         t0 = time.perf_counter()
         result = fn()
         elapsed = time.perf_counter() - t0
@@ -124,7 +117,8 @@ class GpuDevice:
             kernel_class=kernel_class,
         )
         self.table[rec] += 1
-        self._notify_launch(rec, elapsed)
+        if self.tracer is not None:
+            self._span(rec, t0, elapsed)
         return result
 
     def reduce(self, name: str, values: np.ndarray, op: str = "min",
@@ -132,7 +126,7 @@ class GpuDevice:
         """amrex::ReduceData-style device reduction (used by ComputeDt),
         recorded as one flop and one 8-byte word per value."""
         n = int(np.asarray(values).size)
-        # listeners fire outside the timed window (see launch())
+        # the span is written outside the timed window (see launch())
         t0 = time.perf_counter()
         result = reduce_values(values, op)
         elapsed = time.perf_counter() - t0
@@ -142,8 +136,16 @@ class GpuDevice:
             kernel_class=kernel_class,
         )
         self.table[rec] += 1
-        self._notify_launch(rec, elapsed)
+        if self.tracer is not None:
+            self._span(rec, t0, elapsed)
         return result
+
+    def _span(self, rec: LaunchRecord, t0: float, seconds: float) -> None:
+        tracer = self.tracer
+        tracer.complete(rec.name, tracer.at_us(t0), seconds * 1e6,
+                        *self.trace_track, cat="kernel",
+                        args={"points": rec.npoints,
+                              "class": rec.kernel_class})
 
     def __repr__(self) -> str:
         return (

@@ -10,8 +10,7 @@ The ledger keeps totals, not history: one multiset of messages
 (:attr:`CommLedger.table`), in which identical messages collapse into a
 count, so its size follows the variety of box overlaps and not the number
 of steps.  Every summary is a view of that table.  Nothing in the
-performance model prices the order of messages; a caller that needs the
-sequence attaches a listener (``on_message`` fires per event, in order).
+performance model prices the order of messages, so none is kept.
 """
 
 from __future__ import annotations
@@ -56,33 +55,15 @@ class CommLedger:
         self.ranks_per_node = ranks_per_node
         #: ``Counter[Message]``: how often each message was recorded
         self.table: Counter = Counter()
-        self.enabled = True
-        self._listeners: List[object] = []
-
-    # -- listeners ---------------------------------------------------------
-    def add_listener(self, listener: object) -> None:
-        """Attach an observer whose ``on_message(msg)`` sees each record."""
-        if listener not in self._listeners:
-            self._listeners.append(listener)
-
-    def remove_listener(self, listener: object) -> None:
-        if listener in self._listeners:
-            self._listeners.remove(listener)
 
     def record(self, src: int, dst: int, nbytes: int, kind: str) -> None:
         """Count one message; ``kind`` must be one of :data:`KINDS`."""
-        if self.enabled:
-            self.record_many((checked_message(src, dst, nbytes, kind),))
+        self.record_many((checked_message(src, dst, nbytes, kind),))
 
     def record_many(self, messages: Sequence[Message]) -> None:
         """Count already-validated messages (a communication plan's, built
         with :meth:`Communicator.message`) as one batch."""
-        if not self.enabled:
-            return
         self.table.update(messages)
-        for msg in messages if self._listeners else ():
-            for listener in self._listeners:
-                listener.on_message(msg)
 
     def clear(self, kind: Optional[str] = None) -> None:
         """Drop recorded messages — all of them, or one ``kind`` only."""

@@ -1,14 +1,13 @@
-"""MetricsRegistry: gauges and histograms sampled per timestep.
+"""MetricsRegistry: named values sampled per timestep.
 
-The driver (or the simulated-Summit scaling exporter) updates instruments
+The driver (or the simulated-Summit scaling exporter) sets named values
 as it runs and calls :meth:`MetricsRegistry.sample` once per timestep; the
 accumulated records serialize to JSON Lines, one record per step::
 
     {"step": 3, "time": 0.0125, "metrics": {"dt": 4.1e-3, ...}}
 
-Gauges hold the last set value (cumulative quantities are set from the
-producer's own running total); histograms flatten to
-``name.count/.sum/.min/.max/.mean`` in each sample.
+A value holds the last one set (cumulative quantities are set from the
+producer's own running total); a series is the same name across records.
 """
 
 from __future__ import annotations
@@ -19,94 +18,28 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 
-class Gauge:
-    """A point-in-time value (last write wins)."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value: Optional[float] = None
-
-    def set(self, value: Union[int, float]) -> None:
-        self.value = float(value)
-
-
-class Histogram:
-    """Streaming summary statistics of observed values."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-
-    def observe(self, value: Union[int, float]) -> None:
-        v = float(value)
-        self.count += 1
-        self.total += v
-        self.min = v if self.min is None else min(self.min, v)
-        self.max = v if self.max is None else max(self.max, v)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def flatten(self) -> Dict[str, float]:
-        return {
-            f"{self.name}.count": float(self.count),
-            f"{self.name}.sum": self.total,
-            f"{self.name}.min": self.min if self.min is not None else 0.0,
-            f"{self.name}.max": self.max if self.max is not None else 0.0,
-            f"{self.name}.mean": self.mean,
-        }
-
-
 class MetricsRegistry:
-    """Named instruments plus the per-step sample log."""
+    """Named values plus the per-step sample log."""
 
     def __init__(self) -> None:
-        self._instruments: Dict[str, object] = {}
+        self._values: Dict[str, float] = {}
         self.records: List[dict] = []
         self._stream = None
         self._stream_path: Optional[str] = None
 
-    def _get(self, name: str, cls):
-        inst = self._instruments.get(name)
-        if inst is None:
-            inst = cls(name)
-            self._instruments[name] = inst
-        elif not isinstance(inst, cls):
-            raise TypeError(
-                f"metric {name!r} already registered as "
-                f"{type(inst).__name__}, not {cls.__name__}"
-            )
-        return inst
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)
-
-    def histogram(self, name: str) -> Histogram:
-        return self._get(name, Histogram)
+    def set(self, name: str, value: Union[int, float]) -> None:
+        """Set ``name`` to ``value`` (last write wins)."""
+        self._values[name] = float(value)
 
     # -- sampling ----------------------------------------------------------
     def snapshot(self) -> Dict[str, float]:
-        """Current value of every instrument, flattened to scalars."""
-        out: Dict[str, float] = {}
-        for name in sorted(self._instruments):
-            inst = self._instruments[name]
-            if isinstance(inst, Histogram):
-                out.update(inst.flatten())
-            elif inst.value is not None:
-                out[name] = inst.value
-        return out
+        """Current value of every name, sorted by name."""
+        return {name: self._values[name] for name in sorted(self._values)}
 
-    def sample(self, step: int, time: float,
-               extra: Optional[Dict[str, float]] = None) -> dict:
-        """Record one per-timestep sample of every instrument."""
-        metrics = self.snapshot()
-        if extra:
-            metrics.update({k: float(v) for k, v in extra.items()})
-        rec = {"step": int(step), "time": float(time), "metrics": metrics}
+    def sample(self, step: int, time: float) -> dict:
+        """Record one per-timestep sample of every value."""
+        rec = {"step": int(step), "time": float(time),
+               "metrics": self.snapshot()}
         self.records.append(rec)
         if self._stream is not None:
             self._stream.write(json.dumps(rec) + "\n")

@@ -2,8 +2,9 @@
 
 One :class:`Tracer` records both kinds of time this reproduction deals in:
 
-- **wall** spans, measured with a monotonic clock while functional code
-  runs (``begin`` / ``end``);
+- **wall** spans, timed by their producers while functional code runs
+  (a profiler region, a scheduled task, a kernel launch) and placed on the
+  timeline by the producer's clock reading (``at_us``, ``complete``);
 - **charged** spans, laid out on a per-track simulated clock so the Summit
   performance model can emit the *same* span structure with modeled
   seconds (``charge`` / ``begin_charged`` / ``end_charged``).
@@ -30,14 +31,13 @@ _Track = Tuple[int, int]  # (rank/pid, stream/tid)
 
 
 class Tracer:
-    """Collects trace events; wall and charged clocks per track."""
+    """Collects trace events: wall spans at their producers' clock
+    readings, charged spans on a simulated clock per track."""
 
     def __init__(self, clock=time.perf_counter) -> None:
         self._clock = clock
         self._t0 = clock()
         self._events: List[dict] = []
-        # open wall spans per track: (name, start_us, cat, args)
-        self._open: Dict[_Track, List[tuple]] = {}
         # simulated clock cursor per track, microseconds
         self._cursor: Dict[_Track, float] = {}
         # open charged spans per track: (name, start_us, cat, args)
@@ -56,25 +56,6 @@ class Tracer:
         return (t - self._t0) * 1e6
 
     # -- wall spans --------------------------------------------------------
-    def begin(self, name: str, rank: int = 0, stream: int = DRIVER_STREAM,
-              cat: str = "region", args: Optional[dict] = None) -> None:
-        """Open a wall span (callback-style, for adapter hooks)."""
-        self._open.setdefault((rank, stream), []).append(
-            (name, self.now_us(), cat, args)
-        )
-
-    def end(self, rank: int = 0, stream: int = DRIVER_STREAM,
-            dur_us: Optional[float] = None) -> None:
-        """Close the innermost open wall span on this track; ``dur_us`` is
-        its duration when the caller measured it (default: until now)."""
-        stack = self._open.get((rank, stream))
-        if not stack:
-            raise RuntimeError(f"no open span on track ({rank}, {stream})")
-        name, t0, cat, args = stack.pop()
-        if dur_us is None:
-            dur_us = self.now_us() - t0
-        self.complete(name, t0, dur_us, rank, stream, cat, args)
-
     def complete(self, name: str, ts_us: float, dur_us: float,
                  rank: int = 0, stream: int = DRIVER_STREAM,
                  cat: str = "region", args: Optional[dict] = None) -> None:

@@ -2,14 +2,13 @@
 
 The weak-scaling driver models each Table-I configuration as one solver
 iteration (Fig. 6's region decomposition, Fig. 7's FillPatch split).
-This module replays those modeled iterations through the same
-observability pipeline a functional run uses — TinyProfiler charges
-forwarded by a :class:`ProfilerTraceAdapter` into a charged-clock
-:class:`Tracer`, per-step gauges in a :class:`MetricsRegistry` — so a
-simulated run directory holds the *same* ``trace.json`` /
-``metrics.jsonl`` artifacts (charged time instead of wall time) and
-``python -m repro.report`` regenerates the Fig. 6/7 decompositions from
-the artifacts alone.
+This module writes those modeled iterations into the same artifacts a
+functional run records — the regions as charged spans on a
+:class:`Tracer`'s simulated clock, the per-step values in a
+:class:`MetricsRegistry` — so a simulated run directory holds the *same*
+``trace.json`` / ``metrics.jsonl`` artifacts (charged time instead of wall
+time) and ``python -m repro.report`` regenerates the Fig. 6/7
+decompositions from the artifacts alone.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.versions import get_version
-from repro.observability.adapters import ProfilerTraceAdapter
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.recorder import METRICS_NAME, TRACE_NAME
 from repro.observability.tracer import Tracer
@@ -29,35 +27,38 @@ from repro.perfmodel.execution import (
     simulate_iteration,
 )
 from repro.perfmodel.scaling import TABLE1, _cached_hierarchy
-from repro.profiling.tinyprofiler import TinyProfiler
 
 
-def charge_iteration(profiler: TinyProfiler, bd: IterationBreakdown,
+def charge_iteration(tracer: Tracer, bd: IterationBreakdown,
                      split: Optional[Dict[str, float]] = None) -> None:
-    """Charge one modeled iteration into a profiler, Fig. 6/7-shaped.
+    """Charge one modeled iteration into a tracer, Fig. 6/7-shaped.
 
     Produces the same region nest a functional step produces: top-level
     Advance / FillPatch / ComputeDt / AverageDown / Regrid, with
     FillBoundary and ParallelCopy nested under FillPatch (and the
-    nowait/finish sub-split below those when ``split`` is given).
+    nowait/finish sub-split below those when ``split`` is given).  Each
+    span's ``args.path`` is its region path, as a functional run's.
     """
-    profiler.charge("Advance", bd.advance)
-    with profiler.charged_region("FillPatch"):
-        with profiler.charged_region("FillBoundary"):
-            if split is not None:
-                profiler.charge("FillBoundary_nowait", split["FillBoundary_nowait"])
-                profiler.charge("FillBoundary_finish", split["FillBoundary_finish"])
-            else:
-                profiler.charge("FillBoundary_total", bd.fillboundary)
-        with profiler.charged_region("ParallelCopy"):
-            if split is not None:
-                profiler.charge("ParallelCopy_nowait", split["ParallelCopy_nowait"])
-                profiler.charge("ParallelCopy_finish", split["ParallelCopy_finish"])
-            else:
-                profiler.charge("ParallelCopy_total", bd.parallelcopy)
-    profiler.charge("ComputeDt", bd.computedt)
-    profiler.charge("AverageDown", bd.averagedown)
-    profiler.charge("Regrid", bd.regrid)
+    def charge(path: str, seconds: float) -> None:
+        tracer.charge(path.rsplit("/", 1)[-1], seconds,
+                      args={"path": path, "calls": 1})
+
+    charge("Advance", bd.advance)
+    tracer.begin_charged("FillPatch", args={"path": "FillPatch"})
+    for part, total in (("FillBoundary", bd.fillboundary),
+                        ("ParallelCopy", bd.parallelcopy)):
+        path = f"FillPatch/{part}"
+        tracer.begin_charged(part, args={"path": path})
+        if split is not None:
+            for phase in ("nowait", "finish"):
+                charge(f"{path}/{part}_{phase}", split[f"{part}_{phase}"])
+        else:
+            charge(f"{path}/{part}_total", total)
+        tracer.end_charged()
+    tracer.end_charged()
+    charge("ComputeDt", bd.computedt)
+    charge("AverageDown", bd.averagedown)
+    charge("Regrid", bd.regrid)
 
 
 def export_weak_scaling(
@@ -77,8 +78,6 @@ def export_weak_scaling(
     tracer.set_process_name(0, f"simulated Summit (CRoCCo {version})")
     tracer.set_thread_name(0, 0, "charged regions")
     metrics = MetricsRegistry()
-    profiler = TinyProfiler()
-    profiler.add_listener(ProfilerTraceAdapter(tracer, rank=0))
 
     charged_total = 0.0
     for step, (nodes, _gpus, pts) in enumerate(table):
@@ -87,22 +86,22 @@ def export_weak_scaling(
         levels = _cached_hierarchy(pts, nranks, rpn, v.amr, cal)
         bd = simulate_iteration(v, levels, nodes, cal)
         split = fillpatch_split(v, levels, nodes, cal) if v.amr else None
-        charge_iteration(profiler, bd, split)
+        charge_iteration(tracer, bd, split)
         charged_total += bd.total
 
-        g = metrics.gauge
-        g("nodes").set(nodes)
-        g("nranks").set(nranks)
-        g("equiv_points").set(pts)
+        g = metrics.set
+        g("nodes", nodes)
+        g("nranks", nranks)
+        g("equiv_points", pts)
         for li, lev in enumerate(levels):
-            g(f"active_cells.lev{li}").set(lev.num_pts())
-        g("active_cells.total").set(sum(l.num_pts() for l in levels))
-        g("levels").set(len(levels))
+            g(f"active_cells.lev{li}", lev.num_pts())
+        g("active_cells.total", sum(l.num_pts() for l in levels))
+        g("levels", len(levels))
         for name, seconds in bd.as_dict().items():
-            g(f"region.{name}").set(seconds)
+            g(f"region.{name}", seconds)
         if split is not None:
             for name, seconds in split.items():
-                g(f"fillpatch.{name}").set(seconds)
+                g(f"fillpatch.{name}", seconds)
         metrics.sample(step, charged_total)
         tracer.counter("equiv_points", {"points": float(pts)})
 

@@ -2,13 +2,13 @@
 
 Mirrors AMReX's TinyProfiler, which the paper uses to collect the region
 decompositions of Figs. 6 and 7: nested named regions accumulate call
-counts and (wall or externally supplied) time, and a report lists
-inclusive/exclusive totals.
+counts and wall time, and a report lists inclusive/exclusive totals.
 
-Besides wall-clock timing, regions accept *charged* time so the Summit
-performance model can attribute simulated seconds to the same region
-names (FillPatch, Advance, Regrid, ComputeDt, AverageDown, and the
-FillPatch internals ParallelCopy/FillBoundary).
+A recorded run binds its :class:`~repro.observability.tracer.Tracer` to
+:attr:`TinyProfiler.tracer`; every region then also becomes a span on the
+driver track, timed by the profiler's own measurement.  The Summit
+performance model writes its charged regions into a tracer directly
+(:mod:`repro.perfmodel.trace_export`).
 """
 
 from __future__ import annotations
@@ -34,48 +34,29 @@ class RegionStats:
 
 
 class TinyProfiler:
-    """Nested region timer with charge (simulated-time) support.
-
-    Listeners (see :mod:`repro.observability.adapters`) receive every
-    region enter/exit and charge as it happens, so traces can be exported
-    without changing how regions are declared.
-    """
+    """Nested region timer."""
 
     def __init__(self) -> None:
         self._stats: Dict[Tuple[str, ...], RegionStats] = {}
         self._stack: List[Tuple[str, ...]] = []
-        self._wall_open: set = set()  # paths open by region() or enter()
-        self._listeners: List[object] = []
-
-    # -- listeners ---------------------------------------------------------
-    def add_listener(self, listener: object) -> None:
-        """Attach an observer with on_enter/on_exit/on_span/on_charge/
-        on_enter_charged/on_exit_charged callbacks (all optional)."""
-        if listener not in self._listeners:
-            self._listeners.append(listener)
-
-    def _notify(self, event: str, *args) -> None:
-        for listener in self._listeners:
-            cb = getattr(listener, event, None)
-            if cb is not None:
-                cb(*args)
+        #: the run's tracer when it records a trace: each region closed is
+        #: written to it as a span (rank 0, driver stream)
+        self.tracer = None
 
     @contextmanager
     def region(self, name: str) -> Iterator[None]:
         """Time a region with the wall clock (nests under the current region)."""
         path = tuple(self._stack[-1] if self._stack else ()) + (name,)
         self._stack.append(path)
-        self._wall_open.add(path)
-        self._notify("on_enter", path)
         t0 = time.perf_counter()
         try:
             yield
         finally:
             dt = time.perf_counter() - t0
             self._stack.pop()
-            self._wall_open.discard(path)
             self._accumulate(path, dt)
-            self._notify("on_exit", path, dt)
+            if self.tracer is not None:
+                self._span(path, t0, dt)
 
     def enter(self, names: Sequence[str]) -> None:
         """Open the nest ``names`` (outermost first) around work its caller
@@ -84,59 +65,37 @@ class TinyProfiler:
         for name in names:
             path = (self._stack[-1] if self._stack else ()) + (name,)
             self._stack.append(path)
-            self._wall_open.add(path)
 
     def leave(self, n: int, t0: float, seconds: float) -> None:
         """Close the ``n`` innermost regions :meth:`enter` opened, charging
         each the ``seconds`` its caller measured from the clock reading
-        ``t0``; listeners get ``on_span(path, t0, seconds)``, outermost
-        first."""
+        ``t0``; their spans are written outermost first."""
         paths = self._stack[-n:]
         del self._stack[-n:]
         for path in reversed(paths):  # innermost first, as nested exits
-            self._wall_open.discard(path)
             self._accumulate(path, seconds)
-        if self._listeners:
+        if self.tracer is not None:
             for path in paths:
-                self._notify("on_span", path, t0, seconds)
+                self._span(path, t0, seconds)
 
-    def charge(self, name: str, seconds: float, calls: int = 1) -> None:
-        """Attribute simulated time to a region under the current nesting."""
-        if seconds < 0:
-            raise ValueError("cannot charge negative time")
-        path = tuple(self._stack[-1] if self._stack else ()) + (name,)
-        self._accumulate(path, seconds, calls)
-        self._notify("on_charge", path, seconds, calls)
+    def _span(self, path: Tuple[str, ...], t0: float, seconds: float) -> None:
+        # the profiler's own measurement, not a second clock reading: a
+        # pause between the two (GC, a lost time slice) would make the
+        # trace and the profiler disagree about the same region
+        tracer = self.tracer
+        tracer.complete(path[-1], tracer.at_us(t0), seconds * 1e6,
+                        cat="region", args={"path": "/".join(path)})
 
-    @contextmanager
-    def charged_region(self, name: str) -> Iterator[None]:
-        """A zero-wall-time nesting context for structuring charges."""
-        path = tuple(self._stack[-1] if self._stack else ()) + (name,)
-        self._stack.append(path)
-        self._notify("on_enter_charged", path)
-        try:
-            yield
-        finally:
-            self._stack.pop()
-            if path not in self._stats:
-                self._stats[path] = RegionStats(name=name)
-            self._notify("on_exit_charged", path)
-
-    def _accumulate(self, path: Tuple[str, ...], dt: float, calls: int = 1) -> None:
+    def _accumulate(self, path: Tuple[str, ...], dt: float) -> None:
         stats = self._stats.setdefault(path, RegionStats(name=path[-1]))
-        stats.calls += calls
+        stats.calls += 1
         stats.inclusive += dt
-        while len(path) > 1:
-            parent = self._stats.setdefault(path[:-1], RegionStats(name=path[-2]))
+        if len(path) > 1:
+            # every parent is an open region, which captures this time in
+            # its own inclusive total when it closes
+            parent = self._stats.setdefault(path[:-1],
+                                            RegionStats(name=path[-2]))
             parent.child_time += dt
-            # a parent timed by region() or enter() captures this time in
-            # its own charge (open now, or in a previous pass); a never-entered
-            # parent — a charged_region nest — absorbs it as inclusive,
-            # and the roll-up continues to *its* parent in turn
-            if parent.calls > 0 or path[:-1] in self._wall_open:
-                break
-            parent.inclusive += dt
-            path = path[:-1]
 
     # -- queries -----------------------------------------------------------
     def total(self, name: str) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.runtime.rk3graph import StageGraph, build_stage_graph
-from repro.runtime.scheduler import RUNTIME_STREAM, ScheduleReport, Scheduler
+from repro.runtime.scheduler import ScheduleReport, Scheduler
 
 
 class RuntimeEngine:
@@ -32,12 +32,6 @@ class RuntimeEngine:
         self.last_step_report: Optional[ScheduleReport] = None
         #: merged report of the whole run
         self.total_report = ScheduleReport()
-
-    def bind_tracer(self, tracer, rank: int = 0) -> None:
-        """Route per-task spans to ``tracer`` on the runtime track."""
-        self.scheduler.tracer = tracer
-        self.scheduler.trace_rank = rank
-        tracer.set_thread_name(rank, RUNTIME_STREAM, "runtime driver")
 
     # -- the stage graph ----------------------------------------------------
     def stage_graph(self) -> StageGraph:

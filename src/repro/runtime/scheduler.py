@@ -216,11 +216,11 @@ def replay_order(graph: TaskGraph, ntasks: Optional[int] = None):
 class Scheduler:
     """Executes a TaskGraph in the driver, collecting a report."""
 
-    def __init__(self, profiler=None, tracer=None,
-                 trace_rank: int = 0) -> None:
+    def __init__(self, profiler=None, tracer=None) -> None:
         self.profiler = profiler
+        #: the run's tracer when it records: one span per task on the
+        #: runtime track of rank 0
         self.tracer = tracer
-        self.trace_rank = trace_rank
 
     def run(self, graph: TaskGraph, ntasks: Optional[int] = None,
             armed: Optional[Dict[int, Exception]] = None) -> ScheduleReport:
@@ -250,7 +250,7 @@ class Scheduler:
             if tracer is not None:
                 tracer.complete(
                     task.name, tracer.at_us(t0), dur * 1e6,
-                    rank=self.trace_rank, stream=RUNTIME_STREAM, cat="task",
+                    stream=RUNTIME_STREAM, cat="task",
                     args={"kind": task.kind},
                 )
         return ScheduleReport.of_stage(order, records, counts, t_start,

@@ -28,7 +28,7 @@ from repro.amr.interp_curvilinear import CurvilinearInterp
 from repro.amr.interpolate import ConservativeLinearInterp, TrilinearInterp
 from repro.amr.multifab import MultiFab
 from repro.mpi.comm import Communicator
-from tests.conftest import EventLog
+from tests.conftest import logged_messages
 
 GHOST = -777.0   # what a ghost cell holds until something fills it
 NCOMP = 2
@@ -247,17 +247,15 @@ def run_twice(op, written, comm):
     again with the plan it left behind: same data, same messages, nothing
     rebuilt.  Returns the data per fab."""
     before = {i: fab.data.copy() for i, fab in written}
-    log = EventLog()
-    comm.ledger.add_listener(log)
     runs = []
-    for _ in range(2):
-        for i, fab in written:
-            fab.data[...] = before[i]
-        first, builds = len(log.events), comm.plans_built
-        op()
-        runs.append(({i: fab.data.copy() for i, fab in written},
-                     log.events[first:], comm.plans_built - builds))
-    comm.ledger.remove_listener(log)
+    with logged_messages() as log:
+        for _ in range(2):
+            for i, fab in written:
+                fab.data[...] = before[i]
+            first, builds = len(log.pairs), comm.plans_built
+            op()
+            runs.append(({i: fab.data.copy() for i, fab in written},
+                         log.events[first:], comm.plans_built - builds))
     (cold, cold_msgs, _), (warm, warm_msgs, rebuilt) = runs
     for i in cold:
         np.testing.assert_array_equal(warm[i], cold[i])

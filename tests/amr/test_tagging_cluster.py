@@ -13,7 +13,6 @@ from repro.amr.distribution import DistributionMapping
 from repro.amr.multifab import MultiFab
 from repro.amr.tagging import (
     tag_density_gradient,
-    tag_momentum_gradient,
     tagged_cells,
     undivided_gradient_magnitude,
 )
@@ -58,13 +57,6 @@ def test_tag_density_gradient_finds_shock():
     cells = tagged_cells(mf, tags)
     assert len(cells) > 0
     assert set(cells[:, 0].tolist()) <= {15, 16}
-
-
-def test_tag_momentum_gradient_multi_component():
-    mf, _ = make_mf(lambda i, j, c: np.where(j >= 16, float(c), 0.0), ncomp=3)
-    tags = tag_momentum_gradient(mf, (1, 2), 0.5)
-    cells = tagged_cells(mf, tags)
-    assert set(cells[:, 1].tolist()) <= {15, 16}
 
 
 def test_no_tags_empty_array():

@@ -20,10 +20,9 @@ from repro.amr.interp_weno import WenoInterp
 from repro.amr.interpolate import ConservativeLinearInterp, TrilinearInterp
 from repro.amr.multifab import MultiFab
 from repro.amr.parallelcopy import parallel_copy
-from repro.amr.tagging import tag_density_gradient, tag_momentum_gradient
+from repro.amr.tagging import tag_density_gradient
 from repro.backend import DeviceBackend, use_backend
 from repro.kernels.device import GpuDevice
-from tests.conftest import EventLog
 from repro.mpi.comm import Communicator
 
 
@@ -58,21 +57,24 @@ def two_level(seed=0, ncomp=1, nranks=2):
     return crse, fine, geom_f
 
 
-def device_backend():
-    """A one-device backend whose launches, in order, are ``be.log.events``."""
-    dev = GpuDevice()
-    be = DeviceBackend([dev])
-    be.log = EventLog()
-    dev.add_listener(be.log)
+def device_backend(log):
+    """A one-device backend whose launches, in order, ``log`` (the
+    ``launch_log`` fixture) records as ``be.log.of(be.devices[0])``."""
+    be = DeviceBackend([GpuDevice()])
+    be.log = log
     return be
 
 
+def launches(backend):
+    return backend.log.of(backend.devices[0])
+
+
 def launch_names(backend):
-    return [rec.name for rec in backend.log.events]
+    return [rec.name for rec in launches(backend)]
 
 
 def launch_classes(backend):
-    return {rec.kernel_class for rec in backend.log.events}
+    return {rec.kernel_class for rec in launches(backend)}
 
 
 def snapshot(mf):
@@ -86,11 +88,11 @@ def assert_same(host_mf, dev_mf):
 
 class TestFillBoundaryParity:
     @pytest.mark.parametrize("periodic", [(False, False), (True, True)])
-    def test_bitwise_and_launches(self, periodic):
+    def test_bitwise_and_launches(self, launch_log, periodic):
         h, geom = make_mf(periodic=periodic, seed=11)
         d, _ = make_mf(periodic=periodic, seed=11)
         fill_boundary_nowait(h, geom).finish()
-        be = device_backend()
+        be = device_backend(launch_log)
         with use_backend(be):
             fill_boundary_nowait(d, geom).finish()
         assert_same(h, d)
@@ -98,11 +100,11 @@ class TestFillBoundaryParity:
         assert "FB_pack" in names and "FB_unpack" in names
         assert launch_classes(be) == {"fillpatch"}
 
-    def test_nowait_finish_parity(self):
+    def test_nowait_finish_parity(self, launch_log):
         h, geom = make_mf(seed=5)
         d, _ = make_mf(seed=5)
         fill_boundary_nowait(h, geom).finish()
-        be = device_backend()
+        be = device_backend(launch_log)
         with use_backend(be):
             fill_boundary_nowait(d, geom).finish()
         assert_same(h, d)
@@ -113,7 +115,7 @@ class TestFillBoundaryParity:
 
 class TestParallelCopyParity:
     @pytest.mark.parametrize("fill_ghosts", [False, True])
-    def test_bitwise_and_launches(self, fill_ghosts):
+    def test_bitwise_and_launches(self, launch_log, fill_ghosts):
         src_h, _ = make_mf(seed=21)
         src_d, _ = make_mf(seed=21)
         # a different layout for the destination: one big box
@@ -123,7 +125,7 @@ class TestParallelCopyParity:
         dst_h = MultiFab(ba, dm, 2, 2, comm)
         dst_d = MultiFab(ba, dm, 2, 2, comm)
         parallel_copy(dst_h, src_h, fill_ghosts=fill_ghosts)
-        be = device_backend()
+        be = device_backend(launch_log)
         with use_backend(be):
             parallel_copy(dst_d, src_d, fill_ghosts=fill_ghosts)
         assert_same(dst_h, dst_d)
@@ -137,11 +139,11 @@ class TestInterpParity:
         (WenoInterp(), "Interp_weno"),
         (ConservativeLinearInterp(), "Interp_conslinear"),
     ])
-    def test_fill_coarse_patch_bitwise(self, interp, label):
+    def test_fill_coarse_patch_bitwise(self, launch_log, interp, label):
         crse_h, fine_h, geom_f = two_level(seed=31)
         crse_d, fine_d, _ = two_level(seed=31)
         fill_coarse_patch(fine_h, crse_h, geom_f, 2, interp)
-        be = device_backend()
+        be = device_backend(launch_log)
         with use_backend(be):
             fill_coarse_patch(fine_d, crse_d, geom_f, 2, interp)
         assert_same(fine_h, fine_d)
@@ -153,11 +155,11 @@ class TestInterpParity:
 
 
 class TestAverageDownParity:
-    def test_bitwise_and_launches(self):
+    def test_bitwise_and_launches(self, launch_log):
         crse_h, fine_h, _ = two_level(seed=41)
         crse_d, fine_d, _ = two_level(seed=41)
         average_down(fine_h, crse_h, 2)
-        be = device_backend()
+        be = device_backend(launch_log)
         with use_backend(be):
             average_down(fine_d, crse_d, 2)
         assert_same(crse_h, crse_d)
@@ -166,11 +168,11 @@ class TestAverageDownParity:
 
 
 class TestTaggingParity:
-    def test_density_gradient(self):
+    def test_density_gradient(self, launch_log):
         h, _ = make_mf(ncomp=4, seed=51)
         d, _ = make_mf(ncomp=4, seed=51)
         tags_h = tag_density_gradient(h, 0, 0.5)
-        be = device_backend()
+        be = device_backend(launch_log)
         with use_backend(be):
             tags_d = tag_density_gradient(d, 0, 0.5)
         assert set(tags_h) == set(tags_d)
@@ -178,17 +180,6 @@ class TestTaggingParity:
             np.testing.assert_array_equal(tags_h[i], tags_d[i])
         assert set(launch_names(be)) == {"Tag_gradient"}
         assert launch_classes(be) == {"tagging"}
-
-    def test_momentum_gradient_and_threshold(self):
-        h, _ = make_mf(ncomp=4, seed=52)
-        d, _ = make_mf(ncomp=4, seed=52)
-        be = device_backend()
-        tm_h = tag_momentum_gradient(h, (1, 2), 0.5)
-        with use_backend(be):
-            tm_d = tag_momentum_gradient(d, (1, 2), 0.5)
-        for i in tm_h:
-            np.testing.assert_array_equal(tm_h[i], tm_d[i])
-        assert set(launch_names(be)) == {"Tag_gradient"}
 
 
 class TestDeviceOpsLeaveDataIdenticalToSeed:

@@ -12,6 +12,8 @@ from repro.kernels.counts import (BUDGETS, FILLBOUNDARY_BUDGET, INTERP_BUDGET,
                                   UPDATE_BUDGET, WENO_BUDGET,
                                   budget_for_kernel)
 from repro.kernels.device import DeviceMemoryError, GpuDevice
+from repro.observability.tracer import Tracer
+from tests.conftest import trace_events
 
 
 class TestHostBackend:
@@ -148,7 +150,6 @@ class TestCurrentBackendContext:
 
     def test_free_functions_dispatch_to_current(self, launch_log):
         dev = GpuDevice()
-        dev.add_listener(launch_log)
         with use_backend(DeviceBackend([dev])):
             out = parallel_for("K", lambda: 42, 7,
                                LaunchSpec(kernel_class="update"))
@@ -169,27 +170,27 @@ class TestMakeExecBackend:
             make_exec_backend("cuda")
 
 
-class SlowListener:
-    """Deliberately expensive on_launch observer (satellite-6 regression)."""
+class SlowTracer(Tracer):
+    """A tracer whose every span write takes ``delay`` seconds."""
 
     def __init__(self, delay):
+        super().__init__()
         self.delay = delay
-        self.walls = []
 
-    def on_launch(self, device, rec, wall_seconds):
-        self.walls.append(wall_seconds)
+    def complete(self, *args, **kwargs):
+        super().complete(*args, **kwargs)
         time.sleep(self.delay)
 
 
-class TestListenerOutsideTimedWindow:
-    def test_slow_listener_does_not_inflate_wall_time(self):
-        """_notify_launch runs after the perf_counter window: a 50 ms
-        listener must not appear in the charged kernel wall time."""
+class TestSpanOutsideTimedWindow:
+    def test_slow_tracer_does_not_inflate_wall_time(self):
+        """The kernel span is written after the perf_counter window: a
+        50 ms span write must not appear in the kernel's wall time."""
         dev = GpuDevice()
-        listener = SlowListener(0.05)
-        dev.add_listener(listener)
+        dev.tracer = SlowTracer(0.05)
         for _ in range(3):
             dev.launch("K", lambda: None, 10, UPDATE_BUDGET)
         dev.reduce("R", np.ones(4), op="sum")
-        assert len(listener.walls) == 4
-        assert all(w < 0.04 for w in listener.walls)
+        spans = trace_events(dev.tracer)
+        assert len(spans) == 4
+        assert all(e["dur"] < 0.04e6 for e in spans)

@@ -7,15 +7,22 @@ slow shared runner cannot fail it; ``dev`` explores with fresh random
 examples.  A test's own ``@settings(max_examples=...)`` still applies.
 
 ``GpuDevice`` and ``CommLedger`` keep totals, not history.  A test that
-asserts on the *sequence* of launches or messages attaches an
-:class:`EventLog` (the ``launch_log`` / ``message_log`` fixtures) and
-reads the ordered list it collected (``.events``).
+asserts on the *sequence* of launches or messages takes the ``launch_log``
+/ ``message_log`` fixture (or, inside a Hypothesis example, opens
+:func:`logged_launches` / :func:`logged_messages`), which wraps the
+producer's recording methods for the test's duration, and reads the
+ordered list it collected (``.events``, or ``.of(producer)`` for one).
 """
 
 import os
+from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import settings
+
+from repro.kernels.device import GpuDevice
+from repro.mpi.ledger import CommLedger
 
 settings.register_profile("ci", derandomize=True, max_examples=25,
                           deadline=None)
@@ -24,17 +31,60 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 
 
 class EventLog:
-    """A device or ledger listener that keeps what it saw, in order, in
-    ``events``."""
+    """What the wrapped producers recorded, in order: ``pairs`` of
+    ``(producer, record)``."""
 
     def __init__(self):
-        self.events = []
+        self.pairs = []
 
-    def on_launch(self, device, rec, wall_seconds):
-        self.events.append(rec)
+    @property
+    def events(self):
+        """Every record, in order."""
+        return [rec for _, rec in self.pairs]
 
-    def on_message(self, msg):
-        self.events.append(msg)
+    def of(self, producer):
+        """The records of one device or ledger, in order."""
+        return [rec for p, rec in self.pairs if p is producer]
+
+
+@contextmanager
+def logged_launches():
+    """Log every ``GpuDevice.launch`` / ``reduce`` while open.  Each call
+    counts into an empty table that is then merged into the device's own,
+    so the log holds exactly the ``LaunchRecord`` the device counted."""
+    log = EventLog()
+
+    def wrap(real):
+        def logged(dev, *args, **kwargs):
+            table, dev.table = dev.table, Counter()
+            try:
+                return real(dev, *args, **kwargs)
+            finally:
+                new, dev.table = dev.table, table
+                table.update(new)
+                log.pairs += [(dev, rec) for rec in new.elements()]
+        return logged
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("launch", "reduce"):
+            mp.setattr(GpuDevice, name, wrap(getattr(GpuDevice, name)))
+        yield log
+
+
+@contextmanager
+def logged_messages():
+    """Log every message a ``CommLedger`` counts while open (``record``
+    goes through ``record_many``)."""
+    log = EventLog()
+    real = CommLedger.record_many
+
+    def logged(ledger, messages):
+        real(ledger, messages)
+        log.pairs += [(ledger, msg) for msg in messages]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CommLedger, "record_many", logged)
+        yield log
 
 
 def no_overlaps(ba):
@@ -60,13 +110,14 @@ def profiler_children(prof, parent):
 
 @pytest.fixture
 def launch_log():
-    """Attach with ``device.add_listener(launch_log)``: ``.events`` is the
-    ``LaunchRecord`` of every launch since, in order."""
-    return EventLog()
+    """``.events`` is the ``LaunchRecord`` of every launch of the test, in
+    order."""
+    with logged_launches() as log:
+        yield log
 
 
 @pytest.fixture
 def message_log():
-    """Attach with ``ledger.add_listener(message_log)``: ``.events`` is
-    every ``Message`` recorded since, in order."""
-    return EventLog()
+    """``.events`` is every ``Message`` recorded in the test, in order."""
+    with logged_messages() as log:
+        yield log

@@ -155,6 +155,39 @@ run.restart = {chk}
     assert "step     4" in out
 
 
+def test_cli_run_of_no_step_prints_a_status_line(tmp_path, capsys):
+    deck = write_deck(tmp_path, """
+crocco.case = sod
+crocco.version = 1.1
+amr.n_cell = 32
+amr.max_grid_size = 32
+run.steps = 0
+run.report_every = 0
+""")
+    assert main([deck]) == 0
+    assert "step     0  t = 0.00000  dt = -" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("report_every", [1, 10])
+def test_cli_restart_at_its_last_step_prints_a_status_line(
+        tmp_path, capsys, report_every):
+    """A restart whose checkpoint is already at ``run.steps`` takes no
+    step: the status line has the restored step and time, and no dt."""
+    chk = tmp_path / "chk"
+    deck = f"""
+crocco.case = sod
+crocco.version = 1.1
+amr.n_cell = 32
+amr.max_grid_size = 32
+run.steps = 3
+run.report_every = {report_every}
+"""
+    assert main([write_deck(tmp_path, deck + f"run.checkpoint = {chk}\n")]) == 0
+    assert main([write_deck(tmp_path, deck + f"run.restart = {chk}\n")]) == 0
+    out = capsys.readouterr().out.split("restarted from")[1]
+    assert "step     3" in out and "dt = -" in out
+
+
 BASE_DECK = ("crocco.case = sod\namr.n_cell = 32\namr.max_grid_size = 32\n"
              "run.steps = 1\n")
 
@@ -197,6 +230,8 @@ BASE_DECK = ("crocco.case = sod\namr.n_cell = 32\namr.max_grid_size = 32\n"
     ("crocco.case = ramp\n", {}, [], "sod, vortex, dmr, ignition"),
     (BASE_DECK + "ramp.mach = 3\n", {}, [], "ramp.mach"),
     (BASE_DECK + "ramp.angle = 15\n", {}, [], "ramp.angle"),
+    # gone with the momentum criterion: density is the one tagging
+    (BASE_DECK + "amr.tagging = momentum\n", {}, [], "amr.tagging"),
 ])
 def test_cli_bad_input_is_one_error_line_exit_2(tmp_path, capsys, monkeypatch,
                                                 deck_text, env, argv, named):

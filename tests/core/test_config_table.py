@@ -28,12 +28,13 @@ def clean_env(monkeypatch):
 
 
 def samples(o):
-    """Two distinct legal ``(token, value)`` pairs; the first is never
-    the option's default."""
+    """Two legal ``(token, value)`` pairs, distinct and the first not the
+    option's default — unless the option has a single legal value
+    (``amr.tagging``), which both pairs then are."""
     if o.types == (bool,):
         values = [not o.default, o.default]
     elif o.legal() is not None:
-        values = [v for v in o.legal() if v != o.default] + [o.default]
+        values = [v for v in o.legal() if v != o.default] + [o.default] * 2
     elif o.types == (str,):
         values = ["out/a", "out/b"]
     else:

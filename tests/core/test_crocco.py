@@ -278,14 +278,6 @@ def test_dmr_3d_runs_with_periodic_spanwise():
     assert mn > 1.0 and mx > 7.0
 
 
-def test_momentum_tagging_config():
-    case = DoubleMachReflection(ncells=(64, 16))
-    sim = Crocco(case, CroccoConfig(version="1.2", max_level=1,
-                                    max_grid_size=32, tagging="momentum"))
-    sim.initialize()
-    assert sim.finest_level == 1  # momentum gradients also find the shock
-
-
 def test_auto_regrid_interval():
     """regrid_int="auto" derives the cadence from the CFL condition."""
     case = DoubleMachReflection(ncells=(64, 16))

@@ -23,7 +23,7 @@ amr.blocking_factor = 8
 amr.max_grid_size = 128   # the paper's hand-tuned value
 mpi.nranks = 12
 mpi.ranks_per_node = 6
-amr.tagging = momentum
+amr.tagging = density
 """
 
 
@@ -58,7 +58,7 @@ def test_deck_malformed():
 def test_deck_to_crocco_config():
     # every key -> field mapping is walked in tests/core/test_config_table.py
     cfg = InputDeck.parse(DECK).to_crocco_config()
-    assert (cfg.version, cfg.max_level, cfg.tagging) == ("2.0", 2, "momentum")
+    assert (cfg.version, cfg.max_level, cfg.tagging) == ("2.0", 2, "density")
 
 
 def run_small(version="1.1", steps=2):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.mpi.comm import Communicator
 from repro.mpi.ledger import CommLedger, Message
-from tests.conftest import EventLog
+from tests.conftest import logged_messages
 
 
 def test_message_local_flag():
@@ -52,17 +52,6 @@ def test_by_kind():
     led.record(0, 1, 100, "reduce")
     led.record(0, 1, 7, "regrid")
     assert led.by_kind() == {"reduce": (2, 200), "regrid": (1, 7)}
-
-
-def test_disable_enable():
-    led = CommLedger()
-    led.enabled = False
-    led.record(0, 1, 100, "reduce")
-    led.record_many([Message(0, 1, 100, "reduce")])
-    assert len(led) == 0
-    led.enabled = True
-    led.record(0, 1, 100, "reduce")
-    assert len(led) == 1
 
 
 def test_clear_by_kind():
@@ -115,27 +104,22 @@ def test_reduce_wrong_length():
 
 def test_record_many_equals_one_record_per_message():
     """A plan's batch lands exactly as the same messages recorded singly:
-    the table, its summaries, and what listeners see, in order."""
+    the table, its summaries, and the messages, in order."""
     comm = Communicator(4, ranks_per_node=2)
     batch = [comm.message(0, 1, 100, "fillboundary"),
              comm.message(2, 3, 50, "parallelcopy"),
              comm.message(1, 1, 8, "fillboundary")]
     singly, batched = CommLedger(2), CommLedger(2)
-    seen_singly, seen_batched = EventLog(), EventLog()
-    singly.add_listener(seen_singly)
-    batched.add_listener(seen_batched)
-    for m in batch:
-        singly.record(m.src, m.dst, m.nbytes, m.kind)
-    batched.record_many(batch)
-    batched.record_many(())
+    with logged_messages() as log:
+        for m in batch:
+            singly.record(m.src, m.dst, m.nbytes, m.kind)
+        batched.record_many(batch)
+        batched.record_many(())
     assert batched.table == singly.table == Counter(batch)
     assert batched.by_kind() == singly.by_kind()
     assert batched.count("fillboundary") == 2
     assert batched.total_bytes(remote_only=True) == 150
-    assert seen_batched.events == seen_singly.events == batch
-    batched.enabled = False
-    batched.record_many(batch)
-    assert len(batched) == 3
+    assert log.of(batched) == log.of(singly) == batch
 
 
 def test_plan_messages_are_validated_when_built():
@@ -148,3 +132,22 @@ def test_plan_messages_are_validated_when_built():
         comm.message(0, 1, -8, "parallelcopy")
     assert comm.message(0, 1, 8, "regrid") == Message(0, 1, 8, "regrid")
     assert len(comm.ledger) == 0                   # built, not recorded
+
+
+def test_ledger_traffic_and_matrix():
+    """What the recorder samples into ``ledger.*`` and ``comms_matrix``."""
+    led = CommLedger(ranks_per_node=2)
+    led.record(0, 1, 100, "fillboundary")   # same node (ranks 0,1)
+    led.record(0, 2, 50, "fillboundary")    # off node (node 0 -> node 1)
+    led.record(3, 3, 10, "reduce")          # local: no on/off split
+    traffic = led.traffic()
+    assert traffic["fillboundary"] == {"bytes": 150, "messages": 2,
+                                       "on_node_bytes": 100,
+                                       "off_node_bytes": 50}
+    assert traffic["reduce"] == {"bytes": 10, "messages": 1}
+    m = led.comms_matrix()
+    assert m[0][1] == 100 and m[0][2] == 50 and m[3][3] == 10
+    assert len(m) == 4
+    # explicit rank count pads the matrix
+    assert len(led.comms_matrix(6)) == 6
+    assert led.by_kind()["fillboundary"] == (2, 150)

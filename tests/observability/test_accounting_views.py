@@ -3,9 +3,9 @@
 ``CommLedger.table`` and ``GpuDevice.table`` are multisets: identical
 events collapse into a count and every summary is a view of the table.
 For generated event streams, each view must equal the same quantity
-computed brute-force from the ordered list of events a listener captured
-— through ``clear(kind)``, a disabled ledger and a cleared launch table.  The
-per-event loops below are the reference: they are
+computed brute-force from the ordered list of events recorded — through
+``clear(kind)`` and a cleared launch table.  The per-event loops below
+are the reference: they are
 what the summaries were before the tables, one event at a time.
 """
 
@@ -24,7 +24,7 @@ from repro.mpi.ledger import KINDS, CommLedger, Message
 from repro.perfmodel.calibration import CAL
 from repro.perfmodel.device_timing import summarize_device
 from repro.perfmodel.ledger_pricing import price_ledger
-from tests.conftest import EventLog
+from tests.conftest import logged_launches
 
 # -- messages ------------------------------------------------------------------
 
@@ -36,40 +36,35 @@ SIZES = st.one_of(st.sampled_from([0, 8, 512, 4096]), st.integers(0, 10**7))
 @st.composite
 def message_streams(draw):
     """(nranks, ranks per node, ops): ops are batches of messages to record
-    (singly, as a batch, or while the ledger is disabled), or a
-    ``clear``."""
+    (singly or as a batch), or a ``clear``."""
     nranks = draw(st.integers(1, 12))
     rpn = draw(st.integers(1, 6))
     rank = st.integers(0, nranks - 1)
     message = st.builds(Message, rank, rank, SIZES, st.sampled_from(KINDS))
     op = st.one_of(
-        st.tuples(st.sampled_from(["record", "record_many", "disabled"]),
+        st.tuples(st.sampled_from(["record", "record_many"]),
                   st.lists(message, max_size=8)),
         st.tuples(st.just("clear"), st.sampled_from((None,) + KINDS)))
     return nranks, rpn, draw(st.lists(op, max_size=12))
 
 
 def replay(nranks, rpn, ops):
-    """Run ``ops`` on a fresh ledger; returns it and the messages a
-    listener saw that a ``clear`` has not dropped since, in order."""
+    """Run ``ops`` on a fresh ledger; returns it and the messages recorded
+    that a ``clear`` has not dropped since, in order."""
     led = CommLedger(rpn)
-    log = EventLog()
-    led.add_listener(log)
+    seen = []
     for what, arg in ops:
         if what == "clear":
             led.clear(arg)
-            log.events = [m for m in log.events
-                          if arg is not None and m.kind != arg]
-        elif what == "disabled":
-            led.enabled = False
-            led.record_many(arg)
-            led.enabled = True
-        elif what == "record_many":
+            seen = [m for m in seen if arg is not None and m.kind != arg]
+            continue
+        if what == "record_many":
             led.record_many(arg)
         else:
             for m in arg:
                 led.record(m.src, m.dst, m.nbytes, m.kind)
-    return led, log.events
+        seen += arg
+    return led, seen
 
 
 def price_per_message(msgs, nranks, nodes, cal=CAL):
@@ -203,19 +198,21 @@ def test_launch_views_equal_the_event_list(stream):
     ndev, ops = stream
     devices = [GpuDevice(name=f"d{i}") for i in range(ndev)]
     backend = DeviceBackend(devices)
-    logs = [EventLog() for _ in range(ndev)]
-    for log, dev in zip(logs, devices):
-        dev.add_listener(log)
-    for op in ops:
-        if op[0] == "clear":
-            devices[op[1]].table.clear()
-            logs[op[1]].events.clear()
-        else:
-            issue(backend, op)
+    # each device's records since its last clear
+    logs = [[] for _ in range(ndev)]
+    with logged_launches() as log:
+        for op in ops:
+            mark = len(log.pairs)
+            if op[0] == "clear":
+                devices[op[1]].table.clear()
+                logs[op[1]].clear()
+            else:
+                issue(backend, op)
+            for dev, recs in zip(devices, logs):
+                recs += [r for d, r in log.pairs[mark:] if d is dev]
 
     model = V100Model()
-    for dev, log in zip(devices, logs):
-        recs = log.events
+    for dev, recs in zip(devices, logs):
         assert dev.table == Counter(recs)
         assert dev.table.total() == len(recs)
         timing = summarize_device(dev, model)
@@ -223,7 +220,7 @@ def test_launch_views_equal_the_event_list(stream):
         assert timing.launches == launches and timing.points == points
         assert timing.seconds == pytest.approx(seconds, rel=1e-12)
 
-    every = [r for log in logs for r in log.events]
+    every = [r for recs in logs for r in recs]
     for by in ("name", "kernel_class"):
         expect = {}
         for r in every:

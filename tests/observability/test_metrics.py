@@ -1,60 +1,33 @@
-"""Tests for the MetricsRegistry instruments and JSONL serialization."""
+"""Tests for the MetricsRegistry values and JSONL serialization."""
 
 import pytest
 
 from repro.observability.metrics import MetricsRegistry
 
 
-def test_gauge_unset_omitted_from_snapshot():
+def test_set_value_last_write_wins():
     reg = MetricsRegistry()
-    reg.gauge("dt")
-    assert "dt" not in reg.snapshot()
-    reg.gauge("dt").set(0.5)
-    assert reg.snapshot()["dt"] == 0.5
-    reg.gauge("dt").set(0.25)  # last write wins
-    assert reg.snapshot()["dt"] == 0.25
-    # get-or-create returns the same instrument
-    assert reg.gauge("dt") is reg.gauge("dt")
+    assert reg.snapshot() == {}
+    reg.set("dt", 0.5)
+    reg.set("cfl", 1)
+    reg.set("dt", 0.25)  # last write wins
+    assert reg.snapshot() == {"cfl": 1.0, "dt": 0.25}
+    assert list(reg.snapshot()) == ["cfl", "dt"]  # sorted by name
 
 
-def test_histogram_flattens_to_stats():
+def test_sample_records_every_value():
     reg = MetricsRegistry()
-    h = reg.histogram("dt_hist")
-    for v in (1.0, 3.0, 2.0):
-        h.observe(v)
-    snap = reg.snapshot()
-    assert snap["dt_hist.count"] == 3
-    assert snap["dt_hist.sum"] == pytest.approx(6.0)
-    assert snap["dt_hist.min"] == 1.0
-    assert snap["dt_hist.max"] == 3.0
-    assert snap["dt_hist.mean"] == pytest.approx(2.0)
-
-
-def test_kind_mismatch_rejected():
-    reg = MetricsRegistry()
-    reg.gauge("x")
-    with pytest.raises(TypeError):
-        reg.histogram("x")
-    reg.histogram("y")
-    with pytest.raises(TypeError):
-        reg.gauge("y")
-
-
-def test_sample_records_and_extra():
-    reg = MetricsRegistry()
-    reg.gauge("n").set(2)
-    rec = reg.sample(step=1, time=0.5, extra={"custom": 7})
-    assert rec["step"] == 1 and rec["time"] == 0.5
-    assert rec["metrics"]["n"] == 2
-    assert rec["metrics"]["custom"] == 7.0
+    reg.set("n", 2)
+    rec = reg.sample(step=1, time=0.5)
+    assert rec == {"step": 1, "time": 0.5, "metrics": {"n": 2.0}}
     assert reg.records == [rec]
 
 
 def test_jsonl_round_trip(tmp_path):
     reg = MetricsRegistry()
     for step in range(3):
-        reg.gauge("ledger.reduce.bytes").set(100 * (step + 1))
-        reg.gauge("active_cells.lev0").set(1000 + step)
+        reg.set("ledger.reduce.bytes", 100 * (step + 1))
+        reg.set("active_cells.lev0", 1000 + step)
         reg.sample(step, step * 0.1)
     path = reg.write_jsonl(tmp_path / "sub" / "metrics.jsonl")
     records = MetricsRegistry.read_jsonl(path)

@@ -160,20 +160,20 @@ def test_compute_batches_are_reported(recorded_run):
     assert "batches" not in text.partition("top kernels by charged time")[2]
 
 
-def test_metrics_only_run_attaches_no_event_listener(tmp_path):
+def test_metrics_only_run_traces_no_launch(tmp_path):
     """Metrics are read from the producers' tables at sample time; only a
-    trace needs the launch sequence, so only ``trace_out`` attaches the
-    per-launch listener — and nothing listens per message."""
-    def listeners(**outputs):
+    trace needs the launch sequence, so only ``trace_out`` binds the
+    tracer to the devices (and nothing is written per message)."""
+    def traced(**outputs):
         sim = Crocco(DoubleMachReflection(ncells=(32, 8)), CroccoConfig(
             version="2.1", nranks=2, max_level=0, max_grid_size=16,
             backend_target="device", **outputs))
         sim.close()
-        return ([len(d._listeners) for d in sim.devices],
-                len(sim.comm.ledger._listeners))
+        assert sim.profiler.tracer is sim.recorder.tracer
+        return [d.tracer is sim.recorder.tracer for d in sim.devices]
 
-    assert listeners(metrics_out=str(tmp_path / "m.jsonl")) == ([0, 0], 0)
-    assert listeners(trace_out=str(tmp_path / "t.json")) == ([1, 1], 0)
+    assert traced(metrics_out=str(tmp_path / "m.jsonl")) == [False, False]
+    assert traced(trace_out=str(tmp_path / "t.json")) == [True, True]
 
 
 def test_report_carries_per_kernel_rows_of_the_flux_kernels(tmp_path):

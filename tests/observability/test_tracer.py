@@ -14,49 +14,6 @@ from repro.observability.tracer import (
 from tests.conftest import trace_events
 
 
-def fake_clock():
-    """A controllable monotonic clock."""
-    state = {"t": 0.0}
-
-    def clock():
-        return state["t"]
-
-    clock.advance = lambda dt: state.__setitem__("t", state["t"] + dt)
-    return clock
-
-
-def test_wall_span_nesting():
-    clock = fake_clock()
-    tr = Tracer(clock=clock)
-    tr.begin("outer")
-    clock.advance(1.0)
-    tr.begin("inner")
-    clock.advance(0.5)
-    tr.end()
-    clock.advance(0.25)
-    tr.end()
-    evs = trace_events(tr)
-    by_name = {e["name"]: e for e in evs}
-    # inner closes first (stack order), outer covers it
-    assert evs[0]["name"] == "inner"
-    assert by_name["inner"]["dur"] == pytest.approx(0.5e6)
-    assert by_name["outer"]["dur"] == pytest.approx(1.75e6)
-    assert by_name["outer"]["ts"] <= by_name["inner"]["ts"]
-    assert (by_name["inner"]["ts"] + by_name["inner"]["dur"]
-            <= by_name["outer"]["ts"] + by_name["outer"]["dur"])
-
-
-def test_end_without_open_span_raises():
-    tr = Tracer()
-    with pytest.raises(RuntimeError):
-        tr.end()
-    # tracks are independent
-    tr.begin("a", rank=1)
-    with pytest.raises(RuntimeError):
-        tr.end(rank=0)
-    tr.end(rank=1)
-
-
 def test_charge_advances_cursor_and_rejects_negative():
     tr = Tracer()
     tr.charge("A", 2.0)
@@ -164,11 +121,11 @@ def test_load_rejects_invalid_trace(tmp_path):
 def test_concurrent_emitters_produce_valid_trace():
     """Span nesting stays coherent when many threads emit concurrently.
 
-    The runtime emits spans from the scheduler loop while adapters fire
-    from callbacks; each emitter owns its own (rank, stream) track, the
-    contract the Chrome trace format needs.  The resulting document must
-    validate, keep every event on its emitter's track, and carry no
-    negative durations — even under heavy interleaving.
+    Each emitter owns its own (rank, stream) track, the contract the
+    Chrome trace format needs, and the charged clock is per track.  The
+    resulting document must validate, keep every event on its emitter's
+    track, and carry no negative durations — even under heavy
+    interleaving.
     """
     import threading
 
@@ -181,11 +138,10 @@ def test_concurrent_emitters_produce_valid_trace():
         try:
             barrier.wait()
             for i in range(n_spans):
-                tr.begin(f"outer{i}", rank=0, stream=stream,
-                         args={"stream": stream})
-                tr.begin(f"inner{i}", rank=0, stream=stream)
-                tr.end(rank=0, stream=stream)
-                tr.end(rank=0, stream=stream)
+                tr.begin_charged(f"outer{i}", rank=0, stream=stream,
+                                 args={"stream": stream})
+                tr.charge(f"inner{i}", 1e-6, rank=0, stream=stream)
+                tr.end_charged(rank=0, stream=stream)
                 tr.complete(f"direct{i}", tr.now_us(), 1.0,
                             rank=0, stream=stream, cat="lifecycle")
         except Exception as exc:  # pragma: no cover - failure reporting

@@ -1,9 +1,12 @@
 """Tests for the TinyProfiler region timers."""
 
+import time
+
 import pytest
 
+from repro.observability.tracer import Tracer
 from repro.profiling.tinyprofiler import TinyProfiler
-from tests.conftest import profiler_children
+from tests.conftest import profiler_children, trace_events
 
 
 def test_region_timing_accumulates():
@@ -27,75 +30,35 @@ def test_nested_regions_and_breakdown():
     assert prof.total("outer") >= bd["inner1"] + bd["inner2"] - 1e-9
 
 
-def test_charge_simulated_time():
-    prof = TinyProfiler()
-    prof.charge("FillPatch", 2.5)
-    prof.charge("FillPatch", 1.5)
-    prof.charge("Advance", 4.0)
-    assert prof.total("FillPatch") == pytest.approx(4.0)
-    assert prof.calls("FillPatch") == 2
-    assert prof.top_level() == {"FillPatch": pytest.approx(4.0),
-                                "Advance": pytest.approx(4.0)}
-
-
-def test_charge_under_charged_region():
-    prof = TinyProfiler()
-    with prof.charged_region("FillPatch"):
-        prof.charge("ParallelCopy", 3.0)
-        prof.charge("FillBoundary", 1.0)
-    bd = profiler_children(prof, "FillPatch")
-    assert bd == {"ParallelCopy": pytest.approx(3.0),
-                  "FillBoundary": pytest.approx(1.0)}
-    # charged children roll up into the parent's inclusive time
-    assert prof.total("FillPatch") == pytest.approx(4.0)
-
-
-def test_charge_negative_rejected():
-    prof = TinyProfiler()
-    with pytest.raises(ValueError):
-        prof.charge("X", -1.0)
+def timed(prof, names, seconds):
+    """Open the nest ``names`` and close it with ``seconds`` of the
+    caller's own measurement (a scheduled task's record)."""
+    prof.enter(names)
+    prof.leave(len(names), 0.0, seconds)
 
 
 def test_exclusive_time():
     prof = TinyProfiler()
-    with prof.charged_region("outer"):
-        prof.charge("inner", 1.0)
-    prof.charge("outer", 5.0)  # additional direct charge
-    stats = {p: s for p, s in prof._stats.items() if p == ("outer",)}
-    s = stats[("outer",)]
+    prof.enter(("outer",))
+    timed(prof, ("inner",), 1.0)
+    prof.leave(1, 0.0, 6.0)
+    s = prof._stats[("outer",)]
     assert s.exclusive == pytest.approx(5.0)
     assert s.inclusive == pytest.approx(6.0)
 
 
-def test_charge_into_never_entered_parent():
-    """Charging under a charged_region whose parent never ran with the
-    wall clock still rolls the child's time into the parent's inclusive."""
-    prof = TinyProfiler()
-    with prof.charged_region("FillPatch"):
-        prof.charge("ParallelCopy", 2.0)
-        with prof.charged_region("FillBoundary"):
-            prof.charge("FillBoundary_nowait", 0.5)
-            prof.charge("FillBoundary_finish", 0.25)
-    assert prof.total("FillPatch") == pytest.approx(2.75)
-    assert prof.total("FillBoundary") == pytest.approx(0.75)
-    # the never-entered parents have zero calls but carry inclusive time
-    fp = prof._stats[("FillPatch",)]
-    assert fp.calls == 0
-    assert fp.inclusive == pytest.approx(2.75)
-    assert fp.exclusive == pytest.approx(0.0)
-
-
 def test_exclusive_invariant_excl_is_incl_minus_children():
     prof = TinyProfiler()
-    with prof.charged_region("outer"):
-        prof.charge("a", 1.0)
-        prof.charge("b", 2.0)
-    prof.charge("outer", 10.0)  # direct exclusive work
+    prof.enter(("outer",))
+    timed(prof, ("a",), 1.0)
+    timed(prof, ("b", "c"), 2.0)
+    prof.leave(1, 0.0, 13.0)
     s = prof._stats[("outer",)]
     assert s.inclusive == pytest.approx(13.0)
     assert s.child_time == pytest.approx(3.0)
     assert s.exclusive == pytest.approx(s.inclusive - s.child_time)
-    assert s.exclusive >= 0.0
+    # a region's child time is its direct children's only
+    assert prof._stats[("outer", "b")].child_time == pytest.approx(2.0)
     # every region in the table satisfies the invariant
     for stats in prof._stats.values():
         assert stats.exclusive == pytest.approx(
@@ -105,12 +68,12 @@ def test_exclusive_invariant_excl_is_incl_minus_children():
 
 def test_report_orders_siblings_by_inclusive_time():
     prof = TinyProfiler()
-    prof.charge("Small", 1.0)
-    prof.charge("Large", 5.0)
-    prof.charge("Medium", 3.0)
-    with prof.charged_region("Large"):
-        prof.charge("child_light", 0.5)
-        prof.charge("child_heavy", 4.0)
+    timed(prof, ("Small",), 1.0)
+    timed(prof, ("Medium",), 3.0)
+    prof.enter(("Large",))
+    timed(prof, ("child_light",), 0.5)
+    timed(prof, ("child_heavy",), 4.0)
+    prof.leave(1, 0.0, 5.0)
     lines = prof.report().splitlines()
     order = [l.split()[0] for l in lines[2:]]
     assert order.index("Large") < order.index("Medium") < order.index("Small")
@@ -121,54 +84,29 @@ def test_report_orders_siblings_by_inclusive_time():
     assert heavy_line.startswith("  ")
 
 
-def test_listener_callbacks_fire_in_order():
-    events = []
-
-    class Spy:
-        def on_enter(self, path):
-            events.append(("enter", path))
-
-        def on_exit(self, path, dt):
-            events.append(("exit", path))
-
-        def on_charge(self, path, seconds, calls):
-            events.append(("charge", path, seconds))
-
-    prof = TinyProfiler()
-    prof.add_listener(Spy())
-    with prof.region("A"):
-        prof.charge("B", 1.5)
-    assert events == [
-        ("enter", ("A",)),
-        ("charge", ("A", "B"), 1.5),
-        ("exit", ("A",)),
-    ]
-
-
 def test_enter_leave_charge_the_callers_record():
     """``enter``/``leave`` time nothing themselves: every region of the
     nest is charged the caller's seconds, regions opened inside nest
-    under it, and listeners get one ``on_span`` per region, outermost
-    first."""
-    spans = []
-
-    class Spy:
-        def on_span(self, path, t0, seconds):
-            spans.append((path, t0, seconds))
-
-    prof = TinyProfiler()
-    prof.add_listener(Spy())
+    under it, and a bound tracer gets one span per region at the caller's
+    clock reading, outermost first."""
+    prof, tracer = TinyProfiler(), Tracer()
+    prof.tracer = tracer
+    t0 = time.perf_counter()
     for _ in range(2):
         prof.enter(("A", "B"))
         with prof.region("C"):
             pass
-        prof.leave(2, 10.0, 0.5)
+        prof.leave(2, t0, 0.5)
     assert prof._stack == []
     assert prof.total("A") == prof.total("B") == 1.0
     assert prof.calls("A") == prof.calls("B") == 2
     assert set(profiler_children(prof, "B")) == {"C"}
     assert prof._stats[("A",)].child_time == 1.0
-    assert spans[:2] == [(("A",), 10.0, 0.5), (("A", "B"), 10.0, 0.5)]
+    spans = [(e["args"]["path"], e["ts"], e["dur"])
+             for e in trace_events(tracer)]
+    assert spans[:3] == [("A/B/C", spans[0][1], spans[0][2]),
+                         ("A", tracer.at_us(t0), 0.5e6),
+                         ("A/B", tracer.at_us(t0), 0.5e6)]
 
 
 def test_report_names_every_region():

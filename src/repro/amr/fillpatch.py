@@ -12,8 +12,8 @@ Mirrors ``amrex::FillPatchUtil``:
   ``ParallelCopy`` — the communication bottleneck the paper isolates by
   comparing CRoCCo 2.0 (custom curvilinear interpolator) with 2.1
   (built-in trilinear interpolator, no ParallelCopy).
-- :func:`fill_coarse_patch` — initialize an entire new fine level from
-  coarse data (used by regrid when new patches appear).
+- :func:`fill_coarse_patch` — fill valid cells of a new fine level from
+  coarse data (used by regrid where no old fine cell exists).
 
 Physical boundary conditions are the driver's one launch after any of them.
 """
@@ -172,15 +172,17 @@ def fill_coarse_patch(
     crse_coords: Optional[MultiFab] = None,
     fine_coords: Optional[MultiFab] = None,
     profiler=None,
+    pieces: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> None:
-    """Fill every *valid* cell of ``fine`` by interpolation from ``crse``.
-
-    Used when regrid creates patches in previously-uncovered regions.
-    """
+    """Fill the valid cells of ``fine`` in ``(pieces, owner)`` — disjoint
+    boxes ``(P, 2, dim)`` in the valid boxes and the fab of each, sorted by
+    it; by default every valid cell — by interpolation from ``crse``.  A
+    regrid fills here only where no old fine cell exists."""
     r = IntVect.coerce(ratio, fine.dim)
+    pieces = pieces if pieces is not None else (fine.ba.lohi, np.arange(len(fine)))
     with _region(profiler, "ParallelCopy"):
         plan = build_fill_plan(fine, crse, geom_fine, r, interp, crse_coords,
-                               fine_coords, whole=True)
+                               fine_coords, pieces)
         if plan.coords is not None:
             plan.coords.run("PC_copy", "fillpatch", lambda fp: None)
         for fp in plan.fabs.values():
@@ -216,9 +218,10 @@ def build_fill_plan(fine: MultiFab, crse: MultiFab, geom_fine: Geometry,
                     r: IntVect, interp: Interpolator,
                     crse_coords: Optional[MultiFab] = None,
                     fine_coords: Optional[MultiFab] = None,
-                    whole: bool = False) -> FillPlan:
-    """Plan the fill of every fine fab's coarse/fine ghost pieces (with
-    ``whole``: of its valid box) by interpolation from ``crse``.
+                    pieces: Optional[Tuple[np.ndarray, np.ndarray]] = None
+                    ) -> FillPlan:
+    """Plan the fill of ``(pieces, owner)`` (by default every fine fab's
+    coarse/fine ghost pieces) by interpolation from ``crse``.
 
     Per fab, all its pieces' coarse stencil regions are gathered into one
     flat scratch patch: every patch cell names the coarse cell it copies —
@@ -234,7 +237,7 @@ def build_fill_plan(fine: MultiFab, crse: MultiFab, geom_fine: Geometry,
     """
     plan = FillPlan(fine.comm)
     # all the level's pieces at once, each with the fab that owns it
-    pieces, owner = ((fine.ba.lohi, np.arange(len(fine))) if whole
+    pieces, owner = (pieces if pieces is not None
                      else boundary_regions(fine, geom_fine))
     cregions = grow(coarsen(pieces, r), interp.radius)
     ncell, nfine = num_pts(cregions), num_pts(pieces)

@@ -45,7 +45,7 @@ from repro.core.config import BY_NAME, CroccoConfig  # noqa: F401
 from repro.core.errors import ConfigError  # noqa: F401
 from repro.core.versions import get_version
 from repro.kernels.api import make_kernels
-from repro.kernels.batch import Batch, make_batches, stack
+from repro.kernels.batch import Batch, make_batches, shape_groups, stack
 from repro.kernels.device import GpuDevice
 from repro.mpi.comm import Communicator
 from repro.numerics.cfl import compute_dt
@@ -128,6 +128,8 @@ class Crocco(AmrCore):
         self.step_count = 0
         self.dt_history: List[float] = []
         self.regrid_count = 0
+        #: boxes the regrids of the current step kept and built anew
+        self.step_boxes_kept = self.step_boxes_new = 0
         self.step_plan_builds = 0
         self.step_graph_builds = 0
         #: tagged-cell count per level from the most recent error estimate
@@ -213,30 +215,40 @@ class Crocco(AmrCore):
             u0 = self.case.initial_condition(c, self.time)
             fab.whole()[...] = u0
 
-    def make_new_level_from_coarse(self, lev, ba, dm) -> None:
-        self._build_level_storage(lev, ba, dm)
-        self._fill_from_coarse(lev)
-        self._bc_fill(lev)
-
     def remake_level(self, lev, ba, dm) -> None:
-        old_state = self.state[lev]
+        """Replace level ``lev`` by ``ba`` / ``dm``, rebuilding only what
+        changed (AMReX's RemakeLevel): a box equal to an old one keeps that
+        fab's coordinates and metrics, and only cells no old box covers are
+        interpolated from coarse before the old level is ParallelCopied in."""
+        old = self.state.get(lev)
+        kept, pieces = {}, (ba.lohi, np.arange(len(ba)))
+        if old is not None:
+            at = {box.tobytes(): j for j, box in enumerate(old.ba.lohi)}
+            for i, box in enumerate(ba.lohi):
+                j = at.get(box.tobytes())
+                if j is not None:  # own(): hold no stack of the old level
+                    kept[i] = (self.coords[lev].fab(j).data,
+                               self.metrics[lev][j].own())
+            piece, owner = old.ba.complement(ba.lohi)
+            pieces = (piece[owner.argsort(kind="stable")], np.sort(owner))
         self._clear_level_storage(lev)
-        self._build_level_storage(lev, ba, dm)
-        # interpolate everywhere from coarse, then overwrite with surviving
-        # same-level data (the standard AMReX RemakeLevel recipe)
-        self._fill_from_coarse(lev)
-        self.state[lev].parallel_copy(old_state)
+        self._build_level_storage(lev, ba, dm, kept)
+        self.step_boxes_kept += len(kept)
+        self.step_boxes_new += len(ba) - len(kept)
+        if len(pieces[0]):
+            needs = self.interp.needs_coords
+            fill_coarse_patch(
+                self.state[lev], self.state[lev - 1], self.geoms[lev],
+                self.ref_ratio_iv(), self.interp,
+                crse_coords=self.coords[lev - 1] if needs else None,
+                fine_coords=self.coords[lev] if needs else None,
+                profiler=self.profiler, pieces=pieces)
+        if old is not None:
+            self.state[lev].parallel_copy(old)
         self._bc_fill(lev)
 
-    def _fill_from_coarse(self, lev) -> None:
-        needs = self.interp.needs_coords
-        fill_coarse_patch(
-            self.state[lev], self.state[lev - 1], self.geoms[lev],
-            self.ref_ratio_iv(), self.interp,
-            crse_coords=self.coords[lev - 1] if needs else None,
-            fine_coords=self.coords[lev] if needs else None,
-            profiler=self.profiler,
-        )
+    #: a new level is the remake of a level that had no boxes
+    make_new_level_from_coarse = remake_level
 
     def clear_level(self, lev) -> None:
         self._clear_level_storage(lev)
@@ -254,22 +266,31 @@ class Crocco(AmrCore):
 
     # -- storage management --------------------------------------------------
     def _build_level_storage(self, lev: int, ba: BoxArray,
-                             dm: DistributionMapping) -> None:
+                             dm: DistributionMapping,
+                             kept: Optional[Dict[int, tuple]] = None) -> None:
+        """Allocate level ``lev``: box ``i`` takes ``kept[i]`` (coordinates,
+        metrics), the others build theirs, metrics per :func:`shape_groups`."""
+        kept = kept or {}
         lay = self.case.layout
         self.state[lev] = MultiFab(ba, dm, lay.ncons, self.ng, self.comm)
         self.du[lev] = MultiFab(ba, dm, lay.ncons, 0, self.comm)
         coords = MultiFab(ba, dm, lay.dim, self.ng, self.comm)
         geom = self.geoms[lev]
+        metrics = self.metrics[lev] = {}
         for i, fab in coords:
-            fab.whole()[...] = self._get_coords(geom, fab.grown_box())
-        self.coords[lev] = coords
-        self.metrics[lev] = {}
-        for i, fab in coords:
-            if self.case.curvilinear:
-                self.metrics[lev][i] = (
-                    CurvilinearMetrics.from_coordinates(fab.whole()))
+            if i in kept:
+                fab.data, metrics[i] = kept[i]
             else:
-                self.metrics[lev][i] = CartesianMetrics(self.case.cartesian_dx(geom))
+                fab.whole()[...] = self._get_coords(geom, fab.grown_box())
+        self.coords[lev] = coords
+        built = {i: f.whole().shape[1:] for i, f in coords if i not in kept}
+        for part in shape_groups(built):
+            if self.case.curvilinear:
+                metrics.update(zip(part, CurvilinearMetrics.of_patches(
+                    [coords.fab(i).whole() for i in part])))
+            else:
+                metrics.update((i, CartesianMetrics(self.case.cartesian_dx(geom)))
+                               for i in part)
         self.batches[lev] = make_batches(self.state[lev], self.metrics[lev])
         # each rank's share of the level is resident on its own device
         per_rank = [0] * self.comm.nranks
@@ -342,6 +363,7 @@ class Crocco(AmrCore):
 
         plans_before = self.comm.plans_built
         graphs_before = self.engine.graphs_built
+        self.step_boxes_kept = self.step_boxes_new = 0
         # the active backend routes every AMR-substrate launch of this step
         # (regrid, FillPatch, tagging, ComputeDt, ...) to the configured
         # execution backend

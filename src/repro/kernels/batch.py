@@ -30,8 +30,8 @@ from repro.numerics.metrics import Metrics, StackedMetrics
 #: stacks are what peak RSS is made of: single-run peak_rss_mb is +1.9% /
 #: +1.9% at 4,096 and +5.6% / +5.5% at 8,192 (bound 5%).  The rule for
 #: moving it is "faster, at <= +2% RSS on both decks": 4,096 passes by a
-#: tenth of a point for 3.5% / 12% of a stage — a tie, so it stays
-#: (ROADMAP item 2, "Left (v)").  A patch over the budget is a batch of one.
+#: tenth of a point for 3.5% / 12% of a stage — a tie, so it stays.  A
+#: patch over the budget is a batch of one.
 BATCH_CELLS = 2048
 
 
@@ -46,21 +46,26 @@ class Batch:
     metrics: StackedMetrics
 
 
-def make_batches(state, metrics: Dict[int, Metrics]) -> List[Batch]:
-    """Group the fabs of MultiFab ``state`` by grown shape, in box order,
-    and cut each group into batches of at most :data:`BATCH_CELLS` grown
-    cells; ``metrics[i]`` are fab ``i``'s."""
+def shape_groups(shapes: Dict[int, tuple]) -> List[Tuple[int, ...]]:
+    """The keys of ``shapes`` grouped by equal shape, in order, each group
+    cut into parts of at most :data:`BATCH_CELLS` cells."""
     groups: Dict[tuple, List[int]] = {}
-    for i, fab in state:
-        groups.setdefault(fab.whole().shape[1:], []).append(i)
+    for i, shape in shapes.items():
+        groups.setdefault(shape, []).append(i)
     out = []
     for shape, ids in groups.items():
         step = max(1, BATCH_CELLS // int(np.prod(shape)))
-        for k in range(0, len(ids), step):
-            part = tuple(ids[k:k + step])
-            out.append(Batch(part, tuple(state.dm[i] for i in part),
-                             StackedMetrics([metrics[i] for i in part])))
+        out.extend(tuple(ids[k:k + step]) for k in range(0, len(ids), step))
     return out
+
+
+def make_batches(state, metrics: Dict[int, Metrics]) -> List[Batch]:
+    """The batches of MultiFab ``state``: :func:`shape_groups` of its fabs'
+    grown shapes; ``metrics[i]`` are fab ``i``'s."""
+    return [Batch(part, tuple(state.dm[i] for i in part),
+                  StackedMetrics([metrics[i] for i in part]))
+            for part in shape_groups(
+                {i: fab.whole().shape[1:] for i, fab in state})]
 
 
 def stack(arrays: Sequence[np.ndarray]) -> np.ndarray:

@@ -16,7 +16,7 @@ rather than recomputed (the paper's data-management point).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -87,6 +87,11 @@ class Metrics:
         if ng == 0:
             return self
         return _CroppedMetrics(self, ng)
+
+    def own(self) -> "Metrics":
+        """These metrics, holding no array shared with other patches (see
+        :meth:`CurvilinearMetrics.own`; analytic metrics hold none)."""
+        return self
 
 
 class _CroppedMetrics(Metrics):
@@ -202,31 +207,50 @@ class CurvilinearMetrics(Metrics):
     @classmethod
     def from_coordinates(cls, coords: np.ndarray, order: int = 4) -> "CurvilinearMetrics":
         """Build metrics from cell-center coordinates, shape (dim, *s)."""
-        dim = coords.shape[0]
-        if coords.ndim != dim + 1:
+        if coords.ndim != coords.shape[0] + 1:
             raise ValueError("coords must have shape (dim, *grid shape)")
-        s = coords.shape[1:]
+        return cls.of_patches([coords], order)[0]
+
+    @classmethod
+    def of_patches(cls, coords: Sequence[np.ndarray],
+                   order: int = 4) -> List["CurvilinearMetrics"]:
+        """Metrics of equal-shape patches from their coordinates (dim, *s),
+        in one pass on a batch axis (one patch is not copied onto it): the
+        stencils are elementwise along it and ``det`` / ``inv`` go matrix by
+        matrix, so each patch gets the bits of its own build, as views (:meth:`own`)."""
+        coords = np.stack(coords) if len(coords) > 1 else coords[0][None]
+        nb, dim = coords.shape[:2]
+        s = coords.shape[2:]
         # first metrics T[j, d] = d x_j / d xi_d
-        first = np.empty((dim, dim) + s)
-        for j in range(dim):
-            for d in range(dim):
-                first[j, d] = derivative_same_shape(coords[j], axis=d, order=order)
+        # (every x_j at once: the component axis is one more batch axis)
+        first = np.empty((nb, dim, dim) + s)
+        for d in range(dim):
+            first[:, :, d] = derivative_same_shape(coords, d + 2, order)
         # second metrics for unique pairs (d, e), d <= e
         pairs = [(d, e) for d in range(dim) for e in range(d, dim)]
-        second = np.empty((dim, len(pairs)) + s)
-        for j in range(dim):
-            for k, (d, e) in enumerate(pairs):
-                second[j, k] = derivative_same_shape(first[j, d], axis=e, order=order)
+        second = np.empty((nb, dim, len(pairs)) + s)
+        for k, (d, e) in enumerate(pairs):
+            second[:, :, k] = derivative_same_shape(first[:, :, d], e + 2, order)
         # Jacobian and inverse: operate on (..., dim, dim) stacks
-        T = np.moveaxis(first.reshape(dim, dim, -1), -1, 0)  # (N, j, d)
+        T = np.moveaxis(first.reshape(nb, dim, dim, -1), -1, 1)  # (B, N, j, d)
         J = np.linalg.det(T)
         if np.any(J <= 0):
             raise ValueError("grid mapping is not orientation-preserving (J <= 0)")
-        Tinv = np.linalg.inv(T)  # (N, d, j) : d xi_d / d x_j
+        Tinv = np.linalg.inv(T)  # (B, N, d, j) : d xi_d / d x_j
         # component-major: each m[d, j] unit-stride along the grid
-        m = np.ascontiguousarray(
-            (J[:, None, None] * Tinv).transpose(1, 2, 0)).reshape((dim, dim) + s)
-        return cls(first, second, J.reshape(s), m)
+        m = np.ascontiguousarray((J[..., None, None] * Tinv).transpose(
+            0, 2, 3, 1)).reshape((nb, dim, dim) + s)
+        J = J.reshape((nb,) + s)
+        return [cls(first[b], second[b], J[b], m[b]) for b in range(nb)]
+
+    def own(self) -> "CurvilinearMetrics":
+        """These metrics, copying each array that is a view into a larger
+        one (their :meth:`of_patches` pass, or the :class:`StackedMetrics`
+        they were re-pointed into): holding them holds nothing else."""
+        self.first, self.second, self._J, self._m = (
+            a if a.base is None or a.base.size == a.size else a.copy()
+            for a in (self.first, self.second, self._J, self._m))
+        return self
 
     @property
     def ncomp_stored(self) -> int:

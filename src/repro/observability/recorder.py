@@ -5,11 +5,11 @@ binds the tracer to a :class:`~repro.core.crocco.Crocco` simulation's
 producers (profiler regions and scheduler tasks, and device launches when
 a trace is written, write their spans into it), snapshots the
 per-timestep metrics the paper's evaluation needs (dt, CFL, active cells
-per level, tagged cells, regrid count, ledger traffic by kind with the
-on/off-node split, device memory high-water, per-kernel flop/byte totals
-— the last three read straight from the ledger's and the devices' tables
-— and L2 drift when a validation reference is supplied), and finalizes
-two artifacts:
+per level, tagged cells, regrids and the boxes they kept and built, ledger
+traffic by kind with the on/off-node split, device memory high-water,
+per-kernel flop/byte totals — the last three read straight from the
+ledger's and the devices' tables — and L2 drift when a validation
+reference is supplied), and finalizes two artifacts:
 
 - ``trace_out`` — Chrome trace-event JSON (open in Perfetto), carrying the
   comms matrix and run configuration in ``otherData``;
@@ -83,6 +83,8 @@ class RunRecorder:
         g("levels", sim.finest_level + 1)
         g("regrids", getattr(sim, "regrid_count", 0))
         g("amr.plan_builds", getattr(sim, "step_plan_builds", 0))
+        g("amr.regrid_kept_boxes", getattr(sim, "step_boxes_kept", 0))
+        g("amr.regrid_new_boxes", getattr(sim, "step_boxes_new", 0))
         g("runtime.graph_builds", getattr(sim, "step_graph_builds", 0))
         g("kernel.batches", sum(len(bs) for bs in sim.batches.values()))
         g("kernel.batch_boxes", sum(len(mf) for mf in sim.state.values()))

@@ -431,6 +431,10 @@ def format_report(events: Sequence[dict], other: dict,
         if "tagged_cells" in m:
             lines.append(f"  tagged cells = {int(m['tagged_cells'])}, "
                          f"regrids = {int(m.get('regrids', 0))}")
+        if "amr.regrid_kept_boxes" in m:
+            kept, new = (sum(int(r["metrics"].get(f"amr.regrid_{k}_boxes", 0))
+                             for r in records) for k in ("kept", "new"))
+            lines.append(f"  regrid kept = {kept} of {kept + new} boxes")
         # communication plans and stage graphs are rebuilt only when a
         # regrid replaces the layout they describe; CI fails on a nonzero
         # stray count

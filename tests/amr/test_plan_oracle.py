@@ -243,9 +243,11 @@ def test_fill_plans_equal_the_oracle(lay, kind, whole):
     comm = Communicator(lay["nranks"], ranks_per_node=2)
     lv = TwoLevels(lay, kind, comm, np.random.default_rng(lay["seed"]))
     args = (lv.fine, lv.crse, lv.geom_f, IntVect.filled(lay["dim"], lay["ratio"]),
-            lv.interp, lv.crse_coords, lv.fine_coords, whole)
-    assert_same_fill_plan(fillpatch.build_fill_plan(*args),
-                          oracle.build_fill_plan(*args))
+            lv.interp, lv.crse_coords, lv.fine_coords)
+    # the whole level: every valid box, each owned by its own fab
+    pieces = (lv.fine.ba.lohi, np.arange(len(lv.fine))) if whole else None
+    assert_same_fill_plan(fillpatch.build_fill_plan(*args, pieces),
+                          oracle.build_fill_plan(*args, whole))
 
 
 @settings(max_examples=60, deadline=None)

@@ -167,6 +167,33 @@ def test_coords_file_ablation_runs():
     sim.close()
 
 
+def test_coords_file_is_read_per_new_patch_of_a_remake():
+    """``coords_source = file`` reads the coordinates of every *new* patch
+    back from disk; a box the regrid keeps takes its old fab's."""
+    case = DoubleMachReflection(ncells=(64, 16), curvilinear=True)
+    sim = Crocco(case, CroccoConfig(
+        version="2.1", nranks=3, max_level=2, max_grid_size=16,
+        blocking_factor=8, regrid_int=1, coords_source="file"))
+    sim.initialize()
+
+    def boxes(lev):
+        ba = sim.box_arrays[lev] if lev <= sim.finest_level else None
+        return set() if ba is None else {b.tobytes() for b in ba.lohi}
+
+    kept = 0
+    for _ in range(4):
+        before = [boxes(lev) for lev in range(3)]
+        reads = sim.profiler.calls("getCoords_fileIO")
+        sim.step()
+        after = [boxes(lev) for lev in range(3)]
+        remade = [lev for lev in range(3) if after[lev] != before[lev]]
+        kept += sum(len(after[lev] & before[lev]) for lev in remade)
+        new = sum(len(after[lev] - before[lev]) for lev in remade)
+        assert sim.profiler.calls("getCoords_fileIO") - reads == new
+    assert kept > 0, "no remake kept a box"
+    sim.close()
+
+
 def test_invalid_config_rejected():
     case = SodShockTube(32)
     from repro.core.errors import ConfigError

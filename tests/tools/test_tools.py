@@ -89,6 +89,30 @@ def test_convergence_tool_importable():
     assert callable(tool.main)
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (["abc"], "base_n"), (["0"], "base_n"), (["2.5"], "base_n"),
+    (["16", "nan"], "t_end"), (["16", "-1"], "t_end"),
+    (["16", "inf"], "t_end")])
+def test_convergence_tool_rejects_a_bad_argument(argv, bad, capsys):
+    """A bad value is a one-line usage error with exit 2, before any run."""
+    tool = load_tool("convergence")
+    with pytest.raises(SystemExit) as exc:
+        tool.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and f"argument {bad}" in errors[0]
+
+
+def test_convergence_tool_help_exits_cleanly(capsys):
+    tool = load_tool("convergence")
+    with pytest.raises(SystemExit) as exc:
+        tool.main(["--help"])
+    assert exc.value.code == 0
+    assert "base_n" in capsys.readouterr().out
+
+
 def test_option_table_lint_passes_here_and_catches_a_second_spelling(tmp_path):
     lint = load_tool("lint_option_table")
     assert lint.violations() == []

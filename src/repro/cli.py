@@ -20,7 +20,8 @@ from typing import Dict, Optional
 from repro.cases import CASES
 from repro.core.config import BY_NAME, RunControl, render_reference
 from repro.core.crocco import ConfigError, Crocco
-from repro.io.checkpoint import load_checkpoint, save_checkpoint
+from repro.io.checkpoint import (CheckpointError, load_checkpoint,
+                                 save_checkpoint)
 from repro.io.inputs import InputDeck
 from repro.io.plotfile import write_plotfile
 from repro.numerics import native
@@ -78,7 +79,11 @@ def run_deck(path: str, overrides: Dict[str, object]) -> int:
 
     sim = Crocco(case, config)
     if run.restart:
-        load_checkpoint(run.restart, sim)
+        try:
+            load_checkpoint(run.restart, sim)
+        except CheckpointError as exc:
+            sim.close()
+            raise ConfigError(f"{BY_NAME['restart'].deck}: {exc}") from None
         print(f"restarted from {run.restart} at step {sim.step_count}, "
               f"t = {sim.time:.5f}")
     else:

@@ -270,6 +270,8 @@ class Crocco(AmrCore):
                              kept: Optional[Dict[int, tuple]] = None) -> None:
         """Allocate level ``lev``: box ``i`` takes ``kept[i]`` (coordinates,
         metrics), the others build theirs, metrics per :func:`shape_groups`."""
+        # the stage graph names the level storage: it goes when any is built
+        self.engine.drop_graph()
         kept = kept or {}
         lay = self.case.layout
         self.state[lev] = MultiFab(ba, dm, lay.ncons, self.ng, self.comm)
@@ -440,13 +442,13 @@ class Crocco(AmrCore):
 
     # -- Algorithm 2: RK3 advance ------------------------------------------
     def _rk3(self, dt: float) -> None:
-        """One RK3 advance, executed as task graphs.
+        """One RK3 advance, executed as stage programs.
 
-        The runtime engine replays the stage graph of the current level
+        The runtime engine runs the stage program of the current level
         storage (FillPatch split into nowait/finish halves, per-batch
-        kernels, AverageDown in the last stage), built once per regrid, and
-        the ready-queue scheduler runs it in this process, bit for bit the
-        historical eager loop.
+        kernels, AverageDown in the last stage), built once per regrid,
+        front to back in this process, bit for bit the historical eager
+        loop.
         """
         with self.profiler.region("Advance"):
             for lev in range(self.finest_level + 1):

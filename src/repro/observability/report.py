@@ -306,7 +306,7 @@ def format_report(events: Sequence[dict], other: dict,
             for i in range(0, len(cells), 4):
                 lines.append("  " + " ".join(cells[i:i + 4]))
 
-    # resilience: injected faults vs recovery actions, and solver health
+    # resilience: injected faults vs recovery actions
     res = final_totals(records, "resilience")
     if res:
         lines.append("")

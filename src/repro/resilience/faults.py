@@ -21,9 +21,11 @@ Fault kinds and where they bite:
     default) raises :class:`InjectedTaskError`; the step fails and the
     watchdog's rollback retries it.
 ``drop_comm@S[.G][:fb|pc]``
-    The matching ``comm-wait`` task (FillBoundary finish, or the coords
-    ParallelCopy consumer) raises :class:`InjectedCommDrop` — a lost
-    halo exchange.  The watchdog rolls the step back and retries.
+    One consumer of a posted exchange on that channel (any channel by
+    default) — a task that carries the channel and is not its
+    ``comm-post``: ``FB_finish`` for ``fb``, an ``Interp`` task for the
+    coordinate ParallelCopy ``pc`` — raises :class:`InjectedCommDrop`, a
+    lost exchange.  The watchdog rolls the step back and retries.
 ``nan@S``
     One state cell is seeded with NaN after the advance of step ``S`` —
     silent corruption the watchdog's scan must catch.
@@ -32,6 +34,10 @@ Fault kinds and where they bite:
     :class:`InjectedCheckpointCrash` after the first level file is
     written and before the atomic rename — a kill mid-save.  The
     previous checkpoint at the destination must survive intact.
+
+A plan that could never fire is rejected when it is parsed: a task fault
+at a stage past the RK step's last, or a ``drop_comm`` channel other than
+``fb`` / ``pc``.
 
 Each planned fault records a firing entry in :attr:`FaultInjector.fired`
 so the run report can account for every injected fault.
@@ -49,6 +55,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
+
+from repro.numerics.rk3 import NSTAGES
 
 #: fault kinds that attach to tasks of one (step, stage) graph
 TASK_KINDS = ("task_error", "drop_comm")
@@ -120,12 +128,19 @@ def parse_plan(text: str, kinds: tuple = KINDS) -> tuple:
                     else "")
             raise ValueError(
                 f"unknown fault kind {kind!r}; options {kinds}{hint}")
-        specs.append(FaultSpec(
+        spec = FaultSpec(
             kind=kind,
             step=int(m.group("step")),
             stage=int(m.group("stage") or 0),
             arg=m.group("arg"),
-        ))
+        )
+        if kind in TASK_KINDS and spec.stage >= NSTAGES:
+            raise ValueError(f"fault token {tok!r} never fires: an RK step "
+                             f"has stages 0..{NSTAGES - 1}")
+        if kind == "drop_comm" and spec.arg not in (None, "fb", "pc"):
+            raise ValueError(f"fault token {tok!r} never fires: drop_comm "
+                             "channels are 'fb' and 'pc'")
+        specs.append(spec)
     return specs, seed
 
 
@@ -174,8 +189,8 @@ class FaultInjector:
     # -- task faults -------------------------------------------------------
     def arm(self, tasks, step: int, stage: int) -> Dict[int, InjectedFault]:
         """This (step, stage)'s planned task faults among ``tasks`` (the
-        tasks the stage runs): task id -> the error the scheduler raises
-        in place of that task's body.
+        tasks the stage runs, in order): task id -> the error the
+        scheduler raises in place of that task's body.
 
         Called by the engine before each stage runs; the graph itself is
         left untouched, so the faults belong to this one run of it.
@@ -195,9 +210,9 @@ class FaultInjector:
                 )
                 exc, what = InjectedTaskError, "task error"
             else:
-                cands = [t for t in tasks if t.kind == "comm-wait"
-                         and (spec.arg is None
-                              or (t.channel and t.channel[0] == spec.arg))]
+                cands = [t for t in tasks if t.kind != "comm-post"
+                         and t.channel is not None
+                         and spec.arg in (None, t.channel[0])]
                 exc, what = InjectedCommDrop, "comm drop"
             task = self._pick(spec, cands)
             if task is not None:
@@ -208,7 +223,7 @@ class FaultInjector:
     def _pick(self, spec: FaultSpec, candidates):
         if not candidates:
             return None
-        return self._rng(spec).choice(sorted(candidates, key=lambda t: t.tid))
+        return self._rng(spec).choice(candidates)
 
     # -- state corruption --------------------------------------------------
     def corrupt_state(self, sim) -> None:

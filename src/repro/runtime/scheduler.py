@@ -1,16 +1,12 @@
-"""Ready-queue scheduler with comm-posting priority and overlap metering.
+"""The stage program's runner, with overlap metering.
 
-Tasks become ready when their dependencies complete; among ready tasks
-the scheduler prefers, in order: ``comm-post`` (get halo exchanges in
-flight as early as possible), then boundary/interp/compute work, and
-``comm-wait`` last (finish a posted exchange only when nothing useful
-can run in the gap).  Ties break on submission order, so a run is fully
-deterministic and — because only mutually independent tasks are ever
-reordered — bit-identical to the eager driver.  Because it is
-deterministic, the order is worked out once per graph (and prefix) and
-recorded, and every stage that reuses the graph replays it.  Every task
-runs in the driver process: there is one execution path (DESIGN.md, "One
-way to run a step").
+A stage is a list of :class:`Task` in the order they run — every level's
+``comm-post`` halves first (halo exchanges in flight as early as
+possible), then per level its finish, interpolation, boundary fill and
+compute batches, and in the last stage AverageDown — built by
+:func:`repro.runtime.rk3graph.build_stage_graph`.  :meth:`Scheduler.run`
+runs it front to back in the driver process: there is one execution path
+(DESIGN.md, "One way to run a step").
 
 While running, the scheduler measures the quantity the paper's Fig. 7
 models: for every ``comm-post``/``comm-wait`` channel pair it records
@@ -25,31 +21,40 @@ record — the TinyProfiler regions it declares (charged ``dur`` under the
 current nest, reading no clock of their own), its span on the tracer's
 runtime track and its region spans on the driver track, and the stage's
 :class:`ScheduleReport` (time by task kind, the measured overlap, time by
-kernel class and by compute batch, and the critical path of the stage
-DAG).
+kernel class and by compute batch, and the critical path over the tasks'
+``deps`` edges).
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
-
-from repro.runtime.graph import Task, TaskGraph
-
-#: scheduling priority by task kind (lower runs first among ready tasks)
-KIND_PRIORITY = {
-    "comm-post": 0,
-    "bc": 1,
-    "interp": 1,
-    "compute": 2,
-    "comm": 2,
-    "comm-wait": 3,
-}
+from typing import (Any, Callable, Dict, Hashable, List, Optional, Sequence,
+                    Tuple)
 
 #: tracer stream id of the runtime track
 RUNTIME_STREAM = 8
+
+
+@dataclass
+class Task:
+    """One unit of a stage program: a FillBoundary post or finish, a
+    coordinate ParallelCopy post, an interpolation, a boundary fill, a
+    compute batch or an AverageDown."""
+
+    #: position in the stage program (the order it runs in)
+    tid: int
+    name: str
+    #: ``comm-post``, ``comm-wait``, ``interp``, ``bc``, ``compute``, ``comm``
+    kind: str
+    fn: Callable[[], Any]
+    #: TinyProfiler region names to nest while the task runs
+    regions: Tuple[str, ...] = ()
+    #: comm channel linking a ``comm-post`` task to the tasks that consume
+    #: it, so the scheduler can measure the in-flight window
+    channel: Optional[Hashable] = None
+    #: tids of the earlier tasks this one needs done
+    deps: Tuple[int, ...] = ()
 
 
 @dataclass
@@ -93,23 +98,23 @@ class ScheduleReport:
 
     @classmethod
     def of_stage(cls, order: Sequence[Task],
-                 records: Sequence[Tuple[float, float]],
-                 counts: Dict[str, int], t_start: float,
+                 records: Sequence[Tuple[float, float]], t_start: float,
                  t_end: float) -> "ScheduleReport":
         """The report of one stage, derived from the ``(t0, dur)`` record of
         each task of ``order`` (clock readings between ``t_start`` and
         ``t_end``)."""
-        rep = cls(tasks_by_kind=dict(counts), graphs=1,
-                  makespan_s=t_end - t_start)
+        rep = cls(graphs=1, makespan_s=t_end - t_start)
         # comm windows: channel -> post-completion time; closed windows
         # accumulate (open, close) intervals for the overlap integral
         open_windows: Dict[Hashable, float] = {}
         windows: List[Tuple[float, float]] = []
         compute_spans: List[Tuple[float, float]] = []
         chain: Dict[int, float] = {}  # tid -> longest chain ending there
+        counts = rep.tasks_by_kind
         by_class, by_batch = rep.by_class, rep.by_batch
         for task, (t0, dur) in zip(order, records):
             kind, channel = task.kind, task.channel
+            counts[kind] = counts.get(kind, 0) + 1
             # the first consumer of a posted channel starting (comm-wait,
             # or e.g. an interp task using posted coords) closes its
             # in-flight window
@@ -130,7 +135,7 @@ class ScheduleReport:
             row = by_class.setdefault(task.name.split("(", 1)[0], [0, 0.0])
             row[0] += 1
             row[1] += dur
-            # the order is topological, so every dependency is done
+            # a task's deps run before it, so every chain is known
             longest = 0.0
             for d in task.deps:
                 if chain[d] > longest:
@@ -185,36 +190,8 @@ class ScheduleReport:
         return out
 
 
-def replay_order(graph: TaskGraph, ntasks: Optional[int] = None):
-    """The order the ready-queue rule (among tasks whose dependencies are
-    done, the lowest :data:`KIND_PRIORITY`, then the lowest submission id)
-    runs the first ``ntasks`` tasks of ``graph`` in, and their count per
-    kind: computed the first time, then recorded on the graph and replayed.
-    A prefix is closed under dependencies (edges point backwards)."""
-    n = len(graph.tasks) if ntasks is None else ntasks
-    got = graph.replays.get(n)
-    if got is None:
-        tasks = graph.tasks
-        unmet = [len(t.deps) for t in tasks[:n]]
-        ready = [(KIND_PRIORITY[t.kind], t.tid) for t in tasks[:n] if not t.deps]
-        heapq.heapify(ready)
-        order = []
-        while ready:
-            tid = heapq.heappop(ready)[1]
-            order.append(tasks[tid])
-            for d in tasks[tid].dependents:
-                if d < n:
-                    unmet[d] -= 1
-                    if unmet[d] == 0:
-                        heapq.heappush(ready, (KIND_PRIORITY[tasks[d].kind], d))
-        if len(order) != n:  # edges point backwards: only a forged edge
-            raise RuntimeError("scheduler stalled: the task graph has a cycle")
-        got = graph.replays[n] = (order, graph.counts_by_kind(n))
-    return got
-
-
 class Scheduler:
-    """Executes a TaskGraph in the driver, collecting a report."""
+    """Runs a stage program in the driver, collecting a report."""
 
     def __init__(self, profiler=None, tracer=None) -> None:
         self.profiler = profiler
@@ -222,16 +199,14 @@ class Scheduler:
         #: runtime track of rank 0
         self.tracer = tracer
 
-    def run(self, graph: TaskGraph, ntasks: Optional[int] = None,
+    def run(self, tasks: Sequence[Task],
             armed: Optional[Dict[int, Exception]] = None) -> ScheduleReport:
-        """Run the first ``ntasks`` tasks of ``graph`` (all by default) in
-        their :func:`replay_order`; a task with an entry in ``armed`` raises
-        it instead of running (an injected fault)."""
+        """Run ``tasks`` front to back; a task with an entry in ``armed``
+        raises it instead of running (an injected fault)."""
         clock, profiler, tracer = perf_counter, self.profiler, self.tracer
         t_start = clock()
-        order, counts = replay_order(graph, ntasks)
         records: List[Tuple[float, float]] = []
-        for task in order:
+        for task in tasks:
             nest = len(task.regions) if profiler is not None else 0
             t0 = clock()
             if nest:
@@ -253,8 +228,7 @@ class Scheduler:
                     stream=RUNTIME_STREAM, cat="task",
                     args={"kind": task.kind},
                 )
-        return ScheduleReport.of_stage(order, records, counts, t_start,
-                                       clock())
+        return ScheduleReport.of_stage(tasks, records, t_start, clock())
 
 
 def _interval_overlap(spans: List[Tuple[float, float]],

@@ -232,13 +232,21 @@ BASE_DECK = ("crocco.case = sod\namr.n_cell = 32\namr.max_grid_size = 32\n"
     (BASE_DECK + "ramp.angle = 15\n", {}, [], "ramp.angle"),
     # gone with the momentum criterion: density is the one tagging
     (BASE_DECK + "amr.tagging = momentum\n", {}, [], "amr.tagging"),
+    # fault plans that could never fire
+    (BASE_DECK, {}, ["--faults", "task_error@1.5"], "resilience.faults.plan"),
+    (BASE_DECK, {}, ["--faults", "drop_comm@1:zz"], "resilience.faults.plan"),
+    # a restart from no checkpoint, or from one without its Header
+    # ({tmp} is the test's directory)
+    (BASE_DECK + "run.restart = {tmp}/no_such_chk\n", {}, [], "run.restart"),
+    (BASE_DECK + "run.restart = {tmp}\n", {}, [], "no Header"),
 ])
 def test_cli_bad_input_is_one_error_line_exit_2(tmp_path, capsys, monkeypatch,
                                                 deck_text, env, argv, named):
     """A bad deck, flag or environment variable never reaches a traceback
     or a silent fallback: one ``error:`` line naming the culprit, exit 2."""
     deck = (str(tmp_path / "no_such_deck.inputs") if deck_text is None
-            else write_deck(tmp_path, deck_text))
+            else write_deck(tmp_path, deck_text.replace("{tmp}",
+                                                        str(tmp_path))))
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     assert main([deck] + argv) == 2

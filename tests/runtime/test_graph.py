@@ -1,9 +1,11 @@
-"""Task graph: DataKey overlap and hazard-based dependency inference."""
+"""The hazard oracle (``tests/runtime/hazard_oracle.py``) itself: DataKey
+overlap, hazard-based dependency inference and the ready-queue order —
+the reference the stage program is checked against."""
 
 import pytest
 
-from repro.runtime.graph import ALL_COMPS, DataKey, TaskGraph
-from repro.runtime.scheduler import replay_order
+from tests.runtime.hazard_oracle import (ALL_COMPS, DataKey, TaskGraph,
+                                         replay_order)
 
 
 def noop():

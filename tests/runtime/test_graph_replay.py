@@ -1,5 +1,5 @@
-"""The stage graph is a per-regrid object: built once per level-storage
-layout, replayed for every RK stage, dropped with the storage it names.
+"""The stage graph is a per-regrid object: built once per level storage,
+run by every RK stage, dropped whenever level storage is built or cleared.
 
 The stale-graph trap joins the stale-plan and stale-batch ones
 (``tests/core/test_stale_batch.py``): a regrid that replaces a level must
@@ -7,8 +7,6 @@ never replay a task of the graph built for the storage it replaced — not
 even when ``AmrCore.regrid`` skips ``remake_level`` for an unchanged fine
 level above the replaced one.
 """
-
-import heapq
 
 import numpy as np
 
@@ -20,7 +18,6 @@ from repro.numerics.rk3 import NSTAGES
 from repro.runtime import engine as engine_module
 from repro.runtime import rk3graph
 from repro.runtime.engine import RuntimeEngine
-from repro.runtime.scheduler import KIND_PRIORITY
 
 STEPS = 6
 
@@ -128,27 +125,6 @@ def test_a_step_without_a_regrid_builds_no_graph(monkeypatch):
     assert all(n <= 1 for _, n in per_step) and calls
 
 
-def reference_order(graph, ntasks):
-    """The ready-queue rule run the way the scheduler once ran it, task by
-    task, releasing dependents as each completes."""
-    unmet = {t.tid: len(t.deps) for t in graph.tasks[:ntasks]}
-    ready = []
-    for t in graph.tasks[:ntasks]:
-        if not t.deps:
-            heapq.heappush(ready, (KIND_PRIORITY[t.kind], t.tid))
-    out = []
-    while ready:
-        _, tid = heapq.heappop(ready)
-        out.append(graph.tasks[tid].name)
-        for d in sorted(graph.tasks[tid].dependents):
-            if d in unmet:
-                unmet[d] -= 1
-                if unmet[d] == 0:
-                    heapq.heappush(
-                        ready, (KIND_PRIORITY[graph.tasks[d].kind], d))
-    return out
-
-
 class TaskNames:
     """A tracer that keeps the names of the tasks the scheduler ran."""
 
@@ -185,10 +161,11 @@ def test_the_replayed_order_is_a_fresh_graphs_order_in_every_stage():
     assert [t.name for t in fresh.tasks] == [t.name for t in cached.tasks]
     assert len(stages) == NSTAGES
     for stage, names in enumerate(stages):
-        n = fresh.ntasks(stage)
-        # a stage's tasks are a prefix closed under its dependencies
-        assert all(d < n for t in fresh.tasks[:n] for d in t.deps)
-        assert names == reference_order(fresh, n), stage
+        tasks = fresh.stage_tasks(stage)
+        # a task follows only tasks that run before it
+        assert [t.tid for t in tasks] == list(range(len(tasks)))
+        assert all(d < t.tid for t in tasks for d in t.deps)
+        assert names == [t.name for t in tasks], stage
     assert any(name.startswith("AverageDown") for name in stages[-1])
     assert not any(name.startswith("AverageDown") for s in stages[:-1]
                    for name in s)
@@ -218,19 +195,18 @@ def test_clearing_a_level_drops_the_graph():
     sim.close()
 
 
-def test_the_graph_is_keyed_on_the_storage_it_names():
-    """Storage replaced without a clear (or a level's batches alone)
-    still misses the cache: the key is the identity of what the graph
-    names, the drop on clear only frees it early."""
+def test_building_level_storage_drops_the_graph():
+    """Storage built without a clear drops the graph too: the one rule is
+    that building or clearing level storage drops it (there is no key on
+    the storage to compare)."""
     sim = churn_sim()
     sim.step()
     engine = sim.engine
     first = engine.stage_graph()
     assert engine.stage_graph() is first
+    built = engine.graphs_built
     sim._build_level_storage(1, sim.box_arrays[1], sim.dmaps[1])
-    second = engine.stage_graph()
-    assert second is not first
-    sim.batches[2] = list(sim.batches[2])
-    assert engine.stage_graph() is not second
-    assert engine.graphs_built == 3
+    assert engine._graph is None
+    assert engine.stage_graph() is not first
+    assert engine.graphs_built == built + 1
     sim.close()

@@ -22,7 +22,7 @@ from repro.observability.report import format_report, load_run
 from repro.profiling import tinyprofiler
 from repro.profiling.tinyprofiler import TinyProfiler
 from repro.runtime import scheduler
-from repro.runtime.graph import TaskGraph
+from repro.runtime.rk3graph import StageGraph
 from repro.runtime.scheduler import ScheduleReport
 
 DMR_DECK = Path(__file__).parents[2] / "examples" / "decks" / "dmr.inputs"
@@ -44,7 +44,7 @@ def nothing():
 
 def chain_graph():
     """A -> B -> C plus an independent D."""
-    g = TaskGraph()
+    g = StageGraph()
     a = g.add("Box(L0,b0)x1", nothing)
     b = g.add("Box(L0,b1)x1", nothing, after=[a])
     g.add("AverageDown(L1->L0)", nothing, kind="comm", after=[b])
@@ -54,7 +54,7 @@ def chain_graph():
 
 def diamond_graph():
     """A -> {B, C} -> D."""
-    g = TaskGraph()
+    g = StageGraph()
     a = g.add("FB_nowait(L0)", nothing, kind="comm-post")
     b = g.add("Box(L0,b0)x2", nothing, after=[a])
     c = g.add("Box(L0,b2)x1", nothing, after=[a])
@@ -63,14 +63,13 @@ def diamond_graph():
 
 
 def stage(graph, durations, gap=0.0):
-    """The report of ``graph`` run in submission order with these task
-    durations, ``gap`` seconds apart."""
+    """The report of ``graph`` run with these task durations, ``gap``
+    seconds apart."""
     records, t = [], 0.0
     for dur in durations:
         records.append((t, dur))
         t += dur + gap
-    return ScheduleReport.of_stage(graph.tasks, records,
-                                   graph.counts_by_kind(), 0.0, t)
+    return ScheduleReport.of_stage(graph.tasks, records, 0.0, t)
 
 
 def test_longest_chain_wins():

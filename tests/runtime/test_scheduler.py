@@ -1,4 +1,4 @@
-"""Scheduler: priority order, overlap windows, and report accounting."""
+"""Scheduler: program order, overlap windows, and report accounting."""
 
 import time
 
@@ -6,64 +6,84 @@ import pytest
 
 from repro.observability.tracer import Tracer
 from repro.profiling.tinyprofiler import TinyProfiler
-from repro.runtime.graph import DataKey, TaskGraph
-from repro.runtime.scheduler import (KIND_PRIORITY, ScheduleReport, Scheduler,
+from repro.runtime.rk3graph import StageGraph, build_stage_graph
+from repro.runtime.scheduler import (ScheduleReport, Scheduler,
                                      _interval_overlap)
 from tests.conftest import trace_events
 
 
 def run_serial(graph, **kw):
-    return Scheduler(**kw).run(graph)
+    return Scheduler(**kw).run(graph.tasks)
+
+
+def amr_program():
+    """The stage program of a three-level curvilinear v2.0 DMR hierarchy
+    (coordinate ParallelCopy posts included): its task names in order."""
+    from tests.runtime.test_graph_replay import churn_sim
+
+    sim = churn_sim()
+    names = [t.name for t in build_stage_graph(sim).tasks]
+    assert sim.finest_level == 2
+    sim.close()
+    return names
 
 
 class TestPriorities:
+    """What the ready queue's kind priorities did, the stage program does
+    by its order."""
+
     def test_posts_run_before_independent_compute(self):
-        order = []
-        g = TaskGraph()
-        g.add("c", lambda: order.append("c"), kind="compute")
-        g.add("p", lambda: order.append("p"), kind="comm-post")
-        run_serial(g)
-        assert order == ["p", "c"]
+        names = amr_program()
+        posts = [n for n in names if "_nowait(" in n]
+        assert names[:len(posts)] == posts == [
+            "FB_nowait(L0)", "FB_nowait(L1)", "PC_coords_nowait(L1)",
+            "FB_nowait(L2)", "PC_coords_nowait(L2)"]
 
     def test_comm_wait_deferred_past_ready_compute(self):
-        order = []
-        g = TaskGraph()
-        p = g.add("p", lambda: order.append("p"), kind="comm-post",
-                  channel="ch")
-        g.add("w", lambda: order.append("w"), kind="comm-wait",
-              channel="ch", after=[p])
-        g.add("c", lambda: order.append("c"), kind="compute")
-        run_serial(g)
-        assert order == ["p", "c", "w"]
+        """A fine level's FillBoundary finishes only after the coarser
+        levels' compute ran in its in-flight window."""
+        names = amr_program()
+        at = names.index
+        for lev in (1, 2):
+            coarse = [n for n in names if n.startswith(f"Box(L{lev - 1},")]
+            assert coarse and all(at(n) < at(f"FB_finish(L{lev})")
+                                  for n in coarse)
+        assert at("FB_finish(L1)") < at("Interp(L1,b0)") < at("BC_Fill(L1)")
 
     def test_submission_order_breaks_ties(self):
+        """There is no tie to break: tasks run in the order they were
+        appended, whatever their kind."""
         order = []
-        g = TaskGraph()
+        g = StageGraph()
+        p = g.add("p", lambda: order.append("p"), kind="comm-post",
+                  channel="ch")
+        g.add("c", lambda: order.append("c"), kind="compute")
+        g.add("w", lambda: order.append("w"), kind="comm-wait",
+              channel="ch", after=[p])
+        g.add("b", lambda: order.append("b"), kind="bc")
         for n in range(4):
             g.add(f"c{n}", lambda n=n: order.append(n), kind="compute")
         run_serial(g)
-        assert order == [0, 1, 2, 3]
-
-    def test_priority_table_shape(self):
-        assert KIND_PRIORITY["comm-post"] < KIND_PRIORITY["bc"]
-        assert KIND_PRIORITY["bc"] <= KIND_PRIORITY["compute"]
-        assert KIND_PRIORITY["compute"] < KIND_PRIORITY["comm-wait"]
+        assert order == ["p", "c", "w", "b", 0, 1, 2, 3]
 
 
 class TestDependencies:
     def test_hazard_chain_executes_in_order(self):
+        """A write, a read and a second write of one fab, chained by
+        their edges, run in program order and record those edges."""
         log = []
-        g = TaskGraph()
-        k = DataKey("s", 0)
-        g.add("w", lambda: log.append("w"), writes=[k])
-        g.add("r", lambda: log.append("r"), reads=[k])
-        g.add("w2", lambda: log.append("w2"), writes=[k])
+        g = StageGraph()
+        w = g.add("w", lambda: log.append("w"))
+        r = g.add("r", lambda: log.append("r"), after=[w])
+        w2 = g.add("w2", lambda: log.append("w2"), after=[w, r])
         run_serial(g)
         assert log == ["w", "r", "w2"]
+        assert [t.tid for t in g.tasks] == [0, 1, 2]
+        assert (w.deps, r.deps, w2.deps) == ((), (0,), (0, 1))
 
     def test_all_tasks_run_exactly_once(self):
         count = {"n": 0}
-        g = TaskGraph()
+        g = StageGraph()
         prev = []
         for n in range(10):
             prev = [g.add(f"t{n}", lambda: count.__setitem__("n", count["n"] + 1),
@@ -74,34 +94,33 @@ class TestDependencies:
 
 class TestOverlapMeasurement:
     def test_compute_inside_window_is_overlap(self):
-        g = TaskGraph()
+        g = StageGraph()
         p = g.add("p", lambda: None, kind="comm-post", channel="ch")
-        g.add("w", lambda: None, kind="comm-wait", channel="ch", after=[p])
         g.add("c", lambda: time.sleep(0.02), kind="compute")
+        g.add("w", lambda: None, kind="comm-wait", channel="ch", after=[p])
         rep = run_serial(g)
         # compute ran between post completion and wait start
         assert rep.overlap_s > 0.01
         assert rep.overlap_frac > 0.5
 
     def test_no_window_no_overlap(self):
-        g = TaskGraph()
+        g = StageGraph()
         g.add("c", lambda: time.sleep(0.01), kind="compute")
         rep = run_serial(g)
         assert rep.overlap_s == 0.0
         assert rep.compute_s > 0.0
 
     def test_compute_before_post_not_counted(self):
-        g = TaskGraph()
-        k = DataKey("s", 0)
-        g.add("c", lambda: time.sleep(0.02), kind="compute", writes=[k])
+        g = StageGraph()
+        c = g.add("c", lambda: time.sleep(0.02), kind="compute")
         p = g.add("p", lambda: None, kind="comm-post", channel="ch",
-                  reads=[k])
+                  after=[c])
         g.add("w", lambda: None, kind="comm-wait", channel="ch", after=[p])
         rep = run_serial(g)
         assert rep.overlap_s == 0.0
 
     def test_unclosed_window_closes_at_makespan(self):
-        g = TaskGraph()
+        g = StageGraph()
         g.add("p", lambda: None, kind="comm-post", channel="ch")
         g.add("c", lambda: time.sleep(0.02), kind="compute")
         rep = run_serial(g)
@@ -117,7 +136,7 @@ class TestOverlapMeasurement:
 
 class TestReport:
     def test_counts_and_times(self):
-        g = TaskGraph()
+        g = StageGraph()
         p = g.add("p", lambda: None, kind="comm-post", channel="x")
         g.add("w", lambda: None, kind="comm-wait", channel="x", after=[p])
         g.add("c", lambda: None, kind="compute")
@@ -143,7 +162,7 @@ class TestReport:
         assert a.busy_s == 3.0 and a.graphs == 2
 
     def test_idle_frac_serial_is_low(self):
-        g = TaskGraph()
+        g = StageGraph()
         for n in range(3):
             g.add(f"c{n}", lambda: time.sleep(0.005), kind="compute")
         rep = run_serial(g)
@@ -153,9 +172,9 @@ class TestReport:
 class TestTracer:
     def test_tasks_become_spans(self):
         tracer = Tracer()
-        g = TaskGraph()
+        g = StageGraph()
         g.add("a-task", lambda: None, kind="compute")
-        Scheduler(tracer=tracer).run(g)
+        Scheduler(tracer=tracer).run(g.tasks)
         spans = [e for e in trace_events(tracer)
                  if e.get("ph") == "X" and e.get("name") == "a-task"]
         assert len(spans) == 1
@@ -163,10 +182,10 @@ class TestTracer:
 
     def test_profiler_regions_nested(self):
         prof = TinyProfiler()
-        g = TaskGraph()
+        g = StageGraph()
         g.add("t", lambda: None, kind="compute",
               regions=("Outer", "Inner"))
-        Scheduler(profiler=prof).run(g)
+        Scheduler(profiler=prof).run(g.tasks)
         assert prof.calls("Outer") == 1
         assert prof.calls("Inner") == 1
 
@@ -175,9 +194,9 @@ class TestTracer:
         same duration, on the driver and runtime tracks."""
         prof, tracer = TinyProfiler(), Tracer()
         prof.tracer = tracer
-        g = TaskGraph()
+        g = StageGraph()
         g.add("t", lambda: time.sleep(0.002), regions=("Outer", "Inner"))
-        Scheduler(profiler=prof, tracer=tracer).run(g)
+        Scheduler(profiler=prof, tracer=tracer).run(g.tasks)
         spans = {e["name"]: e for e in trace_events(tracer) if e["ph"] == "X"}
         outer, inner, task = spans["Outer"], spans["Inner"], spans["t"]
         assert outer["ts"] == inner["ts"] == task["ts"]
@@ -188,7 +207,7 @@ class TestTracer:
 
 class TestFailure:
     """A task that raises leaves no region open, and its regions are
-    traced: the watchdog's retry then replays the graph from a clean
+    traced: the watchdog's retry then runs the program again from a clean
     profiler."""
 
     def run_failing(self, armed=None):
@@ -199,11 +218,11 @@ class TestFailure:
             with prof.region("Body"):
                 raise RuntimeError("boom")
 
-        g = TaskGraph()
+        g = StageGraph()
         g.add("ok", lambda: None, regions=("Outer",))
         g.add("bad", body, regions=("Outer", "Inner"))
         with prof.region("Advance"), pytest.raises(RuntimeError):
-            Scheduler(profiler=prof, tracer=tracer).run(g, armed=armed)
+            Scheduler(profiler=prof, tracer=tracer).run(g.tasks, armed=armed)
         assert prof._stack == []
         return prof, tracer
 

@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.amr.boxarray import coarsen, grow, meet, nonempty, refine
+from repro.amr.boxarray import (box_cells, coarsen, grow, meet, nonempty,
+                                num_pts, refine)
 from repro.amr.intvect import IntVect, IntVectLike
 from repro.amr.multifab import MultiFab
-from repro.amr.plan import CommPlan, copy
+from repro.amr.plan import CommPlan
 
 
 def _build_plan(fine: MultiFab, crse: MultiFab, r: IntVect) -> CommPlan:
-    """Per coarse fab, the fine regions that fully cover coarse cells."""
+    """The fine regions that fully cover coarse cells: their fine cells
+    gathered, their means put (``regions``: shapes and gather columns)."""
     i, j, _ = fine.ba.intersect(refine(crse.ba.lohi, r))
     # the largest coarse box whose refinement lies inside each fine box
     # (low corners rounded up, high corners down), within the coarse fab
@@ -24,39 +26,49 @@ def _build_plan(fine: MultiFab, crse: MultiFab, r: IntVect) -> CommPlan:
     covered = meet(inside, crse.ba.lohi[i])
     ok = nonempty(covered)
     i, j, covered = i[ok], j[ok], covered[ok]
-    return CommPlan.of_boxes(crse, fine, "averagedown", crse.ncomp,
-                             (i, j, refine(covered, r), covered))
+    fregion = refine(covered, r)
+    plan = CommPlan.of_boxes(crse, fine, "averagedown", crse.ncomp,
+                             (i, j, fregion, covered), compile=False)
+    k, flat = box_cells(fregion, (fregion[:, 0], fine.grown[j]))
+    plan.src = fine.cells(j[k], flat)
+    k, flat = box_cells(covered, (covered[:, 0], crse.grown[i]))
+    plan.dst = crse.cells(i[k], flat)
+    shapes = (fregion[:, 1] - fregion[:, 0] + 1).tolist()
+    ends = np.cumsum([0, *num_pts(fregion)]).tolist()
+    plan.regions = [((fine.ncomp, *s), a, b)
+                    for s, a, b in zip(shapes, ends, ends[1:])]
+    return plan
 
 
 def average_down(fine: MultiFab, crse: MultiFab, ratio: IntVectLike) -> None:
     """Overwrite coarse cells covered by ``fine`` with fine-cell averages.
 
     Data motion between differently-owned patches is recorded as
-    ``averagedown`` traffic in the communicator's ledger; each coarse fab's
-    restriction runs as one ``AverageDown`` launch charged with the fine
-    points it reads.
+    ``averagedown`` traffic in the communicator's ledger; the restriction
+    runs as one ``AverageDown`` launch per owning rank of coarse fabs,
+    charged with the fine points its fabs read.
     """
     if fine.ncomp != crse.ncomp:
         raise ValueError("AverageDown component mismatch")
     r = IntVect.coerce(ratio, fine.dim)
     plan = crse.plan(("averagedown", r.tup(), fine.ngrow.tup()),
                      (fine.ba, fine.dm), lambda: _build_plan(fine, crse, r))
-    plan.run("AverageDown", "averagedown",
-             lambda fp: copy(crse.fab(fp.dst).data, fine, fp.copies,
-                             via=lambda v: _block_mean(v, r)))
+
+    def restrict() -> None:
+        # block means on an array of the region's own shape: NumPy's
+        # summation order, and so the bits, follow the reduced shape
+        vals = plan.src.take(fine.buffer)
+        plan.dst.put(crse.buffer, np.concatenate(
+            [_block_mean(vals[:, a:b].reshape(s), r).reshape(s[0], -1)
+             for s, a, b in plan.regions], axis=1))
+
+    plan.run("AverageDown", "averagedown", restrict)
 
 
-def _block_mean(fview: np.ndarray, r: IntVect) -> np.ndarray:
+def _block_mean(fine: np.ndarray, r: IntVect) -> np.ndarray:
     """Mean over r-sized blocks of a (ncomp, n1*r1[, n2*r2[, n3*r3]]) array."""
-    ncomp = fview.shape[0]
-    dim = len(r)
-    new_shape = [ncomp]
-    for d in range(dim):
-        n = fview.shape[d + 1]
-        if n % r[d] != 0:
-            raise ValueError("fine view not aligned to refinement ratio")
-        new_shape.extend([n // r[d], r[d]])
-    resh = fview.reshape(new_shape)
+    shape = [fine.shape[0]]
+    for n, rd in zip(fine.shape[1:], r):
+        shape += [n // rd, rd]
     # average over the interleaved ratio axes (2, 4, 6 ... after reshape)
-    axes = tuple(2 + 2 * d for d in range(dim))
-    return resh.mean(axis=axes)
+    return fine.reshape(shape).mean(axis=tuple(range(2, len(shape), 2)))

@@ -14,19 +14,23 @@ unpacks them into ghost cells — mirroring ``FillBoundary_nowait`` /
 ``FillBoundary_finish`` in AMReX, which is what lets the runtime overlap
 the in-flight exchange with interior computation.  Because packing reads
 only valid cells and unpacking writes only ghost cells, the two halves run
-back to back are bit-identical to the old direct-copy loop.
+back to back are bit-identical to the old direct-copy loop; each is one
+gather or scatter over the level buffer.  :class:`GhostFaces` holds the
+ghost cells beyond the physical domain, for the physical boundary fill.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.amr.boxarray import lohi_of, meet
+from repro.amr.box import Box
+from repro.amr.boxarray import cells, flat_index, lohi_of, meet, num_pts
 from repro.amr.geometry import Geometry
-from repro.amr.multifab import MultiFab
-from repro.amr.plan import CommPlan, overlaps
+from repro.amr.multifab import Cells, MultiFab
+from repro.amr.plan import CommPlan, overlaps, rank_shares
 
 
 def _build_plan(mf: MultiFab, geom: Optional[Geometry]) -> CommPlan:
@@ -54,23 +58,20 @@ class FillBoundaryHandle:
         self._plan = mf.plan(
             ("fillboundary", geom and (geom.domain, geom.periodic)), (),
             lambda: _build_plan(mf, geom))
-        #: destination fab -> snapshots of its source regions, in copy order
-        self._packets: Dict[int, List[np.ndarray]] = {}
+        #: every message's values, snapshot at post time
+        self._packed: Optional[np.ndarray] = None
         self._plan.run("FB_pack", "fillpatch", self._pack)
 
-    def _pack(self, fp) -> None:
-        self._packets[fp.dst] = [
-            np.array(self.mf.fab(j).data[(slice(None),) + sidx], copy=True)
-            for j, sidx, _ in fp.copies]
+    def _pack(self) -> None:
+        self._packed = self._plan.src.take(self.mf.buffer)
 
-    def _unpack(self, fp) -> None:
-        data = self.mf.fab(fp.dst).data
-        for (_, _, didx), buf in zip(fp.copies, self._packets.pop(fp.dst)):
-            data[(slice(None),) + didx] = buf
+    def _unpack(self) -> None:
+        self._plan.dst.put(self.mf.buffer, self._packed)
+        self._packed = None
 
     def finish(self) -> None:
         """Unpack every buffered message into its ghost region."""
-        if self._packets:
+        if self._packed is not None:
             self._plan.run("FB_unpack", "fillpatch", self._unpack,
                            record=False)
 
@@ -105,3 +106,60 @@ def boundary_regions(mf: MultiFab, geom: Optional[Geometry] = None):
         pieces, src = mf.ba.complement(pieces + s)
         pieces, fab = pieces - s, fab[src]
     return pieces, fab
+
+
+@dataclass
+class Face:
+    """A level's ghost cells beyond one face of the domain (each fab's layers
+    beyond it, over its whole grown extent): ``ghost``, and per ghost cell
+    the domain's last cell on its line (``edge``), its mirror image
+    (``mirror``) and its x coordinate in the coordinate buffer (``x``)."""
+
+    ghost: Cells
+    edge: Cells
+    mirror: Cells
+    x: Cells
+
+
+class GhostFaces:
+    """The table a case's ``bc_fill`` fills a level from, built with the
+    level storage: ``faces[axis, side]`` is the :class:`Face` beyond face
+    ``side`` ("lo" / "hi") of ``axis``, for each face in ``wanted``, or None
+    where no fab reaches beyond it; ``data`` is the state buffer."""
+
+    def __init__(self, state: MultiFab, coords: MultiFab, domain: Box,
+                 wanted: Sequence[Tuple[int, str]]) -> None:
+        self.data, self._coords = state.buffer, coords.buffer
+        self._faces = {key: _face(state, coords, lohi_of([domain])[0], *key)
+                       for key in wanted}
+        #: one BC_fill launch per owning rank, over its fabs' ghost points
+        self.shares = rank_shares(np.asarray(state.dm.ranks(), dtype=np.intp),
+                                  num_pts(state.grown) - num_pts(state.ba.lohi))
+
+    def __getitem__(self, key: Tuple[int, str]) -> Optional[Face]:
+        return self._faces[key]
+
+    def x(self, face: Face) -> np.ndarray:
+        """The physical x coordinate of each of ``face``'s ghost cells."""
+        return face.x.take(self._coords)[0]
+
+
+def _face(state: MultiFab, coords: MultiFab, domain: np.ndarray, axis: int,
+          side: str) -> Optional[Face]:
+    hi = ("lo", "hi").index(side)
+    bound = domain[hi, axis]
+    beyond = state.grown.copy()
+    beyond[:, 1 - hi, axis] = bound + 2 * hi - 1
+    fabs = np.nonzero(num_pts(beyond))[0]
+    if not len(fabs):
+        return None
+    k, at = cells(beyond[fabs])
+    fab, grown = fabs[k], state.grown[fabs[k]]
+    cell = flat_index(at, grown)
+    # each cell's step along ``axis`` in its fab's array
+    step = np.prod(grown[:, 1, axis + 1:] - grown[:, 0, axis + 1:] + 1, axis=1)
+    return Face(state.cells(fab, cell),
+                state.cells(fab, cell + (bound - at[:, axis]) * step),
+                state.cells(fab, cell + (2 * bound + 2 * hi - 1
+                                         - 2 * at[:, axis]) * step),
+                coords.cells(fab, cell, range(1)))

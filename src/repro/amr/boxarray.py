@@ -74,13 +74,6 @@ def meet(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                      np.minimum(a[..., 1, :], b[..., 1, :])], axis=-2)
 
 
-def slices(lohi: np.ndarray, within: np.ndarray) -> List[Tuple[slice, ...]]:
-    """Per box, the slices selecting it in an array over ``within[k]``."""
-    start = (lohi[:, 0] - within[:, 0]).tolist()
-    stop = (lohi[:, 1] - within[:, 0] + 1).tolist()
-    return [tuple(map(slice, a, b)) for a, b in zip(start, stop)]
-
-
 def _ragged(n: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """``k`` and ``0..n[k]-1`` for every ``k``, concatenated."""
     k = np.repeat(np.arange(len(n)), n)
@@ -105,6 +98,28 @@ def cells(lohi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     for d in range(lohi.shape[2] - 1, -1, -1):
         rest, idx[:, d] = np.divmod(rest, shape[k, d])
     return k, idx + lohi[k, 0]
+
+
+def box_cells(lohi: np.ndarray, *frames) -> Tuple[np.ndarray, ...]:
+    """Every cell of every box, box by box in row-major order: the box it
+    belongs to ``(T,)`` and, per frame ``(lo, within)`` — box ``k`` placed
+    with its low corner at ``lo[k]`` in an array over ``within[k]`` — the
+    cell's row-major position in that array (:func:`cells` and
+    :func:`flat_index` at once, without a per-cell box or index)."""
+    shape = np.maximum(lohi[:, 1] - lohi[:, 0] + 1, 0)
+    k, rest = _ragged(shape.prod(axis=1))
+    steps, flats = [], []
+    for lo, within in frames:
+        step = np.ones_like(lo)
+        step[:, :-1] = np.cumprod((within[:, 1] - within[:, 0] + 1)[:, :0:-1],
+                                  axis=1)[:, ::-1]
+        steps.append(step)
+        flats.append(((lo - within[:, 0]) * step).sum(axis=1)[k])
+    for d in range(lohi.shape[2] - 1, -1, -1):
+        rest, i = np.divmod(rest, shape[k, d])
+        for step, flat in zip(steps, flats):
+            flat += i * step[k, d]
+    return (k, *flats)
 
 
 def flat_index(idx: np.ndarray, within: np.ndarray) -> np.ndarray:

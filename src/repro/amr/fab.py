@@ -3,7 +3,10 @@
 ``FArrayBox`` mirrors ``amrex::FArrayBox``: a dense ``(ncomp, nx[, ny[, nz]])``
 float64 array covering a valid box plus ``ngrow`` ghost cells on every side.
 Views into sub-boxes are returned as NumPy views (no copies), following the
-"use views, not copies" idiom for HPC Python.
+"use views, not copies" idiom for HPC Python.  A fab given its ``data``
+(a MultiFab's fabs are views into the level's group arrays) holds that very
+array: it is aliased, never copied, so a write through the fab is a write
+into the level.
 """
 
 from __future__ import annotations
@@ -40,20 +43,14 @@ class FArrayBox:
         if data is None:
             self.data = np.zeros(shape, dtype=np.float64)
         else:
-            if data.shape != shape:
-                raise ValueError(f"data shape {data.shape} != expected {shape}")
-            self.data = np.ascontiguousarray(data, dtype=np.float64)
+            if data.shape != shape or data.dtype != np.float64:
+                raise ValueError(f"data {data.dtype} {data.shape} != expected "
+                                 f"float64 {shape}")
+            self.data = data
 
     def grown_box(self) -> Box:
         """The box including ghost cells — the region the array covers."""
         return self._gbox
-
-    @property
-    def dim(self) -> int:
-        return self.box.dim
-
-    def nbytes(self) -> int:
-        return self.data.nbytes
 
     # -- views -----------------------------------------------------------
     def view(self, region: Optional[Box] = None, comp: Optional[slice] = None) -> np.ndarray:
@@ -77,30 +74,6 @@ class FArrayBox:
     def whole(self) -> np.ndarray:
         """The full array including ghosts."""
         return self.data
-
-    # -- mutation -----------------------------------------------------------
-    def set_val(self, value: float, region: Optional[Box] = None,
-                comp: Optional[int] = None) -> None:
-        """Fill a region (default: everything including ghosts) with ``value``."""
-        if region is None and comp is None:
-            self.data.fill(value)
-            return
-        r = region if region is not None else self.grown_box()
-        c = slice(comp, comp + 1) if comp is not None else slice(None)
-        self.view(r, c)[...] = value
-
-    def copy_from(self, other: "FArrayBox", region: Box,
-                  src_comp: int = 0, dst_comp: int = 0, ncomp: Optional[int] = None) -> int:
-        """Copy ``region`` from another fab; returns bytes copied."""
-        nc = ncomp if ncomp is not None else min(self.ncomp - dst_comp,
-                                                 other.ncomp - src_comp)
-        src = other.view(region, slice(src_comp, src_comp + nc))
-        dst = self.view(region, slice(dst_comp, dst_comp + nc))
-        dst[...] = src
-        return src.nbytes
-
-    def contains_nan(self) -> bool:
-        return bool(np.isnan(self.data).any())
 
     def __repr__(self) -> str:
         return f"FArrayBox(box={self.box}, ncomp={self.ncomp}, ngrow={self.ngrow})"

@@ -21,23 +21,22 @@ Physical boundary conditions are the driver's one launch after any of them.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.amr.boundary import boundary_regions, fill_boundary_nowait
 from repro.amr.box import Box
-from repro.amr.boxarray import (BoxArray, boxes_of, cells, coarsen,
-                                flat_index, grow, num_pts)
+from repro.amr.boxarray import (BoxArray, box_cells, boxes_of, cells,
+                                coarsen, flat_index, grow, num_pts)
 from repro.amr.fab import FArrayBox
 from repro.amr.geometry import Geometry
 from repro.amr.intvect import IntVect, IntVectLike
 from repro.amr.interpolate import Interpolator, apply_stencil
 from repro.amr.multifab import MultiFab
 from repro.amr.parallelcopy import copy_plan
-from repro.amr.plan import CommPlan, FabPlan, copy, overlaps
-from repro.backend import LaunchSpec, parallel_for
+from repro.amr.plan import (CommPlan, Share, launch_shares, overlaps,
+                            rank_shares)
 
 
 def _region(profiler, name: str):
@@ -59,9 +58,9 @@ class FillPatchOp:
       temporary (the CRoCCo 2.0 bottleneck the paper isolates).
     - :meth:`finish_fillboundary` — unpack into same-level ghosts
       (``FillBoundary_finish``).
-    - :meth:`interp_fab` — interpolate coarse data into one fine fab's
-      coarse/fine-interface ghosts (two-level only; needs the posted
-      coordinates — a task graph edge — and the up-to-date coarse level).
+    - :meth:`interp_fab` — interpolate coarse data into the coarse/fine
+      ghosts of the whole level in one pass (two-level only; needs the
+      posted coordinates — a task graph edge — and the coarse level).
 
     Running the phases immediately in this order is bit-identical to the
     eager functions.  Physical boundary conditions are the caller's
@@ -116,19 +115,17 @@ class FillPatchOp:
         are replayed from the fill plan, while the copy itself ran once,
         when that plan turned the coordinates into weights."""
         if self.interp.needs_coords:
-            self._fill_plan().coords.run("PC_copy", "fillpatch",
-                                         lambda fp: None)
+            self._fill_plan().coords.run("PC_copy", "fillpatch", lambda: None)
 
     def finish_fillboundary(self) -> None:
         """FillBoundary_finish: unpack buffers into same-level ghosts."""
         self._fb.finish()
 
-    def interp_fab(self, i: int) -> None:
-        """Interpolate coarse/fine-interface ghosts of fine fab ``i``."""
-        plan = self._fill_plan()
-        if i in plan.fabs:
-            _fill_fab(plan, plan.fabs[i], self.fine, self.crse, self._r,
-                      self.interp)
+    def interp_fab(self) -> None:
+        """Interpolate the level's coarse/fine ghosts in one pass (the name
+        ``benchmarks/e2e/spans.py`` times as ``amr.interp``)."""
+        _fill_level(self._fill_plan(), self.fine, self.crse, self._r,
+                    self.interp)
 
 
 def fill_patch_single_level(mf: MultiFab, geom: Geometry,
@@ -159,8 +156,7 @@ def fill_patch_two_levels(
         op.finish_fillboundary()
     with _region(profiler, "ParallelCopy"):
         op.post_coords()
-        for i, _ in fine:
-            op.interp_fab(i)
+        op.interp_fab()
 
 
 def fill_coarse_patch(
@@ -184,34 +180,22 @@ def fill_coarse_patch(
         plan = build_fill_plan(fine, crse, geom_fine, r, interp, crse_coords,
                                fine_coords, pieces)
         if plan.coords is not None:
-            plan.coords.run("PC_copy", "fillpatch", lambda fp: None)
-        for fp in plan.fabs.values():
-            _fill_fab(plan, fp, fine, crse, r, interp)
-
-
-@dataclass
-class FillFabPlan(FabPlan):
-    """A fine fab's coarse gather (the FabPlan) and its interpolation."""
-
-    #: cells of the gathered scratch patch
-    ncells: int
-    #: fine points filled — the Interp launch's point count
-    nfilled: int
-    #: the linear stencil over the patch (corner cells, weights or None for
-    #: equal ones) and the fab cells it fills
-    idx: Optional[np.ndarray] = None
-    w: Optional[np.ndarray] = None
-    dst_cells: Optional[tuple] = None
-    #: without a stencil, ``interp()`` per piece: (fine box, coarse region,
-    #: offset in the patch)
-    regions: Optional[List[Tuple[Box, Box, int]]] = None
+            plan.coords.run("PC_copy", "fillpatch", lambda: None)
+        _fill_level(plan, fine, crse, r, interp)
 
 
 class FillPlan(CommPlan):
-    """A level's two-level fill; ``coords`` is the plan of the coarse
-    coordinates' ParallelCopy when the interpolator needs one."""
+    """A level's two-level fill: the coarse gather (``src``: every piece's
+    scratch patch, end to end), then into ``dst`` the linear stencil ``idx``
+    / ``w`` (None: equal weights) or ``interp()`` per piece of ``regions``
+    (fine box, coarse region, patch offset); ``coords``: the coordinates'
+    ParallelCopy when the interpolator needs one."""
 
     coords: Optional[CommPlan] = None
+    idx: Optional[np.ndarray] = None
+    w: Optional[np.ndarray] = None
+    regions: Optional[List[Tuple[Box, Box, int]]] = None
+    interp_shares: Sequence[Share] = ()
 
 
 def build_fill_plan(fine: MultiFab, crse: MultiFab, geom_fine: Geometry,
@@ -223,13 +207,14 @@ def build_fill_plan(fine: MultiFab, crse: MultiFab, geom_fine: Geometry,
     """Plan the fill of ``(pieces, owner)`` (by default every fine fab's
     coarse/fine ghost pieces) by interpolation from ``crse``.
 
-    Per fab, all its pieces' coarse stencil regions are gathered into one
-    flat scratch patch: every patch cell names the coarse cell it copies —
+    All pieces' coarse stencil regions are gathered into one flat scratch
+    patch, region after region: every patch cell names the coarse cell it
+    copies —
     through a periodic wrap where the region leaves a periodic domain, and
     the nearest covered cell where no coarse box reaches (beyond a physical
     boundary or a marginally nested coarse level; the physical boundary
     fill afterwards overrides anything that matters).  Out of that patch
-    the fab interpolates through the interpolator's stencil, computed here
+    the level interpolates through the interpolator's stencil, computed here
     for every fine cell of the level in one pass (coordinates change only
     at regrid), or, when it has none, piece by piece through ``interp()``.
     Launch points and messages are those of CRoCCo's per-piece gathers of
@@ -253,51 +238,31 @@ def build_fill_plan(fine: MultiFab, crse: MultiFab, geom_fine: Geometry,
         cboxes = grow(cregions, 1)
         plan.coords, (ccoords, cstart), (cp, csenders, cbytes) = _gather_coords(
             crse, crse_coords, interp.radius, cboxes)
-        coords = (ccoords, cboxes, cstart, _gather(
-            fine_coords, owner[k], flat_index(at, fine_coords.grown[owner[k]])))
+        coords = (ccoords, cboxes, cstart, fine_coords.cells(
+            owner[k], flat_index(at, fine_coords.grown[owner[k]])).take(
+                fine_coords.buffer))
         points = ncell + num_pts(cboxes)
         # a piece's messages: its state gather's, then its coordinates'
         order = np.argsort(np.concatenate([2 * p, 2 * cp + 1]), kind="stable")
         p, senders, nbytes = (np.concatenate(both)[order] for both in (
             (p, cp), (senders, csenders), (nbytes, cbytes)))
     stencil = interp.stencil(k, at, r, cregions, coords)
-    # fab i owns pieces first[i]:first[i + 1] and messages msg0[i]:msg0[i + 1]
-    first = np.searchsorted(owner, np.arange(len(fine) + 1))
     if stencil is None:
-        pbox, cbox = boxes_of(pieces), boxes_of(cregions)
+        plan.regions = list(zip(boxes_of(pieces), boxes_of(cregions),
+                                cell0[:-1].tolist()))
     else:
-        idx, w = stencil
-        # from each piece's coarse region to its place in the fab's patch
-        idx += (cell0[:-1] - cell0[first[owner]])[k]
-        # where in its fab's array every fine cell to fill sits
-        at -= fine.grown[owner[k], 0]
-    fill0, points0 = (np.concatenate([[0], np.cumsum(n)]).tolist()
-                      for n in (nfine, points))
-    cell0, senders, nbytes = cell0.tolist(), senders.tolist(), nbytes.tolist()
-    first = first.tolist()
-    msg0 = np.searchsorted(p, first).tolist()
-    for i, (a, b) in enumerate(zip(first, first[1:])):
-        if a == b:
-            continue
-        rank = fine.dm[i]
-        from_fab, from_cell = fab_of[cell0[a]:cell0[b]], cell_of[cell0[a]:cell0[b]]
-        copies = []
-        for j in np.unique(from_fab):
-            got = np.nonzero(from_fab == j)[0]
-            copies.append((int(j), np.unravel_index(
-                from_cell[got], crse.fab(j).data.shape[1:]), (got,)))
-        fp = plan.fabs[i] = FillFabPlan(
-            i, rank, copies, points0[b] - points0[a],
-            [crse.comm.message(src, rank, n, "parallelcopy") for src, n in
-             zip(senders[msg0[i]:msg0[i + 1]], nbytes[msg0[i]:msg0[i + 1]])],
-            cell0[b] - cell0[a], fill0[b] - fill0[a])
-        if stencil is None:
-            fp.regions = [(pbox[n], cbox[n], cell0[n] - cell0[a])
-                          for n in range(a, b)]
-        else:
-            cut = slice(fill0[a], fill0[b])
-            fp.idx, fp.w = idx[:, cut], None if w is None else w[:, cut]
-            fp.dst_cells = tuple(np.ascontiguousarray(at[cut].T))
+        plan.idx, plan.w = stencil
+        # from each piece's coarse region to its place in the patch
+        plan.idx += cell0[:-1][k]
+    plan.src = crse.cells(fab_of, cell_of)
+    plan.dst = fine.cells(owner[k], flat_index(at, fine.grown[owner[k]]),
+                          range(min(fine.ncomp, crse.ncomp)))
+    # one launch per owning rank: a piece is charged to its fab's rank
+    rank = np.asarray(fine.dm.ranks(), dtype=np.intp)[owner]
+    plan.shares = rank_shares(rank, points, [
+        crse.comm.message(src, dst, n, "parallelcopy") for src, dst, n in
+        zip(senders.tolist(), rank[p].tolist(), nbytes.tolist())])
+    plan.interp_shares = rank_shares(rank, nfine)
     return plan
 
 
@@ -314,10 +279,11 @@ def _patch_sources(crse: MultiFab, cregions: np.ndarray, start: np.ndarray,
     p, j, sbox, dbox = overlaps(crse.ba, cregions, shifts)
     # boxes of one level are disjoint, and so are their periodic images:
     # no patch cell is written twice
-    k, at = cells(dbox)
-    to = start[p[k]] + flat_index(at, cregions[p[k]])
+    k, to, from_cell = box_cells(dbox, (dbox[:, 0], cregions[p]),
+                                 (sbox[:, 0], crse.grown[j]))
+    to += start[p[k]]
     fab_of[to] = j[k]
-    cell_of[to] = flat_index(at + (sbox[k, 0] - dbox[k, 0]), crse.grown[j[k]])
+    cell_of[to] = from_cell
     covered = np.bincount(p, num_pts(dbox), len(cregions))
     for n in np.nonzero(covered < ncell)[0]:
         if not covered[n]:
@@ -350,15 +316,16 @@ def _gather_coords(crse: MultiFab, crse_coords: MultiFab, radius: int,
         crse.ba, crse.dm, crse_coords.ncomp,
         crse.ngrow + IntVect.filled(crse.dim, radius + 1), crse.comm)
     pc = copy_plan(coords_tmp, crse_coords, crse_coords.ncomp, True)
-    for fp in pc.fabs.values():
-        copy(coords_tmp.fab(fp.dst).data, crse_coords, fp.copies)
+    pc.copy(coords_tmp.buffer, crse_coords.buffer)
+    pc.src = pc.dst = None   # replayed from here on, never run again
     ncomp, grown = coords_tmp.ncomp, coords_tmp.grown
     start = np.concatenate([[0], np.cumsum(num_pts(cboxes))])
     out = np.full((ncomp, start[-1]), np.nan)
     q, j, cover = coords_tmp.ba.intersect(cboxes)
-    n, at = cells(cover)
-    out[:, start[q[n]] + flat_index(at, cboxes[q[n]])] = _gather(
-        coords_tmp, j[n], flat_index(at, grown[j[n]]))
+    n, to, cell = box_cells(cover, (cover[:, 0], cboxes[q]),
+                            (cover[:, 0], grown[j]))
+    out[:, start[q[n]] + to] = coords_tmp.cells(j[n], cell).take(
+        coords_tmp.buffer)
     short = np.nonzero(np.bincount(q, num_pts(cover), len(cboxes))
                        < np.diff(start))[0]
     if len(short):
@@ -376,43 +343,29 @@ def _gather_coords(crse: MultiFab, crse_coords: MultiFab, radius: int,
         p, np.asarray(crse.dm.ranks())[j], num_pts(cover) * ncomp * 8)
 
 
-def _gather(mf: MultiFab, fab: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """``(ncomp, T)``: element ``flat[t]`` of fab ``fab[t]``'s array, per
-    component — one gather per fab."""
-    out = np.empty((mf.ncomp, len(fab)))
-    by_fab = np.argsort(fab, kind="stable")
-    ends = np.searchsorted(fab[by_fab], np.arange(len(mf) + 1)).tolist()
-    for i, (a, b) in enumerate(zip(ends, ends[1:])):
-        if a < b:
-            got = by_fab[a:b]
-            out[:, got] = mf.fab(i).data.reshape(mf.ncomp, -1)[:, flat[got]]
-    return out
-
-
-def _fill_fab(plan: FillPlan, fp: FillFabPlan, fine: MultiFab,
-              crse: MultiFab, r: IntVect, interp: Interpolator) -> None:
-    """Run one fine fab of a fill plan: one ``PC_gather`` launch collecting
-    its coarse patch, one ``Interp_<label>`` launch filling its pieces."""
-    fab = fine.fab(fp.dst)
-    patch = np.empty((crse.ncomp, fp.ncells))
+def _fill_level(plan: FillPlan, fine: MultiFab, crse: MultiFab, r: IntVect,
+                interp: Interpolator) -> None:
+    """Run a fill plan: one gather of every piece's coarse patch, one pass
+    filling every piece, as ``PC_gather`` / ``Interp_<label>`` launches."""
+    patch = []
     plan.run("PC_gather", "fillpatch",
-             lambda fp: copy(patch, crse, fp.copies), fabs=(fp,))
-    nc = min(fab.ncomp, crse.ncomp)
+             lambda: patch.append(plan.src.take(crse.buffer)))
 
     def interpolate() -> None:
-        if fp.idx is not None:
-            fab.data[(slice(0, nc),) + fp.dst_cells] = apply_stencil(
-                patch, fp.idx, fp.w)[:nc]
-            return
-        for piece, cregion, offset in fp.regions:
-            cfab = FArrayBox(cregion, crse.ncomp, data=patch[
-                :, offset:offset + cregion.num_pts()].reshape(
-                    (-1,) + cregion.shape()))
-            fab.view(piece, slice(0, nc))[...] = interp.interp(
-                cfab, piece, r)[:nc]
+        coarse = patch.pop()
+        if plan.idx is not None:
+            vals = apply_stencil(coarse, plan.idx, plan.w)
+        else:
+            vals = np.concatenate([interp.interp(FArrayBox(
+                cregion, crse.ncomp, data=coarse[
+                    :, offset:offset + cregion.num_pts()].reshape(
+                        (-1,) + cregion.shape())), piece, r).reshape(
+                            crse.ncomp, -1)
+                for piece, cregion, offset in plan.regions], axis=1)
+        plan.dst.put(fine.buffer, vals[:plan.dst.ncomp])
 
-    parallel_for(f"Interp_{interp.kernel_label}", interpolate, fp.nfilled,
-                 LaunchSpec(kernel_class="interp", rank=fp.rank))
+    launch_shares(f"Interp_{interp.kernel_label}", "interp", interpolate,
+                  plan.interp_shares)
 
 
 def _nearest_fill(data: np.ndarray) -> None:

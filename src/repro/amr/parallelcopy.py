@@ -13,15 +13,16 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.amr.multifab import MultiFab
-from repro.amr.plan import CommPlan, copy, overlaps
+from repro.amr.plan import CommPlan, overlaps
 
 
-def copy_plan(dst: MultiFab, src: MultiFab, ncomp: int,
-              fill_ghosts: bool) -> CommPlan:
+def copy_plan(dst: MultiFab, src: MultiFab, ncomp: int, fill_ghosts: bool,
+              src_comp: int = 0, dst_comp: int = 0) -> CommPlan:
     """Per destination fab, every overlap with ``src``'s valid regions."""
     return CommPlan.of_boxes(
         dst, src, "parallelcopy", ncomp,
-        overlaps(src.ba, dst.grown if fill_ghosts else dst.ba.lohi))
+        overlaps(src.ba, dst.grown if fill_ghosts else dst.ba.lohi),
+        src_comp, dst_comp)
 
 
 def parallel_copy(
@@ -44,9 +45,9 @@ def parallel_copy(
                                              src.ncomp - src_comp)
     if nc <= 0 or src_comp + nc > src.ncomp or dst_comp + nc > dst.ncomp:
         raise ValueError("component range out of bounds in ParallelCopy")
-    plan = dst.plan(("parallelcopy", nc, fill_ghosts, src.ngrow.tup()),
-                    (src.ba, src.dm),
-                    lambda: copy_plan(dst, src, nc, fill_ghosts))
-    sc, dc = slice(src_comp, src_comp + nc), slice(dst_comp, dst_comp + nc)
+    plan = dst.plan(
+        ("parallelcopy", src_comp, dst_comp, nc, fill_ghosts, src.ngrow.tup()),
+        (src.ba, src.dm),
+        lambda: copy_plan(dst, src, nc, fill_ghosts, src_comp, dst_comp))
     plan.run("PC_copy", "fillpatch",
-             lambda fp: copy(dst.fab(fp.dst).data, src, fp.copies, sc, dc))
+             lambda: plan.copy(dst.buffer, src.buffer))

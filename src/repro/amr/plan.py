@@ -1,96 +1,110 @@
-"""Communication plans: copy metadata built once per layout, run per fab.
+"""Communication plans: copy metadata compiled once per layout, run per level.
 
 AMReX builds the metadata of FillBoundary and ParallelCopy once per
 (BoxArray, DistributionMapping, ghost width) and reuses it until the next
 regrid.  A :class:`CommPlan` is that metadata for one operation writing
-one MultiFab — per destination fab the copies to perform, the point count
-of its launch and the ledger messages the copies stand for — and
-FillBoundary, ParallelCopy, the FillPatch coarse gather and AverageDown
-are all "build the plan, run the plan".
-
-A plan never holds an ndarray of patch data: copies name the source fab by
-index and the cells by slices or integer index arrays, and ``fab.data`` is
-looked up when the plan runs.  :meth:`MultiFab.plan` caches plans on the
-MultiFab they write, which is rebuilt exactly when its layout changes.
+one MultiFab, compiled to flat offsets into the level buffers: ``src`` and
+``dst`` (:class:`~repro.amr.multifab.Cells`), so a run is one gather and
+one scatter (the boxes of a level are disjoint: no cell is written twice).
+Per owning rank of destination fabs it keeps what a run is charged — the
+launch points and the ledger messages its fabs receive — and a run
+records one launch per owning rank, the first carrying the body, and the
+same per-fab messages.  A plan holds offsets, never patch data:
+:meth:`MultiFab.plan` caches it on the MultiFab it writes, which is
+rebuilt exactly when its layout changes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.amr.boxarray import num_pts, slices
+from repro.amr.boxarray import box_cells, num_pts
+from repro.amr.multifab import Cells
 from repro.backend import LaunchSpec, parallel_for
 from repro.mpi.ledger import Message
 
-#: (source fab, source index, destination index); an index is a tuple over
-#: the spatial axes of slices or integer arrays (the component axis is
-#: prepended when the copy runs)
-Copy = Tuple[int, tuple, tuple]
 #: box-shaped copies as arrays, one row per copy: (destination fab,
 #: source fab, source boxes ``(P, 2, dim)``, destination boxes)
 Pairs = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-@dataclass
-class FabPlan:
-    """One destination fab's share of a plan."""
-
-    dst: int
-    rank: int
-    copies: List[Copy]
-    npoints: int
-    messages: Sequence[Message]
+#: one owning rank's launch: (rank, points, the messages its fabs receive)
+Share = Tuple[int, int, Sequence[Message]]
 
 
 class CommPlan:
-    """Copies, launch sizes and ledger messages of one communication op."""
+    """Flat offsets, launch sizes and ledger messages of one communication op."""
 
     def __init__(self, comm) -> None:
         self.comm = comm
         #: the objects the plan was built against (set by MultiFab.plan)
         self.deps: tuple = ()
-        self.fabs: Dict[int, FabPlan] = {}
+        #: the cells copied, in the source and the destination buffer
+        self.src: Optional[Cells] = None
+        self.dst: Optional[Cells] = None
+        self.shares: List[Share] = []
         comm.plans_built += 1
 
     @classmethod
-    def of_boxes(cls, dst, src, kind: str, ncomp: int, pairs: Pairs) -> "CommPlan":
-        """A plan of box-shaped copies from MultiFab ``src`` into ``dst``,
-        ``pairs`` sorted by destination fab.  A fab is charged its source
-        points and messaged its destination bytes."""
+    def of_boxes(cls, dst, src, kind: str, ncomp: int, pairs: Pairs,
+                 src_comp: int = 0, dst_comp: int = 0,
+                 compile: bool = True) -> "CommPlan":
+        """A plan of box-shaped copies of ``ncomp`` components from MultiFab
+        ``src`` into ``dst``, ``pairs`` sorted by destination fab.  A fab is
+        charged its source points and messaged its destination bytes; with
+        ``compile`` the copies become the plan's offsets."""
         plan = cls(dst.comm)
         i, j, sbox, dbox = pairs
-        copies = list(zip(j.tolist(), slices(sbox, src.grown[j]),
-                          slices(dbox, dst.grown[i])))
-        senders = np.asarray(src.dm.ranks())[j].tolist()
-        nbytes = (num_pts(dbox) * ncomp * 8).tolist()
-        npoints = np.bincount(i, num_pts(sbox), len(dst)).astype(int).tolist()
-        ends = np.searchsorted(i, np.arange(len(dst) + 1)).tolist()
-        for f, (a, b) in enumerate(zip(ends, ends[1:])):
-            if a < b:
-                plan.fabs[f] = FabPlan(
-                    f, dst.dm[f], copies[a:b], npoints[f],
-                    [dst.comm.message(s, dst.dm[f], n, kind)
-                     for s, n in zip(senders[a:b], nbytes[a:b])])
+        ranks = np.asarray(dst.dm.ranks(), dtype=np.intp)[i]
+        plan.shares = rank_shares(ranks, num_pts(sbox), [
+            dst.comm.message(s, r, n, kind) for s, r, n in zip(
+                np.asarray(src.dm.ranks())[j].tolist(), ranks.tolist(),
+                (num_pts(dbox) * ncomp * 8).tolist())])
+        if compile:
+            # every cell of every copy, copy by copy, row-major in its box
+            k, sflat, dflat = box_cells(sbox, (sbox[:, 0], src.grown[j]),
+                                        (dbox[:, 0], dst.grown[i]))
+            plan.src = src.cells(j[k], sflat, range(src_comp, src_comp + ncomp))
+            plan.dst = dst.cells(i[k], dflat, range(dst_comp, dst_comp + ncomp))
         return plan
 
-    def run(self, name: str, kernel_class: str,
-            body: Callable[[FabPlan], None], record: bool = True,
-            fabs: Optional[Iterable[FabPlan]] = None) -> None:
-        """One launch per fab (all of them, in build order, unless ``fabs``
-        says which): ``body(fab plan)``, then the fab's messages as one
-        ledger batch (``record=False``: the second half of a split op)."""
-        for fp in self.fabs.values() if fabs is None else fabs:
+    def run(self, name: str, kernel_class: str, body: Callable[[], None],
+            record: bool = True) -> None:
+        """``body()`` in the plan's launches, recording their messages
+        (``record=False``: the second half of a split op)."""
+        launch_shares(name, kernel_class, body, self.shares,
+                      self.comm.ledger if record else None)
 
-            def launch(fp=fp) -> None:
-                body(fp)
-                if record:
-                    self.comm.ledger.record_many(fp.messages)
+    def copy(self, dst: np.ndarray, src: np.ndarray) -> None:
+        """The copies, from flat buffer ``src`` into flat buffer ``dst``."""
+        self.dst.put(dst, self.src.take(src))
 
-            parallel_for(name, launch, fp.npoints,
-                         LaunchSpec(kernel_class=kernel_class, rank=fp.rank))
+
+def rank_shares(ranks: np.ndarray, points: np.ndarray,
+                messages: Sequence[Message] = ()) -> List[Share]:
+    """Per owning rank in ``ranks``, by first appearance: the ``points`` of
+    its entries summed, and the ``messages`` it receives, in order."""
+    total = np.bincount(ranks, points).astype(int).tolist()
+    got = {r: [] for r in dict.fromkeys(ranks.tolist())}
+    for m in messages:
+        got[m.dst].append(m)
+    return [(r, total[r], got[r]) for r in got]
+
+
+def launch_shares(name: str, kernel_class: str, body: Callable[[], None],
+                  shares: Sequence[Share], ledger=None) -> None:
+    """One launch per share: the first runs ``body``, the others an empty
+    one (accounting is not execution); each records its messages."""
+    for n, (rank, npoints, messages) in enumerate(shares):
+
+        def launch(run=body if n == 0 else None, messages=messages) -> None:
+            if run is not None:
+                run()
+            if ledger is not None:
+                ledger.record_many(messages)
+
+        parallel_for(name, launch, npoints,
+                     LaunchSpec(kernel_class=kernel_class, rank=rank))
 
 
 def overlaps(ba, regions: np.ndarray, shifts: np.ndarray = ()) -> Pairs:
@@ -102,12 +116,3 @@ def overlaps(ba, regions: np.ndarray, shifts: np.ndarray = ()) -> Pairs:
         (regions[:, None] + offs[None, :, None]).reshape(-1, 2, offs.shape[1]))
     i, s = np.divmod(q, len(offs))
     return i, j, sbox, sbox - offs[s, None]
-
-
-def copy(dst: np.ndarray, src, copies: Sequence[Copy],
-         src_comp: slice = slice(None), dst_comp: slice = slice(None),
-         via: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> None:
-    """Perform ``copies`` from the fabs of MultiFab ``src`` into ``dst``."""
-    for j, sidx, didx in copies:
-        vals = src.fab(j).data[(src_comp,) + sidx]
-        dst[(dst_comp,) + didx] = vals if via is None else via(vals)

@@ -6,8 +6,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.amr.boundary import GhostFaces
 from repro.amr.box import Box
-from repro.amr.fab import FArrayBox
 from repro.amr.geometry import Geometry
 from repro.numerics.state import StateLayout
 from repro.numerics.viscous import ViscousFlux
@@ -35,6 +35,8 @@ class Case:
     tag_threshold: float = 0.1
     #: CFL number (the paper: RK3 stable for CFL <= 1)
     cfl: float = 0.5
+    #: the ``(axis, side)`` domain faces ``bc_fill`` fills
+    bc_faces: Tuple[Tuple[int, str], ...] = ()
 
     def __init__(self) -> None:
         self.layout = StateLayout(nspecies=1, dim=len(self.domain_cells))
@@ -99,12 +101,10 @@ class Case:
         """Conservative state from physical coordinates, shape (ncons, ...)."""
         raise NotImplementedError
 
-    def bc_fill(self, fab: FArrayBox, geom: Geometry, time: float,
-                coords: Optional[FArrayBox] = None) -> None:
-        """Apply physical boundary conditions in outside-domain ghost cells.
-
-        The default does nothing (fully periodic problems).
-        """
+    def bc_fill(self, faces: GhostFaces, time: float) -> None:
+        """Apply physical boundary conditions in a whole level's outside-
+        domain ghost cells, one face of :attr:`bc_faces` (``faces[axis,
+        side]``) at a time.  The default does nothing (fully periodic)."""
 
     def exact_solution(self, coords: np.ndarray, time: float) -> Optional[np.ndarray]:
         """Exact solution for validation, if available."""
@@ -120,29 +120,12 @@ class Case:
         """
         return None
 
-    # -- helpers for implementing bc_fill ------------------------------------
-    @staticmethod
-    def outside_domain_slices(fab: FArrayBox, geom: Geometry, idim: int,
-                              side: str):
-        """Array slices selecting ghost layers beyond the domain on one face.
 
-        Returns None when the fab does not touch that face.  The returned
-        tuple indexes ``fab.data`` (component axis first).
-        """
-        gb = fab.grown_box()
-        if side == "lo":
-            gap = geom.domain.lo[idim] - gb.lo[idim]
-            if gap <= 0:
-                return None
-            sl = slice(0, gap)
-        elif side == "hi":
-            gap = gb.hi[idim] - geom.domain.hi[idim]
-            if gap <= 0:
-                return None
-            n = gb.shape()[idim]
-            sl = slice(n - gap, n)
-        else:
-            raise ValueError("side must be 'lo' or 'hi'")
-        out = [slice(None)] * (fab.dim + 1)
-        out[idim + 1] = sl
-        return tuple(out)
+def zero_gradient(faces: GhostFaces, axis: int, sides=("lo", "hi")) -> None:
+    """Transmissive boundaries: every ghost cell beyond the ``sides`` of
+    ``axis`` takes the value of the domain's last cell on its line."""
+    u = faces.data
+    for side in sides:
+        face = faces[axis, side]
+        if face is not None:
+            face.ghost.put(u, face.edge.take(u))

@@ -24,11 +24,11 @@ interpolator, and its global ParallelCopy.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.cases.base import Case
+from repro.cases.base import Case, zero_gradient
 from repro.cases.grids import stretched_mapping
 from repro.cases.riemann import PrimitiveState, normal_shock_jump
 
@@ -46,6 +46,7 @@ class DoubleMachReflection(Case):
     name = "dmr"
     tag_threshold = 0.3
     cfl = 0.5
+    bc_faces = ((0, "lo"), (0, "hi"), (1, "lo"), (1, "hi"))
 
     def __init__(
         self,
@@ -77,6 +78,14 @@ class DoubleMachReflection(Case):
         #: horizontal speed of the shock trace along a y = const line
         self.shock_trace_speed = SHOCK_MACH / np.sin(ang)
         self._tan = np.tan(ang)
+        # the post- and pre-shock states, (ncons, 2), packed once (same bits)
+        pick = np.array([True, False])
+        vel = np.zeros((self.dim, 2))
+        vel[0] = np.where(pick, self.post_vel[0], 0.0)
+        vel[1] = np.where(pick, self.post_vel[1], 0.0)
+        self._pair = self.eos.conservative(
+            self.layout, np.where(pick, post.rho, self.pre.rho), vel,
+            np.where(pick, post.p, self.pre.p))
 
     # -- geometry -----------------------------------------------------------
     def mapping(self, s: np.ndarray) -> np.ndarray:
@@ -89,88 +98,35 @@ class DoubleMachReflection(Case):
         return X0 + y / self._tan + self.shock_trace_speed * time
 
     # -- states --------------------------------------------------------------
-    def _state_arrays(self, post_mask: np.ndarray):
-        """(rho, vel, p) arrays selecting pre/post shock by mask."""
-        shape = post_mask.shape
-        rho = np.where(post_mask, self.post.rho, self.pre.rho)
-        p = np.where(post_mask, self.post.p, self.pre.p)
-        vel = np.zeros((self.dim,) + shape)
-        vel[0] = np.where(post_mask, self.post_vel[0], 0.0)
-        vel[1] = np.where(post_mask, self.post_vel[1], 0.0)
-        return rho, vel, p
+    def _states(self, post: np.ndarray) -> np.ndarray:
+        """Conservative post-shock (where ``post``) or pre-shock states."""
+        post_u, pre_u = (c.reshape((-1,) + (1,) * post.ndim)
+                         for c in self._pair.T)
+        return np.where(post[None], post_u, pre_u)
 
     def initial_condition(self, coords: np.ndarray, time: float = 0.0) -> np.ndarray:
-        post = coords[0] < self.shock_x(coords[1], time)
-        rho, vel, p = self._state_arrays(post)
-        return self.eos.conservative(self.layout, rho, vel, p)
+        return self._states(coords[0] < self.shock_x(coords[1], time))
 
     # -- boundary conditions ---------------------------------------------
-    def bc_fill(self, fab, geom, time, coords=None) -> None:
-        lay = self.layout
-        data = fab.data
-
-        # x-lo: supersonic post-shock inflow
-        sl = self.outside_domain_slices(fab, geom, 0, "lo")
-        if sl is not None:
-            self._set_post(data, sl)
-        # x-hi: zero-gradient outflow
-        sl = self.outside_domain_slices(fab, geom, 0, "hi")
-        if sl is not None:
-            gap = data.shape[1] - sl[1].start
-            data[:, -gap:] = data[:, -gap - 1: -gap]
-        # y-lo: post-shock for x < X0, reflecting wall beyond
-        sl = self.outside_domain_slices(fab, geom, 1, "lo")
-        if sl is not None:
-            self._wall_bc(fab, geom, sl, coords)
-        # y-hi: exact moving-shock states
-        sl = self.outside_domain_slices(fab, geom, 1, "hi")
-        if sl is not None:
-            self._top_bc(fab, geom, sl, time, coords)
-
-    def _set_post(self, data: np.ndarray, sl) -> None:
-        lay = self.layout
-        region_shape = data[sl][0].shape
-        post = np.ones(region_shape, dtype=bool)
-        rho, vel, p = self._state_arrays(post)
-        data[sl] = self.eos.conservative(lay, rho, vel, p)
-
-    def _wall_bc(self, fab, geom, sl, coords) -> None:
-        """Reflecting slip wall for x >= X0, post-shock values before it."""
-        lay = self.layout
-        data = fab.data
-        gap = sl[2].stop  # ghost layers below the wall
-        x = self._x_of(fab, coords)
-        for g in range(gap):
-            ghost = [slice(None)] * data.ndim
-            ghost[2] = slice(g, g + 1)
-            mirror = [slice(None)] * data.ndim
-            mirror[2] = slice(2 * gap - 1 - g, 2 * gap - g)
-            refl = data[tuple(mirror)].copy()
-            refl[lay.mom(1)] *= -1.0  # flip wall-normal momentum
-            xg = x[tuple(ghost[1:])] if x is not None else None
-            if xg is None:
-                data[tuple(ghost)] = refl
-            else:
-                post = xg < X0
-                rho, vel, p = self._state_arrays(post)
-                fixed = self.eos.conservative(lay, rho, vel, p)
-                data[tuple(ghost)] = np.where(post[None], fixed, refl)
-
-    def _top_bc(self, fab, geom, sl, time, coords) -> None:
-        lay = self.layout
-        data = fab.data
-        x = self._x_of(fab, coords)
-        region = data[sl]
-        if x is None:
-            return
-        xg = x[tuple(sl[1:])]
-        y_top = self.prob_extent[1]
-        post = xg < self.shock_x(np.full_like(xg, y_top), time)
-        rho, vel, p = self._state_arrays(post)
-        data[sl] = self.eos.conservative(lay, rho, vel, p)
-
-    def _x_of(self, fab, coords) -> Optional[np.ndarray]:
-        """Physical x over the fab's grown region (from the coords fab)."""
-        if coords is not None:
-            return coords.whole()[0]
-        return None
+    def bc_fill(self, faces, time) -> None:
+        """The four faces in order (each reads what the ones before wrote):
+        post-shock inflow at x-lo, zero-gradient outflow at x-hi, the wall
+        (post-shock values before X0) at y-lo, the exact moving-shock states
+        at y-hi."""
+        u = faces.data
+        inflow = faces[0, "lo"]
+        if inflow is not None:
+            inflow.ghost.put(u, self._states(np.ones(inflow.ghost.size, bool)))
+        zero_gradient(faces, 0, ("hi",))
+        wall = faces[1, "lo"]
+        if wall is not None:
+            refl = wall.mirror.take(u)
+            refl[self.layout.mom(1)] *= -1.0  # flip wall-normal momentum
+            post = faces.x(wall) < X0
+            refl[:, post] = self._states(np.ones(np.count_nonzero(post), bool))
+            wall.ghost.put(u, refl)
+        top = faces[1, "hi"]
+        if top is not None:
+            x = faces.x(top)
+            top.ghost.put(u, self._states(
+                x < self.shock_x(np.full_like(x, self.prob_extent[1]), time)))

@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.cases.base import Case
+from repro.cases.base import Case, zero_gradient
 from repro.numerics.chemistry import ArrheniusReaction
 from repro.numerics.eos import MixtureEOS, Species
 from repro.numerics.state import StateLayout
@@ -27,6 +27,7 @@ class IgnitionFront(Case):
     domain_cells: Tuple[int, ...] = (128,)
     prob_extent: Tuple[float, ...] = (1.0,)
     periodic: Tuple[bool, ...] = (False,)
+    bc_faces = ((0, "lo"), (0, "hi"))
     tag_threshold = 0.05
     cfl = 0.4
 
@@ -70,19 +71,9 @@ class IgnitionFront(Case):
         vel = np.zeros((1,) + x.shape)
         return self.eos.conservative(self.layout, rho_s, vel, T)
 
-    def bc_fill(self, fab, geom, time, coords=None) -> None:
+    def bc_fill(self, faces, time) -> None:
         """Transmissive boundaries (waves leave the domain)."""
-        data = fab.data
-        for side in ("lo", "hi"):
-            sl = self.outside_domain_slices(fab, geom, 0, side)
-            if sl is None:
-                continue
-            if side == "lo":
-                gap = sl[1].stop
-                data[:, :gap] = data[:, gap: gap + 1]
-            else:
-                gap = data.shape[1] - sl[1].start
-                data[:, -gap:] = data[:, -gap - 1: -gap]
+        zero_gradient(faces, 0)
 
     def source(self, u: np.ndarray, coords: np.ndarray, time: float,
                metrics=None) -> Optional[np.ndarray]:

@@ -11,7 +11,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.cases.base import Case
+from repro.cases.base import Case, zero_gradient
 from repro.cases.riemann import PrimitiveState, sample
 
 
@@ -22,6 +22,7 @@ class SodShockTube(Case):
     domain_cells: Tuple[int, ...] = (128,)
     prob_extent: Tuple[float, ...] = (1.0,)
     periodic: Tuple[bool, ...] = (False,)
+    bc_faces = ((0, "lo"), (0, "hi"))
     tag_threshold = 0.02
     cfl = 0.5
 
@@ -40,19 +41,9 @@ class SodShockTube(Case):
         p = np.where(x < self.x_diaphragm, self.left.p, self.right.p)
         return self.eos.conservative(self.layout, rho, u[None], p)
 
-    def bc_fill(self, fab, geom, time, coords=None) -> None:
+    def bc_fill(self, faces, time) -> None:
         """Transmissive (zero-gradient) boundaries at both ends."""
-        for side in ("lo", "hi"):
-            sl = self.outside_domain_slices(fab, geom, 0, side)
-            if sl is None:
-                continue
-            data = fab.data
-            if side == "lo":
-                gap = sl[1].stop
-                data[:, :gap] = data[:, gap: gap + 1]
-            else:
-                gap = data.shape[1] - sl[1].start
-                data[:, -gap:] = data[:, -gap - 1: -gap]
+        zero_gradient(faces, 0)
 
     def exact_solution(self, coords: np.ndarray, time: float) -> Optional[np.ndarray]:
         x = coords[0]

@@ -30,7 +30,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.amr.amrcore import AmrConfig, AmrCore
-from repro.amr.boxarray import BoxArray
+from repro.amr.boundary import GhostFaces
+from repro.amr.boxarray import BoxArray, grow, num_pts
 from repro.amr.distribution import DistributionMapping
 from repro.amr.fillpatch import fill_patch_single_level, fill_patch_two_levels, fill_coarse_patch
 from repro.amr.interp_curvilinear import CurvilinearInterp
@@ -38,19 +39,20 @@ from repro.amr.interp_weno import WenoInterp
 from repro.amr.interpolate import ConservativeLinearInterp, TrilinearInterp
 from repro.amr.multifab import MultiFab
 from repro.amr.tagging import tag_density_gradient, tagged_cells
-from repro.backend import LaunchSpec
+from repro.amr.plan import launch_shares
 from repro.cases.base import Case
 # re-exported: this module was the historical home of both names
 from repro.core.config import BY_NAME, CroccoConfig  # noqa: F401
 from repro.core.errors import ConfigError  # noqa: F401
 from repro.core.versions import get_version
 from repro.kernels.api import make_kernels
-from repro.kernels.batch import Batch, make_batches, shape_groups, stack
+from repro.kernels.batch import Batch, shape_groups
 from repro.kernels.device import GpuDevice
 from repro.mpi.comm import Communicator
 from repro.numerics.cfl import compute_dt
 from repro.numerics.fluxes import ConvectiveFlux
-from repro.numerics.metrics import CartesianMetrics, CurvilinearMetrics
+from repro.numerics.metrics import (CartesianMetrics, CurvilinearMetrics,
+                                    StackedMetrics)
 from repro.numerics.rk3 import NSTAGES
 from repro.numerics.weno import WenoScheme
 from repro.profiling.tinyprofiler import TinyProfiler
@@ -119,6 +121,9 @@ class Crocco(AmrCore):
         #: the compute batches of each level's storage (built with it,
         #: dropped with it: a regrid never leaves one behind)
         self.batches: Dict[int, List[Batch]] = {}
+        #: each level's ghost cells beyond the domain, the table its
+        #: physical boundary fill runs on (built with the storage)
+        self.faces: Dict[int, GhostFaces] = {}
         #: bytes of level state resident per rank, reserved on the
         #: execution backend while the level exists
         self._residency: Dict[int, List[int]] = {}
@@ -211,24 +216,24 @@ class Crocco(AmrCore):
     def make_new_level_from_scratch(self, lev, ba, dm) -> None:
         self._build_level_storage(lev, ba, dm)
         for i, fab in self.state[lev]:
-            c = self.coords[lev].fab(i).whole()
-            u0 = self.case.initial_condition(c, self.time)
-            fab.whole()[...] = u0
+            fab.data[...] = self.case.initial_condition(
+                self.coords[lev].fab(i).data, self.time)
 
     def remake_level(self, lev, ba, dm) -> None:
         """Replace level ``lev`` by ``ba`` / ``dm``, rebuilding only what
-        changed (AMReX's RemakeLevel): a box equal to an old one keeps that
-        fab's coordinates and metrics, and only cells no old box covers are
-        interpolated from coarse before the old level is ParallelCopied in."""
+        changed (AMReX's RemakeLevel): a box equal to an old one copies that
+        fab's coordinates and metrics into the new storage, and only cells
+        no old box covers are interpolated from coarse before the old level
+        is ParallelCopied in."""
         old = self.state.get(lev)
         kept, pieces = {}, (ba.lohi, np.arange(len(ba)))
         if old is not None:
             at = {box.tobytes(): j for j, box in enumerate(old.ba.lohi)}
             for i, box in enumerate(ba.lohi):
                 j = at.get(box.tobytes())
-                if j is not None:  # own(): hold no stack of the old level
+                if j is not None:
                     kept[i] = (self.coords[lev].fab(j).data,
-                               self.metrics[lev][j].own())
+                               self.metrics[lev][j])
             piece, owner = old.ba.complement(ba.lohi)
             pieces = (piece[owner.argsort(kind="stable")], np.sort(owner))
         self._clear_level_storage(lev)
@@ -268,40 +273,51 @@ class Crocco(AmrCore):
     def _build_level_storage(self, lev: int, ba: BoxArray,
                              dm: DistributionMapping,
                              kept: Optional[Dict[int, tuple]] = None) -> None:
-        """Allocate level ``lev``: box ``i`` takes ``kept[i]`` (coordinates,
-        metrics), the others build theirs, metrics per :func:`shape_groups`."""
+        """Allocate level ``lev``, one array per batch of :func:`shape_groups`
+        in each MultiFab: box ``i`` copies ``kept[i]`` (coordinates, metrics)
+        in, the others build theirs, metrics batch by batch."""
         # the stage graph names the level storage: it goes when any is built
         self.engine.drop_graph()
         kept = kept or {}
-        lay = self.case.layout
-        self.state[lev] = MultiFab(ba, dm, lay.ncons, self.ng, self.comm)
-        self.du[lev] = MultiFab(ba, dm, lay.ncons, 0, self.comm)
-        coords = MultiFab(ba, dm, lay.dim, self.ng, self.comm)
-        geom = self.geoms[lev]
-        metrics = self.metrics[lev] = {}
+        lay, geom = self.case.layout, self.geoms[lev]
+        grown = grow(ba.lohi, self.ng)
+        groups = shape_groups({i: tuple(s) for i, s in enumerate(
+            (grown[:, 1] - grown[:, 0] + 1).tolist())})
+        state = self.state[lev] = MultiFab(ba, dm, lay.ncons, self.ng,
+                                           self.comm, groups)
+        self.du[lev] = MultiFab(ba, dm, lay.ncons, 0, self.comm, groups)
+        coords = self.coords[lev] = MultiFab(ba, dm, lay.dim, self.ng,
+                                             self.comm, groups)
         for i, fab in coords:
-            if i in kept:
-                fab.data, metrics[i] = kept[i]
+            fab.data[...] = (kept[i][0] if i in kept else
+                             self._get_coords(geom, fab.grown_box()))
+        metrics = self.metrics[lev] = {}
+        batches = self.batches[lev] = []
+        dx = None if self.case.curvilinear else self.case.cartesian_dx(geom)
+        for g, ids in enumerate(groups):
+            built = [i for i in ids if i not in kept]
+            if dx is not None:
+                stacked = StackedMetrics([CartesianMetrics(dx)] * len(ids))
+            elif len(built) == len(ids):
+                # a batch of new boxes: its metrics are built in place
+                stacked = StackedMetrics.of_coordinates(
+                    [coords.fab(i).data for i in ids])
             else:
-                fab.whole()[...] = self._get_coords(geom, fab.grown_box())
-        self.coords[lev] = coords
-        built = {i: f.whole().shape[1:] for i, f in coords if i not in kept}
-        for part in shape_groups(built):
-            if self.case.curvilinear:
-                metrics.update(zip(part, CurvilinearMetrics.of_patches(
-                    [coords.fab(i).whole() for i in part])))
-            else:
-                metrics.update((i, CartesianMetrics(self.case.cartesian_dx(geom)))
-                               for i in part)
-        self.batches[lev] = make_batches(self.state[lev], self.metrics[lev])
+                fresh = dict(zip(built, CurvilinearMetrics.of_patches(
+                    [coords.fab(i).data for i in built]) if built else ()))
+                stacked = StackedMetrics([kept[i][1] if i in kept else fresh[i]
+                                          for i in ids])
+            metrics.update((i, stacked.member(b)) for b, i in enumerate(ids))
+            batches.append(Batch(g, ids, tuple(dm[i] for i in ids), stacked))
+        self.faces[lev] = GhostFaces(state, coords, geom.domain,
+                                     self.case.bc_faces)
         # each rank's share of the level is resident on its own device
-        per_rank = [0] * self.comm.nranks
-        for i, fab in self.state[lev]:
-            per_rank[self.state[lev].dm[i]] += (
-                fab.nbytes() + self.du[lev].fab(i).nbytes()
-                + coords.fab(i).nbytes())
-        for rank, nbytes in enumerate(per_rank):
-            self.exec_backend.reserve(nbytes, rank)
+        nbytes = 8 * ((lay.ncons + lay.dim) * num_pts(state.grown)
+                      + lay.ncons * num_pts(ba.lohi))
+        per_rank = np.bincount(dm.ranks(), nbytes,
+                               self.comm.nranks).astype(int).tolist()
+        for rank, n in enumerate(per_rank):
+            self.exec_backend.reserve(n, rank)
         self._residency[lev] = per_rank
 
     def _get_coords(self, geom, region) -> np.ndarray:
@@ -318,24 +334,20 @@ class Crocco(AmrCore):
         # the stage graph holds this storage: it goes with it
         self.engine.drop_graph()
         for store in (self.state, self.du, self.coords, self.metrics,
-                      self.batches):
+                      self.batches, self.faces):
             store.pop(lev, None)
         for rank, nbytes in enumerate(self._residency.pop(lev, ())):
             self.exec_backend.release(nbytes, rank)
 
     # -- boundary conditions ---------------------------------------------
     def _bc_fill(self, lev: int) -> None:
+        """The case's physical boundary fill of the whole level, in one
+        ``BC_fill`` launch per owning rank (charged its fabs' ghost points)."""
         with self.profiler.region("BC_Fill"):
-            geom = self.geoms[lev]
-            mf = self.state[lev]
-            for i, fab in mf:
-                ghost_pts = fab.grown_box().num_pts() - fab.box.num_pts()
-                self.exec_backend.parallel_for(
-                    "BC_fill",
-                    lambda fab=fab, i=i: self.case.bc_fill(
-                        fab, geom, self.time, self.coords[lev].fab(i)),
-                    ghost_pts,
-                    LaunchSpec(kernel_class="fillpatch", rank=mf.dm[i]))
+            faces = self.faces[lev]
+            launch_shares("BC_fill", "fillpatch",
+                          lambda: self.case.bc_fill(faces, self.time),
+                          faces.shares)
 
     def _fill_patch(self, lev: int) -> None:
         with self.profiler.region("FillPatch"):
@@ -428,13 +440,15 @@ class Crocco(AmrCore):
     def max_rates(self) -> List[float]:
         """The largest CFL rate over each rank's patches (0: it has none)."""
         rates = [0.0] * self.comm.nranks
+        # valid region only: ghost cells can be stale right after a
+        # regrid, before the stage's FillPatch
+        valid = (slice(None), slice(None)) + (
+            slice(self.ng, -self.ng),) * self.case.layout.dim
         for lev in range(self.finest_level + 1):
-            mf = self.state[lev]
+            arrays = self.state[lev].arrays
             for batch in self.batches[lev]:
-                # valid region only: ghost cells can be stale right
-                # after a regrid, before the stage's FillPatch
                 got = self.kernels.max_rate(
-                    stack([mf.fab(i).valid() for i in batch.ids]),
+                    arrays[batch.group][valid],
                     batch.metrics.interior(self.ng), batch.ranks)
                 for rank, r in zip(batch.ranks, got.tolist()):
                     rates[rank] = max(rates[rank], r)

@@ -4,14 +4,14 @@ An AMR hierarchy is many small patches (44 boxes of 12-1,024 cells on
 the DMR deck), and a patch-at-a-time advance pays hundreds of NumPy calls
 per patch on arrays of a few hundred elements.  A :class:`Batch` is the
 unit the RK advance runs instead: patches of one level with the same
-grown shape, stacked on a batch axis between component and grid —
+grown shape on a batch axis between component and grid —
 ``u (ncons, B, *grown)`` with :class:`~repro.numerics.metrics.StackedMetrics`
 — for one :meth:`KernelSet.rhs` / ``update`` / ``max_rate`` call each.
 
-Batches describe a level's storage: :func:`make_batches` builds them with
-it, they are reachable only through it, and they die with it at the next
-regrid (the lifetime rule communication plans follow).  The patch data is
-*gathered* from the fabs when a batch runs — never held.
+A batch *is* storage: batch ``g`` runs in place on group array ``g`` of
+the level's MultiFabs (``MultiFab.arrays``, one per :func:`shape_groups`
+group).  Batches are built with the level storage, reachable only
+through it, and die with it at the next regrid.
 """
 
 from __future__ import annotations
@@ -21,24 +21,25 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.numerics.metrics import Metrics, StackedMetrics
+from repro.numerics.metrics import StackedMetrics
 
 #: most grown cells stacked into one batch.  Measured on the benchmark
 #: decks with the one WENO sweep (EXPERIMENTS.md "One WENO sweep"): rhs per
 #: RK stage on dmr_amr_v20 / dmr_churn_v21 is 38.5 / 54.5 ms per box and
 #: 22.8 / 26.8, 22.0 / 23.5, 20.6 / 22.8 ms at 2,048 / 4,096 / 8,192; the
-#: stacks are what peak RSS is made of: single-run peak_rss_mb is +1.9% /
-#: +1.9% at 4,096 and +5.6% / +5.5% at 8,192 (bound 5%).  The rule for
-#: moving it is "faster, at <= +2% RSS on both decks": 4,096 passes by a
-#: tenth of a point for 3.5% / 12% of a stage — a tie, so it stays.  A
-#: patch over the budget is a batch of one.
+#: batch stacks (now group arrays) were what peak RSS was made of: single-run
+#: peak_rss_mb +1.9% / +1.9% at 4,096 and +5.6% / +5.5% at 8,192 (bound 5%).
+#: The rule for moving it is "faster, at <= +2% RSS on both decks": 4,096
+#: passes by a tenth of a point for 3.5% / 12% of a stage — a tie, so it
+#: stays.  A patch over the budget is a batch of one.
 BATCH_CELLS = 2048
 
 
 @dataclass
 class Batch:
-    """Equal-shape patches of one level, by fab index."""
+    """Equal-shape patches of one level: group ``group`` of its storage."""
 
+    group: int
     ids: Tuple[int, ...]
     #: owning rank of each member
     ranks: Tuple[int, ...]
@@ -59,43 +60,18 @@ def shape_groups(shapes: Dict[int, tuple]) -> List[Tuple[int, ...]]:
     return out
 
 
-def make_batches(state, metrics: Dict[int, Metrics]) -> List[Batch]:
-    """The batches of MultiFab ``state``: :func:`shape_groups` of its fabs'
-    grown shapes; ``metrics[i]`` are fab ``i``'s."""
-    return [Batch(part, tuple(state.dm[i] for i in part),
-                  StackedMetrics([metrics[i] for i in part]))
-            for part in shape_groups(
-                {i: fab.whole().shape[1:] for i, fab in state})]
-
-
-def stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Patch arrays on the batch axis — one patch as an inserted-axis
-    *view* (nothing to copy in or, after an in-place kernel, out)."""
-    if len(arrays) == 1:
-        return arrays[0][:, None]
-    return np.stack(arrays, axis=1)
-
-
-def rhs_update(kernels, case, us: Sequence[np.ndarray],
-               dus: Sequence[np.ndarray], coords: Sequence[np.ndarray],
-               metrics: StackedMetrics, ranks: Sequence[int], ng: int,
-               time: float, dt: float, stage: int) -> None:
-    """One RK stage of a batch: gather, RHS (+ source), update, scatter.
-
-    ``us`` / ``dus`` / ``coords`` are the members' whole arrays,
-    updated in place.
-    """
+def rhs_update(kernels, case, u: np.ndarray, du: np.ndarray,
+               coords: np.ndarray, metrics: StackedMetrics,
+               ranks: Sequence[int], ng: int, time: float, dt: float,
+               stage: int) -> None:
+    """One RK stage of a batch: RHS (+ source), then the update, in place
+    on its group arrays ``u`` / ``du`` / ``coords`` ``(ncomp, B, *grown)``."""
     valid = (Ellipsis,) + (slice(ng, -ng),) * kernels.layout.dim
-    u, du = stack(us), stack(dus)
     rhs = kernels.rhs(u, metrics, ng, ranks)
-    for b, (ub, cb) in enumerate(zip(us, coords)):
+    for b in range(u.shape[1]):
         # not batched: sources see one patch at a time
-        src = case.source(ub[valid], cb[valid], time,
+        src = case.source(u[:, b][valid], coords[:, b][valid], time,
                           metrics=metrics.member(b).interior(ng))
         if src is not None:
             rhs[:, b] += src
     kernels.update(u[valid], du, rhs, dt, stage, ranks)
-    if len(us) > 1:
-        for b, (ub, dub) in enumerate(zip(us, dus)):
-            ub[valid] = u[:, b][valid]
-            dub[...] = du[:, b]

@@ -88,11 +88,6 @@ class Metrics:
             return self
         return _CroppedMetrics(self, ng)
 
-    def own(self) -> "Metrics":
-        """These metrics, holding no array shared with other patches (see
-        :meth:`CurvilinearMetrics.own`; analytic metrics hold none)."""
-        return self
-
 
 class _CroppedMetrics(Metrics):
     """Metrics restricted to the interior of a grown region."""
@@ -120,26 +115,44 @@ class StackedMetrics(Metrics):
     """The metrics of ``B`` equal-shape patches on one batch axis:
     ``m(d)`` is ``(dim, B, *grid)``, ``jacobian()`` ``(B, *grid)``.
 
-    A stack of several patches *owns* the arrays: curvilinear members are
-    re-pointed at views into it, so a level keeps one copy of ``m`` and
-    ``J`` (a second one is +2% RSS on the 2-D DMR decks).  A stack of one
-    is its member seen through an inserted axis: nothing is copied.
+    The stack is the level storage of its patches' metrics, C-contiguous
+    on the batch axis as the compiled sweep reads them, and its
+    :meth:`member` ``b`` is patch ``b``'s metrics as views into it: a
+    level keeps one copy of each array.  A batch built from coordinates
+    holds the arrays of that one pass (:meth:`of_coordinates`); one that
+    holds boxes a remake kept copies its members in, so it holds nothing
+    of the level it replaced.
     """
 
     def __init__(self, members: Sequence[Metrics]) -> None:
-        self.dim = dim = members[0].dim
-        if len(members) == 1:
-            self._m = [members[0].m(d)[:, None] for d in range(dim)]
-            self._J = members[0].jacobian()[None]
-            return
-        #: m[d, j] of every member, (dim, dim, B, *grid), C-contiguous
-        self._m = np.ascontiguousarray(
+        dim = members[0].dim
+        #: m[d, j] of every member, (dim, dim, B, *grid)
+        m = np.ascontiguousarray(
             np.stack([np.stack([mem.m(d) for mem in members], axis=1)
                       for d in range(dim)]))
-        self._J = np.stack([mem.jacobian() for mem in members])
-        for b, mem in enumerate(members):
-            if isinstance(mem, CurvilinearMetrics):
-                mem._m, mem._J = self._m[:, :, b], self._J[b]
+        J = np.stack([mem.jacobian() for mem in members])
+        if isinstance(members[0], CurvilinearMetrics):
+            self._hold(m, J, np.stack([mem.first for mem in members]),
+                       np.stack([mem.second for mem in members]))
+        else:
+            self._hold(m, J, members=list(members))
+
+    @classmethod
+    def of_coordinates(cls, coords: Sequence[np.ndarray],
+                       order: int = 4) -> "StackedMetrics":
+        """The curvilinear metrics of equal-shape patches, built on the
+        batch axis in place: the stack holds the arrays of the one pass
+        over the patches' coordinates (``(dim, *s)`` each), nothing copied."""
+        stack = cls.__new__(cls)
+        stack._hold(*_curvilinear_arrays(coords, order))
+        return stack
+
+    def _hold(self, m, J, first=None, second=None, members=None) -> None:
+        self.dim = m.shape[0]
+        self._m, self._J = m, J
+        self._members: List[Metrics] = members if first is None else [
+            CurvilinearMetrics(first[b], second[b], J[b], m[:, :, b])
+            for b in range(len(J))]
 
     def m(self, d: int) -> np.ndarray:
         return self._m[d]
@@ -148,23 +161,8 @@ class StackedMetrics(Metrics):
         return self._J
 
     def member(self, b: int) -> Metrics:
-        """Patch ``b``'s own metrics, as views."""
-        return _MemberMetrics(self, b)
-
-
-class _MemberMetrics(Metrics):
-    """One patch of a :class:`StackedMetrics`."""
-
-    def __init__(self, stack: StackedMetrics, b: int) -> None:
-        self._stack = stack
-        self._b = b
-        self.dim = stack.dim
-
-    def m(self, d: int) -> np.ndarray:
-        return self._stack.m(d)[:, self._b]
-
-    def jacobian(self) -> np.ndarray:
-        return self._stack.jacobian()[self._b]
+        """Patch ``b``'s own metrics (views into the stack)."""
+        return self._members[b]
 
 
 class CartesianMetrics(Metrics):
@@ -217,40 +215,8 @@ class CurvilinearMetrics(Metrics):
         """Metrics of equal-shape patches from their coordinates (dim, *s),
         in one pass on a batch axis (one patch is not copied onto it): the
         stencils are elementwise along it and ``det`` / ``inv`` go matrix by
-        matrix, so each patch gets the bits of its own build, as views (:meth:`own`)."""
-        coords = np.stack(coords) if len(coords) > 1 else coords[0][None]
-        nb, dim = coords.shape[:2]
-        s = coords.shape[2:]
-        # first metrics T[j, d] = d x_j / d xi_d
-        # (every x_j at once: the component axis is one more batch axis)
-        first = np.empty((nb, dim, dim) + s)
-        for d in range(dim):
-            first[:, :, d] = derivative_same_shape(coords, d + 2, order)
-        # second metrics for unique pairs (d, e), d <= e
-        pairs = [(d, e) for d in range(dim) for e in range(d, dim)]
-        second = np.empty((nb, dim, len(pairs)) + s)
-        for k, (d, e) in enumerate(pairs):
-            second[:, :, k] = derivative_same_shape(first[:, :, d], e + 2, order)
-        # Jacobian and inverse: operate on (..., dim, dim) stacks
-        T = np.moveaxis(first.reshape(nb, dim, dim, -1), -1, 1)  # (B, N, j, d)
-        J = np.linalg.det(T)
-        if np.any(J <= 0):
-            raise ValueError("grid mapping is not orientation-preserving (J <= 0)")
-        Tinv = np.linalg.inv(T)  # (B, N, d, j) : d xi_d / d x_j
-        # component-major: each m[d, j] unit-stride along the grid
-        m = np.ascontiguousarray((J[..., None, None] * Tinv).transpose(
-            0, 2, 3, 1)).reshape((nb, dim, dim) + s)
-        J = J.reshape((nb,) + s)
-        return [cls(first[b], second[b], J[b], m[b]) for b in range(nb)]
-
-    def own(self) -> "CurvilinearMetrics":
-        """These metrics, copying each array that is a view into a larger
-        one (their :meth:`of_patches` pass, or the :class:`StackedMetrics`
-        they were re-pointed into): holding them holds nothing else."""
-        self.first, self.second, self._J, self._m = (
-            a if a.base is None or a.base.size == a.size else a.copy()
-            for a in (self.first, self.second, self._J, self._m))
-        return self
+        matrix, so each patch gets the bits of its own build, as views."""
+        return StackedMetrics.of_coordinates(coords, order)._members
 
     @property
     def ncomp_stored(self) -> int:
@@ -276,6 +242,35 @@ class CurvilinearMetrics(Metrics):
             for d in range(dim):
                 res[j] += derivative_same_shape(self._m[d, j], axis=d)
         return res
+
+
+def _curvilinear_arrays(coords: Sequence[np.ndarray], order: int):
+    """``(m, J, first, second)`` of equal-shape patches from their
+    coordinates, on a batch axis: ``m`` is ``(dim, dim, B, *s)``
+    (component-major: each ``m[d, j]`` unit-stride along the batch and
+    grid), the others batch-first."""
+    coords = np.stack(coords) if len(coords) > 1 else coords[0][None]
+    nb, dim = coords.shape[:2]
+    s = coords.shape[2:]
+    # first metrics T[j, d] = d x_j / d xi_d
+    # (every x_j at once: the component axis is one more batch axis)
+    first = np.empty((nb, dim, dim) + s)
+    for d in range(dim):
+        first[:, :, d] = derivative_same_shape(coords, d + 2, order)
+    # second metrics for unique pairs (d, e), d <= e
+    pairs = [(d, e) for d in range(dim) for e in range(d, dim)]
+    second = np.empty((nb, dim, len(pairs)) + s)
+    for k, (d, e) in enumerate(pairs):
+        second[:, :, k] = derivative_same_shape(first[:, :, d], e + 2, order)
+    # Jacobian and inverse: operate on (..., dim, dim) stacks
+    T = np.moveaxis(first.reshape(nb, dim, dim, -1), -1, 1)  # (B, N, j, d)
+    J = np.linalg.det(T)
+    if np.any(J <= 0):
+        raise ValueError("grid mapping is not orientation-preserving (J <= 0)")
+    Tinv = np.linalg.inv(T)  # (B, N, d, j) : d xi_d / d x_j
+    m = np.ascontiguousarray((J[..., None, None] * Tinv).transpose(
+        2, 3, 0, 1)).reshape((dim, dim, nb) + s)
+    return m, J.reshape((nb,) + s), first, second
 
 
 def grid_quality(metrics: "CurvilinearMetrics", interior: int = 2) -> dict:

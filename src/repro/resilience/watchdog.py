@@ -160,7 +160,12 @@ class StepWatchdog:
     # -- validation --------------------------------------------------------
     def _validate(self, sim, dt: float) -> None:
         for lev in range(sim.finest_level + 1):
-            for i, fab in sim.state[lev]:
+            mf = sim.state[lev]
+            # one pass over the level; the box is looked for (in valid
+            # cells only: ghosts may be stale) only when that pass fails
+            if np.isfinite(mf.buffer).all():
+                continue
+            for i, fab in mf:
                 if not np.isfinite(fab.valid()).all():
                     self.stats.inc("nan_detections")
                     raise StepFailure(
@@ -191,9 +196,8 @@ class StepWatchdog:
             "step": sim.step_count,
             "nhist": len(sim.dt_history),
             "finest": sim.finest_level,
-            "state": {(lev, i): fab.whole().copy()
-                      for lev in range(sim.finest_level + 1)
-                      for i, fab in sim.state[lev]},
+            "state": {lev: sim.state[lev].buffer.copy()
+                      for lev in range(sim.finest_level + 1)},
         }
 
     def _restore(self, sim, snap: Dict) -> None:
@@ -202,8 +206,8 @@ class StepWatchdog:
         sim.time = snap["time"]
         sim.step_count = snap["step"]
         del sim.dt_history[snap["nhist"]:]
-        for (lev, i), saved in snap["state"].items():
-            sim.state[lev].fab(i).whole()[...] = saved
+        for lev, saved in snap["state"].items():
+            sim.state[lev].buffer[...] = saved
 
     # -- unrecoverable path ------------------------------------------------
     def _unrecoverable(self, sim, exc) -> None:

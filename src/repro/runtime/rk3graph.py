@@ -5,16 +5,16 @@ every level's posted halves — ``FB_nowait(Lk)`` and, where the
 interpolator reads coordinates, ``PC_coords_nowait(Lk)`` — in level order,
 so the fine levels' FillBoundary and coordinate ParallelCopy are in flight
 while the coarse levels compute; then per level ``FB_finish``, its
-``Interp`` tasks, ``BC_Fill`` and its compute batches; and, in the last
-stage only, ``AverageDown`` finest first.
+``Interp`` task (one pass over the level), ``BC_Fill`` and its compute
+batches; and, in the last stage only, ``AverageDown`` finest first.
 
 Each task names the earlier tasks it needs done (``deps``, read by the
 report's critical path), by five structural rules:
 
 - ``FB_finish(L)`` <- ``FB_nowait(L)``;
-- ``Interp(L,b)`` <- ``FB_finish(L)``, every ``Box(L-1,...)`` and
+- ``Interp(L)`` <- ``FB_finish(L)``, every ``Box(L-1,...)`` and
   ``PC_coords_nowait(L)`` when present;
-- ``BC_Fill(L)`` <- ``FB_finish(L)`` and every ``Interp(L,...)``;
+- ``BC_Fill(L)`` <- ``FB_finish(L)`` and ``Interp(L)``;
 - ``Box(L,...)`` <- ``BC_Fill(L)``;
 - ``AverageDown(L+1->L)`` <- every ``Box`` of levels L+1 and L, and
   ``AverageDown(L+2->L+1)`` when present.
@@ -92,15 +92,13 @@ def build_stage_graph(sim) -> StageGraph:
             channel=("fb", lev), after=(fb_post,),
             regions=("FillPatch", "FillBoundary_finish"),
         )
-        # an interpolation reads the whole coarse level: it follows every
+        # the interpolation reads the whole coarse level: it follows every
         # coarse compute task
         interps = [
-            g.add(f"Interp(L{lev},b{i})",
-                  (lambda op=op, i=i: op.interp_fab(i)), kind="interp",
+            g.add(f"Interp(L{lev})", op.interp_fab, kind="interp",
                   channel=("pc", lev) if pc_post else None,
                   after=[finish, *computes[-1], *pc_post],
                   regions=("FillPatch", "ParallelCopy"))
-            for i, _ in sim.state[lev]
         ] if lev > 0 else []
         # sim._bc_fill opens its own BC_Fill profiler region
         bc = g.add(f"BC_Fill(L{lev})", (lambda lev=lev: sim._bc_fill(lev)),
@@ -124,13 +122,14 @@ def build_stage_graph(sim) -> StageGraph:
 
 
 def _batch_fn(sim, lev: int, batch, args: SimpleNamespace):
-    """The RK stage of one batch, on the fabs the level holds and at the
-    ``dt`` and stage the graph is replayed with, when it runs."""
+    """The RK stage of one batch, on its group arrays of the level's
+    storage and at the ``dt`` and stage the graph is replayed with, when it
+    runs."""
 
     def run() -> None:
         rhs_update(
             sim.kernels, sim.case,
-            *([mf.fab(i).whole() for i in batch.ids]
+            *(mf.arrays[batch.group]
               for mf in (sim.state[lev], sim.du[lev], sim.coords[lev])),
             batch.metrics, batch.ranks, sim.ng, sim.time, args.dt, args.stage)
 

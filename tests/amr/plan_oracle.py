@@ -4,6 +4,10 @@ they were before the batched ``(N, 2, dim)`` algebra of
 overlap, one query per fab — and the interpolators' stencils as they were
 before one array pass over all of a level's pieces replaced them: one
 call per piece, with the piece's coarse coordinates in an ``FArrayBox``.
+And the executor the flat one (one ``np.take`` / ``np.put`` per level)
+replaced: plans that name their copies as ``(source fab, slices or index
+arrays)`` per destination fab, run one fab and one copy at a time by
+:func:`copy`, verbatim.
 
 They left ``src/`` for speed (the object algebra was ~45% of a step that
 regrids, the per-piece stencils over half of the finest level's plan
@@ -16,20 +20,22 @@ scalar ``Box.diff`` all of them were built on.
 """
 
 import math
-from typing import Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.amr.box import Box
 from repro.amr.boxarray import BoxArray
+from repro.amr.average_down import _block_mean
 from repro.amr.fab import FArrayBox
-from repro.amr.fillpatch import FillFabPlan, FillPlan, _nearest_fill
+from repro.amr.fillpatch import _nearest_fill
 from repro.amr.geometry import Geometry
 from repro.amr.interp_curvilinear import CurvilinearInterp
-from repro.amr.interpolate import TrilinearInterp
+from repro.amr.interpolate import TrilinearInterp, apply_stencil
 from repro.amr.intvect import IntVect
 from repro.amr.multifab import MultiFab
-from repro.amr.plan import CommPlan, FabPlan, copy
+from repro.mpi.ledger import Message
 
 BoxPair = Tuple[int, Box, Box]
 
@@ -157,7 +163,121 @@ def _clip_to_coverage(cov: BoxArray, domain: Box, n_proper: int,
     return BoxArray(out)
 
 
-# -- communication plans ---------------------------------------------------------
+# -- communication plans, and their per-copy executor -----------------------------
+
+#: (source fab, source index, destination index); an index is a tuple over
+#: the spatial axes of slices or integer arrays (the component axis is
+#: prepended when the copy runs)
+Copy = Tuple[int, tuple, tuple]
+
+
+@dataclass
+class FabPlan:
+    """One destination fab's share of a plan."""
+
+    dst: int
+    rank: int
+    copies: List[Copy]
+    npoints: int
+    messages: Sequence[Message]
+
+
+@dataclass
+class FillFabPlan(FabPlan):
+    """A fine fab's coarse gather (the FabPlan) and its interpolation."""
+
+    #: cells of the gathered scratch patch
+    ncells: int
+    #: fine points filled — the Interp launch's point count
+    nfilled: int
+    #: the linear stencil over the patch (corner cells, weights or None for
+    #: equal ones) and the fab cells it fills
+    idx: Optional[np.ndarray] = None
+    w: Optional[np.ndarray] = None
+    dst_cells: Optional[tuple] = None
+    #: without a stencil, ``interp()`` per piece: (fine box, coarse region,
+    #: offset in the patch)
+    regions: Optional[List[Tuple[Box, Box, int]]] = None
+
+
+class CommPlan:
+    """The per-fab plans of one operation (``coords``: a fill's coordinate
+    ParallelCopy)."""
+
+    def __init__(self, comm) -> None:
+        self.comm = comm
+        self.fabs = {}
+        self.coords = None
+
+    def run(self, body) -> None:
+        """One fab at a time, in build order: ``body(fab plan)``, then the
+        fab's messages as one ledger batch."""
+        for fp in self.fabs.values():
+            body(fp)
+            self.comm.ledger.record_many(fp.messages)
+
+
+FillPlan = CommPlan
+
+
+def copy(dst: np.ndarray, src, copies: Sequence[Copy],
+         src_comp: slice = slice(None), dst_comp: slice = slice(None),
+         via=None) -> None:
+    """Perform ``copies`` from the fabs of MultiFab ``src`` into ``dst``."""
+    for j, sidx, didx in copies:
+        vals = src.fab(j).data[(src_comp,) + sidx]
+        dst[(dst_comp,) + didx] = vals if via is None else via(vals)
+
+
+def run_fill_boundary(mf: MultiFab, geom: Optional[Geometry]) -> None:
+    """FillBoundary: pack every fab's messages, then unpack them."""
+    packets = {}
+    plan = fill_boundary_plan(mf, geom)
+    plan.run(lambda fp: packets.__setitem__(fp.dst, [
+        np.array(mf.fab(j).data[(slice(None),) + sidx], copy=True)
+        for j, sidx, _ in fp.copies]))
+    for fp in plan.fabs.values():
+        data = mf.fab(fp.dst).data
+        for (_, _, didx), buf in zip(fp.copies, packets.pop(fp.dst)):
+            data[(slice(None),) + didx] = buf
+
+
+def run_parallel_copy(dst: MultiFab, src: MultiFab, fill_ghosts: bool) -> None:
+    copy_plan(dst, src, src.ncomp, fill_ghosts).run(
+        lambda fp: copy(dst.fab(fp.dst).data, src, fp.copies))
+
+
+def run_average_down(fine: MultiFab, crse: MultiFab, r: IntVect) -> None:
+    average_down_plan(fine, crse, r).run(
+        lambda fp: copy(crse.fab(fp.dst).data, fine, fp.copies,
+                        via=lambda v: _block_mean(v, r)))
+
+
+def run_fill(plan: FillPlan, fine: MultiFab, crse: MultiFab, r: IntVect,
+             interp) -> None:
+    """A fill plan, fab by fab: the coordinate copy's messages, then per
+    fab its coarse gather into a scratch patch and the interpolation."""
+    if plan.coords is not None:
+        plan.coords.run(lambda fp: None)
+
+    def fill(fp):
+        fab = fine.fab(fp.dst)
+        patch = np.empty((crse.ncomp, fp.ncells))
+        copy(patch, crse, fp.copies)
+        nc = min(fab.ncomp, crse.ncomp)
+        if fp.idx is not None:
+            fab.data[(slice(0, nc),) + fp.dst_cells] = apply_stencil(
+                patch, fp.idx, fp.w)[:nc]
+            return
+        for piece, cregion, offset in fp.regions:
+            cfab = FArrayBox(cregion, crse.ncomp, data=patch[
+                :, offset:offset + cregion.num_pts()].reshape(
+                    (-1,) + cregion.shape()))
+            fab.view(piece, slice(0, nc))[...] = interp.interp(
+                cfab, piece, r)[:nc]
+
+    plan.run(fill)
+
 
 def of_boxes(dst, src, kind: str, ncomp: int, pairs_of) -> CommPlan:
     """``CommPlan.of_boxes``: ``pairs_of(i, fab)`` lists fab ``i``'s copies."""
@@ -244,9 +364,10 @@ def build_fill_plan(fine: MultiFab, crse: MultiFab, geom_fine: Geometry,
                 ccoords = FArrayBox(cregion.grow(1), coords_tmp.ncomp)
                 ccoords.data.fill(np.nan)
                 for j, overlap in intersections(grown_ba, ccoords.box):
-                    nbytes = ccoords.copy_from(coords_tmp.fab(j), overlap)
+                    src = coords_tmp.fab(j).view(overlap)
+                    ccoords.view(overlap)[...] = src
                     messages.append(crse.comm.message(
-                        crse.dm[j], rank, nbytes, "parallelcopy"))
+                        crse.dm[j], rank, src.nbytes, "parallelcopy"))
                 _nearest_fill(ccoords.data)
                 npoints += ccoords.box.num_pts()
             stencil = piece_stencil(

@@ -55,32 +55,6 @@ def test_view_out_of_bounds():
         f.view(Box((-2, 0), (1, 1)))
 
 
-def test_set_val_regions():
-    f = FArrayBox(Box((0, 0), (3, 3)), ncomp=2, ngrow=1)
-    f.set_val(1.0)
-    assert np.all(f.data == 1.0)
-    f.set_val(2.0, region=Box((0, 0), (1, 1)), comp=1)
-    assert f.data[1, 1, 1] == 2.0
-    assert f.data[0, 1, 1] == 1.0
-
-
-def test_copy_from():
-    a = FArrayBox(Box((0, 0), (3, 3)), ncomp=2)
-    b = FArrayBox(Box((2, 2), (5, 5)), ncomp=2)
-    a.set_val(7.0)
-    n = b.copy_from(a, Box((2, 2), (3, 3)))
-    assert n == 2 * 4 * 8  # 2 comps * 4 cells * 8 bytes
-    assert np.all(b.view(Box((2, 2), (3, 3))) == 7.0)
-    assert b.data[0, 2, 2] == 0.0
-
-
-def test_contains_nan():
-    f = FArrayBox(Box((0, 0), (3, 3)))
-    assert not f.contains_nan()
-    f.data[0, 0, 0] = np.nan
-    assert f.contains_nan()
-
-
 def test_data_shape_validation():
     with pytest.raises(ValueError):
         FArrayBox(Box((0, 0), (3, 3)), ncomp=1, data=np.zeros((1, 5, 5)))
@@ -90,3 +64,23 @@ def test_3d():
     f = FArrayBox(Box((0, 0, 0), (3, 4, 5)), ncomp=2, ngrow=1)
     assert f.data.shape == (2, 6, 7, 8)
     assert f.valid().shape == (2, 4, 5, 6)
+
+
+def test_given_data_is_aliased_never_copied():
+    """A fab over ``data`` *is* that array: a strided view of a level's
+    group array stays one (writes through either side show in the other),
+    and an array it could only hold by copying — another dtype — is an
+    error, not a silent copy that would detach the fab from its level."""
+    group = np.zeros((3, 4, 6, 6))            # (ncomp, B, *grown)
+    view = group[:, 2]
+    assert not view.flags.c_contiguous
+    f = FArrayBox(Box((0, 0), (3, 3)), ncomp=3, ngrow=1, data=view)
+    assert f.data is view and np.shares_memory(f.data, group)
+    f.valid()[...] = 7.0
+    assert (group[:, 2, 1:-1, 1:-1] == 7.0).all()
+    assert (group[:, [0, 1, 3]] == 0.0).all()
+    group[1, 2, 0, 0] = -1.0
+    assert f.data[1, 0, 0] == -1.0
+    with pytest.raises(ValueError, match="float64"):
+        FArrayBox(Box((0, 0), (3, 3)), ncomp=3, ngrow=1,
+                  data=view.astype(np.float32))

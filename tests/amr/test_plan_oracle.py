@@ -1,11 +1,14 @@
 """The batched box algebra against the scalar one it replaced.
 
 ``tests/amr/plan_oracle.py`` keeps the pre-array metadata producers —
-one ``Box`` per overlap, one query per fab.  On generated layouts (2-D and
-3-D, ghost widths 0-3, ratios 2 and 4, periodic or not, no box / one box /
-many) the batched primitives of ``repro.amr.boxarray`` must give the same
-boxes in the same order, and every plan built from them must equal the
-oracle's fab for fab: copies as index arrays, launch points, messages.
+one ``Box`` per overlap, one query per fab — and the per-copy executor.
+On generated layouts (2-D and 3-D, ghost widths 0-3, ratios 2 and 4,
+periodic or not, no box / one box / many) the batched primitives of
+``repro.amr.boxarray`` must give the same boxes in the same order; every
+plan built from them must charge what the oracle's does (launch points
+and messages per owning rank); and running it through the flat executor (one ``np.take`` /
+``np.put`` per level) must leave bitwise the data, and record exactly the
+ledger messages, that the oracle's plan run one copy at a time does.
 """
 
 import itertools
@@ -22,6 +25,7 @@ from repro.amr.boxarray import BoxArray, boxes_of, lohi_of
 from repro.amr.distribution import DistributionMapping
 from repro.amr.geometry import Geometry
 from repro.amr.interpolate import TrilinearInterp
+from repro.amr.interp_weno import WenoInterp
 from repro.amr.intvect import IntVect
 from repro.mpi.comm import Communicator
 from tests.amr import plan_oracle as oracle
@@ -97,8 +101,6 @@ def test_elementwise_ops_match_box_methods(drawn, n, ratio):
         assert as_boxes(op) == scalar
     assert boxarray.num_pts(lohi).tolist() == [b.num_pts() for b in boxes]
     grown = boxarray.grow(lohi, n)
-    assert boxarray.slices(lohi, grown) == [
-        b.slices(relative_to=b.grow(n)) for b in boxes]
     # every cell of every box, and where it sits in the grown box's array
     k, idx = boxarray.cells(lohi)
     flat = boxarray.flat_index(idx, grown[k])
@@ -151,21 +153,21 @@ def test_the_index_finds_what_a_scan_finds_on_many_boxes():
 
 # -- plans ---------------------------------------------------------------------------
 
-def same_index(a, b):
-    return len(a) == len(b) and all(
-        x == y if isinstance(x, slice) else np.array_equal(x, y)
-        for x, y in zip(a, b))
+def shares_of(fabs, points=lambda fp: fp.npoints, messages=True):
+    """The oracle's per-fab plans as the plan's per-rank launches: per
+    owning rank, in order of its first fab, the points and the messages of
+    its fabs."""
+    out = {}
+    for fp in fabs.values():
+        share = out.setdefault(fp.rank, [fp.rank, 0, []])
+        share[1] += points(fp)
+        share[2].extend(fp.messages if messages else ())
+    return [tuple(share) for share in out.values()]
 
 
 def assert_same_plan(got, expected):
-    assert list(got.fabs) == list(expected.fabs)
-    for i, exp in expected.fabs.items():
-        fp = got.fabs[i]
-        assert (fp.dst, fp.rank, fp.npoints) == (exp.dst, exp.rank, exp.npoints)
-        assert list(fp.messages) == list(exp.messages)
-        assert len(fp.copies) == len(exp.copies)
-        for (j, sidx, didx), (ej, esidx, edidx) in zip(fp.copies, exp.copies):
-            assert j == ej and same_index(sidx, esidx) and same_index(didx, edidx)
+    assert [(r, n, list(m)) for r, n, m in got.shares] == shares_of(
+        expected.fabs)
 
 
 def assert_same_fill_plan(got, expected):
@@ -173,27 +175,43 @@ def assert_same_fill_plan(got, expected):
     assert (got.coords is None) == (expected.coords is None)
     if expected.coords is not None:
         assert_same_plan(got.coords, expected.coords)
-    for i, exp in expected.fabs.items():
-        fp = got.fabs[i]
-        assert (fp.ncells, fp.nfilled, fp.regions) == (
-            exp.ncells, exp.nfilled, exp.regions)
-        for a, b in ((fp.idx, exp.idx), (fp.w, exp.w)):
-            assert (a is None) == (b is None)
-            assert a is None or (a.shape == b.shape and (a == b).all())
-        assert (fp.dst_cells is None) == (exp.dst_cells is None)
-        assert exp.dst_cells is None or same_index(fp.dst_cells, exp.dst_cells)
+    assert [(r, n, list(m)) for r, n, m in got.interp_shares] == shares_of(
+        expected.fabs, lambda fp: fp.nfilled, messages=False)
+
+
+def assert_same_run(got, expected):
+    """Bitwise the same data in every MultiFab pair, and the same messages
+    recorded on their communicators."""
+    for a, b in got:
+        assert a.buffer.tobytes() == b.buffer.tobytes()
+    assert got[0][0].comm.ledger.table == got[0][1].comm.ledger.table
+    assert got[0][0].comm.ledger.table == expected
+
+
+class Twins:
+    """The same generated MultiFabs twice, each copy on its own
+    communicator: one for the flat executor, one for the oracle's."""
+
+    def __init__(self, lay):
+        self.lay = lay
+        self.flat, self.ref = (
+            Communicator(lay["nranks"], ranks_per_node=2) for _ in range(2))
+
+    def make(self, ba_dm, ngrow, seed):
+        return tuple(make_mf(ba_dm, ngrow, comm, np.random.default_rng(seed))
+                     for comm in (self.flat, self.ref))
 
 
 @settings(max_examples=60, deadline=None)
 @given(layouts(), st.booleans())
 def test_box_copy_plans_equal_the_oracle(lay, fill_ghosts):
-    comm = Communicator(lay["nranks"], ranks_per_node=2)
-    rng = np.random.default_rng(lay["seed"])
+    twins = Twins(lay)
+    seed = lay["seed"]
     geom = Geometry(lay["domain"], [0.0] * lay["dim"], [1.0] * lay["dim"],
                     lay["periodic"])
-    tiling = make_mf(lay["tiling"], lay["ngrow2"], comm, rng)
-    patches = make_mf(lay["patches"], lay["ngrow"], comm, rng)
-    for mf in (tiling, patches):
+    tiling = twins.make(lay["tiling"], lay["ngrow2"], seed)
+    patches = twins.make(lay["patches"], lay["ngrow"], seed + 1)
+    for mf, ref in (tiling, patches):
         for g in (geom, None):
             assert_same_plan(boundary._build_plan(mf, g),
                              oracle.fill_boundary_plan(mf, g))
@@ -201,15 +219,24 @@ def test_box_copy_plans_equal_the_oracle(lay, fill_ghosts):
             for i, _ in mf:
                 assert as_boxes(pieces[fab == i]) == oracle.boundary_regions(
                     mf, i, g)
-    for src, dst in ((tiling, patches), (patches, tiling)):
+            boundary.fill_boundary_nowait(mf, g).finish()
+            oracle.run_fill_boundary(ref, g)
+            assert_same_run([(mf, ref)], twins.ref.ledger.table)
+    for (src, src_ref), (dst, dst_ref) in ((tiling, patches), (patches, tiling)):
         assert_same_plan(
             parallelcopy.copy_plan(dst, src, 1, fill_ghosts),
             oracle.copy_plan(dst, src, 1, fill_ghosts))
+        parallelcopy.parallel_copy(dst, src, fill_ghosts=fill_ghosts)
+        oracle.run_parallel_copy(dst_ref, src_ref, fill_ghosts)
+        assert_same_run([(dst, dst_ref)], twins.ref.ledger.table)
     r = IntVect.filled(lay["dim"], lay["ratio"])
     ba, dm = lay["patches"]
-    fine = make_mf((ba.refine(r), dm), lay["ngrow2"], comm, rng)
-    assert_same_plan(average_down._build_plan(fine, tiling, r),
-                     oracle.average_down_plan(fine, tiling, r))
+    fine, fine_ref = twins.make((ba.refine(r), dm), lay["ngrow2"], seed + 2)
+    assert_same_plan(average_down._build_plan(fine, tiling[0], r),
+                     oracle.average_down_plan(fine, tiling[0], r))
+    average_down.average_down(fine, tiling[0], r)
+    oracle.run_average_down(fine_ref, tiling[1], r)
+    assert_same_run([tiling, (fine, fine_ref)], twins.ref.ledger.table)
 
 
 def fixed_layout(sizes, periodic, patches):
@@ -233,21 +260,40 @@ LAYOUT_3D = fixed_layout((6, 6, 4), (False, True, True),
                          [((0, 0, 0), (2, 2, 1)), ((3, 2, 1), (5, 5, 3))])
 
 
+def two_levels(lay, kind, comm):
+    """:class:`TwoLevels` with any of the four interpolators."""
+    lv = TwoLevels(lay, "trilinear" if kind == "weno" else kind, comm,
+                   np.random.default_rng(lay["seed"]))
+    if kind == "weno":
+        lv.interp = WenoInterp()
+    return lv
+
+
 @settings(max_examples=60, deadline=None)
-@given(layouts(), st.sampled_from(sorted(INTERPS)), st.booleans())
+@given(layouts(), st.sampled_from(sorted([*INTERPS, "weno"])), st.booleans())
 @example(PERIODIC_2D, "curvilinear", False)
 @example(PERIODIC_2D, "trilinear", True)
+@example(PERIODIC_2D, "weno", False)
 @example(LAYOUT_3D, "curvilinear", False)
 @example(LAYOUT_3D, "trilinear", False)
+@example(LAYOUT_3D, "conslinear", True)
 def test_fill_plans_equal_the_oracle(lay, kind, whole):
-    comm = Communicator(lay["nranks"], ranks_per_node=2)
-    lv = TwoLevels(lay, kind, comm, np.random.default_rng(lay["seed"]))
-    args = (lv.fine, lv.crse, lv.geom_f, IntVect.filled(lay["dim"], lay["ratio"]),
-            lv.interp, lv.crse_coords, lv.fine_coords)
+    twins = Twins(lay)
+    lv, ref = (two_levels(lay, kind, comm) for comm in (twins.flat, twins.ref))
+    r = IntVect.filled(lay["dim"], lay["ratio"])
+    args, ref_args = ((x.fine, x.crse, x.geom_f, r, x.interp, x.crse_coords,
+                       x.fine_coords) for x in (lv, ref))
     # the whole level: every valid box, each owned by its own fab
     pieces = (lv.fine.ba.lohi, np.arange(len(lv.fine))) if whole else None
-    assert_same_fill_plan(fillpatch.build_fill_plan(*args, pieces),
-                          oracle.build_fill_plan(*args, whole))
+    plan = fillpatch.build_fill_plan(*args, pieces)
+    expected = oracle.build_fill_plan(*ref_args, whole)
+    assert_same_fill_plan(plan, expected)
+    if plan.coords is not None:
+        plan.coords.run("PC_copy", "fillpatch", lambda: None)
+    fillpatch._fill_level(plan, lv.fine, lv.crse, r, lv.interp)
+    oracle.run_fill(expected, ref.fine, ref.crse, r, ref.interp)
+    assert_same_run([(lv.fine, ref.fine), (lv.crse, ref.crse)],
+                    twins.ref.ledger.table)
 
 
 @settings(max_examples=60, deadline=None)

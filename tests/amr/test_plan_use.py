@@ -77,13 +77,15 @@ def test_accounting_is_what_it_was_before_plans(version):
                 f"v{version} step {step}")
         # counts fall where points do not (step 1, no regrid)
         launches = {c: l1[c] - l0.get(c, 0) for c in l1}
-        assert launches["interp"] == 120, (
-            "one Interp launch per fine fab with coarse/fine ghosts per RK "
-            "stage; it was one per ghost piece (327 on this deck)")
-        assert launches["fillpatch"] == {"2.0": 567, "2.1": 516}[version], (
-            "one PC_gather per fine fab per stage; it was one per ghost "
-            "piece, and on 2.0 a second one for the piece's coordinates "
-            "(1101 / 723 on this deck)")
+        assert launches["interp"] == 36, (
+            "one Interp launch per fine level, owning rank and RK stage; it "
+            "was one per fine fab (120 on this deck), and before that one "
+            "per ghost piece (327)")
+        assert launches["fillpatch"] == {"2.0": 210, "2.1": 180}[version], (
+            "FB_pack, FB_unpack, PC_gather, BC_fill and (2.0) PC_copy run "
+            "once per level, owning rank and stage; they ran once per fab "
+            "(567 / 516 on this deck), and PC_gather before that once per "
+            "ghost piece (1101 / 723)")
         assert (launches["flux"], launches["update"]) == (210, 105), (
             "21 batches of equal-shape boxes, recorded once per owning rank "
             "(35 rank shares), x 2 WENO sweeps (flux) x 3 RK stages; it was "

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.amr.boundary import GhostFaces
 from repro.amr.box import Box
-from repro.amr.fab import FArrayBox
+from repro.amr.boxarray import BoxArray
+from repro.amr.distribution import DistributionMapping
+from repro.amr.multifab import MultiFab
 from repro.cases.dmr import DoubleMachReflection, X0
 from repro.cases.grids import (
     compression_ramp_mapping,
@@ -116,12 +119,15 @@ def test_dmr_wall_bc_reflects():
     geom = case.geometry0()
     ng = 2
     box = Box((48, 0), (63, 15))  # touches the wall, x > X0
-    fab = FArrayBox(box, case.layout.ncons, ng)
-    cfab = FArrayBox(box, 2, ng)
+    ba = BoxArray([box])
+    dm = DistributionMapping.make(ba, 1)
+    state = MultiFab(ba, dm, case.layout.ncons, ng)
+    coords = MultiFab(ba, dm, 2, ng)
+    fab, cfab = state.fab(0), coords.fab(0)
     cfab.whole()[...] = case.coordinates(geom, fab.grown_box())
-    u0 = case.initial_condition(cfab.whole())
-    fab.whole()[...] = u0
-    case.bc_fill(fab, geom, 0.0, cfab)
+    fab.whole()[...] = case.initial_condition(cfab.whole())
+    # the boundary fill of the one-box level, from its ghost-face table
+    case.bc_fill(GhostFaces(state, coords, geom.domain, case.bc_faces), 0.0)
     # ghost below wall mirrors interior with flipped y-momentum
     interior = fab.view(Box((50, 0), (50, 1)))
     ghost = fab.view(Box((50, -2), (50, -1)))

@@ -1,9 +1,9 @@
 """A remade level rebuilds only what changed, bit for bit.
 
-``Crocco.remake_level`` keeps the coordinates and metrics of every box
-equal to a box of the old level, builds the metrics of the other boxes per
-equal-shape group, and interpolates from coarse only where no old fine
-cell exists.  The reference here is the recipe it replaced, kept
+``Crocco.remake_level`` copies the coordinates and metrics of every box
+equal to a box of the old level into the new level's storage, builds the
+metrics of the other boxes per batch, and interpolates from coarse only
+where no old fine cell exists.  The reference here is the recipe it replaced, kept
 verbatim (as ``tests/amr/plan_oracle.py`` keeps the scalar plan
 builders): recompute every box's coordinates and metrics, interpolate the
 whole level from coarse, then ParallelCopy the old level over it.
@@ -16,11 +16,10 @@ import numpy as np
 import pytest
 
 from repro.amr.fillpatch import fill_coarse_patch
-from repro.amr.multifab import MultiFab
 from repro.cases.dmr import DoubleMachReflection
 from repro.core.crocco import Crocco, CroccoConfig
-from repro.kernels.batch import BATCH_CELLS, make_batches, shape_groups
-from repro.numerics.metrics import (CartesianMetrics, CurvilinearMetrics,
+from repro.kernels.batch import BATCH_CELLS, shape_groups
+from repro.numerics.metrics import (CurvilinearMetrics, StackedMetrics,
                                     derivative_same_shape)
 
 STEPS = 8
@@ -74,31 +73,18 @@ class Reference(Crocco):
             profiler=self.profiler)
 
     def _build_level_storage(self, lev, ba, dm, kept=None):
+        """Every box's coordinates computed afresh, and its metrics one
+        patch at a time."""
         assert not kept
-        lay = self.case.layout
-        self.state[lev] = MultiFab(ba, dm, lay.ncons, self.ng, self.comm)
-        self.du[lev] = MultiFab(ba, dm, lay.ncons, 0, self.comm)
-        coords = MultiFab(ba, dm, lay.dim, self.ng, self.comm)
-        geom = self.geoms[lev]
-        for i, fab in coords:
-            fab.whole()[...] = self._get_coords(geom, fab.grown_box())
-        self.coords[lev] = coords
-        self.metrics[lev] = {}
-        for i, fab in coords:
-            if self.case.curvilinear:
-                self.metrics[lev][i] = CurvilinearMetrics(
-                    *reference_metrics(fab.whole()))
-            else:
-                self.metrics[lev][i] = CartesianMetrics(self.case.cartesian_dx(geom))
-        self.batches[lev] = make_batches(self.state[lev], self.metrics[lev])
-        per_rank = [0] * self.comm.nranks
-        for i, fab in self.state[lev]:
-            per_rank[self.state[lev].dm[i]] += (
-                fab.nbytes() + self.du[lev].fab(i).nbytes()
-                + coords.fab(i).nbytes())
-        for rank, nbytes in enumerate(per_rank):
-            self.exec_backend.reserve(nbytes, rank)
-        self._residency[lev] = per_rank
+        super()._build_level_storage(lev, ba, dm)
+        if not self.case.curvilinear:
+            return
+        for batch in self.batches[lev]:
+            batch.metrics = StackedMetrics([
+                CurvilinearMetrics(*reference_metrics(
+                    self.coords[lev].fab(i).data)) for i in batch.ids])
+            self.metrics[lev].update(
+                (i, batch.metrics.member(b)) for b, i in enumerate(batch.ids))
 
 
 def churn(cls, **config):
@@ -187,38 +173,87 @@ def test_grouped_metrics_equal_per_box_metrics(shape, n):
             assert same(single.jacobian(), J) and same(single.first, first)
 
 
+def level_arrays(sim, lev):
+    """Every array of level ``lev``'s storage: the state, ``du`` and
+    coordinate buffers and each batch's stacked metrics."""
+    return [sim.state[lev].buffer, sim.du[lev].buffer, sim.coords[lev].buffer,
+            *(a for b in sim.batches[lev]
+              for a in (b.metrics._m, b.metrics._J))]
+
+
 def test_a_kept_box_holds_no_replaced_stack_alive():
-    """A surviving box keeps its metrics object, but not the stacked
-    ``m`` / ``J`` of the batch it belonged to: once the level is replaced,
-    none of its stacks' arrays is alive."""
+    """A surviving box is copied into the new level's storage: once the
+    level is replaced, none of its buffers or stacked metrics is alive,
+    even where a box of a multi-box batch was kept."""
     with closing(churn(Crocco)) as sim:
         sim.step()
         checked = 0
         for _ in range(STEPS):
             lev = sim.finest_level
-            stacked = [b for b in sim.batches[lev] if len(b.ids) > 1]
-            refs = [weakref.ref(a) for b in stacked
-                    for a in (b.metrics._m, b.metrics._J)]
-            members = [weakref.ref(sim.metrics[lev][i])
-                       for b in stacked for i in b.ids]
-            old_metrics = sim.metrics[lev]
-            del stacked
+            refs = [weakref.ref(a) for a in level_arrays(sim, lev)]
+            multi = {sim.state[lev].ba[i] for b in sim.batches[lev]
+                     if len(b.ids) > 1 for i in b.ids}
+            old_state = sim.state[lev]
             sim.step()
-            if sim.metrics[lev] is old_metrics:
+            if sim.state[lev] is old_state:
                 continue
-            del old_metrics
-            alive = [r() for r in members if r() is not None]
-            checked += sum(any(m is a for a in alive)
-                           for m in sim.metrics[lev].values())
-            del alive
+            del old_state
+            checked += sum(box in multi for box in sim.state[lev].ba)
             assert not [r for r in refs if r() is not None], (
-                "a replaced level's stacked metrics are still alive")
+                "a replaced level's storage is still alive")
         assert checked > 0, "no step kept a box of a multi-box batch"
 
 
+def test_a_remade_level_shares_no_memory_with_the_one_it_replaced():
+    """The stale-storage trap: after every remake of a churning run, no
+    state, ``du``, coordinate or metrics array of the new level shares
+    memory with the level it replaced, and every kept box is bitwise what
+    it was (its valid state after the copy-in, its coordinates, metrics)."""
+    with closing(churn(Crocco)) as sim:
+        remakes = kept = 0
+        inner = sim.remake_level
+
+        def remake(lev, ba, dm):
+            nonlocal remakes, kept
+            old = {k: getattr(sim, k).get(lev) for k in ("state", "coords")}
+            old_arrays = level_arrays(sim, lev) if old["state"] else []
+            before = {} if old["state"] is None else {
+                old["state"].ba[j]: (old["state"].fab(j).valid().copy(),
+                                     old["coords"].fab(j).data.copy(),
+                                     sim.metrics[lev][j])
+                for j in range(len(old["state"].ba))}
+            inner(lev, ba, dm)
+            remakes += 1
+            new_arrays = level_arrays(sim, lev) + [
+                a for m in sim.metrics[lev].values() if hasattr(m, "first")
+                for a in (m.first, m.second, m._m, m._J)]
+            for a in new_arrays:
+                assert not any(np.shares_memory(a, b) for b in old_arrays)
+                for valid, coords, metrics in before.values():
+                    assert not np.shares_memory(a, metrics.jacobian())
+            for i, fab in sim.state[lev]:
+                if fab.box not in before:
+                    continue
+                kept += 1
+                valid, coords, metrics = before[fab.box]
+                got = sim.metrics[lev][i]
+                assert same(fab.valid(), valid)
+                assert same(sim.coords[lev].fab(i).data, coords)
+                assert got is not metrics
+                for a, b in ((got.first, metrics.first), (got.second, metrics.second),
+                             (got.jacobian(), metrics.jacobian())):
+                    assert same(a, b) and not np.shares_memory(a, b)
+
+        sim.remake_level = remake
+        for _ in range(STEPS):
+            sim.step()
+        assert remakes >= STEPS and kept > 0
+
+
 def test_a_remake_that_keeps_every_box_fills_nothing(monkeypatch):
-    """Every box survives: coordinates and metrics are the old objects,
-    the valid data is the old level's, and no coarse fill runs."""
+    """Every box survives: coordinates and metrics are the old ones, copied
+    into the new storage, the valid data is the old level's, and no coarse
+    fill runs."""
     from repro.backend import use_backend
     from repro.core import crocco
 
@@ -230,14 +265,18 @@ def test_a_remake_that_keeps_every_box_fills_nothing(monkeypatch):
         ba, dm = sim.box_arrays[1], sim.dmaps[1]
         old = {i: (fab.valid().copy(), sim.coords[1].fab(i).data,
                    sim.metrics[1][i]) for i, fab in sim.state[1]}
+        old_buffer = sim.coords[1].buffer
         counts = (sim.step_boxes_kept, sim.step_boxes_new)
         with use_backend(sim.exec_backend):
             sim.remake_level(1, ba, dm)
         assert fills == []
         assert (sim.step_boxes_kept, sim.step_boxes_new) == (
             counts[0] + len(ba), counts[1])
+        assert not np.shares_memory(sim.coords[1].buffer, old_buffer)
         for i, fab in sim.state[1]:
             valid, coords, metrics = old[i]
             assert same(fab.valid(), valid)
-            assert sim.coords[1].fab(i).data is coords
-            assert sim.metrics[1][i] is metrics
+            assert same(sim.coords[1].fab(i).data, coords)
+            got = sim.metrics[1][i]
+            assert same(got.jacobian(), metrics.jacobian())
+            assert all(same(got.m(d), metrics.m(d)) for d in range(got.dim))

@@ -54,21 +54,24 @@ def test_stale_batch_trap(monkeypatch):
     ran, seen = [], {}
     inner = rk3graph.rhs_update
 
-    def live_only(kernels, case, us, dus, coords, metrics, ranks, *rest):
-        """Every batch that runs belongs to the live level storage."""
+    def live_only(kernels, case, u, du, coords, metrics, ranks, *rest):
+        """Every batch that runs belongs to the live level storage, and
+        runs on its group arrays: its members' fabs are views into them."""
         live = [(lev, b) for lev, bs in sim.batches.items() for b in bs
                 if b.metrics is metrics]
         assert len(live) == 1, "a batch of a replaced level storage ran"
         lev, b = live[0]
         assert b.ranks == tuple(ranks)
+        assert u is sim.state[lev].arrays[b.group]
+        assert du is sim.du[lev].arrays[b.group]
         for k, i in enumerate(b.ids):
-            assert us[k] is sim.state[lev].fab(i).whole()
-            assert dus[k] is sim.du[lev].fab(i).whole()
+            assert np.shares_memory(u[:, k], sim.state[lev].fab(i).data)
+            assert np.shares_memory(du[:, k], sim.du[lev].fab(i).data)
             # members read their metrics out of the stack that owns them
             assert np.shares_memory(sim.metrics[lev][i].jacobian(),
                                     metrics.jacobian())
         ran.append(len(b.ids))
-        return inner(kernels, case, us, dus, coords, metrics, ranks, *rest)
+        return inner(kernels, case, u, du, coords, metrics, ranks, *rest)
 
     def reachable_only_through_their_storage():
         assert set(sim.batches) == set(sim.state)

@@ -145,8 +145,8 @@ def test_curvilinear_gcl_residual_small():
 @pytest.mark.parametrize("dim", [2, 3])
 def test_metric_arrays_are_component_major(dim):
     """Each ``m(d)[j]`` is unit-stride along the grid — for one patch, a
-    stack of one and a stack of several (whose members become views of
-    it) — with the values of ``J inv(dx/dxi)``: ``inv`` alone hands back
+    stack of one and a stack of several (whose members are views of it)
+    — with the values of ``J inv(dx/dxi)``: ``inv`` alone hands back
     cell-major ``(N, d, j)`` storage every kernel would walk strided."""
     shape = (9, 8, 7)[:dim]
     idx = np.stack(np.meshgrid(*[np.arange(n) + 0.5 for n in shape],
@@ -168,9 +168,13 @@ def test_metric_arrays_are_component_major(dim):
             assert met.m(d).dtype == np.float64
         assert met.jacobian().flags.c_contiguous
     for b, mem in enumerate(members):
-        assert np.shares_memory(mem.m(0), several.m(0))
-        assert np.array_equal(mem.m(1), patch(b).m(1))
-        assert mem.m(1)[0].flags.c_contiguous
+        # the stack copies its members in: patch b's metrics are its
+        # member b, views into it, and the input holds nothing of it
+        got = several.member(b)
+        assert np.shares_memory(got.m(0), several.m(0))
+        assert not np.shares_memory(mem.m(0), several.m(0))
+        assert np.array_equal(got.m(1), patch(b).m(1))
+        assert got.m(1)[0].flags.c_contiguous
 
 
 def test_curvilinear_rejects_folded_grid():

@@ -249,20 +249,19 @@ def build_stage_graph(sim) -> StageGraph:
             regions=("FillPatch", "FillBoundary_finish"),
         )
         if lev > 0:
-            # an interpolation reads the whole coarse level: one edge to each
-            # of its compute tasks (every coarse fab's last writer) in place
-            # of a read per coarse fab; AverageDown, the next coarse writer,
-            # follows through BC_Fill and this level's compute
-            for i, _ in state:
-                g.add(
-                    f"Interp(L{lev},b{i})",
-                    (lambda op=op, i=i: op.interp_fab(i)),
-                    kind="interp",
-                    writes=(DataKey(("state", lev), i),),
-                    channel=("pc", lev) if needs else None,
-                    after=computes + ([pc_post] if needs else []),
-                    regions=("FillPatch", "ParallelCopy"),
-                )
+            # the interpolation reads the whole coarse level: one edge to
+            # each of its compute tasks (every coarse fab's last writer) in
+            # place of a read per coarse fab; AverageDown, the next coarse
+            # writer, follows through BC_Fill and this level's compute.  It
+            # writes every fab of the level, in one pass.
+            g.add(
+                f"Interp(L{lev})", op.interp_fab,
+                kind="interp",
+                writes=skeys,
+                channel=("pc", lev) if needs else None,
+                after=computes + ([pc_post] if needs else []),
+                regions=("FillPatch", "ParallelCopy"),
+            )
         # sim._bc_fill opens its own BC_Fill profiler region
         g.add(
             f"BC_Fill(L{lev})", (lambda lev=lev: sim._bc_fill(lev)),

@@ -76,16 +76,15 @@ def test_stale_graph_trap(monkeypatch):
 
     inner = rk3graph.rhs_update
 
-    def live_batch(kernels, case, us, dus, coords, metrics, ranks, *rest):
+    def live_batch(kernels, case, u, du, coords, metrics, ranks, *rest):
         live = [(lev, b) for lev, bs in sim.batches.items() for b in bs
                 if b.metrics is metrics]
         assert len(live) == 1, "a replayed task ran a replaced batch"
         lev, b = live[0]
-        for k, i in enumerate(b.ids):
-            assert us[k] is sim.state[lev].fab(i).whole()
-            assert coords[k] is sim.coords[lev].fab(i).whole()
+        assert u is sim.state[lev].arrays[b.group]
+        assert coords is sim.coords[lev].arrays[b.group]
         touched["batches"] += 1
-        return inner(kernels, case, us, dus, coords, metrics, ranks, *rest)
+        return inner(kernels, case, u, du, coords, metrics, ranks, *rest)
 
     monkeypatch.setattr(rk3graph, "rhs_update", live_batch)
     replayed = advance(sim)
@@ -180,9 +179,10 @@ def test_every_interp_task_follows_its_levels_coordinate_copy():
     post = {t.name[len("PC_coords_nowait("):-1]: t.tid for t in g.tasks
             if t.name.startswith("PC_coords_nowait(")}
     interps = [t for t in g.tasks if t.name.startswith("Interp(")]
-    assert interps and set(post) == {f"L{lev}" for lev in (1, 2)}
+    assert set(post) == {f"L{lev}" for lev in (1, 2)}
+    assert [t.name for t in interps] == ["Interp(L1)", "Interp(L2)"]
     for t in interps:
-        lev = t.name[len("Interp("):].split(",")[0]
+        lev = t.name[len("Interp("):-1]
         assert post[lev] in t.deps, t.name
 
 

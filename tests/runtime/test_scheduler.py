@@ -48,7 +48,7 @@ class TestPriorities:
             coarse = [n for n in names if n.startswith(f"Box(L{lev - 1},")]
             assert coarse and all(at(n) < at(f"FB_finish(L{lev})")
                                   for n in coarse)
-        assert at("FB_finish(L1)") < at("Interp(L1,b0)") < at("BC_Fill(L1)")
+        assert at("FB_finish(L1)") < at("Interp(L1)") < at("BC_Fill(L1)")
 
     def test_submission_order_breaks_ties(self):
         """There is no tie to break: tasks run in the order they were

@@ -22,6 +22,7 @@ from repro.amr.distribution import DistributionMapping
 from repro.amr.geometry import Geometry
 from repro.amr.intvect import IntVect
 from repro.mpi.comm import Communicator
+from repro.profiling.tinyprofiler import TinyProfiler
 
 
 @dataclass
@@ -76,6 +77,8 @@ class AmrCore:
         self.box_arrays: List[Optional[BoxArray]] = [None] * (config.max_level + 1)
         self.dmaps: List[Optional[DistributionMapping]] = [None] * (config.max_level + 1)
         self.finest_level = -1
+        #: times the regrid's Cluster phase (the application's hooks theirs)
+        self.profiler = TinyProfiler()
 
     # -- application hooks (override in subclass) ------------------------------
     def make_new_level_from_scratch(self, lev: int, ba: BoxArray,
@@ -142,7 +145,8 @@ class AmrCore:
                 break
             if new_ba == self.box_arrays[lev + 1]:
                 continue
-            dm = DistributionMapping.make(new_ba, self.comm.nranks, cfg.strategy)
+            with self.profiler.region("Cluster"):
+                dm = DistributionMapping.make(new_ba, self.comm.nranks, cfg.strategy)
             if lev + 1 <= self.finest_level:
                 self.remake_level(lev + 1, new_ba, dm)
             else:
@@ -169,21 +173,17 @@ class AmrCore:
         tags = self.error_est(lev)
         if tags is None or len(tags) == 0:
             return BoxArray([])
-        tags = buffer_tags(tags, cfg.n_error_buf, self.geoms[lev].domain)
-        # cluster in level-lev index space with constraints expressed there
-        r = cfg.ref_ratio
-        bf_c = max(1, cfg.blocking_factor // r)
-        ms_c = max(bf_c, cfg.max_grid_size // r)
-        ba_c = cluster_tags(
-            tags,
-            self.geoms[lev].domain,
-            grid_eff=cfg.grid_eff,
-            blocking_factor=bf_c,
-            max_grid_size=ms_c,
-        )
-        if lev > 0:
-            ba_c = self._clip_to_coverage(ba_c, lev)
-        return ba_c.refine(self.ref_ratio_iv())
+        with self.profiler.region("Cluster"):
+            # cluster in level-lev index space with constraints expressed there
+            domain, r = self.geoms[lev].domain, cfg.ref_ratio
+            bf_c = max(1, cfg.blocking_factor // r)
+            ba_c = cluster_tags(buffer_tags(tags, cfg.n_error_buf, domain),
+                                domain, grid_eff=cfg.grid_eff,
+                                blocking_factor=bf_c,
+                                max_grid_size=max(bf_c, cfg.max_grid_size // r))
+            if lev > 0:
+                ba_c = self._clip_to_coverage(ba_c, lev)
+            return ba_c.refine(self.ref_ratio_iv())
 
     def _clip_to_coverage(self, ba_c: BoxArray, lev: int) -> BoxArray:
         """Proper nesting: keep new grids ``n_proper`` cells inside level

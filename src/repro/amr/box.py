@@ -9,7 +9,7 @@ interpolators that need them).
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.amr.intvect import IntVect, IntVectLike
 
@@ -125,27 +125,6 @@ class Box:
         hi_lo = list(self.lo)
         hi_lo[idim] = at
         return Box(self.lo, IntVect(*lo_hi)), Box(IntVect(*hi_lo), self.hi)
-
-    def max_size_chop(self, max_size: IntVectLike) -> List["Box"]:
-        """Chop recursively so no resulting box exceeds ``max_size`` cells per direction."""
-        ms = IntVect.coerce(max_size, self.dim)
-        out: List[Box] = []
-        stack = [self]
-        while stack:
-            b = stack.pop()
-            for d in range(self.dim):
-                if b.size()[d] > ms[d]:
-                    # split into ceil(size/max) nearly-equal chunks: cut at lo + half
-                    n_chunks = -(-b.size()[d] // ms[d])
-                    cut = b.lo[d] + (b.size()[d] // n_chunks)
-                    a, c = b.chop(d, cut)
-                    stack.append(a)
-                    stack.append(c)
-                    break
-            else:
-                out.append(b)
-        out.sort(key=lambda b: b.lo.tup())
-        return out
 
     def slices(self, relative_to: Optional["Box"] = None) -> Tuple[slice, ...]:
         """NumPy slices selecting this box inside an array that covers ``relative_to``.

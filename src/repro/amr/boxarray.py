@@ -70,8 +70,9 @@ def nonempty(lohi: np.ndarray) -> np.ndarray:
 
 def meet(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise (broadcast) intersections; empty where a pair is apart."""
-    return np.stack([np.maximum(a[..., 0, :], b[..., 0, :]),
-                     np.minimum(a[..., 1, :], b[..., 1, :])], axis=-2)
+    out = np.maximum(a, b)
+    np.minimum(a[..., 1, :], b[..., 1, :], out=out[..., 1, :])
+    return out
 
 
 def _ragged(n: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -172,6 +173,29 @@ def disjoint(lohi: np.ndarray) -> np.ndarray:
     return np.concatenate(out)
 
 
+def chop(lohi: np.ndarray, max_size: IntVectLike) -> np.ndarray:
+    """Every box cut, per direction, into ``ceil(size / max_size)`` near-equal
+    parts by halving at ``size // parts`` (the pieces' order is not kept)."""
+    most = np.broadcast_to(_vec(max_size), lohi.shape[2:]).tolist()
+    for d in range(lohi.shape[2]):
+        parts = [_halves(n, most[d])
+                 for n in (lohi[:, 1, d] - lohi[:, 0, d] + 1).tolist()]
+        lohi = lohi[np.repeat(np.arange(len(lohi)), [len(p) for p in parts])]
+        ends = np.array([e for p in parts for e in p], np.intp).reshape(-1, 2)
+        lohi[:, 1, d] = lohi[:, 0, d] + ends[:, 1]
+        lohi[:, 0, d] += ends[:, 0]
+    return lohi
+
+
+def _halves(n: int, most: int) -> List[Tuple[int, int]]:
+    """First and last offset of each part of ``n`` cells, cut as above."""
+    if n <= most:
+        return [(0, n - 1)]
+    cut = n // -(-n // most)
+    return _halves(cut, most) + [(cut + a, cut + b)
+                                 for a, b in _halves(n - cut, most)]
+
+
 def by_lo(lohi: np.ndarray) -> np.ndarray:
     """Sorted by low corner, first direction most significant."""
     return lohi[np.lexsort(lohi[:, 0].T[::-1])]
@@ -204,23 +228,18 @@ class BoxArray:
         (provided the domain itself is); this mirrors the AMReX input-deck
         parameters ``amr.max_grid_size`` and ``amr.blocking_factor``.
         """
-        bf = IntVect.coerce(blocking_factor, domain.dim)
-        ms = IntVect.coerce(max_grid_size, domain.dim)
-        for d in range(domain.dim):
+        bf, ms = (np.broadcast_to(_vec(n), (domain.dim,))
+                  for n in (blocking_factor, max_grid_size))
+        for d, n in enumerate(domain.shape()):
             if ms[d] % bf[d] != 0:
-                raise ValueError(
-                    f"max_grid_size {ms[d]} not divisible by blocking_factor {bf[d]}"
-                )
-            if domain.size()[d] % bf[d] != 0:
-                raise ValueError(
-                    f"domain size {domain.size()[d]} not divisible by "
-                    f"blocking_factor {bf[d]} in direction {d}"
-                )
+                raise ValueError(f"max_grid_size {ms[d]} not divisible by "
+                                 f"blocking_factor {bf[d]}")
+            if n % bf[d] != 0:
+                raise ValueError(f"domain size {n} not divisible by "
+                                 f"blocking_factor {bf[d]} in direction {d}")
         # Chop in blocking-factor units so all cuts are aligned.
-        coarse = Box(domain.lo.coarsen(bf),
-                     (domain.hi + IntVect.unit(domain.dim)).coarsen(bf) - IntVect.unit(domain.dim))
-        chunks = coarse.max_size_chop(ms // bf)
-        return cls(c.refine(bf) for c in chunks)
+        return cls(by_lo(refine(chop(coarsen(lohi_of([domain]), bf), ms // bf),
+                                bf)))
 
     # -- protocol --------------------------------------------------------
     def __len__(self) -> int:

@@ -6,7 +6,8 @@ equations in strong conservation-law form requires the first-order metric
 terms ``J * d(xi_d)/d(x_j)`` and the Jacobian ``J = det(dx/dxi)``; CRoCCo
 additionally stores the second-order metrics ``d2 x_j / d xi_d d xi_e``
 (Sec. III-C: 9 first- plus 18 second-derivative components = the paper's
-27-component metrics MultiFab).
+27-component metrics MultiFab).  No step reads the second-order ones, so
+they are computed from the first-order ones when first read.
 
 Metric derivatives are reconstructed with 4th-order central differences of
 the *stored coordinates* — curvilinear grids are generated from complex
@@ -16,7 +17,7 @@ rather than recomputed (the paper's data-management point).
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +32,7 @@ def derivative_same_shape(v: np.ndarray, axis: int, order: int = 4) -> np.ndarra
     one-sided 2nd-order differences.  Metrics are computed once per level
     (re)build, so the edge fallback only affects outermost ghost cells.
     """
-    v = np.moveaxis(v, axis, -1)
+    v = v.swapaxes(axis, -1)
     n = v.shape[-1]
     out = np.empty_like(v)
     offsets, coeffs = FIRST_DERIVATIVE[order]
@@ -61,7 +62,7 @@ def derivative_same_shape(v: np.ndarray, axis: int, order: int = 4) -> np.ndarra
             out[..., n - 1] = 1.5 * v[..., n - 1] - 2.0 * v[..., n - 2] + 0.5 * v[..., n - 3]
         elif n == 2:
             out[..., n - 1] = v[..., n - 1] - v[..., n - 2]
-    return np.moveaxis(out, -1, axis)
+    return out.swapaxes(axis, -1)
 
 
 class Metrics:
@@ -133,7 +134,7 @@ class StackedMetrics(Metrics):
         J = np.stack([mem.jacobian() for mem in members])
         if isinstance(members[0], CurvilinearMetrics):
             self._hold(m, J, np.stack([mem.first for mem in members]),
-                       np.stack([mem.second for mem in members]))
+                       members[0].order)
         else:
             self._hold(m, J, members=list(members))
 
@@ -144,14 +145,14 @@ class StackedMetrics(Metrics):
         batch axis in place: the stack holds the arrays of the one pass
         over the patches' coordinates (``(dim, *s)`` each), nothing copied."""
         stack = cls.__new__(cls)
-        stack._hold(*_curvilinear_arrays(coords, order))
+        stack._hold(*_curvilinear_arrays(coords, order), order)
         return stack
 
-    def _hold(self, m, J, first=None, second=None, members=None) -> None:
+    def _hold(self, m, J, first=None, order=4, members=None) -> None:
         self.dim = m.shape[0]
         self._m, self._J = m, J
         self._members: List[Metrics] = members if first is None else [
-            CurvilinearMetrics(first[b], second[b], J[b], m[:, :, b])
+            CurvilinearMetrics(first[b], J[b], m[:, :, b], order)
             for b in range(len(J))]
 
     def m(self, d: int) -> np.ndarray:
@@ -191,12 +192,13 @@ class CartesianMetrics(Metrics):
 class CurvilinearMetrics(Metrics):
     """Metrics reconstructed from stored physical coordinates."""
 
-    def __init__(self, first: np.ndarray, second: np.ndarray, J: np.ndarray,
-                 m_arrays: np.ndarray) -> None:
+    def __init__(self, first: np.ndarray, J: np.ndarray,
+                 m_arrays: np.ndarray, order: int = 4) -> None:
         #: dx_j/dxi_d, shape (dim, dim, *s): first[j, d]
         self.first = first
-        #: d2 x_j / dxi_d dxi_e for d <= e, shape (dim, npairs, *s)
-        self.second = second
+        #: the stencil order of the derivatives
+        self.order = order
+        self._second: Optional[np.ndarray] = None
         self._J = J
         #: J * dxi_d/dx_j, shape (dim, dim, *s): m_arrays[d, j]
         self._m = m_arrays
@@ -217,6 +219,17 @@ class CurvilinearMetrics(Metrics):
         stencils are elementwise along it and ``det`` / ``inv`` go matrix by
         matrix, so each patch gets the bits of its own build, as views."""
         return StackedMetrics.of_coordinates(coords, order)._members
+
+    @property
+    def second(self) -> np.ndarray:
+        """d2 x_j / dxi_d dxi_e for d <= e, shape (dim, npairs, *s):
+        computed on first read (the bits of a build with the first-order
+        metrics), then kept."""
+        if self._second is None:
+            pairs = [(d, e) for d in range(self.dim) for e in range(d, self.dim)]
+            self._second = np.stack([derivative_same_shape(
+                self.first[:, d], e + 1, self.order) for d, e in pairs], axis=1)
+        return self._second
 
     @property
     def ncomp_stored(self) -> int:
@@ -245,7 +258,7 @@ class CurvilinearMetrics(Metrics):
 
 
 def _curvilinear_arrays(coords: Sequence[np.ndarray], order: int):
-    """``(m, J, first, second)`` of equal-shape patches from their
+    """``(m, J, first)`` of equal-shape patches from their
     coordinates, on a batch axis: ``m`` is ``(dim, dim, B, *s)``
     (component-major: each ``m[d, j]`` unit-stride along the batch and
     grid), the others batch-first."""
@@ -257,11 +270,6 @@ def _curvilinear_arrays(coords: Sequence[np.ndarray], order: int):
     first = np.empty((nb, dim, dim) + s)
     for d in range(dim):
         first[:, :, d] = derivative_same_shape(coords, d + 2, order)
-    # second metrics for unique pairs (d, e), d <= e
-    pairs = [(d, e) for d in range(dim) for e in range(d, dim)]
-    second = np.empty((nb, dim, len(pairs)) + s)
-    for k, (d, e) in enumerate(pairs):
-        second[:, :, k] = derivative_same_shape(first[:, :, d], e + 2, order)
     # Jacobian and inverse: operate on (..., dim, dim) stacks
     T = np.moveaxis(first.reshape(nb, dim, dim, -1), -1, 1)  # (B, N, j, d)
     J = np.linalg.det(T)
@@ -270,7 +278,7 @@ def _curvilinear_arrays(coords: Sequence[np.ndarray], order: int):
     Tinv = np.linalg.inv(T)  # (B, N, d, j) : d xi_d / d x_j
     m = np.ascontiguousarray((J[..., None, None] * Tinv).transpose(
         2, 3, 0, 1)).reshape((dim, dim, nb) + s)
-    return m, J.reshape((nb,) + s), first, second
+    return m, J.reshape((nb,) + s), first
 
 
 def grid_quality(metrics: "CurvilinearMetrics", interior: int = 2) -> dict:

@@ -240,6 +240,16 @@ def format_report(events: Sequence[dict], other: dict,
             lines.append(f"{name:<26s} {split[name]:>12.6f}s "
                          f"{split[name] / total:>6.1%}")
 
+    # Regrid split: its phases, and what no phase region covers
+    split = split_of(events, "Regrid")
+    if "Regrid" in regions:
+        total = regions["Regrid"].inclusive
+        split["other"] = total - sum(split.values())
+        lines.append("regrid split: " + " | ".join(
+            f"{name} {split.get(name, 0.0):.6f}s "
+            f"{split.get(name, 0.0) / (total or 1.0):.1%}"
+            for name in ("ErrorEst", "Cluster", "RemakeLevel", "other")))
+
     # runtime comm/compute overlap
     orows = overlap_rows(records)
     if orows:

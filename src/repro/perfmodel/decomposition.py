@@ -31,7 +31,8 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.amr.box import Box
-from repro.amr.boxarray import BoxArray, grow, num_pts
+from repro.amr.boxarray import (BoxArray, boxes_of, chop, grow, lohi_of,
+                                num_pts)
 from repro.amr.distribution import DistributionMapping
 from repro.amr.intvect import IntVect
 from repro.amr.morton import morton_encode
@@ -332,7 +333,7 @@ def shock_band_boxes(domain: Box, width_frac: float, cal: Calibration,
             IntVect(x_lo, y, domain.lo[2]),
             IntVect(x_hi, y1, domain.hi[2]),
         )
-        boxes.extend(slab.max_size_chop(max_size))
+        boxes.extend(boxes_of(chop(lohi_of([slab]), max_size)))
         y = y1 + 1
     boxes.sort(key=lambda b: b.lo.tup())
     return BoxArray(boxes)

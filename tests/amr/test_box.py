@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.amr.box import Box
-from repro.amr.boxarray import boxes_of, cells, diff, lohi_of
+from repro.amr.boxarray import boxes_of, cells, chop, diff, lohi_of
 from repro.amr.intvect import IntVect
 
 
@@ -83,7 +83,7 @@ def test_chop():
 
 def test_max_size_chop_covers_and_limits():
     b = Box((0, 0, 0), (63, 31, 15))
-    parts = b.max_size_chop(16)
+    parts = boxes_of(chop(lohi_of([b]), 16))
     assert sum(p.num_pts() for p in parts) == b.num_pts()
     for p in parts:
         assert max(p.size()) <= 16

@@ -11,11 +11,7 @@ from repro.amr.boxarray import BoxArray
 from repro.amr.cluster import buffer_tags, cluster_tags
 from repro.amr.distribution import DistributionMapping
 from repro.amr.multifab import MultiFab
-from repro.amr.tagging import (
-    tag_density_gradient,
-    tagged_cells,
-    undivided_gradient_magnitude,
-)
+from repro.amr.tagging import tag_density_gradient, undivided_gradient_magnitude
 from repro.mpi.comm import Communicator
 from tests.conftest import no_overlaps
 
@@ -53,22 +49,20 @@ def test_gradient_magnitude_smooth_linear():
 
 def test_tag_density_gradient_finds_shock():
     mf, domain = make_mf(lambda i, j, c: np.where(i >= 16, 10.0, 1.0))
-    tags = tag_density_gradient(mf, 0, 0.5)
-    cells = tagged_cells(mf, tags)
+    cells = np.argwhere(tag_density_gradient(mf, 0, 0.5, domain))
     assert len(cells) > 0
     assert set(cells[:, 0].tolist()) <= {15, 16}
 
 
 def test_no_tags_empty_array():
-    mf, _ = make_mf(lambda i, j, c: np.zeros_like(i, dtype=float))
-    tags = tag_density_gradient(mf, 0, 1.0)
-    assert tagged_cells(mf, tags).shape == (0, 2)
+    mf, domain = make_mf(lambda i, j, c: np.zeros_like(i, dtype=float))
+    assert np.argwhere(tag_density_gradient(mf, 0, 1.0, domain)).shape == (0, 2)
 
 
 def test_buffer_tags_grows_and_clips():
     domain = Box((0, 0), (31, 31))
     tags = np.array([[0, 0], [16, 16]])
-    out = buffer_tags(tags, 2, domain)
+    out = np.argwhere(buffer_tags(tags, 2, domain))
     assert [0, 0] in out.tolist()
     assert [-1, 0] not in out.tolist()  # clipped at domain edge
     assert [18, 18] in out.tolist()
@@ -80,7 +74,8 @@ def test_cluster_covers_all_tags():
     domain = Box((0, 0), (63, 63))
     rng = np.random.default_rng(3)
     tags = rng.integers(10, 50, size=(200, 2))
-    ba = cluster_tags(tags, domain, blocking_factor=4, max_grid_size=32)
+    ba = cluster_tags(buffer_tags(tags, 0, domain), domain, blocking_factor=4,
+                      max_grid_size=32)
     for t in tags:
         assert ba.contains(Box(tuple(t), tuple(t))), f"tag {t} uncovered"
 
@@ -89,7 +84,8 @@ def test_cluster_respects_constraints():
     domain = Box((0, 0), (63, 63))
     rng = np.random.default_rng(5)
     tags = rng.integers(0, 64, size=(100, 2))
-    ba = cluster_tags(tags, domain, blocking_factor=8, max_grid_size=16)
+    ba = cluster_tags(buffer_tags(tags, 0, domain), domain, blocking_factor=8,
+                      max_grid_size=16)
     assert no_overlaps(ba)
     for b in ba:
         assert max(b.size()) <= 16
@@ -101,20 +97,21 @@ def test_cluster_separates_distant_clusters():
     a = np.array([[i, j] for i in range(4, 10) for j in range(4, 10)])
     b = np.array([[i, j] for i in range(100, 106) for j in range(100, 106)])
     tags = np.concatenate([a, b])
-    ba = cluster_tags(tags, domain, blocking_factor=4, max_grid_size=64)
+    ba = cluster_tags(buffer_tags(tags, 0, domain), domain, blocking_factor=4,
+                      max_grid_size=64)
     # two well-separated clusters should not be covered by one huge box
     assert ba.num_pts() < domain.num_pts() // 4
 
 
 def test_cluster_empty():
-    ba = cluster_tags(np.empty((0, 2), dtype=int), Box((0, 0), (31, 31)))
+    ba = cluster_tags(np.zeros((32, 32), dtype=bool), Box((0, 0), (31, 31)))
     assert len(ba) == 0
 
 
 def test_cluster_single_tag_aligned():
     domain = Box((0, 0), (31, 31))
-    ba = cluster_tags(np.array([[13, 22]]), domain, blocking_factor=8,
-                      max_grid_size=32)
+    ba = cluster_tags(buffer_tags(np.array([[13, 22]]), 0, domain), domain,
+                      blocking_factor=8, max_grid_size=32)
     assert len(ba) == 1
     b = ba[0]
     assert b.contains(Box((13, 22), (13, 22)))
@@ -129,7 +126,8 @@ def test_cluster_single_tag_aligned():
 def test_cluster_property_all_tags_covered_disjoint(tag_list):
     domain = Box((0, 0), (63, 63))
     tags = np.array(tag_list)
-    ba = cluster_tags(tags, domain, blocking_factor=4, max_grid_size=32)
+    ba = cluster_tags(buffer_tags(tags, 0, domain), domain, blocking_factor=4,
+                      max_grid_size=32)
     assert no_overlaps(ba)
     for t in tags:
         assert ba.contains(Box(tuple(t), tuple(t)))

@@ -169,15 +169,14 @@ class TestAverageDownParity:
 
 class TestTaggingParity:
     def test_density_gradient(self, launch_log):
-        h, _ = make_mf(ncomp=4, seed=51)
+        h, geom = make_mf(ncomp=4, seed=51)
         d, _ = make_mf(ncomp=4, seed=51)
-        tags_h = tag_density_gradient(h, 0, 0.5)
+        domain = geom.domain
+        tags_h = tag_density_gradient(h, 0, 0.5, domain)
         be = device_backend(launch_log)
         with use_backend(be):
-            tags_d = tag_density_gradient(d, 0, 0.5)
-        assert set(tags_h) == set(tags_d)
-        for i in tags_h:
-            np.testing.assert_array_equal(tags_h[i], tags_d[i])
+            tags_d = tag_density_gradient(d, 0, 0.5, domain)
+        np.testing.assert_array_equal(tags_h, tags_d)
         assert set(launch_names(be)) == {"Tag_gradient"}
         assert launch_classes(be) == {"tagging"}
 

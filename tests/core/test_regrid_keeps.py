@@ -47,6 +47,14 @@ def reference_metrics(coords, order=4):
     return first, second, J.reshape(s), m
 
 
+def reference_curvilinear(coords):
+    """The metrics of one patch as they were built, ``second`` eagerly."""
+    first, second, J, m = reference_metrics(coords)
+    metrics = CurvilinearMetrics(first, J, m)
+    metrics._second = second
+    return metrics
+
+
 class Reference(Crocco):
     """The remake as it was: everything rebuilt, everything interpolated."""
 
@@ -81,8 +89,8 @@ class Reference(Crocco):
             return
         for batch in self.batches[lev]:
             batch.metrics = StackedMetrics([
-                CurvilinearMetrics(*reference_metrics(
-                    self.coords[lev].fab(i).data)) for i in batch.ids])
+                reference_curvilinear(self.coords[lev].fab(i).data)
+                for i in batch.ids])
             self.metrics[lev].update(
                 (i, batch.metrics.member(b)) for b, i in enumerate(batch.ids))
 
@@ -204,18 +212,32 @@ def test_a_kept_box_holds_no_replaced_stack_alive():
         assert checked > 0, "no step kept a box of a multi-box batch"
 
 
+def plan_deps(sim):
+    """Every object a cached communication plan of the run names."""
+    return [dep for store in (sim.state, sim.du, sim.coords)
+            for mf in store.values() for plan in mf._plans.values()
+            for dep in plan.deps]
+
+
 def test_a_remade_level_shares_no_memory_with_the_one_it_replaced():
     """The stale-storage trap: after every remake of a churning run, no
     state, ``du``, coordinate or metrics array of the new level shares
     memory with the level it replaced, and every kept box is bitwise what
-    it was (its valid state after the copy-in, its coordinates, metrics)."""
+    it was (its valid state after the copy-in, its coordinates, metrics).
+    No plan cached on the new level names the replaced one (the one-shot
+    copy of the old data caches none), and none anywhere once the step
+    has run."""
     with closing(churn(Crocco)) as sim:
         remakes = kept = 0
         inner = sim.remake_level
+        replaced = []
 
         def remake(lev, ba, dm):
             nonlocal remakes, kept
             old = {k: getattr(sim, k).get(lev) for k in ("state", "coords")}
+            if old["state"] is not None:
+                replaced.extend([old["state"], old["coords"],
+                                 old["state"].ba, old["state"].dm])
             old_arrays = level_arrays(sim, lev) if old["state"] else []
             before = {} if old["state"] is None else {
                 old["state"].ba[j]: (old["state"].fab(j).valid().copy(),
@@ -224,6 +246,10 @@ def test_a_remade_level_shares_no_memory_with_the_one_it_replaced():
                 for j in range(len(old["state"].ba))}
             inner(lev, ba, dm)
             remakes += 1
+            for dep in (dep for store in (sim.state, sim.du, sim.coords)
+                        for plan in store[lev]._plans.values()
+                        for dep in plan.deps):
+                assert not any(dep is r for r in replaced)
             new_arrays = level_arrays(sim, lev) + [
                 a for m in sim.metrics[lev].values() if hasattr(m, "first")
                 for a in (m.first, m.second, m._m, m._J)]
@@ -247,6 +273,9 @@ def test_a_remade_level_shares_no_memory_with_the_one_it_replaced():
         sim.remake_level = remake
         for _ in range(STEPS):
             sim.step()
+            assert not [d for d in plan_deps(sim)
+                        if any(d is r for r in replaced)]
+            del replaced[:]
         assert remakes >= STEPS and kept > 0
 
 
@@ -280,3 +309,31 @@ def test_a_remake_that_keeps_every_box_fills_nothing(monkeypatch):
             got = sim.metrics[1][i]
             assert same(got.jacobian(), metrics.jacobian())
             assert all(same(got.m(d), metrics.m(d)) for d in range(got.dim))
+
+
+def test_second_metrics_are_built_on_read_and_no_step_reads_them(monkeypatch):
+    """The second-order metrics a box computes when first asked for are
+    the bits of the eager per-patch build, on kept and new boxes after
+    every remake; and a churning run steps with ``second`` patched to
+    raise: no step reads them."""
+    with closing(churn(Crocco)) as sim:
+        seen = {True: 0, False: 0}
+        for _ in range(4):
+            had = {lev: {box.tobytes() for box in sim.box_arrays[lev].lohi}
+                   for lev in range(1, sim.finest_level + 1)}
+            sim.step()
+            for lev in range(1, sim.finest_level + 1):
+                for i, box in enumerate(sim.box_arrays[lev].lohi):
+                    want = reference_metrics(sim.coords[lev].fab(i).data)[1]
+                    assert same(sim.metrics[lev][i].second, want), (lev, i)
+                    seen[box.tobytes() in had.get(lev, ())] += 1
+        assert seen[True] > 0 and seen[False] > 0
+
+    def no_read(self):
+        raise AssertionError("a step read the second-order metrics")
+
+    monkeypatch.setattr(CurvilinearMetrics, "second", property(no_read))
+    with closing(churn(Crocco)) as sim:
+        for _ in range(4):
+            sim.step()
+        assert sim.regrid_count == 4

@@ -220,8 +220,18 @@ def test_saturation_sheds_with_429_and_idempotent_retries(tmp_path):
         # a retrying client rides the 429 out once capacity returns
         retrier = ServeClient(url, retries=8, backoff_base=0.05,
                               backoff_cap=0.2)
+        got = {}
+        submit = threading.Thread(
+            target=lambda: got.update(rec=retrier.submit(deck=deck())))
+        submit.start()
+        # resume consumption only once the retrier has been shed: its
+        # first attempt meets the full queue however loaded the host is
+        deadline = time.monotonic() + 60
+        while service.shed_requests < 2 and time.monotonic() < deadline:
+            time.sleep(0.005)
         service.registry.claim_next = real_claim  # resume consumption
-        rec = retrier.submit(deck=deck())
+        submit.join(120)
+        rec = got["rec"]
         assert rec["id"] != first["id"]
         done = retrier.wait(rec["id"], timeout=120)
         assert done["state"] == "done"

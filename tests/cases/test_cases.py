@@ -5,7 +5,7 @@ import pytest
 
 from repro.amr.boundary import GhostFaces
 from repro.amr.box import Box
-from repro.amr.boxarray import BoxArray
+from repro.amr.boxarray import BoxArray, lohi_of
 from repro.amr.distribution import DistributionMapping
 from repro.amr.multifab import MultiFab
 from repro.cases.dmr import DoubleMachReflection, X0
@@ -29,7 +29,7 @@ def test_sod_initial_condition():
 
 def test_sod_exact_at_t0():
     case = SodShockTube(64)
-    coords = case.coordinates(case.geometry0(), case.geometry0().domain)
+    coords = case.coordinates(case.geometry0(), lohi_of([case.geometry0().domain]))[:, 0]
     assert np.allclose(case.exact_solution(coords, 0.0),
                        case.initial_condition(coords))
 
@@ -37,7 +37,7 @@ def test_sod_exact_at_t0():
 def test_vortex_ic_periodic_consistency():
     case = IsentropicVortex(32)
     geom = case.geometry0()
-    coords = case.coordinates(geom, geom.domain)
+    coords = case.coordinates(geom, lohi_of([geom.domain]))[:, 0]
     u = case.initial_condition(coords)
     # far from the vortex core the state is the freestream
     corner = u[:, 0, 0]
@@ -50,7 +50,7 @@ def test_vortex_exact_advection_identity():
     """Advancing the exact solution by a full period returns the IC."""
     case = IsentropicVortex(32, u0=1.0, v0=0.0)
     geom = case.geometry0()
-    coords = case.coordinates(geom, geom.domain)
+    coords = case.coordinates(geom, lohi_of([geom.domain]))[:, 0]
     ic = case.initial_condition(coords)
     period = case.prob_extent[0] / case.u0
     assert np.allclose(case.exact_solution(coords, period), ic, atol=1e-12)
@@ -77,7 +77,7 @@ def test_dmr_initial_shock_geometry():
 def test_dmr_ic_separates_states():
     case = DoubleMachReflection((64, 16))
     geom = case.geometry0()
-    coords = case.coordinates(geom, geom.domain)
+    coords = case.coordinates(geom, lohi_of([geom.domain]))[:, 0]
     u = case.initial_condition(coords)
     rho = u[0]
     assert rho.min() == pytest.approx(1.4)
@@ -92,7 +92,7 @@ def test_dmr_3d_has_periodic_z():
     assert case.dim == 3
     assert case.periodic == (False, False, True)
     geom = case.geometry0()
-    coords = case.coordinates(geom, geom.domain)
+    coords = case.coordinates(geom, lohi_of([geom.domain]))[:, 0]
     u = case.initial_condition(coords)
     assert u.shape[0] == 5
     # spanwise homogeneous IC
@@ -124,7 +124,7 @@ def test_dmr_wall_bc_reflects():
     state = MultiFab(ba, dm, case.layout.ncons, ng)
     coords = MultiFab(ba, dm, 2, ng)
     fab, cfab = state.fab(0), coords.fab(0)
-    cfab.whole()[...] = case.coordinates(geom, fab.grown_box())
+    cfab.whole()[...] = case.coordinates(geom, lohi_of([fab.grown_box()]))[:, 0]
     fab.whole()[...] = case.initial_condition(cfab.whole())
     # the boundary fill of the one-box level, from its ghost-face table
     case.bc_fill(GhostFaces(state, coords, geom.domain, case.bc_faces), 0.0)

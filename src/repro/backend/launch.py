@@ -40,8 +40,10 @@ and :meth:`ExecutionBackend.scratch_stats` reports its hit rate.
 ``parallel_for(name, fn, npoints, spec)`` / ``reduce_data(name, values,
 op, spec)`` with a :class:`LaunchSpec`, and nothing else.  An accounting
 target prices a launch from its name alone, by
-:func:`~repro.kernels.counts.budget_for_kernel`; a reduction is recorded
-as one flop and one 8-byte word per value
+:func:`~repro.kernels.counts.budget_for_kernel`, once per distinct
+``(name, npoints, kernel class)``: a repeated launch is a dict hit that
+counts its first's record again; a reduction is recorded as one flop and
+one 8-byte word per value
 (:meth:`~repro.kernels.device.GpuDevice.reduce`).
 
 **Simulated devices belong to the accounting targets.**  A launch names
@@ -64,6 +66,7 @@ view of them.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import lru_cache
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -187,7 +190,7 @@ class DeviceBackend(ExecutionBackend):
 
     ``spec.rank`` selects from the backend's device list (Summit: one
     V100 per MPI rank); each launch is counted once, in that device's
-    launch table, priced by its name.
+    launch table, priced by its name once per distinct launch.
     """
 
     target = "device"
@@ -196,17 +199,19 @@ class DeviceBackend(ExecutionBackend):
         super().__init__()
         # resolved here, once: repro.kernels imports this package
         from repro.kernels.counts import budget_for_kernel
-        from repro.kernels.device import GpuDevice
+        from repro.kernels.device import GpuDevice, LaunchRecord
 
-        self._budget_for = budget_for_kernel
+        # each distinct (name, npoints, kernel class) is priced once
+        self._record = lru_cache(maxsize=None)(lambda name, n, cls: (
+            LaunchRecord.priced(name, n, budget_for_kernel(name), cls)))
         self.devices = list(devices or [GpuDevice()])
 
     def device_for(self, rank: int):
         return self.devices[rank % len(self.devices)]
 
     def _launch(self, name, fn, npoints, spec):
-        return self.device_for(spec.rank).launch(
-            name, fn, npoints, self._budget_for(name), spec.kernel_class)
+        return self.device_for(spec.rank).run(
+            self._record(name, npoints, spec.kernel_class), fn)
 
     def _reduce(self, name, values, op, spec) -> float:
         return self.device_for(spec.rank).reduce(

@@ -28,11 +28,11 @@ between component and grid — ``u (ncons, B, *grown)``, ``metrics.m(d)
 member for member, exactly what the per-patch calls do (the
 Lax-Friedrichs ``alpha`` stays one per member).  :meth:`KernelSet.rhs`,
 :meth:`~KernelSet.update` and :meth:`~KernelSet.max_rate` are the only
-entry points; the advance calls them once per batch
-(:mod:`repro.kernels.batch`), which is what removes the per-call overhead
-of many small boxes.  The body of a batched launch runs once, and every
-owning rank's device records one launch over its own members' points.
-``Viscous`` still walks the members of a batch inside its one launch.
+entry points; the advance calls them once per batch and RK stage on a
+:class:`BoundStage` (:mod:`repro.kernels.batch`) that resolved what its
+launches need once per stage program, so a stage pays for the library
+and not for the Python around it.  The body of a batched launch runs
+once; every owning rank's device records one launch over its members.
 
 **Execution target** (``exec_backend``, :mod:`repro.backend`) — where the
 launches run.  The paper moved the C++ kernels onto the GPU through the
@@ -40,8 +40,8 @@ launch API and observed no accuracy change, so the kernels never ask
 where they are: every launch names its owning rank in the
 :class:`~repro.backend.LaunchSpec`, WENO scratch is reserved through the
 backend before the launch (Sec. IV-B), and a target that accounts maps
-both to that rank's simulated device.  The arrays the sweep actually
-works in come from the backend too — its one
+both to that rank's simulated device, pricing each distinct launch once.
+The arrays the sweep works in come from the backend's one
 :class:`~repro.backend.ScratchCache`, whatever the target.
 """
 
@@ -50,12 +50,15 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Optional
+from functools import partial
+from typing import List, Optional
 
 import numpy as np
 
 from repro.backend import ExecutionBackend, HostBackend, LaunchSpec
+from repro.numerics import native
 from repro.numerics.cfl import local_max_rate
+from repro.numerics.eos import IdealGasEOS
 from repro.numerics.fluxes import ConvectiveFlux
 from repro.numerics.metrics import Metrics
 from repro.numerics.rk3 import rk3_stage
@@ -105,127 +108,48 @@ class KernelSet:
             ng = max(ng, self.viscous.nghost)
         return ng
 
-    # -- launches --------------------------------------------------------------
-    def _launch(self, name: str, body, npts: int, kernel_class: str, shape,
-                rank, scratch: int = 0):
-        """Run ``body`` once and record it on the owning rank's device.
-
-        ``npts`` and ``scratch`` (bytes of device global memory reserved
-        from the host around the launch, Sec. IV-B) are per patch.  For a
-        batch ``rank`` holds one rank per member (one rank: it owns them
-        all), and accounting is not execution: every owning rank records
-        one launch over its own members' points — the first carries the
-        body, the others an empty one, as ``PC_copy`` does.
-        """
-        backend = self.exec_backend
-        out = None
-        patches = shape[1] if len(shape) > self.layout.dim + 1 else 1
-        owners = Counter(rank) if hasattr(rank, "__iter__") else {rank: patches}
-        for r, n in owners.items():
-            if scratch:
-                backend.reserve(scratch * n, r)
-            try:
-                res = backend.parallel_for(
-                    name, body, npts * n,
-                    LaunchSpec(kernel_class=kernel_class, rank=r))
-            finally:
-                if scratch:
-                    backend.release(scratch * n, r)
-            if body is not _no_body:
-                out, body = res, _no_body
-        return out
-
-    def _npts(self, shape, ng: int = 0) -> int:
-        """Points per patch: the trailing ``dim`` axes less ``ng`` ghosts."""
-        return math.prod([s - 2 * ng for s in shape[-self.layout.dim:]])
+    # -- binding -------------------------------------------------------------
+    def bind(self, stages) -> List["BoundStage"]:
+        """The :class:`BoundStage` of each ``(u, metrics, ng, rank)`` of
+        ``stages`` (one program's: they run one at a time).  Their
+        compiled sweeps share the backend's scratch roles, the right-hand
+        side too (role ``rhs``), each sized to the largest stage *before*
+        any address is taken."""
+        bound = [BoundStage(self, *stage) for stage in stages]
+        scratch = self.exec_backend.scratch
+        for role, k in (("rhs", 0), ("fplus", 1), ("fminus", 1), ("f_iface", 2)):
+            n = max([math.prod(shapes[k]) for stage in bound
+                     for shapes in stage.shapes or ()], default=0)
+            if n:
+                scratch.get(role, (n,))
+        for stage in bound:
+            stage.attach(scratch)
+        return bound
 
     # -- RHS evaluation --------------------------------------------------
-    def rhs(self, u: np.ndarray, metrics: Metrics, ng: int,
+    def rhs(self, u, metrics: Optional[Metrics] = None, ng: int = 0,
             rank=0) -> np.ndarray:
         """Full right-hand side over the valid region of one patch
-        ``u (ncons, *grown)`` or of a batch of equal-shape patches
-        ``u (ncons, B, *grown)`` with :class:`StackedMetrics`.
-
-        The accumulation *order* of direction sweeps differs between the
-        fortran and cpp orderings (see module docstring): a deliberate,
-        faithful source of floating-point divergence.  ``rank`` is the
-        patch's owning rank (Summit runs one rank per GPU) — for a batch,
-        one rank per member.
-        """
-        dim = self.layout.dim
-        if self.precision == "mixed":
-            # flux kernels evaluate in single precision; the state stays
-            # double and the update accumulates in double (the standard
-            # mixed-precision recipe the paper lists as future work)
-            u = u.astype(np.float32).astype(np.float64)
-        directions = (range(dim) if self.ordering == "fortran"
-                      else range(dim - 1, -1, -1))
-
-        scratch = self.exec_backend.scratch
-
-        def sweeps(ds, out=None):
-            # one right-hand side per call: the first sweep makes it, the
-            # others add to it
-            for d in ds:
-                out = self.convective.divergence(
-                    self.layout, self.eos, u, metrics, d, ng, scratch, out)
-            return out
-
-        npts = self._npts(u.shape, ng)
-        if self.exec_backend.fuses_kernels:
-            # the fused target runs the directional sweeps inside one wide
-            # launch (bitwise the per-direction launches), named
-            # ``WENOxy``/``WENOxyz`` and covering ``dim * nvalid`` points,
-            # so per-class point and flop totals stay comparable with the
-            # per-direction launch stream
-            out = self._weno_launch(
-                "WENO" + "xyz"[:dim], lambda: sweeps(directions), dim * npts,
-                u, rank)
-        else:
-            out = None
-            for d in directions:
-                out = self._weno_launch(
-                    DIRECTION_NAMES[d], lambda: sweeps((d,), out), npts,
-                    u, rank)
-        if self.viscous is not None:
-            out = out + self._viscous(u, metrics, ng, rank)
-        assert out is not None
-        if self.precision == "mixed":
-            out = out.astype(np.float32).astype(np.float64)
-        return out
-
-    def _weno_launch(self, name: str, body, npts: int, u: np.ndarray,
-                     rank):
-        """One WENO launch with its scratch: the reconstruction scratch
-        arrays, ``ncons`` grown patches' worth per patch."""
-        nbytes = self.layout.ncons * u.itemsize * self._npts(u.shape)
-        return self._launch(name, body, npts, "flux", u.shape, rank,
-                            scratch=nbytes)
-
-    def _viscous(self, u: np.ndarray, metrics: Metrics, ng: int,
-                 rank) -> np.ndarray:
-        assert self.viscous is not None
-        div = lambda u, metrics: self.viscous.divergence(
-            self.layout, self.eos, u, metrics, ng)
-        if u.ndim == self.layout.dim + 1:
-            body = lambda: div(u, metrics)
-        else:
-            # not axis-generic yet: the members of a batch one at a time
-            body = lambda: np.stack(
-                [div(u[:, b], metrics.member(b)) for b in range(u.shape[1])],
-                axis=1)
-        return self._launch("Viscous", body, self._npts(u.shape, ng), "flux",
-                            u.shape, rank)
+        ``u (ncons, *grown)`` or of a batch ``u (ncons, B, *grown)`` with
+        :class:`StackedMetrics` (``rank``: its owner, for a batch one per
+        member), bound for this call into an array the caller owns — or
+        of ``u``, a stage :meth:`bind` made, into its shared buffer."""
+        if not isinstance(u, BoundStage):
+            u = BoundStage(self, u, metrics, ng, rank)
+            u.attach(self.exec_backend.scratch, shared=False)
+        return u.rhs()
 
     # -- RK update kernel -----------------------------------------------------
-    def update(self, u_valid: np.ndarray, du: np.ndarray, rhs: np.ndarray,
-               dt: float, stage: int, rank=0) -> None:
+    def update(self, u_valid, du: np.ndarray, rhs: np.ndarray, dt: float,
+               stage: int, rank=0) -> None:
         """Low-storage RK stage over the valid region of one patch or of
-        a batch (``rank``: one per member), in place."""
-        self._launch("Update",
-                     lambda: rk3_stage(u_valid, du, rhs, dt, stage),
-                     self._npts(u_valid.shape), "update", u_valid.shape,
-                     rank)
+        a batch (``rank``: one per member), in place — or over that of
+        ``u_valid``, a stage :meth:`bind` made, for its owning ranks."""
+        if not isinstance(u_valid, BoundStage):
+            u_valid = BoundStage(self, u_valid, None, 0, rank)
+        u = u_valid.u_valid
+        u_valid.launch("Update", lambda: rk3_stage(u, du, rhs, dt, stage),
+                       u_valid.npts, "update")
 
     # -- ComputeDt ----------------------------------------------------------
     def max_rate(self, u: np.ndarray, metrics: Metrics, rank=0):
@@ -234,6 +158,134 @@ class KernelSet:
         batch, the rate of every member."""
         return local_max_rate(self.layout, self.eos, u, metrics,
                               self.exec_backend, rank)
+
+
+class BoundStage:
+    """The RK stage of one patch or batch, resolved once: its valid
+    region, its owning ranks' launch specs, point and scratch-byte counts
+    and — when the compiled sweep takes it — one library call per
+    direction with its arguments converted, holding the arrays it points
+    into (``u``, the metrics, scratch, the right-hand side).  Out of the
+    library's domain (no library, ``mixed`` precision, ``Viscous``, a
+    non-ideal EOS, metrics it does not take) its launches run the NumPy
+    sweeps of :meth:`ConvectiveFlux.divergence` instead."""
+
+    def __init__(self, kernels: KernelSet, u: np.ndarray,
+                 metrics: Optional[Metrics], ng: int, rank=0) -> None:
+        dim = kernels.layout.dim
+        self.kernels, self.u, self.metrics, self.ng = kernels, u, metrics, ng
+        self.u_valid = u[(Ellipsis,) + (slice(ng, -ng or None),) * dim]
+        # ``rank``: one per member of a batch, or one owning them all
+        owners = (Counter(rank) if hasattr(rank, "__iter__") else
+                  {rank: u.shape[1] if u.ndim > dim + 1 else 1})
+        self.owners = {cls: [(LaunchSpec(cls, r), n)
+                             for r, n in owners.items()]
+                       for cls in ("flux", "update")}
+        #: per patch: valid points, and bytes of WENO scratch a launch
+        #: reserves on the device (Sec. IV-B: ``ncons`` grown patches)
+        self.npts = math.prod(self.u_valid.shape[-dim:])
+        self.scratch = u.itemsize * math.prod(u.shape[:1] + u.shape[-dim:])
+        # the ordering's sweep order: a faithful source of drift (above)
+        order = (range(dim) if kernels.ordering == "fortran"
+                 else range(dim - 1, -1, -1))
+        # the fused target runs the sweeps in one wide launch of ``dim *
+        # nvalid`` points (per-class totals stay comparable)
+        self.launches = ([("WENO" + "xyz"[:dim], tuple(order), dim * self.npts)]
+                         if kernels.exec_backend.fuses_kernels else
+                         [(DIRECTION_NAMES[d], (d,), self.npts) for d in order])
+        takes = (metrics is not None and kernels.precision == "double"
+                 and kernels.viscous is None
+                 and type(kernels.eos) is IdealGasEOS
+                 and native.kernels() is not None)
+        shapes = [native.split_takes(u, metrics.m(d), metrics.jacobian())
+                  and native.sweep_shapes(u.shape, dim, d, ng)
+                  for d in range(dim)] if takes else [None]
+        #: each direction's ``native.sweep_shapes`` if the compiled sweep
+        #: takes this stage; then (:meth:`attach`) its bound calls
+        self.shapes = shapes if all(shapes) else None
+        self.calls: Optional[list] = None
+        self.out: Optional[np.ndarray] = None
+
+    def attach(self, scratch, shared: bool = True) -> None:
+        """Bind the compiled sweeps (if they take this stage); the
+        right-hand side goes to the ``rhs`` role if ``shared``, else to an
+        array of this stage's own."""
+        if self.shapes is None:
+            return
+        ks, shape = self.kernels, self.shapes[0][0]
+        self.out = scratch.get("rhs", shape) if shared else np.empty(shape)
+        bind, J = native.kernels().bind_sweep, self.metrics.jacobian()
+        first = self.launches[0][1][0]
+        calls = {d: bind(ks.convective.scheme, self.u, self.metrics.m(d), J,
+                         d, self.ng, ks.eos.gamma,
+                         ks.convective.split_form == "distributed", scratch,
+                         self.out, d != first)
+                 for _, ds, _ in self.launches for d in ds}
+        self.calls = [calls[ds[0]] if len(ds) == 1
+                      else partial(_in_order, [calls[d] for d in ds])
+                      for _, ds, _ in self.launches]
+
+    def launch(self, name: str, body, npts: int, kernel_class: str,
+               scratch: int = 0):
+        """Run ``body`` once and record one launch on every owning rank's
+        device over its members' points (the first carries the body, the
+        others an empty one, as ``PC_copy`` does); ``npts`` and
+        ``scratch`` bytes, reserved around the launch, are per patch."""
+        backend = self.kernels.exec_backend
+        out = None
+        for spec, n in self.owners[kernel_class]:
+            if scratch:
+                backend.reserve(scratch * n, spec.rank)
+            try:
+                res = backend.parallel_for(name, body, npts * n, spec)
+            finally:
+                if scratch:
+                    backend.release(scratch * n, spec.rank)
+            if body is not _no_body:
+                out, body = res, _no_body
+        return out
+
+    def rhs(self) -> np.ndarray:
+        if self.calls is not None:
+            for (name, _, npts), call in zip(self.launches, self.calls):
+                self.launch(name, call, npts, "flux", self.scratch)
+            return self.out
+        ks, u, out = self.kernels, self.u, None
+        if ks.precision == "mixed":
+            # flux kernels in single precision, state and update in double
+            # (the mixed-precision recipe the paper lists as future work)
+            u = u.astype(np.float32).astype(np.float64)
+
+        def sweeps(ds):
+            nonlocal out  # the first sweep makes it, the others add to it
+            for d in ds:
+                out = ks.convective.divergence(
+                    ks.layout, ks.eos, u, self.metrics, d, self.ng,
+                    ks.exec_backend.scratch, out)
+
+        for name, ds, npts in self.launches:
+            self.launch(name, lambda: sweeps(ds), npts, "flux", self.scratch)
+        if ks.viscous is not None:
+            out = out + self.launch("Viscous", lambda: self._viscous(u),
+                                    self.npts, "flux")
+        if ks.precision == "mixed":
+            out = out.astype(np.float32).astype(np.float64)
+        return out
+
+    def _viscous(self, u: np.ndarray) -> np.ndarray:
+        ks, ng = self.kernels, self.ng
+        div = lambda u, metrics: ks.viscous.divergence(
+            ks.layout, ks.eos, u, metrics, ng)
+        if u.ndim == ks.layout.dim + 1:
+            return div(u, self.metrics)
+        # not axis-generic yet: the members of a batch one at a time
+        return np.stack([div(u[:, b], self.metrics.member(b))
+                         for b in range(u.shape[1])], axis=1)
+
+
+def _in_order(calls) -> None:
+    for call in calls:
+        call()
 
 
 def _no_body() -> None:

@@ -11,16 +11,19 @@ grown shape on a batch axis between component and grid —
 A batch *is* storage: batch ``g`` runs in place on group array ``g`` of
 the level's MultiFabs (``MultiFab.arrays``, one per :func:`shape_groups`
 group).  Batches are built with the level storage, reachable only
-through it, and die with it at the next regrid.
+through it, and die with it at the next regrid; the stage program binds
+them (:func:`bind_batches`) and dies with the storage too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
+from repro.cases.base import Case
+from repro.kernels.api import BoundStage
 from repro.numerics.metrics import StackedMetrics
 
 #: most grown cells stacked into one batch.  Measured on the benchmark
@@ -60,18 +63,39 @@ def shape_groups(shapes: Dict[int, tuple]) -> List[Tuple[int, ...]]:
     return out
 
 
-def rhs_update(kernels, case, u: np.ndarray, du: np.ndarray,
-               coords: np.ndarray, metrics: StackedMetrics,
-               ranks: Sequence[int], ng: int, time: float, dt: float,
+class BoundBatch(NamedTuple):
+    """One batch's RK stage, bound once per stage program to its storage."""
+
+    stage: BoundStage  # of its state group array (KernelSet.bind)
+    du: np.ndarray  # its du group array
+    #: ``(member, u, coords, metrics)`` on each member's valid region, of
+    #: its source call: none for a case without sources
+    sources: tuple
+
+
+def bind_batches(kernels, case, batches, ng: int) -> List[BoundBatch]:
+    """Bind each ``(u, du, coords, metrics, ranks)`` group of arrays of
+    ``batches`` (the batches of one stage program, whose stages share the
+    backend's scratch) for :func:`rhs_update`."""
+    stages = kernels.bind([(u, metrics, ng, ranks)
+                           for u, _, _, metrics, ranks in batches])
+    # sources see one patch at a time, of a case that has them
+    sourced = getattr(type(case), "source", None) is not Case.source
+    valid = (Ellipsis,) + (slice(ng, -ng),) * kernels.layout.dim
+    return [BoundBatch(stage, du, tuple(
+        (b, u[:, b][valid], coords[:, b][valid],
+         metrics.member(b).interior(ng))
+        for b in range(u.shape[1]) if sourced))
+        for stage, (u, du, coords, metrics, _) in zip(stages, batches)]
+
+
+def rhs_update(kernels, case, batch: BoundBatch, time: float, dt: float,
                stage: int) -> None:
     """One RK stage of a batch: RHS (+ source), then the update, in place
-    on its group arrays ``u`` / ``du`` / ``coords`` ``(ncomp, B, *grown)``."""
-    valid = (Ellipsis,) + (slice(ng, -ng),) * kernels.layout.dim
-    rhs = kernels.rhs(u, metrics, ng, ranks)
-    for b in range(u.shape[1]):
-        # not batched: sources see one patch at a time
-        src = case.source(u[:, b][valid], coords[:, b][valid], time,
-                          metrics=metrics.member(b).interior(ng))
+    on its group arrays."""
+    rhs = kernels.rhs(batch.stage)
+    for b, u, coords, metrics in batch.sources:
+        src = case.source(u, coords, time, metrics=metrics)
         if src is not None:
             rhs[:, b] += src
-    kernels.update(u[valid], du, rhs, dt, stage, ranks)
+    kernels.update(batch.stage, batch.du, rhs, dt, stage)

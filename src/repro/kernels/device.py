@@ -43,8 +43,8 @@ class DeviceMemoryError(MemoryError):
 
 
 class LaunchRecord(NamedTuple):
-    """One recorded kernel launch: immutable, and built and hashed at C
-    speed, because one is built and counted per launch."""
+    """One recorded kernel launch: immutable and hashed at C speed, because
+    one is counted per launch (each distinct one is priced once)."""
 
     name: str
     npoints: int
@@ -55,6 +55,17 @@ class LaunchRecord(NamedTuple):
     #: coarse grouping for the run report (flux / update / fillpatch /
     #: interp / averagedown / tagging / reduction)
     kernel_class: str = "flux"
+
+    @classmethod
+    def priced(cls, name: str, npoints: int, budget: KernelBudget,
+               kernel_class: str = "flux") -> "LaunchRecord":
+        """The launch over ``npoints`` priced by ``budget`` per point: its
+        ``l2``/``l1`` amplifications model how much more traffic a stencil
+        kernel makes at the inner cache levels than at DRAM."""
+        dram = int(npoints * budget.dram_bytes_per_point)
+        return cls(name, npoints, int(npoints * budget.flops_per_point), dram,
+                   int(dram * budget.l2_amplification),
+                   int(dram * budget.l1_amplification), kernel_class)
 
 
 class GpuDevice:
@@ -89,52 +100,23 @@ class GpuDevice:
             raise RuntimeError("device arena double free")
 
     # -- launches ----------------------------------------------------------
-    def launch(self, name: str, fn: Callable[[], Optional[np.ndarray]],
-               npoints: int, budget: KernelBudget,
-               kernel_class: str = "flux"):
-        """Run ``fn`` as one recorded kernel launch (ParallelFor semantics),
-        priced by ``budget`` per point.
-
-        The budget's ``l2_amplification``/``l1_amplification`` model how
-        much more traffic the stencil kernels generate at the inner cache
-        levels than at DRAM (each cell is re-read by every stencil that
-        covers it; the caches absorb most but not all of the reuse).
-        """
-        # the timed window covers only fn(); the record and its span are
-        # built after `elapsed` is taken so observability overhead never
-        # inflates charged kernel wall time
-        t0 = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - t0
-        dram = int(npoints * budget.dram_bytes_per_point)
-        rec = LaunchRecord(
-            name=name,
-            npoints=npoints,
-            flops=int(npoints * budget.flops_per_point),
-            dram_bytes=dram,
-            l2_bytes=int(dram * budget.l2_amplification),
-            l1_bytes=int(dram * budget.l1_amplification),
-            kernel_class=kernel_class,
-        )
-        self.table[rec] += 1
-        if self.tracer is not None:
-            self._span(rec, t0, elapsed)
-        return result
-
     def reduce(self, name: str, values: np.ndarray, op: str = "min",
                kernel_class: str = "reduction") -> float:
         """amrex::ReduceData-style device reduction (used by ComputeDt),
         recorded as one flop and one 8-byte word per value."""
         n = int(np.asarray(values).size)
-        # the span is written outside the timed window (see launch())
+        return self.run(LaunchRecord(name, n, n, n * 8, n * 8, n * 8,
+                                     kernel_class),
+                        lambda: reduce_values(values, op))
+
+    def run(self, rec: LaunchRecord, fn: Callable[[], Optional[np.ndarray]]):
+        """Run ``fn`` as one recorded kernel launch (ParallelFor semantics)
+        that ``rec`` prices: the one place a launch is counted and its
+        trace span written (after the timed window: observability never
+        inflates charged kernel wall time)."""
         t0 = time.perf_counter()
-        result = reduce_values(values, op)
+        result = fn()
         elapsed = time.perf_counter() - t0
-        rec = LaunchRecord(
-            name=name, npoints=n, flops=n,
-            dram_bytes=n * 8, l2_bytes=n * 8, l1_bytes=n * 8,
-            kernel_class=kernel_class,
-        )
         self.table[rec] += 1
         if self.tracer is not None:
             self._span(rec, t0, elapsed)

@@ -176,11 +176,13 @@ class ConvectiveFlux:
         compiled = native.kernels()
         if (compiled is not None and type(eos) is IdealGasEOS
                 and self.split_form in ("fused", "distributed")):
-            res = compiled.weno_sweep(
+            call = compiled.bind_sweep(
                 self.scheme, u, m, J, direction, ng, eos.gamma,
-                self.split_form == "distributed", scratch, out)
-            if res is not None:
-                return res
+                self.split_form == "distributed", scratch, out,
+                out is not None)
+            if call is not None:
+                call()
+                return call.out
 
         # the split fluxes are stored sweep axis first, so each of the 6
         # stencil windows below is one contiguous block whatever the

@@ -2,16 +2,17 @@
 through ctypes.
 
 ``weno_sweep.c`` (beside this file, shipped as package data) holds one
-direction of the sweep as one call (:func:`weno_sweep`) and its two
+direction of the sweep as one call (``weno_sweep``) and its two
 halves on their own: the pointwise pre-pass (:func:`flux_split`:
 Lax-Friedrichs ``alpha``, curvilinear flux and split, stored sweep axis
 first) and the row kernel (:func:`weno_rows`:
 :meth:`~repro.numerics.weno.WenoScheme.combine` of the plus windows plus
 its mirror image on the minus windows), all in NumPy's operation order:
 bitwise the reference, 5-15x faster.  :func:`kernels` hands the sweep
-all three, or ``None`` — after **one** ``RuntimeWarning`` — when no
-library can be had; the NumPy code then runs and the numbers are the
-same.  Which a process got is :func:`status`.
+all three — the whole one bound once per call site — or ``None`` (after
+**one** ``RuntimeWarning``) when no library can be had; the NumPy code
+then runs and the numbers are the same.  Which a process got is
+:func:`status`.
 
 The library is built with ``$CC`` (default ``cc``) into
 ``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``; a per-user temp
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable, Dict, NamedTuple, Optional
 
@@ -66,10 +67,12 @@ class Kernels(NamedTuple):
     #: the sweep-major ``fp (n, ...)`` plus ``combine_minus`` of ``fm``'s
     weno_rows: Callable
     #: ``f(scheme, u, m, J, direction, ng, gamma, distributed, scratch,
-    #: out=None)``: pre-pass, rows and ``-(f[i+1] - f[i]) / J`` of one
-    #: direction into a new ``(dim + 2, [B,] *valid)`` array, or added to
-    #: ``out``; ``None``, nothing touched, unless :func:`split_takes`
-    weno_sweep: Callable
+    #: out=None, add=False)``: pre-pass, rows and ``-(f[i+1] - f[i]) / J``
+    #: of one direction bound into a call of no arguments, which writes
+    #: (``add``: adds to) ``call.out`` (a new ``(dim + 2, [B,] *valid)`` by
+    #: default) and keeps every array it has an address of in
+    #: ``call.holds``; ``None``, nothing touched, unless :func:`split_takes`
+    bind_sweep: Callable
 
 
 def kernels() -> Optional[Kernels]:
@@ -198,11 +201,9 @@ def _load() -> Kernels:
               fm: np.ndarray) -> np.ndarray:
         dim = len(m)
         grid, batch = u.shape[-dim:], u.shape[1:-dim]
-        rest = [g - 2 * ng for g in grid]
-        sweep = rest.pop(direction) + 2 * ng if 0 <= direction < dim else 0
-        if not (split_takes(u, m, J) and ng >= 0 and min(rest) > 0
-                and fp.shape == fm.shape == (sweep, dim + 2, *batch, *rest)
-                and _plain(fp, fm)):
+        shapes = sweep_shapes(u.shape, dim, direction, ng, least=0)
+        if not (split_takes(u, m, J) and shapes
+                and fp.shape == fm.shape == shapes[1] and _plain(fp, fm)):
             raise ValueError("flux_split wants float64 u (dim + 2, [B,] "
                              "*grown), m and J of its shape, C-contiguous "
                              "u, J and (n, dim + 2, [B,] *valid) fp, fm")
@@ -216,40 +217,39 @@ def _load() -> Kernels:
                        fm.ctypes.data)
         return alpha
 
-    def sweep(scheme: WenoScheme, u: np.ndarray, m: np.ndarray, J: np.ndarray,
-              direction: int, ng: int, gamma: float, distributed: bool,
-              scratch, out: Optional[np.ndarray] = None):
+    types = lib.weno_sweep.argtypes
+
+    def bind(scheme: WenoScheme, u: np.ndarray, m: np.ndarray, J: np.ndarray,
+             direction: int, ng: int, gamma: float, distributed: bool,
+             scratch, out: Optional[np.ndarray] = None, add: bool = False):
         if not split_takes(u, m, J):
             return None
         dim = len(m)
-        grid, batch = u.shape[-dim:], u.shape[1:-dim]
-        rest = [g - 2 * ng for g in grid]
-        shape = (dim + 2, *batch, *rest)
-        ok = 0 <= direction < dim and ng >= 3 and min(rest) > 0
-        if ok:
+        shapes = sweep_shapes(u.shape, dim, direction, ng)
+        if shapes is not None:
+            shape, major, iface = shapes
             res = np.empty(shape) if out is None else out
-            nv = rest.pop(direction)
-            major = (nv + 2 * ng, dim + 2, *batch, *rest)
             fp, fm = scratch.get("fplus", major), scratch.get("fminus", major)
-            fi = scratch.get("f_iface", (nv + 1, *major[1:]))
+            fi = scratch.get("f_iface", iface)
             ok = (res.shape == shape and fp.shape == fm.shape == major
-                  and fi.shape == (nv + 1, *major[1:])
-                  and _plain(res, fp, fm, fi))
-        if not ok:
+                  and fi.shape == iface and _plain(res, fp, fm, fi))
+        if shapes is None or not ok:
             raise ValueError("weno_sweep wants a grid direction, ng >= 3 "
                              "ghost cells around valid ones, a float64 "
                              "C-contiguous (dim + 2, [B,] *valid) out and "
                              "scratch of the shapes it asks for")
-        lib.weno_sweep(u.ctypes.data, m.ctypes.data, m.strides[0] // 8,
-                       J.ctypes.data, *(batch or (1,)), *(1,) * (3 - dim),
-                       *grid, dim, direction + 3 - dim, ng, gamma,
-                       PRESSURE_FLOOR, distributed, fp.ctypes.data,
-                       fm.ctypes.data, fi.ctypes.data,
-                       *_scheme_args(scheme)[1], res.ctypes.data,
-                       out is not None)
-        return res
+        tables, scheme_args = _scheme_args(scheme)
+        args = (u.ctypes.data, m.ctypes.data, m.strides[0] // 8, J.ctypes.data,
+                *(u.shape[1:-dim] or (1,)), *(1,) * (3 - dim), *u.shape[-dim:],
+                dim, direction + 3 - dim, ng, gamma, PRESSURE_FLOOR,
+                distributed, fp.ctypes.data, fm.ctypes.data, fi.ctypes.data,
+                *scheme_args, res.ctypes.data, add)
+        # converted once: a call passes ctypes objects through as they are
+        call = partial(lib.weno_sweep, *map(type.__call__, types, args))
+        call.out, call.holds = res, (u, m, J, fp, fm, fi, res, *tables)
+        return call
 
-    k = Kernels(split, rows, sweep)
+    k = Kernels(split, rows, bind)
     _self_check(k, path)
     _status.update(impl="compiled", cache=cache, detail=built_with)
     return k
@@ -273,6 +273,21 @@ def split_takes(u: np.ndarray, m: np.ndarray, J: np.ndarray) -> bool:
             and u.ndim in (dim + 1, dim + 2) and _plain(u, J)
             and m.shape[1:] == J.shape == u.shape[1:] and _plain(m[0])
             and m.strides[0] % 8 == 0)
+
+
+def sweep_shapes(shape: tuple, dim: int, direction: int, ng: int,
+                 least: int = 3):
+    """``(out, fplus / fminus, f_iface)`` shapes of one direction of the
+    sweep of a ``u`` of ``shape``, ``None`` for a call it refuses (``ng <
+    least`` ghost cells, no valid cell)."""
+    grid, batch = shape[-dim:], shape[1:-dim]
+    rest = [g - 2 * ng for g in grid]
+    if not (0 <= direction < dim and ng >= least and min(rest) > 0):
+        return None
+    out = (dim + 2, *batch, *rest)
+    nv = rest.pop(direction)
+    return out, (nv + 2 * ng, dim + 2, *batch, *rest), (nv + 1, dim + 2,
+                                                       *batch, *rest)
 
 
 def _self_check(k: Kernels, lib: Path) -> None:
@@ -302,9 +317,11 @@ def _self_check(k: Kernels, lib: Path) -> None:
         for d in (0, 1):
             ref = ConvectiveFlux(scheme, form).divergence(
                 StateLayout(dim=2), eos, u, metrics, d, 3, out=ref)
-            got = k.weno_sweep(scheme, u, ms[d], fp, d, 3, eos.gamma,
-                               form == "distributed", NO_SCRATCH, got)
-        if got is None or not np.array_equal(got, ref):
+            call = k.bind_sweep(scheme, u, ms[d], fp, d, 3, eos.gamma,
+                                form == "distributed", NO_SCRATCH, got, d)
+            call()
+            got = call.out
+        if not np.array_equal(got, ref):
             raise RuntimeError(f"{lib} does not reproduce the sweep")
 
 

@@ -21,7 +21,8 @@ report's critical path), by five structural rules:
 
 One program serves every stage of every step until level storage is
 built or cleared again (``Crocco`` then drops it:
-``RuntimeEngine.drop_graph``).
+``RuntimeEngine.drop_graph``), and so do the batches it binds when it is
+built (:func:`bound_batches`), which die with it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from types import SimpleNamespace
 from typing import List
 
 from repro.amr.fillpatch import FillPatchOp
-from repro.kernels.batch import rhs_update
+from repro.kernels.batch import BoundBatch, bind_batches, rhs_update
 from repro.numerics.rk3 import NSTAGES
 from repro.runtime.scheduler import Task
 
@@ -62,6 +63,7 @@ class StageGraph:
 def build_stage_graph(sim) -> StageGraph:
     """The stage program of ``sim``'s (a :class:`Crocco`) level storage."""
     g = StageGraph()
+    bound = bound_batches(sim)
     posts = []   # per level: its FillPatch op and its posted halves
     for lev in range(sim.finest_level + 1):
         needs = lev > 0 and sim.interp.needs_coords
@@ -107,8 +109,8 @@ def build_stage_graph(sim) -> StageGraph:
             # the first member names the node: the report's kernel class
             # and batch rows and ``task_error@...:Box`` fault plans read it
             g.add(f"Box(L{lev},b{batch.ids[0]})x{len(batch.ids)}",
-                  _batch_fn(sim, lev, batch, g.args), after=(bc,))
-            for batch in sim.batches[lev]
+                  _batch_fn(sim, bound[lev][k], g.args), after=(bc,))
+            for k, batch in enumerate(sim.batches[lev])
         ])
     g.every = len(g.tasks)
     finer = []
@@ -121,17 +123,25 @@ def build_stage_graph(sim) -> StageGraph:
     return g
 
 
-def _batch_fn(sim, lev: int, batch, args: SimpleNamespace):
-    """The RK stage of one batch, on its group arrays of the level's
-    storage and at the ``dt`` and stage the graph is replayed with, when it
-    runs."""
+def bound_batches(sim) -> List[List[BoundBatch]]:
+    """Every batch of ``sim``'s level storage bound at once, per level: to
+    this storage, so the program that holds them is dropped with it."""
+    levels = range(sim.finest_level + 1)
+    flat = iter(bind_batches(sim.kernels, sim.case, [
+        (*(mf.arrays[batch.group]
+           for mf in (sim.state[lev], sim.du[lev], sim.coords[lev])),
+         batch.metrics, batch.ranks)
+        for lev in levels for batch in sim.batches[lev]], sim.ng))
+    return [[next(flat) for _ in sim.batches[lev]] for lev in levels]
+
+
+def _batch_fn(sim, batch: BoundBatch, args: SimpleNamespace):
+    """The RK stage of one bound batch at the time, ``dt`` and stage the
+    graph is replayed with, when it runs."""
 
     def run() -> None:
-        rhs_update(
-            sim.kernels, sim.case,
-            *(mf.arrays[batch.group]
-              for mf in (sim.state[lev], sim.du[lev], sim.coords[lev])),
-            batch.metrics, batch.ranks, sim.ng, sim.time, args.dt, args.stage)
+        rhs_update(sim.kernels, sim.case, batch, sim.time, args.dt,
+                   args.stage)
 
     return run
 

@@ -160,7 +160,7 @@ class TestJitGating:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_row_kernel_hook_with_a_stand_in_kernel(self, dim, monkeypatch):
         """The sweep's one call of the library, without a compiler: a
-        NumPy stand-in with the compiled sweep's signature must reproduce
+        NumPy stand-in with the compiled binder's signature must reproduce
         the NumPy path bit for bit on every target, so what is under test
         is the call site — state and stored metrics in, the backend's
         scratch, one right-hand side made by the first direction and
@@ -172,19 +172,24 @@ class TestJitGating:
 
         calls, layout = [], StateLayout(dim=dim, nspecies=1)
 
-        def sweep(scheme, u, m, J, direction, ng, gamma, distributed,
-                  scratch, out=None):
+        def bind(scheme, u, m, J, direction, ng, gamma, distributed,
+                 scratch, out=None, add=False):
             assert native.split_takes(u, m, J) and distributed
             assert scratch is ks.exec_backend.scratch
-            assert (out is None) == (len(calls) % dim == 0)
-            assert out is None or out is calls[-1]
-            with monkeypatch.context() as mp:
-                weno_oracle.use_numpy_sweep(mp)
-                calls.append(ks.convective.divergence(
-                    layout, IdealGasEOS(gamma),
-                    u, SimpleNamespace(m=lambda d: m, jacobian=lambda: J),
-                    direction, ng, scratch, out))
-            return calls[-1]
+
+            def call():
+                assert add == (len(calls) % dim != 0)
+                assert not add or out is calls[-1]
+                with monkeypatch.context() as mp:
+                    weno_oracle.use_numpy_sweep(mp)
+                    res = ks.convective.divergence(
+                        layout, IdealGasEOS(gamma),
+                        u, SimpleNamespace(m=lambda d: m, jacobian=lambda: J),
+                        direction, ng, scratch, out if add else None)
+                out[...] = res
+                calls.append(out)
+            call.out = out
+            return call
 
         rng = np.random.default_rng(4)
         grown = tuple(5 + d + 2 * 4 for d in range(dim))
@@ -197,7 +202,7 @@ class TestJitGating:
         u[1:1 + dim] = 0.1 * rng.normal(size=(dim, 2) + grown)
         u[layout.energy] = 2.5
         results = {}
-        stand_in = native.Kernels(None, None, sweep)
+        stand_in = native.Kernels(None, None, bind)
         for target, kernels in (("host", None), ("device", stand_in),
                                 ("fused", stand_in)):
             monkeypatch.setattr(native, "_kernel", kernels)

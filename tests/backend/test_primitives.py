@@ -11,7 +11,7 @@ from repro.backend import (DeviceBackend, HostBackend, LaunchSpec,
 from repro.kernels.counts import (BUDGETS, FILLBOUNDARY_BUDGET, INTERP_BUDGET,
                                   UPDATE_BUDGET, WENO_BUDGET,
                                   budget_for_kernel)
-from repro.kernels.device import DeviceMemoryError, GpuDevice
+from repro.kernels.device import DeviceMemoryError, GpuDevice, LaunchRecord
 from repro.observability.tracer import Tracer
 from tests.conftest import trace_events
 
@@ -189,7 +189,7 @@ class TestSpanOutsideTimedWindow:
         dev = GpuDevice()
         dev.tracer = SlowTracer(0.05)
         for _ in range(3):
-            dev.launch("K", lambda: None, 10, UPDATE_BUDGET)
+            dev.run(LaunchRecord.priced("K", 10, UPDATE_BUDGET), lambda: None)
         dev.reduce("R", np.ones(4), op="sum")
         spans = trace_events(dev.tracer)
         assert len(spans) == 4

@@ -49,9 +49,10 @@ class EventLog:
 
 @contextmanager
 def logged_launches():
-    """Log every ``GpuDevice.launch`` / ``reduce`` while open.  Each call
-    counts into an empty table that is then merged into the device's own,
-    so the log holds exactly the ``LaunchRecord`` the device counted."""
+    """Log every launch and reduction a ``GpuDevice`` counts while open
+    (both go through ``run``).  Each call counts into an empty table that
+    is then merged into the device's own, so the log holds exactly the
+    ``LaunchRecord`` the device counted."""
     log = EventLog()
 
     def wrap(real):
@@ -66,8 +67,7 @@ def logged_launches():
         return logged
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("launch", "reduce"):
-            mp.setattr(GpuDevice, name, wrap(getattr(GpuDevice, name)))
+        mp.setattr(GpuDevice, "run", wrap(GpuDevice.run))
         yield log
 
 

@@ -8,6 +8,8 @@ a batch built for the storage it replaced — not even when
 above the replaced one.
 """
 
+from collections import Counter
+
 import numpy as np
 
 from repro.backend import use_backend
@@ -54,14 +56,16 @@ def test_stale_batch_trap(monkeypatch):
     ran, seen = [], {}
     inner = rk3graph.rhs_update
 
-    def live_only(kernels, case, u, du, coords, metrics, ranks, *rest):
+    def live_only(kernels, case, bound, *rest):
         """Every batch that runs belongs to the live level storage, and
         runs on its group arrays: its members' fabs are views into them."""
         live = [(lev, b) for lev, bs in sim.batches.items() for b in bs
-                if b.metrics is metrics]
+                if b.metrics is bound.stage.metrics]
         assert len(live) == 1, "a batch of a replaced level storage ran"
         lev, b = live[0]
-        assert b.ranks == tuple(ranks)
+        for owners in bound.stage.owners.values():
+            assert {spec.rank: n for spec, n in owners} == Counter(b.ranks)
+        u, du = bound.stage.u, bound.du
         assert u is sim.state[lev].arrays[b.group]
         assert du is sim.du[lev].arrays[b.group]
         for k, i in enumerate(b.ids):
@@ -69,9 +73,9 @@ def test_stale_batch_trap(monkeypatch):
             assert np.shares_memory(du[:, k], sim.du[lev].fab(i).data)
             # members read their metrics out of the stack that owns them
             assert np.shares_memory(sim.metrics[lev][i].jacobian(),
-                                    metrics.jacobian())
+                                    bound.stage.metrics.jacobian())
         ran.append(len(b.ids))
-        return inner(kernels, case, u, du, coords, metrics, ranks, *rest)
+        return inner(kernels, case, bound, *rest)
 
     def reachable_only_through_their_storage():
         assert set(sim.batches) == set(sim.state)

@@ -8,6 +8,7 @@ from repro.kernels.counts import KernelBudget, WENO_BUDGET
 from repro.kernels.device import (
     DeviceMemoryError,
     GpuDevice,
+    LaunchRecord,
     V100_MEMORY_BYTES,
     launch_totals,
 )
@@ -49,8 +50,8 @@ def test_capacity_enforced():
 
 def test_launch_records_and_returns():
     dev = GpuDevice()
-    out = dev.launch("WENOx", lambda: np.ones(3), npoints=1000,
-                     budget=WENO_BUDGET)
+    out = dev.run(LaunchRecord.priced("WENOx", 1000, WENO_BUDGET),
+                  lambda: np.ones(3))
     assert np.all(out == 1.0)
     (rec, count), = dev.table.items()
     assert count == 1
@@ -74,9 +75,10 @@ def test_reduce():
 def test_totals_and_by_kernel():
     dev = GpuDevice()
     a = KernelBudget("A", 2, 4, 1.6, 4.0, 64)
-    dev.launch("A", lambda: None, 10, a)
-    dev.launch("A", lambda: None, 10, a)
-    dev.launch("B", lambda: None, 5, KernelBudget("B", 1, 1, 1.6, 4.0, 64))
+    dev.run(LaunchRecord.priced("A", 10, a), lambda: None)
+    dev.run(LaunchRecord.priced("A", 10, a), lambda: None)
+    dev.run(LaunchRecord.priced("B", 5, KernelBudget("B", 1, 1, 1.6, 4.0, 64)),
+            lambda: None)
     by_kernel = launch_totals([dev])
     assert set(by_kernel) == {"A", "B"}
     assert by_kernel["A"] == {"launches": 2, "points": 20, "flops": 40,

@@ -28,7 +28,7 @@ from repro.backend import make_exec_backend
 from repro.cases.dmr import DoubleMachReflection
 from repro.core.crocco import Crocco, CroccoConfig
 from repro.kernels.api import make_kernels
-from repro.kernels.batch import rhs_update
+from repro.kernels.batch import bind_batches, rhs_update
 from repro.numerics import native
 from repro.numerics.eos import IdealGasEOS, MixtureEOS, Species
 from repro.numerics.fluxes import (ConvectiveFlux, _crop_transverse,
@@ -66,19 +66,30 @@ def split():
 
 @pytest.fixture
 def sweep():
-    return compiled("weno_sweep")
+    """One direction of the compiled sweep, bound and run at once: the
+    result, or ``None`` for arrays the library does not take."""
+    bind = compiled("bind_sweep")
+
+    def run(scheme, u, m, J, direction, ng, gamma, distributed, scratch,
+            out=None):
+        call = bind(scheme, u, m, J, direction, ng, gamma, distributed,
+                    scratch, out, out is not None)
+        if call is not None:
+            call()
+            return call.out
+    return run
 
 
 def spy(calls):
-    """The compiled kernels, noting each sweep the library served."""
+    """The compiled kernels, noting each sweep the library took."""
     real = native.kernels()
 
-    def sweep(*args):
-        res = real.weno_sweep(*args)
-        if res is not None:
+    def bind(*args):
+        call = real.bind_sweep(*args)
+        if call is not None:
             calls.append(args)
-        return res
-    return real._replace(weno_sweep=sweep)
+        return call
+    return real._replace(bind_sweep=bind)
 
 
 def reference(scheme, fp, fm, start, nif):
@@ -409,8 +420,10 @@ def test_rhs_update_is_bitwise_either_way(sweep, ordering, precision,
                     weno_oracle.use_numpy_sweep(mp)
                 u = u0.copy()
                 du = np.zeros_like(u[:, :, ng:-ng, ng:-ng])
-                rhs_update(kernels, case, u, du, np.zeros((2, n, 14, 15)),
-                           StackedMetrics(members), (0,) * n, ng, 0.0, 1e-3, 0)
+                batch, = bind_batches(kernels, case, [
+                    (u, du, np.zeros((2, n, 14, 15)), StackedMetrics(members),
+                     (0,) * n)], ng)
+                rhs_update(kernels, case, batch, 0.0, 1e-3, 0)
                 results.append([u, du])
         assert len(calls) == 2
         for a, b in zip(*results):
@@ -419,8 +432,45 @@ def test_rhs_update_is_bitwise_either_way(sweep, ordering, precision,
 
 #: Python-level calls of one ``KernelSet.rhs`` of a 2-D batch of three on
 #: two ranks.  At 72d6cef: 252 / 288 / 238 on host / device / fused; with
-#: the one-call sweep 113 / 145 / 108 (EXPERIMENTS.md "One call per sweep")
+#: the one-call sweep 113 / 145 / 108 (EXPERIMENTS.md "One call per sweep");
+#: bound for the call, 111 / 135 / 114
 GLUE_BUDGET = {"host": 125, "device": 160, "fused": 120}
+#: the same of a stage bound once (what every batch of a stage program
+#: runs): 23 / 47 / 26 (EXPERIMENTS.md "Bound batch launches")
+BOUND_GLUE_BUDGET = {"host": 28, "device": 52, "fused": 30}
+
+
+def glue_of_one_rhs(target, monkeypatch, bound):
+    """The library directions one ``rhs`` served and the Python-level
+    calls it made, per call or of a bound stage."""
+    lib = next(c.cell_contents for c in native.kernels().bind_sweep.__closure__
+               if isinstance(c.cell_contents, ctypes.CDLL))
+    served, real = [], lib.weno_sweep
+    monkeypatch.setattr(lib, "weno_sweep",
+                        lambda *a: served.append(a[9].value) or real(*a))
+    for half in ("flux_split", "weno_rows"):
+        monkeypatch.setattr(lib, half, lambda *a: served.append(None))
+    rng = np.random.default_rng(15)
+    u = state(2, (3,), 4, rng)[0]
+    metrics = StackedMetrics([curvilinear((14, 15), rng) for _ in range(3)])
+    kernels = make_kernels("fortran", StateLayout(dim=2), EOS,
+                           exec_backend=make_exec_backend(target))
+    args = ((kernels.bind([(u, metrics, 4, (0, 1, 0))])[0],) if bound
+            else (u, metrics, 4, (0, 1, 0)))
+    kernels.rhs(*args)  # scratch, lru caches
+    del served[:]
+    calls = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename != __file__:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(count)
+    try:
+        kernels.rhs(*args)
+    finally:
+        sys.setprofile(None)
+    return served, calls
 
 
 @pytest.mark.parametrize("target", sorted(GLUE_BUDGET))
@@ -431,33 +481,18 @@ def test_glue_budget_of_one_rhs(sweep, target, monkeypatch):
     this file's own frames excluded) stay under the budget, and the
     library is entered exactly once per direction, through ``weno_sweep``
     only."""
-    lib = next(c.cell_contents for c in sweep.__closure__
-               if isinstance(c.cell_contents, ctypes.CDLL))
-    served, real = [], lib.weno_sweep
-    monkeypatch.setattr(lib, "weno_sweep",
-                        lambda *a: served.append(a[9]) or real(*a))
-    for half in ("flux_split", "weno_rows"):
-        monkeypatch.setattr(lib, half, lambda *a: served.append(None))
-    rng = np.random.default_rng(15)
-    u = state(2, (3,), 4, rng)[0]
-    metrics = StackedMetrics([curvilinear((14, 15), rng) for _ in range(3)])
-    kernels = make_kernels("fortran", StateLayout(dim=2), EOS,
-                           exec_backend=make_exec_backend(target))
-    kernels.rhs(u, metrics, 4, (0, 1, 0))  # scratch, lru caches
-    del served[:]
-    calls = []
-
-    def count(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename != __file__:
-            calls.append(frame.f_code.co_name)
-
-    sys.setprofile(count)
-    try:
-        kernels.rhs(u, metrics, 4, (0, 1, 0))
-    finally:
-        sys.setprofile(None)
+    served, calls = glue_of_one_rhs(target, monkeypatch, bound=False)
     assert served == [1, 2]  # x then y, of the three axes the C code has
     assert len(calls) <= GLUE_BUDGET[target], Counter(calls).most_common(8)
+
+
+@pytest.mark.parametrize("target", sorted(BOUND_GLUE_BUDGET))
+def test_glue_budget_of_one_bound_rhs(sweep, target, monkeypatch):
+    """The same for a stage bound once: no check, conversion or scratch
+    request is left between the launches and the library."""
+    served, calls = glue_of_one_rhs(target, monkeypatch, bound=True)
+    assert served == [1, 2]
+    assert len(calls) <= BOUND_GLUE_BUDGET[target], Counter(calls).most_common(8)
 
 
 def curvilinear(grown, rng):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.kernels.counts import KernelBudget
-from repro.kernels.device import GpuDevice, launch_totals
+from repro.kernels.device import GpuDevice, LaunchRecord, launch_totals
 from repro.observability.tracer import GPU_STREAM, Tracer
 from repro.perfmodel.execution import IterationBreakdown
 from repro.perfmodel.trace_export import charge_iteration
@@ -54,8 +54,8 @@ def test_device_counts_and_spans():
     dev = GpuDevice()
     dev.tracer, dev.trace_track = tracer, (3, GPU_STREAM)
     budget = KernelBudget("WENOx", 10.0, 8.0, 1.6, 4.0, 255)
-    dev.launch("WENOx", lambda: None, npoints=1000, budget=budget)
-    dev.launch("WENOx", lambda: None, npoints=500, budget=budget)
+    dev.run(LaunchRecord.priced("WENOx", 1000, budget), lambda: None)
+    dev.run(LaunchRecord.priced("WENOx", 500, budget), lambda: None)
     # the counts the recorder samples into ``kernel.WENOx.*``
     assert launch_totals([dev])["WENOx"] == {
         "launches": 2, "points": 1500, "flops": 15000, "dram_bytes": 12000,

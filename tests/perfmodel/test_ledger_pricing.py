@@ -72,16 +72,16 @@ def test_functional_run_priceable_end_to_end():
 
 
 def test_summarize_device_prices_launches():
-    from repro.kernels.device import GpuDevice
+    from repro.kernels.device import GpuDevice, LaunchRecord
     from repro.machine.gpu import V100Model
     from repro.perfmodel.device_timing import summarize_device
 
     from repro.kernels.counts import UPDATE_BUDGET, WENO_BUDGET
 
     dev = GpuDevice()
-    dev.launch("WENOx", lambda: None, 50_000, WENO_BUDGET)
-    dev.launch("WENOx", lambda: None, 50_000, WENO_BUDGET)
-    dev.launch("Update", lambda: None, 50_000, UPDATE_BUDGET)
+    for name, budget in (("WENOx", WENO_BUDGET), ("WENOx", WENO_BUDGET),
+                         ("Update", UPDATE_BUDGET)):
+        dev.run(LaunchRecord.priced(name, 50_000, budget), lambda: None)
     t = summarize_device(dev)
     assert set(t.seconds) == {"WENOx", "Update"}
     assert t.launches == {"WENOx": 2, "Update": 1}

@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tupl
 
 from repro.amr.fillpatch import FillPatchOp
 from repro.numerics.rk3 import NSTAGES
-from repro.runtime.rk3graph import _avg_fn, _batch_fn
+from repro.runtime.rk3graph import _avg_fn, _batch_fn, bound_batches
 
 # -- repro/runtime/graph.py --------------------------------------------------
 
@@ -215,6 +215,7 @@ def _keys(mfid, mf):
 def build_stage_graph(sim) -> StageGraph:
     """The stage graph of ``sim``'s (a :class:`Crocco`) level storage."""
     g = StageGraph()
+    bound = bound_batches(sim)
     for lev in range(sim.finest_level + 1):
         state = sim.state[lev]
         needs = lev > 0 and sim.interp.needs_coords
@@ -268,7 +269,7 @@ def build_stage_graph(sim) -> StageGraph:
             kind="bc", reads=ckeys, writes=skeys,
         )
         computes = []
-        for batch in sim.batches[lev]:
+        for batch, stage in zip(sim.batches[lev], bound[lev]):
             touched = [DataKey((tag, lev), i) for i in batch.ids
                        for tag in ("state", "du")]
             computes.append(g.add(
@@ -276,7 +277,7 @@ def build_stage_graph(sim) -> StageGraph:
                 # class and batch rows and ``task_error@...:Box`` fault
                 # plans read it
                 f"Box(L{lev},b{batch.ids[0]})x{len(batch.ids)}",
-                _batch_fn(sim, lev, batch, g.args),
+                _batch_fn(sim, stage, g.args),
                 kind="compute",
                 reads=touched + [DataKey(("coords", lev), i)
                                  for i in batch.ids],

@@ -76,15 +76,17 @@ def test_stale_graph_trap(monkeypatch):
 
     inner = rk3graph.rhs_update
 
-    def live_batch(kernels, case, u, du, coords, metrics, ranks, *rest):
+    def live_batch(kernels, case, bound, *rest):
         live = [(lev, b) for lev, bs in sim.batches.items() for b in bs
-                if b.metrics is metrics]
+                if b.metrics is bound.stage.metrics]
         assert len(live) == 1, "a replayed task ran a replaced batch"
         lev, b = live[0]
-        assert u is sim.state[lev].arrays[b.group]
-        assert coords is sim.coords[lev].arrays[b.group]
+        assert bound.stage.u is sim.state[lev].arrays[b.group]
+        assert bound.du is sim.du[lev].arrays[b.group]
+        for _, _, coords, _ in bound.sources:
+            assert np.shares_memory(coords, sim.coords[lev].arrays[b.group])
         touched["batches"] += 1
-        return inner(kernels, case, u, du, coords, metrics, ranks, *rest)
+        return inner(kernels, case, bound, *rest)
 
     monkeypatch.setattr(rk3graph, "rhs_update", live_batch)
     replayed = advance(sim)

@@ -137,8 +137,14 @@ class ExecutionBackend:
         return self._launch(name, fn, npoints, spec or _FLUX_SPEC)
 
     def reduce_data(self, name: str, values, op: str = "min",
-                    spec: Optional[LaunchSpec] = None) -> float:
-        return self._reduce(name, values, op, spec or _REDUCTION_SPEC)
+                    spec: Optional[LaunchSpec] = None,
+                    npoints: int = 0) -> Optional[float]:
+        """``op`` over ``values``; ``values=None`` records a reduction over
+        ``npoints`` values whose result was taken elsewhere, with an empty
+        body (as the other owners' launches of a batch), and returns
+        ``None``."""
+        return self._reduce(name, values, op, spec or _REDUCTION_SPEC,
+                            npoints)
 
     # -- device memory (accounting targets only; a no-op on host) ----------
     def reserve(self, nbytes: int, rank: int = 0) -> None:
@@ -159,7 +165,8 @@ class ExecutionBackend:
                 spec: LaunchSpec):
         raise NotImplementedError
 
-    def _reduce(self, name: str, values, op: str, spec: LaunchSpec) -> float:
+    def _reduce(self, name: str, values, op: str, spec: LaunchSpec,
+                npoints: int) -> Optional[float]:
         raise NotImplementedError
 
     # -- accounting (accounting targets only; host returns empties) --------
@@ -181,8 +188,8 @@ class HostBackend(ExecutionBackend):
     def _launch(self, name, fn, npoints, spec):
         return fn()
 
-    def _reduce(self, name, values, op, spec) -> float:
-        return reduce_values(values, op)
+    def _reduce(self, name, values, op, spec, npoints):
+        return None if values is None else reduce_values(values, op)
 
 
 class DeviceBackend(ExecutionBackend):
@@ -213,9 +220,9 @@ class DeviceBackend(ExecutionBackend):
         return self.device_for(spec.rank).run(
             self._record(name, npoints, spec.kernel_class), fn)
 
-    def _reduce(self, name, values, op, spec) -> float:
+    def _reduce(self, name, values, op, spec, npoints):
         return self.device_for(spec.rank).reduce(
-            name, values, op=op, kernel_class=spec.kernel_class)
+            name, values, op, spec.kernel_class, npoints)
 
     def reserve(self, nbytes: int, rank: int = 0) -> None:
         self.device_for(rank)._allocate(nbytes)

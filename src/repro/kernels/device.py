@@ -100,14 +100,17 @@ class GpuDevice:
             raise RuntimeError("device arena double free")
 
     # -- launches ----------------------------------------------------------
-    def reduce(self, name: str, values: np.ndarray, op: str = "min",
-               kernel_class: str = "reduction") -> float:
+    def reduce(self, name: str, values: Optional[np.ndarray],
+               op: str = "min", kernel_class: str = "reduction",
+               npoints: int = 0) -> Optional[float]:
         """amrex::ReduceData-style device reduction (used by ComputeDt),
-        recorded as one flop and one 8-byte word per value."""
-        n = int(np.asarray(values).size)
+        recorded as one flop and one 8-byte word per value; ``values=None``
+        records one over ``npoints`` values and runs nothing."""
+        n = npoints if values is None else int(np.asarray(values).size)
         return self.run(LaunchRecord(name, n, n, n * 8, n * 8, n * 8,
                                      kernel_class),
-                        lambda: reduce_values(values, op))
+                        (lambda: None) if values is None else
+                        (lambda: reduce_values(values, op)))
 
     def run(self, rec: LaunchRecord, fn: Callable[[], Optional[np.ndarray]]):
         """Run ``fn`` as one recorded kernel launch (ParallelFor semantics)

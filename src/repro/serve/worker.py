@@ -188,15 +188,20 @@ def _run_deck(run_dir: Path, spec: dict,
     cancel_flag = run_dir / CANCEL_NAME
     drain_flag = run_dir / DRAIN_NAME
 
-    # chaos hook: ("kill_step", K) hard-kills this worker process at the
+    # chaos hooks: ("kill_step", K) hard-kills this worker process at the
     # step-K boundary — the service-level stand-in for losing a node
-    # mid-run (must actually die: never fires when running inline in the
-    # service process itself)
+    # mid-run; ("hold_step", K) waits there until the harness kills the
+    # service (past the fleet's task_timeout it is a stuck worker).  Both
+    # need a process of their own: neither fires inline in the service
+    # process itself
     fault = spec.get("_fault")
     kill_at: Optional[int] = None
-    if (fault is not None and fault[0] == "kill_step"
-            and os.getpid() != _DRIVER_PID):
-        kill_at = int(fault[1])
+    hold_at: Optional[int] = None
+    if fault is not None and os.getpid() != _DRIVER_PID:
+        if fault[0] == "kill_step":
+            kill_at = int(fault[1])
+        elif fault[0] == "hold_step":
+            hold_at = int(fault[1])
 
     sim = Crocco(case, config)
     resumed_from: Optional[int] = None
@@ -233,6 +238,8 @@ def _run_deck(run_dir: Path, spec: dict,
                     raise RunSuspended("drain requested")
                 if kill_at is not None and sim.step_count >= kill_at:
                     os._exit(3)
+                while hold_at is not None and sim.step_count >= hold_at:
+                    time.sleep(0.05)
                 sim.step()
         except RunCancelled:
             status, reason = "cancelled", "cancelled by request"

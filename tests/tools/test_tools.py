@@ -139,3 +139,23 @@ def test_vectorisation_check_passes_here_and_catches_a_scalar_loop(tmp_path):
     broken = tmp_path / source.name
     broken.write_text(text.replace("o[i] = add ? o[i] + x : x;", carried))
     assert check.missing(broken, cc="gcc") == ["diff_row"]
+
+
+def test_divide_count_is_two_here_and_catches_a_divide_per_stencil():
+    """The row kernel is bound by its divides; a divide per stencil
+    brought back into both implementations passes every bitwise test, so
+    the tool counts them, through the functions and macros ``combine()``
+    calls."""
+    check = load_tool("check_vectorised")
+    text = (ROOT / "src" / "repro" / "numerics" / "weno_sweep.c").read_text()
+    assert check.divides(text) == check.DIVIDES == 2
+    indicator = "return (p * p + s * s * t->beta_k) * inv;"
+    factor = "#define SQ1(b) (((b) + 1.0) * ((b) + 1.0))"
+    assert text.count(indicator) == text.count(factor) == 1
+    # one divide per stencil (four calls) in a function or in a macro
+    assert check.divides(text.replace(indicator, indicator.replace(
+        "* inv", "/ inv"))) == 6
+    assert check.divides(text.replace(factor, factor.replace(
+        "(((b)", "(1.0 / ((b)"))) == 6
+    # comments do not count
+    assert check.divides(text.replace(indicator, indicator + " /* a / b */")) == 2

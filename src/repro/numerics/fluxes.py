@@ -101,8 +101,8 @@ def lax_friedrichs_split(
     """
     dim = layout.dim
     axis = u.ndim - dim + direction
-    _, vel, p = eos.primitives(layout, u)
-    lam = wave_speed(vel, eos.sound_speed(layout, u), m, J)
+    rho, vel, p = eos.primitives(layout, u)
+    lam = wave_speed(vel, eos.sound_speed(layout, u, rho, p), m, J)
     alpha = lam.max(axis=tuple(range(-dim, 0)), keepdims=True)
     u, vel, p, m = (_crop_transverse(x, direction, ng, dim)
                     for x in (u, vel, p, m))

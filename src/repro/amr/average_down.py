@@ -27,8 +27,9 @@ def _build_plan(fine: MultiFab, crse: MultiFab, r: IntVect) -> CommPlan:
     ok = nonempty(covered)
     i, j, covered = i[ok], j[ok], covered[ok]
     fregion = refine(covered, r)
-    plan = CommPlan.of_boxes(crse, fine, "averagedown", crse.ncomp,
-                             (i, j, fregion, covered), compile=False)
+    plan = CommPlan.of_boxes(crse, fine, "averagedown", "averagedown",
+                             crse.ncomp, (i, j, fregion, covered),
+                             compile=False)
     k, flat = box_cells(fregion, (fregion[:, 0], fine.grown[j]))
     plan.src = fine.cells(j[k], flat)
     k, flat = box_cells(covered, (covered[:, 0], crse.grown[i]))
@@ -62,7 +63,7 @@ def average_down(fine: MultiFab, crse: MultiFab, ratio: IntVectLike) -> None:
             [_block_mean(vals[:, a:b].reshape(s), r).reshape(s[0], -1)
              for s, a, b in plan.regions], axis=1))
 
-    plan.run("AverageDown", "averagedown", restrict)
+    plan.run("AverageDown", restrict)
 
 
 def _block_mean(fine: np.ndarray, r: IntVect) -> np.ndarray:

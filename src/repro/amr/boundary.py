@@ -42,7 +42,7 @@ def _build_plan(mf: MultiFab, geom: Optional[Geometry]) -> CommPlan:
     # a destination inside the valid box is the fab meeting itself
     ghost = ((dbox[:, 0] < mf.ba.lohi[i, 0])
              | (dbox[:, 1] > mf.ba.lohi[i, 1])).any(axis=1)
-    return CommPlan.of_boxes(mf, mf, "fillboundary", mf.ncomp,
+    return CommPlan.of_boxes(mf, mf, "fillboundary", "fillpatch", mf.ncomp,
                              tuple(x[ghost] for x in pairs))
 
 
@@ -60,7 +60,7 @@ class FillBoundaryHandle:
             lambda: _build_plan(mf, geom))
         #: every message's values, snapshot at post time
         self._packed: Optional[np.ndarray] = None
-        self._plan.run("FB_pack", "fillpatch", self._pack)
+        self._plan.run("FB_pack", self._pack)
 
     def _pack(self) -> None:
         self._packed = self._plan.src.take(self.mf.buffer)
@@ -72,8 +72,7 @@ class FillBoundaryHandle:
     def finish(self) -> None:
         """Unpack every buffered message into its ghost region."""
         if self._packed is not None:
-            self._plan.run("FB_unpack", "fillpatch", self._unpack,
-                           record=False)
+            self._plan.run("FB_unpack", self._unpack, record=False)
 
 
 def fill_boundary_nowait(mf: MultiFab,
@@ -133,8 +132,9 @@ class GhostFaces:
         self._faces = {key: _face(state, coords, lohi_of([domain])[0], *key)
                        for key in wanted}
         #: one BC_fill launch per owning rank, over its fabs' ghost points
-        self.shares = rank_shares(np.asarray(state.dm.ranks(), dtype=np.intp),
-                                  num_pts(state.grown) - num_pts(state.ba.lohi))
+        self.shares = rank_shares(
+            np.asarray(state.dm.ranks(), dtype=np.intp),
+            num_pts(state.grown) - num_pts(state.ba.lohi), "fillpatch")
 
     def __getitem__(self, key: Tuple[int, str]) -> Optional[Face]:
         return self._faces[key]

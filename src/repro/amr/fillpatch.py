@@ -35,8 +35,8 @@ from repro.amr.intvect import IntVect, IntVectLike
 from repro.amr.interpolate import Interpolator, apply_stencil
 from repro.amr.multifab import MultiFab
 from repro.amr.parallelcopy import copy_plan
-from repro.amr.plan import (CommPlan, Share, launch_shares, overlaps,
-                            rank_shares)
+from repro.amr.plan import CommPlan, by_share, overlaps, rank_shares
+from repro.backend import Share, current_backend
 
 
 def _region(profiler, name: str):
@@ -115,7 +115,7 @@ class FillPatchOp:
         are replayed from the fill plan, while the copy itself ran once,
         when that plan turned the coordinates into weights."""
         if self.interp.needs_coords:
-            self._fill_plan().coords.run("PC_copy", "fillpatch", lambda: None)
+            self._fill_plan().coords.run("PC_copy", lambda: None)
 
     def finish_fillboundary(self) -> None:
         """FillBoundary_finish: unpack buffers into same-level ghosts."""
@@ -180,7 +180,7 @@ def fill_coarse_patch(
         plan = build_fill_plan(fine, crse, geom_fine, r, interp, crse_coords,
                                fine_coords, pieces)
         if plan.coords is not None:
-            plan.coords.run("PC_copy", "fillpatch", lambda: None)
+            plan.coords.run("PC_copy", lambda: None)
         _fill_level(plan, fine, crse, r, interp)
 
 
@@ -259,10 +259,11 @@ def build_fill_plan(fine: MultiFab, crse: MultiFab, geom_fine: Geometry,
                           range(min(fine.ncomp, crse.ncomp)))
     # one launch per owning rank: a piece is charged to its fab's rank
     rank = np.asarray(fine.dm.ranks(), dtype=np.intp)[owner]
-    plan.shares = rank_shares(rank, points, [
+    plan.shares = rank_shares(rank, points, "fillpatch")
+    plan.messages = by_share(plan.shares, [
         crse.comm.message(src, dst, n, "parallelcopy") for src, dst, n in
         zip(senders.tolist(), rank[p].tolist(), nbytes.tolist())])
-    plan.interp_shares = rank_shares(rank, nfine)
+    plan.interp_shares = rank_shares(rank, nfine, "interp")
     return plan
 
 
@@ -348,8 +349,7 @@ def _fill_level(plan: FillPlan, fine: MultiFab, crse: MultiFab, r: IntVect,
     """Run a fill plan: one gather of every piece's coarse patch, one pass
     filling every piece, as ``PC_gather`` / ``Interp_<label>`` launches."""
     patch = []
-    plan.run("PC_gather", "fillpatch",
-             lambda: patch.append(plan.src.take(crse.buffer)))
+    plan.run("PC_gather", lambda: patch.append(plan.src.take(crse.buffer)))
 
     def interpolate() -> None:
         coarse = patch.pop()
@@ -364,8 +364,8 @@ def _fill_level(plan: FillPlan, fine: MultiFab, crse: MultiFab, r: IntVect,
                 for piece, cregion, offset in plan.regions], axis=1)
         plan.dst.put(fine.buffer, vals[:plan.dst.ncomp])
 
-    launch_shares(f"Interp_{interp.kernel_label}", "interp", interpolate,
-                  plan.interp_shares)
+    current_backend().launch_shares(f"Interp_{interp.kernel_label}",
+                                    interpolate, plan.interp_shares)
 
 
 def _nearest_fill(data: np.ndarray) -> None:

@@ -20,7 +20,7 @@ def copy_plan(dst: MultiFab, src: MultiFab, ncomp: int, fill_ghosts: bool,
               src_comp: int = 0, dst_comp: int = 0) -> CommPlan:
     """Per destination fab, every overlap with ``src``'s valid regions."""
     return CommPlan.of_boxes(
-        dst, src, "parallelcopy", ncomp,
+        dst, src, "parallelcopy", "fillpatch", ncomp,
         overlaps(src.ba, dst.grown if fill_ghosts else dst.ba.lohi),
         src_comp, dst_comp)
 
@@ -49,5 +49,4 @@ def parallel_copy(
         ("parallelcopy", src_comp, dst_comp, nc, fill_ghosts, src.ngrow.tup()),
         (src.ba, src.dm),
         lambda: copy_plan(dst, src, nc, fill_ghosts, src_comp, dst_comp))
-    plan.run("PC_copy", "fillpatch",
-             lambda: plan.copy(dst.buffer, src.buffer))
+    plan.run("PC_copy", lambda: plan.copy(dst.buffer, src.buffer))

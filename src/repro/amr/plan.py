@@ -6,10 +6,11 @@ regrid.  A :class:`CommPlan` is that metadata for one operation writing
 one MultiFab, compiled to flat offsets into the level buffers: ``src`` and
 ``dst`` (:class:`~repro.amr.multifab.Cells`), so a run is one gather and
 one scatter (the boxes of a level are disjoint: no cell is written twice).
-Per owning rank of destination fabs it keeps what a run is charged — the
-launch points and the ledger messages its fabs receive — and a run
-records one launch per owning rank, the first carrying the body, and the
-same per-fab messages.  A plan holds offsets, never patch data:
+Per owning rank of destination fabs it keeps the launch a run is charged
+(a :data:`~repro.backend.Share`) and the per-fab ledger messages, grouped
+by receiving rank; a run is one launch per owning rank, the first
+carrying the body (``ExecutionBackend.launch_shares``), then those
+messages.  A plan holds offsets, never patch data:
 :meth:`MultiFab.plan` caches it on the MultiFab it writes, which is
 rebuilt exactly when its layout changes.
 """
@@ -22,14 +23,12 @@ import numpy as np
 
 from repro.amr.boxarray import box_cells, num_pts
 from repro.amr.multifab import Cells
-from repro.backend import LaunchSpec, parallel_for
+from repro.backend import LaunchSpec, Share, current_backend
 from repro.mpi.ledger import Message
 
 #: box-shaped copies as arrays, one row per copy: (destination fab,
 #: source fab, source boxes ``(P, 2, dim)``, destination boxes)
 Pairs = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-#: one owning rank's launch: (rank, points, the messages its fabs receive)
-Share = Tuple[int, int, Sequence[Message]]
 
 
 class CommPlan:
@@ -43,20 +42,24 @@ class CommPlan:
         self.src: Optional[Cells] = None
         self.dst: Optional[Cells] = None
         self.shares: List[Share] = []
+        #: what a run records, grouped by receiving rank in share order
+        self.messages: List[Message] = []
         comm.plans_built += 1
 
     @classmethod
-    def of_boxes(cls, dst, src, kind: str, ncomp: int, pairs: Pairs,
-                 src_comp: int = 0, dst_comp: int = 0,
+    def of_boxes(cls, dst, src, kind: str, kernel_class: str, ncomp: int,
+                 pairs: Pairs, src_comp: int = 0, dst_comp: int = 0,
                  compile: bool = True) -> "CommPlan":
         """A plan of box-shaped copies of ``ncomp`` components from MultiFab
-        ``src`` into ``dst``, ``pairs`` sorted by destination fab.  A fab is
-        charged its source points and messaged its destination bytes; with
-        ``compile`` the copies become the plan's offsets."""
+        ``src`` into ``dst``, ``pairs`` sorted by destination fab, run as
+        ``kernel_class`` launches.  A fab is charged its source points and
+        messaged its destination bytes as ``kind``; with ``compile`` the
+        copies become the plan's offsets."""
         plan = cls(dst.comm)
         i, j, sbox, dbox = pairs
         ranks = np.asarray(dst.dm.ranks(), dtype=np.intp)[i]
-        plan.shares = rank_shares(ranks, num_pts(sbox), [
+        plan.shares = rank_shares(ranks, num_pts(sbox), kernel_class)
+        plan.messages = by_share(plan.shares, [
             dst.comm.message(s, r, n, kind) for s, r, n in zip(
                 np.asarray(src.dm.ranks())[j].tolist(), ranks.tolist(),
                 (num_pts(dbox) * ncomp * 8).tolist())])
@@ -68,12 +71,13 @@ class CommPlan:
             plan.dst = dst.cells(i[k], dflat, range(dst_comp, dst_comp + ncomp))
         return plan
 
-    def run(self, name: str, kernel_class: str, body: Callable[[], None],
+    def run(self, name: str, body: Callable[[], None],
             record: bool = True) -> None:
-        """``body()`` in the plan's launches, recording their messages
+        """``body()`` in the plan's launches, then their messages
         (``record=False``: the second half of a split op)."""
-        launch_shares(name, kernel_class, body, self.shares,
-                      self.comm.ledger if record else None)
+        current_backend().launch_shares(name, body, self.shares)
+        if record:
+            self.comm.ledger.record_many(self.messages)
 
     def copy(self, dst: np.ndarray, src: np.ndarray) -> None:
         """The copies, from flat buffer ``src`` into flat buffer ``dst``."""
@@ -81,30 +85,20 @@ class CommPlan:
 
 
 def rank_shares(ranks: np.ndarray, points: np.ndarray,
-                messages: Sequence[Message] = ()) -> List[Share]:
-    """Per owning rank in ``ranks``, by first appearance: the ``points`` of
-    its entries summed, and the ``messages`` it receives, in order."""
+                kernel_class: str) -> List[Share]:
+    """One ``kernel_class`` launch per owning rank in ``ranks``, by first
+    appearance, over the ``points`` of its entries summed."""
     total = np.bincount(ranks, points).astype(int).tolist()
-    got = {r: [] for r in dict.fromkeys(ranks.tolist())}
-    for m in messages:
-        got[m.dst].append(m)
-    return [(r, total[r], got[r]) for r in got]
+    return [(total[r], LaunchSpec(kernel_class, r))
+            for r in dict.fromkeys(ranks.tolist())]
 
 
-def launch_shares(name: str, kernel_class: str, body: Callable[[], None],
-                  shares: Sequence[Share], ledger=None) -> None:
-    """One launch per share: the first runs ``body``, the others an empty
-    one (accounting is not execution); each records its messages."""
-    for n, (rank, npoints, messages) in enumerate(shares):
-
-        def launch(run=body if n == 0 else None, messages=messages) -> None:
-            if run is not None:
-                run()
-            if ledger is not None:
-                ledger.record_many(messages)
-
-        parallel_for(name, launch, npoints,
-                     LaunchSpec(kernel_class=kernel_class, rank=rank))
+def by_share(shares: Sequence[Share],
+             messages: Sequence[Message]) -> List[Message]:
+    """``messages`` grouped by receiving rank in the order of ``shares``,
+    in order within a rank."""
+    at = {spec.rank: k for k, (_, spec) in enumerate(shares)}
+    return sorted(messages, key=lambda m: at[m.dst])
 
 
 def overlaps(ba, regions: np.ndarray, shifts: np.ndarray = ()) -> Pairs:

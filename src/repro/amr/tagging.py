@@ -18,7 +18,8 @@ import numpy as np
 from repro.amr.box import Box
 from repro.amr.boxarray import num_pts
 from repro.amr.multifab import MultiFab
-from repro.amr.plan import launch_shares, rank_shares
+from repro.amr.plan import rank_shares
+from repro.backend import current_backend
 
 
 def undivided_gradient_magnitude(arr: np.ndarray,
@@ -63,6 +64,6 @@ def tag_density_gradient(mf: MultiFab, rho_comp: int, threshold: float,
                 mask[tuple(slice(l, h + 1) for l, h in boxes[i].T.tolist())] = (
                     g[b] > threshold)
 
-    launch_shares("Tag_gradient", "tagging", tag, rank_shares(
-        np.asarray(mf.dm.ranks(), dtype=np.intp), num_pts(boxes)))
+    current_backend().launch_shares("Tag_gradient", tag, rank_shares(
+        np.asarray(mf.dm.ranks(), dtype=np.intp), num_pts(boxes), "tagging"))
     return mask

@@ -6,12 +6,12 @@ for the design notes.
 
 from repro.backend.launch import (TARGETS, DeviceBackend, ExecutionBackend,
                                   FusedBackend, HostBackend, LaunchSpec,
-                                  current_backend, make_exec_backend,
-                                  parallel_for, use_backend)
+                                  Share, current_backend, make_exec_backend,
+                                  owners, use_backend)
 from repro.backend.scratch import ScratchCache
 
 __all__ = [
     "TARGETS", "DeviceBackend", "ExecutionBackend", "FusedBackend",
-    "HostBackend", "LaunchSpec", "ScratchCache", "current_backend",
-    "make_exec_backend", "parallel_for", "use_backend",
+    "HostBackend", "LaunchSpec", "ScratchCache", "Share", "current_backend",
+    "make_exec_backend", "owners", "use_backend",
 ]

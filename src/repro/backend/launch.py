@@ -9,26 +9,15 @@ hoists that seam out of :mod:`repro.kernels.device` into a shared layer
 both the kernel layer and the AMR substrate launch through.
 
 **Three targets, one table.**  :data:`TARGETS` maps each target name to
-its class, and :func:`make_exec_backend` looks the name up there:
-
-``host``
-    Plain NumPy: :meth:`~ExecutionBackend.parallel_for` runs the body
-    directly and :meth:`~ExecutionBackend.reduce_data` is a NumPy
-    reduction.  No accounting, no records — the v1.x CPU path.
-
-``device``
-    The same arithmetic executed as recorded launches on simulated
-    :class:`~repro.kernels.device.GpuDevice` instances (arena accounting,
-    launch records, flop/byte budgets).  Because the body is identical,
-    host and device targets are *bitwise* identical; only the accounting
-    differs — the v2.0/2.1 default.
-
-``fused``
-    The ``device`` target with a fused launch stream: the RK right-hand
-    side (:class:`~repro.kernels.api.KernelSet`) runs the per-direction
-    WENO sweeps — the same compiled call each — inside one wide
-    ``WENOxy`` / ``WENOxyz`` launch.  Accounting matches the device
-    target and the results are bitwise host's.
+its class, and :func:`make_exec_backend` looks the name up there.
+``host`` runs each body directly and records nothing — the v1.x CPU
+path.  ``device`` runs the same bodies as recorded launches on simulated
+:class:`~repro.kernels.device.GpuDevice` instances (arena, launch
+records, flop/byte budgets): bitwise host's, only the accounting differs
+— the v2.0/2.1 default.  ``fused`` is ``device`` with the RK right-hand
+side's per-direction WENO sweeps (:class:`~repro.kernels.api.KernelSet`;
+the same compiled call each) inside one wide ``WENOxy`` / ``WENOxyz``
+launch.
 
 **One scratch cache per backend.**  Every backend instance — ``host``
 included — owns a role-keyed :class:`ScratchCache`; the WENO sweep of
@@ -36,24 +25,26 @@ every target takes its intermediates from it (the allocation pattern the
 paper's port reaches by hoisting scratch out of the kernels, Sec. IV-B),
 and :meth:`ExecutionBackend.scratch_stats` reports its hit rate.
 
-**A launch is a name, a class and a rank.**  Every target accepts
-``parallel_for(name, fn, npoints, spec)`` / ``reduce_data(name, values,
-op, spec)`` with a :class:`LaunchSpec`, and nothing else.  An accounting
-target prices a launch from its name alone, by
-:func:`~repro.kernels.counts.budget_for_kernel`, once per distinct
-``(name, npoints, kernel class)``: a repeated launch is a dict hit that
-counts its first's record again; a reduction is recorded as one flop and
-one 8-byte word per value
-(:meth:`~repro.kernels.device.GpuDevice.reduce`).
+**A launch is a name, a class, a rank and its scratch.**  Every target
+accepts ``parallel_for(name, fn, npoints, spec)`` / ``reduce_data(name,
+values, op, spec)`` with a :class:`LaunchSpec`, and nothing else; both
+end in the one hook ``_launch``.  An accounting target prices a launch in
+one place, ``DeviceBackend._record``, once per distinct ``(name, npoints,
+kernel class)`` — by :func:`~repro.kernels.counts.budget_for_kernel` of
+its name, a reduction by ``REDUCTION_BUDGET`` (one flop and one 8-byte
+word per value) — and counts it in one,
+:meth:`~repro.kernels.device.GpuDevice.run`.  A batch or plan spanning
+several ranks launches through :meth:`ExecutionBackend.launch_shares`:
+one launch per owning rank, the first carrying the body.
 
 **Simulated devices belong to the accounting targets.**  A launch names
 the issuing rank (``spec.rank``); the target maps it to that rank's
-:class:`~repro.kernels.device.GpuDevice`.  Device *memory* is accounted
-through the same seam: :meth:`ExecutionBackend.reserve` /
-:meth:`~ExecutionBackend.release` charge bytes (kernel scratch, resident
-level state) to the rank's device arena and are no-ops on ``host``, so a
-run has devices, launches, scratch and residency exactly when its target
-accounts.
+:class:`~repro.kernels.device.GpuDevice`, which holds the launch's
+scratch while it runs (``spec.scratch``, Sec. IV-B) and refuses a launch
+it does not fit.  Resident level state is charged by
+:meth:`ExecutionBackend.reserve` / :meth:`~ExecutionBackend.release`,
+no-ops on ``host``: a run has devices, launches, scratch and residency
+exactly when its target accounts.
 
 A module-level current backend (default: host) lets deep call sites —
 the AMR substrate has no reference to the driver — resolve their target
@@ -65,10 +56,11 @@ view of them.
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import contextmanager
-from functools import lru_cache
+from functools import lru_cache, partial
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,7 +71,7 @@ _REDUCE_OPS = {"min": np.min, "max": np.max, "sum": np.sum}
 
 def reduce_values(values, op: str) -> float:
     """``op`` over ``values``: the arithmetic of every target's
-    ``ReduceData`` (``GpuDevice.reduce`` included)."""
+    ``ReduceData``."""
     if op not in _REDUCE_OPS:
         raise ValueError(f"unknown reduction op {op!r}")
     return float(_REDUCE_OPS[op](values))
@@ -97,14 +89,31 @@ class LaunchSpec:
     ``rank``
         The simulated MPI rank issuing the launch; accounting targets
         map it to that rank's device (Summit: one V100 per rank).
+    ``scratch``
+        Bytes of device memory the launch holds while it runs (WENO's,
+        Sec. IV-B); accounting targets refuse a launch they do not fit.
     """
 
     kernel_class: str = "flux"
     rank: int = 0
+    scratch: int = 0
 
 
 _FLUX_SPEC = LaunchSpec(kernel_class="flux")
 _REDUCTION_SPEC = LaunchSpec(kernel_class="reduction")
+
+#: one owning rank's launch: its points and spec
+Share = Tuple[int, LaunchSpec]
+
+
+def owners(rank, members: int) -> Dict[int, int]:
+    """Members per owning rank: ``rank`` is one per member of a batch, or
+    the one rank owning all ``members``."""
+    return Counter(rank) if hasattr(rank, "__iter__") else {rank: members}
+
+
+def _empty() -> None:
+    """The body of a launch that is recorded but runs nothing."""
 
 
 class ExecutionBackend:
@@ -112,8 +121,8 @@ class ExecutionBackend:
 
     ``parallel_for(name, fn, npoints, spec)`` runs ``fn`` as one logical
     device launch over ``npoints`` grid points; ``reduce_data`` is the
-    ``amrex::ReduceData`` analogue.  Targets implement :meth:`_launch` /
-    :meth:`_reduce` and decide whether anything is recorded.
+    ``amrex::ReduceData`` analogue, one launch over its values.  Targets
+    implement :meth:`_launch` and decide whether anything is recorded.
     """
 
     target = "abstract"
@@ -143,18 +152,33 @@ class ExecutionBackend:
         ``npoints`` values whose result was taken elsewhere, with an empty
         body (as the other owners' launches of a batch), and returns
         ``None``."""
-        return self._reduce(name, values, op, spec or _REDUCTION_SPEC,
-                            npoints)
+        if values is not None:
+            npoints = int(np.size(values))
+        body = (_empty if values is None
+                else partial(reduce_values, values, op))
+        return self._launch(name, body, npoints, spec or _REDUCTION_SPEC, True)
+
+    def launch_shares(self, name: str, body: Callable,
+                      shares: Sequence[Share]):
+        """``body`` as one launch per ``(npoints, spec)`` of ``shares``, one
+        per owning rank of a batch or plan: the first runs ``body`` and
+        returns its result, the others run nothing (accounting is not
+        execution); no shares, no launch."""
+        out = None
+        for n, (npoints, spec) in enumerate(shares):
+            if n:
+                self.parallel_for(name, _empty, npoints, spec)
+            else:
+                out = self.parallel_for(name, body, npoints, spec)
+        return out
 
     # -- device memory (accounting targets only; a no-op on host) ----------
     def reserve(self, nbytes: int, rank: int = 0) -> None:
-        """Charge ``nbytes`` of device global memory to ``rank``'s device.
-
-        The one memory primitive: kernel scratch (reserved from the host
-        before launch, Sec. IV-B) and resident level state both go
-        through it; accounting targets raise
+        """Charge ``nbytes`` of resident state (a level's storage) to
+        ``rank``'s device; accounting targets raise
         :class:`~repro.kernels.device.DeviceMemoryError` past the device
-        capacity.  Pair with :meth:`release`.
+        capacity.  Pair with :meth:`release`.  Kernel scratch is not
+        reserved: it rides on its launch (``LaunchSpec.scratch``).
         """
 
     def release(self, nbytes: int, rank: int = 0) -> None:
@@ -162,11 +186,7 @@ class ExecutionBackend:
 
     # -- target hooks ------------------------------------------------------
     def _launch(self, name: str, fn: Callable, npoints: int,
-                spec: LaunchSpec):
-        raise NotImplementedError
-
-    def _reduce(self, name: str, values, op: str, spec: LaunchSpec,
-                npoints: int) -> Optional[float]:
+                spec: LaunchSpec, reduction: bool = False):
         raise NotImplementedError
 
     # -- accounting (accounting targets only; host returns empties) --------
@@ -185,19 +205,17 @@ class HostBackend(ExecutionBackend):
 
     target = "host"
 
-    def _launch(self, name, fn, npoints, spec):
+    def _launch(self, name, fn, npoints, spec, reduction=False):
         return fn()
-
-    def _reduce(self, name, values, op, spec, npoints):
-        return None if values is None else reduce_values(values, op)
 
 
 class DeviceBackend(ExecutionBackend):
     """Recorded execution on simulated GPUs, one device per rank.
 
     ``spec.rank`` selects from the backend's device list (Summit: one
-    V100 per MPI rank); each launch is counted once, in that device's
-    launch table, priced by its name once per distinct launch.
+    V100 per MPI rank); each launch and reduction is counted once, in that
+    device's launch table, priced by :attr:`_record` once per distinct
+    launch.
     """
 
     target = "device"
@@ -205,24 +223,24 @@ class DeviceBackend(ExecutionBackend):
     def __init__(self, devices: Optional[List[object]] = None) -> None:
         super().__init__()
         # resolved here, once: repro.kernels imports this package
-        from repro.kernels.counts import budget_for_kernel
+        from repro.kernels.counts import REDUCTION_BUDGET, budget_for_kernel
         from repro.kernels.device import GpuDevice, LaunchRecord
 
-        # each distinct (name, npoints, kernel class) is priced once
-        self._record = lru_cache(maxsize=None)(lambda name, n, cls: (
-            LaunchRecord.priced(name, n, budget_for_kernel(name), cls)))
+        # each distinct (name, npoints, kernel class) is priced once: a
+        # launch by its name, a reduction by the reduction budget
+        self._record = lru_cache(maxsize=None)(
+            lambda name, n, cls, reduction: LaunchRecord.priced(
+                name, n, REDUCTION_BUDGET if reduction
+                else budget_for_kernel(name), cls))
         self.devices = list(devices or [GpuDevice()])
 
     def device_for(self, rank: int):
         return self.devices[rank % len(self.devices)]
 
-    def _launch(self, name, fn, npoints, spec):
+    def _launch(self, name, fn, npoints, spec, reduction=False):
         return self.device_for(spec.rank).run(
-            self._record(name, npoints, spec.kernel_class), fn)
-
-    def _reduce(self, name, values, op, spec, npoints):
-        return self.device_for(spec.rank).reduce(
-            name, values, op, spec.kernel_class, npoints)
+            self._record(name, npoints, spec.kernel_class, reduction), fn,
+            spec.scratch)
 
     def reserve(self, nbytes: int, rank: int = 0) -> None:
         self.device_for(rank)._allocate(nbytes)
@@ -284,9 +302,3 @@ def use_backend(backend: ExecutionBackend):
         yield backend
     finally:
         _current = previous
-
-
-def parallel_for(name: str, fn: Callable, npoints: int,
-                 spec: Optional[LaunchSpec] = None):
-    """Launch ``fn`` through the currently active backend."""
-    return current_backend().parallel_for(name, fn, npoints, spec)

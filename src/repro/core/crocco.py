@@ -40,7 +40,7 @@ from repro.amr.interpolate import ConservativeLinearInterp, TrilinearInterp
 from repro.amr.multifab import MultiFab
 from repro.amr.parallelcopy import copy_plan
 from repro.amr.tagging import tag_density_gradient
-from repro.amr.plan import launch_shares
+from repro.backend import current_backend, use_backend
 from repro.cases.base import Case
 # re-exported: this module was the historical home of both names
 from repro.core.config import BY_NAME, CroccoConfig  # noqa: F401
@@ -178,8 +178,6 @@ class Crocco(AmrCore):
     # -- initialization (InitGrid / InitGridMetrics / InitFlow) ---------------
     def initialize(self) -> None:
         """Build the initial hierarchy and flow field."""
-        from repro.backend import use_backend
-
         with use_backend(self.exec_backend), self.profiler.region("Init"):
             if self.config.coords_source == "file":
                 self._write_coords_file()
@@ -253,8 +251,7 @@ class Crocco(AmrCore):
                 # the old layout alive until the next regrid
                 new = self.state[lev]
                 plan = copy_plan(new, old, new.ncomp, fill_ghosts=False)
-                plan.run("PC_copy", "fillpatch",
-                         lambda: plan.copy(new.buffer, old.buffer))
+                plan.run("PC_copy", lambda: plan.copy(new.buffer, old.buffer))
             self._bc_fill(lev)
 
     #: a new level is the remake of a level that had no boxes
@@ -359,9 +356,9 @@ class Crocco(AmrCore):
         ``BC_fill`` launch per owning rank (charged its fabs' ghost points)."""
         with self.profiler.region("BC_Fill"):
             faces = self.faces[lev]
-            launch_shares("BC_fill", "fillpatch",
-                          lambda: self.case.bc_fill(faces, self.time),
-                          faces.shares)
+            current_backend().launch_shares(
+                "BC_fill", lambda: self.case.bc_fill(faces, self.time),
+                faces.shares)
 
     def _fill_patch(self, lev: int) -> None:
         with self.profiler.region("FillPatch"):
@@ -387,8 +384,6 @@ class Crocco(AmrCore):
             self.step()
 
     def step(self) -> None:
-        from repro.backend import use_backend
-
         plans_before = self.comm.plans_built
         graphs_before = self.engine.graphs_built
         self.step_boxes_kept = self.step_boxes_new = 0

@@ -32,15 +32,16 @@ entry points; the advance calls them once per batch and RK stage on a
 :class:`BoundStage` (:mod:`repro.kernels.batch`) that resolved what its
 launches need once per stage program, so a stage pays for the library
 and not for the Python around it.  The body of a batched launch runs
-once; every owning rank's device records one launch over its members.
+once; every owning rank's device records one launch over its members
+(:meth:`~repro.backend.ExecutionBackend.launch_shares`).
 
 **Execution target** (``exec_backend``, :mod:`repro.backend`) — where the
 launches run.  The paper moved the C++ kernels onto the GPU through the
 launch API and observed no accuracy change, so the kernels never ask
-where they are: every launch names its owning rank in the
-:class:`~repro.backend.LaunchSpec`, WENO scratch is reserved through the
-backend before the launch (Sec. IV-B), and a target that accounts maps
-both to that rank's simulated device, pricing each distinct launch once.
+where they are: every launch names its owning rank and the bytes of
+WENO scratch it holds (Sec. IV-B) in the :class:`~repro.backend.LaunchSpec`,
+and a target that accounts maps both to that rank's simulated device,
+pricing each distinct launch once.
 The arrays the sweep works in come from the backend's one
 :class:`~repro.backend.ScratchCache`, whatever the target.
 """
@@ -48,14 +49,13 @@ The arrays the sweep works in come from the backend's one
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import List, Optional
 
 import numpy as np
 
-from repro.backend import ExecutionBackend, HostBackend, LaunchSpec
+from repro.backend import ExecutionBackend, HostBackend, LaunchSpec, owners
 from repro.numerics import native
 from repro.numerics.cfl import local_max_rate
 from repro.numerics.eos import IdealGasEOS
@@ -148,8 +148,9 @@ class KernelSet:
         if not isinstance(u_valid, BoundStage):
             u_valid = BoundStage(self, u_valid, None, 0, rank)
         u = u_valid.u_valid
-        u_valid.launch("Update", lambda: rk3_stage(u, du, rhs, dt, stage),
-                       u_valid.npts, "update")
+        self.exec_backend.launch_shares(
+            "Update", lambda: rk3_stage(u, du, rhs, dt, stage),
+            u_valid.update_shares)
 
     # -- ComputeDt ----------------------------------------------------------
     def max_rate(self, u: np.ndarray, metrics: Metrics, rank=0):
@@ -162,13 +163,13 @@ class KernelSet:
 
 class BoundStage:
     """The RK stage of one patch or batch, resolved once: its valid
-    region, its owning ranks' launch specs, point and scratch-byte counts
-    and — when the compiled sweep takes it — one library call per
-    direction with its arguments converted, holding the arrays it points
-    into (``u``, the metrics, scratch, the right-hand side).  Out of the
-    library's domain (no library, ``mixed`` precision, ``Viscous``, a
-    non-ideal EOS, metrics it does not take) its launches run the NumPy
-    sweeps of :meth:`ConvectiveFlux.divergence` instead."""
+    region, each launch's shares (per owning rank: points and a spec with
+    the scratch bytes) and — when the compiled sweep takes it — one
+    library call per direction with its arguments converted, holding the
+    arrays it points into (``u``, the metrics, scratch, the right-hand
+    side).  Out of the library's domain (no library, ``mixed`` precision,
+    ``Viscous``, a non-ideal EOS, metrics it does not take) its launches
+    run the NumPy sweeps of :meth:`ConvectiveFlux.divergence` instead."""
 
     def __init__(self, kernels: KernelSet, u: np.ndarray,
                  metrics: Optional[Metrics], ng: int, rank=0) -> None:
@@ -176,23 +177,28 @@ class BoundStage:
         self.kernels, self.u, self.metrics, self.ng = kernels, u, metrics, ng
         self.u_valid = u[(Ellipsis,) + (slice(ng, -ng or None),) * dim]
         # ``rank``: one per member of a batch, or one owning them all
-        owners = (Counter(rank) if hasattr(rank, "__iter__") else
-                  {rank: u.shape[1] if u.ndim > dim + 1 else 1})
-        self.owners = {cls: [(LaunchSpec(cls, r), n)
-                             for r, n in owners.items()]
-                       for cls in ("flux", "update")}
-        #: per patch: valid points, and bytes of WENO scratch a launch
-        #: reserves on the device (Sec. IV-B: ``ncons`` grown patches)
-        self.npts = math.prod(self.u_valid.shape[-dim:])
-        self.scratch = u.itemsize * math.prod(u.shape[:1] + u.shape[-dim:])
+        members = owners(rank, u.shape[1] if u.ndim > dim + 1 else 1)
+        # per patch: valid points, and bytes of WENO scratch a sweep holds
+        # on the device (Sec. IV-B: ``ncons`` grown patches)
+        npts = math.prod(self.u_valid.shape[-dim:])
+        scratch = u.itemsize * math.prod(u.shape[:1] + u.shape[-dim:])
+
+        def shares(npoints, cls, scratch=0):
+            return [(npoints * n, LaunchSpec(cls, r, scratch * n))
+                    for r, n in members.items()]
+
+        self.update_shares = shares(npts, "update")
+        self.viscous_shares = shares(npts, "flux")
         # the ordering's sweep order: a faithful source of drift (above)
         order = (range(dim) if kernels.ordering == "fortran"
                  else range(dim - 1, -1, -1))
         # the fused target runs the sweeps in one wide launch of ``dim *
         # nvalid`` points (per-class totals stay comparable)
-        self.launches = ([("WENO" + "xyz"[:dim], tuple(order), dim * self.npts)]
+        self.launches = ([("WENO" + "xyz"[:dim], tuple(order),
+                           shares(dim * npts, "flux", scratch))]
                          if kernels.exec_backend.fuses_kernels else
-                         [(DIRECTION_NAMES[d], (d,), self.npts) for d in order])
+                         [(DIRECTION_NAMES[d], (d,),
+                           shares(npts, "flux", scratch)) for d in order])
         takes = (metrics is not None and kernels.precision == "double"
                  and kernels.viscous is None
                  and type(kernels.eos) is IdealGasEOS
@@ -225,30 +231,11 @@ class BoundStage:
                       else partial(_in_order, [calls[d] for d in ds])
                       for _, ds, _ in self.launches]
 
-    def launch(self, name: str, body, npts: int, kernel_class: str,
-               scratch: int = 0):
-        """Run ``body`` once and record one launch on every owning rank's
-        device over its members' points (the first carries the body, the
-        others an empty one, as ``PC_copy`` does); ``npts`` and
-        ``scratch`` bytes, reserved around the launch, are per patch."""
-        backend = self.kernels.exec_backend
-        out = None
-        for spec, n in self.owners[kernel_class]:
-            if scratch:
-                backend.reserve(scratch * n, spec.rank)
-            try:
-                res = backend.parallel_for(name, body, npts * n, spec)
-            finally:
-                if scratch:
-                    backend.release(scratch * n, spec.rank)
-            if body is not _no_body:
-                out, body = res, _no_body
-        return out
-
     def rhs(self) -> np.ndarray:
+        launch = self.kernels.exec_backend.launch_shares
         if self.calls is not None:
-            for (name, _, npts), call in zip(self.launches, self.calls):
-                self.launch(name, call, npts, "flux", self.scratch)
+            for (name, _, shares), call in zip(self.launches, self.calls):
+                launch(name, call, shares)
             return self.out
         ks, u, out = self.kernels, self.u, None
         if ks.precision == "mixed":
@@ -263,11 +250,11 @@ class BoundStage:
                     ks.layout, ks.eos, u, self.metrics, d, self.ng,
                     ks.exec_backend.scratch, out)
 
-        for name, ds, npts in self.launches:
-            self.launch(name, lambda: sweeps(ds), npts, "flux", self.scratch)
+        for name, ds, shares in self.launches:
+            launch(name, lambda: sweeps(ds), shares)
         if ks.viscous is not None:
-            out = out + self.launch("Viscous", lambda: self._viscous(u),
-                                    self.npts, "flux")
+            out = out + launch("Viscous", lambda: self._viscous(u),
+                               self.viscous_shares)
         if ks.precision == "mixed":
             out = out.astype(np.float32).astype(np.float64)
         return out
@@ -286,10 +273,6 @@ class BoundStage:
 def _in_order(calls) -> None:
     for call in calls:
         call()
-
-
-def _no_body() -> None:
-    """The body of a launch that is recorded but runs nothing."""
 
 
 def make_kernels(

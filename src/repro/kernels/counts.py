@@ -92,6 +92,17 @@ COMPUTEDT_BUDGET = KernelBudget(
     registers_per_thread=64,
 )
 
+#: what a recorded reduction (``reduce_data``) is priced by, whatever its
+#: name: one flop and one 8-byte word per value at every memory level
+REDUCTION_BUDGET = KernelBudget(
+    name="reduction",
+    flops_per_point=1.0,
+    dram_bytes_per_point=8.0,
+    l2_amplification=1.0,
+    l1_amplification=1.0,
+    registers_per_thread=64,
+)
+
 # -- AMR-substrate budgets ---------------------------------------------------
 # The FillPatch/regrid machinery is copy-dominated: a couple of flops per
 # point (index arithmetic is free on the roofline; the nonzero count keeps

@@ -1,13 +1,14 @@
-"""Simulated GPU device: memory arena, launch records, reductions.
+"""Simulated GPU device: memory arena, launch records.
 
 We have no physical GPU, so this module supplies the *behavioral* device
 the GPU backend runs on:
 
 - a global-memory arena with a hard capacity (16 GB on a Summit V100),
-  charged through ``ExecutionBackend.reserve`` / ``release`` and
-  raising :class:`DeviceMemoryError` exactly where the real code would
-  fault — the paper reports grid counts beyond 2.0e5 points spilling V100
-  memory, which shaped both scaling studies;
+  charged with resident level state through ``ExecutionBackend.reserve``
+  / ``release`` and with each launch's scratch while it runs
+  (``LaunchSpec.scratch``), raising :class:`DeviceMemoryError` exactly
+  where the real code would fault — the paper reports grid counts beyond
+  2.0e5 points spilling V100 memory, which shaped both scaling studies;
 - kernel-launch records (name, points, flops, bytes at each memory level)
   that feed the hierarchical roofline model of Fig. 4, kept as one
   multiset per device (:attr:`GpuDevice.table`): identical launches
@@ -15,9 +16,9 @@ the GPU backend runs on:
   shapes, not with the step count, and every summary is a view of it; a
   run that records a trace also gets every launch as a span (its
   sequence) in the run's tracer;
-- an ``amrex::ParallelFor``-style launch helper and an
-  ``amrex::ReduceData``-style reduction helper, mirroring the API the
-  paper ports its kernels onto.
+- one launch helper, :meth:`GpuDevice.run`, that every
+  ``amrex::ParallelFor``- and ``amrex::ReduceData``-style launch of the
+  execution backend (:mod:`repro.backend`) goes through, priced there.
 
 Arithmetic runs on the host NumPy arrays; only the accounting is
 simulated.
@@ -31,7 +32,6 @@ from typing import Callable, Dict, Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from repro.backend.launch import reduce_values
 from repro.kernels.counts import KernelBudget
 
 #: Summit NVIDIA V100 device memory
@@ -85,38 +85,35 @@ class GpuDevice:
         self.trace_track = (0, 1)
 
     # -- memory -----------------------------------------------------------
-    def _allocate(self, nbytes: int) -> None:
-        if self.bytes_in_use + nbytes > self.memory_bytes:
+    def _hold(self, nbytes: int) -> int:
+        """Bytes in use with ``nbytes`` more, raising past the capacity;
+        the high-water mark rises to it."""
+        held = self.bytes_in_use + nbytes
+        if held > self.memory_bytes:
             raise DeviceMemoryError(
-                f"device {self.name}: allocation of {nbytes} bytes exceeds "
-                f"capacity ({self.bytes_in_use}/{self.memory_bytes} in use)"
-            )
-        self.bytes_in_use += nbytes
-        self.high_water = max(self.high_water, self.bytes_in_use)
+                f"device {self.name}: {nbytes} bytes exceed capacity "
+                f"({self.bytes_in_use}/{self.memory_bytes} in use)")
+        self.high_water = max(self.high_water, held)
+        return held
+
+    def _allocate(self, nbytes: int) -> None:
+        self.bytes_in_use = self._hold(nbytes)
 
     def _release(self, nbytes: int) -> None:
-        self.bytes_in_use -= nbytes
-        if self.bytes_in_use < 0:
+        if nbytes > self.bytes_in_use:
             raise RuntimeError("device arena double free")
+        self.bytes_in_use -= nbytes
 
     # -- launches ----------------------------------------------------------
-    def reduce(self, name: str, values: Optional[np.ndarray],
-               op: str = "min", kernel_class: str = "reduction",
-               npoints: int = 0) -> Optional[float]:
-        """amrex::ReduceData-style device reduction (used by ComputeDt),
-        recorded as one flop and one 8-byte word per value; ``values=None``
-        records one over ``npoints`` values and runs nothing."""
-        n = npoints if values is None else int(np.asarray(values).size)
-        return self.run(LaunchRecord(name, n, n, n * 8, n * 8, n * 8,
-                                     kernel_class),
-                        (lambda: None) if values is None else
-                        (lambda: reduce_values(values, op)))
-
-    def run(self, rec: LaunchRecord, fn: Callable[[], Optional[np.ndarray]]):
-        """Run ``fn`` as one recorded kernel launch (ParallelFor semantics)
-        that ``rec`` prices: the one place a launch is counted and its
-        trace span written (after the timed window: observability never
-        inflates charged kernel wall time)."""
+    def run(self, rec: LaunchRecord, fn: Callable[[], Optional[np.ndarray]],
+            scratch: int = 0):
+        """Run ``fn`` as one recorded kernel launch that ``rec`` prices,
+        holding ``scratch`` bytes while it runs (refused before ``fn``
+        runs if they do not fit): the one place a launch is counted and
+        its trace span written (after the timed window: observability
+        never inflates charged kernel wall time)."""
+        if scratch:
+            self._hold(scratch)
         t0 = time.perf_counter()
         result = fn()
         elapsed = time.perf_counter() - t0

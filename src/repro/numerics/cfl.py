@@ -11,12 +11,11 @@ the two global communication calls in CRoCCo (Sec. III-B).
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.backend import ExecutionBackend, LaunchSpec
+from repro.backend import ExecutionBackend, LaunchSpec, owners
 from repro.numerics.fluxes import wave_speed
 from repro.numerics.state import StateLayout
 
@@ -40,17 +39,16 @@ def local_max_rate(layout: StateLayout, eos, u: np.ndarray, metrics,
     for d in range(layout.dim):
         w = wave_speed(vel, a, metrics.m(d), J)
         total = w if total is None else total + w
-    spec = lambda r: LaunchSpec(kernel_class="reduction", rank=r)
     if total.ndim == layout.dim:
-        return backend.reduce_data("ComputeDt", total, "max", spec(rank))
+        return backend.reduce_data("ComputeDt", total, "max",
+                                   LaunchSpec("reduction", rank))
     # accounting is not execution: the patch maxima are taken once, on the
     # stack; the reduction each rank's device would have run over its
     # members' cells is recorded with an empty body
     npts = math.prod(total.shape[1:])
-    owners = (Counter(rank) if hasattr(rank, "__iter__")
-              else {rank: len(total)})
-    for r, n in owners.items():
-        backend.reduce_data("ComputeDt", None, "max", spec(r), n * npts)
+    for r, n in owners(rank, len(total)).items():
+        backend.reduce_data("ComputeDt", None, "max",
+                            LaunchSpec("reduction", r), n * npts)
     return total.max(axis=tuple(range(-layout.dim, 0)))
 
 

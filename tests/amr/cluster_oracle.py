@@ -22,7 +22,7 @@ from repro.amr.boxarray import (BoxArray, boxes_of, by_lo, coarsen, grow,
 from repro.amr.intvect import IntVect, IntVectLike
 from repro.amr.multifab import MultiFab
 from repro.amr.tagging import undivided_gradient_magnitude
-from repro.backend import LaunchSpec, parallel_for
+from repro.backend import LaunchSpec, current_backend
 
 
 # -- tagging ---------------------------------------------------------------
@@ -43,8 +43,9 @@ def _gradient_on_valid(fab, comp: int) -> np.ndarray:
 
 def _tag_launch(name: str, mf: MultiFab, i: int, fn) -> np.ndarray:
     """Run one fab's tagging criterion as a labeled launch."""
-    return parallel_for(name, fn, mf.ba[i].num_pts(),
-                        LaunchSpec(kernel_class="tagging", rank=mf.dm[i]))
+    return current_backend().parallel_for(
+        name, fn, mf.ba[i].num_pts(),
+        LaunchSpec(kernel_class="tagging", rank=mf.dm[i]))
 
 
 def tag_density_gradient(mf: MultiFab, rho_comp: int, threshold: float) -> Dict[int, np.ndarray]:

@@ -165,9 +165,18 @@ def shares_of(fabs, points=lambda fp: fp.npoints, messages=True):
     return [tuple(share) for share in out.values()]
 
 
+def per_rank(shares, messages=()):
+    """A plan's launches as ``shares_of`` lists them, each with the
+    messages its rank receives."""
+    return [(spec.rank, n, [m for m in messages if m.dst == spec.rank])
+            for n, spec in shares]
+
+
 def assert_same_plan(got, expected):
-    assert [(r, n, list(m)) for r, n, m in got.shares] == shares_of(
-        expected.fabs)
+    assert per_rank(got.shares, got.messages) == shares_of(expected.fabs)
+    # a run records them rank after rank, in the order of the launches
+    assert got.messages == [m for *_, ms in per_rank(got.shares, got.messages)
+                            for m in ms]
 
 
 def assert_same_fill_plan(got, expected):
@@ -175,7 +184,7 @@ def assert_same_fill_plan(got, expected):
     assert (got.coords is None) == (expected.coords is None)
     if expected.coords is not None:
         assert_same_plan(got.coords, expected.coords)
-    assert [(r, n, list(m)) for r, n, m in got.interp_shares] == shares_of(
+    assert per_rank(got.interp_shares) == shares_of(
         expected.fabs, lambda fp: fp.nfilled, messages=False)
 
 
@@ -289,7 +298,7 @@ def test_fill_plans_equal_the_oracle(lay, kind, whole):
     expected = oracle.build_fill_plan(*ref_args, whole)
     assert_same_fill_plan(plan, expected)
     if plan.coords is not None:
-        plan.coords.run("PC_copy", "fillpatch", lambda: None)
+        plan.coords.run("PC_copy", lambda: None)
     fillpatch._fill_level(plan, lv.fine, lv.crse, r, lv.interp)
     oracle.run_fill(expected, ref.fine, ref.crse, r, ref.interp)
     assert_same_run([(lv.fine, ref.fine), (lv.crse, ref.crse)],

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from repro.backend import (DeviceBackend, HostBackend, LaunchSpec,
-                           current_backend, make_exec_backend, parallel_for,
-                           use_backend)
+                           current_backend, make_exec_backend, use_backend)
 from repro.kernels.counts import (BUDGETS, FILLBOUNDARY_BUDGET, INTERP_BUDGET,
                                   UPDATE_BUDGET, WENO_BUDGET,
                                   budget_for_kernel)
@@ -151,8 +150,8 @@ class TestCurrentBackendContext:
     def test_free_functions_dispatch_to_current(self, launch_log):
         dev = GpuDevice()
         with use_backend(DeviceBackend([dev])):
-            out = parallel_for("K", lambda: 42, 7,
-                               LaunchSpec(kernel_class="update"))
+            out = current_backend().parallel_for(
+                "K", lambda: 42, 7, LaunchSpec(kernel_class="update"))
         assert out == 42
         assert [rec.name for rec in launch_log.events] == ["K"]
 
@@ -190,7 +189,9 @@ class TestSpanOutsideTimedWindow:
         dev.tracer = SlowTracer(0.05)
         for _ in range(3):
             dev.run(LaunchRecord.priced("K", 10, UPDATE_BUDGET), lambda: None)
-        dev.reduce("R", np.ones(4), op="sum")
+        DeviceBackend([dev]).reduce_data("R", np.ones(4), op="sum")
+        assert dev.table[LaunchRecord("R", 4, 4, 32, 32, 32,
+                                      "reduction")] == 1
         spans = trace_events(dev.tracer)
         assert len(spans) == 4
         assert all(e["dur"] < 0.04e6 for e in spans)

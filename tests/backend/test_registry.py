@@ -100,9 +100,10 @@ class TestLaunchSpecContract:
             be.reduce_data("R", np.arange(3.0), "min", **{kwarg: 0})
 
     def test_spec_is_a_class_and_a_rank(self):
-        """The cost of a launch is not part of the contract: it follows
-        from the launch name."""
-        assert [f.name for f in fields(LaunchSpec)] == ["kernel_class", "rank"]
+        """A class, a rank and the scratch the launch holds: the cost of a
+        launch is not part of the contract, it follows from the name."""
+        assert [f.name for f in fields(LaunchSpec)] == [
+            "kernel_class", "rank", "scratch"]
 
     def test_device_target_records_spec_fields(self):
         from repro.kernels.device import GpuDevice

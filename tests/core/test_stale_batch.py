@@ -63,8 +63,10 @@ def test_stale_batch_trap(monkeypatch):
                 if b.metrics is bound.stage.metrics]
         assert len(live) == 1, "a batch of a replaced level storage ran"
         lev, b = live[0]
-        for owners in bound.stage.owners.values():
-            assert {spec.rank: n for spec, n in owners} == Counter(b.ranks)
+        per = bound.stage.u_valid[0, 0].size  # one member's valid points
+        for shares in (bound.stage.update_shares, bound.stage.viscous_shares):
+            assert {spec.rank: n // per for n, spec in shares} == Counter(
+                b.ranks)
         u, du = bound.stage.u, bound.du
         assert u is sim.state[lev].arrays[b.group]
         assert du is sim.du[lev].arrays[b.group]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.backend import DeviceBackend
+from repro.backend import DeviceBackend, LaunchSpec
 from repro.kernels.counts import KernelBudget, WENO_BUDGET
 from repro.kernels.device import (
     DeviceMemoryError,
@@ -63,13 +63,19 @@ def test_launch_records_and_returns():
 
 
 def test_reduce():
-    dev = GpuDevice()
-    assert dev.reduce("ComputeDt", np.array([3.0, 1.0, 2.0]), "min") == 1.0
-    assert dev.reduce("ComputeDt", np.array([3.0, 1.0]), "max") == 3.0
-    assert dev.reduce("ComputeDt", np.array([3.0, 1.0]), "sum") == 4.0
+    backend, dev = arena(V100_MEMORY_BYTES)
+    assert backend.reduce_data("ComputeDt", np.array([3.0, 1.0, 2.0]),
+                               "min") == 1.0
+    assert backend.reduce_data("ComputeDt", np.array([3.0, 1.0]), "max") == 3.0
+    assert backend.reduce_data("ComputeDt", np.array([3.0, 1.0]), "sum") == 4.0
     with pytest.raises(ValueError):
-        dev.reduce("ComputeDt", np.array([1.0]), "prod")
+        backend.reduce_data("ComputeDt", np.array([1.0]), "prod")
     assert dev.table.total() == 3
+    # one flop and one 8-byte word per value, whatever the name
+    assert dev.table[LaunchRecord("ComputeDt", 2, 2, 16, 16, 16,
+                                  "reduction")] == 2
+    assert backend.reduce_data("R", None, npoints=5) is None
+    assert dev.table[LaunchRecord("R", 5, 5, 40, 40, 40, "reduction")] == 1
 
 
 def test_totals_and_by_kernel():
@@ -92,8 +98,32 @@ def test_totals_and_by_kernel():
 
 
 def test_double_free_detection():
-    backend, _dev = arena(1000)
+    backend, dev = arena(1000)
     backend.reserve(100)
     backend.release(100)
     with pytest.raises(RuntimeError):
         backend.release(100)
+    # a refused release frees nothing
+    assert dev.bytes_in_use == 0
+
+
+def test_launch_scratch_is_held_while_it_runs():
+    backend, dev = arena(1000)
+    backend.reserve(300)
+    seen = []
+    backend.parallel_for("WENOx", lambda: seen.append(dev.bytes_in_use), 10,
+                         LaunchSpec(scratch=500))
+    # held, not allocated: the arena reads its resident bytes throughout
+    assert seen == [300] and dev.bytes_in_use == 300
+    assert dev.high_water == 800
+
+
+def test_launch_scratch_over_capacity_is_refused_before_it_runs():
+    backend, dev = arena(1000)
+    backend.reserve(300)
+    ran = []
+    with pytest.raises(DeviceMemoryError):
+        backend.parallel_for("WENOx", lambda: ran.append(1), 10,
+                             LaunchSpec(scratch=701))
+    assert ran == [] and not dev.table
+    assert dev.bytes_in_use == dev.high_water == 300

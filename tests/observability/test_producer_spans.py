@@ -4,6 +4,7 @@ regions, the perf model's charged regions, and kernel launches."""
 import numpy as np
 import pytest
 
+from repro.backend import DeviceBackend
 from repro.kernels.counts import KernelBudget
 from repro.kernels.device import GpuDevice, LaunchRecord, launch_totals
 from repro.observability.tracer import GPU_STREAM, Tracer
@@ -72,9 +73,12 @@ def test_device_reduce_is_a_kernel_span():
     tracer = Tracer()
     dev = GpuDevice()
     dev.tracer = tracer
-    out = dev.reduce("ComputeDt", np.array([3.0, 1.0, 2.0]), op="min")
+    out = DeviceBackend([dev]).reduce_data(
+        "ComputeDt", np.array([3.0, 1.0, 2.0]), op="min")
     assert out == 1.0
     assert [(e["name"], e["args"]) for e in trace_events(tracer)] == [
         ("ComputeDt", {"points": 3, "class": "reduction"})]
     assert launch_totals([dev])["ComputeDt"]["launches"] == 1
+    assert list(dev.table) == [
+        LaunchRecord("ComputeDt", 3, 3, 24, 24, 24, "reduction")]
 

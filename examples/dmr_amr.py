@@ -16,6 +16,7 @@ import numpy as np
 from repro.cases.dmr import DoubleMachReflection
 from repro.core.crocco import Crocco, CroccoConfig
 from repro.io.plotfile import write_plotfile
+from repro.kernels.device import launch_totals
 
 
 def ascii_contour(rho: np.ndarray, width: int = 96, height: int = 24) -> str:
@@ -65,13 +66,11 @@ def main() -> None:
     gpu0 = sim.devices[0]
     print(f"simulated GPU: {gpu0.table.total()} kernel launches, "
           f"high-water {gpu0.high_water / 1e6:.1f} MB")
-    from repro.perfmodel.device_timing import summarize_device
-
-    timing = summarize_device(gpu0)
     print("simulated V100 kernel time (rank 0, whole run):")
-    for name, sec in sorted(timing.seconds.items(), key=lambda kv: -kv[1]):
-        print(f"  {name:<10} {sec * 1e3:8.2f} ms over "
-              f"{timing.launches[name]:5d} launches")
+    for name, tot in sorted(launch_totals([gpu0]).items(),
+                            key=lambda kv: -kv[1]["seconds"]):
+        print(f"  {name:<10} {tot['seconds'] * 1e3:8.2f} ms over "
+              f"{tot['launches']:5d} launches")
     led = sim.comm.ledger
     print("communication by kind (count, bytes):")
     for kind, (cnt, vol) in sorted(led.by_kind().items()):

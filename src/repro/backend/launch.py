@@ -28,12 +28,11 @@ and :meth:`ExecutionBackend.scratch_stats` reports its hit rate.
 **A launch is a name, a class, a rank and its scratch.**  Every target
 accepts ``parallel_for(name, fn, npoints, spec)`` / ``reduce_data(name,
 values, op, spec)`` with a :class:`LaunchSpec`, and nothing else; both
-end in the one hook ``_launch``.  An accounting target prices a launch in
-one place, ``DeviceBackend._record``, once per distinct ``(name, npoints,
-kernel class)`` — by :func:`~repro.kernels.counts.budget_for_kernel` of
-its name, a reduction by ``REDUCTION_BUDGET`` (one flop and one 8-byte
-word per value) — and counts it in one,
-:meth:`~repro.kernels.device.GpuDevice.run`.  A batch or plan spanning
+end in the one hook ``_launch``.  An accounting target records a launch
+as what ran, ``LaunchRecord(name, npoints, kernel class)``, and counts it
+in one place, :meth:`~repro.kernels.device.GpuDevice.run`; its cost
+follows from its name, priced in one view of the launch tables,
+:func:`~repro.kernels.device.launch_totals`.  A batch or plan spanning
 several ranks launches through :meth:`ExecutionBackend.launch_shares`:
 one launch per owning rank, the first carrying the body.
 
@@ -58,7 +57,7 @@ from __future__ import annotations
 
 from collections import Counter
 from contextlib import contextmanager
-from functools import lru_cache, partial
+from functools import partial
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -67,6 +66,7 @@ import numpy as np
 from repro.backend.scratch import ScratchCache
 
 _REDUCE_OPS = {"min": np.min, "max": np.max, "sum": np.sum}
+_tuple_new = tuple.__new__
 
 
 def reduce_values(values, op: str) -> float:
@@ -156,7 +156,7 @@ class ExecutionBackend:
             npoints = int(np.size(values))
         body = (_empty if values is None
                 else partial(reduce_values, values, op))
-        return self._launch(name, body, npoints, spec or _REDUCTION_SPEC, True)
+        return self._launch(name, body, npoints, spec or _REDUCTION_SPEC)
 
     def launch_shares(self, name: str, body: Callable,
                       shares: Sequence[Share]):
@@ -186,7 +186,7 @@ class ExecutionBackend:
 
     # -- target hooks ------------------------------------------------------
     def _launch(self, name: str, fn: Callable, npoints: int,
-                spec: LaunchSpec, reduction: bool = False):
+                spec: LaunchSpec):
         raise NotImplementedError
 
     # -- accounting (accounting targets only; host returns empties) --------
@@ -205,7 +205,7 @@ class HostBackend(ExecutionBackend):
 
     target = "host"
 
-    def _launch(self, name, fn, npoints, spec, reduction=False):
+    def _launch(self, name, fn, npoints, spec):
         return fn()
 
 
@@ -214,8 +214,7 @@ class DeviceBackend(ExecutionBackend):
 
     ``spec.rank`` selects from the backend's device list (Summit: one
     V100 per MPI rank); each launch and reduction is counted once, in that
-    device's launch table, priced by :attr:`_record` once per distinct
-    launch.
+    device's launch table, as what ran.
     """
 
     target = "device"
@@ -223,24 +222,20 @@ class DeviceBackend(ExecutionBackend):
     def __init__(self, devices: Optional[List[object]] = None) -> None:
         super().__init__()
         # resolved here, once: repro.kernels imports this package
-        from repro.kernels.counts import REDUCTION_BUDGET, budget_for_kernel
         from repro.kernels.device import GpuDevice, LaunchRecord
 
-        # each distinct (name, npoints, kernel class) is priced once: a
-        # launch by its name, a reduction by the reduction budget
-        self._record = lru_cache(maxsize=None)(
-            lambda name, n, cls, reduction: LaunchRecord.priced(
-                name, n, REDUCTION_BUDGET if reduction
-                else budget_for_kernel(name), cls))
+        # one record is built per launch: without the NamedTuple's
+        # Python-level ``__new__`` frame
+        self._record_type = LaunchRecord
         self.devices = list(devices or [GpuDevice()])
 
     def device_for(self, rank: int):
         return self.devices[rank % len(self.devices)]
 
-    def _launch(self, name, fn, npoints, spec, reduction=False):
+    def _launch(self, name, fn, npoints, spec):
         return self.device_for(spec.rank).run(
-            self._record(name, npoints, spec.kernel_class, reduction), fn,
-            spec.scratch)
+            _tuple_new(self._record_type, (name, npoints, spec.kernel_class)),
+            fn, spec.scratch)
 
     def reserve(self, nbytes: int, rank: int = 0) -> None:
         self.device_for(rank)._allocate(nbytes)

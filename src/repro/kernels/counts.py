@@ -1,6 +1,6 @@
 """Analytic flop / memory-traffic estimates for the CRoCCo kernels.
 
-These per-grid-point budgets drive the simulated device's launch records
+These per-grid-point budgets price the simulated device's launch records
 and, downstream, the hierarchical roofline of Fig. 4.  They are order-of-
 magnitude counts for the 5-component, curvilinear, double-precision
 kernels:
@@ -87,17 +87,6 @@ COMPUTEDT_BUDGET = KernelBudget(
     name="ComputeDt",
     flops_per_point=40.0,
     dram_bytes_per_point=72.0,
-    l2_amplification=1.0,
-    l1_amplification=1.0,
-    registers_per_thread=64,
-)
-
-#: what a recorded reduction (``reduce_data``) is priced by, whatever its
-#: name: one flop and one 8-byte word per value at every memory level
-REDUCTION_BUDGET = KernelBudget(
-    name="reduction",
-    flops_per_point=1.0,
-    dram_bytes_per_point=8.0,
     l2_amplification=1.0,
     l1_amplification=1.0,
     registers_per_thread=64,
@@ -190,8 +179,9 @@ _PREFIX_BUDGETS = (
 
 def budget_for_kernel(name: str) -> KernelBudget:
     """Resolve a launch name to its cost budget — the one rule that prices
-    a launch: the device target records with it, and the V100 timing and
-    roofline read recorded launches back through it.
+    a launch, a reduction included: the launch tables' one pricing view
+    (:func:`repro.kernels.device.launch_totals`) prices every recorded
+    launch through it.
 
     Exact matches win; otherwise the launch-family prefix decides
     (``WENOx`` -> WENO, ``FB_pack`` -> FillBoundary, ``Interp_weno`` ->

@@ -9,16 +9,18 @@ the GPU backend runs on:
   (``LaunchSpec.scratch``), raising :class:`DeviceMemoryError` exactly
   where the real code would fault — the paper reports grid counts beyond
   2.0e5 points spilling V100 memory, which shaped both scaling studies;
-- kernel-launch records (name, points, flops, bytes at each memory level)
-  that feed the hierarchical roofline model of Fig. 4, kept as one
-  multiset per device (:attr:`GpuDevice.table`): identical launches
-  collapse into a count, so the table grows with the variety of box
-  shapes, not with the step count, and every summary is a view of it; a
-  run that records a trace also gets every launch as a span (its
-  sequence) in the run's tracer;
+- kernel-launch records — what ran: name, points, kernel class — kept
+  as one multiset per device (:attr:`GpuDevice.table`): identical
+  launches collapse into a count, so the table grows with the variety of
+  box shapes, not with the step count; a run that records a trace also
+  gets every launch as a span (its sequence) in the run's tracer;
 - one launch helper, :meth:`GpuDevice.run`, that every
   ``amrex::ParallelFor``- and ``amrex::ReduceData``-style launch of the
-  execution backend (:mod:`repro.backend`) goes through, priced there.
+  execution backend (:mod:`repro.backend`) goes through;
+- one pricing view, :func:`launch_totals`: flops, bytes at each memory
+  level (the hierarchical roofline of Fig. 4) and V100 seconds (Fig. 3)
+  per kernel name or class, each distinct record priced by its name's
+  budget.  Every cost of a run is a view of the tables.
 
 Arithmetic runs on the host NumPy arrays; only the accounting is
 simulated.
@@ -32,7 +34,8 @@ from typing import Callable, Dict, Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from repro.kernels.counts import KernelBudget
+from repro.kernels.counts import budget_for_kernel
+from repro.machine.gpu import V100Model
 
 #: Summit NVIDIA V100 device memory
 V100_MEMORY_BYTES = 16 * 1024**3
@@ -43,29 +46,15 @@ class DeviceMemoryError(MemoryError):
 
 
 class LaunchRecord(NamedTuple):
-    """One recorded kernel launch: immutable and hashed at C speed, because
-    one is counted per launch (each distinct one is priced once)."""
+    """One recorded kernel launch, what ran and nothing else: immutable and
+    hashed at C speed, because one is counted per launch.  Its cost follows
+    from its name (:func:`launch_totals`)."""
 
     name: str
     npoints: int
-    flops: int
-    dram_bytes: int
-    l2_bytes: int
-    l1_bytes: int
     #: coarse grouping for the run report (flux / update / fillpatch /
     #: interp / averagedown / tagging / reduction)
     kernel_class: str = "flux"
-
-    @classmethod
-    def priced(cls, name: str, npoints: int, budget: KernelBudget,
-               kernel_class: str = "flux") -> "LaunchRecord":
-        """The launch over ``npoints`` priced by ``budget`` per point: its
-        ``l2``/``l1`` amplifications model how much more traffic a stencil
-        kernel makes at the inner cache levels than at DRAM."""
-        dram = int(npoints * budget.dram_bytes_per_point)
-        return cls(name, npoints, int(npoints * budget.flops_per_point), dram,
-                   int(dram * budget.l2_amplification),
-                   int(dram * budget.l1_amplification), kernel_class)
 
 
 class GpuDevice:
@@ -107,19 +96,20 @@ class GpuDevice:
     # -- launches ----------------------------------------------------------
     def run(self, rec: LaunchRecord, fn: Callable[[], Optional[np.ndarray]],
             scratch: int = 0):
-        """Run ``fn`` as one recorded kernel launch that ``rec`` prices,
-        holding ``scratch`` bytes while it runs (refused before ``fn``
-        runs if they do not fit): the one place a launch is counted and
-        its trace span written (after the timed window: observability
-        never inflates charged kernel wall time)."""
+        """Run ``fn`` as the recorded kernel launch ``rec``, holding
+        ``scratch`` bytes while it runs (refused before ``fn`` runs if they
+        do not fit): the one place a launch is counted and, when a tracer
+        is bound, timed and written as a span (after the timed window:
+        observability never inflates charged kernel wall time)."""
         if scratch:
             self._hold(scratch)
-        t0 = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - t0
+        if self.tracer is None:
+            result = fn()
+        else:
+            t0 = time.perf_counter()
+            result = fn()
+            self._span(rec, t0, time.perf_counter() - t0)
         self.table[rec] += 1
-        if self.tracer is not None:
-            self._span(rec, t0, elapsed)
         return result
 
     def _span(self, rec: LaunchRecord, t0: float, seconds: float) -> None:
@@ -139,23 +129,40 @@ class GpuDevice:
 #: what :func:`launch_totals` sums per group; the per-class view
 #: (``class_totals()``, the ``device.class.*`` gauges) is the first four
 TOTAL_FIELDS = ("launches", "points", "flops", "dram_bytes", "l2_bytes",
-                "l1_bytes")
+                "l1_bytes", "seconds")
+
+_V100 = V100Model()
 
 
 def launch_totals(devices: Iterable[GpuDevice],
-                  by: str = "name") -> Dict[str, Dict[str, int]]:
+                  by: str = "name") -> Dict[str, Dict[str, float]]:
     """Launch totals over ``devices``, grouped by a record attribute
     (kernel ``name`` or ``kernel_class``): ``{group: {field: sum}}`` for
-    each of :data:`TOTAL_FIELDS`."""
-    out: Dict[str, Dict[str, int]] = {}
+    each of :data:`TOTAL_FIELDS`, plus ``registers``, the most registers
+    per thread any of the group's launches uses (what bounds its
+    occupancy on the roofline).
+
+    The one place a launch is priced: each distinct record by
+    :func:`~repro.kernels.counts.budget_for_kernel` of its name — flops
+    and DRAM bytes per point, the ``l2``/``l1`` amplifications of the
+    DRAM bytes (how much more traffic a stencil kernel makes at the inner
+    cache levels), each rounded down per record — and by the V100 model's
+    seconds for a launch of its size (``seconds``, a float)."""
+    out: Dict[str, Dict[str, float]] = {}
     for dev in devices:
         for rec, n in dev.table.items():
-            tot = out.setdefault(getattr(rec, by),
-                                 dict.fromkeys(TOTAL_FIELDS, 0))
+            budget = budget_for_kernel(rec.name)
+            npoints = rec.npoints
+            dram = int(npoints * budget.dram_bytes_per_point)
+            tot = out.setdefault(getattr(rec, by), dict.fromkeys(
+                TOTAL_FIELDS + ("registers",), 0))
             tot["launches"] += n
-            tot["points"] += rec.npoints * n
-            tot["flops"] += rec.flops * n
-            tot["dram_bytes"] += rec.dram_bytes * n
-            tot["l2_bytes"] += rec.l2_bytes * n
-            tot["l1_bytes"] += rec.l1_bytes * n
+            tot["points"] += npoints * n
+            tot["flops"] += int(npoints * budget.flops_per_point) * n
+            tot["dram_bytes"] += dram * n
+            tot["l2_bytes"] += int(dram * budget.l2_amplification) * n
+            tot["l1_bytes"] += int(dram * budget.l1_amplification) * n
+            tot["seconds"] += _V100.kernel_time(budget, npoints) * n
+            tot["registers"] = max(tot["registers"],
+                                   budget.registers_per_thread)
     return out

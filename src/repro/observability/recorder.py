@@ -7,9 +7,9 @@ a trace is written, write their spans into it), snapshots the
 per-timestep metrics the paper's evaluation needs (dt, CFL, active cells
 per level, tagged cells, regrids and the boxes they kept and built, ledger
 traffic by kind with the on/off-node split, device memory high-water,
-per-kernel flop/byte totals — the last three read straight from the
-ledger's and the devices' tables — and L2 drift when a validation
-reference is supplied), and finalizes two artifacts:
+per-kernel flop/byte totals and V100 seconds — the last three read
+straight from the ledger's and the devices' tables — and L2 drift when a
+validation reference is supplied), and finalizes two artifacts:
 
 - ``trace_out`` — Chrome trace-event JSON (open in Perfetto), carrying the
   comms matrix and run configuration in ``otherData``;
@@ -98,7 +98,8 @@ class RunRecorder:
               max(d.high_water for d in sim.devices))
         # cumulative traffic and launch accounting, as the producers'
         # tables hold it now: per message kind, per kernel (the roofline
-        # inputs), per device that has launched, per kernel class
+        # inputs and charged seconds), per device that has launched, per
+        # kernel class
         for kind, traffic in sim.comm.ledger.traffic().items():
             for field, value in traffic.items():
                 g(f"ledger.{kind}.{field}", value)

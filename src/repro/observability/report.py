@@ -7,7 +7,8 @@ metrics JSONL a recorded run produced and prints:
   span nesting, the TinyProfiler view reconstructed from artifacts alone;
 - the FillPatch split (FillBoundary vs ParallelCopy time, Fig. 7's axis);
 - the runtime Overlap section (per-step posted vs finished comm time,
-  measured comm/compute overlap, worker idle %, task counts by kind);
+  measured comm/compute overlap, the share of the step spent outside
+  any task (idle %), task counts by kind);
 - the Bottleneck section (the stage DAGs' critical path and the
   concurrency they offer, task time per kernel class and per compute
   batch);
@@ -16,7 +17,7 @@ metrics JSONL a recorded run produced and prints:
   top kernels by modeled charged time) when the run used the device
   target;
 - roofline points (arithmetic intensity per memory level, modeled
-  achieved flops) from the per-kernel flop/byte counters (Fig. 4's axis);
+  achieved flops) from the per-kernel flop/byte totals (Fig. 4's axis);
 - the per-timestep metrics trajectory (dt, active cells, ledger bytes).
 
 Works identically on functional runs (wall time) and simulated-Summit
@@ -150,51 +151,33 @@ def final_totals(records: Sequence[dict], prefix: str, depth: int = 0):
 
 
 def charged_kernel_times(kernels: Dict[str, Dict[str, float]]) -> List[tuple]:
-    """(kernel, launches, points, charged seconds) by descending time.
-
-    Charged time prices every launch with the V100 performance model and
-    the kernel's cost budget — the simulated-Summit analogue of a
-    per-kernel GPU time profile.
-    """
-    from repro.kernels.counts import budget_for_kernel
-    from repro.machine.gpu import V100Model
-
-    model = V100Model()
-    rows = []
-    for name, k in kernels.items():
-        launches = int(k.get("launches", 0))
-        points = k.get("points", 0.0)
-        if not launches:
-            continue
-        seconds = launches * model.kernel_time(
-            budget_for_kernel(name), int(points / launches))
-        rows.append((name, launches, points, seconds))
+    """(kernel, launches, points, charged seconds) by descending time: the
+    V100 seconds of every launch the run's devices priced (the
+    simulated-Summit analogue of a per-kernel GPU time profile)."""
+    rows = [(name, int(k["launches"]), k.get("points", 0.0), k["seconds"])
+            for name, k in kernels.items()
+            if k.get("launches") and "seconds" in k]
     rows.sort(key=lambda r: -r[3])
     return rows
 
 
 def roofline_rows(kernels: Dict[str, Dict[str, float]]) -> List[tuple]:
-    """(kernel, flops, AI@DRAM/L2/L1, modeled GF/s, %peak) per kernel."""
-    from repro.kernels.counts import budget_for_kernel
-    from repro.machine.gpu import V100Model
+    """(kernel, flops, roofline point) per kernel: its cumulative counts
+    per point placed by the hierarchical roofline."""
+    from repro.kernels.counts import KernelBudget
+    from repro.machine.roofline import hierarchical_roofline
 
-    model = V100Model()
     rows = []
     for name in sorted(kernels):
         k = kernels[name]
-        flops = k.get("flops", 0.0)
+        points, flops = k.get("points", 0.0), k.get("flops", 0.0)
         dram = k.get("dram_bytes", 0.0)
-        if not flops or not dram:
+        if not flops or not dram or not k.get("registers"):
             continue
-        ai = {
-            "DRAM": flops / dram,
-            "L2": flops / k.get("l2_bytes", dram),
-            "L1": flops / k.get("l1_bytes", dram),
-        }
-        budget = budget_for_kernel(name)
-        achieved = model.achieved_flops(budget) if budget is not None else None
-        frac = achieved / model.peak_dp_flops if achieved else None
-        rows.append((name, flops, ai, achieved, frac))
+        budget = KernelBudget(name, flops / points, dram / points,
+                              k["l2_bytes"] / dram, k["l1_bytes"] / dram,
+                              int(k["registers"]))
+        rows.append((name, flops, hierarchical_roofline(budget)))
     return rows
 
 
@@ -407,11 +390,12 @@ def format_report(events: Sequence[dict], other: dict,
         lines.append("-- roofline points (per-kernel cumulative counts) --")
         lines.append(f"{'kernel':<12s} {'flops':>12s} {'AI@DRAM':>8s} "
                      f"{'AI@L2':>7s} {'AI@L1':>7s} {'GF/s(model)':>12s} {'%peak':>6s}")
-        for name, flops, ai, achieved, frac in rows:
-            perf = f"{achieved / 1e9:,.0f}" if achieved else "-"
-            pk = f"{frac:.1%}" if frac else "-"
-            lines.append(f"{name:<12s} {flops:>12.3g} {ai['DRAM']:>8.2f} "
-                         f"{ai['L2']:>7.2f} {ai['L1']:>7.2f} {perf:>12s} {pk:>6s}")
+        for name, flops, rp in rows:
+            lines.append(
+                f"{name:<12s} {flops:>12.3g} {rp.ai['DRAM']:>8.2f} "
+                f"{rp.ai['L2']:>7.2f} {rp.ai['L1']:>7.2f} "
+                f"{rp.achieved_flops_per_s / 1e9:>12,.0f} "
+                f"{rp.fraction_of_peak:>6.1%}")
 
     # ledger totals + metrics trajectory
     ledg = final_totals(records, "ledger", 1)

@@ -13,6 +13,7 @@ from repro.cli import build_case
 from repro.core.crocco import Crocco, CroccoConfig
 from repro.io.inputs import InputDeck
 from repro.kernels.counts import budget_for_kernel
+from repro.kernels.device import launch_totals
 
 DMR_DECK = Path(__file__).resolve().parents[2] / "examples/decks/dmr.inputs"
 
@@ -165,9 +166,12 @@ class TestSeamAccounting:
         launches = [r for r in run if r.kernel_class != "reduction"]
         assert calls["parallel_for"] == len(launches) > 0
         assert calls["reduce_data"] == len(reductions) > 0
-        for rec in launches:
-            assert rec.flops == int(
+        flops = Counter()
+        for rec in launch_log.events:
+            flops[rec.name] += int(
                 rec.npoints * budget_for_kernel(rec.name).flops_per_point)
+        assert {name: tot["flops"] for name, tot in launch_totals(
+            sim.devices).items()} == flops
 
 
 class TestConfigPlumbing:

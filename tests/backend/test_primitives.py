@@ -10,7 +10,8 @@ from repro.backend import (DeviceBackend, HostBackend, LaunchSpec,
 from repro.kernels.counts import (BUDGETS, FILLBOUNDARY_BUDGET, INTERP_BUDGET,
                                   UPDATE_BUDGET, WENO_BUDGET,
                                   budget_for_kernel)
-from repro.kernels.device import DeviceMemoryError, GpuDevice, LaunchRecord
+from repro.kernels.device import (DeviceMemoryError, GpuDevice, LaunchRecord,
+                                  launch_totals)
 from repro.observability.tracer import Tracer
 from tests.conftest import trace_events
 
@@ -72,7 +73,9 @@ class TestDeviceBackend:
         assert rec.name == "WENOx"
         assert rec.kernel_class == "flux"
         assert rec.npoints == 100
-        assert rec.flops == int(100 * WENO_BUDGET.flops_per_point)
+        assert rec == ("WENOx", 100, "flux")
+        assert launch_totals([dev])["WENOx"]["flops"] == int(
+            100 * WENO_BUDGET.flops_per_point)
 
     def test_counters_accumulate_by_class(self):
         be = DeviceBackend([GpuDevice()])
@@ -188,10 +191,9 @@ class TestSpanOutsideTimedWindow:
         dev = GpuDevice()
         dev.tracer = SlowTracer(0.05)
         for _ in range(3):
-            dev.run(LaunchRecord.priced("K", 10, UPDATE_BUDGET), lambda: None)
+            dev.run(LaunchRecord("K", 10), lambda: None)
         DeviceBackend([dev]).reduce_data("R", np.ones(4), op="sum")
-        assert dev.table[LaunchRecord("R", 4, 4, 32, 32, 32,
-                                      "reduction")] == 1
+        assert dev.table[LaunchRecord("R", 4, "reduction")] == 1
         spans = trace_events(dev.tracer)
         assert len(spans) == 4
         assert all(e["dur"] < 0.04e6 for e in spans)

@@ -114,5 +114,6 @@ class TestLaunchSpecContract:
                         LaunchSpec(kernel_class="flux", rank=0))
         assert dev.table.total() == 1
         assert be.class_totals()["flux"]["points"] == 100
-        (rec,) = dev.table
-        assert rec.flops == int(100 * budget_for_kernel("WENOx").flops_per_point)
+        assert list(dev.table) == [("WENOx", 100, "flux")]
+        assert be.class_totals()["flux"]["flops"] == int(
+            100 * budget_for_kernel("WENOx").flops_per_point)

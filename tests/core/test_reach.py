@@ -33,7 +33,6 @@ ALLOWED = {
     "repro.perfmodel.execution": "examples/summit_scaling.py",
     "repro.perfmodel.scaling": "examples/summit_scaling.py",
     "repro.perfmodel.trace_export": "examples/summit_scaling.py --record",
-    "repro.perfmodel.device_timing": "examples/dmr_amr.py",
     "repro.perfmodel.ledger_pricing": "none yet: ROADMAP item 8 prices a "
                                       "run's ledger with it",
     "repro.core.diagnostics": "none yet: ROADMAP item 7(b) wires it in",

@@ -1,10 +1,12 @@
 """Tests for the simulated GPU device."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.backend import DeviceBackend, LaunchSpec
-from repro.kernels.counts import KernelBudget, WENO_BUDGET
+from repro.kernels.counts import COMPUTEDT_BUDGET, UPDATE_BUDGET, WENO_BUDGET
 from repro.kernels.device import (
     DeviceMemoryError,
     GpuDevice,
@@ -12,6 +14,7 @@ from repro.kernels.device import (
     V100_MEMORY_BYTES,
     launch_totals,
 )
+from repro.machine.gpu import V100Model
 
 
 def test_default_is_v100_capacity():
@@ -49,17 +52,31 @@ def test_capacity_enforced():
 
 
 def test_launch_records_and_returns():
+    """A record is what ran; its flops and bytes are priced by its name."""
     dev = GpuDevice()
-    out = dev.run(LaunchRecord.priced("WENOx", 1000, WENO_BUDGET),
-                  lambda: np.ones(3))
+    out = dev.run(LaunchRecord("WENOx", 1000), lambda: np.ones(3))
     assert np.all(out == 1.0)
-    (rec, count), = dev.table.items()
-    assert count == 1
-    assert rec.name == "WENOx"
-    assert rec.flops == 600000
-    assert rec.dram_bytes == 400000
-    assert rec.l2_bytes == 720000
-    assert rec.l1_bytes == 1800000
+    assert dict(dev.table) == {LaunchRecord("WENOx", 1000, "flux"): 1}
+    tot = launch_totals([dev])["WENOx"]
+    assert tot["flops"] == 600000
+    assert tot["dram_bytes"] == 400000
+    assert tot["l2_bytes"] == 720000
+    assert tot["l1_bytes"] == 1800000
+    assert tot["seconds"] == V100Model().kernel_time(WENO_BUDGET, 1000)
+
+
+def test_untraced_launch_reads_no_clock(monkeypatch):
+    """Only a traced launch is timed: without a tracer, ``run`` pays one
+    ``None`` check and no clock read."""
+    import repro.kernels.device as device
+
+    def no_clock():
+        raise AssertionError("clock read by an untraced launch")
+
+    monkeypatch.setattr(device, "time", SimpleNamespace(perf_counter=no_clock))
+    dev = GpuDevice()
+    assert dev.run(LaunchRecord("WENOx", 10), lambda: 7) == 7
+    assert dev.table.total() == 1
 
 
 def test_reduce():
@@ -71,28 +88,34 @@ def test_reduce():
     with pytest.raises(ValueError):
         backend.reduce_data("ComputeDt", np.array([1.0]), "prod")
     assert dev.table.total() == 3
-    # one flop and one 8-byte word per value, whatever the name
-    assert dev.table[LaunchRecord("ComputeDt", 2, 2, 16, 16, 16,
-                                  "reduction")] == 2
+    assert dev.table[LaunchRecord("ComputeDt", 2, "reduction")] == 2
     assert backend.reduce_data("R", None, npoints=5) is None
-    assert dev.table[LaunchRecord("R", 5, 5, 40, 40, 40, "reduction")] == 1
+    assert dev.table[LaunchRecord("R", 5, "reduction")] == 1
+    # a reduction is priced by its name's budget, as every launch
+    tot = launch_totals([dev])["ComputeDt"]
+    assert (tot["flops"], tot["dram_bytes"]) == (
+        7 * COMPUTEDT_BUDGET.flops_per_point,
+        7 * COMPUTEDT_BUDGET.dram_bytes_per_point)
 
 
 def test_totals_and_by_kernel():
     dev = GpuDevice()
-    a = KernelBudget("A", 2, 4, 1.6, 4.0, 64)
-    dev.run(LaunchRecord.priced("A", 10, a), lambda: None)
-    dev.run(LaunchRecord.priced("A", 10, a), lambda: None)
-    dev.run(LaunchRecord.priced("B", 5, KernelBudget("B", 1, 1, 1.6, 4.0, 64)),
-            lambda: None)
+    dev.run(LaunchRecord("WENOx", 10), lambda: None)
+    dev.run(LaunchRecord("WENOx", 10), lambda: None)
+    dev.run(LaunchRecord("Update", 5, "update"), lambda: None)
     by_kernel = launch_totals([dev])
-    assert set(by_kernel) == {"A", "B"}
-    assert by_kernel["A"] == {"launches": 2, "points": 20, "flops": 40,
-                              "dram_bytes": 80, "l2_bytes": 128,
-                              "l1_bytes": 320}
+    assert set(by_kernel) == {"WENOx", "Update"}
+    model = V100Model()
+    assert by_kernel["WENOx"] == {
+        "launches": 2, "points": 20, "flops": 12000, "dram_bytes": 8000,
+        "l2_bytes": 14400, "l1_bytes": 36000,
+        "seconds": 2 * model.kernel_time(WENO_BUDGET, 10), "registers": 255}
+    assert by_kernel["Update"]["dram_bytes"] == 5 * 120
+    assert by_kernel["Update"]["registers"] == UPDATE_BUDGET.registers_per_thread
     # identical launches share one row
     assert len(dev.table) == 2 and dev.table.total() == 3
     assert sum(t["points"] for t in by_kernel.values()) == 25
+    assert launch_totals([dev], "kernel_class")["update"] == by_kernel["Update"]
     dev.table.clear()
     assert launch_totals([dev]) == {}
 

@@ -17,12 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backend import DeviceBackend, LaunchSpec
+from repro.cases.dmr import DoubleMachReflection
+from repro.core.crocco import Crocco, CroccoConfig
 from repro.kernels.counts import budget_for_kernel
 from repro.kernels.device import TOTAL_FIELDS, GpuDevice, launch_totals
 from repro.machine.gpu import V100Model
 from repro.mpi.ledger import KINDS, CommLedger, Message
+from repro.observability.metrics import MetricsRegistry
+from repro.observability.report import (charged_kernel_times, final_totals,
+                                        roofline_rows)
 from repro.perfmodel.calibration import CAL
-from repro.perfmodel.device_timing import summarize_device
 from repro.perfmodel.ledger_pricing import price_ledger
 from tests.conftest import logged_launches
 
@@ -181,15 +185,23 @@ def issue(backend, op):
                             LaunchSpec(kernel_class="reduction", rank=rank))
 
 
-def summarize_per_launch(recs, model):
-    """``summarize_device`` one launch at a time (the reference)."""
-    seconds, launches, points = {}, Counter(), Counter()
-    for rec in recs:
-        t = model.kernel_time(budget_for_kernel(rec.name), rec.npoints)
-        seconds[rec.name] = seconds.get(rec.name, 0.0) + t
-        launches[rec.name] += 1
-        points[rec.name] += rec.npoints
-    return seconds, launches, points
+def price_per_launch(recs, by, model):
+    """``launch_totals`` one launch at a time (the reference): each record
+    priced by its name's budget."""
+    expect = {}
+    for r in recs:
+        budget = budget_for_kernel(r.name)
+        tot = expect.setdefault(getattr(r, by), dict.fromkeys(
+            TOTAL_FIELDS + ("registers",), 0))
+        dram = int(r.npoints * budget.dram_bytes_per_point)
+        for field, value in zip(TOTAL_FIELDS, (
+                1, r.npoints, int(r.npoints * budget.flops_per_point), dram,
+                int(dram * budget.l2_amplification),
+                int(dram * budget.l1_amplification),
+                model.kernel_time(budget, r.npoints))):
+            tot[field] += value
+        tot["registers"] = max(tot["registers"], budget.registers_per_thread)
+    return expect
 
 
 @settings(max_examples=150, deadline=None)
@@ -215,24 +227,19 @@ def test_launch_views_equal_the_event_list(stream):
     for dev, recs in zip(devices, logs):
         assert dev.table == Counter(recs)
         assert dev.table.total() == len(recs)
-        timing = summarize_device(dev, model)
-        seconds, launches, points = summarize_per_launch(recs, model)
-        assert timing.launches == launches and timing.points == points
-        assert timing.seconds == pytest.approx(seconds, rel=1e-12)
 
     every = [r for recs in logs for r in recs]
     for by in ("name", "kernel_class"):
-        expect = {}
-        for r in every:
-            tot = expect.setdefault(getattr(r, by),
-                                    dict.fromkeys(TOTAL_FIELDS, 0))
-            for field, value in zip(TOTAL_FIELDS, (
-                    1, r.npoints, r.flops, r.dram_bytes, r.l2_bytes,
-                    r.l1_bytes)):
-                tot[field] += value
-        assert launch_totals(devices, by) == expect
+        got, expect = launch_totals(devices, by), price_per_launch(every, by,
+                                                                   model)
+        assert got.keys() == expect.keys()
+        for group, tot in got.items():
+            # seconds are summed in another order: equal to rounding
+            assert tot.pop("seconds") == pytest.approx(
+                expect[group].pop("seconds"), rel=1e-12)
+        assert got == expect
     assert backend.class_totals() == {
-        # the device.class.* gauges: no cache-level bytes
+        # the device.class.* gauges: no cache-level bytes or seconds
         cls: {f: tot[f] for f in ("launches", "points", "flops", "dram_bytes")}
         for cls, tot in launch_totals(devices, "kernel_class").items()}
 
@@ -246,3 +253,42 @@ def test_reset_clears_every_view():
     assert backend.class_totals()["flux"]["launches"] == 1
     dev.table.clear()
     assert launch_totals([dev]) == {} and backend.class_totals() == {}
+
+
+def test_one_budget_per_name_on_a_recorded_dmr_step(tmp_path, launch_log):
+    """A recorded v2.0 curvilinear DMR step on ``device``: for every
+    launched name, the per-kernel and per-class gauges, the report's
+    roofline intensities and its charged seconds all equal the launches
+    of the step priced one record at a time by ``budget_for_kernel`` of
+    the name — ComputeDt's reductions included."""
+    sim = Crocco(DoubleMachReflection(ncells=(32, 8), curvilinear=True),
+                 CroccoConfig(version="2.0", nranks=2, max_level=1,
+                              max_grid_size=16, blocking_factor=8,
+                              backend_target="device",
+                              metrics_out=str(tmp_path / "metrics.jsonl")))
+    sim.initialize()
+    sim.step()
+    sim.close()
+    records = MetricsRegistry.read_jsonl(tmp_path / "metrics.jsonl")
+    kernels = final_totals(records, "kernel", 1)
+    classes = final_totals(records, "device.class", 1)
+    model = V100Model()
+    by_name = price_per_launch(launch_log.events, "name", model)
+    by_class = price_per_launch(launch_log.events, "kernel_class", model)
+    assert "ComputeDt" in by_name and set(kernels) >= set(by_name)
+    for name, want in by_name.items():
+        for field in ("launches", "points", "flops", "dram_bytes", "l2_bytes",
+                      "l1_bytes"):
+            assert kernels[name][field] == want[field], (name, field)
+    for cls, want in by_class.items():
+        for field in ("launches", "points", "flops", "dram_bytes"):
+            assert classes[cls][field] == want[field], (cls, field)
+    roofline = {name: rp for name, _, rp in roofline_rows(kernels)}
+    charged = {row[0]: row[3] for row in charged_kernel_times(kernels)}
+    assert roofline.keys() == charged.keys() == by_name.keys()
+    for name, want in by_name.items():
+        assert roofline[name].ai == pytest.approx({
+            "DRAM": want["flops"] / want["dram_bytes"],
+            "L2": want["flops"] / want["l2_bytes"],
+            "L1": want["flops"] / want["l1_bytes"]}, rel=1e-12), name
+        assert charged[name] == pytest.approx(want["seconds"], rel=1e-12), name

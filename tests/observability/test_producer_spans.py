@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.backend import DeviceBackend
-from repro.kernels.counts import KernelBudget
+from repro.kernels.counts import WENO_BUDGET
 from repro.kernels.device import GpuDevice, LaunchRecord, launch_totals
 from repro.observability.tracer import GPU_STREAM, Tracer
 from repro.perfmodel.execution import IterationBreakdown
@@ -54,13 +54,15 @@ def test_device_counts_and_spans():
     tracer = Tracer()
     dev = GpuDevice()
     dev.tracer, dev.trace_track = tracer, (3, GPU_STREAM)
-    budget = KernelBudget("WENOx", 10.0, 8.0, 1.6, 4.0, 255)
-    dev.run(LaunchRecord.priced("WENOx", 1000, budget), lambda: None)
-    dev.run(LaunchRecord.priced("WENOx", 500, budget), lambda: None)
+    dev.run(LaunchRecord("WENOx", 1000), lambda: None)
+    dev.run(LaunchRecord("WENOx", 500), lambda: None)
     # the counts the recorder samples into ``kernel.WENOx.*``
-    assert launch_totals([dev])["WENOx"] == {
-        "launches": 2, "points": 1500, "flops": 15000, "dram_bytes": 12000,
-        "l2_bytes": 19200, "l1_bytes": 48000}
+    tot = launch_totals([dev])["WENOx"]
+    assert {f: tot[f] for f in ("launches", "points", "flops", "dram_bytes",
+                                "l2_bytes", "l1_bytes")} == {
+        "launches": 2, "points": 1500, "flops": 900000, "dram_bytes": 600000,
+        "l2_bytes": 1080000, "l1_bytes": 2700000}
+    assert tot["registers"] == WENO_BUDGET.registers_per_thread
     spans = trace_events(tracer)
     assert len(spans) == 2
     assert all((e["pid"], e["tid"], e["cat"]) == (3, GPU_STREAM, "kernel")
@@ -80,5 +82,5 @@ def test_device_reduce_is_a_kernel_span():
         ("ComputeDt", {"points": 3, "class": "reduction"})]
     assert launch_totals([dev])["ComputeDt"]["launches"] == 1
     assert list(dev.table) == [
-        LaunchRecord("ComputeDt", 3, 3, 24, 24, 24, "reduction")]
+        LaunchRecord("ComputeDt", 3, "reduction")]
 

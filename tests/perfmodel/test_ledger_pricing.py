@@ -68,24 +68,23 @@ def test_functional_run_priceable_end_to_end():
     assert priced.off_node_bytes["fillboundary"] > 0
 
 
-# -- device-timing bridge -----------------------------------------------------
+# -- charged kernel seconds ---------------------------------------------------
 
 
-def test_summarize_device_prices_launches():
-    from repro.kernels.device import GpuDevice, LaunchRecord
+def test_launch_totals_price_charged_seconds():
+    from repro.kernels.device import GpuDevice, LaunchRecord, launch_totals
     from repro.machine.gpu import V100Model
-    from repro.perfmodel.device_timing import summarize_device
 
     from repro.kernels.counts import UPDATE_BUDGET, WENO_BUDGET
 
     dev = GpuDevice()
-    for name, budget in (("WENOx", WENO_BUDGET), ("WENOx", WENO_BUDGET),
-                         ("Update", UPDATE_BUDGET)):
-        dev.run(LaunchRecord.priced(name, 50_000, budget), lambda: None)
-    t = summarize_device(dev)
-    assert set(t.seconds) == {"WENOx", "Update"}
-    assert t.launches == {"WENOx": 2, "Update": 1}
+    for name in ("WENOx", "WENOx", "Update"):
+        dev.run(LaunchRecord(name, 50_000), lambda: None)
+    t = launch_totals([dev])
+    assert set(t) == {"WENOx", "Update"}
+    assert {name: tot["launches"] for name, tot in t.items()} == {
+        "WENOx": 2, "Update": 1}
     m = V100Model()
 
-    assert t.seconds["WENOx"] == pytest.approx(
+    assert t["WENOx"]["seconds"] == pytest.approx(
         2 * m.kernel_time(WENO_BUDGET, 50_000))

@@ -341,21 +341,31 @@ class BoxArray:
     def complement(self, regions: Union[Box, np.ndarray]
                    ) -> Tuple[np.ndarray, np.ndarray]:
         """The part of each region no box covers, as disjoint pieces
-        ``(P, 2, dim)`` and the region each belongs to ``(P,)``: the boxes
-        a region meets are taken off it in index order."""
+        ``(P, 2, dim)``, region by region, and the region each belongs to
+        ``(P,)``: the boxes a region meets are taken off it in index order
+        — each piece by the first it meets after the box that made it."""
         regions = self._regions(regions)
-        q, j, _ = self.intersect(regions)
+        q, _, cover = self.intersect(regions)
+        nth = np.arange(len(q)) - np.searchsorted(q, q)
+        bounds = 2 * regions.shape[2]
+        # each region's boxes (what it meets of them) in index order as
+        # (-hi, lo), padded with empty ones no piece meets: piece p meets b
+        # where (-p.lo, p.hi) >= (-b.hi, b.lo)
+        reach = np.full((bounds, len(regions), np.bincount(q, minlength=1).max()),
+                        np.iinfo(regions.dtype).max)
+        reach[:, q, nth] = (cover[:, ::-1] * _SIDE).reshape(-1, bounds).T
         pieces, owner = regions, np.arange(len(regions))
-        nth = np.arange(len(q)) - np.searchsorted(q, q, side="left")
-        for n in range(nth.max() + 1 if len(q) else 0):
-            # round n: every region still meeting an n-th box loses it
-            # (the others lose an empty box, i.e. nothing)
-            sub = np.zeros_like(regions)
-            sub[:, 0] = 1
-            sub[q[nth == n]] = self.lohi[j[nth == n]]
-            pieces, src = diff(pieces, sub[owner])
+        while True:
+            at = np.ascontiguousarray((pieces * _SIDE).reshape(-1, bounds).T)
+            hit = (at[:, :, None] >= reach[:, owner]).all(axis=0)
+            if not hit.any():
+                return pieces, owner
+            # a piece meets no box before the one that made it; one that
+            # meets none is cut by a box apart from it: kept whole
+            cut = reach[:, owner, hit.argmax(axis=1)].T.reshape(
+                (-1,) + regions.shape[1:])
+            pieces, src = diff(pieces, -(cut[:, ::-1] * _SIDE))
             owner = owner[src]
-        return pieces, owner
 
     def contains(self, region: Box) -> bool:
         """Whether the union of boxes fully covers ``region``."""

@@ -34,7 +34,6 @@ from repro.amr.geometry import Geometry
 from repro.amr.intvect import IntVect, IntVectLike
 from repro.amr.interpolate import Interpolator, apply_stencil
 from repro.amr.multifab import MultiFab
-from repro.amr.parallelcopy import copy_plan
 from repro.amr.plan import CommPlan, by_share, overlaps, rank_shares
 from repro.backend import Share, current_backend
 
@@ -112,8 +111,8 @@ class FillPatchOp:
         cells to cover every interpolation stencil.  This is global
         communication (any rank's coordinates may be needed anywhere), and
         CRoCCo 2.0 pays it at every FillPatch: its launches and messages
-        are replayed from the fill plan, while the copy itself ran once,
-        when that plan turned the coordinates into weights."""
+        are replayed from the fill plan; the values it would copy are read
+        from the coarse coordinates, once, when the plan made its weights."""
         if self.interp.needs_coords:
             self._fill_plan().coords.run("PC_copy", lambda: None)
 
@@ -305,28 +304,29 @@ def _gather_coords(crse: MultiFab, crse_coords: MultiFab, radius: int,
                    cboxes: np.ndarray):
     """The curvilinear interpolator's ParallelCopy — into a temporary on the
     coarse layout with enough ghost cells to cover every stencil (and one
-    more, so edge weights are defined), run here, once — and, in one gather
-    out of it, the coordinates over every box of ``cboxes`` laid out box
-    after box (box ``n`` from ``start[n]``).  A cell of a coarse box holds
-    its coordinates in every fab whose ghosts reach it, so it is read from
-    that box's fab; a cell of no coarse box holds 0.0 where a fab's ghosts
-    reach (the copy writes valid cells only) and takes its nearest cell's
-    value within its box beyond them.  Returns the copy plan, ``(values,
-    start)`` and the per-box gathers' messages as :func:`_patch_sources`."""
-    coords_tmp = MultiFab(
-        crse.ba, crse.dm, crse_coords.ncomp,
-        crse.ngrow + IntVect.filled(crse.dim, radius + 1), crse.comm)
-    pc = copy_plan(coords_tmp, crse_coords, crse_coords.ncomp, True)
-    pc.copy(coords_tmp.buffer, crse_coords.buffer)
-    pc.src = pc.dst = None   # replayed from here on, never run again
-    ncomp, grown = coords_tmp.ncomp, coords_tmp.grown
+    more, so edge weights are defined) — and, in one gather out of it, the
+    coordinates over every box of ``cboxes`` laid out box after box (box
+    ``n`` from ``start[n]``).  A cell of a coarse box holds its coordinates
+    in every fab whose ghosts reach it, so it is read from that box's fab,
+    where the copy put the box's own: the gather reads ``crse_coords``, and
+    the copy is only its launches and messages, planned once per coarse
+    layout (cached on ``crse_coords``).  A cell of no coarse box holds 0.0
+    where a fab's ghosts reach (the copy writes valid cells only) and takes
+    its nearest cell's value within its box beyond them.  Returns the copy
+    plan, ``(values, start)`` and the per-box gathers' messages as
+    :func:`_patch_sources`."""
+    ncomp, grown = crse_coords.ncomp, grow(
+        crse.ba.lohi, crse.ngrow + IntVect.filled(crse.dim, radius + 1))
+    pc = crse_coords.plan(("coords", radius), (crse,), lambda: (
+        CommPlan.of_boxes(crse, crse_coords, "parallelcopy", "fillpatch", ncomp,
+                          overlaps(crse_coords.ba, grown), compile=False)))
     start = np.concatenate([[0], np.cumsum(num_pts(cboxes))])
     out = np.full((ncomp, start[-1]), np.nan)
-    q, j, cover = coords_tmp.ba.intersect(cboxes)
+    q, j, cover = crse_coords.ba.intersect(cboxes)
     n, to, cell = box_cells(cover, (cover[:, 0], cboxes[q]),
-                            (cover[:, 0], grown[j]))
-    out[:, start[q[n]] + to] = coords_tmp.cells(j[n], cell).take(
-        coords_tmp.buffer)
+                            (cover[:, 0], crse_coords.grown[j]))
+    out[:, start[q[n]] + to] = crse_coords.cells(j[n], cell).take(
+        crse_coords.buffer)
     short = np.nonzero(np.bincount(q, num_pts(cover), len(cboxes))
                        < np.diff(start))[0]
     if len(short):

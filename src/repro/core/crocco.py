@@ -50,6 +50,7 @@ from repro.kernels.api import make_kernels
 from repro.kernels.batch import Batch, shape_groups
 from repro.kernels.device import GpuDevice
 from repro.mpi.comm import Communicator
+from repro.numerics import native
 from repro.numerics.cfl import compute_dt
 from repro.numerics.fluxes import ConvectiveFlux
 from repro.numerics.metrics import (CartesianMetrics, CurvilinearMetrics,
@@ -109,6 +110,7 @@ class Crocco(AmrCore):
             viscous=case.viscous,
             exec_backend=self.exec_backend,
         )
+        native.kernels()  # the library's load is set-up, not a step's
         self.ng = self.kernels.nghost
         interp_name = self.config.interpolator or self.version.interpolator
         self.interp = INTERPOLATORS[interp_name]()
@@ -221,7 +223,8 @@ class Crocco(AmrCore):
         changed (AMReX's RemakeLevel): a box equal to an old one copies that
         fab's coordinates and metrics into the new storage, and only cells
         no old box covers are interpolated from coarse before the old level
-        is ParallelCopied in."""
+        is ParallelCopied in.  Its ghost cells wait for the level's next fill
+        (ErrorEst's or the stage's), which writes them before any read."""
         with self.profiler.region("RemakeLevel"):
             old = self.state.get(lev)
             kept, pieces = {}, (ba.lohi, np.arange(len(ba)))
@@ -232,8 +235,7 @@ class Crocco(AmrCore):
                     if j is not None:
                         kept[i] = (self.coords[lev].fab(j).data,
                                    self.metrics[lev][j])
-                piece, owner = old.ba.complement(ba.lohi)
-                pieces = (piece[owner.argsort(kind="stable")], np.sort(owner))
+                pieces = old.ba.complement(ba.lohi)
             self._clear_level_storage(lev)
             self._build_level_storage(lev, ba, dm, kept)
             self.step_boxes_kept += len(kept)
@@ -252,7 +254,6 @@ class Crocco(AmrCore):
                 new = self.state[lev]
                 plan = copy_plan(new, old, new.ncomp, fill_ghosts=False)
                 plan.run("PC_copy", lambda: plan.copy(new.buffer, old.buffer))
-            self._bc_fill(lev)
 
     #: a new level is the remake of a level that had no boxes
     make_new_level_from_coarse = remake_level

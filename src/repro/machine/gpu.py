@@ -11,6 +11,7 @@ every memory level with ~300 DP Gflop/s (~4% of the 7.8 TF/s peak).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.kernels.counts import KernelBudget
 
@@ -64,6 +65,7 @@ class V100Model:
         )
 
     # -- kernel performance ----------------------------------------------
+    @lru_cache(maxsize=None)  # a model and a budget are frozen: priced once
     def achieved_flops(self, budget: KernelBudget) -> float:
         """Sustained DP flop/s of a kernel (roofline minimum over levels)."""
         occ = self.theoretical_occupancy(budget.registers_per_thread)

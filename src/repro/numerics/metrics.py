@@ -216,8 +216,8 @@ class CurvilinearMetrics(Metrics):
                    order: int = 4) -> List["CurvilinearMetrics"]:
         """Metrics of equal-shape patches from their coordinates (dim, *s),
         in one pass on a batch axis (one patch is not copied onto it): the
-        stencils are elementwise along it and ``det`` / ``inv`` go matrix by
-        matrix, so each patch gets the bits of its own build, as views."""
+        stencils and the cofactors are elementwise along it, so each patch
+        gets the bits of its own build, as views."""
         return StackedMetrics.of_coordinates(coords, order)._members
 
     @property
@@ -270,15 +270,19 @@ def _curvilinear_arrays(coords: Sequence[np.ndarray], order: int):
     first = np.empty((nb, dim, dim) + s)
     for d in range(dim):
         first[:, :, d] = derivative_same_shape(coords, d + 2, order)
-    # Jacobian and inverse: operate on (..., dim, dim) stacks
-    T = np.moveaxis(first.reshape(nb, dim, dim, -1), -1, 1)  # (B, N, j, d)
-    J = np.linalg.det(T)
+    # m[d, j] = J d xi_d / d x_j is the cofactor of T[j, d], and J the
+    # expansion of T's first row in them: products and differences only
+    T, m = first, np.ones((dim, dim, nb) + s)  # 1-D: a 1x1 matrix's is 1
+    for j, d in np.ndindex(dim, dim):
+        a, b, e, f = (j + 1) % 3, (j + 2) % 3, (d + 1) % 3, (d + 2) % 3
+        if dim == 2:
+            m[d, j] = T[:, 1 - j, 1 - d] * (-1) ** (j + d)
+        elif dim == 3:
+            m[d, j] = T[:, a, e] * T[:, b, f] - T[:, a, f] * T[:, b, e]
+    J = sum(T[:, 0, d] * m[d, 0] for d in range(dim))
     if np.any(J <= 0):
         raise ValueError("grid mapping is not orientation-preserving (J <= 0)")
-    Tinv = np.linalg.inv(T)  # (B, N, d, j) : d xi_d / d x_j
-    m = np.ascontiguousarray((J[..., None, None] * Tinv).transpose(
-        2, 3, 0, 1)).reshape((dim, dim, nb) + s)
-    return m, J.reshape((nb,) + s), first
+    return m, J, first
 
 
 def grid_quality(metrics: "CurvilinearMetrics", interior: int = 2) -> dict:

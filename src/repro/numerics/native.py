@@ -19,9 +19,10 @@ The library is built with ``$CC`` (default ``cc``) into
 directory when that is unwritable) through a temp directory and
 ``os.replace``, under a name keyed by the source, the flags, the compiler
 binary and the CPU it is tuned for — and by the hash of the library's own
-bytes, checked before ``dlopen``.  The handle is module state: resolved
-once per process, lazily at the first sweep (never at ``import repro``)
-and never pickled, so a pool or fleet worker loads its own.
+bytes, checked before ``dlopen``; a passed self-check is stamped beside
+it.  Its handle, module state, is resolved once per process by the first
+simulation or sweep (never at ``import repro``) and never pickled: a pool
+or fleet worker loads its own.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
+from contextlib import suppress
 from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable, Dict, NamedTuple, Optional
@@ -98,7 +100,8 @@ def status() -> Dict[str, str]:
     ``kernel.weno_impl = ...`` line of the CLI and the run report."""
     kernels()
     s = dict(_status)
-    cache = f"sweep; cache {s['cache']}; " if s["impl"] == "compiled" else ""
+    cache = (f"sweep; cache {s['cache']}; self-check {s['check']}; "
+             if s["impl"] == "compiled" else "")
     s["line"] = f"kernel.weno_impl = {s['impl']} ({cache}{s['detail']})"
     return s
 
@@ -250,8 +253,17 @@ def _load() -> Kernels:
         return call
 
     k = Kernels(split, rows, bind)
-    _self_check(k, path)
-    _status.update(impl="compiled", cache=cache, detail=built_with)
+    # checked once per library: a pass leaves an empty stamp beside it,
+    # named by its bytes, this NumPy and the code the check runs
+    stamp = path.with_name(f"{path.stem}-{np.__version__}-" + _digest(*(
+        Path(__file__).with_name(f"{m}.py").read_bytes()
+        for m in ("native", "fluxes", "weno", "eos", "state"))) + ".checked")
+    check = "stamped" if stamp.is_file() else "run"
+    if check == "run":
+        _self_check(k, path)
+        with suppress(OSError):  # unwritable: checked again next time
+            stamp.touch()
+    _status.update(impl="compiled", cache=cache, check=check, detail=built_with)
     return k
 
 

@@ -1,7 +1,8 @@
 """Reference tagging, buffering and clustering: the tag-list builders that
 the level mask, its dilation and Berger-Rigoutsos on mask signatures
 replaced, kept verbatim (``tests/amr/test_cluster_oracle.py`` compares
-them with :mod:`repro.amr.cluster`).
+them with :mod:`repro.amr.cluster`), and ``BoxArray.complement`` as it
+was: one round of cuts per n-th box a region meets.
 
 Tags here are an ``(n, dim)`` array of cell indices: one launch and one
 ``argwhere`` per fab, an ``np.unique`` of every tag grown by the buffer,
@@ -235,6 +236,48 @@ def _find_cut(tags: np.ndarray, lo: List[int], size: List[int],
     return d, lo[d] + size[d] // 2
 
 
+def diff(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Boxes ``a[k]`` minus ``b[k]`` (or minus the one box ``b``) as
+    disjoint pieces, and the ``k`` each piece came from: a box apart from
+    its subtrahend stays whole, the others are chopped axis by axis, the
+    part below the overlap first, then the part above."""
+    dim = a.shape[2]
+    cut = meet(a, b)
+    hit = nonempty(cut)
+    out = np.empty((len(a), 2 * dim + 1, 2, dim), dtype=np.int64)
+    keep = np.zeros(out.shape[:2], dtype=bool)
+    out[:, 0], keep[:, 0] = a, ~hit
+    rem = a.copy()
+    for d in range(dim):
+        for side, edge in ((0, cut[:, 0, d] - 1), (1, cut[:, 1, d] + 1)):
+            piece = out[:, 1 + 2 * d + side]
+            piece[...] = rem
+            piece[:, 1 - side, d] = edge
+            keep[:, 1 + 2 * d + side] = hit & (
+                piece[:, 0, d] <= piece[:, 1, d])
+        rem[:, :, d] = cut[:, :, d]
+    return out[keep], np.nonzero(keep)[0]
+
+
+def complement(self: BoxArray, regions) -> Tuple[np.ndarray, np.ndarray]:
+    """``BoxArray.complement`` as it was, one round per n-th box a region
+    meets, every piece cut in every round (by :func:`diff` as it was, one
+    axis and side at a time).  ``self`` is a ``BoxArray``."""
+    regions = self._regions(regions)
+    q, j, _ = self.intersect(regions)
+    pieces, owner = regions, np.arange(len(regions))
+    nth = np.arange(len(q)) - np.searchsorted(q, q, side="left")
+    for n in range(nth.max() + 1 if len(q) else 0):
+        # round n: every region still meeting an n-th box loses it
+        # (the others lose an empty box, i.e. nothing)
+        sub = np.zeros_like(regions)
+        sub[:, 0] = 1
+        sub[q[nth == n]] = self.lohi[j[nth == n]]
+        pieces, src = diff(pieces, sub[owner])
+        owner = owner[src]
+    return pieces, owner
+
+
 def _clip_to_coverage(self, ba_c: BoxArray, lev: int) -> BoxArray:
     """Proper nesting: keep new grids ``n_proper`` cells inside level
     ``lev``'s coverage (measured from any uncovered region inside the
@@ -243,7 +286,7 @@ def _clip_to_coverage(self, ba_c: BoxArray, lev: int) -> BoxArray:
     cov = self.box_arrays[lev]
     assert cov is not None
     # uncovered regions of the level-lev domain, grown by the buffer
-    forbidden = grow(cov.complement(self.geoms[lev].domain)[0],
+    forbidden = grow(complement(cov, self.geoms[lev].domain)[0],
                      self.amr_config.n_proper)
     # what the level covers of each new grid, outside every buffer,
     # and of that what no earlier piece already holds

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.amr import cluster
 from repro.amr.amrcore import AmrConfig, AmrCore
 from repro.amr.box import Box
-from repro.amr.boxarray import BoxArray, boxes_of, chop, lohi_of
+from repro.amr.boxarray import BoxArray, boxes_of, chop, grow, lohi_of
 from repro.amr.distribution import DistributionMapping
 from repro.amr.geometry import Geometry
 from repro.amr.multifab import MultiFab
@@ -94,6 +94,38 @@ def test_chop_equals_max_size_chop(sides, most, nboxes):
     got = boxes_of(chop(lohi_of(boxes), most))
     want = [p for b in boxes for p in oracle.max_size_chop(b, most)]
     assert sorted(got, key=key) == sorted(want, key=key)
+
+
+@st.composite
+def layouts_and_regions(draw):
+    """Boxes (a chopped level with holes, or arbitrary boxes that may
+    overlap) and query regions around them (some empty, some a whole
+    level's domain, some grown boxes of the level), 1-D to 3-D."""
+    dim = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    n = draw(st.integers(0, 24))
+    lo = rng.integers(-4, 30, (n, dim))
+    boxes = np.stack([lo, lo + rng.integers(0, 9, (n, dim))], axis=1)
+    if draw(st.booleans()):   # a level: disjoint boxes, chopped small
+        boxes = chop(oracle.disjoint(boxes), draw(st.integers(2, 8))) if n \
+            else boxes
+    lo = rng.integers(-6, 34, (draw(st.integers(0, 6)), dim))
+    regions = np.stack([lo, lo + rng.integers(-2, 24, lo.shape)], axis=1)
+    extra = [grow(boxes, draw(st.integers(0, 3)))]
+    if n:
+        extra.append(np.stack([boxes[:, 0].min(0), boxes[:, 1].max(0)])[None])
+    return BoxArray(boxes), np.concatenate([regions, *extra])
+
+
+@settings(max_examples=300, deadline=None)
+@given(layouts_and_regions())
+def test_complement_gives_the_pieces_of_the_box_rounds(case):
+    """Cutting each piece by the first box it meets gives, piece for piece
+    and in the same order, what cutting every piece by every region's
+    n-th box, round after round, gave."""
+    ba, regions = case
+    got, want = ba.complement(regions), oracle.complement(ba, regions)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_level_mask_equals_the_per_fab_tags():

@@ -193,3 +193,89 @@ def test_regrid_step_reports_its_plan_builds():
     with closing(make_sim("2.0")) as sim:
         sim.step()
         assert sim.step_plan_builds > 0   # level 2's first FillPatch
+
+
+def test_coarse_coordinates_are_gathered_once_per_coarse_layout(monkeypatch):
+    """v2.0 copies a coarse level's coordinates into a ghosted temporary
+    for the curvilinear weights; the plan of that copy (its launches and
+    messages, ``fillpatch._gather_coords``) is built, over 13 steps of a
+    small v2.0 deck that regrids every other step, at most once per coarse
+    coordinate MultiFab — the remake's interpolation and the next stage's
+    fill plan share it — and never in a step without a regrid; a run that
+    rebuilds it at every use is charged the same messages and launches and
+    ends in the same state."""
+    from repro.amr.intvect import IntVect
+    from repro.amr.multifab import MultiFab
+    from repro.amr.parallelcopy import copy_plan
+    from repro.cases.dmr import DoubleMachReflection
+    from repro.core.crocco import CroccoConfig
+
+    gathered = []   # the coarse coordinates of every copy plan, kept alive
+    pinned = []     # the coarse levels whose cached plan was checked
+    plan = MultiFab.plan
+
+    def counted(self, slot, deps, build):
+        def copy():
+            gathered.append(self)
+            return build()
+        return plan(self, slot, deps, copy if slot[0] == "coords" else build)
+
+    def run():
+        del gathered[:]
+        sim = Crocco(DoubleMachReflection(ncells=(64, 16), curvilinear=True),
+                     CroccoConfig(version="2.0", nranks=3, ranks_per_node=3,
+                                  max_level=2, max_grid_size=16,
+                                  blocking_factor=8, regrid_int=2,
+                                  backend_target="device"))
+        per_step = []   # (regrids, copies) of each step
+        with closing(sim):
+            sim.initialize()
+            for _ in range(13):
+                regrids, copies = sim.regrid_count, len(gathered)
+                sim.step()
+                per_step.append((sim.regrid_count - regrids,
+                                 len(gathered) - copies, sim.finest_level))
+            # the cached plan is the parent's copy into a ghosted temporary
+            for lev in range(sim.finest_level):
+                crse, coords = sim.state[lev], sim.coords[lev]
+                got = coords._plans.get(("coords", sim.interp.radius))
+                if got is None:
+                    continue
+                pinned.append(lev)
+                tmp = MultiFab(crse.ba, crse.dm, coords.ncomp, crse.ngrow
+                               + IntVect.filled(crse.dim,
+                                                sim.interp.radius + 1),
+                               crse.comm)
+                want = copy_plan(tmp, coords, coords.ncomp, True)
+                assert (got.shares, got.messages) == (want.shares,
+                                                      want.messages), lev
+            totals = sim.exec_backend.class_totals()
+            return per_step, (
+                sim.comm.ledger.table.copy(),
+                {c: (t["launches"], t["points"]) for c, t in totals.items()},
+                [fab.whole().copy() for lev in range(sim.finest_level + 1)
+                 for _, fab in sim.state[lev]])
+
+    monkeypatch.setattr(MultiFab, "plan", counted)
+    per_step, cached = run()
+    assert pinned and sum(r for r, _, _ in per_step) >= 6
+    for regrids, copies, finest in per_step:
+        assert copies <= regrids * finest, per_step
+    assert len({id(c) for c in gathered}) == len(gathered), (
+        "a coarse layout's coordinate copy was planned twice")
+    copied = len(gathered)
+
+    def uncached(self, slot, deps, build):
+        if slot[0] != "coords":
+            return plan(self, slot, deps, build)
+        gathered.append(self)
+        built = build()
+        built.deps = deps
+        return built
+
+    monkeypatch.setattr(MultiFab, "plan", uncached)
+    _, every_use = run()
+    assert len(gathered) > copied
+    assert cached[:2] == every_use[:2]
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(cached[2], every_use[2]))

@@ -21,13 +21,14 @@ from repro.core.crocco import Crocco, CroccoConfig
 from repro.kernels.batch import BATCH_CELLS, shape_groups
 from repro.numerics.metrics import (CurvilinearMetrics, StackedMetrics,
                                     derivative_same_shape)
+from tests.numerics.test_stencils_metrics import cofactors
 
 STEPS = 8
 
 
 def reference_metrics(coords, order=4):
-    """``CurvilinearMetrics.from_coordinates`` as it was, one patch at a
-    time: ``(first, second, J, m)``."""
+    """``CurvilinearMetrics.from_coordinates`` one patch at a time, ``J``
+    and ``m`` in cofactor form: ``(first, second, J, m)``."""
     dim = coords.shape[0]
     s = coords.shape[1:]
     first = np.empty((dim, dim) + s)
@@ -39,12 +40,8 @@ def reference_metrics(coords, order=4):
     for j in range(dim):
         for k, (d, e) in enumerate(pairs):
             second[j, k] = derivative_same_shape(first[j, d], axis=e, order=order)
-    T = np.moveaxis(first.reshape(dim, dim, -1), -1, 0)
-    J = np.linalg.det(T)
-    Tinv = np.linalg.inv(T)
-    m = np.ascontiguousarray(
-        (J[:, None, None] * Tinv).transpose(1, 2, 0)).reshape((dim, dim) + s)
-    return first, second, J.reshape(s), m
+    J, m = cofactors(first)
+    return first, second, J, m
 
 
 def reference_curvilinear(coords):
@@ -56,12 +53,12 @@ def reference_curvilinear(coords):
 
 
 class Reference(Crocco):
-    """The remake as it was: everything rebuilt, everything interpolated."""
+    """The remake as it was: everything rebuilt, everything interpolated
+    (ghost cells, as in the remake, left to the level's next fill)."""
 
     def make_new_level_from_coarse(self, lev, ba, dm):
         self._build_level_storage(lev, ba, dm)
         self._fill_from_coarse(lev)
-        self._bc_fill(lev)
 
     def remake_level(self, lev, ba, dm):
         old_state = self.state[lev]
@@ -69,7 +66,6 @@ class Reference(Crocco):
         self._build_level_storage(lev, ba, dm)
         self._fill_from_coarse(lev)
         self.state[lev].parallel_copy(old_state)
-        self._bc_fill(lev)
 
     def _fill_from_coarse(self, lev):
         needs = self.interp.needs_coords

@@ -681,7 +681,11 @@ def built(tmp_path_factory):
         pytest.skip("no compiled kernel here: " + err.strip()[-200:])
     assert how == "miss" and not warnings_in(err)
     (lib,) = (cache / "repro").glob(native.PREFIX + "-*.so")
-    assert [p.name for p in (cache / "repro").iterdir()] == [lib.name]
+    # the library and the stamp of the self-check it passed, named by the
+    # library and this NumPy
+    (stamp,) = set((cache / "repro").iterdir()) - {lib}
+    assert stamp.name.startswith(f"{lib.stem}-{np.__version__}-")
+    assert stamp.suffix == ".checked" and stamp.stat().st_size == 0
     return cache, lib, sha
 
 
@@ -802,8 +806,111 @@ def test_two_processes_race_the_first_build(built, tmp_path):
              for _ in range(2)]
     for got, impl, _, err in map(finish, procs):
         assert (got, impl) == (sha, "compiled") and not warnings_in(err)
-    # libraries only (one, when the compiler is deterministic): no
-    # temporary left behind
+    # libraries and their stamps only (one, when the compiler is
+    # deterministic): no temporary left behind
     key = lib.name.rsplit("-", 1)[0]
-    assert all(p.name.startswith(key) and p.suffix == ".so"
+    assert all(p.name.startswith(key) and p.suffix in (".so", ".checked")
                for p in (tmp_path / "repro").iterdir())
+
+
+# -- the self-check, once per library -----------------------------------------
+
+@pytest.fixture
+def loader(built, tmp_path, monkeypatch):
+    """Resolves in this process, afresh per ``resolve()``, from a cache of
+    its own that holds the built library: the library's path, the stamps
+    beside it (``stamps()``) and one entry in ``checks`` per self-check
+    run."""
+    _, lib, _ = built
+    (tmp_path / "repro").mkdir()
+    shutil.copy(lib, tmp_path / "repro" / lib.name)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(native, "_status", {})
+    checks, check = [], native._self_check
+    monkeypatch.setattr(native, "_self_check",
+                        lambda k, path: (checks.append(path), check(k, path)))
+
+    def resolve():
+        monkeypatch.setattr(native, "_kernel", native._UNRESOLVED)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert native.kernels() is not None
+        return native.status()["check"]
+
+    lib = tmp_path / "repro" / lib.name
+    return SimpleNamespace(
+        lib=lib, checks=checks, resolve=resolve,
+        stamps=lambda: sorted(lib.parent.glob("*.checked")))
+
+
+def test_a_passed_check_is_stamped_and_not_run_again(loader):
+    assert not loader.stamps()
+    assert loader.resolve() == "run" and len(loader.checks) == 1
+    assert loader.resolve() == "stamped" and len(loader.checks) == 1
+    (stamp,) = loader.stamps()
+    assert sorted(loader.lib.parent.iterdir()) == sorted([stamp, loader.lib])
+
+
+@pytest.mark.parametrize("edit", ["garbled", "numpy", "reference"])
+def test_a_stamp_that_does_not_match_is_checked_again(loader, edit,
+                                                      tmp_path, monkeypatch):
+    """A stamp under a garbled name, or a process under another NumPy, or
+    one whose reference code (``native``, ``fluxes``, ``weno``, ``eos``,
+    ``state``) differs from what the stamp was written under: the check
+    runs, passes, and stamps what it ran under."""
+    loader.resolve()
+    (stamp,) = loader.stamps()
+    if edit == "garbled":
+        stamp.rename(stamp.with_name(stamp.name[:-12] + stamp.name[-8:]))
+    elif edit == "numpy":
+        monkeypatch.setattr(np, "__version__", "1.0.0")
+    else:
+        code = tmp_path / "reference"
+        code.mkdir()
+        for f in ("native.py", "fluxes.py", "weno.py", "eos.py",
+                  "state.py", native.SOURCE):   # the library's key: unchanged
+            shutil.copy(Path(native.__file__).with_name(f), code)
+        with open(code / "weno.py", "a") as f:
+            f.write("# another revision\n")
+        monkeypatch.setattr(native, "__file__", str(code / "native.py"))
+    assert loader.resolve() == "run" and len(loader.checks) == 2
+    assert loader.resolve() == "stamped" and len(loader.checks) == 2
+    # beside the stamp it did not match (the other NumPy's, the other
+    # code's, or the garbled one)
+    assert len(loader.stamps()) == 2
+
+
+def test_an_unwritable_stamp_is_checked_every_time(loader):
+    """A directory where the stamp goes (unwritable even to root): every
+    resolve checks and none fails."""
+    loader.resolve()
+    (stamp,) = loader.stamps()
+    stamp.unlink()
+    stamp.mkdir()
+    assert [loader.resolve() for _ in range(2)] == ["run", "run"]
+    assert len(loader.checks) == 3
+    assert sorted(loader.lib.parent.iterdir()) == sorted([stamp, loader.lib])
+
+
+@pytest.mark.parametrize("damage", ["truncated", "stale"])
+def test_a_stamp_does_not_vouch_for_another_library(built, tmp_path, damage):
+    """The good library's stamp beside a damaged one under its name, or
+    beside a library built from another source: the damage is caught as
+    without a stamp, with its one warning."""
+    cache, lib, sha = built
+    bad = tmp_path / "repro" / lib.name
+    bad.parent.mkdir()
+    if damage == "truncated":
+        bad.write_bytes(lib.read_bytes()[:4096])
+    else:
+        src = tmp_path / "other.c"
+        src.write_text("void weno_rows(void) {}\nvoid flux_split(void) {}\n"
+                       "void weno_sweep(void) {}\n")
+        subprocess.run([os.environ.get("CC") or "cc", "-shared", "-fPIC",
+                        str(src), "-o", str(bad)], check=True)
+        bad.rename(bad.with_name(f"{lib.name.rsplit('-', 1)[0]}-"
+                                 f"{native._digest(bad.read_bytes())}.so"))
+    for stamp in (cache / "repro").glob("*.checked"):
+        shutil.copy(stamp, bad.parent)
+    why = "is damaged" if damage == "truncated" else "does not reproduce"
+    assert_numpy_fallback(run({"XDG_CACHE_HOME": str(tmp_path)}), sha, why)

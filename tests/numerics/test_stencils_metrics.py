@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.numerics.metrics import (
     CartesianMetrics,
@@ -146,8 +148,9 @@ def test_curvilinear_gcl_residual_small():
 def test_metric_arrays_are_component_major(dim):
     """Each ``m(d)[j]`` is unit-stride along the grid — for one patch, a
     stack of one and a stack of several (whose members are views of it)
-    — with the values of ``J inv(dx/dxi)``: ``inv`` alone hands back
-    cell-major ``(N, d, j)`` storage every kernel would walk strided."""
+    — with the bits of the cofactors of ``dx/dxi`` (:func:`cofactors`):
+    a stacked ``(N, d, j)`` inverse would be storage every kernel walks
+    strided."""
     shape = (9, 8, 7)[:dim]
     idx = np.stack(np.meshgrid(*[np.arange(n) + 0.5 for n in shape],
                                indexing="ij"))
@@ -157,9 +160,8 @@ def test_metric_arrays_are_component_major(dim):
             idx + 0.1 * np.sin(0.4 * idx[::-1] + k))
 
     one = patch(0)
-    T = np.moveaxis(one.first.reshape(dim, dim, -1), -1, 0)
-    ref = (np.linalg.det(T)[:, None, None] * np.linalg.inv(T)).transpose(1, 2, 0)
-    assert np.array_equal(one._m, ref.reshape((dim, dim) + shape))
+    J, ref = cofactors(one.first)
+    assert np.array_equal(one._m, ref) and np.array_equal(one.jacobian(), J)
     members = [patch(k) for k in range(3)]
     several = StackedMetrics(members)
     for met in (one, StackedMetrics([patch(0)]), several):
@@ -175,6 +177,64 @@ def test_metric_arrays_are_component_major(dim):
         assert not np.shares_memory(mem.m(0), several.m(0))
         assert np.array_equal(got.m(1), patch(b).m(1))
         assert got.m(1)[0].flags.c_contiguous
+
+
+def cofactors(T):
+    """``(J, m)`` of one patch's ``T[j, d] = dx_j/dxi_d`` ``(dim, dim,
+    *s)``: ``m[d, j] = J dxi_d/dx_j`` is the cofactor of ``T[j, d]`` and
+    ``J`` the expansion of ``T``'s first row in them, left to right."""
+    m = np.empty_like(T)
+    for j in range(len(T)):
+        for d in range(len(T)):
+            if len(T) == 2:
+                m[d, j] = (-1) ** (j + d) * T[1 - j, 1 - d]
+            else:
+                a, b, e, f = (j + 1) % 3, (j + 2) % 3, (d + 1) % 3, (d + 2) % 3
+                m[d, j] = T[a, e] * T[b, f] - T[a, f] * T[b, e]
+    J = T[0, 0] * m[0, 0]
+    for d in range(1, len(T)):
+        J = J + T[0, d] * m[d, 0]
+    return J, m
+
+
+@st.composite
+def smooth_mappings(draw):
+    """Cell-center coordinates ``(dim, *s)`` of a smooth mapping: a
+    sheared, scaled and rotated lattice under a sine bump small enough
+    that ``dx/dxi`` stays orientation-preserving."""
+    dim = draw(st.sampled_from([2, 3]))
+    shape = tuple(draw(st.integers(5, 12 if dim == 2 else 7))
+                  for _ in range(dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    q = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+    q[:, 0] *= np.sign(np.linalg.det(q))  # a rotation
+    lin = q @ np.diag(rng.uniform(0.01, 10.0, dim)) @ (
+        np.eye(dim) + np.triu(rng.uniform(-0.5, 0.5, (dim, dim)), 1))
+    xi = np.indices(shape).astype(float) + 0.5
+    x = np.tensordot(lin, xi, axes=1)
+    k = rng.uniform(0.05, 0.4, dim)
+    amp = draw(st.floats(0.0, 0.1)) / (k.sum() * np.abs(lin).sum())
+    bump = np.sin(np.tensordot(k, xi, axes=1) + rng.uniform(0, 6))
+    return x + amp * np.abs(lin).sum(axis=1)[(slice(None),) + (None,) * dim] * bump
+
+
+@settings(max_examples=60, deadline=None)
+@given(smooth_mappings())
+def test_cofactor_metrics_equal_lapack_to_rounding(coords):
+    """The cofactor build is ``det`` and ``J inv`` of LAPACK's LU to a
+    relative 1e-12 (the declared class against the build it replaced);
+    the mirror image of the same grid has ``J < 0`` and is refused."""
+    dim = len(coords)
+    met = CurvilinearMetrics.from_coordinates(coords)
+    T = np.moveaxis(met.first.reshape(dim, dim, -1), -1, 0)
+    J = np.linalg.det(T)
+    m = (J[:, None, None] * np.linalg.inv(T)).transpose(1, 2, 0)
+    got = np.stack([met.m(d) for d in range(dim)]).reshape(m.shape)
+    assert np.abs(got - m).max() <= 1e-12 * np.abs(m).max()
+    assert np.abs(met.jacobian().ravel() - J).max() <= 1e-12 * np.abs(J).max()
+    with pytest.raises(ValueError, match="J <= 0"):
+        CurvilinearMetrics.from_coordinates(coords[::-1] if dim == 2 else
+                                            coords * [[[[-1]]], [[[1]]], [[[1]]]])
 
 
 def test_curvilinear_rejects_folded_grid():

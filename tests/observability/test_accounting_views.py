@@ -10,6 +10,7 @@ what the summaries were before the tables, one event at a time.
 """
 
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,3 +293,40 @@ def test_one_budget_per_name_on_a_recorded_dmr_step(tmp_path, launch_log):
             "L2": want["flops"] / want["l2_bytes"],
             "L1": want["flops"] / want["l1_bytes"]}, rel=1e-12), name
         assert charged[name] == pytest.approx(want["seconds"], rel=1e-12), name
+
+
+def test_totals_price_each_budget_once_and_equal_the_uncached_sum(tmp_path):
+    """On a recorded run of ``examples/decks/dmr.inputs`` (device, two
+    steps), ``launch_totals`` — each budget's sustained rate computed once
+    — equals, bit for bit, every distinct record priced afresh (the rate's
+    cache emptied first) by ``V100Model.kernel_time`` in the same order."""
+    from repro.cli import build_case
+    from repro.io.inputs import InputDeck
+
+    config, run = InputDeck.from_file(str(
+        Path(__file__).resolve().parents[2] / "examples" / "decks"
+        / "dmr.inputs")).resolve({"backend_target": "device",
+                                  "metrics_out": str(tmp_path / "m.jsonl")})
+    sim = Crocco(build_case(run), config)
+    sim.initialize()
+    sim.run(2)
+    sim.close()
+    model = V100Model()
+    for by in ("name", "kernel_class"):
+        expect = {}
+        for dev in sim.devices:
+            for rec, n in dev.table.items():
+                budget = budget_for_kernel(rec.name)
+                tot = expect.setdefault(getattr(rec, by), Counter())
+                V100Model.achieved_flops.cache_clear()
+                tot["seconds"] += model.kernel_time(budget, rec.npoints) * n
+                tot["flops"] += int(rec.npoints * budget.flops_per_point) * n
+        V100Model.achieved_flops.cache_clear()
+        got = launch_totals(sim.devices, by)
+        assert V100Model.achieved_flops.cache_info().misses == len({
+            budget_for_kernel(rec.name)
+            for dev in sim.devices for rec in dev.table})
+        assert len(got) > 3 and got.keys() == expect.keys()
+        for group, tot in got.items():
+            assert tot["seconds"] == expect[group]["seconds"], (by, group)
+            assert tot["flops"] == expect[group]["flops"], (by, group)

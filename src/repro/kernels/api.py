@@ -117,7 +117,7 @@ class KernelSet:
         any address is taken."""
         bound = [BoundStage(self, *stage) for stage in stages]
         scratch = self.exec_backend.scratch
-        for role, k in (("rhs", 0), ("fplus", 1), ("fminus", 1), ("f_iface", 2)):
+        for role, k in (("rhs", 0), *native.ROLES):
             n = max([math.prod(shapes[k]) for stage in bound
                      for shapes in stage.shapes or ()], default=0)
             if n:
@@ -220,13 +220,13 @@ class BoundStage:
             return
         ks, shape = self.kernels, self.shapes[0][0]
         self.out = scratch.get("rhs", shape) if shared else np.empty(shape)
-        bind, J = native.kernels().bind_sweep, self.metrics.jacobian()
-        first = self.launches[0][1][0]
-        calls = {d: bind(ks.convective.scheme, self.u, self.metrics.m(d), J,
-                         d, self.ng, ks.eos.gamma,
-                         ks.convective.split_form == "distributed", scratch,
-                         self.out, d != first)
-                 for _, ds, _ in self.launches for d in ds}
+        # the stage's directions in launch order, bound at once: the first
+        # writes out and the primitives, the others add and read them
+        order = tuple(d for _, ds, _ in self.launches for d in ds)
+        calls = dict(zip(order, native.kernels().bind_sweep(
+            ks.convective.scheme, self.u, [self.metrics.m(d) for d in order],
+            self.metrics.jacobian(), order, self.ng, ks.eos.gamma,
+            ks.convective.split_form == "distributed", scratch, self.out)))
         self.calls = [calls[ds[0]] if len(ds) == 1
                       else partial(_in_order, [calls[d] for d in ds])
                       for _, ds, _ in self.launches]

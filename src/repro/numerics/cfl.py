@@ -16,40 +16,39 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.backend import ExecutionBackend, LaunchSpec, owners
+from repro.numerics import native
 from repro.numerics.fluxes import wave_speed
 from repro.numerics.state import StateLayout
 
 
 def local_max_rate(layout: StateLayout, eos, u: np.ndarray, metrics,
                    backend: ExecutionBackend, rank=0):
-    """max over this patch's cells of sum_d (|Uhat_d| + a |m_d|)/J.
+    """max over this patch's cells of sum_d (|Uhat_d| + a |m_d|)/J; for a
+    batch ``u (ncons, B, *grid)`` with one owning rank per member, the
+    ``B`` patch rates.
 
-    The final max is an execution-backend ``ReduceData``: a NumPy
-    reduction on the host target, a recorded ``ComputeDt`` device
-    reduction on the device target — bitwise identical either way.
-
-    A batch ``u (ncons, B, *grid)`` with one owning rank per member
-    returns the ``B`` patch rates; each owning rank records one
-    reduction over its own members' cells.
+    Each owning rank records one ``ComputeDt`` reduction (``ReduceData``)
+    over its members' cells.  The maxima are taken once, by the compiled
+    kernel (:mod:`repro.numerics.native`) when this process has it and it
+    takes the input (an ideal gas on stored metrics), else by NumPy: the
+    same bits either way.
     """
-    rho, vel, p = eos.primitives(layout, u)
-    a = eos.sound_speed(layout, u, rho, p)
-    J = metrics.jacobian()
-    total = None
-    for d in range(layout.dim):
-        w = wave_speed(vel, a, metrics.m(d), J)
-        total = w if total is None else total + w
-    if total.ndim == layout.dim:
-        return backend.reduce_data("ComputeDt", total, "max",
-                                   LaunchSpec("reduction", rank))
-    # accounting is not execution: the patch maxima are taken once, on the
-    # stack; the reduction each rank's device would have run over its
-    # members' cells is recorded with an empty body
-    npts = math.prod(total.shape[1:])
-    for r, n in owners(rank, len(total)).items():
+    dim, J = layout.dim, metrics.jacobian()
+    compiled = native.kernels()
+    rates = compiled and compiled.max_rate(
+        u, [metrics.m(d) for d in range(dim)], J, eos)
+    if rates is None:
+        rho, vel, p = eos.primitives(layout, u)
+        a = eos.sound_speed(layout, u, rho, p)
+        w = [wave_speed(vel, a, metrics.m(d), J) for d in range(dim)]
+        rates = sum(w[1:], w[0]).max(axis=tuple(range(-dim, 0)))
+    # accounting is not execution: the reduction each rank's device would
+    # have run over its members' cells is recorded with an empty body
+    one, npts = u.ndim == dim + 1, math.prod(u.shape[-dim:])
+    for r, n in owners(rank, 1 if one else len(rates)).items():
         backend.reduce_data("ComputeDt", None, "max",
                             LaunchSpec("reduction", r), n * npts)
-    return total.max(axis=tuple(range(-layout.dim, 0)))
+    return float(rates) if one else rates
 
 
 def compute_dt(

@@ -29,39 +29,31 @@ def derivative_same_shape(v: np.ndarray, axis: int, order: int = 4) -> np.ndarra
 
     Interior points use the central stencil of the requested order; points
     near the array edge fall back to lower-order central and finally
-    one-sided 2nd-order differences.  Metrics are computed once per level
-    (re)build, so the edge fallback only affects outermost ghost cells.
+    one-sided 2nd-order differences (1st-order on 2 points, 0 on 1).  An
+    axis too short for the requested order's stencil takes the next lower
+    order's.  Metrics are computed once per level (re)build, so the edge
+    fallback only affects outermost ghost cells.
     """
+    offsets, coeffs = FIRST_DERIVATIVE[order]
+    rad = max(abs(o) for o in offsets)
+    if order > 2 and v.shape[axis] < 2 * rad + 1:
+        return derivative_same_shape(v, axis, order - 2)
     v = v.swapaxes(axis, -1)
     n = v.shape[-1]
     out = np.empty_like(v)
-    offsets, coeffs = FIRST_DERIVATIVE[order]
-    rad = max(abs(o) for o in offsets)
     if n >= 2 * rad + 1:
         acc = np.zeros(v.shape[:-1] + (n - 2 * rad,))
         for o, c in zip(offsets, coeffs):
             acc += c * v[..., rad + o: n - rad + o]
         out[..., rad:n - rad] = acc
-    else:
-        rad = n  # force full fallback below
-    # fallback: 2nd-order central where possible, one-sided at the ends
-    for i in range(min(rad, n)):
-        lo_i = i
-        hi_i = n - 1 - i
-        if lo_i >= 1:
-            out[..., lo_i] = 0.5 * (v[..., lo_i + 1] - v[..., lo_i - 1])
-        elif n >= 3:
-            out[..., 0] = -1.5 * v[..., 0] + 2.0 * v[..., 1] - 0.5 * v[..., 2]
-        elif n == 2:
-            out[..., 0] = v[..., 1] - v[..., 0]
-        else:
-            out[..., 0] = 0.0
-        if hi_i <= n - 2 and hi_i >= 1:
-            out[..., hi_i] = 0.5 * (v[..., hi_i + 1] - v[..., hi_i - 1])
-        elif n >= 3:
-            out[..., n - 1] = 1.5 * v[..., n - 1] - 2.0 * v[..., n - 2] + 0.5 * v[..., n - 3]
-        elif n == 2:
-            out[..., n - 1] = v[..., n - 1] - v[..., n - 2]
+    # the edge points: 2nd-order central, one-sided at the two ends
+    for i in (*range(1, min(rad, n - 1)), *range(max(n - rad, 1), n - 1)):
+        out[..., i] = 0.5 * (v[..., i + 1] - v[..., i - 1])
+    if n >= 3:
+        out[..., 0] = -1.5 * v[..., 0] + 2.0 * v[..., 1] - 0.5 * v[..., 2]
+        out[..., n - 1] = 1.5 * v[..., n - 1] - 2.0 * v[..., n - 2] + 0.5 * v[..., n - 3]
+    else:  # on 2 points a first difference, on 1 zero
+        out[...] = v[..., 1:] - v[..., :1] if n == 2 else 0.0
     return out.swapaxes(axis, -1)
 
 

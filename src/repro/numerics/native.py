@@ -2,17 +2,18 @@
 through ctypes.
 
 ``weno_sweep.c`` (beside this file, shipped as package data) holds one
-direction of the sweep as one call (``weno_sweep``) and its two
-halves on their own: the pointwise pre-pass (:func:`flux_split`:
-Lax-Friedrichs ``alpha``, curvilinear flux and split, stored sweep axis
-first) and the row kernel (:func:`weno_rows`:
+direction of the sweep as one call (``weno_sweep``; a stage's first
+direction computes the primitives, the others read them) and its two
+halves: the pointwise pre-pass (:func:`flux_split`: Lax-Friedrichs
+``alpha``, curvilinear flux and split, stored sweep axis first) and the
+row kernel (:func:`weno_rows`:
 :meth:`~repro.numerics.weno.WenoScheme.combine` of the plus windows plus
-its mirror image on the minus windows), all in NumPy's operation order:
-bitwise the reference, 5-15x faster.  :func:`kernels` hands the sweep
-all three — the whole one bound once per call site — or ``None`` (after
-**one** ``RuntimeWarning``) when no library can be had; the NumPy code
-then runs and the numbers are the same.  Which a process got is
-:func:`status`.
+its mirror image on the minus windows) — and ComputeDt's rate
+(``max_rate``), all in NumPy's operation order:
+bitwise the reference, 5-15x faster.  :func:`kernels` hands them out —
+the sweep bound once per stage or call site — or ``None`` (after **one**
+``RuntimeWarning``) when no library can be had; the NumPy code then runs
+and the numbers are the same.  Which a process got is :func:`status`.
 
 The library is built with ``$CC`` (default ``cc``) into
 ``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``; a per-user temp
@@ -27,6 +28,7 @@ or fleet worker loads its own.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import warnings
@@ -51,6 +53,9 @@ PREFIX = SOURCE[:-2]
 CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fno-math-errno",
           "-fPIC", "-shared")
 
+#: the sweep's scratch roles and their index in :func:`sweep_shapes`
+ROLES = (("fplus", 1), ("fminus", 1), ("f_iface", 2), ("prims", 3))
+
 _UNRESOLVED = object()
 _kernel = _UNRESOLVED
 _status: Dict[str, str] = {}
@@ -74,7 +79,12 @@ class Kernels(NamedTuple):
     #: (``add``: adds to) ``call.out`` (a new ``(dim + 2, [B,] *valid)`` by
     #: default) and keeps every array it has an address of in
     #: ``call.holds``; ``None``, nothing touched, unless :func:`split_takes`
+    #: — or, for a stage's tuple of directions and their ``m``, their calls:
+    #: the first computes the primitives (role ``prims``), the rest read them
     bind_sweep: Callable
+    #: ``f(u, m, J, eos) -> rates ([B])``: ComputeDt's rate of each member,
+    #: ``m`` every direction's; ``None`` for an input it does not take
+    max_rate: Callable
 
 
 def kernels() -> Optional[Kernels]:
@@ -175,16 +185,16 @@ def _library() -> tuple:
 
 
 def _load() -> Kernels:
-    import ctypes
-
     path, cache, built_with = _library()
     lib = ctypes.CDLL(str(path))
     p, n, d, i = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double, ctypes.c_int
     lib.weno_rows.argtypes = [p, p, p, n, n, n, i, p, p, p, p, d, d, d, d]
-    lib.flux_split.argtypes = [p, p, n, p, n * 4, i, i, n, d, d, i, p, n, p, p]
+    lib.flux_split.argtypes = [p, p, n, p, n * 4, i, i, n, d, d, i, p, n, p, p,
+                               p, i]
     lib.weno_sweep.argtypes = [p, p, n, p, n, n, n, n, i, i, n, d, d, i, p, p,
-                               p, i, p, p, p, p, d, d, d, d, p, i]
-    for f in (lib.weno_rows, lib.flux_split, lib.weno_sweep):
+                               p, i, p, p, p, p, d, d, d, d, p, i, p, i]
+    lib.max_rate.argtypes = [p, p * 3, p, n * 4, n * 11, i, d, d, p]
+    for f in (lib.weno_rows, lib.flux_split, lib.weno_sweep, lib.max_rate):
         f.restype = None
 
     def rows(scheme: WenoScheme, fp: np.ndarray, fm: np.ndarray,
@@ -210,54 +220,97 @@ def _load() -> Kernels:
             raise ValueError("flux_split wants float64 u (dim + 2, [B,] "
                              "*grown), m and J of its shape, C-contiguous "
                              "u, J and (n, dim + 2, [B,] *valid) fp, fm")
-        alpha = np.empty(batch)
+        alpha, prims = np.empty(batch), np.empty(shapes[3])
         lib.flux_split(u.ctypes.data, m.ctypes.data, m.strides[0] // 8,
                        J.ctypes.data,
                        # 2-D is 3-D with one plane
                        (n * 4)(*(batch or (1,)), *(1,) * (3 - dim), *grid),
                        dim, direction + 3 - dim, ng, gamma, PRESSURE_FLOOR,
                        distributed, alpha.ctypes.data, 1, fp.ctypes.data,
-                       fm.ctypes.data)
+                       fm.ctypes.data, prims.ctypes.data, True)
         return alpha
 
     types = lib.weno_sweep.argtypes
+    flag, axis = (i(0), i(1)), (i(0), i(1), i(2))  # never written to
 
-    def bind(scheme: WenoScheme, u: np.ndarray, m: np.ndarray, J: np.ndarray,
-             direction: int, ng: int, gamma: float, distributed: bool,
+    def bind(scheme: WenoScheme, u: np.ndarray, m, J: np.ndarray,
+             direction, ng: int, gamma: float, distributed: bool,
              scratch, out: Optional[np.ndarray] = None, add: bool = False):
-        if not split_takes(u, m, J):
+        stage = isinstance(direction, tuple)  # a stage's order, m theirs
+        order, ms = (direction, m) if stage else ((direction,), (m,))
+        if not all([split_takes(u, x, J) for x in ms]):
             return None
-        dim = len(m)
-        shapes = sweep_shapes(u.shape, dim, direction, ng)
-        if shapes is not None:
-            shape, major, iface = shapes
-            res = np.empty(shape) if out is None else out
-            fp, fm = scratch.get("fplus", major), scratch.get("fminus", major)
-            fi = scratch.get("f_iface", iface)
-            ok = (res.shape == shape and fp.shape == fm.shape == major
-                  and fi.shape == iface and _plain(res, fp, fm, fi))
-        if shapes is None or not ok:
-            raise ValueError("weno_sweep wants a grid direction, ng >= 3 "
-                             "ghost cells around valid ones, a float64 "
-                             "C-contiguous (dim + 2, [B,] *valid) out and "
-                             "scratch of the shapes it asks for")
+        dim, res = len(ms[0]), out
+        # each direction's roles at its shapes, the largest last (the split
+        # fluxes and the interfaces are largest along the shortest axis):
+        # every call points at the last views, which every direction fits
+        # in — of a cache, the buffer its largest request left
+        for shapes in sorted([sweep_shapes(u.shape, dim, d, ng) for d in order],
+                             key=lambda s: math.prod(s[1]) if s else -1):
+            if shapes and res is None:
+                res = np.empty(shapes[0])
+            got = shapes and [scratch.get(r, shapes[k]) for r, k in ROLES]
+            if not (got and res.shape == shapes[0] and _plain(res, *got)
+                    and [a.shape for a in got] == [shapes[k] for _, k in ROLES]):
+                raise ValueError("weno_sweep wants a grid direction, ng >= 3 "
+                                 "ghost cells around valid ones, a float64 "
+                                 "C-contiguous (dim + 2, [B,] *valid) out "
+                                 "and scratch of the shapes it asks for")
         tables, scheme_args = _scheme_args(scheme)
-        args = (u.ctypes.data, m.ctypes.data, m.strides[0] // 8, J.ctypes.data,
-                *(u.shape[1:-dim] or (1,)), *(1,) * (3 - dim), *u.shape[-dim:],
-                dim, direction + 3 - dim, ng, gamma, PRESSURE_FLOOR,
-                distributed, fp.ctypes.data, fm.ctypes.data, fi.ctypes.data,
-                *scheme_args, res.ctypes.data, add)
-        # converted once: a call passes ctypes objects through as they are
-        call = partial(lib.weno_sweep, *map(type.__call__, types, args))
-        call.out, call.holds = res, (u, m, J, fp, fm, fi, res, *tables)
-        return call
+        # converted once per stage: a call passes ctypes objects through
+        # as they are; per direction its metrics, axis, whether it adds
+        # and whether it fills the primitives (the first) or reads them
+        args = [*map(type.__call__, types, (
+            u.ctypes.data, 0, 0, J.ctypes.data, *(u.shape[1:-dim] or (1,)),
+            *(1,) * (3 - dim), *u.shape[-dim:], dim, 0, ng, gamma,
+            PRESSURE_FLOOR, distributed,
+            *[a.ctypes.data for a in got[:3]])), *scheme_args,
+            p(res.ctypes.data), 0, p(got[3].ctypes.data), 0]
+        calls = []
+        for k, (d, x) in enumerate(zip(order, ms)):
+            args[1:3] = p(x.ctypes.data), n(x.strides[0] // 8)
+            args[9], args[-3], args[-1] = (axis[d + 3 - dim],
+                                           flag[bool(add or k)], flag[not k])
+            calls.append(partial(lib.weno_sweep, *args))
+            calls[-1].out, calls[-1].holds = res, (u, x, J, *got, res, *tables)
+        return calls if stage else calls[0]
 
-    k = Kernels(split, rows, bind)
+    def rate(u: np.ndarray, m, J: np.ndarray, eos):
+        # an ideal gas's float64 u (dim + 2, [B,] *cells), J of its cells
+        # and each m[d] (dim, ...) of them, of one strides; unit-stride rows
+        dim, nu = len(m), u.ndim
+        st = (*u.strides, *m[0].strides, *J.strides)
+        if not (type(eos) is IdealGasEOS and dim in (2, 3) and u.size > 0
+                and len(u) == dim + 2 and u.ndim in (dim + 1, dim + 2)
+                and {(x.shape, x.strides, x.dtype) for x in m}
+                == {((dim, *u.shape[1:]), m[0].strides, u.dtype)}
+                and J.shape == u.shape[1:] and u.dtype == J.dtype == np.float64
+                and u.strides[-1] == J.strides[-1] == m[0].strides[-1] == 8
+                and not any([s % 8 for s in st])):
+            return None
+        # element strides of a member axis and of the outer two of three
+        # grid axes: 0 for one patch's member and for 2-D's one plane
+        one, st = nu == dim + 1, [s // 8 for s in st]
+        pad, k = (0,) * (one + 3 - dim), 2 - one  # k: u's axes before grid
+
+        def ax(s, k):
+            return [*s[:k], *pad, *s[k:-1]]
+        res = np.empty(u.shape[1:-dim] or 1)
+        lib.max_rate(u.ctypes.data, (p * 3)(*[x.ctypes.data for x in m]),
+                     J.ctypes.data, (n * 4)(*res.shape, *(1,) * (3 - dim),
+                                            *u.shape[-dim:]),
+                     (n * 11)(*ax(st[:nu], k), *ax(st[nu:2 * nu], k),
+                              *ax(st[2 * nu:], k - 1)),
+                     dim, eos.gamma, PRESSURE_FLOOR, res.ctypes.data)
+        return res.reshape(u.shape[1:-dim])
+
+    k = Kernels(split, rows, bind, rate)
     # checked once per library: a pass leaves an empty stamp beside it,
     # named by its bytes, this NumPy and the code the check runs
     stamp = path.with_name(f"{path.stem}-{np.__version__}-" + _digest(*(
         Path(__file__).with_name(f"{m}.py").read_bytes()
-        for m in ("native", "fluxes", "weno", "eos", "state"))) + ".checked")
+        for m in ("native", "fluxes", "weno", "eos", "state", "cfl")))
+        + ".checked")
     check = "stamped" if stamp.is_file() else "run"
     if check == "run":
         _self_check(k, path)
@@ -289,28 +342,32 @@ def split_takes(u: np.ndarray, m: np.ndarray, J: np.ndarray) -> bool:
 
 def sweep_shapes(shape: tuple, dim: int, direction: int, ng: int,
                  least: int = 3):
-    """``(out, fplus / fminus, f_iface)`` shapes of one direction of the
-    sweep of a ``u`` of ``shape``, ``None`` for a call it refuses (``ng <
-    least`` ghost cells, no valid cell)."""
+    """``(out, fplus / fminus, f_iface, prims)`` shapes of one direction
+    of the sweep of a ``u`` of ``shape``, ``None`` for a call it refuses
+    (``ng < least`` ghost cells, no valid cell)."""
     grid, batch = shape[-dim:], shape[1:-dim]
     rest = [g - 2 * ng for g in grid]
     if not (0 <= direction < dim and ng >= least and min(rest) > 0):
         return None
     out = (dim + 2, *batch, *rest)
     nv = rest.pop(direction)
-    return out, (nv + 2 * ng, dim + 2, *batch, *rest), (nv + 1, dim + 2,
-                                                       *batch, *rest)
+    return (out, (nv + 2 * ng, dim + 2, *batch, *rest),
+            (nv + 1, dim + 2, *batch, *rest), (dim + 1, *shape[1:]))
+
 
 
 def _self_check(k: Kernels, lib: Path) -> None:
     """One window of a jump (cap and limiter both active) through the row
     kernel and one small 2-D state with a jump through the whole sweep —
-    pre-pass, rows, difference; both sweep axes, both energy forms, a new
-    ``out`` and an accumulated one — against the NumPy sweep (no library
-    is resolved while this runs): a library that is not this source's
-    fails here."""
+    pre-pass, rows, difference; both sweep axes bound as a stage (a new
+    ``out`` and the primitives, then an accumulated one reading them),
+    both energy forms — and through ComputeDt's rate on strided views,
+    against the NumPy code (no library is resolved while this runs): a
+    library that is not this source's fails here."""
     from types import SimpleNamespace
 
+    from repro.backend import HostBackend
+    from repro.numerics.cfl import local_max_rate
     from repro.numerics.fluxes import ConvectiveFlux
 
     x = np.arange(2 * 9 * 7, dtype=np.float64).reshape(2, 9, 7)
@@ -325,16 +382,22 @@ def _self_check(k: Kernels, lib: Path) -> None:
     ms = 0.1 * np.stack([fm, 2.0 + fp, 1.0 + fp, fm]).reshape(2, 2, 9, 7)
     metrics = SimpleNamespace(m=ms.__getitem__, jacobian=lambda: fp)
     for form in ("fused", "distributed"):
-        got = ref = None
+        ref = None
         for d in (0, 1):
             ref = ConvectiveFlux(scheme, form).divergence(
                 StateLayout(dim=2), eos, u, metrics, d, 3, out=ref)
-            call = k.bind_sweep(scheme, u, ms[d], fp, d, 3, eos.gamma,
-                                form == "distributed", NO_SCRATCH, got, d)
+        calls = k.bind_sweep(scheme, u, tuple(ms), fp, (0, 1), 3, eos.gamma,
+                             form == "distributed", NO_SCRATCH)
+        for call in calls:
             call()
-            got = call.out
-        if not np.array_equal(got, ref):
+        if not np.array_equal(call.out, ref):
             raise RuntimeError(f"{lib} does not reproduce the sweep")
+    v = (Ellipsis, slice(1, -1), slice(2, -1))
+    ref = local_max_rate(StateLayout(dim=2), eos, u[v], SimpleNamespace(
+        m=lambda d: ms[d][v], jacobian=lambda: fp[v]), HostBackend())
+    if not np.array_equal(k.max_rate(u[v], [x[v] for x in ms], fp[v], eos),
+                          ref):
+        raise RuntimeError(f"{lib} does not reproduce ComputeDt")
 
 
 @lru_cache(maxsize=None)
@@ -344,5 +407,7 @@ def _scheme_args(scheme: WenoScheme) -> tuple:
     nst = scheme.n_stencils
     arrays = tuple(np.ascontiguousarray(a, dtype=np.float64)
                    for a in (*stencil_tables(nst), scheme.linear_weights()))
-    return (arrays, (nst, *(a.ctypes.data for a in arrays), scheme.eps / 6.0,
-                     WENO_EPS_FLOOR, BETA_K, float(scheme.downwind_limit)))
+    p, d = ctypes.c_void_p, ctypes.c_double  # converted once
+    return (arrays, (ctypes.c_int(nst), *(p(a.ctypes.data) for a in arrays),
+                     *map(d, (scheme.eps / 6.0, WENO_EPS_FLOOR, BETA_K,
+                              float(scheme.downwind_limit)))))

@@ -1,5 +1,6 @@
-/* One direction of the WENO sweep, weno_sweep() at the end: pre-pass
- * flux_split(), row kernel weno_rows(), flux difference.  The row kernel:
+/* One direction of the WENO sweep, weno_sweep() near the end: pre-pass
+ * flux_split(), row kernel weno_rows(), flux difference; then ComputeDt's
+ * max_rate(), which shares the pre-pass's cell arithmetic.  The row kernel:
  * WenoScheme.combine (numerics/weno.py) of the plus windows of F+ plus
  * its mirror image on F-, one pass per interface.
  *
@@ -27,9 +28,14 @@
  * "complicated access pattern"; restrict on block-scope pointers is
  * dropped and 12 run-time alias checks exceed gcc's limit).
  */
+#include <math.h>
 #include <stddef.h>
+#include <stdint.h>
+#include <string.h>
 
 #define INLINE static inline __attribute__((always_inline))
+#define IN const double *restrict
+#define OUT double *restrict
 
 struct tables {
     double c[4][3], d1[4][3], d2[4][3], w[4];
@@ -90,13 +96,8 @@ INLINE double combine(const struct tables *t, int nst, int limited,
 
 /* one interface: restrict only binds on parameters */
 INLINE void row(const struct tables *t, int nst, int limited, ptrdiff_t R,
-                const double *restrict p0, const double *restrict p1,
-                const double *restrict p2, const double *restrict p3,
-                const double *restrict p4, const double *restrict p5,
-                const double *restrict m0, const double *restrict m1,
-                const double *restrict m2, const double *restrict m3,
-                const double *restrict m4, const double *restrict m5,
-                double *restrict o)
+                IN p0, IN p1, IN p2, IN p3, IN p4, IN p5,
+                IN m0, IN m1, IN m2, IN m3, IN m4, IN m5, OUT o)
 {
     for (ptrdiff_t i = 0; i < R; i++)
         o[i] = combine(t, nst, limited,
@@ -129,14 +130,10 @@ void weno_rows(const double *fp, const double *fm, double *out,
 {
     struct tables t = {.eps6 = eps6, .floor = floor, .beta_k = beta_k,
                        .limit = limit};
-    for (int r = 0; r < nst; r++) {
-        t.w[r] = w[r];
-        for (int k = 0; k < 3; k++) {
-            t.c[r][k] = C[3 * r + k];
-            t.d1[r][k] = D1[3 * r + k];
-            t.d2[r][k] = D2[3 * r + k];
-        }
-    }
+    memcpy(t.c, C, sizeof t.c[0] * nst);    /* (nst, 3) each */
+    memcpy(t.d1, D1, sizeof t.d1[0] * nst);
+    memcpy(t.d2, D2, sizeof t.d2[0] * nst);
+    memcpy(t.w, w, sizeof t.w[0] * nst);
     if (nst == 4) {
         t.cap = w[3] / (1.0 - w[3]);
         if (limit > 0)
@@ -159,65 +156,72 @@ void weno_rows(const double *fp, const double *fm, double *out,
  * Layout: u is (dim + 2, B, n0, n1, n2), J (B, n0, n1, n2) and each of
  * the dim components of m, `mc` elements apart, (B, n0, n1, n2), all
  * C-contiguous (n0 = 1 in 2-D).  fp / fm are (n_d, dim + 2, B, *valid
- * transverse): what the row kernel above reads.
+ * transverse): what the row kernel above reads.  pv, the primitives pass
+ * A reads, is (dim + 1, B, n0, n1, n2): the velocities, then a.
  */
-#include <math.h>
-#include <stdint.h>
-#include <string.h>
-
-#define IN const double *restrict
-#define OUT double *restrict
 enum { TY = 8, TZ = 64 };   /* the transposition tile of the last sweep */
 
-/* one cell's pressure; its Uhat through `uhat` */
-INLINE double cell(int dim, double gamma, double rho, double q0, double q1,
-                   double q2, double E, double g0, double g1, double g2,
-                   double *uhat)
+/* one cell's pressure from its conserved values */
+INLINE double pressure(int dim, double gamma, double rho, double q0,
+                       double q1, double q2, double E)
 {
-    double s = q0 * q0 + q1 * q1, uh = 0.0 + g0 * (q0 / rho) + g1 * (q1 / rho);
-    if (dim == 3) {
-        s += q2 * q2;
-        uh += g2 * (q2 / rho);
-    }
-    *uhat = uh;
-    return (gamma - 1.0) * (E - 0.5 * s / rho);
+    double s = q0 * q0 + q1 * q1;
+    return (gamma - 1.0) * (E - 0.5 * (dim == 3 ? s + q2 * q2 : s) / rho);
 }
+
+/* a = sqrt(gamma max(p, floor) / rho): np.maximum keeps a NaN p */
+#define SOUND(p, rho) sqrt(gamma * ((p) < floor ? floor : (p)) / (rho))
+/* Uhat = m . v and (|Uhat| + a |m|) / J, the sums einsum's from +0.0 */
+#define UHAT(g0, g1, g2, v0, v1, v2) \
+    (dim == 3 ? 0.0 + g0 * v0 + g1 * v1 + g2 * v2 : 0.0 + g0 * v0 + g1 * v1)
+#define WAVE(uh, a, g0, g1, g2, Jc) \
+    ((fabs(uh) + (a) * sqrt(0.0 + g0 * g0 + g1 * g1 + g2 * g2)) / (Jc))
 
 /* gcc vectorises an integer max reduction but, without
  * -ffinite-math-only, not a floating one: doubles are compared through
- * the int64 that orders as they do (its own inverse on the bits) */
-INLINE int64_t ordered(int64_t k)
+ * the int64 that orders as they do (its own inverse on the bits); KEEP
+ * adds l to the max mx and notes a NaN, kept() is their max (NaN when
+ * one was, as ndarray.max) */
+#define ORDERED(k) ((k) ^ (((k) >> 63) & INT64_MAX))
+#define KEEP(l, mx, nan) do { double l_ = (l); int64_t k_; \
+    memcpy(&k_, &l_, sizeof k_); k_ = ORDERED(k_); \
+    mx = k_ > mx ? k_ : mx; nan |= l_ != l_; } while (0)
+
+INLINE double kept(int64_t mx, int64_t nan)
 {
-    return k ^ ((k >> 63) & INT64_MAX);
+    double x;
+    mx = ORDERED(mx);
+    memcpy(&x, &mx, sizeof x);
+    return nan ? NAN : x;
 }
 
-/* pass A: max over n cells of (|Uhat| + a |m|) / J, NaN when one is
- * (as ndarray.max) */
-INLINE double speed(int dim, double gamma, double floor, ptrdiff_t n,
-                    IN r, IN q0, IN q1, IN q2, IN e,
+/* pass A's first half, once per state: n cells' velocities and a */
+INLINE void primitives(int dim, double gamma, double floor, ptrdiff_t n,
+                       IN r, IN q0, IN q1, IN q2, IN e,
+                       OUT v0, OUT v1, OUT v2, OUT va)
+{
+    for (ptrdiff_t i = 0; i < n; i++) {
+        double rho = 0.0 + r[i];
+        double p = pressure(dim, gamma, rho, q0[i], q1[i], q2[i], e[i]);
+        v0[i] = q0[i] / rho, v1[i] = q1[i] / rho;
+        if (dim == 3)
+            v2[i] = q2[i] / rho;
+        va[i] = SOUND(p, rho);
+    }
+}
+
+/* pass A's second half, per direction: max over n cells of
+ * (|Uhat| + a |m|) / J, NaN when one is */
+INLINE double speed(int dim, ptrdiff_t n, IN v0, IN v1, IN v2, IN va,
                     IN m0, IN m1, IN m2, IN J)
 {
-    int64_t k, mx = INT64_MIN;
-    int nan = 0;
+    int64_t mx = INT64_MIN, nan = 0;
     for (ptrdiff_t i = 0; i < n; i++) {
-        double rho = 0.0 + r[i], g0 = m0[i], g1 = m1[i];
-        double g2 = dim == 3 ? m2[i] : 0.0, uh;
-        double p = cell(dim, gamma, rho, q0[i], q1[i], q2[i], e[i],
-                        g0, g1, g2, &uh);
-        /* np.maximum(p, floor): NaN stays NaN */
-        double a = sqrt(gamma * (p < floor ? floor : p) / rho);
-        double l = (fabs(uh) + a * sqrt(0.0 + g0 * g0 + g1 * g1 + g2 * g2))
-                   / J[i];
-        memcpy(&k, &l, sizeof k);
-        k = ordered(k);
-        mx = k > mx ? k : mx;
-        nan |= l != l;
+        double g0 = m0[i], g1 = m1[i], g2 = dim == 3 ? m2[i] : 0.0;
+        KEEP(WAVE(UHAT(g0, g1, g2, v0[i], v1[i], v2[i]), va[i], g0, g1, g2,
+                  J[i]), mx, nan);
     }
-    double alpha = NAN;
-    mx = ordered(mx);
-    if (!nan)
-        memcpy(&alpha, &mx, sizeof alpha);
-    return alpha;
+    return kept(mx, nan);
 }
 
 #define SPLIT(P, M, f, q) do { double ju = (q) * Jc * alpha, fh = (f); \
@@ -234,8 +238,9 @@ INLINE void split_row(int dim, double gamma, int distributed, double alpha,
     for (ptrdiff_t i = 0; i < n; i++) {
         double rho = 0.0 + r[i], a0 = q0[i], a1 = q1[i], a2 = q2[i];
         double E = e[i], Jc = J[i], g0 = m0[i], g1 = m1[i];
-        double g2 = dim == 3 ? m2[i] : 0.0, uh;
-        double p = cell(dim, gamma, rho, a0, a1, a2, E, g0, g1, g2, &uh);
+        double g2 = dim == 3 ? m2[i] : 0.0;
+        double p = pressure(dim, gamma, rho, a0, a1, a2, E);
+        double uh = UHAT(g0, g1, g2, (a0 / rho), (a1 / rho), (a2 / rho));
         SPLIT(fr, br, r[i] * uh, r[i]);
         SPLIT(f0, b0, a0 * uh + g0 * p, a0);
         SPLIT(f1, b1, a1 * uh + g1 * p, a1);
@@ -249,6 +254,8 @@ INLINE void split_row(int dim, double gamma, int distributed, double alpha,
  * one first element; in 2-D the third of each repeats the second, unused */
 #define U5(r, cs) r, r + cs, r + 2 * cs, r + dim * cs, r + (dim + 1) * cs
 #define M3(g) g, g + mc, g + (dim - 1) * mc
+/* the velocities and a of the primitives, the same way */
+#define V4(p, cs) p, p + cs, p + (dim - 1) * cs, p + dim * cs
 
 /* the cells a sweep along d works on: per axis the ghost rows skipped
  * (none along d), the cells left and their stride in one sweep-major
@@ -268,17 +275,21 @@ INLINE ptrdiff_t crop(const ptrdiff_t *n, int d, ptrdiff_t ng, ptrdiff_t *lo,
     return plane;
 }
 
-/* member b of the batch: its alpha over its full grown array, then the
- * cells without the ghost rows of the transverse axes */
+/* member b of the batch: its alpha over its full grown array (its
+ * primitives computed first if `fill`, else read), then the cells
+ * without the ghost rows of the transverse axes */
 INLINE void member(int dim, ptrdiff_t b, const double *u, const double *m,
                    ptrdiff_t mc, const double *J, const ptrdiff_t *n, int d,
                    ptrdiff_t ng, double gamma, double floor, int distributed,
-                   double *alpha, double *fp, double *fm)
+                   double *alpha, double *fp, double *fm, double *pv,
+                   int fill)
 {
     ptrdiff_t n1 = n[2], n2 = n[3], N = n[1] * n1 * n2, cs = n[0] * N;
     ptrdiff_t lo[3], v[3], os[3], plane = crop(n, d, ng, lo, v, os);
-    u += b * N, m += b * N, J += b * N;
-    *alpha = speed(dim, gamma, floor, N, U5(u, cs), M3(m), J);
+    u += b * N, m += b * N, J += b * N, pv += b * N;
+    if (fill)
+        primitives(dim, gamma, floor, N, U5(u, cs), V4(pv, cs));
+    *alpha = speed(dim, N, V4(pv, cs), M3(m), J);
 
     ptrdiff_t sc = n[0] * plane;    /* one component of one sweep index */
     os[d] = (dim + 2) * sc;
@@ -315,19 +326,18 @@ INLINE void member(int dim, ptrdiff_t b, const double *u, const double *m,
 }
 
 /* n = (B, n0, n1, n2); d: the sweep axis among the three; alpha: one per
- * member, `as` apart (0: nobody reads them) */
+ * member, `as` apart (0: nobody reads them); pv: the primitives, written
+ * (fill) or read */
 void flux_split(const double *u, const double *m, ptrdiff_t mc,
                 const double *J, const ptrdiff_t *n, int dim, int d,
                 ptrdiff_t ng, double gamma, double floor, int distributed,
-                double *alpha, ptrdiff_t as, double *fp, double *fm)
+                double *alpha, ptrdiff_t as, double *fp, double *fm,
+                double *pv, int fill)
 {
+#define MEMBER(dim) member(dim, b, u, m, mc, J, n, d, ng, gamma, floor, \
+    distributed, alpha + b * as, fp, fm, pv, fill)
     for (ptrdiff_t b = 0; b < n[0]; b++)
-        if (dim == 3)
-            member(3, b, u, m, mc, J, n, d, ng, gamma, floor, distributed,
-                   alpha + b * as, fp, fm);
-        else
-            member(2, b, u, m, mc, J, n, d, ng, gamma, floor, distributed,
-                   alpha + b * as, fp, fm);
+        dim == 3 ? MEMBER(3) : MEMBER(2);
 }
 
 /* ---- the post-pass: out = [out +] -(f[i+1] - f[i]) / J, from the
@@ -346,20 +356,22 @@ INLINE void diff_row(int add, ptrdiff_t n, ptrdiff_t fs, IN f0, IN f1, IN J,
  * flux_split (n by value) and of weno_rows, between them their scratch —
  * fp, fm as flux_split fills them, fi (nv + 1, dim + 2, B, *valid
  * transverse) the interfaces of the valid region — then the right-hand
- * side (dim + 2, B, *valid) written (add: added to).  ng >= 3. */
+ * side (dim + 2, B, *valid) written (add: added to), and the primitives
+ * pass A computes into pv (fill) or reads from it.  ng >= 3. */
 void weno_sweep(const double *u, const double *m, ptrdiff_t mc,
                 const double *J, ptrdiff_t B, ptrdiff_t n0, ptrdiff_t n1,
                 ptrdiff_t n2, int dim, int d, ptrdiff_t ng, double gamma,
                 double pfloor, int distributed, double *fp, double *fm,
                 double *fi, int nst, const double *C, const double *D1,
                 const double *D2, const double *w, double eps6, double floor,
-                double beta_k, double limit, double *out, int add)
+                double beta_k, double limit, double *out, int add,
+                double *pv, int fill)
 {
     ptrdiff_t n[4] = {B, n0, n1, n2}, lo[3], v[3], os[3];
     ptrdiff_t plane = crop(n, d, ng, lo, v, os), R = (dim + 2) * B * plane;
     double alpha;
     flux_split(u, m, mc, J, n, dim, d, ng, gamma, pfloor, distributed,
-               &alpha, 0, fp, fm);
+               &alpha, 0, fp, fm, pv, fill);
     lo[d] = ng, v[d] -= 2 * ng, os[d] = R;   /* now the valid cells of d too */
     weno_rows(fp, fm, fi, v[d] + 1, R, ng - 3, nst, C, D1, D2, w, eps6, floor,
               beta_k, limit);
@@ -377,4 +389,50 @@ void weno_sweep(const double *u, const double *m, ptrdiff_t mc,
                 else
                     diff_row(0, v[2], 1, f, f + R, Jr, o);
             }
+}
+
+/* ---- ComputeDt: local_max_rate (numerics/cfl.py), per member the max
+ * over its cells of sum_d (|Uhat_d| + a |m_d|) / J, `(w0 + w1) + w2` ---- */
+INLINE void rate_row(int dim, double gamma, double floor, ptrdiff_t n,
+                     const double *u, ptrdiff_t cs, const double *const *m,
+                     ptrdiff_t im, ptrdiff_t mc, const double *J,
+                     int64_t *top, int64_t *bad)
+{
+    int64_t mx = *top, nan = *bad;
+    for (ptrdiff_t i = 0; i < n; i++) {
+        double rho = 0.0 + u[i], q0 = u[cs + i], q1 = u[2 * cs + i];
+        double q2 = dim == 3 ? u[3 * cs + i] : 0.0, E = u[(dim + 1) * cs + i];
+        double p = pressure(dim, gamma, rho, q0, q1, q2, E), l = 0.0;
+        double a = SOUND(p, rho), v0 = q0 / rho, v1 = q1 / rho, v2 = q2 / rho;
+        for (int d = 0; d < dim; d++) {
+            const double *g = m[d] + im + i;
+            double g0 = g[0], g1 = g[mc], g2 = dim == 3 ? g[2 * mc] : 0.0;
+            double w = WAVE(UHAT(g0, g1, g2, v0, v1, v2), a, g0, g1, g2, J[i]);
+            l = d ? l + w : w;
+        }
+        KEEP(l, mx, nan);
+    }
+    *top = mx, *bad = nan;
+}
+
+/* n = (B, n0, n1, n2) cells, unit-stride along n2; m: each direction's;
+ * s: the element strides of u (component, member, n0, n1), of every m
+ * (the same four) and of J (member, n0, n1); rate: one per member */
+void max_rate(const double *u, const double *const *m, const double *J,
+              const ptrdiff_t *n, const ptrdiff_t *s, int dim, double gamma,
+              double floor, double *rate)
+{
+    for (ptrdiff_t b = 0; b < n[0]; b++) {
+        int64_t mx = INT64_MIN, nan = 0;
+        for (ptrdiff_t i0 = 0; i0 < n[1]; i0++)
+            for (ptrdiff_t i1 = 0; i1 < n[2]; i1++) {
+                const double *r = u + b * s[1] + i0 * s[2] + i1 * s[3];
+                const double *j = J + b * s[8] + i0 * s[9] + i1 * s[10];
+                ptrdiff_t im = b * s[5] + i0 * s[6] + i1 * s[7];
+#define RATE(dim) rate_row(dim, gamma, floor, n[3], r, s[0], m, im, s[4], j, \
+                           &mx, &nan)
+                dim == 3 ? RATE(3) : RATE(2);
+            }
+        rate[b] = kept(mx, nan);
+    }
 }

@@ -163,8 +163,9 @@ class TestJitGating:
         NumPy stand-in with the compiled binder's signature must reproduce
         the NumPy path bit for bit on every target, so what is under test
         is the call site — state and stored metrics in, the backend's
-        scratch, one right-hand side made by the first direction and
-        handed to the others, once per direction."""
+        scratch, the stage's directions bound at once, one right-hand side
+        made by the first direction and handed to the others, once per
+        direction."""
         from repro.kernels.api import make_kernels
         from repro.numerics.eos import IdealGasEOS
         from repro.numerics.metrics import CurvilinearMetrics, StackedMetrics
@@ -172,24 +173,28 @@ class TestJitGating:
 
         calls, layout = [], StateLayout(dim=dim, nspecies=1)
 
-        def bind(scheme, u, m, J, direction, ng, gamma, distributed,
+        def bind(scheme, u, ms, J, order, ng, gamma, distributed,
                  scratch, out=None, add=False):
-            assert native.split_takes(u, m, J) and distributed
-            assert scratch is ks.exec_backend.scratch
+            assert order == tuple(range(dim))[::-1] and len(ms) == dim
+            assert scratch is ks.exec_backend.scratch and not add
 
-            def call():
-                assert add == (len(calls) % dim != 0)
-                assert not add or out is calls[-1]
-                with monkeypatch.context() as mp:
-                    weno_oracle.use_numpy_sweep(mp)
-                    res = ks.convective.divergence(
-                        layout, IdealGasEOS(gamma),
-                        u, SimpleNamespace(m=lambda d: m, jacobian=lambda: J),
-                        direction, ng, scratch, out if add else None)
-                out[...] = res
-                calls.append(out)
-            call.out = out
-            return call
+            def one(m, direction, add):
+                assert native.split_takes(u, m, J) and distributed
+
+                def call():
+                    assert add == (len(calls) % dim != 0)
+                    assert not add or out is calls[-1]
+                    with monkeypatch.context() as mp:
+                        weno_oracle.use_numpy_sweep(mp)
+                        res = ks.convective.divergence(
+                            layout, IdealGasEOS(gamma), u, SimpleNamespace(
+                                m=lambda d: m, jacobian=lambda: J),
+                            direction, ng, scratch, out if add else None)
+                    out[...] = res
+                    calls.append(out)
+                call.out = out
+                return call
+            return [one(m, d, k > 0) for k, (m, d) in enumerate(zip(ms, order))]
 
         rng = np.random.default_rng(4)
         grown = tuple(5 + d + 2 * 4 for d in range(dim))
@@ -202,7 +207,7 @@ class TestJitGating:
         u[1:1 + dim] = 0.1 * rng.normal(size=(dim, 2) + grown)
         u[layout.energy] = 2.5
         results = {}
-        stand_in = native.Kernels(None, None, bind)
+        stand_in = native.Kernels(None, None, bind, None)
         for target, kernels in (("host", None), ("device", stand_in),
                                 ("fused", stand_in)):
             monkeypatch.setattr(native, "_kernel", kernels)

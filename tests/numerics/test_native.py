@@ -9,6 +9,7 @@ path for all three with one warning and the same trajectory.
 
 import ctypes
 import itertools
+import math
 import multiprocessing
 import os
 import pickle
@@ -29,7 +30,9 @@ from repro.cases.dmr import DoubleMachReflection
 from repro.core.crocco import Crocco, CroccoConfig
 from repro.kernels.api import make_kernels
 from repro.kernels.batch import bind_batches, rhs_update
+from repro.kernels.device import GpuDevice
 from repro.numerics import native
+from repro.numerics.cfl import local_max_rate
 from repro.numerics.eos import IdealGasEOS, MixtureEOS, Species
 from repro.numerics.fluxes import (ConvectiveFlux, _crop_transverse,
                                    lax_friedrichs_split)
@@ -349,6 +352,30 @@ def test_sweep_poisons_what_numpy_poisons(sweep, dim):
     assert 0 < poisoned < len(cases)
 
 
+def test_a_stage_points_every_direction_at_scratch_it_fits(sweep,
+                                                          monkeypatch):
+    """A stage bound without a cache (new arrays per request) whose first
+    direction needs more scratch than its last: every call points at
+    arrays that fit every direction of the stage, and the stage is the
+    NumPy sweep."""
+    rng = np.random.default_rng(17)
+    u, m, J = state(2, (2,), 3, rng)
+    need = [max(math.prod(native.sweep_shapes(u.shape, 2, d, 3)[k])
+                for d in (0, 1)) for _, k in native.ROLES]
+    # (the last direction's split fluxes are the smaller)
+    assert math.prod(native.sweep_shapes(u.shape, 2, 1, 3)[1]) < need[0]
+    calls = native.kernels().bind_sweep(WenoScheme(), u, [m[0], m[1]], J,
+                                        (0, 1), 3, EOS.gamma, False,
+                                        NO_SCRATCH)
+    for call in calls:
+        assert [a.size for a in call.holds[3:7]] == need
+        call()
+    flux, args = ConvectiveFlux(), (StateLayout(dim=2), EOS, u, as_metrics(m, J))
+    weno_oracle.use_numpy_sweep(monkeypatch)
+    ref = flux.divergence(*args, 1, 3, out=flux.divergence(*args, 0, 3))
+    assert np.array_equal(bits(calls[-1].out), bits(ref))
+
+
 def test_sweep_checks_what_it_is_handed(sweep):
     """A malformed call raises before a pointer is passed; arrays that are
     not the library's (``split_takes``) are declined with ``None``."""
@@ -591,6 +618,153 @@ def test_divergence_is_bitwise_either_way(kernel, dim, monkeypatch):
                     compiled[d]), (scheme, d)
 
 
+# -- ComputeDt -----------------------------------------------------------------
+
+def both_rates(u, metrics, dim, rank=0, eos=EOS):
+    """``local_max_rate`` with the library and without it, each on a
+    ``device`` backend of three ranks: ``(rates, launch tables)`` of each
+    and how many calls the library took."""
+    real, served, out = native.kernels(), [], []
+
+    def rate(*args):
+        got = real.max_rate(*args)
+        served.append(got is not None)
+        return got
+
+    layout = StateLayout(dim=dim, nspecies=len(u) - dim - 1)
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        for lib in (real._replace(max_rate=rate), None):
+            mp.setattr(native, "_kernel", lib)
+            backend = make_exec_backend("device", [GpuDevice() for _ in "abc"])
+            got = local_max_rate(layout, eos, u, metrics, backend, rank)
+            out.append((got, [d.table for d in backend.devices]))
+    return out, sum(served)
+
+
+def cropped(u, m, J, ng):
+    """Valid-region views, as ``Crocco.max_rates`` hands them over."""
+    dim = len(m)
+    v = (Ellipsis,) + (slice(ng, -ng),) * dim
+    return u[v], as_metrics(m[(slice(None), slice(None)) + v], J[v])
+
+
+@pytest.fixture
+def rate():
+    return compiled("max_rate")
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_rate_is_bitwise_local_max_rate(rate, dim):
+    """A single patch and batches of 1, 2 and 5, whole arrays and the
+    valid-region views a step hands over, contiguous and member-strided
+    metrics (each ``m[d]`` a view of a larger stack): the rates bit for
+    bit, one library call each, and the same ``ComputeDt`` reductions on
+    the same devices (one per owning rank of a batch)."""
+    rng = np.random.default_rng(20 + dim)
+    for batch, strided in itertools.product([(), (1,), (2,), (5,)],
+                                            [False, True]):
+        u, m, J = state(dim, batch, 4, rng, strided)
+        rank = tuple(range(batch[0]))[::-1] if batch else 1
+        for arrays in ((u, as_metrics(m, J)), cropped(u, m, J, 4)):
+            ((ref, ref_tables), (got, tables)), served = both_rates(
+                *arrays, dim, rank)
+            assert served == 1 and tables == ref_tables
+            assert type(got) is type(ref) and np.shape(got) == np.shape(ref)
+            assert np.array_equal(bits(np.asarray(got)),
+                                  bits(np.asarray(ref))), (batch, strided)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_rate_poisons_what_numpy_poisons(rate, dim):
+    """NaN, +-inf, a negative pressure and a vacuum in each component of
+    one valid cell of member 1, and a NaN, a zero, a negative and an inf
+    ``J`` there: each member's rate is NaN where NumPy's is and equal
+    elsewhere (``ndarray.max`` propagates NaN, a C comparison does not)."""
+    rng = np.random.default_rng(30 + dim)
+    u0, m, J0 = state(dim, (3,), 4, rng)
+    cell = (1,) + (5,) * dim
+    cases = []
+    for comp, bad in itertools.product(
+            range(dim + 2), (np.nan, np.inf, -np.inf, -1e3, 0.0, 1e-310)):
+        u = u0.copy()
+        u[(comp,) + cell] = bad
+        cases.append((u, J0))
+    for bad in (np.nan, 0.0, -1.0, np.inf):
+        J = J0.copy()
+        J[cell] = bad
+        cases.append((u0, J))
+    poisoned = 0
+    for u, J in cases:
+        ((ref, _), (got, _)), served = both_rates(*cropped(u, m, J, 4), dim)
+        assert served == 1
+        assert np.array_equal(np.isnan(ref), np.isnan(got))
+        assert np.array_equal(bits(got[~np.isnan(got)]),
+                              bits(ref[~np.isnan(ref)]))
+        assert not np.isnan(ref[[0, 2]]).any()
+        poisoned += bool(np.isnan(ref[1]))
+    assert 0 < poisoned < len(cases)
+
+
+@pytest.mark.parametrize("case", ["cartesian", "mixture", "float32",
+                                  "unit-stride components"])
+def test_a_rate_outside_the_domain_is_the_numpy_one(rate, case):
+    """Cartesian (broadcast) metrics, a non-ideal EOS, float32 and a
+    component axis that is the unit-stride one never reach the library:
+    the rate is NumPy's, without a warning."""
+    rng = np.random.default_rng(8)
+    u, m, J = state(2, (2,), 4, rng)
+    metrics, eos = as_metrics(m, J), EOS
+    if case == "cartesian":
+        metrics = CartesianMetrics([0.1, 0.2])
+    elif case == "mixture":
+        u = np.concatenate([0.5 * u[:1], 0.5 * u[:1], u[1:]])
+        u[-1] += 1e6
+        eos = MixtureEOS([Species("a", 0.028, 700.0),
+                          Species("b", 0.032, 650.0)])
+    elif case == "float32":
+        u = u.astype(np.float32)
+    else:
+        m = np.moveaxis(np.ascontiguousarray(np.moveaxis(m, 1, -1)), -1, 1)
+        metrics = as_metrics(m, J)
+    dim = 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ((ref, ref_tables), (got, tables)), served = both_rates(
+            u, metrics, dim, (0, 1), eos)
+    assert served == 0 and tables == ref_tables
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("target", ["host", "fused"])
+@pytest.mark.parametrize("ordering", ["fortran", "cpp"])
+def test_a_bound_stage_computes_its_primitives_every_run(sweep, ordering,
+                                                         target):
+    """The stage's first direction computes the primitives, the others
+    read them: a stage bound once and run twice, with ``u`` changed in
+    place in between, is a fresh NumPy right-hand side both times — in 2-D
+    and 3-D, for either direction order, per-direction launches and the
+    fused one.  Primitives computed once per binding would leave the
+    second run on the first state."""
+    rng = np.random.default_rng(16)
+    for dim in (2, 3):
+        layout = StateLayout(dim=dim)
+        ks = make_kernels(ordering, layout, EOS,
+                          exec_backend=make_exec_backend(target))
+        grown = tuple(10 + d for d in range(dim))
+        metrics = StackedMetrics([curvilinear(grown, rng) for _ in range(2)])
+        u = state(dim, (2,), 4, rng)[0][(Ellipsis,) + tuple(
+            slice(0, g) for g in grown)].copy()
+        stage, = ks.bind([(u, metrics, 4, (0, 1))])
+        assert stage.calls is not None
+        for run in range(2):
+            got = ks.rhs(stage).copy()
+            with pytest.MonkeyPatch.context() as mp:
+                weno_oracle.use_numpy_sweep(mp)
+                ref = make_kernels(ordering, layout, EOS).rhs(u, metrics, 4)
+            assert np.array_equal(bits(got), bits(ref)), (dim, run)
+            u[1:] *= 1.0 + 0.5 * rng.random(u[1:].shape)  # new momenta, E
+
+
 # -- packaging and process boundaries -----------------------------------------
 
 def test_source_ships_as_package_data(tmp_path):
@@ -764,7 +938,7 @@ def test_bad_cache_entry(built, tmp_path, damage):
     content hash in the name — or a library built from another source
     under a name that is consistent with its bytes: it loads, and fails
     the self-check, or (the two exports of before the one-call sweep)
-    lacks a symbol."""
+    lacks a symbol (the stale one has every export, ``max_rate`` too)."""
     _, lib, sha = built
     bad = tmp_path / "repro" / lib.name
     bad.parent.mkdir()
@@ -775,7 +949,8 @@ def test_bad_cache_entry(built, tmp_path, damage):
     else:
         src = tmp_path / "other.c"
         src.write_text("void weno_rows(void) {}\nvoid flux_split(void) {}\n"
-                       + "void weno_sweep(void) {}\n" * (damage == "stale"))
+                       + "void weno_sweep(void) {}\nvoid max_rate(void) {}\n"
+                       * (damage == "stale"))
         subprocess.run([os.environ.get("CC") or "cc", "-shared", "-fPIC",
                         str(src), "-o", str(bad)], check=True)
         key = lib.name.rsplit("-", 1)[0]
@@ -851,13 +1026,14 @@ def test_a_passed_check_is_stamped_and_not_run_again(loader):
     assert sorted(loader.lib.parent.iterdir()) == sorted([stamp, loader.lib])
 
 
-@pytest.mark.parametrize("edit", ["garbled", "numpy", "reference"])
+@pytest.mark.parametrize("edit", ["garbled", "numpy", "reference", "cfl"])
 def test_a_stamp_that_does_not_match_is_checked_again(loader, edit,
                                                       tmp_path, monkeypatch):
     """A stamp under a garbled name, or a process under another NumPy, or
     one whose reference code (``native``, ``fluxes``, ``weno``, ``eos``,
-    ``state``) differs from what the stamp was written under: the check
-    runs, passes, and stamps what it ran under."""
+    ``state``, ``cfl``: ``weno`` or ``cfl`` edited) differs from what the
+    stamp was written under: the check runs, passes, and stamps what it
+    ran under."""
     loader.resolve()
     (stamp,) = loader.stamps()
     if edit == "garbled":
@@ -868,9 +1044,9 @@ def test_a_stamp_that_does_not_match_is_checked_again(loader, edit,
         code = tmp_path / "reference"
         code.mkdir()
         for f in ("native.py", "fluxes.py", "weno.py", "eos.py",
-                  "state.py", native.SOURCE):   # the library's key: unchanged
+                  "state.py", "cfl.py", native.SOURCE):  # the library's key
             shutil.copy(Path(native.__file__).with_name(f), code)
-        with open(code / "weno.py", "a") as f:
+        with open(code / ("cfl.py" if edit == "cfl" else "weno.py"), "a") as f:
             f.write("# another revision\n")
         monkeypatch.setattr(native, "__file__", str(code / "native.py"))
     assert loader.resolve() == "run" and len(loader.checks) == 2
@@ -905,7 +1081,7 @@ def test_a_stamp_does_not_vouch_for_another_library(built, tmp_path, damage):
     else:
         src = tmp_path / "other.c"
         src.write_text("void weno_rows(void) {}\nvoid flux_split(void) {}\n"
-                       "void weno_sweep(void) {}\n")
+                       "void weno_sweep(void) {}\nvoid max_rate(void) {}\n")
         subprocess.run([os.environ.get("CC") or "cc", "-shared", "-fPIC",
                         str(src), "-o", str(bad)], check=True)
         bad.rename(bad.with_name(f"{lib.name.rsplit('-', 1)[0]}-"

@@ -74,6 +74,27 @@ def test_derivative_same_shape_edges_reasonable():
     assert np.allclose(d, 2 * x, atol=1e-8)  # exact for quadratics even one-sided
 
 
+@pytest.mark.parametrize("order", [2, 4, 6])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_derivative_same_shape_on_a_short_axis(order, n):
+    """An axis shorter than the stencil takes the next lower order, down
+    to one-sided differences at both ends: no ``IndexError``, every point
+    exact on a quadratic from 3 points on (the one-sided formula too), a
+    first difference on 2, zero on 1 — along either axis of a 2-D array;
+    and from 2 rad + 1 points on the requested order's own stencil."""
+    i = np.arange(n, dtype=float)
+    want = {1: [0.0], 2: [1.0, 1.0]}.get(n, 2.0 * i)
+    for axis in (0, 1):
+        v = np.moveaxis(np.broadcast_to(i**2, (3, n)), -1, axis)
+        d = np.moveaxis(derivative_same_shape(v, axis, order), axis, -1)
+        assert d.shape == (3, n) and np.allclose(d, want, atol=1e-12)
+    rad = order // 2
+    if n >= 2 * rad + 1:
+        got = derivative_same_shape(np.sin(i), 0, order)[rad:n - rad]
+        assert np.array_equal(got, central_derivative(np.sin(i), 0,
+                                                      order=order))
+
+
 def test_cartesian_metrics():
     m = CartesianMetrics((0.5, 0.25, 2.0))
     assert m.jacobian().flat[0] == pytest.approx(0.25)

@@ -159,3 +159,21 @@ def test_divide_count_is_two_here_and_catches_a_divide_per_stencil():
         "(((b)", "(1.0 / ((b)"))) == 6
     # comments do not count
     assert check.divides(text.replace(indicator, indicator + " /* a / b */")) == 2
+
+
+def test_vectorisation_check_catches_a_scalar_rate_loop(tmp_path):
+    """ComputeDt's rate row and the primitives pass A stores are checked
+    too: a rate loop that leaves at its first NaN (the obvious scalar
+    rewrite of the NaN rule) still gives every bit, and runs unvectorised."""
+    import shutil
+
+    if shutil.which("gcc") is None:
+        pytest.skip("needs gcc (the report is its -fopt-info)")
+    check = load_tool("check_vectorised")
+    assert {"primitives", "speed", "rate_row"} <= set(check.LOOPS)
+    source = ROOT / "src" / "repro" / "numerics" / "weno_sweep.c"
+    text, keep = source.read_text(), "KEEP(l, mx, nan);"
+    assert text.count(keep) == 1
+    broken = tmp_path / source.name
+    broken.write_text(text.replace(keep, keep + " if (l != l) break;"))
+    assert check.missing(broken, cc="gcc") == ["rate_row"]

@@ -27,9 +27,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-#: the functions whose loop over contiguous cells carries the sweep: the
-#: row kernel, the alpha reduction, the flux split and the flux difference
-LOOPS = ("row", "speed", "split_row", "diff_row")
+#: the functions whose loop over contiguous cells carries the sweep — the
+#: row kernel, the primitives pass A stores, the alpha reduction that
+#: reads them, the flux split and the flux difference — and ComputeDt's
+#: rate row
+LOOPS = ("row", "primitives", "speed", "split_row", "diff_row", "rate_row")
 
 #: the divides one WENO combination may do: ``1 / eps_eff`` and ``num /
 #: sum`` (a divide per stencil passes every bitwise test and makes the

@@ -3,9 +3,9 @@
 
 Demonstrates the curvilinear machinery the paper added to AMReX: a
 30-degree compression-corner grid (the canonical hypersonic geometry the
-curvilinear solver exists for), its 27-component stored metrics, the
-geometric-conservation-law residual, and freestream preservation of the
-WENO flux kernels on that grid.
+curvilinear solver exists for), its stored metrics (``m`` and ``J``) and
+grid quality, the geometric-conservation-law residual, and freestream
+preservation of the WENO flux kernels on that grid.
 
 Usage:  python examples/ramp_curvilinear.py
 """
@@ -15,7 +15,7 @@ import numpy as np
 from repro.cases.grids import compression_ramp_mapping, tanh_cluster_mapping
 from repro.numerics.eos import IdealGasEOS
 from repro.numerics.fluxes import ConvectiveFlux
-from repro.numerics.metrics import CurvilinearMetrics
+from repro.numerics.metrics import CurvilinearMetrics, grid_quality
 from repro.numerics.state import StateLayout
 
 
@@ -37,12 +37,13 @@ def main() -> None:
           f"(tan(30) ramp from x = 0.8)")
 
     met = CurvilinearMetrics.from_coordinates(coords)
-    print(f"  stored metric components: {met.ncomp_stored} "
-          f"(2D; the paper's 3D case stores 27)")
-    from repro.numerics.metrics import grid_quality
+    print(f"  stored metric components: {len(met.arr)} per cell "
+          f"(dim^2 + 1: m, then J)")
+    print("  the paper's 3D metrics MultiFab: 27 (9 first + 18 second "
+          "derivatives)")
 
-    q = grid_quality(met, interior=ng)
-    print("  grid quality (from the stored first+second metrics):")
+    q = grid_quality(coords, interior=ng)
+    print("  grid quality (first and second derivatives of the coordinates):")
     for k, v in q.items():
         print(f"    {k:<18} {v:.3f}")
     print(f"  Jacobian range: [{met.jacobian().min():.2e}, "

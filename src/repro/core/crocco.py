@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 import tempfile
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -53,8 +53,8 @@ from repro.mpi.comm import Communicator
 from repro.numerics import native
 from repro.numerics.cfl import compute_dt
 from repro.numerics.fluxes import ConvectiveFlux
-from repro.numerics.metrics import (CartesianMetrics, CurvilinearMetrics,
-                                    StackedMetrics)
+from repro.numerics.metrics import (CartesianMetrics, StackedMetrics,
+                                    write_metrics)
 from repro.numerics.rk3 import NSTAGES
 from repro.numerics.weno import WenoScheme
 
@@ -118,7 +118,9 @@ class Crocco(AmrCore):
         self.state: Dict[int, MultiFab] = {}
         self.du: Dict[int, MultiFab] = {}
         self.coords: Dict[int, MultiFab] = {}
-        self.metrics: Dict[int, Dict[int, object]] = {}
+        #: each level's curvilinear metrics, ``m`` then ``J`` (a Cartesian
+        #: level has none: its batches broadcast one cell's)
+        self.metrics: Dict[int, MultiFab] = {}
         #: the compute batches of each level's storage (built with it,
         #: dropped with it: a regrid never leaves one behind)
         self.batches: Dict[int, List[Batch]] = {}
@@ -220,24 +222,24 @@ class Crocco(AmrCore):
 
     def remake_level(self, lev, ba, dm) -> None:
         """Replace level ``lev`` by ``ba`` / ``dm``, rebuilding only what
-        changed (AMReX's RemakeLevel): a box equal to an old one copies that
-        fab's coordinates and metrics into the new storage, and only cells
+        changed (AMReX's RemakeLevel): a box equal to an old one copies its
+        coordinate and metric rows into the new storage, and only cells
         no old box covers are interpolated from coarse before the old level
         is ParallelCopied in.  Its ghost cells wait for the level's next fill
         (ErrorEst's or the stage's), which writes them before any read."""
         with self.profiler.region("RemakeLevel"):
             old = self.state.get(lev)
+            rows = [s[lev] for s in (self.coords, self.metrics) if lev in s]
             kept, pieces = {}, (ba.lohi, np.arange(len(ba)))
             if old is not None:
                 at = {box.tobytes(): j for j, box in enumerate(old.ba.lohi)}
                 for i, box in enumerate(ba.lohi):
                     j = at.get(box.tobytes())
                     if j is not None:
-                        kept[i] = (self.coords[lev].fab(j).data,
-                                   self.metrics[lev][j])
+                        kept[i] = j
                 pieces = old.ba.complement(ba.lohi)
             self._clear_level_storage(lev)
-            self._build_level_storage(lev, ba, dm, kept)
+            self._build_level_storage(lev, ba, dm, kept, rows)
             self.step_boxes_kept += len(kept)
             self.step_boxes_new += len(ba) - len(kept)
             if len(pieces[0]):
@@ -277,10 +279,12 @@ class Crocco(AmrCore):
     # -- storage management --------------------------------------------------
     def _build_level_storage(self, lev: int, ba: BoxArray,
                              dm: DistributionMapping,
-                             kept: Optional[Dict[int, tuple]] = None) -> None:
+                             kept: Optional[Dict[int, int]] = None,
+                             rows: Sequence[MultiFab] = ()) -> None:
         """Allocate level ``lev``, one array per batch of :func:`shape_groups`
-        in each MultiFab: box ``i`` copies ``kept[i]`` (coordinates, metrics)
-        in, the others build theirs, metrics batch by batch."""
+        in each MultiFab: box ``i`` copies row ``kept[i]`` of the replaced
+        level's coordinates and metrics (``rows``) in, the others build
+        theirs, metrics in place per run of new boxes of a batch."""
         # the stage graph names the level storage: it goes when any is built
         self.engine.drop_graph()
         kept = kept or {}
@@ -293,35 +297,38 @@ class Crocco(AmrCore):
         self.du[lev] = MultiFab(ba, dm, lay.ncons, 0, self.comm, groups)
         coords = self.coords[lev] = MultiFab(ba, dm, lay.dim, self.ng,
                                              self.comm, groups)
-        for ids, arr in zip(groups, coords.arrays):
-            built = [b for b, i in enumerate(ids) if i not in kept]
+        stores = [coords]
+        dx = None if self.case.curvilinear else self.case.cartesian_dx(geom)
+        if dx is None:
+            stores.append(MultiFab(ba, dm, lay.dim ** 2 + 1, self.ng,
+                                   self.comm, groups))
+            self.metrics[lev] = stores[1]
+        batches = self.batches[lev] = []
+        for g, ids in enumerate(groups):
+            arrs = [mf.arrays[g] for mf in stores]
             for b, i in enumerate(ids):
                 if i in kept:
-                    arr[:, b] = kept[i][0]
+                    for arr, old in zip(arrs, rows):
+                        arr[:, b] = old.fab(kept[i]).data
+            built = [b for b, i in enumerate(ids) if i not in kept]
             if built:
-                arr[:, built] = self._get_coords(geom, grown[[ids[b]
-                                                              for b in built]])
-        metrics = self.metrics[lev] = {}
-        batches = self.batches[lev] = []
-        dx = None if self.case.curvilinear else self.case.cartesian_dx(geom)
-        for g, ids in enumerate(groups):
-            built = [i for i in ids if i not in kept]
+                arrs[0][:, built] = self._get_coords(
+                    geom, grown[[ids[b] for b in built]])
             if dx is not None:
-                stacked = StackedMetrics([CartesianMetrics(dx)] * len(ids))
-            elif len(built) == len(ids):
-                # a batch of new boxes: its metrics are built in place
-                stacked = StackedMetrics.of_coordinates(
-                    [coords.fab(i).data for i in ids])
+                metrics = StackedMetrics([CartesianMetrics(dx)] * len(ids))
             else:
-                fresh = dict(zip(built, CurvilinearMetrics.of_patches(
-                    [coords.fab(i).data for i in built]) if built else ()))
-                stacked = StackedMetrics([kept[i][1] if i in kept else fresh[i]
-                                          for i in ids])
-            metrics.update((i, stacked.member(b)) for b, i in enumerate(ids))
-            batches.append(Batch(g, ids, tuple(dm[i] for i in ids), stacked))
+                # a run of new boxes is a view of the group: built in place
+                starts = [k for k, b in enumerate(built)
+                          if k == 0 or b != built[k - 1] + 1]
+                for lo, hi in zip(starts, starts[1:] + [len(built)]):
+                    run = slice(built[lo], built[hi - 1] + 1)
+                    write_metrics(arrs[0][:, run], arrs[1][:, run])
+                metrics = StackedMetrics(arrs[1])
+            batches.append(Batch(g, ids, tuple(dm[i] for i in ids), metrics))
         self.faces[lev] = GhostFaces(state, coords, geom.domain,
                                      self.case.bc_faces)
         # each rank's share of the level is resident on its own device
+        # (state, du and coordinates; the metrics are not charged)
         nbytes = 8 * ((lay.ncons + lay.dim) * num_pts(state.grown)
                       + lay.ncons * num_pts(ba.lohi))
         per_rank = np.bincount(dm.ranks(), nbytes,
@@ -489,16 +496,22 @@ class Crocco(AmrCore):
         return self.exec_backend.devices
 
     # -- diagnostics -----------------------------------------------------
+    def cell_volumes(self, lev: int) -> Dict[int, np.ndarray]:
+        """Each box's ``J`` over its valid cells, by box index (on a
+        Cartesian level one cell's, which broadcasts)."""
+        volumes = {}
+        for batch in self.batches[lev]:
+            J = batch.metrics.interior(self.ng).jacobian()
+            volumes.update((i, J[b]) for b, i in enumerate(batch.ids))
+        return volumes
+
     def total_mass(self) -> float:
         """Integral of density over the level-0 grid (conservation check)."""
-        mf = self.state[0]
+        volumes = self.cell_volumes(0)
         total = 0.0
-        for i, fab in mf:
-            J = np.broadcast_to(
-                self.metrics[0][i].jacobian(), fab.box.shape()
-            )
+        for i, fab in self.state[0]:
             rho = fab.valid()[self.case.layout.rho_s].sum(axis=0)
-            total += float((rho * J).sum())
+            total += float((rho * volumes[i]).sum())
         return total
 
     def min_max(self, comp: int):

@@ -46,9 +46,9 @@ class DiagnosticsLog:
         energy = 0.0
         rho_min, rho_max = np.inf, -np.inf
         p_min, p_max = np.inf, -np.inf
-        mf = sim.state[0]
-        for i, fab in mf:
-            J = np.broadcast_to(sim.metrics[0][i].jacobian(), fab.box.shape())
+        volumes = sim.cell_volumes(0)
+        for i, fab in sim.state[0]:
+            J = volumes[i]
             u = fab.valid()
             rho = lay.density(u)
             p = eos.pressure(lay, u)

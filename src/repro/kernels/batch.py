@@ -46,7 +46,9 @@ class Batch:
     ids: Tuple[int, ...]
     #: owning rank of each member
     ranks: Tuple[int, ...]
-    #: the members' metrics on the batch axis (owns ``m`` and ``J``)
+    #: the members' metrics on the batch axis: views of group ``group``
+    #: of the level's metric MultiFab (a Cartesian batch: one cell's,
+    #: broadcast)
     metrics: StackedMetrics
 
 

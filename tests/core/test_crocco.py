@@ -322,3 +322,40 @@ def test_auto_regrid_interval():
                   CroccoConfig(version="1.2", max_level=1, max_grid_size=32,
                                regrid_int=3))
     assert sim2.regrid_interval() == 3
+
+
+@pytest.mark.parametrize("deck, level0_bytes", [
+    ("dmr.inputs", 256_000),  # 4 grown 40x40 boxes, 5 components
+    ("dmr3d.inputs", 983_040),  # 2 grown 24x16x16 boxes, 10 components
+])
+def test_a_curvilinear_level_stores_m_and_J_only(deck, level0_bytes):
+    """A curvilinear level's metrics are one MultiFab of ``dim^2 + 1``
+    components (``m[d, j]``, then ``J``) on the level's groups, and its
+    batches' metrics are views of its group arrays: a level stores no
+    other metric array.  A Cartesian level stores none."""
+    from pathlib import Path
+
+    from repro.amr.boxarray import num_pts
+    from repro.cli import build_case
+    from repro.io.inputs import InputDeck
+
+    path = Path(__file__).parents[2] / "examples" / "decks" / deck
+    config, run = InputDeck.from_file(str(path)).resolve({})
+    sim = Crocco(build_case(run), config)
+    sim.initialize()
+    dim = sim.case.layout.dim
+    assert sim.metrics[0].buffer.nbytes == level0_bytes
+    for lev in range(sim.finest_level + 1):
+        metrics = sim.metrics[lev]
+        assert metrics.ncomp == dim * dim + 1
+        assert metrics.groups == sim.state[lev].groups
+        assert metrics.buffer.nbytes == 8 * (dim * dim + 1) * int(
+            num_pts(metrics.grown).sum())
+        for batch in sim.batches[lev]:
+            assert batch.metrics.arr is metrics.arrays[batch.group]
+            assert batch.metrics.jacobian().base is metrics.buffer
+            assert all(batch.metrics.m(d).base is metrics.buffer
+                       for d in range(dim))
+    sim.close()
+    _, sod = run_sod(t_end=0.0)
+    assert sod.metrics == {}

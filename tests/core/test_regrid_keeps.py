@@ -1,8 +1,9 @@
 """A remade level rebuilds only what changed, bit for bit.
 
-``Crocco.remake_level`` copies the coordinates and metrics of every box
+``Crocco.remake_level`` copies the coordinate and metric rows of every box
 equal to a box of the old level into the new level's storage, builds the
-metrics of the other boxes per batch, and interpolates from coarse only
+metrics of the other boxes in place per run of a batch, and interpolates
+from coarse only
 where no old fine cell exists.  The reference here is the recipe it replaced, kept
 verbatim (as ``tests/amr/plan_oracle.py`` keeps the scalar plan
 builders): recompute every box's coordinates and metrics, interpolate the
@@ -19,37 +20,24 @@ from repro.amr.fillpatch import fill_coarse_patch
 from repro.cases.dmr import DoubleMachReflection
 from repro.core.crocco import Crocco, CroccoConfig
 from repro.kernels.batch import BATCH_CELLS, shape_groups
-from repro.numerics.metrics import (CurvilinearMetrics, StackedMetrics,
-                                    derivative_same_shape)
+from repro.numerics.metrics import derivative_same_shape, write_metrics
 from tests.numerics.test_stencils_metrics import cofactors
 
 STEPS = 8
 
 
-def reference_metrics(coords, order=4):
-    """``CurvilinearMetrics.from_coordinates`` one patch at a time, ``J``
-    and ``m`` in cofactor form: ``(first, second, J, m)``."""
+def reference_rows(coords, order=4):
+    """One patch's metric rows ``(dim^2 + 1, *s)`` — ``m[d, j]``, then
+    ``J`` — from its coordinates ``(dim, *s)`` one component and one
+    direction at a time, ``J`` and ``m`` in cofactor form."""
     dim = coords.shape[0]
     s = coords.shape[1:]
     first = np.empty((dim, dim) + s)
     for j in range(dim):
         for d in range(dim):
             first[j, d] = derivative_same_shape(coords[j], axis=d, order=order)
-    pairs = [(d, e) for d in range(dim) for e in range(d, dim)]
-    second = np.empty((dim, len(pairs)) + s)
-    for j in range(dim):
-        for k, (d, e) in enumerate(pairs):
-            second[j, k] = derivative_same_shape(first[j, d], axis=e, order=order)
     J, m = cofactors(first)
-    return first, second, J, m
-
-
-def reference_curvilinear(coords):
-    """The metrics of one patch as they were built, ``second`` eagerly."""
-    first, second, J, m = reference_metrics(coords)
-    metrics = CurvilinearMetrics(first, J, m)
-    metrics._second = second
-    return metrics
+    return np.concatenate([m.reshape((dim * dim,) + s), J[None]])
 
 
 class Reference(Crocco):
@@ -76,19 +64,15 @@ class Reference(Crocco):
             fine_coords=self.coords[lev] if needs else None,
             profiler=self.profiler)
 
-    def _build_level_storage(self, lev, ba, dm, kept=None):
-        """Every box's coordinates computed afresh, and its metrics one
-        patch at a time."""
-        assert not kept
+    def _build_level_storage(self, lev, ba, dm, kept=None, rows=()):
+        """Every box's coordinates computed afresh, and its metric rows
+        one patch at a time."""
+        assert not kept and not rows
         super()._build_level_storage(lev, ba, dm)
         if not self.case.curvilinear:
             return
-        for batch in self.batches[lev]:
-            batch.metrics = StackedMetrics([
-                reference_curvilinear(self.coords[lev].fab(i).data)
-                for i in batch.ids])
-            self.metrics[lev].update(
-                (i, batch.metrics.member(b)) for b, i in enumerate(batch.ids))
+        for i, fab in self.metrics[lev]:
+            fab.data[...] = reference_rows(self.coords[lev].fab(i).data)
 
 
 def churn(cls, **config):
@@ -118,12 +102,12 @@ def assert_same_levels(sim, ref, step):
             assert same(fab.data, ref.state[lev].fab(i).data), where
             assert same(sim.coords[lev].fab(i).data,
                         ref.coords[lev].fab(i).data), where
-            got, want = sim.metrics[lev][i], ref.metrics[lev][i]
-            assert same(got.first, want.first), where
-            assert same(got.second, want.second), where
-            assert same(got.jacobian(), want.jacobian()), where
-            for d in range(got.dim):
-                assert same(got.m(d), want.m(d)), where
+            assert same(sim.metrics[lev].fab(i).data,
+                        ref.metrics[lev].fab(i).data), where
+        for got, want in zip(sim.batches[lev], ref.batches[lev]):
+            assert same(got.metrics.jacobian(), want.metrics.jacobian())
+            for d in range(got.metrics.dim):
+                assert same(got.metrics.m(d), want.metrics.m(d)), (step, lev)
 
 
 @pytest.mark.parametrize("config", [
@@ -160,34 +144,38 @@ def smooth_coords(shape, seed):
 @pytest.mark.parametrize("shape, n", [((24, 24), 7), ((12, 8, 8), 5)])
 def test_grouped_metrics_equal_per_box_metrics(shape, n):
     """Per group cut at BATCH_CELLS (2-D: groups of 3, 3 and 1 patches of
-    576 cells; 3-D: 2, 2 and 1 of 768), each patch's metrics are the bits
-    of its own one-patch build."""
+    576 cells; 3-D: 2, 2 and 1 of 768), each patch's metric rows, written
+    in place for the whole group or for a run of it, are the bits of its
+    own one-patch build."""
     coords = {i: smooth_coords(shape, i) for i in range(n)}
     parts = shape_groups({i: c.shape[1:] for i, c in coords.items()})
     step = BATCH_CELLS // int(np.prod(shape))
     assert [len(p) for p in parts] == [step] * (n // step) + [n % step]
+    nrows = len(shape) ** 2 + 1
     for part in parts:
-        got = CurvilinearMetrics.of_patches([coords[i] for i in part])
-        for i, mets in zip(part, got):
-            first, second, J, m = reference_metrics(coords[i])
-            assert same(mets.first, first) and same(mets.second, second)
-            assert same(mets.jacobian(), J)
-            assert all(same(mets.m(d), m[d]) for d in range(len(shape)))
-            single = CurvilinearMetrics.from_coordinates(coords[i])
-            assert same(single.jacobian(), J) and same(single.first, first)
+        group = np.stack([coords[i] for i in part], axis=1)
+        whole = np.empty((nrows,) + group.shape[1:])
+        write_metrics(group, whole)
+        tail = np.zeros_like(whole)
+        write_metrics(group[:, 1:], tail[:, 1:])
+        for b, i in enumerate(part):
+            want = reference_rows(coords[i])
+            assert same(whole[:, b], want)
+            assert b == 0 or same(tail[:, b], want)
 
 
 def level_arrays(sim, lev):
-    """Every array of level ``lev``'s storage: the state, ``du`` and
-    coordinate buffers and each batch's stacked metrics."""
+    """Every array of level ``lev``'s storage: the state, ``du``,
+    coordinate and metric buffers and each batch's metrics."""
     return [sim.state[lev].buffer, sim.du[lev].buffer, sim.coords[lev].buffer,
+            sim.metrics[lev].buffer,
             *(a for b in sim.batches[lev]
-              for a in (b.metrics._m, b.metrics._J))]
+              for a in (b.metrics.arr, b.metrics._m, b.metrics._J))]
 
 
 def test_a_kept_box_holds_no_replaced_stack_alive():
     """A surviving box is copied into the new level's storage: once the
-    level is replaced, none of its buffers or stacked metrics is alive,
+    level is replaced, none of its buffers or batch metrics is alive,
     even where a box of a multi-box batch was kept."""
     with closing(churn(Crocco)) as sim:
         sim.step()
@@ -230,41 +218,34 @@ def test_a_remade_level_shares_no_memory_with_the_one_it_replaced():
 
         def remake(lev, ba, dm):
             nonlocal remakes, kept
-            old = {k: getattr(sim, k).get(lev) for k in ("state", "coords")}
+            old = {k: getattr(sim, k).get(lev)
+                   for k in ("state", "coords", "metrics")}
             if old["state"] is not None:
-                replaced.extend([old["state"], old["coords"],
+                replaced.extend([old["state"], old["coords"], old["metrics"],
                                  old["state"].ba, old["state"].dm])
             old_arrays = level_arrays(sim, lev) if old["state"] else []
             before = {} if old["state"] is None else {
                 old["state"].ba[j]: (old["state"].fab(j).valid().copy(),
                                      old["coords"].fab(j).data.copy(),
-                                     sim.metrics[lev][j])
+                                     old["metrics"].fab(j).data.copy())
                 for j in range(len(old["state"].ba))}
             inner(lev, ba, dm)
             remakes += 1
-            for dep in (dep for store in (sim.state, sim.du, sim.coords)
+            for dep in (dep for store in (sim.state, sim.du, sim.coords,
+                                          sim.metrics)
                         for plan in store[lev]._plans.values()
                         for dep in plan.deps):
                 assert not any(dep is r for r in replaced)
-            new_arrays = level_arrays(sim, lev) + [
-                a for m in sim.metrics[lev].values() if hasattr(m, "first")
-                for a in (m.first, m.second, m._m, m._J)]
-            for a in new_arrays:
+            for a in level_arrays(sim, lev):
                 assert not any(np.shares_memory(a, b) for b in old_arrays)
-                for valid, coords, metrics in before.values():
-                    assert not np.shares_memory(a, metrics.jacobian())
             for i, fab in sim.state[lev]:
                 if fab.box not in before:
                     continue
                 kept += 1
                 valid, coords, metrics = before[fab.box]
-                got = sim.metrics[lev][i]
                 assert same(fab.valid(), valid)
                 assert same(sim.coords[lev].fab(i).data, coords)
-                assert got is not metrics
-                for a, b in ((got.first, metrics.first), (got.second, metrics.second),
-                             (got.jacobian(), metrics.jacobian())):
-                    assert same(a, b) and not np.shares_memory(a, b)
+                assert same(sim.metrics[lev].fab(i).data, metrics)
 
         sim.remake_level = remake
         for _ in range(STEPS):
@@ -289,29 +270,29 @@ def test_a_remake_that_keeps_every_box_fills_nothing(monkeypatch):
                             lambda *a, **k: fills.append(a))
         ba, dm = sim.box_arrays[1], sim.dmaps[1]
         old = {i: (fab.valid().copy(), sim.coords[1].fab(i).data,
-                   sim.metrics[1][i]) for i, fab in sim.state[1]}
-        old_buffer = sim.coords[1].buffer
+                   sim.metrics[1].fab(i).data) for i, fab in sim.state[1]}
+        old_buffers = sim.coords[1].buffer, sim.metrics[1].buffer
         counts = (sim.step_boxes_kept, sim.step_boxes_new)
         with use_backend(sim.exec_backend):
             sim.remake_level(1, ba, dm)
         assert fills == []
         assert (sim.step_boxes_kept, sim.step_boxes_new) == (
             counts[0] + len(ba), counts[1])
-        assert not np.shares_memory(sim.coords[1].buffer, old_buffer)
+        for new, was in zip((sim.coords[1], sim.metrics[1]), old_buffers):
+            assert not np.shares_memory(new.buffer, was)
         for i, fab in sim.state[1]:
             valid, coords, metrics = old[i]
             assert same(fab.valid(), valid)
             assert same(sim.coords[1].fab(i).data, coords)
-            got = sim.metrics[1][i]
-            assert same(got.jacobian(), metrics.jacobian())
-            assert all(same(got.m(d), metrics.m(d)) for d in range(got.dim))
+            assert same(sim.metrics[1].fab(i).data, metrics)
 
 
-def test_second_metrics_are_built_on_read_and_no_step_reads_them(monkeypatch):
-    """The second-order metrics a box computes when first asked for are
-    the bits of the eager per-patch build, on kept and new boxes after
-    every remake; and a churning run steps with ``second`` patched to
-    raise: no step reads them."""
+def test_metric_rows_of_kept_and_new_boxes_are_their_own_build():
+    """After every remake of a churning run, each box's metric rows — the
+    ones a kept box copied in and the ones a new box built in place — are
+    the bits of its own one-patch build, and a curvilinear level stores
+    nothing else: its metric MultiFab has ``dim^2 + 1`` components and its
+    batches' metrics are views of its group arrays."""
     with closing(churn(Crocco)) as sim:
         seen = {True: 0, False: 0}
         for _ in range(4):
@@ -319,17 +300,12 @@ def test_second_metrics_are_built_on_read_and_no_step_reads_them(monkeypatch):
                    for lev in range(1, sim.finest_level + 1)}
             sim.step()
             for lev in range(1, sim.finest_level + 1):
+                metrics = sim.metrics[lev]
+                assert metrics.ncomp == sim.case.layout.dim ** 2 + 1
+                for batch in sim.batches[lev]:
+                    assert batch.metrics.arr is metrics.arrays[batch.group]
                 for i, box in enumerate(sim.box_arrays[lev].lohi):
-                    want = reference_metrics(sim.coords[lev].fab(i).data)[1]
-                    assert same(sim.metrics[lev][i].second, want), (lev, i)
+                    want = reference_rows(sim.coords[lev].fab(i).data)
+                    assert same(metrics.fab(i).data, want), (lev, i)
                     seen[box.tobytes() in had.get(lev, ())] += 1
         assert seen[True] > 0 and seen[False] > 0
-
-    def no_read(self):
-        raise AssertionError("a step read the second-order metrics")
-
-    monkeypatch.setattr(CurvilinearMetrics, "second", property(no_read))
-    with closing(churn(Crocco)) as sim:
-        for _ in range(4):
-            sim.step()
-        assert sim.regrid_count == 4

@@ -73,9 +73,9 @@ def test_stale_batch_trap(monkeypatch):
         for k, i in enumerate(b.ids):
             assert np.shares_memory(u[:, k], sim.state[lev].fab(i).data)
             assert np.shares_memory(du[:, k], sim.du[lev].fab(i).data)
-            # members read their metrics out of the stack that owns them
-            assert np.shares_memory(sim.metrics[lev][i].jacobian(),
-                                    bound.stage.metrics.jacobian())
+            # and their own metrics out of the level's metric group array
+            assert np.shares_memory(sim.metrics[lev].fab(i).data,
+                                    bound.stage.metrics.jacobian()[k])
         ran.append(len(b.ids))
         return inner(kernels, case, bound, *rest)
 
@@ -111,4 +111,5 @@ def test_clearing_a_level_drops_its_batches():
     assert sim.batches[lev]
     sim.clear_level(lev)
     assert lev not in sim.batches and lev not in sim.state
+    assert lev not in sim.metrics and lev not in sim.coords
     sim.close()

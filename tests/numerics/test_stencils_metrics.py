@@ -10,6 +10,8 @@ from repro.numerics.metrics import (
     CurvilinearMetrics,
     StackedMetrics,
     derivative_same_shape,
+    dx_dxi,
+    grid_quality,
 )
 from repro.numerics.stencils import central_derivative
 
@@ -106,33 +108,49 @@ def test_cartesian_metrics():
 
 
 def test_curvilinear_affine_mapping_exact():
-    """x = A xi + b gives constant first metrics equal to A and J = det(A)."""
+    """x = A xi + b gives constant first derivatives equal to A and J =
+    det(A); its second derivatives vanish (no stretching)."""
     A = np.array([[2.0, 0.5], [0.0, 1.5]])
     n = 12
     ii, jj = np.meshgrid(np.arange(n) + 0.5, np.arange(n) + 0.5, indexing="ij")
     coords = np.stack([A[0, 0] * ii + A[0, 1] * jj, A[1, 0] * ii + A[1, 1] * jj])
     met = CurvilinearMetrics.from_coordinates(coords)
     assert np.allclose(met.jacobian(), np.linalg.det(A))
-    assert np.allclose(met.first[0, 0], A[0, 0])
-    assert np.allclose(met.first[0, 1], A[0, 1])
+    first = dx_dxi(coords)
+    assert np.allclose(first[0, 0], A[0, 0])
+    assert np.allclose(first[0, 1], A[0, 1])
     # m_d = J * row d of A^{-1}
     Ainv = np.linalg.inv(A)
     for d in range(2):
         for j in range(2):
             assert np.allclose(met.m(d)[j], np.linalg.det(A) * Ainv[d, j])
+    q = grid_quality(coords)
     # second derivatives vanish for affine maps
-    assert np.allclose(met.second, 0.0, atol=1e-10)
+    assert q["max_stretching"] == pytest.approx(0.0, abs=1e-10)
+    # the grid lines are A's columns
+    cols = np.linalg.norm(A, axis=0)
+    assert q["max_aspect_ratio"] == pytest.approx(cols.max() / cols.min())
+    assert q["max_skewness"] == pytest.approx(
+        abs(A[:, 0] @ A[:, 1]) / (cols[0] * cols[1]))
+    assert q["jacobian_ratio"] == pytest.approx(1.0)
 
 
 def test_curvilinear_component_count_3d():
-    """The paper's 27 stored components: 9 first + 18 second derivatives."""
+    """A patch stores dim^2 + 1 = 10 components (``m``, then ``J``), not
+    the paper's 27 (9 first + 18 second derivatives of the coordinates):
+    :func:`grid_quality` computes the derivatives it reads itself."""
     n = 8
     g = np.meshgrid(*[np.arange(n) + 0.5] * 3, indexing="ij")
-    coords = np.stack([g[0] * 1.0, g[1] * 1.0, g[2] * 1.0])
+    coords = np.stack([g[0] * 1.0, g[1] * 2.0, g[2] * 1.0])
     met = CurvilinearMetrics.from_coordinates(coords)
-    assert met.ncomp_stored == 27
-    assert met.first.shape == (3, 3, n, n, n)
-    assert met.second.shape == (3, 6, n, n, n)
+    assert met.arr.shape == (10, n, n, n)
+    assert np.shares_memory(met.m(2), met.arr)
+    assert np.shares_memory(met.jacobian(), met.arr)
+    assert dx_dxi(coords).shape == (3, 3, n, n, n)
+    q = grid_quality(coords)
+    assert q["max_skewness"] == pytest.approx(0.0, abs=1e-12)
+    assert q["max_stretching"] == pytest.approx(0.0, abs=1e-10)
+    assert q["max_aspect_ratio"] == pytest.approx(2.0)
 
 
 def test_curvilinear_stretched_grid_metrics():
@@ -146,10 +164,11 @@ def test_curvilinear_stretched_grid_metrics():
     x = np.sinh(alpha * ii / n) / np.sinh(alpha)
     y = jj / 8.0
     met = CurvilinearMetrics.from_coordinates(np.stack([x, y]))
+    first = dx_dxi(np.stack([x, y]))
     dxdi_exact = (alpha / n) * np.cosh(alpha * ii / n) / np.sinh(alpha)
     # interior cells only (edges are lower order)
     sl = (slice(4, -4), slice(2, -2))
-    assert np.allclose(met.first[0, 0][sl], dxdi_exact[sl], rtol=1e-5)
+    assert np.allclose(first[0, 0][sl], dxdi_exact[sl], rtol=1e-5)
     assert np.allclose(met.jacobian()[sl], dxdi_exact[sl] / 8.0, rtol=1e-5)
 
 
@@ -176,12 +195,14 @@ def test_metric_arrays_are_component_major(dim):
     idx = np.stack(np.meshgrid(*[np.arange(n) + 0.5 for n in shape],
                                indexing="ij"))
 
+    def coords(k):
+        return idx + 0.1 * np.sin(0.4 * idx[::-1] + k)
+
     def patch(k):
-        return CurvilinearMetrics.from_coordinates(
-            idx + 0.1 * np.sin(0.4 * idx[::-1] + k))
+        return CurvilinearMetrics.from_coordinates(coords(k))
 
     one = patch(0)
-    J, ref = cofactors(one.first)
+    J, ref = cofactors(dx_dxi(coords(0)))
     assert np.array_equal(one._m, ref) and np.array_equal(one.jacobian(), J)
     members = [patch(k) for k in range(3)]
     several = StackedMetrics(members)
@@ -247,7 +268,7 @@ def test_cofactor_metrics_equal_lapack_to_rounding(coords):
     the mirror image of the same grid has ``J < 0`` and is refused."""
     dim = len(coords)
     met = CurvilinearMetrics.from_coordinates(coords)
-    T = np.moveaxis(met.first.reshape(dim, dim, -1), -1, 0)
+    T = np.moveaxis(dx_dxi(coords).reshape(dim, dim, -1), -1, 0)
     J = np.linalg.det(T)
     m = (J[:, None, None] * np.linalg.inv(T)).transpose(1, 2, 0)
     got = np.stack([met.m(d) for d in range(dim)]).reshape(m.shape)
@@ -272,13 +293,10 @@ def test_curvilinear_shape_validation():
 
 
 def test_grid_quality_uniform_grid():
-    from repro.numerics.metrics import grid_quality
-
     n = 16
     g = np.meshgrid(np.arange(n) + 0.5, (np.arange(n) + 0.5) * 2.0,
                     indexing="ij")
-    met = CurvilinearMetrics.from_coordinates(np.stack(g).astype(float))
-    q = grid_quality(met)
+    q = grid_quality(np.stack(g).astype(float))
     assert q["max_skewness"] == pytest.approx(0.0, abs=1e-12)
     assert q["max_stretching"] == pytest.approx(0.0, abs=1e-10)
     assert q["max_aspect_ratio"] == pytest.approx(2.0)
@@ -287,19 +305,14 @@ def test_grid_quality_uniform_grid():
 
 def test_grid_quality_detects_stretching_and_skew():
     from repro.cases.grids import compression_ramp_mapping, tanh_cluster_mapping
-    from repro.numerics.metrics import grid_quality
 
     n = 32
     s = np.stack(np.meshgrid((np.arange(n) + 0.5) / n,
                              (np.arange(n) + 0.5) / n, indexing="ij"))
     # wall clustering: strong stretching, no skew
-    met1 = CurvilinearMetrics.from_coordinates(
-        tanh_cluster_mapping((1.0, 1.0), beta=3.0)(s))
-    q1 = grid_quality(met1)
+    q1 = grid_quality(tanh_cluster_mapping((1.0, 1.0), beta=3.0)(s))
     assert q1["max_stretching"] > 0.05
     assert q1["max_skewness"] < 0.01
     # ramp shear: skewed grid lines
-    met2 = CurvilinearMetrics.from_coordinates(
-        compression_ramp_mapping((2.0, 1.0), angle_deg=30.0)(s))
-    q2 = grid_quality(met2)
+    q2 = grid_quality(compression_ramp_mapping((2.0, 1.0), angle_deg=30.0)(s))
     assert q2["max_skewness"] > 0.2

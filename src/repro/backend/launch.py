@@ -146,17 +146,10 @@ class ExecutionBackend:
         return self._launch(name, fn, npoints, spec or _FLUX_SPEC)
 
     def reduce_data(self, name: str, values, op: str = "min",
-                    spec: Optional[LaunchSpec] = None,
-                    npoints: int = 0) -> Optional[float]:
-        """``op`` over ``values``; ``values=None`` records a reduction over
-        ``npoints`` values whose result was taken elsewhere, with an empty
-        body (as the other owners' launches of a batch), and returns
-        ``None``."""
-        if values is not None:
-            npoints = int(np.size(values))
-        body = (_empty if values is None
-                else partial(reduce_values, values, op))
-        return self._launch(name, body, npoints, spec or _REDUCTION_SPEC)
+                    spec: Optional[LaunchSpec] = None) -> float:
+        """``op`` over ``values``, one launch over them."""
+        return self._launch(name, partial(reduce_values, values, op),
+                            int(np.size(values)), spec or _REDUCTION_SPEC)
 
     def launch_shares(self, name: str, body: Callable,
                       shares: Sequence[Share]):

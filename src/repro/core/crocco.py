@@ -327,12 +327,12 @@ class Crocco(AmrCore):
             batches.append(Batch(g, ids, tuple(dm[i] for i in ids), metrics))
         self.faces[lev] = GhostFaces(state, coords, geom.domain,
                                      self.case.bc_faces)
-        # each rank's share of the level is resident on its own device
-        # (state, du and coordinates; the metrics are not charged)
-        nbytes = 8 * ((lay.ncons + lay.dim) * num_pts(state.grown)
-                      + lay.ncons * num_pts(ba.lohi))
-        per_rank = np.bincount(dm.ranks(), nbytes,
-                               self.comm.nranks).astype(int).tolist()
+        # each rank's share of the level is resident on its own device:
+        # its fabs of every MultiFab of the level
+        per_rank = sum(np.bincount(
+            dm.ranks(), mf.buffer.itemsize * mf.ncomp * num_pts(mf.grown),
+            self.comm.nranks) for mf in (state, self.du[lev], *stores))
+        per_rank = per_rank.astype(int).tolist()
         for rank, n in enumerate(per_rank):
             self.exec_backend.reserve(n, rank)
         self._residency[lev] = per_rank
@@ -448,6 +448,9 @@ class Crocco(AmrCore):
                                        self.amr_config.n_error_buf)
 
     def _compute_dt(self) -> float:
+        # the program ComputeDt's rates are bound in, built (after a regrid)
+        # outside the region: binding is the program's cost, not ComputeDt's
+        self.engine.stage_graph()
         with self.profiler.region("ComputeDt"):
             if self.config.fixed_dt is not None:
                 return self.config.fixed_dt
@@ -455,18 +458,15 @@ class Crocco(AmrCore):
             return compute_dt(self.max_rates(), cfl, self.comm)
 
     def max_rates(self) -> List[float]:
-        """The largest CFL rate over each rank's patches (0: it has none)."""
+        """The largest CFL rate over each rank's patches (0: it has none),
+        over the valid cells (ghosts can be stale right after a regrid):
+        the rates the stage program bound, built here if a regrid dropped
+        it."""
         rates = [0.0] * self.comm.nranks
-        # valid region only: ghost cells can be stale right after a
-        # regrid, before the stage's FillPatch
-        valid = (slice(None), slice(None)) + (
-            slice(self.ng, -self.ng),) * self.case.layout.dim
+        program = self.engine.stage_graph().bound
         for lev in range(self.finest_level + 1):
-            arrays = self.state[lev].arrays
-            for batch in self.batches[lev]:
-                got = self.kernels.max_rate(
-                    arrays[batch.group][valid],
-                    batch.metrics.interior(self.ng), batch.ranks)
+            for batch, bound in zip(self.batches[lev], program[lev]):
+                got = self.kernels.max_rate(bound.stage)
                 for rank, r in zip(batch.ranks, got.tolist()):
                     rates[rank] = max(rates[rank], r)
         return rates

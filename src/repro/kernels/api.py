@@ -28,10 +28,10 @@ between component and grid — ``u (ncons, B, *grown)``, ``metrics.m(d)
 member for member, exactly what the per-patch calls do (the
 Lax-Friedrichs ``alpha`` stays one per member).  :meth:`KernelSet.rhs`,
 :meth:`~KernelSet.update` and :meth:`~KernelSet.max_rate` are the only
-entry points; the advance calls them once per batch and RK stage on a
-:class:`BoundStage` (:mod:`repro.kernels.batch`) that resolved what its
-launches need once per stage program, so a stage pays for the library
-and not for the Python around it.  The body of a batched launch runs
+entry points; the advance calls them once per batch and RK stage (the
+rate once per step) on a :class:`BoundStage` (:mod:`repro.kernels.batch`)
+that resolved what its launches need once per stage program, so a stage
+pays for the library and not for the Python around it.  The body of a batched launch runs
 once; every owning rank's device records one launch over its members
 (:meth:`~repro.backend.ExecutionBackend.launch_shares`).
 
@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -124,6 +124,7 @@ class KernelSet:
                 scratch.get(role, (n,))
         for stage in bound:
             stage.attach(scratch)
+            stage.bind_rate()
         return bound
 
     # -- RHS evaluation --------------------------------------------------
@@ -153,12 +154,16 @@ class KernelSet:
             u_valid.update_shares)
 
     # -- ComputeDt ----------------------------------------------------------
-    def max_rate(self, u: np.ndarray, metrics: Metrics, rank=0):
-        """Patch CFL rate, via the backend ReduceData (a recorded device
-        reduction on an accounting target, plain NumPy on host); for a
-        batch, the rate of every member."""
-        return local_max_rate(self.layout, self.eos, u, metrics,
-                              self.exec_backend, rank)
+    def max_rate(self, u, metrics: Optional[Metrics] = None, rank=0):
+        """CFL rate of one patch's valid region ``u`` — for a batch, of
+        every member — as one ``ComputeDt`` reduction per owning rank
+        (``rank``: one per member), bound for this call; or of the valid
+        region of ``u``, a stage :meth:`bind` made."""
+        if not isinstance(u, BoundStage):
+            u = BoundStage(self, u, metrics, 0, rank)
+            u.bind_rate()
+        return self.exec_backend.launch_shares("ComputeDt", u.rate,
+                                               u.rate_shares)
 
 
 class BoundStage:
@@ -167,9 +172,10 @@ class BoundStage:
     the scratch bytes) and — when the compiled sweep takes it — one
     library call per direction with its arguments converted, holding the
     arrays it points into (``u``, the metrics, scratch, the right-hand
-    side).  Out of the library's domain (no library, ``mixed`` precision,
-    ``Viscous``, a non-ideal EOS, metrics it does not take) its launches
-    run the NumPy sweeps of :meth:`ConvectiveFlux.divergence` instead."""
+    side); and ComputeDt's rate (:meth:`bind_rate`).  Out of the library's
+    domain (no library, ``mixed`` precision, ``Viscous``, a non-ideal
+    EOS, metrics it does not take) its launches run the NumPy sweeps of
+    :meth:`ConvectiveFlux.divergence` instead."""
 
     def __init__(self, kernels: KernelSet, u: np.ndarray,
                  metrics: Optional[Metrics], ng: int, rank=0) -> None:
@@ -189,6 +195,7 @@ class BoundStage:
 
         self.update_shares = shares(npts, "update")
         self.viscous_shares = shares(npts, "flux")
+        self.rate_shares = shares(npts, "reduction")
         # the ordering's sweep order: a faithful source of drift (above)
         order = (range(dim) if kernels.ordering == "fortran"
                  else range(dim - 1, -1, -1))
@@ -211,6 +218,8 @@ class BoundStage:
         self.shapes = shapes if all(shapes) else None
         self.calls: Optional[list] = None
         self.out: Optional[np.ndarray] = None
+        #: ComputeDt's rate over the valid region, once :meth:`bind_rate`
+        self.rate: Optional[Callable] = None
 
     def attach(self, scratch, shared: bool = True) -> None:
         """Bind the compiled sweeps (if they take this stage); the
@@ -230,6 +239,16 @@ class BoundStage:
         self.calls = [calls[ds[0]] if len(ds) == 1
                       else partial(_in_order, [calls[d] for d in ds])
                       for _, ds, _ in self.launches]
+
+    def bind_rate(self) -> None:
+        """Bind ComputeDt's rate: the compiled one if it takes the valid
+        region, else the NumPy reference."""
+        ks, metrics = self.kernels, self.metrics.interior(self.ng)
+        lib = native.kernels()
+        self.rate = (lib and lib.bind_rate(
+            self.u_valid, [metrics.m(d) for d in range(ks.layout.dim)],
+            metrics.jacobian(), ks.eos)) or partial(
+                local_max_rate, ks.layout, ks.eos, self.u_valid, metrics)
 
     def rhs(self) -> np.ndarray:
         launch = self.kernels.exec_backend.launch_shares

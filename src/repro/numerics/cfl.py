@@ -10,45 +10,30 @@ the two global communication calls in CRoCCo (Sec. III-B).
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.backend import ExecutionBackend, LaunchSpec, owners
-from repro.numerics import native
 from repro.numerics.fluxes import wave_speed
 from repro.numerics.state import StateLayout
 
 
-def local_max_rate(layout: StateLayout, eos, u: np.ndarray, metrics,
-                   backend: ExecutionBackend, rank=0):
+def local_max_rate(layout: StateLayout, eos, u: np.ndarray, metrics):
     """max over this patch's cells of sum_d (|Uhat_d| + a |m_d|)/J; for a
-    batch ``u (ncons, B, *grid)`` with one owning rank per member, the
-    ``B`` patch rates.
+    batch ``u (ncons, B, *grid)``, the ``B`` patch rates.
 
-    Each owning rank records one ``ComputeDt`` reduction (``ReduceData``)
-    over its members' cells.  The maxima are taken once, by the compiled
-    kernel (:mod:`repro.numerics.native`) when this process has it and it
-    takes the input (an ideal gas on stored metrics), else by NumPy: the
-    same bits either way.
+    The NumPy reference: a ComputeDt launch
+    (:meth:`~repro.kernels.api.KernelSet.max_rate`) runs the compiled rate
+    of :mod:`repro.numerics.native` when this process has it and it takes
+    the input (an ideal gas on stored metrics), else this — the same bits
+    either way.
     """
     dim, J = layout.dim, metrics.jacobian()
-    compiled = native.kernels()
-    rates = compiled and compiled.max_rate(
-        u, [metrics.m(d) for d in range(dim)], J, eos)
-    if rates is None:
-        rho, vel, p = eos.primitives(layout, u)
-        a = eos.sound_speed(layout, u, rho, p)
-        w = [wave_speed(vel, a, metrics.m(d), J) for d in range(dim)]
-        rates = sum(w[1:], w[0]).max(axis=tuple(range(-dim, 0)))
-    # accounting is not execution: the reduction each rank's device would
-    # have run over its members' cells is recorded with an empty body
-    one, npts = u.ndim == dim + 1, math.prod(u.shape[-dim:])
-    for r, n in owners(rank, 1 if one else len(rates)).items():
-        backend.reduce_data("ComputeDt", None, "max",
-                            LaunchSpec("reduction", r), n * npts)
-    return float(rates) if one else rates
+    rho, vel, p = eos.primitives(layout, u)
+    a = eos.sound_speed(layout, u, rho, p)
+    w = [wave_speed(vel, a, metrics.m(d), J) for d in range(dim)]
+    rates = sum(w[1:], w[0]).max(axis=tuple(range(-dim, 0)))
+    return float(rates) if u.ndim == dim + 1 else rates
 
 
 def compute_dt(

@@ -78,32 +78,10 @@ class Metrics:
         raise NotImplementedError
 
     def interior(self, ng: int) -> "Metrics":
-        """A view of these metrics with ``ng`` cells cropped on every side."""
-        if ng == 0:
-            return self
-        return _CroppedMetrics(self, ng)
-
-
-class _CroppedMetrics(Metrics):
-    """Metrics restricted to the interior of a grown region."""
-
-    def __init__(self, base: Metrics, ng: int) -> None:
-        self._base = base
-        self._ng = ng
-        self.dim = base.dim
-
-    def _crop(self, arr: np.ndarray) -> np.ndarray:
-        sl = tuple(
-            slice(None) if n == 1 else slice(self._ng, n - self._ng)
-            for n in arr.shape[-self.dim:]
-        )
-        return arr[(Ellipsis,) + sl]
-
-    def m(self, d: int) -> np.ndarray:
-        return self._crop(self._base.m(d))
-
-    def jacobian(self) -> np.ndarray:
-        return self._crop(self._base.jacobian())
+        """These metrics with ``ng`` cells cropped on every side of the
+        grid, a view of the same class (a broadcast axis of one cell is
+        kept)."""
+        raise NotImplementedError
 
 
 class CartesianMetrics(Metrics):
@@ -127,6 +105,9 @@ class CartesianMetrics(Metrics):
 
     def jacobian(self) -> np.ndarray:
         return np.full((1,) * self.dim, self._J)
+
+    def interior(self, ng: int) -> "CartesianMetrics":
+        return self  # uniform: every crop is the same metrics
 
 
 class CurvilinearMetrics(Metrics):
@@ -156,6 +137,13 @@ class CurvilinearMetrics(Metrics):
 
     def jacobian(self) -> np.ndarray:
         return self._J
+
+    def interior(self, ng: int) -> "CurvilinearMetrics":
+        if ng == 0:
+            return self
+        return type(self)(self.arr[(Ellipsis,) + tuple(
+            slice(None) if n == 1 else slice(ng, n - ng)
+            for n in self.arr.shape[-self.dim:])])
 
     def gcl_residual(self) -> np.ndarray:
         """Geometric conservation law residual sum_d d(m_d)/d(xi_d).

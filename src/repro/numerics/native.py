@@ -9,9 +9,9 @@ halves: the pointwise pre-pass (:func:`flux_split`: Lax-Friedrichs
 row kernel (:func:`weno_rows`:
 :meth:`~repro.numerics.weno.WenoScheme.combine` of the plus windows plus
 its mirror image on the minus windows) — and ComputeDt's rate
-(``max_rate``), all in NumPy's operation order:
-bitwise the reference, 5-15x faster.  :func:`kernels` hands them out —
-the sweep bound once per stage or call site — or ``None`` (after **one**
+(``max_rate``), all in NumPy's operation order: bitwise the reference,
+5-15x faster.  :func:`kernels` hands them out — the sweep and the rate
+bound once per stage or call site — or ``None`` (after **one**
 ``RuntimeWarning``) when no library can be had; the NumPy code then runs
 and the numbers are the same.  Which a process got is :func:`status`.
 
@@ -82,9 +82,11 @@ class Kernels(NamedTuple):
     #: — or, for a stage's tuple of directions and their ``m``, their calls:
     #: the first computes the primitives (role ``prims``), the rest read them
     bind_sweep: Callable
-    #: ``f(u, m, J, eos) -> rates ([B])``: ComputeDt's rate of each member,
-    #: ``m`` every direction's; ``None`` for an input it does not take
-    max_rate: Callable
+    #: ``f(u, m, J, eos)``: ComputeDt's rate of ``u`` bound into a call of
+    #: no arguments returning each member's (``[B]``; a float for one
+    #: patch), ``m`` every direction's, keeping every array it has an
+    #: address of in ``call.holds``; ``None`` for an input it does not take
+    bind_rate: Callable
 
 
 def kernels() -> Optional[Kernels]:
@@ -275,7 +277,7 @@ def _load() -> Kernels:
             calls[-1].out, calls[-1].holds = res, (u, x, J, *got, res, *tables)
         return calls if stage else calls[0]
 
-    def rate(u: np.ndarray, m, J: np.ndarray, eos):
+    def bind_rate(u: np.ndarray, m, J: np.ndarray, eos):
         # an ideal gas's float64 u (dim + 2, [B,] *cells), J of its cells
         # and each m[d] (dim, ...) of them, of one strides; unit-stride rows
         dim, nu = len(m), u.ndim
@@ -296,15 +298,22 @@ def _load() -> Kernels:
         def ax(s, k):
             return [*s[:k], *pad, *s[k:-1]]
         res = np.empty(u.shape[1:-dim] or 1)
-        lib.max_rate(u.ctypes.data, (p * 3)(*[x.ctypes.data for x in m]),
-                     J.ctypes.data, (n * 4)(*res.shape, *(1,) * (3 - dim),
-                                            *u.shape[-dim:]),
-                     (n * 11)(*ax(st[:nu], k), *ax(st[nu:2 * nu], k),
-                              *ax(st[2 * nu:], k - 1)),
-                     dim, eos.gamma, PRESSURE_FLOOR, res.ctypes.data)
-        return res.reshape(u.shape[1:-dim])
+        # converted once: a call passes ctypes objects through as they are
+        call = partial(
+            lib.max_rate, p(u.ctypes.data), (p * 3)(*[x.ctypes.data for x in m]),
+            p(J.ctypes.data), (n * 4)(*res.shape, *(1,) * (3 - dim),
+                                      *u.shape[-dim:]),
+            (n * 11)(*ax(st[:nu], k), *ax(st[nu:2 * nu], k),
+                     *ax(st[2 * nu:], k - 1)),
+            i(dim), d(eos.gamma), d(PRESSURE_FLOOR), p(res.ctypes.data))
 
-    k = Kernels(split, rows, bind, rate)
+        def rates():
+            call()
+            return float(res[0]) if one else res.copy()
+        rates.holds = (u, *m, J, res)
+        return rates
+
+    k = Kernels(split, rows, bind, bind_rate)
     # checked once per library: a pass leaves an empty stamp beside it,
     # named by its bytes, this NumPy and the code the check runs
     stamp = path.with_name(f"{path.stem}-{np.__version__}-" + _digest(*(
@@ -366,7 +375,6 @@ def _self_check(k: Kernels, lib: Path) -> None:
     library that is not this source's fails here."""
     from types import SimpleNamespace
 
-    from repro.backend import HostBackend
     from repro.numerics.cfl import local_max_rate
     from repro.numerics.fluxes import ConvectiveFlux
 
@@ -394,9 +402,8 @@ def _self_check(k: Kernels, lib: Path) -> None:
             raise RuntimeError(f"{lib} does not reproduce the sweep")
     v = (Ellipsis, slice(1, -1), slice(2, -1))
     ref = local_max_rate(StateLayout(dim=2), eos, u[v], SimpleNamespace(
-        m=lambda d: ms[d][v], jacobian=lambda: fp[v]), HostBackend())
-    if not np.array_equal(k.max_rate(u[v], [x[v] for x in ms], fp[v], eos),
-                          ref):
+        m=lambda d: ms[d][v], jacobian=lambda: fp[v]))
+    if k.bind_rate(u[v], [x[v] for x in ms], fp[v], eos)() != ref:
         raise RuntimeError(f"{lib} does not reproduce ComputeDt")
 
 

@@ -1,7 +1,8 @@
 """RuntimeEngine: the driver-facing facade over the task runtime.
 
-Owns the scheduler and the stage program — built by the first RK stage
-after level storage is built or cleared, run by every stage until then —
+Owns the scheduler and the stage program — built on first use after
+level storage is built or cleared (ComputeDt's or the first RK stage's),
+run by every stage until then —
 and accumulates the per-stage
 :class:`~repro.runtime.scheduler.ScheduleReport` into a per-step report the
 observability layer samples (``runtime.*`` gauges, the run report's Overlap

@@ -22,7 +22,8 @@ report's critical path), by five structural rules:
 One program serves every stage of every step until level storage is
 built or cleared again (``Crocco`` then drops it:
 ``RuntimeEngine.drop_graph``), and so do the batches it binds when it is
-built (:func:`bound_batches`), which die with it.
+built (:func:`bound_batches`) — their RK stages and ComputeDt rates —
+which die with it.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ class StageGraph:
         self.tasks: List[Task] = []
         self.args = SimpleNamespace(dt=0.0, stage=0)
         self.every = 0
+        #: each level's bound batches, in ``sim.batches`` order: the batch
+        #: tasks run their stages, ``Crocco.max_rates`` their rates
+        self.bound: List[List[BoundBatch]] = []
 
     def add(self, name, fn, kind="compute", regions=(), channel=None,
             after=()) -> Task:
@@ -63,7 +67,7 @@ class StageGraph:
 def build_stage_graph(sim) -> StageGraph:
     """The stage program of ``sim``'s (a :class:`Crocco`) level storage."""
     g = StageGraph()
-    bound = bound_batches(sim)
+    bound = g.bound = bound_batches(sim)
     posts = []   # per level: its FillPatch op and its posted halves
     for lev in range(sim.finest_level + 1):
         needs = lev > 0 and sim.interp.needs_coords

@@ -141,11 +141,13 @@ class TestSeamAccounting:
     def test_seam_calls_are_the_recorded_launches(self, launch_log,
                                                   monkeypatch):
         """Two steps of the DMR deck on ``device``: each ``parallel_for``
-        call is one recorded launch outside class ``reduction``, each
-        ``reduce_data`` call one ``reduction`` launch, and every launch is
-        priced by its name.  The benchmark's untraced estimator cuts a step
-        at ``parallel_for`` and the report reads the records, so both see
-        the same launches."""
+        call is one recorded launch — ComputeDt's, one ``reduction``
+        launch per owning rank of each batch and step, included — no
+        ``reduce_data`` call is made (it is the ReduceData of values
+        ``test_primitives`` checks), and every launch is priced by its
+        name.  The benchmark's untraced estimator cuts a step at
+        ``parallel_for`` and the report reads the records, so both see the
+        same launches."""
         config, run = InputDeck.from_file(DMR_DECK).resolve(
             {"backend_target": "device"})
         sim = Crocco(build_case(run), config)
@@ -159,13 +161,20 @@ class TestSeamAccounting:
                 return _real(self, *args, **kwargs)
 
             monkeypatch.setattr(ExecutionBackend, hook, counted)
-        sim.run(2)
+        sim.run(2)  # a regrid in the first step only: one set of batches
         sim.close()
-        run = launch_log.events[mark:]
-        reductions = [r for r in run if r.kernel_class == "reduction"]
-        launches = [r for r in run if r.kernel_class != "reduction"]
-        assert calls["parallel_for"] == len(launches) > 0
-        assert calls["reduce_data"] == len(reductions) > 0
+        run = launch_log.pairs[mark:]
+        assert calls["parallel_for"] == len(run) > 0
+        assert calls["reduce_data"] == 0
+        owners = Counter()
+        for lev, batches in sim.batches.items():
+            for b in batches:
+                npts = sim.du[lev].arrays[b.group][0, 0].size
+                for rank, n in Counter(b.ranks).items():
+                    owners[rank, ("ComputeDt", n * npts, "reduction")] += 2
+        assert Counter((sim.devices.index(dev), tuple(rec))
+                       for dev, rec in run
+                       if rec.kernel_class == "reduction") == owners
         flops = Counter()
         for rec in launch_log.events:
             flops[rec.name] += int(

@@ -2,8 +2,8 @@
 the storage it was bound to, and dies with it.
 
 ``rk3graph.bound_batches`` binds every batch of a stage program once: its
-compiled sweeps hold converted pointers into the level's state buffer,
-its metric stacks and the backend's scratch.  The program is dropped with
+compiled sweeps and ComputeDt rate hold converted pointers into the
+level's state buffer, its metric stacks and the backend's scratch.  The program is dropped with
 the level storage it was built for, and the bound batches with it.  So,
 over a run that regrids every step: after every remake no bound batch is
 reachable any more (its weak reference is dead, with no garbage
@@ -51,6 +51,12 @@ def library_calls(stage):
         yield from call.args[0] if call.func is _in_order else (call,)
 
 
+def rate_call(stage):
+    """The library call a stage's bound rate makes."""
+    cells = dict(zip(stage.rate.__code__.co_freevars, stage.rate.__closure__))
+    return cells["call"].cell_contents
+
+
 def check_addresses(sim):
     """Every address the live program's bound batches hand the library is
     in live memory; returns how many calls were checked."""
@@ -73,6 +79,15 @@ def check_addresses(sim):
                 assert inside(address, sim.state[lev].buffer, *metrics,
                               batch.metrics.jacobian(), *call.holds)
             checked += 1
+        # ComputeDt's rate: u, each m, J and the rates it writes
+        call = rate_call(stage)
+        u, m, J, out = (call.args[0].value, call.args[1], call.args[2].value,
+                        call.args[-1].value)
+        assert inside(u, sim.state[lev].buffer)
+        assert all(inside(x, *metrics) for x in m[:len(metrics)])
+        assert inside(J, batch.metrics.jacobian())
+        assert inside(out, *stage.rate.holds)
+        checked += 1
     return checked
 
 
@@ -106,5 +121,6 @@ def test_stale_pointer_trap(monkeypatch):
     sim.close()
     assert len(remakes) > STEPS, "the run must remake levels every step"
     # every batch of every program was checked: one call per direction
-    assert checked == sim.case.layout.dim * len(seen) > 0
+    # and its rate
+    assert checked == (sim.case.layout.dim + 1) * len(seen) > 0
 

@@ -12,15 +12,20 @@ as ``device`` does) and the implementation axis (the C code is the NumPy
 code operation for operation).
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.cases.dmr import DoubleMachReflection
+from repro.cli import build_case
 from repro.core.crocco import Crocco, CroccoConfig
 from repro.core.versions import VERSIONS
+from repro.io.inputs import InputDeck
 from repro.kernels.device import DeviceMemoryError
 from tests.numerics import weno_oracle
 
+ROOT = Path(__file__).resolve().parents[2]
 TARGETS = ("host", "device", "fused")
 IMPLS = ("numpy", "compiled")
 NO_TAGS = np.empty((0, 2), dtype=np.int64)
@@ -94,6 +99,28 @@ def test_residency_returns_when_a_level_is_cleared(target):
     sim.regrid()
     assert sim.finest_level == 0
     assert in_use(sim) == coarse_only
+    sim.close()
+
+
+@pytest.mark.parametrize("target", ("device", "fused"))
+def test_residency_is_every_multifab_of_the_level(target):
+    """A rank's resident bytes are its fabs of each MultiFab of the
+    level — state, ``du``, coordinates and metrics: the 3-D deck's level
+    0 reserves its 983,040 metric bytes too, and clearing the level
+    returns every byte."""
+    config, run = InputDeck.from_file(
+        ROOT / "examples/decks/dmr3d.inputs").resolve(
+            {"backend_target": target})
+    sim = Crocco(build_case(run), config)
+    sim.initialize()
+    assert sim.finest_level == 0 and sim.metrics[0].buffer.nbytes == 983_040
+    per_rank = [0] * sim.comm.nranks
+    for store in (sim.state, sim.du, sim.coords, sim.metrics):
+        for i, fab in store[0]:
+            per_rank[store[0].dm[i]] += fab.data.nbytes
+    assert in_use(sim) == per_rank
+    sim.clear_level(0)
+    assert not any(in_use(sim))
     sim.close()
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.backend import DeviceBackend, HostBackend
 from repro.kernels.api import ORDERINGS, make_kernels
-from repro.kernels.device import DeviceMemoryError, GpuDevice
+from repro.kernels.device import DeviceMemoryError, GpuDevice, LaunchRecord
 from repro.numerics.eos import IdealGasEOS
 from repro.numerics.metrics import CartesianMetrics
 from repro.numerics.state import StateLayout
@@ -140,6 +140,12 @@ def test_max_rate_matches_across_orderings_and_targets(launch_log):
     ks, dev = on_device()
     assert ks.max_rate(u, met) == rates["cpp"]
     assert launch_log.events[-1].name == "ComputeDt"
+    # a stage bound once takes the rate of its valid region, one launch
+    stage, = ks.bind([(u, met, NG, 0)])
+    valid = u[(Ellipsis,) + (slice(NG, -NG),) * LAY.dim]
+    assert ks.max_rate(stage) == ks.max_rate(valid, met)
+    assert launch_log.events[-2:] == [
+        LaunchRecord("ComputeDt", valid[0].size, "reduction")] * 2
 
 
 def test_nghost_accounts_for_operators():

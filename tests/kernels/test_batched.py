@@ -168,7 +168,8 @@ def test_batched_equals_per_member(batch, target):
     rhs = many.rhs(stack, metrics, ng, ranks)
     u_valid, du = stack[valid].copy(), dus.copy()
     many.update(u_valid, du, rhs, 0.01, 1, ranks)
-    rates = many.max_rate(stack[valid], metrics.interior(ng), ranks)
+    # the batch's rates as a step takes them: of the stage bound once
+    rates = many.max_rate(many.bind([(stack, metrics, ng, ranks)])[0])
 
     # every owning rank is charged its own members' points, in fewer launches
     assert charged(many) == charged(one)

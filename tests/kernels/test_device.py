@@ -89,7 +89,10 @@ def test_reduce():
         backend.reduce_data("ComputeDt", np.array([1.0]), "prod")
     assert dev.table.total() == 3
     assert dev.table[LaunchRecord("ComputeDt", 2, "reduction")] == 2
-    assert backend.reduce_data("R", None, npoints=5) is None
+    # a reduction whose body is bound elsewhere (ComputeDt's rate) is a
+    # ``reduction``-class launch of its points
+    assert backend.parallel_for("R", lambda: 2.0, 5,
+                                LaunchSpec("reduction")) == 2.0
     assert dev.table[LaunchRecord("R", 5, "reduction")] == 1
     # a reduction is priced by its name's budget, as every launch
     tot = launch_totals([dev])["ComputeDt"]

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.backend import HostBackend
 from repro.numerics.cfl import local_max_rate
 from repro.numerics.eos import IdealGasEOS
 from repro.numerics.fluxes import ConvectiveFlux, contravariant, curvilinear_flux, wave_speed
@@ -141,8 +140,7 @@ def test_max_wave_speed_sum():
         lay, np.ones(shape), np.stack([np.full(shape, 2.0), np.zeros(shape)]),
         np.ones(shape),
     )
-    got = local_max_rate(lay, EOS, u, CartesianMetrics((0.5, 0.25)),
-                         HostBackend())
+    got = local_max_rate(lay, EOS, u, CartesianMetrics((0.5, 0.25)))
     a = np.sqrt(1.4)
     assert got == pytest.approx((2.0 + a) / 0.5 + a / 0.25)
 

@@ -274,7 +274,11 @@ def test_split_checks_what_it_is_handed(split):
 # -- the whole sweep in one call ----------------------------------------------
 
 def as_metrics(m, J):
-    return SimpleNamespace(m=m.__getitem__, jacobian=lambda: J)
+    """``m`` (every direction's) and ``J`` as metrics, views as they are
+    (a call binds them with no ghost cells to crop: ``interior(0)``)."""
+    metrics = SimpleNamespace(m=m.__getitem__, jacobian=lambda: J)
+    metrics.interior = lambda ng: metrics
+    return metrics
 
 
 def both_sweeps(u, m, J, order, ng, form="fused"):
@@ -524,6 +528,50 @@ def test_glue_budget_of_one_bound_rhs(sweep, target, monkeypatch):
     assert len(calls) <= BOUND_GLUE_BUDGET[target], Counter(calls).most_common(8)
 
 
+#: the same of a bound ``KernelSet.max_rate`` (ComputeDt of a batch of a
+#: stage program): 8 / 12 / 12 on host / device / fused, where the
+#: per-call rate and crops of each step were 55 / 59; budget = count + 5
+BOUND_RATE_GLUE_BUDGET = {"host": 13, "device": 17, "fused": 17}
+
+
+@pytest.mark.parametrize("target", sorted(BOUND_RATE_GLUE_BUDGET))
+def test_glue_budget_of_one_bound_max_rate(rate, target, monkeypatch):
+    """ComputeDt of a stage bound once enters the library once per batch,
+    through ``max_rate``, and reads no pointer (``ndarray.ctypes``),
+    checks no input and crops no metrics (``interior``) on the way."""
+    lib = next(c.cell_contents for c in rate.__closure__
+               if isinstance(c.cell_contents, ctypes.CDLL))
+    served, real = [], lib.max_rate
+    monkeypatch.setattr(lib, "max_rate",
+                        lambda *a: served.append(a[5].value) or real(*a))
+    rng = np.random.default_rng(15)
+    u = state(2, (3,), 4, rng)[0]
+    metrics = StackedMetrics([curvilinear((14, 15), rng) for _ in range(3)])
+    kernels = make_kernels("fortran", StateLayout(dim=2), EOS,
+                           exec_backend=make_exec_backend(target))
+    stage, = kernels.bind([(u, metrics, 4, (0, 1, 0))])
+    ref = kernels.max_rate(stage)
+    del served[:]
+    calls = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename != __file__:
+            calls.append((Path(frame.f_code.co_filename).name,
+                          frame.f_code.co_name))
+
+    sys.setprofile(count)
+    try:
+        got = kernels.max_rate(stage)
+    finally:
+        sys.setprofile(None)
+    assert served == [2] and np.array_equal(got, ref)
+    names = {name for _, name in calls}
+    assert not names & {"bind_rate", "interior", "local_max_rate"}, names
+    assert not [f for f, _ in calls if f == "_internal.py"], calls  # .ctypes
+    assert len(calls) <= BOUND_RATE_GLUE_BUDGET[target], Counter(
+        calls).most_common(8)
+
+
 def curvilinear(grown, rng):
     idx = np.stack(np.meshgrid(*[np.arange(n, dtype=float) for n in grown],
                                indexing="ij"))
@@ -620,58 +668,79 @@ def test_divergence_is_bitwise_either_way(kernel, dim, monkeypatch):
 
 # -- ComputeDt -----------------------------------------------------------------
 
-def both_rates(u, metrics, dim, rank=0, eos=EOS):
-    """``local_max_rate`` with the library and without it, each on a
-    ``device`` backend of three ranks: ``(rates, launch tables)`` of each
-    and how many calls the library took."""
+def both_rates(u, metrics, dim, rank=0, eos=EOS, ng=0):
+    """``KernelSet.max_rate`` with the library and without it, each on a
+    ``device`` backend of three ranks — bound for the call, or with
+    ``ng`` ghost cells (``u`` and ``metrics`` grown) of a stage
+    ``KernelSet.bind`` made: ``(rates, launch tables)`` of each and how
+    many rates the library bound."""
     real, served, out = native.kernels(), [], []
 
-    def rate(*args):
-        got = real.max_rate(*args)
-        served.append(got is not None)
-        return got
+    def bind(*args):
+        call = real.bind_rate(*args)
+        served.append(call is not None)
+        return call
 
     layout = StateLayout(dim=dim, nspecies=len(u) - dim - 1)
     with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
-        for lib in (real._replace(max_rate=rate), None):
+        for lib in (real._replace(bind_rate=bind), None):
             mp.setattr(native, "_kernel", lib)
             backend = make_exec_backend("device", [GpuDevice() for _ in "abc"])
-            got = local_max_rate(layout, eos, u, metrics, backend, rank)
+            ks = make_kernels("cpp", layout, eos, exec_backend=backend)
+            args = (ks.bind([(u, metrics, ng, rank)]) if ng
+                    else (u, metrics, rank))
+            got = ks.max_rate(*args)
             out.append((got, [d.table for d in backend.devices]))
     return out, sum(served)
 
 
 def cropped(u, m, J, ng):
-    """Valid-region views, as ``Crocco.max_rates`` hands them over."""
+    """Valid-region views, what a bound stage's rate reads."""
     dim = len(m)
     v = (Ellipsis,) + (slice(ng, -ng),) * dim
     return u[v], as_metrics(m[(slice(None), slice(None)) + v], J[v])
 
 
+def stored(m, J, strided):
+    """``m`` and ``J`` as a level stores them: one ``(dim^2 + 1, ...)``
+    array (``strided``: a view of a larger one, components far apart)."""
+    dim = len(m)
+    arr = np.empty((dim * dim + 1, 3 if strided else 1) + J.shape)[:, -1]
+    arr[:dim * dim] = m.reshape((dim * dim,) + J.shape)
+    arr[-1] = J
+    return CurvilinearMetrics(arr)
+
+
 @pytest.fixture
 def rate():
-    return compiled("max_rate")
+    return compiled("bind_rate")
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_rate_is_bitwise_local_max_rate(rate, dim):
-    """A single patch and batches of 1, 2 and 5, whole arrays and the
-    valid-region views a step hands over, contiguous and member-strided
-    metrics (each ``m[d]`` a view of a larger stack): the rates bit for
-    bit, one library call each, and the same ``ComputeDt`` reductions on
-    the same devices (one per owning rank of a batch)."""
+    """A single patch and batches of 1, 2 and 5, contiguous and
+    member-strided metrics (each ``m[d]`` a view of a larger stack),
+    bound for one call on whole arrays and bound as a stage on the grown
+    ones a step binds: the rates bit for bit, one library call each and
+    the same ``ComputeDt`` reductions on the same devices (one per owning
+    rank of a batch); the stage's are ``local_max_rate`` of its valid
+    region."""
     rng = np.random.default_rng(20 + dim)
     for batch, strided in itertools.product([(), (1,), (2,), (5,)],
                                             [False, True]):
         u, m, J = state(dim, batch, 4, rng, strided)
         rank = tuple(range(batch[0]))[::-1] if batch else 1
-        for arrays in ((u, as_metrics(m, J)), cropped(u, m, J, 4)):
+        for args, ng in (((u, as_metrics(m, J)), 0),
+                         ((u, stored(m, J, strided)), 4)):
             ((ref, ref_tables), (got, tables)), served = both_rates(
-                *arrays, dim, rank)
+                *args, dim, rank, ng=ng)
             assert served == 1 and tables == ref_tables
             assert type(got) is type(ref) and np.shape(got) == np.shape(ref)
             assert np.array_equal(bits(np.asarray(got)),
                                   bits(np.asarray(ref))), (batch, strided)
+        valid = local_max_rate(StateLayout(dim=dim), EOS,
+                               *cropped(u, m, J, 4))
+        assert np.array_equal(bits(np.asarray(got)), bits(np.asarray(valid)))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -695,7 +764,8 @@ def test_rate_poisons_what_numpy_poisons(rate, dim):
         cases.append((u0, J))
     poisoned = 0
     for u, J in cases:
-        ((ref, _), (got, _)), served = both_rates(*cropped(u, m, J, 4), dim)
+        ((ref, _), (got, _)), served = both_rates(u, stored(m, J, False),
+                                                  dim, ng=4)
         assert served == 1
         assert np.array_equal(np.isnan(ref), np.isnan(got))
         assert np.array_equal(bits(got[~np.isnan(got)]),

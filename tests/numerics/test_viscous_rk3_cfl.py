@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.backend import HostBackend
 from repro.mpi.comm import Communicator
 from repro.numerics.cfl import compute_dt, local_max_rate
 from repro.numerics.eos import IdealGasEOS, MixtureEOS, Species
@@ -170,7 +169,7 @@ def test_local_max_rate():
     u = EOS.conservative(lay, np.array([1.0, 1.0]), np.array([[0.0, 2.0]]),
                          np.array([1.0, 1.0]))
     met = CartesianMetrics((0.1,))
-    rate = local_max_rate(lay, EOS, u, met, HostBackend())
+    rate = local_max_rate(lay, EOS, u, met)
     a = np.sqrt(1.4)
     assert rate == pytest.approx((2.0 + a) / 0.1)
 

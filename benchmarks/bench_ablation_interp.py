@@ -14,6 +14,7 @@ import pytest
 from benchmarks.conftest import FULL, table
 from repro.cases.dmr import DoubleMachReflection
 from repro.core.crocco import Crocco, CroccoConfig
+from repro.core.diagnostics import sample
 
 INTERPS = ("curvilinear", "trilinear", "conservative", "weno")
 
@@ -39,12 +40,12 @@ def test_ablation_interpolator(benchmark):
     rows = []
     for name, sim in sims.items():
         led = sim.comm.ledger
-        mn, mx = sim.min_max(0)
+        rec = sample(sim)
         rows.append((
             name,
             f"{led.total_bytes('parallelcopy') / 1e6:.2f}",
             f"{led.total_bytes('fillboundary') / 1e6:.2f}",
-            f"{mn:.3f}", f"{mx:.2f}",
+            f"{rec.rho_min:.3f}", f"{rec.rho_max:.2f}",
         ))
     table("interpolator ablation (DMR, 2-level AMR, per-run traffic)",
           ("interpolator", "ParallelCopy MB", "FillBoundary MB",
@@ -59,6 +60,6 @@ def test_ablation_interpolator(benchmark):
     assert pc["curvilinear"] > 2 * pc["weno"]
     # every variant produces a sane shocked field
     for name, sim in sims.items():
-        mn, mx = sim.min_max(0)
-        assert mn > 1.0 and 8.0 < mx < 25.0, name
+        rec = sample(sim)
+        assert rec.rho_min > 1.0 and 8.0 < rec.rho_max < 25.0, name
         assert not sim.state[0].contains_nan()

@@ -12,6 +12,7 @@ import pytest
 from benchmarks.conftest import FULL, table
 from repro.cases.dmr import DoubleMachReflection
 from repro.core.crocco import Crocco, CroccoConfig
+from repro.core.diagnostics import sample
 
 
 def run_dmr(nx=96, t_end=0.02, max_level=2):
@@ -39,9 +40,9 @@ def test_fig1_fig2_dmr_amr_hierarchy(benchmark):
                      f"{ba.num_pts() / dom.num_pts():.1%}"))
     table("Figs. 1-2 — three-level curvilinear AMR hierarchy on the DMR",
           ("level", "boxes", "active pts", "domain pts", "coverage"), rows)
-    mn, mx = sim.min_max(0)
+    rec = sample(sim)
     print(f"  t = {sim.time:.4f} after {sim.step_count} steps; "
-          f"density in [{mn:.2f}, {mx:.2f}]")
+          f"density in [{rec.rho_min:.2f}, {rec.rho_max:.2f}]")
     print(f"  AMR savings: {sim.amr_savings():.1%} "
           f"(paper: 89-94% at production resolution)")
 
@@ -57,8 +58,8 @@ def test_fig1_fig2_dmr_amr_hierarchy(benchmark):
         assert sim.box_arrays[1].contains(b.coarsen(2))
     # Fig. 2 physics: the reflection amplifies density well beyond the
     # inviscid normal-shock jump of 8, with no vacuum and no NaN
-    assert mx > 8.5
-    assert mn > 1.0
+    assert rec.rho_max > 8.5
+    assert rec.rho_min > 1.0
     assert not any(sim.state[l].contains_nan()
                    for l in range(sim.finest_level + 1))
     # refinement concentrates near the shock system: the fine level's

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.cases.dmr import DoubleMachReflection
 from repro.core.crocco import Crocco, CroccoConfig
+from repro.core.diagnostics import sample
 from repro.io.plotfile import write_plotfile
 from repro.kernels.device import launch_totals
 
@@ -56,9 +57,9 @@ def main() -> None:
     while sim.time < t_end:
         sim.step()
         if sim.step_count % 20 == 0:
-            mn, mx = sim.min_max(0)
+            rec = sample(sim)
             print(f"  step {sim.step_count:4d}  t={sim.time:.4f}  "
-                  f"rho in [{mn:.2f}, {mx:.2f}]  "
+                  f"rho in [{rec.rho_min:.2f}, {rec.rho_max:.2f}]  "
                   f"fine boxes: {len(sim.box_arrays[sim.finest_level])}")
 
     pf = write_plotfile("plt_dmr", sim)

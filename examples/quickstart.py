@@ -11,6 +11,7 @@ import numpy as np
 
 from repro.cases.shocktube import SodShockTube
 from repro.core.crocco import Crocco, CroccoConfig
+from repro.core.diagnostics import sample
 
 
 def main() -> None:
@@ -43,7 +44,7 @@ def main() -> None:
             print(f"{coords[0][k]:8.3f} {rho[k]:14.4f} {exact[0][k]:12.4f}")
     err = np.concatenate(errs)
     print(f"\nmean |rho error| = {err.mean():.4f}   max = {err.max():.4f}")
-    print(f"total mass = {sim.total_mass():.6f} (initial 0.562500)")
+    print(f"total mass = {sample(sim).mass:.6f} (initial 0.562500)")
     print("\nTinyProfiler top-level regions:")
     for name, t in sorted(sim.profiler.top_level().items(), key=lambda kv: -kv[1]):
         print(f"  {name:<12} {t:8.3f} s")

@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.cases.reacting import IgnitionFront
 from repro.core.crocco import Crocco, CroccoConfig
+from repro.core.diagnostics import sample
 
 
 def main() -> None:
@@ -46,7 +47,7 @@ def main() -> None:
     for i in range(0, ncells, max(1, ncells // 16)):
         bar = "#" * int(40 * yb[i])
         print(f"  x={x[i]:.3f} |{bar:<40s}| {yb[i]:.2f}")
-    print(f"\nmass conservation: total mass = {sim.total_mass():.8f} "
+    print(f"\nmass conservation: total mass = {sample(sim).mass:.8f} "
           f"(initial 1.0)")
 
 

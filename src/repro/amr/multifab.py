@@ -119,23 +119,6 @@ class MultiFab:
     def set_val(self, value: float) -> None:
         self.buffer.fill(value)
 
-    # -- reductions (via the communicator, so traffic is accounted) -----------
-    def min(self, comp: int = 0) -> float:
-        """Global min over valid regions, via a simulated tree reduction."""
-        per_rank = self._per_rank_reduce(comp, np.min, np.inf)
-        return self.comm.reduce_min(per_rank)
-
-    def max(self, comp: int = 0) -> float:
-        per_rank = self._per_rank_reduce(comp, np.max, -np.inf)
-        return self.comm.reduce_max(per_rank)
-
-    def _per_rank_reduce(self, comp: int, op, identity: float) -> list:
-        per_rank = [identity] * self.comm.nranks
-        for i, f in self:
-            r = self.dm[i]
-            per_rank[r] = op([per_rank[r], float(op(f.valid()[comp]))])
-        return per_rank
-
     def contains_nan(self) -> bool:
         return bool(np.isnan(self.buffer).any())
 

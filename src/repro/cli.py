@@ -20,6 +20,7 @@ from typing import Dict, Optional
 from repro.cases import CASES
 from repro.core.config import BY_NAME, RunControl, render_reference
 from repro.core.crocco import ConfigError, Crocco
+from repro.core.diagnostics import sample
 from repro.io.checkpoint import (CheckpointError, load_checkpoint,
                                  save_checkpoint)
 from repro.io.inputs import InputDeck
@@ -97,11 +98,13 @@ def run_deck(path: str, overrides: Dict[str, object]) -> int:
 
     def progress() -> None:
         """One status line: step, time, dt (``-`` before this process has
-        taken a step), density bounds."""
-        mn, mx = sim.min_max(0)
+        taken a step), and the diagnostics sample's mixture density range
+        and level-0 mass."""
+        rec = sample(sim)
         dt = f"{sim.dt_history[-1]:.3e}" if sim.dt_history else "-"
-        print(f"  step {sim.step_count:5d}  t = {sim.time:.5f}  "
-              f"dt = {dt}  rho in [{mn:.3f}, {mx:.3f}]")
+        print(f"  step {rec.step:5d}  t = {rec.time:.5f}  dt = {dt}  "
+              f"rho in [{rec.rho_min:.3f}, {rec.rho_max:.3f}]  "
+              f"mass = {rec.mass:.6e}")
 
     try:
         start = sim.step_count

@@ -270,7 +270,8 @@ class RunControl:
                                  help="resume from this snapshot")
     report_every: int = opt(
         10, deck="run.report_every", minimum=0,
-        help="steps between progress lines (0 = only the last)")
+        help="steps between progress lines, each one diagnostics sample: "
+             "mixture density range and level-0 mass (0 = only the last)")
     record: Optional[str] = opt(
         None, deck="run.record", flag="--record",
         help="record the run: DIR/trace.json and DIR/metrics.jsonl unless "

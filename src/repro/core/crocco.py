@@ -449,7 +449,7 @@ class Crocco(AmrCore):
 
     def _compute_dt(self) -> float:
         # the program ComputeDt's rates are bound in, built (after a regrid)
-        # outside the region: binding is the program's cost, not ComputeDt's
+        # in its own region: binding is the program's cost, not ComputeDt's
         self.engine.stage_graph()
         with self.profiler.region("ComputeDt"):
             if self.config.fixed_dt is not None:
@@ -494,25 +494,3 @@ class Crocco(AmrCore):
         """The run's simulated GPUs, one per rank — the execution
         backend's (none on a target that does not account)."""
         return self.exec_backend.devices
-
-    # -- diagnostics -----------------------------------------------------
-    def cell_volumes(self, lev: int) -> Dict[int, np.ndarray]:
-        """Each box's ``J`` over its valid cells, by box index (on a
-        Cartesian level one cell's, which broadcasts)."""
-        volumes = {}
-        for batch in self.batches[lev]:
-            J = batch.metrics.interior(self.ng).jacobian()
-            volumes.update((i, J[b]) for b, i in enumerate(batch.ids))
-        return volumes
-
-    def total_mass(self) -> float:
-        """Integral of density over the level-0 grid (conservation check)."""
-        volumes = self.cell_volumes(0)
-        total = 0.0
-        for i, fab in self.state[0]:
-            rho = fab.valid()[self.case.layout.rho_s].sum(axis=0)
-            total += float((rho * volumes[i]).sum())
-        return total
-
-    def min_max(self, comp: int):
-        return self.state[0].min(comp), self.state[0].max(comp)

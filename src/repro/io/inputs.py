@@ -57,16 +57,13 @@ class InputDeck:
     def __contains__(self, key: str) -> bool:
         return key in self._entries
 
-    def _get(self, key: str, default, typ: type):
-        if key not in self._entries:
-            return default
-        return convert(self._entries[key][0], (typ,), key)
-
     def get_int(self, key: str, default: Optional[int] = None) -> Optional[int]:
-        return self._get(key, default, int)
+        entry = self._entries.get(key)
+        return default if entry is None else convert(entry[0], (int,), key)
 
     def get_bool(self, key: str, default: Optional[bool] = None) -> Optional[bool]:
-        return self._get(key, default, bool)
+        entry = self._entries.get(key)
+        return default if entry is None else convert(entry[0], (bool,), key)
 
     # -- the option table --------------------------------------------------
     def resolve(self, overrides=None) -> Tuple[CroccoConfig, RunControl]:

@@ -32,11 +32,6 @@ class Message(NamedTuple):
     nbytes: int
     kind: str
 
-    @property
-    def local(self) -> bool:
-        """True when source and destination rank coincide (a memcpy)."""
-        return self.src == self.dst
-
 
 def checked_message(src: int, dst: int, nbytes: int, kind: str) -> Message:
     """A :class:`Message` whose kind and size have been validated."""
@@ -79,19 +74,14 @@ class CommLedger:
         return self.table.total()
 
     # -- summaries (views of the table) -----------------------------------
-    def rows(self, kind: Optional[str] = None,
-             remote_only: bool = False) -> Iterator[Tuple[Message, int]]:
+    def rows(self, kind: Optional[str] = None) -> Iterator[Tuple[Message, int]]:
         """``(message, times recorded)`` for each distinct message."""
         for m, n in self.table.items():
-            if (kind is None or m.kind == kind) and not (remote_only
-                                                         and m.local):
+            if kind is None or m.kind == kind:
                 yield m, n
 
-    def total_bytes(self, kind: Optional[str] = None, remote_only: bool = False) -> int:
-        return sum(m.nbytes * n for m, n in self.rows(kind, remote_only))
-
-    def count(self, kind: Optional[str] = None, remote_only: bool = False) -> int:
-        return sum(n for _, n in self.rows(kind, remote_only))
+    def total_bytes(self, kind: Optional[str] = None) -> int:
+        return sum(m.nbytes * n for m, n in self.rows(kind))
 
     def traffic(self) -> Dict[str, Dict[str, int]]:
         """``{kind: {messages, bytes, on_node_bytes, off_node_bytes}}`` in

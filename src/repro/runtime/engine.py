@@ -36,9 +36,11 @@ class RuntimeEngine:
 
     # -- the stage graph ----------------------------------------------------
     def stage_graph(self) -> StageGraph:
-        """The program of the current level storage, built on first use."""
+        """The program of the current level storage, built on first use (in
+        a ``GraphBuild`` profiler region of its own)."""
         if self._graph is None:
-            self._graph = build_stage_graph(self.sim)
+            with self.sim.profiler.region("GraphBuild"):
+                self._graph = build_stage_graph(self.sim)
             self.graphs_built += 1
         return self._graph
 

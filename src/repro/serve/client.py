@@ -152,8 +152,6 @@ class ServeClient:
                 time.sleep(delay)
 
     # -- endpoints ---------------------------------------------------------
-    def healthz(self) -> dict:
-        return self._req("GET", "/healthz")
 
     def submit(self, deck: Optional[str] = None,
                keys: Optional[dict] = None, **opts) -> dict:

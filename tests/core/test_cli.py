@@ -188,6 +188,35 @@ run.report_every = {report_every}
     assert "step     3" in out and "dt = -" in out
 
 
+
+def test_cli_status_line_carries_the_mixture_density_and_mass(capsys):
+    """On the two-species ignition deck the status line's density range is
+    of ``sum_s rho_s`` (species 0's partial density alone reads ~0.003),
+    and it carries the level-0 mass of the diagnostics sample."""
+    from pathlib import Path
+
+    from repro.core.crocco import Crocco
+
+    deck = str(Path(__file__).resolve().parents[2] / "examples" / "decks"
+               / "ignition.inputs")
+    assert main([deck, "--steps", "40"]) == 0
+    line = [x for x in capsys.readouterr().out.splitlines()
+            if x.startswith("  step    40")][-1]
+    config, run = InputDeck.from_file(deck).resolve({})
+    sim = Crocco(build_case(run), config)
+    sim.initialize()
+    sim.run(40)
+    lay = sim.case.layout
+    rho = np.concatenate([lay.density(fab.valid()).ravel()
+                          for _, fab in sim.state[0]])
+    assert 0.5 < rho.min() and lay.nspecies == 2
+    assert f"rho in [{rho.min():.3f}, {rho.max():.3f}]" in line
+
+    from repro.core.diagnostics import sample
+    rec = sample(sim)
+    assert (rec.rho_min, rec.rho_max) == (rho.min(), rho.max())
+    assert line.endswith(f"mass = {rec.mass:.6e}")
+
 BASE_DECK = ("crocco.case = sod\namr.n_cell = 32\namr.max_grid_size = 32\n"
              "run.steps = 1\n")
 

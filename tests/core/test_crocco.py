@@ -7,6 +7,7 @@ from repro.cases.dmr import DoubleMachReflection
 from repro.cases.shocktube import SodShockTube
 from repro.cases.vortex import IsentropicVortex
 from repro.core.crocco import Crocco, CroccoConfig
+from repro.core.diagnostics import sample
 from repro.core.validation import compare_states
 
 
@@ -38,7 +39,7 @@ def test_sod_mass_conservation_until_outflow():
     # waves have not reached the boundaries: total mass is conserved
     # not bit-exact: after enough steps the numerical domain of dependence
     # reaches the open boundaries and tiny fluxes cross them
-    assert sim.total_mass() == pytest.approx(0.5625, rel=1e-6)
+    assert sample(sim).mass == pytest.approx(0.5625, rel=1e-6)
 
 
 def test_fixed_dt_and_history():
@@ -90,9 +91,9 @@ def test_dmr_stability_and_reflection():
     sim.initialize()
     while sim.time < 0.02:
         sim.step()
-    mn, mx = sim.min_max(0)
-    assert mn > 1.0  # no vacuum
-    assert mx > 8.5  # reflection amplifies density beyond the inflow jump
+    rec = sample(sim)
+    assert rec.rho_min > 1.0  # no vacuum
+    assert rec.rho_max > 8.5  # reflection amplifies density beyond the inflow jump
     assert not sim.state[0].contains_nan()
 
 
@@ -126,9 +127,9 @@ def test_curvilinear_matches_cartesian_dmr_coarsely():
         sims[curv] = sim
     # compare density range (fields live on different grids)
     for curv, sim in sims.items():
-        mn, mx = sim.min_max(0)
-        assert mn > 1.0
-        assert 8.0 < mx < 25.0
+        rec = sample(sim)
+        assert rec.rho_min > 1.0
+        assert 8.0 < rec.rho_max < 25.0
 
 
 def test_version20_has_global_parallelcopy_21_does_not():
@@ -301,8 +302,8 @@ def test_dmr_3d_runs_with_periodic_spanwise():
         # spanwise homogeneity is preserved exactly (no z-variation in IC
         # or BCs, periodic z)
         assert np.allclose(v[..., 0], v[..., -1])
-    mn, mx = sim.min_max(0)
-    assert mn > 1.0 and mx > 7.0
+    rec = sample(sim)
+    assert rec.rho_min > 1.0 and rec.rho_max > 7.0
 
 
 def test_auto_regrid_interval():

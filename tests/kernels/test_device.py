@@ -153,3 +153,17 @@ def test_launch_scratch_over_capacity_is_refused_before_it_runs():
                              LaunchSpec(scratch=701))
     assert ran == [] and not dev.table
     assert dev.bytes_in_use == dev.high_water == 300
+
+
+def test_launch_totals_price_charged_seconds():
+    dev = GpuDevice()
+    for name in ("WENOx", "WENOx", "Update"):
+        dev.run(LaunchRecord(name, 50_000), lambda: None)
+    t = launch_totals([dev])
+    assert set(t) == {"WENOx", "Update"}
+    assert {name: tot["launches"] for name, tot in t.items()} == {
+        "WENOx": 2, "Update": 1}
+    m = V100Model()
+
+    assert t["WENOx"]["seconds"] == pytest.approx(
+        2 * m.kernel_time(WENO_BUDGET, 50_000))

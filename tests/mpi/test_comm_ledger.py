@@ -12,8 +12,13 @@ from tests.conftest import logged_messages
 
 
 def test_message_local_flag():
-    assert Message(2, 2, 100, "fillboundary").local
-    assert not Message(1, 2, 100, "fillboundary").local
+    """A message whose source and destination rank coincide is a local
+    move: it is counted, but in neither side of the on/off-node split."""
+    led = CommLedger(ranks_per_node=2)
+    led.record(2, 2, 100, "fillboundary")
+    led.record(1, 2, 100, "fillboundary")
+    assert led.traffic()["fillboundary"] == {"messages": 2, "bytes": 200,
+                                             "off_node_bytes": 100}
 
 
 def test_ledger_record_and_query():
@@ -24,8 +29,11 @@ def test_ledger_record_and_query():
     assert len(led) == 3
     assert led.total_bytes() == 160
     assert led.total_bytes("fillboundary") == 110
-    assert led.total_bytes("fillboundary", remote_only=True) == 100
-    assert led.count("parallelcopy") == 1
+    assert led.by_kind() == {"fillboundary": (2, 110),
+                             "parallelcopy": (1, 50)}
+    # the same-rank message is in neither side of the on/off-node split
+    assert led.traffic()["fillboundary"] == {"messages": 2, "bytes": 110,
+                                             "on_node_bytes": 100}
 
 
 def test_ledger_kind_validation():
@@ -117,8 +125,9 @@ def test_record_many_equals_one_record_per_message():
         batched.record_many(())
     assert batched.table == singly.table == Counter(batch)
     assert batched.by_kind() == singly.by_kind()
-    assert batched.count("fillboundary") == 2
-    assert batched.total_bytes(remote_only=True) == 150
+    assert batched.by_kind()["fillboundary"][0] == 2
+    assert sum(t.get("on_node_bytes", 0) + t.get("off_node_bytes", 0)
+               for t in batched.traffic().values()) == 150
     assert log.of(batched) == log.of(singly) == batch
 
 

@@ -216,7 +216,7 @@ def test_saturation_sheds_with_429_and_idempotent_retries(tmp_path):
         assert exc.status == 429 and exc.retryable
         assert exc.retry_after is not None and exc.retry_after >= 1.0
         assert service.shed_requests == 1
-        health = raw.healthz()
+        health = raw._req("GET", "/healthz")
         assert health["status"] == "overloaded" and health["ok"] is False
 
         # an idempotent retry of an ALREADY-ACCEPTED submission bypasses
@@ -306,7 +306,7 @@ def test_draining_server_refuses_with_503(tmp_path):
         with pytest.raises(ServeError) as exc_info:
             client.submit(deck=deck())
         assert exc_info.value.status == 503
-        assert client.healthz()["status"] == "draining"
+        assert client._req("GET", "/healthz")["status"] == "draining"
     finally:
         httpd.service.stop()
         httpd.shutdown()

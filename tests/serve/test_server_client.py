@@ -30,7 +30,7 @@ def service(tmp_path):
 
 def test_submit_poll_metrics_roundtrip(service):
     client, httpd = service
-    health = client.healthz()
+    health = client._req("GET", "/healthz")
     assert health["ok"] is True and health["status"] == "ok"
     rec = client.submit(deck=DECK, label="e2e")
     assert rec["state"] == "queued" and rec["id"].startswith("r")

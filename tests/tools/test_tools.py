@@ -2,6 +2,7 @@
 the paper-figure recorders under ``benchmarks/``."""
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -177,3 +178,40 @@ def test_vectorisation_check_catches_a_scalar_rate_loop(tmp_path):
     broken = tmp_path / source.name
     broken.write_text(text.replace(keep, keep + " if (l != l) break;"))
     assert check.missing(broken, cc="gcc") == ["rate_row"]
+
+
+def test_reach_tool_reads_functions_and_records_each_first_call(tmp_path):
+    """``tools/reach.py``: the AST reference set names module functions
+    and methods (a closure is its function's); a hooked process records a
+    function it enters twice from one place once, with the calling file,
+    and the modules it ran."""
+    tool = load_tool("reach")
+    ref = tool.reference()
+    assert ref["repro.core.diagnostics.sample"][0] == "repro.core.diagnostics"
+    assert "repro.amr.box.Box.intersect" in ref
+    assert not any("<locals>" in name for name in ref)
+    out = tmp_path / "run.reach"
+    code = ("from repro.amr.box import Box\n"
+            "b = Box((0, 0), (3, 3))\nb.num_pts()\nb.num_pts()\n")
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env=tool.hooked_env(out), capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
+    called, imported, _, calls = tool.read_records([out])
+    assert "repro.amr.box.Box.num_pts" in called
+    assert ("repro.amr.box.Box.num_pts", "<string>") in calls
+    assert "repro.amr.box" in imported and "repro.cli" not in imported
+    lines = [x.split("\t") for x in out.read_text().splitlines()]
+    assert sum(x[1:] == ["Box.num_pts", "<string>"] for x in lines) == 1
+
+
+def test_reach_tool_allow_list_checks():
+    """One tag per entry; a ``caller:`` path must exist and name it."""
+    tool = load_tool("reach")
+    assert tool.untagged({"a.f": "hook: abstract", "a.g": "why not",
+                          "a.h": "seam: see reference: x"}) == ["a.g", "a.h"]
+    assert tool.caller_problems({
+        "repro.cli.main": "caller: src/repro/__main__.py"}) == []
+    assert len(tool.caller_problems({
+        "repro.cli.run_deck": "caller: src/repro/__main__.py",
+        "repro.cli.main": "caller: examples/nowhere.py"})) == 2
